@@ -17,7 +17,7 @@ import sys
 
 from . import affweyl, krchar, qsolver, report, seqanalysis
 from .qnum import LevelContext, qdim, qdim_classical, qdim_line
-from .rootsys import build_root_system
+from .rootsys import build_root_system, type_data
 
 _ENV_PRECISION = "QSLAB_PRECISION_BITS"
 
@@ -34,16 +34,25 @@ def _read_config_file(path: str) -> dict[str, str]:
     return out
 
 
+def _precision_setting(text: str, source: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        sys.stderr.write(f"error: {source} must be an integer, got {text!r}\n")
+        raise SystemExit(2) from None
+
+
 def _resolve_precision(args) -> int:
     if args.precision_bits is not None:
         return args.precision_bits
     env = os.environ.get(_ENV_PRECISION)
     if env:
-        return int(env)
+        return _precision_setting(env, _ENV_PRECISION)
     if getattr(args, "config", None):
         cfg = _read_config_file(args.config)
         if "precision_bits" in cfg:
-            return int(cfg["precision_bits"])
+            return _precision_setting(cfg["precision_bits"],
+                                      f"precision_bits in {args.config}")
     return 128
 
 
@@ -128,7 +137,7 @@ def _cmd_reduce(args) -> int:
 
 def _cmd_krdec(args) -> int:
     rs = build_root_system(args.type)
-    if args.type == "E7" and args.node in (4, 5) and args.k == 1:
+    if args.k == 1 and args.node in type_data(rs.type_label).kleber_nodes:
         dec = krchar.kleber_q1(rs, args.node)
     else:
         dec = krchar.chari_decomposition(rs, args.node, args.k)
@@ -149,7 +158,6 @@ def _cmd_grid(args) -> int:
         type_label=args.type, level=args.level,
         precision_bits=_resolve_precision(args),
         k_max=args.kmax, fmt=args.fmt or "json", checks=("grid",),
-        out_path=args.out,
     )
     rep = report.run(cfg)
     content = report.write_report(rep, args.out)
@@ -182,7 +190,7 @@ def _cmd_verify(args) -> int:
         type_label=args.type, level=args.level,
         precision_bits=_resolve_precision(args),
         k_max=args.kmax, fmt=args.fmt or "json",
-        checks=checks, out_path=args.report or args.out,
+        checks=checks,
     )
     rep = report.run(cfg)
     out_path = args.report or args.out
@@ -288,7 +296,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, LookupError, OSError) as exc:
+    except (ValueError, LookupError, OSError, RuntimeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

@@ -11,14 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .qnum import LevelContext, QReal, qdim
-from .rootsys import RootSystem, Weight, fundamental_weight, is_dominant
-
-#: (type, node) pairs with a closed-form decomposition.
-CHARI_SUPPORTED = (
-    ("E6", 1), ("E6", 2), ("E6", 6),
-    ("E7", 1), ("E7", 2), ("E7", 7),
-    ("E8", 1), ("E8", 8),
-)
+from .rootsys import RootSystem, Weight, fundamental_weight, is_dominant, type_data
 
 
 @dataclass(frozen=True)
@@ -46,7 +39,7 @@ class KRDecomposition:
 
 
 def chari_decomposition(rs: RootSystem, node: int, box_count: int) -> KRDecomposition:
-    """Closed-form decomposition for the supported (type, node) pairs.
+    """Closed-form decomposition at the direct nodes of TYPE_DATA.
 
     Term order is deterministic (ascending in the running index, and for the
     E8 node-1 double sum ascending in the shell r+s then in r) so that
@@ -56,7 +49,7 @@ def chari_decomposition(rs: RootSystem, node: int, box_count: int) -> KRDecompos
     label, k, n = rs.type_label, box_count, rs.rank
     if k < 0:
         raise ValueError("box count must be nonnegative")
-    if (label, node) not in CHARI_SUPPORTED:
+    if node not in type_data(label).direct_nodes:
         raise ValueError(f"no closed-form decomposition for ({label}, node {node})")
 
     def fw(i: int, c: int) -> Weight:
@@ -84,8 +77,8 @@ def chari_decomposition(rs: RootSystem, node: int, box_count: int) -> KRDecompos
 
 def kleber_q1(rs: RootSystem, node: int) -> KRDecomposition:
     """Kleber's single-box decompositions at the two remaining E7 nodes."""
-    if rs.type_label != "E7" or node not in (4, 5):
-        raise ValueError("single-box tables exist only for E7 nodes 4 and 5")
+    if node not in type_data(rs.type_label).kleber_nodes:
+        raise ValueError(f"no single-box table for ({rs.type_label}, node {node})")
 
     def w(**coords: int) -> Weight:
         return tuple(coords.get(f"w{j}", 0) for j in range(1, 8))

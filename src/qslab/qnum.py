@@ -15,7 +15,7 @@ from typing import Sequence
 
 from mpmath.ctx_mp import MPContext
 
-from .rootsys import RootSystem, Weight, is_dominant
+from .rootsys import RootSystem, Weight, delta, fundamental_weight, is_dominant
 
 
 @dataclass(frozen=True)
@@ -69,8 +69,9 @@ class LevelContext:
     """Carries the root system, the level, and the arithmetic precision.
 
     Each context owns an independent mpmath context (no global precision
-    state) plus memo tables for the sine values and quantum dimensions.
-    The memos only ever return identical values for identical keys, so
+    state), a table of sine values and one memo of quantum dimensions keyed
+    by dominant weight, which every quantum-dimension path goes through.
+    The memo only ever returns identical values for identical keys, so
     shared concurrent reads are safe under the GIL.
     """
 
@@ -100,7 +101,6 @@ class LevelContext:
                 raise ValueError("zero_tolerance must be positive")
         self._sin_table: list | None = None
         self._qdim_cache: dict[Weight, QReal] = {}
-        self._line_cache: dict[tuple[int, int], QReal] = {}
 
     def __repr__(self) -> str:
         return (f"LevelContext({self.root_system.type_label}, level={self.level}, "
@@ -186,27 +186,8 @@ def qdim(weight: Sequence[int], ctx: LevelContext) -> QReal:
 
 
 def qdim_line(node: int, k: int, ctx: LevelContext) -> QReal:
-    """The sine product for k*w_node, defined for every integer k.
-
-    For k >= 0 this agrees with qdim(k*w_node); for other k it is the formal
-    extension of the same product, which is 2l-periodic in k and picks up the
-    sign (-1)^delta_node under k -> k + l.
-    """
-    rs = ctx.root_system
-    if not 1 <= node <= rs.rank:
-        raise ValueError(f"node {node} out of range")
-    key = (node, k)
-    cached = ctx._line_cache.get(key)
-    if cached is not None:
-        return cached
-    factors = []
-    for b, ht in zip(rs.positive_roots, rs.heights):
-        bi = b[node - 1]
-        if bi != 0:
-            factors.append((k * bi + ht, ht))
-    out = _sine_product(ctx, factors)
-    ctx._line_cache[key] = out
-    return out
+    """Quantum dimension of k*w_node for k >= 0, from the qdim memo."""
+    return qdim(fundamental_weight(ctx.root_system.rank, node, k), ctx)
 
 
 def qdim_classical(rs: RootSystem, weight: Sequence[int]) -> int:
@@ -226,12 +207,10 @@ def qdim_classical(rs: RootSystem, weight: Sequence[int]) -> int:
 def qdim_periodicity_check(node: int, ctx: LevelContext) -> bool:
     """Check 2l-periodicity and the (-1)^delta sign at k+l on the weight line.
 
-    Evaluates the formal line for k in [0, 4l] and verifies value(k+2l) =
+    Evaluates the weight line for k in [0, 4l] and verifies value(k+2l) =
     value(k) and value(k+l) = (-1)^delta_node value(k) within the scaled
     tolerance.
     """
-    from .rootsys import delta
-
     l = ctx.shifted_level
     sign = -1 if delta(ctx.root_system, node) % 2 == 1 else 1
     for k in range(0, 2 * l + 1):

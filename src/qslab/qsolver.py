@@ -21,7 +21,7 @@ from typing import Sequence
 
 from .krchar import chari_decomposition, qdim_kr
 from .qnum import LevelContext, QReal
-from .rootsys import RootSystem, delta
+from .rootsys import RootSystem, delta, is_proven, type_data
 
 # Tolerances used by the certification checks (at >= 128-bit precision).
 ZERO_WINDOW_TOL = 1e-20
@@ -34,74 +34,25 @@ FULL_GRID_RESIDUAL_TOL = 1e-20
 TWO_PATH_REL_TOL = 1e-22
 DILOG_MARGIN = 1e-10
 
-#: Rows with closed-form decompositions, per type.
-DIRECT_NODES = {"E6": (1, 2, 6), "E7": (1, 2, 7), "E8": (1, 8)}
-
-#: Fill order for the remaining rows: (target, ((source, divisors), ...)).
-#: Each route solves the Q-system equation at ``source`` for the target row,
-#: dividing by the other neighbours of ``source`` when there are any.
-DERIVED_ROUTES = {
-    "E6": (
-        (3, ((1, ()),)),
-        (5, ((6, ()),)),
-        (4, ((2, ()),)),
-    ),
-    "E7": (
-        (3, ((1, ()),)),
-        (6, ((7, ()),)),
-        (4, ((2, ()),)),
-        (5, ((6, (7,)), (4, (2, 3)))),
-    ),
-    "E8": (
-        (3, ((1, ()),)),
-        (7, ((8, ()),)),
-        (6, ((7, (8,)),)),
-        (5, ((6, (7,)),)),
-        (4, ((5, (6,)),)),
-        (2, ((4, (3, 5)),)),
-    ),
-}
-
-#: Signs in Q_{k+l} = sign * Q_k, as established per type and node.
-PERIODICITY_SIGNS = {
-    "E6": {i: 1 for i in range(1, 7)},
-    "E7": {1: 1, 2: -1, 3: 1, 4: 1, 5: -1, 6: 1, 7: -1},
-    "E8": {i: 1 for i in range(1, 9)},
-}
-
-_ALL = "all"
-
-#: Nodes at which each certified property is a theorem rather than a
-#: (numerically supported) conjecture.
-PROVEN_NODES = {
-    "E6": {"zero_window": _ALL, "symmetry": _ALL, "positivity": _ALL,
-           "unimodality": _ALL, "periodicity": _ALL, "boundary_one": _ALL},
-    "E7": {"zero_window": _ALL, "symmetry": _ALL, "positivity": {1, 2, 3, 6, 7},
-           "unimodality": {1, 2, 7}, "periodicity": _ALL, "boundary_one": _ALL},
-    "E8": {"zero_window": _ALL, "symmetry": {1, 3, 4, 5, 6, 7, 8},
-           "positivity": {1, 3, 8}, "unimodality": {1, 8}, "periodicity": _ALL,
-           "boundary_one": _ALL},
-}
+# Sweep cap and starting damping of the restricted-system solver.
+MAX_SWEEPS = 100_000
+INITIAL_DAMPING = 1
 
 
-def is_proven(type_label: str, prop: str, node: int) -> bool:
-    entry = PROVEN_NODES[type_label][prop]
-    return entry == _ALL or node in entry
-
-
-def proven_positivity_window(type_label: str, node: int, level: int, k: int) -> bool:
+def proven_positivity_window(rs: RootSystem, node: int, level: int, k: int) -> bool:
     """Whether positivity of Q_k at this node is covered by a theorem.
 
     Every node is covered for k <= level / a_i and, by symmetry where it is
-    proven, for k >= level - level / a_i; the E7 branch nodes come with the
-    wider windows established through the log-concavity route.
+    proven, for k >= level - level / a_i; the positivity-window nodes of
+    TYPE_DATA (the E7 branch nodes) come with the wider windows
+    a_i k <= level or a_i k >= (a_i - 1) level, established through the
+    log-concavity route.
     """
-    if is_proven(type_label, "positivity", node):
+    if is_proven(rs.type_label, "positivity", node):
         return True
-    if type_label == "E7" and node == 4:
-        return 4 * k <= level or 4 * k >= 3 * level
-    if type_label == "E7" and node == 5:
-        return 3 * k <= level or 3 * k >= 2 * level
+    if node in type_data(rs.type_label).positivity_window_nodes:
+        a = rs.marks[node - 1]
+        return a * k <= level or a * k >= (a - 1) * level
     return False
 
 
@@ -112,12 +63,8 @@ class SolverDivergence(RuntimeError):
 @dataclass(frozen=True)
 class SolveSettings:
     tolerance: float = 1e-30
-    max_sweeps: int = 100_000
-    damping: float = 1.0
 
     def __post_init__(self):
-        if not 0 < self.damping <= 1:
-            raise ValueError("damping must lie in (0, 1]")
         if self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
 
@@ -174,9 +121,7 @@ def build_qgrid(ctx: LevelContext, k_max: int | None = None) -> QGrid:
     fully-stencilled cell satisfies the defining recurrence.
     """
     rs = ctx.root_system
-    label = rs.type_label
-    if label not in DIRECT_NODES:
-        raise ValueError(f"grid propagation routes are defined for E6/E7/E8, not {label}")
+    td = type_data(rs.type_label)
     level, l = ctx.level, ctx.shifted_level
     if k_max is None:
         k_max = l
@@ -185,8 +130,8 @@ def build_qgrid(ctx: LevelContext, k_max: int | None = None) -> QGrid:
     if k_max > 4 * l:
         raise ValueError("k_max is capped at 4l")
 
-    direct = set(DIRECT_NODES[label])
-    routes = dict(DERIVED_ROUTES[label])
+    direct = set(td.direct_nodes)
+    routes = dict(td.derived_routes)
     cells: dict[tuple[int, int], QReal | None] = {}
     prov: dict[tuple[int, int], str] = {}
     unresolved: list[tuple[int, int]] = []
@@ -238,7 +183,7 @@ def build_qgrid(ctx: LevelContext, k_max: int | None = None) -> QGrid:
     for i in direct:
         for k in range(k_max + 1):
             cell(i, k)
-    for i, _ in DERIVED_ROUTES[label]:
+    for i, _ in td.derived_routes:
         for k in range(k_max + 1):
             cell(i, k)
 
@@ -328,11 +273,11 @@ def solve_restricted(ctx: LevelContext, settings: SolveSettings | None = None) -
                     worst = r
         return worst
 
-    damping = mp.mpf(settings.damping)
+    damping = mp.mpf(INITIAL_DAMPING)
     prev = None
     increases = 0
     converged = level <= 1
-    for _ in range(settings.max_sweeps):
+    for _ in range(MAX_SWEEPS):
         if converged:
             break
         for k in range(1, level):
@@ -357,7 +302,7 @@ def solve_restricted(ctx: LevelContext, settings: SolveSettings | None = None) -
         prev = res
     if not converged:
         raise SolverDivergence(
-            f"no convergence within {settings.max_sweeps} sweeps; last residual {prev}"
+            f"no convergence within {MAX_SWEEPS} sweeps; last residual {prev}"
         )
     rows = [[QReal(x, abs(x) if abs(x) > 1 else one) for x in row] for row in v]
     return grid_from_values(rs, level, ctx.shifted_level, rows, tag="solver")
@@ -399,8 +344,8 @@ def theorem_report(ctx: LevelContext, grid: QGrid | None = None) -> TheoremRepor
 
     Checks per node: the recurring zero window, the reflection symmetry
     Q_{level-k} = Q_k, positivity and strict unimodality on [0, level], the
-    boundary value Q_level = 1, and at the closed-form rows the sign of
-    Q_{k+l} against the per-type table plus Q_l = (-1)^delta.  Failures are
+    boundary value Q_level = 1, and at the closed-form rows
+    Q_{k+l} = (-1)^delta Q_k plus Q_l = (-1)^delta.  Failures are
     report entries, never exceptions; each entry carries the proven or
     conjectural label of the property it checks.
     """
@@ -460,7 +405,7 @@ def theorem_report(ctx: LevelContext, grid: QGrid | None = None) -> TheoremRepor
             worst_w = zero
             ok_w = True
             for k in range(0, level + 1):
-                if proven_positivity_window(label, i, level, k):
+                if proven_positivity_window(rs, i, level, k):
                     c = grid.cell(i, k)
                     val = c.value if c is not None else ctx.mp.ninf
                     if not val > POSITIVITY_MARGIN:
@@ -490,9 +435,10 @@ def theorem_report(ctx: LevelContext, grid: QGrid | None = None) -> TheoremRepor
             "boundary_one", i, dev <= BOUNDARY_TOL,
             is_proven(label, "boundary_one", i), dev))
 
-    # (anti)periodicity and the k = l sign, at the closed-form rows only.
-    for i in DIRECT_NODES[label]:
-        sign = PERIODICITY_SIGNS[label][i]
+    # (anti)periodicity and the k = l sign, at the closed-form rows only;
+    # both signs are (-1)^delta.
+    for i in type_data(label).direct_nodes:
+        sign = -1 if delta(rs, i) % 2 else 1
         worst = zero
         for k in range(0, min(level, 3) + 1):
             a = qdim_kr(chari_decomposition(rs, i, k), ctx)
@@ -502,11 +448,10 @@ def theorem_report(ctx: LevelContext, grid: QGrid | None = None) -> TheoremRepor
         checks.append(_mk_check("periodicity", i, worst <= PERIODICITY_TOL, True, worst,
                                 note=f"sign {sign:+d}"))
 
-        expected = -1 if delta(rs, i) % 2 else 1
         c = grid.cell(i, l)
-        dev = ctx.mp.inf if c is None else abs(c.value - expected) / c.magnitude_scale
+        dev = ctx.mp.inf if c is None else abs(c.value - sign) / c.magnitude_scale
         checks.append(_mk_check("shifted_boundary_sign", i, dev <= BOUNDARY_TOL, True,
-                                dev, note=f"expected {expected:+d}"))
+                                dev, note=f"expected {sign:+d}"))
 
     return TheoremReport(grid=grid, checks=checks)
 

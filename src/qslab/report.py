@@ -22,7 +22,7 @@ from importlib import resources
 import mpmath
 
 from . import affweyl, krchar, qsolver, rootsys, seqanalysis
-from .qnum import LevelContext, qdim
+from .qnum import LevelContext, qdim, qdim_line
 from .qsolver import CheckResult, QGrid, SolveSettings, _mk_check
 from .rootsys import RootSystem, build_root_system, is_dominant
 
@@ -33,8 +33,6 @@ SIGN_IDENTITY_REL_TOL = 1e-25
 ALCOVE_MARGIN = 1e-10
 TRIAL_SEED = 20260809
 
-_FIXTURE_TYPES = ("E7", "E8")
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -44,7 +42,6 @@ class RunConfig:
     zero_tolerance: float | None = None
     solver_tolerance: float | None = None
     k_max: int | None = None
-    out_path: str | None = None
     fmt: str = "json"
     checks: tuple[str, ...] = ALL_CHECKS
 
@@ -156,8 +153,9 @@ def load_appendix_map(type_label: str, fixture_dir: str | None = None) -> dict[i
 def fixture_check(rs: RootSystem, fixture_dir: str | None = None) -> CheckResult:
     """Bit-exact comparison of the generated root table with the published one."""
     label = rs.type_label
-    if label not in _FIXTURE_TYPES:
-        ok = len(rs.positive_roots) == {"E6": 36}.get(label, -1)
+    td = rootsys.type_data(label)
+    if not td.has_fixture:
+        ok = len(rs.positive_roots) == td.positive_roots
         return _mk_check("fixture_match", None, ok, True, None,
                          note=f"{label}: {len(rs.positive_roots)} roots (no table)")
     rows = load_fixture_rows(label, fixture_dir)
@@ -186,31 +184,24 @@ def fixture_check(rs: RootSystem, fixture_dir: str | None = None) -> CheckResult
 # check groups
 
 def _roots_checks(rs: RootSystem, fixture_dir: str | None = None) -> list[CheckResult]:
-    label = rs.type_label
+    td = rootsys.type_data(rs.type_label)
     out = [fixture_check(rs, fixture_dir)]
 
     h = rs.coxeter_number
-    expect = {"E6": (12, 36), "E7": (18, 63), "E8": (30, 120)}[label]
-    adjoint_node = {"E6": 2, "E7": 1, "E8": 8}[label]
     ok = (
-        h == expect[0]
-        and len(rs.positive_roots) == expect[1]
+        h == td.coxeter_number
+        and len(rs.positive_roots) == td.positive_roots
         and sum(rs.marks) == h - 1
-        and rs.theta_weight == rootsys.fundamental_weight(rs.rank, adjoint_node)
+        and rs.theta_weight == rootsys.fundamental_weight(rs.rank, td.adjoint_node)
         and all(1 <= ht <= h - 1 for ht in rs.heights)
     )
     out.append(_mk_check("coxeter_marks", None, ok, True, None,
                          note=f"h={h}, sum(marks)={sum(rs.marks)}"))
 
-    parities = {i: rootsys.delta(rs, i) % 2 for i in range(1, rs.rank + 1)}
-    if label == "E7":
-        ok = (rootsys.delta(rs, 7) == 27
-              and all(parities[i] == 1 for i in (2, 5, 7))
-              and all(parities[i] == 0 for i in (1, 3, 4, 6)))
-    else:
-        ok = all(p == 0 for p in parities.values())
-    out.append(_mk_check("delta_parity", None, ok, True, None,
-                         note=f"odd nodes {sorted(i for i, p in parities.items() if p)}"))
+    deltas = {i: rootsys.delta(rs, i) for i in range(1, rs.rank + 1)}
+    odd = {i: d for i, d in deltas.items() if d % 2}
+    out.append(_mk_check("delta_parity", None, odd == td.odd_delta, True, None,
+                         note=f"odd nodes {sorted(odd)}"))
 
     # Unit-pairing witnesses exist at every height exactly at the mark-1
     # nodes (the ones the vanishing arguments use); a root supported on the
@@ -356,9 +347,10 @@ def _grid_checks(ctx: LevelContext, grid: QGrid) -> list[CheckResult]:
                          True, res, note=f"k_max={grid.k_max}"))
     out.append(_mk_check("grid_unresolved", None, not grid.unresolved, True, None,
                          note=f"unresolved cells {grid.unresolved}" if grid.unresolved else ""))
-    if ctx.root_system.type_label == "E7":
+    kleber_nodes = rootsys.type_data(ctx.root_system.type_label).kleber_nodes
+    if kleber_nodes:
         worst = ctx.mp.mpf(0)
-        for node in (4, 5):
+        for node in kleber_nodes:
             direct = krchar.qdim_kr(krchar.kleber_q1(ctx.root_system, node), ctx)
             cell = grid.cell(node, 1)
             if cell is None:
@@ -397,8 +389,6 @@ def _solve_checks(ctx: LevelContext, grid: QGrid, settings: SolveSettings) -> li
 
 
 def _logconcave_checks(ctx: LevelContext, grid: QGrid) -> list[CheckResult]:
-    from .qnum import qdim_line
-
     rs = ctx.root_system
     label = rs.type_label
     level = ctx.level
@@ -416,7 +406,7 @@ def _logconcave_checks(ctx: LevelContext, grid: QGrid) -> list[CheckResult]:
     out.append(_mk_check("fundamental_lines_log_concave", None, not bad_nodes, True,
                          None, note=f"failing nodes {bad_nodes}" if bad_nodes else ""))
 
-    row_node = {"E6": 2, "E7": 1, "E8": 8}[label]
+    row_node = rootsys.type_data(label).adjoint_node
     row = [grid.cell(row_node, k) for k in range(level + 1)]
     if any(c is None for c in row):
         out.append(_mk_check("grid_row_log_concave", row_node, False, True, None,
@@ -447,8 +437,7 @@ def _logconcave_checks(ctx: LevelContext, grid: QGrid) -> list[CheckResult]:
 
 
 def _dilog_checks(ctx: LevelContext, grid: QGrid) -> tuple[list[CheckResult], bool, object]:
-    label = ctx.root_system.type_label
-    proven = label == "E6"
+    proven = rootsys.type_data(ctx.root_system.type_label).dilog_proven
     try:
         args = qsolver.dilog_args(grid)
     except ValueError as exc:

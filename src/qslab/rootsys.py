@@ -17,12 +17,112 @@ from typing import Sequence
 
 Weight = tuple[int, ...]
 
-# Dynkin edges in Bourbaki numbering: nodes 1,3,4,...,rank form the chain
-# and node 2 hangs off node 4.
-_E_SERIES_EDGES = {
-    "E6": ((1, 3), (3, 4), (4, 5), (5, 6), (2, 4)),
-    "E7": ((1, 3), (3, 4), (4, 5), (5, 6), (6, 7), (2, 4)),
-    "E8": ((1, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8), (2, 4)),
+_ALL = "all"
+
+
+@dataclass(frozen=True)
+class TypeData:
+    """The facts about one E type that the rest of the package looks up.
+
+    Everything here is either input (the Dynkin diagram), a published value
+    the generated root system is checked against, or a statement of which
+    results are theorems; whatever the code can compute from the roots
+    themselves is computed, not stored.
+    """
+
+    #: Dynkin edges in Bourbaki numbering: nodes 1,3,4,...,rank form the
+    #: chain and node 2 hangs off node 4.
+    edges: tuple[tuple[int, int], ...]
+    positive_roots: int
+    coxeter_number: int
+    #: The node whose fundamental weight is the highest root.
+    adjoint_node: int
+    #: The nodes with an odd number of odd-pairing roots, with that number.
+    odd_delta: dict[int, int]
+    #: Whether fixtures/ holds a published positive-root table for the type.
+    has_fixture: bool
+    #: Rows with closed-form (Chari) decompositions.
+    direct_nodes: tuple[int, ...]
+    #: Fill order for the remaining rows: (target, ((source, divisors), ...)).
+    #: Each route solves the Q-system equation at ``source`` for the target
+    #: row, dividing by the other neighbours of ``source`` when there are any.
+    derived_routes: tuple[tuple[int, tuple[tuple[int, tuple[int, ...]], ...]], ...]
+    #: Nodes at which each certified grid property is a theorem rather than
+    #: a (numerically supported) conjecture.
+    proven_nodes: dict[str, object]
+    #: Nodes whose positivity is proven on the window a_i k <= L or
+    #: a_i k >= (a_i - 1) L through the log-concavity route.
+    positivity_window_nodes: tuple[int, ...]
+    #: Nodes with Kleber's single-box decomposition tables.
+    kleber_nodes: tuple[int, ...]
+    #: Whether the dilogarithm arguments lying in (0, 1) is a theorem.
+    dilog_proven: bool
+
+
+TYPE_DATA = {
+    "E6": TypeData(
+        edges=((1, 3), (3, 4), (4, 5), (5, 6), (2, 4)),
+        positive_roots=36,
+        coxeter_number=12,
+        adjoint_node=2,
+        odd_delta={},
+        has_fixture=False,
+        direct_nodes=(1, 2, 6),
+        derived_routes=(
+            (3, ((1, ()),)),
+            (5, ((6, ()),)),
+            (4, ((2, ()),)),
+        ),
+        proven_nodes={"zero_window": _ALL, "symmetry": _ALL, "positivity": _ALL,
+                      "unimodality": _ALL, "periodicity": _ALL, "boundary_one": _ALL},
+        positivity_window_nodes=(),
+        kleber_nodes=(),
+        dilog_proven=True,
+    ),
+    "E7": TypeData(
+        edges=((1, 3), (3, 4), (4, 5), (5, 6), (6, 7), (2, 4)),
+        positive_roots=63,
+        coxeter_number=18,
+        adjoint_node=1,
+        odd_delta={2: 35, 5: 35, 7: 27},
+        has_fixture=True,
+        direct_nodes=(1, 2, 7),
+        derived_routes=(
+            (3, ((1, ()),)),
+            (6, ((7, ()),)),
+            (4, ((2, ()),)),
+            (5, ((6, (7,)), (4, (2, 3)))),
+        ),
+        proven_nodes={"zero_window": _ALL, "symmetry": _ALL,
+                      "positivity": {1, 2, 3, 6, 7}, "unimodality": {1, 2, 7},
+                      "periodicity": _ALL, "boundary_one": _ALL},
+        positivity_window_nodes=(4, 5),
+        kleber_nodes=(4, 5),
+        dilog_proven=False,
+    ),
+    "E8": TypeData(
+        edges=((1, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8), (2, 4)),
+        positive_roots=120,
+        coxeter_number=30,
+        adjoint_node=8,
+        odd_delta={},
+        has_fixture=True,
+        direct_nodes=(1, 8),
+        derived_routes=(
+            (3, ((1, ()),)),
+            (7, ((8, ()),)),
+            (6, ((7, (8,)),)),
+            (5, ((6, (7,)),)),
+            (4, ((5, (6,)),)),
+            (2, ((4, (3, 5)),)),
+        ),
+        proven_nodes={"zero_window": _ALL, "symmetry": {1, 3, 4, 5, 6, 7, 8},
+                      "positivity": {1, 3, 8}, "unimodality": {1, 8},
+                      "periodicity": _ALL, "boundary_one": _ALL},
+        positivity_window_nodes=(),
+        kleber_nodes=(),
+        dilog_proven=False,
+    ),
 }
 
 # Guard for the closure loop: any valid input here has at most 120 positive
@@ -30,12 +130,23 @@ _E_SERIES_EDGES = {
 _CLOSURE_BOUND = 200
 
 
-def cartan_matrix(type_label: str) -> tuple[tuple[int, ...], ...]:
-    """Cartan matrix of E6/E7/E8 in Bourbaki node numbering."""
+def type_data(type_label: str) -> TypeData:
+    """The TYPE_DATA entry of an E type; ValueError for any other label."""
     try:
-        edges = _E_SERIES_EDGES[type_label]
+        return TYPE_DATA[type_label]
     except KeyError:
         raise ValueError(f"unknown type label {type_label!r}") from None
+
+
+def is_proven(type_label: str, prop: str, node: int) -> bool:
+    """Whether a certified grid property is a theorem at this node."""
+    entry = type_data(type_label).proven_nodes[prop]
+    return entry == _ALL or node in entry
+
+
+def cartan_matrix(type_label: str) -> tuple[tuple[int, ...], ...]:
+    """Cartan matrix of E6/E7/E8 in Bourbaki node numbering."""
+    edges = type_data(type_label).edges
     rank = int(type_label[1])
     rows = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
     for a, b in edges:
@@ -250,8 +361,8 @@ def build_root_system(spec: str | Sequence[Sequence[int]]) -> RootSystem:
         coxeter_number=top_height + 1,
         highest_root_index=len(ordered) - 1,
     )
-    if label in _E_SERIES_EDGES:
-        expected = {"E6": 36, "E7": 63, "E8": 120}[label]
+    if label in TYPE_DATA:
+        expected = TYPE_DATA[label].positive_roots
         if len(ordered) != expected:
             raise AssertionError(
                 f"{label}: enumerated {len(ordered)} positive roots, expected {expected}"

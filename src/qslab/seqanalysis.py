@@ -2,14 +2,13 @@
 
 Provides the squared-difference operator L mapping (a_k) to
 (a_k^2 - a_{k+1} a_{k-1}) with zero padding, iterated log-concavity
-probing, palindromic reflection, and a certified test of whether the
+probing, palindromic reflection, and an exact test of whether the
 coefficient polynomial has only real negative roots (a sufficient
 condition for infinite log-concavity).
 
-Sequences are treated as exact inputs: the stored binary floats define the
-polynomial, and the root classifier falls back to an exact rational Sturm
-count whenever the high-precision float pass cannot certify a root's side
-of the decision boundary.
+The rootedness verdict is an exact Sturm count, in rational arithmetic, of
+the real and the positive roots of the polynomial whose coefficients are the
+entries rounded to mpmath's global working precision (53 bits by default).
 """
 
 from __future__ import annotations
@@ -29,11 +28,6 @@ _MP.prec = 128
 # Base relative tolerance for nonnegativity comparisons; scaled per sequence
 # by the squared magnitude of the largest entry.
 _EPS_BASE = _MP.mpf(2) ** -64
-
-# Certification constants for the root classifier.
-_SAFETY_FACTOR = 10 ** 6
-_AMBIGUITY_BAND = _MP.mpf("1e-10")
-_ROOT_PREC = 256
 
 
 @dataclass(frozen=True)
@@ -171,7 +165,7 @@ def palindromize(seq: RealSequence, parity: str) -> RealSequence:
 
 @dataclass(frozen=True)
 class RootednessVerdict:
-    status: str  # "real_negative" | "not_real_negative" | "inconclusive"
+    status: str  # "real_negative" | "not_real_negative"
     witness: str | None = None
 
 
@@ -247,11 +241,8 @@ def _sturm_counts(p: list[Fraction]) -> tuple[int, int]:
     return v_minus - v_plus, v_zero - v_plus
 
 
-def _sturm_verdict(coeffs: list[Fraction], witness: str | None) -> RootednessVerdict:
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    if coeffs[0] == 0:
-        return RootednessVerdict("not_real_negative", witness="root at 0")
+def _sturm_verdict(coeffs: list[Fraction]) -> RootednessVerdict:
+    """Verdict for a rational polynomial with nonzero constant and leading terms."""
     degree = len(coeffs) - 1
     if degree == 0:
         return RootednessVerdict("real_negative", witness=None)
@@ -266,70 +257,27 @@ def _sturm_verdict(coeffs: list[Fraction], witness: str | None) -> RootednessVer
     real_count, positive_count = _sturm_counts(squarefree)
     if real_count < len(squarefree) - 1:
         return RootednessVerdict(
-            "not_real_negative", witness=witness or "non-real root (exact count)")
+            "not_real_negative", witness="non-real root (exact count)")
     if positive_count > 0:
         return RootednessVerdict(
-            "not_real_negative", witness=witness or "positive real root (exact count)")
+            "not_real_negative", witness="positive real root (exact count)")
     return RootednessVerdict("real_negative", witness=None)
 
 
 def branden_criterion(seq: RealSequence) -> RootednessVerdict:
     """Classify whether sum a_k x^k has only real, strictly negative roots.
 
-    High-precision root finding classifies each root against epsilon-scaled
-    certification bands (safety factor 1e6); any root inside the ambiguity
-    band around the real axis or the origin sends the whole polynomial to an
-    exact Sturm count on the (binary rational) coefficients, so multiple
-    roots are decided exactly rather than reported inconclusive.
+    The entries, rounded to mpmath's global working precision, are read as
+    exact binary rationals.  Trailing zero coefficients are dropped and a
+    zero constant term is a root at 0; otherwise the squarefree part of the
+    polynomial gets an exact Sturm count, whose real-root and positive-root
+    numbers decide the verdict, multiple roots included.
     """
-    coeffs = [mpmath.mpf(e) for e in seq.entries]
-    if all(c == 0 for c in coeffs):
-        raise ValueError("zero polynomial")
+    coeffs = [_mpf_to_fraction(e) for e in seq.entries]
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
+    if not coeffs:
+        raise ValueError("zero polynomial")
     if coeffs[0] == 0:
         return RootednessVerdict("not_real_negative", witness="root at 0")
-    if len(coeffs) == 1:
-        return RootednessVerdict("real_negative", witness=None)
-
-    cc = MPContext()
-    cc.prec = _ROOT_PREC
-    scale = max(abs(c) for c in coeffs)
-    desc = [cc.mpf(c) / cc.mpf(scale) for c in reversed(coeffs)]
-    roots = None
-    err = None
-    try:
-        roots, err = cc.polyroots(desc, maxsteps=2000, extraprec=_ROOT_PREC // 2,
-                                  error=True)
-    except (mpmath.libmp.NoConvergence, ZeroDivisionError):
-        pass
-
-    fractions = [_mpf_to_fraction(c) for c in coeffs]
-    if roots is None:
-        return _sturm_verdict(fractions, witness=None)
-
-    eps = cc.mpf(2) ** (-cc.prec)
-    ambiguous = False
-    for z in roots:
-        mag = abs(z)
-        band = _SAFETY_FACTOR * eps * (mag if mag > 1 else 1)
-        if err is not None and 10 * err > band:
-            band = 10 * err
-        amb = _AMBIGUITY_BAND * (mag if mag > 1 else 1)
-        if amb < band:
-            amb = band
-        re, im = cc.re(z), abs(cc.im(z))
-        if re > amb:
-            return RootednessVerdict(
-                "not_real_negative",
-                witness=f"root with positive real part near {cc.nstr(z, 10)}")
-        if im > amb:
-            return RootednessVerdict(
-                "not_real_negative",
-                witness=f"non-real root near {cc.nstr(z, 10)}")
-        if re < -amb and im <= band:
-            continue
-        ambiguous = True
-    if ambiguous:
-        return _sturm_verdict(fractions, witness=None)
-    return RootednessVerdict("real_negative", witness=None)
+    return _sturm_verdict(coeffs)

@@ -18,8 +18,6 @@ from qslab.affweyl import apply_word, enumerate_alcove
 from qslab.krchar import chari_decomposition, kleber_q1, qdim_kr
 from qslab.qnum import LevelContext, qdim, qdim_line
 from qslab.qsolver import (
-    DIRECT_NODES,
-    PERIODICITY_SIGNS,
     SolveSettings,
     build_qgrid,
     dilog_args,

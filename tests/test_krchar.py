@@ -13,7 +13,7 @@ from qslab.krchar import (
     type_a_kr,
 )
 from qslab.qnum import LevelContext, qdim, zeta_integer
-from qslab.rootsys import fundamental_weight
+from qslab.rootsys import TYPE_DATA, fundamental_weight
 
 
 def test_single_term_nodes(e6, e7):
@@ -142,11 +142,7 @@ def test_positive_in_alcove_range(rs_map):
     # box-sums are positive while k*w_i stays inside the fundamental alcove
     for label in ("E6", "E7", "E8"):
         rs = rs_map[label]
-        from qslab.krchar import CHARI_SUPPORTED
-
-        for lbl, node in CHARI_SUPPORTED:
-            if lbl != label:
-                continue
+        for node in TYPE_DATA[label].direct_nodes:
             for level in (2, 4, 6):
                 ctx = LevelContext(rs, level)
                 for k in range(0, level // rs.marks[node - 1] + 1):

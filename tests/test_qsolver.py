@@ -6,8 +6,6 @@ import qslab
 from qslab.krchar import chari_decomposition, kleber_q1, qdim_kr
 from qslab.qnum import LevelContext, QReal, qdim
 from qslab.qsolver import (
-    DIRECT_NODES,
-    PERIODICITY_SIGNS,
     SolveSettings,
     build_qgrid,
     dilog_args,
@@ -18,7 +16,7 @@ from qslab.qsolver import (
     solve_restricted,
     theorem_report,
 )
-from qslab.rootsys import a_series_cartan, build_root_system, delta, fundamental_weight
+from qslab.rootsys import TYPE_DATA, a_series_cartan, build_root_system
 
 
 def rel_diff(mp, a, b):
@@ -31,7 +29,7 @@ def test_boundary_and_direct_rows(e6):
     for i in range(1, 7):
         assert grid.cell(i, 0).value == 1
         assert grid.provenance[i - 1][0] == "boundary"
-    for i in DIRECT_NODES["E6"]:
+    for i in TYPE_DATA["E6"].direct_nodes:
         v = qdim_kr(chari_decomposition(e6, i, 2), ctx)
         assert grid.cell(i, 2).value == v.value
         assert grid.provenance[i - 1][2] == "direct"
@@ -133,19 +131,18 @@ def test_two_path_agreement_e6(e6):
 
 def test_solver_settings_validation(e6):
     with pytest.raises(ValueError):
-        SolveSettings(damping=0)
-    with pytest.raises(ValueError):
         SolveSettings(tolerance=-1)
     ctx = LevelContext(e6, 3, precision_bits=64)
     with pytest.raises(ValueError):
         solve_restricted(ctx, SolveSettings(tolerance=1e-30))
 
 
-def test_periodicity_signs_match_parities(rs_map):
+def test_type_data_rows_partition_nodes(rs_map):
+    # every row is either a closed-form row or the target of exactly one route
     for label, rs in rs_map.items():
-        for i in range(1, rs.rank + 1):
-            expected = -1 if delta(rs, i) % 2 else 1
-            assert PERIODICITY_SIGNS[label][i] == expected
+        td = TYPE_DATA[label]
+        rows = list(td.direct_nodes) + [target for target, _ in td.derived_routes]
+        assert sorted(rows) == list(range(1, rs.rank + 1)), label
 
 
 @pytest.mark.parametrize("label,levels", [("E6", (1, 4, 6)), ("E7", (1, 4)), ("E8", (2, 4))])

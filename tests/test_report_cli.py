@@ -68,7 +68,7 @@ def test_fixture_check_missing_file(e7, tmp_path):
 
 
 def test_run_e6_level4_full(tmp_path):
-    cfg = RunConfig(type_label="E6", level=4, out_path=None)
+    cfg = RunConfig(type_label="E6", level=4)
     rep = run(cfg)
     assert rep.overall == "pass"
     assert rep.exit_code == 0
@@ -193,13 +193,35 @@ def test_cli_logconcave_line(capsys):
     assert "real_negative" in out
 
 
-def test_cli_usage_errors(capsys):
+def test_cli_usage_errors(capsys, tmp_path, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         main(["qdim", "--type", "E6"])  # missing required flags
     assert exc.value.code == 2
     assert main(["roots", "--type", "F4"]) == 1  # unknown type: clean error
     err = capsys.readouterr().err
     assert "error" in err
+    # a precision that is not an integer is a usage error, from either source
+    qdim_argv = ["qdim", "--type", "E6", "--level", "3", "--weight", "1,0,0,0,0,0"]
+    cfgfile = tmp_path / "qslab.conf"
+    cfgfile.write_text("precision_bits = 1.5\n")
+    with pytest.raises(SystemExit) as exc:
+        main(qdim_argv + ["--config", str(cfgfile)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("error: precision_bits")
+    monkeypatch.setenv("QSLAB_PRECISION_BITS", "abc")
+    with pytest.raises(SystemExit) as exc:
+        main(qdim_argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("error: QSLAB_PRECISION_BITS")
+
+
+def test_cli_computation_error_exits_1(capsys, monkeypatch):
+    from qslab import affweyl
+
+    monkeypatch.setattr(affweyl, "_REDUCE_GUARD", 5)
+    assert main(["reduce", "--type", "E6", "--level", "1",
+                 "--weight", "30000000,0,0,0,0,0"]) == 1
+    assert capsys.readouterr().err == "error: alcove reduction failed to terminate\n"
 
 
 def test_cli_precision_sources(tmp_path, capsys, monkeypatch):
@@ -218,12 +240,19 @@ def test_cli_precision_sources(tmp_path, capsys, monkeypatch):
 
 
 def test_reports_are_deterministic():
-    cfg = RunConfig(type_label="E6", level=3, checks=("grid", "theorem", "dilog"))
-    a = report_to_dict(run(cfg))
-    b = report_to_dict(run(cfg))
-    a.pop("duration_seconds")
-    b.pop("duration_seconds")
-    assert a == b
+    configs = (
+        RunConfig(type_label="E6", level=3, checks=("grid", "theorem", "dilog")),
+        RunConfig(type_label="E7", level=12,
+                  checks=("roots", "grid", "theorem", "logconcave", "dilog")),
+    )
+    for cfg in configs:
+        a = report_to_dict(run(cfg))
+        b = report_to_dict(run(cfg))
+        a.pop("duration_seconds")
+        b.pop("duration_seconds")
+        assert a == b
+    branden = [c for c in a["checks"] if c["name"] == "branden"]
+    assert [c["note"] for c in branden] == ["not_real_negative (non-real root (exact count))"]
 
 
 def test_check_status_mechanics():

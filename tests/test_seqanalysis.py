@@ -139,6 +139,7 @@ def test_branden_toy_cases():
     # positive real root
     v = branden_criterion(make_sequence([-2, 1, 1]))  # (x+2)(x-1)
     assert v.status == "not_real_negative"
+    assert v.witness == "positive real root (exact count)"
 
 
 def test_branden_random_negative_rooted_products():
@@ -160,7 +161,7 @@ def test_branden_random_negative_rooted_products():
 
 
 def test_branden_repeated_roots_decided_exactly():
-    # (x+1)^4: quadruple root sends the float pass to the exact fallback
+    # (x+1)^4: a quadruple root, counted once in the squarefree part
     assert branden_criterion(make_sequence([1, 4, 6, 4, 1])).status == "real_negative"
     # (x+2)^2 (x^2+1): repeated negative root and a complex pair
     assert branden_criterion(make_sequence([4, 4, 5, 4, 1])).status == "not_real_negative"
