@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from typing import NoReturn
 
 from . import affweyl, krchar, qsolver, report, seqanalysis
 from .qnum import LevelContext, qdim, qdim_classical, qdim_line
@@ -34,12 +35,16 @@ def _read_config_file(path: str) -> dict[str, str]:
     return out
 
 
+def _usage_error(message: str) -> NoReturn:
+    sys.stderr.write(f"error: {message}\n")
+    raise SystemExit(2)
+
+
 def _precision_setting(text: str, source: str) -> int:
     try:
         return int(text)
     except ValueError:
-        sys.stderr.write(f"error: {source} must be an integer, got {text!r}\n")
-        raise SystemExit(2) from None
+        _usage_error(f"{source} must be an integer, got {text!r}")
 
 
 def _resolve_precision(args) -> int:
@@ -70,9 +75,12 @@ def _common_flags(p: argparse.ArgumentParser, level: bool = True) -> None:
 
 def _parse_weight(text: str, rank: int) -> tuple[int, ...]:
     parts = [p for p in text.replace(",", " ").split() if p]
-    weight = tuple(int(p) for p in parts)
+    try:
+        weight = tuple(int(p) for p in parts)
+    except ValueError:
+        _usage_error(f"weight coordinates must be integers, got {text!r}")
     if len(weight) != rank:
-        raise SystemExit(f"error: weight needs {rank} coordinates, got {len(weight)}")
+        _usage_error(f"weight needs {rank} coordinates, got {len(weight)}")
     return weight
 
 
@@ -145,7 +153,7 @@ def _cmd_krdec(args) -> int:
     text = "\n".join(lines) + "\n"
     if args.qdim:
         if args.level is None:
-            raise SystemExit("error: --qdim needs --level")
+            _usage_error("--qdim needs --level")
         ctx = LevelContext(rs, args.level, _resolve_precision(args))
         value = krchar.qdim_kr(dec, ctx)
         text += f"qdim {report.render_decimal(value.value, args.digits)}\n"
@@ -208,7 +216,7 @@ def _cmd_logconcave(args) -> int:
         label = "input sequence"
     else:
         if not args.type or args.level is None or args.node is None:
-            raise SystemExit("error: need --seq or all of --type/--level/--node")
+            _usage_error("need --seq or all of --type/--level/--node")
         rs = build_root_system(args.type)
         ctx = LevelContext(rs, args.level, _resolve_precision(args))
         seq = seqanalysis.make_sequence(

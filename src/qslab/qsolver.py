@@ -16,6 +16,7 @@ validated afterwards through the global residual.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -34,9 +35,12 @@ FULL_GRID_RESIDUAL_TOL = 1e-20
 TWO_PATH_REL_TOL = 1e-22
 DILOG_MARGIN = 1e-10
 
-# Sweep cap and starting damping of the restricted-system solver.
-MAX_SWEEPS = 100_000
-INITIAL_DAMPING = 1
+# Restricted-system solver: the float warm start stops once no cell moves
+# by more than WARM_START_TOL relative (or after WARM_START_SWEEPS sweeps);
+# Newton then gets at most MAX_NEWTON_STEPS steps to reach the tolerance.
+WARM_START_TOL = 1e-9
+WARM_START_SWEEPS = 100_000
+MAX_NEWTON_STEPS = 20
 
 
 def proven_positivity_window(rs: RootSystem, node: int, level: int, k: int) -> bool:
@@ -57,7 +61,9 @@ def proven_positivity_window(rs: RootSystem, node: int, level: int, k: int) -> b
 
 
 class SolverDivergence(RuntimeError):
-    """Raised when the damped fixed-point sweep fails to converge."""
+    """Raised when the restricted-system solver does not reach its tolerance
+    within MAX_NEWTON_STEPS Newton steps, meets a singular Jacobian block, or
+    takes a step that leaves a cell non-positive."""
 
 
 @dataclass(frozen=True)
@@ -239,13 +245,66 @@ def residual(grid: QGrid) -> object:
     return worst
 
 
-def solve_restricted(ctx: LevelContext, settings: SolveSettings | None = None) -> QGrid:
-    """Damped Gauss-Seidel iteration to the unique positive solution.
+def _warm_start(rs: RootSystem, level: int) -> list[list[float]]:
+    """Float Gauss-Seidel from all ones, the square-root update swept in
+    increasing (k, node) order, until no cell moves by WARM_START_TOL
+    relative or WARM_START_SWEEPS sweeps have run.
 
-    All interior cells start at 1 and are swept in increasing (k, node)
-    order with the square-root update; damping is halved whenever the
-    residual grows twice in a row.  Non-convergence raises, and the
-    returned grid is strictly positive by construction.
+    The update is increasing in every argument and all ones lies below the
+    positive solution, so the sweeps rise monotonically toward it.
+    """
+    x = [[1.0] * (level + 1) for _ in range(rs.rank)]
+    for _ in range(WARM_START_SWEEPS):
+        worst = 0.0
+        for k in range(1, level):
+            for i in range(1, rs.rank + 1):
+                prod = 1.0
+                for j in rs.neighbors[i]:
+                    prod *= x[j - 1][k]
+                row = x[i - 1]
+                new = math.sqrt(row[k - 1] * row[k + 1] + prod)
+                worst = max(worst, abs(new - row[k]) / new)
+                row[k] = new
+        if worst < WARM_START_TOL:
+            break
+    return x
+
+
+def _block_solve(mat, diag, rhs):
+    """Solve mat [G | g] = [diag(diag) | rhs] by Gauss-Jordan elimination
+    with partial pivoting, all right-hand sides carried through one
+    elimination.  Returns G as a list of rows and g as a list.
+    """
+    n = len(mat)
+    aug = [list(mat[r]) + [diag[r] if c == r else 0 for c in range(n)] + [rhs[r]]
+           for r in range(n)]
+    for c in range(n):
+        p = max(range(c, n), key=lambda r: abs(aug[r][c]))
+        if not aug[p][c]:
+            raise SolverDivergence("singular Jacobian block")
+        aug[c], aug[p] = aug[p], aug[c]
+        piv = aug[c]
+        inv = 1 / piv[c]
+        piv[c:] = [x * inv for x in piv[c:]]
+        for r in range(n):
+            f = aug[r][c]
+            if r != c and f:
+                row = aug[r]
+                row[c:] = [x - f * y for x, y in zip(row[c:], piv[c:])]
+    return [row[n:2 * n] for row in aug], [row[2 * n] for row in aug]
+
+
+def solve_restricted(ctx: LevelContext, settings: SolveSettings | None = None) -> QGrid:
+    """Newton's method from a float warm start to the unique positive solution.
+
+    The warm start is Gauss-Seidel in plain floats from all ones (see
+    ``_warm_start``), so the solver never reads the KR grid.  Newton steps
+    then run in the context's precision on the unknowns Q_k(i), k in
+    [1, level-1]: the Jacobian is block-tridiagonal in k with rank x rank
+    blocks, and each step is a block Thomas elimination.  Iteration stops
+    once the normalized residual is within the tolerance; exceeding
+    MAX_NEWTON_STEPS or reaching a non-positive cell raises
+    SolverDivergence.
     """
     if settings is None:
         settings = SolveSettings()
@@ -254,56 +313,65 @@ def solve_restricted(ctx: LevelContext, settings: SolveSettings | None = None) -
     if not tol > mp.mpf(2) ** (-ctx.precision_bits + 8):
         raise ValueError("solver tolerance is below the working precision")
     rs = ctx.root_system
-    level = ctx.level
+    level, rank = ctx.level, rs.rank
     one = mp.mpf(1)
-    v = [[one for _ in range(level + 1)] for _ in range(rs.rank)]
+    v = [[mp.mpf(x) for x in row] for row in _warm_start(rs, level)]
+    neighbors = [[j - 1 for j in rs.neighbors[i]] for i in range(1, rank + 1)]
 
-    def sweep_residual():
-        worst = mp.mpf(0)
+    for step in range(MAX_NEWTON_STEPS + 1):
+        # -F column by column, in the operation order of ``residual`` so that
+        # the stopping test sees the residual_max the grid will report
+        res = mp.mpf(0)
+        minus_f = []
         for k in range(1, level):
-            for i in range(1, rs.rank + 1):
+            col = []
+            for i in range(rank):
                 prod = one
-                for j in rs.neighbors[i]:
-                    prod *= v[j - 1][k]
-                lhs = v[i - 1][k] ** 2
-                rhs = v[i - 1][k - 1] * v[i - 1][k + 1] + prod
-                denom = lhs if lhs > 1 else one
-                r = abs(lhs - rhs) / denom
-                if r > worst:
-                    worst = r
-        return worst
-
-    damping = mp.mpf(INITIAL_DAMPING)
-    prev = None
-    increases = 0
-    converged = level <= 1
-    for _ in range(MAX_SWEEPS):
-        if converged:
-            break
-        for k in range(1, level):
-            for i in range(1, rs.rank + 1):
-                prod = one
-                for j in rs.neighbors[i]:
-                    prod *= v[j - 1][k]
-                cand = mp.sqrt(v[i - 1][k - 1] * v[i - 1][k + 1] + prod)
-                cur = v[i - 1][k]
-                v[i - 1][k] = cur + damping * (cand - cur)
-        res = sweep_residual()
+                for j in neighbors[i]:
+                    prod *= v[j][k]
+                lhs = v[i][k] * v[i][k]
+                fi = lhs - (v[i][k - 1] * v[i][k + 1] + prod)
+                res = max(res, abs(fi) / (lhs if lhs > 1 else one))
+                col.append(-fi)
+            minus_f.append(col)
         if res <= tol:
-            converged = True
             break
-        if prev is not None and res > prev:
-            increases += 1
-            if increases >= 2:
-                damping = damping / 2
-                increases = 0
-        else:
-            increases = 0
-        prev = res
-    if not converged:
-        raise SolverDivergence(
-            f"no convergence within {MAX_SWEEPS} sweeps; last residual {prev}"
-        )
+        if step == MAX_NEWTON_STEPS:
+            raise SolverDivergence(
+                f"no convergence within {MAX_NEWTON_STEPS} Newton steps; last residual {res}")
+        # Block Thomas elimination of J dx = -F.  Block row k holds
+        # diag(-Q_{k+1}) left of the diagonal block and diag(-Q_{k-1}) right
+        # of it; G_k = M_k^{-1} diag(-Q_{k-1}) and g_k carry the forward pass.
+        gs, gvecs = [], []
+        for k in range(1, level):
+            block = [[0] * rank for _ in range(rank)]
+            rhs = minus_f[k - 1]
+            for i in range(rank):
+                block[i][i] = 2 * v[i][k]
+                for j in neighbors[i]:
+                    partial = one
+                    for m in neighbors[i]:
+                        if m != j:
+                            partial *= v[m][k]
+                    block[i][j] = -partial
+            if gs:
+                for i in range(rank):
+                    lower = -v[i][k + 1]
+                    for j in range(rank):
+                        block[i][j] -= lower * gs[-1][i][j]
+                    rhs[i] -= lower * gvecs[-1][i]
+            g, gvec = _block_solve(block, [-v[i][k - 1] for i in range(rank)], rhs)
+            gs.append(g)
+            gvecs.append(gvec)
+        dx = gvecs[-1]
+        for k in range(level - 1, 0, -1):
+            if k < level - 1:
+                dx = [gvecs[k - 1][i] - mp.fdot(gs[k - 1][i], dx) for i in range(rank)]
+            for i in range(rank):
+                v[i][k] += dx[i]
+                if not v[i][k] > 0:
+                    raise SolverDivergence(
+                        f"Newton step {step + 1} left cell (node {i + 1}, k={k}) non-positive")
     rows = [[QReal(x, abs(x) if abs(x) > 1 else one) for x in row] for row in v]
     return grid_from_values(rs, level, ctx.shifted_level, rows, tag="solver")
 

@@ -263,3 +263,15 @@ def test_full_verify_run_under_60_seconds():
     assert result.overall == "pass"
     assert elapsed < 60, f"verify took {elapsed:.1f}s"
     print(f"full E8 level-4 verify run: {elapsed:.1f}s (budget 60s): PASS")
+
+
+@pytest.mark.parametrize("label,level", [("E7", 12), ("E8", 8)])
+def test_full_verify_at_target_levels_under_60_seconds(label, level):
+    # E7 up to the Branden threshold L12 and E8 up to L8 must certify in full
+    # within the same budget.
+    started = time.monotonic()
+    result = rep.run(rep.RunConfig(type_label=label, level=level, precision_bits=128))
+    elapsed = time.monotonic() - started
+    assert result.overall == "pass"
+    assert elapsed < 60, f"verify took {elapsed:.1f}s"
+    print(f"full {label} level-{level} verify run: {elapsed:.1f}s (budget 60s): PASS")

@@ -1,11 +1,18 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 
 import qslab
+from qslab import krchar, qnum, qsolver
+from qslab.cli import main
 from qslab.krchar import chari_decomposition, kleber_q1, qdim_kr
 from qslab.qnum import LevelContext, QReal, qdim
 from qslab.qsolver import (
+    SYMMETRY_TOL,
+    TWO_PATH_REL_TOL,
+    SolverDivergence,
     SolveSettings,
     build_qgrid,
     dilog_args,
@@ -135,6 +142,57 @@ def test_solver_settings_validation(e6):
     ctx = LevelContext(e6, 3, precision_bits=64)
     with pytest.raises(ValueError):
         solve_restricted(ctx, SolveSettings(tolerance=1e-30))
+
+
+@pytest.mark.parametrize("label,level", [("E7", 10), ("E8", 8)])
+def test_solver_deep_levels(rs_map, label, level):
+    rs = rs_map[label]
+    ctx = LevelContext(rs, level)
+    solved = solve_restricted(ctx)
+    built = build_qgrid(ctx)
+    assert solved.residual_max <= 1e-30
+    for i in range(1, rs.rank + 1):
+        for k in range(level + 1):
+            a = solved.cell(i, k).value
+            assert a > 0, (i, k)
+            d = rel_diff(ctx.mp, a, built.cell(i, k).value)
+            assert d <= TWO_PATH_REL_TOL, (i, k, float(d))
+            mirror = solved.cell(i, level - k).value
+            assert rel_diff(ctx.mp, a, mirror) <= SYMMETRY_TOL, (i, k)
+
+
+def test_solver_never_reads_the_grid(e7, monkeypatch):
+    # the two solution paths stay independent: no KR value seeds the solver
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the solver read a KR quantum dimension")
+
+    for module in (qnum, krchar, qsolver):
+        for name in ("qdim", "qdim_kr", "chari_decomposition", "build_qgrid"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    grid = solve_restricted(LevelContext(e7, 6))
+    assert grid.residual_max <= 1e-30
+
+
+def test_solver_divergence_is_reported(e6, monkeypatch, capsys):
+    monkeypatch.setattr(qsolver, "MAX_NEWTON_STEPS", 1)
+    with pytest.raises(SolverDivergence, match="within 1 Newton steps"):
+        solve_restricted(LevelContext(e6, 4))
+    assert main(["solve", "--type", "E6", "--level", "4"]) == 1
+    assert capsys.readouterr().out.startswith("error: no convergence within 1 Newton steps")
+    assert main(["verify", "--type", "E6", "--level", "4", "--checks", "solve"]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    solver = [c for c in checks if c["name"] == "solver_residual"]
+    assert len(solver) == 1
+    assert solver[0]["status"] == "fail" and solver[0]["proven"]
+    assert solver[0]["note"].startswith("no convergence within 1 Newton steps")
+
+
+def test_solver_rejects_nonpositive_cells(a1, monkeypatch):
+    # from Q_1 = -1, Newton on Q_1^2 = 2 moves to -3/2
+    monkeypatch.setattr(qsolver, "_warm_start", lambda rs, level: [[1.0, -1.0, 1.0]])
+    with pytest.raises(SolverDivergence, match="non-positive"):
+        solve_restricted(LevelContext(a1, 2))
 
 
 def test_type_data_rows_partition_nodes(rs_map):

@@ -213,6 +213,22 @@ def test_cli_usage_errors(capsys, tmp_path, monkeypatch):
         main(qdim_argv)
     assert exc.value.code == 2
     assert capsys.readouterr().err.startswith("error: QSLAB_PRECISION_BITS")
+    monkeypatch.delenv("QSLAB_PRECISION_BITS")
+    # usage errors found after parsing exit 2 as well, never 1
+    for argv, message in (
+        (["qdim", "--type", "E6", "--level", "2", "--weight", "1,0"],
+         "error: weight needs 6 coordinates, got 2\n"),
+        (["qdim", "--type", "E6", "--level", "2", "--weight", "1,0,0,0,0,x"],
+         "error: weight coordinates must be integers, got '1,0,0,0,0,x'\n"),
+        (["logconcave", "--type", "E7"],
+         "error: need --seq or all of --type/--level/--node\n"),
+        (["krdec", "--type", "E6", "--node", "1", "--k", "1", "--qdim"],
+         "error: --qdim needs --level\n"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert capsys.readouterr().err == message
 
 
 def test_cli_computation_error_exits_1(capsys, monkeypatch):
