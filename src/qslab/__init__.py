@@ -21,7 +21,6 @@ from .qnum import (
 )
 from .qsolver import (
     QGrid,
-    SolveSettings,
     SolverDivergence,
     build_qgrid,
     dilog_args,

@@ -17,7 +17,7 @@ import sys
 from typing import NoReturn
 
 from . import affweyl, krchar, qsolver, report, seqanalysis
-from .qnum import LevelContext, qdim, qdim_classical, qdim_line
+from .qnum import MIN_PRECISION_BITS, LevelContext, qdim, qdim_classical, qdim_line
 from .rootsys import build_root_system, type_data
 
 _ENV_PRECISION = "QSLAB_PRECISION_BITS"
@@ -61,15 +61,35 @@ def _resolve_precision(args) -> int:
     return 128
 
 
-def _common_flags(p: argparse.ArgumentParser, level: bool = True) -> None:
+def _int_at_least(minimum: int):
+    """An argparse type: an integer no smaller than ``minimum``."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+    return integer
+
+
+def _check_list(text: str) -> tuple[str, ...]:
+    checks = tuple(text.split(","))
+    for c in checks:
+        if c not in report.ALL_CHECKS:
+            raise argparse.ArgumentTypeError(
+                f"unknown check {c!r} (choose from {','.join(report.ALL_CHECKS)})")
+    return checks
+
+
+def _common_flags(p: argparse.ArgumentParser, level: bool = True,
+                  precision: bool = True) -> None:
     p.add_argument("--type", required=True, metavar="TYPE",
                    help="root system type: E6, E7 or E8")
     if level:
-        p.add_argument("--level", type=int, required=True, help="restriction level")
-    p.add_argument("--precision-bits", type=int, default=None)
-    p.add_argument("--config", default=None, help="key=value config file")
-    p.add_argument("--format", dest="fmt", default=None,
-                   choices=("json", "csv", "text", "fixture"))
+        p.add_argument("--level", type=_int_at_least(1), required=True,
+                       help="restriction level")
+    if precision:
+        p.add_argument("--precision-bits", type=_int_at_least(MIN_PRECISION_BITS), default=None)
+        p.add_argument("--config", default=None, help="key=value config file")
     p.add_argument("--out", default=None, help="output file (written atomically)")
 
 
@@ -93,8 +113,7 @@ def _emit(text: str, out_path: str | None) -> None:
 
 def _cmd_roots(args) -> int:
     rs = build_root_system(args.type)
-    fmt = args.fmt or "fixture"
-    if fmt == "json":
+    if args.fmt == "json":
         import json
 
         rows = [{"index": i + 1, "height": sum(b), "coefficients": list(b)}
@@ -102,7 +121,7 @@ def _cmd_roots(args) -> int:
         text = json.dumps({"type": rs.type_label, "count": len(rows),
                            "coxeter_number": rs.coxeter_number,
                            "marks": list(rs.marks), "roots": rows}, indent=2) + "\n"
-    elif fmt == "csv":
+    elif args.fmt == "csv":
         lines = ["index,height," + ",".join(f"b{j+1}" for j in range(rs.rank))]
         for i, b in enumerate(rs.positive_roots):
             lines.append(f"{i+1},{sum(b)}," + ",".join(str(c) for c in b))
@@ -165,7 +184,7 @@ def _cmd_grid(args) -> int:
     cfg = report.RunConfig(
         type_label=args.type, level=args.level,
         precision_bits=_resolve_precision(args),
-        k_max=args.kmax, fmt=args.fmt or "json", checks=("grid",),
+        k_max=args.kmax, fmt=args.fmt, checks=("grid",),
     )
     rep = report.run(cfg)
     content = report.write_report(rep, args.out)
@@ -177,12 +196,7 @@ def _cmd_grid(args) -> int:
 def _cmd_solve(args) -> int:
     rs = build_root_system(args.type)
     ctx = LevelContext(rs, args.level, _resolve_precision(args))
-    settings = qsolver.SolveSettings(tolerance=args.tol)
-    try:
-        grid = qsolver.solve_restricted(ctx, settings)
-    except qsolver.SolverDivergence as exc:
-        _emit(f"error: {exc}\n", None)
-        return 1
+    grid = qsolver.solve_restricted(ctx, args.tol)
     lines = [f"converged, residual {report.render_decimal(grid.residual_max)}"]
     for i in range(1, rs.rank + 1):
         row = " ".join(report.render_decimal(grid.value(i, k), 12)
@@ -193,12 +207,10 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    checks = tuple(args.checks.split(",")) if args.checks else report.ALL_CHECKS
     cfg = report.RunConfig(
         type_label=args.type, level=args.level,
         precision_bits=_resolve_precision(args),
-        k_max=args.kmax, fmt=args.fmt or "json",
-        checks=checks,
+        k_max=args.kmax, fmt=args.fmt, checks=args.checks,
     )
     rep = report.run(cfg)
     out_path = args.report or args.out
@@ -242,7 +254,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("roots", help="positive-root table")
-    _common_flags(p, level=False)
+    _common_flags(p, level=False, precision=False)
+    p.add_argument("--format", dest="fmt", default="fixture",
+                   choices=("fixture", "json", "csv"))
     p.set_defaults(fn=_cmd_roots)
 
     p = sub.add_parser("qdim", help="quantum dimension of a dominant weight")
@@ -261,37 +275,39 @@ def build_parser() -> argparse.ArgumentParser:
     _common_flags(p, level=False)
     p.add_argument("--node", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--level", type=int, default=None)
+    p.add_argument("--level", type=_int_at_least(1), default=None)
     p.add_argument("--qdim", action="store_true")
     p.add_argument("--digits", type=int, default=30)
     p.set_defaults(fn=_cmd_krdec)
 
     p = sub.add_parser("grid", help="build the Q-grid from KR quantum dimensions")
     _common_flags(p)
+    p.add_argument("--format", dest="fmt", default="json", choices=report.REPORT_FORMATS)
     p.add_argument("--kmax", type=int, default=None)
     p.set_defaults(fn=_cmd_grid)
 
     p = sub.add_parser("solve", help="solve the restricted system")
     _common_flags(p)
-    p.add_argument("--tol", type=float, default=1e-30)
+    p.add_argument("--tol", type=float, default=qsolver.SOLVER_TOLERANCE)
     p.set_defaults(fn=_cmd_solve)
 
     p = sub.add_parser("verify", help="run the verification suite")
     _common_flags(p)
+    p.add_argument("--format", dest="fmt", default="json", choices=report.REPORT_FORMATS)
     p.add_argument("--kmax", type=int, default=None)
     p.add_argument("--report", default=None, help="report output path")
-    p.add_argument("--checks", default=None,
+    p.add_argument("--checks", type=_check_list, default=report.ALL_CHECKS,
                    help="comma-separated subset of " + ",".join(report.ALL_CHECKS))
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("logconcave", help="log-concavity and rootedness probes")
     p.add_argument("--type", default=None)
-    p.add_argument("--level", type=int, default=None)
+    p.add_argument("--level", type=_int_at_least(1), default=None)
     p.add_argument("--node", type=int, default=None)
     p.add_argument("--max-order", type=int, default=6)
     p.add_argument("--branden", action="store_true")
     p.add_argument("--seq", default=None, help="raw comma-separated sequence")
-    p.add_argument("--precision-bits", type=int, default=None)
+    p.add_argument("--precision-bits", type=_int_at_least(MIN_PRECISION_BITS), default=None)
     p.add_argument("--config", default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_logconcave)

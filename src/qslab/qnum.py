@@ -17,6 +17,8 @@ from mpmath.ctx_mp import MPContext
 
 from .rootsys import RootSystem, Weight, delta, fundamental_weight, is_dominant
 
+MIN_PRECISION_BITS = 64
+
 
 @dataclass(frozen=True)
 class QReal:
@@ -84,8 +86,8 @@ class LevelContext:
     ):
         if level < 1:
             raise ValueError("level must be a positive integer")
-        if precision_bits < 64:
-            raise ValueError("precision_bits must be at least 64")
+        if precision_bits < MIN_PRECISION_BITS:
+            raise ValueError(f"precision_bits must be at least {MIN_PRECISION_BITS}")
         self.root_system = root_system
         self.level = int(level)
         self.shifted_level = self.level + root_system.coxeter_number

@@ -37,7 +37,9 @@ DILOG_MARGIN = 1e-10
 
 # Restricted-system solver: the float warm start stops once no cell moves
 # by more than WARM_START_TOL relative (or after WARM_START_SWEEPS sweeps);
-# Newton then gets at most MAX_NEWTON_STEPS steps to reach the tolerance.
+# Newton then gets at most MAX_NEWTON_STEPS steps to bring the normalized
+# residual within the tolerance, SOLVER_TOLERANCE unless the caller gives one.
+SOLVER_TOLERANCE = 1e-30
 WARM_START_TOL = 1e-9
 WARM_START_SWEEPS = 100_000
 MAX_NEWTON_STEPS = 20
@@ -66,15 +68,6 @@ class SolverDivergence(RuntimeError):
     takes a step that leaves a cell non-positive."""
 
 
-@dataclass(frozen=True)
-class SolveSettings:
-    tolerance: float = 1e-30
-
-    def __post_init__(self):
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
-
-
 @dataclass
 class QGrid:
     """The table Q_k(i) with per-cell provenance and residual diagnostics."""
@@ -87,10 +80,6 @@ class QGrid:
     provenance: list[list[str | None]]
     residual_max: object = None
     unresolved: list[tuple[int, int]] = field(default_factory=list)
-
-    @property
-    def type_label(self) -> str:
-        return self.root_system.type_label
 
     def cell(self, node: int, k: int) -> QReal | None:
         return self.values[node - 1][k]
@@ -294,7 +283,7 @@ def _block_solve(mat, diag, rhs):
     return [row[n:2 * n] for row in aug], [row[2 * n] for row in aug]
 
 
-def solve_restricted(ctx: LevelContext, settings: SolveSettings | None = None) -> QGrid:
+def solve_restricted(ctx: LevelContext, tolerance: float = SOLVER_TOLERANCE) -> QGrid:
     """Newton's method from a float warm start to the unique positive solution.
 
     The warm start is Gauss-Seidel in plain floats from all ones (see
@@ -302,14 +291,13 @@ def solve_restricted(ctx: LevelContext, settings: SolveSettings | None = None) -
     then run in the context's precision on the unknowns Q_k(i), k in
     [1, level-1]: the Jacobian is block-tridiagonal in k with rank x rank
     blocks, and each step is a block Thomas elimination.  Iteration stops
-    once the normalized residual is within the tolerance; exceeding
-    MAX_NEWTON_STEPS or reaching a non-positive cell raises
+    once the normalized residual is within ``tolerance``, which must lie
+    above 2^(8 - precision_bits) (so a tolerance <= 0 raises ValueError);
+    exceeding MAX_NEWTON_STEPS or reaching a non-positive cell raises
     SolverDivergence.
     """
-    if settings is None:
-        settings = SolveSettings()
     mp = ctx.mp
-    tol = mp.mpf(settings.tolerance)
+    tol = mp.mpf(tolerance)
     if not tol > mp.mpf(2) ** (-ctx.precision_bits + 8):
         raise ValueError("solver tolerance is below the working precision")
     rs = ctx.root_system
@@ -387,27 +375,13 @@ class CheckResult:
     max_violation: object = None
     note: str = ""
 
-    @property
-    def passed(self) -> bool:
-        return self.status == "pass"
-
 
 def _mk_check(name, node, ok, proven, violation, note="") -> CheckResult:
     status = "pass" if ok else ("fail" if proven else "conjecture-violated")
     return CheckResult(name, node, status, proven, violation, note)
 
 
-@dataclass
-class TheoremReport:
-    grid: QGrid
-    checks: list[CheckResult]
-
-    @property
-    def proven_failures(self) -> list[CheckResult]:
-        return [c for c in self.checks if c.status == "fail"]
-
-
-def theorem_report(ctx: LevelContext, grid: QGrid | None = None) -> TheoremReport:
+def theorem_report(ctx: LevelContext, grid: QGrid | None = None) -> list[CheckResult]:
     """Certify the claimed grid properties node by node.
 
     Checks per node: the recurring zero window, the reflection symmetry
@@ -521,7 +495,7 @@ def theorem_report(ctx: LevelContext, grid: QGrid | None = None) -> TheoremRepor
         checks.append(_mk_check("shifted_boundary_sign", i, dev <= BOUNDARY_TOL, True,
                                 dev, note=f"expected {sign:+d}"))
 
-    return TheoremReport(grid=grid, checks=checks)
+    return checks
 
 
 def dilog_args(grid: QGrid) -> dict[tuple[int, int], QReal]:

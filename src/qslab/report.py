@@ -18,70 +18,23 @@ from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Context as DecimalContext, Decimal
 from fractions import Fraction
 from importlib import resources
+from typing import Callable
 
 import mpmath
 
 from . import affweyl, krchar, qsolver, rootsys, seqanalysis
-from .qnum import LevelContext, qdim, qdim_line
-from .qsolver import CheckResult, QGrid, SolveSettings, _mk_check
+from .qnum import MIN_PRECISION_BITS, LevelContext, qdim, qdim_line
+from .qsolver import CheckResult, QGrid, _mk_check
 from .rootsys import RootSystem, build_root_system, is_dominant
 
-ALL_CHECKS = ("roots", "weyl", "grid", "solve", "theorem", "logconcave", "dilog")
+REPORT_FORMATS = ("json", "csv", "text")
 
 SIGN_IDENTITY_TRIALS = 500
+SIGN_IDENTITY_MAX_WORD_LENGTH = 12
+SIGN_IDENTITY_MAX_COEFF = 3
 SIGN_IDENTITY_REL_TOL = 1e-25
 ALCOVE_MARGIN = 1e-10
 TRIAL_SEED = 20260809
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    type_label: str
-    level: int
-    precision_bits: int = 128
-    zero_tolerance: float | None = None
-    solver_tolerance: float | None = None
-    k_max: int | None = None
-    fmt: str = "json"
-    checks: tuple[str, ...] = ALL_CHECKS
-
-    def __post_init__(self):
-        if self.level < 1:
-            raise ValueError("level must be at least 1")
-        if self.precision_bits < 64:
-            raise ValueError("precision_bits must be at least 64")
-        if not self.checks:
-            raise ValueError("at least one check must be selected")
-        for c in self.checks:
-            if c not in ALL_CHECKS:
-                raise ValueError(f"unknown check {c!r}")
-        if self.fmt not in ("json", "csv", "text"):
-            raise ValueError(f"unknown output format {self.fmt!r}")
-
-
-@dataclass
-class VerificationReport:
-    config: RunConfig
-    shifted_level: int
-    checks: list[CheckResult]
-    grid: QGrid | None = None
-    dilog_in_range: bool | None = None
-    dilog_sum: object = None
-    overall: str = "pass"
-    duration_seconds: float = 0.0
-
-    def finalize(self) -> None:
-        statuses = {c.status for c in self.checks}
-        if "fail" in statuses:
-            self.overall = "fail"
-        elif "conjecture-violated" in statuses:
-            self.overall = "conjecture-violated"
-        else:
-            self.overall = "pass"
-
-    @property
-    def exit_code(self) -> int:
-        return 1 if self.overall == "fail" else 0
 
 
 def render_decimal(x, digits: int = 30) -> str:
@@ -183,7 +136,13 @@ def fixture_check(rs: RootSystem, fixture_dir: str | None = None) -> CheckResult
 # ---------------------------------------------------------------------------
 # check groups
 
-def _roots_checks(rs: RootSystem, fixture_dir: str | None = None) -> list[CheckResult]:
+def _rel_gap(mp, a, b):
+    """|a - b| / max(|a|, |b|, 1)."""
+    return abs(a - b) / max(abs(a), abs(b), mp.mpf(1))
+
+
+def _roots_checks(report, ctx, grid, fixture_dir) -> list[CheckResult]:
+    rs = ctx.root_system
     td = rootsys.type_data(rs.type_label)
     out = [fixture_check(rs, fixture_dir)]
 
@@ -237,20 +196,14 @@ def _roots_checks(rs: RootSystem, fixture_dir: str | None = None) -> list[CheckR
     return out
 
 
-def sign_identity_trials(
-    ctx: LevelContext,
-    trials: int = SIGN_IDENTITY_TRIALS,
-    max_word_length: int = 12,
-    max_coeff: int = 3,
-    seed: int = TRIAL_SEED,
-):
+def sign_identity_trials(ctx: LevelContext, trials: int = SIGN_IDENTITY_TRIALS):
     """Randomized check of qdim(lam) = parity * qdim(w . lam).
 
     Draws random dominant weights and generator words, keeping only trials
     whose image is dominant again, and returns the worst relative deviation
     over the requested number of kept trials.
     """
-    rng = random.Random(seed)
+    rng = random.Random(TRIAL_SEED)
     rs = ctx.root_system
     worst = ctx.mp.mpf(0)
     kept = 0
@@ -259,15 +212,13 @@ def sign_identity_trials(
         attempts += 1
         if attempts > 1000 * trials:
             raise RuntimeError("could not find enough dominant-image trials")
-        lam = tuple(rng.randint(0, max_coeff) for _ in range(rs.rank))
-        word = [rng.randint(0, rs.rank) for _ in range(rng.randint(1, max_word_length))]
+        lam = tuple(rng.randint(0, SIGN_IDENTITY_MAX_COEFF) for _ in range(rs.rank))
+        word = [rng.randint(0, rs.rank)
+                for _ in range(rng.randint(1, SIGN_IDENTITY_MAX_WORD_LENGTH))]
         image, parity = affweyl.apply_word(word, lam, ctx)
         if not is_dominant(image):
             continue
-        a = qdim(lam, ctx)
-        b = qdim(image, ctx)
-        denom = max(abs(a.value), abs(b.value), ctx.mp.mpf(1))
-        rel = abs(a.value - parity * b.value) / denom
+        rel = _rel_gap(ctx.mp, qdim(lam, ctx).value, parity * qdim(image, ctx).value)
         if rel > worst:
             worst = rel
         kept += 1
@@ -322,7 +273,7 @@ def fixed_word_image_check(ctx: LevelContext) -> CheckResult:
                      note="; ".join(bad[:4]) if bad else "integer closed forms reproduced")
 
 
-def _weyl_checks(ctx: LevelContext) -> list[CheckResult]:
+def _weyl_checks(report, ctx, grid, fixture_dir) -> list[CheckResult]:
     out = [fixed_word_image_check(ctx)]
     worst = sign_identity_trials(ctx)
     out.append(_mk_check("sign_identity", None, worst <= SIGN_IDENTITY_REL_TOL, True,
@@ -340,7 +291,7 @@ def _weyl_checks(ctx: LevelContext) -> list[CheckResult]:
     return out
 
 
-def _grid_checks(ctx: LevelContext, grid: QGrid) -> list[CheckResult]:
+def _grid_checks(report, ctx, grid, fixture_dir) -> list[CheckResult]:
     out = []
     res = grid.residual_max
     out.append(_mk_check("grid_residual", None, res <= qsolver.FULL_GRID_RESIDUAL_TOL,
@@ -356,22 +307,24 @@ def _grid_checks(ctx: LevelContext, grid: QGrid) -> list[CheckResult]:
             if cell is None:
                 worst = ctx.mp.inf
                 continue
-            denom = max(abs(direct.value), abs(cell.value), ctx.mp.mpf(1))
-            worst = max(worst, abs(direct.value - cell.value) / denom)
+            worst = max(worst, _rel_gap(ctx.mp, direct.value, cell.value))
         out.append(_mk_check("kleber_cross_check", None,
                              worst <= qsolver.TWO_PATH_REL_TOL, True, worst))
     return out
 
 
-def _solve_checks(ctx: LevelContext, grid: QGrid, settings: SolveSettings) -> list[CheckResult]:
+def _solve_checks(report, ctx, grid, fixture_dir) -> list[CheckResult]:
+    tolerance = report.config.solver_tolerance
+    if tolerance is None:
+        tolerance = qsolver.SOLVER_TOLERANCE
     out = []
     try:
-        solved = qsolver.solve_restricted(ctx, settings)
+        solved = qsolver.solve_restricted(ctx, tolerance)
     except qsolver.SolverDivergence as exc:
         out.append(_mk_check("solver_residual", None, False, True, None, note=str(exc)))
         return out
     out.append(_mk_check("solver_residual", None,
-                         solved.residual_max <= ctx.mp.mpf(settings.tolerance), True,
+                         solved.residual_max <= ctx.mp.mpf(tolerance), True,
                          solved.residual_max))
     worst = ctx.mp.mpf(0)
     for i in range(1, ctx.root_system.rank + 1):
@@ -381,14 +334,17 @@ def _solve_checks(ctx: LevelContext, grid: QGrid, settings: SolveSettings) -> li
             if a is None:
                 worst = ctx.mp.inf
                 continue
-            denom = max(abs(a.value), abs(b.value), ctx.mp.mpf(1))
-            worst = max(worst, abs(a.value - b.value) / denom)
+            worst = max(worst, _rel_gap(ctx.mp, a.value, b.value))
     out.append(_mk_check("two_path_agreement", None,
                          worst <= qsolver.TWO_PATH_REL_TOL, True, worst))
     return out
 
 
-def _logconcave_checks(ctx: LevelContext, grid: QGrid) -> list[CheckResult]:
+def _theorem_checks(report, ctx, grid, fixture_dir) -> list[CheckResult]:
+    return qsolver.theorem_report(ctx, grid)
+
+
+def _logconcave_checks(report, ctx, grid, fixture_dir) -> list[CheckResult]:
     rs = ctx.root_system
     label = rs.type_label
     level = ctx.level
@@ -436,12 +392,14 @@ def _logconcave_checks(ctx: LevelContext, grid: QGrid) -> list[CheckResult]:
     return out
 
 
-def _dilog_checks(ctx: LevelContext, grid: QGrid) -> tuple[list[CheckResult], bool, object]:
+def _dilog_checks(report, ctx, grid, fixture_dir) -> list[CheckResult]:
+    """The dilog checks; also sets the report's dilog range flag and sum."""
     proven = rootsys.type_data(ctx.root_system.type_label).dilog_proven
     try:
         args = qsolver.dilog_args(grid)
     except ValueError as exc:
-        return [_mk_check("dilog_args", None, False, proven, None, note=str(exc))], False, None
+        report.dilog_in_range = False
+        return [_mk_check("dilog_args", None, False, proven, None, note=str(exc))]
     margin = qsolver.dilog_args_margin(args, ctx.level)
     ok = margin is None or margin > qsolver.DILOG_MARGIN
     checks = [_mk_check("dilog_args", None, ok, proven,
@@ -452,7 +410,76 @@ def _dilog_checks(ctx: LevelContext, grid: QGrid) -> tuple[list[CheckResult], bo
     total = qsolver.dilog_sum(grid, ctx)
     checks.append(_mk_check("dilog_sum", None, True, True, None,
                             note=f"normalized sum {ctx.mp.nstr(total, 12)}"))
-    return checks, bool(ok), total
+    report.dilog_in_range = bool(ok)
+    report.dilog_sum = total
+    return checks
+
+
+# The check groups in canonical report order: name -> (whether the group reads
+# the grid, the group).  Each group takes (report, ctx, grid, fixture_dir), grid
+# being None unless it reads one, and returns its checks.  Groups look up layer
+# functions (qsolver.*, fixture_check, sign_identity_trials) at call time, so a
+# wrapper patched onto a module attribute, as perfbench/tracing.py does, sees them.
+CHECK_GROUPS: dict[str, tuple[bool, Callable[..., list[CheckResult]]]] = {
+    "roots": (False, _roots_checks),
+    "weyl": (False, _weyl_checks),
+    "grid": (True, _grid_checks),
+    "solve": (True, _solve_checks),
+    "theorem": (True, _theorem_checks),
+    "logconcave": (True, _logconcave_checks),
+    "dilog": (True, _dilog_checks),
+}
+ALL_CHECKS = tuple(CHECK_GROUPS)
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    type_label: str
+    level: int
+    precision_bits: int = 128
+    zero_tolerance: float | None = None
+    solver_tolerance: float | None = None
+    k_max: int | None = None
+    fmt: str = "json"
+    checks: tuple[str, ...] = ALL_CHECKS
+
+    def __post_init__(self):
+        if self.level < 1:
+            raise ValueError("level must be at least 1")
+        if self.precision_bits < MIN_PRECISION_BITS:
+            raise ValueError(f"precision_bits must be at least {MIN_PRECISION_BITS}")
+        if not self.checks:
+            raise ValueError("at least one check must be selected")
+        for c in self.checks:
+            if c not in CHECK_GROUPS:
+                raise ValueError(f"unknown check {c!r}")
+        if self.fmt not in REPORT_FORMATS:
+            raise ValueError(f"unknown output format {self.fmt!r}")
+
+
+@dataclass
+class VerificationReport:
+    config: RunConfig
+    shifted_level: int
+    checks: list[CheckResult]
+    grid: QGrid | None = None
+    dilog_in_range: bool | None = None
+    dilog_sum: object = None
+    overall: str = "pass"
+    duration_seconds: float = 0.0
+
+    def finalize(self) -> None:
+        statuses = {c.status for c in self.checks}
+        if "fail" in statuses:
+            self.overall = "fail"
+        elif "conjecture-violated" in statuses:
+            self.overall = "conjecture-violated"
+        else:
+            self.overall = "pass"
+
+    @property
+    def exit_code(self) -> int:
+        return 1 if self.overall == "fail" else 0
 
 
 def run(config: RunConfig, fixture_dir: str | None = None) -> VerificationReport:
@@ -461,38 +488,17 @@ def run(config: RunConfig, fixture_dir: str | None = None) -> VerificationReport
     rs = build_root_system(config.type_label)
     ctx = LevelContext(rs, config.level, config.precision_bits,
                        zero_tolerance=config.zero_tolerance)
-    settings = SolveSettings() if config.solver_tolerance is None else SolveSettings(
-        tolerance=config.solver_tolerance)
 
     report = VerificationReport(config=config, shifted_level=ctx.shifted_level, checks=[])
-    needs_grid = any(c in config.checks for c in ("grid", "solve", "theorem",
-                                                  "logconcave", "dilog"))
+    groups = [group for name, group in CHECK_GROUPS.items() if name in config.checks]
     grid = None
-    if needs_grid:
+    if any(needs_grid for needs_grid, _ in groups):
         k_max = config.k_max if config.k_max is not None else ctx.shifted_level
         grid = qsolver.build_qgrid(ctx, k_max=max(k_max, ctx.shifted_level))
         report.grid = grid
 
-    for group in ALL_CHECKS:
-        if group not in config.checks:
-            continue
-        if group == "roots":
-            report.checks.extend(_roots_checks(rs, fixture_dir))
-        elif group == "weyl":
-            report.checks.extend(_weyl_checks(ctx))
-        elif group == "grid":
-            report.checks.extend(_grid_checks(ctx, grid))
-        elif group == "solve":
-            report.checks.extend(_solve_checks(ctx, grid, settings))
-        elif group == "theorem":
-            report.checks.extend(qsolver.theorem_report(ctx, grid).checks)
-        elif group == "logconcave":
-            report.checks.extend(_logconcave_checks(ctx, grid))
-        elif group == "dilog":
-            checks, in_range, total = _dilog_checks(ctx, grid)
-            report.checks.extend(checks)
-            report.dilog_in_range = in_range
-            report.dilog_sum = total
+    for _, checks in groups:
+        report.checks.extend(checks(report, ctx, grid, fixture_dir))
 
     report.finalize()
     report.duration_seconds = time.monotonic() - started

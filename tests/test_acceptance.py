@@ -18,7 +18,6 @@ from qslab.affweyl import apply_word, enumerate_alcove
 from qslab.krchar import chari_decomposition, kleber_q1, qdim_kr
 from qslab.qnum import LevelContext, qdim, qdim_line
 from qslab.qsolver import (
-    SolveSettings,
     build_qgrid,
     dilog_args,
     dilog_args_margin,
@@ -42,7 +41,7 @@ def solved_matrix(rs_map):
         for level in levels:
             ctx = LevelContext(rs_map[label], level, precision_bits=128)
             grid = build_qgrid(ctx, k_max=ctx.shifted_level)
-            solved = solve_restricted(ctx, SolveSettings(tolerance=1e-30))
+            solved = solve_restricted(ctx, tolerance=1e-30)
             out[(label, level)] = (ctx, grid, solved)
     return out
 
@@ -140,17 +139,17 @@ def test_criterion_05_sign_identity(rs_map):
 
 def test_criterion_06_certified_grid_properties(solved_matrix):
     for (label, level), (ctx, grid, _) in solved_matrix.items():
-        treport = theorem_report(ctx, grid)
-        failing = [c for c in treport.checks if c.status != "pass"]
+        checks = theorem_report(ctx, grid)
+        failing = [c for c in checks if c.status != "pass"]
         assert not failing, (label, level,
                             [(c.name, c.node, c.status) for c in failing])
         # conjectural items are present as separate, labeled entries
         if label == "E7":
-            labels = {(c.name, c.node): c.proven for c in treport.checks}
+            labels = {(c.name, c.node): c.proven for c in checks}
             assert labels[("positivity", 4)] is False
             assert labels[("positivity_window", 4)] is True
         if label == "E8":
-            labels = {(c.name, c.node): c.proven for c in treport.checks}
+            labels = {(c.name, c.node): c.proven for c in checks}
             assert labels[("symmetry", 2)] is False
     done(6, "zero window, symmetry, positivity, unimodality, periodicity")
 

@@ -13,7 +13,6 @@ from qslab.qsolver import (
     SYMMETRY_TOL,
     TWO_PATH_REL_TOL,
     SolverDivergence,
-    SolveSettings,
     build_qgrid,
     dilog_args,
     dilog_args_margin,
@@ -23,6 +22,7 @@ from qslab.qsolver import (
     solve_restricted,
     theorem_report,
 )
+from qslab.report import RunConfig, run
 from qslab.rootsys import TYPE_DATA, a_series_cartan, build_root_system
 
 
@@ -137,11 +137,15 @@ def test_two_path_agreement_e6(e6):
 
 
 def test_solver_settings_validation(e6):
-    with pytest.raises(ValueError):
-        SolveSettings(tolerance=-1)
     ctx = LevelContext(e6, 3, precision_bits=64)
     with pytest.raises(ValueError):
-        solve_restricted(ctx, SolveSettings(tolerance=1e-30))
+        solve_restricted(ctx, tolerance=1e-30)
+    # a tolerance <= 0 is below every working precision
+    for tolerance in (0, -1):
+        with pytest.raises(ValueError):
+            solve_restricted(LevelContext(e6, 3), tolerance=tolerance)
+    with pytest.raises(ValueError):
+        run(RunConfig(type_label="E6", level=2, solver_tolerance=0, checks=("solve",)))
 
 
 @pytest.mark.parametrize("label,level", [("E7", 10), ("E8", 8)])
@@ -179,7 +183,7 @@ def test_solver_divergence_is_reported(e6, monkeypatch, capsys):
     with pytest.raises(SolverDivergence, match="within 1 Newton steps"):
         solve_restricted(LevelContext(e6, 4))
     assert main(["solve", "--type", "E6", "--level", "4"]) == 1
-    assert capsys.readouterr().out.startswith("error: no convergence within 1 Newton steps")
+    assert capsys.readouterr().err.startswith("error: no convergence within 1 Newton steps")
     assert main(["verify", "--type", "E6", "--level", "4", "--checks", "solve"]) == 1
     checks = json.loads(capsys.readouterr().out)["checks"]
     solver = [c for c in checks if c["name"] == "solver_residual"]
@@ -208,15 +212,13 @@ def test_theorem_report_passes(rs_map, label, levels):
     rs = rs_map[label]
     for level in levels:
         ctx = LevelContext(rs, level)
-        rep = theorem_report(ctx)
-        failing = [c for c in rep.checks if c.status != "pass"]
+        failing = [c for c in theorem_report(ctx) if c.status != "pass"]
         assert not failing, [(c.name, c.node, c.status) for c in failing]
 
 
 def test_theorem_report_labels(e7, e8):
     ctx = LevelContext(e7, 4)
-    rep = theorem_report(ctx)
-    by = {(c.name, c.node): c for c in rep.checks}
+    by = {(c.name, c.node): c for c in theorem_report(ctx)}
     assert not by[("positivity", 4)].proven
     assert not by[("positivity", 5)].proven
     assert by[("positivity", 1)].proven
@@ -224,7 +226,7 @@ def test_theorem_report_labels(e7, e8):
     assert not by[("unimodality", 4)].proven
     assert by[("unimodality", 2)].proven
     ctx8 = LevelContext(e8, 2)
-    by8 = {(c.name, c.node): c for c in theorem_report(ctx8).checks}
+    by8 = {(c.name, c.node): c for c in theorem_report(ctx8)}
     assert not by8[("symmetry", 2)].proven
     assert by8[("symmetry", 3)].proven
     assert not by8[("positivity", 5)].proven

@@ -229,6 +229,32 @@ def test_cli_usage_errors(capsys, tmp_path, monkeypatch):
             main(argv)
         assert exc.value.code == 2, argv
         assert capsys.readouterr().err == message
+    # bad values the parser can see exit 2 too; argparse prints the usage
+    # line first, then one error line that names the flag
+    for argv, message in (
+        (["verify", "--type", "E6", "--level", "2", "--checks", "roots,bogus"],
+         "qslab verify: error: argument --checks: unknown check 'bogus' "
+         "(choose from roots,weyl,grid,solve,theorem,logconcave,dilog)\n"),
+        (["grid", "--type", "E6", "--level", "2", "--format", "fixture"],
+         "qslab grid: error: argument --format: invalid choice: 'fixture' "
+         "(choose from 'json', 'csv', 'text')\n"),
+        (["verify", "--type", "E6", "--level", "2", "--format", "fixture"],
+         "qslab verify: error: argument --format: invalid choice: 'fixture' "
+         "(choose from 'json', 'csv', 'text')\n"),
+        (["verify", "--type", "E6", "--level", "0"],
+         "qslab verify: error: argument --level: must be at least 1, got 0\n"),
+        (["solve", "--type", "E6", "--level", "2", "--precision-bits", "32"],
+         "qslab solve: error: argument --precision-bits: must be at least 64, got 32\n"),
+        (["roots", "--type", "E6", "--precision-bits", "128"],
+         "qslab: error: unrecognized arguments: --precision-bits 128\n"),
+        (["solve", "--type", "E6", "--level", "2", "--format", "json"],
+         "qslab: error: unrecognized arguments: --format json\n"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ") and err.endswith(message), (argv, err)
 
 
 def test_cli_computation_error_exits_1(capsys, monkeypatch):
