@@ -9,6 +9,7 @@ vanishing quantum dimension, which the reducer reports as ``on_wall``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Iterable, Sequence
 
 from .qnum import LevelContext
@@ -63,12 +64,33 @@ def apply_word(word: Iterable[int], weight: Sequence[int], ctx: LevelContext) ->
 
     Returns the image together with (-1)**len(word), which equals the parity
     of the group element however it is expressed.
+
+    Each letter updates one list in place.  alpha_g is row g of the
+    simply-laced Cartan matrix, so s_g (as in ``si_dot``) lowers coordinate
+    g by 2c and raises each Dynkin neighbour of g by c, c = w_g + 1; s0 (as
+    in ``s0_dot``) adds c * theta with c = l - sum(marks * (w + 1)).
     """
-    w = tuple(weight)
+    rs = ctx.root_system
+    rank = rs.rank
+    neighbors = rs.neighbors
+    marks = rs.marks
+    theta = rs.theta_weight
+    shift = ctx.shifted_level - sum(marks)  # l - sum(marks * rho)
+    w = list(weight)
     letters = list(word)
     for g in reversed(letters):
-        w = s0_dot(w, ctx) if g == 0 else si_dot(ctx.root_system, g, w)
-    return w, -1 if len(letters) % 2 else 1
+        if g == 0:
+            c = shift - sum(map(mul, marks, w))
+            for j, t in enumerate(theta):
+                w[j] += c * t
+        elif 1 <= g <= rank:
+            c = w[g - 1] + 1
+            w[g - 1] -= 2 * c
+            for j in neighbors[g]:
+                w[j - 1] += c
+        else:
+            raise ValueError(f"node {g} out of range")
+    return tuple(w), -1 if len(letters) % 2 else 1
 
 
 def reduce_to_dominant(weight: Sequence[int], ctx: LevelContext) -> AffineReduction:

@@ -104,6 +104,16 @@ def _parse_weight(text: str, rank: int) -> tuple[int, ...]:
     return weight
 
 
+def _check_node(node: int, rank: int) -> None:
+    if not 1 <= node <= rank:
+        _usage_error(f"--node must be in 1..{rank}, got {node}")
+
+
+def _check_digits(digits: int) -> None:
+    if digits < 1:
+        _usage_error(f"--digits must be at least 1, got {digits}")
+
+
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
         report.write_text_atomic(out_path, text)
@@ -136,6 +146,7 @@ def _cmd_roots(args) -> int:
 
 
 def _cmd_qdim(args) -> int:
+    _check_digits(args.digits)
     rs = build_root_system(args.type)
     weight = _parse_weight(args.weight, rs.rank)
     if args.classical:
@@ -163,7 +174,11 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_krdec(args) -> int:
+    _check_digits(args.digits)
+    if args.k < 0:
+        _usage_error(f"--k must be nonnegative, got {args.k}")
     rs = build_root_system(args.type)
+    _check_node(args.node, rs.rank)
     if args.k == 1 and args.node in type_data(rs.type_label).kleber_nodes:
         dec = krchar.kleber_q1(rs, args.node)
     else:
@@ -207,6 +222,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.fmt == "csv" and not report.reads_grid(args.checks):
+        _usage_error("csv output needs a grid-producing check")
     cfg = report.RunConfig(
         type_label=args.type, level=args.level,
         precision_bits=_resolve_precision(args),
@@ -224,12 +241,16 @@ def _cmd_verify(args) -> int:
 
 def _cmd_logconcave(args) -> int:
     if args.seq:
-        seq = seqanalysis.make_sequence([s for s in args.seq.replace(",", " ").split()])
+        try:
+            seq = seqanalysis.make_sequence(args.seq.replace(",", " ").split())
+        except ValueError as exc:
+            _usage_error(f"--seq {args.seq!r}: {exc}")
         label = "input sequence"
     else:
         if not args.type or args.level is None or args.node is None:
             _usage_error("need --seq or all of --type/--level/--node")
         rs = build_root_system(args.type)
+        _check_node(args.node, rs.rank)
         ctx = LevelContext(rs, args.level, _resolve_precision(args))
         seq = seqanalysis.make_sequence(
             [qdim_line(args.node, k, ctx).value for k in range(args.level + 1)])

@@ -196,6 +196,25 @@ def _roots_checks(report, ctx, grid, fixture_dir) -> list[CheckResult]:
     return out
 
 
+def _draws_below(rng: random.Random, n: int) -> Callable[[], int]:
+    """A draw of ``rng.randint(0, n - 1)`` without randint's argument handling.
+
+    Takes k = n.bit_length() bits and redraws while the value is >= n, the
+    rejection loop of ``random.Random._randbelow``, so it consumes the
+    generator exactly as randint does and returns the same values.
+    """
+    getrandbits = rng.getrandbits
+    k = n.bit_length()
+
+    def draw() -> int:
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return r
+
+    return draw
+
+
 def sign_identity_trials(ctx: LevelContext, trials: int = SIGN_IDENTITY_TRIALS):
     """Randomized check of qdim(lam) = parity * qdim(w . lam).
 
@@ -205,6 +224,10 @@ def sign_identity_trials(ctx: LevelContext, trials: int = SIGN_IDENTITY_TRIALS):
     """
     rng = random.Random(TRIAL_SEED)
     rs = ctx.root_system
+    coords = range(rs.rank)
+    coeff = _draws_below(rng, SIGN_IDENTITY_MAX_COEFF + 1)
+    length = _draws_below(rng, SIGN_IDENTITY_MAX_WORD_LENGTH)  # 1 + length() is randint(1, max)
+    letter = _draws_below(rng, rs.rank + 1)
     worst = ctx.mp.mpf(0)
     kept = 0
     attempts = 0
@@ -212,9 +235,8 @@ def sign_identity_trials(ctx: LevelContext, trials: int = SIGN_IDENTITY_TRIALS):
         attempts += 1
         if attempts > 1000 * trials:
             raise RuntimeError("could not find enough dominant-image trials")
-        lam = tuple(rng.randint(0, SIGN_IDENTITY_MAX_COEFF) for _ in range(rs.rank))
-        word = [rng.randint(0, rs.rank)
-                for _ in range(rng.randint(1, SIGN_IDENTITY_MAX_WORD_LENGTH))]
+        lam = tuple([coeff() for _ in coords])
+        word = [letter() for _ in range(1 + length())]
         image, parity = affweyl.apply_word(word, lam, ctx)
         if not is_dominant(image):
             continue
@@ -432,6 +454,11 @@ CHECK_GROUPS: dict[str, tuple[bool, Callable[..., list[CheckResult]]]] = {
 ALL_CHECKS = tuple(CHECK_GROUPS)
 
 
+def reads_grid(checks) -> bool:
+    """Whether any of the named check groups reads (and so builds) the grid."""
+    return any(CHECK_GROUPS[name][0] for name in checks)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     type_label: str
@@ -492,7 +519,7 @@ def run(config: RunConfig, fixture_dir: str | None = None) -> VerificationReport
     report = VerificationReport(config=config, shifted_level=ctx.shifted_level, checks=[])
     groups = [group for name, group in CHECK_GROUPS.items() if name in config.checks]
     grid = None
-    if any(needs_grid for needs_grid, _ in groups):
+    if reads_grid(config.checks):
         k_max = config.k_max if config.k_max is not None else ctx.shifted_level
         grid = qsolver.build_qgrid(ctx, k_max=max(k_max, ctx.shifted_level))
         report.grid = grid

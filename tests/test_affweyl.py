@@ -213,6 +213,41 @@ def test_apply_word_parity(e7):
     assert apply_word((), lam, ctx) == (lam, 1)
 
 
+def _dot_word_reference(word, lam, ctx):
+    """Right-to-left composition of the one-letter dot actions."""
+    w = tuple(lam)
+    for g in reversed(word):
+        w = s0_dot(w, ctx) if g == 0 else si_dot(ctx.root_system, g, w)
+    return w
+
+
+@pytest.mark.parametrize("level", [1, 2, 5])
+def test_apply_word_matches_reference_dot_action(rs_map, a1, level):
+    # a1's theta is 2*w1, not a fundamental weight, so the s0 update is not
+    # a single unit step there
+    assert a1.theta_weight == (2,)
+    rng = random.Random(level)
+    for rs in (*rs_map.values(), a1):
+        ctx = LevelContext(rs, level)
+        for _ in range(200):
+            word = [rng.randint(0, rs.rank) for _ in range(rng.randint(0, 15))]
+            lam = [rng.randint(-3, 6) for _ in range(rs.rank)]
+            before = list(lam)
+            image, parity = apply_word(word, lam, ctx)
+            assert lam == before  # the caller's weight is not updated in place
+            assert image == _dot_word_reference(word, lam, ctx), (rs.type_label, word, lam)
+            assert parity == (-1) ** len(word)
+
+
+def test_apply_word_rejects_out_of_range_letters(rs_map, a1):
+    for rs in (*rs_map.values(), a1):
+        ctx = LevelContext(rs, 2)
+        lam = (0,) * rs.rank
+        for word in ([rs.rank + 1], [1, -1], [0, rs.rank + 7, 0]):
+            with pytest.raises(ValueError, match="out of range"):
+                apply_word(word, lam, ctx)
+
+
 def test_alcove_downward_closure(rs_map):
     # stepping down by a simple root never leaves the alcove
     for label, level in (("E6", 4), ("E7", 3), ("E8", 4)):

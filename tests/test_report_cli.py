@@ -2,12 +2,19 @@ from __future__ import annotations
 
 import json
 import os
+import random
 
 import pytest
 
 import qslab
+from qslab import affweyl, report
 from qslab.cli import main
+from qslab.qnum import LevelContext
 from qslab.report import (
+    SIGN_IDENTITY_MAX_COEFF,
+    SIGN_IDENTITY_MAX_WORD_LENGTH,
+    SIGN_IDENTITY_TRIALS,
+    TRIAL_SEED,
     RunConfig,
     fixture_check,
     render_decimal,
@@ -214,7 +221,9 @@ def test_cli_usage_errors(capsys, tmp_path, monkeypatch):
     assert exc.value.code == 2
     assert capsys.readouterr().err.startswith("error: QSLAB_PRECISION_BITS")
     monkeypatch.delenv("QSLAB_PRECISION_BITS")
-    # usage errors found after parsing exit 2 as well, never 1
+    # usage errors found after parsing exit 2 as well, never 1, and before any
+    # check group runs
+    monkeypatch.setattr(report, "run", None)
     for argv, message in (
         (["qdim", "--type", "E6", "--level", "2", "--weight", "1,0"],
          "error: weight needs 6 coordinates, got 2\n"),
@@ -224,6 +233,23 @@ def test_cli_usage_errors(capsys, tmp_path, monkeypatch):
          "error: need --seq or all of --type/--level/--node\n"),
         (["krdec", "--type", "E6", "--node", "1", "--k", "1", "--qdim"],
          "error: --qdim needs --level\n"),
+        (["verify", "--type", "E6", "--level", "3", "--checks", "weyl", "--format", "csv"],
+         "error: csv output needs a grid-producing check\n"),
+        (["qdim", "--type", "E6", "--level", "2", "--weight", "1,0,0,0,0,0", "--digits", "0"],
+         "error: --digits must be at least 1, got 0\n"),
+        (["krdec", "--type", "E6", "--node", "1", "--k", "1", "--qdim", "--level", "2",
+          "--digits", "0"],
+         "error: --digits must be at least 1, got 0\n"),
+        (["krdec", "--type", "E6", "--node", "1", "--k", "-1"],
+         "error: --k must be nonnegative, got -1\n"),
+        (["krdec", "--type", "E6", "--node", "7", "--k", "1"],
+         "error: --node must be in 1..6, got 7\n"),
+        (["logconcave", "--type", "E7", "--level", "3", "--node", "0"],
+         "error: --node must be in 1..7, got 0\n"),
+        (["logconcave", "--type", "E7", "--level", "3", "--node", "8"],
+         "error: --node must be in 1..7, got 8\n"),
+        (["logconcave", "--seq", "1,x"],
+         "error: --seq '1,x': could not convert string to float: 'x'\n"),
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -295,6 +321,35 @@ def test_reports_are_deterministic():
         assert a == b
     branden = [c for c in a["checks"] if c["name"] == "branden"]
     assert [c["note"] for c in branden] == ["not_real_negative (non-real root (exact count))"]
+
+
+@pytest.mark.parametrize("label, attempts", [("E6", 21583), ("E7", 33387), ("E8", 36288)])
+def test_sign_identity_trial_stream(rs_map, monkeypatch, label, attempts):
+    # every attempted (word, weight) is the one randint draws, in the order
+    # weight coordinates, word length, letters
+    rs = rs_map[label]
+    seen = []
+    original = affweyl.apply_word
+
+    def recording(word, lam, ctx):
+        image, parity = original(word, lam, ctx)
+        seen.append((word, lam, all(c >= 0 for c in image)))
+        return image, parity
+
+    monkeypatch.setattr(affweyl, "apply_word", recording)
+    report.sign_identity_trials(LevelContext(rs, 2))
+    assert len(seen) == attempts
+    rng = random.Random(TRIAL_SEED)
+    expected = []
+    for _ in seen:
+        lam = tuple(rng.randint(0, SIGN_IDENTITY_MAX_COEFF) for _ in range(rs.rank))
+        word = [rng.randint(0, rs.rank)
+                for _ in range(rng.randint(1, SIGN_IDENTITY_MAX_WORD_LENGTH))]
+        expected.append((word, lam))
+    assert [(word, lam) for word, lam, _ in seen] == expected
+    # the trials stop at the attempt that keeps the last dominant image
+    assert sum(kept for _, _, kept in seen) == SIGN_IDENTITY_TRIALS
+    assert seen[-1][2]
 
 
 def test_check_status_mechanics():
