@@ -71,6 +71,17 @@ def _int_at_least(minimum: int):
     return integer
 
 
+def _positive_float(text: str) -> float:
+    """An argparse type: a float greater than zero."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
+
+
 def _check_list(text: str) -> tuple[str, ...]:
     checks = tuple(text.split(","))
     for c in checks:
@@ -107,6 +118,14 @@ def _parse_weight(text: str, rank: int) -> tuple[int, ...]:
 def _check_node(node: int, rank: int) -> None:
     if not 1 <= node <= rank:
         _usage_error(f"--node must be in 1..{rank}, got {node}")
+
+
+def _check_kmax(args) -> None:
+    if args.kmax is None:
+        return
+    l = args.level + type_data(args.type).coxeter_number
+    if not l <= args.kmax <= 4 * l:
+        _usage_error(f"--kmax must be in {l}..{4 * l}, got {args.kmax}")
 
 
 def _check_digits(digits: int) -> None:
@@ -196,6 +215,7 @@ def _cmd_krdec(args) -> int:
 
 
 def _cmd_grid(args) -> int:
+    _check_kmax(args)
     cfg = report.RunConfig(
         type_label=args.type, level=args.level,
         precision_bits=_resolve_precision(args),
@@ -224,6 +244,7 @@ def _cmd_solve(args) -> int:
 def _cmd_verify(args) -> int:
     if args.fmt == "csv" and not report.reads_grid(args.checks):
         _usage_error("csv output needs a grid-producing check")
+    _check_kmax(args)
     cfg = report.RunConfig(
         type_label=args.type, level=args.level,
         precision_bits=_resolve_precision(args),
@@ -309,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="solve the restricted system")
     _common_flags(p)
-    p.add_argument("--tol", type=float, default=qsolver.SOLVER_TOLERANCE)
+    p.add_argument("--tol", type=_positive_float, default=qsolver.SOLVER_TOLERANCE)
     p.set_defaults(fn=_cmd_solve)
 
     p = sub.add_parser("verify", help="run the verification suite")
@@ -325,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--type", default=None)
     p.add_argument("--level", type=_int_at_least(1), default=None)
     p.add_argument("--node", type=int, default=None)
-    p.add_argument("--max-order", type=int, default=6)
+    p.add_argument("--max-order", type=_int_at_least(0), default=6)
     p.add_argument("--branden", action="store_true")
     p.add_argument("--seq", default=None, help="raw comma-separated sequence")
     p.add_argument("--precision-bits", type=_int_at_least(MIN_PRECISION_BITS), default=None)

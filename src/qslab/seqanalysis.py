@@ -6,15 +6,15 @@ probing, palindromic reflection, and an exact test of whether the
 coefficient polynomial has only real negative roots (a sufficient
 condition for infinite log-concavity).
 
-The rootedness verdict is an exact Sturm count, in rational arithmetic, of
-the real and the positive roots of the polynomial whose coefficients are the
-entries rounded to mpmath's global working precision (53 bits by default).
+The rootedness verdict is an exact Sturm count, on the integers, of the real
+and the positive roots of the polynomial whose coefficients are the entries
+read exactly: each binary mantissa shifted to the sequence's least exponent.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import mpmath
@@ -169,96 +169,52 @@ class RootednessVerdict:
     witness: str | None = None
 
 
-def _mpf_to_fraction(x) -> Fraction:
-    sign, man, exp, _ = mpmath.mpf(x)._mpf_
-    if man == 0:
-        return Fraction(0)
-    val = Fraction(int(man), 1) * Fraction(2) ** exp
-    return -val if sign else val
+def _neg_prem(a: list[int], b: list[int]) -> list[int]:
+    """Primitive part of -(a mod b), on Z; [] when the remainder is zero.
+
+    Each division step first scales by |lc b| rather than lc b, so the
+    remainder keeps its sign and the chain stays a Sturm chain.
+    """
+    lead = abs(b[-1])
+    sign = 1 if b[-1] > 0 else -1
+    a = list(a)
+    while len(a) >= len(b):
+        top = sign * a.pop()
+        if top:
+            shift = len(a) - len(b) + 1
+            a = [lead * c for c in a]
+            for k, c in enumerate(b[:-1]):
+                a[shift + k] -= top * c
+    while a and a[-1] == 0:
+        a.pop()
+    content = math.gcd(*a)
+    return [-c // content for c in a]
 
 
-def _poly_eval_sign_at_zero(coeffs: list[Fraction]) -> int:
-    c = coeffs[0]
-    return (c > 0) - (c < 0)
+def _variations(values) -> int:
+    signs = [v > 0 for v in values if v]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
 
 
-def _poly_divmod(num: list[Fraction], den: list[Fraction]):
-    num = list(num)
-    dn, dd = len(num) - 1, len(den) - 1
-    quot = [Fraction(0)] * max(dn - dd + 1, 1)
-    inv = Fraction(1) / den[-1]
-    for i in range(dn - dd, -1, -1):
-        q = num[i + dd] * inv
-        quot[i] = q
-        if q:
-            for j, d in enumerate(den):
-                num[i + j] -= q * d
-    while len(num) > 1 and num[-1] == 0:
-        num.pop()
-    return quot, num
+def _sturm_verdict(coeffs: list[int]) -> RootednessVerdict:
+    """Verdict for an integer polynomial with nonzero constant and leading terms.
 
-
-def _poly_gcd(p: list[Fraction], q: list[Fraction]) -> list[Fraction]:
-    a, b = list(p), list(q)
-    while len(b) > 1 or b[0] != 0:
-        _, r = _poly_divmod(a, b)
-        lead = max(abs(c) for c in r)
-        if lead:
-            r = [c / lead for c in r]
-        a, b = b, r
-    lead = a[-1]
-    return [c / lead for c in a]
-
-
-def _sturm_chain(p: list[Fraction]) -> list[list[Fraction]]:
-    chain = [list(p), [i * c for i, c in enumerate(p)][1:] or [Fraction(0)]]
-    while len(chain[-1]) > 1 or chain[-1][0] != 0:
-        _, r = _poly_divmod(chain[-2], chain[-1])
-        chain.append([-c for c in r])
-    chain.pop()
-    return chain
-
-
-def _sign_changes(signs: list[int]) -> int:
-    filtered = [s for s in signs if s != 0]
-    return sum(1 for a, b in zip(filtered, filtered[1:]) if a * b < 0)
-
-
-def _sturm_counts(p: list[Fraction]) -> tuple[int, int]:
-    """(#real roots, #real roots > 0) of a squarefree rational polynomial."""
-    chain = _sturm_chain(p)
-
-    def sign_at_inf(poly, positive: bool) -> int:
-        lead = poly[-1]
-        s = (lead > 0) - (lead < 0)
-        if not positive and (len(poly) - 1) % 2 == 1:
-            s = -s
-        return s
-
-    v_minus = _sign_changes([sign_at_inf(q, False) for q in chain])
-    v_plus = _sign_changes([sign_at_inf(q, True) for q in chain])
-    v_zero = _sign_changes([_poly_eval_sign_at_zero(q) for q in chain])
-    return v_minus - v_plus, v_zero - v_plus
-
-
-def _sturm_verdict(coeffs: list[Fraction]) -> RootednessVerdict:
-    """Verdict for a rational polynomial with nonzero constant and leading terms."""
-    degree = len(coeffs) - 1
-    if degree == 0:
-        return RootednessVerdict("real_negative", witness=None)
-    deriv = [i * c for i, c in enumerate(coeffs)][1:]
-    g = _poly_gcd(coeffs, deriv)
-    if len(g) > 1:
-        squarefree, rem = _poly_divmod(coeffs, g)
-        if len(rem) > 1 or rem[0] != 0:
-            raise AssertionError("inexact squarefree division")
-    else:
-        squarefree = coeffs
-    real_count, positive_count = _sturm_counts(squarefree)
-    if real_count < len(squarefree) - 1:
+    The chain p, p', then primitive negated pseudo-remainders, ends in
+    gcd(p, p'); its sign changes count the distinct real and positive roots
+    of p, and deg p - deg gcd(p, p') is the number of distinct roots.
+    """
+    chain = [coeffs]
+    nxt = [k * c for k, c in enumerate(coeffs)][1:]
+    while nxt:
+        chain.append(nxt)
+        nxt = _neg_prem(chain[-2], chain[-1])
+    at_plus = _variations([q[-1] for q in chain])
+    at_minus = _variations([q[-1] if len(q) % 2 else -q[-1] for q in chain])
+    at_zero = _variations([q[0] for q in chain])
+    if at_minus - at_plus < len(coeffs) - len(chain[-1]):
         return RootednessVerdict(
             "not_real_negative", witness="non-real root (exact count)")
-    if positive_count > 0:
+    if at_zero - at_plus > 0:
         return RootednessVerdict(
             "not_real_negative", witness="positive real root (exact count)")
     return RootednessVerdict("real_negative", witness=None)
@@ -267,17 +223,21 @@ def _sturm_verdict(coeffs: list[Fraction]) -> RootednessVerdict:
 def branden_criterion(seq: RealSequence) -> RootednessVerdict:
     """Classify whether sum a_k x^k has only real, strictly negative roots.
 
-    The entries, rounded to mpmath's global working precision, are read as
-    exact binary rationals.  Trailing zero coefficients are dropped and a
-    zero constant term is a root at 0; otherwise the squarefree part of the
-    polynomial gets an exact Sturm count, whose real-root and positive-root
-    numbers decide the verdict, multiple roots included.
+    Each entry's binary mantissa, shifted to the least exponent of the
+    sequence, is read as an exact integer coefficient.  Trailing zero
+    coefficients are dropped and a zero constant term is a root at 0;
+    otherwise an exact Sturm count over the integers of the distinct real
+    and positive roots decides the verdict, multiple roots included.
     """
-    coeffs = [_mpf_to_fraction(e) for e in seq.entries]
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    if not coeffs:
+    parts = [e._mpf_ for e in seq.entries]  # (sign, mantissa, exponent, bits)
+    exponents = [exp for _, man, exp, _ in parts if man]
+    if not exponents:
         raise ValueError("zero polynomial")
+    low = min(exponents)
+    coeffs = [(-man if sign else man) << (exp - low) if man else 0
+              for sign, man, exp, _ in parts]
+    while coeffs[-1] == 0:
+        coeffs.pop()
     if coeffs[0] == 0:
         return RootednessVerdict("not_real_negative", witness="root at 0")
     return _sturm_verdict(coeffs)

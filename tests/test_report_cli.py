@@ -205,6 +205,9 @@ def test_cli_usage_errors(capsys, tmp_path, monkeypatch):
         main(["qdim", "--type", "E6"])  # missing required flags
     assert exc.value.code == 2
     assert main(["roots", "--type", "F4"]) == 1  # unknown type: clean error
+    assert main(["grid", "--type", "F4", "--level", "2", "--kmax", "3"]) == 1
+    # a positive --tol finer than the working precision is a computation error
+    assert main(["solve", "--type", "E6", "--level", "2", "--tol", "1e-300"]) == 1
     err = capsys.readouterr().err
     assert "error" in err
     # a precision that is not an integer is a usage error, from either source
@@ -250,6 +253,10 @@ def test_cli_usage_errors(capsys, tmp_path, monkeypatch):
          "error: --node must be in 1..7, got 8\n"),
         (["logconcave", "--seq", "1,x"],
          "error: --seq '1,x': could not convert string to float: 'x'\n"),
+        (["grid", "--type", "E6", "--level", "2", "--kmax", "-5"],
+         "error: --kmax must be in 14..56, got -5\n"),
+        (["verify", "--type", "E6", "--level", "2", "--kmax", "100"],
+         "error: --kmax must be in 14..56, got 100\n"),
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -269,6 +276,12 @@ def test_cli_usage_errors(capsys, tmp_path, monkeypatch):
          "(choose from 'json', 'csv', 'text')\n"),
         (["verify", "--type", "E6", "--level", "0"],
          "qslab verify: error: argument --level: must be at least 1, got 0\n"),
+        (["logconcave", "--seq", "1,2", "--max-order", "-1"],
+         "qslab logconcave: error: argument --max-order: must be at least 0, got -1\n"),
+        (["solve", "--type", "E6", "--level", "2", "--tol", "0"],
+         "qslab solve: error: argument --tol: must be positive, got 0\n"),
+        (["solve", "--type", "E6", "--level", "2", "--tol", "-1"],
+         "qslab solve: error: argument --tol: must be positive, got -1\n"),
         (["solve", "--type", "E6", "--level", "2", "--precision-bits", "32"],
          "qslab solve: error: argument --precision-bits: must be at least 64, got 32\n"),
         (["roots", "--type", "E6", "--precision-bits", "128"],

@@ -2,12 +2,15 @@ from __future__ import annotations
 
 import random
 
+import mpmath
 import pytest
+from mpmath.ctx_mp import MPContext
 
 import qslab
 from qslab.qnum import LevelContext, qdim_line
 from qslab.seqanalysis import (
     RealSequence,
+    RootednessVerdict,
     branden_criterion,
     is_log_concave,
     l_operator,
@@ -140,6 +143,9 @@ def test_branden_toy_cases():
     v = branden_criterion(make_sequence([-2, 1, 1]))  # (x+2)(x-1)
     assert v.status == "not_real_negative"
     assert v.witness == "positive real root (exact count)"
+    # (1+x)(1-x): a negative leading coefficient keeps the chain's signs
+    v = branden_criterion(make_sequence([1, 0, -1]))
+    assert v.witness == "positive real root (exact count)"
 
 
 def test_branden_random_negative_rooted_products():
@@ -160,11 +166,42 @@ def test_branden_random_negative_rooted_products():
         assert log_concavity_order(seq, 4) == 4
 
 
+def _from_roots(mp, roots):
+    """Coefficients, lowest first, of prod (x - r), computed in context mp."""
+    coeffs = [mp.mpf(1)]
+    for r in roots:
+        coeffs = [c - r * d for c, d in zip(coeffs + [0], [0] + coeffs)]
+    return coeffs
+
+
 def test_branden_repeated_roots_decided_exactly():
-    # (x+1)^4: a quadruple root, counted once in the squarefree part
+    # (x+1)^4: a quadruple root, counted once among the distinct roots
     assert branden_criterion(make_sequence([1, 4, 6, 4, 1])).status == "real_negative"
     # (x+2)^2 (x^2+1): repeated negative root and a complex pair
     assert branden_criterion(make_sequence([4, 4, 5, 4, 1])).status == "not_real_negative"
+    mp = MPContext()
+    mp.prec = 512
+    for roots, status, witness in (
+        ((-1, -1, -1, -2, -2), "real_negative", None),
+        ((-1, -1, 3), "not_real_negative", "positive real root (exact count)"),
+        # a double root at -2^-150 next to -2^40: the entries' binary digits
+        # run from 2^-300 to 2^40, all shifted to one integer scale
+        ((-mp.mpf(2) ** -150, -mp.mpf(2) ** -150, -mp.mpf(2) ** 40), "real_negative", None),
+    ):
+        verdict = branden_criterion(make_sequence(_from_roots(mp, roots)))
+        assert (verdict.status, verdict.witness) == (status, witness), roots
+
+
+def test_branden_reads_entries_exactly():
+    # 1 + 2x + (1 + 2^-100) x^2 has discriminant -2^-98: a complex pair that
+    # rounding the x^2 coefficient to fewer than 101 bits would turn into (x+1)^2
+    mp = MPContext()
+    mp.prec = 128
+    seq = make_sequence([mp.mpf(1), mp.mpf(2), 1 + mp.mpf(2) ** -100])
+    expected = RootednessVerdict("not_real_negative", witness="non-real root (exact count)")
+    assert branden_criterion(seq) == expected
+    with mpmath.workprec(20):
+        assert branden_criterion(seq) == expected
 
 
 def test_sine_factor_identity(e6):
@@ -195,7 +232,10 @@ def test_e7_node7_lines_strictly_log_concave(e7):
 
 
 def test_branden_e7_fixture_boundary(e7):
-    for level, status in ((11, "real_negative"), (12, "not_real_negative")):
+    # the paper's threshold is 11/12; the higher levels stay non-real-rooted
+    for level, status in ((1, "real_negative"), (4, "real_negative"),
+                          (11, "real_negative"), (12, "not_real_negative"),
+                          (16, "not_real_negative"), (28, "not_real_negative")):
         ctx = LevelContext(e7, level)
         seq = make_sequence([qdim_line(7, k, ctx).value for k in range(level + 1)])
         assert branden_criterion(seq).status == status

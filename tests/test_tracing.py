@@ -50,3 +50,21 @@ def test_tracer_layers_resolve_and_attribute_verify(tmp_path):
     alcove_qdims = sum(1 for name_id, _, _, parent, _ in tracer.spans
                        if name_id == qdim_id and parent >= 0 and tracer.spans[parent][0] == 0)
     assert alcove_qdims == metrics["affweyl.alcove_weights"] > 0
+
+
+def test_tracer_attributes_rootedness(tmp_path):
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        code = tracer.run_op(0, main, ["logconcave", "--type", "E7", "--level", "4",
+                                       "--node", "7", "--branden",
+                                       "--out", str(tmp_path / "line.txt")])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    metrics = tracer.layer_metrics()
+    # the CLI calls branden_criterion through the seqanalysis module attribute,
+    # which the tracer patches
+    assert metrics["seqanalysis.branden_s"] > 0
+    assert metrics["seqanalysis.branden_calls"] == 1
