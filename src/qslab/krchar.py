@@ -38,40 +38,44 @@ class KRDecomposition:
         return sum(m for m, _ in self.terms)
 
 
+# Chari's formulas, one shell per running index j.  At the nested nodes box
+# count k sums the shells 0..k, at the other direct nodes shell k alone.
+# Shell j is r w_a + (j - r) w_b for r = 0..j at the paired nodes (0-based
+# coordinates a, b) and j w_node everywhere else.
+_NESTED_NODES = {("E6", 2), ("E7", 1), ("E8", 8), ("E8", 1)}
+_PAIRED_SHELLS = {("E7", 2): (1, 6), ("E8", 1): (0, 7)}
+
+
+def _chari_shell(rs: RootSystem, node: int, j: int) -> list[Weight]:
+    """The weights of shell j of Chari's formula at a direct node, in summation order."""
+    n = rs.rank
+    pair = _PAIRED_SHELLS.get((rs.type_label, node))
+    if pair is None:
+        return [fundamental_weight(n, node, j)]
+    a, b = pair
+    return [tuple(r if c == a else (j - r) if c == b else 0 for c in range(n))
+            for r in range(j + 1)]
+
+
+def _check_direct(rs: RootSystem, node: int, box_count: int) -> None:
+    if box_count < 0:
+        raise ValueError("box count must be nonnegative")
+    if node not in type_data(rs.type_label).direct_nodes:
+        raise ValueError(f"no closed-form decomposition for ({rs.type_label}, node {node})")
+
+
 def chari_decomposition(rs: RootSystem, node: int, box_count: int) -> KRDecomposition:
     """Closed-form decomposition at the direct nodes of TYPE_DATA.
 
     Term order is deterministic (ascending in the running index, and for the
     E8 node-1 double sum ascending in the shell r+s then in r) so that
     prefix-sum identities between consecutive box counts hold exactly even
-    in floating point.
+    in floating point; ``chari_qdim`` builds its rows on them.
     """
-    label, k, n = rs.type_label, box_count, rs.rank
-    if k < 0:
-        raise ValueError("box count must be nonnegative")
-    if node not in type_data(label).direct_nodes:
-        raise ValueError(f"no closed-form decomposition for ({label}, node {node})")
-
-    def fw(i: int, c: int) -> Weight:
-        return fundamental_weight(n, i, c)
-
-    if (label, node) in (("E6", 1), ("E6", 6), ("E7", 7)):
-        terms = [(1, fw(node, k))]
-    elif (label, node) in (("E6", 2), ("E7", 1), ("E8", 8)):
-        terms = [(1, fw(node, r)) for r in range(k + 1)]
-    elif (label, node) == ("E7", 2):
-        terms = [
-            (1, tuple(r if j == 1 else (k - r) if j == 6 else 0 for j in range(n)))
-            for r in range(k + 1)
-        ]
-    else:  # ("E8", 1)
-        terms = []
-        for shell in range(k + 1):
-            for r in range(shell + 1):
-                s = shell - r
-                terms.append(
-                    (1, tuple(r if j == 0 else s if j == 7 else 0 for j in range(n)))
-                )
+    _check_direct(rs, node, box_count)
+    label, k = rs.type_label, box_count
+    shells = range(k + 1) if (label, node) in _NESTED_NODES else (k,)
+    terms = [(1, w) for j in shells for w in _chari_shell(rs, node, j)]
     return KRDecomposition(node=node, box_count=k, terms=tuple(terms))
 
 
@@ -116,16 +120,46 @@ def type_a_kr(rank: int, node: int, box_count: int) -> KRDecomposition:
     )
 
 
+def _fold(total: QReal | None, terms, ctx: LevelContext) -> QReal | None:
+    """Add mult * qdim(weight) over (mult, weight) terms to total, left to right."""
+    for mult, weight in terms:
+        q = qdim(weight, ctx)
+        if mult != 1:
+            q = QReal(q.value * mult, q.magnitude_scale * mult)
+        total = q if total is None else total + q
+    return total
+
+
 def qdim_kr(dec: KRDecomposition, ctx: LevelContext) -> QReal:
     """Quantum dimension of a decomposition: sum of mult * qdim(weight).
 
     Terms are accumulated left to right in the decomposition's order, so two
     decompositions sharing a prefix produce bit-identical partial sums.
     """
-    total = None
-    for mult, weight in dec.terms:
-        q = qdim(weight, ctx)
-        if mult != 1:
-            q = QReal(q.value * mult, q.magnitude_scale * mult)
-        total = q if total is None else total + q
+    total = _fold(None, dec.terms, ctx)
     return total if total is not None else ctx.zero()
+
+
+def chari_qdim(node: int, box_count: int, ctx: LevelContext) -> QReal:
+    """qdim_kr(chari_decomposition(rs, node, box_count), ctx), bit for bit.
+
+    Each direct node keeps a row in the context, extended on demand in
+    increasing box count.  At the nested nodes row k is row k-1 plus the
+    terms of shell k, folded left in the decomposition's order; the other
+    nodes sum their single shell at every k.
+    """
+    rs = ctx.root_system
+    _check_direct(rs, node, box_count)
+    rows = ctx._chari_rows.setdefault(node, [])
+    nested = (rs.type_label, node) in _NESTED_NODES
+    while len(rows) <= box_count:
+        k = len(rows)
+        if nested:
+            shell = [(1, w) for w in _chari_shell(rs, node, k)]
+            total = _fold(rows[k - 1] if k else None, shell, ctx)
+        else:
+            total = qdim_kr(chari_decomposition(rs, node, k), ctx)
+        # a slice store, not append: if another thread filled row k first,
+        # this rewrites it with the same bits instead of shifting the row
+        rows[k:k + 1] = [total]
+    return rows[box_count]

@@ -14,6 +14,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from mpmath.ctx_mp import MPContext
+from mpmath.libmp import fone, mpf_abs, mpf_div, mpf_gt, mpf_mul
 
 from .rootsys import RootSystem, Weight, delta, fundamental_weight, is_dominant
 
@@ -73,8 +74,10 @@ class LevelContext:
     Each context owns an independent mpmath context (no global precision
     state), a table of sine values and one memo of quantum dimensions keyed
     by dominant weight, which every quantum-dimension path goes through.
-    The memo only ever returns identical values for identical keys, so
-    shared concurrent reads are safe under the GIL.
+    It also memoizes the closed-form KR rows of :mod:`qslab.krchar`, one
+    list per direct node indexed by box count.  The memos only ever return
+    identical values for identical keys, so shared concurrent reads are
+    safe under the GIL.
     """
 
     def __init__(
@@ -102,7 +105,9 @@ class LevelContext:
             if not self.zero_tolerance > 0:
                 raise ValueError("zero_tolerance must be positive")
         self._sin_table: list | None = None
+        self._sin_raw: list | None = None
         self._qdim_cache: dict[Weight, QReal] = {}
+        self._chari_rows: dict[int, list[QReal]] = {}
 
     def __repr__(self) -> str:
         return (f"LevelContext({self.root_system.type_label}, level={self.level}, "
@@ -116,13 +121,16 @@ class LevelContext:
         sin(pi*(l+r)/l) = -sin(pi*r/l), so the sign and mirror symmetries of
         the products built here are structurally exact.
         """
-        l = self.shifted_level
         if self._sin_table is None:
-            mp = self.mp
-            base = [mp.sinpi(mp.mpf(k) / l) for k in range(l // 2 + 1)]
-            half = [base[min(k, l - k)] for k in range(l)]
-            self._sin_table = half + [-x for x in half]
-        return self._sin_table[r % (2 * l)]
+            self._build_sin_tables()
+        return self._sin_table[r % (2 * self.shifted_level)]
+
+    def _build_sin_tables(self) -> None:
+        l, mp = self.shifted_level, self.mp
+        base = [mp.sinpi(mp.mpf(k) / l) for k in range(l // 2 + 1)]
+        half = [base[min(k, l - k)] for k in range(l)]
+        self._sin_table = half + [-x for x in half]
+        self._sin_raw = [x._mpf_ for x in self._sin_table]
 
     def one(self) -> QReal:
         return QReal(self.mp.mpf(1), self.mp.mpf(1))
@@ -141,21 +149,27 @@ def _sine_product(ctx: LevelContext, factors: Sequence[tuple[int, int]]) -> QRea
     """Product of sin(pi*num/l)/sin(pi*den/l) over (num, den) pairs.
 
     Returns an exact zero when some numerator is divisible by l; the scale
-    records the largest intermediate partial product.
+    records the largest intermediate partial product.  The left fold
+    value = value * sin(num) / sin(den) runs on raw mpf tuples through
+    mpmath.libmp at the context's precision and rounding: the same roundings
+    as the mpf operators, without their wrappers or any global state.
     """
     l = ctx.shifted_level
     for num, _ in factors:
         if num % l == 0:
             return ctx.zero()
-    mp = ctx.mp
-    value = mp.mpf(1)
-    scale = mp.mpf(1)
+    if ctx._sin_raw is None:
+        ctx._build_sin_tables()
+    sines, period = ctx._sin_raw, 2 * l
+    prec, rounding = ctx.mp._prec_rounding
+    value = scale = fone
     for num, den in factors:
-        value = value * ctx.sin_pi_over_l(num) / ctx.sin_pi_over_l(den)
-        a = abs(value)
-        if a > scale:
+        value = mpf_div(mpf_mul(value, sines[num % period], prec, rounding),
+                        sines[den % period], prec, rounding)
+        a = mpf_abs(value, prec, rounding)
+        if mpf_gt(a, scale):
             scale = a
-    return QReal(value, scale)
+    return QReal(ctx.mp.make_mpf(value), ctx.mp.make_mpf(scale))
 
 
 def qdim(weight: Sequence[int], ctx: LevelContext) -> QReal:
@@ -165,7 +179,15 @@ def qdim(weight: Sequence[int], ctx: LevelContext) -> QReal:
     sin(pi (weight+rho | beta) / l) / sin(pi (rho | beta) / l); factors with
     (weight | beta) = 0 equal 1 exactly and are skipped.  The result is an
     exact zero precisely when some numerator pairing is divisible by l.
+    The pairings are summed from the root columns of the nonzero weight
+    coordinates only.
     """
+    cache = ctx._qdim_cache
+    if type(weight) is tuple:
+        # every cached key is a dominant weight of the right rank
+        cached = cache.get(weight)
+        if cached is not None:
+            return cached
     w = tuple(int(c) for c in weight)
     rs = ctx.root_system
     if len(w) != rs.rank:
@@ -174,16 +196,18 @@ def qdim(weight: Sequence[int], ctx: LevelContext) -> QReal:
         raise ValueError(
             "qdim requires a dominant weight; reduce general weights first"
         )
-    cached = ctx._qdim_cache.get(w)
+    cached = cache.get(w)
     if cached is not None:
         return cached
-    factors = []
-    for b, ht in zip(rs.positive_roots, rs.heights):
-        lam = sum(wi * bi for wi, bi in zip(w, b))
-        if lam != 0:
-            factors.append((lam + ht, ht))
+    pairings = None
+    for wj, column in zip(w, rs.root_columns):
+        if wj:
+            pairings = ([wj * b for b in column] if pairings is None
+                        else [lam + wj * b for lam, b in zip(pairings, column)])
+    factors = ([] if pairings is None else
+               [(lam + ht, ht) for lam, ht in zip(pairings, rs.heights) if lam])
     out = _sine_product(ctx, factors)
-    ctx._qdim_cache[w] = out
+    cache[w] = out
     return out
 
 

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .krchar import chari_decomposition, qdim_kr
+from .krchar import chari_qdim
 from .qnum import LevelContext, QReal
 from .rootsys import RootSystem, delta, is_proven, type_data
 
@@ -141,7 +141,7 @@ def build_qgrid(ctx: LevelContext, k_max: int | None = None) -> QGrid:
         if k == 0:
             out, tag = ctx.one(), "boundary"
         elif i in direct:
-            out, tag = qdim_kr(chari_decomposition(rs, i, k), ctx), "direct"
+            out, tag = chari_qdim(i, k, ctx), "direct"
         else:
             out, tag = None, "unresolved"
             for source, divisors in routes[i]:
@@ -483,8 +483,8 @@ def theorem_report(ctx: LevelContext, grid: QGrid | None = None) -> list[CheckRe
         sign = -1 if delta(rs, i) % 2 else 1
         worst = zero
         for k in range(0, min(level, 3) + 1):
-            a = qdim_kr(chari_decomposition(rs, i, k), ctx)
-            b = qdim_kr(chari_decomposition(rs, i, k + l), ctx)
+            a = chari_qdim(i, k, ctx)
+            b = chari_qdim(i, k + l, ctx)
             scale = max(a.magnitude_scale, b.magnitude_scale)
             worst = max(worst, abs(b.value - sign * a.value) / scale)
         checks.append(_mk_check("periodicity", i, worst <= PERIODICITY_TOL, True, worst,

@@ -611,16 +611,22 @@ def report_to_text(report: VerificationReport) -> str:
 
 
 def write_text_atomic(path: str, content: str) -> None:
-    """Write via a sibling temp file and rename, so readers never see partial output."""
+    """Write via a sibling temp file and rename, so readers never see partial output.
+
+    An OSError names the requested path, never the temp file, which is removed.
+    """
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         with os.fdopen(fd, "w") as f:
             f.write(content)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, path) from exc
         raise
 
 

@@ -187,6 +187,12 @@ class RootSystem:
         return tuple(sum(b) for b in self.positive_roots)
 
     @cached_property
+    def root_columns(self) -> tuple[tuple[int, ...], ...]:
+        """Column j holds the coefficient b_j of every positive root, in
+        canonical order: (w | beta) summed over the nonzero w_j only."""
+        return tuple(zip(*self.positive_roots))
+
+    @cached_property
     def rho(self) -> Weight:
         """The all-ones weight (half the sum of the positive roots)."""
         return (1,) * self.rank

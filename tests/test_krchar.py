@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ import qslab
 from qslab.krchar import (
     KRDecomposition,
     chari_decomposition,
+    chari_qdim,
     kleber_q1,
     qdim_kr,
     type_a_kr,
@@ -136,6 +138,34 @@ def test_prefix_sum_telescoping_exact(e6, e7):
             cur = qdim_kr(chari_decomposition(rs, node, k), ctx)
             term = qdim(fundamental_weight(rs.rank, node, k), ctx)
             assert cur.value == prev.value + term.value
+
+
+@pytest.mark.parametrize("label, level", [("E6", 4), ("E7", 6), ("E8", 4)])
+def test_chari_rows_match_decomposition_sums(rs_map, label, level):
+    # the running-sum rows give the bits of the full left fold at every box
+    # count, whatever order the cells are first asked for in
+    rs = rs_map[label]
+    ref_ctx = LevelContext(rs, level)
+    cells = [(node, k) for node in TYPE_DATA[label].direct_nodes
+             for k in range(ref_ctx.shifted_level + 4)]
+    reference = {(node, k): qdim_kr(chari_decomposition(rs, node, k), ref_ctx)
+                 for node, k in cells}
+    shuffled = list(cells)
+    random.Random(level).shuffle(shuffled)
+    for order in (cells, shuffled):
+        ctx = LevelContext(rs, level)
+        for node, k in order:
+            row, ref = chari_qdim(node, k, ctx), reference[(node, k)]
+            assert row.value._mpf_ == ref.value._mpf_, (node, k)
+            assert row.magnitude_scale._mpf_ == ref.magnitude_scale._mpf_, (node, k)
+
+
+def test_chari_qdim_rejects_other_nodes(e6):
+    ctx = LevelContext(e6, 2)
+    with pytest.raises(ValueError):
+        chari_qdim(3, 1, ctx)
+    with pytest.raises(ValueError):
+        chari_qdim(1, -1, ctx)
 
 
 def test_positive_in_alcove_range(rs_map):

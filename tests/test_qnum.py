@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import random
+
+import mpmath
 import pytest
 
 import qslab
@@ -115,6 +118,63 @@ def test_qdim_precision_stability(e7):
 def test_qdim_memo_returns_identical_object(e6):
     ctx = LevelContext(e6, 4)
     assert qdim(fw(e6, 1), ctx) is qdim(fw(e6, 1), ctx)
+
+
+def _reference_qdim(weight, ctx):
+    """qdim by the textbook route: a full pairing per positive root and a
+    left fold in mpf arithmetic of the context."""
+    rs, l, mp = ctx.root_system, ctx.shifted_level, ctx.mp
+    factors = []
+    for b, ht in zip(rs.positive_roots, rs.heights):
+        lam = sum(wi * bi for wi, bi in zip(weight, b))
+        if lam != 0:
+            factors.append((lam + ht, ht))
+    if any(num % l == 0 for num, _ in factors):
+        return mp.mpf(0), mp.mpf(1)
+    value = mp.mpf(1)
+    scale = mp.mpf(1)
+    for num, den in factors:
+        value = value * ctx.sin_pi_over_l(num) / ctx.sin_pi_over_l(den)
+        a = abs(value)
+        if a > scale:
+            scale = a
+    return value, scale
+
+
+def _random_dominant_weights(rs, l, seed, count=200):
+    """Distinct weights with one to three nonzero coordinates, each 1, 2 or up
+    to l/3: walls, where a pairing reaches a multiple of l, and interiors."""
+    rng = random.Random(seed)
+    weights = {}
+    while len(weights) < count:
+        w = [0] * rs.rank
+        for j in rng.sample(range(rs.rank), rng.randint(1, 3)):
+            w[j] = rng.randint(1, rng.choice((1, 2, l // 3)))
+        weights[tuple(w)] = None
+    return list(weights)
+
+
+@pytest.mark.parametrize("label", ["E6", "E7", "E8"])
+def test_qdim_bits_match_reference_fold(rs_map, label):
+    # the sparse pairings and the raw-mantissa kernel round exactly like the
+    # mpf fold, at every precision and whatever the global mpmath precision
+    rs = rs_map[label]
+    for bits in (128, 256):
+        ref_ctx = LevelContext(rs, 5, precision_bits=bits)
+        weights = _random_dominant_weights(rs, ref_ctx.shifted_level, seed=bits)
+        reference = [_reference_qdim(w, ref_ctx) for w in weights]
+        zeros = sum(1 for value, _ in reference if value == 0)
+        assert 30 <= zeros <= len(weights) - 30, zeros  # walls and interiors
+        for global_prec in (None, 20):
+            ctx = LevelContext(rs, 5, precision_bits=bits)
+            if global_prec is None:
+                got = [qdim(w, ctx) for w in weights]
+            else:
+                with mpmath.workprec(global_prec):
+                    got = [qdim(w, ctx) for w in weights]
+            for w, q, (value, scale) in zip(weights, got, reference):
+                assert q.value._mpf_ == value._mpf_, (label, bits, w)
+                assert q.magnitude_scale._mpf_ == scale._mpf_, (label, bits, w)
 
 
 def test_qdim_line_matches_qdim_on_dominant_range(e7):

@@ -171,7 +171,7 @@ def test_solver_never_reads_the_grid(e7, monkeypatch):
         raise AssertionError("the solver read a KR quantum dimension")
 
     for module in (qnum, krchar, qsolver):
-        for name in ("qdim", "qdim_kr", "chari_decomposition", "build_qgrid"):
+        for name in ("qdim", "qdim_kr", "chari_decomposition", "chari_qdim", "build_qgrid"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, forbidden)
     grid = solve_restricted(LevelContext(e7, 6))

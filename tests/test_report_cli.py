@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import random
@@ -167,6 +168,19 @@ def test_cli_grid_csv(tmp_path):
     assert len(lines) == 1 + 6 * 15
 
 
+def test_cli_write_error_names_the_requested_path(tmp_path, capsys):
+    # a missing directory fails in the temp file, a directory target in the
+    # rename: either way the error names the path asked for, and no temp
+    # file is left behind
+    (tmp_path / "taken").mkdir()
+    for target in (tmp_path / "missing" / "x.json", tmp_path / "taken"):
+        assert main(["grid", "--type", "E6", "--level", "1", "--out", str(target)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno ")
+        assert err.endswith(f": {str(target)!r}\n")
+    assert [p.name for p in tmp_path.rglob("*")] == ["taken"]
+
+
 def test_cli_verify_report(tmp_path, capsys):
     path = tmp_path / "report.json"
     code = main(["verify", "--type", "E8", "--level", "1", "--report", str(path)])
@@ -321,17 +335,27 @@ def test_cli_precision_sources(tmp_path, capsys, monkeypatch):
 
 
 def test_reports_are_deterministic():
-    configs = (
-        RunConfig(type_label="E6", level=3, checks=("grid", "theorem", "dilog")),
-        RunConfig(type_label="E7", level=12,
-                  checks=("roots", "grid", "theorem", "logconcave", "dilog")),
+    # Each pin is the SHA-256 of the JSON report (indent 2) without
+    # duration_seconds, so every byte of those reports is fixed: a change
+    # that alters a value, a rounding or a note on purpose updates the pin
+    # and says why.
+    cases = (
+        (RunConfig(type_label="E6", level=3, checks=("grid", "theorem", "dilog")), None),
+        (RunConfig(type_label="E6", level=4),
+         "6828702d7f851d22284460b595dbc2b677f223be6e8c0ff4ebe8c1fb7220767a"),
+        (RunConfig(type_label="E7", level=12,
+                   checks=("roots", "grid", "theorem", "logconcave", "dilog")),
+         "ff3771bad4d18d1d8e2b9e2db2f079d98dc9fdfc4165233e8e60f70c8a199900"),
     )
-    for cfg in configs:
+    for cfg, golden in cases:
         a = report_to_dict(run(cfg))
         b = report_to_dict(run(cfg))
         a.pop("duration_seconds")
         b.pop("duration_seconds")
         assert a == b
+        if golden is not None:
+            digest = hashlib.sha256(json.dumps(a, indent=2).encode()).hexdigest()
+            assert digest == golden, (cfg.type_label, cfg.level)
     branden = [c for c in a["checks"] if c["name"] == "branden"]
     assert [c["note"] for c in branden] == ["not_real_negative (non-real root (exact count))"]
 

@@ -50,6 +50,11 @@ def test_tracer_layers_resolve_and_attribute_verify(tmp_path):
     alcove_qdims = sum(1 for name_id, _, _, parent, _ in tracer.spans
                        if name_id == qdim_id and parent >= 0 and tracer.spans[parent][0] == 0)
     assert alcove_qdims == metrics["affweyl.alcove_weights"] > 0
+    # the grid's direct rows call qdim through a module attribute, which the
+    # tracer patches, so their sine products stay in qnum.qdim_s
+    grid_id = tracer.names.index("qsolver.build_qgrid")
+    assert any(name_id == qdim_id and parent >= 0 and tracer.spans[parent][0] == grid_id
+               for name_id, _, _, parent, _ in tracer.spans)
 
 
 def test_tracer_attributes_rootedness(tmp_path):
