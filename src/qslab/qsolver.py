@@ -20,6 +20,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
+from mpmath.libmp import (fone, from_man_exp, mpf_log, mpf_lt, mpf_pi, mpf_sub,
+                          round_nearest, to_fixed)
+
 from .krchar import chari_qdim
 from .qnum import LevelContext, QReal
 from .rootsys import RootSystem, delta, is_proven, type_data
@@ -532,13 +535,44 @@ def dilog_args_margin(args: dict[tuple[int, int], QReal], level: int):
     return worst
 
 
-def dilog_sum(grid: QGrid, ctx: LevelContext):
+def _li2(x, mp):
+    """Li2(x) for 0 < x < 1, rounded once to nearest at the context's precision.
+
+    Reflects to y = min(x, 1 - x) <= 1/2 through
+    Li2(x) = pi^2/6 - log x log(1 - x) - Li2(1 - x), then sums y^n/n^2 on
+    Python ints in fixed point.  The working precision grows with -log2 y, so
+    a tiny argument keeps its full relative precision; every libmp call takes
+    an explicit precision, so mpmath's global state is never read.
+    """
+    xm = x._mpf_
+    ym = mpf_sub(fone, xm)  # exact: no rounding at prec 0
+    reflect = mpf_lt(ym, xm)
+    if not reflect:
+        ym = xm
+    _, _, exp, bc = ym
+    wp = mp.prec + 40 + max(0, -(exp + bc))
+    y = to_fixed(ym, wp)
+    total, power, n = 0, y, 1
+    while power:
+        total += power // (n * n)
+        n += 1
+        power = (power * y) >> wp
+    if reflect:
+        pi = to_fixed(mpf_pi(wp), wp)
+        logs = (to_fixed(mpf_log(xm, wp), wp) * to_fixed(mpf_log(ym, wp), wp)) >> wp
+        total = ((pi * pi) >> wp) // 6 - logs - total
+    return mp.make_mpf(from_man_exp(total, -wp, mp.prec, round_nearest))
+
+
+def dilog_sum(grid: QGrid, ctx: LevelContext, args=None):
     """(6/pi^2) sum of Rogers dilogarithms of the interior ratios.
 
+    ``args`` are the grid's ``dilog_args``, computed here when omitted.
     Diagnostic output only; no closed-form value is asserted for it.
     """
     mp = ctx.mp
-    args = dilog_args(grid)
+    if args is None:
+        args = dilog_args(grid)
     total = mp.mpf(0)
     for (i, k) in sorted(args):
         if k == 0 or k == grid.level:
@@ -546,5 +580,5 @@ def dilog_sum(grid: QGrid, ctx: LevelContext):
         x = args[(i, k)].value
         if not (0 < x < 1):
             raise ValueError(f"dilogarithm argument {mp.nstr(x, 8)} outside (0, 1)")
-        total += mp.polylog(2, x) + mp.log(x) * mp.log(1 - x) / 2
+        total += _li2(x, mp) + mp.log(x) * mp.log(1 - x) / 2
     return 6 / mp.pi ** 2 * total

@@ -429,10 +429,12 @@ def _dilog_checks(report, ctx, grid, fixture_dir) -> list[CheckResult]:
                                                         qsolver.DILOG_MARGIN - margin),
                         note="no interior cells" if margin is None
                         else f"min distance to {{0,1}}: {ctx.mp.nstr(margin, 8)}")]
-    total = qsolver.dilog_sum(grid, ctx)
+    report.dilog_in_range = bool(ok)
+    if margin is not None and margin <= 0:
+        return checks  # an argument outside (0, 1) has no Rogers dilogarithm
+    total = qsolver.dilog_sum(grid, ctx, args)
     checks.append(_mk_check("dilog_sum", None, True, True, None,
                             note=f"normalized sum {ctx.mp.nstr(total, 12)}"))
-    report.dilog_in_range = bool(ok)
     report.dilog_sum = total
     return checks
 

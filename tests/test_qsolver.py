@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import json
+import random
 
+import mpmath
 import pytest
+from mpmath.ctx_mp import MPContext
 
 import qslab
 from qslab import krchar, qnum, qsolver
@@ -270,6 +273,78 @@ def test_dilog_sum_regression_e6_level2(e6):
     frozen = ctx.mp.mpf("5.142857142857142857142857142857142857176")
     assert abs(total - frozen) < ctx.mp.mpf(10) ** -30
     assert abs(total - ctx.mp.mpf(36) / 7) < ctx.mp.mpf(10) ** -25
+
+
+def _li2_edge_arguments(mp):
+    """The edge arguments at the context's precision, within (0, 1)."""
+    prec = mp.prec
+    ulp = mp.ldexp(1, -prec)  # spacing of [1/2, 1)
+    edges = [mp.ldexp(1, -200), mp.mpf("1e-30"), mp.mpf("1e-10"),
+             mp.mpf(0.5), 0.5 + ulp, 0.5 - ulp / 2,  # below 1/2 the spacing halves
+             0.75 + ulp, 0.75 - ulp, 1 - mp.mpf("1e-30"), 1 - ulp]
+    # at 64 bits 1 - 1e-30 rounds to 1, which has no place in (0, 1)
+    return [x for x in edges if 0 < x < 1]
+
+
+def _li2_reference(x, prec):
+    """mp.polylog(2, x) at prec + 64 bits in its own context, rounded to prec."""
+    hi = MPContext()
+    hi.prec = prec + 64
+    lo = MPContext()
+    lo.prec = prec
+    return lo.mpf(hi.polylog(2, hi.mpf(x)))
+
+
+@pytest.mark.parametrize("global_prec", [None, 20])
+def test_li2_rounds_correctly(global_prec):
+    # _li2 reads no global mpmath state, so a low mpmath.mp precision
+    # changes nothing
+    rng = random.Random(20260809)
+    with mpmath.workprec(global_prec or mpmath.mp.prec):
+        for prec in (64, 128, 256):
+            mp = MPContext()
+            mp.prec = prec
+            seeded = [mp.ldexp(rng.getrandbits(prec) | 1, -prec) for _ in range(24)]
+            for x in seeded + _li2_edge_arguments(mp):
+                got = qsolver._li2(x, mp)
+                assert got._mpf_ == _li2_reference(x, prec)._mpf_, (prec, mp.nstr(x, 20))
+            assert len(_li2_edge_arguments(mp)) == (9 if prec == 64 else 10)
+
+
+def _polylog_dilog_sum(grid, ctx):
+    """Reference: the normalized dilogarithm sum with mpmath's own Li2."""
+    mp = ctx.mp
+    args = dilog_args(grid)
+    total = mp.mpf(0)
+    for (i, k) in sorted(args):
+        if k == 0 or k == grid.level:
+            continue
+        x = args[(i, k)].value
+        total += mp.polylog(2, x) + mp.log(x) * mp.log(1 - x) / 2
+    return 6 / mp.pi ** 2 * total
+
+
+@pytest.mark.parametrize("label,level", [("E6", 6), ("E7", 12), ("E8", 8)])
+def test_dilog_sum_matches_kirillov_identity(rs_map, label, level):
+    # L dim g / (L + h) - rank, the level-L coset central charge
+    dim, h = {"E6": (78, 12), "E7": (133, 18), "E8": (248, 30)}[label]
+    rs = rs_map[label]
+    ctx = LevelContext(rs, level)
+    total = dilog_sum(build_qgrid(ctx), ctx)
+    expected = ctx.mp.mpf(level * dim) / (level + h) - rs.rank
+    assert abs(total - expected) < 1e-25
+
+
+@pytest.mark.parametrize("label,level", [("E6", 4), ("E6", 6), ("E7", 12)])
+def test_dilog_sum_matches_polylog_formula(rs_map, label, level):
+    # E6 L4 and L6 sum to the dyadic 13.5 and 20, which render_decimal prints
+    # in short form only when every bit agrees
+    ctx = LevelContext(rs_map[label], level)
+    grid = build_qgrid(ctx)
+    args = dilog_args(grid)
+    total = dilog_sum(grid, ctx, args)
+    assert total._mpf_ == _polylog_dilog_sum(grid, ctx)._mpf_
+    assert dilog_sum(grid, ctx)._mpf_ == total._mpf_
 
 
 def test_solver_output_symmetric_and_unimodal(e7):

@@ -430,3 +430,27 @@ def test_run_fails_on_corrupted_fixture(e7, tmp_path):
               fixture_dir=str(tmp_path))
     assert out.overall == "fail"
     assert out.exit_code == 1
+
+
+@pytest.mark.parametrize("label,status", [("E6", "fail"), ("E7", "conjecture-violated")])
+def test_dilog_argument_out_of_range_is_a_failed_check(rs_map, label, status):
+    from qslab.qnum import QReal
+    from qslab.qsolver import build_qgrid
+    from qslab.report import VerificationReport
+
+    # every cell stays positive, but the ratio at (1, 1) grows to about 8000
+    ctx = LevelContext(rs_map[label], 2)
+    grid = build_qgrid(ctx)
+    c = grid.values[0][1]
+    grid.values[0][1] = QReal(c.value / 100, c.magnitude_scale)
+    rep_obj = VerificationReport(config=RunConfig(type_label=label, level=2),
+                                 shifted_level=ctx.shifted_level, checks=[])
+    checks = report._dilog_checks(rep_obj, ctx, grid, None)
+    assert [(c.name, c.status) for c in checks] == [("dilog_args", status)]
+    assert checks[0].max_violation > 1000
+    assert rep_obj.dilog_in_range is False
+    assert rep_obj.dilog_sum is None
+    rep_obj.checks = checks
+    rep_obj.grid = grid
+    rep_obj.finalize()
+    assert report_to_dict(rep_obj)["dilog"] == {"args_in_range": False, "sum": None}

@@ -73,3 +73,21 @@ def test_tracer_attributes_rootedness(tmp_path):
     # which the tracer patches
     assert metrics["seqanalysis.branden_s"] > 0
     assert metrics["seqanalysis.branden_calls"] == 1
+
+
+def test_tracer_counts_dilog_terms(tmp_path):
+    # the tracer's dilog_sum hook reads the grid from the first positional
+    # argument and counts rank * (level - 1) terms per call
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        code = tracer.run_op(0, main, ["verify", "--type", "E6", "--level", "6",
+                                       "--checks", "grid,dilog",
+                                       "--out", str(tmp_path / "report.json")])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    metrics = tracer.layer_metrics()
+    assert metrics["qsolver.dilog_s"] > 0
+    assert metrics["qsolver.dilog_terms"] == 30
