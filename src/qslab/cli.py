@@ -18,7 +18,7 @@ from typing import NoReturn
 
 from . import affweyl, krchar, qsolver, report, seqanalysis
 from .qnum import MIN_PRECISION_BITS, LevelContext, qdim, qdim_classical, qdim_line
-from .rootsys import build_root_system, type_data
+from .rootsys import TYPE_DATA, build_root_system, type_data
 
 _ENV_PRECISION = "QSLAB_PRECISION_BITS"
 
@@ -42,9 +42,12 @@ def _usage_error(message: str) -> NoReturn:
 
 def _precision_setting(text: str, source: str) -> int:
     try:
-        return int(text)
+        bits = int(text)
     except ValueError:
         _usage_error(f"{source} must be an integer, got {text!r}")
+    if bits < MIN_PRECISION_BITS:
+        _usage_error(f"{source} must be at least {MIN_PRECISION_BITS}, got {bits}")
+    return bits
 
 
 def _resolve_precision(args) -> int:
@@ -71,6 +74,15 @@ def _int_at_least(minimum: int):
     return integer
 
 
+def _type_label(text: str) -> str:
+    """An argparse type: an E type label, in either case, upper-cased."""
+    label = text.upper()
+    if label not in TYPE_DATA:
+        raise argparse.ArgumentTypeError(
+            f"unknown type {text!r} (choose from {', '.join(TYPE_DATA)})")
+    return label
+
+
 def _positive_float(text: str) -> float:
     """An argparse type: a float greater than zero."""
     try:
@@ -93,7 +105,7 @@ def _check_list(text: str) -> tuple[str, ...]:
 
 def _common_flags(p: argparse.ArgumentParser, level: bool = True,
                   precision: bool = True) -> None:
-    p.add_argument("--type", required=True, metavar="TYPE",
+    p.add_argument("--type", type=_type_label, required=True, metavar="TYPE",
                    help="root system type: E6, E7 or E8")
     if level:
         p.add_argument("--level", type=_int_at_least(1), required=True,
@@ -343,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("logconcave", help="log-concavity and rootedness probes")
-    p.add_argument("--type", default=None)
+    p.add_argument("--type", type=_type_label, default=None, metavar="TYPE")
     p.add_argument("--level", type=_int_at_least(1), default=None)
     p.add_argument("--node", type=int, default=None)
     p.add_argument("--max-order", type=_int_at_least(0), default=6)

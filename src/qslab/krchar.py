@@ -144,9 +144,9 @@ def chari_qdim(node: int, box_count: int, ctx: LevelContext) -> QReal:
     """qdim_kr(chari_decomposition(rs, node, box_count), ctx), bit for bit.
 
     Each direct node keeps a row in the context, extended on demand in
-    increasing box count.  At the nested nodes row k is row k-1 plus the
-    terms of shell k, folded left in the decomposition's order; the other
-    nodes sum their single shell at every k.
+    increasing box count.  Row k folds the terms of shell k left in the
+    decomposition's order, onto row k-1 at the nested nodes and onto nothing
+    at the others.
     """
     rs = ctx.root_system
     _check_direct(rs, node, box_count)
@@ -154,11 +154,8 @@ def chari_qdim(node: int, box_count: int, ctx: LevelContext) -> QReal:
     nested = (rs.type_label, node) in _NESTED_NODES
     while len(rows) <= box_count:
         k = len(rows)
-        if nested:
-            shell = [(1, w) for w in _chari_shell(rs, node, k)]
-            total = _fold(rows[k - 1] if k else None, shell, ctx)
-        else:
-            total = qdim_kr(chari_decomposition(rs, node, k), ctx)
+        shell = [(1, w) for w in _chari_shell(rs, node, k)]
+        total = _fold(rows[k - 1] if nested and k else None, shell, ctx)
         # a slice store, not append: if another thread filled row k first,
         # this rewrites it with the same bits instead of shifting the row
         rows[k:k + 1] = [total]

@@ -49,9 +49,6 @@ class QReal:
                  + abs(other.value) * self.magnitude_scale)
         return QReal(v, _clamp(scale, v))
 
-    def __neg__(self) -> "QReal":
-        return QReal(-self.value, self.magnitude_scale)
-
     def div(self, other: "QReal") -> "QReal":
         """Division; the caller is responsible for guarding the divisor."""
         v = self.value / other.value
@@ -85,7 +82,6 @@ class LevelContext:
         root_system: RootSystem,
         level: int,
         precision_bits: int = 128,
-        zero_tolerance=None,
     ):
         if level < 1:
             raise ValueError("level must be a positive integer")
@@ -98,12 +94,7 @@ class LevelContext:
         mp = MPContext()
         mp.prec = self.precision_bits
         self.mp = mp
-        if zero_tolerance is None:
-            self.zero_tolerance = mp.mpf(2) ** (-(self.precision_bits // 2))
-        else:
-            self.zero_tolerance = mp.mpf(zero_tolerance)
-            if not self.zero_tolerance > 0:
-                raise ValueError("zero_tolerance must be positive")
+        self.zero_tolerance = mp.mpf(2) ** (-(self.precision_bits // 2))
         self._sin_table: list | None = None
         self._sin_raw: list | None = None
         self._qdim_cache: dict[Weight, QReal] = {}

@@ -94,17 +94,15 @@ class QGrid:
         return c.value
 
 
-def _neighbor_product(grid_values, rs: RootSystem, node: int, k: int):
-    """Product over Dynkin neighbours; 1 when there are none, None when a
-    neighbour cell is unresolved."""
-    anchor = grid_values[0][0].value
-    unit = anchor * 0 + 1
-    prod = QReal(unit, unit)
-    for j in rs.neighbors[node]:
-        v = grid_values[j - 1][k]
+def _neighbor_product(grid: QGrid, node: int, k: int):
+    """Product of the values Q_k(j) over Dynkin neighbours j; 1 when there
+    are none, None when a neighbour cell is unresolved."""
+    prod = grid.cell(1, 0).value * 0 + 1
+    for j in grid.root_system.neighbors[node]:
+        v = grid.cell(j, k)
         if v is None:
             return None
-        prod = prod * v
+        prod = prod * v.value
     return prod
 
 
@@ -200,11 +198,12 @@ def build_qgrid(ctx: LevelContext, k_max: int | None = None) -> QGrid:
     return grid
 
 
-def grid_from_values(rs: RootSystem, level: int, shifted_level: int, rows, tag: str = "solver") -> QGrid:
-    """Wrap a plain table of QReals (rows indexed [node-1][k]) as a QGrid."""
+def grid_from_values(rs: RootSystem, level: int, shifted_level: int, rows) -> QGrid:
+    """Wrap a plain table of QReals (rows indexed [node-1][k]) as a QGrid
+    whose every cell has provenance "solver"."""
     k_max = len(rows[0]) - 1
     values = [list(r) for r in rows]
-    provenance = [[tag] * (k_max + 1) for _ in rows]
+    provenance = [["solver"] * (k_max + 1) for _ in rows]
     grid = QGrid(rs, level, shifted_level, k_max, values, provenance)
     grid.residual_max = residual(grid) if k_max >= 2 else values[0][0].value * 0
     return grid
@@ -223,11 +222,11 @@ def residual(grid: QGrid) -> object:
             hi = grid.cell(i, k + 1)
             if mid is None or lo is None or hi is None:
                 continue
-            prod = _neighbor_product(grid.values, rs, i, k)
+            prod = _neighbor_product(grid, i, k)
             if prod is None:
                 continue
             lhs = mid.value * mid.value
-            rhs = lo.value * hi.value + prod.value
+            rhs = lo.value * hi.value + prod
             denom = lhs if lhs > 1 else 1
             r = abs(lhs - rhs) / denom
             if worst is None or r > worst:
@@ -364,7 +363,7 @@ def solve_restricted(ctx: LevelContext, tolerance: float = SOLVER_TOLERANCE) -> 
                     raise SolverDivergence(
                         f"Newton step {step + 1} left cell (node {i + 1}, k={k}) non-positive")
     rows = [[QReal(x, abs(x) if abs(x) > 1 else one) for x in row] for row in v]
-    return grid_from_values(rs, level, ctx.shifted_level, rows, tag="solver")
+    return grid_from_values(rs, level, ctx.shifted_level, rows)
 
 
 @dataclass
@@ -501,11 +500,11 @@ def theorem_report(ctx: LevelContext, grid: QGrid | None = None) -> list[CheckRe
     return checks
 
 
-def dilog_args(grid: QGrid) -> dict[tuple[int, int], QReal]:
+def dilog_args(grid: QGrid) -> dict[tuple[int, int], object]:
     """The ratios prod_{j~i} Q_k(j) / Q_k(i)^2 over the restricted range."""
     rs = grid.root_system
     level = grid.level
-    out: dict[tuple[int, int], QReal] = {}
+    out: dict[tuple[int, int], object] = {}
     for i in range(1, rs.rank + 1):
         for k in range(0, level + 1):
             c = grid.cell(i, k)
@@ -513,13 +512,12 @@ def dilog_args(grid: QGrid) -> dict[tuple[int, int], QReal]:
                 raise ValueError(f"grid cell (node {i}, k={k}) is not positive")
     for i in range(1, rs.rank + 1):
         for k in range(0, level + 1):
-            c = grid.cell(i, k)
-            prod = _neighbor_product(grid.values, rs, i, k)
-            out[(i, k)] = prod.div(c * c)
+            c = grid.cell(i, k).value
+            out[(i, k)] = _neighbor_product(grid, i, k) / (c * c)
     return out
 
 
-def dilog_args_margin(args: dict[tuple[int, int], QReal], level: int):
+def dilog_args_margin(args: dict[tuple[int, int], object], level: int):
     """Smallest distance of the interior ratios to the ends of (0, 1).
 
     Boundary columns k = 0 and k = level equal 1 and are excluded.  Returns
@@ -529,7 +527,7 @@ def dilog_args_margin(args: dict[tuple[int, int], QReal], level: int):
     for (_, k), x in args.items():
         if k == 0 or k == level:
             continue
-        m = min(x.value, 1 - x.value)
+        m = min(x, 1 - x)
         if worst is None or m < worst:
             worst = m
     return worst
@@ -577,7 +575,7 @@ def dilog_sum(grid: QGrid, ctx: LevelContext, args=None):
     for (i, k) in sorted(args):
         if k == 0 or k == grid.level:
             continue
-        x = args[(i, k)].value
+        x = args[(i, k)]
         if not (0 < x < 1):
             raise ValueError(f"dilogarithm argument {mp.nstr(x, 8)} outside (0, 1)")
         total += _li2(x, mp) + mp.log(x) * mp.log(1 - x) / 2

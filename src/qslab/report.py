@@ -141,10 +141,10 @@ def _rel_gap(mp, a, b):
     return abs(a - b) / max(abs(a), abs(b), mp.mpf(1))
 
 
-def _roots_checks(report, ctx, grid, fixture_dir) -> list[CheckResult]:
+def _roots_checks(report, ctx, grid) -> list[CheckResult]:
     rs = ctx.root_system
     td = rootsys.type_data(rs.type_label)
-    out = [fixture_check(rs, fixture_dir)]
+    out = [fixture_check(rs)]
 
     h = rs.coxeter_number
     ok = (
@@ -295,7 +295,7 @@ def fixed_word_image_check(ctx: LevelContext) -> CheckResult:
                      note="; ".join(bad[:4]) if bad else "integer closed forms reproduced")
 
 
-def _weyl_checks(report, ctx, grid, fixture_dir) -> list[CheckResult]:
+def _weyl_checks(report, ctx, grid) -> list[CheckResult]:
     out = [fixed_word_image_check(ctx)]
     worst = sign_identity_trials(ctx)
     out.append(_mk_check("sign_identity", None, worst <= SIGN_IDENTITY_REL_TOL, True,
@@ -313,7 +313,7 @@ def _weyl_checks(report, ctx, grid, fixture_dir) -> list[CheckResult]:
     return out
 
 
-def _grid_checks(report, ctx, grid, fixture_dir) -> list[CheckResult]:
+def _grid_checks(report, ctx, grid) -> list[CheckResult]:
     out = []
     res = grid.residual_max
     out.append(_mk_check("grid_residual", None, res <= qsolver.FULL_GRID_RESIDUAL_TOL,
@@ -335,19 +335,16 @@ def _grid_checks(report, ctx, grid, fixture_dir) -> list[CheckResult]:
     return out
 
 
-def _solve_checks(report, ctx, grid, fixture_dir) -> list[CheckResult]:
-    tolerance = report.config.solver_tolerance
-    if tolerance is None:
-        tolerance = qsolver.SOLVER_TOLERANCE
-    out = []
+def _solve_checks(report, ctx, grid) -> list[CheckResult]:
+    tolerance = qsolver.SOLVER_TOLERANCE
     try:
         solved = qsolver.solve_restricted(ctx, tolerance)
-    except qsolver.SolverDivergence as exc:
-        out.append(_mk_check("solver_residual", None, False, True, None, note=str(exc)))
-        return out
-    out.append(_mk_check("solver_residual", None,
-                         solved.residual_max <= ctx.mp.mpf(tolerance), True,
-                         solved.residual_max))
+    except (qsolver.SolverDivergence, ValueError) as exc:
+        # a ValueError says the tolerance lies below what the precision can reach
+        return [_mk_check("solver_residual", None, False, True, None, note=str(exc))]
+    out = [_mk_check("solver_residual", None,
+                     solved.residual_max <= ctx.mp.mpf(tolerance), True,
+                     solved.residual_max)]
     worst = ctx.mp.mpf(0)
     for i in range(1, ctx.root_system.rank + 1):
         for k in range(0, ctx.level + 1):
@@ -362,11 +359,11 @@ def _solve_checks(report, ctx, grid, fixture_dir) -> list[CheckResult]:
     return out
 
 
-def _theorem_checks(report, ctx, grid, fixture_dir) -> list[CheckResult]:
+def _theorem_checks(report, ctx, grid) -> list[CheckResult]:
     return qsolver.theorem_report(ctx, grid)
 
 
-def _logconcave_checks(report, ctx, grid, fixture_dir) -> list[CheckResult]:
+def _logconcave_checks(report, ctx, grid) -> list[CheckResult]:
     rs = ctx.root_system
     label = rs.type_label
     level = ctx.level
@@ -414,7 +411,7 @@ def _logconcave_checks(report, ctx, grid, fixture_dir) -> list[CheckResult]:
     return out
 
 
-def _dilog_checks(report, ctx, grid, fixture_dir) -> list[CheckResult]:
+def _dilog_checks(report, ctx, grid) -> list[CheckResult]:
     """The dilog checks; also sets the report's dilog range flag and sum."""
     proven = rootsys.type_data(ctx.root_system.type_label).dilog_proven
     try:
@@ -440,8 +437,8 @@ def _dilog_checks(report, ctx, grid, fixture_dir) -> list[CheckResult]:
 
 
 # The check groups in canonical report order: name -> (whether the group reads
-# the grid, the group).  Each group takes (report, ctx, grid, fixture_dir), grid
-# being None unless it reads one, and returns its checks.  Groups look up layer
+# the grid, the group).  Each group takes (report, ctx, grid), grid being None
+# unless it reads one, and returns its checks.  Groups look up layer
 # functions (qsolver.*, fixture_check, sign_identity_trials) at call time, so a
 # wrapper patched onto a module attribute, as perfbench/tracing.py does, sees them.
 CHECK_GROUPS: dict[str, tuple[bool, Callable[..., list[CheckResult]]]] = {
@@ -466,8 +463,6 @@ class RunConfig:
     type_label: str
     level: int
     precision_bits: int = 128
-    zero_tolerance: float | None = None
-    solver_tolerance: float | None = None
     k_max: int | None = None
     fmt: str = "json"
     checks: tuple[str, ...] = ALL_CHECKS
@@ -511,12 +506,11 @@ class VerificationReport:
         return 1 if self.overall == "fail" else 0
 
 
-def run(config: RunConfig, fixture_dir: str | None = None) -> VerificationReport:
+def run(config: RunConfig) -> VerificationReport:
     """Execute the selected check groups in their canonical order."""
     started = time.monotonic()
     rs = build_root_system(config.type_label)
-    ctx = LevelContext(rs, config.level, config.precision_bits,
-                       zero_tolerance=config.zero_tolerance)
+    ctx = LevelContext(rs, config.level, config.precision_bits)
 
     report = VerificationReport(config=config, shifted_level=ctx.shifted_level, checks=[])
     groups = [group for name, group in CHECK_GROUPS.items() if name in config.checks]
@@ -527,7 +521,7 @@ def run(config: RunConfig, fixture_dir: str | None = None) -> VerificationReport
         report.grid = grid
 
     for _, checks in groups:
-        report.checks.extend(checks(report, ctx, grid, fixture_dir))
+        report.checks.extend(checks(report, ctx, grid))
 
     report.finalize()
     report.duration_seconds = time.monotonic() - started
@@ -537,7 +531,7 @@ def run(config: RunConfig, fixture_dir: str | None = None) -> VerificationReport
 # ---------------------------------------------------------------------------
 # serialization
 
-def report_to_dict(report: VerificationReport, include_cells: bool = True) -> dict:
+def report_to_dict(report: VerificationReport) -> dict:
     cfg = report.config
     out = {
         "type": cfg.type_label,
@@ -547,8 +541,9 @@ def report_to_dict(report: VerificationReport, include_cells: bool = True) -> di
         "config": {
             "checks": list(cfg.checks),
             "k_max": cfg.k_max,
-            "zero_tolerance": cfg.zero_tolerance,
-            "solver_tolerance": cfg.solver_tolerance,
+            # not settable; the keys stay, always null, for the report schema
+            "zero_tolerance": None,
+            "solver_tolerance": None,
             "format": cfg.fmt,
         },
         "cells": [],
@@ -574,17 +569,16 @@ def report_to_dict(report: VerificationReport, include_cells: bool = True) -> di
     }
     if report.grid is not None:
         out["residual_max"] = render_decimal(report.grid.residual_max)
-        if include_cells:
-            g = report.grid
-            for i in range(1, g.root_system.rank + 1):
-                for k in range(g.k_max + 1):
-                    cell = g.cell(i, k)
-                    out["cells"].append({
-                        "node": i,
-                        "k": k,
-                        "value": None if cell is None else render_decimal(cell.value),
-                        "provenance": g.provenance[i - 1][k],
-                    })
+        g = report.grid
+        for i in range(1, g.root_system.rank + 1):
+            for k in range(g.k_max + 1):
+                cell = g.cell(i, k)
+                out["cells"].append({
+                    "node": i,
+                    "k": k,
+                    "value": None if cell is None else render_decimal(cell.value),
+                    "provenance": g.provenance[i - 1][k],
+                })
     return out
 
 

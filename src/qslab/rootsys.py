@@ -242,9 +242,6 @@ class RootSystem:
             raise ValueError("weight has wrong rank")
         return sum(w * c for w, c in zip(weight, b))
 
-    def height(self, root_index: int) -> int:
-        return self.heights[root_index]
-
     def root_as_weight(self, root_index: int) -> Weight:
         """Coefficient vector of a root rewritten in the weight basis."""
         b = self.positive_roots[root_index]

@@ -55,13 +55,12 @@ def _default_tolerance(entries) -> object:
     return _EPS_BASE * m * m
 
 
-def make_sequence(values: Sequence, tolerance=None) -> RealSequence:
-    """Build a RealSequence; default tolerance scales with max|entry|^2."""
+def make_sequence(values: Sequence) -> RealSequence:
+    """Build a RealSequence whose tolerance scales with max|entry|^2."""
     entries = tuple(
         v if hasattr(v, "_mpf_") else _MP.mpf(str(v)) for v in values
     )
-    tol = _default_tolerance(entries) if tolerance is None else _MP.mpf(str(tolerance))
-    return RealSequence(entries=entries, tolerance=tol)
+    return RealSequence(entries=entries, tolerance=_default_tolerance(entries))
 
 
 def l_operator(seq: RealSequence) -> RealSequence:
@@ -80,14 +79,8 @@ def l_operator(seq: RealSequence) -> RealSequence:
     return RealSequence(entries=tuple(out), tolerance=tol)
 
 
-def _nonnegative(seq: RealSequence, strict: bool) -> bool:
-    if strict:
-        return all(e > seq.tolerance for e in seq.entries)
-    return all(e >= -seq.tolerance for e in seq.entries)
-
-
-def log_concavity_order(seq: RealSequence, max_order: int, strict: bool = False) -> int:
-    """Largest i <= max_order with the i-th L-iterate (strictly) nonnegative.
+def log_concavity_order(seq: RealSequence, max_order: int) -> int:
+    """Largest i <= max_order with the i-th L-iterate nonnegative within tolerance.
 
     i = 0 means the sequence itself; a sequence that already fails at i = 0
     reports -1.  Reaching max_order means the order is at least max_order.
@@ -96,7 +89,7 @@ def log_concavity_order(seq: RealSequence, max_order: int, strict: bool = False)
         raise ValueError("max_order must be nonnegative")
     cur = seq
     for i in range(max_order + 1):
-        if not _nonnegative(cur, strict):
+        if not all(e >= -cur.tolerance for e in cur.entries):
             return i - 1
         if i < max_order:
             cur = l_operator(cur)

@@ -234,8 +234,8 @@ def test_criterion_10_dilog_arguments(solved_matrix, a1):
         if margin is not None:
             assert margin >= 1e-10, (label, level, float(margin))
         for i in range(1, ctx.root_system.rank + 1):
-            assert abs(args[(i, 0)].value - 1) < 1e-25
-            assert abs(args[(i, level)].value - 1) < 1e-20
+            assert abs(args[(i, 0)] - 1) < 1e-25
+            assert abs(args[(i, level)] - 1) < 1e-20
     ctx = LevelContext(a1, 2)
     total = dilog_sum(solve_restricted(ctx), ctx)
     assert abs(total - ctx.mp.mpf(1) / 2) <= ctx.mp.mpf(10) ** -20

@@ -206,7 +206,5 @@ def test_level_context_validation(e6):
         LevelContext(e6, 0)
     with pytest.raises(ValueError):
         LevelContext(e6, 3, precision_bits=32)
-    with pytest.raises(ValueError):
-        LevelContext(e6, 3, zero_tolerance=-1)
     ctx = LevelContext(e6, 3)
     assert ctx.shifted_level == 15

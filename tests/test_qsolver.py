@@ -147,8 +147,15 @@ def test_solver_settings_validation(e6):
     for tolerance in (0, -1):
         with pytest.raises(ValueError):
             solve_restricted(LevelContext(e6, 3), tolerance=tolerance)
-    with pytest.raises(ValueError):
-        run(RunConfig(type_label="E6", level=2, solver_tolerance=0, checks=("solve",)))
+
+
+def test_solve_group_reports_a_tolerance_below_the_precision():
+    # at 64 bits SOLVER_TOLERANCE lies below what Newton can reach: the solve
+    # group records a failed solver_residual instead of aborting the run
+    rep = run(RunConfig(type_label="E6", level=2, precision_bits=64, checks=("solve",)))
+    assert [(c.name, c.status, c.note) for c in rep.checks] == [
+        ("solver_residual", "fail", "solver tolerance is below the working precision")]
+    assert rep.exit_code == 1
 
 
 @pytest.mark.parametrize("label,level", [("E7", 10), ("E8", 8)])
@@ -240,9 +247,9 @@ def test_dilog_a1_closed_form(a1):
     ctx = LevelContext(a1, 2)
     grid = solve_restricted(ctx)
     args = dilog_args(grid)
-    half = args[(1, 1)].value
+    half = args[(1, 1)]
     assert abs(half - 0.5) < ctx.mp.mpf(10) ** -28
-    assert args[(1, 0)].value == 1 and args[(1, 2)].value == 1
+    assert args[(1, 0)] == 1 and args[(1, 2)] == 1
     margin = dilog_args_margin(args, 2)
     assert abs(margin - 0.5) < ctx.mp.mpf(10) ** -28
     total = dilog_sum(grid, ctx)
@@ -319,7 +326,7 @@ def _polylog_dilog_sum(grid, ctx):
     for (i, k) in sorted(args):
         if k == 0 or k == grid.level:
             continue
-        x = args[(i, k)].value
+        x = args[(i, k)]
         total += mp.polylog(2, x) + mp.log(x) * mp.log(1 - x) / 2
     return 6 / mp.pi ** 2 * total
 

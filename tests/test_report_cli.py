@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -218,25 +219,28 @@ def test_cli_usage_errors(capsys, tmp_path, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         main(["qdim", "--type", "E6"])  # missing required flags
     assert exc.value.code == 2
-    assert main(["roots", "--type", "F4"]) == 1  # unknown type: clean error
-    assert main(["grid", "--type", "F4", "--level", "2", "--kmax", "3"]) == 1
     # a positive --tol finer than the working precision is a computation error
     assert main(["solve", "--type", "E6", "--level", "2", "--tol", "1e-300"]) == 1
     err = capsys.readouterr().err
     assert "error" in err
-    # a precision that is not an integer is a usage error, from either source
+    # a precision that is not an integer, or is below 64 bits, is a usage
+    # error from either source, as it is from --precision-bits
     qdim_argv = ["qdim", "--type", "E6", "--level", "3", "--weight", "1,0,0,0,0,0"]
     cfgfile = tmp_path / "qslab.conf"
-    cfgfile.write_text("precision_bits = 1.5\n")
-    with pytest.raises(SystemExit) as exc:
-        main(qdim_argv + ["--config", str(cfgfile)])
-    assert exc.value.code == 2
-    assert capsys.readouterr().err.startswith("error: precision_bits")
-    monkeypatch.setenv("QSLAB_PRECISION_BITS", "abc")
-    with pytest.raises(SystemExit) as exc:
-        main(qdim_argv)
-    assert exc.value.code == 2
-    assert capsys.readouterr().err.startswith("error: QSLAB_PRECISION_BITS")
+    for text, problem in (("1.5", "must be an integer, got '1.5'"),
+                          ("32", "must be at least 64, got 32")):
+        cfgfile.write_text(f"precision_bits = {text}\n")
+        with pytest.raises(SystemExit) as exc:
+            main(qdim_argv + ["--config", str(cfgfile)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == f"error: precision_bits in {cfgfile} {problem}\n"
+    for text, problem in (("abc", "must be an integer, got 'abc'"),
+                          ("32", "must be at least 64, got 32")):
+        monkeypatch.setenv("QSLAB_PRECISION_BITS", text)
+        with pytest.raises(SystemExit) as exc:
+            main(qdim_argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == f"error: QSLAB_PRECISION_BITS {problem}\n"
     monkeypatch.delenv("QSLAB_PRECISION_BITS")
     # usage errors found after parsing exit 2 as well, never 1, and before any
     # check group runs
@@ -298,6 +302,15 @@ def test_cli_usage_errors(capsys, tmp_path, monkeypatch):
          "qslab solve: error: argument --tol: must be positive, got -1\n"),
         (["solve", "--type", "E6", "--level", "2", "--precision-bits", "32"],
          "qslab solve: error: argument --precision-bits: must be at least 64, got 32\n"),
+        (["roots", "--type", "F4"],
+         "qslab roots: error: argument --type: unknown type 'F4' (choose from E6, E7, E8)\n"),
+        (["grid", "--type", "F4", "--level", "2", "--kmax", "3"],
+         "qslab grid: error: argument --type: unknown type 'F4' (choose from E6, E7, E8)\n"),
+        (["verify", "--type", "E9", "--level", "2"],
+         "qslab verify: error: argument --type: unknown type 'E9' (choose from E6, E7, E8)\n"),
+        (["logconcave", "--type", "e9", "--level", "2", "--node", "1"],
+         "qslab logconcave: error: argument --type: unknown type 'e9' "
+         "(choose from E6, E7, E8)\n"),
         (["roots", "--type", "E6", "--precision-bits", "128"],
          "qslab: error: unrecognized arguments: --precision-bits 128\n"),
         (["solve", "--type", "E6", "--level", "2", "--format", "json"],
@@ -308,6 +321,16 @@ def test_cli_usage_errors(capsys, tmp_path, monkeypatch):
         assert exc.value.code == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("usage: ") and err.endswith(message), (argv, err)
+
+
+def test_cli_type_label_in_either_case(tmp_path):
+    # --kmax is range-checked against the label's Coxeter number, so it must
+    # see the upper-cased label
+    path = tmp_path / "r.json"
+    assert main(["verify", "--type", "e7", "--level", "2", "--kmax", "30",
+                 "--checks", "roots", "--report", str(path)]) == 0
+    data = json.loads(path.read_text())
+    assert data["type"] == "E7" and data["config"]["k_max"] == 30
 
 
 def test_cli_computation_error_exits_1(capsys, monkeypatch):
@@ -343,6 +366,9 @@ def test_reports_are_deterministic():
         (RunConfig(type_label="E6", level=3, checks=("grid", "theorem", "dilog")), None),
         (RunConfig(type_label="E6", level=4),
          "6828702d7f851d22284460b595dbc2b677f223be6e8c0ff4ebe8c1fb7220767a"),
+        # E8's derived rows, filled by subtraction and division
+        (RunConfig(type_label="E8", level=2),
+         "b44169c0cef8623bef3bf9beb764a6c072c006a1108504f105065d029a7ec2c0"),
         (RunConfig(type_label="E7", level=12,
                    checks=("roots", "grid", "theorem", "logconcave", "dilog")),
          "ff3771bad4d18d1d8e2b9e2db2f079d98dc9fdfc4165233e8e60f70c8a199900"),
@@ -410,7 +436,7 @@ def test_check_status_mechanics():
     assert rep_obj.exit_code == 1
 
 
-def test_run_fails_on_corrupted_fixture(e7, tmp_path):
+def test_run_fails_on_corrupted_fixture(e7, tmp_path, monkeypatch):
     from qslab.report import load_appendix_map, load_fixture_rows
 
     rows = load_fixture_rows("E7")
@@ -426,8 +452,10 @@ def test_run_fails_on_corrupted_fixture(e7, tmp_path):
         with open(tmp_path / f"{label}_appendix_order.txt", "w") as f:
             for no, idx in sorted(src_map.items()):
                 f.write(f"{no} {idx}\n")
-    out = run(RunConfig(type_label="E7", level=1, checks=("roots",)),
-              fixture_dir=str(tmp_path))
+    # the roots group looks fixture_check up at call time
+    monkeypatch.setattr(report, "fixture_check",
+                        functools.partial(fixture_check, fixture_dir=str(tmp_path)))
+    out = run(RunConfig(type_label="E7", level=1, checks=("roots",)))
     assert out.overall == "fail"
     assert out.exit_code == 1
 
@@ -445,7 +473,7 @@ def test_dilog_argument_out_of_range_is_a_failed_check(rs_map, label, status):
     grid.values[0][1] = QReal(c.value / 100, c.magnitude_scale)
     rep_obj = VerificationReport(config=RunConfig(type_label=label, level=2),
                                  shifted_level=ctx.shifted_level, checks=[])
-    checks = report._dilog_checks(rep_obj, ctx, grid, None)
+    checks = report._dilog_checks(rep_obj, ctx, grid)
     assert [(c.name, c.status) for c in checks] == [("dilog_args", status)]
     assert checks[0].max_violation > 1000
     assert rep_obj.dilog_in_range is False
