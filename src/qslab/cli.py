@@ -104,7 +104,7 @@ def _check_list(text: str) -> tuple[str, ...]:
 
 
 def _common_flags(p: argparse.ArgumentParser, level: bool = True,
-                  precision: bool = True) -> None:
+                  precision: bool = True, out: tuple[str, ...] = ("--out",)) -> None:
     p.add_argument("--type", type=_type_label, required=True, metavar="TYPE",
                    help="root system type: E6, E7 or E8")
     if level:
@@ -113,7 +113,7 @@ def _common_flags(p: argparse.ArgumentParser, level: bool = True,
     if precision:
         p.add_argument("--precision-bits", type=_int_at_least(MIN_PRECISION_BITS), default=None)
         p.add_argument("--config", default=None, help="key=value config file")
-    p.add_argument("--out", default=None, help="output file (written atomically)")
+    p.add_argument(*out, dest="out", default=None, help="output file (written atomically)")
 
 
 def _parse_weight(text: str, rank: int) -> tuple[int, ...]:
@@ -191,7 +191,7 @@ def _cmd_qdim(args) -> int:
 
 def _cmd_reduce(args) -> int:
     rs = build_root_system(args.type)
-    ctx = LevelContext(rs, args.level, _resolve_precision(args))
+    ctx = LevelContext(rs, args.level)
     weight = _parse_weight(args.weight, rs.rank)
     red = affweyl.reduce_to_dominant(weight, ctx)
     if red.result_kind == "on_wall":
@@ -263,10 +263,9 @@ def _cmd_verify(args) -> int:
         k_max=args.kmax, fmt=args.fmt, checks=args.checks,
     )
     rep = report.run(cfg)
-    out_path = args.report or args.out
-    content = report.write_report(rep, out_path)
-    if out_path:
-        sys.stdout.write(f"{rep.overall} (report written to {out_path})\n")
+    content = report.write_report(rep, args.out)
+    if args.out:
+        sys.stdout.write(f"{rep.overall} (report written to {args.out})\n")
     else:
         sys.stdout.write(content)
     return rep.exit_code
@@ -321,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_qdim)
 
     p = sub.add_parser("reduce", help="reduce a weight into the fundamental alcove")
-    _common_flags(p)
+    _common_flags(p, precision=False)
     p.add_argument("--weight", required=True)
     p.set_defaults(fn=_cmd_reduce)
 
@@ -346,10 +345,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_solve)
 
     p = sub.add_parser("verify", help="run the verification suite")
-    _common_flags(p)
+    _common_flags(p, out=("--report", "--out"))
     p.add_argument("--format", dest="fmt", default="json", choices=report.REPORT_FORMATS)
     p.add_argument("--kmax", type=int, default=None)
-    p.add_argument("--report", default=None, help="report output path")
     p.add_argument("--checks", type=_check_list, default=report.ALL_CHECKS,
                    help="comma-separated subset of " + ",".join(report.ALL_CHECKS))
     p.set_defaults(fn=_cmd_verify)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from mpmath.ctx_mp import MPContext
 from mpmath.libmp import fone, mpf_abs, mpf_div, mpf_gt, mpf_mul
@@ -163,6 +163,30 @@ def _sine_product(ctx: LevelContext, factors: Sequence[tuple[int, int]]) -> QRea
     return QReal(ctx.mp.make_mpf(value), ctx.mp.make_mpf(scale))
 
 
+def sine_signature(pairings: Iterable[int], l: int) -> tuple[int, tuple[int, ...]]:
+    """The sign and the sorted folded residues of prod sin(pi*p/l).
+
+    sin(pi*p/l) depends only on r = p mod 2l: it is zero when l divides p,
+    and otherwise has sign +1 for r < l and -1 for r > l and magnitude
+    sin(pi*f/l), f = min(r mod l, l - r mod l).  Two products with the same
+    folded residues therefore have exactly the same magnitude.  Returns
+    (0, ()) when some pairing is a multiple of l.
+    """
+    period = 2 * l
+    sign = 1
+    folded = []
+    for p in pairings:
+        r = p % period
+        if r > l:
+            sign = -sign
+            r -= l
+        elif r == l or r == 0:
+            return 0, ()
+        folded.append(min(r, l - r))
+    folded.sort()
+    return sign, tuple(folded)
+
+
 def qdim(weight: Sequence[int], ctx: LevelContext) -> QReal:
     """Quantum dimension of the irreducible with the given dominant highest weight.
 
@@ -170,8 +194,6 @@ def qdim(weight: Sequence[int], ctx: LevelContext) -> QReal:
     sin(pi (weight+rho | beta) / l) / sin(pi (rho | beta) / l); factors with
     (weight | beta) = 0 equal 1 exactly and are skipped.  The result is an
     exact zero precisely when some numerator pairing is divisible by l.
-    The pairings are summed from the root columns of the nonzero weight
-    coordinates only.
     """
     cache = ctx._qdim_cache
     if type(weight) is tuple:
@@ -190,13 +212,7 @@ def qdim(weight: Sequence[int], ctx: LevelContext) -> QReal:
     cached = cache.get(w)
     if cached is not None:
         return cached
-    pairings = None
-    for wj, column in zip(w, rs.root_columns):
-        if wj:
-            pairings = ([wj * b for b in column] if pairings is None
-                        else [lam + wj * b for lam, b in zip(pairings, column)])
-    factors = ([] if pairings is None else
-               [(lam + ht, ht) for lam, ht in zip(pairings, rs.heights) if lam])
+    factors = [(p, ht) for p, ht in zip(rs.rho_pairings(w), rs.heights) if p != ht]
     out = _sine_product(ctx, factors)
     cache[w] = out
     return out

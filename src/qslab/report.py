@@ -23,16 +23,14 @@ from typing import Callable
 import mpmath
 
 from . import affweyl, krchar, qsolver, rootsys, seqanalysis
-from .qnum import MIN_PRECISION_BITS, LevelContext, qdim, qdim_line
+from .qnum import MIN_PRECISION_BITS, LevelContext, qdim, qdim_line, sine_signature
 from .qsolver import CheckResult, QGrid, _mk_check
-from .rootsys import RootSystem, build_root_system, is_dominant
+from .rootsys import RootSystem, build_root_system
 
 REPORT_FORMATS = ("json", "csv", "text")
 
 SIGN_IDENTITY_TRIALS = 500
-SIGN_IDENTITY_MAX_WORD_LENGTH = 12
 SIGN_IDENTITY_MAX_COEFF = 3
-SIGN_IDENTITY_REL_TOL = 1e-25
 ALCOVE_MARGIN = 1e-10
 TRIAL_SEED = 20260809
 
@@ -196,55 +194,28 @@ def _roots_checks(report, ctx, grid) -> list[CheckResult]:
     return out
 
 
-def _draws_below(rng: random.Random, n: int) -> Callable[[], int]:
-    """A draw of ``rng.randint(0, n - 1)`` without randint's argument handling.
+def sign_identity_trials(ctx: LevelContext, trials: int = SIGN_IDENTITY_TRIALS) -> int:
+    """Exact check of qdim(s . lam) = -qdim(lam) for every generator s_0..s_rank.
 
-    Takes k = n.bit_length() bits and redraws while the value is >= n, the
-    rejection loop of ``random.Random._randbelow``, so it consumes the
-    generator exactly as randint does and returns the same values.
-    """
-    getrandbits = rng.getrandbits
-    k = n.bit_length()
-
-    def draw() -> int:
-        r = getrandbits(k)
-        while r >= n:
-            r = getrandbits(k)
-        return r
-
-    return draw
-
-
-def sign_identity_trials(ctx: LevelContext, trials: int = SIGN_IDENTITY_TRIALS):
-    """Randomized check of qdim(lam) = parity * qdim(w . lam).
-
-    Draws random dominant weights and generator words, keeping only trials
-    whose image is dominant again, and returns the worst relative deviation
-    over the requested number of kept trials.
+    Draws ``trials`` weights with coordinates in [0, SIGN_IDENTITY_MAX_COEFF]
+    and applies each one-letter word to each.  The identity holds exactly
+    when the image's sine signature (``qnum.sine_signature`` of its rho
+    pairings) is the weight's with the sign times the word's parity; every
+    pair counts, dominant image or not.  Returns the number of (weight,
+    generator) pairs where it does not.
     """
     rng = random.Random(TRIAL_SEED)
     rs = ctx.root_system
-    coords = range(rs.rank)
-    coeff = _draws_below(rng, SIGN_IDENTITY_MAX_COEFF + 1)
-    length = _draws_below(rng, SIGN_IDENTITY_MAX_WORD_LENGTH)  # 1 + length() is randint(1, max)
-    letter = _draws_below(rng, rs.rank + 1)
-    worst = ctx.mp.mpf(0)
-    kept = 0
-    attempts = 0
-    while kept < trials:
-        attempts += 1
-        if attempts > 1000 * trials:
-            raise RuntimeError("could not find enough dominant-image trials")
-        lam = tuple([coeff() for _ in coords])
-        word = [letter() for _ in range(1 + length())]
-        image, parity = affweyl.apply_word(word, lam, ctx)
-        if not is_dominant(image):
-            continue
-        rel = _rel_gap(ctx.mp, qdim(lam, ctx).value, parity * qdim(image, ctx).value)
-        if rel > worst:
-            worst = rel
-        kept += 1
-    return worst
+    l = ctx.shifted_level
+    mismatches = 0
+    for _ in range(trials):
+        lam = tuple([rng.randint(0, SIGN_IDENTITY_MAX_COEFF) for _ in range(rs.rank)])
+        sign, folded = sine_signature(rs.rho_pairings(lam), l)
+        for g in range(rs.rank + 1):
+            image, parity = affweyl.apply_word((g,), lam, ctx)
+            if sine_signature(rs.rho_pairings(image), l) != (parity * sign, folded):
+                mismatches += 1
+    return mismatches
 
 
 def fixed_word_image_check(ctx: LevelContext) -> CheckResult:
@@ -297,9 +268,10 @@ def fixed_word_image_check(ctx: LevelContext) -> CheckResult:
 
 def _weyl_checks(report, ctx, grid) -> list[CheckResult]:
     out = [fixed_word_image_check(ctx)]
-    worst = sign_identity_trials(ctx)
-    out.append(_mk_check("sign_identity", None, worst <= SIGN_IDENTITY_REL_TOL, True,
-                         worst, note=f"{SIGN_IDENTITY_TRIALS} dominant-image trials"))
+    mismatches = sign_identity_trials(ctx)
+    generators = ctx.root_system.rank + 1
+    out.append(_mk_check("sign_identity", None, mismatches == 0, True, mismatches,
+                         note=f"{SIGN_IDENTITY_TRIALS} weights x {generators} generators, exact"))
     if ctx.level <= 12:
         min_val = None
         for lam in affweyl.enumerate_alcove(ctx.root_system, ctx.level):

@@ -192,6 +192,18 @@ class RootSystem:
         canonical order: (w | beta) summed over the nonzero w_j only."""
         return tuple(zip(*self.positive_roots))
 
+    def rho_pairings(self, weight: Sequence[int]) -> Sequence[int]:
+        """(weight + rho | beta) for every positive root, in canonical order.
+
+        (rho | beta) is the height of beta; the weight's part is summed from
+        the root columns of its nonzero coordinates only.
+        """
+        pairings: Sequence[int] = self.heights
+        for wj, column in zip(weight, self.root_columns):
+            if wj:
+                pairings = [p + wj * b for p, b in zip(pairings, column)]
+        return pairings
+
     @cached_property
     def rho(self) -> Weight:
         """The all-ones weight (half the sum of the positive roots)."""

@@ -12,6 +12,7 @@ from qslab.qnum import (
     qdim_classical,
     qdim_line,
     qdim_periodicity_check,
+    sine_signature,
     zeta_integer,
 )
 from qslab.rootsys import delta, fundamental_weight
@@ -208,3 +209,22 @@ def test_level_context_validation(e6):
         LevelContext(e6, 3, precision_bits=32)
     ctx = LevelContext(e6, 3)
     assert ctx.shifted_level == 15
+
+
+def test_sine_signature_fixes_the_sine_product(e7):
+    # the signature is the product's sign and the multiset of its factors'
+    # magnitudes, so it decides sign and magnitude exactly
+    ctx = LevelContext(e7, 3)  # l = 21
+    l = ctx.shifted_level
+    rng = random.Random(5)
+    for _ in range(300):
+        pairings = [rng.randint(-3 * l, 3 * l) for _ in range(rng.randint(1, 8))]
+        sign, folded = sine_signature(pairings, l)
+        product = ctx.mp.fprod(ctx.sin_pi_over_l(p) for p in pairings)
+        if any(p % l == 0 for p in pairings):
+            assert (sign, folded) == (0, ())
+            continue
+        assert sorted(folded) == list(folded) and all(1 <= f <= l // 2 for f in folded)
+        magnitude = ctx.mp.fprod(ctx.sin_pi_over_l(f) for f in folded)
+        assert abs(product - sign * magnitude) <= 1e-35 * magnitude
+

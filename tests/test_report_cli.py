@@ -5,6 +5,8 @@ import hashlib
 import json
 import os
 import random
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -14,7 +16,6 @@ from qslab.cli import main
 from qslab.qnum import LevelContext
 from qslab.report import (
     SIGN_IDENTITY_MAX_COEFF,
-    SIGN_IDENTITY_MAX_WORD_LENGTH,
     SIGN_IDENTITY_TRIALS,
     TRIAL_SEED,
     RunConfig,
@@ -139,7 +140,9 @@ def test_cli_qdim_digits(capsys):
     assert capsys.readouterr().out.strip() == "1"
 
 
-def test_cli_reduce(capsys):
+def test_cli_reduce(capsys, monkeypatch):
+    # reduce is integer arithmetic: it takes no precision setting and reads none
+    monkeypatch.setenv("QSLAB_PRECISION_BITS", "abc")
     assert main(["reduce", "--type", "E7", "--level", "5",
                  "--weight", "9,0,0,0,0,0,0"]) == 0
     out = capsys.readouterr().out
@@ -190,6 +193,29 @@ def test_cli_verify_report(tmp_path, capsys):
     assert data["overall"] == "pass"
     assert data["l"] == 31
     assert {"cells", "checks", "residual_max", "dilog"} <= set(data)
+
+
+def test_cli_verify_report_and_out_are_one_option(tmp_path, capsys):
+    # two spellings of one option: the last one given names the report
+    for first, last in (("--report", "--out"), ("--out", "--report")):
+        ignored, written = tmp_path / f"{first}-first", tmp_path / f"{last}-last"
+        assert main(["verify", "--type", "E6", "--level", "1", "--checks", "roots",
+                     first, str(ignored), last, str(written)]) == 0
+        assert not ignored.exists()
+        assert json.loads(written.read_text())["overall"] == "pass"
+        assert capsys.readouterr().out == f"pass (report written to {written})\n"
+
+
+def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines()
+    assert len(lines) >= 9
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        argv = shlex.split(line, comments=True)
+        assert argv[0] == "qslab", line
+        assert main(argv[1:]) == 0, line
 
 
 def test_cli_verify_subset_text(capsys):
@@ -313,6 +339,9 @@ def test_cli_usage_errors(capsys, tmp_path, monkeypatch):
          "(choose from E6, E7, E8)\n"),
         (["roots", "--type", "E6", "--precision-bits", "128"],
          "qslab: error: unrecognized arguments: --precision-bits 128\n"),
+        (["reduce", "--type", "E6", "--level", "1", "--weight", "1,0,0,0,0,0",
+          "--precision-bits", "64"],
+         "qslab: error: unrecognized arguments: --precision-bits 64\n"),
         (["solve", "--type", "E6", "--level", "2", "--format", "json"],
          "qslab: error: unrecognized arguments: --format json\n"),
     ):
@@ -365,10 +394,10 @@ def test_reports_are_deterministic():
     cases = (
         (RunConfig(type_label="E6", level=3, checks=("grid", "theorem", "dilog")), None),
         (RunConfig(type_label="E6", level=4),
-         "6828702d7f851d22284460b595dbc2b677f223be6e8c0ff4ebe8c1fb7220767a"),
+         "d6d376d73ebdb89864df76e1cfabc1ab9acf3a2254606ab52af9d8780f060479"),
         # E8's derived rows, filled by subtraction and division
         (RunConfig(type_label="E8", level=2),
-         "b44169c0cef8623bef3bf9beb764a6c072c006a1108504f105065d029a7ec2c0"),
+         "8aee5373c1e37da966184d90556cc4b06f52518ee4e33807b1e45174f68259ac"),
         (RunConfig(type_label="E7", level=12,
                    checks=("roots", "grid", "theorem", "logconcave", "dilog")),
          "ff3771bad4d18d1d8e2b9e2db2f079d98dc9fdfc4165233e8e60f70c8a199900"),
@@ -386,33 +415,62 @@ def test_reports_are_deterministic():
     assert [c["note"] for c in branden] == ["not_real_negative (non-real root (exact count))"]
 
 
-@pytest.mark.parametrize("label, attempts", [("E6", 21583), ("E7", 33387), ("E8", 36288)])
-def test_sign_identity_trial_stream(rs_map, monkeypatch, label, attempts):
-    # every attempted (word, weight) is the one randint draws, in the order
-    # weight coordinates, word length, letters
+@pytest.mark.parametrize("label", ["E6", "E7", "E8"])
+def test_sign_identity_trial_stream(rs_map, monkeypatch, label):
+    # each weight randint draws meets every generator as a one-letter word
     rs = rs_map[label]
     seen = []
     original = affweyl.apply_word
 
     def recording(word, lam, ctx):
-        image, parity = original(word, lam, ctx)
-        seen.append((word, lam, all(c >= 0 for c in image)))
-        return image, parity
+        seen.append((tuple(word), lam))
+        return original(word, lam, ctx)
 
     monkeypatch.setattr(affweyl, "apply_word", recording)
-    report.sign_identity_trials(LevelContext(rs, 2))
-    assert len(seen) == attempts
+    assert report.sign_identity_trials(LevelContext(rs, 2)) == 0
+    assert len(seen) == SIGN_IDENTITY_TRIALS * (rs.rank + 1)
     rng = random.Random(TRIAL_SEED)
     expected = []
-    for _ in seen:
+    for _ in range(SIGN_IDENTITY_TRIALS):
         lam = tuple(rng.randint(0, SIGN_IDENTITY_MAX_COEFF) for _ in range(rs.rank))
-        word = [rng.randint(0, rs.rank)
-                for _ in range(rng.randint(1, SIGN_IDENTITY_MAX_WORD_LENGTH))]
-        expected.append((word, lam))
-    assert [(word, lam) for word, lam, _ in seen] == expected
-    # the trials stop at the attempt that keeps the last dominant image
-    assert sum(kept for _, _, kept in seen) == SIGN_IDENTITY_TRIALS
-    assert seen[-1][2]
+        expected += [((g,), lam) for g in range(rs.rank + 1)]
+    assert seen == expected
+
+
+def _faulty_apply_word(fault):
+    """apply_word with one fault: s0 adds c to every coordinate instead of
+    c*theta, s3 raises its neighbours by 2c instead of c, or every word
+    reports parity +1."""
+    original = affweyl.apply_word
+
+    def apply_word(word, lam, ctx):
+        image, parity = original(word, lam, ctx)
+        rs = ctx.root_system
+        if fault == "parity":
+            return image, 1
+        if fault == "s0" and tuple(word) == (0,):
+            c = ctx.shifted_level - sum(m * (x + 1) for m, x in zip(rs.marks, lam))
+            return tuple(x + c for x in lam), parity
+        if fault == "s3" and tuple(word) == (3,):
+            c = lam[2] + 1
+            return tuple(x - 2 * c if j == 3 else x + 2 * c if j in rs.neighbors[3] else x
+                         for j, x in enumerate(lam, start=1)), parity
+        return image, parity
+
+    return apply_word
+
+
+@pytest.mark.parametrize("fault", ["s0", "s3", "parity"])
+def test_sign_identity_fails_on_a_faulty_generator(rs_map, monkeypatch, tmp_path, fault):
+    monkeypatch.setattr(affweyl, "apply_word", _faulty_apply_word(fault))
+    assert report.sign_identity_trials(LevelContext(rs_map["E7"], 2)) > 0
+    path = tmp_path / "weyl.json"
+    assert main(["verify", "--type", "E7", "--level", "2", "--checks", "weyl",
+                 "--out", str(path)]) == 1
+    (check,) = [c for c in json.loads(path.read_text())["checks"]
+                if c["name"] == "sign_identity"]
+    assert check["status"] == "fail" and check["proven"]
+    assert int(check["max_violation"]) > 0
 
 
 def test_check_status_mechanics():

@@ -120,6 +120,12 @@ def test_pairing_rho_is_height(rs_map):
     for rs in rs_map.values():
         for idx in range(len(rs.positive_roots)):
             assert rs.pairing(rs.rho, idx) == rs.heights[idx]
+        assert list(rs.rho_pairings((0,) * rs.rank)) == list(rs.heights)
+        # rho_pairings(w) is (w + rho | beta), for any integral w
+        weight = tuple(range(-3, rs.rank - 3))
+        shifted = tuple(c + 1 for c in weight)
+        assert list(rs.rho_pairings(weight)) == [
+            rs.pairing(shifted, idx) for idx in range(len(rs.positive_roots))]
 
 
 def test_e7_unit_pairing_multiset(e7):
