@@ -9,15 +9,13 @@ from .affweyl import (
     s0_dot,
     si_dot,
 )
-from .krchar import KRDecomposition, chari_decomposition, kleber_q1, qdim_kr, type_a_kr
+from .krchar import KRDecomposition, chari_decomposition, kleber_q1, qdim_kr
 from .qnum import (
     LevelContext,
     QReal,
     qdim,
     qdim_classical,
     qdim_line,
-    qdim_periodicity_check,
-    zeta_integer,
 )
 from .qsolver import (
     QGrid,

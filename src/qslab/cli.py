@@ -18,7 +18,7 @@ from typing import NoReturn
 
 from . import affweyl, krchar, qsolver, report, seqanalysis
 from .qnum import MIN_PRECISION_BITS, LevelContext, qdim, qdim_classical, qdim_line
-from .rootsys import TYPE_DATA, build_root_system, type_data
+from .rootsys import TYPE_DATA, build_root_system, is_dominant, type_data
 
 _ENV_PRECISION = "QSLAB_PRECISION_BITS"
 
@@ -180,6 +180,8 @@ def _cmd_qdim(args) -> int:
     _check_digits(args.digits)
     rs = build_root_system(args.type)
     weight = _parse_weight(args.weight, rs.rank)
+    if not is_dominant(weight):
+        _usage_error("qdim requires a dominant weight; reduce general weights first")
     if args.classical:
         _emit(str(qdim_classical(rs, weight)) + "\n", args.out)
         return 0

@@ -109,17 +109,6 @@ def kleber_q1(rs: RootSystem, node: int) -> KRDecomposition:
     return KRDecomposition(node=node, box_count=1, terms=terms)
 
 
-def type_a_kr(rank: int, node: int, box_count: int) -> KRDecomposition:
-    """Type-A KR modules restrict irreducibly: a single rectangular term."""
-    if not 1 <= node <= rank:
-        raise ValueError(f"node {node} out of range for rank {rank}")
-    return KRDecomposition(
-        node=node,
-        box_count=box_count,
-        terms=((1, fundamental_weight(rank, node, box_count)),),
-    )
-
-
 def _fold(total: QReal | None, terms, ctx: LevelContext) -> QReal | None:
     """Add mult * qdim(weight) over (mult, weight) terms to total, left to right."""
     for mult, weight in terms:

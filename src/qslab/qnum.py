@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 from mpmath.ctx_mp import MPContext
 from mpmath.libmp import fone, mpf_abs, mpf_div, mpf_gt, mpf_mul
 
-from .rootsys import RootSystem, Weight, delta, fundamental_weight, is_dominant
+from .rootsys import RootSystem, Weight, fundamental_weight, is_dominant
 
 MIN_PRECISION_BITS = 64
 
@@ -130,12 +130,6 @@ class LevelContext:
         return QReal(self.mp.mpf(0), self.mp.mpf(1))
 
 
-def zeta_integer(k: int, ctx: LevelContext) -> QReal:
-    """The zeta-integer sin(k*pi/l)/sin(pi/l): odd and 2l-antiperiodic in k."""
-    v = ctx.sin_pi_over_l(k) / ctx.sin_pi_over_l(1)
-    return QReal(v, _clamp(ctx.mp.mpf(1), v))
-
-
 def _sine_product(ctx: LevelContext, factors: Sequence[tuple[int, int]]) -> QReal:
     """Product of sin(pi*num/l)/sin(pi*den/l) over (num, den) pairs.
 
@@ -235,25 +229,3 @@ def qdim_classical(rs: RootSystem, weight: Sequence[int]) -> int:
     if out.denominator != 1:
         raise AssertionError("Weyl formula did not produce an integer")
     return int(out)
-
-
-def qdim_periodicity_check(node: int, ctx: LevelContext) -> bool:
-    """Check 2l-periodicity and the (-1)^delta sign at k+l on the weight line.
-
-    Evaluates the weight line for k in [0, 4l] and verifies value(k+2l) =
-    value(k) and value(k+l) = (-1)^delta_node value(k) within the scaled
-    tolerance.
-    """
-    l = ctx.shifted_level
-    sign = -1 if delta(ctx.root_system, node) % 2 == 1 else 1
-    for k in range(0, 2 * l + 1):
-        a = qdim_line(node, k, ctx)
-        b = qdim_line(node, k + 2 * l, ctx)
-        tol = ctx.zero_tolerance * (a.magnitude_scale + b.magnitude_scale)
-        if abs(a.value - b.value) > tol:
-            return False
-        c = qdim_line(node, k + l, ctx)
-        tol = ctx.zero_tolerance * (a.magnitude_scale + c.magnitude_scale)
-        if abs(c.value - sign * a.value) > tol:
-            return False
-    return True

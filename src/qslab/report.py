@@ -1,9 +1,9 @@
 """Verification pipeline: runs check groups, builds and serializes reports.
 
 A report is deterministic for a fixed configuration and precision: checks
-run in a fixed order, randomized property trials use a fixed seed, and all
-numeric evidence is rendered as round-half-even 30-significant-digit
-decimal strings.
+run in a fixed order, the Weyl-group checks are exact integer certificates
+with no sampling, and all numeric evidence is rendered as round-half-even
+30-significant-digit decimal strings.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import random
 import tempfile
 import time
 from dataclasses import dataclass
@@ -23,16 +22,11 @@ from typing import Callable
 import mpmath
 
 from . import affweyl, krchar, qsolver, rootsys, seqanalysis
-from .qnum import MIN_PRECISION_BITS, LevelContext, qdim, qdim_line, sine_signature
+from .qnum import MIN_PRECISION_BITS, LevelContext, qdim_line
 from .qsolver import CheckResult, QGrid, _mk_check
-from .rootsys import RootSystem, build_root_system
+from .rootsys import RootSystem, Weight, build_root_system
 
 REPORT_FORMATS = ("json", "csv", "text")
-
-SIGN_IDENTITY_TRIALS = 500
-SIGN_IDENTITY_MAX_COEFF = 3
-ALCOVE_MARGIN = 1e-10
-TRIAL_SEED = 20260809
 
 
 def render_decimal(x, digits: int = 30) -> str:
@@ -194,28 +188,68 @@ def _roots_checks(report, ctx, grid) -> list[CheckResult]:
     return out
 
 
-def sign_identity_trials(ctx: LevelContext, trials: int = SIGN_IDENTITY_TRIALS) -> int:
-    """Exact check of qdim(s . lam) = -qdim(lam) for every generator s_0..s_rank.
+def sign_probes(rank: int, count: int) -> list[Weight]:
+    """``count`` fixed non-dominant weights: (-1)^(j+t) (j+t+1) at coordinate j of probe t."""
+    return [tuple((-1) ** (j + t) * (j + t + 1) for j in range(rank)) for t in range(count)]
 
-    Draws ``trials`` weights with coordinates in [0, SIGN_IDENTITY_MAX_COEFF]
-    and applies each one-letter word to each.  The identity holds exactly
-    when the image's sine signature (``qnum.sine_signature`` of its rho
-    pairings) is the weight's with the sign times the word's parity; every
-    pair counts, dominant image or not.  Returns the number of (weight,
-    generator) pairs where it does not.
+
+def generator_sign_certificate(ctx: LevelContext, g: int, probes: list[Weight]) -> bool:
+    """Whether qdim(s_g . lam) = -qdim(lam) for every integral weight lam.
+
+    The one-letter map lam -> s_g . lam is read as A lam + b from its images
+    of 0 and of the unit vectors, and must reproduce ``affweyl.apply_word``
+    on the probes, with one parity throughout.  Each image pairing
+    (s_g . lam + rho | beta) is then an affine form in mu = lam + rho.  If
+    every form is eps (mu | beta') + m l, with beta -> beta' a bijection of
+    the positive roots, then sin(pi (eps x + m l)/l) = eps (-1)^m sin(pi x/l)
+    turns the numerator of qdim(s_g . lam) into that of qdim(lam) times the
+    product of the eps (-1)^m, which must be the word's parity, -1.  Weights
+    on a wall are covered too: both sides are then zero.
     """
-    rng = random.Random(TRIAL_SEED)
     rs = ctx.root_system
-    l = ctx.shifted_level
-    mismatches = 0
-    for _ in range(trials):
-        lam = tuple([rng.randint(0, SIGN_IDENTITY_MAX_COEFF) for _ in range(rs.rank)])
-        sign, folded = sine_signature(rs.rho_pairings(lam), l)
-        for g in range(rs.rank + 1):
-            image, parity = affweyl.apply_word((g,), lam, ctx)
-            if sine_signature(rs.rho_pairings(image), l) != (parity * sign, folded):
-                mismatches += 1
-    return mismatches
+    n = rs.rank
+    units = [tuple(int(j == k) for j in range(n)) for k in range(n)]
+    images = [affweyl.apply_word((g,), lam, ctx) for lam in [(0,) * n, *units, *probes]]
+    offset, parity = images[0]
+    if any(p != parity for _, p in images):
+        return False
+    columns = [[x - b for x, b in zip(image, offset)] for image, _ in images[1:n + 1]]
+    for lam, (image, _) in zip(probes, images[n + 1:]):
+        if image != tuple(b + sum(c[j] * x for c, x in zip(columns, lam))
+                          for j, b in enumerate(offset)):
+            return False
+    # (s_g . lam + rho | beta) = base + sum_k lam_k (column_k | beta), lam_k = mu_k - 1
+    base = rs.rho_pairings(offset)
+    linear = [[p - ht for p, ht in zip(rs.rho_pairings(c), rs.heights)] for c in columns]
+    roots = set(rs.positive_roots)
+    targets = set()
+    flips = 0  # the number of factors -1 among the eps and (-1)^m
+    for constant, coeffs in zip(base, zip(*linear)):
+        m, rest = divmod(constant - sum(coeffs), ctx.shifted_level)
+        if rest:
+            return False
+        if coeffs not in roots:
+            coeffs = tuple(-c for c in coeffs)
+            m += 1  # eps = -1
+        if coeffs not in roots:
+            return False
+        targets.add(coeffs)
+        flips += m
+    return len(targets) == len(roots) and parity == (-1) ** (flips % 2) == -1
+
+
+def sign_identity_trials(ctx: LevelContext, trials: int = 4) -> int:
+    """The number of generators s_0..s_rank failing ``generator_sign_certificate``.
+
+    Each certificate proves qdim(s . lam) = -qdim(lam) for every integral
+    weight, so nothing is sampled; ``trials`` is the number of
+    ``sign_probes`` that test each one-letter map for affinity.  The name
+    and the parameter stay because the benchmark's tracer patches this
+    function and reads ``trials``.
+    """
+    probes = sign_probes(ctx.root_system.rank, trials)
+    return sum(not generator_sign_certificate(ctx, g, probes)
+               for g in range(ctx.root_system.rank + 1))
 
 
 def fixed_word_image_check(ctx: LevelContext) -> CheckResult:
@@ -267,21 +301,23 @@ def fixed_word_image_check(ctx: LevelContext) -> CheckResult:
 
 
 def _weyl_checks(report, ctx, grid) -> list[CheckResult]:
+    rs = ctx.root_system
     out = [fixed_word_image_check(ctx)]
-    mismatches = sign_identity_trials(ctx)
-    generators = ctx.root_system.rank + 1
-    out.append(_mk_check("sign_identity", None, mismatches == 0, True, mismatches,
-                         note=f"{SIGN_IDENTITY_TRIALS} weights x {generators} generators, exact"))
-    if ctx.level <= 12:
-        min_val = None
-        for lam in affweyl.enumerate_alcove(ctx.root_system, ctx.level):
-            v = qdim(lam, ctx).value
-            if min_val is None or v < min_val:
-                min_val = v
-        ok = min_val is not None and min_val > ALCOVE_MARGIN
-        out.append(_mk_check("alcove_positivity", None, ok, True,
-                             max(ctx.mp.mpf(0), ALCOVE_MARGIN - min_val),
-                             note=f"min qdim {ctx.mp.nstr(min_val, 8)}"))
+    failing = sign_identity_trials(ctx)
+    out.append(_mk_check("sign_identity", None, failing == 0, True, failing,
+                         note=f"{rs.rank + 1} generators, affine certificate "
+                              "for every integral weight"))
+    # For lam in the alcove (dominant, sum(marks * lam) <= level) and beta
+    # positive, 0 < (lam+rho | beta) <= (lam+rho | theta) <= level + ht(theta)
+    # = l - 1 once theta, whose coefficients are the marks, dominates every
+    # positive root coefficientwise and ht(theta) = h - 1: every sine factor
+    # of qdim lies in (0, pi).  The count is of the conditions that fail.
+    failing = sum(any(c > a for c, a in zip(b, rs.marks)) for b in rs.positive_roots)
+    failing += sum(rs.marks) != rs.coxeter_number - 1
+    out.append(_mk_check("alcove_positivity", None, failing == 0, True, failing,
+                         note=f"theta dominates all {len(rs.positive_roots)} positive roots "
+                              f"and ht theta = h - 1: (lam+rho | beta) in [1, "
+                              f"{ctx.shifted_level - 1}]"))
     return out
 
 
@@ -411,8 +447,9 @@ def _dilog_checks(report, ctx, grid) -> list[CheckResult]:
 # The check groups in canonical report order: name -> (whether the group reads
 # the grid, the group).  Each group takes (report, ctx, grid), grid being None
 # unless it reads one, and returns its checks.  Groups look up layer
-# functions (qsolver.*, fixture_check, sign_identity_trials) at call time, so a
-# wrapper patched onto a module attribute, as perfbench/tracing.py does, sees them.
+# functions (qsolver.*, fixture_check, sign_identity_trials and, inside the
+# sign certificate, affweyl.apply_word) at call time, so a wrapper patched onto
+# a module attribute, as perfbench/tracing.py does, sees them.
 CHECK_GROUPS: dict[str, tuple[bool, Callable[..., list[CheckResult]]]] = {
     "roots": (False, _roots_checks),
     "weyl": (False, _weyl_checks),

@@ -31,6 +31,8 @@ from qslab.seqanalysis import branden_criterion, is_log_concave, log_concavity_o
 
 ACCEPTANCE_LEVELS = {"E6": (1, 2, 3, 4, 5, 6), "E7": (1, 2, 3, 4, 5, 6),
                      "E8": (1, 2, 3, 4)}
+# Seed of the random sequences in the log-concavity lemmas of criterion 8.
+SEQUENCE_SEED = 20260809
 
 
 @pytest.fixture(scope="module")
@@ -129,10 +131,10 @@ def test_criterion_04_alcove_positivity(rs_map):
 def test_criterion_05_sign_identity(rs_map):
     for label, rs in rs_map.items():
         ctx = LevelContext(rs, 5, precision_bits=128)
-        assert rep.sign_identity_trials(ctx, trials=500) == 0, label
+        assert rep.sign_identity_trials(ctx) == 0, label
         check = rep.fixed_word_image_check(ctx)
         assert check.status == "pass", check.note
-    done(5, "exact sign certificate, 500 weights x every generator per type + closed forms")
+    done(5, "affine sign certificate for every weight and generator per type + closed forms")
 
 
 def test_criterion_06_certified_grid_properties(solved_matrix):
@@ -184,7 +186,7 @@ def test_criterion_08_log_concavity_suite(rs_map):
         row = make_sequence([grid.cell(2, k).value for k in range(level + 1)])
         assert is_log_concave(row, strict=True)
 
-    rng = random.Random(rep.TRIAL_SEED)
+    rng = random.Random(SEQUENCE_SEED)
     from test_seqanalysis import random_ratio_sequence
     from qslab.seqanalysis import palindromize
 

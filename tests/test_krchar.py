@@ -12,9 +12,8 @@ from qslab.krchar import (
     chari_qdim,
     kleber_q1,
     qdim_kr,
-    type_a_kr,
 )
-from qslab.qnum import LevelContext, qdim, zeta_integer
+from qslab.qnum import LevelContext, qdim
 from qslab.rootsys import TYPE_DATA, fundamental_weight
 
 
@@ -195,17 +194,3 @@ def test_e8_shell_antisymmetry(e8):
         for k in range(0, level // 2 + 1):
             a, b = shell(k + 1), shell(level - k)
             assert abs(a + b) < ctx.mp.mpf(10) ** -28, (level, k)
-
-
-def test_type_a_kr(a1):
-    dec = type_a_kr(1, 1, 2)
-    assert dec.terms == ((1, (2,)),)
-    assert type_a_kr(2, 1, 1).terms == ((1, (1, 0)),)
-    with pytest.raises(ValueError):
-        type_a_kr(2, 3, 1)
-    # rank-1 box-sums reproduce the zeta-integers shifted by one
-    ctx = LevelContext(a1, 4)
-    for k in range(0, 10):
-        v = qdim_kr(type_a_kr(1, 1, k), ctx)
-        z = zeta_integer(k + 1, ctx)
-        assert abs(v.value - z.value) < ctx.mp.mpf(10) ** -35

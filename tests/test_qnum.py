@@ -11,35 +11,13 @@ from qslab.qnum import (
     qdim,
     qdim_classical,
     qdim_line,
-    qdim_periodicity_check,
     sine_signature,
-    zeta_integer,
 )
 from qslab.rootsys import delta, fundamental_weight
 
 
 def fw(rs, node, mult=1):
     return fundamental_weight(rs.rank, node, mult)
-
-
-def test_zeta_integer_basics(a1):
-    ctx = LevelContext(a1, 2)  # l = 4
-    assert ctx.shifted_level == 4
-    one = zeta_integer(1, ctx).value
-    assert one == 1
-    assert zeta_integer(0, ctx).value == 0
-    assert zeta_integer(4, ctx).value == 0
-    root2 = zeta_integer(2, ctx).value
-    assert abs(root2 - ctx.mp.sqrt(2)) < ctx.mp.mpf(10) ** -35
-
-
-def test_zeta_integer_odd_antiperiodic(e6):
-    ctx = LevelContext(e6, 3)
-    l = ctx.shifted_level
-    for k in range(-l, l):
-        assert zeta_integer(-k, ctx).value == -zeta_integer(k, ctx).value
-        assert zeta_integer(k + 2 * l, ctx).value == zeta_integer(k, ctx).value
-        assert zeta_integer(k + l, ctx).value == -zeta_integer(k, ctx).value
 
 
 def test_qdim_trivial_weight(rs_map):
@@ -182,14 +160,6 @@ def test_qdim_line_matches_qdim_on_dominant_range(e7):
     ctx = LevelContext(e7, 4)
     for k in range(0, 8):
         assert qdim_line(7, k, ctx) is qdim(fw(e7, 7, k), ctx)
-
-
-def test_periodicity_check_all_nodes(rs_map):
-    for label, level in (("E6", 2), ("E7", 2), ("E8", 1)):
-        rs = rs_map[label]
-        ctx = LevelContext(rs, level)
-        for i in range(1, rs.rank + 1):
-            assert qdim_periodicity_check(i, ctx)
 
 
 def test_line_antiperiodicity_sign_e7_node7(e7):

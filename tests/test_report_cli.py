@@ -11,13 +11,10 @@ from pathlib import Path
 import pytest
 
 import qslab
-from qslab import affweyl, report
+from qslab import affweyl, qnum, report
 from qslab.cli import main
-from qslab.qnum import LevelContext
+from qslab.qnum import LevelContext, sine_signature
 from qslab.report import (
-    SIGN_IDENTITY_MAX_COEFF,
-    SIGN_IDENTITY_TRIALS,
-    TRIAL_SEED,
     RunConfig,
     fixture_check,
     render_decimal,
@@ -352,6 +349,15 @@ def test_cli_usage_errors(capsys, tmp_path, monkeypatch):
         assert err.startswith("usage: ") and err.endswith(message), (argv, err)
 
 
+def test_qdim_rejects_a_non_dominant_weight_as_a_usage_error(capsys):
+    for extra in ([], ["--classical"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["qdim", "--type", "E6", "--level", "2", "--weight", "1,0,0,0,0,-1"] + extra)
+        assert exc.value.code == 2, extra
+        assert capsys.readouterr().err == (
+            "error: qdim requires a dominant weight; reduce general weights first\n")
+
+
 def test_cli_type_label_in_either_case(tmp_path):
     # --kmax is range-checked against the label's Coxeter number, so it must
     # see the upper-cased label
@@ -394,10 +400,10 @@ def test_reports_are_deterministic():
     cases = (
         (RunConfig(type_label="E6", level=3, checks=("grid", "theorem", "dilog")), None),
         (RunConfig(type_label="E6", level=4),
-         "d6d376d73ebdb89864df76e1cfabc1ab9acf3a2254606ab52af9d8780f060479"),
+         "ed7355c7e4e6b54fcd515ad74f9d845d6a1324da7958805f7cd67d769437b9d2"),
         # E8's derived rows, filled by subtraction and division
         (RunConfig(type_label="E8", level=2),
-         "8aee5373c1e37da966184d90556cc4b06f52518ee4e33807b1e45174f68259ac"),
+         "f66f578f594b060a944de58bfafbbc7b10df322e7ce91fae4a21475446114ab0"),
         (RunConfig(type_label="E7", level=12,
                    checks=("roots", "grid", "theorem", "logconcave", "dilog")),
          "ff3771bad4d18d1d8e2b9e2db2f079d98dc9fdfc4165233e8e60f70c8a199900"),
@@ -417,7 +423,9 @@ def test_reports_are_deterministic():
 
 @pytest.mark.parametrize("label", ["E6", "E7", "E8"])
 def test_sign_identity_trial_stream(rs_map, monkeypatch, label):
-    # each weight randint draws meets every generator as a one-letter word
+    # each generator is read off its images of 0 and of the unit vectors and
+    # tested on the probes, every call a one-letter word through the
+    # affweyl module attribute
     rs = rs_map[label]
     seen = []
     original = affweyl.apply_word
@@ -427,50 +435,137 @@ def test_sign_identity_trial_stream(rs_map, monkeypatch, label):
         return original(word, lam, ctx)
 
     monkeypatch.setattr(affweyl, "apply_word", recording)
-    assert report.sign_identity_trials(LevelContext(rs, 2)) == 0
-    assert len(seen) == SIGN_IDENTITY_TRIALS * (rs.rank + 1)
-    rng = random.Random(TRIAL_SEED)
-    expected = []
-    for _ in range(SIGN_IDENTITY_TRIALS):
-        lam = tuple(rng.randint(0, SIGN_IDENTITY_MAX_COEFF) for _ in range(rs.rank))
-        expected += [((g,), lam) for g in range(rs.rank + 1)]
+    assert report.sign_identity_trials(LevelContext(rs, 2), trials=3) == 0
+    probes = report.sign_probes(rs.rank, 3)
+    assert all(min(lam) < 0 for lam in probes) and len(set(probes)) == 3
+    units = [tuple(int(j == k) for j in range(rs.rank)) for k in range(rs.rank)]
+    expected = [((g,), lam) for g in range(rs.rank + 1)
+                for lam in [(0,) * rs.rank, *units, *probes]]
     assert seen == expected
 
 
 def _faulty_apply_word(fault):
     """apply_word with one fault: s0 adds c to every coordinate instead of
-    c*theta, s3 raises its neighbours by 2c instead of c, or every word
-    reports parity +1."""
+    c*theta, s0 reflects at l + 1 instead of l, s2 leaves every weight
+    unchanged, s3 raises its neighbours by 2c instead of c, every word
+    reports parity +1, every word reports parity +1 on weights with a
+    negative coordinate, or s5 reflects a weight with a negative coordinate
+    as if that coordinate were 0 (a map that is not affine)."""
     original = affweyl.apply_word
 
     def apply_word(word, lam, ctx):
         image, parity = original(word, lam, ctx)
         rs = ctx.root_system
-        if fault == "parity":
+        if fault == "parity" or fault == "parity-negative" and min(lam) < 0:
             return image, 1
         if fault == "s0" and tuple(word) == (0,):
             c = ctx.shifted_level - sum(m * (x + 1) for m, x in zip(rs.marks, lam))
             return tuple(x + c for x in lam), parity
+        if fault == "s0-level" and tuple(word) == (0,):
+            return tuple(x + t for x, t in zip(image, rs.theta_weight)), parity
+        if fault == "s2" and tuple(word) == (2,):
+            return tuple(lam), parity
         if fault == "s3" and tuple(word) == (3,):
             c = lam[2] + 1
             return tuple(x - 2 * c if j == 3 else x + 2 * c if j in rs.neighbors[3] else x
                          for j, x in enumerate(lam, start=1)), parity
+        if fault == "s5" and tuple(word) == (5,):
+            return original(word, tuple(max(x, 0) for x in lam), ctx)
         return image, parity
 
     return apply_word
 
 
-@pytest.mark.parametrize("fault", ["s0", "s3", "parity"])
+def _oracle_failing_generators(ctx, weights):
+    """The generators g with some weight whose image under s_g does not have
+    the weight's exact sine signature times the parity: the sampled check
+    the certificate replaced."""
+    rs = ctx.root_system
+    l = ctx.shifted_level
+    failing = set()
+    for lam in weights:
+        sign, folded = sine_signature(rs.rho_pairings(lam), l)
+        for g in range(rs.rank + 1):
+            image, parity = affweyl.apply_word((g,), lam, ctx)
+            if sine_signature(rs.rho_pairings(image), l) != (parity * sign, folded):
+                failing.add(g)
+    return failing
+
+
+def _oracle_weights(ctx, count, seed):
+    """Weights of any sign: half are alcove weights moved by random affine
+    words, so off every wall, and half have coordinates drawn from [-l, l]."""
+    rng = random.Random(seed)
+    rs = ctx.root_system
+    l = ctx.shifted_level
+    alcove = affweyl.enumerate_alcove(rs, ctx.level)
+    weights = []
+    for _ in range(count // 2):
+        word = [rng.randint(0, rs.rank) for _ in range(rng.randint(1, 12))]
+        weights.append(affweyl.apply_word(word, rng.choice(alcove), ctx)[0])
+        weights.append(tuple(rng.randint(-l, l) for _ in range(rs.rank)))
+    return weights
+
+
+def _certificate_failing_generators(ctx, trials=4):
+    probes = report.sign_probes(ctx.root_system.rank, trials)
+    return {g for g in range(ctx.root_system.rank + 1)
+            if not report.generator_sign_certificate(ctx, g, probes)}
+
+
+@pytest.mark.parametrize("label", ["E6", "E7", "E8"])
+@pytest.mark.parametrize("level", [2, 5])
+def test_sign_certificate_agrees_with_the_sampled_oracle(rs_map, label, level):
+    ctx = LevelContext(rs_map[label], level)
+    weights = _oracle_weights(ctx, 120, seed=level)
+    assert any(min(lam) < 0 for lam in weights)
+    off_wall = sum(sine_signature(ctx.root_system.rho_pairings(lam), ctx.shifted_level)[0] != 0
+                   for lam in weights)
+    assert off_wall >= 60
+    assert _oracle_failing_generators(ctx, weights) == set()
+    assert _certificate_failing_generators(ctx) == set()
+    assert report.sign_identity_trials(ctx) == 0
+
+
+@pytest.mark.parametrize("fault", ["s0", "s3", "parity", "s5", "s0-level", "s2",
+                                   "parity-negative"])
 def test_sign_identity_fails_on_a_faulty_generator(rs_map, monkeypatch, tmp_path, fault):
+    # exactly the faulty generators fail at E7 L2; parity +1 fails all eight
+    failing = {"s0": {0}, "s3": {3}, "parity": set(range(8)), "s5": {5},
+               "s0-level": {0}, "s2": {2}, "parity-negative": set(range(8))}[fault]
+    ctx = LevelContext(rs_map["E7"], 2)
+    weights = _oracle_weights(ctx, 120, seed=2)
     monkeypatch.setattr(affweyl, "apply_word", _faulty_apply_word(fault))
-    assert report.sign_identity_trials(LevelContext(rs_map["E7"], 2)) > 0
+    assert _certificate_failing_generators(ctx) == failing
+    if fault == "s5":
+        # the images of 0 and of the unit vectors are right: only the
+        # non-dominant probes expose the fault
+        assert _certificate_failing_generators(ctx, trials=0) == set()
+    assert _oracle_failing_generators(ctx, weights) == failing
+    assert report.sign_identity_trials(ctx) == len(failing)
     path = tmp_path / "weyl.json"
     assert main(["verify", "--type", "E7", "--level", "2", "--checks", "weyl",
                  "--out", str(path)]) == 1
     (check,) = [c for c in json.loads(path.read_text())["checks"]
                 if c["name"] == "sign_identity"]
     assert check["status"] == "fail" and check["proven"]
-    assert int(check["max_violation"]) > 0
+    assert check["max_violation"] == str(len(failing))
+
+
+@pytest.mark.parametrize("label,level", [("E7", 28), ("E8", 24)])
+def test_weyl_group_certifies_above_level_12_without_sines(monkeypatch, label, level):
+    # both Weyl checks are integer certificates: no qdim, and no sine table
+    def no_sines(*args, **kwargs):
+        raise AssertionError("the weyl group evaluated a sine")
+
+    monkeypatch.setattr(qnum, "qdim", no_sines)
+    monkeypatch.setattr(qnum.LevelContext, "_build_sin_tables", no_sines)
+    out = run(RunConfig(type_label=label, level=level, checks=("weyl",)))
+    assert [(c.name, c.status, c.max_violation) for c in out.checks] == [
+        ("fixed_word_images", "pass", None),
+        ("sign_identity", "pass", 0),
+        ("alcove_positivity", "pass", 0),
+    ]
 
 
 def test_check_status_mechanics():
