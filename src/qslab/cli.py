@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Subcommands: roots, qdim, reduce, krdec, grid, solve, verify, logconcave.
-Precision resolution order: --precision-bits flag, then the
-QSLAB_PRECISION_BITS environment variable, then a key=value config file
-passed with --config, then the default of 128 bits.
+The working precision comes from --precision-bits alone, on the
+subcommands that compute with reals; its default is
+qnum.DEFAULT_PRECISION_BITS.
 
 Exit codes: 0 on success (including conjecture-only violations), 1 when a
 proven check fails or a computation cannot be completed, 2 on usage errors.
@@ -12,56 +12,18 @@ proven check fails or a computation cannot be completed, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import NoReturn
 
 from . import affweyl, krchar, qsolver, report, seqanalysis
-from .qnum import MIN_PRECISION_BITS, LevelContext, qdim, qdim_classical, qdim_line
+from .qnum import (DEFAULT_PRECISION_BITS, MIN_PRECISION_BITS, LevelContext, alcove_line,
+                   qdim, qdim_classical, qdim_line)
 from .rootsys import TYPE_DATA, build_root_system, is_dominant, type_data
-
-_ENV_PRECISION = "QSLAB_PRECISION_BITS"
-
-
-def _read_config_file(path: str) -> dict[str, str]:
-    out: dict[str, str] = {}
-    with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if not line or line.startswith("#") or "=" not in line:
-                continue
-            key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
-    return out
 
 
 def _usage_error(message: str) -> NoReturn:
     sys.stderr.write(f"error: {message}\n")
     raise SystemExit(2)
-
-
-def _precision_setting(text: str, source: str) -> int:
-    try:
-        bits = int(text)
-    except ValueError:
-        _usage_error(f"{source} must be an integer, got {text!r}")
-    if bits < MIN_PRECISION_BITS:
-        _usage_error(f"{source} must be at least {MIN_PRECISION_BITS}, got {bits}")
-    return bits
-
-
-def _resolve_precision(args) -> int:
-    if args.precision_bits is not None:
-        return args.precision_bits
-    env = os.environ.get(_ENV_PRECISION)
-    if env:
-        return _precision_setting(env, _ENV_PRECISION)
-    if getattr(args, "config", None):
-        cfg = _read_config_file(args.config)
-        if "precision_bits" in cfg:
-            return _precision_setting(cfg["precision_bits"],
-                                      f"precision_bits in {args.config}")
-    return 128
 
 
 def _int_at_least(minimum: int):
@@ -96,11 +58,18 @@ def _positive_float(text: str) -> float:
 
 def _check_list(text: str) -> tuple[str, ...]:
     checks = tuple(text.split(","))
-    for c in checks:
+    for n, c in enumerate(checks):
         if c not in report.ALL_CHECKS:
             raise argparse.ArgumentTypeError(
                 f"unknown check {c!r} (choose from {','.join(report.ALL_CHECKS)})")
+        if c in checks[:n]:
+            raise argparse.ArgumentTypeError(f"repeated check {c!r}")
     return checks
+
+
+def _precision_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--precision-bits", type=_int_at_least(MIN_PRECISION_BITS),
+                   default=DEFAULT_PRECISION_BITS)
 
 
 def _common_flags(p: argparse.ArgumentParser, level: bool = True,
@@ -111,8 +80,7 @@ def _common_flags(p: argparse.ArgumentParser, level: bool = True,
         p.add_argument("--level", type=_int_at_least(1), required=True,
                        help="restriction level")
     if precision:
-        p.add_argument("--precision-bits", type=_int_at_least(MIN_PRECISION_BITS), default=None)
-        p.add_argument("--config", default=None, help="key=value config file")
+        _precision_flag(p)
     p.add_argument(*out, dest="out", default=None, help="output file (written atomically)")
 
 
@@ -185,7 +153,7 @@ def _cmd_qdim(args) -> int:
     if args.classical:
         _emit(str(qdim_classical(rs, weight)) + "\n", args.out)
         return 0
-    ctx = LevelContext(rs, args.level, _resolve_precision(args))
+    ctx = LevelContext(rs, args.level, args.precision_bits)
     value = qdim(weight, ctx)
     _emit(report.render_decimal(value.value, args.digits) + "\n", args.out)
     return 0
@@ -221,7 +189,7 @@ def _cmd_krdec(args) -> int:
     if args.qdim:
         if args.level is None:
             _usage_error("--qdim needs --level")
-        ctx = LevelContext(rs, args.level, _resolve_precision(args))
+        ctx = LevelContext(rs, args.level, args.precision_bits)
         value = krchar.qdim_kr(dec, ctx)
         text += f"qdim {report.render_decimal(value.value, args.digits)}\n"
     _emit(text, args.out)
@@ -232,7 +200,7 @@ def _cmd_grid(args) -> int:
     _check_kmax(args)
     cfg = report.RunConfig(
         type_label=args.type, level=args.level,
-        precision_bits=_resolve_precision(args),
+        precision_bits=args.precision_bits,
         k_max=args.kmax, fmt=args.fmt, checks=("grid",),
     )
     rep = report.run(cfg)
@@ -244,7 +212,7 @@ def _cmd_grid(args) -> int:
 
 def _cmd_solve(args) -> int:
     rs = build_root_system(args.type)
-    ctx = LevelContext(rs, args.level, _resolve_precision(args))
+    ctx = LevelContext(rs, args.level, args.precision_bits)
     grid = qsolver.solve_restricted(ctx, args.tol)
     lines = [f"converged, residual {report.render_decimal(grid.residual_max)}"]
     for i in range(1, rs.rank + 1):
@@ -261,7 +229,7 @@ def _cmd_verify(args) -> int:
     _check_kmax(args)
     cfg = report.RunConfig(
         type_label=args.type, level=args.level,
-        precision_bits=_resolve_precision(args),
+        precision_bits=args.precision_bits,
         k_max=args.kmax, fmt=args.fmt, checks=args.checks,
     )
     rep = report.run(cfg)
@@ -273,21 +241,39 @@ def _cmd_verify(args) -> int:
     return rep.exit_code
 
 
+def _parse_seq(text: str) -> seqanalysis.RealSequence:
+    """The numbers of --seq, separated by commas or spaces."""
+    fields = [f.split() for f in text.split(",")]
+    if not all(fields):
+        _usage_error(f"--seq {text!r}: empty entry")
+    tokens = [t for f in fields for t in f]
+    try:
+        seq = seqanalysis.make_sequence(tokens)
+    except ValueError as exc:
+        _usage_error(f"--seq {text!r}: {exc}")
+    # branden_criterion's cost grows with the spread of the exponents
+    for t, e in zip(tokens, seq.entries):
+        if e and not 2.0 ** -1074 <= abs(e) < 2 ** 1024:
+            _usage_error(f"--seq {text!r}: {t} is outside the double range "
+                         "[2^-1074, 2^1024)")
+    return seq
+
+
 def _cmd_logconcave(args) -> int:
-    if args.seq:
-        try:
-            seq = seqanalysis.make_sequence(args.seq.replace(",", " ").split())
-        except ValueError as exc:
-            _usage_error(f"--seq {args.seq!r}: {exc}")
+    if args.seq is not None:
+        if args.type or args.level is not None or args.node is not None:
+            _usage_error(f"--seq {args.seq!r}: cannot be combined with "
+                         "--type, --level or --node")
+        seq = _parse_seq(args.seq)
         label = "input sequence"
     else:
         if not args.type or args.level is None or args.node is None:
             _usage_error("need --seq or all of --type/--level/--node")
         rs = build_root_system(args.type)
         _check_node(args.node, rs.rank)
-        ctx = LevelContext(rs, args.level, _resolve_precision(args))
+        ctx = LevelContext(rs, args.level, args.precision_bits)
         seq = seqanalysis.make_sequence(
-            [qdim_line(args.node, k, ctx).value for k in range(args.level + 1)])
+            [qdim_line(args.node, k, ctx).value for k in alcove_line(args.node, ctx)])
         label = f"{args.type} node {args.node} line, level {args.level}"
     order = seqanalysis.log_concavity_order(seq, args.max_order)
     lines = [f"{label}: {len(seq)} entries",
@@ -361,8 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-order", type=_int_at_least(0), default=6)
     p.add_argument("--branden", action="store_true")
     p.add_argument("--seq", default=None, help="raw comma-separated sequence")
-    p.add_argument("--precision-bits", type=_int_at_least(MIN_PRECISION_BITS), default=None)
-    p.add_argument("--config", default=None)
+    _precision_flag(p)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_logconcave)
 

@@ -19,6 +19,8 @@ from mpmath.libmp import fone, mpf_abs, mpf_div, mpf_gt, mpf_mul
 from .rootsys import RootSystem, Weight, fundamental_weight, is_dominant
 
 MIN_PRECISION_BITS = 64
+# The working precision wherever none is given.
+DEFAULT_PRECISION_BITS = 128
 
 
 @dataclass(frozen=True)
@@ -81,7 +83,7 @@ class LevelContext:
         self,
         root_system: RootSystem,
         level: int,
-        precision_bits: int = 128,
+        precision_bits: int = DEFAULT_PRECISION_BITS,
     ):
         if level < 1:
             raise ValueError("level must be a positive integer")
@@ -215,6 +217,11 @@ def qdim(weight: Sequence[int], ctx: LevelContext) -> QReal:
 def qdim_line(node: int, k: int, ctx: LevelContext) -> QReal:
     """Quantum dimension of k*w_node for k >= 0, from the qdim memo."""
     return qdim(fundamental_weight(ctx.root_system.rank, node, k), ctx)
+
+
+def alcove_line(node: int, ctx: LevelContext) -> range:
+    """The k with k*w_node in the level's alcove: 0 .. level // a_node."""
+    return range(ctx.level // ctx.root_system.marks[node - 1] + 1)
 
 
 def qdim_classical(rs: RootSystem, weight: Sequence[int]) -> int:

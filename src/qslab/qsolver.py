@@ -27,7 +27,7 @@ from .krchar import chari_qdim
 from .qnum import LevelContext, QReal
 from .rootsys import RootSystem, delta, is_proven, type_data
 
-# Tolerances used by the certification checks (at >= 128-bit precision).
+# Tolerances used by the certification checks (at the default precision or above).
 ZERO_WINDOW_TOL = 1e-20
 SYMMETRY_TOL = 1e-22
 BOUNDARY_TOL = 1e-22

@@ -22,7 +22,8 @@ from typing import Callable
 import mpmath
 
 from . import affweyl, krchar, qsolver, rootsys, seqanalysis
-from .qnum import MIN_PRECISION_BITS, LevelContext, qdim_line
+from .qnum import (DEFAULT_PRECISION_BITS, MIN_PRECISION_BITS, LevelContext, alcove_line,
+                   qdim_line)
 from .qsolver import CheckResult, QGrid, _mk_check
 from .rootsys import RootSystem, Weight, build_root_system
 
@@ -379,9 +380,8 @@ def _logconcave_checks(report, ctx, grid) -> list[CheckResult]:
 
     bad_nodes = []
     for i in range(1, rs.rank + 1):
-        top = level // rs.marks[i - 1]
         seq = seqanalysis.make_sequence(
-            [qdim_line(i, k, ctx).value for k in range(top + 1)])
+            [qdim_line(i, k, ctx).value for k in alcove_line(i, ctx)])
         if len(seq) >= 3 and not seqanalysis.is_log_concave(seq, strict=True):
             bad_nodes.append(i)
         if any(not e > 0 for e in seq.entries):
@@ -471,7 +471,7 @@ def reads_grid(checks) -> bool:
 class RunConfig:
     type_label: str
     level: int
-    precision_bits: int = 128
+    precision_bits: int = DEFAULT_PRECISION_BITS
     k_max: int | None = None
     fmt: str = "json"
     checks: tuple[str, ...] = ALL_CHECKS
@@ -483,9 +483,11 @@ class RunConfig:
             raise ValueError(f"precision_bits must be at least {MIN_PRECISION_BITS}")
         if not self.checks:
             raise ValueError("at least one check must be selected")
-        for c in self.checks:
+        for n, c in enumerate(self.checks):
             if c not in CHECK_GROUPS:
                 raise ValueError(f"unknown check {c!r}")
+            if c in self.checks[:n]:
+                raise ValueError(f"repeated check {c!r}")
         if self.fmt not in REPORT_FORMATS:
             raise ValueError(f"unknown output format {self.fmt!r}")
 

@@ -13,6 +13,7 @@ from qslab.cli import main
 from qslab.krchar import chari_decomposition, kleber_q1, qdim_kr
 from qslab.qnum import LevelContext, QReal, qdim
 from qslab.qsolver import (
+    PERIODICITY_TOL,
     SYMMETRY_TOL,
     TWO_PATH_REL_TOL,
     SolverDivergence,
@@ -26,7 +27,7 @@ from qslab.qsolver import (
     theorem_report,
 )
 from qslab.report import RunConfig, run
-from qslab.rootsys import TYPE_DATA, a_series_cartan, build_root_system
+from qslab.rootsys import TYPE_DATA, a_series_cartan, build_root_system, delta
 
 
 def rel_diff(mp, a, b):
@@ -89,6 +90,24 @@ def test_grid_kmax_guards(e6):
         build_qgrid(ctx, k_max=1)
     with pytest.raises(ValueError):
         build_qgrid(ctx, k_max=4 * ctx.shifted_level + 1)
+
+
+@pytest.mark.parametrize("label,level", [("E6", 2), ("E6", 4), ("E7", 2), ("E7", 3),
+                                         ("E8", 2), ("E8", 3)])
+def test_grid_past_l_is_antiperiodic(rs_map, label, level):
+    # out to k = 2l every cell resolves, and Q_{k+l}(i) = (-1)^delta_i Q_k(i)
+    # at every node, derived rows included
+    rs = rs_map[label]
+    ctx = LevelContext(rs, level)
+    l = ctx.shifted_level
+    grid = build_qgrid(ctx, k_max=2 * l)
+    assert not grid.unresolved
+    for i in range(1, rs.rank + 1):
+        sign = -1 if delta(rs, i) % 2 else 1
+        for k in range(l + 1):
+            a, b = grid.cell(i, k), grid.cell(i, k + l)
+            scale = max(a.magnitude_scale, b.magnitude_scale)
+            assert abs(b.value - sign * a.value) <= PERIODICITY_TOL * scale, (i, k)
 
 
 def test_custom_type_rejected_by_grid(a1):

@@ -47,6 +47,8 @@ def test_run_config_validation():
         RunConfig(type_label="E6", level=2, checks=())
     with pytest.raises(ValueError):
         RunConfig(type_label="E6", level=2, checks=("bogus",))
+    with pytest.raises(ValueError, match="repeated check 'roots'"):
+        RunConfig(type_label="E6", level=2, checks=("roots", "grid", "roots"))
     with pytest.raises(ValueError):
         RunConfig(type_label="E6", level=2, fmt="yaml")
 
@@ -137,9 +139,7 @@ def test_cli_qdim_digits(capsys):
     assert capsys.readouterr().out.strip() == "1"
 
 
-def test_cli_reduce(capsys, monkeypatch):
-    # reduce is integer arithmetic: it takes no precision setting and reads none
-    monkeypatch.setenv("QSLAB_PRECISION_BITS", "abc")
+def test_cli_reduce(capsys):
     assert main(["reduce", "--type", "E7", "--level", "5",
                  "--weight", "9,0,0,0,0,0,0"]) == 0
     out = capsys.readouterr().out
@@ -229,16 +229,25 @@ def test_cli_logconcave_seq(capsys):
     out = capsys.readouterr().out
     assert "order >= 3" in out
     assert "real_negative" in out
+    # the least and the largest double are in range, as is zero
+    assert main(["logconcave", "--seq", "5e-324, 3 ,1.7976931348623157e308,0",
+                 "--branden"]) == 0
+    assert capsys.readouterr().out.startswith("input sequence: 4 entries\n")
 
 
 def test_cli_logconcave_line(capsys):
-    assert main(["logconcave", "--type", "E7", "--level", "4", "--node", "7",
-                 "--max-order", "4", "--branden"]) == 0
-    out = capsys.readouterr().out
-    assert "real_negative" in out
+    # the line k*w_i is read for k in 0..level // a_i, as verify reads it:
+    # E7 node 7 has mark 1, E8 node 4 mark 6 and E6 node 2 mark 2
+    for argv, count in ((["--type", "E7", "--level", "4", "--node", "7"], 5),
+                        (["--type", "E8", "--level", "4", "--node", "4"], 1),
+                        (["--type", "E6", "--level", "3", "--node", "2"], 2)):
+        assert main(["logconcave", *argv, "--max-order", "4", "--branden"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].endswith(f"line, level {argv[3]}: {count} entries"), argv
+        assert lines[2] == "coefficient polynomial: real_negative", argv
 
 
-def test_cli_usage_errors(capsys, tmp_path, monkeypatch):
+def test_cli_usage_errors(capsys, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         main(["qdim", "--type", "E6"])  # missing required flags
     assert exc.value.code == 2
@@ -246,25 +255,6 @@ def test_cli_usage_errors(capsys, tmp_path, monkeypatch):
     assert main(["solve", "--type", "E6", "--level", "2", "--tol", "1e-300"]) == 1
     err = capsys.readouterr().err
     assert "error" in err
-    # a precision that is not an integer, or is below 64 bits, is a usage
-    # error from either source, as it is from --precision-bits
-    qdim_argv = ["qdim", "--type", "E6", "--level", "3", "--weight", "1,0,0,0,0,0"]
-    cfgfile = tmp_path / "qslab.conf"
-    for text, problem in (("1.5", "must be an integer, got '1.5'"),
-                          ("32", "must be at least 64, got 32")):
-        cfgfile.write_text(f"precision_bits = {text}\n")
-        with pytest.raises(SystemExit) as exc:
-            main(qdim_argv + ["--config", str(cfgfile)])
-        assert exc.value.code == 2
-        assert capsys.readouterr().err == f"error: precision_bits in {cfgfile} {problem}\n"
-    for text, problem in (("abc", "must be an integer, got 'abc'"),
-                          ("32", "must be at least 64, got 32")):
-        monkeypatch.setenv("QSLAB_PRECISION_BITS", text)
-        with pytest.raises(SystemExit) as exc:
-            main(qdim_argv)
-        assert exc.value.code == 2
-        assert capsys.readouterr().err == f"error: QSLAB_PRECISION_BITS {problem}\n"
-    monkeypatch.delenv("QSLAB_PRECISION_BITS")
     # usage errors found after parsing exit 2 as well, never 1, and before any
     # check group runs
     monkeypatch.setattr(report, "run", None)
@@ -294,6 +284,25 @@ def test_cli_usage_errors(capsys, tmp_path, monkeypatch):
          "error: --node must be in 1..7, got 8\n"),
         (["logconcave", "--seq", "1,x"],
          "error: --seq '1,x': could not convert string to float: 'x'\n"),
+        (["logconcave", "--seq", "1,,2"], "error: --seq '1,,2': empty entry\n"),
+        (["logconcave", "--seq", "1,2,"], "error: --seq '1,2,': empty entry\n"),
+        (["logconcave", "--seq", ""], "error: --seq '': empty entry\n"),
+        (["logconcave", "--seq", "1,2,1", "--type", "E7"],
+         "error: --seq '1,2,1': cannot be combined with --type, --level or --node\n"),
+        (["logconcave", "--seq", "1,2,1", "--level", "3"],
+         "error: --seq '1,2,1': cannot be combined with --type, --level or --node\n"),
+        (["logconcave", "--seq", "1,2,1", "--node", "7"],
+         "error: --seq '1,2,1': cannot be combined with --type, --level or --node\n"),
+        # a nonzero entry must have a double's magnitude, [2^-1074, 2^1024);
+        # 5e-324 and 1.7976931348623157e308 are the least and the largest
+        (["logconcave", "--seq", "1e-1000000000,3,1", "--branden"],
+         "error: --seq '1e-1000000000,3,1': 1e-1000000000 is outside the double "
+         "range [2^-1074, 2^1024)\n"),
+        (["logconcave", "--seq", "1,4e-324"],
+         "error: --seq '1,4e-324': 4e-324 is outside the double range [2^-1074, 2^1024)\n"),
+        (["logconcave", "--seq", "0,-1.8e308"],
+         "error: --seq '0,-1.8e308': -1.8e308 is outside the double range "
+         "[2^-1074, 2^1024)\n"),
         (["grid", "--type", "E6", "--level", "2", "--kmax", "-5"],
          "error: --kmax must be in 14..56, got -5\n"),
         (["verify", "--type", "E6", "--level", "2", "--kmax", "100"],
@@ -309,6 +318,8 @@ def test_cli_usage_errors(capsys, tmp_path, monkeypatch):
         (["verify", "--type", "E6", "--level", "2", "--checks", "roots,bogus"],
          "qslab verify: error: argument --checks: unknown check 'bogus' "
          "(choose from roots,weyl,grid,solve,theorem,logconcave,dilog)\n"),
+        (["verify", "--type", "E6", "--level", "2", "--checks", "roots,roots"],
+         "qslab verify: error: argument --checks: repeated check 'roots'\n"),
         (["grid", "--type", "E6", "--level", "2", "--format", "fixture"],
          "qslab grid: error: argument --format: invalid choice: 'fixture' "
          "(choose from 'json', 'csv', 'text')\n"),
@@ -325,6 +336,9 @@ def test_cli_usage_errors(capsys, tmp_path, monkeypatch):
          "qslab solve: error: argument --tol: must be positive, got -1\n"),
         (["solve", "--type", "E6", "--level", "2", "--precision-bits", "32"],
          "qslab solve: error: argument --precision-bits: must be at least 64, got 32\n"),
+        (["qdim", "--type", "E6", "--level", "3", "--weight", "1,0,0,0,0,0",
+          "--precision-bits", "1.5"],
+         "qslab qdim: error: argument --precision-bits: invalid integer value: '1.5'\n"),
         (["roots", "--type", "F4"],
          "qslab roots: error: argument --type: unknown type 'F4' (choose from E6, E7, E8)\n"),
         (["grid", "--type", "F4", "--level", "2", "--kmax", "3"],
@@ -377,19 +391,29 @@ def test_cli_computation_error_exits_1(capsys, monkeypatch):
     assert capsys.readouterr().err == "error: alcove reduction failed to terminate\n"
 
 
-def test_cli_precision_sources(tmp_path, capsys, monkeypatch):
+def test_cli_precision_comes_from_the_flag_alone(tmp_path, capsys, monkeypatch):
+    qdim_argv = ["qdim", "--type", "E6", "--level", "3", "--weight", "1,0,0,0,0,0",
+                 "--digits", "60"]
+
+    def value(*extra):
+        assert main(qdim_argv + list(extra)) == 0
+        return capsys.readouterr().out
+
+    default = value()
+    assert value("--precision-bits", "128") == default
+    assert value("--precision-bits", "256") != default
+    # the environment is not read
+    for text in ("abc", "256"):
+        monkeypatch.setenv("QSLAB_PRECISION_BITS", text)
+        assert value() == default
+    # nor is a config file
     cfgfile = tmp_path / "qslab.conf"
-    cfgfile.write_text("precision_bits = 192\n")
-    assert main(["qdim", "--type", "E6", "--level", "3", "--weight",
-                 "1,0,0,0,0,0", "--config", str(cfgfile)]) == 0
-    capsys.readouterr()
-    monkeypatch.setenv("QSLAB_PRECISION_BITS", "160")
-    assert main(["qdim", "--type", "E6", "--level", "3", "--weight",
-                 "1,0,0,0,0,0"]) == 0
-    capsys.readouterr()
-    # flag wins over both
-    assert main(["qdim", "--type", "E6", "--level", "3", "--weight",
-                 "1,0,0,0,0,0", "--precision-bits", "128"]) == 0
+    cfgfile.write_text("precision_bits = 256\n")
+    with pytest.raises(SystemExit) as exc:
+        main(qdim_argv + ["--config", str(cfgfile)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        f"qslab: error: unrecognized arguments: --config {cfgfile}\n")
 
 
 def test_reports_are_deterministic():
