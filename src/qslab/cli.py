@@ -2,8 +2,8 @@
 
 Subcommands: roots, qdim, reduce, krdec, grid, solve, verify, logconcave.
 The working precision comes from --precision-bits alone, on the
-subcommands that compute with reals; its default is
-qnum.DEFAULT_PRECISION_BITS.
+subcommands that compute with reals (qdim --classical, krdec without --qdim
+and logconcave --seq reject it); its default is qnum.DEFAULT_PRECISION_BITS.
 
 Exit codes: 0 on success (including conjecture-only violations), 1 when a
 proven check fails or a computation cannot be completed, 2 on usage errors.
@@ -68,8 +68,17 @@ def _check_list(text: str) -> tuple[str, ...]:
 
 
 def _precision_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--precision-bits", type=_int_at_least(MIN_PRECISION_BITS),
-                   default=DEFAULT_PRECISION_BITS)
+    p.add_argument("--precision-bits", type=_int_at_least(MIN_PRECISION_BITS), default=None)
+
+
+def _precision(args, unused_in: str = "") -> int:
+    """--precision-bits, or DEFAULT_PRECISION_BITS when it is not given; a
+    usage error when given to a mode that does not use it, named by ``unused_in``."""
+    if args.precision_bits is None:
+        return DEFAULT_PRECISION_BITS
+    if unused_in:
+        _usage_error(f"--precision-bits has no effect {unused_in}")
+    return args.precision_bits
 
 
 def _common_flags(p: argparse.ArgumentParser, level: bool = True,
@@ -151,9 +160,10 @@ def _cmd_qdim(args) -> int:
     if not is_dominant(weight):
         _usage_error("qdim requires a dominant weight; reduce general weights first")
     if args.classical:
+        _precision(args, unused_in="with --classical")
         _emit(str(qdim_classical(rs, weight)) + "\n", args.out)
         return 0
-    ctx = LevelContext(rs, args.level, args.precision_bits)
+    ctx = LevelContext(rs, args.level, _precision(args))
     value = qdim(weight, ctx)
     _emit(report.render_decimal(value.value, args.digits) + "\n", args.out)
     return 0
@@ -178,6 +188,7 @@ def _cmd_krdec(args) -> int:
     _check_digits(args.digits)
     if args.k < 0:
         _usage_error(f"--k must be nonnegative, got {args.k}")
+    bits = _precision(args, unused_in="" if args.qdim else "without --qdim")
     rs = build_root_system(args.type)
     _check_node(args.node, rs.rank)
     if args.k == 1 and args.node in type_data(rs.type_label).kleber_nodes:
@@ -189,7 +200,7 @@ def _cmd_krdec(args) -> int:
     if args.qdim:
         if args.level is None:
             _usage_error("--qdim needs --level")
-        ctx = LevelContext(rs, args.level, args.precision_bits)
+        ctx = LevelContext(rs, args.level, bits)
         value = krchar.qdim_kr(dec, ctx)
         text += f"qdim {report.render_decimal(value.value, args.digits)}\n"
     _emit(text, args.out)
@@ -200,7 +211,7 @@ def _cmd_grid(args) -> int:
     _check_kmax(args)
     cfg = report.RunConfig(
         type_label=args.type, level=args.level,
-        precision_bits=args.precision_bits,
+        precision_bits=_precision(args),
         k_max=args.kmax, fmt=args.fmt, checks=("grid",),
     )
     rep = report.run(cfg)
@@ -212,11 +223,11 @@ def _cmd_grid(args) -> int:
 
 def _cmd_solve(args) -> int:
     rs = build_root_system(args.type)
-    ctx = LevelContext(rs, args.level, args.precision_bits)
+    ctx = LevelContext(rs, args.level, _precision(args))
     grid = qsolver.solve_restricted(ctx, args.tol)
     lines = [f"converged, residual {report.render_decimal(grid.residual_max)}"]
     for i in range(1, rs.rank + 1):
-        row = " ".join(report.render_decimal(grid.value(i, k), 12)
+        row = " ".join(report.render_decimal(grid.cell(i, k), 12)
                        for k in range(args.level + 1))
         lines.append(f"node {i}: {row}")
     _emit("\n".join(lines) + "\n", args.out)
@@ -229,7 +240,7 @@ def _cmd_verify(args) -> int:
     _check_kmax(args)
     cfg = report.RunConfig(
         type_label=args.type, level=args.level,
-        precision_bits=args.precision_bits,
+        precision_bits=_precision(args),
         k_max=args.kmax, fmt=args.fmt, checks=args.checks,
     )
     rep = report.run(cfg)
@@ -264,6 +275,7 @@ def _cmd_logconcave(args) -> int:
         if args.type or args.level is not None or args.node is not None:
             _usage_error(f"--seq {args.seq!r}: cannot be combined with "
                          "--type, --level or --node")
+        _precision(args, unused_in="with --seq")
         seq = _parse_seq(args.seq)
         label = "input sequence"
     else:
@@ -271,7 +283,7 @@ def _cmd_logconcave(args) -> int:
             _usage_error("need --seq or all of --type/--level/--node")
         rs = build_root_system(args.type)
         _check_node(args.node, rs.rank)
-        ctx = LevelContext(rs, args.level, args.precision_bits)
+        ctx = LevelContext(rs, args.level, _precision(args))
         seq = seqanalysis.make_sequence(
             [qdim_line(args.node, k, ctx).value for k in alcove_line(args.node, ctx)])
         label = f"{args.type} node {args.node} line, level {args.level}"

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from mpmath.ctx_mp import MPContext
-from mpmath.libmp import fone, mpf_abs, mpf_div, mpf_gt, mpf_mul
+from mpmath.libmp import fone, mpf_abs, mpf_div, mpf_gt, mpf_mul, mpf_neg
 
 from .rootsys import RootSystem, Weight, fundamental_weight, is_dominant
 
@@ -97,8 +97,7 @@ class LevelContext:
         mp.prec = self.precision_bits
         self.mp = mp
         self.zero_tolerance = mp.mpf(2) ** (-(self.precision_bits // 2))
-        self._sin_table: list | None = None
-        self._sin_raw: list | None = None
+        self._sin_raw: tuple | None = None
         self._qdim_cache: dict[Weight, QReal] = {}
         self._chari_rows: dict[int, list[QReal]] = {}
 
@@ -114,16 +113,15 @@ class LevelContext:
         sin(pi*(l+r)/l) = -sin(pi*r/l), so the sign and mirror symmetries of
         the products built here are structurally exact.
         """
-        if self._sin_table is None:
+        if self._sin_raw is None:
             self._build_sin_tables()
-        return self._sin_table[r % (2 * self.shifted_level)]
+        return self.mp.make_mpf(self._sin_raw[r % (2 * self.shifted_level)])
 
     def _build_sin_tables(self) -> None:
         l, mp = self.shifted_level, self.mp
-        base = [mp.sinpi(mp.mpf(k) / l) for k in range(l // 2 + 1)]
+        base = [mp.sinpi(mp.mpf(k) / l)._mpf_ for k in range(l // 2 + 1)]
         half = [base[min(k, l - k)] for k in range(l)]
-        self._sin_table = half + [-x for x in half]
-        self._sin_raw = [x._mpf_ for x in self._sin_table]
+        self._sin_raw = tuple(half + [mpf_neg(x) for x in half])
 
     def one(self) -> QReal:
         return QReal(self.mp.mpf(1), self.mp.mpf(1))

@@ -73,36 +73,33 @@ class SolverDivergence(RuntimeError):
 
 @dataclass
 class QGrid:
-    """The table Q_k(i) with per-cell provenance and residual diagnostics."""
+    """The table Q_k(i) of mpf values (None when unresolved), with per-cell
+    provenance and residual diagnostics; ``scales`` holds a KR-built grid's
+    magnitude scales, indexed like ``values``, and is None on a solved grid."""
 
     root_system: RootSystem
     level: int
     shifted_level: int
     k_max: int
-    values: list[list[QReal | None]]
+    values: list[list[object]]
     provenance: list[list[str | None]]
     residual_max: object = None
     unresolved: list[tuple[int, int]] = field(default_factory=list)
+    scales: list[list[object]] | None = None
 
-    def cell(self, node: int, k: int) -> QReal | None:
+    def cell(self, node: int, k: int):
         return self.values[node - 1][k]
-
-    def value(self, node: int, k: int):
-        c = self.values[node - 1][k]
-        if c is None:
-            raise KeyError(f"cell (node {node}, k={k}) is unresolved")
-        return c.value
 
 
 def _neighbor_product(grid: QGrid, node: int, k: int):
     """Product of the values Q_k(j) over Dynkin neighbours j; 1 when there
     are none, None when a neighbour cell is unresolved."""
-    prod = grid.cell(1, 0).value * 0 + 1
+    prod = grid.cell(1, 0) * 0 + 1
     for j in grid.root_system.neighbors[node]:
         v = grid.cell(j, k)
         if v is None:
             return None
-        prod = prod * v.value
+        prod = prod * v
     return prod
 
 
@@ -183,7 +180,9 @@ def build_qgrid(ctx: LevelContext, k_max: int | None = None) -> QGrid:
         for k in range(k_max + 1):
             cell(i, k)
 
-    values = [[cells.get((i, k)) for k in range(k_max + 1)] for i in range(1, rs.rank + 1)]
+    table = [[cells.get((i, k)) for k in range(k_max + 1)] for i in range(1, rs.rank + 1)]
+    values = [[None if c is None else c.value for c in row] for row in table]
+    scales = [[None if c is None else c.magnitude_scale for c in row] for row in table]
     provenance = [[prov.get((i, k)) for k in range(k_max + 1)] for i in range(1, rs.rank + 1)]
     grid = QGrid(
         root_system=rs,
@@ -193,28 +192,17 @@ def build_qgrid(ctx: LevelContext, k_max: int | None = None) -> QGrid:
         values=values,
         provenance=provenance,
         unresolved=sorted(k for k in unresolved if k[1] <= k_max),
+        scales=scales,
     )
     grid.residual_max = residual(grid)
     return grid
 
 
-def grid_from_values(rs: RootSystem, level: int, shifted_level: int, rows) -> QGrid:
-    """Wrap a plain table of QReals (rows indexed [node-1][k]) as a QGrid
-    whose every cell has provenance "solver"."""
-    k_max = len(rows[0]) - 1
-    values = [list(r) for r in rows]
-    provenance = [["solver"] * (k_max + 1) for _ in rows]
-    grid = QGrid(rs, level, shifted_level, k_max, values, provenance)
-    grid.residual_max = residual(grid) if k_max >= 2 else values[0][0].value * 0
-    return grid
-
-
 def residual(grid: QGrid) -> object:
-    """Normalized max violation of the recurrence over fully-present stencils."""
+    """Normalized max violation of the recurrence over fully-present stencils;
+    0 when there is none."""
     rs = grid.root_system
-    if grid.k_max < 2:
-        raise ValueError("residual needs at least three levels")
-    worst = None
+    worst = grid.cell(1, 0) * 0
     for i in range(1, rs.rank + 1):
         for k in range(1, grid.k_max):
             mid = grid.cell(i, k)
@@ -225,14 +213,10 @@ def residual(grid: QGrid) -> object:
             prod = _neighbor_product(grid, i, k)
             if prod is None:
                 continue
-            lhs = mid.value * mid.value
-            rhs = lo.value * hi.value + prod
+            lhs = mid * mid
+            rhs = lo * hi + prod
             denom = lhs if lhs > 1 else 1
-            r = abs(lhs - rhs) / denom
-            if worst is None or r > worst:
-                worst = r
-    if worst is None:
-        worst = grid.cell(1, 0).value * 0
+            worst = max(worst, abs(lhs - rhs) / denom)
     return worst
 
 
@@ -296,7 +280,7 @@ def solve_restricted(ctx: LevelContext, tolerance: float = SOLVER_TOLERANCE) -> 
     once the normalized residual is within ``tolerance``, which must lie
     above 2^(8 - precision_bits) (so a tolerance <= 0 raises ValueError);
     exceeding MAX_NEWTON_STEPS or reaching a non-positive cell raises
-    SolverDivergence.
+    SolverDivergence.  The grid's residual_max is that of the last stopping test.
     """
     mp = ctx.mp
     tol = mp.mpf(tolerance)
@@ -310,7 +294,7 @@ def solve_restricted(ctx: LevelContext, tolerance: float = SOLVER_TOLERANCE) -> 
 
     for step in range(MAX_NEWTON_STEPS + 1):
         # -F column by column, in the operation order of ``residual`` so that
-        # the stopping test sees the residual_max the grid will report
+        # the last stopping test computes the grid's residual_max
         res = mp.mpf(0)
         minus_f = []
         for k in range(1, level):
@@ -362,8 +346,8 @@ def solve_restricted(ctx: LevelContext, tolerance: float = SOLVER_TOLERANCE) -> 
                 if not v[i][k] > 0:
                     raise SolverDivergence(
                         f"Newton step {step + 1} left cell (node {i + 1}, k={k}) non-positive")
-    rows = [[QReal(x, abs(x) if abs(x) > 1 else one) for x in row] for row in v]
-    return grid_from_values(rs, level, ctx.shifted_level, rows)
+    provenance = [["solver"] * (level + 1) for _ in v]
+    return QGrid(rs, level, ctx.shifted_level, level, v, provenance, res)
 
 
 @dataclass
@@ -391,7 +375,8 @@ def theorem_report(ctx: LevelContext, grid: QGrid | None = None) -> list[CheckRe
     boundary value Q_level = 1, and at the closed-form rows
     Q_{k+l} = (-1)^delta Q_k plus Q_l = (-1)^delta.  Failures are
     report entries, never exceptions; each entry carries the proven or
-    conjectural label of the property it checks.
+    conjectural label of the property it checks.  ``grid`` comes from
+    ``build_qgrid``: its cells' scales set the tolerances.
     """
     rs = ctx.root_system
     label = rs.type_label
@@ -401,6 +386,7 @@ def theorem_report(ctx: LevelContext, grid: QGrid | None = None) -> list[CheckRe
     if grid.k_max < l:
         raise ValueError("theorem report needs the grid out to k = l")
     checks: list[CheckResult] = []
+    scales = grid.scales
     zero = ctx.mp.mpf(0)
 
     for i in range(1, rs.rank + 1):
@@ -412,7 +398,7 @@ def theorem_report(ctx: LevelContext, grid: QGrid | None = None) -> list[CheckRe
             if c is None:
                 missing = True
                 continue
-            r = abs(c.value) / c.magnitude_scale
+            r = abs(c) / scales[i - 1][k]
             worst = max(worst, r)
         ok = not missing and worst <= ZERO_WINDOW_TOL
         checks.append(_mk_check(
@@ -426,8 +412,8 @@ def theorem_report(ctx: LevelContext, grid: QGrid | None = None) -> list[CheckRe
             if a is None or b is None:
                 worst = ctx.mp.inf
                 break
-            scale = max(a.magnitude_scale, b.magnitude_scale)
-            worst = max(worst, abs(a.value - b.value) / scale)
+            scale = max(scales[i - 1][k], scales[i - 1][level - k])
+            worst = max(worst, abs(a - b) / scale)
         checks.append(_mk_check(
             "symmetry", i, worst <= SYMMETRY_TOL,
             is_proven(label, "symmetry", i), worst))
@@ -436,7 +422,7 @@ def theorem_report(ctx: LevelContext, grid: QGrid | None = None) -> list[CheckRe
         min_val = None
         for k in range(0, level + 1):
             c = grid.cell(i, k)
-            val = c.value if c is not None else ctx.mp.ninf
+            val = c if c is not None else ctx.mp.ninf
             if min_val is None or val < min_val:
                 min_val = val
         violation = max(zero, POSITIVITY_MARGIN - min_val)
@@ -451,7 +437,7 @@ def theorem_report(ctx: LevelContext, grid: QGrid | None = None) -> list[CheckRe
             for k in range(0, level + 1):
                 if proven_positivity_window(rs, i, level, k):
                     c = grid.cell(i, k)
-                    val = c.value if c is not None else ctx.mp.ninf
+                    val = c if c is not None else ctx.mp.ninf
                     if not val > POSITIVITY_MARGIN:
                         ok_w = False
                         worst_w = max(worst_w, POSITIVITY_MARGIN - val)
@@ -464,7 +450,7 @@ def theorem_report(ctx: LevelContext, grid: QGrid | None = None) -> list[CheckRe
             if a is None or b is None:
                 worst = ctx.mp.inf
                 break
-            worst = max(worst, UNIMODALITY_MARGIN - (b.value - a.value))
+            worst = max(worst, UNIMODALITY_MARGIN - (b - a))
         checks.append(_mk_check(
             "unimodality", i, worst <= zero,
             is_proven(label, "unimodality", i), max(worst, zero)))
@@ -474,7 +460,7 @@ def theorem_report(ctx: LevelContext, grid: QGrid | None = None) -> list[CheckRe
         if c is None:
             dev = ctx.mp.inf
         else:
-            dev = abs(c.value - 1) / c.magnitude_scale
+            dev = abs(c - 1) / scales[i - 1][level]
         checks.append(_mk_check(
             "boundary_one", i, dev <= BOUNDARY_TOL,
             is_proven(label, "boundary_one", i), dev))
@@ -493,7 +479,7 @@ def theorem_report(ctx: LevelContext, grid: QGrid | None = None) -> list[CheckRe
                                 note=f"sign {sign:+d}"))
 
         c = grid.cell(i, l)
-        dev = ctx.mp.inf if c is None else abs(c.value - sign) / c.magnitude_scale
+        dev = ctx.mp.inf if c is None else abs(c - sign) / scales[i - 1][l]
         checks.append(_mk_check("shifted_boundary_sign", i, dev <= BOUNDARY_TOL, True,
                                 dev, note=f"expected {sign:+d}"))
 
@@ -508,11 +494,11 @@ def dilog_args(grid: QGrid) -> dict[tuple[int, int], object]:
     for i in range(1, rs.rank + 1):
         for k in range(0, level + 1):
             c = grid.cell(i, k)
-            if c is None or not c.value > 0:
+            if c is None or not c > 0:
                 raise ValueError(f"grid cell (node {i}, k={k}) is not positive")
     for i in range(1, rs.rank + 1):
         for k in range(0, level + 1):
-            c = grid.cell(i, k).value
+            c = grid.cell(i, k)
             out[(i, k)] = _neighbor_product(grid, i, k) / (c * c)
     return out
 

@@ -338,7 +338,7 @@ def _grid_checks(report, ctx, grid) -> list[CheckResult]:
             if cell is None:
                 worst = ctx.mp.inf
                 continue
-            worst = max(worst, _rel_gap(ctx.mp, direct.value, cell.value))
+            worst = max(worst, _rel_gap(ctx.mp, direct.value, cell))
         out.append(_mk_check("kleber_cross_check", None,
                              worst <= qsolver.TWO_PATH_REL_TOL, True, worst))
     return out
@@ -362,7 +362,7 @@ def _solve_checks(report, ctx, grid) -> list[CheckResult]:
             if a is None:
                 worst = ctx.mp.inf
                 continue
-            worst = max(worst, _rel_gap(ctx.mp, a.value, b.value))
+            worst = max(worst, _rel_gap(ctx.mp, a, b))
     out.append(_mk_check("two_path_agreement", None,
                          worst <= qsolver.TWO_PATH_REL_TOL, True, worst))
     return out
@@ -395,7 +395,7 @@ def _logconcave_checks(report, ctx, grid) -> list[CheckResult]:
         out.append(_mk_check("grid_row_log_concave", row_node, False, True, None,
                              note="unresolved cells"))
     else:
-        seq = seqanalysis.make_sequence([c.value for c in row])
+        seq = seqanalysis.make_sequence(row)
         ok = len(seq) < 3 or seqanalysis.is_log_concave(seq, strict=True)
         out.append(_mk_check("grid_row_log_concave", row_node, ok, True, None))
 
@@ -587,7 +587,7 @@ def report_to_dict(report: VerificationReport) -> dict:
                 out["cells"].append({
                     "node": i,
                     "k": k,
-                    "value": None if cell is None else render_decimal(cell.value),
+                    "value": None if cell is None else render_decimal(cell),
                     "provenance": g.provenance[i - 1][k],
                 })
     return out
@@ -598,7 +598,7 @@ def grid_to_csv(grid: QGrid) -> str:
     for i in range(1, grid.root_system.rank + 1):
         for k in range(grid.k_max + 1):
             cell = grid.cell(i, k)
-            value = "" if cell is None else render_decimal(cell.value)
+            value = "" if cell is None else render_decimal(cell)
             lines.append(f"{i},{k},{value},{grid.provenance[i - 1][k]}")
     return "\n".join(lines) + "\n"
 

@@ -11,17 +11,17 @@ import qslab
 from qslab import krchar, qnum, qsolver
 from qslab.cli import main
 from qslab.krchar import chari_decomposition, kleber_q1, qdim_kr
-from qslab.qnum import LevelContext, QReal, qdim
+from qslab.qnum import LevelContext, qdim
 from qslab.qsolver import (
     PERIODICITY_TOL,
     SYMMETRY_TOL,
     TWO_PATH_REL_TOL,
+    QGrid,
     SolverDivergence,
     build_qgrid,
     dilog_args,
     dilog_args_margin,
     dilog_sum,
-    grid_from_values,
     residual,
     solve_restricted,
     theorem_report,
@@ -38,11 +38,11 @@ def test_boundary_and_direct_rows(e6):
     ctx = LevelContext(e6, 2)
     grid = build_qgrid(ctx)
     for i in range(1, 7):
-        assert grid.cell(i, 0).value == 1
+        assert grid.cell(i, 0) == 1
         assert grid.provenance[i - 1][0] == "boundary"
     for i in TYPE_DATA["E6"].direct_nodes:
         v = qdim_kr(chari_decomposition(e6, i, 2), ctx)
-        assert grid.cell(i, 2).value == v.value
+        assert grid.cell(i, 2) == v.value
         assert grid.provenance[i - 1][2] == "direct"
     for i in (3, 4, 5):
         assert grid.provenance[i - 1][1] == "subtraction"
@@ -51,9 +51,9 @@ def test_boundary_and_direct_rows(e6):
 def test_e6_node4_subtraction_relation(e6):
     ctx = LevelContext(e6, 2)
     grid = build_qgrid(ctx)
-    q2 = [grid.cell(2, k).value for k in range(4)]
+    q2 = [grid.cell(2, k) for k in range(4)]
     expected = q2[1] * q2[1] - q2[0] * q2[2]
-    assert grid.cell(4, 1).value == expected
+    assert grid.cell(4, 1) == expected
 
 
 def test_level_one_grid_is_all_ones(rs_map):
@@ -62,7 +62,7 @@ def test_level_one_grid_is_all_ones(rs_map):
         grid = build_qgrid(ctx)
         for i in range(1, rs.rank + 1):
             for k in (0, 1):
-                assert abs(grid.cell(i, k).value - 1) < ctx.mp.mpf(10) ** -30
+                assert abs(grid.cell(i, k) - 1) < ctx.mp.mpf(10) ** -30
 
 
 def test_zero_hypothesis_cells_appear_and_validate(e8):
@@ -81,7 +81,7 @@ def test_kleber_against_division_route(e7):
         for node in (4, 5):
             direct = qdim_kr(kleber_q1(e7, node), ctx)
             cell = grid.cell(node, 1)
-            assert rel_diff(ctx.mp, direct.value, cell.value) < 1e-22, (level, node)
+            assert rel_diff(ctx.mp, direct.value, cell) < 1e-22, (level, node)
 
 
 def test_grid_kmax_guards(e6):
@@ -106,8 +106,8 @@ def test_grid_past_l_is_antiperiodic(rs_map, label, level):
         sign = -1 if delta(rs, i) % 2 else 1
         for k in range(l + 1):
             a, b = grid.cell(i, k), grid.cell(i, k + l)
-            scale = max(a.magnitude_scale, b.magnitude_scale)
-            assert abs(b.value - sign * a.value) <= PERIODICITY_TOL * scale, (i, k)
+            scale = max(grid.scales[i - 1][k], grid.scales[i - 1][k + l])
+            assert abs(b - sign * a) <= PERIODICITY_TOL * scale, (i, k)
 
 
 def test_custom_type_rejected_by_grid(a1):
@@ -120,23 +120,48 @@ def test_residual_sanity_all_ones_chain():
     # on the 2-node chain the constant grid misses the neighbour product by 1
     a2 = build_root_system(a_series_cartan(2))
     ctx = LevelContext(a2, 2)
-    one = ctx.one()
+    one = ctx.mp.mpf(1)
     rows = [[one, one, one], [one, one, one]]
-    grid = grid_from_values(a2, 2, ctx.shifted_level, rows)
-    assert grid.residual_max == 1
+    grid = QGrid(a2, 2, ctx.shifted_level, 2, rows, [["solver"] * 3] * 2)
+    assert residual(grid) == 1
 
 
 def test_solver_a1_square_root_of_two(a1):
     ctx = LevelContext(a1, 2)
     grid = solve_restricted(ctx)
-    assert abs(grid.cell(1, 1).value - ctx.mp.sqrt(2)) < ctx.mp.mpf(10) ** -29
-    assert grid.cell(1, 0).value == 1 and grid.cell(1, 2).value == 1
+    assert abs(grid.cell(1, 1) - ctx.mp.sqrt(2)) < ctx.mp.mpf(10) ** -29
+    assert grid.cell(1, 0) == 1 and grid.cell(1, 2) == 1
 
 
 def test_solver_level_one_trivial(e7):
     ctx = LevelContext(e7, 1)
     grid = solve_restricted(ctx)
-    assert all(grid.cell(i, k).value == 1 for i in range(1, 8) for k in (0, 1))
+    assert all(grid.cell(i, k) == 1 for i in range(1, 8) for k in (0, 1))
+
+
+@pytest.mark.parametrize("label,level", [
+    *[("E6", level) for level in range(1, 9)],
+    *[("E7", level) for level in range(1, 7)],
+    *[("E8", level) for level in range(1, 6)],
+    ("A1", 2),
+])
+def test_solver_residual_is_the_last_stopping_test(rs_map, a1, label, level):
+    # the residual the Newton loop stopped on is, bit for bit, the residual
+    # of the cells it returns
+    ctx = LevelContext(a1 if label == "A1" else rs_map[label], level)
+    grid = solve_restricted(ctx)
+    assert grid.residual_max._mpf_ == residual(grid)._mpf_
+
+
+def test_grid_cells_are_plain_values(e7):
+    ctx = LevelContext(e7, 3)
+    built = build_qgrid(ctx)
+    solved = solve_restricted(ctx)
+    for grid in (built, solved):
+        for row in grid.values:
+            assert all(c is None or isinstance(c, ctx.mp.mpf) for c in row)
+    assert len(built.scales) == 7 and all(len(row) == built.k_max + 1 for row in built.scales)
+    assert solved.scales is None
 
 
 def test_solver_positive_and_converged(e6):
@@ -145,7 +170,7 @@ def test_solver_positive_and_converged(e6):
     assert grid.residual_max <= 1e-30
     for i in range(1, 7):
         for k in range(6):
-            assert grid.cell(i, k).value > 0
+            assert grid.cell(i, k) > 0
 
 
 def test_two_path_agreement_e6(e6):
@@ -154,7 +179,7 @@ def test_two_path_agreement_e6(e6):
     solved = solve_restricted(ctx)
     for i in range(1, 7):
         for k in range(5):
-            d = rel_diff(ctx.mp, built.cell(i, k).value, solved.cell(i, k).value)
+            d = rel_diff(ctx.mp, built.cell(i, k), solved.cell(i, k))
             assert d < 1e-25, (i, k)
 
 
@@ -186,11 +211,11 @@ def test_solver_deep_levels(rs_map, label, level):
     assert solved.residual_max <= 1e-30
     for i in range(1, rs.rank + 1):
         for k in range(level + 1):
-            a = solved.cell(i, k).value
+            a = solved.cell(i, k)
             assert a > 0, (i, k)
-            d = rel_diff(ctx.mp, a, built.cell(i, k).value)
+            d = rel_diff(ctx.mp, a, built.cell(i, k))
             assert d <= TWO_PATH_REL_TOL, (i, k, float(d))
-            mirror = solved.cell(i, level - k).value
+            mirror = solved.cell(i, level - k)
             assert rel_diff(ctx.mp, a, mirror) <= SYMMETRY_TOL, (i, k)
 
 
@@ -284,9 +309,9 @@ def test_dilog_empty_interior(a1):
 
 def test_dilog_rejects_nonpositive(a1):
     ctx = LevelContext(a1, 2)
-    one = ctx.one()
-    rows = [[one, QReal(ctx.mp.mpf(-1), ctx.mp.mpf(1)), one]]
-    grid = grid_from_values(a1, 2, ctx.shifted_level, rows)
+    one = ctx.mp.mpf(1)
+    rows = [[one, -one, one]]
+    grid = QGrid(a1, 2, ctx.shifted_level, 2, rows, [["solver"] * 3])
     with pytest.raises(ValueError):
         dilog_args(grid)
 
@@ -381,11 +406,11 @@ def test_solver_output_symmetric_and_unimodal(e7):
         grid = solve_restricted(ctx)
         for i in range(1, 8):
             for k in range(level + 1):
-                a = grid.cell(i, k).value
-                b = grid.cell(i, level - k).value
+                a = grid.cell(i, k)
+                b = grid.cell(i, level - k)
                 assert abs(a - b) <= 1e-25 * max(1, abs(a)), (level, i, k)
             for k in range(level // 2):
-                assert grid.cell(i, k + 1).value > grid.cell(i, k).value
+                assert grid.cell(i, k + 1) > grid.cell(i, k)
 
 
 def test_full_grid_residual_at_level_eight(e6, e7):

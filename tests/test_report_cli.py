@@ -278,6 +278,14 @@ def test_cli_usage_errors(capsys, monkeypatch):
          "error: --k must be nonnegative, got -1\n"),
         (["krdec", "--type", "E6", "--node", "7", "--k", "1"],
          "error: --node must be in 1..6, got 7\n"),
+        # a mode that does not use the working precision rejects the flag
+        (["qdim", "--type", "E6", "--level", "2", "--weight", "1,0,0,0,0,0", "--classical",
+          "--precision-bits", "256"],
+         "error: --precision-bits has no effect with --classical\n"),
+        (["krdec", "--type", "E6", "--node", "1", "--k", "2", "--precision-bits", "256"],
+         "error: --precision-bits has no effect without --qdim\n"),
+        (["logconcave", "--seq", "1,2,1", "--precision-bits", "256"],
+         "error: --precision-bits has no effect with --seq\n"),
         (["logconcave", "--type", "E7", "--level", "3", "--node", "0"],
          "error: --node must be in 1..7, got 0\n"),
         (["logconcave", "--type", "E7", "--level", "3", "--node", "8"],
@@ -443,6 +451,17 @@ def test_reports_are_deterministic():
             assert digest == golden, (cfg.type_label, cfg.level)
     branden = [c for c in a["checks"] if c["name"] == "branden"]
     assert [c["note"] for c in branden] == ["not_real_negative (non-real root (exact count))"]
+
+
+def test_solve_output_is_pinned(capsys):
+    # the SHA-256 of the concatenated stdout of qslab solve, as for the
+    # report pins above
+    out = []
+    for label, level in (("E6", 4), ("E6", 8), ("E7", 3), ("E7", 5), ("E8", 3)):
+        assert main(["solve", "--type", label, "--level", str(level)]) == 0
+        out.append(capsys.readouterr().out)
+    digest = hashlib.sha256("".join(out).encode()).hexdigest()
+    assert digest == "18ac2f84f70bd3cc9c6be6c23d17139f5ce64fcc68382e829ed566a449cd88a7"
 
 
 @pytest.mark.parametrize("label", ["E6", "E7", "E8"])
@@ -639,15 +658,13 @@ def test_run_fails_on_corrupted_fixture(e7, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("label,status", [("E6", "fail"), ("E7", "conjecture-violated")])
 def test_dilog_argument_out_of_range_is_a_failed_check(rs_map, label, status):
-    from qslab.qnum import QReal
     from qslab.qsolver import build_qgrid
     from qslab.report import VerificationReport
 
     # every cell stays positive, but the ratio at (1, 1) grows to about 8000
     ctx = LevelContext(rs_map[label], 2)
     grid = build_qgrid(ctx)
-    c = grid.values[0][1]
-    grid.values[0][1] = QReal(c.value / 100, c.magnitude_scale)
+    grid.values[0][1] /= 100
     rep_obj = VerificationReport(config=RunConfig(type_label=label, level=2),
                                  shifted_level=ctx.shifted_level, checks=[])
     checks = report._dilog_checks(rep_obj, ctx, grid)
