@@ -2,8 +2,10 @@
 
 Subcommands: roots, qdim, reduce, krdec, grid, solve, verify, logconcave.
 The working precision comes from --precision-bits alone, on the
-subcommands that compute with reals (qdim --classical, krdec without --qdim
-and logconcave --seq reject it); its default is qnum.DEFAULT_PRECISION_BITS.
+subcommands that compute with reals; its default is
+qnum.DEFAULT_PRECISION_BITS.  A mode that does not use --precision-bits,
+--digits or --level rejects it: qdim --classical all three, krdec without
+--qdim the first two and logconcave --seq the first.
 
 Exit codes: 0 on success (including conjecture-only violations), 1 when a
 proven check fails or a computation cannot be completed, 2 on usage errors.
@@ -19,6 +21,10 @@ from . import affweyl, krchar, qsolver, report, seqanalysis
 from .qnum import (DEFAULT_PRECISION_BITS, MIN_PRECISION_BITS, LevelContext, alcove_line,
                    qdim, qdim_classical, qdim_line)
 from .rootsys import TYPE_DATA, build_root_system, is_dominant, type_data
+
+
+# Significant digits of a printed quantum dimension.
+DEFAULT_DIGITS = 30
 
 
 def _usage_error(message: str) -> NoReturn:
@@ -71,14 +77,27 @@ def _precision_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--precision-bits", type=_int_at_least(MIN_PRECISION_BITS), default=None)
 
 
-def _precision(args, unused_in: str = "") -> int:
-    """--precision-bits, or DEFAULT_PRECISION_BITS when it is not given; a
-    usage error when given to a mode that does not use it, named by ``unused_in``."""
-    if args.precision_bits is None:
-        return DEFAULT_PRECISION_BITS
+def _optional(args, flag: str, default=None, unused_in: str = ""):
+    """The value of ``flag``, whose parser default is None, or ``default``
+    when it is not given; a usage error when given to a mode that does not
+    use it, named by ``unused_in``."""
+    value = getattr(args, flag[2:].replace("-", "_"))
+    if value is None:
+        return default
     if unused_in:
-        _usage_error(f"--precision-bits has no effect {unused_in}")
-    return args.precision_bits
+        _usage_error(f"{flag} has no effect {unused_in}")
+    return value
+
+
+def _precision(args, unused_in: str = "") -> int:
+    return _optional(args, "--precision-bits", DEFAULT_PRECISION_BITS, unused_in)
+
+
+def _digits(args, unused_in: str = "") -> int:
+    digits = _optional(args, "--digits", DEFAULT_DIGITS, unused_in)
+    if digits < 1:
+        _usage_error(f"--digits must be at least 1, got {digits}")
+    return digits
 
 
 def _common_flags(p: argparse.ArgumentParser, level: bool = True,
@@ -117,11 +136,6 @@ def _check_kmax(args) -> None:
         _usage_error(f"--kmax must be in {l}..{4 * l}, got {args.kmax}")
 
 
-def _check_digits(digits: int) -> None:
-    if digits < 1:
-        _usage_error(f"--digits must be at least 1, got {digits}")
-
-
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
         report.write_text_atomic(out_path, text)
@@ -154,18 +168,21 @@ def _cmd_roots(args) -> int:
 
 
 def _cmd_qdim(args) -> int:
-    _check_digits(args.digits)
     rs = build_root_system(args.type)
     weight = _parse_weight(args.weight, rs.rank)
     if not is_dominant(weight):
         _usage_error("qdim requires a dominant weight; reduce general weights first")
     if args.classical:
-        _precision(args, unused_in="with --classical")
+        for flag in ("--precision-bits", "--digits", "--level"):
+            _optional(args, flag, unused_in="with --classical")
         _emit(str(qdim_classical(rs, weight)) + "\n", args.out)
         return 0
+    digits = _digits(args)
+    if args.level is None:
+        _usage_error("qdim needs --level unless --classical")
     ctx = LevelContext(rs, args.level, _precision(args))
     value = qdim(weight, ctx)
-    _emit(report.render_decimal(value.value, args.digits) + "\n", args.out)
+    _emit(report.render_decimal(value.value, digits) + "\n", args.out)
     return 0
 
 
@@ -185,10 +202,11 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_krdec(args) -> int:
-    _check_digits(args.digits)
+    unused_in = "" if args.qdim else "without --qdim"
+    digits = _digits(args, unused_in)
     if args.k < 0:
         _usage_error(f"--k must be nonnegative, got {args.k}")
-    bits = _precision(args, unused_in="" if args.qdim else "without --qdim")
+    bits = _precision(args, unused_in)
     rs = build_root_system(args.type)
     _check_node(args.node, rs.rank)
     if args.k == 1 and args.node in type_data(rs.type_label).kleber_nodes:
@@ -202,7 +220,7 @@ def _cmd_krdec(args) -> int:
             _usage_error("--qdim needs --level")
         ctx = LevelContext(rs, args.level, bits)
         value = krchar.qdim_kr(dec, ctx)
-        text += f"qdim {report.render_decimal(value.value, args.digits)}\n"
+        text += f"qdim {report.render_decimal(value.value, digits)}\n"
     _emit(text, args.out)
     return 0
 
@@ -313,10 +331,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_roots)
 
     p = sub.add_parser("qdim", help="quantum dimension of a dominant weight")
-    _common_flags(p)
+    _common_flags(p, level=False)
+    p.add_argument("--level", type=_int_at_least(1), default=None)
     p.add_argument("--weight", required=True, help="comma-separated coordinates")
     p.add_argument("--classical", action="store_true", help="exact Weyl dimension")
-    p.add_argument("--digits", type=int, default=30)
+    p.add_argument("--digits", type=int, default=None)
     p.set_defaults(fn=_cmd_qdim)
 
     p = sub.add_parser("reduce", help="reduce a weight into the fundamental alcove")
@@ -330,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--level", type=_int_at_least(1), default=None)
     p.add_argument("--qdim", action="store_true")
-    p.add_argument("--digits", type=int, default=30)
+    p.add_argument("--digits", type=int, default=None)
     p.set_defaults(fn=_cmd_krdec)
 
     p = sub.add_parser("grid", help="build the Q-grid from KR quantum dimensions")

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from mpmath.ctx_mp import MPContext
-from mpmath.libmp import fone, mpf_abs, mpf_div, mpf_gt, mpf_mul, mpf_neg
+from mpmath.libmp import from_man_exp
 
 from .rootsys import RootSystem, Weight, fundamental_weight, is_dominant
 
@@ -97,7 +97,12 @@ class LevelContext:
         mp.prec = self.precision_bits
         self.mp = mp
         self.zero_tolerance = mp.mpf(2) ** (-(self.precision_bits // 2))
-        self._sin_raw: tuple | None = None
+        self._one = QReal(mp.mpf(1), mp.mpf(1))
+        self._zero = QReal(mp.mpf(0), mp.mpf(1))
+        # sin(pi*r/l) by residue r mod 2l as (sign, mantissa, exponent): the
+        # value (-1)**sign * mantissa * 2**exponent, the mantissa exactly
+        # precision_bits wide (zero at the two zeros of the sine)
+        self._sines: tuple | None = None
         self._qdim_cache: dict[Weight, QReal] = {}
         self._chari_rows: dict[int, list[QReal]] = {}
 
@@ -113,48 +118,95 @@ class LevelContext:
         sin(pi*(l+r)/l) = -sin(pi*r/l), so the sign and mirror symmetries of
         the products built here are structurally exact.
         """
-        if self._sin_raw is None:
+        if self._sines is None:
             self._build_sin_tables()
-        return self.mp.make_mpf(self._sin_raw[r % (2 * self.shifted_level)])
+        sign, man, exp = self._sines[r % (2 * self.shifted_level)]
+        return self.mp.make_mpf(from_man_exp(-man if sign else man, exp))
 
     def _build_sin_tables(self) -> None:
-        l, mp = self.shifted_level, self.mp
-        base = [mp.sinpi(mp.mpf(k) / l)._mpf_ for k in range(l // 2 + 1)]
+        l, mp, p = self.shifted_level, self.mp, self.precision_bits
+        base = []
+        for k in range(l // 2 + 1):
+            _, man, exp, bc = mp.sinpi(mp.mpf(k) / l)._mpf_
+            base.append((man << (p - bc), exp - (p - bc)) if man else (0, 0))
         half = [base[min(k, l - k)] for k in range(l)]
-        self._sin_raw = tuple(half + [mpf_neg(x) for x in half])
+        self._sines = tuple([(0, m, e) for m, e in half]
+                            + [(1 if m else 0, m, e) for m, e in half])
 
     def one(self) -> QReal:
-        return QReal(self.mp.mpf(1), self.mp.mpf(1))
+        return self._one
 
     def zero(self) -> QReal:
-        return QReal(self.mp.mpf(0), self.mp.mpf(1))
+        return self._zero
 
 
 def _sine_product(ctx: LevelContext, factors: Sequence[tuple[int, int]]) -> QReal:
     """Product of sin(pi*num/l)/sin(pi*den/l) over (num, den) pairs.
 
     Returns an exact zero when some numerator is divisible by l; the scale
-    records the largest intermediate partial product.  The left fold
-    value = value * sin(num) / sin(den) runs on raw mpf tuples through
-    mpmath.libmp at the context's precision and rounding: the same roundings
-    as the mpf operators, without their wrappers or any global state.
+    records the largest intermediate partial product.  The value is the left
+    fold value = value * sin(num) / sin(den) in mpf arithmetic at the
+    context's precision p, bit for bit, computed on plain integers: the
+    partial product is a sign, a mantissa of exactly p bits and an exponent.
+
+    The bits agree because mpf_mul and mpf_div each return the
+    round-to-nearest-even value of their exact result (mpf_div divides to at
+    least p+4 quotient bits plus a sticky bit), so any other correctly
+    rounded pair of steps gives the same values, whatever the mantissa
+    representation:
+
+    - The product of two p-bit mantissas has 2p-1 or 2p bits; its top bit
+      picks how many low bits to drop, rounded half to even, and a round-up
+      to 2**p carries into the exponent.
+    - The quotient n/d of two p-bit mantissas, with n the dividend scaled by
+      2**(p-1) when it is at least d and by 2**p otherwise, lies in
+      [2**(p-1), 2**p).  It is never halfway between two integers q and
+      q+1: the odd part of the dividend would then be a multiple of
+      2q+1 > 2**p.  Nor does it round up to 2**p, which would take a
+      dividend of at least 2d or d respectively.  So (floor(2n/d) + 1) // 2
+      is its nearest integer, with no tie to break and no carry.
+    - The sign is the XOR of the factors' signs, and magnitudes compare as
+      (exponent, mantissa).
+
+    The zeros of the table have mantissa 0, which the fold keeps at 0.
     """
-    l = ctx.shifted_level
-    for num, _ in factors:
-        if num % l == 0:
-            return ctx.zero()
-    if ctx._sin_raw is None:
+    if ctx._sines is None:
         ctx._build_sin_tables()
-    sines, period = ctx._sin_raw, 2 * l
-    prec, rounding = ctx.mp._prec_rounding
-    value = scale = fone
+    sines, period = ctx._sines, 2 * ctx.shifted_level
+    p = ctx.precision_bits
+    p1, p2, top = p - 1, p + 1, 2 * p - 1
+    # added before dropping p (or p-1) bits: half the dropped unit, less one
+    below_half, below_half_low = (1 << (p - 1)) - 1, (1 << (p - 2)) - 1
+    sign = 0
+    man = scale_man = 1 << p1
+    exp = scale_exp = -p1
     for num, den in factors:
-        value = mpf_div(mpf_mul(value, sines[num % period], prec, rounding),
-                        sines[den % period], prec, rounding)
-        a = mpf_abs(value, prec, rounding)
-        if mpf_gt(a, scale):
-            scale = a
-    return QReal(ctx.mp.make_mpf(value), ctx.mp.make_mpf(scale))
+        num_sign, num_man, num_exp = sines[num % period]
+        den_sign, den_man, den_exp = sines[den % period]
+        sign ^= num_sign ^ den_sign
+        # plus 1 below for a 2p-bit product (p bits dropped, not p-1), minus
+        # 1 for a dividend below d (scaled by 2**p, not 2**(p-1))
+        exp += num_exp - den_exp
+        t = man * num_man
+        if t >> top:
+            man = (t + below_half + ((t >> p) & 1)) >> p
+            exp += 1
+        else:
+            man = (t + below_half_low + ((t >> p1) & 1)) >> p1
+        if man >> p:
+            man >>= 1
+            exp += 1
+        if man >= den_man:
+            man = ((man << p) // den_man + 1) >> 1
+        else:
+            man = ((man << p2) // den_man + 1) >> 1
+            exp -= 1
+        if exp > scale_exp or (exp == scale_exp and man > scale_man):
+            scale_exp, scale_man = exp, man
+    if not man:
+        return ctx.zero()
+    return QReal(ctx.mp.make_mpf(from_man_exp(-man if sign else man, exp)),
+                 ctx.mp.make_mpf(from_man_exp(scale_man, scale_exp)))
 
 
 def sine_signature(pairings: Iterable[int], l: int) -> tuple[int, tuple[int, ...]]:
@@ -206,8 +258,13 @@ def qdim(weight: Sequence[int], ctx: LevelContext) -> QReal:
     cached = cache.get(w)
     if cached is not None:
         return cached
-    factors = [(p, ht) for p, ht in zip(rs.rho_pairings(w), rs.heights) if p != ht]
-    out = _sine_product(ctx, factors)
+    l = ctx.shifted_level
+    pairings = rs.rho_pairings(w)
+    if any(p % l == 0 for p in pairings):
+        out = ctx.zero()
+    else:
+        out = _sine_product(
+            ctx, [(p, ht) for p, ht in zip(pairings, rs.heights) if p != ht])
     cache[w] = out
     return out
 

@@ -4,15 +4,18 @@ import random
 
 import mpmath
 import pytest
+from mpmath.libmp import fone, mpf_abs, mpf_div, mpf_gt, mpf_mul, mpf_neg
 
 import qslab
 from qslab.qnum import (
     LevelContext,
+    _sine_product,
     qdim,
     qdim_classical,
     qdim_line,
     sine_signature,
 )
+from qslab.qsolver import build_qgrid
 from qslab.rootsys import delta, fundamental_weight
 
 
@@ -135,7 +138,7 @@ def _random_dominant_weights(rs, l, seed, count=200):
 
 @pytest.mark.parametrize("label", ["E6", "E7", "E8"])
 def test_qdim_bits_match_reference_fold(rs_map, label):
-    # the sparse pairings and the raw-mantissa kernel round exactly like the
+    # the sparse pairings and the integer kernel round exactly like the
     # mpf fold, at every precision and whatever the global mpmath precision
     rs = rs_map[label]
     for bits in (128, 256):
@@ -154,6 +157,111 @@ def test_qdim_bits_match_reference_fold(rs_map, label):
             for w, q, (value, scale) in zip(weights, got, reference):
                 assert q.value._mpf_ == value._mpf_, (label, bits, w)
                 assert q.magnitude_scale._mpf_ == scale._mpf_, (label, bits, w)
+
+
+@pytest.mark.parametrize("label,level", [("E7", 28), ("E8", 24)])
+def test_qdim_bits_match_reference_fold_on_every_grid_weight(rs_map, label, level):
+    # every weight the grid build asks for, out to k = l, zeros included
+    rs = rs_map[label]
+    for bits in (97, 256):
+        ctx = LevelContext(rs, level, precision_bits=bits)
+        build_qgrid(ctx)
+        assert len(ctx._qdim_cache) > 1000
+        for w, q in ctx._qdim_cache.items():
+            value, scale = _reference_qdim(w, ctx)
+            assert q.value._mpf_ == value._mpf_, (bits, w)
+            assert q.magnitude_scale._mpf_ == scale._mpf_, (bits, w)
+
+
+def _libmp_fold(ctx, factors):
+    """The sine-product fold step by step in mpf_mul and mpf_div, rounding to
+    nearest at the context's precision."""
+    prec = ctx.precision_bits
+    value = scale = fone
+    for num, den in factors:
+        value = mpf_mul(value, ctx.sin_pi_over_l(num)._mpf_, prec, "n")
+        value = mpf_div(value, ctx.sin_pi_over_l(den)._mpf_, prec, "n")
+        if mpf_gt(mpf_abs(value), scale):
+            scale = mpf_abs(value)
+    return value, scale
+
+
+def _context_with_sines(rs, bits, entries):
+    """A context whose sine table holds the given (sign, mantissa, exponent)
+    entries at residues 1, 2, ... and 1 at residue 0."""
+    ctx = LevelContext(rs, 2, precision_bits=bits)
+    one = (0, 1 << (bits - 1), 1 - bits)
+    ctx._sines = (one, *entries) + ((0, 0, 0),) * (2 * ctx.shifted_level - 1 - len(entries))
+    return ctx
+
+
+@pytest.mark.parametrize("bits", [64, 97, 128])  # p + 1 composite, for the carry
+def test_sine_product_rounds_exact_ties_like_libmp(e6, bits):
+    p = bits
+    # x times 3 * 2**(p-2) is a product of 2p-1 or 2p bits; it lies halfway
+    # between two p-bit mantissas when the bits dropped are 10...0.  Find ties
+    # of both widths that go down to even and up to even.
+    three = (0, 3 << (p - 2), -p)
+    ties = {}
+    for start in (1 << (p - 1), -(-(1 << (p + 1)) // 3)):
+        for x in range(start, start + 16):
+            t = x * three[1]
+            width = t.bit_length()
+            drop = width - p
+            if t & ((1 << drop) - 1) == 1 << (drop - 1):
+                ties.setdefault((width, (t >> drop) & 1), x)  # odd kept bits go up
+    assert sorted(ties) == [(2 * p - 1, 0), (2 * p - 1, 1), (2 * p, 0), (2 * p, 1)]
+    # (2**d - 1) * (2**(p+1) - 1) / (2**d - 1), for d dividing p+1, is p+1
+    # ones: the tie rounds the all-ones mantissa up to 2**p, which carries
+    # into the exponent
+    d = next(d for d in range(2, p + 1) if (p + 1) % d == 0)
+    a, b = (1 << d) - 1, ((1 << (p + 1)) - 1) // ((1 << d) - 1)
+    carry = [(1, a << (p - d), -p), (0, b << (p - b.bit_length()), -p)]
+    divisor = (0, (1 << p) - 3, -p)
+    for entries in [[(0, x, -p), three] for x in ties.values()] + [carry]:
+        ctx = _context_with_sines(e6, bits, [*entries, divisor])
+        # value = entry 1, then entry 1 * entry 2, alone and divided by entry 3
+        for factors in ([(1, 0), (2, 0)], [(1, 0), (2, 3)]):
+            value, scale = _libmp_fold(ctx, factors)
+            got = _sine_product(ctx, factors)
+            assert got.value._mpf_ == value, (entries, factors)
+            assert got.magnitude_scale._mpf_ == scale, (entries, factors)
+    carried, _ = _libmp_fold(ctx, [(1, 0), (2, 0)])  # ctx holds the carry case
+    assert carried[:2] == (1, 1)  # minus a power of two
+
+
+@pytest.mark.parametrize("bits", [64, 97, 128, 256])
+def test_sine_product_rounds_quotients_like_libmp(e6, bits):
+    # a quotient of two p-bit mantissas is never a tie (the odd part of the
+    # dividend would exceed 2**p); check rounding up and down on both sides
+    # of m >= d against mpf_div
+    p = bits
+    divisor = (0, (1 << (p - 1)) + (1 << (p - 3)) + 1, -p)
+    seen = set()
+    for m in [*range(1 << (p - 1), (1 << (p - 1)) + 100), *range((1 << p) - 100, 1 << p)]:
+        ctx = _context_with_sines(e6, bits, [(0, m, -p), divisor])
+        value, scale = _libmp_fold(ctx, [(1, 2)])
+        got = _sine_product(ctx, [(1, 2)])
+        assert got.value._mpf_ == value and got.magnitude_scale._mpf_ == scale, m
+        dm = divisor[1]
+        r = (m << (p if m < dm else p - 1)) % dm
+        seen.add((m >= dm, 2 * r > dm))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+@pytest.mark.parametrize("bits", [64, 128, 256])
+def test_sine_table_matches_sinpi(rs_map, bits):
+    # the fixed-width table gives back the mpf of mp.sinpi, mirrored and
+    # negated, at every residue mod 2l, for odd and even l
+    for rs in rs_map.values():
+        for level in (1, 2):
+            ctx = LevelContext(rs, level, precision_bits=bits)
+            l, mp = ctx.shifted_level, ctx.mp
+            base = [mp.sinpi(mp.mpf(k) / l)._mpf_ for k in range(l // 2 + 1)]
+            half = [base[min(k, l - k)] for k in range(l)]
+            expected = half + [mpf_neg(x) for x in half]
+            for r in range(-2 * l, 4 * l):
+                assert ctx.sin_pi_over_l(r)._mpf_ == expected[r % (2 * l)], (rs, l, r)
 
 
 def test_qdim_line_matches_qdim_on_dominant_range(e7):

@@ -128,8 +128,8 @@ def test_cli_qdim(capsys):
                  "--weight", "1,0,0,0,0,0"]) == 0
     value = capsys.readouterr().out.strip()
     assert value.startswith("5.027")
-    assert main(["qdim", "--type", "E6", "--level", "4",
-                 "--weight", "1,0,0,0,0,0", "--classical"]) == 0
+    # the Weyl dimension needs no level
+    assert main(["qdim", "--type", "E6", "--weight", "1,0,0,0,0,0", "--classical"]) == 0
     assert capsys.readouterr().out.strip() == "27"
 
 
@@ -286,6 +286,17 @@ def test_cli_usage_errors(capsys, monkeypatch):
          "error: --precision-bits has no effect without --qdim\n"),
         (["logconcave", "--seq", "1,2,1", "--precision-bits", "256"],
          "error: --precision-bits has no effect with --seq\n"),
+        # and so does a mode that does not use the level or the digits
+        (["qdim", "--type", "E6", "--level", "99", "--weight", "1,0,0,0,0,0", "--classical"],
+         "error: --level has no effect with --classical\n"),
+        (["qdim", "--type", "E6", "--weight", "1,0,0,0,0,0", "--classical", "--digits", "5"],
+         "error: --digits has no effect with --classical\n"),
+        (["krdec", "--type", "E6", "--node", "1", "--k", "1", "--digits", "0"],
+         "error: --digits has no effect without --qdim\n"),
+        (["krdec", "--type", "E6", "--node", "1", "--k", "1", "--digits", "5"],
+         "error: --digits has no effect without --qdim\n"),
+        (["qdim", "--type", "E6", "--weight", "1,0,0,0,0,0"],
+         "error: qdim needs --level unless --classical\n"),
         (["logconcave", "--type", "E7", "--level", "3", "--node", "0"],
          "error: --node must be in 1..7, got 0\n"),
         (["logconcave", "--type", "E7", "--level", "3", "--node", "8"],
