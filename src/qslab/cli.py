@@ -4,8 +4,9 @@ Subcommands: roots, qdim, reduce, krdec, grid, solve, verify, logconcave.
 The working precision comes from --precision-bits alone, on the
 subcommands that compute with reals; its default is
 qnum.DEFAULT_PRECISION_BITS.  A mode that does not use --precision-bits,
---digits or --level rejects it: qdim --classical all three, krdec without
---qdim the first two and logconcave --seq the first.
+--digits or --level rejects it: qdim --classical and krdec without --qdim
+all three, and logconcave --seq the first.  So does verify with --kmax when
+no selected check group reads the grid.
 
 Exit codes: 0 on success (including conjecture-only violations), 1 when a
 proven check fails or a computation cannot be completed, 2 on usage errors.
@@ -207,6 +208,7 @@ def _cmd_krdec(args) -> int:
     if args.k < 0:
         _usage_error(f"--k must be nonnegative, got {args.k}")
     bits = _precision(args, unused_in)
+    level = _optional(args, "--level", unused_in=unused_in)
     rs = build_root_system(args.type)
     _check_node(args.node, rs.rank)
     if args.k == 1 and args.node in type_data(rs.type_label).kleber_nodes:
@@ -216,9 +218,9 @@ def _cmd_krdec(args) -> int:
     lines = [f"{mult} x ({','.join(str(c) for c in w)})" for mult, w in dec.terms]
     text = "\n".join(lines) + "\n"
     if args.qdim:
-        if args.level is None:
+        if level is None:
             _usage_error("--qdim needs --level")
-        ctx = LevelContext(rs, args.level, bits)
+        ctx = LevelContext(rs, level, bits)
         value = krchar.qdim_kr(dec, ctx)
         text += f"qdim {report.render_decimal(value.value, digits)}\n"
     _emit(text, args.out)
@@ -253,8 +255,10 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.fmt == "csv" and not report.reads_grid(args.checks):
-        _usage_error("csv output needs a grid-producing check")
+    if not report.reads_grid(args.checks):
+        if args.fmt == "csv":
+            _usage_error("csv output needs a grid-producing check")
+        _optional(args, "--kmax", unused_in="without a grid-producing check")
     _check_kmax(args)
     cfg = report.RunConfig(
         type_label=args.type, level=args.level,

@@ -144,8 +144,5 @@ def chari_qdim(node: int, box_count: int, ctx: LevelContext) -> QReal:
     while len(rows) <= box_count:
         k = len(rows)
         shell = [(1, w) for w in _chari_shell(rs, node, k)]
-        total = _fold(rows[k - 1] if nested and k else None, shell, ctx)
-        # a slice store, not append: if another thread filled row k first,
-        # this rewrites it with the same bits instead of shifting the row
-        rows[k:k + 1] = [total]
+        rows.append(_fold(rows[k - 1] if nested and k else None, shell, ctx))
     return rows[box_count]

@@ -35,15 +35,16 @@ class QReal:
     value: object
     magnitude_scale: object
 
+    # Both scales are at least 1 and at least |value|, and rounding to
+    # nearest is monotone, so the rounded scale sum already bounds the
+    # rounded |v1 +- v2| and 1: a sum or difference needs no clamp.
     def __add__(self, other: "QReal") -> "QReal":
         return QReal(self.value + other.value,
-                     _clamp(self.magnitude_scale + other.magnitude_scale,
-                            self.value + other.value))
+                     self.magnitude_scale + other.magnitude_scale)
 
     def __sub__(self, other: "QReal") -> "QReal":
         return QReal(self.value - other.value,
-                     _clamp(self.magnitude_scale + other.magnitude_scale,
-                            self.value - other.value))
+                     self.magnitude_scale + other.magnitude_scale)
 
     def __mul__(self, other: "QReal") -> "QReal":
         v = self.value * other.value
@@ -74,9 +75,7 @@ class LevelContext:
     state), a table of sine values and one memo of quantum dimensions keyed
     by dominant weight, which every quantum-dimension path goes through.
     It also memoizes the closed-form KR rows of :mod:`qslab.krchar`, one
-    list per direct node indexed by box count.  The memos only ever return
-    identical values for identical keys, so shared concurrent reads are
-    safe under the GIL.
+    list per direct node indexed by box count.
     """
 
     def __init__(

@@ -6,6 +6,10 @@ The recurrence tying the grid together is, at every node i and level k >= 1,
 
 with Q_0(i) = 1; the level-restricted variant additionally fixes
 Q_level(i) = 1 and looks for the unique positive solution on [0, level].
+``_neighbor_product`` is the one place that forms prod_{j ~ i} Q_k(j), and
+``_defect`` the one place that forms the recurrence defect: the solver's
+warm start, Newton residual and Jacobian, the grid ``residual`` and
+``dilog_args`` all call them.
 
 ``build_qgrid`` fills the table from the closed-form rows outward, exactly
 mirroring the propagation order of the per-type proofs: extremal rows are
@@ -91,16 +95,36 @@ class QGrid:
         return self.values[node - 1][k]
 
 
-def _neighbor_product(grid: QGrid, node: int, k: int):
-    """Product of the values Q_k(j) over Dynkin neighbours j; 1 when there
-    are none, None when a neighbour cell is unresolved."""
-    prod = grid.cell(1, 0) * 0 + 1
-    for j in grid.root_system.neighbors[node]:
-        v = grid.cell(j, k)
-        if v is None:
-            return None
-        prod = prod * v
+def _neighbor_rows(rs: RootSystem) -> list[list[int]]:
+    """The Dynkin neighbours of each node as 0-based row indices."""
+    return [[j - 1 for j in rs.neighbors[i]] for i in range(1, rs.rank + 1)]
+
+
+def _neighbor_product(values, neighbors: Sequence[int], k: int, skip: int | None = None):
+    """prod_{j ~ i} Q_k(j): the product of values[j][k] over the neighbour
+    rows j of node i, leaving out row ``skip``; 1 when there are none, None
+    when a factor is None."""
+    prod = 1
+    for j in neighbors:
+        if j != skip:
+            v = values[j][k]
+            if v is None:
+                return None
+            prod *= v
     return prod
+
+
+def _defect(values, neighbors: list[list[int]], i: int, k: int):
+    """The recurrence defect F = Q_k^2 - (Q_{k-1} Q_{k+1} + prod_{j~i} Q_k(j))
+    at row i, and |F| / max(Q_k^2, 1); None when a stencil cell is None."""
+    row = values[i]
+    lo, mid, hi = row[k - 1], row[k], row[k + 1]
+    prod = _neighbor_product(values, neighbors[i], k)
+    if lo is None or mid is None or hi is None or prod is None:
+        return None
+    lhs = mid * mid
+    f = lhs - (lo * hi + prod)
+    return f, abs(f) / (lhs if lhs > 1 else 1)
 
 
 def build_qgrid(ctx: LevelContext, k_max: int | None = None) -> QGrid:
@@ -201,22 +225,13 @@ def build_qgrid(ctx: LevelContext, k_max: int | None = None) -> QGrid:
 def residual(grid: QGrid) -> object:
     """Normalized max violation of the recurrence over fully-present stencils;
     0 when there is none."""
-    rs = grid.root_system
+    neighbors = _neighbor_rows(grid.root_system)
     worst = grid.cell(1, 0) * 0
-    for i in range(1, rs.rank + 1):
+    for i in range(len(neighbors)):
         for k in range(1, grid.k_max):
-            mid = grid.cell(i, k)
-            lo = grid.cell(i, k - 1)
-            hi = grid.cell(i, k + 1)
-            if mid is None or lo is None or hi is None:
-                continue
-            prod = _neighbor_product(grid, i, k)
-            if prod is None:
-                continue
-            lhs = mid * mid
-            rhs = lo * hi + prod
-            denom = lhs if lhs > 1 else 1
-            worst = max(worst, abs(lhs - rhs) / denom)
+            d = _defect(grid.values, neighbors, i, k)
+            if d is not None:
+                worst = max(worst, d[1])
     return worst
 
 
@@ -229,14 +244,12 @@ def _warm_start(rs: RootSystem, level: int) -> list[list[float]]:
     positive solution, so the sweeps rise monotonically toward it.
     """
     x = [[1.0] * (level + 1) for _ in range(rs.rank)]
+    neighbors = _neighbor_rows(rs)
     for _ in range(WARM_START_SWEEPS):
         worst = 0.0
         for k in range(1, level):
-            for i in range(1, rs.rank + 1):
-                prod = 1.0
-                for j in rs.neighbors[i]:
-                    prod *= x[j - 1][k]
-                row = x[i - 1]
+            for i, row in enumerate(x):
+                prod = _neighbor_product(x, neighbors[i], k)
                 new = math.sqrt(row[k - 1] * row[k + 1] + prod)
                 worst = max(worst, abs(new - row[k]) / new)
                 row[k] = new
@@ -288,24 +301,19 @@ def solve_restricted(ctx: LevelContext, tolerance: float = SOLVER_TOLERANCE) -> 
         raise ValueError("solver tolerance is below the working precision")
     rs = ctx.root_system
     level, rank = ctx.level, rs.rank
-    one = mp.mpf(1)
     v = [[mp.mpf(x) for x in row] for row in _warm_start(rs, level)]
-    neighbors = [[j - 1 for j in rs.neighbors[i]] for i in range(1, rank + 1)]
+    neighbors = _neighbor_rows(rs)
 
     for step in range(MAX_NEWTON_STEPS + 1):
-        # -F column by column, in the operation order of ``residual`` so that
-        # the last stopping test computes the grid's residual_max
+        # -F column by column from ``_defect``, which ``residual`` calls too,
+        # so the last stopping test computes the grid's residual_max
         res = mp.mpf(0)
         minus_f = []
         for k in range(1, level):
             col = []
             for i in range(rank):
-                prod = one
-                for j in neighbors[i]:
-                    prod *= v[j][k]
-                lhs = v[i][k] * v[i][k]
-                fi = lhs - (v[i][k - 1] * v[i][k + 1] + prod)
-                res = max(res, abs(fi) / (lhs if lhs > 1 else one))
+                fi, size = _defect(v, neighbors, i, k)
+                res = max(res, size)
                 col.append(-fi)
             minus_f.append(col)
         if res <= tol:
@@ -323,11 +331,7 @@ def solve_restricted(ctx: LevelContext, tolerance: float = SOLVER_TOLERANCE) -> 
             for i in range(rank):
                 block[i][i] = 2 * v[i][k]
                 for j in neighbors[i]:
-                    partial = one
-                    for m in neighbors[i]:
-                        if m != j:
-                            partial *= v[m][k]
-                    block[i][j] = -partial
+                    block[i][j] = -_neighbor_product(v, neighbors[i], k, skip=j)
             if gs:
                 for i in range(rank):
                     lower = -v[i][k + 1]
@@ -488,19 +492,14 @@ def theorem_report(ctx: LevelContext, grid: QGrid | None = None) -> list[CheckRe
 
 def dilog_args(grid: QGrid) -> dict[tuple[int, int], object]:
     """The ratios prod_{j~i} Q_k(j) / Q_k(i)^2 over the restricted range."""
-    rs = grid.root_system
-    level = grid.level
-    out: dict[tuple[int, int], object] = {}
-    for i in range(1, rs.rank + 1):
-        for k in range(0, level + 1):
-            c = grid.cell(i, k)
-            if c is None or not c > 0:
+    neighbors = _neighbor_rows(grid.root_system)
+    ks = range(grid.level + 1)
+    for i, row in enumerate(grid.values, 1):
+        for k in ks:
+            if row[k] is None or not row[k] > 0:
                 raise ValueError(f"grid cell (node {i}, k={k}) is not positive")
-    for i in range(1, rs.rank + 1):
-        for k in range(0, level + 1):
-            c = grid.cell(i, k)
-            out[(i, k)] = _neighbor_product(grid, i, k) / (c * c)
-    return out
+    return {(i + 1, k): _neighbor_product(grid.values, neighbors[i], k) / (row[k] * row[k])
+            for i, row in enumerate(grid.values) for k in ks}
 
 
 def dilog_args_margin(args: dict[tuple[int, int], object], level: int):

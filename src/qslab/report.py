@@ -9,13 +9,11 @@ with no sampling, and all numeric evidence is rendered as round-half-even
 from __future__ import annotations
 
 import json
-import math
 import os
 import tempfile
 import time
 from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Context as DecimalContext, Decimal
-from fractions import Fraction
 from importlib import resources
 from typing import Callable
 
@@ -31,33 +29,24 @@ REPORT_FORMATS = ("json", "csv", "text")
 
 
 def render_decimal(x, digits: int = 30) -> str:
-    """Render a binary float exactly, round-half-even at ``digits`` digits.
+    """Render an mpf or an int exactly, round-half-even at ``digits`` digits.
 
-    The value is taken apart into an exact integer fraction before a single
-    correctly rounded decimal division, so the output never depends on any
-    global precision state.
+    An mpf (-1)^sign man 2^exp is the integer quotient man / 2^-exp (or the
+    integer man 2^exp), so one correctly rounded decimal division renders
+    it, and the output never depends on any global precision state.
     """
     if x is None:
         return "unresolved"
     if isinstance(x, int):
         num, den = x, 1
     else:
-        if isinstance(x, float):
-            if math.isnan(x):
-                return "nan"
-            if math.isinf(x):
-                return "inf" if x > 0 else "-inf"
-            frac = Fraction(x)
-        else:
-            if mpmath.isnan(x):
-                return "nan"
-            if not mpmath.isfinite(x):
-                return "inf" if x > 0 else "-inf"
-            sign, man, exp, _ = x._mpf_
-            man = int(man)
-            frac = Fraction(-man if sign else man)
-            frac *= Fraction(2) ** exp
-        num, den = frac.numerator, frac.denominator
+        if mpmath.isnan(x):
+            return "nan"
+        if not mpmath.isfinite(x):
+            return "inf" if x > 0 else "-inf"
+        sign, man, exp, _ = x._mpf_
+        num = -int(man) if sign else int(man)
+        num, den = (num << exp, 1) if exp >= 0 else (num, 1 << -exp)
     dc = DecimalContext(prec=digits, rounding=ROUND_HALF_EVEN)
     return str(dc.divide(Decimal(num), Decimal(den)))
 

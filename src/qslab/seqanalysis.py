@@ -99,33 +99,21 @@ def log_concavity_order(seq: RealSequence, max_order: int) -> int:
 
 
 def is_log_concave(seq: RealSequence, strict: bool = False) -> bool:
-    """Whether a_k^2 >= a_{k-1} a_{k+1} holds at every interior index.
+    """Whether a_k^2 >= a_{k-1} a_{k+1} holds at every interior index, within
+    the sequence's tolerance (a_k^2 > a_{k-1} a_{k+1} + tolerance when
+    ``strict``).
 
-    For positive sequences the equivalent pairwise form
-    a_k a_m >= a_{k-1} a_{m+1} (k <= m: products of closer indices dominate)
-    is evaluated as well; a verdict mismatch between the two forms indicates
-    an internal inconsistency and raises.
+    On a positive sequence this triple form is equivalent to the pairwise
+    form a_k a_m >= a_{k-1} a_{m+1} for k <= m, so the triple form alone
+    decides.
     """
     a = seq.entries
-    n = len(a) - 1
     tol = seq.tolerance
 
     def holds(x, y) -> bool:
         return x > y + tol if strict else x >= y - tol
 
-    triple = all(holds(a[k] * a[k], a[k - 1] * a[k + 1]) for k in range(1, n))
-    if all(e > tol for e in a) and n >= 1:
-        pairwise = all(
-            holds(a[k] * a[m], a[k - 1] * a[m + 1])
-            for k in range(1, n)
-            for m in range(k, n)
-        )
-        if pairwise != triple:
-            raise RuntimeError(
-                "log-concavity forms disagree: "
-                f"triple={triple} pairwise={pairwise} for {tuple(map(float, a))}"
-            )
-    return triple
+    return all(holds(a[k] * a[k], a[k - 1] * a[k + 1]) for k in range(1, len(a) - 1))
 
 
 def palindromize(seq: RealSequence, parity: str) -> RealSequence:

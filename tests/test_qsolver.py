@@ -164,6 +164,16 @@ def test_grid_cells_are_plain_values(e7):
     assert solved.scales is None
 
 
+@pytest.mark.parametrize("label,level", [("E7", 28), ("E8", 16)])
+def test_grid_scales_bound_their_values(rs_map, label, level):
+    # QReal sums and differences add scales without a clamp; every cell's
+    # scale must still be at least 1 and at least |value|
+    grid = build_qgrid(LevelContext(rs_map[label], level))
+    for row, scales in zip(grid.values, grid.scales):
+        for value, scale in zip(row, scales):
+            assert value is None or scale >= 1 and scale >= abs(value)
+
+
 def test_solver_positive_and_converged(e6):
     ctx = LevelContext(e6, 5)
     grid = solve_restricted(ctx)

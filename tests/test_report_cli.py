@@ -40,6 +40,40 @@ def test_render_decimal_deterministic():
     assert render_decimal(c.mpf(10) ** -40).startswith("1.0000")
 
 
+def test_render_decimal_matches_fraction_reference():
+    from decimal import ROUND_HALF_EVEN, Context, Decimal
+    from fractions import Fraction
+
+    from mpmath.ctx_mp import MPContext
+
+    def reference(x, digits):
+        sign, man, exp, _ = x._mpf_
+        frac = Fraction(-man if sign else man) * Fraction(2) ** exp
+        dc = Context(prec=digits, rounding=ROUND_HALF_EVEN)
+        return str(dc.divide(Decimal(frac.numerator), Decimal(frac.denominator)))
+
+    c = MPContext()
+    c.prec = 128
+    # exact ties round to the even neighbour
+    for value, digits, text in ((2.5, 1, "2"), (3.5, 1, "4"), (-2.5, 1, "-2"),
+                                (0.125, 2, "0.12"), (0.375, 2, "0.38"),
+                                (12.5, 2, "12"), (13.5, 2, "14"), (25, 1, "2E+1")):
+        assert render_decimal(c.mpf(value), digits) == text, (value, digits)
+    rng = random.Random(404)
+    for prec in (64, 128, 256):
+        c.prec = prec
+        for _ in range(300):
+            if rng.random() < 0.5:
+                # short dyadics: exact decimals, with ties at short digit counts
+                x = c.ldexp(c.mpf(rng.randrange(1, 1 << 20)), rng.randint(-12, 12))
+            else:
+                x = c.ldexp(c.mpf(rng.getrandbits(prec) | 1), rng.randint(-400, 300))
+            if rng.random() < 0.5:
+                x = -x
+            digits = rng.randint(1, 45)
+            assert render_decimal(x, digits) == reference(x, digits), (x, digits)
+
+
 def test_run_config_validation():
     with pytest.raises(ValueError):
         RunConfig(type_label="E6", level=0)
@@ -326,6 +360,10 @@ def test_cli_usage_errors(capsys, monkeypatch):
          "error: --kmax must be in 14..56, got -5\n"),
         (["verify", "--type", "E6", "--level", "2", "--kmax", "100"],
          "error: --kmax must be in 14..56, got 100\n"),
+        (["krdec", "--type", "E7", "--node", "2", "--k", "1", "--level", "5"],
+         "error: --level has no effect without --qdim\n"),
+        (["verify", "--type", "E6", "--level", "2", "--checks", "roots", "--kmax", "40"],
+         "error: --kmax has no effect without a grid-producing check\n"),
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -396,9 +434,10 @@ def test_cli_type_label_in_either_case(tmp_path):
     # see the upper-cased label
     path = tmp_path / "r.json"
     assert main(["verify", "--type", "e7", "--level", "2", "--kmax", "30",
-                 "--checks", "roots", "--report", str(path)]) == 0
+                 "--checks", "grid", "--report", str(path)]) == 0
     data = json.loads(path.read_text())
     assert data["type"] == "E7" and data["config"]["k_max"] == 30
+    assert len(data["cells"]) == 7 * 31
 
 
 def test_cli_computation_error_exits_1(capsys, monkeypatch):
@@ -447,6 +486,10 @@ def test_reports_are_deterministic():
         # E8's derived rows, filled by subtraction and division
         (RunConfig(type_label="E8", level=2),
          "f66f578f594b060a944de58bfafbbc7b10df322e7ce91fae4a21475446114ab0"),
+        # a deep level, where the scale sums and the cancellation are largest
+        (RunConfig(type_label="E6", level=30, k_max=42,
+                   checks=("roots", "grid", "theorem", "logconcave", "dilog")),
+         "ef20370d22b1da73b594931fae6ed5312fce82233bb0a49f2364ce1cb57b0f3a"),
         (RunConfig(type_label="E7", level=12,
                    checks=("roots", "grid", "theorem", "logconcave", "dilog")),
          "ff3771bad4d18d1d8e2b9e2db2f079d98dc9fdfc4165233e8e60f70c8a199900"),

@@ -72,6 +72,41 @@ def test_is_log_concave_examples():
     assert not is_log_concave(make_sequence([1, 1, 2]))
 
 
+def pairwise_log_concave(seq, strict=False):
+    """a_k a_m >= a_{k-1} a_{m+1} for all interior k <= m, within tolerance."""
+    a, tol = seq.entries, seq.tolerance
+    n = len(a) - 1
+
+    def holds(x, y):
+        return x > y + tol if strict else x >= y - tol
+
+    return all(holds(a[k] * a[m], a[k - 1] * a[m + 1])
+               for k in range(1, n) for m in range(k, n))
+
+
+def test_pairwise_form_agrees_with_is_log_concave():
+    # on positive sequences the pairwise form is equivalent to the triple
+    # form that is_log_concave evaluates
+    rng = random.Random(505)
+    verdicts = set()
+    for _ in range(TRIALS):
+        n = rng.randint(1, 12)
+        seq = random_ratio_sequence(rng, n, strict=rng.random() < 0.5)
+        kind = rng.random()
+        if kind < 0.4:
+            # one entry moved, which may break log-concavity
+            vals = list(seq.entries)
+            vals[rng.randrange(n)] *= rng.uniform(0.5, 1.5)
+            seq = make_sequence(vals)
+        elif kind < 0.6:
+            seq = make_sequence([rng.uniform(0.1, 10.0) for _ in range(n)])
+        for strict in (False, True):
+            verdict = is_log_concave(seq, strict)
+            assert pairwise_log_concave(seq, strict) == verdict, entries(seq)
+            verdicts.add(verdict)
+    assert verdicts == {False, True}
+
+
 def test_palindromize_examples():
     assert entries(palindromize(make_sequence([1, 2]), "odd")) == [1, 2, 2, 1]
     assert entries(palindromize(make_sequence([1, 2]), "even")) == [1, 2, 1]
