@@ -8,8 +8,11 @@ with Q_0(i) = 1; the level-restricted variant additionally fixes
 Q_level(i) = 1 and looks for the unique positive solution on [0, level].
 ``_neighbor_product`` is the one place that forms prod_{j ~ i} Q_k(j), and
 ``_defect`` the one place that forms the recurrence defect: the solver's
-warm start, Newton residual and Jacobian, the grid ``residual`` and
-``dilog_args`` all call them.
+residual and Jacobian, the grid ``residual`` and ``dilog_args`` all call
+them.  ``solve_restricted`` finds that solution on its own: float Newton on
+y = log Q (``_warm_start``), then corrections at working precision, each a
+float solve of the Jacobian against the working-precision defect; both
+phases solve their block-tridiagonal Jacobian with ``_block_thomas``.
 
 ``build_qgrid`` fills the table from the closed-form rows outward, exactly
 mirroring the propagation order of the per-type proofs: extremal rows are
@@ -42,13 +45,11 @@ FULL_GRID_RESIDUAL_TOL = 1e-20
 TWO_PATH_REL_TOL = 1e-22
 DILOG_MARGIN = 1e-10
 
-# Restricted-system solver: the float warm start stops once no cell moves
-# by more than WARM_START_TOL relative (or after WARM_START_SWEEPS sweeps);
-# Newton then gets at most MAX_NEWTON_STEPS steps to bring the normalized
-# residual within the tolerance, SOLVER_TOLERANCE unless the caller gives one.
+# Restricted-system solver: the float Newton start and the corrections at
+# working precision each get at most MAX_NEWTON_STEPS steps; the corrections
+# must bring the normalized residual within the tolerance, SOLVER_TOLERANCE
+# unless the caller gives one.
 SOLVER_TOLERANCE = 1e-30
-WARM_START_TOL = 1e-9
-WARM_START_SWEEPS = 100_000
 MAX_NEWTON_STEPS = 20
 
 
@@ -235,29 +236,6 @@ def residual(grid: QGrid) -> object:
     return worst
 
 
-def _warm_start(rs: RootSystem, level: int) -> list[list[float]]:
-    """Float Gauss-Seidel from all ones, the square-root update swept in
-    increasing (k, node) order, until no cell moves by WARM_START_TOL
-    relative or WARM_START_SWEEPS sweeps have run.
-
-    The update is increasing in every argument and all ones lies below the
-    positive solution, so the sweeps rise monotonically toward it.
-    """
-    x = [[1.0] * (level + 1) for _ in range(rs.rank)]
-    neighbors = _neighbor_rows(rs)
-    for _ in range(WARM_START_SWEEPS):
-        worst = 0.0
-        for k in range(1, level):
-            for i, row in enumerate(x):
-                prod = _neighbor_product(x, neighbors[i], k)
-                new = math.sqrt(row[k - 1] * row[k + 1] + prod)
-                worst = max(worst, abs(new - row[k]) / new)
-                row[k] = new
-        if worst < WARM_START_TOL:
-            break
-    return x
-
-
 def _block_solve(mat, diag, rhs):
     """Solve mat [G | g] = [diag(diag) | rhs] by Gauss-Jordan elimination
     with partial pivoting, all right-hand sides carried through one
@@ -282,18 +260,98 @@ def _block_solve(mat, diag, rhs):
     return [row[n:2 * n] for row in aug], [row[2 * n] for row in aug]
 
 
-def solve_restricted(ctx: LevelContext, tolerance: float = SOLVER_TOLERANCE) -> QGrid:
-    """Newton's method from a float warm start to the unique positive solution.
+def _block_thomas(blocks, lower, upper, rhs):
+    """Solve the block-tridiagonal system whose block row k reads
 
-    The warm start is Gauss-Seidel in plain floats from all ones (see
-    ``_warm_start``), so the solver never reads the KR grid.  Newton steps
-    then run in the context's precision on the unknowns Q_k(i), k in
-    [1, level-1]: the Jacobian is block-tridiagonal in k with rank x rank
-    blocks, and each step is a block Thomas elimination.  Iteration stops
-    once the normalized residual is within ``tolerance``, which must lie
-    above 2^(8 - precision_bits) (so a tolerance <= 0 raises ValueError);
-    exceeding MAX_NEWTON_STEPS or reaching a non-positive cell raises
-    SolverDivergence.  The grid's residual_max is that of the last stopping test.
+        diag(lower[k]) x_{k-1} + blocks[k] x_k + diag(upper[k]) x_{k+1} = rhs[k]
+
+    by block Thomas elimination: the forward pass eliminates each pivot
+    block once with ``_block_solve``, giving x_k = g_k - G_k x_{k+1}, and
+    the backward pass substitutes.  Returns the list of x_k.
+    """
+    gs, gvecs = [], []
+    for block, low, up, r in zip(blocks, lower, upper, rhs):
+        if gs:
+            g_prev, gvec_prev = gs[-1], gvecs[-1]
+            block = [[b - c * x for b, x in zip(brow, grow)]
+                     for brow, c, grow in zip(block, low, g_prev)]
+            r = [ri - c * x for ri, c, x in zip(r, low, gvec_prev)]
+        g, gvec = _block_solve(block, up, r)
+        gs.append(g)
+        gvecs.append(gvec)
+    xs = []
+    for g, gvec in zip(reversed(gs), reversed(gvecs)):
+        if xs:
+            x = xs[-1]
+            gvec = [gi - sum(a * b for a, b in zip(row, x)) for gi, row in zip(gvec, g)]
+        xs.append(gvec)
+    return xs[::-1]
+
+
+def _warm_start(rs: RootSystem, level: int) -> list[list[float]]:
+    """Float Newton on y = log Q from y = 0, returned as rows of Q = e^y.
+
+    The defect at row i and level k is
+    2 y_k(i) - log(e^a + e^b), a = y_{k-1}(i) + y_{k+1}(i), b = sum_{j~i} y_k(j),
+    convex log-sum-exp in y.  Its Jacobian is block-tridiagonal in k: the
+    diagonal block 2I - w_b A (A the Dynkin adjacency, rows scaled by the
+    log-sum-exp weights w_b = e^b / (e^a + e^b)) and off-diagonal blocks
+    -diag(w_a), w_a = 1 - w_b.  Steps stop once the largest |defect| stops
+    falling; if it still falls after MAX_NEWTON_STEPS steps, SolverDivergence
+    is raised.
+    """
+    neighbors = _neighbor_rows(rs)
+    y = [[0.0] * (level + 1) for _ in range(rs.rank)]
+    best = math.inf
+    for step in range(MAX_NEWTON_STEPS + 1):
+        blocks, lower, minus_g = [], [], []
+        worst = 0.0
+        for k in range(1, level):
+            block, w_a, col = [], [], []
+            for i, row in enumerate(y):
+                a = row[k - 1] + row[k + 1]
+                b = sum(y[j][k] for j in neighbors[i])
+                e = math.exp(-abs(a - b))
+                wa = 1 / (1 + e) if a >= b else e / (1 + e)
+                g = 2 * row[k] - max(a, b) - math.log1p(e)
+                worst = max(worst, abs(g))
+                line = [0.0] * len(y)
+                line[i] = 2.0
+                for j in neighbors[i]:
+                    line[j] = wa - 1
+                block.append(line)
+                w_a.append(-wa)
+                col.append(-g)
+            blocks.append(block)
+            lower.append(w_a)
+            minus_g.append(col)
+        if not worst < best:
+            break
+        if step == MAX_NEWTON_STEPS:
+            raise SolverDivergence(f"no convergence within {MAX_NEWTON_STEPS} Newton steps; "
+                                   f"last float log defect {worst:.3g}")
+        best = worst
+        for k, dy in enumerate(_block_thomas(blocks, lower, lower, minus_g), 1):
+            for row, d in zip(y, dy):
+                row[k] += d
+    return [[math.exp(c) for c in row] for row in y]
+
+
+def solve_restricted(ctx: LevelContext, tolerance: float = SOLVER_TOLERANCE) -> QGrid:
+    """Newton's method from a float start to the unique positive solution.
+
+    The unknowns are Q_k(i), k in [1, level-1].  The start is float Newton
+    on y = log Q from Q = 1 (see ``_warm_start``), so the solver never reads
+    the KR grid.  Corrections then follow at the context's precision: the
+    recurrence defect F is formed in ``ctx.mp`` by ``_defect``, and each
+    correction solves J dQ = -F with the Jacobian J and -F rounded to
+    float, J block-tridiagonal in k with rank x rank blocks, by block
+    Thomas elimination (iterative refinement).  Iteration stops once the
+    normalized residual is within ``tolerance``, which must lie above
+    2^(8 - precision_bits) (so a tolerance <= 0 raises ValueError); the
+    start or the corrections exceeding MAX_NEWTON_STEPS steps, a singular
+    Jacobian block or a non-positive cell raises SolverDivergence.  The grid's residual_max is
+    that of the last stopping test.
     """
     mp = ctx.mp
     tol = mp.mpf(tolerance)
@@ -314,39 +372,29 @@ def solve_restricted(ctx: LevelContext, tolerance: float = SOLVER_TOLERANCE) -> 
             for i in range(rank):
                 fi, size = _defect(v, neighbors, i, k)
                 res = max(res, size)
-                col.append(-fi)
+                col.append(-float(fi))
             minus_f.append(col)
         if res <= tol:
             break
         if step == MAX_NEWTON_STEPS:
             raise SolverDivergence(
                 f"no convergence within {MAX_NEWTON_STEPS} Newton steps; last residual {res}")
-        # Block Thomas elimination of J dx = -F.  Block row k holds
-        # diag(-Q_{k+1}) left of the diagonal block and diag(-Q_{k-1}) right
-        # of it; G_k = M_k^{-1} diag(-Q_{k-1}) and g_k carry the forward pass.
-        gs, gvecs = [], []
+        # Block row k holds diag(-Q_{k+1}) left of the diagonal block and
+        # diag(-Q_{k-1}) right of it.
+        q = [[float(c) for c in row] for row in v]
+        blocks = []
         for k in range(1, level):
-            block = [[0] * rank for _ in range(rank)]
-            rhs = minus_f[k - 1]
+            block = [[0.0] * rank for _ in range(rank)]
             for i in range(rank):
-                block[i][i] = 2 * v[i][k]
+                block[i][i] = 2 * q[i][k]
                 for j in neighbors[i]:
-                    block[i][j] = -_neighbor_product(v, neighbors[i], k, skip=j)
-            if gs:
-                for i in range(rank):
-                    lower = -v[i][k + 1]
-                    for j in range(rank):
-                        block[i][j] -= lower * gs[-1][i][j]
-                    rhs[i] -= lower * gvecs[-1][i]
-            g, gvec = _block_solve(block, [-v[i][k - 1] for i in range(rank)], rhs)
-            gs.append(g)
-            gvecs.append(gvec)
-        dx = gvecs[-1]
-        for k in range(level - 1, 0, -1):
-            if k < level - 1:
-                dx = [gvecs[k - 1][i] - mp.fdot(gs[k - 1][i], dx) for i in range(rank)]
-            for i in range(rank):
-                v[i][k] += dx[i]
+                    block[i][j] = -_neighbor_product(q, neighbors[i], k, skip=j)
+            blocks.append(block)
+        lower = [[-row[k + 1] for row in q] for k in range(1, level)]
+        upper = [[-row[k - 1] for row in q] for k in range(1, level)]
+        for k, dx in enumerate(_block_thomas(blocks, lower, upper, minus_f), 1):
+            for i, d in enumerate(dx):
+                v[i][k] += d
                 if not v[i][k] > 0:
                     raise SolverDivergence(
                         f"Newton step {step + 1} left cell (node {i + 1}, k={k}) non-positive")

@@ -229,6 +229,50 @@ def test_solver_deep_levels(rs_map, label, level):
             assert rel_diff(ctx.mp, a, mirror) <= SYMMETRY_TOL, (i, k)
 
 
+@pytest.mark.parametrize("label,level", [("E6", 30), ("E7", 28), ("E7", 40), ("E8", 24),
+                                         ("E8", 30)])
+def test_solver_converges_at_deep_levels(rs_map, label, level):
+    rs = rs_map[label]
+    ctx = LevelContext(rs, level)
+    solved = solve_restricted(ctx)
+    assert solved.residual_max <= 1e-30
+    for i in range(1, rs.rank + 1):
+        for k in range(level + 1):
+            a = solved.cell(i, k)
+            assert a > 0, (i, k)
+            assert rel_diff(ctx.mp, a, solved.cell(i, level - k)) <= SYMMETRY_TOL, (i, k)
+
+
+@pytest.mark.parametrize("label,level", [("E8", 24), ("E7", 40)])
+def test_solve_at_256_bits(capsys, label, level):
+    assert main(["solve", "--type", label, "--level", str(level),
+                 "--precision-bits", "256", "--tol", "1e-70"]) == 0
+    first = capsys.readouterr().out.splitlines()[0]
+    assert first.startswith("converged, residual ")
+    assert mpmath.mpf(first.split()[-1]) <= mpmath.mpf("1e-70")
+
+
+@pytest.mark.parametrize("label,level", [
+    ("E6", 4), ("E6", 8), ("E7", 3), ("E7", 5), ("E8", 3),  # the solve-deep workload
+    ("E6", 2), ("E7", 2), ("E8", 2),  # and verify-matrix's other configurations
+])
+def test_solver_defect_passes_per_solve(rs_map, monkeypatch, label, level):
+    # the float start leaves an error near 1e-16, which two corrections at
+    # 128 bits remove: at most two full passes of the defect before the
+    # final stopping test
+    rs = rs_map[label]
+    calls = []
+    original = qsolver._defect
+
+    def counting(*args):
+        calls.append(args[2:])
+        return original(*args)
+
+    monkeypatch.setattr(qsolver, "_defect", counting)
+    solve_restricted(LevelContext(rs, level))
+    assert len(calls) <= 3 * rs.rank * (level - 1)
+
+
 def test_solver_never_reads_the_grid(e7, monkeypatch):
     # the two solution paths stay independent: no KR value seeds the solver
     def forbidden(*args, **kwargs):

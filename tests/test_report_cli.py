@@ -482,10 +482,10 @@ def test_reports_are_deterministic():
     cases = (
         (RunConfig(type_label="E6", level=3, checks=("grid", "theorem", "dilog")), None),
         (RunConfig(type_label="E6", level=4),
-         "ed7355c7e4e6b54fcd515ad74f9d845d6a1324da7958805f7cd67d769437b9d2"),
+         "d753a2798a4c98e49005334431e965e0160d9e2c33b006e4640e181119093fe0"),
         # E8's derived rows, filled by subtraction and division
         (RunConfig(type_label="E8", level=2),
-         "f66f578f594b060a944de58bfafbbc7b10df322e7ce91fae4a21475446114ab0"),
+         "a2d568ffa640e4b0936aa9a17645f8726fa97d378e83ba10eabce9e13ede337a"),
         # a deep level, where the scale sums and the cancellation are largest
         (RunConfig(type_label="E6", level=30, k_max=42,
                    checks=("roots", "grid", "theorem", "logconcave", "dilog")),
@@ -515,7 +515,7 @@ def test_solve_output_is_pinned(capsys):
         assert main(["solve", "--type", label, "--level", str(level)]) == 0
         out.append(capsys.readouterr().out)
     digest = hashlib.sha256("".join(out).encode()).hexdigest()
-    assert digest == "18ac2f84f70bd3cc9c6be6c23d17139f5ce64fcc68382e829ed566a449cd88a7"
+    assert digest == "fe07a7adee728a39390c4219aa78b0497b52ced7eefca99e2fc742d6e74d0ccf"
 
 
 @pytest.mark.parametrize("label", ["E6", "E7", "E8"])
