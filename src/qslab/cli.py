@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 from typing import NoReturn
 
 from . import affweyl, krchar, qsolver, report, seqanalysis
@@ -320,7 +321,13 @@ def _cmd_logconcave(args) -> int:
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The qslab argument parser, built once per process.
+
+    Parsing leaves the parser as it was and returns a fresh Namespace, so
+    every ``main`` call in a process shares this one.
+    """
     parser = argparse.ArgumentParser(
         prog="qslab",
         description="Quantum dimensions at roots of unity and restricted Q-systems "

@@ -33,10 +33,6 @@ class KRDecomposition:
                 raise ValueError(f"duplicate weight {weight} in decomposition")
             seen.add(weight)
 
-    @property
-    def total_multiplicity(self) -> int:
-        return sum(m for m, _ in self.terms)
-
 
 # Chari's formulas, one shell per running index j.  At the nested nodes box
 # count k sums the shells 0..k, at the other direct nodes shell k alone.

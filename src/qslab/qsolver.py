@@ -72,8 +72,9 @@ def proven_positivity_window(rs: RootSystem, node: int, level: int, k: int) -> b
 
 class SolverDivergence(RuntimeError):
     """Raised when the restricted-system solver does not reach its tolerance
-    within MAX_NEWTON_STEPS Newton steps, meets a singular Jacobian block, or
-    takes a step that leaves a cell non-positive."""
+    within MAX_NEWTON_STEPS Newton steps, meets a singular Jacobian block,
+    overflows the float range in a defect or a step, or takes a step that
+    leaves a cell non-positive."""
 
 
 @dataclass
@@ -297,8 +298,8 @@ def _warm_start(rs: RootSystem, level: int) -> list[list[float]]:
     diagonal block 2I - w_b A (A the Dynkin adjacency, rows scaled by the
     log-sum-exp weights w_b = e^b / (e^a + e^b)) and off-diagonal blocks
     -diag(w_a), w_a = 1 - w_b.  Steps stop once the largest |defect| stops
-    falling; if it still falls after MAX_NEWTON_STEPS steps, SolverDivergence
-    is raised.
+    falling; if it still falls after MAX_NEWTON_STEPS steps, or a defect or
+    a returned cell is not a finite float, SolverDivergence is raised.
     """
     neighbors = _neighbor_rows(rs)
     y = [[0.0] * (level + 1) for _ in range(rs.rank)]
@@ -314,6 +315,9 @@ def _warm_start(rs: RootSystem, level: int) -> list[list[float]]:
                 e = math.exp(-abs(a - b))
                 wa = 1 / (1 + e) if a >= b else e / (1 + e)
                 g = 2 * row[k] - max(a, b) - math.log1p(e)
+                if not math.isfinite(g):
+                    raise SolverDivergence(f"float overflow: log defect {g} at cell "
+                                           f"(node {i + 1}, k={k})")
                 worst = max(worst, abs(g))
                 line = [0.0] * len(y)
                 line[i] = 2.0
@@ -334,7 +338,12 @@ def _warm_start(rs: RootSystem, level: int) -> list[list[float]]:
         for k, dy in enumerate(_block_thomas(blocks, lower, lower, minus_g), 1):
             for row, d in zip(y, dy):
                 row[k] += d
-    return [[math.exp(c) for c in row] for row in y]
+    try:
+        return [[math.exp(c) for c in row] for row in y]
+    except OverflowError:
+        c, i, k = max((c, i, k) for i, row in enumerate(y) for k, c in enumerate(row))
+        raise SolverDivergence(f"float overflow: cell (node {i + 1}, k={k}) "
+                               f"is e^{c:.6g}") from None
 
 
 def solve_restricted(ctx: LevelContext, tolerance: float = SOLVER_TOLERANCE) -> QGrid:
@@ -350,7 +359,8 @@ def solve_restricted(ctx: LevelContext, tolerance: float = SOLVER_TOLERANCE) -> 
     normalized residual is within ``tolerance``, which must lie above
     2^(8 - precision_bits) (so a tolerance <= 0 raises ValueError); the
     start or the corrections exceeding MAX_NEWTON_STEPS steps, a singular
-    Jacobian block or a non-positive cell raises SolverDivergence.  The grid's residual_max is
+    Jacobian block, a defect or step that overflows to a non-finite float or
+    a non-positive cell raises SolverDivergence.  The grid's residual_max is
     that of the last stopping test.
     """
     mp = ctx.mp
@@ -371,8 +381,12 @@ def solve_restricted(ctx: LevelContext, tolerance: float = SOLVER_TOLERANCE) -> 
             col = []
             for i in range(rank):
                 fi, size = _defect(v, neighbors, i, k)
+                minus_fi = -float(fi)
+                if not math.isfinite(minus_fi):
+                    raise SolverDivergence(f"float overflow: defect {-minus_fi} at cell "
+                                           f"(node {i + 1}, k={k}) before Newton step {step + 1}")
                 res = max(res, size)
-                col.append(-float(fi))
+                col.append(minus_fi)
             minus_f.append(col)
         if res <= tol:
             break
@@ -394,6 +408,9 @@ def solve_restricted(ctx: LevelContext, tolerance: float = SOLVER_TOLERANCE) -> 
         upper = [[-row[k - 1] for row in q] for k in range(1, level)]
         for k, dx in enumerate(_block_thomas(blocks, lower, upper, minus_f), 1):
             for i, d in enumerate(dx):
+                if not math.isfinite(d):
+                    raise SolverDivergence(f"float overflow: Newton step {step + 1} is {d} "
+                                           f"at cell (node {i + 1}, k={k})")
                 v[i][k] += d
                 if not v[i][k] > 0:
                     raise SolverDivergence(

@@ -11,8 +11,8 @@ weight.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
+from operator import add
 from typing import Sequence
 
 Weight = tuple[int, ...]
@@ -215,26 +215,6 @@ class RootSystem:
         return self.root_as_weight(self.highest_root_index)
 
     @cached_property
-    def inverse_cartan(self) -> tuple[tuple[Fraction, ...], ...]:
-        """Exact inverse of the Cartan matrix (Gauss-Jordan over Q)."""
-        n = self.rank
-        aug = [
-            [Fraction(self.cartan[i][j]) for j in range(n)]
-            + [Fraction(1 if i == j else 0) for j in range(n)]
-            for i in range(n)
-        ]
-        for col in range(n):
-            piv = next(r for r in range(col, n) if aug[r][col] != 0)
-            aug[col], aug[piv] = aug[piv], aug[col]
-            inv = Fraction(1) / aug[col][col]
-            aug[col] = [x * inv for x in aug[col]]
-            for r in range(n):
-                if r != col and aug[r][col] != 0:
-                    f = aug[r][col]
-                    aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-        return tuple(tuple(row[n:]) for row in aug)
-
-    @cached_property
     def neighbors(self) -> dict[int, tuple[int, ...]]:
         """Dynkin adjacency, 1-based nodes."""
         return {
@@ -265,14 +245,6 @@ class RootSystem:
     def simple_root_as_weight(self, i: int) -> Weight:
         """alpha_i in the fundamental-weight basis (row i of the Cartan matrix)."""
         return self.cartan[i - 1]
-
-    def to_root_basis(self, weight: Sequence[int]) -> tuple[Fraction, ...]:
-        """Exact coordinates of a weight over the simple roots."""
-        inv = self.inverse_cartan
-        return tuple(
-            sum(inv[i][j] * weight[j] for j in range(self.rank))
-            for i in range(self.rank)
-        )
 
     def find_root(self, coeffs: Sequence[int]) -> int:
         """Canonical index of a root given by its coefficient vector."""
@@ -324,40 +296,53 @@ def build_root_system(spec: str | Sequence[Sequence[int]]) -> RootSystem:
     Positive roots are enumerated by additive closure: starting from the
     simple roots, beta + alpha_j is appended whenever (beta | alpha_j) < 0,
     which for simply-laced systems is the exact root-addition criterion.
-    The closure is then sorted by height, then lexicographically.
+    Each root carries its Cartan image C beta, whose entry j is
+    (beta | alpha_j), so a step adds column j of C to it; beta + alpha_j has
+    norm 4 + 2 (beta | alpha_j), which is 2 only for a pairing of -1.  The
+    closure is then sorted by height, then lexicographically.
+
+    A label is built once per process and the same RootSystem returned for
+    it, in either case, afterwards; a Cartan matrix is built afresh.
     """
     if isinstance(spec, str):
-        label = spec.upper()
-        cartan = cartan_matrix(label)
-    else:
-        label = "custom"
-        cartan = _validate_cartan(spec)
-    rank = len(cartan)
+        return _labelled_root_system(spec.upper())
+    return _closure("custom", _validate_cartan(spec))
 
+
+@cache
+def _labelled_root_system(label: str) -> RootSystem:
+    rs = _closure(label, cartan_matrix(label))
+    expected = TYPE_DATA[label].positive_roots
+    if len(rs.positive_roots) != expected:
+        raise AssertionError(
+            f"{label}: enumerated {len(rs.positive_roots)} positive roots, expected {expected}"
+        )
+    return rs
+
+
+def _closure(label: str, cartan: tuple[tuple[int, ...], ...]) -> RootSystem:
+    rank = len(cartan)
     simple = [tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)]
     roots = set(simple)
-    frontier = list(simple)
+    # C is symmetric, so the image of alpha_i is row i.
+    frontier = list(zip(simple, cartan))
     while frontier:
         fresh = []
-        for b in frontier:
-            # (beta | alpha_j) in the length-2 normalization is (C b)_j.
-            for j in range(rank):
-                if sum(cartan[j][i] * b[i] for i in range(rank)) < 0:
-                    nb = tuple(b[i] + (1 if i == j else 0) for i in range(rank))
-                    if nb not in roots:
-                        # every root of a finite simply-laced system has norm
-                        # 2; a norm <= 0 vector certifies an affine/indefinite
-                        # matrix even when the closure stalls early.
-                        norm = sum(
-                            nb[p] * cartan[p][q] * nb[q]
-                            for p in range(rank) for q in range(rank)
+        for b, image in frontier:
+            for j, pair in enumerate(image):
+                if pair < 0:
+                    # every root of a finite simply-laced system has norm
+                    # 2; a pairing below -1 gives b + alpha_j norm <= 0,
+                    # which certifies an affine/indefinite matrix even when
+                    # the closure stalls early.
+                    if pair != -1:
+                        raise ValueError(
+                            "closure produced a non-root vector: not of finite type"
                         )
-                        if norm != 2:
-                            raise ValueError(
-                                "closure produced a non-root vector: not of finite type"
-                            )
+                    nb = b[:j] + (b[j] + 1,) + b[j + 1:]
+                    if nb not in roots:
                         roots.add(nb)
-                        fresh.append(nb)
+                        fresh.append((nb, tuple(map(add, image, cartan[j]))))
         if len(roots) > _CLOSURE_BOUND:
             raise ValueError("closure does not terminate: not of finite type")
         frontier = fresh
@@ -366,23 +351,15 @@ def build_root_system(spec: str | Sequence[Sequence[int]]) -> RootSystem:
     top_height = sum(ordered[-1])
     if len(ordered) > 1 and sum(ordered[-2]) == top_height:
         raise ValueError("no unique highest root: input is not irreducible finite type")
-    marks = ordered[-1]
-    rs = RootSystem(
+    return RootSystem(
         type_label=label,
         rank=rank,
         cartan=cartan,
         positive_roots=tuple(ordered),
-        marks=marks,
+        marks=ordered[-1],
         coxeter_number=top_height + 1,
         highest_root_index=len(ordered) - 1,
     )
-    if label in TYPE_DATA:
-        expected = TYPE_DATA[label].positive_roots
-        if len(ordered) != expected:
-            raise AssertionError(
-                f"{label}: enumerated {len(ordered)} positive roots, expected {expected}"
-            )
-    return rs
 
 
 def delta(rs: RootSystem, node: int) -> int:

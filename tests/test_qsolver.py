@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import random
 
 import mpmath
@@ -298,6 +299,31 @@ def test_solver_divergence_is_reported(e6, monkeypatch, capsys):
     assert len(solver) == 1
     assert solver[0]["status"] == "fail" and solver[0]["proven"]
     assert solver[0]["note"].startswith("no convergence within 1 Newton steps")
+
+
+def test_solver_float_overflow_is_named(e8, capsys):
+    # at E8 L140 the warm start's cells reach 4e167, so a squared cell and
+    # the defect leave the float range; at L130 the defect still fits but
+    # the float Jacobian's neighbour products do not
+    with pytest.raises(SolverDivergence, match="float overflow: defect"):
+        solve_restricted(LevelContext(e8, 140))
+    with pytest.raises(SolverDivergence, match="float overflow: Newton step 1 is nan"):
+        solve_restricted(LevelContext(e8, 130))
+    assert main(["solve", "--type", "E8", "--level", "250"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: float overflow") and "at cell (node" in err
+
+
+@pytest.mark.parametrize("step,message", [
+    # a log step of 800 leaves every Q = e^y above the float range (e^709.8)
+    (800.0, r"float overflow: cell \(node \d, k=\d\) is e\^800"),
+    (math.inf, r"float overflow: log defect nan at cell \(node \d, k=\d\)"),
+])
+def test_warm_start_overflow_is_named(e6, monkeypatch, step, message):
+    monkeypatch.setattr(qsolver, "_block_thomas",
+                        lambda blocks, lower, upper, rhs: [[step] * len(b) for b in blocks])
+    with pytest.raises(SolverDivergence, match=message):
+        solve_restricted(LevelContext(e6, 4))
 
 
 def test_solver_rejects_nonpositive_cells(a1, monkeypatch):

@@ -5,7 +5,10 @@ import hashlib
 import json
 import os
 import random
+import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -505,6 +508,30 @@ def test_reports_are_deterministic():
             assert digest == golden, (cfg.type_label, cfg.level)
     branden = [c for c in a["checks"] if c["name"] == "branden"]
     assert [c["note"] for c in branden] == ["not_real_negative (non-real root (exact count))"]
+
+
+def test_cli_calls_in_one_process_match_fresh_interpreters(capsys):
+    # main shares one parser and one root system per type across calls; each
+    # call's output must be what a fresh interpreter prints, so no default
+    # or state leaks from one call into the next
+    calls = (
+        ["verify", "--type", "E6", "--level", "2", "--checks", "roots"],
+        ["verify", "--type", "E6", "--level", "2"],
+        ["solve", "--type", "E6", "--level", "4", "--tol", "1e-20"],
+        ["solve", "--type", "E6", "--level", "4"],
+    )
+    src = str(Path(qslab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    drop_duration = functools.partial(re.sub, r'"duration_seconds": [0-9.e-]+', "")
+    outputs = []
+    for argv in calls:
+        code = main(argv)
+        out = capsys.readouterr().out
+        fresh = subprocess.run([sys.executable, "-m", "qslab.cli", *argv], env=env,
+                               capture_output=True, text=True, check=False)
+        assert (code, drop_duration(out)) == (fresh.returncode, drop_duration(fresh.stdout)), argv
+        outputs.append(out)
+    assert outputs[2] != outputs[3]  # the two tolerances stop at different residuals
 
 
 def test_solve_output_is_pinned(capsys):

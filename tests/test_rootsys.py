@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 import qslab
@@ -7,11 +9,14 @@ from qslab.report import load_appendix_map, load_fixture_rows
 from qslab.rootsys import (
     a_series_cartan,
     build_root_system,
+    cartan_matrix,
     delta,
     fundamental_weight,
     height_symmetry_check,
     lee_witness,
 )
+
+from rootbasis import to_root_basis
 
 
 def reflection_orbit_positive_roots(cartan):
@@ -37,6 +42,60 @@ def reflection_orbit_positive_roots(cartan):
                     fresh.append(image)
         frontier = fresh
     return {b for b in seen if all(c >= 0 for c in b)}
+
+
+def norm_test_closure_positive_roots(cartan):
+    """Reference closure: (b | alpha_j) and the norm of b + alpha_j each
+    recomputed from the Cartan matrix, in canonical order."""
+    rank = len(cartan)
+    simple = [tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)]
+    roots = set(simple)
+    frontier = list(simple)
+    while frontier:
+        fresh = []
+        for b in frontier:
+            for j in range(rank):
+                if sum(cartan[j][i] * b[i] for i in range(rank)) < 0:
+                    nb = tuple(b[i] + (1 if i == j else 0) for i in range(rank))
+                    if nb not in roots:
+                        norm = sum(nb[p] * cartan[p][q] * nb[q]
+                                   for p in range(rank) for q in range(rank))
+                        assert norm == 2
+                        roots.add(nb)
+                        fresh.append(nb)
+        frontier = fresh
+    return tuple(sorted(roots, key=lambda b: (sum(b), b)))
+
+
+def d_series_cartan(rank):
+    """Cartan matrix of D_n: the chain 1..n-1 with node n joined to node n-2."""
+    edges = [(i, i + 1) for i in range(rank - 2)] + [(rank - 3, rank - 1)]
+    rows = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
+    for a, b in edges:
+        rows[a][b] = rows[b][a] = -1
+    return rows
+
+
+@pytest.mark.parametrize(
+    "cartan,count",
+    [(cartan_matrix(label), n) for label, n in (("E6", 36), ("E7", 63), ("E8", 120))]
+    + [(a_series_cartan(n), n * (n + 1) // 2) for n in range(1, 9)]
+    + [(d_series_cartan(n), n * (n - 1)) for n in range(4, 9)],
+)
+def test_closure_matches_norm_test_reference(cartan, count):
+    rs = build_root_system(cartan)
+    assert rs.positive_roots == norm_test_closure_positive_roots(cartan)
+    assert len(rs.positive_roots) == count
+
+
+def test_labelled_builds_are_shared():
+    assert build_root_system("e7") is build_root_system("E7")
+    # a matrix spec is built afresh each time, equal to the labelled build
+    # apart from its label
+    first = build_root_system(cartan_matrix("E7"))
+    second = build_root_system(cartan_matrix("E7"))
+    assert first is not second and first == second
+    assert dataclasses.replace(first, type_label="E7") == build_root_system("E7")
 
 
 @pytest.mark.parametrize("label,count", [("E6", 36), ("E7", 63), ("E8", 120)])
@@ -225,6 +284,11 @@ def test_invalid_cartan_matrices():
     with pytest.raises(ValueError):
         # affine 3-cycle: simply-laced entries but infinite type
         build_root_system([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]])
+    with pytest.raises(ValueError, match="non-root vector"):
+        # affine D4, the centre joined to four leaves: the sum of all five
+        # simple roots pairs -2 with the centre
+        build_root_system([[2, -1, -1, -1, -1], [-1, 2, 0, 0, 0], [-1, 0, 2, 0, 0],
+                           [-1, 0, 0, 2, 0], [-1, 0, 0, 0, 2]])
     with pytest.raises(ValueError):
         build_root_system([[2, 0], [0, 2]])  # reducible
     with pytest.raises(ValueError):
@@ -235,7 +299,7 @@ def test_invalid_cartan_matrices():
 
 def test_to_root_basis_roundtrip(e6):
     w = (1, 0, 2, 0, 0, 1)
-    coords = e6.to_root_basis(w)
+    coords = to_root_basis(e6, w)
     back = tuple(
         sum(e6.cartan[j][i] * coords[i] for i in range(6)) for j in range(6)
     )
