@@ -34,18 +34,10 @@ class KRDecomposition:
             seen.add(weight)
 
 
-# Chari's formulas, one shell per running index j.  At the nested nodes box
-# count k sums the shells 0..k, at the other direct nodes shell k alone.
-# Shell j is r w_a + (j - r) w_b for r = 0..j at the paired nodes (0-based
-# coordinates a, b) and j w_node everywhere else.
-_NESTED_NODES = {("E6", 2), ("E7", 1), ("E8", 8), ("E8", 1)}
-_PAIRED_SHELLS = {("E7", 2): (1, 6), ("E8", 1): (0, 7)}
-
-
 def _chari_shell(rs: RootSystem, node: int, j: int) -> list[Weight]:
     """The weights of shell j of Chari's formula at a direct node, in summation order."""
     n = rs.rank
-    pair = _PAIRED_SHELLS.get((rs.type_label, node))
+    pair = type_data(rs.type_label).paired_shells.get(node)
     if pair is None:
         return [fundamental_weight(n, node, j)]
     a, b = pair
@@ -69,8 +61,8 @@ def chari_decomposition(rs: RootSystem, node: int, box_count: int) -> KRDecompos
     in floating point; ``chari_qdim`` builds its rows on them.
     """
     _check_direct(rs, node, box_count)
-    label, k = rs.type_label, box_count
-    shells = range(k + 1) if (label, node) in _NESTED_NODES else (k,)
+    k = box_count
+    shells = range(k + 1) if node in type_data(rs.type_label).nested_nodes else (k,)
     terms = [(1, w) for j in shells for w in _chari_shell(rs, node, j)]
     return KRDecomposition(node=node, box_count=k, terms=tuple(terms))
 
@@ -136,7 +128,7 @@ def chari_qdim(node: int, box_count: int, ctx: LevelContext) -> QReal:
     rs = ctx.root_system
     _check_direct(rs, node, box_count)
     rows = ctx._chari_rows.setdefault(node, [])
-    nested = (rs.type_label, node) in _NESTED_NODES
+    nested = node in type_data(rs.type_label).nested_nodes
     while len(rows) <= box_count:
         k = len(rows)
         shell = [(1, w) for w in _chari_shell(rs, node, k)]

@@ -7,12 +7,12 @@ The recurrence tying the grid together is, at every node i and level k >= 1,
 with Q_0(i) = 1; the level-restricted variant additionally fixes
 Q_level(i) = 1 and looks for the unique positive solution on [0, level].
 ``_neighbor_product`` is the one place that forms prod_{j ~ i} Q_k(j), and
-``_defect`` the one place that forms the recurrence defect: the solver's
-residual and Jacobian, the grid ``residual`` and ``dilog_args`` all call
-them.  ``solve_restricted`` finds that solution on its own: float Newton on
-y = log Q (``_warm_start``), then corrections at working precision, each a
-float solve of the Jacobian against the working-precision defect; both
-phases solve their block-tridiagonal Jacobian with ``_block_thomas``.
+``_defect`` the one place that forms the recurrence defect: the solver,
+the grid ``residual`` and ``dilog_args`` all call them.
+``solve_restricted`` finds that solution on its own: float Newton on
+y = log Q (``_warm_start``), then corrections against the defect at working
+precision; every step solves the one float log-variable Jacobian of
+``_log_newton_step`` with ``_block_thomas``.
 
 ``build_qgrid`` fills the table from the closed-form rows outward, exactly
 mirroring the propagation order of the per-type proofs: extremal rows are
@@ -73,8 +73,8 @@ def proven_positivity_window(rs: RootSystem, node: int, level: int, k: int) -> b
 class SolverDivergence(RuntimeError):
     """Raised when the restricted-system solver does not reach its tolerance
     within MAX_NEWTON_STEPS Newton steps, meets a singular Jacobian block,
-    overflows the float range in a defect or a step, or takes a step that
-    leaves a cell non-positive."""
+    overflows the float range in the float start or in a step, or takes a
+    step that leaves a cell non-positive."""
 
 
 @dataclass
@@ -102,17 +102,15 @@ def _neighbor_rows(rs: RootSystem) -> list[list[int]]:
     return [[j - 1 for j in rs.neighbors[i]] for i in range(1, rs.rank + 1)]
 
 
-def _neighbor_product(values, neighbors: Sequence[int], k: int, skip: int | None = None):
+def _neighbor_product(values, neighbors: Sequence[int], k: int):
     """prod_{j ~ i} Q_k(j): the product of values[j][k] over the neighbour
-    rows j of node i, leaving out row ``skip``; 1 when there are none, None
-    when a factor is None."""
+    rows j of node i; 1 when there are none, None when a factor is None."""
     prod = 1
     for j in neighbors:
-        if j != skip:
-            v = values[j][k]
-            if v is None:
-                return None
-            prod *= v
+        v = values[j][k]
+        if v is None:
+            return None
+        prod *= v
     return prod
 
 
@@ -261,23 +259,23 @@ def _block_solve(mat, diag, rhs):
     return [row[n:2 * n] for row in aug], [row[2 * n] for row in aug]
 
 
-def _block_thomas(blocks, lower, upper, rhs):
+def _block_thomas(blocks, off, rhs):
     """Solve the block-tridiagonal system whose block row k reads
 
-        diag(lower[k]) x_{k-1} + blocks[k] x_k + diag(upper[k]) x_{k+1} = rhs[k]
+        diag(off[k]) x_{k-1} + blocks[k] x_k + diag(off[k]) x_{k+1} = rhs[k]
 
     by block Thomas elimination: the forward pass eliminates each pivot
     block once with ``_block_solve``, giving x_k = g_k - G_k x_{k+1}, and
     the backward pass substitutes.  Returns the list of x_k.
     """
     gs, gvecs = [], []
-    for block, low, up, r in zip(blocks, lower, upper, rhs):
+    for block, o, r in zip(blocks, off, rhs):
         if gs:
             g_prev, gvec_prev = gs[-1], gvecs[-1]
             block = [[b - c * x for b, x in zip(brow, grow)]
-                     for brow, c, grow in zip(block, low, g_prev)]
-            r = [ri - c * x for ri, c, x in zip(r, low, gvec_prev)]
-        g, gvec = _block_solve(block, up, r)
+                     for brow, c, grow in zip(block, o, g_prev)]
+            r = [ri - c * x for ri, c, x in zip(r, o, gvec_prev)]
+        g, gvec = _block_solve(block, o, r)
         gs.append(g)
         gvecs.append(gvec)
     xs = []
@@ -289,53 +287,63 @@ def _block_thomas(blocks, lower, upper, rhs):
     return xs[::-1]
 
 
+def _log_newton_step(neighbors: list[list[int]], weights, rhs):
+    """Solve the log-variable Jacobian for dy = dQ / Q against ``rhs``.
+
+    ``weights[k - 1][i]`` is the share w of Q_{k-1} Q_{k+1} in the recurrence
+    at node i and level k.  Block row k has the diagonal block 2I - (1 - w) A
+    (A the Dynkin adjacency, row i scaled by its w) and off-diagonal -diag(w).
+    """
+    blocks = []
+    for col in weights:
+        block = [[0.0] * len(col) for _ in col]
+        for i, w in enumerate(col):
+            block[i][i] = 2.0
+            for j in neighbors[i]:
+                block[i][j] = w - 1
+        blocks.append(block)
+    return _block_thomas(blocks, [[-w for w in col] for col in weights], rhs)
+
+
 def _warm_start(rs: RootSystem, level: int) -> list[list[float]]:
     """Float Newton on y = log Q from y = 0, returned as rows of Q = e^y.
 
     The defect at row i and level k is
     2 y_k(i) - log(e^a + e^b), a = y_{k-1}(i) + y_{k+1}(i), b = sum_{j~i} y_k(j),
-    convex log-sum-exp in y.  Its Jacobian is block-tridiagonal in k: the
-    diagonal block 2I - w_b A (A the Dynkin adjacency, rows scaled by the
-    log-sum-exp weights w_b = e^b / (e^a + e^b)) and off-diagonal blocks
-    -diag(w_a), w_a = 1 - w_b.  Steps stop once the largest |defect| stops
-    falling; if it still falls after MAX_NEWTON_STEPS steps, or a defect or
-    a returned cell is not a finite float, SolverDivergence is raised.
+    convex log-sum-exp in y.  Its Jacobian is the one of
+    ``_log_newton_step`` with the log-sum-exp weight w = e^a / (e^a + e^b).
+    Steps stop once the largest |defect| stops falling; if it still falls
+    after MAX_NEWTON_STEPS steps, or a defect or a returned cell is not a
+    finite float, SolverDivergence is raised.
     """
     neighbors = _neighbor_rows(rs)
     y = [[0.0] * (level + 1) for _ in range(rs.rank)]
     best = math.inf
     for step in range(MAX_NEWTON_STEPS + 1):
-        blocks, lower, minus_g = [], [], []
+        weights, minus_g = [], []
         worst = 0.0
         for k in range(1, level):
-            block, w_a, col = [], [], []
+            w_col, g_col = [], []
             for i, row in enumerate(y):
                 a = row[k - 1] + row[k + 1]
                 b = sum(y[j][k] for j in neighbors[i])
                 e = math.exp(-abs(a - b))
-                wa = 1 / (1 + e) if a >= b else e / (1 + e)
+                w_col.append(1 / (1 + e) if a >= b else e / (1 + e))
                 g = 2 * row[k] - max(a, b) - math.log1p(e)
                 if not math.isfinite(g):
                     raise SolverDivergence(f"float overflow: log defect {g} at cell "
                                            f"(node {i + 1}, k={k})")
                 worst = max(worst, abs(g))
-                line = [0.0] * len(y)
-                line[i] = 2.0
-                for j in neighbors[i]:
-                    line[j] = wa - 1
-                block.append(line)
-                w_a.append(-wa)
-                col.append(-g)
-            blocks.append(block)
-            lower.append(w_a)
-            minus_g.append(col)
+                g_col.append(-g)
+            weights.append(w_col)
+            minus_g.append(g_col)
         if not worst < best:
             break
         if step == MAX_NEWTON_STEPS:
             raise SolverDivergence(f"no convergence within {MAX_NEWTON_STEPS} Newton steps; "
                                    f"last float log defect {worst:.3g}")
         best = worst
-        for k, dy in enumerate(_block_thomas(blocks, lower, lower, minus_g), 1):
+        for k, dy in enumerate(_log_newton_step(neighbors, weights, minus_g), 1):
             for row, d in zip(y, dy):
                 row[k] += d
     try:
@@ -351,17 +359,17 @@ def solve_restricted(ctx: LevelContext, tolerance: float = SOLVER_TOLERANCE) -> 
 
     The unknowns are Q_k(i), k in [1, level-1].  The start is float Newton
     on y = log Q from Q = 1 (see ``_warm_start``), so the solver never reads
-    the KR grid.  Corrections then follow at the context's precision: the
-    recurrence defect F is formed in ``ctx.mp`` by ``_defect``, and each
-    correction solves J dQ = -F with the Jacobian J and -F rounded to
-    float, J block-tridiagonal in k with rank x rank blocks, by block
-    Thomas elimination (iterative refinement).  Iteration stops once the
-    normalized residual is within ``tolerance``, which must lie above
-    2^(8 - precision_bits) (so a tolerance <= 0 raises ValueError); the
-    start or the corrections exceeding MAX_NEWTON_STEPS steps, a singular
-    Jacobian block, a defect or step that overflows to a non-finite float or
-    a non-positive cell raises SolverDivergence.  The grid's residual_max is
-    that of the last stopping test.
+    the KR grid.  Corrections then follow at the context's precision
+    (iterative refinement): each solves the start's float Jacobian
+    (``_log_newton_step``) for dy = dQ / Q against the relative defect
+    -F / Q_k(i)^2, F formed in ``ctx.mp`` by ``_defect``, with the weights
+    w = (Q_{k-1} / Q_k)(Q_{k+1} / Q_k), which stay in the float range where
+    Q^2 does not.  Iteration stops once the normalized residual is within
+    ``tolerance``, which must lie above 2^(8 - precision_bits) (so a
+    tolerance <= 0 raises ValueError); the start or the corrections
+    exceeding MAX_NEWTON_STEPS steps, a singular Jacobian block, a float
+    overflow or a non-positive cell raises SolverDivergence.  The grid's
+    residual_max is that of the last stopping test.
     """
     mp = ctx.mp
     tol = mp.mpf(tolerance)
@@ -373,45 +381,33 @@ def solve_restricted(ctx: LevelContext, tolerance: float = SOLVER_TOLERANCE) -> 
     neighbors = _neighbor_rows(rs)
 
     for step in range(MAX_NEWTON_STEPS + 1):
-        # -F column by column from ``_defect``, which ``residual`` calls too,
-        # so the last stopping test computes the grid's residual_max
+        # -F / Q^2 column by column: ``_defect``'s size signed as -F, as every
+        # interior cell exceeds 1; ``residual`` calls ``_defect`` too, so the
+        # last stopping test computes the grid's residual_max
         res = mp.mpf(0)
-        minus_f = []
+        rhs = []
         for k in range(1, level):
             col = []
             for i in range(rank):
                 fi, size = _defect(v, neighbors, i, k)
-                minus_fi = -float(fi)
-                if not math.isfinite(minus_fi):
-                    raise SolverDivergence(f"float overflow: defect {-minus_fi} at cell "
-                                           f"(node {i + 1}, k={k}) before Newton step {step + 1}")
                 res = max(res, size)
-                col.append(minus_fi)
-            minus_f.append(col)
+                col.append(float(-size if fi > 0 else size))
+            rhs.append(col)
         if res <= tol:
             break
         if step == MAX_NEWTON_STEPS:
             raise SolverDivergence(
                 f"no convergence within {MAX_NEWTON_STEPS} Newton steps; last residual {res}")
-        # Block row k holds diag(-Q_{k+1}) left of the diagonal block and
-        # diag(-Q_{k-1}) right of it.
         q = [[float(c) for c in row] for row in v]
-        blocks = []
-        for k in range(1, level):
-            block = [[0.0] * rank for _ in range(rank)]
-            for i in range(rank):
-                block[i][i] = 2 * q[i][k]
-                for j in neighbors[i]:
-                    block[i][j] = -_neighbor_product(q, neighbors[i], k, skip=j)
-            blocks.append(block)
-        lower = [[-row[k + 1] for row in q] for k in range(1, level)]
-        upper = [[-row[k - 1] for row in q] for k in range(1, level)]
-        for k, dx in enumerate(_block_thomas(blocks, lower, upper, minus_f), 1):
-            for i, d in enumerate(dx):
-                if not math.isfinite(d):
-                    raise SolverDivergence(f"float overflow: Newton step {step + 1} is {d} "
+        weights = [[row[k - 1] / row[k] * (row[k + 1] / row[k]) for row in q]
+                   for k in range(1, level)]
+        for k, dy in enumerate(_log_newton_step(neighbors, weights, rhs), 1):
+            for i, d in enumerate(dy):
+                dq = q[i][k] * d
+                if not math.isfinite(dq):
+                    raise SolverDivergence(f"float overflow: Newton step {step + 1} is {dq} "
                                            f"at cell (node {i + 1}, k={k})")
-                v[i][k] += d
+                v[i][k] += dq
                 if not v[i][k] > 0:
                     raise SolverDivergence(
                         f"Newton step {step + 1} left cell (node {i + 1}, k={k}) non-positive")

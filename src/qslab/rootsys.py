@@ -41,8 +41,13 @@ class TypeData:
     odd_delta: dict[int, int]
     #: Whether fixtures/ holds a published positive-root table for the type.
     has_fixture: bool
-    #: Rows with closed-form (Chari) decompositions.
+    #: Rows with closed-form (Chari) decompositions, one shell per running
+    #: index j: box count k sums the shells 0..k at the nested nodes and is
+    #: shell k alone at the others.  Shell j is r w_a + (j - r) w_b, r = 0..j,
+    #: at a paired node (0-based coordinates a, b), else j w_node.
     direct_nodes: tuple[int, ...]
+    nested_nodes: tuple[int, ...]
+    paired_shells: dict[int, tuple[int, int]]
     #: Fill order for the remaining rows: (target, ((source, divisors), ...)).
     #: Each route solves the Q-system equation at ``source`` for the target
     #: row, dividing by the other neighbours of ``source`` when there are any.
@@ -68,6 +73,8 @@ TYPE_DATA = {
         odd_delta={},
         has_fixture=False,
         direct_nodes=(1, 2, 6),
+        nested_nodes=(2,),
+        paired_shells={},
         derived_routes=(
             (3, ((1, ()),)),
             (5, ((6, ()),)),
@@ -87,6 +94,8 @@ TYPE_DATA = {
         odd_delta={2: 35, 5: 35, 7: 27},
         has_fixture=True,
         direct_nodes=(1, 2, 7),
+        nested_nodes=(1,),
+        paired_shells={2: (1, 6)},
         derived_routes=(
             (3, ((1, ()),)),
             (6, ((7, ()),)),
@@ -108,6 +117,8 @@ TYPE_DATA = {
         odd_delta={},
         has_fixture=True,
         direct_nodes=(1, 8),
+        nested_nodes=(1, 8),
+        paired_shells={1: (0, 7)},
         derived_routes=(
             (3, ((1, ()),)),
             (7, ((8, ()),)),

@@ -485,7 +485,7 @@ def test_reports_are_deterministic():
     cases = (
         (RunConfig(type_label="E6", level=3, checks=("grid", "theorem", "dilog")), None),
         (RunConfig(type_label="E6", level=4),
-         "d753a2798a4c98e49005334431e965e0160d9e2c33b006e4640e181119093fe0"),
+         "20b72beb7dc33f6ebb38e215e3ec14110c1bde73110211e5c7456052ccca06e2"),
         # E8's derived rows, filled by subtraction and division
         (RunConfig(type_label="E8", level=2),
          "a2d568ffa640e4b0936aa9a17645f8726fa97d378e83ba10eabce9e13ede337a"),
@@ -542,7 +542,7 @@ def test_solve_output_is_pinned(capsys):
         assert main(["solve", "--type", label, "--level", str(level)]) == 0
         out.append(capsys.readouterr().out)
     digest = hashlib.sha256("".join(out).encode()).hexdigest()
-    assert digest == "fe07a7adee728a39390c4219aa78b0497b52ced7eefca99e2fc742d6e74d0ccf"
+    assert digest == "4f688588d269f71c23d27a9bebeb04c2a39433975502cbbda826c6927e6a7ff7"
 
 
 @pytest.mark.parametrize("label", ["E6", "E7", "E8"])
