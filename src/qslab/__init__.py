@@ -3,11 +3,7 @@
 from .affweyl import (
     AffineReduction,
     apply_word,
-    enumerate_alcove,
-    in_alcove,
     reduce_to_dominant,
-    s0_dot,
-    si_dot,
 )
 from .krchar import KRDecomposition, chari_decomposition, kleber_q1, qdim_kr
 from .qnum import (
@@ -31,7 +27,6 @@ from .report import RunConfig, VerificationReport, fixture_check, run
 from .rootsys import (
     RootSystem,
     Weight,
-    a_series_cartan,
     build_root_system,
     cartan_matrix,
     delta,
@@ -46,7 +41,6 @@ from .seqanalysis import (
     l_operator,
     log_concavity_order,
     make_sequence,
-    palindromize,
 )
 
 __version__ = "1.0.0"

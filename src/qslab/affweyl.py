@@ -26,24 +26,6 @@ class AffineReduction:
     word_length: int
 
 
-def si_dot(rs: RootSystem, node: int, weight: Sequence[int]) -> Weight:
-    """Dot reflection in the simple root alpha_node (an involution)."""
-    if not 1 <= node <= rs.rank:
-        raise ValueError(f"node {node} out of range")
-    c = weight[node - 1] + 1
-    alpha = rs.simple_root_as_weight(node)
-    return tuple(w - c * a for w, a in zip(weight, alpha))
-
-
-def s0_dot(weight: Sequence[int], ctx: LevelContext) -> Weight:
-    """Dot action of the affine generator: s_theta(lam+rho) + l*theta - rho."""
-    rs = ctx.root_system
-    pair = sum(a * (w + 1) for a, w in zip(rs.marks, weight))
-    c = ctx.shifted_level - pair
-    theta = rs.theta_weight
-    return tuple(w + c * t for w, t in zip(weight, theta))
-
-
 def reflection_dot(rs: RootSystem, root_index: int, weight: Sequence[int]) -> Weight:
     """Dot reflection in an arbitrary positive root (parity -1)."""
     beta_w = rs.root_as_weight(root_index)
@@ -65,10 +47,12 @@ def apply_word(word: Iterable[int], weight: Sequence[int], ctx: LevelContext) ->
     Returns the image together with (-1)**len(word), which equals the parity
     of the group element however it is expressed.
 
-    Each letter updates one list in place.  alpha_g is row g of the
-    simply-laced Cartan matrix, so s_g (as in ``si_dot``) lowers coordinate
-    g by 2c and raises each Dynkin neighbour of g by c, c = w_g + 1; s0 (as
-    in ``s0_dot``) adds c * theta with c = l - sum(marks * (w + 1)).
+    Each letter updates one list in place.  The simple dot reflection s_g
+    subtracts c * alpha_g, c = w_g + 1; alpha_g is row g of the simply-laced
+    Cartan matrix, so s_g lowers coordinate g by 2c and raises each Dynkin
+    neighbour of g by c.  The affine generator s0 . lam =
+    s_theta(lam + rho) + l*theta - rho adds c * theta with
+    c = l - sum(marks * (w + 1)).
     """
     rs = ctx.root_system
     rank = rs.rank
@@ -101,7 +85,7 @@ def reduce_to_dominant(weight: Sequence[int], ctx: LevelContext) -> AffineReduct
     sum exceeds l, until lam+rho lies in the closed alcove.  Landing on a
     wall (a zero coordinate, or sum exactly l) is reported as on_wall.
     """
-    rs = ctx.root_system
+    marks = ctx.root_system.marks
     l = ctx.shifted_level
     lam = tuple(int(c) for c in weight)
     sign = 1
@@ -111,29 +95,18 @@ def reduce_to_dominant(weight: Sequence[int], ctx: LevelContext) -> AffineReduct
         if any(c == 0 for c in shifted):
             return AffineReduction("on_wall", None, sign, steps)
         node = next((i + 1 for i, c in enumerate(shifted) if c < 0), None)
-        if node is not None:
-            lam = si_dot(rs, node, lam)
-        else:
-            total = sum(a * c for a, c in zip(rs.marks, shifted))
+        if node is None:
+            total = sum(a * c for a, c in zip(marks, shifted))
             if total == l:
                 return AffineReduction("on_wall", None, sign, steps)
             if total < l:
                 return AffineReduction("dominant", lam, sign, steps)
-            lam = s0_dot(lam, ctx)
+            node = 0  # the affine generator
+        lam = apply_word((node,), lam, ctx)[0]
         sign = -sign
         steps += 1
         if steps > _REDUCE_GUARD:
             raise RuntimeError("alcove reduction failed to terminate")
-
-
-def in_alcove(rs: RootSystem, weight: Sequence[int], level: int) -> bool:
-    """Membership in the closed fundamental alcove at the given level."""
-    if level < 0:
-        raise ValueError("level must be nonnegative")
-    return (
-        all(c >= 0 for c in weight)
-        and sum(a * c for a, c in zip(rs.marks, weight)) <= level
-    )
 
 
 def enumerate_alcove(rs: RootSystem, level: int) -> list[Weight]:

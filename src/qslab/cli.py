@@ -300,6 +300,8 @@ def _cmd_logconcave(args) -> int:
                          "--type, --level or --node")
         _precision(args, unused_in="with --seq")
         seq = _parse_seq(args.seq)
+        if args.branden and not any(seq.entries):
+            _usage_error(f"--seq {args.seq!r}: zero polynomial")
         label = "input sequence"
     else:
         if not args.type or args.level is None or args.node is None:

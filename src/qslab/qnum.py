@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from mpmath.ctx_mp import MPContext
 from mpmath.libmp import from_man_exp
@@ -109,20 +109,14 @@ class LevelContext:
         return (f"LevelContext({self.root_system.type_label}, level={self.level}, "
                 f"l={self.shifted_level}, prec={self.precision_bits})")
 
-    def sin_pi_over_l(self, r: int):
-        """sin(pi*r/l), looked up by the residue of r mod 2l.
+    def _build_sin_tables(self) -> None:
+        """Fill ``_sines`` with sin(pi*r/l) for every residue r mod 2l.
 
         Only the first quarter period is evaluated; the rest of the table is
         filled through the exact identities sin(pi*(l-r)/l) = sin(pi*r/l) and
         sin(pi*(l+r)/l) = -sin(pi*r/l), so the sign and mirror symmetries of
         the products built here are structurally exact.
         """
-        if self._sines is None:
-            self._build_sin_tables()
-        sign, man, exp = self._sines[r % (2 * self.shifted_level)]
-        return self.mp.make_mpf(from_man_exp(-man if sign else man, exp))
-
-    def _build_sin_tables(self) -> None:
         l, mp, p = self.shifted_level, self.mp, self.precision_bits
         base = []
         for k in range(l // 2 + 1):
@@ -206,30 +200,6 @@ def _sine_product(ctx: LevelContext, factors: Sequence[tuple[int, int]]) -> QRea
         return ctx.zero()
     return QReal(ctx.mp.make_mpf(from_man_exp(-man if sign else man, exp)),
                  ctx.mp.make_mpf(from_man_exp(scale_man, scale_exp)))
-
-
-def sine_signature(pairings: Iterable[int], l: int) -> tuple[int, tuple[int, ...]]:
-    """The sign and the sorted folded residues of prod sin(pi*p/l).
-
-    sin(pi*p/l) depends only on r = p mod 2l: it is zero when l divides p,
-    and otherwise has sign +1 for r < l and -1 for r > l and magnitude
-    sin(pi*f/l), f = min(r mod l, l - r mod l).  Two products with the same
-    folded residues therefore have exactly the same magnitude.  Returns
-    (0, ()) when some pairing is a multiple of l.
-    """
-    period = 2 * l
-    sign = 1
-    folded = []
-    for p in pairings:
-        r = p % period
-        if r > l:
-            sign = -sign
-            r -= l
-        elif r == l or r == 0:
-            return 0, ()
-        folded.append(min(r, l - r))
-    folded.sort()
-    return sign, tuple(folded)
 
 
 def qdim(weight: Sequence[int], ctx: LevelContext) -> QReal:

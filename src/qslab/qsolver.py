@@ -85,7 +85,6 @@ class QGrid:
 
     root_system: RootSystem
     level: int
-    shifted_level: int
     k_max: int
     values: list[list[object]]
     provenance: list[list[str | None]]
@@ -211,7 +210,6 @@ def build_qgrid(ctx: LevelContext, k_max: int | None = None) -> QGrid:
     grid = QGrid(
         root_system=rs,
         level=level,
-        shifted_level=l,
         k_max=k_max,
         values=values,
         provenance=provenance,
@@ -412,7 +410,7 @@ def solve_restricted(ctx: LevelContext, tolerance: float = SOLVER_TOLERANCE) -> 
                     raise SolverDivergence(
                         f"Newton step {step + 1} left cell (node {i + 1}, k={k}) non-positive")
     provenance = [["solver"] * (level + 1) for _ in v]
-    return QGrid(rs, level, ctx.shifted_level, level, v, provenance, res)
+    return QGrid(rs, level, level, v, provenance, res)
 
 
 @dataclass

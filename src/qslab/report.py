@@ -252,7 +252,7 @@ def fixed_word_image_check(ctx: LevelContext) -> CheckResult:
         for k in range(-3, level + 5):
             lam = rootsys.fundamental_weight(6, 2, k)
             expect = rootsys.fundamental_weight(6, 2, level + 1 - k)
-            if affweyl.s0_dot(lam, ctx) != expect:
+            if affweyl.apply_word((0,), lam, ctx)[0] != expect:
                 bad.append(f"s0 . {k}w2")
     elif label == "E7":
         word = (0, 1, 3, 4, 5, 6, 7, 6, 5, 4, 3, 1, 0)
@@ -275,7 +275,7 @@ def fixed_word_image_check(ctx: LevelContext) -> CheckResult:
                     s if j == 0 else (level + 1 - 2 * s - r) if j == 7 else 0
                     for j in range(8)
                 )
-                if affweyl.s0_dot(lam, ctx) != expect0:
+                if affweyl.apply_word((0,), lam, ctx)[0] != expect0:
                     bad.append(f"s0 . ({s}w1+{r}w8)")
                 image = affweyl.translate_by_root(
                     rs, beta97, ctx.shifted_level,

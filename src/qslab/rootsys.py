@@ -166,16 +166,6 @@ def cartan_matrix(type_label: str) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(r) for r in rows)
 
 
-def a_series_cartan(rank: int) -> tuple[tuple[int, ...], ...]:
-    """Cartan matrix of the chain A_n, used for solver cross-checks."""
-    if rank < 1:
-        raise ValueError("rank must be positive")
-    return tuple(
-        tuple(2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(rank))
-        for i in range(rank)
-    )
-
-
 @dataclass(frozen=True)
 class RootSystem:
     """An irreducible simply-laced root system.
@@ -216,11 +206,6 @@ class RootSystem:
         return pairings
 
     @cached_property
-    def rho(self) -> Weight:
-        """The all-ones weight (half the sum of the positive roots)."""
-        return (1,) * self.rank
-
-    @cached_property
     def theta_weight(self) -> Weight:
         """The highest root expressed in the fundamental-weight basis."""
         return self.root_as_weight(self.highest_root_index)
@@ -252,10 +237,6 @@ class RootSystem:
             sum(self.cartan[j][i] * b[i] for i in range(self.rank))
             for j in range(self.rank)
         )
-
-    def simple_root_as_weight(self, i: int) -> Weight:
-        """alpha_i in the fundamental-weight basis (row i of the Cartan matrix)."""
-        return self.cartan[i - 1]
 
     def find_root(self, coeffs: Sequence[int]) -> int:
         """Canonical index of a root given by its coefficient vector."""

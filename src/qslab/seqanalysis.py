@@ -2,9 +2,8 @@
 
 Provides the squared-difference operator L mapping (a_k) to
 (a_k^2 - a_{k+1} a_{k-1}) with zero padding, iterated log-concavity
-probing, palindromic reflection, and an exact test of whether the
-coefficient polynomial has only real negative roots (a sufficient
-condition for infinite log-concavity).
+probing, and an exact test of whether the coefficient polynomial has only
+real negative roots (a sufficient condition for infinite log-concavity).
 
 The rootedness verdict is an exact Sturm count, on the integers, of the real
 and the positive roots of the polynomial whose coefficients are the entries
@@ -114,36 +113,6 @@ def is_log_concave(seq: RealSequence, strict: bool = False) -> bool:
         return x > y + tol if strict else x >= y - tol
 
     return all(holds(a[k] * a[k], a[k - 1] * a[k + 1]) for k in range(1, len(a) - 1))
-
-
-def palindromize(seq: RealSequence, parity: str) -> RealSequence:
-    """Reflect a strictly log-concave increasing-tail sequence into a palindrome.
-
-    ``parity`` selects the top index of the result: "even" produces
-    (a_0..a_n..a_0) of length 2n+1 with a single central entry, "odd"
-    produces (a_0..a_n,a_n..a_0) of length 2n+2 with the center doubled.
-    The output is certified strictly log-concave before it is returned.
-    """
-    if parity not in ("even", "odd"):
-        raise ValueError("parity must be 'even' or 'odd'")
-    a = seq.entries
-    n = len(a) - 1
-    if n < 1:
-        raise ValueError("need at least two entries to reflect")
-    if not all(e > seq.tolerance for e in a):
-        raise ValueError("sequence must be positive")
-    if not is_log_concave(seq, strict=True):
-        raise ValueError("sequence must be strictly log-concave")
-    if not a[n - 1] < a[n] - seq.tolerance:
-        raise ValueError("sequence must end on a strict increase")
-    if parity == "even":
-        entries = a + tuple(reversed(a[:-1]))
-    else:
-        entries = a + tuple(reversed(a))
-    out = RealSequence(entries=entries, tolerance=seq.tolerance)
-    if not is_log_concave(out, strict=True):
-        raise RuntimeError("reflection lost strict log-concavity")
-    return out
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,8 @@ import pytest
 
 import qslab
 
+from oracles import a_series_cartan
+
 
 @pytest.fixture(scope="session")
 def e6():
@@ -27,4 +29,4 @@ def rs_map(e6, e7, e8):
 
 @pytest.fixture(scope="session")
 def a1():
-    return qslab.build_root_system(qslab.a_series_cartan(1))
+    return qslab.build_root_system(a_series_cartan(1))

@@ -1,0 +1,118 @@
+"""Reference implementations that only the tests read.
+
+Each states one operation in its plainest form, independent of the code
+path that a qslab command runs, so a test can compare the two.
+"""
+
+from __future__ import annotations
+
+from typing import Iterable, Sequence
+
+from mpmath.libmp import from_man_exp
+
+from qslab.seqanalysis import RealSequence, is_log_concave
+
+
+def si_dot(rs, node: int, weight: Sequence[int]) -> tuple[int, ...]:
+    """Dot reflection in the simple root alpha_node (an involution).
+
+    alpha_node in the fundamental-weight basis is row node of the Cartan
+    matrix.
+    """
+    if not 1 <= node <= rs.rank:
+        raise ValueError(f"node {node} out of range")
+    c = weight[node - 1] + 1
+    alpha = rs.cartan[node - 1]
+    return tuple(w - c * a for w, a in zip(weight, alpha))
+
+
+def s0_dot(weight: Sequence[int], ctx) -> tuple[int, ...]:
+    """Dot action of the affine generator: s_theta(lam+rho) + l*theta - rho."""
+    rs = ctx.root_system
+    pair = sum(a * (w + 1) for a, w in zip(rs.marks, weight))
+    c = ctx.shifted_level - pair
+    theta = rs.theta_weight
+    return tuple(w + c * t for w, t in zip(weight, theta))
+
+
+def in_alcove(rs, weight: Sequence[int], level: int) -> bool:
+    """Membership in the closed fundamental alcove at the given level."""
+    if level < 0:
+        raise ValueError("level must be nonnegative")
+    return (
+        all(c >= 0 for c in weight)
+        and sum(a * c for a, c in zip(rs.marks, weight)) <= level
+    )
+
+
+def sine_signature(pairings: Iterable[int], l: int) -> tuple[int, tuple[int, ...]]:
+    """The sign and the sorted folded residues of prod sin(pi*p/l).
+
+    sin(pi*p/l) depends only on r = p mod 2l: it is zero when l divides p,
+    and otherwise has sign +1 for r < l and -1 for r > l and magnitude
+    sin(pi*f/l), f = min(r mod l, l - r mod l).  Two products with the same
+    folded residues therefore have exactly the same magnitude.  Returns
+    (0, ()) when some pairing is a multiple of l.
+    """
+    period = 2 * l
+    sign = 1
+    folded = []
+    for p in pairings:
+        r = p % period
+        if r > l:
+            sign = -sign
+            r -= l
+        elif r == l or r == 0:
+            return 0, ()
+        folded.append(min(r, l - r))
+    folded.sort()
+    return sign, tuple(folded)
+
+
+def sin_pi_over_l(ctx, r: int):
+    """sin(pi*r/l) as an mpf, read from the context's sine table by the
+    residue of r mod 2l."""
+    if ctx._sines is None:
+        ctx._build_sin_tables()
+    sign, man, exp = ctx._sines[r % (2 * ctx.shifted_level)]
+    return ctx.mp.make_mpf(from_man_exp(-man if sign else man, exp))
+
+
+def palindromize(seq: RealSequence, parity: str) -> RealSequence:
+    """Reflect a strictly log-concave increasing-tail sequence into a palindrome.
+
+    ``parity`` selects the top index of the result: "even" produces
+    (a_0..a_n..a_0) of length 2n+1 with a single central entry, "odd"
+    produces (a_0..a_n,a_n..a_0) of length 2n+2 with the center doubled.
+    The output is certified strictly log-concave before it is returned.
+    """
+    if parity not in ("even", "odd"):
+        raise ValueError("parity must be 'even' or 'odd'")
+    a = seq.entries
+    n = len(a) - 1
+    if n < 1:
+        raise ValueError("need at least two entries to reflect")
+    if not all(e > seq.tolerance for e in a):
+        raise ValueError("sequence must be positive")
+    if not is_log_concave(seq, strict=True):
+        raise ValueError("sequence must be strictly log-concave")
+    if not a[n - 1] < a[n] - seq.tolerance:
+        raise ValueError("sequence must end on a strict increase")
+    if parity == "even":
+        entries = a + tuple(reversed(a[:-1]))
+    else:
+        entries = a + tuple(reversed(a))
+    out = RealSequence(entries=entries, tolerance=seq.tolerance)
+    if not is_log_concave(out, strict=True):
+        raise RuntimeError("reflection lost strict log-concavity")
+    return out
+
+
+def a_series_cartan(rank: int) -> tuple[tuple[int, ...], ...]:
+    """Cartan matrix of the chain A_n, used for solver cross-checks."""
+    if rank < 1:
+        raise ValueError("rank must be positive")
+    return tuple(
+        tuple(2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(rank))
+        for i in range(rank)
+    )

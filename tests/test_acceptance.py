@@ -188,7 +188,7 @@ def test_criterion_08_log_concavity_suite(rs_map):
 
     rng = random.Random(SEQUENCE_SEED)
     from test_seqanalysis import random_ratio_sequence
-    from qslab.seqanalysis import palindromize
+    from oracles import palindromize
 
     for _ in range(500):
         n = rng.randint(3, 12)

@@ -6,17 +6,17 @@ import pytest
 
 import qslab
 from qslab.affweyl import (
+    AffineReduction,
     apply_word,
     enumerate_alcove,
-    in_alcove,
     reduce_to_dominant,
     reflection_dot,
-    s0_dot,
-    si_dot,
     translate_by_root,
 )
 from qslab.qnum import LevelContext, _sine_product, qdim
 from qslab.rootsys import fundamental_weight
+
+from oracles import in_alcove, s0_dot, si_dot
 
 
 def qdim_formal(weight, ctx):
@@ -41,9 +41,9 @@ def test_si_dot_involution_and_walls(e6):
     for _ in range(50):
         w = tuple(rng.randint(-4, 4) for _ in range(6))
         i = rng.randint(1, 6)
-        assert si_dot(e6, i, si_dot(e6, i, w)) == w
+        assert apply_word((i,), apply_word((i,), w, ctx)[0], ctx)[0] == w
     fixed = (0, 2, -1, 3, 0, 1)  # (w+rho)_3 = 0
-    assert si_dot(e6, 3, fixed) == fixed
+    assert apply_word((3,), fixed, ctx)[0] == fixed
 
 
 def test_s0_dot_involution(rs_map):
@@ -52,14 +52,14 @@ def test_s0_dot_involution(rs_map):
         ctx = LevelContext(rs, 5)
         for _ in range(50):
             w = tuple(rng.randint(-4, 4) for _ in range(rs.rank))
-            assert s0_dot(s0_dot(w, ctx), ctx) == w
+            assert apply_word((0,), apply_word((0,), w, ctx)[0], ctx)[0] == w
 
 
 @pytest.mark.parametrize("level", [1, 2, 5, 8])
 def test_s0_dot_e6_closed_form(e6, level):
     ctx = LevelContext(e6, level)
     for k in range(-3, level + 5):
-        image = s0_dot(fundamental_weight(6, 2, k), ctx)
+        image = apply_word((0,), fundamental_weight(6, 2, k), ctx)[0]
         assert image == fundamental_weight(6, 2, level + 1 - k)
 
 
@@ -73,7 +73,7 @@ def test_s0_dot_e8_closed_form(e8, level):
                 s if j == 0 else (level + 1 - 2 * s - r) if j == 7 else 0
                 for j in range(8)
             )
-            assert s0_dot(lam, ctx) == expect
+            assert apply_word((0,), lam, ctx)[0] == expect
 
 
 @pytest.mark.parametrize("level", [2, 5])
@@ -159,14 +159,39 @@ def test_reduce_e8_vanishing_family(e8, level):
             assert qdim_formal(lam, ctx).value == 0
 
 
+def _reduce_reference(weight, ctx):
+    """The greedy reduction of ``reduce_to_dominant``, stated on the
+    one-letter dot actions of the oracles."""
+    rs, l = ctx.root_system, ctx.shifted_level
+    lam, sign, steps = tuple(weight), 1, 0
+    while True:
+        shifted = tuple(c + 1 for c in lam)
+        if 0 in shifted:
+            return AffineReduction("on_wall", None, sign, steps)
+        node = next((i + 1 for i, c in enumerate(shifted) if c < 0), None)
+        if node is not None:
+            lam = si_dot(rs, node, lam)
+        else:
+            total = sum(a * c for a, c in zip(rs.marks, shifted))
+            if total == l:
+                return AffineReduction("on_wall", None, sign, steps)
+            if total < l:
+                return AffineReduction("dominant", lam, sign, steps)
+            lam = s0_dot(lam, ctx)
+        sign, steps = -sign, steps + 1
+
+
 def test_reduce_matches_formal_sign(rs_map):
     rng = random.Random(20260809)
-    for label, level in (("E6", 3), ("E7", 4), ("E8", 2)):
+    for label, level, bound in (("E6", 3, 5), ("E7", 4, 5), ("E8", 2, 5),
+                                ("E6", 12, 40), ("E7", 12, 40), ("E8", 12, 40)):
         rs = rs_map[label]
         ctx = LevelContext(rs, level)
         for _ in range(120):
-            lam = tuple(rng.randint(-5, 5) for _ in range(rs.rank))
+            lam = tuple(rng.randint(-bound, bound) for _ in range(rs.rank))
             red = reduce_to_dominant(lam, ctx)
+            # result kind, weight, sign and word length
+            assert red == _reduce_reference(lam, ctx), (label, level, lam)
             formal = qdim_formal(lam, ctx)
             if red.result_kind == "on_wall":
                 assert formal.value == 0
@@ -254,7 +279,7 @@ def test_alcove_downward_closure(rs_map):
         rs = rs_map[label]
         for lam in enumerate_alcove(rs, level):
             for j in range(1, rs.rank + 1):
-                alpha = rs.simple_root_as_weight(j)
+                alpha = rs.cartan[j - 1]
                 mu = tuple(c - a for c, a in zip(lam, alpha))
                 if all(c >= 0 for c in mu):
                     assert in_alcove(rs, mu, level), (label, lam, j)

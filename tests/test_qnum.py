@@ -13,10 +13,11 @@ from qslab.qnum import (
     qdim,
     qdim_classical,
     qdim_line,
-    sine_signature,
 )
 from qslab.qsolver import build_qgrid
 from qslab.rootsys import delta, fundamental_weight
+
+from oracles import sin_pi_over_l, sine_signature
 
 
 def fw(rs, node, mult=1):
@@ -116,7 +117,7 @@ def _reference_qdim(weight, ctx):
     value = mp.mpf(1)
     scale = mp.mpf(1)
     for num, den in factors:
-        value = value * ctx.sin_pi_over_l(num) / ctx.sin_pi_over_l(den)
+        value = value * sin_pi_over_l(ctx, num) / sin_pi_over_l(ctx, den)
         a = abs(value)
         if a > scale:
             scale = a
@@ -179,8 +180,8 @@ def _libmp_fold(ctx, factors):
     prec = ctx.precision_bits
     value = scale = fone
     for num, den in factors:
-        value = mpf_mul(value, ctx.sin_pi_over_l(num)._mpf_, prec, "n")
-        value = mpf_div(value, ctx.sin_pi_over_l(den)._mpf_, prec, "n")
+        value = mpf_mul(value, sin_pi_over_l(ctx, num)._mpf_, prec, "n")
+        value = mpf_div(value, sin_pi_over_l(ctx, den)._mpf_, prec, "n")
         if mpf_gt(mpf_abs(value), scale):
             scale = mpf_abs(value)
     return value, scale
@@ -261,7 +262,7 @@ def test_sine_table_matches_sinpi(rs_map, bits):
             half = [base[min(k, l - k)] for k in range(l)]
             expected = half + [mpf_neg(x) for x in half]
             for r in range(-2 * l, 4 * l):
-                assert ctx.sin_pi_over_l(r)._mpf_ == expected[r % (2 * l)], (rs, l, r)
+                assert sin_pi_over_l(ctx, r)._mpf_ == expected[r % (2 * l)], (rs, l, r)
 
 
 def test_qdim_line_matches_qdim_on_dominant_range(e7):
@@ -298,11 +299,11 @@ def test_sine_signature_fixes_the_sine_product(e7):
     for _ in range(300):
         pairings = [rng.randint(-3 * l, 3 * l) for _ in range(rng.randint(1, 8))]
         sign, folded = sine_signature(pairings, l)
-        product = ctx.mp.fprod(ctx.sin_pi_over_l(p) for p in pairings)
+        product = ctx.mp.fprod(sin_pi_over_l(ctx, p) for p in pairings)
         if any(p % l == 0 for p in pairings):
             assert (sign, folded) == (0, ())
             continue
         assert sorted(folded) == list(folded) and all(1 <= f <= l // 2 for f in folded)
-        magnitude = ctx.mp.fprod(ctx.sin_pi_over_l(f) for f in folded)
+        magnitude = ctx.mp.fprod(sin_pi_over_l(ctx, f) for f in folded)
         assert abs(product - sign * magnitude) <= 1e-35 * magnitude
 

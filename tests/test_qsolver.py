@@ -29,7 +29,9 @@ from qslab.qsolver import (
     theorem_report,
 )
 from qslab.report import RunConfig, run
-from qslab.rootsys import TYPE_DATA, a_series_cartan, build_root_system, delta
+from qslab.rootsys import TYPE_DATA, build_root_system, delta
+
+from oracles import a_series_cartan
 
 
 def rel_diff(mp, a, b):
@@ -124,7 +126,7 @@ def test_residual_sanity_all_ones_chain():
     ctx = LevelContext(a2, 2)
     one = ctx.mp.mpf(1)
     rows = [[one, one, one], [one, one, one]]
-    grid = QGrid(a2, 2, ctx.shifted_level, 2, rows, [["solver"] * 3] * 2)
+    grid = QGrid(a2, 2, 2, rows, [["solver"] * 3] * 2)
     assert residual(grid) == 1
 
 
@@ -459,7 +461,7 @@ def test_dilog_rejects_nonpositive(a1):
     ctx = LevelContext(a1, 2)
     one = ctx.mp.mpf(1)
     rows = [[one, -one, one]]
-    grid = QGrid(a1, 2, ctx.shifted_level, 2, rows, [["solver"] * 3])
+    grid = QGrid(a1, 2, 2, rows, [["solver"] * 3])
     with pytest.raises(ValueError):
         dilog_args(grid)
 

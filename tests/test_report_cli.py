@@ -14,9 +14,9 @@ from pathlib import Path
 import pytest
 
 import qslab
-from qslab import affweyl, qnum, report
+from qslab import affweyl, qnum, report, seqanalysis
 from qslab.cli import main
-from qslab.qnum import LevelContext, sine_signature
+from qslab.qnum import LevelContext
 from qslab.report import (
     RunConfig,
     fixture_check,
@@ -25,6 +25,8 @@ from qslab.report import (
     run,
     write_report,
 )
+
+from oracles import sine_signature
 
 
 def test_render_decimal_deterministic():
@@ -295,6 +297,7 @@ def test_cli_usage_errors(capsys, monkeypatch):
     # usage errors found after parsing exit 2 as well, never 1, and before any
     # check group runs
     monkeypatch.setattr(report, "run", None)
+    monkeypatch.setattr(seqanalysis, "log_concavity_order", None)
     for argv, message in (
         (["qdim", "--type", "E6", "--level", "2", "--weight", "1,0"],
          "error: weight needs 6 coordinates, got 2\n"),
@@ -359,6 +362,9 @@ def test_cli_usage_errors(capsys, monkeypatch):
         (["logconcave", "--seq", "0,-1.8e308"],
          "error: --seq '0,-1.8e308': -1.8e308 is outside the double range "
          "[2^-1074, 2^1024)\n"),
+        # the rootedness verdict needs a nonzero polynomial
+        (["logconcave", "--seq", "0,0,0", "--branden"],
+         "error: --seq '0,0,0': zero polynomial\n"),
         (["grid", "--type", "E6", "--level", "2", "--kmax", "-5"],
          "error: --kmax must be in 14..56, got -5\n"),
         (["verify", "--type", "E6", "--level", "2", "--kmax", "100"],

@@ -16,8 +16,9 @@ from qslab.seqanalysis import (
     l_operator,
     log_concavity_order,
     make_sequence,
-    palindromize,
 )
+
+from oracles import palindromize, sin_pi_over_l
 
 TRIALS = 500
 
@@ -250,9 +251,9 @@ def test_sine_factor_identity(e6):
         p = e6.positive_roots[idx][i - 1]
         ht = e6.heights[idx]
         for k in range(1, 4):
-            a = ctx.sin_pi_over_l(k * p + ht)
-            lo = ctx.sin_pi_over_l((k - 1) * p + ht)
-            hi = ctx.sin_pi_over_l((k + 1) * p + ht)
+            a = sin_pi_over_l(ctx, k * p + ht)
+            lo = sin_pi_over_l(ctx, (k - 1) * p + ht)
+            hi = sin_pi_over_l(ctx, (k + 1) * p + ht)
             lhs = a * a - lo * hi
             rhs = (1 - mp.cospi(mp.mpf(2 * p) / l)) / 2
             assert abs(lhs - rhs) < mp.mpf(10) ** -35
