@@ -9,8 +9,10 @@ congruences on pairings, never by float thresholding.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from mpmath.ctx_mp import MPContext
@@ -59,6 +61,19 @@ class QReal:
         return QReal(v, _clamp(scale, v))
 
 
+@functools.cache
+def mp_context(precision_bits: int) -> MPContext:
+    """The one mpmath context at this precision, made on first use.
+
+    Every LevelContext at the same precision shares it, so an operation does
+    not pay for a fresh context.  No code writes its ``prec`` (or any other
+    attribute) after it is made, so nothing leaks from one run into the next.
+    """
+    mp = MPContext()
+    mp.prec = precision_bits
+    return mp
+
+
 def _clamp(scale, value):
     m = abs(value)
     if scale < m:
@@ -71,9 +86,10 @@ def _clamp(scale, value):
 class LevelContext:
     """Carries the root system, the level, and the arithmetic precision.
 
-    Each context owns an independent mpmath context (no global precision
-    state), a table of sine values and one memo of quantum dimensions keyed
-    by dominant weight, which every quantum-dimension path goes through.
+    Each context computes in the shared mpmath context of its precision
+    (``mp_context``; no global precision state), and owns a table of sine
+    values and one memo of quantum dimensions keyed by dominant weight,
+    which every quantum-dimension path goes through.
     It also memoizes the closed-form KR rows of :mod:`qslab.krchar`, one
     list per direct node indexed by box count.
     """
@@ -92,9 +108,7 @@ class LevelContext:
         self.level = int(level)
         self.shifted_level = self.level + root_system.coxeter_number
         self.precision_bits = int(precision_bits)
-        mp = MPContext()
-        mp.prec = self.precision_bits
-        self.mp = mp
+        self.mp = mp = mp_context(self.precision_bits)
         self.zero_tolerance = mp.mpf(2) ** (-(self.precision_bits // 2))
         self._one = QReal(mp.mpf(1), mp.mpf(1))
         self._zero = QReal(mp.mpf(0), mp.mpf(1))
@@ -227,13 +241,18 @@ def qdim(weight: Sequence[int], ctx: LevelContext) -> QReal:
     cached = cache.get(w)
     if cached is not None:
         return cached
+    # (w + rho | beta) = ht(beta) + (w | beta), and (w | beta) > 0 exactly on
+    # the support roots; a root of height ht and support vector g pairs to a
+    # multiple of l iff ht = -(w | g) mod l, as 1 <= ht < h < l
     l = ctx.shifted_level
-    pairings = rs.rho_pairings(w)
-    if any(p % l == 0 for p in pairings):
+    support = tuple(j for j, c in enumerate(w) if c)
+    roots, vectors, heights = rs.support_roots(support)
+    coords = [w[j] for j in support]
+    dots = [sum(map(mul, coords, g)) for g in vectors]
+    if any(-d % l in hts for d, hts in zip(dots, heights)):
         out = ctx.zero()
     else:
-        out = _sine_product(
-            ctx, [(p, ht) for p, ht in zip(pairings, rs.heights) if p != ht])
+        out = _sine_product(ctx, [(ht + dots[g], ht) for g, ht in roots])
     cache[w] = out
     return out
 

@@ -12,7 +12,10 @@ the grid ``residual`` and ``dilog_args`` all call them.
 ``solve_restricted`` finds that solution on its own: float Newton on
 y = log Q (``_warm_start``), then corrections against the defect at working
 precision; every step solves the one float log-variable Jacobian of
-``_log_newton_step`` with ``_block_thomas``.
+``_log_newton_step`` with ``_block_thomas``.  The restricted system is
+unchanged by k <-> level - k, so its solution is symmetric and so is every
+step from the symmetric start: both stages solve for k = 1 .. level // 2
+only and mirror each cell by assignment, Q_{level-k}(i) = Q_k(i).
 
 ``build_qgrid`` fills the table from the closed-form rows outward, exactly
 mirroring the propagation order of the per-type proofs: extremal rows are
@@ -202,6 +205,10 @@ def build_qgrid(ctx: LevelContext, k_max: int | None = None) -> QGrid:
     for i, _ in td.derived_routes:
         for k in range(k_max + 1):
             cell(i, k)
+    # ``cell`` refers to itself through its closure: unbind it, so that the
+    # closure's tables go with this call instead of at the next cyclic
+    # garbage collection
+    del cell
 
     table = [[cells.get((i, k)) for k in range(k_max + 1)] for i in range(1, rs.rank + 1)]
     values = [[None if c is None else c.value for c in row] for row in table]
@@ -285,12 +292,18 @@ def _block_thomas(blocks, off, rhs):
     return xs[::-1]
 
 
-def _log_newton_step(neighbors: list[list[int]], weights, rhs):
+def _log_newton_step(neighbors: list[list[int]], weights, rhs, level: int):
     """Solve the log-variable Jacobian for dy = dQ / Q against ``rhs``.
 
     ``weights[k - 1][i]`` is the share w of Q_{k-1} Q_{k+1} in the recurrence
     at node i and level k.  Block row k has the diagonal block 2I - (1 - w) A
     (A the Dynkin adjacency, row i scaled by its w) and off-diagonal -diag(w).
+    The system is the symmetric half k = 1 .. level // 2 of a right-hand
+    side with rhs_{level-k} = rhs_k, whose solution is mirrored too, so the
+    last row m folds in its mirrored neighbour dy_{m+1}: dy_{m-1} when the
+    level is even (off-diagonal -2 diag(w)), dy_m when it is odd (-diag(w)
+    added to the diagonal block).  ``_block_thomas`` reads the last row's
+    off-diagonal only as its lower coupling.
     """
     blocks = []
     for col in weights:
@@ -300,7 +313,14 @@ def _log_newton_step(neighbors: list[list[int]], weights, rhs):
             for j in neighbors[i]:
                 block[i][j] = w - 1
         blocks.append(block)
-    return _block_thomas(blocks, [[-w for w in col] for col in weights], rhs)
+    off = [[-w for w in col] for col in weights]
+    if weights:
+        if level % 2:
+            for i, w in enumerate(weights[-1]):
+                blocks[-1][i][i] -= w
+        else:
+            off[-1] = [2 * o for o in off[-1]]
+    return _block_thomas(blocks, off, rhs)
 
 
 def _warm_start(rs: RootSystem, level: int) -> list[list[float]]:
@@ -310,17 +330,19 @@ def _warm_start(rs: RootSystem, level: int) -> list[list[float]]:
     2 y_k(i) - log(e^a + e^b), a = y_{k-1}(i) + y_{k+1}(i), b = sum_{j~i} y_k(j),
     convex log-sum-exp in y.  Its Jacobian is the one of
     ``_log_newton_step`` with the log-sum-exp weight w = e^a / (e^a + e^b).
+    Only k <= level // 2 is solved; after each step y_{level-k} = y_k.
     Steps stop once the largest |defect| stops falling; if it still falls
     after MAX_NEWTON_STEPS steps, or a defect or a returned cell is not a
     finite float, SolverDivergence is raised.
     """
     neighbors = _neighbor_rows(rs)
+    half = range(1, level // 2 + 1)
     y = [[0.0] * (level + 1) for _ in range(rs.rank)]
     best = math.inf
     for step in range(MAX_NEWTON_STEPS + 1):
         weights, minus_g = [], []
         worst = 0.0
-        for k in range(1, level):
+        for k in half:
             w_col, g_col = [], []
             for i, row in enumerate(y):
                 a = row[k - 1] + row[k + 1]
@@ -341,9 +363,10 @@ def _warm_start(rs: RootSystem, level: int) -> list[list[float]]:
             raise SolverDivergence(f"no convergence within {MAX_NEWTON_STEPS} Newton steps; "
                                    f"last float log defect {worst:.3g}")
         best = worst
-        for k, dy in enumerate(_log_newton_step(neighbors, weights, minus_g), 1):
+        for k, dy in enumerate(_log_newton_step(neighbors, weights, minus_g, level), 1):
             for row, d in zip(y, dy):
                 row[k] += d
+                row[level - k] = row[k]
     try:
         return [[math.exp(c) for c in row] for row in y]
     except OverflowError:
@@ -355,7 +378,10 @@ def _warm_start(rs: RootSystem, level: int) -> list[list[float]]:
 def solve_restricted(ctx: LevelContext, tolerance: float = SOLVER_TOLERANCE) -> QGrid:
     """Newton's method from a float start to the unique positive solution.
 
-    The unknowns are Q_k(i), k in [1, level-1].  The start is float Newton
+    The unknowns are Q_k(i), k in [1, level // 2]: the solution is symmetric
+    under k <-> level - k, so each step sets Q_{level-k}(i) to the same
+    object as Q_k(i), and the stopping test's max over the half equals
+    ``residual`` over the whole grid bit for bit.  The start is float Newton
     on y = log Q from Q = 1 (see ``_warm_start``), so the solver never reads
     the KR grid.  Corrections then follow at the context's precision
     (iterative refinement): each solves the start's float Jacobian
@@ -375,16 +401,21 @@ def solve_restricted(ctx: LevelContext, tolerance: float = SOLVER_TOLERANCE) -> 
         raise ValueError("solver tolerance is below the working precision")
     rs = ctx.root_system
     level, rank = ctx.level, rs.rank
+    half = range(1, level // 2 + 1)
     v = [[mp.mpf(x) for x in row] for row in _warm_start(rs, level)]
+    for row in v:
+        for k in half:
+            row[level - k] = row[k]
     neighbors = _neighbor_rows(rs)
 
     for step in range(MAX_NEWTON_STEPS + 1):
         # -F / Q^2 column by column: ``_defect``'s size signed as -F, as every
-        # interior cell exceeds 1; ``residual`` calls ``_defect`` too, so the
-        # last stopping test computes the grid's residual_max
+        # interior cell exceeds 1; ``residual`` calls ``_defect`` too, and a
+        # mirrored cell is the same object as its image, so the last stopping
+        # test over the half computes the grid's residual_max
         res = mp.mpf(0)
         rhs = []
-        for k in range(1, level):
+        for k in half:
             col = []
             for i in range(rank):
                 fi, size = _defect(v, neighbors, i, k)
@@ -397,9 +428,8 @@ def solve_restricted(ctx: LevelContext, tolerance: float = SOLVER_TOLERANCE) -> 
             raise SolverDivergence(
                 f"no convergence within {MAX_NEWTON_STEPS} Newton steps; last residual {res}")
         q = [[float(c) for c in row] for row in v]
-        weights = [[row[k - 1] / row[k] * (row[k + 1] / row[k]) for row in q]
-                   for k in range(1, level)]
-        for k, dy in enumerate(_log_newton_step(neighbors, weights, rhs), 1):
+        weights = [[row[k - 1] / row[k] * (row[k + 1] / row[k]) for row in q] for k in half]
+        for k, dy in enumerate(_log_newton_step(neighbors, weights, rhs, level), 1):
             for i, d in enumerate(dy):
                 dq = q[i][k] * d
                 if not math.isfinite(dq):
@@ -409,6 +439,7 @@ def solve_restricted(ctx: LevelContext, tolerance: float = SOLVER_TOLERANCE) -> 
                 if not v[i][k] > 0:
                     raise SolverDivergence(
                         f"Newton step {step + 1} left cell (node {i + 1}, k={k}) non-positive")
+                v[i][level - k] = v[i][k]
     provenance = [["solver"] * (level + 1) for _ in v]
     return QGrid(rs, level, level, v, provenance, res)
 

@@ -17,14 +17,12 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import mpmath
-from mpmath.ctx_mp import MPContext
 
-from .qnum import DEFAULT_PRECISION_BITS
+from .qnum import DEFAULT_PRECISION_BITS, mp_context
 
 # Fixed-precision context for parsing raw inputs and forming tolerances;
 # sequences built from a LevelContext keep that context's precision instead.
-_MP = MPContext()
-_MP.prec = DEFAULT_PRECISION_BITS
+_MP = mp_context(DEFAULT_PRECISION_BITS)
 
 # Base relative tolerance for nonnegativity comparisons; scaled per sequence
 # by the squared magnitude of the largest entry.

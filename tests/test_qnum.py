@@ -174,6 +174,24 @@ def test_qdim_bits_match_reference_fold_on_every_grid_weight(rs_map, label, leve
             assert q.magnitude_scale._mpf_ == scale._mpf_, (bits, w)
 
 
+@pytest.mark.parametrize("label,level", [("E7", 12), ("E8", 8)])
+def test_qdim_zeros_by_congruence_match_the_full_pairing_list(rs_map, label, level):
+    # qdim decides a zero by one height lookup per group of support roots
+    # and folds the support roots' factors only; a pairing with every
+    # positive root gives the same zeros and the same bits on every weight
+    # the grid reads
+    rs = rs_map[label]
+    ctx = LevelContext(rs, level)
+    build_qgrid(ctx)
+    zeros = 0
+    for w, q in ctx._qdim_cache.items():
+        value, scale = _reference_qdim(w, ctx)
+        zeros += value == 0
+        assert q.value._mpf_ == value._mpf_, w
+        assert q.magnitude_scale._mpf_ == scale._mpf_, w
+    assert 0 < zeros < len(ctx._qdim_cache)
+
+
 def _libmp_fold(ctx, factors):
     """The sine-product fold step by step in mpf_mul and mpf_div, rounding to
     nearest at the context's precision."""
@@ -288,6 +306,15 @@ def test_level_context_validation(e6):
         LevelContext(e6, 3, precision_bits=32)
     ctx = LevelContext(e6, 3)
     assert ctx.shifted_level == 15
+
+
+def test_level_contexts_share_one_mp_context_per_precision(e6, e7):
+    # a LevelContext takes its mpmath context from qnum's per-precision cache
+    # instead of building one per operation
+    a, b = LevelContext(e6, 3), LevelContext(e7, 5)
+    c = LevelContext(e6, 3, precision_bits=256)
+    assert a.mp is b.mp and a.mp is not c.mp
+    assert (a.mp.prec, c.mp.prec) == (128, 256)
 
 
 def test_sine_signature_fixes_the_sine_product(e7):

@@ -147,11 +147,13 @@ def test_solver_level_one_trivial(e7):
     *[("E6", level) for level in range(1, 9)],
     *[("E7", level) for level in range(1, 7)],
     *[("E8", level) for level in range(1, 6)],
-    ("A1", 2),
+    ("E6", 13), ("E7", 11), ("E7", 12), ("E8", 9), ("E8", 10),
+    *[("A1", level) for level in range(2, 6)],
 ])
 def test_solver_residual_is_the_last_stopping_test(rs_map, a1, label, level):
-    # the residual the Newton loop stopped on is, bit for bit, the residual
-    # of the cells it returns
+    # the residual the Newton loop stopped on, over the half k <= level // 2,
+    # is bit for bit the residual of every cell it returns, at odd and even
+    # levels alike
     ctx = LevelContext(a1 if label == "A1" else rs_map[label], level)
     grid = solve_restricted(ctx)
     assert grid.residual_max._mpf_ == residual(grid)._mpf_
@@ -270,8 +272,9 @@ def test_solve_at_256_bits(capsys, label, level):
 ])
 def test_solver_defect_passes_per_solve(rs_map, monkeypatch, label, level, bits):
     # the float start leaves an error near 1e-16, which two corrections at
-    # 128 bits remove: at most two full passes of the defect before the
-    # final stopping test; at 256 bits down to 1e-70, four corrections
+    # 128 bits remove: at most two passes of the defect before the final
+    # stopping test; at 256 bits down to 1e-70, four corrections.  Each pass
+    # reads the symmetric half k <= level // 2 only
     tol, passes = (qsolver.SOLVER_TOLERANCE, 3) if bits == 128 else (1e-70, 5)
     rs = rs_map[label]
     calls = []
@@ -283,7 +286,45 @@ def test_solver_defect_passes_per_solve(rs_map, monkeypatch, label, level, bits)
 
     monkeypatch.setattr(qsolver, "_defect", counting)
     solve_restricted(LevelContext(rs, level, precision_bits=bits), tolerance=tol)
-    assert len(calls) <= passes * rs.rank * (level - 1)
+    assert len(calls) <= passes * rs.rank * (level // 2)
+    assert {k for _, k in calls} == set(range(1, level // 2 + 1))
+
+
+@pytest.mark.parametrize("label", ["E6", "E7", "E8", "A1"])
+def test_solved_grids_are_exactly_mirrored(rs_map, a1, label):
+    # the solver computes the half k <= level // 2 and mirrors each cell by
+    # assignment, so Q_{level-k}(i) is Q_k(i) bit for bit
+    rs = a1 if label == "A1" else rs_map[label]
+    for level in range(1, 10):
+        grid = solve_restricted(LevelContext(rs, level))
+        for row in grid.values:
+            assert [c._mpf_ for c in row] == [c._mpf_ for c in reversed(row)], level
+
+
+@pytest.mark.parametrize("level", [2, 3, 6, 7])
+def test_log_newton_step_solves_the_full_symmetric_system(e6, level):
+    # a right-hand side and weights symmetric under k <-> level - k: the half
+    # system with the reflection folded into its last row gives the full
+    # system's solution on k <= level // 2
+    rng = random.Random(level)
+    neighbors = qsolver._neighbor_rows(e6)
+    half = level // 2
+    w_half = [[rng.uniform(0.05, 0.95) for _ in range(6)] for _ in range(half)]
+    r_half = [[rng.uniform(-1, 1) for _ in range(6)] for _ in range(half)]
+    mirror = [min(k, level - k) - 1 for k in range(1, level)]
+    weights = [w_half[m] for m in mirror]
+    rhs = [r_half[m] for m in mirror]
+    blocks = [[[2.0 if i == j else (w - 1 if j in neighbors[i] else 0.0) for j in range(6)]
+               for i, w in enumerate(col)] for col in weights]
+    full = qsolver._block_thomas(blocks, [[-w for w in col] for col in weights], rhs)
+    got = qsolver._log_newton_step(neighbors, w_half, r_half, level)
+    assert len(got) == half
+    scale = max(abs(x) for col in full for x in col)
+    for k in range(half):
+        assert max(abs(a - b) for a, b in zip(got[k], full[k])) <= 1e-12 * scale, k
+    # the full solution is itself mirrored
+    for k in range(level - 1):
+        assert max(abs(a - b) for a, b in zip(full[k], full[level - 2 - k])) <= 1e-12 * scale
 
 
 def test_solver_never_reads_the_grid(e7, monkeypatch):

@@ -491,7 +491,7 @@ def test_reports_are_deterministic():
     cases = (
         (RunConfig(type_label="E6", level=3, checks=("grid", "theorem", "dilog")), None),
         (RunConfig(type_label="E6", level=4),
-         "20b72beb7dc33f6ebb38e215e3ec14110c1bde73110211e5c7456052ccca06e2"),
+         "deac3d5c36f7d9b594c2128cf23337078ff64fad133717ccea1c6d8b6ddc82cc"),
         # E8's derived rows, filled by subtraction and division
         (RunConfig(type_label="E8", level=2),
          "a2d568ffa640e4b0936aa9a17645f8726fa97d378e83ba10eabce9e13ede337a"),
@@ -517,13 +517,16 @@ def test_reports_are_deterministic():
 
 
 def test_cli_calls_in_one_process_match_fresh_interpreters(capsys):
-    # main shares one parser and one root system per type across calls; each
-    # call's output must be what a fresh interpreter prints, so no default
-    # or state leaks from one call into the next
+    # main shares one parser, one root system per type and one mpmath context
+    # per precision across calls; each call's output must be what a fresh
+    # interpreter prints, so no default or state leaks from one call into the
+    # next, not even from a call at another precision
     calls = (
         ["verify", "--type", "E6", "--level", "2", "--checks", "roots"],
         ["verify", "--type", "E6", "--level", "2"],
-        ["solve", "--type", "E6", "--level", "4", "--tol", "1e-20"],
+        ["solve", "--type", "E6", "--level", "4", "--tol", "1e-35"],
+        ["solve", "--type", "E6", "--level", "4"],
+        ["solve", "--type", "E6", "--level", "4", "--precision-bits", "256", "--tol", "1e-60"],
         ["solve", "--type", "E6", "--level", "4"],
     )
     src = str(Path(qslab.__file__).resolve().parents[1])
@@ -538,6 +541,7 @@ def test_cli_calls_in_one_process_match_fresh_interpreters(capsys):
         assert (code, drop_duration(out)) == (fresh.returncode, drop_duration(fresh.stdout)), argv
         outputs.append(out)
     assert outputs[2] != outputs[3]  # the two tolerances stop at different residuals
+    assert outputs[4] != outputs[3] and outputs[5] == outputs[3]
 
 
 def test_solve_output_is_pinned(capsys):
@@ -548,7 +552,7 @@ def test_solve_output_is_pinned(capsys):
         assert main(["solve", "--type", label, "--level", str(level)]) == 0
         out.append(capsys.readouterr().out)
     digest = hashlib.sha256("".join(out).encode()).hexdigest()
-    assert digest == "4f688588d269f71c23d27a9bebeb04c2a39433975502cbbda826c6927e6a7ff7"
+    assert digest == "c095a0a81a1771d5f3897f7b24ad81f5e4bd90c13eba3899cf0a6c62fe68cc81"
 
 
 @pytest.mark.parametrize("label", ["E6", "E7", "E8"])
