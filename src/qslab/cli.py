@@ -285,7 +285,8 @@ def _parse_seq(text: str) -> seqanalysis.RealSequence:
         seq = seqanalysis.make_sequence(tokens)
     except ValueError as exc:
         _usage_error(f"--seq {text!r}: {exc}")
-    # branden_criterion's cost grows with the spread of the exponents
+    # branden_criterion's Sturm chain, run where no Newton inequality fails,
+    # costs more the wider the spread of the exponents
     for t, e in zip(tokens, seq.entries):
         if e and not 2.0 ** -1074 <= abs(e) < 2 ** 1024:
             _usage_error(f"--seq {text!r}: {t} is outside the double range "

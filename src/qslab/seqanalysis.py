@@ -5,9 +5,11 @@ Provides the squared-difference operator L mapping (a_k) to
 probing, and an exact test of whether the coefficient polynomial has only
 real negative roots (a sufficient condition for infinite log-concavity).
 
-The rootedness verdict is an exact Sturm count, on the integers, of the real
-and the positive roots of the polynomial whose coefficients are the entries
-read exactly: each binary mantissa shifted to the sequence's least exponent.
+The rootedness verdict reads the entries exactly as the coefficients of an
+integer polynomial: each binary mantissa shifted to the sequence's least
+exponent.  A failed Newton inequality on those coefficients proves a non-real
+root; where every inequality holds, an exact Sturm count, on the integers, of
+the real and the positive roots decides.
 """
 
 from __future__ import annotations
@@ -170,14 +172,32 @@ def _sturm_verdict(coeffs: list[int]) -> RootednessVerdict:
     return RootednessVerdict("real_negative", witness=None)
 
 
+def _newton_violation(coeffs: list[int]) -> int | None:
+    """First k with c_k^2 k(n-k) < c_{k-1} c_{k+1} (k+1)(n-k+1), else None.
+
+    These are Newton's inequalities for c_k / binom(n, k), n the degree
+    (Hardy, Littlewood and Polya, Inequalities, 2.22).  Every real-rooted
+    real polynomial satisfies them, whatever the signs of its coefficients,
+    so a violation proves a non-real root.
+    """
+    n = len(coeffs) - 1
+    for k in range(1, n):
+        if (coeffs[k] ** 2 * k * (n - k)
+                < coeffs[k - 1] * coeffs[k + 1] * (k + 1) * (n - k + 1)):
+            return k
+    return None
+
+
 def branden_criterion(seq: RealSequence) -> RootednessVerdict:
     """Classify whether sum a_k x^k has only real, strictly negative roots.
 
     Each entry's binary mantissa, shifted to the least exponent of the
     sequence, is read as an exact integer coefficient.  Trailing zero
-    coefficients are dropped and a zero constant term is a root at 0;
-    otherwise an exact Sturm count over the integers of the distinct real
-    and positive roots decides the verdict, multiple roots included.
+    coefficients are dropped and a zero constant term is a root at 0.
+    Otherwise the first failed Newton inequality on the coefficients
+    witnesses a non-real root; where none fails, an exact Sturm count over
+    the integers of the distinct real and positive roots decides the
+    verdict, multiple roots included.
     """
     parts = [e._mpf_ for e in seq.entries]  # (sign, mantissa, exponent, bits)
     exponents = [exp for _, man, exp, _ in parts if man]
@@ -190,4 +210,8 @@ def branden_criterion(seq: RealSequence) -> RootednessVerdict:
         coeffs.pop()
     if coeffs[0] == 0:
         return RootednessVerdict("not_real_negative", witness="root at 0")
+    k = _newton_violation(coeffs)
+    if k is not None:
+        return RootednessVerdict(
+            "not_real_negative", witness=f"non-real root (Newton inequality at k={k})")
     return _sturm_verdict(coeffs)

@@ -7,10 +7,13 @@ import pytest
 from mpmath.ctx_mp import MPContext
 
 import qslab
+from qslab.cli import main
 from qslab.qnum import LevelContext, qdim_line
 from qslab.seqanalysis import (
     RealSequence,
     RootednessVerdict,
+    _newton_violation,
+    _sturm_verdict,
     branden_criterion,
     is_log_concave,
     l_operator,
@@ -230,14 +233,107 @@ def test_branden_repeated_roots_decided_exactly():
 
 def test_branden_reads_entries_exactly():
     # 1 + 2x + (1 + 2^-100) x^2 has discriminant -2^-98: a complex pair that
-    # rounding the x^2 coefficient to fewer than 101 bits would turn into (x+1)^2
+    # rounding the x^2 coefficient to fewer than 101 bits would turn into
+    # (x+1)^2.  For a quadratic the k = 1 Newton inequality is the
+    # discriminant, so the witness comes from it, and the Sturm chain on the
+    # same exact coefficients agrees.
     mp = MPContext()
     mp.prec = 128
     seq = make_sequence([mp.mpf(1), mp.mpf(2), 1 + mp.mpf(2) ** -100])
-    expected = RootednessVerdict("not_real_negative", witness="non-real root (exact count)")
+    expected = RootednessVerdict(
+        "not_real_negative", witness="non-real root (Newton inequality at k=1)")
     assert branden_criterion(seq) == expected
     with mpmath.workprec(20):
         assert branden_criterion(seq) == expected
+    coeffs = [2 ** 100, 2 ** 101, 2 ** 100 + 1]
+    assert _sturm_verdict(coeffs) == RootednessVerdict(
+        "not_real_negative", witness="non-real root (exact count)")
+
+
+def _exact_coeffs(seq):
+    """The integers branden_criterion reads: each entry's exact binary value
+    times 2^-e, e the least exponent of the sequence's nonzero entries."""
+    values = [mpmath.mpmathify(e) for e in seq.entries]
+    low = min(v.exp for v in values if v)
+    coeffs = [int(mpmath.ldexp(v, -low)) for v in values]
+    while coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
+def _e7_node7_line(e7, level, bits):
+    ctx = LevelContext(e7, level, precision_bits=bits)
+    return make_sequence([qdim_line(7, k, ctx).value for k in range(level + 1)])
+
+
+def test_branden_newton_witness_on_e7_node7(e7):
+    # the witness is a certificate: wherever it fires the Sturm chain on the
+    # same exact coefficients also finds a non-real root, and the statuses
+    # agree at every level
+    newton_levels = {}
+    for level, bits in [(level, 128) for level in range(1, 31)] + [(40, 256)]:
+        seq = _e7_node7_line(e7, level, bits)
+        verdict = branden_criterion(seq)
+        assert verdict.status == _sturm_verdict(_exact_coeffs(seq)).status, level
+        if verdict.witness and "Newton" in verdict.witness:
+            newton_levels[level] = verdict.witness
+    assert sorted(newton_levels) == [28, 29, 30, 40]
+    assert newton_levels[28] == "non-real root (Newton inequality at k=13)"
+
+
+def test_branden_newton_witness_skips_the_chain(e7, monkeypatch):
+    def no_chain(coeffs):
+        raise AssertionError("Sturm chain reached")
+
+    monkeypatch.setattr("qslab.seqanalysis._sturm_verdict", no_chain)
+    verdict = branden_criterion(_e7_node7_line(e7, 60, 384))
+    assert verdict.status == "not_real_negative"
+    assert verdict.witness.startswith("non-real root (Newton inequality at k=")
+
+
+def test_newton_witness_never_fires_on_real_rooted_products():
+    # products of (q x + p), repeated roots and roots of both signs included:
+    # Newton's inequalities hold for every real-rooted polynomial
+    rng = random.Random(606)
+    for _ in range(TRIALS):
+        coeffs = [1]
+        for _ in range(rng.randint(1, 10)):
+            p, q = rng.randint(-30, 30), rng.randint(1, 9)
+            coeffs = [q * c + p * d for c, d in zip([0] + coeffs, coeffs + [0])]
+        assert _newton_violation(coeffs) is None, coeffs
+        if coeffs[0]:
+            witness = branden_criterion(make_sequence(coeffs)).witness
+            assert witness is None or "Newton" not in witness, coeffs
+
+
+def test_newton_witness_fires_only_on_non_real_roots():
+    rng = random.Random(707)
+    fired = 0
+    for _ in range(TRIALS):
+        coeffs = [rng.randint(-9, 9) for _ in range(rng.randint(2, 9))]
+        coeffs[0] = coeffs[0] or 1
+        coeffs[-1] = coeffs[-1] or -1
+        verdict = branden_criterion(make_sequence(coeffs))
+        sturm = _sturm_verdict(coeffs)
+        assert verdict.status == sturm.status, coeffs
+        if "Newton" in (verdict.witness or ""):
+            fired += 1
+            assert sturm.witness == "non-real root (exact count)", coeffs
+    assert fired > TRIALS // 4
+
+
+def test_cli_branden_repeated_root_runs_the_chain(capsys, monkeypatch):
+    # (x+1)^2 meets the k = 1 inequality with equality, so the chain decides
+    calls = []
+
+    def spy(coeffs):
+        calls.append(coeffs)
+        return _sturm_verdict(coeffs)
+
+    monkeypatch.setattr("qslab.seqanalysis._sturm_verdict", spy)
+    assert main(["logconcave", "--seq", "1,2,1", "--branden"]) == 0
+    assert capsys.readouterr().out.endswith("coefficient polynomial: real_negative\n")
+    assert calls == [[1, 2, 1]]
 
 
 def test_sine_factor_identity(e6):
@@ -272,9 +368,7 @@ def test_branden_e7_fixture_boundary(e7):
     for level, status in ((1, "real_negative"), (4, "real_negative"),
                           (11, "real_negative"), (12, "not_real_negative"),
                           (16, "not_real_negative"), (28, "not_real_negative")):
-        ctx = LevelContext(e7, level)
-        seq = make_sequence([qdim_line(7, k, ctx).value for k in range(level + 1)])
-        assert branden_criterion(seq).status == status
+        assert branden_criterion(_e7_node7_line(e7, level, 128)).status == status
 
 
 def test_sequence_validation():
