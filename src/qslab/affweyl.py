@@ -26,21 +26,6 @@ class AffineReduction:
     word_length: int
 
 
-def reflection_dot(rs: RootSystem, root_index: int, weight: Sequence[int]) -> Weight:
-    """Dot reflection in an arbitrary positive root (parity -1)."""
-    beta_w = rs.root_as_weight(root_index)
-    pair = rs.pairing(tuple(w + 1 for w in weight), root_index)
-    return tuple(w - pair * b for w, b in zip(weight, beta_w))
-
-
-def translate_by_root(
-    rs: RootSystem, root_index: int, multiple: int, weight: Sequence[int]
-) -> Weight:
-    """Translation by multiple*beta; commutes with the rho shift (parity +1)."""
-    beta_w = rs.root_as_weight(root_index)
-    return tuple(w + multiple * b for w, b in zip(weight, beta_w))
-
-
 def apply_word(word: Iterable[int], weight: Sequence[int], ctx: LevelContext) -> tuple[Weight, int]:
     """Apply a generator word (0 = affine generator) right-to-left.
 

@@ -21,7 +21,7 @@ from typing import NoReturn
 
 from . import affweyl, krchar, qsolver, report, seqanalysis
 from .qnum import (DEFAULT_PRECISION_BITS, MIN_PRECISION_BITS, LevelContext, alcove_line,
-                   qdim, qdim_classical, qdim_line)
+                   qdim, qdim_classical)
 from .rootsys import TYPE_DATA, build_root_system, is_dominant, type_data
 
 
@@ -212,7 +212,7 @@ def _cmd_krdec(args) -> int:
     level = _optional(args, "--level", unused_in=unused_in)
     rs = build_root_system(args.type)
     _check_node(args.node, rs.rank)
-    if args.k == 1 and args.node in type_data(rs.type_label).kleber_nodes:
+    if args.k == 1 and args.node in type_data(rs.type_label).kleber_q1:
         dec = krchar.kleber_q1(rs, args.node)
     else:
         dec = krchar.chari_decomposition(rs, args.node, args.k)
@@ -310,8 +310,7 @@ def _cmd_logconcave(args) -> int:
         rs = build_root_system(args.type)
         _check_node(args.node, rs.rank)
         ctx = LevelContext(rs, args.level, _precision(args))
-        seq = seqanalysis.make_sequence(
-            [qdim_line(args.node, k, ctx).value for k in alcove_line(args.node, ctx)])
+        seq = seqanalysis.make_sequence(alcove_line(args.node, ctx))
         label = f"{args.type} node {args.node} line, level {args.level}"
     order = seqanalysis.log_concavity_order(seq, args.max_order)
     lines = [f"{label}: {len(seq)} entries",

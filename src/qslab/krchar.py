@@ -1,9 +1,10 @@
 """Dominant-weight decompositions of Kirillov-Reshetikhin modules.
 
 Only the nodes with known closed-form decompositions are generated here:
-Chari's formulas cover the extremal nodes of E6/E7/E8 and Kleber's tables
-cover the two remaining E7 nodes at a single box.  Everything else is
-reached through Q-system propagation in :mod:`qslab.qsolver`.
+Chari's formulas cover the extremal nodes of E6/E7/E8, and Kleber's tables
+for the two remaining E7 nodes at a single box are read from
+``rootsys.TYPE_DATA``.  Everything else is reached through Q-system
+propagation in :mod:`qslab.qsolver`.
 """
 
 from __future__ import annotations
@@ -68,32 +69,10 @@ def chari_decomposition(rs: RootSystem, node: int, box_count: int) -> KRDecompos
 
 
 def kleber_q1(rs: RootSystem, node: int) -> KRDecomposition:
-    """Kleber's single-box decompositions at the two remaining E7 nodes."""
-    if node not in type_data(rs.type_label).kleber_nodes:
+    """Kleber's single-box decomposition at a node of TYPE_DATA's ``kleber_q1``."""
+    terms = type_data(rs.type_label).kleber_q1.get(node)
+    if terms is None:
         raise ValueError(f"no single-box table for ({rs.type_label}, node {node})")
-
-    def w(**coords: int) -> Weight:
-        return tuple(coords.get(f"w{j}", 0) for j in range(1, 8))
-
-    if node == 5:
-        terms = (
-            (1, w(w5=1)),
-            (1, w(w1=1, w7=1)),
-            (2, w(w2=1)),
-            (2, w(w7=1)),
-        )
-    else:
-        terms = (
-            (2, w()),
-            (4, w(w1=1)),
-            (1, w(w1=2)),
-            (3, w(w3=1)),
-            (1, w(w4=1)),
-            (4, w(w6=1)),
-            (1, w(w7=2)),
-            (1, w(w1=1, w6=1)),
-            (2, w(w2=1, w7=1)),
-        )
     return KRDecomposition(node=node, box_count=1, terms=terms)
 
 

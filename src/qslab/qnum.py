@@ -262,9 +262,11 @@ def qdim_line(node: int, k: int, ctx: LevelContext) -> QReal:
     return qdim(fundamental_weight(ctx.root_system.rank, node, k), ctx)
 
 
-def alcove_line(node: int, ctx: LevelContext) -> range:
-    """The k with k*w_node in the level's alcove: 0 .. level // a_node."""
-    return range(ctx.level // ctx.root_system.marks[node - 1] + 1)
+def alcove_line(node: int, ctx: LevelContext) -> list:
+    """The values qdim(k*w_node) for the k with k*w_node in the level's
+    alcove, k = 0 .. level // a_node, one ``qdim_line`` call each."""
+    top = ctx.level // ctx.root_system.marks[node - 1]
+    return [qdim_line(node, k, ctx).value for k in range(top + 1)]
 
 
 def qdim_classical(rs: RootSystem, weight: Sequence[int]) -> int:

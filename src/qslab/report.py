@@ -20,8 +20,7 @@ from typing import Callable
 import mpmath
 
 from . import affweyl, krchar, qsolver, rootsys, seqanalysis
-from .qnum import (DEFAULT_PRECISION_BITS, MIN_PRECISION_BITS, LevelContext, alcove_line,
-                   qdim_line)
+from .qnum import DEFAULT_PRECISION_BITS, MIN_PRECISION_BITS, LevelContext, alcove_line
 from .qsolver import CheckResult, QGrid, _mk_check
 from .rootsys import RootSystem, Weight, build_root_system
 
@@ -242,6 +241,12 @@ def sign_identity_trials(ctx: LevelContext, trials: int = 4) -> int:
                for g in range(ctx.root_system.rank + 1))
 
 
+# The E8 element sigma = t_{l beta} s_beta, beta = (2,2,3,4,3,2,1,0), as the
+# affine reflection w s_0 w^-1: w = s8 s7 s6 s5 s4 s2 s3 s4 s5 s6 s7 s8 takes
+# theta to beta.
+E8_SIGMA = (8, 7, 6, 5, 4, 2, 3, 4, 5, 6, 7, 8, 0, 8, 7, 6, 5, 4, 3, 2, 4, 5, 6, 7, 8)
+
+
 def fixed_word_image_check(ctx: LevelContext) -> CheckResult:
     """Exact integer closed forms for the distinguished affine elements."""
     rs = ctx.root_system
@@ -267,7 +272,6 @@ def fixed_word_image_check(ctx: LevelContext) -> CheckResult:
                 if image != expect or parity != -1:
                     bad.append(f"w . ({p}w2+{q}w7)")
     else:
-        beta97 = rs.find_root((2, 2, 3, 4, 3, 2, 1, 0))
         for s in range(-2, 7):
             for r in range(-2, 7):
                 lam = tuple(s if j == 0 else r if j == 7 else 0 for j in range(8))
@@ -277,14 +281,12 @@ def fixed_word_image_check(ctx: LevelContext) -> CheckResult:
                 )
                 if affweyl.apply_word((0,), lam, ctx)[0] != expect0:
                     bad.append(f"s0 . ({s}w1+{r}w8)")
-                image = affweyl.translate_by_root(
-                    rs, beta97, ctx.shifted_level,
-                    affweyl.reflection_dot(rs, beta97, lam))
+                image, parity = affweyl.apply_word(E8_SIGMA, lam, ctx)
                 expect = tuple(
                     (level + 13 - s) if j == 0 else (2 * s + r - level - 13) if j == 7 else 0
                     for j in range(8)
                 )
-                if image != expect:
+                if image != expect or parity != -1:
                     bad.append(f"sigma . ({s}w1+{r}w8)")
     return _mk_check("fixed_word_images", None, not bad, True, None,
                      note="; ".join(bad[:4]) if bad else "integer closed forms reproduced")
@@ -318,10 +320,10 @@ def _grid_checks(report, ctx, grid) -> list[CheckResult]:
                          True, res, note=f"k_max={grid.k_max}"))
     out.append(_mk_check("grid_unresolved", None, not grid.unresolved, True, None,
                          note=f"unresolved cells {grid.unresolved}" if grid.unresolved else ""))
-    kleber_nodes = rootsys.type_data(ctx.root_system.type_label).kleber_nodes
-    if kleber_nodes:
+    kleber_tables = rootsys.type_data(ctx.root_system.type_label).kleber_q1
+    if kleber_tables:
         worst = ctx.mp.mpf(0)
-        for node in kleber_nodes:
+        for node in kleber_tables:
             direct = krchar.qdim_kr(krchar.kleber_q1(ctx.root_system, node), ctx)
             cell = grid.cell(node, 1)
             if cell is None:
@@ -363,14 +365,15 @@ def _theorem_checks(report, ctx, grid) -> list[CheckResult]:
 
 def _logconcave_checks(report, ctx, grid) -> list[CheckResult]:
     rs = ctx.root_system
-    label = rs.type_label
+    td = rootsys.type_data(rs.type_label)
     level = ctx.level
     out = []
 
     bad_nodes = []
     for i in range(1, rs.rank + 1):
-        seq = seqanalysis.make_sequence(
-            [qdim_line(i, k, ctx).value for k in alcove_line(i, ctx)])
+        seq = seqanalysis.make_sequence(alcove_line(i, ctx))
+        if i == td.branden_node:
+            branden_line = seq
         if len(seq) >= 3 and not seqanalysis.is_log_concave(seq, strict=True):
             bad_nodes.append(i)
         if any(not e > 0 for e in seq.entries):
@@ -378,7 +381,7 @@ def _logconcave_checks(report, ctx, grid) -> list[CheckResult]:
     out.append(_mk_check("fundamental_lines_log_concave", None, not bad_nodes, True,
                          None, note=f"failing nodes {bad_nodes}" if bad_nodes else ""))
 
-    row_node = rootsys.type_data(label).adjoint_node
+    row_node = td.adjoint_node
     row = [grid.cell(row_node, k) for k in range(level + 1)]
     if any(c is None for c in row):
         out.append(_mk_check("grid_row_log_concave", row_node, False, True, None,
@@ -388,21 +391,20 @@ def _logconcave_checks(report, ctx, grid) -> list[CheckResult]:
         ok = len(seq) < 3 or seqanalysis.is_log_concave(seq, strict=True)
         out.append(_mk_check("grid_row_log_concave", row_node, ok, True, None))
 
-    if label == "E7":
-        entries = [qdim_line(7, k, ctx).value for k in range(level + 1)]
-        seq = seqanalysis.make_sequence(entries)
-        order = seqanalysis.log_concavity_order(seq, 6)
-        gate = level <= 12
-        out.append(_mk_check("order_probe", 7, order >= 3 if gate else True,
+    if td.branden_node is not None:
+        node, threshold = td.branden_node, td.branden_level
+        order = seqanalysis.log_concavity_order(branden_line, 6)
+        gate = level <= threshold
+        out.append(_mk_check("order_probe", node, order >= 3 if gate else True,
                              gate, None, note=f"order >= {order} (max probed 6)"))
-        verdict = seqanalysis.branden_criterion(seq)
-        if level <= 11:
+        verdict = seqanalysis.branden_criterion(branden_line)
+        if level < threshold:
             ok = verdict.status == "real_negative"
-        elif level == 12:
+        elif level == threshold:
             ok = verdict.status == "not_real_negative"
         else:
             ok = True
-        out.append(_mk_check("branden", 7, ok, level <= 12, None,
+        out.append(_mk_check("branden", node, ok, gate, None,
                              note=f"{verdict.status}"
                                   + (f" ({verdict.witness})" if verdict.witness else "")))
     return out
@@ -479,6 +481,10 @@ class RunConfig:
                 raise ValueError(f"repeated check {c!r}")
         if self.fmt not in REPORT_FORMATS:
             raise ValueError(f"unknown output format {self.fmt!r}")
+        if self.k_max is not None:
+            l = self.level + rootsys.type_data(self.type_label.upper()).coxeter_number
+            if not l <= self.k_max <= 4 * l:
+                raise ValueError(f"k_max must be in {l}..{4 * l}, got {self.k_max}")
 
 
 @dataclass
@@ -516,8 +522,7 @@ def run(config: RunConfig) -> VerificationReport:
     groups = [group for name, group in CHECK_GROUPS.items() if name in config.checks]
     grid = None
     if reads_grid(config.checks):
-        k_max = config.k_max if config.k_max is not None else ctx.shifted_level
-        grid = qsolver.build_qgrid(ctx, k_max=max(k_max, ctx.shifted_level))
+        grid = qsolver.build_qgrid(ctx, k_max=config.k_max)
         report.grid = grid
 
     for _, checks in groups:

@@ -58,8 +58,14 @@ class TypeData:
     #: Nodes whose positivity is proven on the window a_i k <= L or
     #: a_i k >= (a_i - 1) L through the log-concavity route.
     positivity_window_nodes: tuple[int, ...]
-    #: Nodes with Kleber's single-box decomposition tables.
-    kleber_nodes: tuple[int, ...]
+    #: Kleber's single-box decompositions, node -> (multiplicity, weight)
+    #: terms in summation order, at the nodes no closed form reaches.
+    kleber_q1: dict[int, tuple[tuple[int, Weight], ...]]
+    #: The mark-1 node whose line (k w_node, k = 0..L) has a coefficient
+    #: polynomial with real roots only below ``branden_level`` and a non-real
+    #: root at it; both None where no threshold is claimed.
+    branden_node: int | None
+    branden_level: int | None
     #: Whether the dilogarithm arguments lying in (0, 1) is a theorem.
     dilog_proven: bool
 
@@ -83,7 +89,9 @@ TYPE_DATA = {
         proven_nodes={"zero_window": _ALL, "symmetry": _ALL, "positivity": _ALL,
                       "unimodality": _ALL, "periodicity": _ALL, "boundary_one": _ALL},
         positivity_window_nodes=(),
-        kleber_nodes=(),
+        kleber_q1={},
+        branden_node=None,
+        branden_level=None,
         dilog_proven=True,
     ),
     "E7": TypeData(
@@ -106,7 +114,26 @@ TYPE_DATA = {
                       "positivity": {1, 2, 3, 6, 7}, "unimodality": {1, 2, 7},
                       "periodicity": _ALL, "boundary_one": _ALL},
         positivity_window_nodes=(4, 5),
-        kleber_nodes=(4, 5),
+        # W(4)_1 = 2 V(0) + 4 V(w1) + V(2w1) + 3 V(w3) + V(w4) + 4 V(w6)
+        #          + V(2w7) + V(w1+w6) + 2 V(w2+w7),
+        # W(5)_1 = V(w5) + V(w1+w7) + 2 V(w2) + 2 V(w7)
+        kleber_q1={
+            4: ((2, (0, 0, 0, 0, 0, 0, 0)),
+                (4, (1, 0, 0, 0, 0, 0, 0)),
+                (1, (2, 0, 0, 0, 0, 0, 0)),
+                (3, (0, 0, 1, 0, 0, 0, 0)),
+                (1, (0, 0, 0, 1, 0, 0, 0)),
+                (4, (0, 0, 0, 0, 0, 1, 0)),
+                (1, (0, 0, 0, 0, 0, 0, 2)),
+                (1, (1, 0, 0, 0, 0, 1, 0)),
+                (2, (0, 1, 0, 0, 0, 0, 1))),
+            5: ((1, (0, 0, 0, 0, 1, 0, 0)),
+                (1, (1, 0, 0, 0, 0, 0, 1)),
+                (2, (0, 1, 0, 0, 0, 0, 0)),
+                (2, (0, 0, 0, 0, 0, 0, 1))),
+        },
+        branden_node=7,
+        branden_level=12,
         dilog_proven=False,
     ),
     "E8": TypeData(
@@ -131,7 +158,9 @@ TYPE_DATA = {
                       "positivity": {1, 3, 8}, "unimodality": {1, 8},
                       "periodicity": _ALL, "boundary_one": _ALL},
         positivity_window_nodes=(),
-        kleber_nodes=(),
+        kleber_q1={},
+        branden_node=None,
+        branden_level=None,
         dilog_proven=False,
     ),
 }
@@ -245,17 +274,6 @@ class RootSystem:
             for i in range(1, self.rank + 1)
         }
 
-    @cached_property
-    def _root_index(self) -> dict[tuple[int, ...], int]:
-        return {b: n for n, b in enumerate(self.positive_roots)}
-
-    def pairing(self, weight: Sequence[int], root_index: int) -> int:
-        """(weight | beta) for the positive root with the given index."""
-        b = self.positive_roots[root_index]
-        if len(weight) != self.rank:
-            raise ValueError("weight has wrong rank")
-        return sum(w * c for w, c in zip(weight, b))
-
     def root_as_weight(self, root_index: int) -> Weight:
         """Coefficient vector of a root rewritten in the weight basis."""
         b = self.positive_roots[root_index]
@@ -263,10 +281,6 @@ class RootSystem:
             sum(self.cartan[j][i] * b[i] for i in range(self.rank))
             for j in range(self.rank)
         )
-
-    def find_root(self, coeffs: Sequence[int]) -> int:
-        """Canonical index of a root given by its coefficient vector."""
-        return self._root_index[tuple(coeffs)]
 
 
 def is_dominant(weight: Sequence[int]) -> bool:

@@ -35,6 +35,32 @@ def s0_dot(weight: Sequence[int], ctx) -> tuple[int, ...]:
     return tuple(w + c * t for w, t in zip(weight, theta))
 
 
+def pairing(rs, weight: Sequence[int], root_index: int) -> int:
+    """(weight | beta) for the positive root with the given canonical index."""
+    if len(weight) != rs.rank:
+        raise ValueError("weight has wrong rank")
+    return sum(w * c for w, c in zip(weight, rs.positive_roots[root_index]))
+
+
+def find_root(rs, coeffs: Sequence[int]) -> int:
+    """Canonical index of a positive root given by its coefficient vector."""
+    return rs.positive_roots.index(tuple(coeffs))
+
+
+def reflection_dot(rs, root_index: int, weight: Sequence[int]) -> tuple[int, ...]:
+    """Dot reflection in an arbitrary positive root (parity -1)."""
+    beta_w = rs.root_as_weight(root_index)
+    pair = pairing(rs, tuple(w + 1 for w in weight), root_index)
+    return tuple(w - pair * b for w, b in zip(weight, beta_w))
+
+
+def translate_by_root(rs, root_index: int, multiple: int,
+                      weight: Sequence[int]) -> tuple[int, ...]:
+    """Translation by multiple*beta; commutes with the rho shift (parity +1)."""
+    beta_w = rs.root_as_weight(root_index)
+    return tuple(w + multiple * b for w, b in zip(weight, beta_w))
+
+
 def in_alcove(rs, weight: Sequence[int], level: int) -> bool:
     """Membership in the closed fundamental alcove at the given level."""
     if level < 0:

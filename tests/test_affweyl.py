@@ -10,13 +10,13 @@ from qslab.affweyl import (
     apply_word,
     enumerate_alcove,
     reduce_to_dominant,
-    reflection_dot,
-    translate_by_root,
 )
 from qslab.qnum import LevelContext, _sine_product, qdim
+from qslab.report import E8_SIGMA
 from qslab.rootsys import fundamental_weight
 
-from oracles import in_alcove, s0_dot, si_dot
+from oracles import (find_root, in_alcove, pairing, reflection_dot, s0_dot, si_dot,
+                     translate_by_root)
 
 
 def qdim_formal(weight, ctx):
@@ -29,7 +29,7 @@ def qdim_formal(weight, ctx):
     rs = ctx.root_system
     shifted = tuple(c + 1 for c in weight)
     factors = [
-        (rs.pairing(shifted, i), rs.heights[i])
+        (pairing(rs, shifted, i), rs.heights[i])
         for i in range(len(rs.positive_roots))
     ]
     return _sine_product(ctx, factors)
@@ -97,7 +97,7 @@ def test_e7_thirteen_letter_word(e7, level):
 @pytest.mark.parametrize("level", [1, 4])
 def test_e8_reflection_translation_composite(e8, level):
     ctx = LevelContext(e8, level)
-    beta97 = e8.find_root((2, 2, 3, 4, 3, 2, 1, 0))
+    beta97 = find_root(e8, (2, 2, 3, 4, 3, 2, 1, 0))
     for s in range(-2, 5):
         for r in range(-2, 5):
             lam = tuple(s if j == 0 else r if j == 7 else 0 for j in range(8))
@@ -110,6 +110,20 @@ def test_e8_reflection_translation_composite(e8, level):
                 for j in range(8)
             )
             assert image == expect
+
+
+def test_e8_sigma_word_matches_reflection_translation_oracle(e8):
+    # sigma = t_{l beta} s_beta written as the generator word w s0 w^-1
+    beta97 = find_root(e8, (2, 2, 3, 4, 3, 2, 1, 0))
+    for level in range(1, 21):
+        ctx = LevelContext(e8, level)
+        for s in range(-2, 7):
+            for r in range(-2, 7):
+                lam = tuple(s if j == 0 else r if j == 7 else 0 for j in range(8))
+                image, parity = apply_word(E8_SIGMA, lam, ctx)
+                assert image == translate_by_root(
+                    e8, beta97, ctx.shifted_level, reflection_dot(e8, beta97, lam))
+                assert parity == -1
 
 
 def test_reduce_already_dominant(e6):
@@ -290,7 +304,7 @@ def test_e8_composite_reflection_sign_identity(e8):
     # of a dominant weight and its dominant image differ exactly by a sign
     level = 4
     ctx = LevelContext(e8, level)
-    beta97 = e8.find_root((2, 2, 3, 4, 3, 2, 1, 0))
+    beta97 = find_root(e8, (2, 2, 3, 4, 3, 2, 1, 0))
     checked = 0
     for s in range(0, level + 14):
         for r in range(0, 6):

@@ -13,7 +13,7 @@ from qslab.krchar import (
     kleber_q1,
     qdim_kr,
 )
-from qslab.qnum import LevelContext, qdim
+from qslab.qnum import LevelContext, qdim, qdim_classical
 from qslab.rootsys import TYPE_DATA, fundamental_weight
 
 from rootbasis import to_root_basis
@@ -87,6 +87,26 @@ def test_kleber_tables(e7):
     consts = [m for m, w in four.terms if w == (0,) * 7]
     assert consts == [2]
     assert sum(m for m, _ in four.terms) == 2 + 4 + 1 + 3 + 1 + 4 + 1 + 1 + 2
+
+
+def test_kleber_tables_satisfy_the_classical_q_system(e7):
+    # at q = 1 the Q-system Q_k(i)^2 = Q_{k+1}(i) Q_{k-1}(i) + prod_{j~i} Q_k(j)
+    # holds for the classical dimensions, in exact integers
+    def dim(terms):
+        return sum(mult * qdim_classical(e7, w) for mult, w in terms)
+
+    def chari(node, k):
+        return dim(chari_decomposition(e7, node, k).terms)
+
+    tables = TYPE_DATA["E7"].kleber_q1
+    q7 = [chari(7, k) for k in range(4)]
+    # node 7 (neighbour 6) gives Q_k(6); node 6 (neighbours 5, 7) gives Q_1(5)
+    q6 = [None] + [q7[k] ** 2 - q7[k + 1] * q7[k - 1] for k in (1, 2)]
+    q5, rest = divmod(q6[1] ** 2 - q6[2], q7[1])
+    assert rest == 0
+    assert q5 == dim(tables[5]) == 36_080
+    # node 2 (neighbour 4) gives Q_1(4)
+    assert chari(2, 1) ** 2 - chari(2, 2) == dim(tables[4]) == 640_871
 
 
 def test_kleber_terms_below_box_weight(e7):

@@ -90,6 +90,12 @@ def test_run_config_validation():
         RunConfig(type_label="E6", level=2, checks=("roots", "grid", "roots"))
     with pytest.raises(ValueError):
         RunConfig(type_label="E6", level=2, fmt="yaml")
+    # k_max lies in l..4l, l = level + h = 14 here, as the CLI's --kmax does
+    for k_max in (3, 13, 57):
+        with pytest.raises(ValueError, match=f"k_max must be in 14..56, got {k_max}"):
+            RunConfig(type_label="E6", level=2, k_max=k_max, checks=("grid",))
+    for k_max in (14, 56):
+        assert RunConfig(type_label="E6", level=2, k_max=k_max).k_max == k_max
 
 
 def test_fixture_check_detects_corruption(e7, tmp_path):
