@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from mpmath.libmp import fone, mpf_add, mpf_mul_int
+
 from .qnum import LevelContext, QReal, qdim
 from .rootsys import RootSystem, Weight, fundamental_weight, is_dominant, type_data
 
@@ -42,8 +44,11 @@ def _chari_shell(rs: RootSystem, node: int, j: int) -> list[Weight]:
     if pair is None:
         return [fundamental_weight(n, node, j)]
     a, b = pair
-    return [tuple(r if c == a else (j - r) if c == b else 0 for c in range(n))
-            for r in range(j + 1)]
+    template, out = [0] * n, []
+    for r in range(j + 1):
+        template[a], template[b] = r, j - r
+        out.append(tuple(template))
+    return out
 
 
 def _check_direct(rs: RootSystem, node: int, box_count: int) -> None:
@@ -77,12 +82,20 @@ def kleber_q1(rs: RootSystem, node: int) -> KRDecomposition:
 
 
 def _fold(total: QReal | None, terms, ctx: LevelContext) -> QReal | None:
-    """Add mult * qdim(weight) over (mult, weight) terms to total, left to right."""
+    """Add mult * qdim(weight) over (mult, weight) terms to total, left to right;
+    an exact zero term (``ctx.zero``) only adds 1 to the scale, as value + 0
+    is value bit for bit."""
+    mp, zero = ctx.mp, ctx.zero
+    prec, rnd = mp._prec_rounding
     for mult, weight in terms:
         q = qdim(weight, ctx)
         if mult != 1:
-            q = QReal(q.value * mult, q.magnitude_scale * mult)
-        total = q if total is None else total + q
+            q = QReal(mpf_mul_int(q._value, mult, prec, rnd),
+                      mpf_mul_int(q._scale, mult, prec, rnd), mp)
+        if q is zero and total is not None:
+            total = QReal(total._value, mpf_add(total._scale, fone, prec, rnd), mp)
+        else:
+            total = q if total is None else total + q
     return total
 
 
@@ -93,7 +106,7 @@ def qdim_kr(dec: KRDecomposition, ctx: LevelContext) -> QReal:
     decompositions sharing a prefix produce bit-identical partial sums.
     """
     total = _fold(None, dec.terms, ctx)
-    return total if total is not None else ctx.zero()
+    return total if total is not None else ctx.zero
 
 
 def chari_qdim(node: int, box_count: int, ctx: LevelContext) -> QReal:

@@ -10,13 +10,13 @@ congruences on pairings, never by float thresholding.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from fractions import Fraction
+from itertools import compress
 from operator import mul
 from typing import Sequence
 
 from mpmath.ctx_mp import MPContext
-from mpmath.libmp import from_man_exp
+from mpmath.libmp import (fone, from_man_exp, fzero, mpf_abs, mpf_add, mpf_div, mpf_lt,
+                          mpf_mul, mpf_sub)
 
 from .rootsys import RootSystem, Weight, fundamental_weight, is_dominant
 
@@ -25,40 +25,61 @@ MIN_PRECISION_BITS = 64
 DEFAULT_PRECISION_BITS = 128
 
 
-@dataclass(frozen=True)
 class QReal:
     """A high-precision real together with a coarse magnitude scale.
 
     ``magnitude_scale`` bounds the largest intermediate magnitude that went
     into the value (never below max(1, |value|)); tolerance checks multiply
-    the context's base tolerance by it.
+    the context's base tolerance by it.  Both read as mpf numbers of the
+    context ``mp`` and are held as raw ``_mpf_`` tuples, on which the
+    operators call mpmath.libmp at the context's precision and rounding:
+    the calls the mpf operators make, in the same order, so the bits are
+    those of mpf arithmetic, without its per-object dispatch.
     """
 
-    value: object
-    magnitude_scale: object
+    __slots__ = ("_value", "_scale", "_mp")
+
+    def __init__(self, value: tuple, scale: tuple, mp: MPContext):
+        self._value, self._scale, self._mp = value, scale, mp
+
+    value = property(lambda self: self._mp.make_mpf(self._value))
+    magnitude_scale = property(lambda self: self._mp.make_mpf(self._scale))
 
     # Both scales are at least 1 and at least |value|, and rounding to
     # nearest is monotone, so the rounded scale sum already bounds the
     # rounded |v1 +- v2| and 1: a sum or difference needs no clamp.
     def __add__(self, other: "QReal") -> "QReal":
-        return QReal(self.value + other.value,
-                     self.magnitude_scale + other.magnitude_scale)
+        prec, rnd = self._mp._prec_rounding
+        return QReal(mpf_add(self._value, other._value, prec, rnd),
+                     mpf_add(self._scale, other._scale, prec, rnd), self._mp)
 
     def __sub__(self, other: "QReal") -> "QReal":
-        return QReal(self.value - other.value,
-                     self.magnitude_scale + other.magnitude_scale)
+        prec, rnd = self._mp._prec_rounding
+        return QReal(mpf_sub(self._value, other._value, prec, rnd),
+                     mpf_add(self._scale, other._scale, prec, rnd), self._mp)
 
     def __mul__(self, other: "QReal") -> "QReal":
-        v = self.value * other.value
-        scale = (abs(self.value) * other.magnitude_scale
-                 + abs(other.value) * self.magnitude_scale)
-        return QReal(v, _clamp(scale, v))
+        prec, rnd = self._mp._prec_rounding
+        a, b = self._value, other._value
+        v = mpf_mul(a, b, prec, rnd)
+        scale = mpf_add(mpf_mul(mpf_abs(a, prec, rnd), other._scale, prec, rnd),
+                        mpf_mul(mpf_abs(b, prec, rnd), self._scale, prec, rnd), prec, rnd)
+        return self._clamped(v, scale, prec, rnd)
 
     def div(self, other: "QReal") -> "QReal":
         """Division; the caller is responsible for guarding the divisor."""
-        v = self.value / other.value
-        scale = (self.magnitude_scale + abs(v) * other.magnitude_scale) / abs(other.value)
-        return QReal(v, _clamp(scale, v))
+        prec, rnd = self._mp._prec_rounding
+        v = mpf_div(self._value, other._value, prec, rnd)
+        scale = mpf_add(self._scale, mpf_mul(mpf_abs(v, prec, rnd), other._scale, prec, rnd),
+                        prec, rnd)
+        scale = mpf_div(scale, mpf_abs(other._value, prec, rnd), prec, rnd)
+        return self._clamped(v, scale, prec, rnd)
+
+    def _clamped(self, v: tuple, scale: tuple, prec: int, rnd: str) -> "QReal":
+        """QReal(v, scale) with the scale raised to |v|, then to 1."""
+        m = mpf_abs(v, prec, rnd)
+        scale = m if mpf_lt(scale, m) else scale
+        return QReal(v, fone if mpf_lt(scale, fone) else scale, self._mp)
 
 
 @functools.cache
@@ -74,24 +95,16 @@ def mp_context(precision_bits: int) -> MPContext:
     return mp
 
 
-def _clamp(scale, value):
-    m = abs(value)
-    if scale < m:
-        scale = m
-    if scale < 1:
-        scale = scale * 0 + 1
-    return scale
-
-
 class LevelContext:
     """Carries the root system, the level, and the arithmetic precision.
 
     Each context computes in the shared mpmath context of its precision
     (``mp_context``; no global precision state), and owns a table of sine
     values and one memo of quantum dimensions keyed by dominant weight,
-    which every quantum-dimension path goes through.
-    It also memoizes the closed-form KR rows of :mod:`qslab.krchar`, one
-    list per direct node indexed by box count.
+    which every quantum-dimension path goes through, with one fold plan
+    per support pattern (``_support_plan``).  It also memoizes the
+    closed-form KR rows of :mod:`qslab.krchar`, one list per direct node
+    indexed by box count.  ``one`` and ``zero`` are its exact 1 and 0.
     """
 
     def __init__(
@@ -110,13 +123,14 @@ class LevelContext:
         self.precision_bits = int(precision_bits)
         self.mp = mp = mp_context(self.precision_bits)
         self.zero_tolerance = mp.mpf(2) ** (-(self.precision_bits // 2))
-        self._one = QReal(mp.mpf(1), mp.mpf(1))
-        self._zero = QReal(mp.mpf(0), mp.mpf(1))
+        self.one = QReal(fone, fone, mp)
+        self.zero = QReal(fzero, fone, mp)
         # sin(pi*r/l) by residue r mod 2l as (sign, mantissa, exponent): the
         # value (-1)**sign * mantissa * 2**exponent, the mantissa exactly
         # precision_bits wide (zero at the two zeros of the sine)
         self._sines: tuple | None = None
         self._qdim_cache: dict[Weight, QReal] = {}
+        self._plans: dict[tuple[int, ...], tuple] = {}
         self._chari_rows: dict[int, list[QReal]] = {}
 
     def __repr__(self) -> str:
@@ -140,27 +154,41 @@ class LevelContext:
         self._sines = tuple([(0, m, e) for m, e in half]
                             + [(1 if m else 0, m, e) for m, e in half])
 
-    def one(self) -> QReal:
-        return self._one
 
-    def zero(self) -> QReal:
-        return self._zero
+def _support_plan(ctx: LevelContext, support: tuple[int, ...]) -> tuple:
+    """``(vectors, zero_residues, steps)`` for the weights whose nonzero
+    coordinates are the 0-based ``support``, which pair only with the roots
+    nonzero there.  ``vectors`` holds those roots' distinct coefficient
+    vectors on the support, one per group; pairing to d with group g's is an
+    exact zero iff d mod l is in ``zero_residues[g]``, the -ht mod l of the
+    group's heights (1 <= ht < h < l).  ``steps`` holds (group, height,
+    mantissa, exponent) per such root in canonical order, sin(pi*height/l)
+    > 0 read from the sine table."""
+    if ctx._sines is None:
+        ctx._build_sin_tables()
+    rs, l, sines = ctx.root_system, ctx.shifted_level, ctx._sines
+    groups, steps = {}, []  # vector -> (group, zero residues); (g, ht, man, exp)
+    for v, ht in zip(zip(*[rs.root_columns[j] for j in support]), rs.heights):
+        if any(v):
+            g, zeros = groups.setdefault(v, (len(groups), set()))
+            zeros.add(-ht % l)
+            steps.append((g, ht) + sines[ht][1:])
+    return tuple(groups), [zeros for _, zeros in groups.values()], steps
 
 
-def _sine_product(ctx: LevelContext, factors: Sequence[tuple[int, int]]) -> QReal:
-    """Product of sin(pi*num/l)/sin(pi*den/l) over (num, den) pairs.
+def _sine_product(ctx: LevelContext, steps: Sequence[tuple], dots: Sequence[int]) -> QReal:
+    """Product of sin(pi*(dots[g]+ht)/l)/sin(pi*ht/l) over the plan steps
+    (g, ht, mantissa, exponent) of ``_support_plan``, no numerator a
+    multiple of l; the scale records the largest partial product.
 
-    Returns an exact zero when some numerator is divisible by l; the scale
-    records the largest intermediate partial product.  The value is the left
-    fold value = value * sin(num) / sin(den) in mpf arithmetic at the
-    context's precision p, bit for bit, computed on plain integers: the
-    partial product is a sign, a mantissa of exactly p bits and an exponent.
-
-    The bits agree because mpf_mul and mpf_div each return the
-    round-to-nearest-even value of their exact result (mpf_div divides to at
-    least p+4 quotient bits plus a sticky bit), so any other correctly
-    rounded pair of steps gives the same values, whatever the mantissa
-    representation:
+    The value is the left fold value = value * sin(num) / sin(den) in mpf
+    arithmetic at the context's precision p, bit for bit, computed on plain
+    integers: the partial product is a sign, a mantissa of exactly p bits
+    and an exponent.  The bits agree because mpf_mul and mpf_div each
+    return the round-to-nearest-even value of their exact result (mpf_div
+    divides to at least p+4 quotient bits plus a sticky bit), so any other
+    correctly rounded pair of steps gives the same values, whatever the
+    mantissa representation:
 
     - The product of two p-bit mantissas has 2p-1 or 2p bits; its top bit
       picks how many low bits to drop, rounded half to even, and a round-up
@@ -172,13 +200,9 @@ def _sine_product(ctx: LevelContext, factors: Sequence[tuple[int, int]]) -> QRea
       2q+1 > 2**p.  Nor does it round up to 2**p, which would take a
       dividend of at least 2d or d respectively.  So (floor(2n/d) + 1) // 2
       is its nearest integer, with no tie to break and no carry.
-    - The sign is the XOR of the factors' signs, and magnitudes compare as
-      (exponent, mantissa).
-
-    The zeros of the table have mantissa 0, which the fold keeps at 0.
+    - The sign is the XOR of the numerators' signs, and magnitudes compare
+      as (exponent, mantissa).
     """
-    if ctx._sines is None:
-        ctx._build_sin_tables()
     sines, period = ctx._sines, 2 * ctx.shifted_level
     p = ctx.precision_bits
     p1, p2, top = p - 1, p + 1, 2 * p - 1
@@ -187,10 +211,9 @@ def _sine_product(ctx: LevelContext, factors: Sequence[tuple[int, int]]) -> QRea
     sign = 0
     man = scale_man = 1 << p1
     exp = scale_exp = -p1
-    for num, den in factors:
-        num_sign, num_man, num_exp = sines[num % period]
-        den_sign, den_man, den_exp = sines[den % period]
-        sign ^= num_sign ^ den_sign
+    for g, ht, den_man, den_exp in steps:
+        num_sign, num_man, num_exp = sines[(dots[g] + ht) % period]
+        sign ^= num_sign
         # plus 1 below for a 2p-bit product (p bits dropped, not p-1), minus
         # 1 for a dividend below d (scaled by 2**p, not 2**(p-1))
         exp += num_exp - den_exp
@@ -210,10 +233,8 @@ def _sine_product(ctx: LevelContext, factors: Sequence[tuple[int, int]]) -> QRea
             exp -= 1
         if exp > scale_exp or (exp == scale_exp and man > scale_man):
             scale_exp, scale_man = exp, man
-    if not man:
-        return ctx.zero()
-    return QReal(ctx.mp.make_mpf(from_man_exp(-man if sign else man, exp)),
-                 ctx.mp.make_mpf(from_man_exp(scale_man, scale_exp)))
+    return QReal(from_man_exp(-man if sign else man, exp),
+                 from_man_exp(scale_man, scale_exp), ctx.mp)
 
 
 def qdim(weight: Sequence[int], ctx: LevelContext) -> QReal:
@@ -225,34 +246,32 @@ def qdim(weight: Sequence[int], ctx: LevelContext) -> QReal:
     exact zero precisely when some numerator pairing is divisible by l.
     """
     cache = ctx._qdim_cache
-    if type(weight) is tuple:
-        # every cached key is a dominant weight of the right rank
-        cached = cache.get(weight)
-        if cached is not None:
-            return cached
-    w = tuple(int(c) for c in weight)
-    rs = ctx.root_system
-    if len(w) != rs.rank:
-        raise ValueError("weight has wrong rank")
-    if not is_dominant(w):
-        raise ValueError(
-            "qdim requires a dominant weight; reduce general weights first"
-        )
+    w = weight if type(weight) is tuple else tuple(weight)
+    # every cached key is a dominant weight of the right rank
     cached = cache.get(w)
     if cached is not None:
         return cached
+    w = tuple(map(int, w))
+    if len(w) != ctx.root_system.rank:
+        raise ValueError("weight has wrong rank")
+    if not is_dominant(w):
+        raise ValueError("qdim requires a dominant weight; reduce general weights first")
     # (w + rho | beta) = ht(beta) + (w | beta), and (w | beta) > 0 exactly on
-    # the support roots; a root of height ht and support vector g pairs to a
-    # multiple of l iff ht = -(w | g) mod l, as 1 <= ht < h < l
+    # the support roots, which pair with w through their group's vector
+    support = tuple(compress(range(len(w)), w))
+    plan = ctx._plans.get(support)
+    if plan is None:
+        plan = ctx._plans[support] = _support_plan(ctx, support)
+    vectors, zero_residues, steps = plan
     l = ctx.shifted_level
-    support = tuple(j for j, c in enumerate(w) if c)
-    roots, vectors, heights = rs.support_roots(support)
-    coords = [w[j] for j in support]
+    coords = tuple(filter(None, w))
     dots = [sum(map(mul, coords, g)) for g in vectors]
-    if any(-d % l in hts for d, hts in zip(dots, heights)):
-        out = ctx.zero()
+    for d, zeros in zip(dots, zero_residues):
+        if d % l in zeros:
+            out = ctx.zero
+            break
     else:
-        out = _sine_product(ctx, [(ht + dots[g], ht) for g, ht in roots])
+        out = _sine_product(ctx, steps, dots)
     cache[w] = out
     return out
 
@@ -270,14 +289,14 @@ def alcove_line(node: int, ctx: LevelContext) -> list:
 
 
 def qdim_classical(rs: RootSystem, weight: Sequence[int]) -> int:
-    """Dimension of the irreducible via the Weyl formula, in exact arithmetic."""
+    """Dimension of the irreducible via the Weyl formula, in exact arithmetic:
+    the product of (weight | beta) + ht(beta) over the product of ht(beta)."""
     w = tuple(int(c) for c in weight)
     if not is_dominant(w):
         raise ValueError("classical dimension requires a dominant weight")
-    out = Fraction(1)
+    num = den = 1
     for b, ht in zip(rs.positive_roots, rs.heights):
-        lam = sum(wi * bi for wi, bi in zip(w, b))
-        out *= Fraction(lam + ht, ht)
-    if out.denominator != 1:
+        num, den = num * (sum(map(mul, w, b)) + ht), den * ht
+    if num % den:
         raise AssertionError("Weyl formula did not produce an integer")
-    return int(out)
+    return num // den

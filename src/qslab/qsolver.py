@@ -163,7 +163,7 @@ def build_qgrid(ctx: LevelContext, k_max: int | None = None) -> QGrid:
         if key in cells:
             return cells[key]
         if k == 0:
-            out, tag = ctx.one(), "boundary"
+            out, tag = ctx.one, "boundary"
         elif i in direct:
             out, tag = chari_qdim(i, k, ctx), "direct"
         else:
@@ -176,23 +176,20 @@ def build_qgrid(ctx: LevelContext, k_max: int | None = None) -> QGrid:
                     continue
                 num = mid * mid - lo * hi
                 div = None
-                ok = True
                 for d in divisors:
                     dv = cell(d, k)
                     if dv is None:
-                        ok = False
                         break
                     div = dv if div is None else div * dv
-                if not ok:
-                    continue
-                if div is None:
-                    out, tag = num, "subtraction"
-                    break
-                if abs(div.value) > ctx.zero_tolerance * div.magnitude_scale:
-                    out, tag = num.div(div), "division"
-                    break
+                else:  # every divisor resolved
+                    if div is None:
+                        out, tag = num, "subtraction"
+                        break
+                    if abs(div.value) > ctx.zero_tolerance * div.magnitude_scale:
+                        out, tag = num.div(div), "division"
+                        break
             if out is None and in_zero_window(k):
-                out, tag = ctx.zero(), "zero_hypothesis"
+                out, tag = ctx.zero, "zero_hypothesis"
         cells[key] = out
         prov[key] = tag
         if out is None:

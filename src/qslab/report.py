@@ -155,13 +155,10 @@ def _roots_checks(report, ctx, grid) -> list[CheckResult]:
                 rootsys.lee_witness(rs, i, r)
             except LookupError:
                 missing.append((i, r))
-    unsupported = [
-        (i, r)
-        for i in range(1, rs.rank + 1)
-        for r in range(1, h)
-        if not any(b[i - 1] != 0 and ht == r
-                   for b, ht in zip(rs.positive_roots, rs.heights))
-    ]
+    supported = {(i, ht) for b, ht in zip(rs.positive_roots, rs.heights)
+                 for i, c in enumerate(b, 1) if c}
+    unsupported = [(i, r) for i in range(1, rs.rank + 1) for r in range(1, h)
+                   if (i, r) not in supported]
     ok = not missing and not unsupported
     out.append(_mk_check(
         "lee_witness", None, ok, True, None,

@@ -235,32 +235,6 @@ class RootSystem:
         return pairings
 
     @cached_property
-    def _support_cache(self) -> dict[tuple[int, ...], tuple]:
-        return {}
-
-    def support_roots(self, support: tuple[int, ...]) -> tuple:
-        """The positive roots with a nonzero coefficient at the 0-based
-        coordinates ``support``, grouped by their coefficients there; cached
-        per support.
-
-        A weight whose nonzero coordinates are exactly ``support`` pairs with
-        these roots only.  Returns ``(roots, vectors, heights)``: ``roots``
-        holds (group, height) per such root in canonical order,
-        ``vectors[g]`` is group g's coefficient vector on the support and
-        ``heights[g]`` the set of its roots' heights.
-        """
-        cached = self._support_cache.get(support)
-        if cached is None:
-            on_support = [tuple(b[j] for j in support) for b in self.positive_roots]
-            vectors = tuple(dict.fromkeys(v for v in on_support if any(v)))
-            group = {v: g for g, v in enumerate(vectors)}
-            roots = tuple((group[v], ht) for v, ht in zip(on_support, self.heights) if any(v))
-            heights = tuple(frozenset(ht for g2, ht in roots if g2 == g)
-                            for g in range(len(vectors)))
-            cached = self._support_cache[support] = (roots, vectors, heights)
-        return cached
-
-    @cached_property
     def theta_weight(self) -> Weight:
         """The highest root expressed in the fundamental-weight basis."""
         return self.root_as_weight(self.highest_root_index)
@@ -284,7 +258,7 @@ class RootSystem:
 
 
 def is_dominant(weight: Sequence[int]) -> bool:
-    return all(c >= 0 for c in weight)
+    return min(weight, default=0) >= 0
 
 
 def fundamental_weight(rank: int, node: int, multiple: int = 1) -> Weight:

@@ -6,6 +6,7 @@ path that a qslab command runs, so a test can compare the two.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from mpmath.libmp import from_man_exp
@@ -102,6 +103,63 @@ def sin_pi_over_l(ctx, r: int):
         ctx._build_sin_tables()
     sign, man, exp = ctx._sines[r % (2 * ctx.shifted_level)]
     return ctx.mp.make_mpf(from_man_exp(-man if sign else man, exp))
+
+
+def sine_fold(ctx, factors: Iterable[tuple[int, int]]):
+    """(value, scale) of the product of sin(pi*num/l)/sin(pi*den/l) over the
+    (num, den) pairs: the left fold value = value * sin(num) / sin(den) in
+    mpf arithmetic of the context, scale the largest |partial product| and
+    at least 1; (0, 1) when some numerator is a multiple of l."""
+    mp, l = ctx.mp, ctx.shifted_level
+    factors = list(factors)
+    if any(num % l == 0 for num, _ in factors):
+        return mp.mpf(0), mp.mpf(1)
+    value = mp.mpf(1)
+    scale = mp.mpf(1)
+    for num, den in factors:
+        value = value * sin_pi_over_l(ctx, num) / sin_pi_over_l(ctx, den)
+        a = abs(value)
+        if a > scale:
+            scale = a
+    return value, scale
+
+
+@dataclass(frozen=True)
+class MpfQReal:
+    """qslab.qnum.QReal's arithmetic in mpf operators: a value and its
+    magnitude scale as mpf numbers of one context."""
+
+    value: object
+    magnitude_scale: object
+
+    def __add__(self, other: "MpfQReal") -> "MpfQReal":
+        return MpfQReal(self.value + other.value,
+                        self.magnitude_scale + other.magnitude_scale)
+
+    def __sub__(self, other: "MpfQReal") -> "MpfQReal":
+        return MpfQReal(self.value - other.value,
+                        self.magnitude_scale + other.magnitude_scale)
+
+    def __mul__(self, other: "MpfQReal") -> "MpfQReal":
+        v = self.value * other.value
+        scale = (abs(self.value) * other.magnitude_scale
+                 + abs(other.value) * self.magnitude_scale)
+        return MpfQReal(v, _clamp(scale, v))
+
+    def div(self, other: "MpfQReal") -> "MpfQReal":
+        v = self.value / other.value
+        scale = (self.magnitude_scale + abs(v) * other.magnitude_scale) / abs(other.value)
+        return MpfQReal(v, _clamp(scale, v))
+
+
+def _clamp(scale, value):
+    """The scale raised to |value|, then to 1."""
+    m = abs(value)
+    if scale < m:
+        scale = m
+    if scale < 1:
+        scale = scale * 0 + 1
+    return scale
 
 
 def palindromize(seq: RealSequence, parity: str) -> RealSequence:

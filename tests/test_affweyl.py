@@ -11,12 +11,12 @@ from qslab.affweyl import (
     enumerate_alcove,
     reduce_to_dominant,
 )
-from qslab.qnum import LevelContext, _sine_product, qdim
+from qslab.qnum import LevelContext, qdim
 from qslab.report import E8_SIGMA
 from qslab.rootsys import fundamental_weight
 
-from oracles import (find_root, in_alcove, pairing, reflection_dot, s0_dot, si_dot,
-                     translate_by_root)
+from oracles import (MpfQReal, find_root, in_alcove, pairing, reflection_dot, s0_dot,
+                     si_dot, sine_fold, translate_by_root)
 
 
 def qdim_formal(weight, ctx):
@@ -32,7 +32,7 @@ def qdim_formal(weight, ctx):
         (pairing(rs, shifted, i), rs.heights[i])
         for i in range(len(rs.positive_roots))
     ]
-    return _sine_product(ctx, factors)
+    return MpfQReal(*sine_fold(ctx, factors))
 
 
 def test_si_dot_involution_and_walls(e6):

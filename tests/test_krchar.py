@@ -16,6 +16,7 @@ from qslab.krchar import (
 from qslab.qnum import LevelContext, qdim, qdim_classical
 from qslab.rootsys import TYPE_DATA, fundamental_weight
 
+from oracles import MpfQReal
 from rootbasis import to_root_basis
 
 
@@ -216,3 +217,45 @@ def test_e8_shell_antisymmetry(e8):
         for k in range(0, level // 2 + 1):
             a, b = shell(k + 1), shell(level - k)
             assert abs(a + b) < ctx.mp.mpf(10) ** -28, (level, k)
+
+
+def _mpf_fold(terms, ctx):
+    """The left fold of mult * qdim(weight) in plain mpf QReal addition."""
+    total = None
+    for mult, weight in terms:
+        q = qdim(weight, ctx)
+        q = MpfQReal(q.value * mult, q.magnitude_scale * mult)
+        total = q if total is None else total + q
+    return total
+
+
+@pytest.mark.parametrize("label, node", [("E8", 1), ("E7", 2)])
+def test_zero_terms_fold_as_scale_increments(rs_map, label, node):
+    # at level 2 most shells of these rows are exact zeros: each adds 1 to
+    # the scale and leaves the value's bits, as mpf addition of 0 and 1 does
+    rs = rs_map[label]
+    for bits in (128, 256):
+        ctx = LevelContext(rs, 2, precision_bits=bits)
+        zeros = terms = 0
+        for k in range(ctx.shifted_level + 1):
+            dec = chari_decomposition(rs, node, k)
+            ref = _mpf_fold(dec.terms, ctx)
+            row = chari_qdim(node, k, ctx)
+            assert row.value._mpf_ == ref.value._mpf_, (bits, k)
+            assert row.magnitude_scale._mpf_ == ref.magnitude_scale._mpf_, (bits, k)
+            zeros += sum(qdim(w, ctx).value == 0 for _, w in dec.terms)
+            terms += len(dec.terms)
+        assert zeros > terms // 2, (zeros, terms)
+
+
+def test_kleber_multiplicities_fold_like_mpf(e7):
+    # multiplicities above 1 scale value and scale by an integer, as mpf
+    # times int does, before the term is added
+    for level, bits in ((2, 128), (5, 256)):
+        ctx = LevelContext(e7, level, precision_bits=bits)
+        for node in TYPE_DATA["E7"].kleber_q1:
+            dec = kleber_q1(e7, node)
+            assert any(mult > 1 for mult, _ in dec.terms)
+            got, ref = qdim_kr(dec, ctx), _mpf_fold(dec.terms, ctx)
+            assert got.value._mpf_ == ref.value._mpf_, (level, node)
+            assert got.magnitude_scale._mpf_ == ref.magnitude_scale._mpf_, (level, node)

@@ -9,7 +9,9 @@ from mpmath.libmp import fone, mpf_abs, mpf_div, mpf_gt, mpf_mul, mpf_neg
 import qslab
 from qslab.qnum import (
     LevelContext,
+    QReal,
     _sine_product,
+    mp_context,
     qdim,
     qdim_classical,
     qdim_line,
@@ -17,7 +19,7 @@ from qslab.qnum import (
 from qslab.qsolver import build_qgrid
 from qslab.rootsys import delta, fundamental_weight
 
-from oracles import pairing, sin_pi_over_l, sine_signature
+from oracles import MpfQReal, pairing, sin_pi_over_l, sine_fold, sine_signature
 
 
 def fw(rs, node, mult=1):
@@ -106,22 +108,13 @@ def test_qdim_memo_returns_identical_object(e6):
 def _reference_qdim(weight, ctx):
     """qdim by the textbook route: a full pairing per positive root and a
     left fold in mpf arithmetic of the context."""
-    rs, l, mp = ctx.root_system, ctx.shifted_level, ctx.mp
+    rs = ctx.root_system
     factors = []
     for b, ht in zip(rs.positive_roots, rs.heights):
         lam = sum(wi * bi for wi, bi in zip(weight, b))
         if lam != 0:
             factors.append((lam + ht, ht))
-    if any(num % l == 0 for num, _ in factors):
-        return mp.mpf(0), mp.mpf(1)
-    value = mp.mpf(1)
-    scale = mp.mpf(1)
-    for num, den in factors:
-        value = value * sin_pi_over_l(ctx, num) / sin_pi_over_l(ctx, den)
-        a = abs(value)
-        if a > scale:
-            scale = a
-    return value, scale
+    return sine_fold(ctx, factors)
 
 
 def _random_dominant_weights(rs, l, seed, count=200):
@@ -205,6 +198,13 @@ def _libmp_fold(ctx, factors):
     return value, scale
 
 
+def _kernel(ctx, factors):
+    """The sine-product kernel on (num, den) residue pairs of the context's
+    table: one group of pairing 0, a fold step per pair."""
+    steps = [(0, num) + ctx._sines[den][1:] for num, den in factors]
+    return _sine_product(ctx, steps, (0,))
+
+
 def _context_with_sines(rs, bits, entries):
     """A context whose sine table holds the given (sign, mantissa, exponent)
     entries at residues 1, 2, ... and 1 at residue 0."""
@@ -242,7 +242,7 @@ def test_sine_product_rounds_exact_ties_like_libmp(e6, bits):
         # value = entry 1, then entry 1 * entry 2, alone and divided by entry 3
         for factors in ([(1, 0), (2, 0)], [(1, 0), (2, 3)]):
             value, scale = _libmp_fold(ctx, factors)
-            got = _sine_product(ctx, factors)
+            got = _kernel(ctx, factors)
             assert got.value._mpf_ == value, (entries, factors)
             assert got.magnitude_scale._mpf_ == scale, (entries, factors)
     carried, _ = _libmp_fold(ctx, [(1, 0), (2, 0)])  # ctx holds the carry case
@@ -260,7 +260,7 @@ def test_sine_product_rounds_quotients_like_libmp(e6, bits):
     for m in [*range(1 << (p - 1), (1 << (p - 1)) + 100), *range((1 << p) - 100, 1 << p)]:
         ctx = _context_with_sines(e6, bits, [(0, m, -p), divisor])
         value, scale = _libmp_fold(ctx, [(1, 2)])
-        got = _sine_product(ctx, [(1, 2)])
+        got = _kernel(ctx, [(1, 2)])
         assert got.value._mpf_ == value and got.magnitude_scale._mpf_ == scale, m
         dm = divisor[1]
         r = (m << (p if m < dm else p - 1)) % dm
@@ -334,3 +334,54 @@ def test_sine_signature_fixes_the_sine_product(e7):
         magnitude = ctx.mp.fprod(sin_pi_over_l(ctx, f) for f in folded)
         assert abs(product - sign * magnitude) <= 1e-35 * magnitude
 
+
+def _seeded_pairs(mp, seed, count=400):
+    """(value, scale) mpf pairs: negative, positive and zero values with
+    scales above max(1, |v|), below |v| and below 1."""
+    rng = random.Random(seed)
+    pairs = []
+    for _ in range(count):
+        if rng.random() < 0.15:
+            v = mp.mpf(0)
+        else:
+            v = mp.ldexp(mp.mpf(rng.getrandbits(mp.prec) | 1), rng.randint(-40, 40) - mp.prec)
+            v = -v if rng.random() < 0.5 else v
+        kind = rng.randrange(3)
+        if kind == 0:
+            scale = max(abs(v), 1) * (1 + mp.mpf(rng.random()))
+        elif kind == 1:
+            scale = abs(v) * mp.mpf(rng.random())
+        else:
+            scale = mp.mpf(rng.random())
+        pairs.append((v, scale))
+    return pairs
+
+
+@pytest.mark.parametrize("bits", [64, 128, 256])
+def test_qreal_arithmetic_matches_mpf_formulas(bits):
+    # QReal's libmp arithmetic gives the bits of the mpf-operator formulas,
+    # clamps included, at its context's precision whatever the global one
+    mp = mp_context(bits)
+    pairs = _seeded_pairs(mp, seed=bits)
+    operands = list(zip(pairs, pairs[1:]))
+    # both clamp branches, in products and in quotients
+    raised = dict.fromkeys(("*|v|", "*1", "/|v|", "/1"), 0)
+    for (va, sa), (vb, sb) in operands:
+        for op, v, scale in [("*", va * vb, abs(va) * sb + abs(vb) * sa)] + (
+                [("/", va / vb, (sa + abs(va / vb) * sb) / abs(vb))] if vb else []):
+            raised[op + "|v|"] += scale < abs(v)
+            raised[op + "1"] += max(scale, abs(v)) < 1
+    assert min(raised.values()) > 20, raised
+    for global_prec in (None, 20):
+        for (va, sa), (vb, sb) in operands:
+            a, b = QReal(va._mpf_, sa._mpf_, mp), QReal(vb._mpf_, sb._mpf_, mp)
+            ra, rb = MpfQReal(va, sa), MpfQReal(vb, sb)
+            if global_prec is None:
+                got = [a + b, a - b, a * b] + ([a.div(b)] if vb else [])
+            else:
+                with mpmath.workprec(global_prec):
+                    got = [a + b, a - b, a * b] + ([a.div(b)] if vb else [])
+            ref = [ra + rb, ra - rb, ra * rb] + ([ra.div(rb)] if vb else [])
+            for op, q, r in zip("+-*/", got, ref):
+                assert q.value._mpf_ == r.value._mpf_, (op, va, vb)
+                assert q.magnitude_scale._mpf_ == r.magnitude_scale._mpf_, (op, va, sa, vb, sb)

@@ -505,6 +505,11 @@ def test_reports_are_deterministic():
         (RunConfig(type_label="E6", level=30, k_max=42,
                    checks=("roots", "grid", "theorem", "logconcave", "dilog")),
          "ef20370d22b1da73b594931fae6ed5312fce82233bb0a49f2364ce1cb57b0f3a"),
+        # zero-window residues and the known unresolved cell (2, 46)
+        (RunConfig(type_label="E8", level=16, checks=("grid", "theorem")),
+         "6162115b6bf5022557cd3cf2f29d75241c27ac896321defce2b83e2cca21cf43"),
+        (RunConfig(type_label="E7", level=28, checks=("grid", "theorem")),
+         "75fd909ecbba5e956059c90604db9aec241a74d664665595b7bd14b28a70ac0b"),
         (RunConfig(type_label="E7", level=12,
                    checks=("roots", "grid", "theorem", "logconcave", "dilog")),
          "ff3771bad4d18d1d8e2b9e2db2f079d98dc9fdfc4165233e8e60f70c8a199900"),
