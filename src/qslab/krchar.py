@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from mpmath.libmp import fone, mpf_add, mpf_mul_int
+from mpmath.libmp import mpf_mul_int
 
 from .qnum import LevelContext, QReal, qdim
 from .rootsys import RootSystem, Weight, fundamental_weight, is_dominant, type_data
@@ -82,20 +82,15 @@ def kleber_q1(rs: RootSystem, node: int) -> KRDecomposition:
 
 
 def _fold(total: QReal | None, terms, ctx: LevelContext) -> QReal | None:
-    """Add mult * qdim(weight) over (mult, weight) terms to total, left to right;
-    an exact zero term (``ctx.zero``) only adds 1 to the scale, as value + 0
-    is value bit for bit."""
-    mp, zero = ctx.mp, ctx.zero
+    """Add mult * qdim(weight) over (mult, weight) terms to total, left to right."""
+    mp = ctx.mp
     prec, rnd = mp._prec_rounding
     for mult, weight in terms:
         q = qdim(weight, ctx)
         if mult != 1:
             q = QReal(mpf_mul_int(q._value, mult, prec, rnd),
                       mpf_mul_int(q._scale, mult, prec, rnd), mp)
-        if q is zero and total is not None:
-            total = QReal(total._value, mpf_add(total._scale, fone, prec, rnd), mp)
-        else:
-            total = q if total is None else total + q
+        total = q if total is None else total + q
     return total
 
 

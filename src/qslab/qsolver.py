@@ -176,18 +176,21 @@ def build_qgrid(ctx: LevelContext, k_max: int | None = None) -> QGrid:
                     continue
                 num = mid * mid - lo * hi
                 div = None
+                ok = True
                 for d in divisors:
                     dv = cell(d, k)
                     if dv is None:
+                        ok = False
                         break
                     div = dv if div is None else div * dv
-                else:  # every divisor resolved
-                    if div is None:
-                        out, tag = num, "subtraction"
-                        break
-                    if abs(div.value) > ctx.zero_tolerance * div.magnitude_scale:
-                        out, tag = num.div(div), "division"
-                        break
+                if not ok:
+                    continue
+                if div is None:
+                    out, tag = num, "subtraction"
+                    break
+                if abs(div.value) > ctx.zero_tolerance * div.magnitude_scale:
+                    out, tag = num.div(div), "division"
+                    break
             if out is None and in_zero_window(k):
                 out, tag = ctx.zero, "zero_hypothesis"
         cells[key] = out

@@ -258,7 +258,7 @@ class RootSystem:
 
 
 def is_dominant(weight: Sequence[int]) -> bool:
-    return min(weight, default=0) >= 0
+    return all(c >= 0 for c in weight)
 
 
 def fundamental_weight(rank: int, node: int, multiple: int = 1) -> Weight:
