@@ -17,7 +17,7 @@ from decimal import ROUND_HALF_EVEN, Context as DecimalContext, Decimal
 from importlib import resources
 from typing import Callable
 
-import mpmath
+from mpmath.libmp import finf, fnan, fninf
 
 from . import affweyl, krchar, qsolver, rootsys, seqanalysis
 from .qnum import DEFAULT_PRECISION_BITS, MIN_PRECISION_BITS, LevelContext, alcove_line
@@ -25,6 +25,7 @@ from .qsolver import CheckResult, QGrid, _mk_check
 from .rootsys import RootSystem, Weight, build_root_system
 
 REPORT_FORMATS = ("json", "csv", "text")
+_SPECIAL = {fnan: "nan", finf: "inf", fninf: "-inf"}
 
 
 def render_decimal(x, digits: int = 30) -> str:
@@ -39,11 +40,10 @@ def render_decimal(x, digits: int = 30) -> str:
     if isinstance(x, int):
         num, den = x, 1
     else:
-        if mpmath.isnan(x):
-            return "nan"
-        if not mpmath.isfinite(x):
-            return "inf" if x > 0 else "-inf"
-        sign, man, exp, _ = x._mpf_
+        raw = x._mpf_
+        if raw in _SPECIAL:
+            return _SPECIAL[raw]
+        sign, man, exp, _ = raw
         num = -int(man) if sign else int(man)
         num, den = (num << exp, 1) if exp >= 0 else (num, 1 << -exp)
     dc = DecimalContext(prec=digits, rounding=ROUND_HALF_EVEN)

@@ -9,8 +9,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from mpmath.libmp import from_man_exp
+from mpmath.libmp import (fone, from_man_exp, mpf_log, mpf_lt, mpf_pi, mpf_sub,
+                          round_nearest, to_fixed)
 
+from qslab import qsolver
+from qslab.krchar import chari_qdim
+from qslab.qsolver import (BOUNDARY_TOL, PERIODICITY_TOL, POSITIVITY_MARGIN, SYMMETRY_TOL,
+                           UNIMODALITY_MARGIN, ZERO_WINDOW_TOL, _mk_check,
+                           proven_positivity_window)
+from qslab.rootsys import delta, is_proven, type_data
 from qslab.seqanalysis import RealSequence, is_log_concave
 
 
@@ -200,3 +207,229 @@ def a_series_cartan(rank: int) -> tuple[tuple[int, ...], ...]:
         tuple(2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(rank))
         for i in range(rank)
     )
+
+
+# The grid consumers of qslab.qsolver in mpf-object arithmetic: each
+# operator dispatches on its cells' own context.  qslab.qsolver computes the
+# same values with mpmath.libmp calls on raw tuples, bit for bit.
+
+def neighbor_product(values, neighbors: Sequence[int], k: int):
+    """prod_{j ~ i} Q_k(j): the product of values[j][k] over the neighbour
+    rows j of node i; 1 when there are none, None when a factor is None."""
+    prod = 1
+    for j in neighbors:
+        v = values[j][k]
+        if v is None:
+            return None
+        prod *= v
+    return prod
+
+
+def defect(values, neighbors: list[list[int]], i: int, k: int):
+    """The recurrence defect F = Q_k^2 - (Q_{k-1} Q_{k+1} + prod_{j~i} Q_k(j))
+    at row i, and |F| / max(Q_k^2, 1); None when a stencil cell is None."""
+    row = values[i]
+    lo, mid, hi = row[k - 1], row[k], row[k + 1]
+    prod = neighbor_product(values, neighbors[i], k)
+    if lo is None or mid is None or hi is None or prod is None:
+        return None
+    lhs = mid * mid
+    f = lhs - (lo * hi + prod)
+    return f, abs(f) / (lhs if lhs > 1 else 1)
+
+
+def residual(grid):
+    """Normalized max violation of the recurrence over fully-present stencils;
+    0 when there is none."""
+    neighbors = qsolver._neighbor_rows(grid.root_system)
+    worst = grid.cell(1, 0) * 0
+    for i in range(len(neighbors)):
+        for k in range(1, grid.k_max):
+            d = defect(grid.values, neighbors, i, k)
+            if d is not None:
+                worst = max(worst, d[1])
+    return worst
+
+
+def theorem_report(ctx, grid):
+    """qslab.qsolver.theorem_report on a built grid, its tolerances and
+    violations formed with mpf operators."""
+    rs = ctx.root_system
+    label = rs.type_label
+    level, l = ctx.level, ctx.shifted_level
+    checks = []
+    scales = grid.scales
+    zero = ctx.mp.mpf(0)
+
+    for i in range(1, rs.rank + 1):
+        # (i) recurring zeros on [level+1, l-1]
+        worst = zero
+        missing = False
+        for k in range(level + 1, l):
+            c = grid.cell(i, k)
+            if c is None:
+                missing = True
+                continue
+            r = abs(c) / scales[i - 1][k]
+            worst = max(worst, r)
+        ok = not missing and worst <= ZERO_WINDOW_TOL
+        checks.append(_mk_check(
+            "zero_window", i, ok, is_proven(label, "zero_window", i), worst,
+            note="unresolved cells in window" if missing else ""))
+
+        # (ii) symmetry on [0, level]
+        worst = zero
+        for k in range(0, level + 1):
+            a, b = grid.cell(i, k), grid.cell(i, level - k)
+            if a is None or b is None:
+                worst = ctx.mp.inf
+                break
+            scale = max(scales[i - 1][k], scales[i - 1][level - k])
+            worst = max(worst, abs(a - b) / scale)
+        checks.append(_mk_check(
+            "symmetry", i, worst <= SYMMETRY_TOL,
+            is_proven(label, "symmetry", i), worst))
+
+        # (iii) positivity on [0, level]
+        min_val = None
+        for k in range(0, level + 1):
+            c = grid.cell(i, k)
+            val = c if c is not None else ctx.mp.ninf
+            if min_val is None or val < min_val:
+                min_val = val
+        violation = max(zero, POSITIVITY_MARGIN - min_val)
+        full_ok = min_val > POSITIVITY_MARGIN
+        checks.append(_mk_check(
+            "positivity", i, full_ok, is_proven(label, "positivity", i),
+            violation, note=f"min value {ctx.mp.nstr(min_val, 8)}"))
+        if not is_proven(label, "positivity", i):
+            # The sub-range covered by theorems gets its own proven entry.
+            worst_w = zero
+            ok_w = True
+            for k in range(0, level + 1):
+                if proven_positivity_window(rs, i, level, k):
+                    c = grid.cell(i, k)
+                    val = c if c is not None else ctx.mp.ninf
+                    if not val > POSITIVITY_MARGIN:
+                        ok_w = False
+                        worst_w = max(worst_w, POSITIVITY_MARGIN - val)
+            checks.append(_mk_check("positivity_window", i, ok_w, True, worst_w))
+
+        # (iv) strict increase on [0, floor(level/2) - 1]
+        worst = zero
+        for k in range(0, level // 2):
+            a, b = grid.cell(i, k), grid.cell(i, k + 1)
+            if a is None or b is None:
+                worst = ctx.mp.inf
+                break
+            worst = max(worst, UNIMODALITY_MARGIN - (b - a))
+        checks.append(_mk_check(
+            "unimodality", i, worst <= zero,
+            is_proven(label, "unimodality", i), max(worst, zero)))
+
+        # boundary Q_level = 1
+        c = grid.cell(i, level)
+        if c is None:
+            dev = ctx.mp.inf
+        else:
+            dev = abs(c - 1) / scales[i - 1][level]
+        checks.append(_mk_check(
+            "boundary_one", i, dev <= BOUNDARY_TOL,
+            is_proven(label, "boundary_one", i), dev))
+
+    # (anti)periodicity and the k = l sign, at the closed-form rows only;
+    # both signs are (-1)^delta.
+    for i in type_data(label).direct_nodes:
+        sign = -1 if delta(rs, i) % 2 else 1
+        worst = zero
+        for k in range(0, min(level, 3) + 1):
+            a = chari_qdim(i, k, ctx)
+            b = chari_qdim(i, k + l, ctx)
+            scale = max(a.magnitude_scale, b.magnitude_scale)
+            worst = max(worst, abs(b.value - sign * a.value) / scale)
+        checks.append(_mk_check("periodicity", i, worst <= PERIODICITY_TOL, True, worst,
+                                note=f"sign {sign:+d}"))
+
+        c = grid.cell(i, l)
+        dev = ctx.mp.inf if c is None else abs(c - sign) / scales[i - 1][l]
+        checks.append(_mk_check("shifted_boundary_sign", i, dev <= BOUNDARY_TOL, True,
+                                dev, note=f"expected {sign:+d}"))
+
+    return checks
+
+
+def dilog_args(grid):
+    """The ratios prod_{j~i} Q_k(j) / Q_k(i)^2 over the restricted range."""
+    neighbors = qsolver._neighbor_rows(grid.root_system)
+    ks = range(grid.level + 1)
+    for i, row in enumerate(grid.values, 1):
+        for k in ks:
+            if row[k] is None or not row[k] > 0:
+                raise ValueError(f"grid cell (node {i}, k={k}) is not positive")
+    return {(i + 1, k): neighbor_product(grid.values, neighbors[i], k) / (row[k] * row[k])
+            for i, row in enumerate(grid.values) for k in ks}
+
+
+def dilog_args_margin(args: dict[tuple[int, int], object], level: int):
+    """Smallest distance of the interior ratios to the ends of (0, 1).
+
+    Boundary columns k = 0 and k = level equal 1 and are excluded.  Returns
+    None when there is no interior.
+    """
+    worst = None
+    for (_, k), x in args.items():
+        if k == 0 or k == level:
+            continue
+        m = min(x, 1 - x)
+        if worst is None or m < worst:
+            worst = m
+    return worst
+
+
+def li2_power_series(x, mp):
+    """Li2(x) for 0 < x < 1, rounded once to nearest at the context's precision.
+
+    Reflects to y = min(x, 1 - x) <= 1/2 through
+    Li2(x) = pi^2/6 - log x log(1 - x) - Li2(1 - x), then sums y^n/n^2 on
+    Python ints in fixed point.  The working precision grows with -log2 y, so
+    a tiny argument keeps its full relative precision; every libmp call takes
+    an explicit precision, so mpmath's global state is never read.
+    """
+    xm = x._mpf_
+    ym = mpf_sub(fone, xm)  # exact: no rounding at prec 0
+    reflect = mpf_lt(ym, xm)
+    if not reflect:
+        ym = xm
+    _, _, exp, bc = ym
+    wp = mp.prec + 40 + max(0, -(exp + bc))
+    y = to_fixed(ym, wp)
+    total, power, n = 0, y, 1
+    while power:
+        total += power // (n * n)
+        n += 1
+        power = (power * y) >> wp
+    if reflect:
+        pi = to_fixed(mpf_pi(wp), wp)
+        logs = (to_fixed(mpf_log(xm, wp), wp) * to_fixed(mpf_log(ym, wp), wp)) >> wp
+        total = ((pi * pi) >> wp) // 6 - logs - total
+    return mp.make_mpf(from_man_exp(total, -wp, mp.prec, round_nearest))
+
+
+def dilog_sum(grid, ctx, args=None):
+    """(6/pi^2) sum of Rogers dilogarithms of the interior ratios.
+
+    ``args`` are the grid's ``dilog_args``, computed here when omitted.
+    Diagnostic output only; no closed-form value is asserted for it.
+    """
+    mp = ctx.mp
+    if args is None:
+        args = dilog_args(grid)
+    total = mp.mpf(0)
+    for (i, k) in sorted(args):
+        if k == 0 or k == grid.level:
+            continue
+        x = args[(i, k)]
+        if not (0 < x < 1):
+            raise ValueError(f"dilogarithm argument {mp.nstr(x, 8)} outside (0, 1)")
+        total += li2_power_series(x, mp) + mp.log(x) * mp.log(1 - x) / 2
+    return 6 / mp.pi ** 2 * total

@@ -4,10 +4,12 @@ import json
 import math
 import random
 import re
+from fractions import Fraction
 
 import mpmath
 import pytest
 from mpmath.ctx_mp import MPContext
+from mpmath.ctx_mp_python import _mpf
 
 import qslab
 from qslab import krchar, qnum, qsolver
@@ -31,7 +33,8 @@ from qslab.qsolver import (
 from qslab.report import RunConfig, run
 from qslab.rootsys import TYPE_DATA, build_root_system, delta
 
-from oracles import a_series_cartan
+import oracles
+from oracles import a_series_cartan, li2_power_series
 
 
 def rel_diff(mp, a, b):
@@ -521,8 +524,12 @@ def _li2_edge_arguments(mp):
     """The edge arguments at the context's precision, within (0, 1)."""
     prec = mp.prec
     ulp = mp.ldexp(1, -prec)  # spacing of [1/2, 1)
-    edges = [mp.ldexp(1, -200), mp.mpf("1e-30"), mp.mpf("1e-10"),
-             mp.mpf(0.5), 0.5 + ulp, 0.5 - ulp / 2,  # below 1/2 the spacing halves
+    # tiny arguments widen the working precision by -log2 y bits; on either
+    # side of 1/2 the reflection switches on or off
+    edges = [mp.ldexp(1, -300), mp.ldexp(1, -200), mp.mpf("1e-60"), mp.mpf("1e-30"),
+             mp.mpf("1e-10"), mp.mpf(0.5),
+             0.5 + ulp, 0.5 - ulp / 2,  # below 1/2 the spacing halves
+             0.5 + mp.mpf("1e-20"), 0.5 - mp.mpf("1e-20"),
              0.75 + ulp, 0.75 - ulp, 1 - mp.mpf("1e-30"), 1 - ulp]
     # at 64 bits 1 - 1e-30 rounds to 1, which has no place in (0, 1)
     return [x for x in edges if 0 < x < 1]
@@ -540,17 +547,40 @@ def _li2_reference(x, prec):
 @pytest.mark.parametrize("global_prec", [None, 20])
 def test_li2_rounds_correctly(global_prec):
     # _li2 reads no global mpmath state, so a low mpmath.mp precision
-    # changes nothing
+    # changes nothing; the Bernoulli series gives the bits of the power
+    # series sum y^n/n^2 that it replaced
     rng = random.Random(20260809)
     with mpmath.workprec(global_prec or mpmath.mp.prec):
-        for prec in (64, 128, 256):
+        for prec in (64, 128, 256, 512):
             mp = MPContext()
             mp.prec = prec
             seeded = [mp.ldexp(rng.getrandbits(prec) | 1, -prec) for _ in range(24)]
             for x in seeded + _li2_edge_arguments(mp):
-                got = qsolver._li2(x, mp)
-                assert got._mpf_ == _li2_reference(x, prec)._mpf_, (prec, mp.nstr(x, 20))
-            assert len(_li2_edge_arguments(mp)) == (9 if prec == 64 else 10)
+                got = qsolver._li2(x._mpf_, prec)
+                assert got == _li2_reference(x, prec)._mpf_, (prec, mp.nstr(x, 20))
+                assert got == li2_power_series(x, mp)._mpf_, (prec, mp.nstr(x, 20))
+            assert len(_li2_edge_arguments(mp)) == (13 if prec == 64 else 14)
+
+
+@pytest.mark.parametrize("prec", [64, 128, 256, 512])
+def test_li2_coefficients_end_at_the_first_zero(prec):
+    # each entry is B_2m / (2m+1)! rounded to nearest at wp bits, the table
+    # stops where the next entry rounds to 0, and at y = 1/2, where u is
+    # largest (log 2 < 0.6932), the terms it leaves out sum to less than one
+    # unit at wp bits: the series has converged
+    def coefficient(m):
+        return Fraction(*mpmath.bernfrac(2 * m)) / math.factorial(2 * m + 1)
+
+    for wp in (prec + 40, prec + 340):  # an argument near 2^-300 adds 300 bits
+        table = qsolver._li2_coefficients(wp)
+        n = len(table)
+        assert list(table) == [round(coefficient(m) * 2 ** wp) for m in range(1, n + 1)]
+        assert table[-1] != 0 and round(coefficient(n + 1) * 2 ** wp) == 0
+        u = Fraction(6932, 10000)
+        tail = sum(abs(coefficient(m)) * u ** (2 * m + 1) for m in range(n + 1, n + 40))
+        assert tail * 2 ** wp < 1
+    if prec == 128:
+        assert len(qsolver._li2_coefficients(prec + 40)) == 30
 
 
 def _polylog_dilog_sum(grid, ctx):
@@ -587,6 +617,78 @@ def test_dilog_sum_matches_polylog_formula(rs_map, label, level):
     total = dilog_sum(grid, ctx, args)
     assert total._mpf_ == _polylog_dilog_sum(grid, ctx)._mpf_
     assert dilog_sum(grid, ctx)._mpf_ == total._mpf_
+
+
+def _bits(value):
+    return None if value is None else value._mpf_
+
+
+def _check_bits(checks):
+    return [(c.name, c.node, c.status, c.note, _bits(c.max_violation)) for c in checks]
+
+
+@pytest.mark.parametrize("label,level,bits,solved", [
+    # the KR grids of every verify-matrix and level-sweep configuration
+    *[pytest.param(label, level, 128, False, id=f"{label}-{level}") for label, level in (
+        ("E6", 2), ("E6", 4), ("E7", 2), ("E8", 2),
+        ("E6", 6), ("E6", 30), ("E7", 1), ("E7", 4), ("E7", 11), ("E7", 12), ("E7", 28),
+        ("E8", 4), ("E8", 16),
+    )],
+    pytest.param("E7", 6, 64, False, id="E7-6-64bits"),
+    pytest.param("E7", 6, 256, False, id="E7-6-256bits"),
+    pytest.param("E6", 8, 256, True, id="E6-8-256bits-solved"),
+    pytest.param("E8", 24, 256, True, id="E8-24-256bits-solved"),
+    pytest.param("A1", 3, 128, True, id="A1-3-solved"),  # a node with no neighbours
+])
+def test_grid_consumers_match_the_mpf_formulas(rs_map, a1, label, level, bits, solved):
+    # the consumers of a grid compute on raw tuples the bits that the mpf
+    # operators give: every defect and dilogarithm argument, the residual,
+    # the margin, the sum, and every theorem check's verdict and violation
+    rs = a1 if label == "A1" else rs_map[label]
+    ctx = LevelContext(rs, level, precision_bits=bits)
+    grid = solve_restricted(ctx) if solved else build_qgrid(ctx)
+    neighbors = qsolver._neighbor_rows(rs)
+    cells = (qsolver._raw(grid.values), ctx.mp)
+    for i in range(rs.rank):
+        for k in range(1, grid.k_max):
+            want = oracles.defect(grid.values, neighbors, i, k)
+            want = None if want is None else tuple(v._mpf_ for v in want)
+            assert qsolver._defect(cells, neighbors, i, k) == want, (i + 1, k)
+    assert residual(grid)._mpf_ == oracles.residual(grid)._mpf_
+    if not solved:
+        assert _check_bits(theorem_report(ctx, grid)) == _check_bits(
+            oracles.theorem_report(ctx, grid))
+    args, want = dilog_args(grid), oracles.dilog_args(grid)
+    assert {key: x._mpf_ for key, x in args.items()} == {key: x._mpf_ for key, x in want.items()}
+    assert _bits(dilog_args_margin(args, level)) == _bits(oracles.dilog_args_margin(want, level))
+    assert dilog_sum(grid, ctx, args)._mpf_ == oracles.dilog_sum(grid, ctx, want)._mpf_
+
+
+def test_grid_consumers_call_no_mpf_operator(e7, monkeypatch):
+    # the residual and the dilog group run on raw tuples throughout: not one
+    # arithmetic or comparison operator of an mpf runs inside them
+    ctx = LevelContext(e7, 12)
+    grid = build_qgrid(ctx)
+    calls = []
+
+    def counted(name, original):
+        def operator(*args):
+            calls.append(name)
+            return original(*args)
+        return operator
+
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                 "__truediv__", "__rtruediv__", "__pow__", "__rpow__", "__neg__", "__pos__",
+                 "__abs__", "__lt__", "__le__", "__gt__", "__ge__", "__eq__", "__ne__",
+                 "__bool__"):
+        monkeypatch.setattr(_mpf, name, counted(name, getattr(_mpf, name)))
+    assert ctx.mp.mpf(1) + 1 > 1 and calls == ["__add__", "__gt__"]  # the counters count
+    calls.clear()
+    residual(grid)
+    args = dilog_args(grid)
+    dilog_args_margin(args, ctx.level)
+    dilog_sum(grid, ctx, args)
+    assert calls == []
 
 
 def test_solver_output_symmetric_and_unimodal(e7):

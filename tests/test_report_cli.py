@@ -43,6 +43,7 @@ def test_render_decimal_deterministic():
     third = render_decimal(c.mpf(1) / 3)
     assert len(third.replace("0.", "")) == 30
     assert render_decimal(c.mpf(10) ** -40).startswith("1.0000")
+    assert [render_decimal(x) for x in (c.nan, c.inf, -c.inf)] == ["nan", "inf", "-inf"]
 
 
 def test_render_decimal_matches_fraction_reference():
@@ -510,6 +511,17 @@ def test_reports_are_deterministic():
          "6162115b6bf5022557cd3cf2f29d75241c27ac896321defce2b83e2cca21cf43"),
         (RunConfig(type_label="E7", level=28, checks=("grid", "theorem")),
          "75fd909ecbba5e956059c90604db9aec241a74d664665595b7bd14b28a70ac0b"),
+        # large dilogarithm sums (the last one also holds the Branden check read
+        # below), as `verify --checks roots,grid,theorem,logconcave,dilog`
+        (RunConfig(type_label="E6", level=30,
+                   checks=("roots", "grid", "theorem", "logconcave", "dilog")),
+         "3abe1f8a52c190bd7606470f3a14a4225d6524054855839b3784a152b0425e0c"),
+        (RunConfig(type_label="E7", level=11,
+                   checks=("roots", "grid", "theorem", "logconcave", "dilog")),
+         "3ff73735f040e4e51cbf3f1e0706ec83e0341dc4fd1caa72445bdfb4ce9267ce"),
+        (RunConfig(type_label="E8", level=4,
+                   checks=("roots", "grid", "theorem", "logconcave", "dilog")),
+         "b5dc77dcb3bcc54a449ba761d83598e251147dea248fde41203661cecc545f84"),
         (RunConfig(type_label="E7", level=12,
                    checks=("roots", "grid", "theorem", "logconcave", "dilog")),
          "ff3771bad4d18d1d8e2b9e2db2f079d98dc9fdfc4165233e8e60f70c8a199900"),
