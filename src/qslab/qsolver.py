@@ -12,8 +12,12 @@ the grid ``residual`` and ``dilog_args`` all call them.  They and the other
 grid consumers here compute on raw ``_mpf_`` tuples with the mpmath.libmp
 calls of the mpf operators, in the same order and at the context's
 precision and rounding: the bits of mpf arithmetic without its per-object
-dispatch.  Values cross the module's interface as mpf numbers.
-``solve_restricted`` finds that solution on its own: float Newton on
+dispatch.  Values cross the module's interface as mpf numbers.  Every
+tolerance or margin decision, here and in the grid, solve and dilog groups
+of ``qslab.report``, goes through one raw-value kernel: ``_at_most`` (the
+worst deviation, against a bound) and ``_above`` (a least value, against a
+margin), with ``_rel_gap`` for |a - b| / max(|a|, |b|, 1).
+``solve_restricted`` finds the restricted solution on its own: float Newton on
 y = log Q (``_warm_start``), then corrections against the defect at working
 precision; every step solves the one float log-variable Jacobian of
 ``_log_newton_step`` with ``_block_thomas``.  The restricted system is
@@ -36,9 +40,9 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from mpmath.libmp import (bernfrac, finf, fninf, fone, from_float, from_int, from_man_exp,
-                          fzero, mpf_abs, mpf_add, mpf_div, mpf_gt, mpf_le, mpf_log, mpf_lt,
-                          mpf_mul, mpf_mul_int, mpf_pi, mpf_pow_int, mpf_rdiv_int, mpf_shift,
-                          mpf_sub, round_nearest, to_fixed, to_float)
+                          fzero, mpf_abs, mpf_add, mpf_cmp, mpf_div, mpf_gt, mpf_le, mpf_log,
+                          mpf_lt, mpf_mul, mpf_mul_int, mpf_pi, mpf_pow_int, mpf_rdiv_int,
+                          mpf_shift, mpf_sub, round_nearest, to_fixed, to_float)
 
 from .krchar import chari_qdim
 from .qnum import LevelContext, QReal
@@ -167,6 +171,8 @@ def build_qgrid(ctx: LevelContext, k_max: int | None = None) -> QGrid:
     if k_max > 4 * l:
         raise ValueError("k_max is capped at 4l")
 
+    prec, rnd = ctx.mp._prec_rounding
+    zero_tol = ctx.zero_tolerance._mpf_
     direct = set(td.direct_nodes)
     routes = dict(td.derived_routes)
     cells: dict[tuple[int, int], QReal | None] = {}
@@ -206,7 +212,8 @@ def build_qgrid(ctx: LevelContext, k_max: int | None = None) -> QGrid:
                 if div is None:
                     out, tag = num, "subtraction"
                     break
-                if abs(div.value) > ctx.zero_tolerance * div.magnitude_scale:
+                if mpf_gt(mpf_abs(div._value, prec, rnd),
+                          mpf_mul(zero_tol, div._scale, prec, rnd)):
                     out, tag = num.div(div), "division"
                     break
             if out is None and in_zero_window(k):
@@ -417,16 +424,13 @@ def solve_restricted(ctx: LevelContext, tolerance: float = SOLVER_TOLERANCE) -> 
     """
     mp = ctx.mp
     prec, rnd = mp._prec_rounding
-    tol = mp.mpf(tolerance)
-    if not tol > mp.mpf(2) ** (-ctx.precision_bits + 8):
+    tol = from_float(tolerance)
+    if not mpf_gt(tol, mpf_shift(fone, 8 - ctx.precision_bits)):
         raise ValueError("solver tolerance is below the working precision")
     rs = ctx.root_system
     level, rank = ctx.level, rs.rank
     half = range(1, level // 2 + 1)
     v = [[from_float(x) for x in row] for row in _warm_start(rs, level)]
-    for row in v:
-        for k in half:
-            row[level - k] = row[k]
     neighbors = _neighbor_rows(rs)
 
     for step in range(MAX_NEWTON_STEPS + 1):
@@ -445,7 +449,7 @@ def solve_restricted(ctx: LevelContext, tolerance: float = SOLVER_TOLERANCE) -> 
                 size = to_float(size, rnd=rnd)
                 col.append(-size if mpf_gt(fi, fzero) else size)
             rhs.append(col)
-        if mpf_le(res, tol._mpf_):
+        if mpf_le(res, tol):
             break
         if step == MAX_NEWTON_STEPS:
             raise SolverDivergence(f"no convergence within {MAX_NEWTON_STEPS} Newton steps; "
@@ -485,6 +489,40 @@ def _mk_check(name, node, ok, proven, violation, note="") -> CheckResult:
     return CheckResult(name, node, status, proven, violation, note)
 
 
+# The order of raw values, as a key of min and max.
+_ORDER = functools.cmp_to_key(mpf_cmp)
+
+
+def _at_most(devs, bound: float):
+    """Whether the worst of the raw deviations ``devs`` is at most the float
+    ``bound``, read exactly, and that worst: fzero when there is none, finf
+    at the first None."""
+    worst = fzero
+    for d in devs:
+        if d is None:
+            worst = finf
+            break
+        if mpf_lt(worst, d):
+            worst = d
+    return mpf_le(worst, from_float(bound)), worst
+
+
+def _above(least, margin: float, prec: int, rnd: str):
+    """Whether the raw ``least`` lies above the float ``margin``, read
+    exactly, and the violation max(0, margin - least)."""
+    m = from_float(margin)
+    gap = mpf_sub(m, least, prec, rnd)
+    return mpf_gt(least, m), gap if mpf_gt(gap, fzero) else fzero
+
+
+def _rel_gap(a, b, prec: int, rnd: str):
+    """|a - b| / max(|a|, |b|, 1) of raw values; None when either is None."""
+    if a is None or b is None:
+        return None
+    den = max(mpf_abs(a, prec, rnd), mpf_abs(b, prec, rnd), fone, key=_ORDER)
+    return mpf_div(mpf_abs(mpf_sub(a, b, prec, rnd), prec, rnd), den, prec, rnd)
+
+
 def theorem_report(ctx: LevelContext, grid: QGrid | None = None) -> list[CheckResult]:
     """Certify the claimed grid properties node by node.
 
@@ -507,108 +545,82 @@ def theorem_report(ctx: LevelContext, grid: QGrid | None = None) -> list[CheckRe
     mp = ctx.mp
     prec, rnd = mp._prec_rounding
     make = mp.make_mpf
-    zero_tol, sym_tol, bound_tol, per_tol, pos_margin, uni_margin = map(from_float, (
-        ZERO_WINDOW_TOL, SYMMETRY_TOL, BOUNDARY_TOL, PERIODICITY_TOL, POSITIVITY_MARGIN,
-        UNIMODALITY_MARGIN))
+    uni_margin = from_float(UNIMODALITY_MARGIN)
     rows = _raw(grid.values)
     scales = _raw(grid.scales)
 
     def rel(f, scale):
         return mpf_div(mpf_abs(f, prec, rnd), scale, prec, rnd)
 
+    def gap(a, b, sa, sb):
+        """|a - b| / max(sa, sb); None when a or b is None."""
+        if a is None or b is None:
+            return None
+        return rel(mpf_sub(a, b, prec, rnd), sb if mpf_gt(sb, sa) else sa)
+
     for i in range(1, rs.rank + 1):
         row, srow = rows[i - 1], scales[i - 1]
         # (i) recurring zeros on [level+1, l-1]
-        worst = fzero
-        missing = False
-        for k in range(level + 1, l):
-            if row[k] is None:
-                missing = True
-                continue
-            r = rel(row[k], srow[k])
-            worst = r if mpf_lt(worst, r) else worst
-        ok = not missing and mpf_le(worst, zero_tol)
+        window = row[level + 1:l]
+        missing = None in window
+        ok, worst = _at_most((rel(c, s) for c, s in zip(window, srow[level + 1:l])
+                              if c is not None), ZERO_WINDOW_TOL)
         checks.append(_mk_check(
-            "zero_window", i, ok, is_proven(label, "zero_window", i), make(worst),
-            note="unresolved cells in window" if missing else ""))
+            "zero_window", i, ok and not missing, is_proven(label, "zero_window", i),
+            make(worst), note="unresolved cells in window" if missing else ""))
 
         # (ii) symmetry on [0, level]
-        worst = fzero
-        for k in range(0, level + 1):
-            a, b = row[k], row[level - k]
-            if a is None or b is None:
-                worst = finf
-                break
-            sa, sb = srow[k], srow[level - k]
-            r = rel(mpf_sub(a, b, prec, rnd), sb if mpf_gt(sb, sa) else sa)
-            worst = r if mpf_lt(worst, r) else worst
+        ok, worst = _at_most((gap(row[k], row[level - k], srow[k], srow[level - k])
+                              for k in range(level + 1)), SYMMETRY_TOL)
         checks.append(_mk_check(
-            "symmetry", i, mpf_le(worst, sym_tol),
-            is_proven(label, "symmetry", i), make(worst)))
+            "symmetry", i, ok, is_proven(label, "symmetry", i), make(worst)))
 
-        # (iii) positivity on [0, level]
-        min_val = None
-        for k in range(0, level + 1):
-            val = row[k] if row[k] is not None else fninf
-            if min_val is None or mpf_lt(val, min_val):
-                min_val = val
-        gap = mpf_sub(pos_margin, min_val, prec, rnd)
+        # (iii) positivity on [0, level]; a None cell reads -inf
+        line = [fninf if c is None else c for c in row[:level + 1]]
+        least = min(line, key=_ORDER)
+        ok, violation = _above(least, POSITIVITY_MARGIN, prec, rnd)
         checks.append(_mk_check(
-            "positivity", i, mpf_gt(min_val, pos_margin), is_proven(label, "positivity", i),
-            make(gap if mpf_gt(gap, fzero) else fzero),
-            note=f"min value {mp.nstr(make(min_val), 8)}"))
+            "positivity", i, ok, is_proven(label, "positivity", i), make(violation),
+            note=f"min value {mp.nstr(make(least), 8)}"))
         if not is_proven(label, "positivity", i):
-            # The sub-range covered by theorems gets its own proven entry.
-            worst_w = fzero
-            ok_w = True
-            for k in range(0, level + 1):
-                if proven_positivity_window(rs, i, level, k):
-                    val = row[k] if row[k] is not None else fninf
-                    if not mpf_gt(val, pos_margin):
-                        ok_w = False
-                        gap = mpf_sub(pos_margin, val, prec, rnd)
-                        worst_w = gap if mpf_lt(worst_w, gap) else worst_w
-            checks.append(_mk_check("positivity_window", i, ok_w, True, make(worst_w)))
+            # The sub-range covered by theorems gets its own proven entry;
+            # rounding is monotone, so max(0, margin - least) is the largest
+            # gap over its failing cells.
+            least = min((c for k, c in enumerate(line)
+                         if proven_positivity_window(rs, i, level, k)), key=_ORDER, default=finf)
+            ok, violation = _above(least, POSITIVITY_MARGIN, prec, rnd)
+            checks.append(_mk_check("positivity_window", i, ok, True, make(violation)))
 
-        # (iv) strict increase on [0, floor(level/2) - 1]; worst never falls
-        # below its start 0, so it is its own max with 0
-        worst = fzero
-        for k in range(0, level // 2):
-            a, b = row[k], row[k + 1]
-            if a is None or b is None:
-                worst = finf
-                break
-            gap = mpf_sub(uni_margin, mpf_sub(b, a, prec, rnd), prec, rnd)
-            worst = gap if mpf_lt(worst, gap) else worst
+        # (iv) strict increase on [0, floor(level/2) - 1]: every
+        # margin - (Q_{k+1} - Q_k) at most 0
+        ok, worst = _at_most(
+            (None if row[k] is None or row[k + 1] is None
+             else mpf_sub(uni_margin, mpf_sub(row[k + 1], row[k], prec, rnd), prec, rnd)
+             for k in range(level // 2)), 0.0)
         checks.append(_mk_check(
-            "unimodality", i, mpf_le(worst, fzero),
-            is_proven(label, "unimodality", i), make(worst)))
+            "unimodality", i, ok, is_proven(label, "unimodality", i), make(worst)))
 
         # boundary Q_level = 1
-        c = row[level]
-        dev = finf if c is None else rel(mpf_sub(c, fone, prec, rnd), srow[level])
+        ok, dev = _at_most([gap(row[level], fone, srow[level], srow[level])], BOUNDARY_TOL)
         checks.append(_mk_check(
-            "boundary_one", i, mpf_le(dev, bound_tol),
-            is_proven(label, "boundary_one", i), make(dev)))
+            "boundary_one", i, ok, is_proven(label, "boundary_one", i), make(dev)))
 
     # (anti)periodicity and the k = l sign, at the closed-form rows only;
     # both signs are (-1)^delta.
     for i in type_data(label).direct_nodes:
         sign = -1 if delta(rs, i) % 2 else 1
-        worst = fzero
-        for k in range(0, min(level, 3) + 1):
-            a = chari_qdim(i, k, ctx)
-            b = chari_qdim(i, k + l, ctx)
-            scale = b._scale if mpf_gt(b._scale, a._scale) else a._scale
-            r = rel(mpf_sub(b._value, mpf_mul_int(a._value, sign, prec, rnd), prec, rnd), scale)
-            worst = r if mpf_lt(worst, r) else worst
-        checks.append(_mk_check("periodicity", i, mpf_le(worst, per_tol), True, make(worst),
+        pairs = [(chari_qdim(i, k, ctx), chari_qdim(i, k + l, ctx))
+                 for k in range(min(level, 3) + 1)]
+        ok, worst = _at_most((gap(b._value, mpf_mul_int(a._value, sign, prec, rnd),
+                                  a._scale, b._scale) for a, b in pairs), PERIODICITY_TOL)
+        checks.append(_mk_check("periodicity", i, ok, True, make(worst),
                                 note=f"sign {sign:+d}"))
 
-        c = rows[i - 1][l]
-        dev = finf if c is None else rel(mpf_sub(c, from_int(sign), prec, rnd), scales[i - 1][l])
-        checks.append(_mk_check("shifted_boundary_sign", i, mpf_le(dev, bound_tol), True,
-                                make(dev), note=f"expected {sign:+d}"))
+        srow = scales[i - 1]
+        ok, dev = _at_most([gap(rows[i - 1][l], from_int(sign), srow[l], srow[l])],
+                           BOUNDARY_TOL)
+        checks.append(_mk_check("shifted_boundary_sign", i, ok, True, make(dev),
+                                note=f"expected {sign:+d}"))
 
     return checks
 

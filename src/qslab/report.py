@@ -21,7 +21,7 @@ from mpmath.libmp import finf, fnan, fninf
 
 from . import affweyl, krchar, qsolver, rootsys, seqanalysis
 from .qnum import DEFAULT_PRECISION_BITS, MIN_PRECISION_BITS, LevelContext, alcove_line
-from .qsolver import CheckResult, QGrid, _mk_check
+from .qsolver import CheckResult, QGrid, _above, _at_most, _mk_check, _rel_gap
 from .rootsys import RootSystem, Weight, build_root_system
 
 REPORT_FORMATS = ("json", "csv", "text")
@@ -116,11 +116,6 @@ def fixture_check(rs: RootSystem, fixture_dir: str | None = None) -> CheckResult
 
 # ---------------------------------------------------------------------------
 # check groups
-
-def _rel_gap(mp, a, b):
-    """|a - b| / max(|a|, |b|, 1)."""
-    return abs(a - b) / max(abs(a), abs(b), mp.mpf(1))
-
 
 def _roots_checks(report, ctx, grid) -> list[CheckResult]:
     rs = ctx.root_system
@@ -311,24 +306,19 @@ def _weyl_checks(report, ctx, grid) -> list[CheckResult]:
 
 
 def _grid_checks(report, ctx, grid) -> list[CheckResult]:
-    out = []
     res = grid.residual_max
-    out.append(_mk_check("grid_residual", None, res <= qsolver.FULL_GRID_RESIDUAL_TOL,
-                         True, res, note=f"k_max={grid.k_max}"))
+    ok, _ = _at_most([res._mpf_], qsolver.FULL_GRID_RESIDUAL_TOL)
+    out = [_mk_check("grid_residual", None, ok, True, res, note=f"k_max={grid.k_max}")]
     out.append(_mk_check("grid_unresolved", None, not grid.unresolved, True, None,
                          note=f"unresolved cells {grid.unresolved}" if grid.unresolved else ""))
     kleber_tables = rootsys.type_data(ctx.root_system.type_label).kleber_q1
     if kleber_tables:
-        worst = ctx.mp.mpf(0)
-        for node in kleber_tables:
-            direct = krchar.qdim_kr(krchar.kleber_q1(ctx.root_system, node), ctx)
-            cell = grid.cell(node, 1)
-            if cell is None:
-                worst = ctx.mp.inf
-                continue
-            worst = max(worst, _rel_gap(ctx.mp, direct.value, cell))
-        out.append(_mk_check("kleber_cross_check", None,
-                             worst <= qsolver.TWO_PATH_REL_TOL, True, worst))
+        prec, rnd = ctx.mp._prec_rounding
+        rows = qsolver._raw(grid.values)
+        ok, worst = _at_most([_rel_gap(krchar.qdim_kr(krchar.kleber_q1(ctx.root_system, node),
+                                                      ctx)._value, rows[node - 1][1], prec, rnd)
+                              for node in kleber_tables], qsolver.TWO_PATH_REL_TOL)
+        out.append(_mk_check("kleber_cross_check", None, ok, True, ctx.mp.make_mpf(worst)))
     return out
 
 
@@ -339,20 +329,15 @@ def _solve_checks(report, ctx, grid) -> list[CheckResult]:
     except (qsolver.SolverDivergence, ValueError) as exc:
         # a ValueError says the tolerance lies below what the precision can reach
         return [_mk_check("solver_residual", None, False, True, None, note=str(exc))]
-    out = [_mk_check("solver_residual", None,
-                     solved.residual_max <= ctx.mp.mpf(tolerance), True,
-                     solved.residual_max)]
-    worst = ctx.mp.mpf(0)
-    for i in range(1, ctx.root_system.rank + 1):
-        for k in range(0, ctx.level + 1):
-            a = grid.cell(i, k)
-            b = solved.cell(i, k)
-            if a is None:
-                worst = ctx.mp.inf
-                continue
-            worst = max(worst, _rel_gap(ctx.mp, a, b))
-    out.append(_mk_check("two_path_agreement", None,
-                         worst <= qsolver.TWO_PATH_REL_TOL, True, worst))
+    ok, _ = _at_most([solved.residual_max._mpf_], tolerance)
+    out = [_mk_check("solver_residual", None, ok, True, solved.residual_max)]
+    prec, rnd = ctx.mp._prec_rounding
+    ok, worst = _at_most((_rel_gap(a, b, prec, rnd)
+                          for row, solved_row in zip(qsolver._raw(grid.values),
+                                                     qsolver._raw(solved.values))
+                          for a, b in zip(row[:ctx.level + 1], solved_row)),
+                         qsolver.TWO_PATH_REL_TOL)
+    out.append(_mk_check("two_path_agreement", None, ok, True, ctx.mp.make_mpf(worst)))
     return out
 
 
@@ -416,14 +401,16 @@ def _dilog_checks(report, ctx, grid) -> list[CheckResult]:
         report.dilog_in_range = False
         return [_mk_check("dilog_args", None, False, proven, None, note=str(exc))]
     margin = qsolver.dilog_args_margin(args, ctx.level)
-    ok = margin is None or margin > qsolver.DILOG_MARGIN
-    checks = [_mk_check("dilog_args", None, ok, proven,
-                        None if margin is None else max(ctx.mp.mpf(0),
-                                                        qsolver.DILOG_MARGIN - margin),
-                        note="no interior cells" if margin is None
-                        else f"min distance to {{0,1}}: {ctx.mp.nstr(margin, 8)}")]
-    report.dilog_in_range = bool(ok)
-    if margin is not None and margin <= 0:
+    prec, rnd = ctx.mp._prec_rounding
+    if margin is None:
+        ok, violation, note = True, None, "no interior cells"
+    else:
+        ok, violation = _above(margin._mpf_, qsolver.DILOG_MARGIN, prec, rnd)
+        violation = ctx.mp.make_mpf(violation)
+        note = f"min distance to {{0,1}}: {ctx.mp.nstr(margin, 8)}"
+    checks = [_mk_check("dilog_args", None, ok, proven, violation, note=note)]
+    report.dilog_in_range = ok
+    if margin is not None and not _above(margin._mpf_, 0.0, prec, rnd)[0]:
         return checks  # an argument outside (0, 1) has no Rogers dilogarithm
     total = qsolver.dilog_sum(grid, ctx, args)
     checks.append(_mk_check("dilog_sum", None, True, True, None,

@@ -12,10 +12,11 @@ from typing import Iterable, Sequence
 from mpmath.libmp import (fone, from_man_exp, mpf_log, mpf_lt, mpf_pi, mpf_sub,
                           round_nearest, to_fixed)
 
-from qslab import qsolver
+from qslab import krchar, qsolver
 from qslab.krchar import chari_qdim
-from qslab.qsolver import (BOUNDARY_TOL, PERIODICITY_TOL, POSITIVITY_MARGIN, SYMMETRY_TOL,
-                           UNIMODALITY_MARGIN, ZERO_WINDOW_TOL, _mk_check,
+from qslab.qsolver import (BOUNDARY_TOL, DILOG_MARGIN, FULL_GRID_RESIDUAL_TOL,
+                           PERIODICITY_TOL, POSITIVITY_MARGIN, SOLVER_TOLERANCE, SYMMETRY_TOL,
+                           TWO_PATH_REL_TOL, UNIMODALITY_MARGIN, ZERO_WINDOW_TOL, _mk_check,
                            proven_positivity_window)
 from qslab.rootsys import delta, is_proven, type_data
 from qslab.seqanalysis import RealSequence, is_log_concave
@@ -209,9 +210,10 @@ def a_series_cartan(rank: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
-# The grid consumers of qslab.qsolver in mpf-object arithmetic: each
-# operator dispatches on its cells' own context.  qslab.qsolver computes the
-# same values with mpmath.libmp calls on raw tuples, bit for bit.
+# The grid consumers of qslab.qsolver and the grid, solve and dilog groups
+# of qslab.report in mpf-object arithmetic: each operator dispatches on its
+# cells' own context.  qslab computes the same values and verdicts with
+# mpmath.libmp calls on raw tuples, bit for bit.
 
 def neighbor_product(values, neighbors: Sequence[int], k: int):
     """prod_{j ~ i} Q_k(j): the product of values[j][k] over the neighbour
@@ -384,6 +386,80 @@ def dilog_args_margin(args: dict[tuple[int, int], object], level: int):
         if worst is None or m < worst:
             worst = m
     return worst
+
+
+def rel_gap(mp, a, b):
+    """|a - b| / max(|a|, |b|, 1)."""
+    return abs(a - b) / max(abs(a), abs(b), mp.mpf(1))
+
+
+def grid_checks(ctx, grid):
+    """The checks of qslab.report's grid group, decided with mpf operators."""
+    res = grid.residual_max
+    out = [_mk_check("grid_residual", None, res <= FULL_GRID_RESIDUAL_TOL, True, res,
+                     note=f"k_max={grid.k_max}"),
+           _mk_check("grid_unresolved", None, not grid.unresolved, True, None,
+                     note=f"unresolved cells {grid.unresolved}" if grid.unresolved else "")]
+    kleber_tables = type_data(ctx.root_system.type_label).kleber_q1
+    if kleber_tables:
+        worst = ctx.mp.mpf(0)
+        for node in kleber_tables:
+            direct = krchar.qdim_kr(krchar.kleber_q1(ctx.root_system, node), ctx)
+            cell = grid.cell(node, 1)
+            if cell is None:
+                worst = ctx.mp.inf
+                continue
+            worst = max(worst, rel_gap(ctx.mp, direct.value, cell))
+        out.append(_mk_check("kleber_cross_check", None, worst <= TWO_PATH_REL_TOL, True, worst))
+    return out
+
+
+def solve_checks(ctx, grid):
+    """The checks of qslab.report's solve group, decided with mpf operators
+    on the grid of qslab.qsolver.solve_restricted."""
+    try:
+        solved = qsolver.solve_restricted(ctx, SOLVER_TOLERANCE)
+    except (qsolver.SolverDivergence, ValueError) as exc:
+        return [_mk_check("solver_residual", None, False, True, None, note=str(exc))]
+    out = [_mk_check("solver_residual", None,
+                     solved.residual_max <= ctx.mp.mpf(SOLVER_TOLERANCE), True,
+                     solved.residual_max)]
+    worst = ctx.mp.mpf(0)
+    for i in range(1, ctx.root_system.rank + 1):
+        for k in range(0, ctx.level + 1):
+            a = grid.cell(i, k)
+            b = solved.cell(i, k)
+            if a is None:
+                worst = ctx.mp.inf
+                continue
+            worst = max(worst, rel_gap(ctx.mp, a, b))
+    out.append(_mk_check("two_path_agreement", None, worst <= TWO_PATH_REL_TOL, True, worst))
+    return out
+
+
+def dilog_checks(report, ctx, grid):
+    """qslab.report's dilog group with mpf operators and the mpf formulas
+    here for the arguments, their margin and the sum."""
+    proven = type_data(ctx.root_system.type_label).dilog_proven
+    try:
+        args = dilog_args(grid)
+    except ValueError as exc:
+        report.dilog_in_range = False
+        return [_mk_check("dilog_args", None, False, proven, None, note=str(exc))]
+    margin = dilog_args_margin(args, ctx.level)
+    ok = margin is None or margin > DILOG_MARGIN
+    checks = [_mk_check("dilog_args", None, ok, proven,
+                        None if margin is None else max(ctx.mp.mpf(0), DILOG_MARGIN - margin),
+                        note="no interior cells" if margin is None
+                        else f"min distance to {{0,1}}: {ctx.mp.nstr(margin, 8)}")]
+    report.dilog_in_range = bool(ok)
+    if margin is not None and margin <= 0:
+        return checks
+    total = dilog_sum(grid, ctx, args)
+    checks.append(_mk_check("dilog_sum", None, True, True, None,
+                            note=f"normalized sum {ctx.mp.nstr(total, 12)}"))
+    report.dilog_sum = total
+    return checks
 
 
 def li2_power_series(x, mp):

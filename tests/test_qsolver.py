@@ -5,14 +5,16 @@ import math
 import random
 import re
 from fractions import Fraction
+from types import SimpleNamespace
 
 import mpmath
 import pytest
 from mpmath.ctx_mp import MPContext
 from mpmath.ctx_mp_python import _mpf
+from mpmath.libmp import finf, fone, from_float, fzero, round_nearest
 
 import qslab
-from qslab import krchar, qnum, qsolver
+from qslab import krchar, qnum, qsolver, report
 from qslab.cli import main
 from qslab.krchar import chari_decomposition, kleber_q1, qdim_kr
 from qslab.qnum import LevelContext, qdim
@@ -34,11 +36,7 @@ from qslab.report import RunConfig, run
 from qslab.rootsys import TYPE_DATA, build_root_system, delta
 
 import oracles
-from oracles import a_series_cartan, li2_power_series
-
-
-def rel_diff(mp, a, b):
-    return abs(a - b) / max(abs(a), abs(b), mp.mpf(1))
+from oracles import a_series_cartan, li2_power_series, rel_gap
 
 
 def test_boundary_and_direct_rows(e6):
@@ -88,7 +86,7 @@ def test_kleber_against_division_route(e7):
         for node in (4, 5):
             direct = qdim_kr(kleber_q1(e7, node), ctx)
             cell = grid.cell(node, 1)
-            assert rel_diff(ctx.mp, direct.value, cell) < 1e-22, (level, node)
+            assert rel_gap(ctx.mp, direct.value, cell) < 1e-22, (level, node)
 
 
 def test_grid_kmax_guards(e6):
@@ -198,7 +196,7 @@ def test_two_path_agreement_e6(e6):
     solved = solve_restricted(ctx)
     for i in range(1, 7):
         for k in range(5):
-            d = rel_diff(ctx.mp, built.cell(i, k), solved.cell(i, k))
+            d = rel_gap(ctx.mp, built.cell(i, k), solved.cell(i, k))
             assert d < 1e-25, (i, k)
 
 
@@ -232,10 +230,10 @@ def test_solver_deep_levels(rs_map, label, level):
         for k in range(level + 1):
             a = solved.cell(i, k)
             assert a > 0, (i, k)
-            d = rel_diff(ctx.mp, a, built.cell(i, k))
+            d = rel_gap(ctx.mp, a, built.cell(i, k))
             assert d <= TWO_PATH_REL_TOL, (i, k, float(d))
             mirror = solved.cell(i, level - k)
-            assert rel_diff(ctx.mp, a, mirror) <= SYMMETRY_TOL, (i, k)
+            assert rel_gap(ctx.mp, a, mirror) <= SYMMETRY_TOL, (i, k)
 
 
 @pytest.mark.parametrize("label,level", [
@@ -253,7 +251,7 @@ def test_solver_converges_at_deep_levels(rs_map, label, level):
         for k in range(level + 1):
             a = solved.cell(i, k)
             assert a > 0, (i, k)
-            assert rel_diff(ctx.mp, a, solved.cell(i, level - k)) <= SYMMETRY_TOL, (i, k)
+            assert rel_gap(ctx.mp, a, solved.cell(i, level - k)) <= SYMMETRY_TOL, (i, k)
 
 
 @pytest.mark.parametrize("label,level", [("E8", 24), ("E7", 40)])
@@ -661,12 +659,41 @@ def test_grid_consumers_match_the_mpf_formulas(rs_map, a1, label, level, bits, s
     args, want = dilog_args(grid), oracles.dilog_args(grid)
     assert {key: x._mpf_ for key, x in args.items()} == {key: x._mpf_ for key, x in want.items()}
     assert _bits(dilog_args_margin(args, level)) == _bits(oracles.dilog_args_margin(want, level))
-    assert dilog_sum(grid, ctx, args)._mpf_ == oracles.dilog_sum(grid, ctx, want)._mpf_
+    if label == "A1":
+        assert dilog_sum(grid, ctx, args)._mpf_ == oracles.dilog_sum(grid, ctx, want)._mpf_
+        return
+    # the check groups decide on raw values what the mpf formulas decide
+    for name, oracle in (("grid", oracles.grid_checks), ("solve", oracles.solve_checks)):
+        assert _check_bits(report.CHECK_GROUPS[name][1](None, ctx, grid)) == _check_bits(
+            oracle(ctx, grid)), name
+    got, expected = (SimpleNamespace(dilog_in_range=None, dilog_sum=None) for _ in range(2))
+    assert _check_bits(report.CHECK_GROUPS["dilog"][1](got, ctx, grid)) == _check_bits(
+        oracles.dilog_checks(expected, ctx, grid))
+    assert got.dilog_in_range is expected.dilog_in_range is True
+    assert got.dilog_sum._mpf_ == expected.dilog_sum._mpf_
+
+
+def test_decision_kernel_edges():
+    # a deviation equal to its bound passes and the next float fails; a least
+    # value equal to its margin fails; a None reads as an infinite deviation
+    bound = qsolver.SYMMETRY_TOL
+    assert qsolver._at_most([fzero, from_float(bound)], bound) == (True, from_float(bound))
+    above = from_float(math.nextafter(bound, 1))
+    assert qsolver._at_most([above], bound) == (False, above)
+    assert qsolver._at_most([], bound) == (True, fzero)
+    margin = qsolver.POSITIVITY_MARGIN
+    assert qsolver._above(from_float(margin), margin, 128, round_nearest) == (False, fzero)
+    ok, violation = qsolver._above(from_float(margin / 2), margin, 128, round_nearest)
+    assert not ok and violation == from_float(margin / 2)
+    assert qsolver._above(from_float(2 * margin), margin, 128, round_nearest) == (True, fzero)
+    assert qsolver._at_most([fzero, None, above], bound) == (False, finf)
+    assert qsolver._rel_gap(None, fone, 128, round_nearest) is None
 
 
 def test_grid_consumers_call_no_mpf_operator(e7, monkeypatch):
-    # the residual and the dilog group run on raw tuples throughout: not one
-    # arithmetic or comparison operator of an mpf runs inside them
+    # the residual and the grid, solve, theorem and dilog groups run on raw
+    # tuples throughout: not one arithmetic or comparison operator of an mpf
+    # runs inside them
     ctx = LevelContext(e7, 12)
     grid = build_qgrid(ctx)
     calls = []
@@ -689,6 +716,10 @@ def test_grid_consumers_call_no_mpf_operator(e7, monkeypatch):
     dilog_args_margin(args, ctx.level)
     dilog_sum(grid, ctx, args)
     assert calls == []
+    verification = report.VerificationReport(report.RunConfig("E7", 12), ctx.shifted_level, [])
+    for name in ("grid", "solve", "theorem", "dilog"):
+        checks = report.CHECK_GROUPS[name][1](verification, ctx, grid)
+        assert checks and calls == [], name
 
 
 def test_solver_output_symmetric_and_unimodal(e7):
