@@ -131,6 +131,7 @@ class LevelContext:
         self._sines: tuple | None = None
         self._qdim_cache: dict[Weight, QReal] = {}
         self._plans: dict[tuple[int, ...], tuple] = {}
+        self._recips: dict[int, int] = {}  # den residue -> _fold_step's r
         self._chari_rows: dict[int, list[QReal]] = {}
 
     def __repr__(self) -> str:
@@ -161,25 +162,34 @@ def _support_plan(ctx: LevelContext, support: tuple[int, ...]) -> tuple:
     nonzero there.  ``vectors`` holds those roots' distinct coefficient
     vectors on the support, one per group; pairing to d with group g's is an
     exact zero iff d mod l is in ``zero_residues[g]``, the -ht mod l of the
-    group's heights (1 <= ht < h < l).  ``steps`` holds (group, height,
-    mantissa, exponent) per such root in canonical order, sin(pi*height/l)
-    > 0 read from the sine table."""
+    group's heights (1 <= ht < h < l).  ``steps`` holds one ``_fold_step``
+    per such root in canonical order, its denominator sin(pi*height/l) > 0."""
     if ctx._sines is None:
         ctx._build_sin_tables()
-    rs, l, sines = ctx.root_system, ctx.shifted_level, ctx._sines
-    groups, steps = {}, []  # vector -> (group, zero residues); (g, ht, man, exp)
+    rs, l = ctx.root_system, ctx.shifted_level
+    groups, steps = {}, []  # vector -> (group, zero residues); fold steps
     for v, ht in zip(zip(*[rs.root_columns[j] for j in support]), rs.heights):
         if any(v):
             g, zeros = groups.setdefault(v, (len(groups), set()))
             zeros.add(-ht % l)
-            steps.append((g, ht) + sines[ht][1:])
+            steps.append(_fold_step(ctx, g, ht, ht))
     return tuple(groups), [zeros for _, zeros in groups.values()], steps
+
+
+def _fold_step(ctx: LevelContext, g: int, ht: int, den: int) -> tuple:
+    """The ``_sine_product`` step ``(g, ht, den_man, r, den_exp)``: times the
+    table's sine at residue dots[g] + ht, over its sine at residue ``den``
+    (den_man, den_exp), with r = floor(2**(3p+2) / den_man) kept per context."""
+    _, man, exp = ctx._sines[den]
+    if den not in ctx._recips:
+        ctx._recips[den] = (1 << 3 * ctx.precision_bits + 2) // man
+    return g, ht, man, ctx._recips[den], exp
 
 
 def _sine_product(ctx: LevelContext, steps: Sequence[tuple], dots: Sequence[int]) -> QReal:
     """Product of sin(pi*(dots[g]+ht)/l)/sin(pi*ht/l) over the plan steps
-    (g, ht, mantissa, exponent) of ``_support_plan``, no numerator a
-    multiple of l; the scale records the largest partial product.
+    (g, ht, den_man, r, den_exp) of ``_fold_step``, no numerator a multiple
+    of l; the scale records the largest partial product.
 
     The value is the left fold value = value * sin(num) / sin(den) in mpf
     arithmetic at the context's precision p, bit for bit, computed on plain
@@ -193,43 +203,46 @@ def _sine_product(ctx: LevelContext, steps: Sequence[tuple], dots: Sequence[int]
     - The product of two p-bit mantissas has 2p-1 or 2p bits; its top bit
       picks how many low bits to drop, rounded half to even, and a round-up
       to 2**p carries into the exponent.
-    - The quotient n/d of two p-bit mantissas, with n the dividend scaled by
-      2**(p-1) when it is at least d and by 2**p otherwise, lies in
-      [2**(p-1), 2**p).  It is never halfway between two integers q and
-      q+1: the odd part of the dividend would then be a multiple of
-      2q+1 > 2**p.  Nor does it round up to 2**p, which would take a
-      dividend of at least 2d or d respectively.  So (floor(2n/d) + 1) // 2
-      is its nearest integer, with no tie to break and no carry.
+    - The quotient x = m*2**s/d of two p-bit mantissas, s = p-1 if m >= d
+      and p otherwise, lies in [2**(p-1), 2**p).  It is never halfway
+      between two integers q and q+1: the odd part of m*2**s would then be
+      a multiple of 2q+1 > 2**p.  So x is at least 1/(2d) > 2**-(p+1) from
+      every half-integer (nor does it round up to 2**p), and m*r/2**(K-s),
+      with K = 3p+2 and r = floor(2**K/d), falls short of x by less than
+      2**(p+s-K) <= 2**-(p+2): (m*r + 2**(K-s-1)) >> (K-s) is the nearest
+      integer to x, with no tie, no carry and no division.
     - The sign is the XOR of the numerators' signs, and magnitudes compare
       as (exponent, mantissa).
     """
     sines, period = ctx._sines, 2 * ctx.shifted_level
     p = ctx.precision_bits
-    p1, p2, top = p - 1, p + 1, 2 * p - 1
+    p1, full, top = p - 1, 1 << p, 1 << 2 * p - 1
     # added before dropping p (or p-1) bits: half the dropped unit, less one
     below_half, below_half_low = (1 << (p - 1)) - 1, (1 << (p - 2)) - 1
+    sh, sh_low = 2 * p + 3, 2 * p + 2  # K - s, then half its unit
+    qhalf, qhalf_low = 1 << sh - 1, 1 << sh_low - 1
     sign = 0
     man = scale_man = 1 << p1
     exp = scale_exp = -p1
-    for g, ht, den_man, den_exp in steps:
+    for g, ht, den_man, r, den_exp in steps:
         num_sign, num_man, num_exp = sines[(dots[g] + ht) % period]
         sign ^= num_sign
         # plus 1 below for a 2p-bit product (p bits dropped, not p-1), minus
         # 1 for a dividend below d (scaled by 2**p, not 2**(p-1))
         exp += num_exp - den_exp
         t = man * num_man
-        if t >> top:
+        if t >= top:
             man = (t + below_half + ((t >> p) & 1)) >> p
             exp += 1
         else:
             man = (t + below_half_low + ((t >> p1) & 1)) >> p1
-        if man >> p:
+        if man == full:
             man >>= 1
             exp += 1
         if man >= den_man:
-            man = ((man << p) // den_man + 1) >> 1
+            man = (man * r + qhalf) >> sh
         else:
-            man = ((man << p2) // den_man + 1) >> 1
+            man = (man * r + qhalf_low) >> sh_low
             exp -= 1
         if exp > scale_exp or (exp == scale_exp and man > scale_man):
             scale_exp, scale_man = exp, man

@@ -8,6 +8,7 @@ with no sampling, and all numeric evidence is rendered as round-half-even
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import tempfile
@@ -15,6 +16,7 @@ import time
 from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Context as DecimalContext, Decimal
 from importlib import resources
+from json.encoder import encode_basestring_ascii
 from typing import Callable
 
 from mpmath.libmp import finf, fnan, fninf
@@ -26,6 +28,9 @@ from .rootsys import RootSystem, Weight, build_root_system
 
 REPORT_FORMATS = ("json", "csv", "text")
 _SPECIAL = {fnan: "nan", finf: "inf", fninf: "-inf"}
+# one per digit count: a division only raises flags on it, which nothing reads
+_decimal_context = functools.cache(
+    lambda digits: DecimalContext(prec=digits, rounding=ROUND_HALF_EVEN))
 
 
 def render_decimal(x, digits: int = 30) -> str:
@@ -46,8 +51,7 @@ def render_decimal(x, digits: int = 30) -> str:
         sign, man, exp, _ = raw
         num = -int(man) if sign else int(man)
         num, den = (num << exp, 1) if exp >= 0 else (num, 1 << -exp)
-    dc = DecimalContext(prec=digits, rounding=ROUND_HALF_EVEN)
-    return str(dc.divide(Decimal(num), Decimal(den)))
+    return str(_decimal_context(digits).divide(Decimal(num), Decimal(den)))
 
 
 # ---------------------------------------------------------------------------
@@ -556,18 +560,14 @@ def report_to_dict(report: VerificationReport) -> dict:
         "overall": report.overall,
         "duration_seconds": round(report.duration_seconds, 3),
     }
-    if report.grid is not None:
-        out["residual_max"] = render_decimal(report.grid.residual_max)
-        g = report.grid
-        for i in range(1, g.root_system.rank + 1):
-            for k in range(g.k_max + 1):
-                cell = g.cell(i, k)
-                out["cells"].append({
-                    "node": i,
-                    "k": k,
-                    "value": None if cell is None else render_decimal(cell),
-                    "provenance": g.provenance[i - 1][k],
-                })
+    g = report.grid
+    if g is not None:
+        out["residual_max"] = render_decimal(g.residual_max)
+        out["cells"] = [
+            {"node": i, "k": k, "value": None if cell is None else render_decimal(cell),
+             "provenance": tag}
+            for i, (row, tags) in enumerate(zip(g.values, g.provenance), 1)
+            for k, (cell, tag) in enumerate(zip(row, tags))]
     return out
 
 
@@ -615,11 +615,27 @@ def write_text_atomic(path: str, content: str) -> None:
         raise
 
 
+_CELL = ('    {\n      "node": %d,\n      "k": %d,\n      "value": %s,\n'
+         '      "provenance": %s\n    }')
+
+
+def _report_json(out: dict) -> str:
+    """``json.dumps(out, indent=2)``, byte for byte, with the grid cells
+    written by one format each (``indent`` takes the pure-Python encoder)."""
+    enc = encode_basestring_ascii
+    cells = ",\n".join([_CELL % (c["node"], c["k"], "null" if c["value"] is None
+                                 else enc(c["value"]), enc(c["provenance"]))
+                         for c in out["cells"]])
+    text = json.dumps({**out, "cells": []}, indent=2)
+    # only the top level has a "cells" key, and string values escape their quotes
+    return text.replace('"cells": []', '"cells": [\n%s\n  ]' % cells, 1) if cells else text
+
+
 def write_report(report: VerificationReport, path: str | None = None) -> str:
     """Serialize per the config's format; write atomically when a path is given."""
     fmt = report.config.fmt
     if fmt == "json":
-        content = json.dumps(report_to_dict(report), indent=2) + "\n"
+        content = _report_json(report_to_dict(report)) + "\n"
     elif fmt == "csv":
         if report.grid is None:
             raise ValueError("csv output needs a grid-producing check")

@@ -4,12 +4,14 @@ import random
 
 import mpmath
 import pytest
-from mpmath.libmp import fone, mpf_abs, mpf_div, mpf_gt, mpf_mul, mpf_neg
+from hypothesis import assume, given, settings, strategies as st
+from mpmath.libmp import fone, from_man_exp, mpf_abs, mpf_div, mpf_gt, mpf_mul, mpf_neg
 
 import qslab
 from qslab.qnum import (
     LevelContext,
     QReal,
+    _fold_step,
     _sine_product,
     mp_context,
     qdim,
@@ -200,8 +202,8 @@ def _libmp_fold(ctx, factors):
 
 def _kernel(ctx, factors):
     """The sine-product kernel on (num, den) residue pairs of the context's
-    table: one group of pairing 0, a fold step per pair."""
-    steps = [(0, num) + ctx._sines[den][1:] for num, den in factors]
+    table: one group of pairing 0, a ``_fold_step`` per pair."""
+    steps = [_fold_step(ctx, 0, num, den) for num, den in factors]
     return _sine_product(ctx, steps, (0,))
 
 
@@ -266,6 +268,57 @@ def test_sine_product_rounds_quotients_like_libmp(e6, bits):
         r = (m << (p if m < dm else p - 1)) % dm
         seen.add((m >= dm, 2 * r > dm))
     assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+@st.composite
+def _mantissa_pairs(draw):
+    """(p, m, d): two p-bit mantissas, m on either side of d; half the draws
+    put m*2**s mod d within 1 of d/2 (s = p-1 when m >= d, else p), the
+    quotients nearest to a half-integer."""
+    p = draw(st.sampled_from([64, 97, 128, 256, 1024]))
+    lo, hi = 1 << (p - 1), 1 << p
+
+    def mantissa():  # spread over [lo, hi) by its top byte
+        return lo + draw(st.integers(0, 255)) * (lo >> 8) + draw(st.integers(0, (lo >> 8) - 1))
+
+    d = mantissa()
+    if draw(st.booleans()):
+        return p, mantissa(), d
+    d |= 1  # odd, so 2**s is invertible mod d
+    rem = draw(st.sampled_from([(d - 1) // 2, (d + 1) // 2]))
+    s = draw(st.sampled_from([p - 1, p]))
+    m = rem * pow(2, -s, d) % d + (d if s == p - 1 else 0)
+    assume(lo <= m < hi and (m >= d) == (s == p - 1))
+    return p, m, d
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_mantissa_pairs())
+def test_reciprocal_quotient_matches_long_division(e6, case):
+    # the kernel divides by multiplying with r = floor(2**(3p+2) / d); its
+    # mantissa must be the long division's nearest integer to m*2**s/d
+    p, m, d = case
+    s = p - 1 if m >= d else p
+    q = ((m << (s + 1)) // d + 1) >> 1
+    ctx = _context_with_sines(e6, p, [(0, m, -p), (0, d, -p)])
+    got = _kernel(ctx, [(1, 2)]).value._mpf_
+    assert got == from_man_exp(q, -s)
+    assert got == mpf_div(from_man_exp(m, -p), from_man_exp(d, -p), p, "n")
+
+
+def test_reciprocal_tables_are_per_precision(e8):
+    # qdim calls at three precisions, interleaved in one process, each give
+    # the bits of a fresh context at that precision
+    weights = [fw(e8, i, k) for i in range(1, 9) for k in range(1, 4)]
+    weights += [(0, 1, 0, 0, 0, 0, 2, 0), (1, 0, 1, 0, 0, 1, 0, 1)]
+    precisions = (64, 128, 256)
+    fresh = {bits: [_reference_qdim(w, LevelContext(e8, 16, bits)) for w in weights]
+             for bits in precisions}
+    ctxs = {bits: LevelContext(e8, 16, bits) for bits in precisions}
+    for n, w in enumerate(weights):
+        for bits in precisions:
+            got = qdim(w, ctxs[bits])
+            assert (got.value, got.magnitude_scale) == fresh[bits][n], (bits, w)
 
 
 @pytest.mark.parametrize("bits", [64, 128, 256])

@@ -539,6 +539,47 @@ def test_reports_are_deterministic():
     assert [c["note"] for c in branden] == ["not_real_negative (non-real root (exact count))"]
 
 
+@pytest.mark.parametrize("cfg", [
+    # the verify-matrix configurations, every check group
+    RunConfig(type_label="E6", level=2),
+    RunConfig(type_label="E6", level=4),
+    RunConfig(type_label="E7", level=2),
+    RunConfig(type_label="E8", level=2),
+    # the unresolved cell (2, 46) is written as null
+    RunConfig(type_label="E8", level=16,
+              checks=("roots", "grid", "theorem", "logconcave", "dilog")),
+    # no grid, so an empty cells list
+    RunConfig(type_label="E7", level=3, checks=("roots", "weyl")),
+], ids=lambda cfg: f"{cfg.type_label}L{cfg.level}-{'-'.join(cfg.checks)}")
+def test_json_writer_is_json_dumps(cfg):
+    rep = run(cfg)
+    data = report_to_dict(rep)
+    assert write_report(rep) == json.dumps(data, indent=2) + "\n"
+    if cfg.type_label == "E8" and cfg.level == 16:
+        unresolved = [(c["node"], c["k"]) for c in data["cells"] if c["value"] is None]
+        assert unresolved == [(2, 46)]
+        assert '"value": null,' in write_report(rep)
+    if "grid" not in cfg.checks:
+        assert data["cells"] == [] and '"cells": [],' in write_report(rep)
+
+
+def test_grid_command_json_is_json_dumps(monkeypatch, tmp_path, capsys):
+    reports = []
+    real_run = report.run
+
+    def recording_run(cfg):
+        reports.append(real_run(cfg))
+        return reports[-1]
+
+    monkeypatch.setattr(report, "run", recording_run)
+    path = tmp_path / "grid.json"
+    assert main(["grid", "--type", "E7", "--level", "4", "--format", "json",
+                 "--out", str(path)]) == 0
+    assert main(["grid", "--type", "E7", "--level", "4"]) == 0
+    expected = [json.dumps(report_to_dict(r), indent=2) + "\n" for r in reports]
+    assert [path.read_text(), capsys.readouterr().out] == expected
+
+
 def test_cli_calls_in_one_process_match_fresh_interpreters(capsys):
     # main shares one parser, one root system per type and one mpmath context
     # per precision across calls; each call's output must be what a fresh
