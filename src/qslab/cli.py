@@ -15,6 +15,7 @@ proven check fails or a computation cannot be completed, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from functools import cache
 from typing import NoReturn
@@ -54,13 +55,15 @@ def _type_label(text: str) -> str:
 
 
 def _positive_float(text: str) -> float:
-    """An argparse type: a float greater than zero."""
+    """An argparse type: a finite float greater than zero."""
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
     if not value > 0:
         raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
     return value
 
 

@@ -12,7 +12,7 @@ the grid ``residual`` and ``dilog_args`` all call them.  They and the other
 grid consumers here compute on raw ``_mpf_`` tuples with the mpmath.libmp
 calls of the mpf operators, in the same order and at the context's
 precision and rounding: the bits of mpf arithmetic without its per-object
-dispatch.  Values cross the module's interface as mpf numbers.  Every
+dispatch.  A ``QGrid`` holds raw cells too; values leave the module as mpf numbers.  Every
 tolerance or margin decision, here and in the grid, solve and dilog groups
 of ``qslab.report``, goes through one raw-value kernel: ``_at_most`` (the
 worst deviation, against a bound) and ``_above`` (a least value, against a
@@ -39,10 +39,11 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
+from mpmath.ctx_mp import MPContext
 from mpmath.libmp import (bernfrac, finf, fninf, fone, from_float, from_int, from_man_exp,
                           fzero, mpf_abs, mpf_add, mpf_cmp, mpf_div, mpf_gt, mpf_le, mpf_log,
                           mpf_lt, mpf_mul, mpf_mul_int, mpf_pi, mpf_pow_int, mpf_rdiv_int,
-                          mpf_shift, mpf_sub, round_nearest, to_fixed, to_float)
+                          mpf_shift, mpf_sub, round_nearest, to_fixed, to_float, to_str)
 
 from .krchar import chari_qdim
 from .qnum import LevelContext, QReal
@@ -93,31 +94,34 @@ class SolverDivergence(RuntimeError):
 
 @dataclass
 class QGrid:
-    """The table Q_k(i) of mpf values (None when unresolved), with per-cell
-    provenance and residual diagnostics; ``scales`` holds a KR-built grid's
-    magnitude scales, indexed like ``values``, and is None on a solved grid."""
+    """The table Q_k(i) as raw ``_mpf_`` rows of the mpmath context ``mp``
+    (None when unresolved), with per-cell provenance and residual
+    diagnostics; ``scales`` holds a KR-built grid's raw magnitude scales,
+    indexed like ``rows``, and is None on a solved grid."""
 
     root_system: RootSystem
     level: int
     k_max: int
-    values: list[list[object]]
+    rows: list[list[tuple | None]]
+    mp: MPContext
     provenance: list[list[str | None]]
     residual_max: object = None
     unresolved: list[tuple[int, int]] = field(default_factory=list)
-    scales: list[list[object]] | None = None
+    scales: list[list[tuple]] | None = None
 
     def cell(self, node: int, k: int):
-        return self.values[node - 1][k]
+        """Q_k(node) as an mpf number, None when unresolved; IndexError when
+        the node is outside 1..rank or k outside 0..k_max."""
+        if not (1 <= node <= len(self.rows) and 0 <= k <= self.k_max):
+            raise IndexError(f"no cell (node {node}, k={k}) in a grid of nodes "
+                             f"1..{len(self.rows)} and k = 0..{self.k_max}")
+        c = self.rows[node - 1][k]
+        return None if c is None else self.mp.make_mpf(c)
 
 
 def _neighbor_rows(rs: RootSystem) -> list[list[int]]:
     """The Dynkin neighbours of each node as 0-based row indices."""
     return [[j - 1 for j in rs.neighbors[i]] for i in range(1, rs.rank + 1)]
-
-
-def _raw(table: list[list[object]]) -> list[list[tuple | None]]:
-    """A grid table of mpf cells as raw ``_mpf_`` tuples; None cells stay None."""
-    return [[None if c is None else c._mpf_ for c in row] for row in table]
 
 
 def _neighbor_product(rows, neighbors: Sequence[int], k: int, prec: int, rnd: str):
@@ -236,17 +240,16 @@ def build_qgrid(ctx: LevelContext, k_max: int | None = None) -> QGrid:
     del cell
 
     table = [[cells.get((i, k)) for k in range(k_max + 1)] for i in range(1, rs.rank + 1)]
-    values = [[None if c is None else c.value for c in row] for row in table]
-    scales = [[None if c is None else c.magnitude_scale for c in row] for row in table]
     provenance = [[prov.get((i, k)) for k in range(k_max + 1)] for i in range(1, rs.rank + 1)]
     grid = QGrid(
         root_system=rs,
         level=level,
         k_max=k_max,
-        values=values,
+        rows=[[None if c is None else c._value for c in row] for row in table],
+        mp=ctx.mp,
         provenance=provenance,
         unresolved=sorted(k for k in unresolved if k[1] <= k_max),
-        scales=scales,
+        scales=[[None if c is None else c._scale for c in row] for row in table],
     )
     grid.residual_max = residual(grid)
     return grid
@@ -255,8 +258,7 @@ def build_qgrid(ctx: LevelContext, k_max: int | None = None) -> QGrid:
 def residual(grid: QGrid) -> object:
     """Normalized max violation of the recurrence over fully-present stencils;
     0 when there is none."""
-    mp = grid.cell(1, 0).context
-    cells = (_raw(grid.values), mp)
+    cells = (grid.rows, grid.mp)
     neighbors = _neighbor_rows(grid.root_system)
     worst = fzero
     for i in range(len(neighbors)):
@@ -264,7 +266,7 @@ def residual(grid: QGrid) -> object:
             d = _defect(cells, neighbors, i, k)
             if d is not None and mpf_lt(worst, d[1]):
                 worst = d[1]
-    return mp.make_mpf(worst)
+    return grid.mp.make_mpf(worst)
 
 
 def _block_solve(mat, diag, rhs):
@@ -416,14 +418,16 @@ def solve_restricted(ctx: LevelContext, tolerance: float = SOLVER_TOLERANCE) -> 
     -F / Q_k(i)^2, F formed at ``ctx.mp``'s precision by ``_defect``, with the weights
     w = (Q_{k-1} / Q_k)(Q_{k+1} / Q_k), which stay in the float range where
     Q^2 does not.  Iteration stops once the normalized residual is within
-    ``tolerance``, which must lie above 2^(8 - precision_bits) (so a
-    tolerance <= 0 raises ValueError); the start or the corrections
+    ``tolerance``, which must be finite and lie above 2^(8 - precision_bits)
+    (else ValueError, as for a tolerance <= 0); the start or the corrections
     exceeding MAX_NEWTON_STEPS steps, a singular Jacobian block, a float
     overflow or a non-positive cell raises SolverDivergence.  The grid's
     residual_max is that of the last stopping test.
     """
     mp = ctx.mp
     prec, rnd = mp._prec_rounding
+    if not math.isfinite(tolerance):
+        raise ValueError(f"solver tolerance must be finite, got {tolerance}")
     tol = from_float(tolerance)
     if not mpf_gt(tol, mpf_shift(fone, 8 - ctx.precision_bits)):
         raise ValueError("solver tolerance is below the working precision")
@@ -467,9 +471,8 @@ def solve_restricted(ctx: LevelContext, tolerance: float = SOLVER_TOLERANCE) -> 
                     raise SolverDivergence(
                         f"Newton step {step + 1} left cell (node {i + 1}, k={k}) non-positive")
                 v[i][k] = v[i][level - k] = c
-    values = [[mp.make_mpf(c) for c in row] for row in v]
     provenance = [["solver"] * (level + 1) for _ in v]
-    return QGrid(rs, level, level, values, provenance, mp.make_mpf(res))
+    return QGrid(rs, level, level, v, mp, provenance, mp.make_mpf(res))
 
 
 @dataclass
@@ -542,12 +545,10 @@ def theorem_report(ctx: LevelContext, grid: QGrid | None = None) -> list[CheckRe
     if grid.k_max < l:
         raise ValueError("theorem report needs the grid out to k = l")
     checks: list[CheckResult] = []
-    mp = ctx.mp
-    prec, rnd = mp._prec_rounding
-    make = mp.make_mpf
+    prec, rnd = grid.mp._prec_rounding
+    make = grid.mp.make_mpf
     uni_margin = from_float(UNIMODALITY_MARGIN)
-    rows = _raw(grid.values)
-    scales = _raw(grid.scales)
+    rows, scales = grid.rows, grid.scales
 
     def rel(f, scale):
         return mpf_div(mpf_abs(f, prec, rnd), scale, prec, rnd)
@@ -581,7 +582,7 @@ def theorem_report(ctx: LevelContext, grid: QGrid | None = None) -> list[CheckRe
         ok, violation = _above(least, POSITIVITY_MARGIN, prec, rnd)
         checks.append(_mk_check(
             "positivity", i, ok, is_proven(label, "positivity", i), make(violation),
-            note=f"min value {mp.nstr(make(least), 8)}"))
+            note=f"min value {to_str(least, 8)}"))
         if not is_proven(label, "positivity", i):
             # The sub-range covered by theorems gets its own proven entry;
             # rounding is monotone, so max(0, margin - least) is the largest
@@ -627,13 +628,13 @@ def theorem_report(ctx: LevelContext, grid: QGrid | None = None) -> list[CheckRe
 
 def dilog_args(grid: QGrid) -> dict[tuple[int, int], object]:
     """The ratios prod_{j~i} Q_k(j) / Q_k(i)^2 over the restricted range."""
-    rows = _raw(grid.values)
+    rows = grid.rows
     ks = range(grid.level + 1)
     for i, row in enumerate(rows, 1):
         for k in ks:
             if row[k] is None or not mpf_gt(row[k], fzero):
                 raise ValueError(f"grid cell (node {i}, k={k}) is not positive")
-    mp = grid.cell(1, 0).context
+    mp = grid.mp
     prec, rnd = mp._prec_rounding
     neighbors = _neighbor_rows(grid.root_system)
     return {(i + 1, k): mp.make_mpf(mpf_div(_neighbor_product(rows, neighbors[i], k, prec, rnd),

@@ -34,7 +34,8 @@ _decimal_context = functools.cache(
 
 
 def render_decimal(x, digits: int = 30) -> str:
-    """Render an mpf or an int exactly, round-half-even at ``digits`` digits.
+    """Render an mpf, a raw ``_mpf_`` tuple or an int exactly, round-half-even
+    at ``digits`` digits.
 
     An mpf (-1)^sign man 2^exp is the integer quotient man / 2^-exp (or the
     integer man 2^exp), so one correctly rounded decimal division renders
@@ -45,7 +46,7 @@ def render_decimal(x, digits: int = 30) -> str:
     if isinstance(x, int):
         num, den = x, 1
     else:
-        raw = x._mpf_
+        raw = x if isinstance(x, tuple) else x._mpf_
         if raw in _SPECIAL:
             return _SPECIAL[raw]
         sign, man, exp, _ = raw
@@ -318,10 +319,10 @@ def _grid_checks(report, ctx, grid) -> list[CheckResult]:
     kleber_tables = rootsys.type_data(ctx.root_system.type_label).kleber_q1
     if kleber_tables:
         prec, rnd = ctx.mp._prec_rounding
-        rows = qsolver._raw(grid.values)
-        ok, worst = _at_most([_rel_gap(krchar.qdim_kr(krchar.kleber_q1(ctx.root_system, node),
-                                                      ctx)._value, rows[node - 1][1], prec, rnd)
-                              for node in kleber_tables], qsolver.TWO_PATH_REL_TOL)
+        ok, worst = _at_most(
+            [_rel_gap(krchar.qdim_kr(krchar.kleber_q1(ctx.root_system, node), ctx)._value,
+                      grid.rows[node - 1][1], prec, rnd)
+             for node in kleber_tables], qsolver.TWO_PATH_REL_TOL)
         out.append(_mk_check("kleber_cross_check", None, ok, True, ctx.mp.make_mpf(worst)))
     return out
 
@@ -337,8 +338,7 @@ def _solve_checks(report, ctx, grid) -> list[CheckResult]:
     out = [_mk_check("solver_residual", None, ok, True, solved.residual_max)]
     prec, rnd = ctx.mp._prec_rounding
     ok, worst = _at_most((_rel_gap(a, b, prec, rnd)
-                          for row, solved_row in zip(qsolver._raw(grid.values),
-                                                     qsolver._raw(solved.values))
+                          for row, solved_row in zip(grid.rows, solved.rows)
                           for a, b in zip(row[:ctx.level + 1], solved_row)),
                          qsolver.TWO_PATH_REL_TOL)
     out.append(_mk_check("two_path_agreement", None, ok, True, ctx.mp.make_mpf(worst)))
@@ -566,18 +566,17 @@ def report_to_dict(report: VerificationReport) -> dict:
         out["cells"] = [
             {"node": i, "k": k, "value": None if cell is None else render_decimal(cell),
              "provenance": tag}
-            for i, (row, tags) in enumerate(zip(g.values, g.provenance), 1)
+            for i, (row, tags) in enumerate(zip(g.rows, g.provenance), 1)
             for k, (cell, tag) in enumerate(zip(row, tags))]
     return out
 
 
 def grid_to_csv(grid: QGrid) -> str:
     lines = ["node,k,value,provenance"]
-    for i in range(1, grid.root_system.rank + 1):
-        for k in range(grid.k_max + 1):
-            cell = grid.cell(i, k)
+    for i, (row, tags) in enumerate(zip(grid.rows, grid.provenance), 1):
+        for k, (cell, tag) in enumerate(zip(row, tags)):
             value = "" if cell is None else render_decimal(cell)
-            lines.append(f"{i},{k},{value},{grid.provenance[i - 1][k]}")
+            lines.append(f"{i},{k},{value},{tag}")
     return "\n".join(lines) + "\n"
 
 

@@ -215,6 +215,12 @@ def a_series_cartan(rank: int) -> tuple[tuple[int, ...], ...]:
 # cells' own context.  qslab computes the same values and verdicts with
 # mpmath.libmp calls on raw tuples, bit for bit.
 
+def mpf_table(mp, rows):
+    """A table of raw ``_mpf_`` tuples, such as a grid's ``rows`` or
+    ``scales``, as mpf numbers of the context ``mp``; None stays None."""
+    return [[None if c is None else mp.make_mpf(c) for c in row] for row in rows]
+
+
 def neighbor_product(values, neighbors: Sequence[int], k: int):
     """prod_{j ~ i} Q_k(j): the product of values[j][k] over the neighbour
     rows j of node i; 1 when there are none, None when a factor is None."""
@@ -244,10 +250,11 @@ def residual(grid):
     """Normalized max violation of the recurrence over fully-present stencils;
     0 when there is none."""
     neighbors = qsolver._neighbor_rows(grid.root_system)
+    values = mpf_table(grid.mp, grid.rows)
     worst = grid.cell(1, 0) * 0
     for i in range(len(neighbors)):
         for k in range(1, grid.k_max):
-            d = defect(grid.values, neighbors, i, k)
+            d = defect(values, neighbors, i, k)
             if d is not None:
                 worst = max(worst, d[1])
     return worst
@@ -260,7 +267,7 @@ def theorem_report(ctx, grid):
     label = rs.type_label
     level, l = ctx.level, ctx.shifted_level
     checks = []
-    scales = grid.scales
+    scales = mpf_table(ctx.mp, grid.scales)
     zero = ctx.mp.mpf(0)
 
     for i in range(1, rs.rank + 1):
@@ -363,13 +370,14 @@ def theorem_report(ctx, grid):
 def dilog_args(grid):
     """The ratios prod_{j~i} Q_k(j) / Q_k(i)^2 over the restricted range."""
     neighbors = qsolver._neighbor_rows(grid.root_system)
+    values = mpf_table(grid.mp, grid.rows)
     ks = range(grid.level + 1)
-    for i, row in enumerate(grid.values, 1):
+    for i, row in enumerate(values, 1):
         for k in ks:
             if row[k] is None or not row[k] > 0:
                 raise ValueError(f"grid cell (node {i}, k={k}) is not positive")
-    return {(i + 1, k): neighbor_product(grid.values, neighbors[i], k) / (row[k] * row[k])
-            for i, row in enumerate(grid.values) for k in ks}
+    return {(i + 1, k): neighbor_product(values, neighbors[i], k) / (row[k] * row[k])
+            for i, row in enumerate(values) for k in ks}
 
 
 def dilog_args_margin(args: dict[tuple[int, int], object], level: int):

@@ -107,11 +107,12 @@ def test_grid_past_l_is_antiperiodic(rs_map, label, level):
     l = ctx.shifted_level
     grid = build_qgrid(ctx, k_max=2 * l)
     assert not grid.unresolved
+    scales = oracles.mpf_table(ctx.mp, grid.scales)
     for i in range(1, rs.rank + 1):
         sign = -1 if delta(rs, i) % 2 else 1
         for k in range(l + 1):
             a, b = grid.cell(i, k), grid.cell(i, k + l)
-            scale = max(grid.scales[i - 1][k], grid.scales[i - 1][k + l])
+            scale = max(scales[i - 1][k], scales[i - 1][k + l])
             assert abs(b - sign * a) <= PERIODICITY_TOL * scale, (i, k)
 
 
@@ -125,9 +126,8 @@ def test_residual_sanity_all_ones_chain():
     # on the 2-node chain the constant grid misses the neighbour product by 1
     a2 = build_root_system(a_series_cartan(2))
     ctx = LevelContext(a2, 2)
-    one = ctx.mp.mpf(1)
-    rows = [[one, one, one], [one, one, one]]
-    grid = QGrid(a2, 2, 2, rows, [["solver"] * 3] * 2)
+    rows = [[fone, fone, fone], [fone, fone, fone]]
+    grid = QGrid(a2, 2, 2, rows, ctx.mp, [["solver"] * 3] * 2)
     assert residual(grid) == 1
 
 
@@ -160,15 +160,56 @@ def test_solver_residual_is_the_last_stopping_test(rs_map, a1, label, level):
     assert grid.residual_max._mpf_ == residual(grid)._mpf_
 
 
-def test_grid_cells_are_plain_values(e7):
+def test_grid_rows_are_raw_and_cells_are_mpf(e7):
+    # rows and scales hold raw _mpf_ tuples; cell() alone hands out mpf numbers
     ctx = LevelContext(e7, 3)
     built = build_qgrid(ctx)
     solved = solve_restricted(ctx)
     for grid in (built, solved):
-        for row in grid.values:
-            assert all(c is None or isinstance(c, ctx.mp.mpf) for c in row)
+        assert grid.mp is ctx.mp
+        assert len(grid.rows) == 7 and all(len(row) == grid.k_max + 1 for row in grid.rows)
+        for i, row in enumerate(grid.rows, 1):
+            for k, c in enumerate(row):
+                assert type(c) is tuple and len(c) == 4
+                cell = grid.cell(i, k)
+                assert isinstance(cell, ctx.mp.mpf) and cell._mpf_ == c
     assert len(built.scales) == 7 and all(len(row) == built.k_max + 1 for row in built.scales)
+    assert all(type(s) is tuple for row in built.scales for s in row)
     assert solved.scales is None
+
+
+def test_grid_cell_bounds_and_unresolved_cells(rs_map):
+    grid = build_qgrid(LevelContext(rs_map["E6"], 2))
+    assert grid.cell(6, grid.k_max) is not None
+    for node, k in ((0, 1), (7, 1), (1, -1), (1, grid.k_max + 1)):
+        with pytest.raises(IndexError):
+            grid.cell(node, k)
+    # the known unresolved cell reads None, raw and through cell()
+    grid = build_qgrid(LevelContext(rs_map["E8"], 16))
+    assert grid.unresolved == [(2, 46)]
+    assert grid.rows[1][46] is None and grid.cell(2, 46) is None
+    assert grid.scales[1][46] is None
+
+
+def test_grid_cells_are_wrapped_only_by_cell(monkeypatch, e7):
+    # build_qgrid and solve_restricted keep their cells raw: on a context
+    # whose sine table and Chari rows are warm, the one mpf either makes is
+    # its residual_max
+    ctx = LevelContext(e7, 12)
+    build_qgrid(ctx)
+    made = []
+    real = MPContext.make_mpf
+
+    def counting(self, v):
+        made.append(v)
+        return real(self, v)
+
+    monkeypatch.setattr(MPContext, "make_mpf", counting)
+    grid = build_qgrid(ctx)
+    assert made == [grid.residual_max._mpf_]
+    made.clear()
+    grid = solve_restricted(ctx)
+    assert made == [grid.residual_max._mpf_]
 
 
 @pytest.mark.parametrize("label,level", [("E7", 28), ("E8", 16)])
@@ -176,7 +217,8 @@ def test_grid_scales_bound_their_values(rs_map, label, level):
     # QReal sums and differences add scales without a clamp; every cell's
     # scale must still be at least 1 and at least |value|
     grid = build_qgrid(LevelContext(rs_map[label], level))
-    for row, scales in zip(grid.values, grid.scales):
+    for row, scales in zip(oracles.mpf_table(grid.mp, grid.rows),
+                           oracles.mpf_table(grid.mp, grid.scales)):
         for value, scale in zip(row, scales):
             assert value is None or scale >= 1 and scale >= abs(value)
 
@@ -204,8 +246,10 @@ def test_solver_settings_validation(e6):
     ctx = LevelContext(e6, 3, precision_bits=64)
     with pytest.raises(ValueError):
         solve_restricted(ctx, tolerance=1e-30)
-    # a tolerance <= 0 is below every working precision
-    for tolerance in (0, -1):
+    # a tolerance <= 0 is below every working precision, and an infinite one
+    # would pass the float start off as converged, with no correction at the
+    # working precision
+    for tolerance in (0, -1, math.inf, math.nan):
         with pytest.raises(ValueError):
             solve_restricted(LevelContext(e6, 3), tolerance=tolerance)
 
@@ -298,8 +342,8 @@ def test_solved_grids_are_exactly_mirrored(rs_map, a1, label):
     rs = a1 if label == "A1" else rs_map[label]
     for level in range(1, 10):
         grid = solve_restricted(LevelContext(rs, level))
-        for row in grid.values:
-            assert [c._mpf_ for c in row] == [c._mpf_ for c in reversed(row)], level
+        for row in grid.rows:
+            assert row == row[::-1], level
 
 
 @pytest.mark.parametrize("level", [2, 3, 6, 7])
@@ -501,9 +545,8 @@ def test_dilog_empty_interior(a1):
 
 def test_dilog_rejects_nonpositive(a1):
     ctx = LevelContext(a1, 2)
-    one = ctx.mp.mpf(1)
-    rows = [[one, -one, one]]
-    grid = QGrid(a1, 2, 2, rows, [["solver"] * 3])
+    rows = [[fone, from_float(-1.0), fone]]
+    grid = QGrid(a1, 2, 2, rows, ctx.mp, [["solver"] * 3])
     with pytest.raises(ValueError):
         dilog_args(grid)
 
@@ -646,10 +689,11 @@ def test_grid_consumers_match_the_mpf_formulas(rs_map, a1, label, level, bits, s
     ctx = LevelContext(rs, level, precision_bits=bits)
     grid = solve_restricted(ctx) if solved else build_qgrid(ctx)
     neighbors = qsolver._neighbor_rows(rs)
-    cells = (qsolver._raw(grid.values), ctx.mp)
+    cells = (grid.rows, ctx.mp)
+    values = oracles.mpf_table(ctx.mp, grid.rows)
     for i in range(rs.rank):
         for k in range(1, grid.k_max):
-            want = oracles.defect(grid.values, neighbors, i, k)
+            want = oracles.defect(values, neighbors, i, k)
             want = None if want is None else tuple(v._mpf_ for v in want)
             assert qsolver._defect(cells, neighbors, i, k) == want, (i + 1, k)
     assert residual(grid)._mpf_ == oracles.residual(grid)._mpf_

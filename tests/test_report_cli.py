@@ -215,6 +215,21 @@ def test_cli_grid_csv(tmp_path):
     assert len(lines) == 1 + 6 * 15
 
 
+@pytest.mark.parametrize("label,level,code,golden", [
+    ("E7", 12, 0, "b4de8705f827338e498455b998a10185c98167af54c6b659bd16fc2ec8809d41"),
+    # the unresolved cell (2, 46) is written as an empty value
+    ("E8", 16, 1, "15211d371a3fd45ab2724f7102f391bb256ba6749e14f88d7d579d1a768f6182"),
+])
+def test_cli_grid_csv_is_pinned(tmp_path, label, level, code, golden):
+    # the SHA-256 of `qslab grid --format csv`, as for the report pins below
+    out = tmp_path / "grid.csv"
+    assert main(["grid", "--type", label, "--level", str(level), "--format", "csv",
+                 "--out", str(out)]) == code
+    text = out.read_text()
+    assert hashlib.sha256(text.encode()).hexdigest() == golden
+    assert (",,unresolved\n" in text) == (label == "E8")
+
+
 def test_cli_write_error_names_the_requested_path(tmp_path, capsys):
     # a missing directory fails in the temp file, a directory target in the
     # rename: either way the error names the path asked for, and no temp
@@ -407,6 +422,8 @@ def test_cli_usage_errors(capsys, monkeypatch):
          "qslab solve: error: argument --tol: must be positive, got 0\n"),
         (["solve", "--type", "E6", "--level", "2", "--tol", "-1"],
          "qslab solve: error: argument --tol: must be positive, got -1\n"),
+        (["solve", "--type", "E8", "--level", "6", "--tol", "inf"],
+         "qslab solve: error: argument --tol: must be finite, got inf\n"),
         (["solve", "--type", "E6", "--level", "2", "--precision-bits", "32"],
          "qslab solve: error: argument --precision-bits: must be at least 64, got 32\n"),
         (["qdim", "--type", "E6", "--level", "3", "--weight", "1,0,0,0,0,0",
@@ -819,7 +836,7 @@ def test_dilog_argument_out_of_range_is_a_failed_check(rs_map, label, status):
     # every cell stays positive, but the ratio at (1, 1) grows to about 8000
     ctx = LevelContext(rs_map[label], 2)
     grid = build_qgrid(ctx)
-    grid.values[0][1] /= 100
+    grid.rows[0][1] = (grid.cell(1, 1) / 100)._mpf_
     rep_obj = VerificationReport(config=RunConfig(type_label=label, level=2),
                                  shifted_level=ctx.shifted_level, checks=[])
     checks = report._dilog_checks(rep_obj, ctx, grid)
