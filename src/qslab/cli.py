@@ -187,7 +187,7 @@ def _cmd_qdim(args) -> int:
         _usage_error("qdim needs --level unless --classical")
     ctx = LevelContext(rs, args.level, _precision(args))
     value = qdim(weight, ctx)
-    _emit(report.render_decimal(value.value, digits) + "\n", args.out)
+    _emit(report.render_decimal(value._value, digits) + "\n", args.out)
     return 0
 
 
@@ -226,7 +226,7 @@ def _cmd_krdec(args) -> int:
             _usage_error("--qdim needs --level")
         ctx = LevelContext(rs, level, bits)
         value = krchar.qdim_kr(dec, ctx)
-        text += f"qdim {report.render_decimal(value.value, digits)}\n"
+        text += f"qdim {report.render_decimal(value._value, digits)}\n"
     _emit(text, args.out)
     return 0
 
@@ -248,12 +248,13 @@ def _cmd_grid(args) -> int:
 def _cmd_solve(args) -> int:
     rs = build_root_system(args.type)
     ctx = LevelContext(rs, args.level, _precision(args))
-    grid = qsolver.solve_restricted(ctx, args.tol)
+    try:
+        grid = qsolver.solve_restricted(ctx, args.tol)
+    except ValueError as exc:
+        _usage_error(str(exc))  # --tol not finite or below the working precision
     lines = [f"converged, residual {report.render_decimal(grid.residual_max)}"]
-    for i in range(1, rs.rank + 1):
-        row = " ".join(report.render_decimal(grid.cell(i, k), 12)
-                       for k in range(args.level + 1))
-        lines.append(f"node {i}: {row}")
+    for i, row in enumerate(grid.rows, 1):
+        lines.append(f"node {i}: {' '.join(report.render_decimal(c, 12) for c in row)}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 

@@ -12,7 +12,9 @@ the grid ``residual`` and ``dilog_args`` all call them.  They and the other
 grid consumers here compute on raw ``_mpf_`` tuples with the mpmath.libmp
 calls of the mpf operators, in the same order and at the context's
 precision and rounding: the bits of mpf arithmetic without its per-object
-dispatch.  A ``QGrid`` holds raw cells too; values leave the module as mpf numbers.  Every
+dispatch.  A ``QGrid`` holds raw cells too, and so do the residual, the
+dilogarithm arguments, margin and sum and every check's violation;
+``QGrid.cell`` is the one place that hands out a cell as an mpf.  Every
 tolerance or margin decision, here and in the grid, solve and dilog groups
 of ``qslab.report``, goes through one raw-value kernel: ``_at_most`` (the
 worst deviation, against a bound) and ``_above`` (a least value, against a
@@ -95,8 +97,8 @@ class SolverDivergence(RuntimeError):
 @dataclass
 class QGrid:
     """The table Q_k(i) as raw ``_mpf_`` rows of the mpmath context ``mp``
-    (None when unresolved), with per-cell provenance and residual
-    diagnostics; ``scales`` holds a KR-built grid's raw magnitude scales,
+    (None when unresolved), with per-cell provenance and the raw residual
+    ``residual_max``; ``scales`` holds a KR-built grid's raw magnitude scales,
     indexed like ``rows``, and is None on a solved grid."""
 
     root_system: RootSystem
@@ -105,7 +107,7 @@ class QGrid:
     rows: list[list[tuple | None]]
     mp: MPContext
     provenance: list[list[str | None]]
-    residual_max: object = None
+    residual_max: tuple | None = None
     unresolved: list[tuple[int, int]] = field(default_factory=list)
     scales: list[list[tuple]] | None = None
 
@@ -255,9 +257,9 @@ def build_qgrid(ctx: LevelContext, k_max: int | None = None) -> QGrid:
     return grid
 
 
-def residual(grid: QGrid) -> object:
-    """Normalized max violation of the recurrence over fully-present stencils;
-    0 when there is none."""
+def residual(grid: QGrid) -> tuple:
+    """Normalized max violation of the recurrence over fully-present stencils,
+    raw; 0 when there is none."""
     cells = (grid.rows, grid.mp)
     neighbors = _neighbor_rows(grid.root_system)
     worst = fzero
@@ -266,7 +268,7 @@ def residual(grid: QGrid) -> object:
             d = _defect(cells, neighbors, i, k)
             if d is not None and mpf_lt(worst, d[1]):
                 worst = d[1]
-    return grid.mp.make_mpf(worst)
+    return worst
 
 
 def _block_solve(mat, diag, rhs):
@@ -472,18 +474,19 @@ def solve_restricted(ctx: LevelContext, tolerance: float = SOLVER_TOLERANCE) -> 
                         f"Newton step {step + 1} left cell (node {i + 1}, k={k}) non-positive")
                 v[i][k] = v[i][level - k] = c
     provenance = [["solver"] * (level + 1) for _ in v]
-    return QGrid(rs, level, level, v, mp, provenance, mp.make_mpf(res))
+    return QGrid(rs, level, level, v, mp, provenance, res)
 
 
 @dataclass
 class CheckResult:
-    """Outcome of one certified property at one node (or globally)."""
+    """Outcome of one certified property at one node (or globally);
+    ``max_violation`` is a raw ``_mpf_`` tuple, an int count or None."""
 
     name: str
     node: int | None
     status: str  # "pass" | "fail" | "conjecture-violated"
     proven: bool
-    max_violation: object = None
+    max_violation: tuple | int | None = None
     note: str = ""
 
 
@@ -546,7 +549,6 @@ def theorem_report(ctx: LevelContext, grid: QGrid | None = None) -> list[CheckRe
         raise ValueError("theorem report needs the grid out to k = l")
     checks: list[CheckResult] = []
     prec, rnd = grid.mp._prec_rounding
-    make = grid.mp.make_mpf
     uni_margin = from_float(UNIMODALITY_MARGIN)
     rows, scales = grid.rows, grid.scales
 
@@ -568,20 +570,20 @@ def theorem_report(ctx: LevelContext, grid: QGrid | None = None) -> list[CheckRe
                               if c is not None), ZERO_WINDOW_TOL)
         checks.append(_mk_check(
             "zero_window", i, ok and not missing, is_proven(label, "zero_window", i),
-            make(worst), note="unresolved cells in window" if missing else ""))
+            worst, note="unresolved cells in window" if missing else ""))
 
         # (ii) symmetry on [0, level]
         ok, worst = _at_most((gap(row[k], row[level - k], srow[k], srow[level - k])
                               for k in range(level + 1)), SYMMETRY_TOL)
         checks.append(_mk_check(
-            "symmetry", i, ok, is_proven(label, "symmetry", i), make(worst)))
+            "symmetry", i, ok, is_proven(label, "symmetry", i), worst))
 
         # (iii) positivity on [0, level]; a None cell reads -inf
         line = [fninf if c is None else c for c in row[:level + 1]]
         least = min(line, key=_ORDER)
         ok, violation = _above(least, POSITIVITY_MARGIN, prec, rnd)
         checks.append(_mk_check(
-            "positivity", i, ok, is_proven(label, "positivity", i), make(violation),
+            "positivity", i, ok, is_proven(label, "positivity", i), violation,
             note=f"min value {to_str(least, 8)}"))
         if not is_proven(label, "positivity", i):
             # The sub-range covered by theorems gets its own proven entry;
@@ -590,7 +592,7 @@ def theorem_report(ctx: LevelContext, grid: QGrid | None = None) -> list[CheckRe
             least = min((c for k, c in enumerate(line)
                          if proven_positivity_window(rs, i, level, k)), key=_ORDER, default=finf)
             ok, violation = _above(least, POSITIVITY_MARGIN, prec, rnd)
-            checks.append(_mk_check("positivity_window", i, ok, True, make(violation)))
+            checks.append(_mk_check("positivity_window", i, ok, True, violation))
 
         # (iv) strict increase on [0, floor(level/2) - 1]: every
         # margin - (Q_{k+1} - Q_k) at most 0
@@ -599,12 +601,12 @@ def theorem_report(ctx: LevelContext, grid: QGrid | None = None) -> list[CheckRe
              else mpf_sub(uni_margin, mpf_sub(row[k + 1], row[k], prec, rnd), prec, rnd)
              for k in range(level // 2)), 0.0)
         checks.append(_mk_check(
-            "unimodality", i, ok, is_proven(label, "unimodality", i), make(worst)))
+            "unimodality", i, ok, is_proven(label, "unimodality", i), worst))
 
         # boundary Q_level = 1
         ok, dev = _at_most([gap(row[level], fone, srow[level], srow[level])], BOUNDARY_TOL)
         checks.append(_mk_check(
-            "boundary_one", i, ok, is_proven(label, "boundary_one", i), make(dev)))
+            "boundary_one", i, ok, is_proven(label, "boundary_one", i), dev))
 
     # (anti)periodicity and the k = l sign, at the closed-form rows only;
     # both signs are (-1)^delta.
@@ -614,52 +616,50 @@ def theorem_report(ctx: LevelContext, grid: QGrid | None = None) -> list[CheckRe
                  for k in range(min(level, 3) + 1)]
         ok, worst = _at_most((gap(b._value, mpf_mul_int(a._value, sign, prec, rnd),
                                   a._scale, b._scale) for a, b in pairs), PERIODICITY_TOL)
-        checks.append(_mk_check("periodicity", i, ok, True, make(worst),
+        checks.append(_mk_check("periodicity", i, ok, True, worst,
                                 note=f"sign {sign:+d}"))
 
         srow = scales[i - 1]
         ok, dev = _at_most([gap(rows[i - 1][l], from_int(sign), srow[l], srow[l])],
                            BOUNDARY_TOL)
-        checks.append(_mk_check("shifted_boundary_sign", i, ok, True, make(dev),
+        checks.append(_mk_check("shifted_boundary_sign", i, ok, True, dev,
                                 note=f"expected {sign:+d}"))
 
     return checks
 
 
-def dilog_args(grid: QGrid) -> dict[tuple[int, int], object]:
-    """The ratios prod_{j~i} Q_k(j) / Q_k(i)^2 over the restricted range."""
+def dilog_args(grid: QGrid) -> dict[tuple[int, int], tuple]:
+    """The raw ratios prod_{j~i} Q_k(j) / Q_k(i)^2 over the restricted range."""
     rows = grid.rows
     ks = range(grid.level + 1)
     for i, row in enumerate(rows, 1):
         for k in ks:
             if row[k] is None or not mpf_gt(row[k], fzero):
                 raise ValueError(f"grid cell (node {i}, k={k}) is not positive")
-    mp = grid.mp
-    prec, rnd = mp._prec_rounding
+    prec, rnd = grid.mp._prec_rounding
     neighbors = _neighbor_rows(grid.root_system)
-    return {(i + 1, k): mp.make_mpf(mpf_div(_neighbor_product(rows, neighbors[i], k, prec, rnd),
-                                            mpf_mul(row[k], row[k], prec, rnd), prec, rnd))
+    return {(i + 1, k): mpf_div(_neighbor_product(rows, neighbors[i], k, prec, rnd),
+                                mpf_mul(row[k], row[k], prec, rnd), prec, rnd)
             for i, row in enumerate(rows) for k in ks}
 
 
-def dilog_args_margin(args: dict[tuple[int, int], object], level: int):
-    """Smallest distance of the interior ratios to the ends of (0, 1).
+def dilog_args_margin(grid: QGrid, args: dict[tuple[int, int], tuple]) -> tuple | None:
+    """Smallest distance of the interior ratios ``args`` of the grid to the
+    ends of (0, 1), raw.
 
     Boundary columns k = 0 and k = level equal 1 and are excluded.  Returns
     None when there is no interior.
     """
-    worst = mp = None
+    prec, rnd = grid.mp._prec_rounding
+    worst = None
     for (_, k), x in args.items():
-        if k == 0 or k == level:
+        if k == 0 or k == grid.level:
             continue
-        mp = x.context
-        prec, rnd = mp._prec_rounding
-        x = x._mpf_
         m = mpf_sub(fone, x, prec, rnd)
         m = m if mpf_lt(m, x) else x
         if worst is None or mpf_lt(m, worst):
             worst = m
-    return None if worst is None else mp.make_mpf(worst)
+    return worst
 
 
 @functools.lru_cache(maxsize=64)
@@ -708,25 +708,24 @@ def _li2(x: tuple, prec: int) -> tuple:
     return from_man_exp(total, -wp, prec, round_nearest)
 
 
-def dilog_sum(grid: QGrid, ctx: LevelContext, args=None):
-    """(6/pi^2) sum of Rogers dilogarithms of the interior ratios.
+def dilog_sum(grid: QGrid, args: dict[tuple[int, int], tuple] | None = None) -> tuple:
+    """(6/pi^2) sum of Rogers dilogarithms of the interior ratios, raw.
 
     ``args`` are the grid's ``dilog_args``, computed here when omitted.
     Diagnostic output only; no closed-form value is asserted for it.
     """
-    mp = ctx.mp
-    prec, rnd = mp._prec_rounding
+    prec, rnd = grid.mp._prec_rounding
     if args is None:
         args = dilog_args(grid)
     total = fzero
     for (i, k) in sorted(args):
         if k == 0 or k == grid.level:
             continue
-        x = args[(i, k)]._mpf_
+        x = args[(i, k)]
         if not (mpf_gt(x, fzero) and mpf_lt(x, fone)):
-            raise ValueError(f"dilogarithm argument {mp.nstr(args[(i, k)], 8)} outside (0, 1)")
+            raise ValueError(f"dilogarithm argument {to_str(x, 8)} outside (0, 1)")
         logs = mpf_mul(mpf_log(x, prec, rnd), mpf_log(mpf_sub(fone, x, prec, rnd), prec, rnd),
                        prec, rnd)
         total = mpf_add(total, mpf_add(_li2(x, prec), mpf_shift(logs, -1), prec, rnd), prec, rnd)
     pi2 = mpf_pow_int(mpf_pi(prec, rnd), 2, prec, rnd)
-    return mp.make_mpf(mpf_mul(mpf_rdiv_int(6, pi2, prec, rnd), total, prec, rnd))
+    return mpf_mul(mpf_rdiv_int(6, pi2, prec, rnd), total, prec, rnd)

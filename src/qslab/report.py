@@ -19,7 +19,7 @@ from importlib import resources
 from json.encoder import encode_basestring_ascii
 from typing import Callable
 
-from mpmath.libmp import finf, fnan, fninf
+from mpmath.libmp import finf, fnan, fninf, to_str
 
 from . import affweyl, krchar, qsolver, rootsys, seqanalysis
 from .qnum import DEFAULT_PRECISION_BITS, MIN_PRECISION_BITS, LevelContext, alcove_line
@@ -34,22 +34,22 @@ _decimal_context = functools.cache(
 
 
 def render_decimal(x, digits: int = 30) -> str:
-    """Render an mpf, a raw ``_mpf_`` tuple or an int exactly, round-half-even
-    at ``digits`` digits.
+    """Render a raw ``_mpf_`` tuple or an int exactly, round-half-even at
+    ``digits`` digits.
 
-    An mpf (-1)^sign man 2^exp is the integer quotient man / 2^-exp (or the
-    integer man 2^exp), so one correctly rounded decimal division renders
-    it, and the output never depends on any global precision state.
+    A raw (sign, man, exp, bc) is (-1)^sign man 2^exp, the integer quotient
+    man / 2^-exp (or the integer man 2^exp), so one correctly rounded
+    decimal division renders it, and the output never depends on any
+    global precision state.
     """
     if x is None:
         return "unresolved"
     if isinstance(x, int):
         num, den = x, 1
+    elif x in _SPECIAL:
+        return _SPECIAL[x]
     else:
-        raw = x if isinstance(x, tuple) else x._mpf_
-        if raw in _SPECIAL:
-            return _SPECIAL[raw]
-        sign, man, exp, _ = raw
+        sign, man, exp, _ = x
         num = -int(man) if sign else int(man)
         num, den = (num << exp, 1) if exp >= 0 else (num, 1 << -exp)
     return str(_decimal_context(digits).divide(Decimal(num), Decimal(den)))
@@ -312,7 +312,7 @@ def _weyl_checks(report, ctx, grid) -> list[CheckResult]:
 
 def _grid_checks(report, ctx, grid) -> list[CheckResult]:
     res = grid.residual_max
-    ok, _ = _at_most([res._mpf_], qsolver.FULL_GRID_RESIDUAL_TOL)
+    ok, _ = _at_most([res], qsolver.FULL_GRID_RESIDUAL_TOL)
     out = [_mk_check("grid_residual", None, ok, True, res, note=f"k_max={grid.k_max}")]
     out.append(_mk_check("grid_unresolved", None, not grid.unresolved, True, None,
                          note=f"unresolved cells {grid.unresolved}" if grid.unresolved else ""))
@@ -323,7 +323,7 @@ def _grid_checks(report, ctx, grid) -> list[CheckResult]:
             [_rel_gap(krchar.qdim_kr(krchar.kleber_q1(ctx.root_system, node), ctx)._value,
                       grid.rows[node - 1][1], prec, rnd)
              for node in kleber_tables], qsolver.TWO_PATH_REL_TOL)
-        out.append(_mk_check("kleber_cross_check", None, ok, True, ctx.mp.make_mpf(worst)))
+        out.append(_mk_check("kleber_cross_check", None, ok, True, worst))
     return out
 
 
@@ -334,14 +334,14 @@ def _solve_checks(report, ctx, grid) -> list[CheckResult]:
     except (qsolver.SolverDivergence, ValueError) as exc:
         # a ValueError says the tolerance lies below what the precision can reach
         return [_mk_check("solver_residual", None, False, True, None, note=str(exc))]
-    ok, _ = _at_most([solved.residual_max._mpf_], tolerance)
+    ok, _ = _at_most([solved.residual_max], tolerance)
     out = [_mk_check("solver_residual", None, ok, True, solved.residual_max)]
     prec, rnd = ctx.mp._prec_rounding
     ok, worst = _at_most((_rel_gap(a, b, prec, rnd)
                           for row, solved_row in zip(grid.rows, solved.rows)
                           for a, b in zip(row[:ctx.level + 1], solved_row)),
                          qsolver.TWO_PATH_REL_TOL)
-    out.append(_mk_check("two_path_agreement", None, ok, True, ctx.mp.make_mpf(worst)))
+    out.append(_mk_check("two_path_agreement", None, ok, True, worst))
     return out
 
 
@@ -404,21 +404,20 @@ def _dilog_checks(report, ctx, grid) -> list[CheckResult]:
     except ValueError as exc:
         report.dilog_in_range = False
         return [_mk_check("dilog_args", None, False, proven, None, note=str(exc))]
-    margin = qsolver.dilog_args_margin(args, ctx.level)
+    margin = qsolver.dilog_args_margin(grid, args)
     prec, rnd = ctx.mp._prec_rounding
     if margin is None:
         ok, violation, note = True, None, "no interior cells"
     else:
-        ok, violation = _above(margin._mpf_, qsolver.DILOG_MARGIN, prec, rnd)
-        violation = ctx.mp.make_mpf(violation)
-        note = f"min distance to {{0,1}}: {ctx.mp.nstr(margin, 8)}"
+        ok, violation = _above(margin, qsolver.DILOG_MARGIN, prec, rnd)
+        note = f"min distance to {{0,1}}: {to_str(margin, 8)}"
     checks = [_mk_check("dilog_args", None, ok, proven, violation, note=note)]
     report.dilog_in_range = ok
-    if margin is not None and not _above(margin._mpf_, 0.0, prec, rnd)[0]:
+    if margin is not None and not _above(margin, 0.0, prec, rnd)[0]:
         return checks  # an argument outside (0, 1) has no Rogers dilogarithm
-    total = qsolver.dilog_sum(grid, ctx, args)
+    total = qsolver.dilog_sum(grid, args)
     checks.append(_mk_check("dilog_sum", None, True, True, None,
-                            note=f"normalized sum {ctx.mp.nstr(total, 12)}"))
+                            note=f"normalized sum {to_str(total, 12)}"))
     report.dilog_sum = total
     return checks
 
@@ -482,7 +481,7 @@ class VerificationReport:
     checks: list[CheckResult]
     grid: QGrid | None = None
     dilog_in_range: bool | None = None
-    dilog_sum: object = None
+    dilog_sum: tuple | None = None
     overall: str = "pass"
     duration_seconds: float = 0.0
 

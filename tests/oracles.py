@@ -403,7 +403,7 @@ def rel_gap(mp, a, b):
 
 def grid_checks(ctx, grid):
     """The checks of qslab.report's grid group, decided with mpf operators."""
-    res = grid.residual_max
+    res = grid.mp.make_mpf(grid.residual_max)
     out = [_mk_check("grid_residual", None, res <= FULL_GRID_RESIDUAL_TOL, True, res,
                      note=f"k_max={grid.k_max}"),
            _mk_check("grid_unresolved", None, not grid.unresolved, True, None,
@@ -429,9 +429,8 @@ def solve_checks(ctx, grid):
         solved = qsolver.solve_restricted(ctx, SOLVER_TOLERANCE)
     except (qsolver.SolverDivergence, ValueError) as exc:
         return [_mk_check("solver_residual", None, False, True, None, note=str(exc))]
-    out = [_mk_check("solver_residual", None,
-                     solved.residual_max <= ctx.mp.mpf(SOLVER_TOLERANCE), True,
-                     solved.residual_max)]
+    res = ctx.mp.make_mpf(solved.residual_max)
+    out = [_mk_check("solver_residual", None, res <= ctx.mp.mpf(SOLVER_TOLERANCE), True, res)]
     worst = ctx.mp.mpf(0)
     for i in range(1, ctx.root_system.rank + 1):
         for k in range(0, ctx.level + 1):

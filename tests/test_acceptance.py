@@ -156,8 +156,8 @@ def test_criterion_06_certified_grid_properties(solved_matrix):
 
 def test_criterion_07_two_path_agreement(solved_matrix):
     for (label, level), (ctx, grid, solved) in solved_matrix.items():
-        assert solved.residual_max <= 1e-30, (label, level)
-        assert grid.residual_max <= 1e-20, (label, level)
+        assert ctx.mp.make_mpf(solved.residual_max) <= 1e-30, (label, level)
+        assert ctx.mp.make_mpf(grid.residual_max) <= 1e-20, (label, level)
         assert not grid.unresolved, (label, level)
         for i in range(1, ctx.root_system.rank + 1):
             for k in range(level + 1):
@@ -229,15 +229,17 @@ def test_criterion_09_rootedness_fixture(rs_map):
 
 def test_criterion_10_dilog_arguments(solved_matrix, a1):
     for (label, level), (ctx, grid, _) in solved_matrix.items():
-        args = dilog_args(grid)
-        margin = dilog_args_margin(args, level)
+        raw = dilog_args(grid)
+        args = {key: ctx.mp.make_mpf(x) for key, x in raw.items()}
+        margin = dilog_args_margin(grid, raw)
         if margin is not None:
+            margin = ctx.mp.make_mpf(margin)
             assert margin >= 1e-10, (label, level, float(margin))
         for i in range(1, ctx.root_system.rank + 1):
             assert abs(args[(i, 0)] - 1) < 1e-25
             assert abs(args[(i, level)] - 1) < 1e-20
     ctx = LevelContext(a1, 2)
-    total = dilog_sum(solve_restricted(ctx), ctx)
+    total = ctx.mp.make_mpf(dilog_sum(solve_restricted(ctx)))
     assert abs(total - ctx.mp.mpf(1) / 2) <= ctx.mp.mpf(10) ** -20
     done(10, "dilogarithm arguments inside (0,1); rank-1 sum equals 1/2")
 

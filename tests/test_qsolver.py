@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import json
 import math
 import random
@@ -76,7 +77,7 @@ def test_zero_hypothesis_cells_appear_and_validate(e8):
     tags = {t for row in grid.provenance for t in row}
     assert "zero_hypothesis" in tags and "division" in tags
     assert not grid.unresolved
-    assert grid.residual_max <= 1e-20
+    assert grid.mp.make_mpf(grid.residual_max) <= 1e-20
 
 
 def test_kleber_against_division_route(e7):
@@ -128,7 +129,7 @@ def test_residual_sanity_all_ones_chain():
     ctx = LevelContext(a2, 2)
     rows = [[fone, fone, fone], [fone, fone, fone]]
     grid = QGrid(a2, 2, 2, rows, ctx.mp, [["solver"] * 3] * 2)
-    assert residual(grid) == 1
+    assert residual(grid) == fone
 
 
 def test_solver_a1_square_root_of_two(a1):
@@ -157,7 +158,7 @@ def test_solver_residual_is_the_last_stopping_test(rs_map, a1, label, level):
     # levels alike
     ctx = LevelContext(a1 if label == "A1" else rs_map[label], level)
     grid = solve_restricted(ctx)
-    assert grid.residual_max._mpf_ == residual(grid)._mpf_
+    assert grid.residual_max == residual(grid)
 
 
 def test_grid_rows_are_raw_and_cells_are_mpf(e7):
@@ -191,12 +192,19 @@ def test_grid_cell_bounds_and_unresolved_cells(rs_map):
     assert grid.scales[1][46] is None
 
 
-def test_grid_cells_are_wrapped_only_by_cell(monkeypatch, e7):
-    # build_qgrid and solve_restricted keep their cells raw: on a context
-    # whose sine table and Chari rows are warm, the one mpf either makes is
-    # its residual_max
+def test_check_layer_makes_mpf_numbers_only_at_its_edges(monkeypatch, e7):
+    # from the grid to the report writer values stay raw: on a context whose
+    # sine table and Chari rows are warm, the grid, the solver, the residual,
+    # the dilogarithm functions and the grid, solve, theorem and dilog groups
+    # make no mpf number; the logconcave group makes one per value that
+    # QGrid.cell or QReal.value hands to seqanalysis
     ctx = LevelContext(e7, 12)
-    build_qgrid(ctx)
+    grid = build_qgrid(ctx)
+    verification = report.VerificationReport(report.RunConfig("E7", 12), ctx.shifted_level, [])
+    groups = {name: report.CHECK_GROUPS[name][1] for name in
+              ("grid", "solve", "theorem", "logconcave", "dilog")}
+    for group in groups.values():
+        group(verification, ctx, grid)
     made = []
     real = MPContext.make_mpf
 
@@ -205,11 +213,25 @@ def test_grid_cells_are_wrapped_only_by_cell(monkeypatch, e7):
         return real(self, v)
 
     monkeypatch.setattr(MPContext, "make_mpf", counting)
-    grid = build_qgrid(ctx)
-    assert made == [grid.residual_max._mpf_]
-    made.clear()
-    grid = solve_restricted(ctx)
-    assert made == [grid.residual_max._mpf_]
+    args = dilog_args(grid)
+    calls = {
+        "build_qgrid": lambda: build_qgrid(ctx),
+        "solve_restricted": lambda: solve_restricted(ctx),
+        "residual": lambda: residual(grid),
+        "dilog_args": lambda: dilog_args(grid),
+        "dilog_args_margin": lambda: dilog_args_margin(grid, args),
+        "dilog_sum": lambda: dilog_sum(grid, args),
+        **{name: functools.partial(group, verification, ctx, grid)
+           for name, group in groups.items()},
+    }
+    counts = {}
+    for name, call in calls.items():
+        made.clear()
+        call()
+        counts[name] = len(made)
+    # the adjoint row's 13 cells and the alcove lines k w_i, k <= 12 // a_i
+    edges = 13 + sum(12 // a + 1 for a in e7.marks)
+    assert counts == {**dict.fromkeys(calls, 0), "logconcave": edges} and edges == 61
 
 
 @pytest.mark.parametrize("label,level", [("E7", 28), ("E8", 16)])
@@ -226,7 +248,7 @@ def test_grid_scales_bound_their_values(rs_map, label, level):
 def test_solver_positive_and_converged(e6):
     ctx = LevelContext(e6, 5)
     grid = solve_restricted(ctx)
-    assert grid.residual_max <= 1e-30
+    assert grid.mp.make_mpf(grid.residual_max) <= 1e-30
     for i in range(1, 7):
         for k in range(6):
             assert grid.cell(i, k) > 0
@@ -269,7 +291,7 @@ def test_solver_deep_levels(rs_map, label, level):
     ctx = LevelContext(rs, level)
     solved = solve_restricted(ctx)
     built = build_qgrid(ctx)
-    assert solved.residual_max <= 1e-30
+    assert solved.mp.make_mpf(solved.residual_max) <= 1e-30
     for i in range(1, rs.rank + 1):
         for k in range(level + 1):
             a = solved.cell(i, k)
@@ -290,7 +312,7 @@ def test_solver_converges_at_deep_levels(rs_map, label, level):
     rs = rs_map[label]
     ctx = LevelContext(rs, level)
     solved = solve_restricted(ctx)
-    assert solved.residual_max <= 1e-30
+    assert solved.mp.make_mpf(solved.residual_max) <= 1e-30
     for i in range(1, rs.rank + 1):
         for k in range(level + 1):
             a = solved.cell(i, k)
@@ -382,7 +404,7 @@ def test_solver_never_reads_the_grid(e7, monkeypatch):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, forbidden)
     grid = solve_restricted(LevelContext(e7, 6))
-    assert grid.residual_max <= 1e-30
+    assert grid.mp.make_mpf(grid.residual_max) <= 1e-30
 
 
 def test_solver_divergence_is_reported(e6, monkeypatch, capsys):
@@ -527,20 +549,20 @@ def test_dilog_a1_closed_form(a1):
     ctx = LevelContext(a1, 2)
     grid = solve_restricted(ctx)
     args = dilog_args(grid)
-    half = args[(1, 1)]
+    half = ctx.mp.make_mpf(args[(1, 1)])
     assert abs(half - 0.5) < ctx.mp.mpf(10) ** -28
-    assert args[(1, 0)] == 1 and args[(1, 2)] == 1
-    margin = dilog_args_margin(args, 2)
+    assert args[(1, 0)] == fone and args[(1, 2)] == fone
+    margin = ctx.mp.make_mpf(dilog_args_margin(grid, args))
     assert abs(margin - 0.5) < ctx.mp.mpf(10) ** -28
-    total = dilog_sum(grid, ctx)
+    total = ctx.mp.make_mpf(dilog_sum(grid))
     assert abs(total - 0.5) < ctx.mp.mpf(10) ** -25
 
 
 def test_dilog_empty_interior(a1):
     ctx = LevelContext(a1, 1)
     grid = solve_restricted(ctx)
-    assert dilog_args_margin(dilog_args(grid), 1) is None
-    assert dilog_sum(grid, ctx) == 0
+    assert dilog_args_margin(grid, dilog_args(grid)) is None
+    assert dilog_sum(grid) == fzero
 
 
 def test_dilog_rejects_nonpositive(a1):
@@ -555,7 +577,7 @@ def test_dilog_sum_regression_e6_level2(e6):
     # self-fixture frozen from the first computation at 128 bits; the digits
     # agree with 36/7, the level-2 coset central charge 2*78/(2+12) - 6
     ctx = LevelContext(e6, 2)
-    total = dilog_sum(build_qgrid(ctx), ctx)
+    total = ctx.mp.make_mpf(dilog_sum(build_qgrid(ctx)))
     frozen = ctx.mp.mpf("5.142857142857142857142857142857142857176")
     assert abs(total - frozen) < ctx.mp.mpf(10) ** -30
     assert abs(total - ctx.mp.mpf(36) / 7) < ctx.mp.mpf(10) ** -25
@@ -632,7 +654,7 @@ def _polylog_dilog_sum(grid, ctx):
     for (i, k) in sorted(args):
         if k == 0 or k == grid.level:
             continue
-        x = args[(i, k)]
+        x = mp.make_mpf(args[(i, k)])
         total += mp.polylog(2, x) + mp.log(x) * mp.log(1 - x) / 2
     return 6 / mp.pi ** 2 * total
 
@@ -643,7 +665,7 @@ def test_dilog_sum_matches_kirillov_identity(rs_map, label, level):
     dim, h = {"E6": (78, 12), "E7": (133, 18), "E8": (248, 30)}[label]
     rs = rs_map[label]
     ctx = LevelContext(rs, level)
-    total = dilog_sum(build_qgrid(ctx), ctx)
+    total = ctx.mp.make_mpf(dilog_sum(build_qgrid(ctx)))
     expected = ctx.mp.mpf(level * dim) / (level + h) - rs.rank
     assert abs(total - expected) < 1e-25
 
@@ -655,17 +677,21 @@ def test_dilog_sum_matches_polylog_formula(rs_map, label, level):
     ctx = LevelContext(rs_map[label], level)
     grid = build_qgrid(ctx)
     args = dilog_args(grid)
-    total = dilog_sum(grid, ctx, args)
-    assert total._mpf_ == _polylog_dilog_sum(grid, ctx)._mpf_
-    assert dilog_sum(grid, ctx)._mpf_ == total._mpf_
+    total = dilog_sum(grid, args)
+    assert total == _polylog_dilog_sum(grid, ctx)._mpf_
+    assert dilog_sum(grid) == total
 
 
 def _bits(value):
+    """An oracle's mpf number as its raw tuple; None stays None."""
     return None if value is None else value._mpf_
 
 
-def _check_bits(checks):
-    return [(c.name, c.node, c.status, c.note, _bits(c.max_violation)) for c in checks]
+def _check_bits(checks, oracle=False):
+    """Each check's fields and raw violation: qslab's checks carry raw ones,
+    an ``oracle``'s carry mpf numbers."""
+    return [(c.name, c.node, c.status, c.note,
+             _bits(c.max_violation) if oracle else c.max_violation) for c in checks]
 
 
 @pytest.mark.parametrize("label,level,bits,solved", [
@@ -696,25 +722,25 @@ def test_grid_consumers_match_the_mpf_formulas(rs_map, a1, label, level, bits, s
             want = oracles.defect(values, neighbors, i, k)
             want = None if want is None else tuple(v._mpf_ for v in want)
             assert qsolver._defect(cells, neighbors, i, k) == want, (i + 1, k)
-    assert residual(grid)._mpf_ == oracles.residual(grid)._mpf_
+    assert residual(grid) == oracles.residual(grid)._mpf_
     if not solved:
         assert _check_bits(theorem_report(ctx, grid)) == _check_bits(
-            oracles.theorem_report(ctx, grid))
+            oracles.theorem_report(ctx, grid), oracle=True)
     args, want = dilog_args(grid), oracles.dilog_args(grid)
-    assert {key: x._mpf_ for key, x in args.items()} == {key: x._mpf_ for key, x in want.items()}
-    assert _bits(dilog_args_margin(args, level)) == _bits(oracles.dilog_args_margin(want, level))
+    assert args == {key: x._mpf_ for key, x in want.items()}
+    assert dilog_args_margin(grid, args) == _bits(oracles.dilog_args_margin(want, level))
     if label == "A1":
-        assert dilog_sum(grid, ctx, args)._mpf_ == oracles.dilog_sum(grid, ctx, want)._mpf_
+        assert dilog_sum(grid, args) == oracles.dilog_sum(grid, ctx, want)._mpf_
         return
     # the check groups decide on raw values what the mpf formulas decide
     for name, oracle in (("grid", oracles.grid_checks), ("solve", oracles.solve_checks)):
         assert _check_bits(report.CHECK_GROUPS[name][1](None, ctx, grid)) == _check_bits(
-            oracle(ctx, grid)), name
+            oracle(ctx, grid), oracle=True), name
     got, expected = (SimpleNamespace(dilog_in_range=None, dilog_sum=None) for _ in range(2))
     assert _check_bits(report.CHECK_GROUPS["dilog"][1](got, ctx, grid)) == _check_bits(
-        oracles.dilog_checks(expected, ctx, grid))
+        oracles.dilog_checks(expected, ctx, grid), oracle=True)
     assert got.dilog_in_range is expected.dilog_in_range is True
-    assert got.dilog_sum._mpf_ == expected.dilog_sum._mpf_
+    assert got.dilog_sum == expected.dilog_sum._mpf_
 
 
 def test_decision_kernel_edges():
@@ -757,8 +783,8 @@ def test_grid_consumers_call_no_mpf_operator(e7, monkeypatch):
     calls.clear()
     residual(grid)
     args = dilog_args(grid)
-    dilog_args_margin(args, ctx.level)
-    dilog_sum(grid, ctx, args)
+    dilog_args_margin(grid, args)
+    dilog_sum(grid, args)
     assert calls == []
     verification = report.VerificationReport(report.RunConfig("E7", 12), ctx.shifted_level, [])
     for name in ("grid", "solve", "theorem", "dilog"):
@@ -786,4 +812,4 @@ def test_full_grid_residual_at_level_eight(e6, e7):
         ctx = LevelContext(rs, 8)
         grid = build_qgrid(ctx)
         assert not grid.unresolved
-        assert grid.residual_max <= 1e-20
+        assert grid.mp.make_mpf(grid.residual_max) <= 1e-20

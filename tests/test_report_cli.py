@@ -35,15 +35,16 @@ def test_render_decimal_deterministic():
 
     c = MPContext()
     c.prec = 128
-    assert render_decimal(c.mpf(1)) == "1"
-    assert render_decimal(c.mpf(1) / 3).startswith("0.3333333333333333333333333333")
-    assert render_decimal(c.mpf("-2.5")) == "-2.5"
+    # raw _mpf_ tuples and ints
+    assert render_decimal(c.mpf(1)._mpf_) == "1"
+    assert render_decimal((c.mpf(1) / 3)._mpf_).startswith("0.3333333333333333333333333333")
+    assert render_decimal(c.mpf("-2.5")._mpf_) == "-2.5"
     assert render_decimal(0) == "0"
     assert render_decimal(None) == "unresolved"
-    third = render_decimal(c.mpf(1) / 3)
+    third = render_decimal((c.mpf(1) / 3)._mpf_)
     assert len(third.replace("0.", "")) == 30
-    assert render_decimal(c.mpf(10) ** -40).startswith("1.0000")
-    assert [render_decimal(x) for x in (c.nan, c.inf, -c.inf)] == ["nan", "inf", "-inf"]
+    assert render_decimal((c.mpf(10) ** -40)._mpf_).startswith("1.0000")
+    assert [render_decimal(x._mpf_) for x in (c.nan, c.inf, -c.inf)] == ["nan", "inf", "-inf"]
 
 
 def test_render_decimal_matches_fraction_reference():
@@ -64,7 +65,7 @@ def test_render_decimal_matches_fraction_reference():
     for value, digits, text in ((2.5, 1, "2"), (3.5, 1, "4"), (-2.5, 1, "-2"),
                                 (0.125, 2, "0.12"), (0.375, 2, "0.38"),
                                 (12.5, 2, "12"), (13.5, 2, "14"), (25, 1, "2E+1")):
-        assert render_decimal(c.mpf(value), digits) == text, (value, digits)
+        assert render_decimal(c.mpf(value)._mpf_, digits) == text, (value, digits)
     rng = random.Random(404)
     for prec in (64, 128, 256):
         c.prec = prec
@@ -77,7 +78,7 @@ def test_render_decimal_matches_fraction_reference():
             if rng.random() < 0.5:
                 x = -x
             digits = rng.randint(1, 45)
-            assert render_decimal(x, digits) == reference(x, digits), (x, digits)
+            assert render_decimal(x._mpf_, digits) == reference(x, digits), (x, digits)
 
 
 def test_run_config_validation():
@@ -312,10 +313,7 @@ def test_cli_usage_errors(capsys, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         main(["qdim", "--type", "E6"])  # missing required flags
     assert exc.value.code == 2
-    # a positive --tol finer than the working precision is a computation error
-    assert main(["solve", "--type", "E6", "--level", "2", "--tol", "1e-300"]) == 1
-    err = capsys.readouterr().err
-    assert "error" in err
+    capsys.readouterr()
     # usage errors found after parsing exit 2 as well, never 1, and before any
     # check group runs
     monkeypatch.setattr(report, "run", None)
@@ -329,6 +327,11 @@ def test_cli_usage_errors(capsys, monkeypatch):
          "error: need --seq or all of --type/--level/--node\n"),
         (["krdec", "--type", "E6", "--node", "1", "--k", "1", "--qdim"],
          "error: --qdim needs --level\n"),
+        # a positive --tol at or below 2^(8 - precision_bits), 2^-120 here
+        (["solve", "--type", "E6", "--level", "2", "--tol", "1e-300"],
+         "error: solver tolerance is below the working precision\n"),
+        (["solve", "--type", "E6", "--level", "2", "--tol", "1e-100"],
+         "error: solver tolerance is below the working precision\n"),
         (["verify", "--type", "E6", "--level", "3", "--checks", "weyl", "--format", "csv"],
          "error: csv output needs a grid-producing check\n"),
         (["qdim", "--type", "E6", "--level", "2", "--weight", "1,0,0,0,0,0", "--digits", "0"],
@@ -539,6 +542,15 @@ def test_reports_are_deterministic():
         (RunConfig(type_label="E8", level=4,
                    checks=("roots", "grid", "theorem", "logconcave", "dilog")),
          "b5dc77dcb3bcc54a449ba761d83598e251147dea248fde41203661cecc545f84"),
+        # full verify at the north-star configurations, solve and weyl included
+        (RunConfig(type_label="E7", level=12),
+         "b79011851b59ad3d98601dda5650ef6553d4d127c81fb51e83f14468760dc899"),
+        (RunConfig(type_label="E8", level=8),
+         "3385df01c480d3f5acc076bbfd857186e50590e00acf70ea70a595ea2550122b"),
+        # failing proven checks at 128 bits: an inf violation and a
+        # conjecture-violated dilog_args
+        (RunConfig(type_label="E8", level=24, precision_bits=128),
+         "d3387b0b033df56fba384b5388b93e66b5aabd1447f5d876eb792a24dff4413c"),
         (RunConfig(type_label="E7", level=12,
                    checks=("roots", "grid", "theorem", "logconcave", "dilog")),
          "ff3771bad4d18d1d8e2b9e2db2f079d98dc9fdfc4165233e8e60f70c8a199900"),
@@ -841,7 +853,7 @@ def test_dilog_argument_out_of_range_is_a_failed_check(rs_map, label, status):
                                  shifted_level=ctx.shifted_level, checks=[])
     checks = report._dilog_checks(rep_obj, ctx, grid)
     assert [(c.name, c.status) for c in checks] == [("dilog_args", status)]
-    assert checks[0].max_violation > 1000
+    assert ctx.mp.make_mpf(checks[0].max_violation) > 1000
     assert rep_obj.dilog_in_range is False
     assert rep_obj.dilog_sum is None
     rep_obj.checks = checks
