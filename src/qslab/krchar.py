@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from mpmath.libmp import mpf_mul_int
+from mpmath.libmp import fzero, mpf_add, mpf_mul_int
 
-from .qnum import LevelContext, QReal, qdim
+from .qnum import LevelContext, QReal, plan_qdim, qdim, support_plan
 from .rootsys import RootSystem, Weight, fundamental_weight, is_dominant, type_data
 
 
@@ -81,17 +81,21 @@ def kleber_q1(rs: RootSystem, node: int) -> KRDecomposition:
     return KRDecomposition(node=node, box_count=1, terms=terms)
 
 
-def _fold(total: QReal | None, terms, ctx: LevelContext) -> QReal | None:
-    """Add mult * qdim(weight) over (mult, weight) terms to total, left to right."""
-    mp = ctx.mp
-    prec, rnd = mp._prec_rounding
-    for mult, weight in terms:
-        q = qdim(weight, ctx)
+def _fold(total: QReal | None, terms, ctx: LevelContext) -> QReal:
+    """Add mult * q over (mult, q) terms to total, left to right, by QReal's
+    libmp calls on raw values.  Without a total the sum starts from 0 with
+    scale 0, to which the first term adds exactly; an exact zero term leaves
+    the value's bits, so it adds only its scale."""
+    prec, rnd = ctx.mp._prec_rounding
+    value, scale = (fzero, fzero) if total is None else (total._value, total._scale)
+    for mult, q in terms:
+        v, s = q._value, q._scale
         if mult != 1:
-            q = QReal(mpf_mul_int(q._value, mult, prec, rnd),
-                      mpf_mul_int(q._scale, mult, prec, rnd), mp)
-        total = q if total is None else total + q
-    return total
+            v, s = mpf_mul_int(v, mult, prec, rnd), mpf_mul_int(s, mult, prec, rnd)
+        if v is not fzero:
+            value = mpf_add(value, v, prec, rnd)
+        scale = mpf_add(scale, s, prec, rnd)
+    return QReal(value, scale, ctx.mp)
 
 
 def qdim_kr(dec: KRDecomposition, ctx: LevelContext) -> QReal:
@@ -100,8 +104,24 @@ def qdim_kr(dec: KRDecomposition, ctx: LevelContext) -> QReal:
     Terms are accumulated left to right in the decomposition's order, so two
     decompositions sharing a prefix produce bit-identical partial sums.
     """
-    total = _fold(None, dec.terms, ctx)
-    return total if total is not None else ctx.zero
+    terms = [(mult, qdim(w, ctx)) for mult, w in dec.terms]
+    return _fold(None, terms, ctx) if terms else ctx.zero
+
+
+def _shell_qdims(node: int, j: int, ctx: LevelContext) -> list[QReal]:
+    """The quantum dimensions of shell j's weights, in summation order; those
+    of a paired shell's interior weights r w_a + (j - r) w_b, 0 < r < j, from
+    their pairings r va + (j - r) vb with the groups of the plan of (a, b)."""
+    rs = ctx.root_system
+    pair = type_data(rs.type_label).paired_shells.get(node)
+    if pair is None or j == 0:
+        return [qdim(fundamental_weight(rs.rank, node, j), ctx)]
+    a, b = pair
+    plan = support_plan(ctx, pair)
+    inner = [plan_qdim(plan, [r * va + (j - r) * vb for va, vb in plan[0]], ctx)
+             for r in range(1, j)]
+    return [qdim(fundamental_weight(rs.rank, b + 1, j), ctx), *inner,
+            qdim(fundamental_weight(rs.rank, a + 1, j), ctx)]
 
 
 def chari_qdim(node: int, box_count: int, ctx: LevelContext) -> QReal:
@@ -118,6 +138,6 @@ def chari_qdim(node: int, box_count: int, ctx: LevelContext) -> QReal:
     nested = node in type_data(rs.type_label).nested_nodes
     while len(rows) <= box_count:
         k = len(rows)
-        shell = [(1, w) for w in _chari_shell(rs, node, k)]
+        shell = [(1, q) for q in _shell_qdims(node, k, ctx)]
         rows.append(_fold(rows[k - 1] if nested and k else None, shell, ctx))
     return rows[box_count]

@@ -100,11 +100,12 @@ class LevelContext:
 
     Each context computes in the shared mpmath context of its precision
     (``mp_context``; no global precision state), and owns a table of sine
-    values and one memo of quantum dimensions keyed by dominant weight,
-    which every quantum-dimension path goes through, with one fold plan
-    per support pattern (``_support_plan``).  It also memoizes the
-    closed-form KR rows of :mod:`qslab.krchar`, one list per direct node
-    indexed by box count.  ``one`` and ``zero`` are its exact 1 and 0.
+    values, one fold plan per support pattern (``support_plan``) and a memo
+    of ``qdim`` keyed by dominant weight.  It also memoizes the closed-form
+    KR rows of :mod:`qslab.krchar`, one list per direct node indexed by box
+    count; their paired-shell interior weights are evaluated from their
+    plan by ``plan_qdim``, outside the memo.  ``one`` and ``zero`` are its
+    exact 1 and 0.
     """
 
     def __init__(
@@ -156,14 +157,18 @@ class LevelContext:
                             + [(1 if m else 0, m, e) for m, e in half])
 
 
-def _support_plan(ctx: LevelContext, support: tuple[int, ...]) -> tuple:
+def support_plan(ctx: LevelContext, support: tuple[int, ...]) -> tuple:
     """``(vectors, zero_residues, steps)`` for the weights whose nonzero
     coordinates are the 0-based ``support``, which pair only with the roots
-    nonzero there.  ``vectors`` holds those roots' distinct coefficient
-    vectors on the support, one per group; pairing to d with group g's is an
-    exact zero iff d mod l is in ``zero_residues[g]``, the -ht mod l of the
-    group's heights (1 <= ht < h < l).  ``steps`` holds one ``_fold_step``
-    per such root in canonical order, its denominator sin(pi*height/l) > 0."""
+    nonzero there; made once per context.  ``vectors`` holds those roots'
+    distinct coefficient vectors on the support, one per group; pairing to d
+    with group g's is an exact zero iff d mod l is in ``zero_residues[g]``,
+    the -ht mod l of the group's heights (1 <= ht < h < l).  ``steps`` holds
+    one ``_fold_step`` per such root in canonical order, its denominator
+    sin(pi*height/l) > 0."""
+    plan = ctx._plans.get(support)
+    if plan is not None:
+        return plan
     if ctx._sines is None:
         ctx._build_sin_tables()
     rs, l = ctx.root_system, ctx.shifted_level
@@ -173,7 +178,19 @@ def _support_plan(ctx: LevelContext, support: tuple[int, ...]) -> tuple:
             g, zeros = groups.setdefault(v, (len(groups), set()))
             zeros.add(-ht % l)
             steps.append(_fold_step(ctx, g, ht, ht))
-    return tuple(groups), [zeros for _, zeros in groups.values()], steps
+    plan = ctx._plans[support] = (tuple(groups), [zeros for _, zeros in groups.values()], steps)
+    return plan
+
+
+def plan_qdim(plan: tuple, dots: Sequence[int], ctx: LevelContext) -> QReal:
+    """The quantum dimension of the weight whose pairings with the groups of
+    a ``support_plan`` are ``dots``: ``ctx.zero`` when one of them is an
+    exact zero by its group's residues, else the plan's sine product."""
+    l = ctx.shifted_level
+    for d, zeros in zip(dots, plan[1]):
+        if d % l in zeros:
+            return ctx.zero
+    return _sine_product(ctx, plan[2], dots)
 
 
 def _fold_step(ctx: LevelContext, g: int, ht: int, den: int) -> tuple:
@@ -271,21 +288,9 @@ def qdim(weight: Sequence[int], ctx: LevelContext) -> QReal:
         raise ValueError("qdim requires a dominant weight; reduce general weights first")
     # (w + rho | beta) = ht(beta) + (w | beta), and (w | beta) > 0 exactly on
     # the support roots, which pair with w through their group's vector
-    support = tuple(compress(range(len(w)), w))
-    plan = ctx._plans.get(support)
-    if plan is None:
-        plan = ctx._plans[support] = _support_plan(ctx, support)
-    vectors, zero_residues, steps = plan
-    l = ctx.shifted_level
+    plan = support_plan(ctx, tuple(compress(range(len(w)), w)))
     coords = tuple(filter(None, w))
-    dots = [sum(map(mul, coords, g)) for g in vectors]
-    for d, zeros in zip(dots, zero_residues):
-        if d % l in zeros:
-            out = ctx.zero
-            break
-    else:
-        out = _sine_product(ctx, steps, dots)
-    cache[w] = out
+    out = cache[w] = plan_qdim(plan, [sum(map(mul, coords, g)) for g in plan[0]], ctx)
     return out
 
 

@@ -42,8 +42,6 @@ def render_decimal(x, digits: int = 30) -> str:
     decimal division renders it, and the output never depends on any
     global precision state.
     """
-    if x is None:
-        return "unresolved"
     if isinstance(x, int):
         num, den = x, 1
     elif x in _SPECIAL:
@@ -615,18 +613,28 @@ def write_text_atomic(path: str, content: str) -> None:
 
 _CELL = ('    {\n      "node": %d,\n      "k": %d,\n      "value": %s,\n'
          '      "provenance": %s\n    }')
+_CHECK = ('    {\n      "name": %s,\n      "node": %s,\n      "status": %s,\n'
+          '      "proven": %s,\n      "max_violation": %s,\n      "note": %s\n    }')
 
 
 def _report_json(out: dict) -> str:
-    """``json.dumps(out, indent=2)``, byte for byte, with the grid cells
-    written by one format each (``indent`` takes the pure-Python encoder)."""
+    """``json.dumps(out, indent=2)``, byte for byte, with the grid cells and
+    the checks written by one format each (``indent`` takes the pure-Python
+    encoder)."""
     enc = encode_basestring_ascii
-    cells = ",\n".join([_CELL % (c["node"], c["k"], "null" if c["value"] is None
-                                 else enc(c["value"]), enc(c["provenance"]))
-                         for c in out["cells"]])
-    text = json.dumps({**out, "cells": []}, indent=2)
-    # only the top level has a "cells" key, and string values escape their quotes
-    return text.replace('"cells": []', '"cells": [\n%s\n  ]' % cells, 1) if cells else text
+    cells = [_CELL % (c["node"], c["k"], "null" if c["value"] is None else enc(c["value"]),
+                      enc(c["provenance"])) for c in out["cells"]]
+    checks = [_CHECK % (enc(c["name"]), "null" if c["node"] is None else c["node"],
+                        enc(c["status"]), "true" if c["proven"] else "false",
+                        "null" if c["max_violation"] is None else enc(c["max_violation"]),
+                        enc(c["note"])) for c in out["checks"]]
+    text = json.dumps({**out, "cells": [], "checks": []}, indent=2)
+    # only the top-level keys are indented by two spaces
+    for key, items in (("cells", cells), ("checks", checks)):
+        if items:
+            text = text.replace('\n  "%s": []' % key,
+                                '\n  "%s": [\n%s\n  ]' % (key, ",\n".join(items)), 1)
+    return text
 
 
 def write_report(report: VerificationReport, path: str | None = None) -> str:

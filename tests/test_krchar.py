@@ -162,24 +162,29 @@ def test_prefix_sum_telescoping_exact(e6, e7):
             assert cur.value == prev.value + term.value
 
 
-@pytest.mark.parametrize("label, level", [("E6", 4), ("E7", 6), ("E8", 4)])
+@pytest.mark.parametrize("label, level", [
+    ("E6", 4), ("E7", 6), ("E8", 4),
+    # zero-heavy paired shells, and the deepest rows the benchmark reads
+    ("E7", 1), ("E7", 2), ("E8", 1), ("E8", 2), ("E7", 28), ("E8", 24)])
 def test_chari_rows_match_decomposition_sums(rs_map, label, level):
-    # the running-sum rows give the bits of the full left fold at every box
-    # count, whatever order the cells are first asked for in
+    # the running-sum rows give the bits of the full left fold in mpf
+    # arithmetic at every box count the periodicity check reads (k <= l + 3),
+    # whatever order the cells are first asked for in, at every precision
     rs = rs_map[label]
-    ref_ctx = LevelContext(rs, level)
-    cells = [(node, k) for node in TYPE_DATA[label].direct_nodes
-             for k in range(ref_ctx.shifted_level + 4)]
-    reference = {(node, k): qdim_kr(chari_decomposition(rs, node, k), ref_ctx)
-                 for node, k in cells}
-    shuffled = list(cells)
-    random.Random(level).shuffle(shuffled)
-    for order in (cells, shuffled):
-        ctx = LevelContext(rs, level)
-        for node, k in order:
-            row, ref = chari_qdim(node, k, ctx), reference[(node, k)]
-            assert row.value._mpf_ == ref.value._mpf_, (node, k)
-            assert row.magnitude_scale._mpf_ == ref.magnitude_scale._mpf_, (node, k)
+    for bits in (64, 97, 128, 256):
+        ref_ctx = LevelContext(rs, level, precision_bits=bits)
+        cells = [(node, k) for node in TYPE_DATA[label].direct_nodes
+                 for k in range(ref_ctx.shifted_level + 4)]
+        reference = {(node, k): _mpf_fold(chari_decomposition(rs, node, k).terms, ref_ctx)
+                     for node, k in cells}
+        shuffled = list(cells)
+        random.Random(level).shuffle(shuffled)
+        for order in (cells, shuffled):
+            ctx = LevelContext(rs, level, precision_bits=bits)
+            for node, k in order:
+                row, ref = chari_qdim(node, k, ctx), reference[(node, k)]
+                assert row.value._mpf_ == ref.value._mpf_, (bits, node, k)
+                assert row.magnitude_scale._mpf_ == ref.magnitude_scale._mpf_, (bits, node, k)
 
 
 def test_chari_qdim_rejects_other_nodes(e6):

@@ -8,6 +8,8 @@ from hypothesis import assume, given, settings, strategies as st
 from mpmath.libmp import fone, from_man_exp, mpf_abs, mpf_div, mpf_gt, mpf_mul, mpf_neg
 
 import qslab
+from qslab import krchar, qnum
+from qslab.krchar import chari_decomposition, kleber_q1
 from qslab.qnum import (
     LevelContext,
     QReal,
@@ -19,7 +21,7 @@ from qslab.qnum import (
     qdim_line,
 )
 from qslab.qsolver import build_qgrid
-from qslab.rootsys import delta, fundamental_weight
+from qslab.rootsys import delta, fundamental_weight, type_data
 
 from oracles import MpfQReal, pairing, sin_pi_over_l, sine_fold, sine_signature
 
@@ -155,16 +157,25 @@ def test_qdim_bits_match_reference_fold(rs_map, label):
                 assert q.magnitude_scale._mpf_ == scale._mpf_, (label, bits, w)
 
 
+def _grid_weights(rs, l):
+    """Every weight of the closed-form rows the grid reads, out to the box
+    counts k <= l + 3 of the periodicity check, and of Kleber's tables."""
+    td = type_data(rs.type_label)
+    decs = [chari_decomposition(rs, node, k) for node in td.direct_nodes for k in range(l + 4)]
+    decs += [kleber_q1(rs, node) for node in td.kleber_q1]
+    return list({w: None for dec in decs for _, w in dec.terms})
+
+
 @pytest.mark.parametrize("label,level", [("E7", 28), ("E8", 24)])
 def test_qdim_bits_match_reference_fold_on_every_grid_weight(rs_map, label, level):
-    # every weight the grid build asks for, out to k = l, zeros included
+    # every weight of the grid's closed-form rows, zeros included
     rs = rs_map[label]
     for bits in (97, 256):
         ctx = LevelContext(rs, level, precision_bits=bits)
-        build_qgrid(ctx)
-        assert len(ctx._qdim_cache) > 1000
-        for w, q in ctx._qdim_cache.items():
-            value, scale = _reference_qdim(w, ctx)
+        weights = _grid_weights(rs, ctx.shifted_level)
+        assert len(weights) > 1000
+        for w in weights:
+            q, (value, scale) = qdim(w, ctx), _reference_qdim(w, ctx)
             assert q.value._mpf_ == value._mpf_, (bits, w)
             assert q.magnitude_scale._mpf_ == scale._mpf_, (bits, w)
 
@@ -174,17 +185,47 @@ def test_qdim_zeros_by_congruence_match_the_full_pairing_list(rs_map, label, lev
     # qdim decides a zero by one height lookup per group of support roots
     # and folds the support roots' factors only; a pairing with every
     # positive root gives the same zeros and the same bits on every weight
-    # the grid reads
+    # of the grid's closed-form rows
     rs = rs_map[label]
     ctx = LevelContext(rs, level)
-    build_qgrid(ctx)
+    weights = _grid_weights(rs, ctx.shifted_level)
     zeros = 0
-    for w, q in ctx._qdim_cache.items():
-        value, scale = _reference_qdim(w, ctx)
+    for w in weights:
+        q, (value, scale) = qdim(w, ctx), _reference_qdim(w, ctx)
         zeros += value == 0
         assert q.value._mpf_ == value._mpf_, w
         assert q.magnitude_scale._mpf_ == scale._mpf_, w
-    assert 0 < zeros < len(ctx._qdim_cache)
+    assert 0 < zeros < len(weights)
+
+
+def test_grid_skips_qdim_on_paired_shell_interiors(e7, monkeypatch):
+    # the interior weights r w2 + (j - r) w7, 0 < r < j, of E7 node 2's
+    # shells are evaluated from their support plan: no qdim call sees one,
+    # and the sine kernel runs once per distinct nonzero weight
+    ctx = LevelContext(e7, 28)
+    qdim_weights, kernel_calls = [], []
+    real_qdim, real_kernel = qnum.qdim, qnum._sine_product
+
+    def counted_qdim(weight, c):
+        qdim_weights.append(tuple(weight))
+        return real_qdim(weight, c)
+
+    def counted_kernel(*args):
+        kernel_calls.append(args)
+        return real_kernel(*args)
+
+    monkeypatch.setattr(qnum, "qdim", counted_qdim)
+    monkeypatch.setattr(krchar, "qdim", counted_qdim)
+    monkeypatch.setattr(qnum, "_sine_product", counted_kernel)
+    build_qgrid(ctx)
+    monkeypatch.undo()
+    interior = {w for k in range(len(ctx._chari_rows[2]))
+                for _, w in chari_decomposition(e7, 2, k).terms if w[1] and w[6]}
+    assert len(interior) > 900
+    assert qdim_weights and not interior & set(qdim_weights)
+    ref_ctx = LevelContext(e7, 28)
+    nonzero = {w for w in interior | set(qdim_weights) if qdim(w, ref_ctx).value != 0}
+    assert len(kernel_calls) == len(nonzero) > 100
 
 
 def _libmp_fold(ctx, factors):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import functools
 import hashlib
 import json
@@ -17,6 +18,7 @@ import qslab
 from qslab import affweyl, qnum, report, seqanalysis
 from qslab.cli import main
 from qslab.qnum import LevelContext
+from qslab.qsolver import CheckResult
 from qslab.report import (
     RunConfig,
     fixture_check,
@@ -40,7 +42,8 @@ def test_render_decimal_deterministic():
     assert render_decimal((c.mpf(1) / 3)._mpf_).startswith("0.3333333333333333333333333333")
     assert render_decimal(c.mpf("-2.5")._mpf_) == "-2.5"
     assert render_decimal(0) == "0"
-    assert render_decimal(None) == "unresolved"
+    with pytest.raises(TypeError):
+        render_decimal(None)
     third = render_decimal((c.mpf(1) / 3)._mpf_)
     assert len(third.replace("0.", "")) == 30
     assert render_decimal((c.mpf(10) ** -40)._mpf_).startswith("1.0000")
@@ -590,6 +593,14 @@ def test_json_writer_is_json_dumps(cfg):
         assert '"value": null,' in write_report(rep)
     if "grid" not in cfg.checks:
         assert data["cells"] == [] and '"cells": [],' in write_report(rep)
+    # notes with a quote, a backslash and a non-ASCII character, and a check
+    # with a null node, on top of the run's own checks
+    odd = dataclasses.replace(rep, checks=[*rep.checks, CheckResult(
+        "odd_note", None, "fail", False, (0, 3, -1, 2), 'say "\\" or \u00e9\n')])
+    odd_data = report_to_dict(odd)
+    assert odd_data["checks"][-1]["node"] is None
+    assert write_report(odd) == json.dumps(odd_data, indent=2) + "\n"
+    assert '"note": "say \\"\\\\\\" or \\u00e9\\n"' in write_report(odd)
 
 
 def test_grid_command_json_is_json_dumps(monkeypatch, tmp_path, capsys):

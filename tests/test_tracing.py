@@ -55,7 +55,9 @@ def test_tracer_layers_resolve_and_attribute_verify(tmp_path):
                    for name_id, _, _, parent, _ in tracer.spans)
     assert metrics["affweyl.alcove_weights"] == 0 and metrics["affweyl.alcove_s"] == 0
     # the grid's direct rows call qdim through a module attribute, which the
-    # tracer patches, so their sine products stay in qnum.qdim_s
+    # tracer patches, so the sine products of E6's rows (which have no
+    # paired shell) stay in qnum.qdim_s; those of the interior weights of a
+    # paired E7 or E8 shell run outside qdim and land in the caller's layer
     grid_id = tracer.names.index("qsolver.build_qgrid")
     assert any(name_id == qdim_id and parent >= 0 and tracer.spans[parent][0] == grid_id
                for name_id, _, _, parent, _ in tracer.spans)
