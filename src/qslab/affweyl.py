@@ -8,9 +8,8 @@ vanishing quantum dimension, which the reducer reports as ``on_wall``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .qnum import LevelContext
 from .rootsys import RootSystem, Weight
@@ -18,8 +17,7 @@ from .rootsys import RootSystem, Weight
 _REDUCE_GUARD = 1_000_000
 
 
-@dataclass(frozen=True)
-class AffineReduction:
+class AffineReduction(NamedTuple):
     result_kind: str  # "dominant" | "on_wall"
     dominant_weight: Weight | None
     sign: int

@@ -217,8 +217,10 @@ def _cmd_krdec(args) -> int:
     _check_node(args.node, rs.rank)
     if args.k == 1 and args.node in type_data(rs.type_label).kleber_q1:
         dec = krchar.kleber_q1(rs, args.node)
-    else:
+    elif args.node in type_data(rs.type_label).direct_nodes:
         dec = krchar.chari_decomposition(rs, args.node, args.k)
+    else:
+        _usage_error(f"no closed-form decomposition for ({rs.type_label}, node {args.node})")
     lines = [f"{mult} x ({','.join(str(c) for c in w)})" for mult, w in dec.terms]
     text = "\n".join(lines) + "\n"
     if args.qdim:

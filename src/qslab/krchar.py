@@ -9,7 +9,7 @@ propagation in :mod:`qslab.qsolver`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from mpmath.libmp import fzero, mpf_add, mpf_mul_int
 
@@ -17,15 +17,21 @@ from .qnum import LevelContext, QReal, plan_qdim, qdim, support_plan
 from .rootsys import RootSystem, Weight, fundamental_weight, is_dominant, type_data
 
 
-@dataclass(frozen=True)
-class KRDecomposition:
-    """A weighted multiset of dominant weights: restriction of one KR module."""
-
+class _KRFields(NamedTuple):
     node: int
     box_count: int
     terms: tuple[tuple[int, Weight], ...]
 
-    def __post_init__(self):
+
+class KRDecomposition(_KRFields):
+    """A weighted multiset of dominant weights: restriction of one KR module,
+    checked by the constructor, ``_make`` and ``_replace``."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         seen = set()
         for mult, weight in self.terms:
             if mult < 1:
@@ -35,6 +41,7 @@ class KRDecomposition:
             if weight in seen:
                 raise ValueError(f"duplicate weight {weight} in decomposition")
             seen.add(weight)
+        return self
 
 
 def _chari_shell(rs: RootSystem, node: int, j: int) -> list[Weight]:

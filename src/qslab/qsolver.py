@@ -38,8 +38,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from mpmath.ctx_mp import MPContext
 from mpmath.libmp import (bernfrac, finf, fninf, fone, from_float, from_int, from_man_exp,
@@ -94,22 +93,26 @@ class SolverDivergence(RuntimeError):
     step that leaves a cell non-positive."""
 
 
-@dataclass
 class QGrid:
     """The table Q_k(i) as raw ``_mpf_`` rows of the mpmath context ``mp``
     (None when unresolved), with per-cell provenance and the raw residual
     ``residual_max``; ``scales`` holds a KR-built grid's raw magnitude scales,
     indexed like ``rows``, and is None on a solved grid."""
 
-    root_system: RootSystem
-    level: int
-    k_max: int
-    rows: list[list[tuple | None]]
-    mp: MPContext
-    provenance: list[list[str | None]]
-    residual_max: tuple | None = None
-    unresolved: list[tuple[int, int]] = field(default_factory=list)
-    scales: list[list[tuple]] | None = None
+    __slots__ = ("root_system", "level", "k_max", "rows", "mp", "provenance", "residual_max",
+                 "unresolved", "scales")
+
+    def __init__(self, root_system: RootSystem, level: int, k_max: int,
+                 rows: list[list[tuple | None]], mp: MPContext, provenance: list[list[str | None]],
+                 residual_max: tuple | None = None, unresolved: list[tuple[int, int]] | None = None,
+                 scales: list[list[tuple]] | None = None):
+        self.root_system, self.level, self.k_max, self.rows = root_system, level, k_max, rows
+        self.mp, self.provenance, self.residual_max = mp, provenance, residual_max
+        self.unresolved, self.scales = [] if unresolved is None else unresolved, scales
+
+    def __eq__(self, other):
+        return type(other) is QGrid and all(
+            getattr(self, f) == getattr(other, f) for f in self.__slots__)
 
     def cell(self, node: int, k: int):
         """Q_k(node) as an mpf number, None when unresolved; IndexError when
@@ -477,8 +480,7 @@ def solve_restricted(ctx: LevelContext, tolerance: float = SOLVER_TOLERANCE) -> 
     return QGrid(rs, level, level, v, mp, provenance, res)
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     """Outcome of one certified property at one node (or globally);
     ``max_violation`` is a raw ``_mpf_`` tuple, an int count or None."""
 

@@ -13,11 +13,10 @@ import json
 import os
 import tempfile
 import time
-from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Context as DecimalContext, Decimal
 from importlib import resources
 from json.encoder import encode_basestring_ascii
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from mpmath.libmp import finf, fnan, fninf, to_str
 
@@ -443,8 +442,7 @@ def reads_grid(checks) -> bool:
     return any(CHECK_GROUPS[name][0] for name in checks)
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class _RunFields(NamedTuple):
     type_label: str
     level: int
     precision_bits: int = DEFAULT_PRECISION_BITS
@@ -452,7 +450,15 @@ class RunConfig:
     fmt: str = "json"
     checks: tuple[str, ...] = ALL_CHECKS
 
-    def __post_init__(self):
+
+class RunConfig(_RunFields):
+    """One run's settings, checked by the constructor, ``_make`` and ``_replace``."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.level < 1:
             raise ValueError("level must be at least 1")
         if self.precision_bits < MIN_PRECISION_BITS:
@@ -470,18 +476,24 @@ class RunConfig:
             l = self.level + rootsys.type_data(self.type_label.upper()).coxeter_number
             if not l <= self.k_max <= 4 * l:
                 raise ValueError(f"k_max must be in {l}..{4 * l}, got {self.k_max}")
+        return self
 
 
-@dataclass
 class VerificationReport:
-    config: RunConfig
-    shifted_level: int
-    checks: list[CheckResult]
-    grid: QGrid | None = None
-    dilog_in_range: bool | None = None
-    dilog_sum: tuple | None = None
-    overall: str = "pass"
-    duration_seconds: float = 0.0
+    __slots__ = ("config", "shifted_level", "checks", "grid", "dilog_in_range", "dilog_sum",
+                 "overall", "duration_seconds")
+
+    def __init__(self, config: RunConfig, shifted_level: int, checks: list[CheckResult],
+                 grid: QGrid | None = None, dilog_in_range: bool | None = None,
+                 dilog_sum: tuple | None = None, overall: str = "pass",
+                 duration_seconds: float = 0.0):
+        self.config, self.shifted_level, self.checks = config, shifted_level, checks
+        self.grid, self.dilog_in_range, self.dilog_sum = grid, dilog_in_range, dilog_sum
+        self.overall, self.duration_seconds = overall, duration_seconds
+
+    def __eq__(self, other):
+        return type(other) is VerificationReport and all(
+            getattr(self, f) == getattr(other, f) for f in self.__slots__)
 
     def finalize(self) -> None:
         statuses = {c.status for c in self.checks}

@@ -10,18 +10,16 @@ weight.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, cached_property
 from operator import add
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 Weight = tuple[int, ...]
 
 _ALL = "all"
 
 
-@dataclass(frozen=True)
-class TypeData:
+class TypeData(NamedTuple):
     """The facts about one E type that the rest of the package looks up.
 
     Everything here is either input (the Dynkin diagram), a published value
@@ -195,22 +193,30 @@ def cartan_matrix(type_label: str) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(r) for r in rows)
 
 
-@dataclass(frozen=True)
 class RootSystem:
     """An irreducible simply-laced root system.
 
     ``positive_roots`` is ordered by height, then lexicographically on the
     coefficient vectors; this canonical order is stable across runs and is
-    what root indices refer to everywhere in this package.
+    what root indices refer to everywhere in this package.  The fields are
+    read-only; ``cached_property`` writes to ``__dict__`` past the guard.
     """
 
-    type_label: str
-    rank: int
-    cartan: tuple[tuple[int, ...], ...]
-    positive_roots: tuple[tuple[int, ...], ...]
-    marks: tuple[int, ...]
-    coxeter_number: int
-    highest_root_index: int
+    _fields = ("type_label", "rank", "cartan", "positive_roots", "marks", "coxeter_number",
+               "highest_root_index")
+
+    def __init__(self, type_label: str, rank: int, cartan: tuple[tuple[int, ...], ...],
+                 positive_roots: tuple[tuple[int, ...], ...], marks: tuple[int, ...],
+                 coxeter_number: int, highest_root_index: int):
+        vars(self).update(zip(self._fields, (type_label, rank, cartan, positive_roots, marks,
+                                             coxeter_number, highest_root_index)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to RootSystem.{name}")
+
+    def __eq__(self, other):
+        return type(other) is RootSystem and all(
+            getattr(self, f) == getattr(other, f) for f in self._fields)
 
     @cached_property
     def heights(self) -> tuple[int, ...]:

@@ -15,8 +15,7 @@ the real and the positive roots decides.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import mpmath
 
@@ -31,19 +30,26 @@ _MP = mp_context(DEFAULT_PRECISION_BITS)
 _EPS_BASE = _MP.mpf(2) ** -64
 
 
-@dataclass(frozen=True)
 class RealSequence:
     """A finite sequence of high-precision reals with a comparison tolerance."""
 
-    entries: tuple
-    tolerance: object
+    __slots__ = ("entries", "tolerance")
 
-    def __post_init__(self):
-        if len(self.entries) < 1:
+    def __init__(self, entries: tuple, tolerance: object):
+        if len(entries) < 1:
             raise ValueError("sequence must be nonempty")
-        for e in self.entries:
+        for e in entries:
             if not mpmath.isfinite(e):
                 raise ValueError("entries must be finite")
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "tolerance", tolerance)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to RealSequence.{name}")
+
+    def __eq__(self, other):
+        return type(other) is RealSequence and all(
+            getattr(self, f) == getattr(other, f) for f in self.__slots__)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -115,8 +121,7 @@ def is_log_concave(seq: RealSequence, strict: bool = False) -> bool:
     return all(holds(a[k] * a[k], a[k - 1] * a[k + 1]) for k in range(1, len(a) - 1))
 
 
-@dataclass(frozen=True)
-class RootednessVerdict:
+class RootednessVerdict(NamedTuple):
     status: str  # "real_negative" | "not_real_negative"
     witness: str | None = None
 

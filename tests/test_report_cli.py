@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-import dataclasses
+import copy
 import functools
 import hashlib
 import json
@@ -346,6 +346,11 @@ def test_cli_usage_errors(capsys, monkeypatch):
          "error: --k must be nonnegative, got -1\n"),
         (["krdec", "--type", "E6", "--node", "7", "--k", "1"],
          "error: --node must be in 1..6, got 7\n"),
+        # a node with no closed form and, at k = 1, no Kleber table
+        (["krdec", "--type", "E6", "--node", "3", "--k", "1"],
+         "error: no closed-form decomposition for (E6, node 3)\n"),
+        (["krdec", "--type", "E7", "--node", "4", "--k", "2"],
+         "error: no closed-form decomposition for (E7, node 4)\n"),
         # a mode that does not use the working precision rejects the flag
         (["qdim", "--type", "E6", "--level", "2", "--weight", "1,0,0,0,0,0", "--classical",
           "--precision-bits", "256"],
@@ -595,8 +600,9 @@ def test_json_writer_is_json_dumps(cfg):
         assert data["cells"] == [] and '"cells": [],' in write_report(rep)
     # notes with a quote, a backslash and a non-ASCII character, and a check
     # with a null node, on top of the run's own checks
-    odd = dataclasses.replace(rep, checks=[*rep.checks, CheckResult(
-        "odd_note", None, "fail", False, (0, 3, -1, 2), 'say "\\" or \u00e9\n')])
+    odd = copy.copy(rep)
+    odd.checks = [*rep.checks, CheckResult(
+        "odd_note", None, "fail", False, (0, 3, -1, 2), 'say "\\" or \u00e9\n')]
     odd_data = report_to_dict(odd)
     assert odd_data["checks"][-1]["node"] is None
     assert write_report(odd) == json.dumps(odd_data, indent=2) + "\n"

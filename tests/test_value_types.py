@@ -1,0 +1,137 @@
+"""The package's value types and its import graph.
+
+The value types are named tuples and plain classes, so importing qslab pulls
+in neither ``dataclasses`` nor the ``inspect`` module it loads.  Each type
+keeps its name, module, field order and defaults, equality by fields, and,
+where it is read-only, rejects attribute assignment.
+"""
+
+from __future__ import annotations
+
+import copy
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from qslab.affweyl import AffineReduction
+from qslab.krchar import KRDecomposition
+from qslab.qnum import DEFAULT_PRECISION_BITS, LevelContext
+from qslab.qsolver import CheckResult, QGrid, build_qgrid
+from qslab.report import ALL_CHECKS, RunConfig, VerificationReport
+from qslab.rootsys import TYPE_DATA, RootSystem, TypeData, build_root_system, cartan_matrix
+from qslab.seqanalysis import RealSequence, RootednessVerdict, make_sequence
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.mark.parametrize("module", ["qslab", "qslab.cli"])
+def test_import_loads_neither_dataclasses_nor_inspect(module):
+    code = (f"import sys; sys.path.insert(0, {str(SRC)!r}); bare = set(sys.modules); "
+            f"import {module}; print(' '.join(sorted(set(sys.modules) - bare)))")
+    added = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                           check=True, timeout=60).stdout.split()
+    assert module in added
+    assert "dataclasses" not in added and "inspect" not in added
+
+
+def _read_only_values():
+    rs = build_root_system("E6")
+    return [
+        (TYPE_DATA["E6"], "coxeter_number"),
+        (rs, "rank"),
+        (KRDecomposition(1, 0, ((1, (0,) * 6),)), "terms"),
+        (AffineReduction("dominant", (0,) * 6, 1, 0), "sign"),
+        (make_sequence([1, 2, 1]), "entries"),
+        (RootednessVerdict("real_negative"), "witness"),
+        (RunConfig("E6", 2), "level"),
+    ]
+
+
+@pytest.mark.parametrize("value,field", _read_only_values(),
+                         ids=lambda v: type(v).__name__ if not isinstance(v, str) else v)
+def test_read_only_types_reject_assignment(value, field):
+    before = getattr(value, field)
+    with pytest.raises(AttributeError):
+        setattr(value, field, before)
+    with pytest.raises(AttributeError):
+        value.unknown_field = 1
+    assert getattr(value, field) == before
+
+
+def test_types_keep_name_module_and_field_order():
+    for cls, name, module in (
+            (TypeData, "TypeData", "rootsys"), (RootSystem, "RootSystem", "rootsys"),
+            (KRDecomposition, "KRDecomposition", "krchar"),
+            (AffineReduction, "AffineReduction", "affweyl"),
+            (CheckResult, "CheckResult", "qsolver"), (QGrid, "QGrid", "qsolver"),
+            (RealSequence, "RealSequence", "seqanalysis"),
+            (RootednessVerdict, "RootednessVerdict", "seqanalysis"),
+            (RunConfig, "RunConfig", "report"),
+            (VerificationReport, "VerificationReport", "report")):
+        assert (cls.__name__, cls.__module__) == (name, "qslab." + module)
+    assert repr(RunConfig("E6", 2)).startswith("RunConfig(type_label='E6', level=2,")
+    assert RunConfig._fields == ("type_label", "level", "precision_bits", "k_max", "fmt",
+                                 "checks")
+    assert KRDecomposition._fields == ("node", "box_count", "terms")
+    assert CheckResult._fields == ("name", "node", "status", "proven", "max_violation", "note")
+    assert RootSystem._fields == ("type_label", "rank", "cartan", "positive_roots", "marks",
+                                  "coxeter_number", "highest_root_index")
+
+
+def test_positional_and_keyword_construction_with_defaults():
+    assert RunConfig("E6", 2) == RunConfig(type_label="E6", level=2,
+                                           precision_bits=DEFAULT_PRECISION_BITS, k_max=None,
+                                           fmt="json", checks=ALL_CHECKS)
+    assert CheckResult("x", None, "pass", True) == CheckResult(
+        name="x", node=None, status="pass", proven=True, max_violation=None, note="")
+    assert RootednessVerdict("real_negative").witness is None
+    assert KRDecomposition(2, 1, ()) == KRDecomposition(node=2, box_count=1, terms=())
+    seq = make_sequence([1, 2, 1])
+    assert RealSequence(seq.entries, seq.tolerance) == RealSequence(
+        tolerance=seq.tolerance, entries=seq.entries) == seq
+    assert len(seq) == 3
+
+
+def test_root_systems_compare_by_their_fields():
+    first = build_root_system(cartan_matrix("E7"))
+    second = build_root_system(cartan_matrix("E7"))
+    assert first.heights and first.neighbors  # cached on one side only
+    assert first is not second and first == second
+    assert "heights" in vars(first) and "heights" not in vars(second)
+    assert first != build_root_system("E7") and first != build_root_system("E6")
+    # the cached properties are stored past the assignment guard
+    assert second.theta_weight == build_root_system("E7").theta_weight
+
+
+def test_replace_builds_through_the_checks():
+    cfg = RunConfig("E6", 2)
+    assert cfg._replace(level=3) == RunConfig("E6", 3)
+    with pytest.raises(ValueError, match="level must be at least 1"):
+        cfg._replace(level=0)
+    with pytest.raises(ValueError, match="unknown check"):
+        RunConfig._make(("E6", 2, DEFAULT_PRECISION_BITS, None, "json", ("bogus",)))
+    dec = KRDecomposition(1, 1, ((1, (1, 0, 0, 0, 0, 0)),))
+    with pytest.raises(ValueError, match="duplicate weight"):
+        dec._replace(terms=dec.terms * 2)
+    assert copy.copy(cfg) == cfg and copy.copy(dec) == dec
+    check = CheckResult("x", 1, "pass", True)
+    assert check._replace(status="fail") == CheckResult("x", 1, "fail", True)
+
+
+def test_grids_and_reports_stay_mutable():
+    ctx = LevelContext(build_root_system("E6"), 2)
+    grid, again = build_qgrid(ctx), build_qgrid(ctx)
+    assert grid == again and grid != build_qgrid(LevelContext(ctx.root_system, 3))
+    fresh = QGrid(ctx.root_system, 2, 2, [], ctx.mp, [])
+    assert fresh.unresolved == [] and fresh.unresolved is not QGrid(
+        ctx.root_system, 2, 2, [], ctx.mp, []).unresolved
+    grid.residual_max = None
+    assert grid != again
+    rep = VerificationReport(RunConfig("E6", 2), 14, [])
+    assert (rep.grid, rep.overall, rep.duration_seconds) == (None, "pass", 0.0)
+    rep.checks.append(CheckResult("x", None, "fail", True))
+    rep.finalize()
+    assert rep.overall == "fail" and rep.exit_code == 1
+    assert rep != VerificationReport(RunConfig("E6", 2), 14, [])
