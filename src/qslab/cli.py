@@ -215,17 +215,17 @@ def _cmd_krdec(args) -> int:
     level = _optional(args, "--level", unused_in=unused_in)
     rs = build_root_system(args.type)
     _check_node(args.node, rs.rank)
-    if args.k == 1 and args.node in type_data(rs.type_label).kleber_q1:
-        dec = krchar.kleber_q1(rs, args.node)
-    elif args.node in type_data(rs.type_label).direct_nodes:
-        dec = krchar.chari_decomposition(rs, args.node, args.k)
-    else:
+    td = type_data(rs.type_label)
+    kleber = args.k == 1 and args.node in td.kleber_q1
+    if not kleber and args.node not in td.direct_nodes:
         _usage_error(f"no closed-form decomposition for ({rs.type_label}, node {args.node})")
+    if args.qdim and level is None:
+        _usage_error("--qdim needs --level")
+    dec = (krchar.kleber_q1(rs, args.node) if kleber
+           else krchar.chari_decomposition(rs, args.node, args.k))
     lines = [f"{mult} x ({','.join(str(c) for c in w)})" for mult, w in dec.terms]
     text = "\n".join(lines) + "\n"
     if args.qdim:
-        if level is None:
-            _usage_error("--qdim needs --level")
         ctx = LevelContext(rs, level, bits)
         value = krchar.qdim_kr(dec, ctx)
         text += f"qdim {report.render_decimal(value._value, digits)}\n"

@@ -21,11 +21,12 @@ worst deviation, against a bound) and ``_above`` (a least value, against a
 margin), with ``_rel_gap`` for |a - b| / max(|a|, |b|, 1).
 ``solve_restricted`` finds the restricted solution on its own: float Newton on
 y = log Q (``_warm_start``), then corrections against the defect at working
-precision; every step solves the one float log-variable Jacobian of
-``_log_newton_step`` with ``_block_thomas``.  The restricted system is
-unchanged by k <-> level - k, so its solution is symmetric and so is every
-step from the symmetric start: both stages solve for k = 1 .. level // 2
-only and mirror each cell by assignment, Q_{level-k}(i) = Q_k(i).
+precision; every step re-forms the float log-variable Jacobian of
+``_log_newton_step`` from its current cells and solves it with
+``_block_thomas``.  The restricted system is unchanged by k <-> level - k,
+so its solution is symmetric and so is every step from the symmetric start:
+both stages solve for k = 1 .. level // 2 only and mirror each cell by
+assignment, Q_{level-k}(i) = Q_k(i).
 
 ``build_qgrid`` fills the table from the closed-form rows outward, exactly
 mirroring the propagation order of the per-type proofs: extremal rows are
@@ -276,26 +277,32 @@ def residual(grid: QGrid) -> tuple:
 
 def _block_solve(mat, diag, rhs):
     """Solve mat [G | g] = [diag(diag) | rhs] by Gauss-Jordan elimination
-    with partial pivoting, all right-hand sides carried through one
-    elimination.  Returns G as a list of rows and g as a list.
+    with partial pivoting (the first largest |entry| on ties), all
+    right-hand sides carried through one elimination.  Returns G as a list
+    of rows and g as a list.  With ``diag`` None only mat g = rhs is solved
+    and G is None; pivots and multipliers come from ``mat`` alone, so g has
+    the same bits either way.  Nothing reads a pivot column after its step,
+    so the step writes only the columns right of it.
     """
     n = len(mat)
-    aug = [list(mat[r]) + [diag[r] if c == r else 0 for c in range(n)] + [rhs[r]]
-           for r in range(n)]
+    aug = [list(mat[r]) + ([] if diag is None else [diag[r] if c == r else 0 for c in range(n)])
+           + [rhs[r]] for r in range(n)]
     for c in range(n):
-        p = max(range(c, n), key=lambda r: abs(aug[r][c]))
+        p, top = c, abs(aug[c][c])
+        for r in range(c + 1, n):
+            if abs(aug[r][c]) > top:
+                p, top = r, abs(aug[r][c])
         if not aug[p][c]:
             raise SolverDivergence("singular Jacobian block")
         aug[c], aug[p] = aug[p], aug[c]
         piv = aug[c]
         inv = 1 / piv[c]
-        piv[c:] = [x * inv for x in piv[c:]]
-        for r in range(n):
-            f = aug[r][c]
+        piv[c + 1:] = tail = [x * inv for x in piv[c + 1:]]
+        for r, row in enumerate(aug):
+            f = row[c]
             if r != c and f:
-                row = aug[r]
-                row[c:] = [x - f * y for x, y in zip(row[c:], piv[c:])]
-    return [row[n:2 * n] for row in aug], [row[2 * n] for row in aug]
+                row[c + 1:] = [x - f * y for x, y in zip(row[c + 1:], tail)]
+    return (None if diag is None else [row[n:2 * n] for row in aug]), [row[-1] for row in aug]
 
 
 def _block_thomas(blocks, off, rhs):
@@ -305,16 +312,18 @@ def _block_thomas(blocks, off, rhs):
 
     by block Thomas elimination: the forward pass eliminates each pivot
     block once with ``_block_solve``, giving x_k = g_k - G_k x_{k+1}, and
-    the backward pass substitutes.  Returns the list of x_k.
+    the backward pass substitutes from x_m = g_m, so the last block solves
+    for g_m alone.  Returns the list of x_k.
     """
     gs, gvecs = [], []
-    for block, o, r in zip(blocks, off, rhs):
+    last = len(blocks) - 1
+    for k, (block, o, r) in enumerate(zip(blocks, off, rhs)):
         if gs:
             g_prev, gvec_prev = gs[-1], gvecs[-1]
             block = [[b - c * x for b, x in zip(brow, grow)]
                      for brow, c, grow in zip(block, o, g_prev)]
             r = [ri - c * x for ri, c, x in zip(r, o, gvec_prev)]
-        g, gvec = _block_solve(block, o, r)
+        g, gvec = _block_solve(block, None if k == last else o, r)
         gs.append(g)
         gvecs.append(gvec)
     xs = []
@@ -418,9 +427,10 @@ def solve_restricted(ctx: LevelContext, tolerance: float = SOLVER_TOLERANCE) -> 
     ``residual`` over the whole grid bit for bit.  The start is float Newton
     on y = log Q from Q = 1 (see ``_warm_start``), so the solver never reads
     the KR grid.  Corrections then follow at the context's precision
-    (iterative refinement): each solves the start's float Jacobian
-    (``_log_newton_step``) for dy = dQ / Q against the relative defect
-    -F / Q_k(i)^2, F formed at ``ctx.mp``'s precision by ``_defect``, with the weights
+    (iterative refinement): each solves the float Jacobian of
+    ``_log_newton_step`` for dy = dQ / Q against the relative defect
+    -F / Q_k(i)^2, F formed at ``ctx.mp``'s precision by ``_defect``.  Each
+    re-forms that Jacobian from the current cells through the weights
     w = (Q_{k-1} / Q_k)(Q_{k+1} / Q_k), which stay in the float range where
     Q^2 does not.  Iteration stops once the normalized residual is within
     ``tolerance``, which must be finite and lie above 2^(8 - precision_bits)

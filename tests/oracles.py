@@ -210,6 +210,63 @@ def a_series_cartan(rank: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
+# The solver's block-tridiagonal elimination as it stood before it dropped
+# the float operations whose results nothing reads: every block carries
+# G, and each pivot step rewrites its own column.  qslab.qsolver's
+# ``_block_thomas`` must return the same floats and raise the same errors.
+
+def block_solve(mat, diag, rhs):
+    """Solve mat [G | g] = [diag(diag) | rhs] by Gauss-Jordan elimination
+    with partial pivoting, all right-hand sides carried through one
+    elimination.  Returns G as a list of rows and g as a list.
+    """
+    n = len(mat)
+    aug = [list(mat[r]) + [diag[r] if c == r else 0 for c in range(n)] + [rhs[r]]
+           for r in range(n)]
+    for c in range(n):
+        p = max(range(c, n), key=lambda r: abs(aug[r][c]))
+        if not aug[p][c]:
+            raise qsolver.SolverDivergence("singular Jacobian block")
+        aug[c], aug[p] = aug[p], aug[c]
+        piv = aug[c]
+        inv = 1 / piv[c]
+        piv[c:] = [x * inv for x in piv[c:]]
+        for r in range(n):
+            f = aug[r][c]
+            if r != c and f:
+                row = aug[r]
+                row[c:] = [x - f * y for x, y in zip(row[c:], piv[c:])]
+    return [row[n:2 * n] for row in aug], [row[2 * n] for row in aug]
+
+
+def block_thomas(blocks, off, rhs):
+    """Solve the block-tridiagonal system whose block row k reads
+
+        diag(off[k]) x_{k-1} + blocks[k] x_k + diag(off[k]) x_{k+1} = rhs[k]
+
+    by block Thomas elimination: the forward pass eliminates each pivot
+    block once with ``block_solve``, giving x_k = g_k - G_k x_{k+1}, and
+    the backward pass substitutes.  Returns the list of x_k.
+    """
+    gs, gvecs = [], []
+    for block, o, r in zip(blocks, off, rhs):
+        if gs:
+            g_prev, gvec_prev = gs[-1], gvecs[-1]
+            block = [[b - c * x for b, x in zip(brow, grow)]
+                     for brow, c, grow in zip(block, o, g_prev)]
+            r = [ri - c * x for ri, c, x in zip(r, o, gvec_prev)]
+        g, gvec = block_solve(block, o, r)
+        gs.append(g)
+        gvecs.append(gvec)
+    xs = []
+    for g, gvec in zip(reversed(gs), reversed(gvecs)):
+        if xs:
+            x = xs[-1]
+            gvec = [gi - sum(a * b for a, b in zip(row, x)) for gi, row in zip(gvec, g)]
+        xs.append(gvec)
+    return xs[::-1]
+
+
 # The grid consumers of qslab.qsolver and the grid, solve and dilog groups
 # of qslab.report in mpf-object arithmetic: each operator dispatches on its
 # cells' own context.  qslab computes the same values and verdicts with

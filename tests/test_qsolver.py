@@ -463,10 +463,12 @@ def _dense_solve(mp, a, b):
     return x
 
 
-@pytest.mark.parametrize("rank,count", [(1, 1), (1, 12), (2, 7), (3, 2), (6, 12), (8, 1),
-                                        (8, 12)])
-def test_block_thomas_matches_dense_elimination(rank, count):
-    # seeded diagonally dominant systems, against a dense 200-bit elimination
+SEEDED_SYSTEMS = [(1, 1), (1, 12), (2, 7), (3, 2), (6, 12), (8, 1), (8, 12)]
+
+
+def _seeded_system(rank, count):
+    """A seeded diagonally dominant system of ``count`` block rows of rank
+    ``rank``, as the blocks, off-diagonals and right-hand sides."""
     rng = random.Random(100 * rank + count)
     off = [[rng.uniform(-1, 1) for _ in range(rank)] for _ in range(count)]
     blocks = []
@@ -476,6 +478,13 @@ def test_block_thomas_matches_dense_elimination(rank, count):
             row[i] = rng.choice((-1, 1)) * (sum(map(abs, row)) + 2 * abs(o[i]) + 0.5)
         blocks.append(block)
     rhs = [[rng.uniform(-10, 10) for _ in range(rank)] for _ in range(count)]
+    return blocks, off, rhs
+
+
+@pytest.mark.parametrize("rank,count", SEEDED_SYSTEMS)
+def test_block_thomas_matches_dense_elimination(rank, count):
+    # seeded diagonally dominant systems, against a dense 200-bit elimination
+    blocks, off, rhs = _seeded_system(rank, count)
     xs = qsolver._block_thomas(blocks, off, rhs)
 
     n = rank * count
@@ -496,12 +505,68 @@ def test_block_thomas_matches_dense_elimination(rank, count):
 
 
 @pytest.mark.parametrize("blocks,off", [
-    ([[[1.0, 2.0], [2.0, 4.0]]], [[0.5, 0.5]]),  # singular first block
+    # the last block solves for the right-hand side alone, the others for G too
+    ([[[1.0, 2.0], [2.0, 4.0]]], [[0.5, 0.5]]),  # singular only block
     ([[[1.0]], [[1.0]]], [[1.0], [1.0]]),  # the second pivot 1 - 1 * 1 vanishes
+    ([[[1.0, 2.0], [2.0, 4.0]], [[1.0, 0.0], [0.0, 1.0]]],
+     [[0.5, 0.5], [0.5, 0.5]]),  # singular first of two blocks
 ])
 def test_block_thomas_names_a_singular_pivot_block(blocks, off):
     with pytest.raises(SolverDivergence, match="singular Jacobian block"):
         qsolver._block_thomas(blocks, off, [[1.0] * len(b) for b in blocks])
+
+
+def _solution_bits(solve, blocks, off, rhs):
+    """The solution as the hex form of each float, so that equal means the
+    same bits down to the sign of a zero; or the message of a singular
+    block."""
+    try:
+        return [[x.hex() for x in col] for col in solve(blocks, off, rhs)]
+    except SolverDivergence as exc:
+        return str(exc)
+
+
+def _random_system(rng):
+    """Up to six block rows of rank 1 to 8.  A third of the entries are 0
+    and a third small integers, so pivot columns hold ties and exact zeros,
+    and blocks are diagonally dominant only by chance."""
+    rank, count = rng.randint(1, 8), rng.randint(1, 6)
+
+    def entry():
+        u = rng.random()
+        if u < 1 / 3:
+            return 0.0
+        return float(rng.choice((-2, -1, 1, 2))) if u < 2 / 3 else rng.uniform(-3, 3)
+
+    blocks = [[[entry() for _ in range(rank)] for _ in range(rank)] for _ in range(count)]
+    off = [[entry() for _ in range(rank)] for _ in range(count)]
+    return blocks, off, [[entry() for _ in range(rank)] for _ in range(count)]
+
+
+def test_block_thomas_is_bit_identical_to_the_oracle():
+    # the elimination skips only float operations whose results nothing
+    # reads, so it returns the oracle's floats and raises where it raises
+    systems = [_seeded_system(rank, count) for rank, count in SEEDED_SYSTEMS]
+    rng = random.Random(31)
+    systems += [_random_system(rng) for _ in range(300)]
+    singular = 0
+    for blocks, off, rhs in systems:
+        want = _solution_bits(oracles.block_thomas, blocks, off, rhs)
+        assert _solution_bits(qsolver._block_thomas, blocks, off, rhs) == want, (blocks, off)
+        singular += isinstance(want, str)
+    assert 0 < singular < len(systems) // 2
+
+
+@pytest.mark.parametrize("label,levels", [
+    ("E6", range(1, 9)), ("E7", [*range(1, 9), 28]), ("E8", [*range(1, 9), 24])])
+def test_solver_matches_the_oracle_elimination(rs_map, monkeypatch, label, levels):
+    rs = rs_map[label]
+    for level in levels:
+        grid = solve_restricted(LevelContext(rs, level))
+        with monkeypatch.context() as patched:
+            patched.setattr(qsolver, "_block_thomas", oracles.block_thomas)
+            want = solve_restricted(LevelContext(rs, level))
+        assert (grid.rows, grid.residual_max) == (want.rows, want.residual_max), level
 
 
 def test_solver_rejects_nonpositive_cells(a1, monkeypatch):

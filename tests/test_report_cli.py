@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import qslab
-from qslab import affweyl, qnum, report, seqanalysis
+from qslab import affweyl, krchar, qnum, report, seqanalysis
 from qslab.cli import main
 from qslab.qnum import LevelContext
 from qslab.qsolver import CheckResult
@@ -318,9 +318,11 @@ def test_cli_usage_errors(capsys, monkeypatch):
     assert exc.value.code == 2
     capsys.readouterr()
     # usage errors found after parsing exit 2 as well, never 1, and before any
-    # check group runs
+    # check group runs or any KR decomposition is built
     monkeypatch.setattr(report, "run", None)
     monkeypatch.setattr(seqanalysis, "log_concavity_order", None)
+    monkeypatch.setattr(krchar, "chari_decomposition", None)
+    monkeypatch.setattr(krchar, "kleber_q1", None)
     for argv, message in (
         (["qdim", "--type", "E6", "--level", "2", "--weight", "1,0"],
          "error: weight needs 6 coordinates, got 2\n"),
