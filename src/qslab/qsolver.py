@@ -28,17 +28,20 @@ so its solution is symmetric and so is every step from the symmetric start:
 both stages solve for k = 1 .. level // 2 only and mirror each cell by
 assignment, Q_{level-k}(i) = Q_k(i).
 
-``build_qgrid`` fills the table from the closed-form rows outward, exactly
-mirroring the propagation order of the per-type proofs: extremal rows are
-evaluated directly, their neighbours by subtraction, and the remaining
-rows by division, with recurring zero-window cells hypothesized as zero and
-validated afterwards through the global residual.
+``build_qgrid`` fills the table from the closed-form rows outward along the
+routes of the per-type proofs: extremal rows are evaluated directly, their
+neighbours by subtraction and the remaining rows by division, with recurring
+zero-window cells hypothesized as zero and validated afterwards through the
+global residual.  ``_route_walk`` alone decides which route fills which cell,
+in the arithmetic it is given: ``QReal`` at the level here, exact integers
+at q = 1 in the tests, where every division must leave no remainder.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from operator import mul
 from typing import NamedTuple, Sequence
 
 from mpmath.ctx_mp import MPContext
@@ -49,7 +52,7 @@ from mpmath.libmp import (bernfrac, finf, fninf, fone, from_float, from_int, fro
 
 from .krchar import chari_qdim
 from .qnum import LevelContext, QReal
-from .rootsys import RootSystem, delta, is_proven, type_data
+from .rootsys import RootSystem, TypeData, delta, is_proven, type_data
 
 # Tolerances used by the certification checks (at the default precision or above).
 ZERO_WINDOW_TOL = 1e-20
@@ -161,18 +164,69 @@ def _defect(cells, neighbors: list[list[int]], i: int, k: int):
     return f, mpf_div(mpf_abs(f, prec, rnd), lhs if mpf_gt(lhs, fone) else fone, prec, rnd)
 
 
+def _route_walk(td: TypeData, k_max: int, one, direct, divide, zero_at):
+    """Fill the rows k = 0..k_max of every node along the routes of ``td``.
+
+    The arithmetic is given: ``one`` (row k = 0), ``direct(i, k)`` (a direct
+    row), ``divide(num, div)`` (None when the divisor fails its guard) and
+    ``zero_at(k)`` (a cell no route fills: the zero hypothesis, None outside
+    its window); values need only ``*`` and ``-`` besides.  A route at k
+    reads its source at k-1..k+1 and its divisors at k, so each row first
+    gets its reach, k_max plus what the routes that read it need, worked out
+    from the last route back; then the direct rows are filled, then each
+    target in route order.  Returns the rows and their tags (boundary,
+    direct, subtraction, division, zero_hypothesis, unresolved) out to
+    k_max, node by node; an unresolved cell is None.
+    """
+    reach = dict.fromkeys(td.direct_nodes, k_max)
+    reach.update((target, k_max) for target, _ in td.derived_routes)
+    for target, routes in reversed(td.derived_routes):
+        for source, divisors in routes:
+            reach[source] = max(reach[source], reach[target] + 1)
+            for d in divisors:
+                reach[d] = max(reach[d], reach[target])
+    rows = {i: [one] + [direct(i, k) for k in range(1, reach[i] + 1)] for i in td.direct_nodes}
+    tags = {i: ["boundary"] + ["direct"] * reach[i] for i in td.direct_nodes}
+    for target, routes in td.derived_routes:
+        row, tag = [one], ["boundary"]
+        rows[target], tags[target] = row, tag
+        for k in range(1, reach[target] + 1):
+            out, how = None, "unresolved"
+            for source, divisors in routes:
+                cells = rows[source][k - 1:k + 2] + [rows[d][k] for d in divisors]
+                if any(c is None for c in cells):
+                    continue
+                lo, mid, hi, *factors = cells
+                num = mid * mid - lo * hi
+                if not factors:
+                    out, how = num, "subtraction"
+                    break
+                out = divide(num, functools.reduce(mul, factors))
+                if out is not None:
+                    how = "division"
+                    break
+            if out is None:
+                out = zero_at(k)
+                if out is not None:
+                    how = "zero_hypothesis"
+            row.append(out)
+            tag.append(how)
+    nodes = range(1, len(rows) + 1)
+    return [rows[i][:k_max + 1] for i in nodes], [tags[i][:k_max + 1] for i in nodes]
+
+
 def build_qgrid(ctx: LevelContext, k_max: int | None = None) -> QGrid:
     """Fill the Q-grid for the context's type from the closed-form rows.
 
-    Cells are tagged direct / subtraction / division / zero_hypothesis /
-    boundary.  A division whose divisor is numerically zero is hypothesized
-    as zero when k falls (mod l) in the recurring zero window
-    [level+1, l-1]; anything else lands in ``unresolved`` and is never
-    silently filled.  The returned residual_max measures how well every
-    fully-stencilled cell satisfies the defining recurrence.
+    ``_route_walk`` fills and tags the cells in ``QReal`` arithmetic.  A
+    division whose divisor is numerically zero (within the context's zero
+    tolerance times its scale) is hypothesized as zero when k falls (mod l)
+    in the recurring zero window [level+1, l-1]; anything else lands in
+    ``unresolved`` and is never silently filled.  The returned residual_max
+    measures how well every fully-stencilled cell satisfies the defining
+    recurrence.
     """
     rs = ctx.root_system
-    td = type_data(rs.type_label)
     level, l = ctx.level, ctx.shifted_level
     if k_max is None:
         k_max = l
@@ -183,80 +237,19 @@ def build_qgrid(ctx: LevelContext, k_max: int | None = None) -> QGrid:
 
     prec, rnd = ctx.mp._prec_rounding
     zero_tol = ctx.zero_tolerance._mpf_
-    direct = set(td.direct_nodes)
-    routes = dict(td.derived_routes)
-    cells: dict[tuple[int, int], QReal | None] = {}
-    prov: dict[tuple[int, int], str] = {}
-    unresolved: list[tuple[int, int]] = []
 
-    def in_zero_window(k: int) -> bool:
-        return level < (k % l) < l
+    def divide(num: QReal, div: QReal) -> QReal | None:
+        if mpf_gt(mpf_abs(div._value, prec, rnd), mpf_mul(zero_tol, div._scale, prec, rnd)):
+            return num.div(div)
+        return None
 
-    def cell(i: int, k: int) -> QReal | None:
-        key = (i, k)
-        if key in cells:
-            return cells[key]
-        if k == 0:
-            out, tag = ctx.one, "boundary"
-        elif i in direct:
-            out, tag = chari_qdim(i, k, ctx), "direct"
-        else:
-            out, tag = None, "unresolved"
-            for source, divisors in routes[i]:
-                mid = cell(source, k)
-                lo = cell(source, k - 1)
-                hi = cell(source, k + 1)
-                if mid is None or lo is None or hi is None:
-                    continue
-                num = mid * mid - lo * hi
-                div = None
-                ok = True
-                for d in divisors:
-                    dv = cell(d, k)
-                    if dv is None:
-                        ok = False
-                        break
-                    div = dv if div is None else div * dv
-                if not ok:
-                    continue
-                if div is None:
-                    out, tag = num, "subtraction"
-                    break
-                if mpf_gt(mpf_abs(div._value, prec, rnd),
-                          mpf_mul(zero_tol, div._scale, prec, rnd)):
-                    out, tag = num.div(div), "division"
-                    break
-            if out is None and in_zero_window(k):
-                out, tag = ctx.zero, "zero_hypothesis"
-        cells[key] = out
-        prov[key] = tag
-        if out is None:
-            unresolved.append(key)
-        return out
-
-    for i in direct:
-        for k in range(k_max + 1):
-            cell(i, k)
-    for i, _ in td.derived_routes:
-        for k in range(k_max + 1):
-            cell(i, k)
-    # ``cell`` refers to itself through its closure: unbind it, so that the
-    # closure's tables go with this call instead of at the next cyclic
-    # garbage collection
-    del cell
-
-    table = [[cells.get((i, k)) for k in range(k_max + 1)] for i in range(1, rs.rank + 1)]
-    provenance = [[prov.get((i, k)) for k in range(k_max + 1)] for i in range(1, rs.rank + 1)]
-    grid = QGrid(
-        root_system=rs,
-        level=level,
-        k_max=k_max,
-        rows=[[None if c is None else c._value for c in row] for row in table],
-        mp=ctx.mp,
-        provenance=provenance,
-        unresolved=sorted(k for k in unresolved if k[1] <= k_max),
-        scales=[[None if c is None else c._scale for c in row] for row in table],
-    )
+    table, provenance = _route_walk(
+        type_data(rs.type_label), k_max, ctx.one, lambda i, k: chari_qdim(i, k, ctx), divide,
+        lambda k: ctx.zero if level < k % l < l else None)
+    rows = [[None if c is None else c._value for c in row] for row in table]
+    scales = [[None if c is None else c._scale for c in row] for row in table]
+    unresolved = [(i, k) for i, row in enumerate(rows, 1) for k, c in enumerate(row) if c is None]
+    grid = QGrid(rs, level, k_max, rows, ctx.mp, provenance, unresolved=unresolved, scales=scales)
     grid.residual_max = residual(grid)
     return grid
 

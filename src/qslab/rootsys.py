@@ -46,9 +46,12 @@ class TypeData(NamedTuple):
     direct_nodes: tuple[int, ...]
     nested_nodes: tuple[int, ...]
     paired_shells: dict[int, tuple[int, int]]
-    #: Fill order for the remaining rows: (target, ((source, divisors), ...)).
-    #: Each route solves the Q-system equation at ``source`` for the target
-    #: row, dividing by the other neighbours of ``source`` when there are any.
+    #: Fill order for the remaining rows: (target, ((source, divisors), ...)),
+    #: the routes tried in turn.  Each route solves the Q-system equation at
+    #: ``source`` for the target row, dividing by the other neighbours of
+    #: ``source`` when there are any.  The grid fills the direct rows, then the
+    #: targets in this order, so a route reads only direct nodes and earlier
+    #: targets; each node that is not direct is a target exactly once.
     derived_routes: tuple[tuple[int, tuple[tuple[int, tuple[int, ...]], ...]], ...]
     #: Nodes at which each certified grid property is a theorem rather than
     #: a (numerically supported) conjecture.

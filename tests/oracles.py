@@ -9,15 +9,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from mpmath.libmp import (fone, from_man_exp, mpf_log, mpf_lt, mpf_pi, mpf_sub,
-                          round_nearest, to_fixed)
+from mpmath.libmp import (fone, from_man_exp, mpf_abs, mpf_gt, mpf_log, mpf_lt, mpf_mul,
+                          mpf_pi, mpf_sub, round_nearest, to_fixed)
 
 from qslab import krchar, qsolver
-from qslab.krchar import chari_qdim
+from qslab.krchar import chari_decomposition, chari_qdim
+from qslab.qnum import LevelContext, QReal, qdim_classical
 from qslab.qsolver import (BOUNDARY_TOL, DILOG_MARGIN, FULL_GRID_RESIDUAL_TOL,
                            PERIODICITY_TOL, POSITIVITY_MARGIN, SOLVER_TOLERANCE, SYMMETRY_TOL,
-                           TWO_PATH_REL_TOL, UNIMODALITY_MARGIN, ZERO_WINDOW_TOL, _mk_check,
-                           proven_positivity_window)
+                           TWO_PATH_REL_TOL, UNIMODALITY_MARGIN, ZERO_WINDOW_TOL, QGrid,
+                           _mk_check, proven_positivity_window)
 from qslab.rootsys import delta, is_proven, type_data
 from qslab.seqanalysis import RealSequence, is_log_concave
 
@@ -265,6 +266,140 @@ def block_thomas(blocks, off, rhs):
             gvec = [gi - sum(a * b for a, b in zip(row, x)) for gi, row in zip(gvec, g)]
         xs.append(gvec)
     return xs[::-1]
+
+
+# The KR-grid fill as it stood before ``qslab.qsolver._route_walk``: one
+# memoized recursion per cell, each route pulling the cells it reads on
+# demand.  ``qslab.qsolver.build_qgrid`` must return an equal QGrid.
+
+def build_qgrid(ctx: LevelContext, k_max: int | None = None) -> QGrid:
+    """Fill the Q-grid for the context's type from the closed-form rows.
+
+    Cells are tagged direct / subtraction / division / zero_hypothesis /
+    boundary.  A division whose divisor is numerically zero is hypothesized
+    as zero when k falls (mod l) in the recurring zero window
+    [level+1, l-1]; anything else lands in ``unresolved`` and is never
+    silently filled.  The returned residual_max measures how well every
+    fully-stencilled cell satisfies the defining recurrence.
+    """
+    rs = ctx.root_system
+    td = type_data(rs.type_label)
+    level, l = ctx.level, ctx.shifted_level
+    if k_max is None:
+        k_max = l
+    if k_max < 2:
+        raise ValueError("k_max must be at least 2")
+    if k_max > 4 * l:
+        raise ValueError("k_max is capped at 4l")
+
+    prec, rnd = ctx.mp._prec_rounding
+    zero_tol = ctx.zero_tolerance._mpf_
+    direct = set(td.direct_nodes)
+    routes = dict(td.derived_routes)
+    cells: dict[tuple[int, int], QReal | None] = {}
+    prov: dict[tuple[int, int], str] = {}
+    unresolved: list[tuple[int, int]] = []
+
+    def in_zero_window(k: int) -> bool:
+        return level < (k % l) < l
+
+    def cell(i: int, k: int) -> QReal | None:
+        key = (i, k)
+        if key in cells:
+            return cells[key]
+        if k == 0:
+            out, tag = ctx.one, "boundary"
+        elif i in direct:
+            out, tag = chari_qdim(i, k, ctx), "direct"
+        else:
+            out, tag = None, "unresolved"
+            for source, divisors in routes[i]:
+                mid = cell(source, k)
+                lo = cell(source, k - 1)
+                hi = cell(source, k + 1)
+                if mid is None or lo is None or hi is None:
+                    continue
+                num = mid * mid - lo * hi
+                div = None
+                ok = True
+                for d in divisors:
+                    dv = cell(d, k)
+                    if dv is None:
+                        ok = False
+                        break
+                    div = dv if div is None else div * dv
+                if not ok:
+                    continue
+                if div is None:
+                    out, tag = num, "subtraction"
+                    break
+                if mpf_gt(mpf_abs(div._value, prec, rnd),
+                          mpf_mul(zero_tol, div._scale, prec, rnd)):
+                    out, tag = num.div(div), "division"
+                    break
+            if out is None and in_zero_window(k):
+                out, tag = ctx.zero, "zero_hypothesis"
+        cells[key] = out
+        prov[key] = tag
+        if out is None:
+            unresolved.append(key)
+        return out
+
+    for i in direct:
+        for k in range(k_max + 1):
+            cell(i, k)
+    for i, _ in td.derived_routes:
+        for k in range(k_max + 1):
+            cell(i, k)
+    # ``cell`` refers to itself through its closure: unbind it, so that the
+    # closure's tables go with this call instead of at the next cyclic
+    # garbage collection
+    del cell
+
+    table = [[cells.get((i, k)) for k in range(k_max + 1)] for i in range(1, rs.rank + 1)]
+    provenance = [[prov.get((i, k)) for k in range(k_max + 1)] for i in range(1, rs.rank + 1)]
+    grid = QGrid(
+        root_system=rs,
+        level=level,
+        k_max=k_max,
+        rows=[[None if c is None else c._value for c in row] for row in table],
+        mp=ctx.mp,
+        provenance=provenance,
+        unresolved=sorted(k for k in unresolved if k[1] <= k_max),
+        scales=[[None if c is None else c._scale for c in row] for row in table],
+    )
+    grid.residual_max = qsolver.residual(grid)
+    return grid
+
+
+def classical_grid(rs, k_max: int, td=None) -> list[list[int]]:
+    """The rows Q_k(i), k = 0..k_max, at q = 1 in exact integers, filled by
+    ``qslab.qsolver._route_walk`` along the routes of ``td`` (the type's
+    TYPE_DATA entry when None).
+
+    A direct row is the classical dimension of its Chari decomposition; a
+    route's division must leave no remainder, else ArithmeticError; there
+    is no zero window, so a cell no route fills stays None.
+    """
+    dims: dict[tuple[int, ...], int] = {}
+
+    def direct(i: int, k: int) -> int:
+        total = 0
+        for mult, w in chari_decomposition(rs, i, k).terms:
+            if w not in dims:
+                dims[w] = qdim_classical(rs, w)
+            total += mult * dims[w]
+        return total
+
+    def divide(num: int, div: int) -> int:
+        q, r = divmod(num, div)
+        if r:
+            raise ArithmeticError(f"{num} / {div} leaves remainder {r}")
+        return q
+
+    td = type_data(rs.type_label) if td is None else td
+    rows, _ = qsolver._route_walk(td, k_max, 1, direct, divide, lambda k: None)
+    return rows
 
 
 # The grid consumers of qslab.qsolver and the grid, solve and dilog groups

@@ -16,7 +16,7 @@ from qslab.krchar import (
 from qslab.qnum import LevelContext, qdim, qdim_classical
 from qslab.rootsys import TYPE_DATA, fundamental_weight
 
-from oracles import MpfQReal
+from oracles import MpfQReal, classical_grid
 from rootbasis import to_root_basis
 
 
@@ -92,7 +92,8 @@ def test_kleber_tables(e7):
 
 def test_kleber_tables_satisfy_the_classical_q_system(e7):
     # at q = 1 the Q-system Q_k(i)^2 = Q_{k+1}(i) Q_{k-1}(i) + prod_{j~i} Q_k(j)
-    # holds for the classical dimensions, in exact integers
+    # holds for the classical dimensions, in exact integers; the grid's route
+    # walk at q = 1 reaches the same single-box values
     def dim(terms):
         return sum(mult * qdim_classical(e7, w) for mult, w in terms)
 
@@ -108,6 +109,8 @@ def test_kleber_tables_satisfy_the_classical_q_system(e7):
     assert q5 == dim(tables[5]) == 36_080
     # node 2 (neighbour 4) gives Q_1(4)
     assert chari(2, 1) ** 2 - chari(2, 2) == dim(tables[4]) == 640_871
+    walked = classical_grid(e7, 2)
+    assert (walked[3][1], walked[4][1]) == (dim(tables[4]), dim(tables[5]))
 
 
 def test_kleber_terms_below_box_weight(e7):

@@ -192,6 +192,59 @@ def test_grid_cell_bounds_and_unresolved_cells(rs_map):
     assert grid.scales[1][46] is None
 
 
+@pytest.mark.parametrize("label,level,bits,k_max", [
+    ("E6", 2, 128, None), ("E6", 4, 128, None), ("E7", 2, 128, None), ("E7", 6, 128, None),
+    ("E7", 12, 128, None), ("E8", 2, 128, None), ("E8", 8, 128, None), ("E8", 16, 128, None),
+    ("E8", 4, 64, None), ("E8", 8, 64, None), ("E7", 6, 256, None),
+    ("E6", 2, 128, 2), ("E7", 2, 128, 2), ("E8", 2, 128, 2),
+    ("E6", 2, 128, "4l"), ("E7", 2, 128, "4l"), ("E8", 2, 128, "4l"),
+])
+def test_route_walk_equals_the_recursive_fill(rs_map, label, level, bits, k_max):
+    # every grid has zero hypotheses; E8 L16, and at 64 bits E8 L4 and L8,
+    # leave unresolved cells
+    ctx = LevelContext(rs_map[label], level, bits)
+    k_max = 4 * ctx.shifted_level if k_max == "4l" else k_max
+    assert build_qgrid(ctx, k_max) == oracles.build_qgrid(ctx, k_max)
+
+
+# Q_1(i) = dim W^(i)_1, i = 1..rank
+CLASSICAL_Q1 = {
+    "E6": [27, 79, 378, 3_732, 378, 27],
+    "E7": [134, 968, 10_451, 640_871, 36_080, 1_673, 56],
+    "E8": [4_124, 185_877, 11_315_621, 26_994_988_264, 328_909_133, 3_658_621, 34_752, 249],
+}
+
+
+@pytest.mark.parametrize("label,k_max", [("E6", 40), ("E7", 40), ("E8", 30)])
+def test_routes_solve_the_q_system_exactly_at_q_1(rs_map, label, k_max):
+    # at q = 1 the KR dimensions solve the unrestricted Q-system (the
+    # Kirillov-Reshetikhin conjecture, proven for simply-laced types), so
+    # every route division is exact and every node's equation holds in Z
+    rs = rs_map[label]
+    rows = oracles.classical_grid(rs, k_max)
+    assert [row[1] for row in rows] == CLASSICAL_Q1[label]
+    neighbors = qsolver._neighbor_rows(rs)
+    for i in range(rs.rank):
+        for k in range(1, k_max):
+            assert oracles.defect(rows, neighbors, i, k)[0] == 0, (i + 1, k)
+
+
+def test_route_order_and_divisors_at_q_1(e7, e8):
+    # E7 node 5 has two routes; either one first gives the same rows
+    td = TYPE_DATA["E7"]
+    *head, (target, routes) = td.derived_routes
+    swapped = td._replace(derived_routes=(*head, (target, routes[::-1])))
+    assert routes[1] == (4, (2, 3))
+    assert oracles.classical_grid(e7, 40, swapped) == oracles.classical_grid(e7, 40)
+    # a wrong divisor leaves a remainder
+    td = TYPE_DATA["E8"]
+    *head, (target, routes) = td.derived_routes
+    assert (target, routes) == (2, ((4, (3, 5)),))
+    wrong = td._replace(derived_routes=(*head, (2, ((4, (3, 6)),))))
+    with pytest.raises(ArithmeticError, match="remainder 34544610679325$"):
+        oracles.classical_grid(e8, 30, wrong)
+
+
 def test_check_layer_makes_mpf_numbers_only_at_its_edges(monkeypatch, e7):
     # from the grid to the report writer values stay raw: on a context whose
     # sine table and Chari rows are warm, the grid, the solver, the residual,

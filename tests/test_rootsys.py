@@ -7,6 +7,7 @@ import pytest
 import qslab
 from qslab.report import load_appendix_map, load_fixture_rows
 from qslab.rootsys import (
+    TYPE_DATA,
     build_root_system,
     cartan_matrix,
     delta,
@@ -210,6 +211,22 @@ def test_delta_parities(rs_map):
     for label in ("E6", "E8"):
         rs = rs_map[label]
         assert all(delta(rs, i) % 2 == 0 for i in range(1, rs.rank + 1))
+
+
+@pytest.mark.parametrize("label", sorted(TYPE_DATA))
+def test_derived_routes_read_only_rows_filled_before(rs_map, label):
+    # qsolver's route walk fills the direct rows, then the targets in route
+    # order, so a route may read only those; each route solves the equation
+    # at its source, whose other neighbours are its divisors
+    rs, td = rs_map[label], TYPE_DATA[label]
+    filled = set(td.direct_nodes)
+    for target, routes in td.derived_routes:
+        assert target not in filled
+        for source, divisors in routes:
+            assert source in filled and set(divisors) <= filled
+            assert sorted((target, *divisors)) == sorted(rs.neighbors[source])
+        filled.add(target)
+    assert filled == set(range(1, rs.rank + 1))
 
 
 def test_lee_witness_simple_root(e7):
