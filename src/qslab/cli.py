@@ -256,7 +256,9 @@ def _cmd_solve(args) -> int:
         _usage_error(str(exc))  # --tol not finite or below the working precision
     lines = [f"converged, residual {report.render_decimal(grid.residual_max)}"]
     for i, row in enumerate(grid.rows, 1):
-        lines.append(f"node {i}: {' '.join(report.render_decimal(c, 12) for c in row)}")
+        # a mirrored cell is the same raw value as its image: render it once
+        shown = {c: report.render_decimal(c, 12) for c in set(row)}
+        lines.append(f"node {i}: {' '.join(shown[c] for c in row)}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 

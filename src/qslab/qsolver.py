@@ -68,9 +68,14 @@ DILOG_MARGIN = 1e-10
 # Restricted-system solver: the float Newton start and the corrections at
 # working precision each get at most MAX_NEWTON_STEPS steps; the corrections
 # must bring the normalized residual within the tolerance, SOLVER_TOLERANCE
-# unless the caller gives one.
+# unless the caller gives one.  The float start hands over once its largest
+# |log defect| is at most HANDOVER_LOG_DEFECT: one more float step from there
+# reaches only the float floor, about 2^-52, while each correction squares
+# the defect, 2^-40 -> about 2^-80 -> about 2^-160, past SOLVER_TOLERANCE
+# after two.
 SOLVER_TOLERANCE = 1e-30
 MAX_NEWTON_STEPS = 20
+HANDOVER_LOG_DEFECT = 2.0 ** -40
 
 
 def proven_positivity_window(rs: RootSystem, node: int, level: int, k: int) -> bool:
@@ -367,9 +372,11 @@ def _warm_start(rs: RootSystem, level: int) -> list[list[float]]:
     convex log-sum-exp in y.  Its Jacobian is the one of
     ``_log_newton_step`` with the log-sum-exp weight w = e^a / (e^a + e^b).
     Only k <= level // 2 is solved; after each step y_{level-k} = y_k.
-    Steps stop once the largest |defect| stops falling; if it still falls
-    after MAX_NEWTON_STEPS steps, or a defect or a returned cell is not a
-    finite float, SolverDivergence is raised.
+    Steps stop at the first iterate whose largest |defect| is at most
+    HANDOVER_LOG_DEFECT, from where the corrections of ``solve_restricted``
+    square the error away, or else once the largest |defect| stops falling;
+    if it still falls after MAX_NEWTON_STEPS steps, or a defect or a
+    returned cell is not a finite float, SolverDivergence is raised.
     """
     neighbors = _neighbor_rows(rs)
     half = range(1, level // 2 + 1)
@@ -393,7 +400,7 @@ def _warm_start(rs: RootSystem, level: int) -> list[list[float]]:
                 g_col.append(-g)
             weights.append(w_col)
             minus_g.append(g_col)
-        if not worst < best:
+        if worst <= HANDOVER_LOG_DEFECT or not worst < best:
             break
         if step == MAX_NEWTON_STEPS:
             raise SolverDivergence(f"no convergence within {MAX_NEWTON_STEPS} Newton steps; "
@@ -419,7 +426,12 @@ def solve_restricted(ctx: LevelContext, tolerance: float = SOLVER_TOLERANCE) -> 
     raw value as Q_k(i), and the stopping test's max over the half equals
     ``residual`` over the whole grid bit for bit.  The start is float Newton
     on y = log Q from Q = 1 (see ``_warm_start``), so the solver never reads
-    the KR grid.  Corrections then follow at the context's precision
+    the KR grid; it hands over at a log defect of HANDOVER_LOG_DEFECT, from
+    where two corrections reach SOLVER_TOLERANCE at the default precision.
+    Only the cells k <= level // 2 + 1, the half with the rows either side
+    of it that the weights read, pass between float and mpf; the other
+    cells are mirrored.
+    Corrections then follow at the context's precision
     (iterative refinement): each solves the float Jacobian of
     ``_log_newton_step`` for dy = dQ / Q against the relative defect
     -F / Q_k(i)^2, F formed at ``ctx.mp``'s precision by ``_defect``.  Each
@@ -442,7 +454,11 @@ def solve_restricted(ctx: LevelContext, tolerance: float = SOLVER_TOLERANCE) -> 
     rs = ctx.root_system
     level, rank = ctx.level, rs.rank
     half = range(1, level // 2 + 1)
-    v = [[from_float(x) for x in row] for row in _warm_start(rs, level)]
+    reach = level // 2 + 2  # k = 0 .. level // 2 + 1: the half and the rows either side
+    v = []
+    for row in _warm_start(rs, level):
+        row = [from_float(x) for x in row[:reach]]
+        v.append(row + [row[level - k] for k in range(reach, level + 1)])
     neighbors = _neighbor_rows(rs)
 
     for step in range(MAX_NEWTON_STEPS + 1):
@@ -466,7 +482,7 @@ def solve_restricted(ctx: LevelContext, tolerance: float = SOLVER_TOLERANCE) -> 
         if step == MAX_NEWTON_STEPS:
             raise SolverDivergence(f"no convergence within {MAX_NEWTON_STEPS} Newton steps; "
                                    f"last residual {mp.make_mpf(res)}")
-        q = [[to_float(c, rnd=rnd) for c in row] for row in v]
+        q = [[to_float(c, rnd=rnd) for c in row[:reach]] for row in v]
         weights = [[row[k - 1] / row[k] * (row[k + 1] / row[k]) for row in q] for k in half]
         for k, dy in enumerate(_log_newton_step(neighbors, weights, rhs, level), 1):
             for i, d in enumerate(dy):

@@ -382,20 +382,24 @@ def test_solve_at_256_bits(capsys, label, level):
     assert mpmath.mpf(first.split()[-1]) <= mpmath.mpf("1e-70")
 
 
-@pytest.mark.parametrize("label,level,bits", [
-    *[pytest.param(label, level, 128, id=f"{label}-{level}") for label, level in (
+@pytest.mark.parametrize("label,level,bits,tol,passes", [
+    *[pytest.param(label, level, 128, qsolver.SOLVER_TOLERANCE, 3, id=f"{label}-{level}")
+      for label, level in (
         ("E6", 4), ("E6", 8), ("E7", 3), ("E7", 5), ("E8", 3),  # the solve-deep workload
         ("E6", 2), ("E7", 2), ("E8", 2),  # and verify-matrix's other configurations
+        ("E7", 28), ("E7", 40), ("E8", 24), ("E8", 130),
     )],
-    pytest.param("E8", 24, 256, id="E8-24-256bits"),
-    pytest.param("E7", 40, 256, id="E7-40-256bits"),
+    pytest.param("E8", 24, 256, 1e-70, 5, id="E8-24-256bits"),
+    pytest.param("E7", 40, 256, 1e-70, 5, id="E7-40-256bits"),
+    pytest.param("E6", 4, 64, 1e-15, 2, id="E6-4-64bits"),
 ])
-def test_solver_defect_passes_per_solve(rs_map, monkeypatch, label, level, bits):
-    # the float start leaves an error near 1e-16, which two corrections at
-    # 128 bits remove: at most two passes of the defect before the final
-    # stopping test; at 256 bits down to 1e-70, four corrections.  Each pass
-    # reads the symmetric half k <= level // 2 only
-    tol, passes = (qsolver.SOLVER_TOLERANCE, 3) if bits == 128 else (1e-70, 5)
+def test_solver_defect_passes_per_solve(rs_map, monkeypatch, label, level, bits, tol, passes):
+    # the float start hands over at a log defect of at most 2^-40, about
+    # 9e-13, and each correction squares it: two corrections at 128 bits
+    # reach 1e-30, at most two passes of the defect before the final
+    # stopping test; at 256 bits down to 1e-70, four corrections; at 64 bits
+    # down to 1e-15, one.  Each pass reads the symmetric half k <= level // 2
+    # only
     rs = rs_map[label]
     calls = []
     original = qsolver._defect
@@ -408,6 +412,62 @@ def test_solver_defect_passes_per_solve(rs_map, monkeypatch, label, level, bits)
     solve_restricted(LevelContext(rs, level, precision_bits=bits), tolerance=tol)
     assert len(calls) <= passes * rs.rank * (level // 2)
     assert {k for _, k in calls} == set(range(1, level // 2 + 1))
+
+
+# block solves per solve at 128 bits: (float start, corrections)
+BLOCK_SOLVES = {
+    ("E6", 4): (5, 2), ("E6", 8): (5, 2), ("E7", 3): (6, 2), ("E7", 5): (6, 2),
+    ("E8", 3): (7, 2),  # the solve-deep workload, 39 in all
+    ("E6", 2): (6, 2), ("E7", 2): (7, 2), ("E8", 2): (8, 2),  # verify-matrix's others
+    ("E7", 28): (6, 2), ("E7", 40): (6, 2), ("E8", 24): (6, 2), ("E8", 130): (8, 2),
+}
+
+
+@pytest.mark.parametrize("label,level", BLOCK_SOLVES)
+def test_block_solves_per_solve(rs_map, monkeypatch, label, level):
+    # the float start stops at the first iterate within HANDOVER_LOG_DEFECT
+    # rather than polishing to the float floor, and the corrections take two
+    # steps from there
+    counts = {"start": 0, "corrections": 0}
+    stage = ["corrections"]
+    block_thomas, warm_start = qsolver._block_thomas, qsolver._warm_start
+
+    def counting(*args):
+        counts[stage[0]] += 1
+        return block_thomas(*args)
+
+    def start(*args):
+        stage[0] = "start"
+        try:
+            return warm_start(*args)
+        finally:
+            stage[0] = "corrections"
+
+    monkeypatch.setattr(qsolver, "_block_thomas", counting)
+    monkeypatch.setattr(qsolver, "_warm_start", start)
+    solve_restricted(LevelContext(rs_map[label], level))
+    assert (counts["start"], counts["corrections"]) == BLOCK_SOLVES[label, level]
+
+
+def test_handover_moves_only_last_bits(rs_map, monkeypatch):
+    # without the handover bound the float start polishes to the float
+    # floor; the corrections then reach the same solution to 1e-33.  Both
+    # solve to 1e-35: at 1e-30 the polished start stops one correction
+    # earlier at E6 L2-5 and E7 L2, with cells up to 3e-30 off, which that
+    # tolerance allows
+    configs = [(label, level) for label in ("E6", "E7", "E8") for level in range(1, 13)]
+    configs += [("E7", 28), ("E8", 24)]
+    for label, level in configs:
+        ctx = LevelContext(rs_map[label], level)
+        grid = solve_restricted(ctx, tolerance=1e-35)
+        with monkeypatch.context() as patched:
+            patched.setattr(qsolver, "HANDOVER_LOG_DEFECT", 0.0)
+            floor = solve_restricted(ctx, tolerance=1e-35)
+        mp = ctx.mp
+        for row, floor_row in zip(grid.rows, floor.rows):
+            for a, b in zip(row, floor_row):
+                a, b = mp.make_mpf(a), mp.make_mpf(b)
+                assert abs(a - b) <= mpmath.mpf("1e-33") * max(abs(a), abs(b)), (label, level)
 
 
 @pytest.mark.parametrize("label", ["E6", "E7", "E8", "A1"])
