@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 from itertools import compress
-from operator import mul
+from operator import index, mul
 from typing import Sequence
 
 from mpmath.ctx_mp import MPContext
@@ -114,14 +114,13 @@ class LevelContext:
         level: int,
         precision_bits: int = DEFAULT_PRECISION_BITS,
     ):
+        level, precision_bits = index(level), index(precision_bits)  # TypeError, not truncation
         if level < 1:
             raise ValueError("level must be a positive integer")
         if precision_bits < MIN_PRECISION_BITS:
             raise ValueError(f"precision_bits must be at least {MIN_PRECISION_BITS}")
-        self.root_system = root_system
-        self.level = int(level)
-        self.shifted_level = self.level + root_system.coxeter_number
-        self.precision_bits = int(precision_bits)
+        self.root_system, self.level, self.precision_bits = root_system, level, precision_bits
+        self.shifted_level = level + root_system.coxeter_number
         self.mp = mp = mp_context(self.precision_bits)
         self.zero_tolerance = mp.mpf(2) ** (-(self.precision_bits // 2))
         self.one = QReal(fone, fone, mp)

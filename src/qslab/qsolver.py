@@ -54,15 +54,16 @@ from .krchar import chari_qdim
 from .qnum import LevelContext, QReal
 from .rootsys import RootSystem, TypeData, delta, is_proven, type_data
 
-# Tolerances used by the certification checks (at the default precision or above).
+# The certification checks' bounds (at the default precision or above), one
+# per kind of deviation: a zero-window cell against its scale; the grid's
+# recurrence residual; the relative gap of two values that must agree
+# (symmetry, boundaries, periodicity, the Kleber cross-check, the two paths);
+# a least value or rise above zero (positivity, unimodality); and the
+# distance of a dilogarithm argument to 0 and 1.
 ZERO_WINDOW_TOL = 1e-20
-SYMMETRY_TOL = 1e-22
-BOUNDARY_TOL = 1e-22
-PERIODICITY_TOL = 1e-22
-POSITIVITY_MARGIN = 1e-12
-UNIMODALITY_MARGIN = 1e-12
 FULL_GRID_RESIDUAL_TOL = 1e-20
-TWO_PATH_REL_TOL = 1e-22
+REL_GAP_TOL = 1e-22
+POSITIVITY_MARGIN = 1e-12
 DILOG_MARGIN = 1e-10
 
 # Restricted-system solver: the float Newton start and the corrections at
@@ -557,8 +558,10 @@ def theorem_report(ctx: LevelContext, grid: QGrid | None = None) -> list[CheckRe
     Q_{level-k} = Q_k, positivity and strict unimodality on [0, level], the
     boundary value Q_level = 1, and at the closed-form rows
     Q_{k+l} = (-1)^delta Q_k plus Q_l = (-1)^delta.  Failures are
-    report entries, never exceptions; each entry carries the proven or
-    conjectural label of the property it checks.  ``grid`` comes from
+    report entries, never exceptions.  Each entry's proven label is the
+    ``proven_nodes`` entry of TYPE_DATA under its own name, except for
+    positivity_window, proven by construction, and shifted_boundary_sign,
+    which the table does not list: both are proven.  ``grid`` comes from
     ``build_qgrid``: its cells' scales set the tolerances.
     """
     rs = ctx.root_system
@@ -570,8 +573,12 @@ def theorem_report(ctx: LevelContext, grid: QGrid | None = None) -> list[CheckRe
         raise ValueError("theorem report needs the grid out to k = l")
     checks: list[CheckResult] = []
     prec, rnd = grid.mp._prec_rounding
-    uni_margin = from_float(UNIMODALITY_MARGIN)
+    uni_margin = from_float(POSITIVITY_MARGIN)
     rows, scales = grid.rows, grid.scales
+
+    def add(name, node, ok, violation, note="", proven=None):
+        proven = is_proven(label, name, node) if proven is None else proven
+        checks.append(_mk_check(name, node, ok, proven, violation, note))
 
     def rel(f, scale):
         return mpf_div(mpf_abs(f, prec, rnd), scale, prec, rnd)
@@ -589,31 +596,27 @@ def theorem_report(ctx: LevelContext, grid: QGrid | None = None) -> list[CheckRe
         missing = None in window
         ok, worst = _at_most((rel(c, s) for c, s in zip(window, srow[level + 1:l])
                               if c is not None), ZERO_WINDOW_TOL)
-        checks.append(_mk_check(
-            "zero_window", i, ok and not missing, is_proven(label, "zero_window", i),
-            worst, note="unresolved cells in window" if missing else ""))
+        add("zero_window", i, ok and not missing, worst,
+            "unresolved cells in window" if missing else "")
 
         # (ii) symmetry on [0, level]
         ok, worst = _at_most((gap(row[k], row[level - k], srow[k], srow[level - k])
-                              for k in range(level + 1)), SYMMETRY_TOL)
-        checks.append(_mk_check(
-            "symmetry", i, ok, is_proven(label, "symmetry", i), worst))
+                              for k in range(level + 1)), REL_GAP_TOL)
+        add("symmetry", i, ok, worst)
 
         # (iii) positivity on [0, level]; a None cell reads -inf
         line = [fninf if c is None else c for c in row[:level + 1]]
         least = min(line, key=_ORDER)
         ok, violation = _above(least, POSITIVITY_MARGIN, prec, rnd)
-        checks.append(_mk_check(
-            "positivity", i, ok, is_proven(label, "positivity", i), violation,
-            note=f"min value {to_str(least, 8)}"))
-        if not is_proven(label, "positivity", i):
+        add("positivity", i, ok, violation, f"min value {to_str(least, 8)}")
+        if not checks[-1].proven:
             # The sub-range covered by theorems gets its own proven entry;
             # rounding is monotone, so max(0, margin - least) is the largest
             # gap over its failing cells.
             least = min((c for k, c in enumerate(line)
                          if proven_positivity_window(rs, i, level, k)), key=_ORDER, default=finf)
             ok, violation = _above(least, POSITIVITY_MARGIN, prec, rnd)
-            checks.append(_mk_check("positivity_window", i, ok, True, violation))
+            add("positivity_window", i, ok, violation, proven=True)
 
         # (iv) strict increase on [0, floor(level/2) - 1]: every
         # margin - (Q_{k+1} - Q_k) at most 0
@@ -621,13 +624,11 @@ def theorem_report(ctx: LevelContext, grid: QGrid | None = None) -> list[CheckRe
             (None if row[k] is None or row[k + 1] is None
              else mpf_sub(uni_margin, mpf_sub(row[k + 1], row[k], prec, rnd), prec, rnd)
              for k in range(level // 2)), 0.0)
-        checks.append(_mk_check(
-            "unimodality", i, ok, is_proven(label, "unimodality", i), worst))
+        add("unimodality", i, ok, worst)
 
         # boundary Q_level = 1
-        ok, dev = _at_most([gap(row[level], fone, srow[level], srow[level])], BOUNDARY_TOL)
-        checks.append(_mk_check(
-            "boundary_one", i, ok, is_proven(label, "boundary_one", i), dev))
+        ok, dev = _at_most([gap(row[level], fone, srow[level], srow[level])], REL_GAP_TOL)
+        add("boundary_one", i, ok, dev)
 
     # (anti)periodicity and the k = l sign, at the closed-form rows only;
     # both signs are (-1)^delta.
@@ -636,15 +637,12 @@ def theorem_report(ctx: LevelContext, grid: QGrid | None = None) -> list[CheckRe
         pairs = [(chari_qdim(i, k, ctx), chari_qdim(i, k + l, ctx))
                  for k in range(min(level, 3) + 1)]
         ok, worst = _at_most((gap(b._value, mpf_mul_int(a._value, sign, prec, rnd),
-                                  a._scale, b._scale) for a, b in pairs), PERIODICITY_TOL)
-        checks.append(_mk_check("periodicity", i, ok, True, worst,
-                                note=f"sign {sign:+d}"))
+                                  a._scale, b._scale) for a, b in pairs), REL_GAP_TOL)
+        add("periodicity", i, ok, worst, f"sign {sign:+d}")
 
         srow = scales[i - 1]
-        ok, dev = _at_most([gap(rows[i - 1][l], from_int(sign), srow[l], srow[l])],
-                           BOUNDARY_TOL)
-        checks.append(_mk_check("shifted_boundary_sign", i, ok, True, dev,
-                                note=f"expected {sign:+d}"))
+        ok, dev = _at_most([gap(rows[i - 1][l], from_int(sign), srow[l], srow[l])], REL_GAP_TOL)
+        add("shifted_boundary_sign", i, ok, dev, f"expected {sign:+d}", proven=True)
 
     return checks
 

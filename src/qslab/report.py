@@ -16,6 +16,7 @@ import time
 from decimal import ROUND_HALF_EVEN, Context as DecimalContext, Decimal
 from importlib import resources
 from json.encoder import encode_basestring_ascii
+from operator import index
 from typing import Callable, NamedTuple
 
 from mpmath.libmp import finf, fnan, fninf, to_str
@@ -319,7 +320,7 @@ def _grid_checks(report, ctx, grid) -> list[CheckResult]:
         ok, worst = _at_most(
             [_rel_gap(krchar.qdim_kr(krchar.kleber_q1(ctx.root_system, node), ctx)._value,
                       grid.rows[node - 1][1], prec, rnd)
-             for node in kleber_tables], qsolver.TWO_PATH_REL_TOL)
+             for node in kleber_tables], qsolver.REL_GAP_TOL)
         out.append(_mk_check("kleber_cross_check", None, ok, True, worst))
     return out
 
@@ -337,7 +338,7 @@ def _solve_checks(report, ctx, grid) -> list[CheckResult]:
     ok, worst = _at_most((_rel_gap(a, b, prec, rnd)
                           for row, solved_row in zip(grid.rows, solved.rows)
                           for a, b in zip(row[:ctx.level + 1], solved_row)),
-                         qsolver.TWO_PATH_REL_TOL)
+                         qsolver.REL_GAP_TOL)
     out.append(_mk_check("two_path_agreement", None, ok, True, worst))
     return out
 
@@ -459,9 +460,11 @@ class RunConfig(_RunFields):
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
+        # a float level, precision or k_max raises TypeError, as in LevelContext
+        l = index(self.level) + rootsys.type_data(self.type_label.upper()).coxeter_number
         if self.level < 1:
             raise ValueError("level must be at least 1")
-        if self.precision_bits < MIN_PRECISION_BITS:
+        if index(self.precision_bits) < MIN_PRECISION_BITS:
             raise ValueError(f"precision_bits must be at least {MIN_PRECISION_BITS}")
         if not self.checks:
             raise ValueError("at least one check must be selected")
@@ -472,10 +475,8 @@ class RunConfig(_RunFields):
                 raise ValueError(f"repeated check {c!r}")
         if self.fmt not in REPORT_FORMATS:
             raise ValueError(f"unknown output format {self.fmt!r}")
-        if self.k_max is not None:
-            l = self.level + rootsys.type_data(self.type_label.upper()).coxeter_number
-            if not l <= self.k_max <= 4 * l:
-                raise ValueError(f"k_max must be in {l}..{4 * l}, got {self.k_max}")
+        if self.k_max is not None and not l <= index(self.k_max) <= 4 * l:
+            raise ValueError(f"k_max must be in {l}..{4 * l}, got {self.k_max}")
         return self
 
 

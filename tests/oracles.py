@@ -15,10 +15,9 @@ from mpmath.libmp import (fone, from_man_exp, mpf_abs, mpf_gt, mpf_log, mpf_lt, 
 from qslab import krchar, qsolver
 from qslab.krchar import chari_decomposition, chari_qdim
 from qslab.qnum import LevelContext, QReal, qdim_classical
-from qslab.qsolver import (BOUNDARY_TOL, DILOG_MARGIN, FULL_GRID_RESIDUAL_TOL,
-                           PERIODICITY_TOL, POSITIVITY_MARGIN, SOLVER_TOLERANCE, SYMMETRY_TOL,
-                           TWO_PATH_REL_TOL, UNIMODALITY_MARGIN, ZERO_WINDOW_TOL, QGrid,
-                           _mk_check, proven_positivity_window)
+from qslab.qsolver import (DILOG_MARGIN, FULL_GRID_RESIDUAL_TOL, POSITIVITY_MARGIN, REL_GAP_TOL,
+                           SOLVER_TOLERANCE, ZERO_WINDOW_TOL, QGrid, _mk_check,
+                           proven_positivity_window)
 from qslab.rootsys import delta, is_proven, type_data
 from qslab.seqanalysis import RealSequence, is_log_concave
 
@@ -488,7 +487,7 @@ def theorem_report(ctx, grid):
             scale = max(scales[i - 1][k], scales[i - 1][level - k])
             worst = max(worst, abs(a - b) / scale)
         checks.append(_mk_check(
-            "symmetry", i, worst <= SYMMETRY_TOL,
+            "symmetry", i, worst <= REL_GAP_TOL,
             is_proven(label, "symmetry", i), worst))
 
         # (iii) positivity on [0, level]
@@ -523,7 +522,7 @@ def theorem_report(ctx, grid):
             if a is None or b is None:
                 worst = ctx.mp.inf
                 break
-            worst = max(worst, UNIMODALITY_MARGIN - (b - a))
+            worst = max(worst, POSITIVITY_MARGIN - (b - a))
         checks.append(_mk_check(
             "unimodality", i, worst <= zero,
             is_proven(label, "unimodality", i), max(worst, zero)))
@@ -535,7 +534,7 @@ def theorem_report(ctx, grid):
         else:
             dev = abs(c - 1) / scales[i - 1][level]
         checks.append(_mk_check(
-            "boundary_one", i, dev <= BOUNDARY_TOL,
+            "boundary_one", i, dev <= REL_GAP_TOL,
             is_proven(label, "boundary_one", i), dev))
 
     # (anti)periodicity and the k = l sign, at the closed-form rows only;
@@ -548,12 +547,12 @@ def theorem_report(ctx, grid):
             b = chari_qdim(i, k + l, ctx)
             scale = max(a.magnitude_scale, b.magnitude_scale)
             worst = max(worst, abs(b.value - sign * a.value) / scale)
-        checks.append(_mk_check("periodicity", i, worst <= PERIODICITY_TOL, True, worst,
+        checks.append(_mk_check("periodicity", i, worst <= REL_GAP_TOL, True, worst,
                                 note=f"sign {sign:+d}"))
 
         c = grid.cell(i, l)
         dev = ctx.mp.inf if c is None else abs(c - sign) / scales[i - 1][l]
-        checks.append(_mk_check("shifted_boundary_sign", i, dev <= BOUNDARY_TOL, True,
+        checks.append(_mk_check("shifted_boundary_sign", i, dev <= REL_GAP_TOL, True,
                                 dev, note=f"expected {sign:+d}"))
 
     return checks
@@ -610,7 +609,7 @@ def grid_checks(ctx, grid):
                 worst = ctx.mp.inf
                 continue
             worst = max(worst, rel_gap(ctx.mp, direct.value, cell))
-        out.append(_mk_check("kleber_cross_check", None, worst <= TWO_PATH_REL_TOL, True, worst))
+        out.append(_mk_check("kleber_cross_check", None, worst <= REL_GAP_TOL, True, worst))
     return out
 
 
@@ -632,7 +631,7 @@ def solve_checks(ctx, grid):
                 worst = ctx.mp.inf
                 continue
             worst = max(worst, rel_gap(ctx.mp, a, b))
-    out.append(_mk_check("two_path_agreement", None, worst <= TWO_PATH_REL_TOL, True, worst))
+    out.append(_mk_check("two_path_agreement", None, worst <= REL_GAP_TOL, True, worst))
     return out
 
 

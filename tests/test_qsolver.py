@@ -20,9 +20,7 @@ from qslab.cli import main
 from qslab.krchar import chari_decomposition, kleber_q1, qdim_kr
 from qslab.qnum import LevelContext, qdim
 from qslab.qsolver import (
-    PERIODICITY_TOL,
-    SYMMETRY_TOL,
-    TWO_PATH_REL_TOL,
+    REL_GAP_TOL,
     QGrid,
     SolverDivergence,
     build_qgrid,
@@ -114,7 +112,7 @@ def test_grid_past_l_is_antiperiodic(rs_map, label, level):
         for k in range(l + 1):
             a, b = grid.cell(i, k), grid.cell(i, k + l)
             scale = max(scales[i - 1][k], scales[i - 1][k + l])
-            assert abs(b - sign * a) <= PERIODICITY_TOL * scale, (i, k)
+            assert abs(b - sign * a) <= REL_GAP_TOL * scale, (i, k)
 
 
 def test_custom_type_rejected_by_grid(a1):
@@ -350,9 +348,9 @@ def test_solver_deep_levels(rs_map, label, level):
             a = solved.cell(i, k)
             assert a > 0, (i, k)
             d = rel_gap(ctx.mp, a, built.cell(i, k))
-            assert d <= TWO_PATH_REL_TOL, (i, k, float(d))
+            assert d <= REL_GAP_TOL, (i, k, float(d))
             mirror = solved.cell(i, level - k)
-            assert rel_gap(ctx.mp, a, mirror) <= SYMMETRY_TOL, (i, k)
+            assert rel_gap(ctx.mp, a, mirror) <= REL_GAP_TOL, (i, k)
 
 
 @pytest.mark.parametrize("label,level", [
@@ -370,7 +368,7 @@ def test_solver_converges_at_deep_levels(rs_map, label, level):
         for k in range(level + 1):
             a = solved.cell(i, k)
             assert a > 0, (i, k)
-            assert rel_gap(ctx.mp, a, solved.cell(i, level - k)) <= SYMMETRY_TOL, (i, k)
+            assert rel_gap(ctx.mp, a, solved.cell(i, level - k)) <= REL_GAP_TOL, (i, k)
 
 
 @pytest.mark.parametrize("label,level", [("E8", 24), ("E7", 40)])
@@ -924,7 +922,7 @@ def test_grid_consumers_match_the_mpf_formulas(rs_map, a1, label, level, bits, s
 def test_decision_kernel_edges():
     # a deviation equal to its bound passes and the next float fails; a least
     # value equal to its margin fails; a None reads as an infinite deviation
-    bound = qsolver.SYMMETRY_TOL
+    bound = qsolver.REL_GAP_TOL
     assert qsolver._at_most([fzero, from_float(bound)], bound) == (True, from_float(bound))
     above = from_float(math.nextafter(bound, 1))
     assert qsolver._at_most([above], bound) == (False, above)
@@ -936,6 +934,44 @@ def test_decision_kernel_edges():
     assert qsolver._above(from_float(2 * margin), margin, 128, round_nearest) == (True, fzero)
     assert qsolver._at_most([fzero, None, above], bound) == (False, finf)
     assert qsolver._rel_gap(None, fone, 128, round_nearest) is None
+
+
+# Each check bound set so that every check reading it must fail: a tolerance
+# below every deviation, a margin above every value.  At E7 L6 every check
+# passes with the bounds as they are, and the Kleber tables and the
+# positivity-window nodes 4 and 5 give each kind of check an entry.
+@pytest.mark.parametrize("bound,value,failing", [
+    (None, None, set()),
+    ("ZERO_WINDOW_TOL", -1.0, {"zero_window"}),
+    ("FULL_GRID_RESIDUAL_TOL", -1.0, {"grid_residual"}),
+    ("REL_GAP_TOL", -1.0, {"symmetry", "boundary_one", "periodicity", "shifted_boundary_sign",
+                           "kleber_cross_check", "two_path_agreement"}),
+    ("POSITIVITY_MARGIN", math.inf, {"positivity", "positivity_window", "unimodality"}),
+    ("DILOG_MARGIN", math.inf, {"dilog_args"}),
+])
+def test_each_bound_governs_one_kind_of_check(monkeypatch, bound, value, failing):
+    if bound is not None:
+        monkeypatch.setattr(qsolver, bound, value)
+    checks = run(RunConfig("E7", 6)).checks
+    assert {c.name for c in checks if c.status != "pass"} == failing
+
+
+def test_theorem_labels_come_from_the_table_by_name(e7, monkeypatch):
+    # every property gets its own node set, periodicity one that splits the
+    # closed-form rows 1, 2 and 7
+    proven = {"zero_window": {1, 2}, "symmetry": {2, 3}, "positivity": {3, 4, 6},
+              "unimodality": {4, 5}, "periodicity": {1, 5}, "boundary_one": {6, 7}}
+    monkeypatch.setitem(TYPE_DATA, "E7", TYPE_DATA["E7"]._replace(proven_nodes=proven))
+    checks = theorem_report(LevelContext(e7, 6))
+    by_name = {}
+    for c in checks:
+        by_name.setdefault(c.name, set()).add(c.proven)
+        if c.name in ("positivity_window", "shifted_boundary_sign"):
+            assert c.proven, (c.name, c.node)
+        else:
+            assert c.proven == (c.node in proven[c.name]), (c.name, c.node)
+    assert set(by_name) == set(proven) | {"positivity_window", "shifted_boundary_sign"}
+    assert all(by_name[name] == {True, False} for name in proven), by_name
 
 
 def test_grid_consumers_call_no_mpf_operator(e7, monkeypatch):

@@ -1,8 +1,10 @@
-"""Every function, class and method in src/qslab has a reader in src/qslab.
+"""Every function, class, method and module-level constant in src/qslab has
+a reader in src/qslab.
 
 A definition that only tests call belongs with the tests (see
 tests/oracles.py), so the package keeps one implementation of each
-operation, and only code that a command reaches.
+operation, and only code that a command reaches; a constant that nothing
+reads, such as an alias left behind for a retired name, goes.
 """
 
 from __future__ import annotations
@@ -19,12 +21,21 @@ ALLOWED = {
 
 
 def _definitions_and_references():
+    """Functions and classes, upper-case module-level names, and every name
+    that src/qslab reads, as a variable or as an attribute."""
     defined: dict[str, str] = {}
+    constants: dict[str, str] = {}
     referenced: set[str] = set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                for node in (n for t in targets for n in ast.walk(t)):
+                    if isinstance(node, ast.Name) and node.id.isupper():
+                        constants.setdefault(node.id, f"{path.name}:{stmt.lineno}")
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 referenced.add(node.id)
             elif isinstance(node, ast.Attribute):
                 referenced.add(node.attr)
@@ -32,14 +43,22 @@ def _definitions_and_references():
                   and path.name != "__init__.py"
                   and not (node.name.startswith("__") and node.name.endswith("__"))):
                 defined.setdefault(node.name, f"{path.name}:{node.lineno}")
-    return defined, referenced
+    return defined, constants, referenced
 
 
 def test_every_definition_in_src_has_a_reader_in_src():
-    defined, referenced = _definitions_and_references()
+    defined, _, referenced = _definitions_and_references()
     unread = sorted(f"{name} ({where})" for name, where in defined.items()
                     if name not in referenced and name not in ALLOWED)
     assert not unread, "defined in src/qslab but read only outside it: " + ", ".join(unread)
     # an entry leaves the allowlist once its definition goes or gains a reader
     for name in ALLOWED:
         assert name in defined and name not in referenced, name
+
+
+def test_every_module_constant_in_src_has_a_reader_in_src():
+    _, constants, referenced = _definitions_and_references()
+    assert "REL_GAP_TOL" in constants and "TYPE_DATA" in constants  # the scan finds them
+    unread = sorted(f"{name} ({where})" for name, where in constants.items()
+                    if name not in referenced)
+    assert not unread, "module constants that src/qslab never reads: " + ", ".join(unread)

@@ -135,3 +135,24 @@ def test_grids_and_reports_stay_mutable():
     rep.finalize()
     assert rep.overall == "fail" and rep.exit_code == 1
     assert rep != VerificationReport(RunConfig("E6", 2), 14, [])
+
+
+@pytest.mark.parametrize("field,value", [("level", 2.5), ("precision_bits", 100.5),
+                                         ("k_max", 20.5)])
+def test_run_config_refuses_a_non_integer(field, value):
+    # a float level would run at its integer part while the report names the float
+    with pytest.raises(TypeError):
+        RunConfig("E6", 2, checks=("grid",))._replace(**{field: value})
+
+
+def test_run_config_looks_up_its_type_label_without_k_max():
+    for checks in (ALL_CHECKS, ("roots",)):
+        with pytest.raises(ValueError, match="unknown type label 'E9'"):
+            RunConfig("E9", 2, checks=checks)
+    assert RunConfig("e7", 2).type_label == "e7"
+
+
+@pytest.mark.parametrize("level,bits", [(2.9, 128), (2, 128.7), (2.0, 128)])
+def test_level_context_refuses_a_non_integer(level, bits):
+    with pytest.raises(TypeError):
+        LevelContext(build_root_system("E6"), level, bits)
