@@ -24,39 +24,39 @@ class AffineReduction(NamedTuple):
     word_length: int
 
 
+def _reflect(w: list[int], g: int, rs: RootSystem, shift: int) -> None:
+    """Apply the dot action of generator g (0 = affine) to w in place.
+
+    s_g (g >= 1) subtracts c * alpha_g with c = w_g + 1.  alpha_g is row g of
+    the simply-laced Cartan matrix, so w_g drops by 2c and each Dynkin
+    neighbour of g gains c.  s0 . lam = s_theta(lam + rho) + l*theta - rho
+    adds c * theta with c = l - sum(marks * (w + 1)) = shift - sum(marks * w).
+    """
+    if g == 0:
+        c = shift - sum(map(mul, rs.marks, w))
+        for j, t in enumerate(rs.theta_weight):
+            w[j] += c * t
+    elif 1 <= g <= rs.rank:
+        c = w[g - 1] + 1
+        w[g - 1] -= 2 * c
+        for j in rs.neighbors[g]:
+            w[j - 1] += c
+    else:
+        raise ValueError(f"node {g} out of range")
+
+
 def apply_word(word: Iterable[int], weight: Sequence[int], ctx: LevelContext) -> tuple[Weight, int]:
     """Apply a generator word (0 = affine generator) right-to-left.
 
     Returns the image together with (-1)**len(word), which equals the parity
     of the group element however it is expressed.
-
-    Each letter updates one list in place.  The simple dot reflection s_g
-    subtracts c * alpha_g, c = w_g + 1; alpha_g is row g of the simply-laced
-    Cartan matrix, so s_g lowers coordinate g by 2c and raises each Dynkin
-    neighbour of g by c.  The affine generator s0 . lam =
-    s_theta(lam + rho) + l*theta - rho adds c * theta with
-    c = l - sum(marks * (w + 1)).
     """
     rs = ctx.root_system
-    rank = rs.rank
-    neighbors = rs.neighbors
-    marks = rs.marks
-    theta = rs.theta_weight
-    shift = ctx.shifted_level - sum(marks)  # l - sum(marks * rho)
+    shift = ctx.shifted_level - sum(rs.marks)  # l - sum(marks * rho)
     w = list(weight)
     letters = list(word)
     for g in reversed(letters):
-        if g == 0:
-            c = shift - sum(map(mul, marks, w))
-            for j, t in enumerate(theta):
-                w[j] += c * t
-        elif 1 <= g <= rank:
-            c = w[g - 1] + 1
-            w[g - 1] -= 2 * c
-            for j in neighbors[g]:
-                w[j - 1] += c
-        else:
-            raise ValueError(f"node {g} out of range")
+        _reflect(w, g, rs, shift)
     return tuple(w), -1 if len(letters) % 2 else 1
 
 
@@ -68,28 +68,25 @@ def reduce_to_dominant(weight: Sequence[int], ctx: LevelContext) -> AffineReduct
     sum exceeds l, until lam+rho lies in the closed alcove.  Landing on a
     wall (a zero coordinate, or sum exactly l) is reported as on_wall.
     """
-    marks = ctx.root_system.marks
-    l = ctx.shifted_level
-    lam = tuple(int(c) for c in weight)
-    sign = 1
-    steps = 0
-    while True:
-        shifted = tuple(c + 1 for c in lam)
-        if any(c == 0 for c in shifted):
-            return AffineReduction("on_wall", None, sign, steps)
-        node = next((i + 1 for i, c in enumerate(shifted) if c < 0), None)
-        if node is None:
-            total = sum(a * c for a, c in zip(marks, shifted))
-            if total == l:
-                return AffineReduction("on_wall", None, sign, steps)
-            if total < l:
-                return AffineReduction("dominant", lam, sign, steps)
-            node = 0  # the affine generator
-        lam = apply_word((node,), lam, ctx)[0]
-        sign = -sign
+    rs = ctx.root_system
+    shift = ctx.shifted_level - sum(rs.marks)
+    w, steps = [int(c) for c in weight], 0
+    while -1 not in w:  # a coordinate of lam + rho at 0 is a wall
+        for g, c in enumerate(w, 1):
+            if c < -1:
+                break
+        else:
+            excess = sum(map(mul, rs.marks, w)) - shift
+            if excess < 0:
+                return AffineReduction("dominant", tuple(w), (-1) ** steps, steps)
+            if excess == 0:
+                break  # on the affine wall
+            g = 0
+        if steps == _REDUCE_GUARD:
+            raise RuntimeError(f"alcove reduction did not finish within {steps} reflections")
+        _reflect(w, g, rs, shift)
         steps += 1
-        if steps > _REDUCE_GUARD:
-            raise RuntimeError("alcove reduction failed to terminate")
+    return AffineReduction("on_wall", None, (-1) ** steps, steps)
 
 
 def enumerate_alcove(rs: RootSystem, level: int) -> list[Weight]:

@@ -459,12 +459,15 @@ class RunConfig(_RunFields):
     _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        # a float level, precision or k_max raises TypeError, as in LevelContext
-        l = index(self.level) + rootsys.type_data(self.type_label.upper()).coxeter_number
+        raw = _RunFields(*args, **kwargs)
+        # stored as checked: a float level, precision or k_max raises TypeError, as in LevelContext
+        k_max = None if raw.k_max is None else index(raw.k_max)
+        self = super().__new__(cls, raw.type_label.upper(), index(raw.level),
+                               index(raw.precision_bits), k_max, raw.fmt, raw.checks)
+        l = self.level + rootsys.type_data(self.type_label).coxeter_number
         if self.level < 1:
             raise ValueError("level must be at least 1")
-        if index(self.precision_bits) < MIN_PRECISION_BITS:
+        if self.precision_bits < MIN_PRECISION_BITS:
             raise ValueError(f"precision_bits must be at least {MIN_PRECISION_BITS}")
         if not self.checks:
             raise ValueError("at least one check must be selected")
@@ -475,7 +478,7 @@ class RunConfig(_RunFields):
                 raise ValueError(f"repeated check {c!r}")
         if self.fmt not in REPORT_FORMATS:
             raise ValueError(f"unknown output format {self.fmt!r}")
-        if self.k_max is not None and not l <= index(self.k_max) <= 4 * l:
+        if self.k_max is not None and not l <= self.k_max <= 4 * l:
             raise ValueError(f"k_max must be in {l}..{4 * l}, got {self.k_max}")
         return self
 

@@ -11,9 +11,10 @@ from qslab.affweyl import (
     enumerate_alcove,
     reduce_to_dominant,
 )
+from qslab.krchar import chari_decomposition
 from qslab.qnum import LevelContext, qdim
 from qslab.report import E8_SIGMA
-from qslab.rootsys import fundamental_weight
+from qslab.rootsys import fundamental_weight, type_data
 
 from oracles import (MpfQReal, find_root, in_alcove, pairing, reflection_dot, s0_dot,
                      si_dot, sine_fold, translate_by_root)
@@ -220,6 +221,19 @@ def test_reduce_matches_formal_sign(rs_map):
                 assert again.result_kind == "dominant"
                 assert again.dominant_weight == red.dominant_weight
                 assert again.sign == 1 and again.word_length == 0
+
+
+@pytest.mark.parametrize("label,level", [("E7", 40), ("E8", 40)])
+def test_reduce_matches_reference_on_chari_weights(rs_map, label, level):
+    # the weights a fold of the direct rows into the alcove reduces
+    rs = rs_map[label]
+    ctx = LevelContext(rs, level)
+    weights = {w for node in type_data(label).direct_nodes
+               for k in range(ctx.shifted_level + 4)
+               for _, w in chari_decomposition(rs, node, k).terms}
+    for lam in sorted(weights):
+        # result kind, weight, sign and word length
+        assert reduce_to_dominant(lam, ctx) == _reduce_reference(lam, ctx), lam
 
 
 def test_in_alcove(e6, e8):

@@ -190,10 +190,17 @@ def test_cli_qdim_digits(capsys):
 
 
 def test_cli_reduce(capsys):
-    assert main(["reduce", "--type", "E7", "--level", "5",
-                 "--weight", "9,0,0,0,0,0,0"]) == 0
-    out = capsys.readouterr().out
-    assert "dominant" in out or "on_wall" in out
+    for weight, out in (
+        ("9,0,0,0,0,0,0", "on_wall (quantum dimension 0) after 3 reflections"),
+        ("0,0,0,0,0,0,9", "on_wall (quantum dimension 0) after 3 reflections"),
+        ("-3,1,0,2,0,0,4", "on_wall (quantum dimension 0) after 5 reflections"),
+        ("0,0,0,0,0,0,0", "dominant 0,0,0,0,0,0,0  sign +1  reflections 0"),
+        ("2,0,0,0,0,0,1", "dominant 2,0,0,0,0,0,1  sign +1  reflections 0"),
+        ("1,0,0,0,0,0,5", "dominant 0,0,0,0,0,0,5  sign -1  reflections 1"),
+        ("5,0,7,0,0,0,6", "dominant 0,2,0,0,0,0,0  sign +1  reflections 24"),
+    ):
+        assert main(["reduce", "--type", "E7", "--level", "5", f"--weight={weight}"]) == 0
+        assert capsys.readouterr().out == out + "\n", weight
 
 
 def test_cli_krdec(capsys):
@@ -492,7 +499,8 @@ def test_cli_computation_error_exits_1(capsys, monkeypatch):
     monkeypatch.setattr(affweyl, "_REDUCE_GUARD", 5)
     assert main(["reduce", "--type", "E6", "--level", "1",
                  "--weight", "30000000,0,0,0,0,0"]) == 1
-    assert capsys.readouterr().err == "error: alcove reduction failed to terminate\n"
+    assert capsys.readouterr().err == (
+        "error: alcove reduction did not finish within 5 reflections\n")
 
 
 def test_cli_precision_comes_from_the_flag_alone(tmp_path, capsys, monkeypatch):

@@ -9,6 +9,7 @@ where it is read-only, rejects attribute assignment.
 from __future__ import annotations
 
 import copy
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -19,7 +20,7 @@ from qslab.affweyl import AffineReduction
 from qslab.krchar import KRDecomposition
 from qslab.qnum import DEFAULT_PRECISION_BITS, LevelContext
 from qslab.qsolver import CheckResult, QGrid, build_qgrid
-from qslab.report import ALL_CHECKS, RunConfig, VerificationReport
+from qslab.report import ALL_CHECKS, RunConfig, VerificationReport, run, write_report
 from qslab.rootsys import TYPE_DATA, RootSystem, TypeData, build_root_system, cartan_matrix
 from qslab.seqanalysis import RealSequence, RootednessVerdict, make_sequence
 
@@ -149,7 +150,17 @@ def test_run_config_looks_up_its_type_label_without_k_max():
     for checks in (ALL_CHECKS, ("roots",)):
         with pytest.raises(ValueError, match="unknown type label 'E9'"):
             RunConfig("E9", 2, checks=checks)
-    assert RunConfig("e7", 2).type_label == "e7"
+    assert RunConfig("e7", 2).type_label == "E7"
+
+
+@pytest.mark.parametrize("args,key,stored", [(("e6", 2), "type", "E6"),
+                                             (("E6", True), "level", 1)])
+def test_run_config_stores_the_values_it_checked(args, key, stored):
+    # a lower-case label builds E6 and a bool level runs level 1; the report
+    # names that run, not the raw argument
+    cfg = RunConfig(*args, checks=("grid",))
+    written = json.loads(write_report(run(cfg), None))[key]
+    assert written == stored and type(written) is type(stored)
 
 
 @pytest.mark.parametrize("level,bits", [(2.9, 128), (2, 128.7), (2.0, 128)])
