@@ -321,8 +321,14 @@ def _cmd_logconcave(args) -> int:
         seq = seqanalysis.make_sequence(alcove_line(args.node, ctx))
         label = f"{args.type} node {args.node} line, level {args.level}"
     order = seqanalysis.log_concavity_order(seq, args.max_order)
-    lines = [f"{label}: {len(seq)} entries",
-             f"log-concavity order >= {order} (probed up to {args.max_order})"]
+    if order == args.max_order:
+        found = f">= {order} (probed up to {order})"
+    elif order < 0:
+        found = "-1 (the sequence itself fails)"
+    else:
+        found = f"{order} (iterate {order + 1} fails)"
+    lines = [f"{label}: {len(seq)} {'entry' if len(seq) == 1 else 'entries'}",
+             f"log-concavity order {found}"]
     if args.branden:
         verdict = seqanalysis.branden_criterion(seq)
         suffix = f" ({verdict.witness})" if verdict.witness else ""

@@ -14,7 +14,9 @@ calls of the mpf operators, in the same order and at the context's
 precision and rounding: the bits of mpf arithmetic without its per-object
 dispatch.  A ``QGrid`` holds raw cells too, and so do the residual, the
 dilogarithm arguments, margin and sum and every check's violation;
-``QGrid.cell`` is the one place that hands out a cell as an mpf.  Every
+``QGrid.cell`` is the one place that hands out a cell as an mpf.
+``dilog_sum`` alone leaves the mpf operators' order: it sums Rogers'
+dilogarithms (``_rogers``) in one fixed-point integer and rounds once.  Every
 tolerance or margin decision, here and in the grid, solve and dilog groups
 of ``qslab.report``, goes through one raw-value kernel: ``_at_most`` (the
 worst deviation, against a bound) and ``_above`` (a least value, against a
@@ -47,8 +49,8 @@ from typing import NamedTuple, Sequence
 from mpmath.ctx_mp import MPContext
 from mpmath.libmp import (bernfrac, finf, fninf, fone, from_float, from_int, from_man_exp,
                           fzero, mpf_abs, mpf_add, mpf_cmp, mpf_div, mpf_gt, mpf_le, mpf_log,
-                          mpf_lt, mpf_mul, mpf_mul_int, mpf_pi, mpf_pow_int, mpf_rdiv_int,
-                          mpf_shift, mpf_sub, round_nearest, to_fixed, to_float, to_str)
+                          mpf_lt, mpf_mul, mpf_mul_int, mpf_pi, mpf_shift, mpf_sub,
+                          round_nearest, to_fixed, to_float, to_str)
 
 from .krchar import chari_qdim
 from .qnum import LevelContext, QReal
@@ -695,56 +697,62 @@ def _li2_coefficients(wp: int) -> tuple[int, ...]:
         out.append(c)
 
 
-def _li2(x: tuple, prec: int) -> tuple:
-    """Li2(x) for a raw 0 < x < 1, rounded once to nearest at ``prec`` bits.
+@functools.lru_cache(maxsize=64)
+def _pi_constants(wp: int) -> tuple[int, int]:
+    """pi^2/6 and 6/pi^2 at ``wp`` bits in fixed point."""
+    pi = to_fixed(mpf_pi(wp + 8), wp + 8)
+    pi2 = (pi * pi) >> (wp + 16)
+    return pi2 // 6, (6 << (2 * wp)) // pi2
 
-    Reflects to y = min(x, 1 - x) <= 1/2 through
-    Li2(x) = pi^2/6 - log x log(1 - x) - Li2(1 - x), whose log x is -u, then
-    sums the Bernoulli series Li2(y) = u - u^2/4 + sum B_2m u^(2m+1)/(2m+1)!
-    in u = -log(1 - y) <= log 2 on Python ints in fixed point at wp bits
-    (``_li2_coefficients``; 30 terms at 128 bits, where sum y^n/n^2 took 168
-    at y = 1/2).  wp is prec + 40 guard bits + -log2 y, so a tiny argument
-    keeps its full relative precision; every libmp call takes an explicit
-    precision, so mpmath's global state is never read.
+
+def _rogers(x: tuple, wp: int) -> int:
+    """Rogers' L(x) = Li2(x) + log x log(1 - x) / 2 for a raw 0 < x < 1, in
+    fixed point at ``wp`` bits.
+
+    Reflects to y = min(x, 1 - x) <= 1/2, where L(x) = pi^2/6 - L(1 - x)
+    holds exactly, and takes u = -log(1 - y) <= log 2 and g = log y once
+    each.  The Bernoulli series Li2(y) = u - u^2/4 + sum B_2m u^(2m+1)/(2m+1)!
+    (``_li2_coefficients``, 30 terms at 168 bits) gives L(y) = Li2(y) - u g / 2.
+    The result is off by fewer than 8 + |log y| units at wp bits, so a caller
+    that wants y's relative precision adds -log2 y bits to wp.  Every libmp call
+    takes an explicit precision, so mpmath's global state is never read.
     """
     z = mpf_sub(fone, x)  # exact: no rounding at prec 0
     reflect = mpf_lt(z, x)
     y, one_minus_y = (z, x) if reflect else (x, z)
-    _, _, exp, bc = y
-    wp = prec + 40 + max(0, -(exp + bc))
     u = -to_fixed(mpf_log(one_minus_y, wp), wp)
     u2 = (u * u) >> wp
-    total, power = u - (u2 >> 2), u
-    for c in _li2_coefficients(wp):
-        power = (power * u2) >> wp
-        if not power:
-            break
-        total += (c * power) >> wp
-    if reflect:
-        pi = to_fixed(mpf_pi(wp), wp)
-        logs = (-u * to_fixed(mpf_log(y, wp), wp)) >> wp
-        total = ((pi * pi) >> wp) // 6 - logs - total
-    return from_man_exp(total, -wp, prec, round_nearest)
+    tail = 0  # sum B_2m u^(2m-2) / (2m+1)!, by Horner's rule in u^2
+    for c in reversed(_li2_coefficients(wp)):
+        tail = ((tail * u2) >> wp) + c
+    total = u - (u2 >> 2) + ((((tail * u2) >> wp) * u) >> wp)
+    total -= (u * to_fixed(mpf_log(y, wp), wp)) >> (wp + 1)
+    return _pi_constants(wp)[0] - total if reflect else total
 
 
 def dilog_sum(grid: QGrid, args: dict[tuple[int, int], tuple] | None = None) -> tuple:
     """(6/pi^2) sum of Rogers dilogarithms of the interior ratios, raw.
 
-    ``args`` are the grid's ``dilog_args``, computed here when omitted.
+    ``args`` are the grid's ``dilog_args``, computed here when omitted.  The
+    terms (``_rogers``) are summed in one integer at 40 guard bits above the
+    context's precision, more when the sum is below 2^-8, multiplied by
+    6/pi^2 at that precision and rounded once to nearest.
     Diagnostic output only; no closed-form value is asserted for it.
     """
-    prec, rnd = grid.mp._prec_rounding
+    prec = grid.mp.prec
     if args is None:
         args = dilog_args(grid)
-    total = fzero
-    for (i, k) in sorted(args):
-        if k == 0 or k == grid.level:
-            continue
-        x = args[(i, k)]
+    xs = [args[key] for key in sorted(args) if 0 < key[1] < grid.level]
+    for x in xs:
         if not (mpf_gt(x, fzero) and mpf_lt(x, fone)):
             raise ValueError(f"dilogarithm argument {to_str(x, 8)} outside (0, 1)")
-        logs = mpf_mul(mpf_log(x, prec, rnd), mpf_log(mpf_sub(fone, x, prec, rnd), prec, rnd),
-                       prec, rnd)
-        total = mpf_add(total, mpf_add(_li2(x, prec), mpf_shift(logs, -1), prec, rnd), prec, rnd)
-    pi2 = mpf_pow_int(mpf_pi(prec, rnd), 2, prec, rnd)
-    return mpf_mul(mpf_rdiv_int(6, pi2, prec, rnd), total, prec, rnd)
+    wp = prec + 40
+    while True:
+        # every term is positive, so each term's few units at wp bits are a
+        # small share of the sum once it has prec + 32 bits; a smaller sum,
+        # of tiny arguments, widens wp by the bits it lacks
+        total = sum(_rogers(x, wp) for x in xs)
+        short = prec + 32 - total.bit_length()
+        if not xs or short <= 0:
+            return from_man_exp(total * _pi_constants(wp)[1], -2 * wp, prec, round_nearest)
+        wp += short

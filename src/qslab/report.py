@@ -484,8 +484,12 @@ class RunConfig(_RunFields):
 
 
 class VerificationReport:
+    """One run's verdicts.  ``timings`` maps the grid build (``grid_build``)
+    and each check group that ran to its seconds; like ``duration_seconds``,
+    it is not part of the deterministic payload."""
+
     __slots__ = ("config", "shifted_level", "checks", "grid", "dilog_in_range", "dilog_sum",
-                 "overall", "duration_seconds")
+                 "overall", "duration_seconds", "timings")
 
     def __init__(self, config: RunConfig, shifted_level: int, checks: list[CheckResult],
                  grid: QGrid | None = None, dilog_in_range: bool | None = None,
@@ -494,6 +498,7 @@ class VerificationReport:
         self.config, self.shifted_level, self.checks = config, shifted_level, checks
         self.grid, self.dilog_in_range, self.dilog_sum = grid, dilog_in_range, dilog_sum
         self.overall, self.duration_seconds = overall, duration_seconds
+        self.timings: dict[str, float] = {}
 
     def __eq__(self, other):
         return type(other) is VerificationReport and all(
@@ -520,14 +525,19 @@ def run(config: RunConfig) -> VerificationReport:
     ctx = LevelContext(rs, config.level, config.precision_bits)
 
     report = VerificationReport(config=config, shifted_level=ctx.shifted_level, checks=[])
-    groups = [group for name, group in CHECK_GROUPS.items() if name in config.checks]
+    timings = report.timings
     grid = None
     if reads_grid(config.checks):
+        begun = time.monotonic()
         grid = qsolver.build_qgrid(ctx, k_max=config.k_max)
+        timings["grid_build"] = time.monotonic() - begun
         report.grid = grid
 
-    for _, checks in groups:
-        report.checks.extend(checks(report, ctx, grid))
+    for name, (_, checks) in CHECK_GROUPS.items():
+        if name in config.checks:
+            begun = time.monotonic()
+            report.checks.extend(checks(report, ctx, grid))
+            timings[name] = time.monotonic() - begun
 
     report.finalize()
     report.duration_seconds = time.monotonic() - started
@@ -572,6 +582,7 @@ def report_to_dict(report: VerificationReport) -> dict:
         },
         "overall": report.overall,
         "duration_seconds": round(report.duration_seconds, 3),
+        "diagnostics": {"timings": {k: round(v, 6) for k, v in report.timings.items()}},
     }
     g = report.grid
     if g is not None:

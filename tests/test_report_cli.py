@@ -159,6 +159,18 @@ def test_run_check_subsets():
     assert rep.overall == "pass"
 
 
+@pytest.mark.parametrize("checks,timed", [
+    (report.ALL_CHECKS, ("grid_build", *report.ALL_CHECKS)),
+    # the groups run, and are timed, in canonical order
+    (("dilog", "roots", "grid"), ("grid_build", "roots", "grid", "dilog")),
+    (("weyl",), ("weyl",)),
+])
+def test_report_times_the_grid_build_and_each_group(checks, timed):
+    timings = report_to_dict(run(RunConfig("E6", 2, checks=checks)))["diagnostics"]["timings"]
+    assert tuple(timings) == timed
+    assert all(type(t) is float and t >= 0 for t in timings.values()), timings
+
+
 def test_cli_roots_fixture_format(capsys):
     assert main(["roots", "--type", "E7"]) == 0
     out = capsys.readouterr().out
@@ -276,15 +288,22 @@ def test_cli_verify_report_and_out_are_one_option(tmp_path, capsys):
 
 
 def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
+    # every line of README's usage block runs, and writes the file it names
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
     lines = block.splitlines()
-    assert len(lines) >= 9
+    assert len(lines) >= 10
     monkeypatch.chdir(tmp_path)
+    written = 0
     for line in lines:
         argv = shlex.split(line, comments=True)
         assert argv[0] == "qslab", line
         assert main(argv[1:]) == 0, line
+        for flag, path in zip(argv, argv[1:]):
+            if flag in ("--out", "--report"):
+                assert (tmp_path / path).is_file(), line
+                written += 1
+    assert written >= 2
 
 
 def test_cli_verify_subset_text(capsys):
@@ -299,7 +318,7 @@ def test_cli_logconcave_seq(capsys):
     assert main(["logconcave", "--seq", "1,2,1", "--max-order", "3",
                  "--branden"]) == 0
     out = capsys.readouterr().out
-    assert "order >= 3" in out
+    assert "order >= 3 (probed up to 3)" in out
     assert "real_negative" in out
     # the least and the largest double are in range, as is zero
     assert main(["logconcave", "--seq", "5e-324, 3 ,1.7976931348623157e308,0",
@@ -310,13 +329,41 @@ def test_cli_logconcave_seq(capsys):
 def test_cli_logconcave_line(capsys):
     # the line k*w_i is read for k in 0..level // a_i, as verify reads it:
     # E7 node 7 has mark 1, E8 node 4 mark 6 and E6 node 2 mark 2
-    for argv, count in ((["--type", "E7", "--level", "4", "--node", "7"], 5),
-                        (["--type", "E8", "--level", "4", "--node", "4"], 1),
-                        (["--type", "E6", "--level", "3", "--node", "2"], 2)):
+    for argv, count in ((["--type", "E7", "--level", "4", "--node", "7"], "5 entries"),
+                        (["--type", "E8", "--level", "4", "--node", "4"], "1 entry"),
+                        (["--type", "E6", "--level", "3", "--node", "2"], "2 entries")):
         assert main(["logconcave", *argv, "--max-order", "4", "--branden"]) == 0
         lines = capsys.readouterr().out.splitlines()
-        assert lines[0].endswith(f"line, level {argv[3]}: {count} entries"), argv
+        assert lines[0].endswith(f"line, level {argv[3]}: {count}"), argv
         assert lines[2] == "coefficient polynomial: real_negative", argv
+
+
+@pytest.mark.parametrize("seq,max_order,expected", [
+    # below the cap the probe knows the order: the next iterate fails
+    ("1,3,1,0.1,5", 6, "log-concavity order 0 (iterate 1 fails)"),
+    ("-1,2,-1", 6, "log-concavity order -1 (the sequence itself fails)"),
+    ("-1", 0, "log-concavity order -1 (the sequence itself fails)"),
+    # at the cap it knows only a lower bound
+    ("1,2,1", 3, "log-concavity order >= 3 (probed up to 3)"),
+    ("1,2,1", 0, "log-concavity order >= 0 (probed up to 0)"),
+])
+def test_cli_logconcave_states_what_the_probe_found(capsys, seq, max_order, expected):
+    assert main(["logconcave", f"--seq={seq}", "--max-order", str(max_order)]) == 0
+    count = seq.count(",") + 1
+    assert capsys.readouterr().out == (
+        f"input sequence: {count} {'entry' if count == 1 else 'entries'}\n{expected}\n")
+
+
+def test_cli_negative_first_seq_entry(capsys):
+    # as with --weight, a leading minus sign reads as a flag unless the value
+    # is joined to the option by "="
+    with pytest.raises(SystemExit) as exc:
+        main(["logconcave", "--seq", "-1,2,-1"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith("error: argument --seq: expected one argument\n")
+    assert main(["logconcave", "--seq=-1,2,-1"]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == (
+        "log-concavity order -1 (the sequence itself fails)")
 
 
 def test_cli_usage_errors(capsys, monkeypatch):
@@ -530,13 +577,15 @@ def test_cli_precision_comes_from_the_flag_alone(tmp_path, capsys, monkeypatch):
 
 def test_reports_are_deterministic():
     # Each pin is the SHA-256 of the JSON report (indent 2) without
-    # duration_seconds, so every byte of those reports is fixed: a change
+    # duration_seconds and diagnostics, so every byte of those reports is fixed: a change
     # that alters a value, a rounding or a note on purpose updates the pin
     # and says why.
     cases = (
         (RunConfig(type_label="E6", level=3, checks=("grid", "theorem", "dilog")), None),
+        # the dilogarithm sum renders as 13.5, Kirillov's 27/2: the fixed-point
+        # sum, rounded once, lands on it where the per-term mpf chain gave 13.5000...
         (RunConfig(type_label="E6", level=4),
-         "2f39feae19425358d73ec5970d2ecffaa439aefe87c4fd625b74bf6abb773167"),
+         "d427552b11f011b87aec59747a5082fa3c2048db1d3ad1f69db2582b59a3c589"),
         # E8's derived rows, filled by subtraction and division
         (RunConfig(type_label="E8", level=2),
          "a2d568ffa640e4b0936aa9a17645f8726fa97d378e83ba10eabce9e13ede337a"),
@@ -576,8 +625,9 @@ def test_reports_are_deterministic():
     for cfg, golden in cases:
         a = report_to_dict(run(cfg))
         b = report_to_dict(run(cfg))
-        a.pop("duration_seconds")
-        b.pop("duration_seconds")
+        for key in ("duration_seconds", "diagnostics"):
+            a.pop(key)
+            b.pop(key)
         assert a == b
         if golden is not None:
             digest = hashlib.sha256(json.dumps(a, indent=2).encode()).hexdigest()
@@ -652,7 +702,8 @@ def test_cli_calls_in_one_process_match_fresh_interpreters(capsys):
     )
     src = str(Path(qslab.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-    drop_duration = functools.partial(re.sub, r'"duration_seconds": [0-9.e-]+', "")
+    drop_duration = functools.partial(
+        re.sub, r'"duration_seconds": [0-9.e-]+,\n  "diagnostics": \{.*?\n  \}', "", flags=re.S)
     outputs = []
     for argv in calls:
         code = main(argv)
