@@ -47,12 +47,7 @@ class QReal:
 
     # Both scales are at least 1 and at least |value|, and rounding to
     # nearest is monotone, so the rounded scale sum already bounds the
-    # rounded |v1 +- v2| and 1: a sum or difference needs no clamp.
-    def __add__(self, other: "QReal") -> "QReal":
-        prec, rnd = self._mp._prec_rounding
-        return QReal(mpf_add(self._value, other._value, prec, rnd),
-                     mpf_add(self._scale, other._scale, prec, rnd), self._mp)
-
+    # rounded |v1 - v2| and 1: a difference needs no clamp.
     def __sub__(self, other: "QReal") -> "QReal":
         prec, rnd = self._mp._prec_rounding
         return QReal(mpf_sub(self._value, other._value, prec, rnd),

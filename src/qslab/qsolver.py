@@ -553,7 +553,7 @@ def _rel_gap(a, b, prec: int, rnd: str):
     return mpf_div(mpf_abs(mpf_sub(a, b, prec, rnd), prec, rnd), den, prec, rnd)
 
 
-def theorem_report(ctx: LevelContext, grid: QGrid | None = None) -> list[CheckResult]:
+def theorem_report(ctx: LevelContext, grid: QGrid) -> list[CheckResult]:
     """Certify the claimed grid properties node by node.
 
     Checks per node: the recurring zero window, the reflection symmetry
@@ -569,8 +569,6 @@ def theorem_report(ctx: LevelContext, grid: QGrid | None = None) -> list[CheckRe
     rs = ctx.root_system
     label = rs.type_label
     level, l = ctx.level, ctx.shifted_level
-    if grid is None:
-        grid = build_qgrid(ctx, k_max=l)
     if grid.k_max < l:
         raise ValueError("theorem report needs the grid out to k = l")
     checks: list[CheckResult] = []

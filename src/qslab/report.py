@@ -56,35 +56,25 @@ def render_decimal(x, digits: int = 30) -> str:
 # ---------------------------------------------------------------------------
 # fixtures
 
-def _fixture_path(name: str, fixture_dir: str | None):
-    if fixture_dir is not None:
-        return os.path.join(fixture_dir, name)
-    return resources.files("qslab").joinpath("fixtures", name)
+def _int_rows(type_label: str, kind: str, fixture_dir: str | None) -> list[list[int]]:
+    """The nonblank lines of a type's fixture file, from ``fixture_dir`` or
+    else the package's fixtures, each split into integers."""
+    name = f"{type_label.lower()}_{kind}.txt"
+    path = (resources.files("qslab").joinpath("fixtures", name) if fixture_dir is None
+            else os.path.join(fixture_dir, name))
+    with open(path) as f:
+        return [[int(x) for x in parts] for parts in map(str.split, f) if parts]
 
 
 def load_fixture_rows(type_label: str, fixture_dir: str | None = None):
     """Rows (appendix_no, height, coeffs) of a published positive-root table."""
-    path = _fixture_path(f"{type_label.lower()}_positive_roots.txt", fixture_dir)
-    rows = []
-    with open(path) as f:
-        for line in f:
-            parts = line.split()
-            if not parts:
-                continue
-            rows.append((int(parts[0]), int(parts[1]), tuple(int(x) for x in parts[2:])))
-    return rows
+    return [(r[0], r[1], tuple(r[2:]))
+            for r in _int_rows(type_label, "positive_roots", fixture_dir)]
 
 
 def load_appendix_map(type_label: str, fixture_dir: str | None = None) -> dict[int, int]:
     """appendix row number -> canonical 1-based root index."""
-    path = _fixture_path(f"{type_label.lower()}_appendix_order.txt", fixture_dir)
-    out: dict[int, int] = {}
-    with open(path) as f:
-        for line in f:
-            parts = line.split()
-            if parts:
-                out[int(parts[0])] = int(parts[1])
-    return out
+    return {r[0]: r[1] for r in _int_rows(type_label, "appendix_order", fixture_dir)}
 
 
 def fixture_check(rs: RootSystem, fixture_dir: str | None = None) -> CheckResult:
@@ -366,14 +356,10 @@ def _logconcave_checks(report, ctx, grid) -> list[CheckResult]:
                          None, note=f"failing nodes {bad_nodes}" if bad_nodes else ""))
 
     row_node = td.adjoint_node
-    row = [grid.cell(row_node, k) for k in range(level + 1)]
-    if any(c is None for c in row):
-        out.append(_mk_check("grid_row_log_concave", row_node, False, True, None,
-                             note="unresolved cells"))
-    else:
-        seq = seqanalysis.make_sequence(row)
-        ok = len(seq) < 3 or seqanalysis.is_log_concave(seq, strict=True)
-        out.append(_mk_check("grid_row_log_concave", row_node, ok, True, None))
+    # a direct row, whose cells are never unresolved
+    seq = seqanalysis.make_sequence([grid.cell(row_node, k) for k in range(level + 1)])
+    ok = len(seq) < 3 or seqanalysis.is_log_concave(seq, strict=True)
+    out.append(_mk_check("grid_row_log_concave", row_node, ok, True, None))
 
     if td.branden_node is not None:
         node, threshold = td.branden_node, td.branden_level

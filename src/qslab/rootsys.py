@@ -166,11 +166,6 @@ TYPE_DATA = {
     ),
 }
 
-# Guard for the closure loop: any valid input here has at most 120 positive
-# roots, so hitting this bound means the matrix is of infinite type.
-_CLOSURE_BOUND = 200
-
-
 def type_data(type_label: str) -> TypeData:
     """The TYPE_DATA entry of an E type; ValueError for any other label."""
     try:
@@ -277,51 +272,14 @@ def fundamental_weight(rank: int, node: int, multiple: int = 1) -> Weight:
     return tuple(multiple if j == node - 1 else 0 for j in range(rank))
 
 
-def _validate_cartan(matrix: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
-    rows = tuple(tuple(int(x) for x in row) for row in matrix)
-    n = len(rows)
-    if n == 0 or any(len(r) != n for r in rows):
-        raise ValueError("Cartan matrix must be square and nonempty")
-    for i in range(n):
-        if rows[i][i] != 2:
-            raise ValueError("Cartan matrix must have diagonal entries 2")
-        for j in range(n):
-            if i != j:
-                if rows[i][j] != rows[j][i]:
-                    raise ValueError("Cartan matrix must be symmetric (simply laced)")
-                if rows[i][j] not in (0, -1):
-                    raise ValueError("off-diagonal entries must be 0 or -1")
-    # Irreducibility: the Dynkin graph must be connected.
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        i = frontier.pop()
-        for j in range(n):
-            if j not in seen and rows[i][j] == -1:
-                seen.add(j)
-                frontier.append(j)
-    if len(seen) != n:
-        raise ValueError("Cartan matrix is not irreducible")
-    return rows
-
-
-def build_root_system(spec: str | Sequence[Sequence[int]]) -> RootSystem:
-    """Build a root system from a type label (E6/E7/E8) or a Cartan matrix.
-
-    Positive roots are enumerated by additive closure: starting from the
-    simple roots, beta + alpha_j is appended whenever (beta | alpha_j) < 0,
-    which for simply-laced systems is the exact root-addition criterion.
-    Each root carries its Cartan image C beta, whose entry j is
-    (beta | alpha_j), so a step adds column j of C to it; beta + alpha_j has
-    norm 4 + 2 (beta | alpha_j), which is 2 only for a pairing of -1.  The
-    closure is then sorted by height, then lexicographically.
-
-    A label is built once per process and the same RootSystem returned for
-    it, in either case, afterwards; a Cartan matrix is built afresh.
-    """
-    if isinstance(spec, str):
-        return _labelled_root_system(spec.upper())
-    return _closure("custom", _validate_cartan(spec))
+def build_root_system(type_label: str) -> RootSystem:
+    """The root system of an E type, by label in any case, built once per
+    process by ``_closure`` and shared afterwards.  ValueError for a label
+    outside TYPE_DATA, TypeError for anything but a string."""
+    if not isinstance(type_label, str):
+        raise TypeError(f"root systems are built from a type label (E6, E7 or E8), "
+                        f"not {type(type_label).__name__}")
+    return _labelled_root_system(type_label.upper())
 
 
 @cache
@@ -336,6 +294,16 @@ def _labelled_root_system(label: str) -> RootSystem:
 
 
 def _closure(label: str, cartan: tuple[tuple[int, ...], ...]) -> RootSystem:
+    """The root system of a Cartan matrix, assumed finite, irreducible and
+    simply laced, as TYPE_DATA's are; nothing here checks it.
+
+    Positive roots are enumerated by additive closure: from the simple roots,
+    beta + alpha_j is appended whenever (beta | alpha_j) < 0, the exact
+    root-addition criterion for such a matrix.  Each root carries its Cartan
+    image C beta, whose entry j is (beta | alpha_j), so a step adds column j
+    of C to it.  The roots are sorted by height, then lexicographically, and
+    the last is the highest root.
+    """
     rank = len(cartan)
     simple = [tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)]
     roots = set(simple)
@@ -346,33 +314,20 @@ def _closure(label: str, cartan: tuple[tuple[int, ...], ...]) -> RootSystem:
         for b, image in frontier:
             for j, pair in enumerate(image):
                 if pair < 0:
-                    # every root of a finite simply-laced system has norm
-                    # 2; a pairing below -1 gives b + alpha_j norm <= 0,
-                    # which certifies an affine/indefinite matrix even when
-                    # the closure stalls early.
-                    if pair != -1:
-                        raise ValueError(
-                            "closure produced a non-root vector: not of finite type"
-                        )
                     nb = b[:j] + (b[j] + 1,) + b[j + 1:]
                     if nb not in roots:
                         roots.add(nb)
                         fresh.append((nb, tuple(map(add, image, cartan[j]))))
-        if len(roots) > _CLOSURE_BOUND:
-            raise ValueError("closure does not terminate: not of finite type")
         frontier = fresh
 
     ordered = sorted(roots, key=lambda b: (sum(b), b))
-    top_height = sum(ordered[-1])
-    if len(ordered) > 1 and sum(ordered[-2]) == top_height:
-        raise ValueError("no unique highest root: input is not irreducible finite type")
     return RootSystem(
         type_label=label,
         rank=rank,
         cartan=cartan,
         positive_roots=tuple(ordered),
         marks=ordered[-1],
-        coxeter_number=top_height + 1,
+        coxeter_number=sum(ordered[-1]) + 1,
         highest_root_index=len(ordered) - 1,
     )
 

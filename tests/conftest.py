@@ -4,7 +4,7 @@ import pytest
 
 import qslab
 
-from oracles import a_series_cartan
+from oracles import a_series_cartan, closure_system
 
 
 @pytest.fixture(scope="session")
@@ -29,4 +29,4 @@ def rs_map(e6, e7, e8):
 
 @pytest.fixture(scope="session")
 def a1():
-    return qslab.build_root_system(a_series_cartan(1))
+    return closure_system(a_series_cartan(1), "A1")

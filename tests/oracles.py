@@ -18,7 +18,7 @@ from qslab.qnum import LevelContext, QReal, qdim_classical
 from qslab.qsolver import (DILOG_MARGIN, FULL_GRID_RESIDUAL_TOL, POSITIVITY_MARGIN, REL_GAP_TOL,
                            SOLVER_TOLERANCE, ZERO_WINDOW_TOL, QGrid, _mk_check,
                            proven_positivity_window)
-from qslab.rootsys import delta, is_proven, type_data
+from qslab.rootsys import _closure, delta, is_proven, type_data
 from qslab.seqanalysis import RealSequence, is_log_concave
 
 
@@ -208,6 +208,13 @@ def a_series_cartan(rank: int) -> tuple[tuple[int, ...], ...]:
         tuple(2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(rank))
         for i in range(rank)
     )
+
+
+def closure_system(cartan: Sequence[Sequence[int]], label: str):
+    """The root system of a finite simply-laced Cartan matrix outside
+    TYPE_DATA (an A or D series, say), through qslab's one closure, which
+    build_root_system reaches by E-type label only."""
+    return _closure(label, tuple(tuple(row) for row in cartan))
 
 
 # The solver's block-tridiagonal elimination as it stood before it dropped

@@ -32,10 +32,10 @@ from qslab.qsolver import (
     theorem_report,
 )
 from qslab.report import RunConfig, run
-from qslab.rootsys import TYPE_DATA, build_root_system, delta
+from qslab.rootsys import TYPE_DATA, delta
 
 import oracles
-from oracles import a_series_cartan, rel_gap
+from oracles import a_series_cartan, closure_system, rel_gap
 
 
 def test_boundary_and_direct_rows(e6):
@@ -123,7 +123,7 @@ def test_custom_type_rejected_by_grid(a1):
 
 def test_residual_sanity_all_ones_chain():
     # on the 2-node chain the constant grid misses the neighbour product by 1
-    a2 = build_root_system(a_series_cartan(2))
+    a2 = closure_system(a_series_cartan(2), "A2")
     ctx = LevelContext(a2, 2)
     rows = [[fone, fone, fone], [fone, fone, fone]]
     grid = QGrid(a2, 2, 2, rows, ctx.mp, [["solver"] * 3] * 2)
@@ -695,18 +695,25 @@ def test_type_data_rows_partition_nodes(rs_map):
         assert sorted(rows) == list(range(1, rs.rank + 1)), label
 
 
+def test_adjoint_row_is_direct():
+    # grid_row_log_concave reads the adjoint row without looking for
+    # unresolved cells: a direct row comes from chari_qdim, never None
+    for label, td in TYPE_DATA.items():
+        assert td.adjoint_node in td.direct_nodes, label
+
+
 @pytest.mark.parametrize("label,levels", [("E6", (1, 4, 6)), ("E7", (1, 4)), ("E8", (2, 4))])
 def test_theorem_report_passes(rs_map, label, levels):
     rs = rs_map[label]
     for level in levels:
         ctx = LevelContext(rs, level)
-        failing = [c for c in theorem_report(ctx) if c.status != "pass"]
+        failing = [c for c in theorem_report(ctx, build_qgrid(ctx)) if c.status != "pass"]
         assert not failing, [(c.name, c.node, c.status) for c in failing]
 
 
 def test_theorem_report_labels(e7, e8):
     ctx = LevelContext(e7, 4)
-    by = {(c.name, c.node): c for c in theorem_report(ctx)}
+    by = {(c.name, c.node): c for c in theorem_report(ctx, build_qgrid(ctx))}
     assert not by[("positivity", 4)].proven
     assert not by[("positivity", 5)].proven
     assert by[("positivity", 1)].proven
@@ -714,7 +721,7 @@ def test_theorem_report_labels(e7, e8):
     assert not by[("unimodality", 4)].proven
     assert by[("unimodality", 2)].proven
     ctx8 = LevelContext(e8, 2)
-    by8 = {(c.name, c.node): c for c in theorem_report(ctx8)}
+    by8 = {(c.name, c.node): c for c in theorem_report(ctx8, build_qgrid(ctx8))}
     assert not by8[("symmetry", 2)].proven
     assert by8[("symmetry", 3)].proven
     assert not by8[("positivity", 5)].proven
@@ -999,7 +1006,8 @@ def test_theorem_labels_come_from_the_table_by_name(e7, monkeypatch):
     proven = {"zero_window": {1, 2}, "symmetry": {2, 3}, "positivity": {3, 4, 6},
               "unimodality": {4, 5}, "periodicity": {1, 5}, "boundary_one": {6, 7}}
     monkeypatch.setitem(TYPE_DATA, "E7", TYPE_DATA["E7"]._replace(proven_nodes=proven))
-    checks = theorem_report(LevelContext(e7, 6))
+    ctx = LevelContext(e7, 6)
+    checks = theorem_report(ctx, build_qgrid(ctx))
     by_name = {}
     for c in checks:
         by_name.setdefault(c.name, set()).add(c.proven)

