@@ -28,6 +28,9 @@ from .rootsys import TYPE_DATA, build_root_system, is_dominant, type_data
 
 # Significant digits of a printed quantum dimension.
 DEFAULT_DIGITS = 30
+# The most terms krdec builds: 10^6 took about 4 s and 0.4 GB to print, and
+# about 17 s and 0.7 GB with --qdim.
+MAX_KRDEC_TERMS = 10**6
 
 
 def _usage_error(message: str) -> NoReturn:
@@ -221,6 +224,9 @@ def _cmd_krdec(args) -> int:
         _usage_error(f"no closed-form decomposition for ({rs.type_label}, node {args.node})")
     if args.qdim and level is None:
         _usage_error("--qdim needs --level")
+    count = 0 if kleber else krchar.chari_term_count(rs, args.node, args.k)
+    if count > MAX_KRDEC_TERMS:
+        _usage_error(f"--k {args.k} gives {count} terms, more than {MAX_KRDEC_TERMS}")
     dec = (krchar.kleber_q1(rs, args.node) if kleber
            else krchar.chari_decomposition(rs, args.node, args.k))
     lines = [f"{mult} x ({','.join(str(c) for c in w)})" for mult, w in dec.terms]

@@ -5,15 +5,18 @@ Chari's formulas cover the extremal nodes of E6/E7/E8, and Kleber's tables
 for the two remaining E7 nodes at a single box are read from
 ``rootsys.TYPE_DATA``.  Everything else is reached through Q-system
 propagation in :mod:`qslab.qsolver`.
+
+A KR quantum dimension folds ``qdim`` over a decomposition on ``QReal``'s
+p-bit triples, with the bits of the mpf sum; a paired shell's interior
+weights take their zeros from ``qnum.shell_zeros``, once per shell.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from mpmath.libmp import fzero, mpf_add, mpf_mul_int
-
-from .qnum import LevelContext, QReal, plan_qdim, qdim, support_plan
+from .qnum import (ZERO, LevelContext, QReal, add_triples, qdim, round_triple, shell_qdims,
+                   support_plan)
 from .rootsys import RootSystem, Weight, fundamental_weight, is_dominant, type_data
 
 
@@ -80,6 +83,17 @@ def chari_decomposition(rs: RootSystem, node: int, box_count: int) -> KRDecompos
     return KRDecomposition(node=node, box_count=k, terms=tuple(terms))
 
 
+def chari_term_count(rs: RootSystem, node: int, box_count: int) -> int:
+    """len(chari_decomposition(rs, node, box_count).terms), in closed form: a
+    paired shell j has j + 1 weights, and the nested nodes sum shells 0..k."""
+    _check_direct(rs, node, box_count)
+    td, k = type_data(rs.type_label), box_count
+    paired = node in td.paired_shells
+    if node in td.nested_nodes:
+        return (k + 1) * (k + 2) // 2 if paired else k + 1
+    return k + 1 if paired else 1
+
+
 def kleber_q1(rs: RootSystem, node: int) -> KRDecomposition:
     """Kleber's single-box decomposition at a node of TYPE_DATA's ``kleber_q1``."""
     terms = type_data(rs.type_label).kleber_q1.get(node)
@@ -89,19 +103,20 @@ def kleber_q1(rs: RootSystem, node: int) -> KRDecomposition:
 
 
 def _fold(total: QReal | None, terms, ctx: LevelContext) -> QReal:
-    """Add mult * q over (mult, q) terms to total, left to right, by QReal's
-    libmp calls on raw values.  Without a total the sum starts from 0 with
-    scale 0, to which the first term adds exactly; an exact zero term leaves
-    the value's bits, so it adds only its scale."""
-    prec, rnd = ctx.mp._prec_rounding
-    value, scale = (fzero, fzero) if total is None else (total._value, total._scale)
+    """Add mult * q over (mult, q) terms to total, left to right, on the
+    p-bit triples, each product and sum rounded as mpf_mul_int and mpf_add
+    round it.  Without a total the sum starts from 0 with scale 0, to which
+    the first term adds exactly; an exact zero term leaves the value's bits,
+    so it adds only its scale."""
+    p = ctx.precision_bits
+    value, scale = (ZERO, ZERO) if total is None else (total._v, total._s)
     for mult, q in terms:
-        v, s = q._value, q._scale
+        v, s = q._v, q._s
         if mult != 1:
-            v, s = mpf_mul_int(v, mult, prec, rnd), mpf_mul_int(s, mult, prec, rnd)
-        if v is not fzero:
-            value = mpf_add(value, v, prec, rnd)
-        scale = mpf_add(scale, s, prec, rnd)
+            v, s = round_triple(v[0], v[1] * mult, v[2], p), round_triple(0, s[1] * mult, s[2], p)
+        if v[1]:
+            value = add_triples(value, v, p)
+        scale = add_triples(scale, s, p)
     return QReal(value, scale, ctx.mp)
 
 
@@ -117,17 +132,15 @@ def qdim_kr(dec: KRDecomposition, ctx: LevelContext) -> QReal:
 
 def _shell_qdims(node: int, j: int, ctx: LevelContext) -> list[QReal]:
     """The quantum dimensions of shell j's weights, in summation order; those
-    of a paired shell's interior weights r w_a + (j - r) w_b, 0 < r < j, from
-    their pairings r va + (j - r) vb with the groups of the plan of (a, b)."""
+    of a paired shell's interior weights r w_a + (j - r) w_b, 0 < r < j, by
+    ``shell_qdims`` from the plan of (a, b)."""
     rs = ctx.root_system
     pair = type_data(rs.type_label).paired_shells.get(node)
     if pair is None or j == 0:
         return [qdim(fundamental_weight(rs.rank, node, j), ctx)]
     a, b = pair
-    plan = support_plan(ctx, pair)
-    inner = [plan_qdim(plan, [r * va + (j - r) * vb for va, vb in plan[0]], ctx)
-             for r in range(1, j)]
-    return [qdim(fundamental_weight(rs.rank, b + 1, j), ctx), *inner,
+    return [qdim(fundamental_weight(rs.rank, b + 1, j), ctx),
+            *shell_qdims(support_plan(ctx, pair), j, ctx),
             qdim(fundamental_weight(rs.rank, a + 1, j), ctx)]
 
 

@@ -5,24 +5,99 @@ LevelContext keeps a table of sin(pi*r/l) indexed by the residue of r
 modulo 2l, and all products are assembled from table lookups at the
 context's working precision.  Exact zeros are decided by integer
 congruences on pairings, never by float thresholding.
+
+The sine table, the kernel's partial products and ``QReal`` hold p-bit
+triples (sign, mantissa exactly p bits wide, exponent), or ``ZERO``, at
+the context's precision p.  Each operation rounds as the libmp call it
+stands for, to nearest with ties to even, so the bits are those of mpf
+arithmetic; libmp's normal form is made only where a value is read out.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from itertools import compress
 from operator import index, mul
 from typing import Sequence
 
 from mpmath.ctx_mp import MPContext
-from mpmath.libmp import (fone, from_man_exp, fzero, mpf_abs, mpf_add, mpf_div, mpf_lt,
-                          mpf_mul, mpf_sub)
+from mpmath.libmp import fzero
 
 from .rootsys import RootSystem, Weight, fundamental_weight, is_dominant
 
 MIN_PRECISION_BITS = 64
 # The working precision wherever none is given.
 DEFAULT_PRECISION_BITS = 128
+ZERO = (0, 0, 0)  # the p-bit triple of 0, at every p
+
+
+def round_triple(sign: int, man: int, exp: int, p: int) -> tuple:
+    """(-1)**sign * man * 2**exp, man >= 0, rounded to nearest at p bits,
+    ties to even, as a p-bit triple (sign, mantissa, exponent): the mantissa
+    exactly p bits wide, or ZERO.  A tie is the one case where the dropped
+    bits of man plus half their unit are all zero; it rounds half up, then
+    clears the low bit."""
+    n = man.bit_length() - p
+    if n > 0:
+        man += 1 << n - 1
+        tie = not man & ((1 << n) - 1)
+        man >>= n
+        if tie:
+            man &= -2
+        if man >> p:  # carried to 2**p
+            return sign, man >> 1, exp + n + 1
+        return sign, man, exp + n
+    return (sign, man << -n, exp + n) if man else ZERO
+
+
+def add_triples(a: tuple, b: tuple, p: int, flip: int = 0) -> tuple:
+    """a + b (a - b with ``flip`` 1) of p-bit triples, rounded as
+    ``round_triple``: mpf_add's (mpf_sub's) bits.  When b's exponent lies
+    p + 2 or more below a's, |b| is under a quarter unit in a's last place,
+    and under half a unit below a too: the sum rounds to a."""
+    sa, ma, ea = a
+    sb, mb, eb = b
+    if not mb:
+        return a
+    if not ma:
+        return sb ^ flip, mb, eb
+    sb ^= flip
+    if ea < eb:
+        sa, ma, ea, sb, mb, eb = sb, mb, eb, sa, ma, ea
+    gap = ea - eb
+    if gap > p + 1:
+        return sa, ma, ea
+    man = (ma << gap) + (mb if sa == sb else -mb)
+    return round_triple(sa ^ (man < 0), abs(man), eb, p)
+
+
+def mul_triples(a: tuple, b: tuple, p: int) -> tuple:
+    """a * b of p-bit triples, rounded as ``round_triple``: mpf_mul's bits."""
+    if not (a[1] and b[1]):
+        return ZERO
+    return round_triple(a[0] ^ b[0], a[1] * b[1], a[2] + b[2], p)
+
+
+def div_triples(a: tuple, b: tuple, p: int) -> tuple:
+    """a / b of p-bit triples, b nonzero, rounded to nearest: mpf_div's bits.
+    As in ``_sine_product``, x = ma*2**s/mb is never a tie and never rounds
+    up to 2**p, so floor(2x + 1) / 2 rounds it."""
+    sa, ma, ea = a
+    sb, mb, eb = b
+    if not ma:
+        return ZERO
+    s = p - 1 if ma >= mb else p
+    return sa ^ sb, ((ma << s + 1) // mb + 1) >> 1, ea - eb - s
+
+
+def _mpf(t: tuple) -> tuple:
+    """The libmp normal form of a p-bit triple: odd mantissa, bit count."""
+    sign, man, exp = t
+    if not man:
+        return fzero
+    tz = (man & -man).bit_length() - 1
+    return sign, man >> tz, exp + tz, man.bit_length() - tz
 
 
 class QReal:
@@ -30,51 +105,61 @@ class QReal:
 
     ``magnitude_scale`` bounds the largest intermediate magnitude that went
     into the value (never below max(1, |value|)); tolerance checks multiply
-    the context's base tolerance by it.  Both read as mpf numbers of the
-    context ``mp`` and are held as raw ``_mpf_`` tuples, on which the
-    operators call mpmath.libmp at the context's precision and rounding:
-    the calls the mpf operators make, in the same order, so the bits are
-    those of mpf arithmetic, without its per-object dispatch.
+    the context's base tolerance by it.  Both are held as p-bit triples at
+    the precision of the context ``mp``; the operators round as the libmp
+    calls of the mpf operators do, in the same order, to the same bits.
+    ``value`` and ``magnitude_scale`` read as mpf numbers of ``mp``;
+    ``_value`` and ``_scale`` as raw ``_mpf_`` tuples.
     """
 
-    __slots__ = ("_value", "_scale", "_mp")
+    __slots__ = ("_v", "_s", "_mp")
 
     def __init__(self, value: tuple, scale: tuple, mp: MPContext):
-        self._value, self._scale, self._mp = value, scale, mp
+        self._v, self._s, self._mp = value, scale, mp
 
-    value = property(lambda self: self._mp.make_mpf(self._value))
-    magnitude_scale = property(lambda self: self._mp.make_mpf(self._scale))
+    _value = property(lambda self: _mpf(self._v))
+    _scale = property(lambda self: _mpf(self._s))
+    value = property(lambda self: self._mp.make_mpf(_mpf(self._v)))
+    magnitude_scale = property(lambda self: self._mp.make_mpf(_mpf(self._s)))
 
     # Both scales are at least 1 and at least |value|, and rounding to
     # nearest is monotone, so the rounded scale sum already bounds the
     # rounded |v1 - v2| and 1: a difference needs no clamp.
     def __sub__(self, other: "QReal") -> "QReal":
-        prec, rnd = self._mp._prec_rounding
-        return QReal(mpf_sub(self._value, other._value, prec, rnd),
-                     mpf_add(self._scale, other._scale, prec, rnd), self._mp)
+        p = self._mp._prec_rounding[0]
+        return QReal(add_triples(self._v, other._v, p, 1),
+                     add_triples(self._s, other._s, p), self._mp)
 
     def __mul__(self, other: "QReal") -> "QReal":
-        prec, rnd = self._mp._prec_rounding
-        a, b = self._value, other._value
-        v = mpf_mul(a, b, prec, rnd)
-        scale = mpf_add(mpf_mul(mpf_abs(a, prec, rnd), other._scale, prec, rnd),
-                        mpf_mul(mpf_abs(b, prec, rnd), self._scale, prec, rnd), prec, rnd)
-        return self._clamped(v, scale, prec, rnd)
+        p = self._mp._prec_rounding[0]
+        a, b = self._v, other._v
+        scale = add_triples(mul_triples((0, a[1], a[2]), other._s, p),
+                            mul_triples((0, b[1], b[2]), self._s, p), p)
+        return self._clamped(mul_triples(a, b, p), scale, p)
 
     def div(self, other: "QReal") -> "QReal":
         """Division; the caller is responsible for guarding the divisor."""
-        prec, rnd = self._mp._prec_rounding
-        v = mpf_div(self._value, other._value, prec, rnd)
-        scale = mpf_add(self._scale, mpf_mul(mpf_abs(v, prec, rnd), other._scale, prec, rnd),
-                        prec, rnd)
-        scale = mpf_div(scale, mpf_abs(other._value, prec, rnd), prec, rnd)
-        return self._clamped(v, scale, prec, rnd)
+        p = self._mp._prec_rounding[0]
+        _, mb, eb = other._v
+        v = div_triples(self._v, other._v, p)
+        scale = add_triples(self._s, mul_triples((0, v[1], v[2]), other._s, p), p)
+        return self._clamped(v, div_triples(scale, (0, mb, eb), p), p)
 
-    def _clamped(self, v: tuple, scale: tuple, prec: int, rnd: str) -> "QReal":
+    def is_clear_of_zero(self, bits: int) -> bool:
+        """|value| > 2**-bits * scale, decided exactly on the exponents and
+        the p-bit mantissas."""
+        (_, mv, ev), (_, ms, es) = self._v, self._s
+        return bool(mv) and (not ms or ev + bits > es or ev + bits == es and mv > ms)
+
+    def _clamped(self, v: tuple, scale: tuple, p: int) -> "QReal":
         """QReal(v, scale) with the scale raised to |v|, then to 1."""
-        m = mpf_abs(v, prec, rnd)
-        scale = m if mpf_lt(scale, m) else scale
-        return QReal(v, fone if mpf_lt(scale, fone) else scale, self._mp)
+        _, mv, ev = v
+        _, ms, es = scale
+        if mv and (not ms or ev > es or ev == es and mv > ms):
+            ms, es = mv, ev
+        if not ms or es < 1 - p:
+            ms, es = 1 << p - 1, 1 - p
+        return QReal(v, (0, ms, es), self._mp)
 
 
 @functools.cache
@@ -99,7 +184,7 @@ class LevelContext:
     of ``qdim`` keyed by dominant weight.  It also memoizes the closed-form
     KR rows of :mod:`qslab.krchar`, one list per direct node indexed by box
     count; their paired-shell interior weights are evaluated from their
-    plan by ``plan_qdim``, outside the memo.  ``one`` and ``zero`` are its
+    plan by ``shell_qdims``, outside the memo.  ``one`` and ``zero`` are its
     exact 1 and 0.
     """
 
@@ -118,8 +203,8 @@ class LevelContext:
         self.shifted_level = level + root_system.coxeter_number
         self.mp = mp = mp_context(self.precision_bits)
         self.zero_tolerance = mp.mpf(2) ** (-(self.precision_bits // 2))
-        self.one = QReal(fone, fone, mp)
-        self.zero = QReal(fzero, fone, mp)
+        one = (0, 1 << precision_bits - 1, 1 - precision_bits)
+        self.one, self.zero = QReal(one, one, mp), QReal(ZERO, one, mp)
         # sin(pi*r/l) by residue r mod 2l as (sign, mantissa, exponent): the
         # value (-1)**sign * mantissa * 2**exponent, the mantissa exactly
         # precision_bits wide (zero at the two zeros of the sine)
@@ -187,6 +272,37 @@ def plan_qdim(plan: tuple, dots: Sequence[int], ctx: LevelContext) -> QReal:
     return _sine_product(ctx, plan[2], dots)
 
 
+def shell_zeros(plan: tuple, j: int, l: int) -> set[int]:
+    """The r, 0 < r < j, for which the weight with pairings r va + (j - r) vb
+    with the groups (va, vb) of a two-node ``support_plan`` is an exact zero.
+    Group g makes it zero iff r (va - vb) = z - j vb (mod l) for a zero
+    residue z of g: one linear congruence per (group, residue), solved
+    through gcd(va - vb, l) and an inverse, all r when va = vb (mod l) and
+    z = j vb."""
+    out = set()
+    for (va, vb), zeros in zip(plan[0], plan[1]):
+        a = (va - vb) % l
+        g = math.gcd(a, l)
+        step = l // g
+        inv = pow(a // g, -1, step)
+        for z in zeros:
+            c = (z - j * vb) % l
+            if not c % g:
+                r = c // g * inv % step
+                out.update(range(r or step, j, step))
+    return out
+
+
+def shell_qdims(plan: tuple, j: int, ctx: LevelContext) -> list[QReal]:
+    """The quantum dimensions of the weights r w_a + (j - r) w_b, 0 < r < j,
+    of the two-node ``support_plan`` of (a, b): ``ctx.zero`` at the
+    ``shell_zeros``, the plan's sine product elsewhere."""
+    zeros = shell_zeros(plan, j, ctx.shifted_level)
+    return [ctx.zero if r in zeros else
+            _sine_product(ctx, plan[2], [r * va + (j - r) * vb for va, vb in plan[0]])
+            for r in range(1, j)]
+
+
 def _fold_step(ctx: LevelContext, g: int, ht: int, den: int) -> tuple:
     """The ``_sine_product`` step ``(g, ht, den_man, r, den_exp)``: times the
     table's sine at residue dots[g] + ht, over its sine at residue ``den``
@@ -211,9 +327,11 @@ def _sine_product(ctx: LevelContext, steps: Sequence[tuple], dots: Sequence[int]
     correctly rounded pair of steps gives the same values, whatever the
     mantissa representation:
 
-    - The product of two p-bit mantissas has 2p-1 or 2p bits; its top bit
-      picks how many low bits to drop, rounded half to even, and a round-up
-      to 2**p carries into the exponent.
+    - The product t of two p-bit mantissas has 2p-1 or 2p bits; its top
+      bit picks how many low bits w to drop.  t + 2**(w-1) >> w rounds half
+      up; the dropped bits of t + 2**(w-1) are all zero only at a tie, which
+      then goes to even by clearing the low bit.  A round-up to 2**p carries
+      into the exponent.
     - The quotient x = m*2**s/d of two p-bit mantissas, s = p-1 if m >= d
       and p otherwise, lies in [2**(p-1), 2**p).  It is never halfway
       between two integers q and q+1: the odd part of m*2**s would then be
@@ -224,12 +342,15 @@ def _sine_product(ctx: LevelContext, steps: Sequence[tuple], dots: Sequence[int]
       integer to x, with no tie, no carry and no division.
     - The sign is the XOR of the numerators' signs, and magnitudes compare
       as (exponent, mantissa).
+
+    The value and the scale are handed over as ``QReal`` triples.
     """
     sines, period = ctx._sines, 2 * ctx.shifted_level
     p = ctx.precision_bits
     p1, full, top = p - 1, 1 << p, 1 << 2 * p - 1
-    # added before dropping p (or p-1) bits: half the dropped unit, less one
-    below_half, below_half_low = (1 << (p - 1)) - 1, (1 << (p - 2)) - 1
+    # half the unit of the p (or p-1) bits dropped, and their mask
+    half, half_low = 1 << p1, 1 << p - 2
+    mask, mask_low = (1 << p) - 1, (1 << p1) - 1
     sh, sh_low = 2 * p + 3, 2 * p + 2  # K - s, then half its unit
     qhalf, qhalf_low = 1 << sh - 1, 1 << sh_low - 1
     sign = 0
@@ -243,10 +364,16 @@ def _sine_product(ctx: LevelContext, steps: Sequence[tuple], dots: Sequence[int]
         exp += num_exp - den_exp
         t = man * num_man
         if t >= top:
-            man = (t + below_half + ((t >> p) & 1)) >> p
+            t += half
+            man = t >> p
             exp += 1
+            if not t & mask:
+                man &= -2
         else:
-            man = (t + below_half_low + ((t >> p1) & 1)) >> p1
+            t += half_low
+            man = t >> p1
+            if not t & mask_low:
+                man &= -2
         if man == full:
             man >>= 1
             exp += 1
@@ -255,10 +382,9 @@ def _sine_product(ctx: LevelContext, steps: Sequence[tuple], dots: Sequence[int]
         else:
             man = (man * r + qhalf_low) >> sh_low
             exp -= 1
-        if exp > scale_exp or (exp == scale_exp and man > scale_man):
+        if exp >= scale_exp and (exp > scale_exp or man > scale_man):
             scale_exp, scale_man = exp, man
-    return QReal(from_man_exp(-man if sign else man, exp),
-                 from_man_exp(scale_man, scale_exp), ctx.mp)
+    return QReal((sign, man, exp), (0, scale_man, scale_exp), ctx.mp)
 
 
 def qdim(weight: Sequence[int], ctx: LevelContext) -> QReal:

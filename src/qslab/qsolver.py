@@ -243,13 +243,10 @@ def build_qgrid(ctx: LevelContext, k_max: int | None = None) -> QGrid:
     if k_max > 4 * l:
         raise ValueError("k_max is capped at 4l")
 
-    prec, rnd = ctx.mp._prec_rounding
-    zero_tol = ctx.zero_tolerance._mpf_
+    half = ctx.precision_bits // 2
 
     def divide(num: QReal, div: QReal) -> QReal | None:
-        if mpf_gt(mpf_abs(div._value, prec, rnd), mpf_mul(zero_tol, div._scale, prec, rnd)):
-            return num.div(div)
-        return None
+        return num.div(div) if div.is_clear_of_zero(half) else None
 
     table, provenance = _route_walk(
         type_data(rs.type_label), k_max, ctx.one, lambda i, k: chari_qdim(i, k, ctx), divide,

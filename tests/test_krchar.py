@@ -10,6 +10,7 @@ from qslab.krchar import (
     KRDecomposition,
     chari_decomposition,
     chari_qdim,
+    chari_term_count,
     kleber_q1,
     qdim_kr,
 )
@@ -134,6 +135,16 @@ def test_chari_terms_below_box_weight(e7, e8):
             gap = tuple(t - c for t, c in zip(top, w))
             coords = to_root_basis(rs, gap)
             assert all(c >= 0 for c in coords), (node, w)
+
+
+def test_chari_term_count_is_the_decomposition_length(rs_map):
+    # nested and paired (E8 node 1), nested only, paired only (E7 node 2)
+    # and single-weight nodes
+    for label, rs in rs_map.items():
+        for node in TYPE_DATA[label].direct_nodes:
+            for k in range(9):
+                dec = chari_decomposition(rs, node, k)
+                assert chari_term_count(rs, node, k) == len(dec.terms), (label, node, k)
 
 
 def test_decomposition_validation():

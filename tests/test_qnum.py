@@ -5,20 +5,29 @@ import random
 import mpmath
 import pytest
 from hypothesis import assume, given, settings, strategies as st
-from mpmath.libmp import fone, from_man_exp, mpf_abs, mpf_div, mpf_gt, mpf_mul, mpf_neg
+from mpmath.libmp import (fone, from_man_exp, mpf_abs, mpf_add, mpf_div, mpf_gt, mpf_mul,
+                          mpf_mul_int, mpf_neg, mpf_pos, mpf_sub)
 
 import qslab
 from qslab import krchar, qnum
 from qslab.krchar import chari_decomposition, kleber_q1
 from qslab.qnum import (
+    ZERO,
     LevelContext,
     QReal,
     _fold_step,
     _sine_product,
+    add_triples,
+    div_triples,
     mp_context,
+    mul_triples,
+    plan_qdim,
     qdim,
     qdim_classical,
     qdim_line,
+    round_triple,
+    shell_zeros,
+    support_plan,
 )
 from qslab.qsolver import build_qgrid
 from qslab.rootsys import delta, fundamental_weight, type_data
@@ -451,6 +460,13 @@ def _seeded_pairs(mp, seed, count=400):
     return pairs
 
 
+def _triple(x, p):
+    """The p-bit triple (sign, mantissa, exponent) of an mpf number or a raw
+    ``_mpf_`` tuple of at most p bits: the mantissa exactly p bits wide."""
+    sign, man, exp, bc = getattr(x, "_mpf_", x)
+    return (sign, man << p - bc, exp - (p - bc)) if man else (0, 0, 0)
+
+
 @pytest.mark.parametrize("bits", [64, 128, 256])
 def test_qreal_arithmetic_matches_mpf_formulas(bits):
     # QReal's libmp arithmetic gives the bits of the mpf-operator formulas,
@@ -468,7 +484,8 @@ def test_qreal_arithmetic_matches_mpf_formulas(bits):
     assert min(raised.values()) > 20, raised
     for global_prec in (None, 20):
         for (va, sa), (vb, sb) in operands:
-            a, b = QReal(va._mpf_, sa._mpf_, mp), QReal(vb._mpf_, sb._mpf_, mp)
+            a = QReal(_triple(va, bits), _triple(sa, bits), mp)
+            b = QReal(_triple(vb, bits), _triple(sb, bits), mp)
             ra, rb = MpfQReal(va, sa), MpfQReal(vb, sb)
             if global_prec is None:
                 got = [a - b, a * b] + ([a.div(b)] if vb else [])
@@ -479,3 +496,140 @@ def test_qreal_arithmetic_matches_mpf_formulas(bits):
             for op, q, r in zip("-*/", got, ref):
                 assert q.value._mpf_ == r.value._mpf_, (op, va, vb)
                 assert q.magnitude_scale._mpf_ == r.magnitude_scale._mpf_, (op, va, sa, vb, sb)
+
+
+@st.composite
+def _triple_cases(draw):
+    """(p, kind, a, b, n): p-bit triples a and b and an integer n >= 1.  The
+    kind builds the rounding case: "plain" draws b at an exponent gap of 0 to
+    beyond 2p below a; "add_tie" makes b half a unit in a's last place, so
+    that a + b is a tie, and "add_carry" the tie 2**p - 1/2 as well;
+    "mul_tie" makes a*b and a*n (n = 3) ties; "mul_carry" makes a*b the
+    p + 1 ones that round to 2**p (when p + 1 is composite); "cancel" makes
+    a - b zero; "zero" zeroes an operand.  The mantissa's parity, drawn
+    freely, decides which way a tie goes."""
+    p = draw(st.sampled_from([64, 97, 128, 256, 1024]))
+    lo, hi = 1 << p - 1, 1 << p
+    kind = draw(st.sampled_from(
+        ["plain", "add_tie", "add_carry", "mul_tie", "mul_carry", "cancel", "zero"]))
+    rng = draw(st.randoms(use_true_random=False))
+
+    def mantissa():  # uniform, or one at the ends of the binade
+        return rng.choice([lo, lo + 1, hi - 2, hi - 1, rng.randrange(lo, hi)])
+
+    sa, sb, ea = rng.getrandbits(1), rng.getrandbits(1), rng.randint(-3 * p, 3 * p)
+    # p + 2 is the least gap at which a + b rounds to a whatever b is
+    gap = rng.choice([0, 1, p + 1, p + 2, rng.randrange(2 * p + 17), rng.randrange(2 * p + 17)])
+    ma = mantissa()
+    a, b = (sa, ma, ea), (sb, mantissa(), ea - gap)
+    n = rng.choice([1, 2, 3, rng.randrange(1, 1 << 80)])
+    if kind == "add_tie":
+        b = (sa, lo, ea - p)
+    elif kind == "add_carry":
+        a, b = (sa, hi - 1, ea), (sa, lo, ea - p)
+    elif kind == "mul_tie":
+        # t = 3 ma 2**(p-2) drops p - 1 bits below 2**(2p-1), p bits above:
+        # its dropped bits are 10...0 when 3 ma is odd, or 2 mod 4
+        ma = ma | 1 if 3 * ma < 2 * hi else ma & -4 | 2
+        a, b, n = (sa, ma, ea), (sb, 3 << p - 2, b[2]), 3
+    elif kind == "mul_carry":
+        d = next((d for d in range(2, p + 1) if (p + 1) % d == 0), None)
+        assume(d is not None)
+        # (2**d - 1) times (2**(p+1) - 1) / (2**d - 1): p + 1 ones
+        q = ((1 << p + 1) - 1) // ((1 << d) - 1)
+        a, b = (sa, ((1 << d) - 1) << p - d, ea), (sb, q << p - q.bit_length(), b[2])
+    elif kind == "cancel":
+        b = a
+    elif kind == "zero":
+        a, b = rng.choice([(ZERO, b), (a, ZERO), (ZERO, ZERO)])
+    return p, kind, a, b, n
+
+
+@settings(max_examples=700, deadline=None, derandomize=True, database=None)
+@given(_triple_cases())
+def test_triple_arithmetic_matches_libmp(case):
+    # each operation on p-bit triples rounds as libmp does at p bits, to
+    # nearest with ties to even, and returns a p-bit triple
+    p, kind, a, b, n = case
+    x, y = (from_man_exp(-m if s else m, e) for s, m, e in (a, b))
+
+    def raw(t):
+        sign, man, exp = t
+        assert man.bit_length() == p or t == ZERO, t
+        return from_man_exp(-man if sign else man, exp)
+
+    def is_tie(exact):  # halfway between its roundings down and up
+        down, up = mpf_pos(exact, p, "f"), mpf_pos(exact, p, "c")
+        return down != up and mpf_sub(exact, down) == mpf_sub(up, exact)
+
+    assert raw(add_triples(a, b, p)) == mpf_add(x, y, p, "n"), (kind, a, b)
+    assert raw(add_triples(a, b, p, 1)) == mpf_sub(x, y, p, "n"), (kind, a, b)
+    assert raw(mul_triples(a, b, p)) == mpf_mul(x, y, p, "n"), (kind, a, b)
+    assert raw(round_triple(a[0], a[1] * n, a[2], p)) == mpf_mul_int(x, n, p, "n"), (kind, a, n)
+    if b[1]:
+        assert raw(div_triples(a, b, p)) == mpf_div(x, y, p, "n"), (kind, a, b)
+    # the case is the one its kind names
+    if kind in ("add_tie", "add_carry"):
+        assert is_tie(mpf_add(x, y))
+    if kind == "add_carry":
+        assert add_triples(a, b, p) == (a[0], 1 << p - 1, a[2] + 1)
+    if kind == "mul_tie":
+        assert is_tie(mpf_mul(x, y)) and is_tie(mpf_mul(x, from_man_exp(n, 0)))
+    if kind == "mul_carry":
+        assert is_tie(mpf_mul(x, y)) and mul_triples(a, b, p)[1] == 1 << p - 1
+    if kind == "cancel":
+        assert add_triples(a, b, p, 1) == ZERO
+
+
+@pytest.mark.parametrize("label", ["E7", "E8"])
+def test_shell_zeros_match_the_per_weight_residue_test(rs_map, label, monkeypatch):
+    # the zeros of a paired shell (E7 node 2, E8 node 1) solved as linear
+    # congruences are the weights whose plan_qdim finds a zero residue, on
+    # every shell the grid and the periodicity check read, L1-40; a group
+    # with va = vb (mod l) makes every weight of a shell zero or none
+    rs = rs_map[label]
+    (pair,) = type_data(label).paired_shells.values()
+    monkeypatch.setattr(qnum, "_sine_product", lambda *args: None)  # residues only
+    for level in range(1, 41):
+        ctx = LevelContext(rs, level)
+        l, plan = ctx.shifted_level, support_plan(ctx, pair)
+        assert any((va - vb) % l == 0 for va, vb in plan[0])
+        for j in range(l + 4):
+            dots = {r: [r * va + (j - r) * vb for va, vb in plan[0]] for r in range(1, j)}
+            expected = {r for r, d in dots.items() if plan_qdim(plan, d, ctx) is ctx.zero}
+            assert shell_zeros(plan, j, l) == expected, (level, j)
+
+
+def test_shell_zeros_solve_every_linear_congruence():
+    # plans of random groups: (va - vb) shares every factor with l, or none,
+    # and its cofactor is a unit other than 1, so the inverse matters
+    rng = random.Random(38)
+    for l in (12, 18, 30, 31, 36, 48, 60):
+        for _ in range(40):
+            vectors = tuple((rng.randint(-6, 6), rng.randint(-6, 6)) for _ in range(3))
+            zeros = [set(rng.sample(range(l), rng.randint(1, 4))) for _ in vectors]
+            for j in range(l + 4):
+                expected = {r for r in range(1, j) if any(
+                    (r * va + (j - r) * vb) % l in z for (va, vb), z in zip(vectors, zeros))}
+                assert shell_zeros((vectors, zeros), j, l) == expected, (l, vectors, zeros, j)
+
+
+@pytest.mark.parametrize("bits", [64, 97, 128])
+def test_divisor_guard_is_the_mpf_comparison(bits):
+    # |value| > 2**-(p//2) * scale decided on exponents and mantissas, as
+    # mpf_gt decided it on the exact product, at the boundary and one unit
+    # of the last place either side of it
+    mp, half, rng = mp_context(bits), bits // 2, random.Random(bits)
+    seen = set()
+    for _ in range(300):
+        ms, es = rng.randrange(1 << bits - 1, 1 << bits), rng.randint(-bits, bits)
+        mv = ms + rng.choice([-1, 0, 1, rng.randint(-ms // 2, ms // 2)])
+        ev = es - half + rng.choice([-1, 0, 0, 0, 1])
+        v = _triple(from_man_exp(mv, ev, bits, "n"), bits) if rng.random() < 0.95 else ZERO
+        s = _triple(from_man_exp(ms, es), bits)
+        q = QReal(v, s, mp)
+        bound = mpf_mul(from_man_exp(1, -half), q._scale)
+        expected = mpf_gt(mpf_abs(q._value), bound)
+        assert q.is_clear_of_zero(half) == expected, (v, s)
+        seen.add((expected, q._value[1:3] == bound[1:3]))
+    assert seen == {(True, False), (False, False), (False, True)}

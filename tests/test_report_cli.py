@@ -223,6 +223,23 @@ def test_cli_krdec(capsys):
     assert "qdim" in out
 
 
+def test_cli_krdec_refuses_a_huge_decomposition():
+    # E8 node 1 at k = 100000 has (k+1)(k+2)/2, about 5e9, terms: refused
+    # with exit 2 before one is built, no traceback; E6 node 1 has one term
+    # at every k, so the same --k still answers
+    src = str(Path(qslab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    argv = ["krdec", "--node", "1", "--k", "100000", "--qdim", "--level", "2"]
+    huge, one = (subprocess.run([sys.executable, "-m", "qslab.cli", *argv, "--type", label],
+                                env=env, capture_output=True, text=True, timeout=60)
+                 for label in ("E8", "E6"))
+    assert (huge.returncode, huge.stdout) == (2, "")
+    assert huge.stderr == "error: --k 100000 gives 5000150001 terms, more than 1000000\n"
+    assert (one.returncode, one.stderr) == (0, "")
+    assert one.stdout.splitlines()[0] == "1 x (100000,0,0,0,0,0)"
+    assert one.stdout.splitlines()[1].startswith("qdim ")
+
+
 def test_cli_solve(capsys):
     assert main(["solve", "--type", "E6", "--level", "4", "--tol", "1e-30"]) == 0
     out = capsys.readouterr().out
@@ -614,6 +631,28 @@ def test_reports_are_deterministic():
          "20c6e9c3e92d498dfbad155a9f96da8c5e050b460066815056ede6984e97c8ce"),
         (RunConfig(type_label="E8", level=8),
          "db4dda5bc2425a6336bf5664c6b16f5aa9a8cef7c831014eca10cec0969493a4"),
+        # the rest of the benchmark's reports: its other five-group sweeps
+        # (E7 L28 holds the failing log-concavity check, E8 L16 the
+        # unresolved cell) and its other full verify runs
+        (RunConfig(type_label="E6", level=6,
+                   checks=("roots", "grid", "theorem", "logconcave", "dilog")),
+         "0dd10fc673cdb79ca3ceff880fd2d7ee320fa91885d9b3b12fbe2f32b8b2d581"),
+        (RunConfig(type_label="E7", level=1,
+                   checks=("roots", "grid", "theorem", "logconcave", "dilog")),
+         "9e504cc2a7f14fe4221c49763e60ed5c04c9e1686f6127e9671a6672a40a7f39"),
+        (RunConfig(type_label="E7", level=4,
+                   checks=("roots", "grid", "theorem", "logconcave", "dilog")),
+         "a304acaac98c2c2ff6e55dee4069690e5ffc8e5807f9a04c82334dfaccd217e2"),
+        (RunConfig(type_label="E7", level=28,
+                   checks=("roots", "grid", "theorem", "logconcave", "dilog")),
+         "fdbf42d0ba1f64efb2a2f456c9106b26077528b2d9c6b03e11e760cd64815772"),
+        (RunConfig(type_label="E8", level=16,
+                   checks=("roots", "grid", "theorem", "logconcave", "dilog")),
+         "89a61d68ed8674901dbdda205bd34ff9d302d39bdaf1dbafdaaa738a9a6e13f0"),
+        (RunConfig(type_label="E6", level=2),
+         "dcd2804766324097bbbd828988a5adfd2e2e8fa85d6bc16a4da08f5d8f3ec817"),
+        (RunConfig(type_label="E7", level=2),
+         "b5936c071e68ef9ad5c0fb160257db82dd6928948a59e3133ef37011704b1d19"),
         # failing proven checks at 128 bits: an inf violation and a
         # conjecture-violated dilog_args
         (RunConfig(type_label="E8", level=24, precision_bits=128),
