@@ -29,7 +29,7 @@ from .rootsys import TYPE_DATA, build_root_system, is_dominant, type_data
 # Significant digits of a printed quantum dimension.
 DEFAULT_DIGITS = 30
 # The most terms krdec builds: 10^6 took about 4 s and 0.4 GB to print, and
-# about 17 s and 0.7 GB with --qdim.
+# about 13 s in the same memory with --qdim.
 MAX_KRDEC_TERMS = 10**6
 
 
@@ -190,7 +190,7 @@ def _cmd_qdim(args) -> int:
         _usage_error("qdim needs --level unless --classical")
     ctx = LevelContext(rs, args.level, _precision(args))
     value = qdim(weight, ctx)
-    _emit(report.render_decimal(value._value, digits) + "\n", args.out)
+    _emit(report.render_decimal(value._v, digits) + "\n", args.out)
     return 0
 
 
@@ -234,7 +234,7 @@ def _cmd_krdec(args) -> int:
     if args.qdim:
         ctx = LevelContext(rs, level, bits)
         value = krchar.qdim_kr(dec, ctx)
-        text += f"qdim {report.render_decimal(value._value, digits)}\n"
+        text += f"qdim {report.render_decimal(value._v, digits)}\n"
     _emit(text, args.out)
     return 0
 
@@ -262,7 +262,7 @@ def _cmd_solve(args) -> int:
         _usage_error(str(exc))  # --tol not finite or below the working precision
     lines = [f"converged, residual {report.render_decimal(grid.residual_max)}"]
     for i, row in enumerate(grid.rows, 1):
-        # a mirrored cell is the same raw value as its image: render it once
+        # a mirrored cell is the same triple as its image: render it once
         shown = {c: report.render_decimal(c, 12) for c in set(row)}
         lines.append(f"node {i}: {' '.join(shown[c] for c in row)}")
     _emit("\n".join(lines) + "\n", args.out)

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .qnum import (ZERO, LevelContext, QReal, add_triples, qdim, round_triple, shell_qdims,
-                   support_plan)
+from .qnum import (ZERO, LevelContext, QReal, add_triples, qdim, qdim_unmemoized, round_triple,
+                   shell_qdims, support_plan)
 from .rootsys import RootSystem, Weight, fundamental_weight, is_dominant, type_data
 
 
@@ -124,10 +124,13 @@ def qdim_kr(dec: KRDecomposition, ctx: LevelContext) -> QReal:
     """Quantum dimension of a decomposition: sum of mult * qdim(weight).
 
     Terms are accumulated left to right in the decomposition's order, so two
-    decompositions sharing a prefix produce bit-identical partial sums.
+    decompositions sharing a prefix produce bit-identical partial sums.  Each
+    term is evaluated as it is added, outside the ``qdim`` memo, so a
+    decomposition of many terms holds none of their values.
     """
-    terms = [(mult, qdim(w, ctx)) for mult, w in dec.terms]
-    return _fold(None, terms, ctx) if terms else ctx.zero
+    if not dec.terms:
+        return ctx.zero
+    return _fold(None, ((mult, qdim_unmemoized(w, ctx)) for mult, w in dec.terms), ctx)
 
 
 def _shell_qdims(node: int, j: int, ctx: LevelContext) -> list[QReal]:

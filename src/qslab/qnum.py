@@ -40,10 +40,9 @@ def round_triple(sign: int, man: int, exp: int, p: int) -> tuple:
     clears the low bit."""
     n = man.bit_length() - p
     if n > 0:
-        man += 1 << n - 1
-        tie = not man & ((1 << n) - 1)
-        man >>= n
-        if tie:
+        t = man + (1 << n - 1)
+        man = t >> n
+        if t == man << n:  # a tie
             man &= -2
         if man >> p:  # carried to 2**p
             return sign, man >> 1, exp + n + 1
@@ -91,8 +90,45 @@ def div_triples(a: tuple, b: tuple, p: int) -> tuple:
     return sa ^ sb, ((ma << s + 1) // mb + 1) >> 1, ea - eb - s
 
 
-def _mpf(t: tuple) -> tuple:
-    """The libmp normal form of a p-bit triple: odd mantissa, bit count."""
+def cmp_triples(a: tuple, b: tuple) -> int:
+    """-1, 0 or 1 as a <, = or > b, for p-bit triples of one p: mpf_cmp's
+    answer.  ZERO has sign 0, and nonzero magnitudes order as (exponent,
+    mantissa)."""
+    sa, ma, ea = a
+    sb, mb, eb = b
+    if sa != sb:
+        return 1 - 2 * sa
+    if not (ma and mb):
+        return (ma > 0) - (mb > 0)
+    d = ea - eb or ma - mb
+    return 0 if not d else 1 - 2 * ((d < 0) ^ sa)
+
+
+def abs_triple(t: tuple) -> tuple:
+    """|t| of a p-bit triple, exact: mpf_abs's bits."""
+    return 0, t[1], t[2]
+
+
+def float_triple(x: float, p: int) -> tuple:
+    """The finite float x as a p-bit triple, rounded as ``round_triple``, so
+    exact for p >= 53: from_float's value."""
+    m, e = math.frexp(x)
+    return round_triple(int(m < 0), int(abs(m) * 2.0 ** 53), e - 53, p)
+
+
+def triple_float(t: tuple) -> float:
+    """A triple as the nearest float, ties to even, and as +-inf past the
+    float range: to_float(..., rnd=round_nearest)."""
+    sign, man, exp = round_triple(*t, 53)
+    try:
+        return math.ldexp(-man if sign else man, exp)
+    except OverflowError:
+        return -math.inf if sign else math.inf
+
+
+def raw_mpf(t: tuple) -> tuple:
+    """The libmp normal form (raw ``_mpf_`` tuple) of a p-bit triple: odd
+    mantissa, bit count."""
     sign, man, exp = t
     if not man:
         return fzero
@@ -108,8 +144,8 @@ class QReal:
     the context's base tolerance by it.  Both are held as p-bit triples at
     the precision of the context ``mp``; the operators round as the libmp
     calls of the mpf operators do, in the same order, to the same bits.
-    ``value`` and ``magnitude_scale`` read as mpf numbers of ``mp``;
-    ``_value`` and ``_scale`` as raw ``_mpf_`` tuples.
+    ``value`` and ``magnitude_scale`` read them as mpf numbers of ``mp``;
+    ``_v`` and ``_s`` are the triples themselves.
     """
 
     __slots__ = ("_v", "_s", "_mp")
@@ -117,10 +153,8 @@ class QReal:
     def __init__(self, value: tuple, scale: tuple, mp: MPContext):
         self._v, self._s, self._mp = value, scale, mp
 
-    _value = property(lambda self: _mpf(self._v))
-    _scale = property(lambda self: _mpf(self._s))
-    value = property(lambda self: self._mp.make_mpf(_mpf(self._v)))
-    magnitude_scale = property(lambda self: self._mp.make_mpf(_mpf(self._s)))
+    value = property(lambda self: self._mp.make_mpf(raw_mpf(self._v)))
+    magnitude_scale = property(lambda self: self._mp.make_mpf(raw_mpf(self._s)))
 
     # Both scales are at least 1 and at least |value|, and rounding to
     # nearest is monotone, so the rounded scale sum already bounds the
@@ -402,6 +436,13 @@ def qdim(weight: Sequence[int], ctx: LevelContext) -> QReal:
     if cached is not None:
         return cached
     w = tuple(map(int, w))
+    out = cache[w] = qdim_unmemoized(w, ctx)
+    return out
+
+
+def qdim_unmemoized(weight: Sequence[int], ctx: LevelContext) -> QReal:
+    """``qdim`` evaluated without its memo, which it neither reads nor fills."""
+    w = tuple(map(int, weight))
     if len(w) != ctx.root_system.rank:
         raise ValueError("weight has wrong rank")
     if not is_dominant(w):
@@ -410,8 +451,7 @@ def qdim(weight: Sequence[int], ctx: LevelContext) -> QReal:
     # the support roots, which pair with w through their group's vector
     plan = support_plan(ctx, tuple(compress(range(len(w)), w)))
     coords = tuple(filter(None, w))
-    out = cache[w] = plan_qdim(plan, [sum(map(mul, coords, g)) for g in plan[0]], ctx)
-    return out
+    return plan_qdim(plan, [sum(map(mul, coords, g)) for g in plan[0]], ctx)
 
 
 def qdim_line(node: int, k: int, ctx: LevelContext) -> QReal:

@@ -9,16 +9,19 @@ Q_level(i) = 1 and looks for the unique positive solution on [0, level].
 ``_neighbor_product`` is the one place that forms prod_{j ~ i} Q_k(j), and
 ``_defect`` the one place that forms the recurrence defect: the solver,
 the grid ``residual`` and ``dilog_args`` all call them.  They and the other
-grid consumers here compute on raw ``_mpf_`` tuples with the mpmath.libmp
-calls of the mpf operators, in the same order and at the context's
-precision and rounding: the bits of mpf arithmetic without its per-object
-dispatch.  A ``QGrid`` holds raw cells too, and so do the residual, the
-dilogarithm arguments, margin and sum and every check's violation;
-``QGrid.cell`` is the one place that hands out a cell as an mpf.
+grid consumers here compute on the p-bit triples of :mod:`qslab.qnum`, in
+which the grid is built, at the context's precision p: each step rounds to
+nearest with ties to even, as the mpmath.libmp call of the mpf operator it
+stands for, in the same order, so the bits are those of mpf arithmetic
+without libmp's normalization.  A ``QGrid`` holds triples, and so do the
+residual, the dilogarithm arguments, margin and sum and every check's
+violation; libmp's normal form is made only where a value is read out:
+``QGrid.cell`` (the one place that hands out a cell as an mpf), the notes
+and the logarithms of ``_rogers``.
 ``dilog_sum`` alone leaves the mpf operators' order: it sums Rogers'
 dilogarithms (``_rogers``) in one fixed-point integer and rounds once.  Every
 tolerance or margin decision, here and in the grid, solve and dilog groups
-of ``qslab.report``, goes through one raw-value kernel: ``_at_most`` (the
+of ``qslab.report``, goes through one kernel on triples: ``_at_most`` (the
 worst deviation, against a bound) and ``_above`` (a least value, against a
 margin), with ``_rel_gap`` for |a - b| / max(|a|, |b|, 1).
 ``solve_restricted`` finds the restricted solution on its own: float Newton on
@@ -47,13 +50,11 @@ from operator import mul
 from typing import NamedTuple, Sequence
 
 from mpmath.ctx_mp import MPContext
-from mpmath.libmp import (bernfrac, finf, fninf, fone, from_float, from_int, from_man_exp,
-                          fzero, mpf_abs, mpf_add, mpf_cmp, mpf_div, mpf_gt, mpf_le, mpf_log,
-                          mpf_lt, mpf_mul, mpf_mul_int, mpf_pi, mpf_shift, mpf_sub,
-                          round_nearest, to_fixed, to_float, to_str)
+from mpmath.libmp import bernfrac, finf, from_man_exp, mpf_log, mpf_pi, to_fixed, to_str
 
 from .krchar import chari_qdim
-from .qnum import LevelContext, QReal
+from .qnum import (ZERO, LevelContext, QReal, abs_triple, add_triples, cmp_triples, div_triples,
+                   float_triple, mul_triples, raw_mpf, round_triple, triple_float)
 from .rootsys import RootSystem, TypeData, delta, is_proven, type_data
 
 # The certification checks' bounds (at the default precision or above), one
@@ -106,10 +107,12 @@ class SolverDivergence(RuntimeError):
 
 
 class QGrid:
-    """The table Q_k(i) as raw ``_mpf_`` rows of the mpmath context ``mp``
-    (None when unresolved), with per-cell provenance and the raw residual
-    ``residual_max``; ``scales`` holds a KR-built grid's raw magnitude scales,
-    indexed like ``rows``, and is None on a solved grid."""
+    """The table Q_k(i) as rows of p-bit triples (``qslab.qnum``) at the
+    precision p of the mpmath context ``mp``, None when unresolved, with
+    per-cell provenance and the residual ``residual_max``, a triple too;
+    ``scales`` holds a KR-built grid's magnitude scales as triples, indexed
+    like ``rows``, and is None on a solved grid.  ``cell`` reads a cell as
+    an mpf number."""
 
     __slots__ = ("root_system", "level", "k_max", "rows", "mp", "provenance", "residual_max",
                  "unresolved", "scales")
@@ -133,7 +136,7 @@ class QGrid:
             raise IndexError(f"no cell (node {node}, k={k}) in a grid of nodes "
                              f"1..{len(self.rows)} and k = 0..{self.k_max}")
         c = self.rows[node - 1][k]
-        return None if c is None else self.mp.make_mpf(c)
+        return None if c is None else self.mp.make_mpf(raw_mpf(c))
 
 
 def _neighbor_rows(rs: RootSystem) -> list[list[int]]:
@@ -141,35 +144,42 @@ def _neighbor_rows(rs: RootSystem) -> list[list[int]]:
     return [[j - 1 for j in rs.neighbors[i]] for i in range(1, rs.rank + 1)]
 
 
-def _neighbor_product(rows, neighbors: Sequence[int], k: int, prec: int, rnd: str):
-    """prod_{j ~ i} Q_k(j): the product of the raw rows[j][k] over the
-    neighbour rows j of node i; 1 when there are none, None when a factor
-    is None.  The first factor stands for 1 * Q_k(j), which a cell already
-    rounded to ``prec`` equals."""
+def _one(p: int) -> tuple:
+    """1 as a p-bit triple."""
+    return 0, 1 << p - 1, 1 - p
+
+
+def _neighbor_product(rows, neighbors: Sequence[int], k: int, p: int):
+    """prod_{j ~ i} Q_k(j): the product of the p-bit triples rows[j][k] over
+    the neighbour rows j of node i; 1 when there are none, None when a
+    factor is None.  The first factor stands for 1 * Q_k(j), which a cell
+    already rounded to p bits equals."""
     prod = None
     for j in neighbors:
         v = rows[j][k]
         if v is None:
             return None
-        prod = v if prod is None else mpf_mul(prod, v, prec, rnd)
-    return fone if prod is None else prod
+        prod = v if prod is None else mul_triples(prod, v, p)
+    return _one(p) if prod is None else prod
 
 
 def _defect(cells, neighbors: list[list[int]], i: int, k: int):
     """The recurrence defect F = Q_k^2 - (Q_{k-1} Q_{k+1} + prod_{j~i} Q_k(j))
-    at row i, and |F| / max(Q_k^2, 1), both raw; None when a stencil cell is
-    None.  ``cells`` pairs the rows of raw cells with the mpmath context
-    whose precision and rounding every step takes."""
+    at row i, and |F| / max(Q_k^2, 1), both p-bit triples; None when a
+    stencil cell is None.  ``cells`` pairs the rows of triples with the
+    mpmath context whose precision p every step takes."""
     rows, mp = cells
-    prec, rnd = mp._prec_rounding
+    p = mp._prec_rounding[0]
     row = rows[i]
     lo, mid, hi = row[k - 1], row[k], row[k + 1]
-    prod = _neighbor_product(rows, neighbors[i], k, prec, rnd)
+    prod = _neighbor_product(rows, neighbors[i], k, p)
     if lo is None or mid is None or hi is None or prod is None:
         return None
-    lhs = mpf_mul(mid, mid, prec, rnd)
-    f = mpf_sub(lhs, mpf_add(mpf_mul(lo, hi, prec, rnd), prod, prec, rnd), prec, rnd)
-    return f, mpf_div(mpf_abs(f, prec, rnd), lhs if mpf_gt(lhs, fone) else fone, prec, rnd)
+    lhs = mul_triples(mid, mid, p)
+    f = add_triples(lhs, add_triples(mul_triples(lo, hi, p), prod, p), p, 1)
+    size = abs_triple(f)
+    # |F| / 1 is |F|, exactly
+    return f, div_triples(size, lhs, p) if cmp_triples(lhs, _one(p)) > 0 else size
 
 
 def _route_walk(td: TypeData, k_max: int, one, direct, divide, zero_at):
@@ -251,8 +261,8 @@ def build_qgrid(ctx: LevelContext, k_max: int | None = None) -> QGrid:
     table, provenance = _route_walk(
         type_data(rs.type_label), k_max, ctx.one, lambda i, k: chari_qdim(i, k, ctx), divide,
         lambda k: ctx.zero if level < k % l < l else None)
-    rows = [[None if c is None else c._value for c in row] for row in table]
-    scales = [[None if c is None else c._scale for c in row] for row in table]
+    rows = [[None if c is None else c._v for c in row] for row in table]
+    scales = [[None if c is None else c._s for c in row] for row in table]
     unresolved = [(i, k) for i, row in enumerate(rows, 1) for k, c in enumerate(row) if c is None]
     grid = QGrid(rs, level, k_max, rows, ctx.mp, provenance, unresolved=unresolved, scales=scales)
     grid.residual_max = residual(grid)
@@ -261,14 +271,14 @@ def build_qgrid(ctx: LevelContext, k_max: int | None = None) -> QGrid:
 
 def residual(grid: QGrid) -> tuple:
     """Normalized max violation of the recurrence over fully-present stencils,
-    raw; 0 when there is none."""
+    a p-bit triple; 0 when there is none."""
     cells = (grid.rows, grid.mp)
     neighbors = _neighbor_rows(grid.root_system)
-    worst = fzero
+    worst = ZERO
     for i in range(len(neighbors)):
         for k in range(1, grid.k_max):
             d = _defect(cells, neighbors, i, k)
-            if d is not None and mpf_lt(worst, d[1]):
+            if d is not None and cmp_triples(d[1], worst) > 0:
                 worst = d[1]
     return worst
 
@@ -423,14 +433,14 @@ def solve_restricted(ctx: LevelContext, tolerance: float = SOLVER_TOLERANCE) -> 
 
     The unknowns are Q_k(i), k in [1, level // 2]: the solution is symmetric
     under k <-> level - k, so each step sets Q_{level-k}(i) to the same
-    raw value as Q_k(i), and the stopping test's max over the half equals
+    triple as Q_k(i), and the stopping test's max over the half equals
     ``residual`` over the whole grid bit for bit.  The start is float Newton
     on y = log Q from Q = 1 (see ``_warm_start``), so the solver never reads
     the KR grid; it hands over at a log defect of HANDOVER_LOG_DEFECT, from
     where two corrections reach SOLVER_TOLERANCE at the default precision.
-    Only the cells k <= level // 2 + 1, the half with the rows either side
-    of it that the weights read, pass between float and mpf; the other
-    cells are mirrored.
+    The cells are p-bit triples (``qslab.qnum``); only those at k <= level
+    // 2 + 1, the half with the rows either side of it that the weights
+    read, pass between float and triple, and the other cells are mirrored.
     Corrections then follow at the context's precision
     (iterative refinement): each solves the float Jacobian of
     ``_log_newton_step`` for dy = dQ / Q against the relative defect
@@ -444,12 +454,11 @@ def solve_restricted(ctx: LevelContext, tolerance: float = SOLVER_TOLERANCE) -> 
     overflow or a non-positive cell raises SolverDivergence.  The grid's
     residual_max is that of the last stopping test.
     """
-    mp = ctx.mp
-    prec, rnd = mp._prec_rounding
+    mp, p = ctx.mp, ctx.precision_bits
     if not math.isfinite(tolerance):
         raise ValueError(f"solver tolerance must be finite, got {tolerance}")
-    tol = from_float(tolerance)
-    if not mpf_gt(tol, mpf_shift(fone, 8 - ctx.precision_bits)):
+    tol = float_triple(tolerance, p)
+    if cmp_triples(tol, (0, 1 << p - 1, 9 - 2 * p)) <= 0:  # 2^(8 - p)
         raise ValueError("solver tolerance is below the working precision")
     rs = ctx.root_system
     level, rank = ctx.level, rs.rank
@@ -457,7 +466,7 @@ def solve_restricted(ctx: LevelContext, tolerance: float = SOLVER_TOLERANCE) -> 
     reach = level // 2 + 2  # k = 0 .. level // 2 + 1: the half and the rows either side
     v = []
     for row in _warm_start(rs, level):
-        row = [from_float(x) for x in row[:reach]]
+        row = [float_triple(x, p) for x in row[:reach]]
         v.append(row + [row[level - k] for k in range(reach, level + 1)])
     neighbors = _neighbor_rows(rs)
 
@@ -466,23 +475,23 @@ def solve_restricted(ctx: LevelContext, tolerance: float = SOLVER_TOLERANCE) -> 
         # interior cell exceeds 1; ``residual`` calls ``_defect`` too, and a
         # mirrored cell is the same value as its image, so the last stopping
         # test over the half computes the grid's residual_max
-        res = fzero
+        res = ZERO
         rhs = []
         for k in half:
             col = []
             for i in range(rank):
                 fi, size = _defect((v, mp), neighbors, i, k)
-                if mpf_lt(res, size):
+                if cmp_triples(size, res) > 0:
                     res = size
-                size = to_float(size, rnd=rnd)
-                col.append(-size if mpf_gt(fi, fzero) else size)
+                size = triple_float(size)
+                col.append(size if fi[0] or not fi[1] else -size)
             rhs.append(col)
-        if mpf_le(res, tol):
+        if cmp_triples(res, tol) <= 0:
             break
         if step == MAX_NEWTON_STEPS:
             raise SolverDivergence(f"no convergence within {MAX_NEWTON_STEPS} Newton steps; "
-                                   f"last residual {mp.make_mpf(res)}")
-        q = [[to_float(c, rnd=rnd) for c in row[:reach]] for row in v]
+                                   f"last residual {mp.make_mpf(raw_mpf(res))}")
+        q = [[triple_float(c) for c in row[:reach]] for row in v]
         weights = [[row[k - 1] / row[k] * (row[k + 1] / row[k]) for row in q] for k in half]
         for k, dy in enumerate(_log_newton_step(neighbors, weights, rhs, level), 1):
             for i, d in enumerate(dy):
@@ -490,8 +499,8 @@ def solve_restricted(ctx: LevelContext, tolerance: float = SOLVER_TOLERANCE) -> 
                 if not math.isfinite(dq):
                     raise SolverDivergence(f"float overflow: Newton step {step + 1} is {dq} "
                                            f"at cell (node {i + 1}, k={k})")
-                c = mpf_add(v[i][k], from_float(dq), prec, rnd)
-                if not mpf_gt(c, fzero):
+                c = add_triples(v[i][k], float_triple(dq, p), p)
+                if c[0] or not c[1]:
                     raise SolverDivergence(
                         f"Newton step {step + 1} left cell (node {i + 1}, k={k}) non-positive")
                 v[i][k] = v[i][level - k] = c
@@ -501,7 +510,8 @@ def solve_restricted(ctx: LevelContext, tolerance: float = SOLVER_TOLERANCE) -> 
 
 class CheckResult(NamedTuple):
     """Outcome of one certified property at one node (or globally);
-    ``max_violation`` is a raw ``_mpf_`` tuple, an int count or None."""
+    ``max_violation`` is a p-bit triple, libmp's raw +inf (``finf``), an int
+    count or None."""
 
     name: str
     node: int | None
@@ -516,38 +526,46 @@ def _mk_check(name, node, ok, proven, violation, note="") -> CheckResult:
     return CheckResult(name, node, status, proven, violation, note)
 
 
-# The order of raw values, as a key of min and max.
-_ORDER = functools.cmp_to_key(mpf_cmp)
+# The order of p-bit triples, as a key of min and max.
+_ORDER = functools.cmp_to_key(cmp_triples)
 
 
-def _at_most(devs, bound: float):
-    """Whether the worst of the raw deviations ``devs`` is at most the float
-    ``bound``, read exactly, and that worst: fzero when there is none, finf
-    at the first None."""
-    worst = fzero
+def _least(cells):
+    """The least of the p-bit triples ``cells``; None, read as -inf, when
+    one of them is None."""
+    return None if None in cells else min(cells, key=_ORDER)
+
+
+def _at_most(devs, bound: float, p: int):
+    """Whether the worst of the p-bit deviations ``devs`` is at most the
+    float ``bound``, read exactly, and that worst: ZERO when there is none,
+    finf at the first None."""
+    worst = ZERO
     for d in devs:
         if d is None:
-            worst = finf
-            break
-        if mpf_lt(worst, d):
+            return False, finf
+        if cmp_triples(d, worst) > 0:
             worst = d
-    return mpf_le(worst, from_float(bound)), worst
+    return cmp_triples(worst, float_triple(bound, p)) <= 0, worst
 
 
-def _above(least, margin: float, prec: int, rnd: str):
-    """Whether the raw ``least`` lies above the float ``margin``, read
-    exactly, and the violation max(0, margin - least)."""
-    m = from_float(margin)
-    gap = mpf_sub(m, least, prec, rnd)
-    return mpf_gt(least, m), gap if mpf_gt(gap, fzero) else fzero
+def _above(least, margin: float, p: int):
+    """Whether the p-bit ``least`` (None reads -inf) lies above the float
+    ``margin``, read exactly, and the violation max(0, margin - least): finf
+    when least is -inf or the margin +inf."""
+    if least is None or margin == math.inf:
+        return False, finf
+    m = float_triple(margin, p)
+    gap = add_triples(m, least, p, 1)
+    return cmp_triples(least, m) > 0, gap if gap[1] and not gap[0] else ZERO
 
 
-def _rel_gap(a, b, prec: int, rnd: str):
-    """|a - b| / max(|a|, |b|, 1) of raw values; None when either is None."""
+def _rel_gap(a, b, p: int):
+    """|a - b| / max(|a|, |b|, 1) of p-bit triples; None when either is None."""
     if a is None or b is None:
         return None
-    den = max(mpf_abs(a, prec, rnd), mpf_abs(b, prec, rnd), fone, key=_ORDER)
-    return mpf_div(mpf_abs(mpf_sub(a, b, prec, rnd), prec, rnd), den, prec, rnd)
+    den = max(abs_triple(a), abs_triple(b), _one(p), key=_ORDER)
+    return div_triples(abs_triple(add_triples(a, b, p, 1)), den, p)
 
 
 def theorem_report(ctx: LevelContext, grid: QGrid) -> list[CheckResult]:
@@ -569,8 +587,10 @@ def theorem_report(ctx: LevelContext, grid: QGrid) -> list[CheckResult]:
     if grid.k_max < l:
         raise ValueError("theorem report needs the grid out to k = l")
     checks: list[CheckResult] = []
-    prec, rnd = grid.mp._prec_rounding
-    uni_margin = from_float(POSITIVITY_MARGIN)
+    p = ctx.precision_bits
+    one = _one(p)
+    # margin - (Q_{k+1} - Q_k) is +inf at an infinite margin, as at a None cell
+    uni_margin = None if POSITIVITY_MARGIN == math.inf else float_triple(POSITIVITY_MARGIN, p)
     rows, scales = grid.rows, grid.scales
 
     def add(name, node, ok, violation, note="", proven=None):
@@ -578,13 +598,14 @@ def theorem_report(ctx: LevelContext, grid: QGrid) -> list[CheckResult]:
         checks.append(_mk_check(name, node, ok, proven, violation, note))
 
     def rel(f, scale):
-        return mpf_div(mpf_abs(f, prec, rnd), scale, prec, rnd)
+        return div_triples(abs_triple(f), scale, p)
 
-    def gap(a, b, sa, sb):
-        """|a - b| / max(sa, sb); None when a or b is None."""
+    def gap(a, b, sa, sb, flip=1):
+        """|a - b| (|a + b| with ``flip`` 0) / max(sa, sb); None when a or b
+        is None."""
         if a is None or b is None:
             return None
-        return rel(mpf_sub(a, b, prec, rnd), sb if mpf_gt(sb, sa) else sa)
+        return rel(add_triples(a, b, p, flip), sb if cmp_triples(sb, sa) > 0 else sa)
 
     for i in range(1, rs.rank + 1):
         row, srow = rows[i - 1], scales[i - 1]
@@ -592,88 +613,92 @@ def theorem_report(ctx: LevelContext, grid: QGrid) -> list[CheckResult]:
         window = row[level + 1:l]
         missing = None in window
         ok, worst = _at_most((rel(c, s) for c, s in zip(window, srow[level + 1:l])
-                              if c is not None), ZERO_WINDOW_TOL)
+                              if c is not None), ZERO_WINDOW_TOL, p)
         add("zero_window", i, ok and not missing, worst,
             "unresolved cells in window" if missing else "")
 
-        # (ii) symmetry on [0, level]
+        # (ii) symmetry on [0, level]; the gap at level - k is the one at k,
+        # as a - b and b - a round to one magnitude
         ok, worst = _at_most((gap(row[k], row[level - k], srow[k], srow[level - k])
-                              for k in range(level + 1)), REL_GAP_TOL)
+                              for k in range(level // 2 + 1)), REL_GAP_TOL, p)
         add("symmetry", i, ok, worst)
 
         # (iii) positivity on [0, level]; a None cell reads -inf
-        line = [fninf if c is None else c for c in row[:level + 1]]
-        least = min(line, key=_ORDER)
-        ok, violation = _above(least, POSITIVITY_MARGIN, prec, rnd)
-        add("positivity", i, ok, violation, f"min value {to_str(least, 8)}")
+        line = row[:level + 1]
+        least = _least(line)
+        ok, violation = _above(least, POSITIVITY_MARGIN, p)
+        add("positivity", i, ok, violation,
+            f"min value {'-inf' if least is None else to_str(raw_mpf(least), 8)}")
         if not checks[-1].proven:
             # The sub-range covered by theorems gets its own proven entry;
             # rounding is monotone, so max(0, margin - least) is the largest
             # gap over its failing cells.
-            least = min((c for k, c in enumerate(line)
-                         if proven_positivity_window(rs, i, level, k)), key=_ORDER, default=finf)
-            ok, violation = _above(least, POSITIVITY_MARGIN, prec, rnd)
+            cells = [c for k, c in enumerate(line) if proven_positivity_window(rs, i, level, k)]
+            ok, violation = _above(_least(cells), POSITIVITY_MARGIN, p) if cells else (True, ZERO)
             add("positivity_window", i, ok, violation, proven=True)
 
         # (iv) strict increase on [0, floor(level/2) - 1]: every
         # margin - (Q_{k+1} - Q_k) at most 0
         ok, worst = _at_most(
-            (None if row[k] is None or row[k + 1] is None
-             else mpf_sub(uni_margin, mpf_sub(row[k + 1], row[k], prec, rnd), prec, rnd)
-             for k in range(level // 2)), 0.0)
+            (None if uni_margin is None or row[k] is None or row[k + 1] is None
+             else add_triples(uni_margin, add_triples(row[k + 1], row[k], p, 1), p, 1)
+             for k in range(level // 2)), 0.0, p)
         add("unimodality", i, ok, worst)
 
         # boundary Q_level = 1
-        ok, dev = _at_most([gap(row[level], fone, srow[level], srow[level])], REL_GAP_TOL)
+        ok, dev = _at_most([gap(row[level], one, srow[level], srow[level])], REL_GAP_TOL, p)
         add("boundary_one", i, ok, dev)
 
     # (anti)periodicity and the k = l sign, at the closed-form rows only;
-    # both signs are (-1)^delta.
+    # both signs are (-1)^delta, and x - sign * y is x - y or x + y.
     for i in type_data(label).direct_nodes:
         sign = -1 if delta(rs, i) % 2 else 1
+        flip = int(sign > 0)
         pairs = [(chari_qdim(i, k, ctx), chari_qdim(i, k + l, ctx))
                  for k in range(min(level, 3) + 1)]
-        ok, worst = _at_most((gap(b._value, mpf_mul_int(a._value, sign, prec, rnd),
-                                  a._scale, b._scale) for a, b in pairs), REL_GAP_TOL)
+        ok, worst = _at_most((gap(b._v, a._v, a._s, b._s, flip) for a, b in pairs),
+                             REL_GAP_TOL, p)
         add("periodicity", i, ok, worst, f"sign {sign:+d}")
 
         srow = scales[i - 1]
-        ok, dev = _at_most([gap(rows[i - 1][l], from_int(sign), srow[l], srow[l])], REL_GAP_TOL)
+        ok, dev = _at_most([gap(rows[i - 1][l], one, srow[l], srow[l], flip)], REL_GAP_TOL, p)
         add("shifted_boundary_sign", i, ok, dev, f"expected {sign:+d}", proven=True)
 
     return checks
 
 
 def dilog_args(grid: QGrid) -> dict[tuple[int, int], tuple]:
-    """The raw ratios prod_{j~i} Q_k(j) / Q_k(i)^2 over the restricted range."""
+    """The ratios prod_{j~i} Q_k(j) / Q_k(i)^2 over the restricted range, as
+    p-bit triples."""
     rows = grid.rows
     ks = range(grid.level + 1)
     for i, row in enumerate(rows, 1):
         for k in ks:
-            if row[k] is None or not mpf_gt(row[k], fzero):
+            if row[k] is None or row[k][0] or not row[k][1]:
                 raise ValueError(f"grid cell (node {i}, k={k}) is not positive")
-    prec, rnd = grid.mp._prec_rounding
+    p = grid.mp._prec_rounding[0]
     neighbors = _neighbor_rows(grid.root_system)
-    return {(i + 1, k): mpf_div(_neighbor_product(rows, neighbors[i], k, prec, rnd),
-                                mpf_mul(row[k], row[k], prec, rnd), prec, rnd)
+    return {(i + 1, k): div_triples(_neighbor_product(rows, neighbors[i], k, p),
+                                    mul_triples(row[k], row[k], p), p)
             for i, row in enumerate(rows) for k in ks}
 
 
 def dilog_args_margin(grid: QGrid, args: dict[tuple[int, int], tuple]) -> tuple | None:
     """Smallest distance of the interior ratios ``args`` of the grid to the
-    ends of (0, 1), raw.
+    ends of (0, 1), a p-bit triple.
 
     Boundary columns k = 0 and k = level equal 1 and are excluded.  Returns
     None when there is no interior.
     """
-    prec, rnd = grid.mp._prec_rounding
+    p = grid.mp._prec_rounding[0]
+    one = _one(p)
     worst = None
     for (_, k), x in args.items():
         if k == 0 or k == grid.level:
             continue
-        m = mpf_sub(fone, x, prec, rnd)
-        m = m if mpf_lt(m, x) else x
-        if worst is None or mpf_lt(m, worst):
+        m = add_triples(one, x, p, 1)
+        m = m if cmp_triples(m, x) < 0 else x
+        if worst is None or cmp_triples(m, worst) < 0:
             worst = m
     return worst
 
@@ -701,8 +726,9 @@ def _pi_constants(wp: int) -> tuple[int, int]:
 
 
 def _rogers(x: tuple, wp: int) -> int:
-    """Rogers' L(x) = Li2(x) + log x log(1 - x) / 2 for a raw 0 < x < 1, in
-    fixed point at ``wp`` bits.
+    """Rogers' L(x) = Li2(x) + log x log(1 - x) / 2 for 0 < x < 1, given as
+    (sign, mantissa, exponent) with a mantissa of any width or as a raw
+    ``_mpf_`` tuple, in fixed point at ``wp`` bits.
 
     Reflects to y = min(x, 1 - x) <= 1/2, where L(x) = pi^2/6 - L(1 - x)
     holds exactly, and takes u = -log(1 - y) <= log 2 and g = log y once
@@ -712,21 +738,23 @@ def _rogers(x: tuple, wp: int) -> int:
     that wants y's relative precision adds -log2 y bits to wp.  Every libmp call
     takes an explicit precision, so mpmath's global state is never read.
     """
-    z = mpf_sub(fone, x)  # exact: no rounding at prec 0
-    reflect = mpf_lt(z, x)
-    y, one_minus_y = (z, x) if reflect else (x, z)
-    u = -to_fixed(mpf_log(one_minus_y, wp), wp)
+    _, m, e = x[:3]
+    z = (1 << -e) - m  # 1 - x = z 2**e exactly, as x < 1 makes e < 0
+    reflect = z < m
+    y, one_minus_y = (z, m) if reflect else (m, z)
+    u = -to_fixed(mpf_log(from_man_exp(one_minus_y, e), wp), wp)
     u2 = (u * u) >> wp
     tail = 0  # sum B_2m u^(2m-2) / (2m+1)!, by Horner's rule in u^2
     for c in reversed(_li2_coefficients(wp)):
         tail = ((tail * u2) >> wp) + c
     total = u - (u2 >> 2) + ((((tail * u2) >> wp) * u) >> wp)
-    total -= (u * to_fixed(mpf_log(y, wp), wp)) >> (wp + 1)
+    total -= (u * to_fixed(mpf_log(from_man_exp(y, e), wp), wp)) >> (wp + 1)
     return _pi_constants(wp)[0] - total if reflect else total
 
 
 def dilog_sum(grid: QGrid, args: dict[tuple[int, int], tuple] | None = None) -> tuple:
-    """(6/pi^2) sum of Rogers dilogarithms of the interior ratios, raw.
+    """(6/pi^2) sum of Rogers dilogarithms of the interior ratios, a p-bit
+    triple.
 
     ``args`` are the grid's ``dilog_args``, computed here when omitted.  The
     terms (``_rogers``) are summed in one integer at 40 guard bits above the
@@ -739,8 +767,10 @@ def dilog_sum(grid: QGrid, args: dict[tuple[int, int], tuple] | None = None) -> 
         args = dilog_args(grid)
     xs = [args[key] for key in sorted(args) if 0 < key[1] < grid.level]
     for x in xs:
-        if not (mpf_gt(x, fzero) and mpf_lt(x, fone)):
-            raise ValueError(f"dilogarithm argument {to_str(x, 8)} outside (0, 1)")
+        sign, man, exp = x
+        # man 2**exp in (0, 1), whatever the width of man: man < 2**-exp
+        if sign or not man or exp >= 0 or man >> -exp:
+            raise ValueError(f"dilogarithm argument {to_str(raw_mpf(x), 8)} outside (0, 1)")
     wp = prec + 40
     while True:
         # every term is positive, so each term's few units at wp bits are a
@@ -749,5 +779,6 @@ def dilog_sum(grid: QGrid, args: dict[tuple[int, int], tuple] | None = None) -> 
         total = sum(_rogers(x, wp) for x in xs)
         short = prec + 32 - total.bit_length()
         if not xs or short <= 0:
-            return from_man_exp(total * _pi_constants(wp)[1], -2 * wp, prec, round_nearest)
+            total *= _pi_constants(wp)[1]
+            return round_triple(int(total < 0), abs(total), -2 * wp, prec)
         wp += short

@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple
 from mpmath.libmp import finf, fnan, fninf, to_str
 
 from . import affweyl, krchar, qsolver, rootsys, seqanalysis
-from .qnum import DEFAULT_PRECISION_BITS, MIN_PRECISION_BITS, LevelContext, alcove_line
+from .qnum import DEFAULT_PRECISION_BITS, MIN_PRECISION_BITS, LevelContext, alcove_line, raw_mpf
 from .qsolver import CheckResult, QGrid, _above, _at_most, _mk_check, _rel_gap
 from .rootsys import RootSystem, Weight, build_root_system
 
@@ -34,20 +34,22 @@ _decimal_context = functools.cache(
 
 
 def render_decimal(x, digits: int = 30) -> str:
-    """Render a raw ``_mpf_`` tuple or an int exactly, round-half-even at
-    ``digits`` digits.
+    """Render a p-bit triple (``qslab.qnum``), a raw ``_mpf_`` tuple or an
+    int exactly, round-half-even at ``digits`` digits.
 
-    A raw (sign, man, exp, bc) is (-1)^sign man 2^exp, the integer quotient
-    man / 2^-exp (or the integer man 2^exp), so one correctly rounded
-    decimal division renders it, and the output never depends on any
-    global precision state.
+    Either tuple begins (sign, man, exp): (-1)^sign man 2^exp, the integer
+    quotient man / 2^-exp (or the integer man 2^exp), so one correctly
+    rounded decimal division renders it, and the output never depends on
+    any global precision state.
     """
     if isinstance(x, int):
         num, den = x, 1
     elif x in _SPECIAL:
         return _SPECIAL[x]
     else:
-        sign, man, exp, _ = x
+        sign, man, exp = x[:3]
+        if not man:
+            return "0"
         num = -int(man) if sign else int(man)
         num, den = (num << exp, 1) if exp >= 0 else (num, 1 << -exp)
     return str(_decimal_context(digits).divide(Decimal(num), Decimal(den)))
@@ -299,18 +301,17 @@ def _weyl_checks(report, ctx, grid) -> list[CheckResult]:
 
 
 def _grid_checks(report, ctx, grid) -> list[CheckResult]:
-    res = grid.residual_max
-    ok, _ = _at_most([res], qsolver.FULL_GRID_RESIDUAL_TOL)
+    res, p = grid.residual_max, ctx.precision_bits
+    ok, _ = _at_most([res], qsolver.FULL_GRID_RESIDUAL_TOL, p)
     out = [_mk_check("grid_residual", None, ok, True, res, note=f"k_max={grid.k_max}")]
     out.append(_mk_check("grid_unresolved", None, not grid.unresolved, True, None,
                          note=f"unresolved cells {grid.unresolved}" if grid.unresolved else ""))
     kleber_tables = rootsys.type_data(ctx.root_system.type_label).kleber_q1
     if kleber_tables:
-        prec, rnd = ctx.mp._prec_rounding
         ok, worst = _at_most(
-            [_rel_gap(krchar.qdim_kr(krchar.kleber_q1(ctx.root_system, node), ctx)._value,
-                      grid.rows[node - 1][1], prec, rnd)
-             for node in kleber_tables], qsolver.REL_GAP_TOL)
+            [_rel_gap(krchar.qdim_kr(krchar.kleber_q1(ctx.root_system, node), ctx)._v,
+                      grid.rows[node - 1][1], p)
+             for node in kleber_tables], qsolver.REL_GAP_TOL, p)
         out.append(_mk_check("kleber_cross_check", None, ok, True, worst))
     return out
 
@@ -322,13 +323,13 @@ def _solve_checks(report, ctx, grid) -> list[CheckResult]:
     except (qsolver.SolverDivergence, ValueError) as exc:
         # a ValueError says the tolerance lies below what the precision can reach
         return [_mk_check("solver_residual", None, False, True, None, note=str(exc))]
-    ok, _ = _at_most([solved.residual_max], tolerance)
+    p = ctx.precision_bits
+    ok, _ = _at_most([solved.residual_max], tolerance, p)
     out = [_mk_check("solver_residual", None, ok, True, solved.residual_max)]
-    prec, rnd = ctx.mp._prec_rounding
-    ok, worst = _at_most((_rel_gap(a, b, prec, rnd)
+    ok, worst = _at_most((_rel_gap(a, b, p)
                           for row, solved_row in zip(grid.rows, solved.rows)
                           for a, b in zip(row[:ctx.level + 1], solved_row)),
-                         qsolver.REL_GAP_TOL)
+                         qsolver.REL_GAP_TOL, p)
     out.append(_mk_check("two_path_agreement", None, ok, True, worst))
     return out
 
@@ -389,19 +390,19 @@ def _dilog_checks(report, ctx, grid) -> list[CheckResult]:
         report.dilog_in_range = False
         return [_mk_check("dilog_args", None, False, proven, None, note=str(exc))]
     margin = qsolver.dilog_args_margin(grid, args)
-    prec, rnd = ctx.mp._prec_rounding
+    p = ctx.precision_bits
     if margin is None:
         ok, violation, note = True, None, "no interior cells"
     else:
-        ok, violation = _above(margin, qsolver.DILOG_MARGIN, prec, rnd)
-        note = f"min distance to {{0,1}}: {to_str(margin, 8)}"
+        ok, violation = _above(margin, qsolver.DILOG_MARGIN, p)
+        note = f"min distance to {{0,1}}: {to_str(raw_mpf(margin), 8)}"
     checks = [_mk_check("dilog_args", None, ok, proven, violation, note=note)]
     report.dilog_in_range = ok
-    if margin is not None and not _above(margin, 0.0, prec, rnd)[0]:
+    if margin is not None and not _above(margin, 0.0, p)[0]:
         return checks  # an argument outside (0, 1) has no Rogers dilogarithm
     total = qsolver.dilog_sum(grid, args)
     checks.append(_mk_check("dilog_sum", None, True, True, None,
-                            note=f"normalized sum {to_str(total, 12)}"))
+                            note=f"normalized sum {to_str(raw_mpf(total), 12)}"))
     report.dilog_sum = total
     return checks
 

@@ -339,8 +339,8 @@ def build_qgrid(ctx: LevelContext, k_max: int | None = None) -> QGrid:
                 if div is None:
                     out, tag = num, "subtraction"
                     break
-                if mpf_gt(mpf_abs(div._value, prec, rnd),
-                          mpf_mul(zero_tol, div._scale, prec, rnd)):
+                if mpf_gt(mpf_abs(div.value._mpf_, prec, rnd),
+                          mpf_mul(zero_tol, div.magnitude_scale._mpf_, prec, rnd)):
                     out, tag = num.div(div), "division"
                     break
             if out is None and in_zero_window(k):
@@ -368,11 +368,11 @@ def build_qgrid(ctx: LevelContext, k_max: int | None = None) -> QGrid:
         root_system=rs,
         level=level,
         k_max=k_max,
-        rows=[[None if c is None else c._value for c in row] for row in table],
+        rows=[[None if c is None else c._v for c in row] for row in table],
         mp=ctx.mp,
         provenance=provenance,
         unresolved=sorted(k for k in unresolved if k[1] <= k_max),
-        scales=[[None if c is None else c._scale for c in row] for row in table],
+        scales=[[None if c is None else c._s for c in row] for row in table],
     )
     grid.residual_max = qsolver.residual(grid)
     return grid
@@ -410,13 +410,31 @@ def classical_grid(rs, k_max: int, td=None) -> list[list[int]]:
 
 # The grid consumers of qslab.qsolver and the grid, solve and dilog groups
 # of qslab.report in mpf-object arithmetic: each operator dispatches on its
-# cells' own context.  qslab computes the same values and verdicts with
-# mpmath.libmp calls on raw tuples, bit for bit.
+# cells' own context.  qslab computes the same values and verdicts on p-bit
+# integer triples, bit for bit.
+
+def raw(x):
+    """A value of qslab's grid layer, a p-bit triple (sign, mantissa,
+    exponent), as libmp's raw ``_mpf_`` tuple, the form the tests compare
+    and read; None, an int and a raw tuple (such as ``finf``) pass
+    through."""
+    if x is None or isinstance(x, int) or len(x) == 4:
+        return x
+    sign, man, exp = x
+    return from_man_exp(-man if sign else man, exp)
+
+
+def triple(x, p):
+    """The p-bit triple (sign, mantissa, exponent) of an mpf number or a raw
+    ``_mpf_`` tuple of at most p bits: the mantissa exactly p bits wide."""
+    sign, man, exp, bc = getattr(x, "_mpf_", x)
+    return (sign, man << p - bc, exp - (p - bc)) if man else (0, 0, 0)
+
 
 def mpf_table(mp, rows):
-    """A table of raw ``_mpf_`` tuples, such as a grid's ``rows`` or
-    ``scales``, as mpf numbers of the context ``mp``; None stays None."""
-    return [[None if c is None else mp.make_mpf(c) for c in row] for row in rows]
+    """A table of p-bit triples, such as a grid's ``rows`` or ``scales``,
+    as mpf numbers of the context ``mp``; None stays None."""
+    return [[None if c is None else mp.make_mpf(raw(c)) for c in row] for row in rows]
 
 
 def neighbor_product(values, neighbors: Sequence[int], k: int):
@@ -601,7 +619,7 @@ def rel_gap(mp, a, b):
 
 def grid_checks(ctx, grid):
     """The checks of qslab.report's grid group, decided with mpf operators."""
-    res = grid.mp.make_mpf(grid.residual_max)
+    res = grid.mp.make_mpf(raw(grid.residual_max))
     out = [_mk_check("grid_residual", None, res <= FULL_GRID_RESIDUAL_TOL, True, res,
                      note=f"k_max={grid.k_max}"),
            _mk_check("grid_unresolved", None, not grid.unresolved, True, None,
@@ -627,7 +645,7 @@ def solve_checks(ctx, grid):
         solved = qsolver.solve_restricted(ctx, SOLVER_TOLERANCE)
     except (qsolver.SolverDivergence, ValueError) as exc:
         return [_mk_check("solver_residual", None, False, True, None, note=str(exc))]
-    res = ctx.mp.make_mpf(solved.residual_max)
+    res = ctx.mp.make_mpf(raw(solved.residual_max))
     out = [_mk_check("solver_residual", None, res <= ctx.mp.mpf(SOLVER_TOLERANCE), True, res)]
     worst = ctx.mp.mpf(0)
     for i in range(1, ctx.root_system.rank + 1):

@@ -29,6 +29,8 @@ from qslab.qsolver import (
 from qslab.rootsys import build_root_system, delta, fundamental_weight, lee_witness
 from qslab.seqanalysis import branden_criterion, is_log_concave, log_concavity_order, make_sequence
 
+from oracles import raw
+
 ACCEPTANCE_LEVELS = {"E6": (1, 2, 3, 4, 5, 6), "E7": (1, 2, 3, 4, 5, 6),
                      "E8": (1, 2, 3, 4)}
 # Seed of the random sequences in the log-concavity lemmas of criterion 8.
@@ -156,8 +158,8 @@ def test_criterion_06_certified_grid_properties(solved_matrix):
 
 def test_criterion_07_two_path_agreement(solved_matrix):
     for (label, level), (ctx, grid, solved) in solved_matrix.items():
-        assert ctx.mp.make_mpf(solved.residual_max) <= 1e-30, (label, level)
-        assert ctx.mp.make_mpf(grid.residual_max) <= 1e-20, (label, level)
+        assert ctx.mp.make_mpf(raw(solved.residual_max)) <= 1e-30, (label, level)
+        assert ctx.mp.make_mpf(raw(grid.residual_max)) <= 1e-20, (label, level)
         assert not grid.unresolved, (label, level)
         for i in range(1, ctx.root_system.rank + 1):
             for k in range(level + 1):
@@ -229,17 +231,17 @@ def test_criterion_09_rootedness_fixture(rs_map):
 
 def test_criterion_10_dilog_arguments(solved_matrix, a1):
     for (label, level), (ctx, grid, _) in solved_matrix.items():
-        raw = dilog_args(grid)
-        args = {key: ctx.mp.make_mpf(x) for key, x in raw.items()}
-        margin = dilog_args_margin(grid, raw)
+        triples = dilog_args(grid)
+        args = {key: ctx.mp.make_mpf(raw(x)) for key, x in triples.items()}
+        margin = dilog_args_margin(grid, triples)
         if margin is not None:
-            margin = ctx.mp.make_mpf(margin)
+            margin = ctx.mp.make_mpf(raw(margin))
             assert margin >= 1e-10, (label, level, float(margin))
         for i in range(1, ctx.root_system.rank + 1):
             assert abs(args[(i, 0)] - 1) < 1e-25
             assert abs(args[(i, level)] - 1) < 1e-20
     ctx = LevelContext(a1, 2)
-    total = ctx.mp.make_mpf(dilog_sum(solve_restricted(ctx)))
+    total = ctx.mp.make_mpf(raw(dilog_sum(solve_restricted(ctx))))
     assert abs(total - ctx.mp.mpf(1) / 2) <= ctx.mp.mpf(10) ** -20
     done(10, "dilogarithm arguments inside (0,1); rank-1 sum equals 1/2")
 

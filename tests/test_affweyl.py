@@ -236,6 +236,77 @@ def test_reduce_matches_reference_on_chari_weights(rs_map, label, level):
         assert reduce_to_dominant(lam, ctx) == _reduce_reference(lam, ctx), lam
 
 
+def _closed_form_length(rs, lam, l):
+    """The number of walls (x | beta) = m l between lam + rho and the alcove."""
+    return sum(abs((pairing(rs, lam, b) + sum(rs.positive_roots[b])) // l)
+               for b in range(len(rs.positive_roots)))
+
+
+@pytest.mark.parametrize("label,level", [("E7", 40), ("E8", 40)])
+def test_reduce_length_is_the_closed_form(rs_map, label, level):
+    # a walk that ends in the alcove crosses every wall between the weight
+    # and the alcove once, on the Chari weights and on random weights
+    rs = rs_map[label]
+    ctx = LevelContext(rs, level)
+    rng = random.Random(level)
+    weights = {w for node in type_data(label).direct_nodes
+               for k in range(ctx.shifted_level + 4)
+               for _, w in chari_decomposition(rs, node, k).terms}
+    weights |= {tuple(rng.randint(-80, 80) for _ in range(rs.rank)) for _ in range(300)}
+    dominant = 0
+    for lam in sorted(weights):
+        red = _reduce_reference(lam, ctx)
+        if red.result_kind == "dominant":
+            dominant += 1
+            assert red.word_length == _closed_form_length(rs, lam, ctx.shifted_level), lam
+    assert dominant > 50
+
+
+@pytest.mark.parametrize("label,level", [("E6", 12), ("E7", 20), ("E8", 40)])
+def test_reduce_translates_far_weights_to_the_same_answer(rs_map, monkeypatch, label, level):
+    # with the walk limit at 0, every weight off the alcove is translated by
+    # a root-lattice element first: a dominant outcome keeps the walk's
+    # weight, sign and length, an on_wall outcome stays on a wall, its sign
+    # the parity of its count; and far weights, beyond the real limit, get
+    # the walk's own verdict, and its answer when it ends in the alcove
+    rs = rs_map[label]
+    ctx = LevelContext(rs, level)
+    rng = random.Random(level)
+    weights = [tuple(rng.randint(-100, 100) for _ in range(rs.rank)) for _ in range(200)]
+    kinds = set()
+    with monkeypatch.context() as patched:
+        patched.setattr(qslab.affweyl, "_WALK_LIMIT", 0)
+        for lam in weights:
+            got, want = reduce_to_dominant(lam, ctx), _reduce_reference(lam, ctx)
+            kinds.add(want.result_kind)
+            if want.result_kind == "dominant":
+                assert got == want, lam
+            else:
+                assert got.result_kind == "on_wall" and got.sign == (-1) ** got.word_length, lam
+    assert kinds == {"dominant", "on_wall"}
+    kinds.clear()
+    for _ in range(200):
+        far = tuple(rng.randint(-10000, 10000) for _ in range(rs.rank))
+        if _closed_form_length(rs, far, ctx.shifted_level) > qslab.affweyl._WALK_LIMIT:
+            got, want = reduce_to_dominant(far, ctx), _reduce_reference(far, ctx)
+            kinds.add(want.result_kind)
+            assert got.result_kind == want.result_kind, far
+            assert want.result_kind == "on_wall" or got == want, far
+            if "dominant" in kinds:
+                break
+    assert "dominant" in kinds
+
+
+def test_reduce_keeps_every_walk_within_the_limit(e6):
+    # a walk that ends within the limit is reported as it is, however many
+    # walls lie beyond the wall it meets: 46 reflections here, 32 000 walls
+    ctx = LevelContext(e6, 3)
+    lam = (-30000, 1, 2, 3, 4, 5)
+    assert _closed_form_length(e6, lam, ctx.shifted_level) > qslab.affweyl._WALK_LIMIT
+    assert reduce_to_dominant(lam, ctx) == _reduce_reference(lam, ctx) == AffineReduction(
+        "on_wall", None, 1, 46)
+
+
 def test_in_alcove(e6, e8):
     assert in_alcove(e6, (0,) * 6, 0)
     for level in (1, 4):

@@ -278,3 +278,25 @@ def test_kleber_multiplicities_fold_like_mpf(e7):
             got, ref = qdim_kr(dec, ctx), _mpf_fold(dec.terms, ctx)
             assert got.value._mpf_ == ref.value._mpf_, (level, node)
             assert got.magnitude_scale._mpf_ == ref.magnitude_scale._mpf_, (level, node)
+
+
+@pytest.mark.parametrize("label", ["E7", "E8"])
+def test_qdim_kr_is_chari_qdim_outside_the_memo(rs_map, label):
+    # qdim_kr evaluates each term as it folds it and stores none of them in
+    # the qdim memo, which chari_qdim's rows use: the same bits at box
+    # counts 0-12, nested and paired shells included, and a memo that
+    # neither starts nor grows
+    rs = rs_map[label]
+    for level in (2, 5):
+        ctx = LevelContext(rs, level)
+        decs = {(node, k): chari_decomposition(rs, node, k)
+                for node in TYPE_DATA[label].direct_nodes for k in range(13)}
+        got = {key: qdim_kr(dec, ctx) for key, dec in decs.items()}
+        assert not ctx._qdim_cache
+        for (node, k), value in got.items():
+            row = chari_qdim(node, k, ctx)
+            assert (value._v, value._s) == (row._v, row._s), (level, node, k)
+        size = len(ctx._qdim_cache)
+        assert size and all(qdim_kr(dec, ctx)._v == value._v
+                            for dec, value in zip(decs.values(), got.values()))
+        assert len(ctx._qdim_cache) == size

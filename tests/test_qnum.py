@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import math
 import random
 
 import mpmath
 import pytest
 from hypothesis import assume, given, settings, strategies as st
-from mpmath.libmp import (fone, from_man_exp, mpf_abs, mpf_add, mpf_div, mpf_gt, mpf_mul,
-                          mpf_mul_int, mpf_neg, mpf_pos, mpf_sub)
+from mpmath.libmp import (fone, from_float, from_man_exp, fzero, mpf_abs, mpf_add, mpf_cmp,
+                          mpf_div, mpf_gt, mpf_mul, mpf_mul_int, mpf_neg, mpf_pos, mpf_sub,
+                          round_nearest, to_float)
 
 import qslab
 from qslab import krchar, qnum
@@ -17,8 +19,11 @@ from qslab.qnum import (
     QReal,
     _fold_step,
     _sine_product,
+    abs_triple,
     add_triples,
+    cmp_triples,
     div_triples,
+    float_triple,
     mp_context,
     mul_triples,
     plan_qdim,
@@ -28,11 +33,12 @@ from qslab.qnum import (
     round_triple,
     shell_zeros,
     support_plan,
+    triple_float,
 )
 from qslab.qsolver import build_qgrid
 from qslab.rootsys import delta, fundamental_weight, type_data
 
-from oracles import MpfQReal, pairing, sin_pi_over_l, sine_fold, sine_signature
+from oracles import MpfQReal, pairing, raw, sin_pi_over_l, sine_fold, sine_signature, triple
 
 
 def fw(rs, node, mult=1):
@@ -460,13 +466,6 @@ def _seeded_pairs(mp, seed, count=400):
     return pairs
 
 
-def _triple(x, p):
-    """The p-bit triple (sign, mantissa, exponent) of an mpf number or a raw
-    ``_mpf_`` tuple of at most p bits: the mantissa exactly p bits wide."""
-    sign, man, exp, bc = getattr(x, "_mpf_", x)
-    return (sign, man << p - bc, exp - (p - bc)) if man else (0, 0, 0)
-
-
 @pytest.mark.parametrize("bits", [64, 128, 256])
 def test_qreal_arithmetic_matches_mpf_formulas(bits):
     # QReal's libmp arithmetic gives the bits of the mpf-operator formulas,
@@ -484,8 +483,8 @@ def test_qreal_arithmetic_matches_mpf_formulas(bits):
     assert min(raised.values()) > 20, raised
     for global_prec in (None, 20):
         for (va, sa), (vb, sb) in operands:
-            a = QReal(_triple(va, bits), _triple(sa, bits), mp)
-            b = QReal(_triple(vb, bits), _triple(sb, bits), mp)
+            a = QReal(triple(va, bits), triple(sa, bits), mp)
+            b = QReal(triple(vb, bits), triple(sb, bits), mp)
             ra, rb = MpfQReal(va, sa), MpfQReal(vb, sb)
             if global_prec is None:
                 got = [a - b, a * b] + ([a.div(b)] if vb else [])
@@ -581,6 +580,110 @@ def test_triple_arithmetic_matches_libmp(case):
         assert add_triples(a, b, p, 1) == ZERO
 
 
+@st.composite
+def _compare_cases(draw):
+    """(p, kind, a, b): p-bit triples.  "plain" draws each freely; "zero"
+    zeroes one or both; "negative" makes both negative; "equal_exp" gives
+    both one exponent; "equal" and "opposite" make b a, or -a."""
+    p = draw(st.sampled_from([64, 97, 128, 256]))
+    kind = draw(st.sampled_from(["plain", "zero", "negative", "equal_exp", "equal", "opposite"]))
+    rng = draw(st.randoms(use_true_random=False))
+
+    def draw_triple(exp=None):
+        man = rng.choice([1 << p - 1, (1 << p) - 1, rng.randrange(1 << p - 1, 1 << p)])
+        return rng.getrandbits(1), man, rng.randint(-3 * p, 3 * p) if exp is None else exp
+
+    a, b = draw_triple(), draw_triple()
+    if kind == "zero":
+        a, b = rng.choice([(ZERO, b), (a, ZERO), (ZERO, ZERO)])
+    elif kind == "negative":
+        a, b = (1, *a[1:]), (1, *b[1:])
+    elif kind == "equal_exp":
+        b = draw_triple(a[2])
+    elif kind == "equal":
+        b = a
+    elif kind == "opposite":
+        b = (1 - a[0], *a[1:])
+    return p, kind, a, b
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_compare_cases())
+def test_triple_compare_and_abs_match_libmp(case):
+    p, kind, a, b = case
+    x, y = raw(a), raw(b)
+    assert cmp_triples(a, b) == mpf_cmp(x, y), (kind, a, b)
+    assert cmp_triples(b, a) == mpf_cmp(y, x), (kind, a, b)
+    for t in (a, b):
+        assert abs_triple(t) == triple(mpf_abs(raw(t)), p) == triple(mpf_abs(raw(t), p, "n"), p)
+    # the case is the one its kind names
+    if kind == "negative":
+        assert a[0] == b[0] == 1
+    if kind == "equal_exp":
+        assert a[2] == b[2]
+    if kind == "zero":
+        assert ZERO in (a, b)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([64, 97, 128, 256]),
+       st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+           [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+            -1.7976931348623157e308, 1.0, -0.5, 1e-30]))
+def test_float_triple_is_from_float(p, x):
+    # every finite float, subnormals and both zeros included, is exact at
+    # p >= 53 bits
+    t = float_triple(x, p)
+    assert t == ZERO or t[1].bit_length() == p
+    assert raw(t) == from_float(x), x
+    assert triple_float(t) == x
+
+
+@st.composite
+def _float_cases(draw):
+    """(p, kind, t): a p-bit triple.  "plain" lies anywhere from below the
+    subnormals to past the float range; "tie" lies halfway between two
+    neighbouring floats, with either parity below it, and "near_tie" one
+    unit of the p-bit place either side of such a tie; "overflow" lies at or
+    past 2^1024 - 2^970, where rounding to 53 bits reaches 2^1024;
+    "subnormal" is below 2^-1022."""
+    p = draw(st.sampled_from([64, 97, 128, 256]))
+    kind = draw(st.sampled_from(["plain", "tie", "near_tie", "overflow", "subnormal"]))
+    rng = draw(st.randoms(use_true_random=False))
+    sign = rng.getrandbits(1)
+    man = rng.choice([1 << p - 1, (1 << p) - 1, rng.randrange(1 << p - 1, 1 << p)])
+    if kind == "plain":
+        exp = rng.randint(-1100 - p, 1030 - p)
+    elif kind in ("tie", "near_tie"):
+        man = rng.randrange(1 << 52, 1 << 53) << p - 53 | 1 << p - 54
+        man += rng.choice([-1, 1]) if kind == "near_tie" else 0
+        exp = rng.randint(-1021, 1023) - p
+    elif kind == "overflow":
+        man = rng.randrange(((1 << 54) - 1) << p - 54, 1 << p)
+        exp = rng.randint(1024 - p, 1100 - p)
+    else:
+        exp = rng.randint(-1080, -1023) - p
+    return p, kind, (sign, man, exp)
+
+
+@settings(max_examples=800, deadline=None, derandomize=True, database=None)
+@given(_float_cases())
+def test_triple_float_is_to_float_to_nearest(case):
+    # to nearest, ties to even, +-inf past the float range, as libmp's
+    # to_float gives at round_nearest; the solver reads its cells so
+    p, kind, t = case
+    want = to_float(raw(t), rnd=round_nearest)
+    got = triple_float(t)
+    assert got.hex() == want.hex(), (kind, t)
+    if kind == "tie":  # exactly halfway between two floats
+        assert math.isfinite(got)
+        other = math.nextafter(got, math.inf if mpf_cmp(from_float(got), raw(t)) < 0 else -math.inf)
+        assert mpf_abs(mpf_sub(raw(t), from_float(got))) == mpf_abs(
+            mpf_sub(from_float(other), raw(t))) != fzero
+    if kind == "overflow":
+        assert got == (-math.inf if t[0] else math.inf)
+
+
 @pytest.mark.parametrize("label", ["E7", "E8"])
 def test_shell_zeros_match_the_per_weight_residue_test(rs_map, label, monkeypatch):
     # the zeros of a paired shell (E7 node 2, E8 node 1) solved as linear
@@ -625,11 +728,11 @@ def test_divisor_guard_is_the_mpf_comparison(bits):
         ms, es = rng.randrange(1 << bits - 1, 1 << bits), rng.randint(-bits, bits)
         mv = ms + rng.choice([-1, 0, 1, rng.randint(-ms // 2, ms // 2)])
         ev = es - half + rng.choice([-1, 0, 0, 0, 1])
-        v = _triple(from_man_exp(mv, ev, bits, "n"), bits) if rng.random() < 0.95 else ZERO
-        s = _triple(from_man_exp(ms, es), bits)
+        v = triple(from_man_exp(mv, ev, bits, "n"), bits) if rng.random() < 0.95 else ZERO
+        s = triple(from_man_exp(ms, es), bits)
         q = QReal(v, s, mp)
-        bound = mpf_mul(from_man_exp(1, -half), q._scale)
-        expected = mpf_gt(mpf_abs(q._value), bound)
+        bound = mpf_mul(from_man_exp(1, -half), q.magnitude_scale._mpf_)
+        expected = mpf_gt(mpf_abs(q.value._mpf_), bound)
         assert q.is_clear_of_zero(half) == expected, (v, s)
-        seen.add((expected, q._value[1:3] == bound[1:3]))
+        seen.add((expected, q.value._mpf_[1:3] == bound[1:3]))
     assert seen == {(True, False), (False, False), (False, True)}

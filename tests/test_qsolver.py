@@ -75,7 +75,7 @@ def test_zero_hypothesis_cells_appear_and_validate(e8):
     tags = {t for row in grid.provenance for t in row}
     assert "zero_hypothesis" in tags and "division" in tags
     assert not grid.unresolved
-    assert grid.mp.make_mpf(grid.residual_max) <= 1e-20
+    assert grid.mp.make_mpf(oracles.raw(grid.residual_max)) <= 1e-20
 
 
 def test_kleber_against_division_route(e7):
@@ -125,9 +125,9 @@ def test_residual_sanity_all_ones_chain():
     # on the 2-node chain the constant grid misses the neighbour product by 1
     a2 = closure_system(a_series_cartan(2), "A2")
     ctx = LevelContext(a2, 2)
-    rows = [[fone, fone, fone], [fone, fone, fone]]
-    grid = QGrid(a2, 2, 2, rows, ctx.mp, [["solver"] * 3] * 2)
-    assert residual(grid) == fone
+    one = oracles.triple(fone, ctx.precision_bits)
+    grid = QGrid(a2, 2, 2, [[one] * 3, [one] * 3], ctx.mp, [["solver"] * 3] * 2)
+    assert oracles.raw(residual(grid)) == fone
 
 
 def test_solver_a1_square_root_of_two(a1):
@@ -160,7 +160,7 @@ def test_solver_residual_is_the_last_stopping_test(rs_map, a1, label, level):
 
 
 def test_grid_rows_are_raw_and_cells_are_mpf(e7):
-    # rows and scales hold raw _mpf_ tuples; cell() alone hands out mpf numbers
+    # rows and scales hold p-bit triples; cell() alone hands out mpf numbers
     ctx = LevelContext(e7, 3)
     built = build_qgrid(ctx)
     solved = solve_restricted(ctx)
@@ -169,11 +169,11 @@ def test_grid_rows_are_raw_and_cells_are_mpf(e7):
         assert len(grid.rows) == 7 and all(len(row) == grid.k_max + 1 for row in grid.rows)
         for i, row in enumerate(grid.rows, 1):
             for k, c in enumerate(row):
-                assert type(c) is tuple and len(c) == 4
+                assert type(c) is tuple and len(c) == 3 and c[1].bit_length() in (0, 128)
                 cell = grid.cell(i, k)
-                assert isinstance(cell, ctx.mp.mpf) and cell._mpf_ == c
+                assert isinstance(cell, ctx.mp.mpf) and cell._mpf_ == oracles.raw(c)
     assert len(built.scales) == 7 and all(len(row) == built.k_max + 1 for row in built.scales)
-    assert all(type(s) is tuple for row in built.scales for s in row)
+    assert all(type(s) is tuple and s[1].bit_length() == 128 for row in built.scales for s in row)
     assert solved.scales is None
 
 
@@ -299,7 +299,7 @@ def test_grid_scales_bound_their_values(rs_map, label, level):
 def test_solver_positive_and_converged(e6):
     ctx = LevelContext(e6, 5)
     grid = solve_restricted(ctx)
-    assert grid.mp.make_mpf(grid.residual_max) <= 1e-30
+    assert grid.mp.make_mpf(oracles.raw(grid.residual_max)) <= 1e-30
     for i in range(1, 7):
         for k in range(6):
             assert grid.cell(i, k) > 0
@@ -342,7 +342,7 @@ def test_solver_deep_levels(rs_map, label, level):
     ctx = LevelContext(rs, level)
     solved = solve_restricted(ctx)
     built = build_qgrid(ctx)
-    assert solved.mp.make_mpf(solved.residual_max) <= 1e-30
+    assert solved.mp.make_mpf(oracles.raw(solved.residual_max)) <= 1e-30
     for i in range(1, rs.rank + 1):
         for k in range(level + 1):
             a = solved.cell(i, k)
@@ -363,7 +363,7 @@ def test_solver_converges_at_deep_levels(rs_map, label, level):
     rs = rs_map[label]
     ctx = LevelContext(rs, level)
     solved = solve_restricted(ctx)
-    assert solved.mp.make_mpf(solved.residual_max) <= 1e-30
+    assert solved.mp.make_mpf(oracles.raw(solved.residual_max)) <= 1e-30
     for i in range(1, rs.rank + 1):
         for k in range(level + 1):
             a = solved.cell(i, k)
@@ -464,7 +464,7 @@ def test_handover_moves_only_last_bits(rs_map, monkeypatch):
         mp = ctx.mp
         for row, floor_row in zip(grid.rows, floor.rows):
             for a, b in zip(row, floor_row):
-                a, b = mp.make_mpf(a), mp.make_mpf(b)
+                a, b = mp.make_mpf(oracles.raw(a)), mp.make_mpf(oracles.raw(b))
                 assert abs(a - b) <= mpmath.mpf("1e-33") * max(abs(a), abs(b)), (label, level)
 
 
@@ -515,7 +515,7 @@ def test_solver_never_reads_the_grid(e7, monkeypatch):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, forbidden)
     grid = solve_restricted(LevelContext(e7, 6))
-    assert grid.mp.make_mpf(grid.residual_max) <= 1e-30
+    assert grid.mp.make_mpf(oracles.raw(grid.residual_max)) <= 1e-30
 
 
 def test_solver_divergence_is_reported(e6, monkeypatch, capsys):
@@ -732,12 +732,12 @@ def test_dilog_a1_closed_form(a1):
     ctx = LevelContext(a1, 2)
     grid = solve_restricted(ctx)
     args = dilog_args(grid)
-    half = ctx.mp.make_mpf(args[(1, 1)])
+    half = ctx.mp.make_mpf(oracles.raw(args[(1, 1)]))
     assert abs(half - 0.5) < ctx.mp.mpf(10) ** -28
-    assert args[(1, 0)] == fone and args[(1, 2)] == fone
-    margin = ctx.mp.make_mpf(dilog_args_margin(grid, args))
+    assert oracles.raw(args[(1, 0)]) == fone and oracles.raw(args[(1, 2)]) == fone
+    margin = ctx.mp.make_mpf(oracles.raw(dilog_args_margin(grid, args)))
     assert abs(margin - 0.5) < ctx.mp.mpf(10) ** -28
-    total = ctx.mp.make_mpf(dilog_sum(grid))
+    total = ctx.mp.make_mpf(oracles.raw(dilog_sum(grid)))
     assert abs(total - 0.5) < ctx.mp.mpf(10) ** -25
 
 
@@ -745,12 +745,12 @@ def test_dilog_empty_interior(a1):
     ctx = LevelContext(a1, 1)
     grid = solve_restricted(ctx)
     assert dilog_args_margin(grid, dilog_args(grid)) is None
-    assert dilog_sum(grid) == fzero
+    assert oracles.raw(dilog_sum(grid)) == fzero
 
 
 def test_dilog_rejects_nonpositive(a1):
     ctx = LevelContext(a1, 2)
-    rows = [[fone, from_float(-1.0), fone]]
+    rows = [[oracles.triple(x, ctx.precision_bits) for x in (fone, from_float(-1.0), fone)]]
     grid = QGrid(a1, 2, 2, rows, ctx.mp, [["solver"] * 3])
     with pytest.raises(ValueError):
         dilog_args(grid)
@@ -760,7 +760,7 @@ def test_dilog_sum_regression_e6_level2(e6):
     # self-fixture frozen from the first computation at 128 bits; the digits
     # agree with 36/7, the level-2 coset central charge 2*78/(2+12) - 6
     ctx = LevelContext(e6, 2)
-    total = ctx.mp.make_mpf(dilog_sum(build_qgrid(ctx)))
+    total = ctx.mp.make_mpf(oracles.raw(dilog_sum(build_qgrid(ctx))))
     frozen = ctx.mp.mpf("5.142857142857142857142857142857142857176")
     assert abs(total - frozen) < ctx.mp.mpf(10) ** -30
     assert abs(total - ctx.mp.mpf(36) / 7) < ctx.mp.mpf(10) ** -25
@@ -840,7 +840,7 @@ def _reference_dilog_sum(args, level, bits):
     total = hi.mpf(0)
     for (_, k), x in args.items():
         if 0 < k < level:
-            x = hi.make_mpf(x)
+            x = hi.make_mpf(oracles.raw(x))
             total += hi.polylog(2, x) + hi.log(x) * hi.log1p(-x) / 2
     return 6 / hi.pi ** 2 * total
 
@@ -850,7 +850,8 @@ def _assert_rounded_once(total, args, level, prec):
     of the same arguments: the one rounding and the terms' guard bits."""
     ref = _reference_dilog_sum(args, level, prec + 256)
     hi = ref.context
-    assert abs(hi.make_mpf(total) - ref) <= hi.ldexp(abs(ref), 1 - prec), hi.nstr(ref, 40)
+    assert abs(hi.make_mpf(oracles.raw(total)) - ref) <= hi.ldexp(abs(ref), 1 - prec), hi.nstr(
+        ref, 40)
 
 
 _KIRILLOV_CONFIGS = [("E6", level) for level in range(1, 13)] + [
@@ -864,7 +865,7 @@ def test_dilog_sum_matches_kirillov_identity(rs_map, label, level):
     dim, h = {"E6": (78, 12), "E7": (133, 18), "E8": (248, 30)}[label]
     rs = rs_map[label]
     ctx = LevelContext(rs, level)
-    total = ctx.mp.make_mpf(dilog_sum(build_qgrid(ctx)))
+    total = ctx.mp.make_mpf(oracles.raw(dilog_sum(build_qgrid(ctx))))
     expected = ctx.mp.mpf(level * dim) / (level + h) - rs.rank
     assert abs(total - expected) <= 1e-33 * abs(expected)
 
@@ -892,13 +893,16 @@ def test_dilog_sum_matches_polylog_formula(rs_map, label, level, bits):
 
 def test_dilog_sum_keeps_the_relative_precision_of_a_small_sum(a1):
     # a sum below 2^-8 widens the fixed point by the bits it lacks, so tiny
-    # arguments keep their relative precision
+    # arguments keep their relative precision; an argument is read as
+    # (sign, mantissa, exponent) of any width, so 1 - small stays exact
     ctx = LevelContext(a1, 3)
-    grid = QGrid(a1, 3, 3, [[fone] * 4], ctx.mp, [["boundary"] * 4])
+    grid = QGrid(a1, 3, 3, [[oracles.triple(fone, ctx.precision_bits)] * 4], ctx.mp,
+                 [["boundary"] * 4])
     for small in (from_man_exp(3, -300), from_man_exp(1, -60), from_float(1e-5)):
         for args in ({(1, 1): small, (1, 2): small},
                      {(1, 1): small, (1, 2): mpf_sub(fone, small)}):
-            _assert_rounded_once(dilog_sum(grid, args), args, 3, ctx.mp.prec)
+            total = dilog_sum(grid, {key: x[:3] for key, x in args.items()})
+            _assert_rounded_once(total, args, 3, ctx.mp.prec)
 
 
 def _bits(value):
@@ -907,10 +911,11 @@ def _bits(value):
 
 
 def _check_bits(checks, oracle=False):
-    """Each check's fields and raw violation: qslab's checks carry raw ones,
-    an ``oracle``'s carry mpf numbers."""
+    """Each check's fields and raw violation: qslab's checks carry p-bit
+    triples, an ``oracle``'s carry mpf numbers."""
     return [(c.name, c.node, c.status, c.note,
-             _bits(c.max_violation) if oracle else c.max_violation) for c in checks]
+             _bits(c.max_violation) if oracle else oracles.raw(c.max_violation))
+            for c in checks]
 
 
 @pytest.mark.parametrize("label,level,bits,solved", [
@@ -941,14 +946,17 @@ def test_grid_consumers_match_the_mpf_formulas(rs_map, a1, label, level, bits, s
         for k in range(1, grid.k_max):
             want = oracles.defect(values, neighbors, i, k)
             want = None if want is None else tuple(v._mpf_ for v in want)
-            assert qsolver._defect(cells, neighbors, i, k) == want, (i + 1, k)
-    assert residual(grid) == oracles.residual(grid)._mpf_
+            got = qsolver._defect(cells, neighbors, i, k)
+            assert (None if got is None else tuple(map(oracles.raw, got))) == want, (i + 1, k)
+    assert oracles.raw(residual(grid)) == oracles.residual(grid)._mpf_
     if not solved:
         assert _check_bits(theorem_report(ctx, grid)) == _check_bits(
             oracles.theorem_report(ctx, grid), oracle=True)
     args, want = dilog_args(grid), oracles.dilog_args(grid)
-    assert args == {key: x._mpf_ for key, x in want.items()}
-    assert dilog_args_margin(grid, args) == _bits(oracles.dilog_args_margin(want, level))
+    assert {key: oracles.raw(x) for key, x in args.items()} == {
+        key: x._mpf_ for key, x in want.items()}
+    assert oracles.raw(dilog_args_margin(grid, args)) == _bits(
+        oracles.dilog_args_margin(want, level))
     if label == "A1":
         _assert_rounded_once(dilog_sum(grid, args), args, level, bits)
         return
@@ -966,18 +974,22 @@ def test_grid_consumers_match_the_mpf_formulas(rs_map, a1, label, level, bits, s
 def test_decision_kernel_edges():
     # a deviation equal to its bound passes and the next float fails; a least
     # value equal to its margin fails; a None reads as an infinite deviation
+    def t(x):  # the 128-bit triple of a float
+        return oracles.triple(from_float(x), 128)
+
     bound = qsolver.REL_GAP_TOL
-    assert qsolver._at_most([fzero, from_float(bound)], bound) == (True, from_float(bound))
-    above = from_float(math.nextafter(bound, 1))
-    assert qsolver._at_most([above], bound) == (False, above)
-    assert qsolver._at_most([], bound) == (True, fzero)
+    assert qsolver._at_most([t(0.0), t(bound)], bound, 128) == (True, t(bound))
+    above = t(math.nextafter(bound, 1))
+    assert qsolver._at_most([above], bound, 128) == (False, above)
+    assert qsolver._at_most([], bound, 128) == (True, t(0.0))
     margin = qsolver.POSITIVITY_MARGIN
-    assert qsolver._above(from_float(margin), margin, 128, round_nearest) == (False, fzero)
-    ok, violation = qsolver._above(from_float(margin / 2), margin, 128, round_nearest)
-    assert not ok and violation == from_float(margin / 2)
-    assert qsolver._above(from_float(2 * margin), margin, 128, round_nearest) == (True, fzero)
-    assert qsolver._at_most([fzero, None, above], bound) == (False, finf)
-    assert qsolver._rel_gap(None, fone, 128, round_nearest) is None
+    assert qsolver._above(t(margin), margin, 128) == (False, t(0.0))
+    ok, violation = qsolver._above(t(margin / 2), margin, 128)
+    assert not ok and violation == t(margin / 2)
+    assert qsolver._above(t(2 * margin), margin, 128) == (True, t(0.0))
+    assert qsolver._at_most([t(0.0), None, above], bound, 128) == (False, finf)
+    assert qsolver._above(None, margin, 128) == (False, finf)
+    assert qsolver._rel_gap(None, t(1.0), 128) is None
 
 
 # Each check bound set so that every check reading it must fail: a tolerance
@@ -1020,8 +1032,8 @@ def test_theorem_labels_come_from_the_table_by_name(e7, monkeypatch):
 
 
 def test_grid_consumers_call_no_mpf_operator(e7, monkeypatch):
-    # the residual and the grid, solve, theorem and dilog groups run on raw
-    # tuples throughout: not one arithmetic or comparison operator of an mpf
+    # the residual and the grid, solve, theorem and dilog groups run on p-bit
+    # triples throughout: not one arithmetic or comparison operator of an mpf
     # runs inside them
     ctx = LevelContext(e7, 12)
     grid = build_qgrid(ctx)
@@ -1051,6 +1063,34 @@ def test_grid_consumers_call_no_mpf_operator(e7, monkeypatch):
         assert checks and calls == [], name
 
 
+@pytest.mark.parametrize("label,level", [("E7", 12), ("E8", 8)])
+def test_grid_consumers_run_without_libmp_arithmetic(rs_map, monkeypatch, label, level):
+    # from the grid to the report the numbers are p-bit triples: with
+    # libmp's mpf_add, mpf_sub, mpf_mul, mpf_div and mpf_cmp raising in
+    # qsolver and report, the grid, the solver, the theorem checks, the
+    # dilogarithm arguments and the grid, solve and dilog groups still run,
+    # to the results they give without the patch
+    def run_all():
+        ctx = LevelContext(rs_map[label], level)
+        grid, solved = build_qgrid(ctx), solve_restricted(ctx)
+        verification = report.VerificationReport(
+            report.RunConfig(label, level), ctx.shifted_level, [])
+        groups = [report.CHECK_GROUPS[name][1](verification, ctx, grid)
+                  for name in ("grid", "solve", "dilog")]
+        return (grid, solved, theorem_report(ctx, grid), dilog_args(grid), groups,
+                verification.dilog_sum)
+
+    expected = run_all()
+
+    def no_libmp(*args, **kwargs):
+        raise AssertionError("a grid consumer called libmp arithmetic")
+
+    for module in (qsolver, report):
+        for name in ("mpf_add", "mpf_sub", "mpf_mul", "mpf_div", "mpf_cmp"):
+            monkeypatch.setattr(module, name, no_libmp, raising=False)
+    assert run_all() == expected
+
+
 def test_solver_output_symmetric_and_unimodal(e7):
     # the converged positive solution is symmetric and strictly increasing to
     # the middle on its own, with no reference to the KR route
@@ -1071,4 +1111,4 @@ def test_full_grid_residual_at_level_eight(e6, e7):
         ctx = LevelContext(rs, 8)
         grid = build_qgrid(ctx)
         assert not grid.unresolved
-        assert grid.mp.make_mpf(grid.residual_max) <= 1e-20
+        assert grid.mp.make_mpf(oracles.raw(grid.residual_max)) <= 1e-20

@@ -28,7 +28,7 @@ from qslab.report import (
     write_report,
 )
 
-from oracles import sine_signature
+from oracles import raw, sine_signature, triple
 
 
 def test_render_decimal_deterministic():
@@ -558,13 +558,27 @@ def test_cli_type_label_in_either_case(tmp_path):
 
 
 def test_cli_computation_error_exits_1(capsys, monkeypatch):
-    from qslab import affweyl
+    from qslab import qsolver
 
-    monkeypatch.setattr(affweyl, "_REDUCE_GUARD", 5)
-    assert main(["reduce", "--type", "E6", "--level", "1",
-                 "--weight", "30000000,0,0,0,0,0"]) == 1
+    monkeypatch.setattr(qsolver, "MAX_NEWTON_STEPS", 0)
+    assert main(["solve", "--type", "E6", "--level", "2"]) == 1
     assert capsys.readouterr().err == (
-        "error: alcove reduction did not finish within 5 reflections\n")
+        "error: no convergence within 0 Newton steps; last float log defect 0.693\n")
+
+
+def test_cli_reduce_answers_far_from_the_alcove(capsys, monkeypatch):
+    # 114 285 712 walls lie between this weight and the alcove: the walk
+    # stops at its limit and starts again from a translate of the weight by
+    # a root-lattice element, a few reflections from the alcove; the count
+    # printed is the number of walls
+    calls = []
+    reflect = affweyl._reflect
+    monkeypatch.setattr(affweyl, "_reflect", lambda *args: calls.append(1) or reflect(*args))
+    assert main(["reduce", "--type", "E6", "--level", "2",
+                 "--weight", "100000000,0,0,0,0,0"]) == 0
+    assert capsys.readouterr().out == (
+        "dominant 0,0,0,0,0,2  sign +1  reflections 114285712\n")
+    assert len(calls) <= affweyl._WALK_LIMIT + 40
 
 
 def test_cli_precision_comes_from_the_flag_alone(tmp_path, capsys, monkeypatch):
@@ -966,12 +980,12 @@ def test_dilog_argument_out_of_range_is_a_failed_check(rs_map, label, status):
     # every cell stays positive, but the ratio at (1, 1) grows to about 8000
     ctx = LevelContext(rs_map[label], 2)
     grid = build_qgrid(ctx)
-    grid.rows[0][1] = (grid.cell(1, 1) / 100)._mpf_
+    grid.rows[0][1] = triple(grid.cell(1, 1) / 100, ctx.precision_bits)
     rep_obj = VerificationReport(config=RunConfig(type_label=label, level=2),
                                  shifted_level=ctx.shifted_level, checks=[])
     checks = report._dilog_checks(rep_obj, ctx, grid)
     assert [(c.name, c.status) for c in checks] == [("dilog_args", status)]
-    assert ctx.mp.make_mpf(checks[0].max_violation) > 1000
+    assert ctx.mp.make_mpf(raw(checks[0].max_violation)) > 1000
     assert rep_obj.dilog_in_range is False
     assert rep_obj.dilog_sum is None
     rep_obj.checks = checks
