@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from decimal import MAX_PREC
 from functools import cache
 from typing import NoReturn
 
@@ -105,6 +106,8 @@ def _digits(args, unused_in: str = "") -> int:
     digits = _optional(args, "--digits", DEFAULT_DIGITS, unused_in)
     if digits < 1:
         _usage_error(f"--digits must be at least 1, got {digits}")
+    if digits > MAX_PREC:
+        _usage_error(f"--digits must be at most {MAX_PREC}, got {digits}")
     return digits
 
 
@@ -239,17 +242,23 @@ def _cmd_krdec(args) -> int:
     return 0
 
 
-def _cmd_grid(args) -> int:
+def _run_report(args, checks: tuple[str, ...]) -> tuple[report.VerificationReport, str]:
+    """Run ``checks`` as the flags say and write the report to --out when
+    given; the report and its content."""
     _check_kmax(args)
     cfg = report.RunConfig(
         type_label=args.type, level=args.level,
         precision_bits=_precision(args),
-        k_max=args.kmax, fmt=args.fmt, checks=("grid",),
+        k_max=args.kmax, fmt=args.fmt, checks=checks,
     )
     rep = report.run(cfg)
-    content = report.write_report(rep, args.out)
+    return rep, report.write_report(rep, args.out)
+
+
+def _cmd_grid(args) -> int:
+    rep, content = _run_report(args, ("grid",))
     if not args.out:
-        _emit(content, None)
+        sys.stdout.write(content)
     return rep.exit_code
 
 
@@ -274,14 +283,7 @@ def _cmd_verify(args) -> int:
         if args.fmt == "csv":
             _usage_error("csv output needs a grid-producing check")
         _optional(args, "--kmax", unused_in="without a grid-producing check")
-    _check_kmax(args)
-    cfg = report.RunConfig(
-        type_label=args.type, level=args.level,
-        precision_bits=_precision(args),
-        k_max=args.kmax, fmt=args.fmt, checks=args.checks,
-    )
-    rep = report.run(cfg)
-    content = report.write_report(rep, args.out)
+    rep, content = _run_report(args, args.checks)
     if args.out:
         sys.stdout.write(f"{rep.overall} (report written to {args.out})\n")
     else:

@@ -8,7 +8,8 @@ propagation in :mod:`qslab.qsolver`.
 
 A KR quantum dimension folds ``qdim`` over a decomposition on ``QReal``'s
 p-bit triples, with the bits of the mpf sum; a paired shell's interior
-weights take their zeros from ``qnum.shell_zeros``, once per shell.
+weights go to ``qnum.shell_qdims`` as pairings with the groups of one
+support plan, whose ``plan_qdim`` decides their zeros as for every weight.
 """
 
 from __future__ import annotations
@@ -117,7 +118,7 @@ def _fold(total: QReal | None, terms, ctx: LevelContext) -> QReal:
         if v[1]:
             value = add_triples(value, v, p)
         scale = add_triples(scale, s, p)
-    return QReal(value, scale, ctx.mp)
+    return QReal(value, scale, p)
 
 
 def qdim_kr(dec: KRDecomposition, ctx: LevelContext) -> QReal:

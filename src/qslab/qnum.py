@@ -142,30 +142,30 @@ class QReal:
     ``magnitude_scale`` bounds the largest intermediate magnitude that went
     into the value (never below max(1, |value|)); tolerance checks multiply
     the context's base tolerance by it.  Both are held as p-bit triples at
-    the precision of the context ``mp``; the operators round as the libmp
-    calls of the mpf operators do, in the same order, to the same bits.
-    ``value`` and ``magnitude_scale`` read them as mpf numbers of ``mp``;
+    the precision ``p``; the operators round as the libmp calls of the mpf
+    operators do, in the same order, to the same bits.  ``value`` and
+    ``magnitude_scale`` read them as mpf numbers of ``mp_context(p)``;
     ``_v`` and ``_s`` are the triples themselves.
     """
 
-    __slots__ = ("_v", "_s", "_mp")
+    __slots__ = ("_v", "_s", "_p")
 
-    def __init__(self, value: tuple, scale: tuple, mp: MPContext):
-        self._v, self._s, self._mp = value, scale, mp
+    def __init__(self, value: tuple, scale: tuple, p: int):
+        self._v, self._s, self._p = value, scale, p
 
-    value = property(lambda self: self._mp.make_mpf(raw_mpf(self._v)))
-    magnitude_scale = property(lambda self: self._mp.make_mpf(raw_mpf(self._s)))
+    value = property(lambda self: mp_context(self._p).make_mpf(raw_mpf(self._v)))
+    magnitude_scale = property(lambda self: mp_context(self._p).make_mpf(raw_mpf(self._s)))
 
     # Both scales are at least 1 and at least |value|, and rounding to
     # nearest is monotone, so the rounded scale sum already bounds the
     # rounded |v1 - v2| and 1: a difference needs no clamp.
     def __sub__(self, other: "QReal") -> "QReal":
-        p = self._mp._prec_rounding[0]
+        p = self._p
         return QReal(add_triples(self._v, other._v, p, 1),
-                     add_triples(self._s, other._s, p), self._mp)
+                     add_triples(self._s, other._s, p), p)
 
     def __mul__(self, other: "QReal") -> "QReal":
-        p = self._mp._prec_rounding[0]
+        p = self._p
         a, b = self._v, other._v
         scale = add_triples(mul_triples((0, a[1], a[2]), other._s, p),
                             mul_triples((0, b[1], b[2]), self._s, p), p)
@@ -173,7 +173,7 @@ class QReal:
 
     def div(self, other: "QReal") -> "QReal":
         """Division; the caller is responsible for guarding the divisor."""
-        p = self._mp._prec_rounding[0]
+        p = self._p
         _, mb, eb = other._v
         v = div_triples(self._v, other._v, p)
         scale = add_triples(self._s, mul_triples((0, v[1], v[2]), other._s, p), p)
@@ -193,7 +193,7 @@ class QReal:
             ms, es = mv, ev
         if not ms or es < 1 - p:
             ms, es = 1 << p - 1, 1 - p
-        return QReal(v, (0, ms, es), self._mp)
+        return QReal(v, (0, ms, es), p)
 
 
 @functools.cache
@@ -235,10 +235,9 @@ class LevelContext:
             raise ValueError(f"precision_bits must be at least {MIN_PRECISION_BITS}")
         self.root_system, self.level, self.precision_bits = root_system, level, precision_bits
         self.shifted_level = level + root_system.coxeter_number
-        self.mp = mp = mp_context(self.precision_bits)
-        self.zero_tolerance = mp.mpf(2) ** (-(self.precision_bits // 2))
+        self.mp = mp_context(precision_bits)
         one = (0, 1 << precision_bits - 1, 1 - precision_bits)
-        self.one, self.zero = QReal(one, one, mp), QReal(ZERO, one, mp)
+        self.one, self.zero = QReal(one, one, precision_bits), QReal(ZERO, one, precision_bits)
         # sin(pi*r/l) by residue r mod 2l as (sign, mantissa, exponent): the
         # value (-1)**sign * mantissa * 2**exponent, the mantissa exactly
         # precision_bits wide (zero at the two zeros of the sine)
@@ -306,34 +305,11 @@ def plan_qdim(plan: tuple, dots: Sequence[int], ctx: LevelContext) -> QReal:
     return _sine_product(ctx, plan[2], dots)
 
 
-def shell_zeros(plan: tuple, j: int, l: int) -> set[int]:
-    """The r, 0 < r < j, for which the weight with pairings r va + (j - r) vb
-    with the groups (va, vb) of a two-node ``support_plan`` is an exact zero.
-    Group g makes it zero iff r (va - vb) = z - j vb (mod l) for a zero
-    residue z of g: one linear congruence per (group, residue), solved
-    through gcd(va - vb, l) and an inverse, all r when va = vb (mod l) and
-    z = j vb."""
-    out = set()
-    for (va, vb), zeros in zip(plan[0], plan[1]):
-        a = (va - vb) % l
-        g = math.gcd(a, l)
-        step = l // g
-        inv = pow(a // g, -1, step)
-        for z in zeros:
-            c = (z - j * vb) % l
-            if not c % g:
-                r = c // g * inv % step
-                out.update(range(r or step, j, step))
-    return out
-
-
 def shell_qdims(plan: tuple, j: int, ctx: LevelContext) -> list[QReal]:
     """The quantum dimensions of the weights r w_a + (j - r) w_b, 0 < r < j,
-    of the two-node ``support_plan`` of (a, b): ``ctx.zero`` at the
-    ``shell_zeros``, the plan's sine product elsewhere."""
-    zeros = shell_zeros(plan, j, ctx.shifted_level)
-    return [ctx.zero if r in zeros else
-            _sine_product(ctx, plan[2], [r * va + (j - r) * vb for va, vb in plan[0]])
+    of the two-node ``support_plan`` of (a, b), by ``plan_qdim`` on their
+    pairings r va + (j - r) vb with the plan's groups (va, vb)."""
+    return [plan_qdim(plan, [r * va + (j - r) * vb for va, vb in plan[0]], ctx)
             for r in range(1, j)]
 
 
@@ -418,7 +394,7 @@ def _sine_product(ctx: LevelContext, steps: Sequence[tuple], dots: Sequence[int]
             exp -= 1
         if exp >= scale_exp and (exp > scale_exp or man > scale_man):
             scale_exp, scale_man = exp, man
-    return QReal((sign, man, exp), (0, scale_man, scale_exp), ctx.mp)
+    return QReal((sign, man, exp), (0, scale_man, scale_exp), p)
 
 
 def qdim(weight: Sequence[int], ctx: LevelContext) -> QReal:

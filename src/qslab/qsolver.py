@@ -167,9 +167,8 @@ def _defect(cells, neighbors: list[list[int]], i: int, k: int):
     """The recurrence defect F = Q_k^2 - (Q_{k-1} Q_{k+1} + prod_{j~i} Q_k(j))
     at row i, and |F| / max(Q_k^2, 1), both p-bit triples; None when a
     stencil cell is None.  ``cells`` pairs the rows of triples with the
-    mpmath context whose precision p every step takes."""
-    rows, mp = cells
-    p = mp._prec_rounding[0]
+    precision p every step takes."""
+    rows, p = cells
     row = rows[i]
     lo, mid, hi = row[k - 1], row[k], row[k + 1]
     prod = _neighbor_product(rows, neighbors[i], k, p)
@@ -237,12 +236,12 @@ def build_qgrid(ctx: LevelContext, k_max: int | None = None) -> QGrid:
     """Fill the Q-grid for the context's type from the closed-form rows.
 
     ``_route_walk`` fills and tags the cells in ``QReal`` arithmetic.  A
-    division whose divisor is numerically zero (within the context's zero
-    tolerance times its scale) is hypothesized as zero when k falls (mod l)
-    in the recurring zero window [level+1, l-1]; anything else lands in
-    ``unresolved`` and is never silently filled.  The returned residual_max
-    measures how well every fully-stencilled cell satisfies the defining
-    recurrence.
+    division whose divisor is numerically zero (not clear of zero by
+    2^-(p//2) times its scale, at the context's precision p) is hypothesized
+    as zero when k falls (mod l) in the recurring zero window [level+1, l-1];
+    anything else lands in ``unresolved`` and is never silently filled.  The
+    returned residual_max measures how well every fully-stencilled cell
+    satisfies the defining recurrence.
     """
     rs = ctx.root_system
     level, l = ctx.level, ctx.shifted_level
@@ -272,7 +271,7 @@ def build_qgrid(ctx: LevelContext, k_max: int | None = None) -> QGrid:
 def residual(grid: QGrid) -> tuple:
     """Normalized max violation of the recurrence over fully-present stencils,
     a p-bit triple; 0 when there is none."""
-    cells = (grid.rows, grid.mp)
+    cells = (grid.rows, grid.mp.prec)
     neighbors = _neighbor_rows(grid.root_system)
     worst = ZERO
     for i in range(len(neighbors)):
@@ -444,7 +443,7 @@ def solve_restricted(ctx: LevelContext, tolerance: float = SOLVER_TOLERANCE) -> 
     Corrections then follow at the context's precision
     (iterative refinement): each solves the float Jacobian of
     ``_log_newton_step`` for dy = dQ / Q against the relative defect
-    -F / Q_k(i)^2, F formed at ``ctx.mp``'s precision by ``_defect``.  Each
+    -F / Q_k(i)^2, F formed at the context's precision by ``_defect``.  Each
     re-forms that Jacobian from the current cells through the weights
     w = (Q_{k-1} / Q_k)(Q_{k+1} / Q_k), which stay in the float range where
     Q^2 does not.  Iteration stops once the normalized residual is within
@@ -480,7 +479,7 @@ def solve_restricted(ctx: LevelContext, tolerance: float = SOLVER_TOLERANCE) -> 
         for k in half:
             col = []
             for i in range(rank):
-                fi, size = _defect((v, mp), neighbors, i, k)
+                fi, size = _defect((v, p), neighbors, i, k)
                 if cmp_triples(size, res) > 0:
                     res = size
                 size = triple_float(size)
@@ -676,7 +675,7 @@ def dilog_args(grid: QGrid) -> dict[tuple[int, int], tuple]:
         for k in ks:
             if row[k] is None or row[k][0] or not row[k][1]:
                 raise ValueError(f"grid cell (node {i}, k={k}) is not positive")
-    p = grid.mp._prec_rounding[0]
+    p = grid.mp.prec
     neighbors = _neighbor_rows(grid.root_system)
     return {(i + 1, k): div_triples(_neighbor_product(rows, neighbors[i], k, p),
                                     mul_triples(row[k], row[k], p), p)
@@ -690,7 +689,7 @@ def dilog_args_margin(grid: QGrid, args: dict[tuple[int, int], tuple]) -> tuple 
     Boundary columns k = 0 and k = level equal 1 and are excluded.  Returns
     None when there is no interior.
     """
-    p = grid.mp._prec_rounding[0]
+    p = grid.mp.prec
     one = _one(p)
     worst = None
     for (_, k), x in args.items():

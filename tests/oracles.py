@@ -22,6 +22,14 @@ from qslab.rootsys import _closure, delta, is_proven, type_data
 from qslab.seqanalysis import RealSequence, is_log_concave
 
 
+def zero_tolerance(ctx):
+    """2^-(p//2) as an mpf number at the context's precision p: how far
+    clear of zero, relative to its scale, the grid's divisor guard wants a
+    value (``QReal.is_clear_of_zero(p // 2)``), and the tests' tolerance
+    for values that agree up to rounding."""
+    return ctx.mp.ldexp(1, -(ctx.precision_bits // 2))
+
+
 def si_dot(rs, node: int, weight: Sequence[int]) -> tuple[int, ...]:
     """Dot reflection in the simple root alpha_node (an involution).
 
@@ -298,8 +306,8 @@ def build_qgrid(ctx: LevelContext, k_max: int | None = None) -> QGrid:
     if k_max > 4 * l:
         raise ValueError("k_max is capped at 4l")
 
-    prec, rnd = ctx.mp._prec_rounding
-    zero_tol = ctx.zero_tolerance._mpf_
+    prec, rnd = ctx.precision_bits, round_nearest
+    zero_tol = zero_tolerance(ctx)._mpf_
     direct = set(td.direct_nodes)
     routes = dict(td.derived_routes)
     cells: dict[tuple[int, int], QReal | None] = {}

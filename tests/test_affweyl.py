@@ -17,7 +17,7 @@ from qslab.report import E8_SIGMA
 from qslab.rootsys import fundamental_weight, type_data
 
 from oracles import (MpfQReal, find_root, in_alcove, pairing, reflection_dot, s0_dot,
-                     si_dot, sine_fold, translate_by_root)
+                     si_dot, sine_fold, translate_by_root, zero_tolerance)
 
 
 def qdim_formal(weight, ctx):
@@ -213,7 +213,7 @@ def test_reduce_matches_formal_sign(rs_map):
             else:
                 assert in_alcove(rs, red.dominant_weight, level)
                 target = qdim(red.dominant_weight, ctx)
-                tol = ctx.zero_tolerance * (formal.magnitude_scale
+                tol = zero_tolerance(ctx) * (formal.magnitude_scale
                                             + target.magnitude_scale)
                 assert abs(formal.value - red.sign * target.value) <= tol
                 # the reduction is idempotent on its output
@@ -400,7 +400,7 @@ def test_e8_composite_reflection_sign_identity(e8):
                 continue
             a = qdim(lam, ctx)
             b = qdim(image, ctx)
-            tol = ctx.zero_tolerance * (a.magnitude_scale + b.magnitude_scale)
+            tol = zero_tolerance(ctx) * (a.magnitude_scale + b.magnitude_scale)
             assert abs(a.value + b.value) <= tol, (s, r)
             checked += 1
     assert checked > 10

@@ -940,7 +940,7 @@ def test_grid_consumers_match_the_mpf_formulas(rs_map, a1, label, level, bits, s
     ctx = LevelContext(rs, level, precision_bits=bits)
     grid = solve_restricted(ctx) if solved else build_qgrid(ctx)
     neighbors = qsolver._neighbor_rows(rs)
-    cells = (grid.rows, ctx.mp)
+    cells = (grid.rows, bits)
     values = oracles.mpf_table(ctx.mp, grid.rows)
     for i in range(rs.rank):
         for k in range(1, grid.k_max):

@@ -415,6 +415,16 @@ def test_cli_usage_errors(capsys, monkeypatch):
         (["krdec", "--type", "E6", "--node", "1", "--k", "1", "--qdim", "--level", "2",
           "--digits", "0"],
          "error: --digits must be at least 1, got 0\n"),
+        # past decimal.MAX_PREC, and past a C ssize_t
+        (["qdim", "--type", "E6", "--level", "2", "--weight", "1,0,0,0,0,0",
+          "--digits", "1000000000000000000"],
+         "error: --digits must be at most 999999999999999999, got 1000000000000000000\n"),
+        (["qdim", "--type", "E6", "--level", "2", "--weight", "1,0,0,0,0,0",
+          "--digits", "9223372036854775808"],
+         "error: --digits must be at most 999999999999999999, got 9223372036854775808\n"),
+        (["krdec", "--type", "E6", "--node", "1", "--k", "1", "--qdim", "--level", "2",
+          "--digits", "9223372036854775808"],
+         "error: --digits must be at most 999999999999999999, got 9223372036854775808\n"),
         (["krdec", "--type", "E6", "--node", "1", "--k", "-1"],
          "error: --k must be nonnegative, got -1\n"),
         (["krdec", "--type", "E6", "--node", "7", "--k", "1"],

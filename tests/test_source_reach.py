@@ -1,10 +1,11 @@
-"""Every function, class, method and module-level constant in src/qslab has
-a reader in src/qslab.
+"""Every function, class, method, module-level constant and attribute set
+on ``self`` in src/qslab has a reader in src/qslab.
 
 A definition that only tests call belongs with the tests (see
 tests/oracles.py), so the package keeps one implementation of each
 operation, and only code that a command reaches; a constant that nothing
-reads, such as an alias left behind for a retired name, goes.
+reads, such as an alias left behind for a retired name, goes, and so does an
+attribute that every instance computes and nothing reads.
 """
 
 from __future__ import annotations
@@ -21,11 +22,14 @@ ALLOWED = {
 
 
 def _definitions_and_references():
-    """Functions and classes, upper-case module-level names, and every name
-    that src/qslab reads, as a variable or as an attribute."""
+    """Functions and classes, upper-case module-level names, attributes
+    assigned on ``self``, every name that src/qslab reads, as a variable or
+    as an attribute, and every attribute name that it loads."""
     defined: dict[str, str] = {}
     constants: dict[str, str] = {}
+    attributes: dict[str, str] = {}
     referenced: set[str] = set()
+    loaded: set[str] = set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         for stmt in tree.body:
@@ -39,15 +43,19 @@ def _definitions_and_references():
                 referenced.add(node.id)
             elif isinstance(node, ast.Attribute):
                 referenced.add(node.attr)
+                if isinstance(node.ctx, ast.Load):
+                    loaded.add(node.attr)
+                elif isinstance(node.value, ast.Name) and node.value.id == "self":
+                    attributes.setdefault(node.attr, f"{path.name}:{node.lineno}")
             elif (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
                   and path.name != "__init__.py"
                   and not (node.name.startswith("__") and node.name.endswith("__"))):
                 defined.setdefault(node.name, f"{path.name}:{node.lineno}")
-    return defined, constants, referenced
+    return defined, constants, attributes, referenced, loaded
 
 
 def test_every_definition_in_src_has_a_reader_in_src():
-    defined, _, referenced = _definitions_and_references()
+    defined, _, _, referenced, _ = _definitions_and_references()
     unread = sorted(f"{name} ({where})" for name, where in defined.items()
                     if name not in referenced and name not in ALLOWED)
     assert not unread, "defined in src/qslab but read only outside it: " + ", ".join(unread)
@@ -57,8 +65,16 @@ def test_every_definition_in_src_has_a_reader_in_src():
 
 
 def test_every_module_constant_in_src_has_a_reader_in_src():
-    _, constants, referenced = _definitions_and_references()
+    _, constants, _, referenced, _ = _definitions_and_references()
     assert "REL_GAP_TOL" in constants and "TYPE_DATA" in constants  # the scan finds them
     unread = sorted(f"{name} ({where})" for name, where in constants.items()
                     if name not in referenced)
     assert not unread, "module constants that src/qslab never reads: " + ", ".join(unread)
+
+
+def test_every_attribute_set_on_self_in_src_has_a_reader_in_src():
+    _, _, attributes, _, loaded = _definitions_and_references()
+    assert "shifted_level" in attributes and "residual_max" in attributes  # the scan finds them
+    unread = sorted(f"{name} ({where})" for name, where in attributes.items()
+                    if name not in loaded)
+    assert not unread, "attributes set on self that src/qslab never loads: " + ", ".join(unread)
