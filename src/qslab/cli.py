@@ -302,9 +302,10 @@ def _parse_seq(text: str) -> seqanalysis.RealSequence:
     except ValueError as exc:
         _usage_error(f"--seq {text!r}: {exc}")
     # branden_criterion's Sturm chain, run where no Newton inequality fails,
-    # costs more the wider the spread of the exponents
-    for t, e in zip(tokens, seq.entries):
-        if e and not 2.0 ** -1074 <= abs(e) < 2 ** 1024:
+    # costs more the wider the spread of the exponents; 2^-1074 <= |e| <
+    # 2^1024 is -1073 <= exp + bit length <= 1024
+    for t, (_, man, exp) in zip(tokens, seq.entries):
+        if man and not -1073 <= exp + man.bit_length() <= 1024:
             _usage_error(f"--seq {text!r}: {t} is outside the double range "
                          "[2^-1074, 2^1024)")
     return seq
@@ -317,7 +318,7 @@ def _cmd_logconcave(args) -> int:
                          "--type, --level or --node")
         _precision(args, unused_in="with --seq")
         seq = _parse_seq(args.seq)
-        if args.branden and not any(seq.entries):
+        if args.branden and not any(man for _, man, _ in seq.entries):
             _usage_error(f"--seq {args.seq!r}: zero polynomial")
         label = "input sequence"
     else:
@@ -326,17 +327,11 @@ def _cmd_logconcave(args) -> int:
         rs = build_root_system(args.type)
         _check_node(args.node, rs.rank)
         ctx = LevelContext(rs, args.level, _precision(args))
-        seq = seqanalysis.make_sequence(alcove_line(args.node, ctx))
+        seq = seqanalysis.make_sequence(alcove_line(args.node, ctx), ctx.precision_bits)
         label = f"{args.type} node {args.node} line, level {args.level}"
     order = seqanalysis.log_concavity_order(seq, args.max_order)
-    if order == args.max_order:
-        found = f">= {order} (probed up to {order})"
-    elif order < 0:
-        found = "-1 (the sequence itself fails)"
-    else:
-        found = f"{order} (iterate {order + 1} fails)"
     lines = [f"{label}: {len(seq)} {'entry' if len(seq) == 1 else 'entries'}",
-             f"log-concavity order {found}"]
+             f"log-concavity order {seqanalysis.order_text(order, args.max_order)}"]
     if args.branden:
         verdict = seqanalysis.branden_criterion(seq)
         suffix = f" ({verdict.witness})" if verdict.witness else ""

@@ -11,6 +11,14 @@ triples (sign, mantissa exactly p bits wide, exponent), or ``ZERO``, at
 the context's precision p.  Each operation rounds as the libmp call it
 stands for, to nearest with ties to even, so the bits are those of mpf
 arithmetic; libmp's normal form is made only where a value is read out.
+
+The sine table is qnum's own: ``sinpi_triple`` rounds sin(pi*k/l) correctly
+to nearest from an integer Taylor series, with pi from Machin's formula
+(``pi_fixed``) and Ziv's rounding test.  ``log_fixed`` gives the
+logarithms of the dilogarithm sum in fixed point, and ``triple_str`` writes
+a triple as mpmath's ``to_str`` does, byte for byte.  So no command imports
+mpmath: only the mpf read-outs do (``mp_context``, ``QReal.value`` and
+``magnitude_scale``, ``LevelContext.mp``), inside the call.
 """
 
 from __future__ import annotations
@@ -21,15 +29,14 @@ from itertools import compress
 from operator import index, mul
 from typing import Sequence
 
-from mpmath.ctx_mp import MPContext
-from mpmath.libmp import fzero
-
 from .rootsys import RootSystem, Weight, fundamental_weight, is_dominant
 
 MIN_PRECISION_BITS = 64
 # The working precision wherever none is given.
 DEFAULT_PRECISION_BITS = 128
 ZERO = (0, 0, 0)  # the p-bit triple of 0, at every p
+# libmp's raw +inf, -inf and nan, which a check's violation may hold
+FINF, FNINF, FNAN = (0, 0, -456, -2), (1, 0, -789, -3), (0, 0, -123, -1)
 
 
 def round_triple(sign: int, man: int, exp: int, p: int) -> tuple:
@@ -131,9 +138,289 @@ def raw_mpf(t: tuple) -> tuple:
     mantissa, bit count."""
     sign, man, exp = t
     if not man:
-        return fzero
+        return 0, 0, 0, 0
     tz = (man & -man).bit_length() - 1
     return sign, man >> tz, exp + tz, man.bit_length() - tz
+
+
+# ---------------------------------------------------------------------------
+# pi, sines and logarithms in integer fixed point, and decimal strings
+
+
+@functools.cache
+def pi_fixed(w: int) -> int:
+    """pi * 2**w, off by less than one unit for w < 100 000.
+
+    Machin's formula pi = 16 atan(1/5) - 4 atan(1/239), each series summed
+    at g = w + 20 bits.  Every term floor(2**g / (n**(2j+1) (2j+1))) is
+    short by less than a unit and the alternating tail is below a unit, so
+    the sum is off by less than 3.7 g + 48 units at g bits (the n = 5 series
+    has at most g / 4.6 + 1 terms), under 0.36 of a unit at w bits; the
+    rounding to w bits adds at most half a unit.
+    """
+    g = w + 20
+
+    def atan_inv(n: int) -> int:
+        total, power, n2, k = 0, (1 << g) // n, n * n, 1
+        while power:
+            total += -(power // k) if k & 2 else power // k
+            power //= n2
+            k += 2
+        return total
+
+    return (16 * atan_inv(5) - 4 * atan_inv(239) + (1 << 19)) >> 20
+
+
+def atanh_fixed(num: int, den: int, w: int) -> int:
+    """atanh(num / den) * 2**w for 0 <= num / den <= 1/3, off by less than
+    one unit for w < 100 000.
+
+    The series sum z**(2j+1) / (2j+1) is summed at g = w + 20 bits: each
+    floored power of z is off by less than 1.8 units, so each term by less
+    than 2.8, and the tail after the first power that floors to 0 sums to
+    less than 2.1; with at most g / 3.17 + 1 terms that is under 0.1 of a
+    unit at w bits, and the rounding to w bits adds at most half a unit.
+    """
+    g = w + 20
+    z = (num << g) // den
+    z2 = (z * z) >> g
+    total, power, k = 0, z, 1
+    while power:
+        total += power // k
+        power = (power * z2) >> g
+        k += 2
+    return (total + (1 << 19)) >> 20
+
+
+# log(1 + d) for 0 <= d < 2**-_LOG_TABLE_BITS is left to the atanh series
+_LOG_TABLE_BITS = 7
+
+
+@functools.lru_cache(maxsize=64)
+def _ln2_fixed(w: int) -> int:
+    """log 2 * 2**w = 2 atanh(1/3) 2**w, off by less than two units."""
+    return 2 * atanh_fixed(1, 3, w)
+
+
+@functools.lru_cache(maxsize=64)
+def _log_table(w: int) -> list[int]:
+    """log(1 + j / 2**r) * 2**w for j < 2**r, r = _LOG_TABLE_BITS, each off
+    by less than one unit: the running sum of the steps
+    log((2**r + j + 1) / (2**r + j)) = 2 atanh(1 / (2**(r+1) + 2j + 1)), each
+    off by less than 2 units at w + 10 bits, rounded to w bits."""
+    r = 1 << _LOG_TABLE_BITS
+    logs, acc = [0], 0
+    for j in range(r - 1):
+        acc += 2 * atanh_fixed(1, 2 * (r + j) + 1, w + 10)
+        logs.append((acc + 512) >> 10)
+    return logs
+
+
+def log_fixed(man: int, exp: int, w: int) -> int:
+    """log(man * 2**exp) * 2**w for man > 0, off by less than one unit.
+
+    With b the bit length of man, r = _LOG_TABLE_BITS and s = b - 1 - r,
+    man * 2**exp = 2**e (1 + j / 2**r)(1 + d): e = exp + b - 1, 2**r + j the
+    leading r + 1 bits of man, top = man >> s, and d = (man - top 2**s) /
+    (top 2**s) < 2**-r.  So the logarithm is e log 2 + ``_log_table``[j] +
+    2 atanh(d / (2 + d)), all at g = w + 24 bits: e log 2 from log 2 at
+    g + bitlen |e| bits is off by less than 3 units there, the table entry
+    by less than one, the series by less than 2, and the sum rounds once to
+    w bits.
+    """
+    b = man.bit_length()
+    e, s = exp + b - 1, b - 1 - _LOG_TABLE_BITS
+    g = w + 24
+    extra = abs(e).bit_length()
+    total = (e * _ln2_fixed(g + extra)) >> extra
+    if s > 0:
+        top = man >> s
+        rest = man - (top << s)
+        if rest:
+            total += 2 * atanh_fixed(rest, rest + (top << s + 1), g)
+    else:
+        top = man << -s
+    total += _log_table(g)[top - (1 << _LOG_TABLE_BITS)]
+    return (total + (1 << 23)) >> 24
+
+
+def _sinpi_fixed(k: int, l: int, w: int) -> tuple[int, int]:
+    """(s, err) with |sin(pi k / l) 2**w - s| < err, for 0 < 2k < l.
+
+    x = pi k / l is taken as pi_fixed(w) k // l (sin x, for 4k <= l) or as
+    y = pi (l - 2k) / (2 l) (cos y = sin x, for 4k > l), below pi/4 and off
+    by less than 1.25 units either way.  Its Taylor series is summed with
+    every term floored from the one before: each term is then off by less
+    than 2 units, and the first that floors to 0 bounds the alternating
+    tail by 2 more, so n terms leave s within 2n + 4 units.
+    """
+    pi = pi_fixed(w)
+    if 4 * k <= l:
+        x = pi * k // l
+        term, i = x, 2
+    else:
+        x = pi * (l - 2 * k) // (2 * l)
+        term, i = 1 << w, 1
+    x2 = (x * x) >> w
+    total = n = 0
+    while term:
+        total += -term if n & 1 else term
+        n += 1
+        term = ((term * x2) >> w) // (i * (i + 1))
+        i += 2
+    return total, 2 * n + 4
+
+
+def sinpi_triple(k: int, l: int, p: int) -> tuple:
+    """sin(pi k / l) for 0 <= 2k <= l as a p-bit triple, correctly rounded to
+    nearest.
+
+    By Niven's theorem the only rational values are sin 0 = 0, sin(pi/6) =
+    1/2 and sin(pi/2) = 1, which are exact.  Every other value is
+    irrational, so never a tie, and Ziv's test ends: the fixed-point value at
+    w = p + 32 bits, and 32 more per retry, is taken once both ends of its
+    error interval round to the same triple.
+    """
+    if not k:
+        return ZERO
+    if 6 * k == l:
+        return 0, 1 << p - 1, -p
+    if 2 * k == l:
+        return 0, 1 << p - 1, 1 - p
+    w = p + 32
+    while True:
+        s, err = _sinpi_fixed(k, l, w)
+        lo = round_triple(0, s - err, -w, p)
+        if lo == round_triple(0, s + err, -w, p):
+            return lo
+        w += 32
+
+
+_LOG2_10 = math.log(10, 2)
+
+
+def prec_to_dps(p: int) -> int:
+    """The decimal digits of an mpf number's ``str`` at p bits: libmp's
+    prec_to_dps."""
+    return max(1, int(round(p / _LOG2_10) - 1))
+
+
+def _round_directed(man: int, exp: int, p: int, up: bool = False) -> tuple[int, int]:
+    """man * 2**exp > 0 rounded to p bits toward zero (away from it with
+    ``up``), as (mantissa, exponent): libmp's round_down (round_up)."""
+    n = man.bit_length() - p
+    if n > 0:
+        man = -(-man >> n) if up else man >> n
+        exp += n
+    return man, exp
+
+
+def _pow10(n: int, p: int, up: bool) -> tuple[int, int]:
+    """10**n for n >= 1, as libmp's mpf_pow_int rounds it to p bits, down or
+    ``up``: exact below 1000 bits, else by squaring at p + 4 bitlen(n) + 4
+    bits, every step rounded the same way."""
+    man, exp = 5, 1
+    if n <= 2 or 3 * n < 1000:
+        return _round_directed(man ** n, n, p, up)
+    work = p + 4 * n.bit_length() + 4
+    pm, pe = 1, 0
+    while True:
+        if n & 1:
+            pm, pe = _round_directed(pm * man, pe + exp, work, up)
+            n -= 1
+            if not n:
+                break
+        man, exp = _round_directed(man * man, exp + exp, work, up)
+        n //= 2
+    return _round_directed(pm, pe, p, up)
+
+
+def _div_down(sman: int, sexp: int, tman: int, texp: int, p: int) -> tuple[int, int]:
+    """(sman 2**sexp) / (tman 2**texp) > 0 rounded to p bits toward zero."""
+    k = p + tman.bit_length() - sman.bit_length() + 1
+    q = (sman << k) // tman if k >= 0 else sman // (tman << -k)
+    return _round_directed(q, sexp - texp - k, p)
+
+
+def _digits_exp(man: int, exp: int, dps: int) -> tuple[str, int]:
+    """libmp's to_digits_exp(x, dps) for x = man 2**exp > 0, man odd: the
+    digit string, rounded toward zero, and the decimal exponent."""
+    bc = man.bit_length()
+    bitprec = int(dps * _LOG2_10) + 10
+    exponent = 0
+    if abs(exp + bc) > 3500:
+        # b = int(exp log 2 / log 10) from both logarithms rounded down to
+        # bitlen |exp| + 5 bits; x / 10**b rounded down to bitprec bits
+        wp = abs(exp).bit_length() + 5
+        ln2 = log_fixed(1, 1, wp + 40) >> 40  # log 2 < 1: wp bits after the point
+        ln10 = log_fixed(5, 1, wp + 38) >> 40  # 2 < log 10 < 4: wp - 2 bits
+        b = abs(exp) * ln2 // (ln10 << 2)
+        if exp < 0:
+            b = -b
+        if b > 0:
+            tman, texp = _pow10(b, bitprec, False)
+        elif b < 0:
+            inv = _pow10(-b, bitprec + 5, True)
+            tman, texp = _div_down(1, 0, *inv, bitprec)
+        else:
+            tman, texp = 1, 0
+        man, exp = _div_down(man, exp, tman, texp, bitprec)
+        bc = man.bit_length()
+        exponent = b
+    fixprec = max(bitprec - exp - bc, 0)
+    fixdps = int(fixprec / _LOG2_10 + 0.5)
+    shift = exp + fixprec
+    fixed = man << shift if shift >= 0 else man >> -shift
+    digits = str(fixed * 10 ** fixdps >> fixprec)
+    return digits, exponent + len(digits) - fixdps - 1
+
+
+def triple_str(x: tuple, dps: int) -> str:
+    """x, a p-bit triple or libmp's raw tuple (``FINF``, ``FNINF`` and
+    ``FNAN`` included), as libmp's to_str(x, dps) writes it with its
+    defaults, byte for byte: the leading dps digits, rounded half up from
+    dps + 3 digits rounded toward zero, in fixed point when the leading
+    digit's exponent lies strictly between min(-(dps // 3), -5) and dps."""
+    sign, man, exp = x[:3]
+    if not man:
+        return {FINF: "+inf", FNINF: "-inf", FNAN: "nan"}.get(x, "0.0" if dps else ".0")
+    tz = (man & -man).bit_length() - 1
+    digits, exponent = _digits_exp(man >> tz, exp + tz, dps + 3)
+    sign = "-" if sign else ""
+    if not dps:
+        if digits[0] in "56789":
+            exponent += 1
+        digits = ".0"
+    else:
+        if len(digits) > dps and digits[dps] in "56789":
+            digits = digits[:dps]
+            i = dps - 1
+            while i >= 0 and digits[i] == "9":
+                i -= 1
+            if i >= 0:
+                digits = digits[:i] + str(int(digits[i]) + 1) + "0" * (dps - i - 1)
+            else:
+                digits = "1" + "0" * (dps - 1)
+                exponent += 1
+        else:
+            digits = digits[:dps]
+        if min(-(dps // 3), -5) < exponent < dps:
+            if exponent < 0:
+                digits = "0" * -exponent + digits
+                split = 1
+            else:
+                split = exponent + 1
+                if split > dps:
+                    digits += "0" * (split - dps)
+            exponent = 0
+        else:
+            split = 1
+        digits = (digits[:split] + "." + digits[split:]).rstrip("0")
+        if digits[-1] == ".":
+            digits += "0"
+    if exponent == 0 and dps:
+        return sign + digits
+    return f"{sign}{digits}e{'+' if exponent >= 0 else ''}{exponent}"
 
 
 class QReal:
@@ -197,13 +484,17 @@ class QReal:
 
 
 @functools.cache
-def mp_context(precision_bits: int) -> MPContext:
-    """The one mpmath context at this precision, made on first use.
+def mp_context(precision_bits: int):
+    """The one mpmath context at this precision, made on first use; the
+    read-outs that hand out mpf numbers import mpmath here, and no command
+    path reaches it.
 
-    Every LevelContext at the same precision shares it, so an operation does
-    not pay for a fresh context.  No code writes its ``prec`` (or any other
-    attribute) after it is made, so nothing leaks from one run into the next.
+    Every LevelContext and QGrid at the same precision shares it.  No code
+    writes its ``prec`` (or any other attribute) after it is made, so
+    nothing leaks from one run into the next.
     """
+    from mpmath.ctx_mp import MPContext
+
     mp = MPContext()
     mp.prec = precision_bits
     return mp
@@ -212,8 +503,9 @@ def mp_context(precision_bits: int) -> MPContext:
 class LevelContext:
     """Carries the root system, the level, and the arithmetic precision.
 
-    Each context computes in the shared mpmath context of its precision
-    (``mp_context``; no global precision state), and owns a table of sine
+    Each context computes on p-bit triples at its precision p (no global
+    precision state); ``mp``, the shared mpmath context of that precision
+    (``mp_context``), is made only when read.  It owns a table of sine
     values, one fold plan per support pattern (``support_plan``) and a memo
     of ``qdim`` keyed by dominant weight.  It also memoizes the closed-form
     KR rows of :mod:`qslab.krchar`, one list per direct node indexed by box
@@ -235,7 +527,6 @@ class LevelContext:
             raise ValueError(f"precision_bits must be at least {MIN_PRECISION_BITS}")
         self.root_system, self.level, self.precision_bits = root_system, level, precision_bits
         self.shifted_level = level + root_system.coxeter_number
-        self.mp = mp_context(precision_bits)
         one = (0, 1 << precision_bits - 1, 1 - precision_bits)
         self.one, self.zero = QReal(one, one, precision_bits), QReal(ZERO, one, precision_bits)
         # sin(pi*r/l) by residue r mod 2l as (sign, mantissa, exponent): the
@@ -247,6 +538,8 @@ class LevelContext:
         self._recips: dict[int, int] = {}  # den residue -> _fold_step's r
         self._chari_rows: dict[int, list[QReal]] = {}
 
+    mp = property(lambda self: mp_context(self.precision_bits))
+
     def __repr__(self) -> str:
         return (f"LevelContext({self.root_system.type_label}, level={self.level}, "
                 f"l={self.shifted_level}, prec={self.precision_bits})")
@@ -254,16 +547,14 @@ class LevelContext:
     def _build_sin_tables(self) -> None:
         """Fill ``_sines`` with sin(pi*r/l) for every residue r mod 2l.
 
-        Only the first quarter period is evaluated; the rest of the table is
-        filled through the exact identities sin(pi*(l-r)/l) = sin(pi*r/l) and
+        Only the first quarter period is evaluated, each value correctly
+        rounded (``sinpi_triple``); the rest of the table is filled through
+        the exact identities sin(pi*(l-r)/l) = sin(pi*r/l) and
         sin(pi*(l+r)/l) = -sin(pi*r/l), so the sign and mirror symmetries of
         the products built here are structurally exact.
         """
-        l, mp, p = self.shifted_level, self.mp, self.precision_bits
-        base = []
-        for k in range(l // 2 + 1):
-            _, man, exp, bc = mp.sinpi(mp.mpf(k) / l)._mpf_
-            base.append((man << (p - bc), exp - (p - bc)) if man else (0, 0))
+        l, p = self.shifted_level, self.precision_bits
+        base = [sinpi_triple(k, l, p)[1:] for k in range(l // 2 + 1)]
         half = [base[min(k, l - k)] for k in range(l)]
         self._sines = tuple([(0, m, e) for m, e in half]
                             + [(1 if m else 0, m, e) for m, e in half])
@@ -435,11 +726,12 @@ def qdim_line(node: int, k: int, ctx: LevelContext) -> QReal:
     return qdim(fundamental_weight(ctx.root_system.rank, node, k), ctx)
 
 
-def alcove_line(node: int, ctx: LevelContext) -> list:
+def alcove_line(node: int, ctx: LevelContext) -> list[tuple]:
     """The values qdim(k*w_node) for the k with k*w_node in the level's
-    alcove, k = 0 .. level // a_node, one ``qdim_line`` call each."""
+    alcove, k = 0 .. level // a_node, as p-bit triples, one ``qdim_line``
+    call each."""
     top = ctx.level // ctx.root_system.marks[node - 1]
-    return [qdim_line(node, k, ctx).value for k in range(top + 1)]
+    return [qdim_line(node, k, ctx)._v for k in range(top + 1)]
 
 
 def qdim_classical(rs: RootSystem, weight: Sequence[int]) -> int:

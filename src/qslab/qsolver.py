@@ -15,9 +15,10 @@ nearest with ties to even, as the mpmath.libmp call of the mpf operator it
 stands for, in the same order, so the bits are those of mpf arithmetic
 without libmp's normalization.  A ``QGrid`` holds triples, and so do the
 residual, the dilogarithm arguments, margin and sum and every check's
-violation; libmp's normal form is made only where a value is read out:
-``QGrid.cell`` (the one place that hands out a cell as an mpf), the notes
-and the logarithms of ``_rogers``.
+violation.  Nothing here imports mpmath: ``QGrid.cell`` (the one place that
+hands out a cell as an mpf) does so inside the call, the notes are written
+by ``qnum.triple_str`` and the logarithms, pi and Bernoulli numbers of the
+dilogarithm sum are computed on integers.
 ``dilog_sum`` alone leaves the mpf operators' order: it sums Rogers'
 dilogarithms (``_rogers``) in one fixed-point integer and rounds once.  Every
 tolerance or margin decision, here and in the grid, solve and dilog groups
@@ -49,12 +50,10 @@ import math
 from operator import mul
 from typing import NamedTuple, Sequence
 
-from mpmath.ctx_mp import MPContext
-from mpmath.libmp import bernfrac, finf, from_man_exp, mpf_log, mpf_pi, to_fixed, to_str
-
 from .krchar import chari_qdim
-from .qnum import (ZERO, LevelContext, QReal, abs_triple, add_triples, cmp_triples, div_triples,
-                   float_triple, mul_triples, raw_mpf, round_triple, triple_float)
+from .qnum import (FINF, ZERO, LevelContext, QReal, abs_triple, add_triples, cmp_triples,
+                   div_triples, float_triple, log_fixed, mp_context, mul_triples, pi_fixed,
+                   prec_to_dps, raw_mpf, round_triple, triple_float, triple_str)
 from .rootsys import RootSystem, TypeData, delta, is_proven, type_data
 
 # The certification checks' bounds (at the default precision or above), one
@@ -108,22 +107,27 @@ class SolverDivergence(RuntimeError):
 
 class QGrid:
     """The table Q_k(i) as rows of p-bit triples (``qslab.qnum``) at the
-    precision p of the mpmath context ``mp``, None when unresolved, with
+    precision p, the int ``precision_bits``, None when unresolved, with
     per-cell provenance and the residual ``residual_max``, a triple too;
     ``scales`` holds a KR-built grid's magnitude scales as triples, indexed
     like ``rows``, and is None on a solved grid.  ``cell`` reads a cell as
-    an mpf number."""
+    an mpf number of ``mp``, the shared mpmath context of precision p, which
+    is made only when read."""
 
-    __slots__ = ("root_system", "level", "k_max", "rows", "mp", "provenance", "residual_max",
-                 "unresolved", "scales")
+    __slots__ = ("root_system", "level", "k_max", "rows", "precision_bits", "provenance",
+                 "residual_max", "unresolved", "scales")
 
     def __init__(self, root_system: RootSystem, level: int, k_max: int,
-                 rows: list[list[tuple | None]], mp: MPContext, provenance: list[list[str | None]],
-                 residual_max: tuple | None = None, unresolved: list[tuple[int, int]] | None = None,
+                 rows: list[list[tuple | None]], precision_bits: int,
+                 provenance: list[list[str | None]], residual_max: tuple | None = None,
+                 unresolved: list[tuple[int, int]] | None = None,
                  scales: list[list[tuple]] | None = None):
         self.root_system, self.level, self.k_max, self.rows = root_system, level, k_max, rows
-        self.mp, self.provenance, self.residual_max = mp, provenance, residual_max
+        self.precision_bits, self.provenance = precision_bits, provenance
+        self.residual_max = residual_max
         self.unresolved, self.scales = [] if unresolved is None else unresolved, scales
+
+    mp = property(lambda self: mp_context(self.precision_bits))
 
     def __eq__(self, other):
         return type(other) is QGrid and all(
@@ -263,7 +267,8 @@ def build_qgrid(ctx: LevelContext, k_max: int | None = None) -> QGrid:
     rows = [[None if c is None else c._v for c in row] for row in table]
     scales = [[None if c is None else c._s for c in row] for row in table]
     unresolved = [(i, k) for i, row in enumerate(rows, 1) for k, c in enumerate(row) if c is None]
-    grid = QGrid(rs, level, k_max, rows, ctx.mp, provenance, unresolved=unresolved, scales=scales)
+    grid = QGrid(rs, level, k_max, rows, ctx.precision_bits, provenance, unresolved=unresolved,
+                 scales=scales)
     grid.residual_max = residual(grid)
     return grid
 
@@ -271,7 +276,7 @@ def build_qgrid(ctx: LevelContext, k_max: int | None = None) -> QGrid:
 def residual(grid: QGrid) -> tuple:
     """Normalized max violation of the recurrence over fully-present stencils,
     a p-bit triple; 0 when there is none."""
-    cells = (grid.rows, grid.mp.prec)
+    cells = (grid.rows, grid.precision_bits)
     neighbors = _neighbor_rows(grid.root_system)
     worst = ZERO
     for i in range(len(neighbors)):
@@ -453,7 +458,7 @@ def solve_restricted(ctx: LevelContext, tolerance: float = SOLVER_TOLERANCE) -> 
     overflow or a non-positive cell raises SolverDivergence.  The grid's
     residual_max is that of the last stopping test.
     """
-    mp, p = ctx.mp, ctx.precision_bits
+    p = ctx.precision_bits
     if not math.isfinite(tolerance):
         raise ValueError(f"solver tolerance must be finite, got {tolerance}")
     tol = float_triple(tolerance, p)
@@ -489,7 +494,7 @@ def solve_restricted(ctx: LevelContext, tolerance: float = SOLVER_TOLERANCE) -> 
             break
         if step == MAX_NEWTON_STEPS:
             raise SolverDivergence(f"no convergence within {MAX_NEWTON_STEPS} Newton steps; "
-                                   f"last residual {mp.make_mpf(raw_mpf(res))}")
+                                   f"last residual {triple_str(res, prec_to_dps(p))}")
         q = [[triple_float(c) for c in row[:reach]] for row in v]
         weights = [[row[k - 1] / row[k] * (row[k + 1] / row[k]) for row in q] for k in half]
         for k, dy in enumerate(_log_newton_step(neighbors, weights, rhs, level), 1):
@@ -504,13 +509,13 @@ def solve_restricted(ctx: LevelContext, tolerance: float = SOLVER_TOLERANCE) -> 
                         f"Newton step {step + 1} left cell (node {i + 1}, k={k}) non-positive")
                 v[i][k] = v[i][level - k] = c
     provenance = [["solver"] * (level + 1) for _ in v]
-    return QGrid(rs, level, level, v, mp, provenance, res)
+    return QGrid(rs, level, level, v, p, provenance, res)
 
 
 class CheckResult(NamedTuple):
     """Outcome of one certified property at one node (or globally);
-    ``max_violation`` is a p-bit triple, libmp's raw +inf (``finf``), an int
-    count or None."""
+    ``max_violation`` is a p-bit triple, libmp's raw +inf (``qnum.FINF``), an
+    int count or None."""
 
     name: str
     node: int | None
@@ -538,11 +543,11 @@ def _least(cells):
 def _at_most(devs, bound: float, p: int):
     """Whether the worst of the p-bit deviations ``devs`` is at most the
     float ``bound``, read exactly, and that worst: ZERO when there is none,
-    finf at the first None."""
+    FINF at the first None."""
     worst = ZERO
     for d in devs:
         if d is None:
-            return False, finf
+            return False, FINF
         if cmp_triples(d, worst) > 0:
             worst = d
     return cmp_triples(worst, float_triple(bound, p)) <= 0, worst
@@ -550,10 +555,10 @@ def _at_most(devs, bound: float, p: int):
 
 def _above(least, margin: float, p: int):
     """Whether the p-bit ``least`` (None reads -inf) lies above the float
-    ``margin``, read exactly, and the violation max(0, margin - least): finf
+    ``margin``, read exactly, and the violation max(0, margin - least): FINF
     when least is -inf or the margin +inf."""
     if least is None or margin == math.inf:
-        return False, finf
+        return False, FINF
     m = float_triple(margin, p)
     gap = add_triples(m, least, p, 1)
     return cmp_triples(least, m) > 0, gap if gap[1] and not gap[0] else ZERO
@@ -627,7 +632,7 @@ def theorem_report(ctx: LevelContext, grid: QGrid) -> list[CheckResult]:
         least = _least(line)
         ok, violation = _above(least, POSITIVITY_MARGIN, p)
         add("positivity", i, ok, violation,
-            f"min value {'-inf' if least is None else to_str(raw_mpf(least), 8)}")
+            f"min value {'-inf' if least is None else triple_str(least, 8)}")
         if not checks[-1].proven:
             # The sub-range covered by theorems gets its own proven entry;
             # rounding is monotone, so max(0, margin - least) is the largest
@@ -675,7 +680,7 @@ def dilog_args(grid: QGrid) -> dict[tuple[int, int], tuple]:
         for k in ks:
             if row[k] is None or row[k][0] or not row[k][1]:
                 raise ValueError(f"grid cell (node {i}, k={k}) is not positive")
-    p = grid.mp.prec
+    p = grid.precision_bits
     neighbors = _neighbor_rows(grid.root_system)
     return {(i + 1, k): div_triples(_neighbor_product(rows, neighbors[i], k, p),
                                     mul_triples(row[k], row[k], p), p)
@@ -689,7 +694,7 @@ def dilog_args_margin(grid: QGrid, args: dict[tuple[int, int], tuple]) -> tuple 
     Boundary columns k = 0 and k = level equal 1 and are excluded.  Returns
     None when there is no interior.
     """
-    p = grid.mp.prec
+    p = grid.precision_bits
     one = _one(p)
     worst = None
     for (_, k), x in args.items():
@@ -702,24 +707,43 @@ def dilog_args_margin(grid: QGrid, args: dict[tuple[int, int], tuple]) -> tuple 
     return worst
 
 
+@functools.cache
+def _tangent_numbers(n: int) -> tuple[int, ...]:
+    """The tangent numbers T_1 .. T_n (tan x = sum T_m x^(2m-1) / (2m-1)!),
+    by the integer recurrence of Brent and Zimmermann, Modern Computer
+    Arithmetic, section 4.7.2."""
+    t = [1] * (n + 1)
+    for k in range(2, n + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, n + 1):
+        for j in range(k, n + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return tuple(t[1:])
+
+
 @functools.lru_cache(maxsize=64)
 def _li2_coefficients(wp: int) -> tuple[int, ...]:
     """B_2m / (2m+1)! for m = 1, 2, ... at ``wp`` bits in fixed point, rounded
     to nearest, up to the first that rounds to 0; every later one does too,
-    as they fall like 2 (2 pi)^-2m / (2m+1)."""
+    as they fall like 2 (2 pi)^-2m / (2m+1).  B_2m = (-1)^(m-1) 2m T_m /
+    (4^m (4^m - 1)) exactly, from the tangent numbers T_m; |c_m| 2^wp falls
+    below 1/2 once (2 pi)^2m > 2^(wp+1), so m <= wp // 5 + 4 terms suffice.
+    """
     out = []
-    while True:
-        p, q = bernfrac(2 * len(out) + 2)
-        c = ((p << (wp + 1)) // (q * math.factorial(2 * len(out) + 3)) + 1) >> 1
+    for m, t in enumerate(_tangent_numbers(wp // 5 + 4), 1):
+        num = 2 * m * t if m % 2 else -2 * m * t
+        den = (1 << 2 * m) * ((1 << 2 * m) - 1) * math.factorial(2 * m + 1)
+        c = ((num << (wp + 1)) // den + 1) >> 1
         if not c:
             return tuple(out)
         out.append(c)
+    raise AssertionError("the Bernoulli series did not end")
 
 
 @functools.lru_cache(maxsize=64)
 def _pi_constants(wp: int) -> tuple[int, int]:
     """pi^2/6 and 6/pi^2 at ``wp`` bits in fixed point."""
-    pi = to_fixed(mpf_pi(wp + 8), wp + 8)
+    pi = pi_fixed(wp + 8)
     pi2 = (pi * pi) >> (wp + 16)
     return pi2 // 6, (6 << (2 * wp)) // pi2
 
@@ -731,23 +755,25 @@ def _rogers(x: tuple, wp: int) -> int:
 
     Reflects to y = min(x, 1 - x) <= 1/2, where L(x) = pi^2/6 - L(1 - x)
     holds exactly, and takes u = -log(1 - y) <= log 2 and g = log y once
-    each.  The Bernoulli series Li2(y) = u - u^2/4 + sum B_2m u^(2m+1)/(2m+1)!
+    each, from ``qnum.log_fixed``, each within one unit at wp bits.  The
+    Bernoulli series Li2(y) = u - u^2/4 + sum B_2m u^(2m+1)/(2m+1)!
     (``_li2_coefficients``, 30 terms at 168 bits) gives L(y) = Li2(y) - u g / 2.
-    The result is off by fewer than 8 + |log y| units at wp bits, so a caller
-    that wants y's relative precision adds -log2 y bits to wp.  Every libmp call
-    takes an explicit precision, so mpmath's global state is never read.
+    The result is off by fewer than 8 + |log y| units at wp bits: the series
+    in u by a few units, u's unit by at most one more, and u g / 2 by
+    |g| / 2 + u / 2 + 1 from the two logarithms' units and the shift.  So a
+    caller that wants y's relative precision adds -log2 y bits to wp.
     """
     _, m, e = x[:3]
     z = (1 << -e) - m  # 1 - x = z 2**e exactly, as x < 1 makes e < 0
     reflect = z < m
     y, one_minus_y = (z, m) if reflect else (m, z)
-    u = -to_fixed(mpf_log(from_man_exp(one_minus_y, e), wp), wp)
+    u = -log_fixed(one_minus_y, e, wp)
     u2 = (u * u) >> wp
     tail = 0  # sum B_2m u^(2m-2) / (2m+1)!, by Horner's rule in u^2
     for c in reversed(_li2_coefficients(wp)):
         tail = ((tail * u2) >> wp) + c
     total = u - (u2 >> 2) + ((((tail * u2) >> wp) * u) >> wp)
-    total -= (u * to_fixed(mpf_log(from_man_exp(y, e), wp), wp)) >> (wp + 1)
+    total -= (u * log_fixed(y, e, wp)) >> (wp + 1)
     return _pi_constants(wp)[0] - total if reflect else total
 
 
@@ -761,7 +787,7 @@ def dilog_sum(grid: QGrid, args: dict[tuple[int, int], tuple] | None = None) -> 
     6/pi^2 at that precision and rounded once to nearest.
     Diagnostic output only; no closed-form value is asserted for it.
     """
-    prec = grid.mp.prec
+    prec = grid.precision_bits
     if args is None:
         args = dilog_args(grid)
     xs = [args[key] for key in sorted(args) if 0 < key[1] < grid.level]
@@ -769,7 +795,7 @@ def dilog_sum(grid: QGrid, args: dict[tuple[int, int], tuple] | None = None) -> 
         sign, man, exp = x
         # man 2**exp in (0, 1), whatever the width of man: man < 2**-exp
         if sign or not man or exp >= 0 or man >> -exp:
-            raise ValueError(f"dilogarithm argument {to_str(raw_mpf(x), 8)} outside (0, 1)")
+            raise ValueError(f"dilogarithm argument {triple_str(x, 8)} outside (0, 1)")
     wp = prec + 40
     while True:
         # every term is positive, so each term's few units at wp bits are a

@@ -19,15 +19,14 @@ from json.encoder import encode_basestring_ascii
 from operator import index
 from typing import Callable, NamedTuple
 
-from mpmath.libmp import finf, fnan, fninf, to_str
-
 from . import affweyl, krchar, qsolver, rootsys, seqanalysis
-from .qnum import DEFAULT_PRECISION_BITS, MIN_PRECISION_BITS, LevelContext, alcove_line, raw_mpf
+from .qnum import (DEFAULT_PRECISION_BITS, FINF, FNAN, FNINF, MIN_PRECISION_BITS, LevelContext,
+                   alcove_line, triple_str)
 from .qsolver import CheckResult, QGrid, _above, _at_most, _mk_check, _rel_gap
 from .rootsys import RootSystem, Weight, build_root_system
 
 REPORT_FORMATS = ("json", "csv", "text")
-_SPECIAL = {fnan: "nan", finf: "inf", fninf: "-inf"}
+_SPECIAL = {FNAN: "nan", FINF: "inf", FNINF: "-inf"}
 # one per digit count: a division only raises flags on it, which nothing reads
 _decimal_context = functools.cache(
     lambda digits: DecimalContext(prec=digits, rounding=ROUND_HALF_EVEN))
@@ -344,21 +343,22 @@ def _logconcave_checks(report, ctx, grid) -> list[CheckResult]:
     level = ctx.level
     out = []
 
+    p = ctx.precision_bits
     bad_nodes = []
     for i in range(1, rs.rank + 1):
-        seq = seqanalysis.make_sequence(alcove_line(i, ctx))
+        seq = seqanalysis.make_sequence(alcove_line(i, ctx), p)
         if i == td.branden_node:
             branden_line = seq
         if len(seq) >= 3 and not seqanalysis.is_log_concave(seq, strict=True):
             bad_nodes.append(i)
-        if any(not e > 0 for e in seq.entries):
+        if any(sign or not man for sign, man, _ in seq.entries):  # an entry <= 0
             bad_nodes.append(i)
     out.append(_mk_check("fundamental_lines_log_concave", None, not bad_nodes, True,
                          None, note=f"failing nodes {bad_nodes}" if bad_nodes else ""))
 
     row_node = td.adjoint_node
     # a direct row, whose cells are never unresolved
-    seq = seqanalysis.make_sequence([grid.cell(row_node, k) for k in range(level + 1)])
+    seq = seqanalysis.make_sequence(grid.rows[row_node - 1][:level + 1], p)
     ok = len(seq) < 3 or seqanalysis.is_log_concave(seq, strict=True)
     out.append(_mk_check("grid_row_log_concave", row_node, ok, True, None))
 
@@ -367,7 +367,7 @@ def _logconcave_checks(report, ctx, grid) -> list[CheckResult]:
         order = seqanalysis.log_concavity_order(branden_line, 6)
         gate = level <= threshold
         out.append(_mk_check("order_probe", node, order >= 3 if gate else True,
-                             gate, None, note=f"order >= {order} (max probed 6)"))
+                             gate, None, note=f"order {seqanalysis.order_text(order, 6)}"))
         verdict = seqanalysis.branden_criterion(branden_line)
         if level < threshold:
             ok = verdict.status == "real_negative"
@@ -395,14 +395,14 @@ def _dilog_checks(report, ctx, grid) -> list[CheckResult]:
         ok, violation, note = True, None, "no interior cells"
     else:
         ok, violation = _above(margin, qsolver.DILOG_MARGIN, p)
-        note = f"min distance to {{0,1}}: {to_str(raw_mpf(margin), 8)}"
+        note = f"min distance to {{0,1}}: {triple_str(margin, 8)}"
     checks = [_mk_check("dilog_args", None, ok, proven, violation, note=note)]
     report.dilog_in_range = ok
     if margin is not None and not _above(margin, 0.0, p)[0]:
         return checks  # an argument outside (0, 1) has no Rogers dilogarithm
     total = qsolver.dilog_sum(grid, args)
     checks.append(_mk_check("dilog_sum", None, True, True, None,
-                            note=f"normalized sum {to_str(raw_mpf(total), 12)}"))
+                            note=f"normalized sum {triple_str(total, 12)}"))
     report.dilog_sum = total
     return checks
 

@@ -7,19 +7,20 @@ path that a qslab command runs, so a test can compare the two.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from mpmath.libmp import (fone, from_man_exp, mpf_abs, mpf_gt, mpf_log, mpf_lt, mpf_mul,
                           mpf_pi, mpf_sub, round_nearest, to_fixed)
 
 from qslab import krchar, qsolver
 from qslab.krchar import chari_decomposition, chari_qdim
-from qslab.qnum import LevelContext, QReal, qdim_classical
+from qslab.qnum import DEFAULT_PRECISION_BITS, LevelContext, QReal, mp_context, qdim_classical
 from qslab.qsolver import (DILOG_MARGIN, FULL_GRID_RESIDUAL_TOL, POSITIVITY_MARGIN, REL_GAP_TOL,
                            SOLVER_TOLERANCE, ZERO_WINDOW_TOL, QGrid, _mk_check,
                            proven_positivity_window)
 from qslab.rootsys import _closure, delta, is_proven, type_data
-from qslab.seqanalysis import RealSequence, is_log_concave
+from qslab.seqanalysis import (RealSequence, RootednessVerdict, _newton_violation, _sturm_verdict,
+                               is_log_concave)
 
 
 def zero_tolerance(ctx):
@@ -188,24 +189,117 @@ def palindromize(seq: RealSequence, parity: str) -> RealSequence:
     """
     if parity not in ("even", "odd"):
         raise ValueError("parity must be 'even' or 'odd'")
-    a = seq.entries
+    a, values, tol = seq.entries, mpf_entries(seq), mpf_tolerance(seq)
     n = len(a) - 1
     if n < 1:
         raise ValueError("need at least two entries to reflect")
-    if not all(e > seq.tolerance for e in a):
+    if not all(e > tol for e in values):
         raise ValueError("sequence must be positive")
     if not is_log_concave(seq, strict=True):
         raise ValueError("sequence must be strictly log-concave")
-    if not a[n - 1] < a[n] - seq.tolerance:
+    if not values[n - 1] < values[n] - tol:
         raise ValueError("sequence must end on a strict increase")
     if parity == "even":
         entries = a + tuple(reversed(a[:-1]))
     else:
         entries = a + tuple(reversed(a))
-    out = RealSequence(entries=entries, tolerance=seq.tolerance)
+    out = RealSequence(entries, seq.tolerance, seq.precision_bits)
     if not is_log_concave(out, strict=True):
         raise RuntimeError("reflection lost strict log-concavity")
     return out
+
+
+def mpf_entries(seq: RealSequence) -> list:
+    """A sequence's p-bit triple entries as mpf numbers of the context of
+    its precision p, the numbers that its arithmetic rounds as."""
+    mp = mp_context(seq.precision_bits)
+    return [mp.make_mpf(raw(e)) for e in seq.entries]
+
+
+def mpf_tolerance(seq: RealSequence):
+    """A sequence's tolerance as an mpf number at 128 bits."""
+    return mp_context(DEFAULT_PRECISION_BITS).make_mpf(raw(seq.tolerance))
+
+
+# qslab.seqanalysis as it stood on mpf numbers, before its entries became
+# p-bit triples: the port must give the same entries, tolerances, iterates
+# and verdicts, bit for bit.  Each operation rounds in the context of its
+# left operand, so tolerances, formed in the fixed 128-bit context, stay at
+# 128 bits, and entries at their own context's precision.
+
+_MP = mp_context(DEFAULT_PRECISION_BITS)
+_EPS_BASE = _MP.mpf(2) ** -64
+
+
+class MpfSequence(NamedTuple):
+    entries: tuple
+    tolerance: object
+
+
+def mpf_default_tolerance(entries):
+    m = max((abs(e) for e in entries), default=_MP.mpf(0))
+    if m < 1:
+        m = _MP.mpf(1)
+    return _EPS_BASE * m * m
+
+
+def mpf_make_sequence(values) -> MpfSequence:
+    entries = tuple(v if hasattr(v, "_mpf_") else _MP.mpf(str(v)) for v in values)
+    return MpfSequence(entries, mpf_default_tolerance(entries))
+
+
+def mpf_l_operator(seq: MpfSequence) -> MpfSequence:
+    a = seq.entries
+    n = len(a)
+    out = []
+    for k in range(n):
+        left = a[k - 1] if k - 1 >= 0 else 0
+        right = a[k + 1] if k + 1 < n else 0
+        out.append(a[k] * a[k] - right * left)
+    m = max(abs(e) for e in a)
+    if m < 1:
+        m = _MP.mpf(1)
+    return MpfSequence(tuple(out), 2 * seq.tolerance * m + mpf_default_tolerance(a))
+
+
+def mpf_log_concavity_order(seq: MpfSequence, max_order: int) -> int:
+    cur = seq
+    for i in range(max_order + 1):
+        if not all(e >= -cur.tolerance for e in cur.entries):
+            return i - 1
+        if i < max_order:
+            cur = mpf_l_operator(cur)
+    return max_order
+
+
+def mpf_is_log_concave(seq: MpfSequence, strict: bool = False) -> bool:
+    a, tol = seq.entries, seq.tolerance
+
+    def holds(x, y) -> bool:
+        return x > y + tol if strict else x >= y - tol
+
+    return all(holds(a[k] * a[k], a[k - 1] * a[k + 1]) for k in range(1, len(a) - 1))
+
+
+def mpf_branden_criterion(seq: MpfSequence) -> RootednessVerdict:
+    """The coefficients read from the mpf entries' raw mantissas; the integer
+    Newton and Sturm steps are qslab's."""
+    parts = [e._mpf_ for e in seq.entries]
+    exponents = [exp for _, man, exp, _ in parts if man]
+    if not exponents:
+        raise ValueError("zero polynomial")
+    low = min(exponents)
+    coeffs = [(-man if sign else man) << (exp - low) if man else 0
+              for sign, man, exp, _ in parts]
+    while coeffs[-1] == 0:
+        coeffs.pop()
+    if coeffs[0] == 0:
+        return RootednessVerdict("not_real_negative", witness="root at 0")
+    k = _newton_violation(coeffs)
+    if k is not None:
+        return RootednessVerdict(
+            "not_real_negative", witness=f"non-real root (Newton inequality at k={k})")
+    return _sturm_verdict(coeffs)
 
 
 def a_series_cartan(rank: int) -> tuple[tuple[int, ...], ...]:
@@ -377,7 +471,7 @@ def build_qgrid(ctx: LevelContext, k_max: int | None = None) -> QGrid:
         level=level,
         k_max=k_max,
         rows=[[None if c is None else c._v for c in row] for row in table],
-        mp=ctx.mp,
+        precision_bits=ctx.precision_bits,
         provenance=provenance,
         unresolved=sorted(k for k in unresolved if k[1] <= k_max),
         scales=[[None if c is None else c._s for c in row] for row in table],

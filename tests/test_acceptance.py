@@ -29,7 +29,7 @@ from qslab.qsolver import (
 from qslab.rootsys import build_root_system, delta, fundamental_weight, lee_witness
 from qslab.seqanalysis import branden_criterion, is_log_concave, log_concavity_order, make_sequence
 
-from oracles import raw
+from oracles import mpf_entries, raw
 
 ACCEPTANCE_LEVELS = {"E6": (1, 2, 3, 4, 5, 6), "E7": (1, 2, 3, 4, 5, 6),
                      "E8": (1, 2, 3, 4)}
@@ -178,7 +178,7 @@ def test_criterion_08_log_concavity_suite(rs_map):
                 top = level // rs.marks[i - 1]
                 seq = make_sequence(
                     [qdim_line(i, k, ctx).value for k in range(top + 1)])
-                assert all(e > 0 for e in seq.entries), (label, level, i)
+                assert all(e > 0 for e in mpf_entries(seq)), (label, level, i)
                 if len(seq) >= 3:
                     assert is_log_concave(seq, strict=True), (label, level, i)
     for level in (4, 8):
@@ -196,7 +196,7 @@ def test_criterion_08_log_concavity_suite(rs_map):
         n = rng.randint(3, 12)
         a = random_ratio_sequence(rng, n, strict=False)
         b = random_ratio_sequence(rng, n, strict=True)
-        prod = make_sequence([x * y for x, y in zip(a.entries, b.entries)])
+        prod = make_sequence([x * y for x, y in zip(mpf_entries(a), mpf_entries(b))])
         assert is_log_concave(prod, strict=True)
     for _ in range(500):
         n = rng.randint(2, 12)
@@ -207,7 +207,7 @@ def test_criterion_08_log_concavity_suite(rs_map):
         n = rng.randint(3, 12)
         seq = random_ratio_sequence(rng, n, strict=True)
         prefix, total = [], None
-        for e in seq.entries:
+        for e in mpf_entries(seq):
             total = e if total is None else total + e
             prefix.append(total)
         assert is_log_concave(make_sequence(prefix), strict=True)

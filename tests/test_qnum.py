@@ -400,13 +400,16 @@ def test_reciprocal_tables_are_per_precision(e8):
 
 @pytest.mark.parametrize("bits", [64, 128, 256])
 def test_sine_table_matches_sinpi(rs_map, bits):
-    # the fixed-width table gives back the mpf of mp.sinpi, mirrored and
-    # negated, at every residue mod 2l, for odd and even l
+    # the fixed-width table gives back mp.sinpi at 4p bits rounded to nearest
+    # at p bits, mirrored and negated, at every residue mod 2l, for odd and
+    # even l
+    hi = mp_context(4 * bits)
     for rs in rs_map.values():
         for level in (1, 2):
             ctx = LevelContext(rs, level, precision_bits=bits)
-            l, mp = ctx.shifted_level, ctx.mp
-            base = [mp.sinpi(mp.mpf(k) / l)._mpf_ for k in range(l // 2 + 1)]
+            l = ctx.shifted_level
+            base = [mpf_pos(hi.sinpi(hi.mpf(k) / l)._mpf_, bits, round_nearest)
+                    for k in range(l // 2 + 1)]
             half = [base[min(k, l - k)] for k in range(l)]
             expected = half + [mpf_neg(x) for x in half]
             for r in range(-2 * l, 4 * l):

@@ -18,7 +18,7 @@ import qslab
 from qslab import krchar, qnum, qsolver, report
 from qslab.cli import main
 from qslab.krchar import chari_decomposition, kleber_q1, qdim_kr
-from qslab.qnum import LevelContext, qdim
+from qslab.qnum import LevelContext, qdim, qdim_line
 from qslab.qsolver import (
     REL_GAP_TOL,
     QGrid,
@@ -126,7 +126,7 @@ def test_residual_sanity_all_ones_chain():
     a2 = closure_system(a_series_cartan(2), "A2")
     ctx = LevelContext(a2, 2)
     one = oracles.triple(fone, ctx.precision_bits)
-    grid = QGrid(a2, 2, 2, [[one] * 3, [one] * 3], ctx.mp, [["solver"] * 3] * 2)
+    grid = QGrid(a2, 2, 2, [[one] * 3, [one] * 3], ctx.precision_bits, [["solver"] * 3] * 2)
     assert oracles.raw(residual(grid)) == fone
 
 
@@ -246,9 +246,10 @@ def test_route_order_and_divisors_at_q_1(e7, e8):
 def test_check_layer_makes_mpf_numbers_only_at_its_edges(monkeypatch, e7):
     # from the grid to the report writer values stay raw: on a context whose
     # sine table and Chari rows are warm, the grid, the solver, the residual,
-    # the dilogarithm functions and the grid, solve, theorem and dilog groups
-    # make no mpf number; the logconcave group makes one per value that
-    # QGrid.cell or QReal.value hands to seqanalysis
+    # the dilogarithm functions and every group that reads the grid make no
+    # mpf number, the logconcave group included, which hands seqanalysis the
+    # triples of the alcove lines and the adjoint row; only the read-outs
+    # QGrid.cell and QReal.value, which no group calls, make them
     ctx = LevelContext(e7, 12)
     grid = build_qgrid(ctx)
     verification = report.VerificationReport(report.RunConfig("E7", 12), ctx.shifted_level, [])
@@ -280,9 +281,10 @@ def test_check_layer_makes_mpf_numbers_only_at_its_edges(monkeypatch, e7):
         made.clear()
         call()
         counts[name] = len(made)
-    # the adjoint row's 13 cells and the alcove lines k w_i, k <= 12 // a_i
-    edges = 13 + sum(12 // a + 1 for a in e7.marks)
-    assert counts == {**dict.fromkeys(calls, 0), "logconcave": edges} and edges == 61
+    assert counts == dict.fromkeys(calls, 0)
+    made.clear()
+    grid.cell(1, 1), qdim_line(7, 1, ctx).value
+    assert len(made) == 2
 
 
 @pytest.mark.parametrize("label,level", [("E7", 28), ("E8", 16)])
@@ -751,7 +753,7 @@ def test_dilog_empty_interior(a1):
 def test_dilog_rejects_nonpositive(a1):
     ctx = LevelContext(a1, 2)
     rows = [[oracles.triple(x, ctx.precision_bits) for x in (fone, from_float(-1.0), fone)]]
-    grid = QGrid(a1, 2, 2, rows, ctx.mp, [["solver"] * 3])
+    grid = QGrid(a1, 2, 2, rows, ctx.precision_bits, [["solver"] * 3])
     with pytest.raises(ValueError):
         dilog_args(grid)
 
@@ -896,7 +898,7 @@ def test_dilog_sum_keeps_the_relative_precision_of_a_small_sum(a1):
     # arguments keep their relative precision; an argument is read as
     # (sign, mantissa, exponent) of any width, so 1 - small stays exact
     ctx = LevelContext(a1, 3)
-    grid = QGrid(a1, 3, 3, [[oracles.triple(fone, ctx.precision_bits)] * 4], ctx.mp,
+    grid = QGrid(a1, 3, 3, [[oracles.triple(fone, ctx.precision_bits)] * 4], ctx.precision_bits,
                  [["boundary"] * 4])
     for small in (from_man_exp(3, -300), from_man_exp(1, -60), from_float(1e-5)):
         for args in ({(1, 1): small, (1, 2): small},

@@ -4,11 +4,14 @@ import random
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath.ctx_mp import MPContext
 
 import qslab
 from qslab.cli import main
-from qslab.qnum import LevelContext, qdim_line
+from qslab.qnum import LevelContext, alcove_line, mp_context, qdim_line
+from qslab.qsolver import build_qgrid
+from qslab.rootsys import type_data
 from qslab.seqanalysis import (
     RealSequence,
     RootednessVerdict,
@@ -21,13 +24,15 @@ from qslab.seqanalysis import (
     make_sequence,
 )
 
-from oracles import palindromize, sin_pi_over_l
+from oracles import (mpf_branden_criterion, mpf_entries, mpf_is_log_concave, mpf_l_operator,
+                     mpf_log_concavity_order, mpf_make_sequence, mpf_tolerance, palindromize, raw,
+                     sin_pi_over_l)
 
 TRIALS = 500
 
 
 def entries(seq):
-    return [float(e) for e in seq.entries]
+    return [float(e) for e in mpf_entries(seq)]
 
 
 def random_ratio_sequence(rng, length, strict=True, above_one=False):
@@ -36,15 +41,14 @@ def random_ratio_sequence(rng, length, strict=True, above_one=False):
     Values are accumulated at the sequences' working precision so that the
     non-strict case (repeated ratios) stays log-concave to within tolerance.
     """
-    from qslab.seqanalysis import _MP
-
+    mp = mp_context(128)
     ratios = []
-    r = _MP.mpf(rng.uniform(2.0, 4.0))
+    r = mp.mpf(rng.uniform(2.0, 4.0))
     for _ in range(length - 1):
         ratios.append(r)
         shrink = rng.uniform(0.55, 0.95) if strict or rng.random() < 0.7 else 1.0
         r = 1 + (r - 1) * shrink if above_one else r * shrink
-    vals = [_MP.mpf(rng.uniform(0.5, 2.0))]
+    vals = [mp.mpf(rng.uniform(0.5, 2.0))]
     for r in ratios:
         vals.append(vals[-1] * r)
     return make_sequence(vals)
@@ -78,7 +82,7 @@ def test_is_log_concave_examples():
 
 def pairwise_log_concave(seq, strict=False):
     """a_k a_m >= a_{k-1} a_{m+1} for all interior k <= m, within tolerance."""
-    a, tol = seq.entries, seq.tolerance
+    a, tol = mpf_entries(seq), mpf_tolerance(seq)
     n = len(a) - 1
 
     def holds(x, y):
@@ -99,7 +103,7 @@ def test_pairwise_form_agrees_with_is_log_concave():
         kind = rng.random()
         if kind < 0.4:
             # one entry moved, which may break log-concavity
-            vals = list(seq.entries)
+            vals = mpf_entries(seq)
             vals[rng.randrange(n)] *= rng.uniform(0.5, 1.5)
             seq = make_sequence(vals)
         elif kind < 0.6:
@@ -138,7 +142,7 @@ def test_product_preserves_log_concavity():
         b = random_ratio_sequence(rng, n, strict=True)
         assert is_log_concave(a)
         assert is_log_concave(b, strict=True)
-        prod = make_sequence([x * y for x, y in zip(a.entries, b.entries)])
+        prod = make_sequence([x * y for x, y in zip(mpf_entries(a), mpf_entries(b))])
         assert is_log_concave(prod, strict=True)
 
 
@@ -159,10 +163,7 @@ def test_prefix_sums_stay_strictly_log_concave():
         seq = random_ratio_sequence(rng, n, strict=True)
         total = None
         prefix = []
-        for e in seq.entries:
-            total = e if total is None else total + e
-        total = None
-        for e in seq.entries:
+        for e in mpf_entries(seq):
             total = e if total is None else total + e
             prefix.append(total)
         assert is_log_concave(make_sequence(prefix), strict=True)
@@ -253,7 +254,7 @@ def test_branden_reads_entries_exactly():
 def _exact_coeffs(seq):
     """The integers branden_criterion reads: each entry's exact binary value
     times 2^-e, e the least exponent of the sequence's nonzero entries."""
-    values = [mpmath.mpmathify(e) for e in seq.entries]
+    values = mpf_entries(seq)
     low = min(v.exp for v in values if v)
     coeffs = [int(mpmath.ldexp(v, -low)) for v in values]
     while coeffs[-1] == 0:
@@ -262,8 +263,7 @@ def _exact_coeffs(seq):
 
 
 def _e7_node7_line(e7, level, bits):
-    ctx = LevelContext(e7, level, precision_bits=bits)
-    return make_sequence([qdim_line(7, k, ctx).value for k in range(level + 1)])
+    return make_sequence(alcove_line(7, LevelContext(e7, level, precision_bits=bits)), bits)
 
 
 def test_branden_newton_witness_on_e7_node7(e7):
@@ -378,3 +378,71 @@ def test_sequence_validation():
         make_sequence([float("nan")])
     with pytest.raises(ValueError):
         log_concavity_order(make_sequence([1.0]), -1)
+
+
+def _assert_port_matches_oracle(seq, oracle, max_order=6):
+    """The triple sequence ``seq`` and the mpf oracle's ``oracle`` agree bit
+    for bit on the entries and tolerances of every L-iterate up to
+    ``max_order``, and verdict for verdict on is_log_concave,
+    log_concavity_order and branden_criterion."""
+    cur, ref = seq, oracle
+    for _ in range(max_order + 1):
+        assert [raw(e) for e in cur.entries] == [e._mpf_ for e in ref.entries]
+        assert raw(cur.tolerance) == ref.tolerance._mpf_
+        cur, ref = l_operator(cur), mpf_l_operator(ref)
+    for strict in (False, True):
+        assert is_log_concave(seq, strict) == mpf_is_log_concave(oracle, strict)
+    assert log_concavity_order(seq, max_order) == mpf_log_concavity_order(oracle, max_order)
+    if any(man for _, man, _ in seq.entries):
+        assert branden_criterion(seq) == mpf_branden_criterion(oracle)
+
+
+@st.composite
+def _mpf_sequences(draw):
+    """Sequences of mpf numbers of one context at 64, 128 or 256 bits, zeros
+    and both signs included, and that precision."""
+    p = draw(st.sampled_from([64, 128, 256]))
+    mp = mp_context(p)
+    entry = st.one_of(
+        st.just(0),
+        st.builds(lambda s, m, e: mp.ldexp(-m if s else m, e), st.integers(0, 1),
+                  st.integers(1, (1 << p) - 1), st.integers(-p - 80, 80 - p)))
+    return [mp.mpf(v) for v in draw(st.lists(entry, min_size=1, max_size=10))], p
+
+
+@settings(max_examples=150, deadline=None)
+@given(_mpf_sequences())
+def test_port_matches_the_mpf_oracle_on_mpf_entries(case):
+    values, p = case
+    _assert_port_matches_oracle(make_sequence(values, p), mpf_make_sequence(values))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.one_of(st.integers(-10 ** 40, 10 ** 40),
+                          st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)),
+                min_size=1, max_size=10))
+def test_port_matches_the_mpf_oracle_on_parsed_entries(values):
+    # ints and floats parse at 128 bits, as strings did in the oracle
+    _assert_port_matches_oracle(make_sequence(values), mpf_make_sequence(values))
+
+
+_BENCH_CONFIGS = [("E6", 2), ("E6", 4), ("E7", 2), ("E8", 2),  # verify-matrix
+                  ("E6", 6), ("E6", 30), ("E7", 1), ("E7", 4), ("E7", 11), ("E7", 12),
+                  ("E7", 28), ("E8", 4), ("E8", 16)]  # level-sweep
+
+
+@pytest.mark.parametrize("bits", [64, 128, 256])
+def test_port_matches_the_mpf_oracle_on_benchmark_lines(rs_map, bits):
+    # every alcove line and adjoint row that verify reads
+    for label, level in _BENCH_CONFIGS:
+        rs = rs_map[label]
+        ctx = LevelContext(rs, level, bits)
+        for i in range(1, rs.rank + 1):
+            top = level // rs.marks[i - 1]
+            _assert_port_matches_oracle(
+                make_sequence(alcove_line(i, ctx), bits),
+                mpf_make_sequence([qdim_line(i, k, ctx).value for k in range(top + 1)]))
+        grid, node = build_qgrid(ctx), type_data(label).adjoint_node
+        _assert_port_matches_oracle(
+            make_sequence(grid.rows[node - 1][:level + 1], bits),
+            mpf_make_sequence([grid.cell(node, k) for k in range(level + 1)]))

@@ -23,7 +23,7 @@ from qslab.qsolver import CheckResult, QGrid, build_qgrid
 from qslab.report import ALL_CHECKS, RunConfig, VerificationReport, run, write_report
 from qslab.rootsys import TYPE_DATA, RootSystem, TypeData, build_root_system, cartan_matrix
 
-from oracles import closure_system
+from oracles import closure_system, mpf_entries
 from qslab.seqanalysis import RealSequence, RootednessVerdict, make_sequence
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -37,6 +37,47 @@ def test_import_loads_neither_dataclasses_nor_inspect(module):
                            check=True, timeout=60).stdout.split()
     assert module in added
     assert "dataclasses" not in added and "inspect" not in added
+
+
+# Each command line runs through qslab.cli.main in one fresh interpreter;
+# the script prints, after each, whether mpmath has been imported, then
+# after reading the given read-out.
+_COMMANDS = (
+    ["verify", "--type", "E6", "--level", "2"],
+    ["grid", "--type", "E7", "--level", "3"],
+    ["solve", "--type", "E8", "--level", "2"],
+    ["qdim", "--type", "E6", "--level", "3", "--weight", "1,0,0,0,0,1"],
+    ["krdec", "--type", "E7", "--node", "7", "--k", "2", "--qdim", "--level", "4"],
+    ["reduce", "--type", "E8", "--level", "3", "--weight=-1,2,0,0,0,0,0,5"],
+    ["logconcave", "--type", "E7", "--level", "12", "--node", "7", "--branden"],
+)
+_GUARD = """
+import json, os, sys
+sys.path.insert(0, sys.argv[1])
+import qslab
+from qslab.cli import main
+from qslab.qnum import LevelContext, qdim
+from qslab.qsolver import build_qgrid
+seen = ["mpmath" in sys.modules]
+for n, argv in enumerate(json.loads(sys.argv[2])):
+    assert main(argv + ["--out", os.path.join(sys.argv[3], str(n))]) == 0, argv
+    seen.append("mpmath" in sys.modules)
+ctx = LevelContext(qslab.build_root_system("E6"), 2)
+value = build_qgrid(ctx).cell(1, 1) if sys.argv[4] == "cell" else qdim((1,) * 6, ctx).value
+seen.append("mpmath" in sys.modules and type(value).__module__.startswith("mpmath"))
+print(json.dumps(seen))
+"""
+
+
+@pytest.mark.parametrize("read_out", ["cell", "value"])
+def test_commands_run_without_mpmath(tmp_path, read_out):
+    # import qslab and every command but logconcave --seq leave mpmath
+    # unimported; QGrid.cell and QReal.value import it when read
+    out = subprocess.run(
+        [sys.executable, "-c", _GUARD, str(SRC), json.dumps(_COMMANDS), str(tmp_path), read_out],
+        capture_output=True, text=True, check=True, timeout=120).stdout
+    seen = json.loads(out.splitlines()[-1])  # verify --out prints its verdict first
+    assert seen == [False] * (len(_COMMANDS) + 1) + [True]
 
 
 def _read_only_values():
@@ -93,8 +134,11 @@ def test_positional_and_keyword_construction_with_defaults():
     assert KRDecomposition(2, 1, ()) == KRDecomposition(node=2, box_count=1, terms=())
     seq = make_sequence([1, 2, 1])
     assert RealSequence(seq.entries, seq.tolerance) == RealSequence(
-        tolerance=seq.tolerance, entries=seq.entries) == seq
+        tolerance=seq.tolerance, entries=seq.entries, precision_bits=DEFAULT_PRECISION_BITS) == seq
     assert len(seq) == 3
+    # the entries are 128-bit triples, which read back as the values given
+    assert all(type(e) is tuple and e[1].bit_length() == 128 for e in seq.entries)
+    assert mpf_entries(seq) == [1, 2, 1]
 
 
 def test_root_systems_compare_by_their_fields():
@@ -129,9 +173,9 @@ def test_grids_and_reports_stay_mutable():
     ctx = LevelContext(build_root_system("E6"), 2)
     grid, again = build_qgrid(ctx), build_qgrid(ctx)
     assert grid == again and grid != build_qgrid(LevelContext(ctx.root_system, 3))
-    fresh = QGrid(ctx.root_system, 2, 2, [], ctx.mp, [])
+    fresh = QGrid(ctx.root_system, 2, 2, [], ctx.precision_bits, [])
     assert fresh.unresolved == [] and fresh.unresolved is not QGrid(
-        ctx.root_system, 2, 2, [], ctx.mp, []).unresolved
+        ctx.root_system, 2, 2, [], ctx.precision_bits, []).unresolved
     grid.residual_max = None
     assert grid != again
     rep = VerificationReport(RunConfig("E6", 2), 14, [])
