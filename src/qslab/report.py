@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 import json
 import os
-import tempfile
 import time
 from decimal import ROUND_HALF_EVEN, Context as DecimalContext, Decimal
 from importlib import resources
@@ -57,20 +56,23 @@ def render_decimal(x, digits: int = 30) -> str:
 # ---------------------------------------------------------------------------
 # fixtures
 
-def _int_rows(type_label: str, kind: str, fixture_dir: str | None) -> list[list[int]]:
+def _int_rows(type_label: str, kind: str, fixture_dir: str | None) -> tuple[tuple[int, ...], ...]:
     """The nonblank lines of a type's fixture file, from ``fixture_dir`` or
-    else the package's fixtures, each split into integers."""
-    name = f"{type_label.lower()}_{kind}.txt"
-    path = (resources.files("qslab").joinpath("fixtures", name) if fixture_dir is None
-            else os.path.join(fixture_dir, name))
-    with open(path) as f:
-        return [[int(x) for x in parts] for parts in map(str.split, f) if parts]
+    else the package's fixtures (read once per process), each split into
+    integers."""
+    if fixture_dir is None:
+        return _package_rows(type_label, kind)
+    with open(os.path.join(fixture_dir, f"{type_label.lower()}_{kind}.txt")) as f:
+        return tuple(tuple(map(int, parts)) for parts in map(str.split, f) if parts)
+
+
+_package_rows = functools.cache(lambda type_label, kind: _int_rows(
+    type_label, kind, str(resources.files("qslab") / "fixtures")))
 
 
 def load_fixture_rows(type_label: str, fixture_dir: str | None = None):
     """Rows (appendix_no, height, coeffs) of a published positive-root table."""
-    return [(r[0], r[1], tuple(r[2:]))
-            for r in _int_rows(type_label, "positive_roots", fixture_dir)]
+    return [(r[0], r[1], r[2:]) for r in _int_rows(type_label, "positive_roots", fixture_dir)]
 
 
 def load_appendix_map(type_label: str, fixture_dir: str | None = None) -> dict[int, int]:
@@ -135,19 +137,11 @@ def _roots_checks(report, ctx, grid) -> list[CheckResult]:
     # Unit-pairing witnesses exist at every height exactly at the mark-1
     # nodes (the ones the vanishing arguments use); a root supported on the
     # node exists at every height for every node.
-    missing = []
-    for i in range(1, rs.rank + 1):
-        if rs.marks[i - 1] != 1:
-            continue
-        for r in range(1, h):
-            try:
-                rootsys.lee_witness(rs, i, r)
-            except LookupError:
-                missing.append((i, r))
-    supported = {(i, ht) for b, ht in zip(rs.positive_roots, rs.heights)
-                 for i, c in enumerate(b, 1) if c}
+    table = rs.table
+    missing = [(i, r) for i in range(1, rs.rank + 1) if rs.marks[i - 1] == 1
+               for r in range(1, h) if r not in table.unit_heights[i - 1]]
     unsupported = [(i, r) for i in range(1, rs.rank + 1) for r in range(1, h)
-                   if (i, r) not in supported]
+                   if r not in table.support_heights[i - 1]]
     ok = not missing and not unsupported
     out.append(_mk_check(
         "lee_witness", None, ok, True, None,
@@ -168,49 +162,61 @@ def sign_probes(rank: int, count: int) -> list[Weight]:
     return [tuple((-1) ** (j + t) * (j + t + 1) for j in range(rank)) for t in range(count)]
 
 
+class WordMap(NamedTuple):
+    """The affine map lam -> offset + sum_k lam_k columns[k] of a word, and its parity."""
+
+    offset: Weight
+    columns: tuple[Weight, ...]
+    parity: int
+
+    def image(self, lam: Weight) -> Weight:
+        return tuple(b + sum(c[j] * x for c, x in zip(self.columns, lam))
+                     for j, b in enumerate(self.offset))
+
+
+def word_map(ctx: LevelContext, word: tuple[int, ...], probes: list[Weight]) -> WordMap | None:
+    """The map lam -> word . lam, read off its images of 0 and of the unit
+    vectors through ``affweyl.apply_word``; None unless it reproduces
+    ``apply_word`` on the probes, with one parity throughout."""
+    n = ctx.root_system.rank
+    units = [tuple(int(j == k) for j in range(n)) for k in range(n)]
+    images = [affweyl.apply_word(word, lam, ctx) for lam in [(0,) * n, *units, *probes]]
+    offset, parity = images[0]
+    if any(p != parity for _, p in images):
+        return None
+    wmap = WordMap(offset, tuple(tuple(x - b for x, b in zip(image, offset))
+                                 for image, _ in images[1:n + 1]), parity)
+    if any(wmap.image(lam) != image for lam, (image, _) in zip(probes, images[n + 1:])):
+        return None
+    return wmap
+
+
 def generator_sign_certificate(ctx: LevelContext, g: int, probes: list[Weight]) -> bool:
     """Whether qdim(s_g . lam) = -qdim(lam) for every integral weight lam.
 
-    The one-letter map lam -> s_g . lam is read as A lam + b from its images
-    of 0 and of the unit vectors, and must reproduce ``affweyl.apply_word``
-    on the probes, with one parity throughout.  Each image pairing
-    (s_g . lam + rho | beta) is then an affine form in mu = lam + rho.  If
-    every form is eps (mu | beta') + m l, with beta -> beta' a bijection of
-    the positive roots, then sin(pi (eps x + m l)/l) = eps (-1)^m sin(pi x/l)
-    turns the numerator of qdim(s_g . lam) into that of qdim(lam) times the
-    product of the eps (-1)^m, which must be the word's parity, -1.  Weights
-    on a wall are covered too: both sides are then zero.
+    The one-letter map lam -> s_g . lam = A lam + b is read by ``word_map``
+    at the context's level, and A must be the linear part in the root
+    system's table, whose images beta -> beta' = A^T beta are +- a
+    permutation of the positive roots.  Each image pairing
+    (s_g . lam + rho | beta) is then an affine form (mu | beta') + c in
+    mu = lam + rho.  If every c is m l, then sin(pi ((mu | beta') + m l)/l)
+    = (-1)^m sin(pi (mu | beta')/l) turns the numerator of qdim(s_g . lam)
+    into that of qdim(lam) times (-1) to the sum of the m and of the negative
+    images, which must be the word's parity, -1.  Weights on a wall are
+    covered too: both sides are then zero.
     """
     rs = ctx.root_system
-    n = rs.rank
-    units = [tuple(int(j == k) for j in range(n)) for k in range(n)]
-    images = [affweyl.apply_word((g,), lam, ctx) for lam in [(0,) * n, *units, *probes]]
-    offset, parity = images[0]
-    if any(p != parity for _, p in images):
+    wmap = word_map(ctx, (g,), probes)
+    if wmap is None or wmap.columns != rs.table.columns[g]:
         return False
-    columns = [[x - b for x, b in zip(image, offset)] for image, _ in images[1:n + 1]]
-    for lam, (image, _) in zip(probes, images[n + 1:]):
-        if image != tuple(b + sum(c[j] * x for c, x in zip(columns, lam))
-                          for j, b in enumerate(offset)):
-            return False
-    # (s_g . lam + rho | beta) = base + sum_k lam_k (column_k | beta), lam_k = mu_k - 1
-    base = rs.rho_pairings(offset)
-    linear = [[p - ht for p, ht in zip(rs.rho_pairings(c), rs.heights)] for c in columns]
-    roots = set(rs.positive_roots)
-    targets = set()
-    flips = 0  # the number of factors -1 among the eps and (-1)^m
-    for constant, coeffs in zip(base, zip(*linear)):
-        m, rest = divmod(constant - sum(coeffs), ctx.shifted_level)
+    # (s_g . lam + rho | beta) = (b + rho | beta) - ht(beta') + (mu | beta'), mu = lam + rho
+    flips = rs.table.negatives[g]
+    for constant, height in zip(rs.rho_pairings(wmap.offset), rs.table.image_heights[g]):
+        m, rest = divmod(constant - height, ctx.shifted_level)
         if rest:
             return False
-        if coeffs not in roots:
-            coeffs = tuple(-c for c in coeffs)
-            m += 1  # eps = -1
-        if coeffs not in roots:
-            return False
-        targets.add(coeffs)
         flips += m
-    return len(targets) == len(roots) and parity == (-1) ** (flips % 2) == -1
+    return wmap.parity == (-1) ** (flips % 2) == -1
 
 
 def sign_identity_trials(ctx: LevelContext, trials: int = 4) -> int:
@@ -227,55 +233,56 @@ def sign_identity_trials(ctx: LevelContext, trials: int = 4) -> int:
                for g in range(ctx.root_system.rank + 1))
 
 
+E7_WORD = (0, 1, 3, 4, 5, 6, 7, 6, 5, 4, 3, 1, 0)
 # The E8 element sigma = t_{l beta} s_beta, beta = (2,2,3,4,3,2,1,0), as the
 # affine reflection w s_0 w^-1: w = s8 s7 s6 s5 s4 s2 s3 s4 s5 s6 s7 s8 takes
 # theta to beta.
 E8_SIGMA = (8, 7, 6, 5, 4, 2, 3, 4, 5, 6, 7, 8, 0, 8, 7, 6, 5, 4, 3, 2, 4, 5, 6, 7, 8)
 
+# The distinguished affine elements of each type on the weights x w_a + y w_b
+# (E6: k w_2 alone): the 0-based coordinates of a and b, the format of a
+# sample point, and per element its name, its word (of parity -1) and the
+# closed form of the image's a and b coordinates at level L, affine in (x, y);
+# the image's other coordinates are 0.
+_FIXED_WORDS = {
+    "E6": ((1,), "{}w2", (("s0", (0,), lambda L, k: (L + 1 - k,)),)),
+    "E7": ((1, 6), "({}w2+{}w7)",
+           (("w", E7_WORD, lambda L, p, q: (L - p + 7, 2 * p + q - L - 7)),)),
+    "E8": ((0, 7), "({}w1+{}w8)",
+           (("s0", (0,), lambda L, s, r: (s, L + 1 - 2 * s - r)),
+            ("sigma", E8_SIGMA, lambda L, s, r: (L + 13 - s, 2 * s + r - L - 13)))),
+}
+
 
 def fixed_word_image_check(ctx: LevelContext) -> CheckResult:
-    """Exact integer closed forms for the distinguished affine elements."""
-    rs = ctx.root_system
-    level = ctx.level
-    label = rs.type_label
-    bad: list[str] = []
-    if label == "E6":
-        for k in range(-3, level + 5):
-            lam = rootsys.fundamental_weight(6, 2, k)
-            expect = rootsys.fundamental_weight(6, 2, level + 1 - k)
-            if affweyl.apply_word((0,), lam, ctx)[0] != expect:
-                bad.append(f"s0 . {k}w2")
-    elif label == "E7":
-        word = (0, 1, 3, 4, 5, 6, 7, 6, 5, 4, 3, 1, 0)
-        for p in range(-2, 7):
-            for q in range(-2, 7):
-                lam = tuple(p if j == 1 else q if j == 6 else 0 for j in range(7))
-                image, parity = affweyl.apply_word(word, lam, ctx)
-                expect = tuple(
-                    (level - p + 7) if j == 1 else (2 * p + q - level - 7) if j == 6 else 0
-                    for j in range(7)
-                )
-                if image != expect or parity != -1:
-                    bad.append(f"w . ({p}w2+{q}w7)")
-    else:
-        for s in range(-2, 7):
-            for r in range(-2, 7):
-                lam = tuple(s if j == 0 else r if j == 7 else 0 for j in range(8))
-                expect0 = tuple(
-                    s if j == 0 else (level + 1 - 2 * s - r) if j == 7 else 0
-                    for j in range(8)
-                )
-                if affweyl.apply_word((0,), lam, ctx)[0] != expect0:
-                    bad.append(f"s0 . ({s}w1+{r}w8)")
-                image, parity = affweyl.apply_word(E8_SIGMA, lam, ctx)
-                expect = tuple(
-                    (level + 13 - s) if j == 0 else (2 * s + r - level - 13) if j == 7 else 0
-                    for j in range(8)
-                )
-                if image != expect or parity != -1:
-                    bad.append(f"sigma . ({s}w1+{r}w8)")
+    """Exact integer closed forms for the distinguished affine elements: each
+    element's ``word_map`` has parity -1 and agrees with its closed form at 0
+    and at the unit steps, so on the whole family, both being affine.  A
+    failure names the first sample points the map gets wrong."""
+    rs, level = ctx.root_system, ctx.level
+    coords, at, words = _FIXED_WORDS[rs.type_label]
+    points = ([(k,) for k in range(-3, level + 5)] if len(coords) == 1
+              else [(x, y) for x in range(-2, 7) for y in range(-2, 7)])
+    steps = [tuple(int(i == j) for j in range(len(coords))) for i in range(-1, len(coords))]
+
+    def weight(t: tuple[int, ...]) -> Weight:  # t at the family's coordinates, else 0
+        return tuple(t[coords.index(j)] if j in coords else 0 for j in range(rs.rank))
+
+    def misses(wmap: WordMap, form, t: tuple[int, ...]) -> bool:
+        return wmap.parity != -1 or wmap.image(weight(t)) != weight(form(level, *t))
+
+    bad: list[tuple[int, str]] = []  # (sample point index or -1, note)
+    for name, word, form in words:
+        wmap = word_map(ctx, word, sign_probes(rs.rank, 4))
+        if wmap is None:
+            bad.append((-1, f"{name} . lam not affine with one parity"))
+        elif any(misses(wmap, form, t) for t in steps):
+            bad += [(n, f"{name} . {at.format(*t)}") for n, t in enumerate(points)
+                    if misses(wmap, form, t)]
+    bad.sort(key=lambda b: b[0])
     return _mk_check("fixed_word_images", None, not bad, True, None,
-                     note="; ".join(bad[:4]) if bad else "integer closed forms reproduced")
+                     note="; ".join(note for _, note in bad[:4]) if bad
+                     else "integer closed forms reproduced")
 
 
 def _weyl_checks(report, ctx, grid) -> list[CheckResult]:
@@ -610,6 +617,10 @@ def write_text_atomic(path: str, content: str) -> None:
 
     An OSError names the requested path, never the temp file, which is removed.
     """
+    # imported here, for the report files alone: every qslab process would
+    # pay for the module at start-up
+    import tempfile
+
     directory = os.path.dirname(os.path.abspath(path)) or "."
     tmp = None
     try:

@@ -11,7 +11,7 @@ weight.
 from __future__ import annotations
 
 from functools import cache, cached_property
-from operator import add
+from operator import add, mul
 from typing import NamedTuple, Sequence
 
 Weight = tuple[int, ...]
@@ -191,6 +191,17 @@ def cartan_matrix(type_label: str) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(r) for r in rows)
 
 
+class RootTable(NamedTuple):
+    """Level-independent facts of the Weyl and root checks, per generator
+    s_0..s_rank and per node 1..rank (see ``RootSystem.table``)."""
+
+    columns: tuple[tuple[Weight, ...], ...]
+    image_heights: tuple[tuple[int, ...], ...]
+    negatives: tuple[int, ...]
+    unit_heights: tuple[frozenset[int], ...]
+    support_heights: tuple[frozenset[int], ...]
+
+
 class RootSystem:
     """An irreducible simply-laced root system.
 
@@ -225,6 +236,35 @@ class RootSystem:
         """Column j holds the coefficient b_j of every positive root, in
         canonical order: (w | beta) summed over the nonzero w_j only."""
         return tuple(zip(*self.positive_roots))
+
+    @cached_property
+    def table(self) -> RootTable:
+        """The ``RootTable``, from the Cartan matrix C alone.  The linear part
+        of s_g's dot action reflects in a = theta (g = 0) or alpha_g: its
+        column k is e_k - a_k C a, and the image of beta, (column k | beta)
+        at k, is beta - (C a | beta) a.  Per generator the table holds the
+        columns, the heights of the positive roots' images and how many are
+        negative, once +- the images are checked to permute the positive
+        roots; per node, the heights of the roots with coefficient 1, and
+        nonzero, there."""
+        roots = set(self.positive_roots)
+        units = [tuple(int(j == k) for j in range(self.rank)) for k in range(self.rank)]
+        columns, heights, negatives = [], [], []
+        for g, (a, ca) in enumerate([(self.marks, self.theta_weight), *zip(units, self.cartan)]):
+            columns.append(tuple(tuple(e - a_k * t for e, t in zip(unit, ca))
+                                 for unit, a_k in zip(units, a)))
+            pairs = [x - ht for x, ht in zip(self.rho_pairings(ca), self.heights)]
+            # the roots with (C a | beta) = 0 are fixed
+            moved = {b: tuple(x - p * y for x, y in zip(b, a))
+                     for b, p in zip(self.positive_roots, pairs) if p}
+            if {b if b in roots else tuple(-x for x in b) for b in moved.values()} != set(moved):
+                raise AssertionError(f"{self.type_label}: s_{g} does not permute the roots")
+            heights.append(tuple([ht - p * sum(a) for ht, p in zip(self.heights, pairs)]))
+            negatives.append(sum(b not in roots for b in moved.values()))
+        by_node = [list(zip(column, self.heights)) for column in self.root_columns]
+        return RootTable(tuple(columns), tuple(heights), tuple(negatives),
+                         tuple(frozenset(ht for c, ht in pairs if c == 1) for pairs in by_node),
+                         tuple(frozenset(ht for c, ht in pairs if c) for pairs in by_node))
 
     def rho_pairings(self, weight: Sequence[int]) -> Sequence[int]:
         """(weight + rho | beta) for every positive root, in canonical order.

@@ -822,8 +822,9 @@ def _faulty_apply_word(fault):
     c*theta, s0 reflects at l + 1 instead of l, s2 leaves every weight
     unchanged, s3 raises its neighbours by 2c instead of c, every word
     reports parity +1, every word reports parity +1 on weights with a
-    negative coordinate, or s5 reflects a weight with a negative coordinate
-    as if that coordinate were 0 (a map that is not affine)."""
+    negative coordinate, s5 reflects a weight with a negative coordinate
+    as if that coordinate were 0 (a map that is not affine), or s4 also adds
+    lam_1 to coordinate 1 (right at 0, with a wrong linear part)."""
     original = affweyl.apply_word
 
     def apply_word(word, lam, ctx):
@@ -844,6 +845,8 @@ def _faulty_apply_word(fault):
                          for j, x in enumerate(lam, start=1)), parity
         if fault == "s5" and tuple(word) == (5,):
             return original(word, tuple(max(x, 0) for x in lam), ctx)
+        if fault == "s4-linear" and tuple(word) == (4,):
+            return (image[0] + lam[0],) + image[1:], parity
         return image, parity
 
     return apply_word
@@ -901,28 +904,116 @@ def test_sign_certificate_agrees_with_the_sampled_oracle(rs_map, label, level):
 
 
 @pytest.mark.parametrize("fault", ["s0", "s3", "parity", "s5", "s0-level", "s2",
-                                   "parity-negative"])
+                                   "parity-negative", "s4-linear"])
 def test_sign_identity_fails_on_a_faulty_generator(rs_map, monkeypatch, tmp_path, fault):
-    # exactly the faulty generators fail at E7 L2; parity +1 fails all eight
+    # exactly the faulty generators fail at E7 L2 and L5; parity +1 fails all
+    # eight.  A clean certificate first builds the root system's table, which
+    # must not carry a clean answer over to the faulty map.
     failing = {"s0": {0}, "s3": {3}, "parity": set(range(8)), "s5": {5},
-               "s0-level": {0}, "s2": {2}, "parity-negative": set(range(8))}[fault]
-    ctx = LevelContext(rs_map["E7"], 2)
-    weights = _oracle_weights(ctx, 120, seed=2)
+               "s0-level": {0}, "s2": {2}, "parity-negative": set(range(8)),
+               "s4-linear": {4}}[fault]
+    assert report.sign_identity_trials(LevelContext(rs_map["E7"], 2)) == 0
+    contexts = [LevelContext(rs_map["E7"], level) for level in (2, 5)]
+    weights = [_oracle_weights(ctx, 120, seed=ctx.level) for ctx in contexts]
     monkeypatch.setattr(affweyl, "apply_word", _faulty_apply_word(fault))
-    assert _certificate_failing_generators(ctx) == failing
-    if fault == "s5":
-        # the images of 0 and of the unit vectors are right: only the
-        # non-dominant probes expose the fault
-        assert _certificate_failing_generators(ctx, trials=0) == set()
-    assert _oracle_failing_generators(ctx, weights) == failing
-    assert report.sign_identity_trials(ctx) == len(failing)
-    path = tmp_path / "weyl.json"
-    assert main(["verify", "--type", "E7", "--level", "2", "--checks", "weyl",
-                 "--out", str(path)]) == 1
-    (check,) = [c for c in json.loads(path.read_text())["checks"]
-                if c["name"] == "sign_identity"]
-    assert check["status"] == "fail" and check["proven"]
-    assert check["max_violation"] == str(len(failing))
+    for ctx, sample in zip(contexts, weights):
+        assert _certificate_failing_generators(ctx) == failing
+        if fault == "s5":
+            # the images of 0 and of the unit vectors are right: only the
+            # non-dominant probes expose the fault
+            assert _certificate_failing_generators(ctx, trials=0) == set()
+        assert _oracle_failing_generators(ctx, sample) == failing
+        assert report.sign_identity_trials(ctx) == len(failing)
+        path = tmp_path / f"weyl{ctx.level}.json"
+        assert main(["verify", "--type", "E7", "--level", str(ctx.level), "--checks", "weyl",
+                     "--out", str(path)]) == 1
+        (check,) = [c for c in json.loads(path.read_text())["checks"]
+                    if c["name"] == "sign_identity"]
+        assert check["status"] == "fail" and check["proven"]
+        assert check["max_violation"] == str(len(failing))
+
+
+def _clamping_word(word, letter):
+    """apply_word that, inside ``word`` alone, applies ``letter`` to the
+    weight with its negative coordinates raised to 0: a word map that is not
+    affine."""
+    original = affweyl.apply_word
+
+    def apply_word(w, lam, ctx):
+        if tuple(w) != word:
+            return original(w, lam, ctx)
+        for g in reversed(word):
+            if g == letter:
+                lam = tuple(max(x, 0) for x in lam)
+            lam = original((g,), lam, ctx)[0]
+        return lam, -1 if len(word) % 2 else 1
+
+    return apply_word
+
+
+def _old_fixed_word_notes(ctx):
+    """The failure notes of the E7 word at its 81 sample points, each point
+    sent through apply_word on its own."""
+    level, bad = ctx.level, []
+    for p in range(-2, 7):
+        for q in range(-2, 7):
+            lam = tuple(p if j == 1 else q if j == 6 else 0 for j in range(7))
+            image, parity = affweyl.apply_word(report.E7_WORD, lam, ctx)
+            expect = tuple((level - p + 7) if j == 1 else (2 * p + q - level - 7) if j == 6
+                           else 0 for j in range(7))
+            if image != expect or parity != -1:
+                bad.append(f"w . ({p}w2+{q}w7)")
+    return "; ".join(bad[:4])
+
+
+@pytest.mark.parametrize("level", [2, 5])
+def test_fixed_word_check_reads_the_word_map(rs_map, monkeypatch, level):
+    ctx = LevelContext(rs_map["E7"], level)
+    assert report.fixed_word_image_check(ctx).status == "pass"
+    probes = report.sign_probes(7, 4)
+    original = affweyl.apply_word
+    # the s5 clamp of the sign tests, planted inside the E7 word
+    monkeypatch.setattr(affweyl, "apply_word", _clamping_word(report.E7_WORD, 5))
+    assert report.word_map(ctx, report.E7_WORD, probes) is None
+    check = report.fixed_word_image_check(ctx)
+    assert (check.status, check.note) == ("fail", "w . lam not affine with one parity")
+    # an off-by-one in the coefficient of p at coordinate 7 of the image: the
+    # map stays affine, and the note names the sample points that a check of
+    # each point on its own names, those with p != 0
+    def off_by_one(j, coefficient):
+        def apply_word(word, lam, ctx):
+            image, parity = original(word, lam, ctx)
+            if tuple(word) != report.E7_WORD:
+                return image, parity
+            return image[:j] + (image[j] + coefficient(lam),) + image[j + 1:], parity
+        return apply_word
+
+    monkeypatch.setattr(affweyl, "apply_word", off_by_one(6, lambda lam: lam[1]))
+    check = report.fixed_word_image_check(ctx)
+    assert check.status == "fail"
+    assert check.note == _old_fixed_word_notes(ctx) == (
+        "w . (-2w2+-2w7); w . (-2w2+-1w7); w . (-2w2+0w7); w . (-2w2+1w7)")
+    # an off-by-one in a constant, at a coordinate outside the family, fails
+    # every sample point
+    monkeypatch.setattr(affweyl, "apply_word", off_by_one(0, lambda lam: 1))
+    check = report.fixed_word_image_check(ctx)
+    assert check.status == "fail" and check.note == _old_fixed_word_notes(ctx)
+
+
+@pytest.mark.parametrize("label,level", [("E6", 2), ("E6", 4), ("E7", 2), ("E8", 2)])
+def test_second_verify_in_a_process_writes_the_same_report(tmp_path, label, level):
+    # the root systems' tables and the parsed fixtures outlive a verify; the
+    # next one in the process must write the same report
+    texts = []
+    for n in range(2):
+        path = tmp_path / f"{n}.json"
+        assert main(["verify", "--type", label, "--level", str(level),
+                     "--report", str(path)]) == 0
+        data = json.loads(path.read_text())
+        data.pop("duration_seconds")
+        data.pop("diagnostics")
+        texts.append(json.dumps(data, indent=2))
+    assert texts[0] == texts[1]
 
 
 @pytest.mark.parametrize("label,level", [("E7", 28), ("E8", 24)])

@@ -6,6 +6,7 @@ import qslab
 from qslab.report import load_appendix_map, load_fixture_rows
 from qslab.rootsys import (
     TYPE_DATA,
+    RootSystem,
     build_root_system,
     cartan_matrix,
     delta,
@@ -277,6 +278,51 @@ def test_height_symmetry_fails_at_higher_marks(e8):
         if b[7] == 1:
             counts[ht] = counts.get(ht, 0) + 1
     assert all(counts.get(r, 0) == counts.get(h - 1 - r, 0) for r in range(0, h))
+
+
+@pytest.mark.parametrize("label", sorted(TYPE_DATA))
+def test_root_table_images(rs_map, label):
+    # s_a beta = beta - (beta | a) a in simple-root coordinates, a = theta for
+    # s_0 and alpha_g for s_g: one negative image for a simple reflection,
+    # and 2h - 3 for s_theta (theta itself and the 2h - 4 roots pairing 1)
+    rs = rs_map[label]
+    table = rs.table
+    cartan = rs.cartan
+    for g in range(rs.rank + 1):
+        a = rs.marks if g == 0 else tuple(int(j == g - 1) for j in range(rs.rank))
+        images = []
+        for b in rs.positive_roots:
+            pair = sum(b[i] * cartan[i][j] * a[j] for i in range(rs.rank) for j in range(rs.rank))
+            images.append(tuple(x - pair * y for x, y in zip(b, a)))
+        assert table.image_heights[g] == tuple(map(sum, images))
+        assert table.negatives[g] == sum(min(image) < 0 for image in images)
+    h = rs.coxeter_number
+    assert table.negatives == (2 * h - 3,) + (1,) * rs.rank
+    assert table.negatives[0] == {"E6": 21, "E7": 33, "E8": 57}[label]
+
+
+@pytest.mark.parametrize("label", sorted(TYPE_DATA))
+def test_root_table_heights_by_node(rs_map, label):
+    rs = rs_map[label]
+    for i in range(1, rs.rank + 1):
+        for r in range(1, rs.coxeter_number):
+            try:
+                lee_witness(rs, i, r)
+                found = True
+            except LookupError:
+                found = False
+            assert (r in rs.table.unit_heights[i - 1]) == found
+            assert (r in rs.table.support_heights[i - 1]) == any(
+                b[i - 1] and ht == r for b, ht in zip(rs.positive_roots, rs.heights))
+
+
+def test_root_table_build_rejects_a_non_reflection(e7):
+    # marks that are not theta's coefficients make s_0's linear part no
+    # reflection, and the build says so
+    fields = {f: getattr(e7, f) for f in RootSystem._fields}
+    broken = RootSystem(**{**fields, "marks": e7.positive_roots[-2]})
+    with pytest.raises(AssertionError, match="s_0 does not permute the roots"):
+        broken.table
 
 
 def test_custom_type_a(a1):

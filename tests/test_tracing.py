@@ -44,9 +44,9 @@ def test_tracer_layers_resolve_and_attribute_verify(tmp_path):
     # the sign certificate reads each of the 7 generators off its images of 0
     # and of the 6 unit vectors and tests it on 4 probes, all through
     # affweyl.apply_word, which the tracer counts; a loop inlined into report
-    # would zero the yield.  The fixed-word check adds the s0 images of k*w2
-    # for k = -3..6.
-    assert metrics["affweyl.apply_word_calls"] == 7 * (1 + 6 + 4) + 10
+    # would zero the yield.  The fixed-word check reads the map of s0 the
+    # same way, through report.word_map: 11 more calls.
+    assert metrics["affweyl.apply_word_calls"] == 7 * (1 + 6 + 4) + 11
     assert metrics["affweyl.trial_yield"] == 4 / 77
     # alcove positivity is an integer certificate: no alcove is enumerated
     # and no qdim is called outside a traced layer
