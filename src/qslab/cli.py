@@ -23,7 +23,7 @@ from typing import NoReturn
 
 from . import affweyl, krchar, qsolver, report, seqanalysis
 from .qnum import (DEFAULT_PRECISION_BITS, MIN_PRECISION_BITS, LevelContext, alcove_line,
-                   qdim, qdim_classical)
+                   qdim, qdim_classical, render_decimal)
 from .rootsys import TYPE_DATA, build_root_system, is_dominant, type_data
 
 
@@ -193,7 +193,7 @@ def _cmd_qdim(args) -> int:
         _usage_error("qdim needs --level unless --classical")
     ctx = LevelContext(rs, args.level, _precision(args))
     value = qdim(weight, ctx)
-    _emit(report.render_decimal(value._v, digits) + "\n", args.out)
+    _emit(render_decimal(value._v, digits) + "\n", args.out)
     return 0
 
 
@@ -237,7 +237,7 @@ def _cmd_krdec(args) -> int:
     if args.qdim:
         ctx = LevelContext(rs, level, bits)
         value = krchar.qdim_kr(dec, ctx)
-        text += f"qdim {report.render_decimal(value._v, digits)}\n"
+        text += f"qdim {render_decimal(value._v, digits)}\n"
     _emit(text, args.out)
     return 0
 
@@ -269,10 +269,10 @@ def _cmd_solve(args) -> int:
         grid = qsolver.solve_restricted(ctx, args.tol)
     except ValueError as exc:
         _usage_error(str(exc))  # --tol not finite or below the working precision
-    lines = [f"converged, residual {report.render_decimal(grid.residual_max)}"]
+    lines = [f"converged, residual {render_decimal(grid.residual_max)}"]
     for i, row in enumerate(grid.rows, 1):
         # a mirrored cell is the same triple as its image: render it once
-        shown = {c: report.render_decimal(c, 12) for c in set(row)}
+        shown = {c: render_decimal(c, 12) for c in set(row)}
         lines.append(f"node {i}: {' '.join(shown[c] for c in row)}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0

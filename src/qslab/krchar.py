@@ -36,6 +36,12 @@ class KRDecomposition(_KRFields):
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
+        # each distinct multiplicity and coordinate equals its int, as 1.0
+        # does and 0.5 or '1' do not
+        for v in {m for m, _ in self.terms}.union(*(w for _, w in self.terms)):
+            if int(v) != v:
+                raise ValueError(f"multiplicities and weight coordinates must be integers, "
+                                 f"got {v!r}")
         seen = set()
         for mult, weight in self.terms:
             if mult < 1:

@@ -15,21 +15,24 @@ arithmetic; libmp's normal form is made only where a value is read out.
 The sine table is qnum's own: ``sinpi_triple`` rounds sin(pi*k/l) correctly
 to nearest from an integer Taylor series, with pi from Machin's formula
 (``pi_fixed``) and Ziv's rounding test.  ``log_fixed`` gives the
-logarithms of the dilogarithm sum in fixed point, and ``triple_str`` writes
-a triple as mpmath's ``to_str`` does, byte for byte.  So no command imports
-mpmath: only the mpf read-outs do (``mp_context``, ``QReal.value`` and
-``magnitude_scale``, ``LevelContext.mp``), inside the call.
+logarithms of the dilogarithm sum in fixed point, and ``render_decimal``
+writes every number qslab prints, a triple as one correctly rounded decimal
+division.  mpmath is imported in ``mp_context`` alone, inside the call: by
+the mpf read-outs (``QReal.value`` and ``magnitude_scale``,
+``LevelContext.mp``) and by ``seqanalysis`` to parse a sequence entry that
+is not already a number, as ``logconcave --seq`` does.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from decimal import ROUND_HALF_EVEN, Context as DecimalContext, Decimal
 from itertools import compress
 from operator import index, mul
 from typing import Sequence
 
-from .rootsys import RootSystem, Weight, fundamental_weight, is_dominant
+from .rootsys import RootSystem, Weight, fundamental_weight, int_weight, is_dominant
 
 MIN_PRECISION_BITS = 64
 # The working precision wherever none is given.
@@ -143,8 +146,37 @@ def raw_mpf(t: tuple) -> tuple:
     return sign, man >> tz, exp + tz, man.bit_length() - tz
 
 
+_SPECIAL = {FNAN: "nan", FINF: "inf", FNINF: "-inf"}
+# one per digit count: a division only raises flags on it, which nothing reads
+_decimal_context = functools.cache(
+    lambda digits: DecimalContext(prec=digits, rounding=ROUND_HALF_EVEN))
+
+
+def render_decimal(x, digits: int = 30) -> str:
+    """Render a p-bit triple, a raw ``_mpf_`` tuple or an int exactly,
+    round-half-even at ``digits`` digits: qslab writes every number it
+    prints through this one function.
+
+    Either tuple begins (sign, man, exp): (-1)^sign man 2^exp, the integer
+    quotient man / 2^-exp (or the integer man 2^exp), so one correctly
+    rounded decimal division renders it, and the output never depends on
+    any global precision state.
+    """
+    if isinstance(x, int):
+        num, den = x, 1
+    elif x in _SPECIAL:
+        return _SPECIAL[x]
+    else:
+        sign, man, exp = x[:3]
+        if not man:
+            return "0"
+        num = -int(man) if sign else int(man)
+        num, den = (num << exp, 1) if exp >= 0 else (num, 1 << -exp)
+    return str(_decimal_context(digits).divide(Decimal(num), Decimal(den)))
+
+
 # ---------------------------------------------------------------------------
-# pi, sines and logarithms in integer fixed point, and decimal strings
+# pi, sines and logarithms in integer fixed point
 
 
 @functools.cache
@@ -296,139 +328,13 @@ def sinpi_triple(k: int, l: int, p: int) -> tuple:
         w += 32
 
 
-_LOG2_10 = math.log(10, 2)
-
-
-def prec_to_dps(p: int) -> int:
-    """The decimal digits of an mpf number's ``str`` at p bits: libmp's
-    prec_to_dps."""
-    return max(1, int(round(p / _LOG2_10) - 1))
-
-
-def _round_directed(man: int, exp: int, p: int, up: bool = False) -> tuple[int, int]:
-    """man * 2**exp > 0 rounded to p bits toward zero (away from it with
-    ``up``), as (mantissa, exponent): libmp's round_down (round_up)."""
-    n = man.bit_length() - p
-    if n > 0:
-        man = -(-man >> n) if up else man >> n
-        exp += n
-    return man, exp
-
-
-def _pow10(n: int, p: int, up: bool) -> tuple[int, int]:
-    """10**n for n >= 1, as libmp's mpf_pow_int rounds it to p bits, down or
-    ``up``: exact below 1000 bits, else by squaring at p + 4 bitlen(n) + 4
-    bits, every step rounded the same way."""
-    man, exp = 5, 1
-    if n <= 2 or 3 * n < 1000:
-        return _round_directed(man ** n, n, p, up)
-    work = p + 4 * n.bit_length() + 4
-    pm, pe = 1, 0
-    while True:
-        if n & 1:
-            pm, pe = _round_directed(pm * man, pe + exp, work, up)
-            n -= 1
-            if not n:
-                break
-        man, exp = _round_directed(man * man, exp + exp, work, up)
-        n //= 2
-    return _round_directed(pm, pe, p, up)
-
-
-def _div_down(sman: int, sexp: int, tman: int, texp: int, p: int) -> tuple[int, int]:
-    """(sman 2**sexp) / (tman 2**texp) > 0 rounded to p bits toward zero."""
-    k = p + tman.bit_length() - sman.bit_length() + 1
-    q = (sman << k) // tman if k >= 0 else sman // (tman << -k)
-    return _round_directed(q, sexp - texp - k, p)
-
-
-def _digits_exp(man: int, exp: int, dps: int) -> tuple[str, int]:
-    """libmp's to_digits_exp(x, dps) for x = man 2**exp > 0, man odd: the
-    digit string, rounded toward zero, and the decimal exponent."""
-    bc = man.bit_length()
-    bitprec = int(dps * _LOG2_10) + 10
-    exponent = 0
-    if abs(exp + bc) > 3500:
-        # b = int(exp log 2 / log 10) from both logarithms rounded down to
-        # bitlen |exp| + 5 bits; x / 10**b rounded down to bitprec bits
-        wp = abs(exp).bit_length() + 5
-        ln2 = log_fixed(1, 1, wp + 40) >> 40  # log 2 < 1: wp bits after the point
-        ln10 = log_fixed(5, 1, wp + 38) >> 40  # 2 < log 10 < 4: wp - 2 bits
-        b = abs(exp) * ln2 // (ln10 << 2)
-        if exp < 0:
-            b = -b
-        if b > 0:
-            tman, texp = _pow10(b, bitprec, False)
-        elif b < 0:
-            inv = _pow10(-b, bitprec + 5, True)
-            tman, texp = _div_down(1, 0, *inv, bitprec)
-        else:
-            tman, texp = 1, 0
-        man, exp = _div_down(man, exp, tman, texp, bitprec)
-        bc = man.bit_length()
-        exponent = b
-    fixprec = max(bitprec - exp - bc, 0)
-    fixdps = int(fixprec / _LOG2_10 + 0.5)
-    shift = exp + fixprec
-    fixed = man << shift if shift >= 0 else man >> -shift
-    digits = str(fixed * 10 ** fixdps >> fixprec)
-    return digits, exponent + len(digits) - fixdps - 1
-
-
-def triple_str(x: tuple, dps: int) -> str:
-    """x, a p-bit triple or libmp's raw tuple (``FINF``, ``FNINF`` and
-    ``FNAN`` included), as libmp's to_str(x, dps) writes it with its
-    defaults, byte for byte: the leading dps digits, rounded half up from
-    dps + 3 digits rounded toward zero, in fixed point when the leading
-    digit's exponent lies strictly between min(-(dps // 3), -5) and dps."""
-    sign, man, exp = x[:3]
-    if not man:
-        return {FINF: "+inf", FNINF: "-inf", FNAN: "nan"}.get(x, "0.0" if dps else ".0")
-    tz = (man & -man).bit_length() - 1
-    digits, exponent = _digits_exp(man >> tz, exp + tz, dps + 3)
-    sign = "-" if sign else ""
-    if not dps:
-        if digits[0] in "56789":
-            exponent += 1
-        digits = ".0"
-    else:
-        if len(digits) > dps and digits[dps] in "56789":
-            digits = digits[:dps]
-            i = dps - 1
-            while i >= 0 and digits[i] == "9":
-                i -= 1
-            if i >= 0:
-                digits = digits[:i] + str(int(digits[i]) + 1) + "0" * (dps - i - 1)
-            else:
-                digits = "1" + "0" * (dps - 1)
-                exponent += 1
-        else:
-            digits = digits[:dps]
-        if min(-(dps // 3), -5) < exponent < dps:
-            if exponent < 0:
-                digits = "0" * -exponent + digits
-                split = 1
-            else:
-                split = exponent + 1
-                if split > dps:
-                    digits += "0" * (split - dps)
-            exponent = 0
-        else:
-            split = 1
-        digits = (digits[:split] + "." + digits[split:]).rstrip("0")
-        if digits[-1] == ".":
-            digits += "0"
-    if exponent == 0 and dps:
-        return sign + digits
-    return f"{sign}{digits}e{'+' if exponent >= 0 else ''}{exponent}"
-
-
 class QReal:
     """A high-precision real together with a coarse magnitude scale.
 
     ``magnitude_scale`` bounds the largest intermediate magnitude that went
-    into the value (never below max(1, |value|)); tolerance checks multiply
-    the context's base tolerance by it.  Both are held as p-bit triples at
+    into the value (never below max(1, |value|)); ``build_qgrid``'s
+    ``is_clear_of_zero`` guard and ``theorem_report``'s relative gaps read
+    it.  Both are held as p-bit triples at
     the precision ``p``; the operators round as the libmp calls of the mpf
     operators do, in the same order, to the same bits.  ``value`` and
     ``magnitude_scale`` read them as mpf numbers of ``mp_context(p)``;
@@ -486,8 +392,9 @@ class QReal:
 @functools.cache
 def mp_context(precision_bits: int):
     """The one mpmath context at this precision, made on first use; the
-    read-outs that hand out mpf numbers import mpmath here, and no command
-    path reaches it.
+    read-outs that hand out mpf numbers import mpmath here, and the one
+    command path that reaches it is ``logconcave --seq``, which parses its
+    entries here.
 
     Every LevelContext and QGrid at the same precision shares it.  No code
     writes its ``prec`` (or any other attribute) after it is made, so
@@ -702,14 +609,14 @@ def qdim(weight: Sequence[int], ctx: LevelContext) -> QReal:
     cached = cache.get(w)
     if cached is not None:
         return cached
-    w = tuple(map(int, w))
+    w = int_weight(w)
     out = cache[w] = qdim_unmemoized(w, ctx)
     return out
 
 
 def qdim_unmemoized(weight: Sequence[int], ctx: LevelContext) -> QReal:
     """``qdim`` evaluated without its memo, which it neither reads nor fills."""
-    w = tuple(map(int, weight))
+    w = int_weight(weight)
     if len(w) != ctx.root_system.rank:
         raise ValueError("weight has wrong rank")
     if not is_dominant(w):
@@ -737,7 +644,7 @@ def alcove_line(node: int, ctx: LevelContext) -> list[tuple]:
 def qdim_classical(rs: RootSystem, weight: Sequence[int]) -> int:
     """Dimension of the irreducible via the Weyl formula, in exact arithmetic:
     the product of (weight | beta) + ht(beta) over the product of ht(beta)."""
-    w = tuple(int(c) for c in weight)
+    w = int_weight(weight)
     if not is_dominant(w):
         raise ValueError("classical dimension requires a dominant weight")
     num = den = 1

@@ -16,9 +16,10 @@ stands for, in the same order, so the bits are those of mpf arithmetic
 without libmp's normalization.  A ``QGrid`` holds triples, and so do the
 residual, the dilogarithm arguments, margin and sum and every check's
 violation.  Nothing here imports mpmath: ``QGrid.cell`` (the one place that
-hands out a cell as an mpf) does so inside the call, the notes are written
-by ``qnum.triple_str`` and the logarithms, pi and Bernoulli numbers of the
-dilogarithm sum are computed on integers.
+hands out a cell as an mpf) does so inside the call, the notes and the
+solver's divergence message write their numbers by ``qnum.render_decimal``,
+as the report writes its cells, and the logarithms, pi and Bernoulli
+numbers of the dilogarithm sum are computed on integers.
 ``dilog_sum`` alone leaves the mpf operators' order: it sums Rogers'
 dilogarithms (``_rogers``) in one fixed-point integer and rounds once.  Every
 tolerance or margin decision, here and in the grid, solve and dilog groups
@@ -53,7 +54,7 @@ from typing import NamedTuple, Sequence
 from .krchar import chari_qdim
 from .qnum import (FINF, ZERO, LevelContext, QReal, abs_triple, add_triples, cmp_triples,
                    div_triples, float_triple, log_fixed, mp_context, mul_triples, pi_fixed,
-                   prec_to_dps, raw_mpf, round_triple, triple_float, triple_str)
+                   raw_mpf, render_decimal, round_triple, triple_float)
 from .rootsys import RootSystem, TypeData, delta, is_proven, type_data
 
 # The certification checks' bounds (at the default precision or above), one
@@ -494,7 +495,7 @@ def solve_restricted(ctx: LevelContext, tolerance: float = SOLVER_TOLERANCE) -> 
             break
         if step == MAX_NEWTON_STEPS:
             raise SolverDivergence(f"no convergence within {MAX_NEWTON_STEPS} Newton steps; "
-                                   f"last residual {triple_str(res, prec_to_dps(p))}")
+                                   f"last residual {render_decimal(res)}")
         q = [[triple_float(c) for c in row[:reach]] for row in v]
         weights = [[row[k - 1] / row[k] * (row[k + 1] / row[k]) for row in q] for k in half]
         for k, dy in enumerate(_log_newton_step(neighbors, weights, rhs, level), 1):
@@ -632,7 +633,7 @@ def theorem_report(ctx: LevelContext, grid: QGrid) -> list[CheckResult]:
         least = _least(line)
         ok, violation = _above(least, POSITIVITY_MARGIN, p)
         add("positivity", i, ok, violation,
-            f"min value {'-inf' if least is None else triple_str(least, 8)}")
+            f"min value {'-inf' if least is None else render_decimal(least, 8)}")
         if not checks[-1].proven:
             # The sub-range covered by theorems gets its own proven entry;
             # rounding is monotone, so max(0, margin - least) is the largest
@@ -795,7 +796,7 @@ def dilog_sum(grid: QGrid, args: dict[tuple[int, int], tuple] | None = None) -> 
         sign, man, exp = x
         # man 2**exp in (0, 1), whatever the width of man: man < 2**-exp
         if sign or not man or exp >= 0 or man >> -exp:
-            raise ValueError(f"dilogarithm argument {triple_str(x, 8)} outside (0, 1)")
+            raise ValueError(f"dilogarithm argument {render_decimal(x, 8)} outside (0, 1)")
     wp = prec + 40
     while True:
         # every term is positive, so each term's few units at wp bits are a

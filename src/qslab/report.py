@@ -2,8 +2,10 @@
 
 A report is deterministic for a fixed configuration and precision: checks
 run in a fixed order, the Weyl-group checks are exact integer certificates
-with no sampling, and all numeric evidence is rendered as round-half-even
-30-significant-digit decimal strings.
+with no sampling, and all numeric evidence is rendered by
+``qnum.render_decimal`` as round-half-even decimal strings: cells,
+violations, the residual and the dilogarithm sum at 30 significant digits,
+the numbers in the notes at 8 (12 for the dilogarithm sum).
 """
 
 from __future__ import annotations
@@ -12,45 +14,18 @@ import functools
 import json
 import os
 import time
-from decimal import ROUND_HALF_EVEN, Context as DecimalContext, Decimal
 from importlib import resources
 from json.encoder import encode_basestring_ascii
 from operator import index
 from typing import Callable, NamedTuple
 
 from . import affweyl, krchar, qsolver, rootsys, seqanalysis
-from .qnum import (DEFAULT_PRECISION_BITS, FINF, FNAN, FNINF, MIN_PRECISION_BITS, LevelContext,
-                   alcove_line, triple_str)
+from .qnum import (DEFAULT_PRECISION_BITS, MIN_PRECISION_BITS, LevelContext, alcove_line,
+                   render_decimal)
 from .qsolver import CheckResult, QGrid, _above, _at_most, _mk_check, _rel_gap
 from .rootsys import RootSystem, Weight, build_root_system
 
 REPORT_FORMATS = ("json", "csv", "text")
-_SPECIAL = {FNAN: "nan", FINF: "inf", FNINF: "-inf"}
-# one per digit count: a division only raises flags on it, which nothing reads
-_decimal_context = functools.cache(
-    lambda digits: DecimalContext(prec=digits, rounding=ROUND_HALF_EVEN))
-
-
-def render_decimal(x, digits: int = 30) -> str:
-    """Render a p-bit triple (``qslab.qnum``), a raw ``_mpf_`` tuple or an
-    int exactly, round-half-even at ``digits`` digits.
-
-    Either tuple begins (sign, man, exp): (-1)^sign man 2^exp, the integer
-    quotient man / 2^-exp (or the integer man 2^exp), so one correctly
-    rounded decimal division renders it, and the output never depends on
-    any global precision state.
-    """
-    if isinstance(x, int):
-        num, den = x, 1
-    elif x in _SPECIAL:
-        return _SPECIAL[x]
-    else:
-        sign, man, exp = x[:3]
-        if not man:
-            return "0"
-        num = -int(man) if sign else int(man)
-        num, den = (num << exp, 1) if exp >= 0 else (num, 1 << -exp)
-    return str(_decimal_context(digits).divide(Decimal(num), Decimal(den)))
 
 
 # ---------------------------------------------------------------------------
@@ -402,14 +377,14 @@ def _dilog_checks(report, ctx, grid) -> list[CheckResult]:
         ok, violation, note = True, None, "no interior cells"
     else:
         ok, violation = _above(margin, qsolver.DILOG_MARGIN, p)
-        note = f"min distance to {{0,1}}: {triple_str(margin, 8)}"
+        note = f"min distance to {{0,1}}: {render_decimal(margin, 8)}"
     checks = [_mk_check("dilog_args", None, ok, proven, violation, note=note)]
     report.dilog_in_range = ok
     if margin is not None and not _above(margin, 0.0, p)[0]:
         return checks  # an argument outside (0, 1) has no Rogers dilogarithm
     total = qsolver.dilog_sum(grid, args)
     checks.append(_mk_check("dilog_sum", None, True, True, None,
-                            note=f"normalized sum {triple_str(total, 12)}"))
+                            note=f"normalized sum {render_decimal(total, 12)}"))
     report.dilog_sum = total
     return checks
 

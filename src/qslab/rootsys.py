@@ -305,6 +305,16 @@ def is_dominant(weight: Sequence[int]) -> bool:
     return all(c >= 0 for c in weight)
 
 
+def int_weight(weight: Sequence[int]) -> Weight:
+    """The weight with int coordinates; ValueError unless each coordinate
+    equals its int, as 1.0 does and 1.5 or '1' do not."""
+    weight = tuple(weight)
+    w = tuple(map(int, weight))
+    if w != weight:
+        raise ValueError(f"weight coordinates must be integers, got {weight}")
+    return w
+
+
 def fundamental_weight(rank: int, node: int, multiple: int = 1) -> Weight:
     """The weight ``multiple * w_node`` as a coefficient tuple."""
     if not 1 <= node <= rank:

@@ -14,7 +14,8 @@ from mpmath.libmp import (fone, from_man_exp, mpf_abs, mpf_gt, mpf_log, mpf_lt, 
 
 from qslab import krchar, qsolver
 from qslab.krchar import chari_decomposition, chari_qdim
-from qslab.qnum import DEFAULT_PRECISION_BITS, LevelContext, QReal, mp_context, qdim_classical
+from qslab.qnum import (DEFAULT_PRECISION_BITS, LevelContext, QReal, mp_context, qdim_classical,
+                        render_decimal)
 from qslab.qsolver import (DILOG_MARGIN, FULL_GRID_RESIDUAL_TOL, POSITIVITY_MARGIN, REL_GAP_TOL,
                            SOLVER_TOLERANCE, ZERO_WINDOW_TOL, QGrid, _mk_check,
                            proven_positivity_window)
@@ -628,7 +629,7 @@ def theorem_report(ctx, grid):
         full_ok = min_val > POSITIVITY_MARGIN
         checks.append(_mk_check(
             "positivity", i, full_ok, is_proven(label, "positivity", i),
-            violation, note=f"min value {ctx.mp.nstr(min_val, 8)}"))
+            violation, note=f"min value {render_decimal(min_val._mpf_, 8)}"))
         if not is_proven(label, "positivity", i):
             # The sub-range covered by theorems gets its own proven entry.
             worst_w = zero
@@ -776,13 +777,13 @@ def dilog_checks(report, ctx, grid):
     checks = [_mk_check("dilog_args", None, ok, proven,
                         None if margin is None else max(ctx.mp.mpf(0), DILOG_MARGIN - margin),
                         note="no interior cells" if margin is None
-                        else f"min distance to {{0,1}}: {ctx.mp.nstr(margin, 8)}")]
+                        else f"min distance to {{0,1}}: {render_decimal(margin._mpf_, 8)}")]
     report.dilog_in_range = bool(ok)
     if margin is not None and margin <= 0:
         return checks
     total = dilog_sum(grid, ctx, args)
     checks.append(_mk_check("dilog_sum", None, True, True, None,
-                            note=f"normalized sum {ctx.mp.nstr(total, 12)}"))
+                            note=f"normalized sum {render_decimal(total._mpf_, 12)}"))
     report.dilog_sum = total
     return checks
 
@@ -831,6 +832,6 @@ def dilog_sum(grid, ctx, args=None):
             continue
         x = args[(i, k)]
         if not (0 < x < 1):
-            raise ValueError(f"dilogarithm argument {mp.nstr(x, 8)} outside (0, 1)")
+            raise ValueError(f"dilogarithm argument {render_decimal(x._mpf_, 8)} outside (0, 1)")
         total += li2_power_series(x, mp) + mp.log(x) * mp.log(1 - x) / 2
     return 6 / mp.pi ** 2 * total

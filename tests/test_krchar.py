@@ -154,6 +154,11 @@ def test_decomposition_validation():
         KRDecomposition(node=1, box_count=1, terms=((1, (-1, 0)),))
     with pytest.raises(ValueError):
         KRDecomposition(node=1, box_count=1, terms=((1, (0, 0)), (2, (0, 0))))
+    # weights and multiplicities are integers: 1.0 is 1, 0.5 and 1.5 are not
+    for terms in (((1, (0.5, 0)),), ((1.5, (0, 0)),), ((1, ("1", 0)),)):
+        with pytest.raises(ValueError, match="integers"):
+            KRDecomposition(node=1, box_count=1, terms=terms)
+    assert KRDecomposition(node=1, box_count=1, terms=((1.0, (1.0, 0)),)).terms == ((1, (1, 0)),)
 
 
 def test_boundary_value_one_at_level(e6, e7):

@@ -2,8 +2,7 @@
 
 The sine table is correctly rounded, pi and the logarithms stay within
 their stated units, the Bernoulli coefficients are exact, Rogers'
-dilogarithm keeps its stated bound and ``triple_str`` writes what libmp's
-``to_str`` writes, byte for byte.
+dilogarithm keeps its stated bound.
 """
 
 from __future__ import annotations
@@ -14,15 +13,14 @@ import random
 import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
-from mpmath.libmp import (finf, fnan, fninf, from_man_exp, fzero, mpf_pos, round_nearest,
-                          to_str)
+from mpmath.libmp import mpf_pos, round_nearest
 
 from qslab import qsolver
 from qslab.qnum import (ZERO, LevelContext, atanh_fixed, float_triple, log_fixed, mp_context,
-                        pi_fixed, prec_to_dps, sinpi_triple, triple_str)
+                        pi_fixed, render_decimal, sinpi_triple)
 from qslab.rootsys import build_root_system
 
-from oracles import raw, triple
+from oracles import triple
 
 PRECISIONS = (64, 97, 128, 256, 512)
 # every l up to 130 and a spread up to 530
@@ -116,37 +114,10 @@ def test_rogers_keeps_its_stated_bound():
             assert abs(qsolver._rogers(x._mpf_, wp) - exact) < 8 + abs(hi.log(y)), (wp, x)
 
 
-_SPECIALS = (fzero, finf, fninf, fnan)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.integers(0, 1), st.integers(1, 1 << 600),
-       st.one_of(st.integers(-1200, 1200), st.integers(-10 ** 7, 10 ** 7),
-                 st.integers(-3610, -3390), st.integers(3390, 3610)),
-       st.one_of(st.sampled_from([0, 1, 8, 12]), st.integers(1, 60),
-                 st.integers(64, 600).map(prec_to_dps)))
-def test_triple_str_is_to_str(sign, man, exp, dps):
-    raw = from_man_exp(-man if sign else man, exp)
-    assert triple_str((sign, man, exp), dps) == to_str(raw, dps)
-    assert triple_str(raw, dps) == to_str(raw, dps)
-
-
-def test_triple_str_specials_and_str_digits():
-    for x in _SPECIALS:
-        for dps in (0, 8, 12, 38):
-            assert triple_str(x, dps) == to_str(x, dps), (x, dps)
-    assert triple_str(ZERO, 8) == "0.0"
-    for p in range(1, 2000):
-        assert prec_to_dps(p) == mpmath.libmp.prec_to_dps(p)
-    # an mpf number's str at p bits
-    for p in (64, 128, 256):
-        x = mp_context(p).mpf(1) / 3
-        assert triple_str(triple(x, p), prec_to_dps(p)) == str(x)
-
-
-def test_solver_divergence_writes_the_residual_as_mpf_str(monkeypatch, e6):
+def test_solver_divergence_writes_the_residual_as_render_decimal(monkeypatch, e6):
     # a solve whose corrections are all zero stops at MAX_NEWTON_STEPS; its
-    # message writes the last residual as str() of that mpf number did
+    # message writes the last residual as `qslab solve` writes a converged
+    # one, by render_decimal at its default 30 digits
     ctx = LevelContext(e6, 4)
     p = ctx.precision_bits
     start = [[round(x, 6) for x in row] for row in qsolver._warm_start(e6, 4)]
@@ -156,5 +127,5 @@ def test_solver_divergence_writes_the_residual_as_mpf_str(monkeypatch, e6):
     with pytest.raises(qsolver.SolverDivergence) as exc:
         qsolver.solve_restricted(ctx)
     grid = qsolver.QGrid(e6, 4, 4, [[float_triple(x, p) for x in row] for row in start], p, [])
-    residual = mp_context(p).make_mpf(raw(qsolver.residual(grid)))
+    residual = render_decimal(qsolver.residual(grid))
     assert str(exc.value).endswith(f"; last residual {residual}")

@@ -58,6 +58,28 @@ def test_qdim_rejects_non_dominant(e6):
         qdim((-1, 0, 0, 0, 0, 0), ctx)
 
 
+def test_qdim_rejects_non_integer_coordinates(e6):
+    # a coordinate is taken only when it equals its int: 1.5 is not w1 and
+    # '2' is not 2, before and after w1 enters the memo; 1.0 is 1
+    ctx, w1 = LevelContext(e6, 4), fw(e6, 1)
+    bad = [(1.5, 0, 0, 0, 0, 0), ("2", 0, 0, 0, 0, 0), (0, 0.5, 0, 0, 0, 0)]
+    for weight in bad:
+        for f in (qdim, qnum.qdim_unmemoized):
+            with pytest.raises(ValueError, match="integers"):
+                f(weight, ctx)
+        with pytest.raises(ValueError, match="integers"):
+            qdim_classical(e6, weight)
+    # a miss stores 1.0's value under the int weight, which a hit returns
+    one = qdim((1.0, 0, 0, 0, 0, 0), ctx)
+    assert one._v == qnum.qdim_unmemoized(w1, ctx)._v
+    assert qdim(w1, ctx) is one and qdim((1.0, 0, 0, 0, 0, 0), ctx) is one
+    assert all(type(c) is int for key in ctx._qdim_cache for c in key)
+    for weight in bad:
+        with pytest.raises(ValueError, match="integers"):
+            qdim(weight, ctx)
+    assert qdim_classical(e6, (1.0, 0, 0, 0, 0, 0)) == 27
+
+
 def test_qdim_shifted_adjoint_signs(e6, e7):
     # at l times the adjoint fundamental weight the product collapses to
     # (-1)**delta: +1 in E6 (even), -1 in E7 (odd)

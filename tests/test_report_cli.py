@@ -10,6 +10,7 @@ import re
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -17,12 +18,11 @@ import pytest
 import qslab
 from qslab import affweyl, krchar, qnum, report, seqanalysis
 from qslab.cli import main
-from qslab.qnum import LevelContext
+from qslab.qnum import LevelContext, render_decimal
 from qslab.qsolver import CheckResult
 from qslab.report import (
     RunConfig,
     fixture_check,
-    render_decimal,
     report_to_dict,
     run,
     write_report,
@@ -624,70 +624,74 @@ def test_reports_are_deterministic():
     # that alters a value, a rounding or a note on purpose updates the pin
     # and says why.  The correctly rounded sine table moved cells and
     # deviations in their last digits, and the E7 order_probe note reads as
-    # `qslab logconcave` prints the order; no status moved.
+    # `qslab logconcave` prints the order; no status moved.  Every pin moved
+    # when the notes' numbers (positivity minimum, dilogarithm margin and
+    # sum) came to be written by render_decimal, as the cells are: "min value
+    # 1.0" reads "min value 1", "normalized sum 20.0" "20.0000000000"; no
+    # status, cell, violation, residual or dilog.sum moved.
     cases = (
         (RunConfig(type_label="E6", level=3, checks=("grid", "theorem", "dilog")), None),
         # the dilogarithm sum renders as 13.5, Kirillov's 27/2: the fixed-point
         # sum, rounded once, lands on it where the per-term mpf chain gave 13.5000...
         (RunConfig(type_label="E6", level=4),
-         "d427552b11f011b87aec59747a5082fa3c2048db1d3ad1f69db2582b59a3c589"),
+         "2ab1f10d16a3ccd9b7c07cbf8ad965e6f7b44896df861ac2d9bd4b3a2d6d4ad0"),
         # E8's derived rows, filled by subtraction and division
         (RunConfig(type_label="E8", level=2),
-         "a2d568ffa640e4b0936aa9a17645f8726fa97d378e83ba10eabce9e13ede337a"),
+         "ec0af6e7640e5da7cb91c65870d78c8411df0c501ed38fa5ca94e929575df22d"),
         # a deep level, where the scale sums and the cancellation are largest
         (RunConfig(type_label="E6", level=30, k_max=42,
                    checks=("roots", "grid", "theorem", "logconcave", "dilog")),
-         "a489bb0cf12ee405e58900b182c3391ec6cf49618dedc2631d6fb3faaf583f3b"),
+         "4a28cd0291db176702de29a4146010ea696c0e589a1fddc1ec7c4465b7af1944"),
         # zero-window residues and the known unresolved cell (2, 46)
         (RunConfig(type_label="E8", level=16, checks=("grid", "theorem")),
-         "f88661cd4f145f6738f151a12adddaf1cb44f7ef531ecc2294a0194ef96c099d"),
+         "c82b13970381c016bab32c1a3e60ce9caa6d08975a81bd42a4056826b4b48f93"),
         (RunConfig(type_label="E7", level=28, checks=("grid", "theorem")),
-         "845198a695237ddd9270ae1bc2f00fe73b27e943985cae8c46d4891023462637"),
+         "bc59a5dc1068fe71cc3ab7a8211d355871eafd5c063cfdcb0dbce4285cf8a2b5"),
         # large dilogarithm sums (the last one also holds the Branden check read
         # below), as `verify --checks roots,grid,theorem,logconcave,dilog`
         (RunConfig(type_label="E6", level=30,
                    checks=("roots", "grid", "theorem", "logconcave", "dilog")),
-         "d0fc8eb2366797d34fc69d6ba1d2b176044ccd55386153832f06fda986b671f1"),
+         "f9a5b91397aa58905e5f16eedc5e47e7f3e1a04119031fc73f81dc23150dd05c"),
         (RunConfig(type_label="E7", level=11,
                    checks=("roots", "grid", "theorem", "logconcave", "dilog")),
-         "8308af56f4e0c63e8aba59ad376385d0a684686ed6a4a6fe2ddafb80d96c5a46"),
+         "abf71204b6aa32ee8f2768493e61a8bdc455af5155caa0f200af9f76e951d206"),
         (RunConfig(type_label="E8", level=4,
                    checks=("roots", "grid", "theorem", "logconcave", "dilog")),
-         "642897c17547825367d1cfd7ec86768cc223b470f22fefd2ca108bee8ce8d481"),
+         "68669acd3a958dde1fcf23156d7fbf21a9f218f01c55c07386d4705589dcb9c6"),
         # full verify at the north-star configurations, solve and weyl included
         (RunConfig(type_label="E7", level=12),
-         "e660163b534a77de6bf1c902132cb8e43a3381b2fa6d4b59ab64092c4d99ce4c"),
+         "6b44f0edecfdb282cb25e80edeb10ca27f648f6b949887deb418e8a23dbbd2cc"),
         (RunConfig(type_label="E8", level=8),
-         "6b043e8d4c3e8a529188e0cf2d6174130a53822d43625c0c6d339b161886dba9"),
+         "4137d54f7ede0d470fbab0f293c4d0929a591b34626f981b69531298ea2bfc85"),
         # the rest of the benchmark's reports: its other five-group sweeps
         # (E7 L28 holds the failing log-concavity check, E8 L16 the
         # unresolved cell) and its other full verify runs
         (RunConfig(type_label="E6", level=6,
                    checks=("roots", "grid", "theorem", "logconcave", "dilog")),
-         "1cb7455c1afc812d6386d36bd367a6910c2db282ac4900a2c7f75755e2a73c15"),
+         "4793a440ec76aa51fc9c2c2e066512cd1b3fb40eaa3cc7ff19d189bca2f061c8"),
         (RunConfig(type_label="E7", level=1,
                    checks=("roots", "grid", "theorem", "logconcave", "dilog")),
-         "b0eb47b84c77ab675df5d5b07b3a1a3894cf2115a86df933258f37844e51ac99"),
+         "c3d024f292cb5a762eba8e443ece4830c24d0f835ddaed89b4c15919dbf878dc"),
         (RunConfig(type_label="E7", level=4,
                    checks=("roots", "grid", "theorem", "logconcave", "dilog")),
-         "e74479194d693d1bb494da8cc3b68d06d023bed2642a648093124bde86ea7ae3"),
+         "c77afb9cf80f71679016b5c39d7d573c105d48300e425a2d18de424a1129def2"),
         (RunConfig(type_label="E7", level=28,
                    checks=("roots", "grid", "theorem", "logconcave", "dilog")),
-         "299b7a4c950eff99859780fdcede5c11656272ac4511811a954341752c731a70"),
+         "dab0b94ba7c35eb82deefc5a0748e39c0f90c7a1817fd1fa20c5ab8967522a95"),
         (RunConfig(type_label="E8", level=16,
                    checks=("roots", "grid", "theorem", "logconcave", "dilog")),
-         "8975575ee0814a30a00beb40ebff4b85b10f336919f9c9886ed5ecfbc071eaab"),
+         "30d0bc562f9afaa5db2e9f886388c8f0c98077e9eab789a72ab7a40e029ea702"),
         (RunConfig(type_label="E6", level=2),
-         "98766d62475790f80e10d08d188cbb7f754b8ca492d60cae88363b3b6841d020"),
+         "0eae876ef9ede0f7092f08968e2bb4dbf346eaba475ff2fd882082166b797981"),
         (RunConfig(type_label="E7", level=2),
-         "f85598157264a3b5aa6f18831cd5783940359e347a0d6a295c1b63196798c738"),
+         "ef391ecdf2feabb876e8152d3a1773cb567ea0e5af25f8f8f40886e0d774a5bd"),
         # failing proven checks at 128 bits: an inf violation and a
         # conjecture-violated dilog_args
         (RunConfig(type_label="E8", level=24, precision_bits=128),
-         "4549403edab356a904235c0fa02ad5f928660f534cfaf4cba468e0cd3fec1ad1"),
+         "a88fda39f0314992f55ecdd71ec039288793da18647ef04d403c6ee833c46673"),
         (RunConfig(type_label="E7", level=12,
                    checks=("roots", "grid", "theorem", "logconcave", "dilog")),
-         "2b4cbbc7fb1694759e5c39bad7192eefed6a8f7f5cec026a1c8a3e40f87115d1"),
+         "7ffd950e7c499ef48b29c3ce5de443485a6c7297988c24cd994046e08daeaaf0"),
     )
     for cfg, golden in cases:
         a = report_to_dict(run(cfg))
@@ -701,6 +705,33 @@ def test_reports_are_deterministic():
             assert digest == golden, (cfg.type_label, cfg.level)
     branden = [c for c in a["checks"] if c["name"] == "branden"]
     assert [c["note"] for c in branden] == ["not_real_negative (non-real root (exact count))"]
+
+
+_SWEEP = ("roots", "grid", "theorem", "logconcave", "dilog")
+
+
+@pytest.mark.parametrize("cfg", [
+    # the benchmark's reports: verify-matrix, every check group, and level-sweep
+    *(RunConfig(t, level) for t, level in (("E6", 2), ("E6", 4), ("E7", 2), ("E8", 2))),
+    *(RunConfig(t, level, checks=_SWEEP) for t, level in (
+        ("E6", 6), ("E6", 30), ("E7", 1), ("E7", 4), ("E7", 11), ("E7", 12), ("E7", 28),
+        ("E8", 4), ("E8", 16))),
+], ids=lambda cfg: f"{cfg.type_label}L{cfg.level}-{len(cfg.checks)}")
+def test_note_numbers_are_written_as_the_report_numbers(cfg):
+    # a note's number is render_decimal of the value it names, as the cells
+    # and the dilog block write theirs: the least cell of a node on
+    # [0, level] (an unresolved cell reads -inf) and the dilogarithm sum
+    def exact(t):
+        sign, man, exp = t
+        return Fraction(-man if sign else man) * Fraction(2) ** exp
+
+    rep = run(cfg)
+    notes = {(c.name, c.node): c.note for c in rep.checks}
+    for i, row in enumerate(rep.grid.rows, 1):
+        line = row[:cfg.level + 1]
+        least = "-inf" if None in line else render_decimal(min(line, key=exact), 8)
+        assert notes["positivity", i] == f"min value {least}", i
+    assert notes["dilog_sum", None] == f"normalized sum {render_decimal(rep.dilog_sum, 12)}"
 
 
 @pytest.mark.parametrize("cfg", [
