@@ -83,20 +83,11 @@ HANDOVER_LOG_DEFECT = 2.0 ** -40
 
 
 def proven_positivity_window(rs: RootSystem, node: int, level: int, k: int) -> bool:
-    """Whether positivity of Q_k at this node is covered by a theorem.
-
-    Every node is covered for k <= level / a_i and, by symmetry where it is
-    proven, for k >= level - level / a_i; the positivity-window nodes of
-    TYPE_DATA (the E7 branch nodes) come with the wider windows
-    a_i k <= level or a_i k >= (a_i - 1) level, established through the
-    log-concavity route.
-    """
-    if is_proven(rs.type_label, "positivity", node):
-        return True
-    if node in type_data(rs.type_label).positivity_window_nodes:
-        a = rs.marks[node - 1]
-        return a * k <= level or a * k >= (a - 1) * level
-    return False
+    """Whether Q_k at a positivity-window node of TYPE_DATA (the E7 branch
+    nodes) lies in its proven window a_i k <= level or a_i k >= (a_i - 1)
+    level, established through the log-concavity route."""
+    a = rs.marks[node - 1]
+    return a * k <= level or a * k >= (a - 1) * level
 
 
 class SolverDivergence(RuntimeError):
@@ -579,12 +570,14 @@ def theorem_report(ctx: LevelContext, grid: QGrid) -> list[CheckResult]:
     Checks per node: the recurring zero window, the reflection symmetry
     Q_{level-k} = Q_k, positivity and strict unimodality on [0, level], the
     boundary value Q_level = 1, and at the closed-form rows
-    Q_{k+l} = (-1)^delta Q_k plus Q_l = (-1)^delta.  Failures are
-    report entries, never exceptions.  Each entry's proven label is the
-    ``proven_nodes`` entry of TYPE_DATA under its own name, except for
-    positivity_window, proven by construction, and shifted_boundary_sign,
-    which the table does not list: both are proven.  ``grid`` comes from
-    ``build_qgrid``: its cells' scales set the tolerances.
+    Q_{k+l} = (-1)^delta Q_k plus Q_l = (-1)^delta; positivity on its
+    proven window at the positivity-window nodes of TYPE_DATA whose
+    positivity is unproven.  Failures are report entries, never
+    exceptions.  Each entry's proven label is the ``proven_nodes`` entry of
+    TYPE_DATA under its own name, except for positivity_window, proven by
+    construction, and shifted_boundary_sign, which the table does not list:
+    both are proven.  ``grid`` comes from ``build_qgrid``: its cells'
+    scales set the tolerances.
     """
     rs = ctx.root_system
     label = rs.type_label
@@ -634,7 +627,7 @@ def theorem_report(ctx: LevelContext, grid: QGrid) -> list[CheckResult]:
         ok, violation = _above(least, POSITIVITY_MARGIN, p)
         add("positivity", i, ok, violation,
             f"min value {'-inf' if least is None else render_decimal(least, 8)}")
-        if not checks[-1].proven:
+        if i in type_data(label).positivity_window_nodes and not checks[-1].proven:
             # The sub-range covered by theorems gets its own proven entry;
             # rounding is monotone, so max(0, margin - least) is the largest
             # gap over its failing cells.

@@ -31,31 +31,25 @@ REPORT_FORMATS = ("json", "csv", "text")
 # ---------------------------------------------------------------------------
 # fixtures
 
-def _int_rows(type_label: str, kind: str, fixture_dir: str | None) -> tuple[tuple[int, ...], ...]:
-    """The nonblank lines of a type's fixture file, from ``fixture_dir`` or
-    else the package's fixtures (read once per process), each split into
-    integers."""
-    if fixture_dir is None:
-        return _package_rows(type_label, kind)
-    with open(os.path.join(fixture_dir, f"{type_label.lower()}_{kind}.txt")) as f:
+@functools.cache
+def _int_rows(type_label: str, kind: str) -> tuple[tuple[int, ...], ...]:
+    """The nonblank lines of one of a type's fixture files in the package,
+    read once per process, each split into integers."""
+    with (resources.files("qslab") / "fixtures" / f"{type_label.lower()}_{kind}.txt").open() as f:
         return tuple(tuple(map(int, parts)) for parts in map(str.split, f) if parts)
 
 
-_package_rows = functools.cache(lambda type_label, kind: _int_rows(
-    type_label, kind, str(resources.files("qslab") / "fixtures")))
-
-
-def load_fixture_rows(type_label: str, fixture_dir: str | None = None):
+def load_fixture_rows(type_label: str):
     """Rows (appendix_no, height, coeffs) of a published positive-root table."""
-    return [(r[0], r[1], r[2:]) for r in _int_rows(type_label, "positive_roots", fixture_dir)]
+    return [(r[0], r[1], r[2:]) for r in _int_rows(type_label, "positive_roots")]
 
 
-def load_appendix_map(type_label: str, fixture_dir: str | None = None) -> dict[int, int]:
+def load_appendix_map(type_label: str) -> dict[int, int]:
     """appendix row number -> canonical 1-based root index."""
-    return {r[0]: r[1] for r in _int_rows(type_label, "appendix_order", fixture_dir)}
+    return {r[0]: r[1] for r in _int_rows(type_label, "appendix_order")}
 
 
-def fixture_check(rs: RootSystem, fixture_dir: str | None = None) -> CheckResult:
+def fixture_check(rs: RootSystem) -> CheckResult:
     """Bit-exact comparison of the generated root table with the published one."""
     label = rs.type_label
     td = rootsys.type_data(label)
@@ -63,8 +57,8 @@ def fixture_check(rs: RootSystem, fixture_dir: str | None = None) -> CheckResult
         ok = len(rs.positive_roots) == td.positive_roots
         return _mk_check("fixture_match", None, ok, True, None,
                          note=f"{label}: {len(rs.positive_roots)} roots (no table)")
-    rows = load_fixture_rows(label, fixture_dir)
-    amap = load_appendix_map(label, fixture_dir)
+    rows = load_fixture_rows(label)
+    amap = load_appendix_map(label)
     mismatches = []
     if sorted(amap) != list(range(1, len(rs.positive_roots) + 1)):
         mismatches.append("index map is not a bijection on appendix rows")
@@ -331,9 +325,8 @@ def _logconcave_checks(report, ctx, grid) -> list[CheckResult]:
         seq = seqanalysis.make_sequence(alcove_line(i, ctx), p)
         if i == td.branden_node:
             branden_line = seq
-        if len(seq) >= 3 and not seqanalysis.is_log_concave(seq, strict=True):
-            bad_nodes.append(i)
-        if any(sign or not man for sign, man, _ in seq.entries):  # an entry <= 0
+        if (not seqanalysis.is_log_concave(seq, strict=True)
+                or any(sign or not man for sign, man, _ in seq.entries)):  # an entry <= 0
             bad_nodes.append(i)
     out.append(_mk_check("fundamental_lines_log_concave", None, not bad_nodes, True,
                          None, note=f"failing nodes {bad_nodes}" if bad_nodes else ""))
@@ -341,8 +334,8 @@ def _logconcave_checks(report, ctx, grid) -> list[CheckResult]:
     row_node = td.adjoint_node
     # a direct row, whose cells are never unresolved
     seq = seqanalysis.make_sequence(grid.rows[row_node - 1][:level + 1], p)
-    ok = len(seq) < 3 or seqanalysis.is_log_concave(seq, strict=True)
-    out.append(_mk_check("grid_row_log_concave", row_node, ok, True, None))
+    out.append(_mk_check("grid_row_log_concave", row_node,
+                         seqanalysis.is_log_concave(seq, strict=True), True, None))
 
     if td.branden_node is not None:
         node, threshold = td.branden_node, td.branden_level
@@ -358,8 +351,7 @@ def _logconcave_checks(report, ctx, grid) -> list[CheckResult]:
         else:
             ok = True
         out.append(_mk_check("branden", node, ok, gate, None,
-                             note=f"{verdict.status}"
-                                  + (f" ({verdict.witness})" if verdict.witness else "")))
+                             note=seqanalysis.verdict_text(verdict)))
     return out
 
 

@@ -6,26 +6,24 @@ probing, and an exact test of whether the coefficient polynomial has only
 real negative roots (a sufficient condition for infinite log-concavity).
 
 A sequence holds its entries as p-bit triples (``qslab.qnum``) at its
-precision p and its tolerance as a triple at 128 bits.  The arithmetic is
-that of the mpf numbers the entries once were, bit for bit: products and
-differences of entries round to nearest at p bits, as the entries' own
-mpmath context rounded them, and tolerances at 128 bits, as the fixed
-context that formed them; comparisons are exact.  The operands need not
-share a width, so the sums and comparisons here take any two triples.
+precision p and its tolerance as a triple at 128 bits.  Products and sums
+round to nearest at p bits, or at 128 bits where they form a tolerance.  A
+sum or a comparison takes two triples of any widths, aligns them to the
+smaller exponent as signed integers and is exact; a sum then rounds once.
 
 The rootedness verdict reads the entries exactly as the coefficients of an
-integer polynomial: each binary mantissa shifted to the sequence's least
-exponent.  A failed Newton inequality on those coefficients proves a non-real
-root; where every inequality holds, an exact Sturm count, on the integers, of
-the real and the positive roots decides.
+integer polynomial.  A failed Newton inequality on them proves a non-real
+root; where every inequality holds, an exact Sturm count, on the integers,
+of the real and the positive roots decides.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple, Sequence
 
-from .qnum import DEFAULT_PRECISION_BITS, ZERO, mp_context, mul_triples, raw_mpf, round_triple
+from .qnum import DEFAULT_PRECISION_BITS, mp_context, mul_triples, round_triple
 
 # The precision of every tolerance, and the base relative tolerance for
 # nonnegativity comparisons, 2^-64 at that precision; scaled per sequence by
@@ -35,55 +33,33 @@ _EPS_BASE = (0, 1 << _TOL_BITS - 1, -63 - _TOL_BITS)
 _ONE = (0, 1 << _TOL_BITS - 1, 1 - _TOL_BITS)
 
 
-def _cmp(a: tuple, b: tuple) -> int:
-    """-1, 0 or 1 as a <, = or > b, for triples of any widths, exactly."""
+def _aligned(a: tuple, b: tuple) -> tuple:
+    """(x, y, e): a and b, any widths, as signed ints in units of 2**e, e the lesser exponent."""
     sa, ma, ea = a
     sb, mb, eb = b
-    if sa != sb or not (ma and mb):
-        d = (ma and 1 - 2 * sa) - (mb and 1 - 2 * sb)
-        return (d > 0) - (d < 0)
-    d = ea + ma.bit_length() - eb - mb.bit_length()
-    if not d:  # the same leading bit: the shifts are at most the widths
-        d = (ma << max(0, ea - eb)) - (mb << max(0, eb - ea))
-    return (d > 0) - (d < 0) if not sa else (d < 0) - (d > 0)
+    x, y = -ma if sa else ma, -mb if sb else mb
+    if ea < eb:
+        return x, y << eb - ea, ea
+    return x << ea - eb, y, eb
+
+
+def _cmp(a: tuple, b: tuple) -> int:
+    """-1, 0 or 1 as a <, = or > b, for triples of any widths, exactly."""
+    x, y, _ = _aligned(a, b)
+    return (x > y) - (x < y)
 
 
 def _add(a: tuple, b: tuple, p: int, flip: int = 0) -> tuple:
-    """a + b (a - b with ``flip`` 1) of triples of any widths, rounded to
-    nearest at p bits, ties to even: mpf_add's (mpf_sub's) bits.
-
-    With a the larger, its leading bit at 2**(top - 1), let low = min(its
-    lowest bit, top - p - 3).  The rounding boundaries near a at p bits are
-    multiples of 2**low, and so is a; a b below 2**low in magnitude leaves
-    the sum strictly between the same two of them as any other such b
-    does, so it is replaced by 2**(low - 1) and the sum is exact.
-    """
-    sa, ma, ea = a
-    sb, mb, eb = b
-    sb ^= flip
-    if not mb:
-        return round_triple(sa, ma, ea, p)
-    if not ma:
-        return round_triple(sb, mb, eb, p)
-    top = ea + ma.bit_length()
-    if top < eb + mb.bit_length():
-        sa, ma, ea, sb, mb, eb = sb, mb, eb, sa, ma, ea
-        top = ea + ma.bit_length()
-    low = min(ea, top - p - 3)
-    if eb + mb.bit_length() <= low:
-        mb, eb = 1, low - 1
-    e = min(ea, eb)
-    man = (ma << ea - e) + ((mb << eb - e) if sa == sb else -(mb << eb - e))
-    return round_triple(sa ^ (man < 0), abs(man), e, p)
+    """a + b (a - b with ``flip`` 1) of triples of any widths, exact, then
+    rounded once to nearest at p bits, ties to even."""
+    x, y, e = _aligned(a, b)
+    s = x - y if flip else x + y
+    return round_triple(int(s < 0), abs(s), e, p)
 
 
 def _max_abs_or_one(entries) -> tuple:
     """max(|e|) over the entries, raised to 1 when it is below 1, exactly."""
-    m = ZERO
-    for _, man, exp in entries:
-        if _cmp((0, man, exp), m) > 0:
-            m = (0, man, exp)
-    return m if _cmp(m, _ONE) >= 0 else _ONE
+    return max([*((0, man, exp) for _, man, exp in entries), _ONE], key=functools.cmp_to_key(_cmp))
 
 
 class RealSequence:
@@ -111,9 +87,8 @@ class RealSequence:
         return len(self.entries)
 
 
-def _default_tolerance(entries) -> tuple:
-    """2^-64 max(|e|, 1)^2, both products at 128 bits."""
-    m = _max_abs_or_one(entries)
+def _default_tolerance(m: tuple) -> tuple:
+    """2^-64 m^2, m the entries' ``_max_abs_or_one``, both products at 128 bits."""
     return mul_triples(mul_triples(_EPS_BASE, m, _TOL_BITS), m, _TOL_BITS)
 
 
@@ -138,7 +113,7 @@ def make_sequence(values: Sequence, precision_bits: int = DEFAULT_PRECISION_BITS
     scales with max|entry|^2; each value becomes an entry as ``_entry``
     says."""
     entries = tuple(_entry(v, precision_bits) for v in values)
-    return RealSequence(entries, _default_tolerance(entries), precision_bits)
+    return RealSequence(entries, _default_tolerance(_max_abs_or_one(entries)), precision_bits)
 
 
 def l_operator(seq: RealSequence) -> RealSequence:
@@ -147,10 +122,9 @@ def l_operator(seq: RealSequence) -> RealSequence:
     out = [mul_triples(e, e, p) for e in a]
     for k in range(1, len(a) - 1):
         out[k] = _add(out[k], mul_triples(a[k + 1], a[k - 1], p), p, 1)
-    sign, man, exp = seq.tolerance
-    twice = (sign, man, exp + 1) if man else ZERO
-    tol = _add(mul_triples(twice, _max_abs_or_one(a), _TOL_BITS), _default_tolerance(a),
-               _TOL_BITS)
+    m = _max_abs_or_one(a)
+    sign, man, exp = seq.tolerance  # twice it is (sign, man, exp + 1)
+    tol = _add(mul_triples((sign, man, exp + 1), m, _TOL_BITS), _default_tolerance(m), _TOL_BITS)
     return RealSequence(tuple(out), tol, p)
 
 
@@ -165,7 +139,7 @@ def log_concavity_order(seq: RealSequence, max_order: int) -> int:
     cur = seq
     for i in range(max_order + 1):
         sign, man, exp = cur.tolerance
-        least = (sign ^ 1, man, exp) if man else ZERO  # -tolerance
+        least = (sign ^ 1, man, exp)  # -tolerance
         if not all(_cmp(e, least) >= 0 for e in cur.entries):
             return i - 1
         if i < max_order:
@@ -201,6 +175,11 @@ def is_log_concave(seq: RealSequence, strict: bool = False) -> bool:
 class RootednessVerdict(NamedTuple):
     status: str  # "real_negative" | "not_real_negative"
     witness: str | None = None
+
+
+def verdict_text(verdict: RootednessVerdict) -> str:
+    """A ``branden_criterion`` verdict in words: ``status (witness)``, or the status alone."""
+    return f"{verdict.status} ({verdict.witness})" if verdict.witness else verdict.status
 
 
 def _neg_prem(a: list[int], b: list[int]) -> list[int]:
@@ -246,12 +225,10 @@ def _sturm_verdict(coeffs: list[int]) -> RootednessVerdict:
     at_minus = _variations([q[-1] if len(q) % 2 else -q[-1] for q in chain])
     at_zero = _variations([q[0] for q in chain])
     if at_minus - at_plus < len(coeffs) - len(chain[-1]):
-        return RootednessVerdict(
-            "not_real_negative", witness="non-real root (exact count)")
+        return RootednessVerdict("not_real_negative", "non-real root (exact count)")
     if at_zero - at_plus > 0:
-        return RootednessVerdict(
-            "not_real_negative", witness="positive real root (exact count)")
-    return RootednessVerdict("real_negative", witness=None)
+        return RootednessVerdict("not_real_negative", "positive real root (exact count)")
+    return RootednessVerdict("real_negative")
 
 
 def _newton_violation(coeffs: list[int]) -> int | None:
@@ -273,27 +250,25 @@ def _newton_violation(coeffs: list[int]) -> int | None:
 def branden_criterion(seq: RealSequence) -> RootednessVerdict:
     """Classify whether sum a_k x^k has only real, strictly negative roots.
 
-    Each entry's binary mantissa, shifted to the least exponent of the
-    sequence, is read as an exact integer coefficient.  Trailing zero
-    coefficients are dropped and a zero constant term is a root at 0.
-    Otherwise the first failed Newton inequality on the coefficients
-    witnesses a non-real root; where none fails, an exact Sturm count over
-    the integers of the distinct real and positive roots decides the
-    verdict, multiple roots included.
+    The coefficients are the entries times the power of two that makes them
+    integers, not all even: the signed mantissas aligned to the least exponent
+    of the nonzero entries, their common trailing zeros shifted out.  Trailing
+    zero coefficients are dropped and a zero constant term is a root at 0.
+    Otherwise the first failed Newton inequality witnesses a non-real root;
+    where none fails, an exact Sturm count over the integers of the distinct
+    real and positive roots decides, multiple roots included.
     """
-    parts = [raw_mpf(e) for e in seq.entries]  # (sign, odd mantissa, exponent, bits)
-    exponents = [exp for _, man, exp, _ in parts if man]
-    if not exponents:
+    if not any(man for _, man, _ in seq.entries):
         raise ValueError("zero polynomial")
-    low = min(exponents)
-    coeffs = [(-man if sign else man) << (exp - low) if man else 0
-              for sign, man, exp, _ in parts]
+    low = min(exp for _, man, exp in seq.entries if man)
+    coeffs = [(-man if sign else man) << exp - low if man else 0 for sign, man, exp in seq.entries]
+    zeros = min((c & -c).bit_length() for c in coeffs if c) - 1
+    coeffs = [c >> zeros for c in coeffs]
     while coeffs[-1] == 0:
         coeffs.pop()
     if coeffs[0] == 0:
-        return RootednessVerdict("not_real_negative", witness="root at 0")
+        return RootednessVerdict("not_real_negative", "root at 0")
     k = _newton_violation(coeffs)
     if k is not None:
-        return RootednessVerdict(
-            "not_real_negative", witness=f"non-real root (Newton inequality at k={k})")
+        return RootednessVerdict("not_real_negative", f"non-real root (Newton inequality at k={k})")
     return _sturm_verdict(coeffs)

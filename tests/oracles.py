@@ -630,7 +630,7 @@ def theorem_report(ctx, grid):
         checks.append(_mk_check(
             "positivity", i, full_ok, is_proven(label, "positivity", i),
             violation, note=f"min value {render_decimal(min_val._mpf_, 8)}"))
-        if not is_proven(label, "positivity", i):
+        if i in type_data(label).positivity_window_nodes and not is_proven(label, "positivity", i):
             # The sub-range covered by theorems gets its own proven entry.
             worst_w = zero
             ok_w = True

@@ -1003,6 +1003,16 @@ def test_decision_kernel_edges():
     assert qsolver._rel_gap(None, t(1.0), 128) is None
 
 
+def test_positivity_window_entries_only_at_window_nodes(e7, e8):
+    # E8 has no positivity-window nodes: an entry there would be a proven
+    # pass over no cells
+    for rs in (e7, e8):
+        ctx = LevelContext(rs, 4)
+        nodes = [c.node for c in theorem_report(ctx, build_qgrid(ctx))
+                 if c.name == "positivity_window"]
+        assert nodes == list(TYPE_DATA[rs.type_label].positivity_window_nodes), rs.type_label
+
+
 # Each check bound set so that every check reading it must fail: a tolerance
 # below every deviation, a margin above every value.  At E7 L6 every check
 # passes with the bounds as they are, and the Kleber tables and the

@@ -103,27 +103,32 @@ def test_run_config_validation():
         assert RunConfig(type_label="E6", level=2, k_max=k_max).k_max == k_max
 
 
-def test_fixture_check_detects_corruption(e7, tmp_path):
-    from qslab.report import load_appendix_map, load_fixture_rows
+def _plant_rows(monkeypatch, type_label, kind, edit):
+    """Make the fixture reader hand out one file's rows with each row whose
+    appendix number ``edit`` maps passed through that function, and every
+    other file as it is."""
+    reader = report._int_rows
+    planted = tuple(edit[r[0]](r) if r[0] in edit else r for r in reader(type_label, kind))
 
-    rows = load_fixture_rows("E7")
-    amap = load_appendix_map("E7")
-    with open(tmp_path / "e7_positive_roots.txt", "w") as f:
-        for no, height, coeffs in rows:
-            if no == 42:
-                coeffs = tuple([9] + list(coeffs[1:]))
-            f.write(f"{no} {height} " + " ".join(map(str, coeffs)) + "\n")
-    with open(tmp_path / "e7_appendix_order.txt", "w") as f:
-        for no, idx in sorted(amap.items()):
-            f.write(f"{no} {idx}\n")
-    result = fixture_check(e7, fixture_dir=str(tmp_path))
+    def planted_reader(t, k):
+        return planted if (t, k) == (type_label, kind) else reader(t, k)
+
+    monkeypatch.setattr(report, "_int_rows", planted_reader)
+
+
+def test_fixture_check_detects_corruption(e7, monkeypatch):
+    _plant_rows(monkeypatch, "E7", "positive_roots", {42: lambda r: (*r[:2], 9, *r[3:])})
+    result = fixture_check(e7)
     assert result.status == "fail"
     assert "row 42" in result.note
 
 
-def test_fixture_check_missing_file(e7, tmp_path):
+def test_fixture_check_missing_file(e7, tmp_path, monkeypatch):
+    # the reader, uncached, over a package directory without fixtures
+    monkeypatch.setattr(report.resources, "files", lambda package: tmp_path)
+    monkeypatch.setattr(report, "_int_rows", report._int_rows.__wrapped__)
     with pytest.raises(FileNotFoundError):
-        fixture_check(e7, fixture_dir=str(tmp_path))
+        fixture_check(e7)
 
 
 def test_run_e6_level4_full(tmp_path):
@@ -514,6 +519,9 @@ def test_cli_usage_errors(capsys, monkeypatch):
          "qslab verify: error: argument --level: must be at least 1, got 0\n"),
         (["logconcave", "--seq", "1,2", "--max-order", "-1"],
          "qslab logconcave: error: argument --max-order: must be at least 0, got -1\n"),
+        # past cli.MAX_ORDER the exact sums of the iterates outgrow memory
+        (["logconcave", "--seq", "1,2,1", "--max-order", "17"],
+         "qslab logconcave: error: argument --max-order: must be at most 16, got 17\n"),
         (["solve", "--type", "E6", "--level", "2", "--tol", "0"],
          "qslab solve: error: argument --tol: must be positive, got 0\n"),
         (["solve", "--type", "E6", "--level", "2", "--tol", "-1"],
@@ -628,7 +636,10 @@ def test_reports_are_deterministic():
     # when the notes' numbers (positivity minimum, dilogarithm margin and
     # sum) came to be written by render_decimal, as the cells are: "min value
     # 1.0" reads "min value 1", "normalized sum 20.0" "20.0000000000"; no
-    # status, cell, violation, residual or dilog.sum moved.
+    # status, cell, violation, residual or dilog.sum moved.  Every E8 pin
+    # moved when positivity_window entries came to be written only at the
+    # positivity-window nodes: each E8 report lost the five proven passes
+    # over no cells at nodes 2, 4, 5, 6 and 7, and nothing else.
     cases = (
         (RunConfig(type_label="E6", level=3, checks=("grid", "theorem", "dilog")), None),
         # the dilogarithm sum renders as 13.5, Kirillov's 27/2: the fixed-point
@@ -637,14 +648,14 @@ def test_reports_are_deterministic():
          "2ab1f10d16a3ccd9b7c07cbf8ad965e6f7b44896df861ac2d9bd4b3a2d6d4ad0"),
         # E8's derived rows, filled by subtraction and division
         (RunConfig(type_label="E8", level=2),
-         "ec0af6e7640e5da7cb91c65870d78c8411df0c501ed38fa5ca94e929575df22d"),
+         "084803892f507f50f9418f7620d4106efbe0e6738bbc33b7eaed094f2816594e"),
         # a deep level, where the scale sums and the cancellation are largest
         (RunConfig(type_label="E6", level=30, k_max=42,
                    checks=("roots", "grid", "theorem", "logconcave", "dilog")),
          "4a28cd0291db176702de29a4146010ea696c0e589a1fddc1ec7c4465b7af1944"),
         # zero-window residues and the known unresolved cell (2, 46)
         (RunConfig(type_label="E8", level=16, checks=("grid", "theorem")),
-         "c82b13970381c016bab32c1a3e60ce9caa6d08975a81bd42a4056826b4b48f93"),
+         "c53ce7d81881199c490c916b9aaa34137041d8bc002244e195b7d26645d85fb5"),
         (RunConfig(type_label="E7", level=28, checks=("grid", "theorem")),
          "bc59a5dc1068fe71cc3ab7a8211d355871eafd5c063cfdcb0dbce4285cf8a2b5"),
         # large dilogarithm sums (the last one also holds the Branden check read
@@ -657,12 +668,12 @@ def test_reports_are_deterministic():
          "abf71204b6aa32ee8f2768493e61a8bdc455af5155caa0f200af9f76e951d206"),
         (RunConfig(type_label="E8", level=4,
                    checks=("roots", "grid", "theorem", "logconcave", "dilog")),
-         "68669acd3a958dde1fcf23156d7fbf21a9f218f01c55c07386d4705589dcb9c6"),
+         "a2ac412e70293adc4bb3ed42b31316e46f22d4e41559ff9d485eb773b0f8436e"),
         # full verify at the north-star configurations, solve and weyl included
         (RunConfig(type_label="E7", level=12),
          "6b44f0edecfdb282cb25e80edeb10ca27f648f6b949887deb418e8a23dbbd2cc"),
         (RunConfig(type_label="E8", level=8),
-         "4137d54f7ede0d470fbab0f293c4d0929a591b34626f981b69531298ea2bfc85"),
+         "30abc0f2a8c0cfd9ef5c7cfb4b0d0fb24232770b5d08e40780161e7eb3717560"),
         # the rest of the benchmark's reports: its other five-group sweeps
         # (E7 L28 holds the failing log-concavity check, E8 L16 the
         # unresolved cell) and its other full verify runs
@@ -680,15 +691,21 @@ def test_reports_are_deterministic():
          "dab0b94ba7c35eb82deefc5a0748e39c0f90c7a1817fd1fa20c5ab8967522a95"),
         (RunConfig(type_label="E8", level=16,
                    checks=("roots", "grid", "theorem", "logconcave", "dilog")),
-         "30d0bc562f9afaa5db2e9f886388c8f0c98077e9eab789a72ab7a40e029ea702"),
+         "fc340464c5b97ee65ef51d09e00c34f6508a1f800310ec46ec854b23c22cafff"),
         (RunConfig(type_label="E6", level=2),
          "0eae876ef9ede0f7092f08968e2bb4dbf346eaba475ff2fd882082166b797981"),
         (RunConfig(type_label="E7", level=2),
          "ef391ecdf2feabb876e8152d3a1773cb567ea0e5af25f8f8f40886e0d774a5bd"),
+        # the logconcave group off 128 bits, where entries at p and
+        # tolerances at 128 bits meet in one sum or comparison
+        (RunConfig(type_label="E7", level=12, precision_bits=64, checks=("logconcave",)),
+         "56aab5ad82bc59b257137e601b1941fe3ddd4770e9c98151ea87c9540954b89d"),
+        (RunConfig(type_label="E7", level=12, precision_bits=256, checks=("logconcave",)),
+         "92268b30a13b03c70045d6683676046a90f738327a87100298242463dec57862"),
         # failing proven checks at 128 bits: an inf violation and a
         # conjecture-violated dilog_args
         (RunConfig(type_label="E8", level=24, precision_bits=128),
-         "a88fda39f0314992f55ecdd71ec039288793da18647ef04d403c6ee833c46673"),
+         "0c27440470157c301cb479799952608fa06d8025256d25a37f159b9e9ac62e89"),
         (RunConfig(type_label="E7", level=12,
                    checks=("roots", "grid", "theorem", "logconcave", "dilog")),
          "7ffd950e7c499ef48b29c3ce5de443485a6c7297988c24cd994046e08daeaaf0"),
@@ -1084,25 +1101,8 @@ def test_check_status_mechanics():
     assert rep_obj.exit_code == 1
 
 
-def test_run_fails_on_corrupted_fixture(e7, tmp_path, monkeypatch):
-    from qslab.report import load_appendix_map, load_fixture_rows
-
-    rows = load_fixture_rows("E7")
-    amap = load_appendix_map("E7")
-    for label in ("e7", "e8"):
-        src_rows = load_fixture_rows(label.upper())
-        src_map = load_appendix_map(label.upper())
-        with open(tmp_path / f"{label}_positive_roots.txt", "w") as f:
-            for no, height, coeffs in src_rows:
-                if label == "e7" and no == 10:
-                    height = height + 1
-                f.write(f"{no} {height} " + " ".join(map(str, coeffs)) + "\n")
-        with open(tmp_path / f"{label}_appendix_order.txt", "w") as f:
-            for no, idx in sorted(src_map.items()):
-                f.write(f"{no} {idx}\n")
-    # the roots group looks fixture_check up at call time
-    monkeypatch.setattr(report, "fixture_check",
-                        functools.partial(fixture_check, fixture_dir=str(tmp_path)))
+def test_run_fails_on_corrupted_fixture(monkeypatch):
+    _plant_rows(monkeypatch, "E7", "positive_roots", {10: lambda r: (r[0], r[1] + 1, *r[2:])})
     out = run(RunConfig(type_label="E7", level=1, checks=("roots",)))
     assert out.overall == "fail"
     assert out.exit_code == 1

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -15,6 +16,8 @@ from qslab.rootsys import type_data
 from qslab.seqanalysis import (
     RealSequence,
     RootednessVerdict,
+    _add,
+    _cmp,
     _newton_violation,
     _sturm_verdict,
     branden_criterion,
@@ -378,6 +381,75 @@ def test_sequence_validation():
         make_sequence([float("nan")])
     with pytest.raises(ValueError):
         log_concavity_order(make_sequence([1.0]), -1)
+
+
+def _exact(t):
+    sign, man, exp = t
+    return Fraction(-man if sign else man) * Fraction(2) ** exp
+
+
+def _rounded_once(x: Fraction, p: int) -> tuple:
+    """x rounded to nearest at p bits, ties to even, as a p-bit triple."""
+    if not x:
+        return (0, 0, 0)
+    sign, x = int(x < 0), abs(x)
+    e = x.numerator.bit_length() - x.denominator.bit_length() - p
+    while x >= Fraction(2) ** (e + p):
+        e += 1
+    while x < Fraction(2) ** (e + p - 1):
+        e -= 1
+    man = round(x / Fraction(2) ** e)  # Fraction rounds half to even
+    return (sign, man >> 1, e + 1) if man >> p else (sign, man, e)
+
+
+_WIDTHS = st.integers(64, 512)
+
+
+@st.composite
+def _operands(draw):
+    """Two triples and a precision p, of widths 64 to 512 bits, their
+    exponents up to 2 200 apart.  b is drawn freely, or zero, or a at another
+    width with either sign, give or take a unit in its last place (a tie or
+    a near tie for the comparison, a cancellation for the sum), or chosen so
+    that a + b is a tie at p bits or lies just past one."""
+    def triple(width, exp):
+        return (draw(st.integers(0, 1)), draw(st.integers(1 << width - 1, (1 << width) - 1)), exp)
+
+    wa, p = draw(_WIDTHS), draw(_WIDTHS)
+    a = triple(wa, draw(st.integers(-600, 600)))
+    kind = draw(st.sampled_from(["free", "zero", "same", "tie"]))
+    if kind == "free":
+        b = triple(draw(_WIDTHS), a[2] + draw(st.integers(-2200, 2200)))
+    elif kind == "zero":
+        b = (0, 0, 0)
+    elif kind == "same":
+        shift = draw(st.integers(0, 448))
+        b = (draw(st.integers(0, 1)), (a[1] << shift) + draw(st.sampled_from([0, 1, -1])),
+             a[2] - shift)
+    else:
+        # the sum (2m + 1) 2^(e - 1), m p bits wide, or that plus or minus
+        # 2^low, low at most e - 1 - j
+        _, m, e = triple(p, a[2] + wa - p + draw(st.integers(-2200, 2200)))
+        j = draw(st.one_of(st.none(), st.integers(1, 600)))
+        low = min(a[2], e - 1 - (j or 0))
+        total = (2 * m + 1) << e - 1 - low
+        if j is not None:
+            total += draw(st.sampled_from([1, -1]))
+        total -= (-a[1] if a[0] else a[1]) << a[2] - low
+        b = (int(total < 0), abs(total), low)
+    if draw(st.booleans()):
+        a, b = b, a
+    return a, b, p
+
+
+@settings(max_examples=400, deadline=None)
+@given(_operands())
+def test_add_and_cmp_are_exact_then_rounded_once(case):
+    a, b, p = case
+    x, y = _exact(a), _exact(b)
+    assert _cmp(a, b) == (x > y) - (x < y)
+    assert _add(a, b, p) == _rounded_once(x + y, p)
+    assert _add(a, b, p, 1) == _rounded_once(x - y, p)
 
 
 def _assert_port_matches_oracle(seq, oracle, max_order=6):
