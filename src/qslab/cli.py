@@ -32,10 +32,6 @@ DEFAULT_DIGITS = 30
 # The most terms krdec builds: 10^6 took about 4 s and 0.4 GB to print, and
 # about 13 s in the same memory with --qdim.
 MAX_KRDEC_TERMS = 10**6
-# The deepest order logconcave probes.  Each L-iterate doubles the exponent
-# spread that its exact sums align to: at 16 a --seq spanning the double
-# range takes about 60 MB, each order past it twice as much.
-MAX_ORDER = 16
 
 
 def _usage_error(message: str) -> NoReturn:
@@ -43,15 +39,12 @@ def _usage_error(message: str) -> NoReturn:
     raise SystemExit(2)
 
 
-def _int_at_least(minimum: int, maximum: int | None = None):
-    """An argparse type: an integer no smaller than ``minimum`` and, when
-    given, no larger than ``maximum``."""
+def _int_at_least(minimum: int):
+    """An argparse type: an integer no smaller than ``minimum``."""
     def integer(text: str) -> int:
         value = int(text)
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
-        if maximum is not None and value > maximum:
-            raise argparse.ArgumentTypeError(f"must be at most {maximum}, got {value}")
         return value
     return integer
 
@@ -411,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--type", type=_type_label, default=None, metavar="TYPE")
     p.add_argument("--level", type=_int_at_least(1), default=None)
     p.add_argument("--node", type=int, default=None)
-    p.add_argument("--max-order", type=_int_at_least(0, MAX_ORDER), default=6)
+    p.add_argument("--max-order", type=_int_at_least(0), default=6)
     p.add_argument("--branden", action="store_true")
     p.add_argument("--seq", default=None, help="raw comma-separated sequence")
     _precision_flag(p)

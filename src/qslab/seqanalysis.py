@@ -6,10 +6,9 @@ probing, and an exact test of whether the coefficient polynomial has only
 real negative roots (a sufficient condition for infinite log-concavity).
 
 A sequence holds its entries as p-bit triples (``qslab.qnum``) at its
-precision p and its tolerance as a triple at 128 bits.  Products and sums
-round to nearest at p bits, or at 128 bits where they form a tolerance.  A
-sum or a comparison takes two triples of any widths, aligns them to the
-smaller exponent as signed integers and is exact; a sum then rounds once.
+precision p and its tolerance as a triple at 128 bits.  Products round to
+nearest at p bits (at 128 bits for a tolerance); sums and comparisons of
+triples of any widths are exact, a sum then rounded once at the same width.
 
 The rootedness verdict reads the entries exactly as the coefficients of an
 integer polynomial.  A failed Newton inequality on them proves a non-real
@@ -33,14 +32,25 @@ _EPS_BASE = (0, 1 << _TOL_BITS - 1, -63 - _TOL_BITS)
 _ONE = (0, 1 << _TOL_BITS - 1, 1 - _TOL_BITS)
 
 
-def _aligned(a: tuple, b: tuple) -> tuple:
-    """(x, y, e): a and b, any widths, as signed ints in units of 2**e, e the lesser exponent."""
+def _aligned(a: tuple, b: tuple, p: int = 0) -> tuple:
+    """(x, y, e): a and b, triples of any widths, as signed ints in units of 2**e.
+
+    Exact, but a nonzero lesser operand below 2**low, low = min(lowest bit
+    of the greater, its top - p - 3), stands as 2**(low - 1) with its sign,
+    so no shift exceeds the widths and p: the greater and every rounding
+    boundary near it at p bits are multiples of 2**low, so any such operand
+    leaves the sum strictly between the same two, and the comparison as is.
+    """
+    if b[1] and (not a[1] or b[2] + b[1].bit_length() > a[2] + a[1].bit_length()):
+        y, x, e = _aligned(b, a, p)
+        return x, y, e
     sa, ma, ea = a
     sb, mb, eb = b
-    x, y = -ma if sa else ma, -mb if sb else mb
-    if ea < eb:
-        return x, y << eb - ea, ea
-    return x << ea - eb, y, eb
+    low = min(ea, ea + ma.bit_length() - p - 3)
+    if eb + mb.bit_length() <= low or not mb:
+        mb, eb = min(mb, 1), low - 1  # a zero stays zero
+    e = min(ea, eb)
+    return (-ma if sa else ma) << ea - e, (-mb if sb else mb) << eb - e, e
 
 
 def _cmp(a: tuple, b: tuple) -> int:
@@ -52,7 +62,7 @@ def _cmp(a: tuple, b: tuple) -> int:
 def _add(a: tuple, b: tuple, p: int, flip: int = 0) -> tuple:
     """a + b (a - b with ``flip`` 1) of triples of any widths, exact, then
     rounded once to nearest at p bits, ties to even."""
-    x, y, e = _aligned(a, b)
+    x, y, e = _aligned(a, b, p)
     s = x - y if flip else x + y
     return round_triple(int(s < 0), abs(s), e, p)
 

@@ -452,6 +452,21 @@ def test_add_and_cmp_are_exact_then_rounded_once(case):
     assert _add(a, b, p, 1) == _rounded_once(x - y, p)
 
 
+def test_far_apart_operands_align_within_their_widths():
+    # exponents 2^40 apart, or a zero at exponent 0 beside a 2^40 one: aligned
+    # exactly, each would take a 2^40-bit integer
+    big, tiny, far = (0, 1 << 127, 0), (1, 1, -(1 << 40)), (0, 1 << 127, 1 << 40)
+    assert _cmp(tiny, big) == -1 and _cmp(big, tiny) == 1 and _cmp(far, (1, 0, 0)) == 1
+    assert _add(big, tiny, 128) == _add(tiny, big, 128) == _add(big, tiny, 128, 1) == big
+    assert _add((0, 0, 0), far, 128) == _add(far, (0, 0, 0), 128, 1) == far
+    # a tie at 128 bits, which only a zero leaves to round to even
+    tie = (0, (1 << 128) + 1, 0)
+    assert _add(tie, (0, 0, 0), 128) == _add(tie, tiny, 128) == (0, 1 << 127, 1)
+    assert _add(tie, tiny, 128, 1) == (0, (1 << 127) + 1, 1)
+    # each L-iterate doubles the exponent spread; order 60 spans about 2^70 bits
+    assert log_concavity_order(make_sequence(["1e-300", 1, "1e-300"]), 60) == 60
+
+
 def _assert_port_matches_oracle(seq, oracle, max_order=6):
     """The triple sequence ``seq`` and the mpf oracle's ``oracle`` agree bit
     for bit on the entries and tolerances of every L-iterate up to
