@@ -114,6 +114,15 @@ def cmp_triples(a: tuple, b: tuple) -> int:
     return 0 if not d else 1 - 2 * ((d < 0) ^ sa)
 
 
+# The order of p-bit triples of one p, as a key of min, max and sorted.
+TRIPLE_ORDER = functools.cmp_to_key(cmp_triples)
+
+
+def one_triple(p: int) -> tuple:
+    """1 as a p-bit triple."""
+    return 0, 1 << p - 1, 1 - p
+
+
 def abs_triple(t: tuple) -> tuple:
     """|t| of a p-bit triple, exact: mpf_abs's bits."""
     return 0, t[1], t[2]
@@ -318,7 +327,7 @@ def sinpi_triple(k: int, l: int, p: int) -> tuple:
     if 6 * k == l:
         return 0, 1 << p - 1, -p
     if 2 * k == l:
-        return 0, 1 << p - 1, 1 - p
+        return one_triple(p)
     w = p + 32
     while True:
         s, err = _sinpi_fixed(k, l, w)
@@ -434,7 +443,7 @@ class LevelContext:
             raise ValueError(f"precision_bits must be at least {MIN_PRECISION_BITS}")
         self.root_system, self.level, self.precision_bits = root_system, level, precision_bits
         self.shifted_level = level + root_system.coxeter_number
-        one = (0, 1 << precision_bits - 1, 1 - precision_bits)
+        one = one_triple(precision_bits)
         self.one, self.zero = QReal(one, one, precision_bits), QReal(ZERO, one, precision_bits)
         # sin(pi*r/l) by residue r mod 2l as (sign, mantissa, exponent): the
         # value (-1)**sign * mantissa * 2**exponent, the mantissa exactly

@@ -52,9 +52,9 @@ from operator import mul
 from typing import NamedTuple, Sequence
 
 from .krchar import chari_qdim
-from .qnum import (FINF, ZERO, LevelContext, QReal, abs_triple, add_triples, cmp_triples,
-                   div_triples, float_triple, log_fixed, mp_context, mul_triples, pi_fixed,
-                   raw_mpf, render_decimal, round_triple, triple_float)
+from .qnum import (FINF, TRIPLE_ORDER, ZERO, LevelContext, QReal, abs_triple, add_triples,
+                   cmp_triples, div_triples, float_triple, log_fixed, mp_context, mul_triples,
+                   one_triple, pi_fixed, raw_mpf, render_decimal, round_triple, triple_float)
 from .rootsys import RootSystem, TypeData, delta, is_proven, type_data
 
 # The certification checks' bounds (at the default precision or above), one
@@ -140,11 +140,6 @@ def _neighbor_rows(rs: RootSystem) -> list[list[int]]:
     return [[j - 1 for j in rs.neighbors[i]] for i in range(1, rs.rank + 1)]
 
 
-def _one(p: int) -> tuple:
-    """1 as a p-bit triple."""
-    return 0, 1 << p - 1, 1 - p
-
-
 def _neighbor_product(rows, neighbors: Sequence[int], k: int, p: int):
     """prod_{j ~ i} Q_k(j): the product of the p-bit triples rows[j][k] over
     the neighbour rows j of node i; 1 when there are none, None when a
@@ -156,7 +151,7 @@ def _neighbor_product(rows, neighbors: Sequence[int], k: int, p: int):
         if v is None:
             return None
         prod = v if prod is None else mul_triples(prod, v, p)
-    return _one(p) if prod is None else prod
+    return one_triple(p) if prod is None else prod
 
 
 def _defect(cells, neighbors: list[list[int]], i: int, k: int):
@@ -174,7 +169,7 @@ def _defect(cells, neighbors: list[list[int]], i: int, k: int):
     f = add_triples(lhs, add_triples(mul_triples(lo, hi, p), prod, p), p, 1)
     size = abs_triple(f)
     # |F| / 1 is |F|, exactly
-    return f, div_triples(size, lhs, p) if cmp_triples(lhs, _one(p)) > 0 else size
+    return f, div_triples(size, lhs, p) if cmp_triples(lhs, one_triple(p)) > 0 else size
 
 
 def _route_walk(td: TypeData, k_max: int, one, direct, divide, zero_at):
@@ -522,14 +517,10 @@ def _mk_check(name, node, ok, proven, violation, note="") -> CheckResult:
     return CheckResult(name, node, status, proven, violation, note)
 
 
-# The order of p-bit triples, as a key of min and max.
-_ORDER = functools.cmp_to_key(cmp_triples)
-
-
 def _least(cells):
     """The least of the p-bit triples ``cells``; None, read as -inf, when
     one of them is None."""
-    return None if None in cells else min(cells, key=_ORDER)
+    return None if None in cells else min(cells, key=TRIPLE_ORDER)
 
 
 def _at_most(devs, bound: float, p: int):
@@ -546,10 +537,10 @@ def _at_most(devs, bound: float, p: int):
 
 
 def _above(least, margin: float, p: int):
-    """Whether the p-bit ``least`` (None reads -inf) lies above the float
-    ``margin``, read exactly, and the violation max(0, margin - least): FINF
-    when least is -inf or the margin +inf."""
-    if least is None or margin == math.inf:
+    """Whether the p-bit ``least`` (None reads -inf) lies above the finite
+    float ``margin``, read exactly, and the violation max(0, margin - least):
+    FINF when least is -inf."""
+    if least is None:
         return False, FINF
     m = float_triple(margin, p)
     gap = add_triples(m, least, p, 1)
@@ -560,7 +551,7 @@ def _rel_gap(a, b, p: int):
     """|a - b| / max(|a|, |b|, 1) of p-bit triples; None when either is None."""
     if a is None or b is None:
         return None
-    den = max(abs_triple(a), abs_triple(b), _one(p), key=_ORDER)
+    den = max(abs_triple(a), abs_triple(b), one_triple(p), key=TRIPLE_ORDER)
     return div_triples(abs_triple(add_triples(a, b, p, 1)), den, p)
 
 
@@ -574,10 +565,8 @@ def theorem_report(ctx: LevelContext, grid: QGrid) -> list[CheckResult]:
     proven window at the positivity-window nodes of TYPE_DATA whose
     positivity is unproven.  Failures are report entries, never
     exceptions.  Each entry's proven label is the ``proven_nodes`` entry of
-    TYPE_DATA under its own name, except for positivity_window, proven by
-    construction, and shifted_boundary_sign, which the table does not list:
-    both are proven.  ``grid`` comes from ``build_qgrid``: its cells'
-    scales set the tolerances.
+    TYPE_DATA under its own name.  ``grid`` comes from ``build_qgrid``: its
+    cells' scales set the tolerances.
     """
     rs = ctx.root_system
     label = rs.type_label
@@ -586,14 +575,12 @@ def theorem_report(ctx: LevelContext, grid: QGrid) -> list[CheckResult]:
         raise ValueError("theorem report needs the grid out to k = l")
     checks: list[CheckResult] = []
     p = ctx.precision_bits
-    one = _one(p)
-    # margin - (Q_{k+1} - Q_k) is +inf at an infinite margin, as at a None cell
-    uni_margin = None if POSITIVITY_MARGIN == math.inf else float_triple(POSITIVITY_MARGIN, p)
+    one = one_triple(p)
+    uni_margin = float_triple(POSITIVITY_MARGIN, p)
     rows, scales = grid.rows, grid.scales
 
-    def add(name, node, ok, violation, note="", proven=None):
-        proven = is_proven(label, name, node) if proven is None else proven
-        checks.append(_mk_check(name, node, ok, proven, violation, note))
+    def add(name, node, ok, violation, note=""):
+        checks.append(_mk_check(name, node, ok, is_proven(label, name, node), violation, note))
 
     def rel(f, scale):
         return div_triples(abs_triple(f), scale, p)
@@ -633,12 +620,12 @@ def theorem_report(ctx: LevelContext, grid: QGrid) -> list[CheckResult]:
             # gap over its failing cells.
             cells = [c for k, c in enumerate(line) if proven_positivity_window(rs, i, level, k)]
             ok, violation = _above(_least(cells), POSITIVITY_MARGIN, p) if cells else (True, ZERO)
-            add("positivity_window", i, ok, violation, proven=True)
+            add("positivity_window", i, ok, violation)
 
         # (iv) strict increase on [0, floor(level/2) - 1]: every
         # margin - (Q_{k+1} - Q_k) at most 0
         ok, worst = _at_most(
-            (None if uni_margin is None or row[k] is None or row[k + 1] is None
+            (None if row[k] is None or row[k + 1] is None
              else add_triples(uni_margin, add_triples(row[k + 1], row[k], p, 1), p, 1)
              for k in range(level // 2)), 0.0, p)
         add("unimodality", i, ok, worst)
@@ -660,7 +647,7 @@ def theorem_report(ctx: LevelContext, grid: QGrid) -> list[CheckResult]:
 
         srow = scales[i - 1]
         ok, dev = _at_most([gap(rows[i - 1][l], one, srow[l], srow[l], flip)], REL_GAP_TOL, p)
-        add("shifted_boundary_sign", i, ok, dev, f"expected {sign:+d}", proven=True)
+        add("shifted_boundary_sign", i, ok, dev, f"expected {sign:+d}")
 
     return checks
 
@@ -689,7 +676,7 @@ def dilog_args_margin(grid: QGrid, args: dict[tuple[int, int], tuple]) -> tuple 
     None when there is no interior.
     """
     p = grid.precision_bits
-    one = _one(p)
+    one = one_triple(p)
     worst = None
     for (_, k), x in args.items():
         if k == 0 or k == grid.level:

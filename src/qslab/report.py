@@ -423,9 +423,10 @@ class RunConfig(_RunFields):
         raw = _RunFields(*args, **kwargs)
         # stored as checked: a float level, precision or k_max raises TypeError, as in LevelContext
         k_max = None if raw.k_max is None else index(raw.k_max)
-        self = super().__new__(cls, raw.type_label.upper(), index(raw.level),
+        rs = build_root_system(raw.type_label)  # the one label rule: TypeError or ValueError
+        self = super().__new__(cls, rs.type_label, index(raw.level),
                                index(raw.precision_bits), k_max, raw.fmt, raw.checks)
-        l = self.level + rootsys.type_data(self.type_label).coxeter_number
+        l = self.level + rs.coxeter_number
         if self.level < 1:
             raise ValueError("level must be at least 1")
         if self.precision_bits < MIN_PRECISION_BITS:

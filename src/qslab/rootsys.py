@@ -88,7 +88,8 @@ TYPE_DATA = {
             (4, ((2, ()),)),
         ),
         proven_nodes={"zero_window": _ALL, "symmetry": _ALL, "positivity": _ALL,
-                      "unimodality": _ALL, "periodicity": _ALL, "boundary_one": _ALL},
+                      "unimodality": _ALL, "periodicity": _ALL, "boundary_one": _ALL,
+                      "positivity_window": _ALL, "shifted_boundary_sign": _ALL},
         positivity_window_nodes=(),
         kleber_q1={},
         branden_node=None,
@@ -113,7 +114,8 @@ TYPE_DATA = {
         ),
         proven_nodes={"zero_window": _ALL, "symmetry": _ALL,
                       "positivity": {1, 2, 3, 6, 7}, "unimodality": {1, 2, 7},
-                      "periodicity": _ALL, "boundary_one": _ALL},
+                      "periodicity": _ALL, "boundary_one": _ALL,
+                      "positivity_window": _ALL, "shifted_boundary_sign": _ALL},
         positivity_window_nodes=(4, 5),
         # W(4)_1 = 2 V(0) + 4 V(w1) + V(2w1) + 3 V(w3) + V(w4) + 4 V(w6)
         #          + V(2w7) + V(w1+w6) + 2 V(w2+w7),
@@ -157,7 +159,8 @@ TYPE_DATA = {
         ),
         proven_nodes={"zero_window": _ALL, "symmetry": {1, 3, 4, 5, 6, 7, 8},
                       "positivity": {1, 3, 8}, "unimodality": {1, 8},
-                      "periodicity": _ALL, "boundary_one": _ALL},
+                      "periodicity": _ALL, "boundary_one": _ALL,
+                      "positivity_window": _ALL, "shifted_boundary_sign": _ALL},
         positivity_window_nodes=(),
         kleber_q1={},
         branden_node=None,

@@ -5,10 +5,10 @@ Provides the squared-difference operator L mapping (a_k) to
 probing, and an exact test of whether the coefficient polynomial has only
 real negative roots (a sufficient condition for infinite log-concavity).
 
-A sequence holds its entries as p-bit triples (``qslab.qnum``) at its
-precision p and its tolerance as a triple at 128 bits.  Products round to
-nearest at p bits (at 128 bits for a tolerance); sums and comparisons of
-triples of any widths are exact, a sum then rounded once at the same width.
+A sequence holds its entries and its tolerance as p-bit triples
+(``qslab.qnum``) at its precision p, and computes on them with qnum's
+helpers: products and sums round to nearest at p bits, ties to even, as the
+mpf operators do, and comparisons are exact.
 
 The rootedness verdict reads the entries exactly as the coefficients of an
 integer polynomial.  A failed Newton inequality on them proves a non-real
@@ -18,63 +18,22 @@ of the real and the positive roots decides.
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import NamedTuple, Sequence
 
-from .qnum import DEFAULT_PRECISION_BITS, mp_context, mul_triples, round_triple
-
-# The precision of every tolerance, and the base relative tolerance for
-# nonnegativity comparisons, 2^-64 at that precision; scaled per sequence by
-# the squared magnitude of the largest entry.
-_TOL_BITS = DEFAULT_PRECISION_BITS
-_EPS_BASE = (0, 1 << _TOL_BITS - 1, -63 - _TOL_BITS)
-_ONE = (0, 1 << _TOL_BITS - 1, 1 - _TOL_BITS)
+from .qnum import (DEFAULT_PRECISION_BITS, TRIPLE_ORDER, abs_triple, add_triples, cmp_triples,
+                   mp_context, mul_triples, one_triple, round_triple)
 
 
-def _aligned(a: tuple, b: tuple, p: int = 0) -> tuple:
-    """(x, y, e): a and b, triples of any widths, as signed ints in units of 2**e.
-
-    Exact, but a nonzero lesser operand below 2**low, low = min(lowest bit
-    of the greater, its top - p - 3), stands as 2**(low - 1) with its sign,
-    so no shift exceeds the widths and p: the greater and every rounding
-    boundary near it at p bits are multiples of 2**low, so any such operand
-    leaves the sum strictly between the same two, and the comparison as is.
-    """
-    if b[1] and (not a[1] or b[2] + b[1].bit_length() > a[2] + a[1].bit_length()):
-        y, x, e = _aligned(b, a, p)
-        return x, y, e
-    sa, ma, ea = a
-    sb, mb, eb = b
-    low = min(ea, ea + ma.bit_length() - p - 3)
-    if eb + mb.bit_length() <= low or not mb:
-        mb, eb = min(mb, 1), low - 1  # a zero stays zero
-    e = min(ea, eb)
-    return (-ma if sa else ma) << ea - e, (-mb if sb else mb) << eb - e, e
-
-
-def _cmp(a: tuple, b: tuple) -> int:
-    """-1, 0 or 1 as a <, = or > b, for triples of any widths, exactly."""
-    x, y, _ = _aligned(a, b)
-    return (x > y) - (x < y)
-
-
-def _add(a: tuple, b: tuple, p: int, flip: int = 0) -> tuple:
-    """a + b (a - b with ``flip`` 1) of triples of any widths, exact, then
-    rounded once to nearest at p bits, ties to even."""
-    x, y, e = _aligned(a, b, p)
-    s = x - y if flip else x + y
-    return round_triple(int(s < 0), abs(s), e, p)
-
-
-def _max_abs_or_one(entries) -> tuple:
-    """max(|e|) over the entries, raised to 1 when it is below 1, exactly."""
-    return max([*((0, man, exp) for _, man, exp in entries), _ONE], key=functools.cmp_to_key(_cmp))
+def _max_abs_or_one(entries, p: int) -> tuple:
+    """max(|e|) over the p-bit entries, raised to 1 when it is below 1."""
+    return max([*map(abs_triple, entries), one_triple(p)], key=TRIPLE_ORDER)
 
 
 class RealSequence:
     """A finite sequence of p-bit triples, p = ``precision_bits``, with a
-    comparison tolerance, a triple at 128 bits."""
+    comparison tolerance, a p-bit triple too; the triples given are rounded
+    to p bits, as ``round_triple`` does."""
 
     __slots__ = ("entries", "tolerance", "precision_bits")
 
@@ -82,8 +41,9 @@ class RealSequence:
                  precision_bits: int = DEFAULT_PRECISION_BITS):
         if len(entries) < 1:
             raise ValueError("sequence must be nonempty")
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "tolerance", tolerance)
+        object.__setattr__(self, "entries",
+                           tuple(round_triple(*e, precision_bits) for e in entries))
+        object.__setattr__(self, "tolerance", round_triple(*tolerance, precision_bits))
         object.__setattr__(self, "precision_bits", precision_bits)
 
     def __setattr__(self, name, value):
@@ -97,9 +57,10 @@ class RealSequence:
         return len(self.entries)
 
 
-def _default_tolerance(m: tuple) -> tuple:
-    """2^-64 m^2, m the entries' ``_max_abs_or_one``, both products at 128 bits."""
-    return mul_triples(mul_triples(_EPS_BASE, m, _TOL_BITS), m, _TOL_BITS)
+def _default_tolerance(m: tuple, p: int) -> tuple:
+    """2^-64 m^2 at p bits, m the entries' ``_max_abs_or_one``."""
+    _, man, exp = mul_triples(m, m, p)
+    return 0, man, exp - 64
 
 
 def _entry(value, p: int) -> tuple:
@@ -123,7 +84,8 @@ def make_sequence(values: Sequence, precision_bits: int = DEFAULT_PRECISION_BITS
     scales with max|entry|^2; each value becomes an entry as ``_entry``
     says."""
     entries = tuple(_entry(v, precision_bits) for v in values)
-    return RealSequence(entries, _default_tolerance(_max_abs_or_one(entries)), precision_bits)
+    m = _max_abs_or_one(entries, precision_bits)
+    return RealSequence(entries, _default_tolerance(m, precision_bits), precision_bits)
 
 
 def l_operator(seq: RealSequence) -> RealSequence:
@@ -131,10 +93,10 @@ def l_operator(seq: RealSequence) -> RealSequence:
     a, p = seq.entries, seq.precision_bits
     out = [mul_triples(e, e, p) for e in a]
     for k in range(1, len(a) - 1):
-        out[k] = _add(out[k], mul_triples(a[k + 1], a[k - 1], p), p, 1)
-    m = _max_abs_or_one(a)
+        out[k] = add_triples(out[k], mul_triples(a[k + 1], a[k - 1], p), p, 1)
+    m = _max_abs_or_one(a, p)
     sign, man, exp = seq.tolerance  # twice it is (sign, man, exp + 1)
-    tol = _add(mul_triples((sign, man, exp + 1), m, _TOL_BITS), _default_tolerance(m), _TOL_BITS)
+    tol = add_triples(mul_triples((sign, man, exp + 1), m, p), _default_tolerance(m, p), p)
     return RealSequence(tuple(out), tol, p)
 
 
@@ -150,7 +112,7 @@ def log_concavity_order(seq: RealSequence, max_order: int) -> int:
     for i in range(max_order + 1):
         sign, man, exp = cur.tolerance
         least = (sign ^ 1, man, exp)  # -tolerance
-        if not all(_cmp(e, least) >= 0 for e in cur.entries):
+        if not all(cmp_triples(e, least) >= 0 for e in cur.entries):
             return i - 1
         if i < max_order:
             cur = l_operator(cur)
@@ -177,9 +139,9 @@ def is_log_concave(seq: RealSequence, strict: bool = False) -> bool:
     """
     a, tol, p = seq.entries, seq.tolerance, seq.precision_bits
     least = 1 if strict else 0
-    return all(_cmp(mul_triples(a[k], a[k], p),
-                    _add(mul_triples(a[k - 1], a[k + 1], p), tol, p, 1 - least)) >= least
-               for k in range(1, len(a) - 1))
+    return all(cmp_triples(mul_triples(a[k], a[k], p),
+                           add_triples(mul_triples(a[k - 1], a[k + 1], p), tol, p, 1 - least))
+               >= least for k in range(1, len(a) - 1))
 
 
 class RootednessVerdict(NamedTuple):

@@ -218,18 +218,17 @@ def mpf_entries(seq: RealSequence) -> list:
 
 
 def mpf_tolerance(seq: RealSequence):
-    """A sequence's tolerance as an mpf number at 128 bits."""
-    return mp_context(DEFAULT_PRECISION_BITS).make_mpf(raw(seq.tolerance))
+    """A sequence's tolerance as an mpf number at its precision p."""
+    return mp_context(seq.precision_bits).make_mpf(raw(seq.tolerance))
 
 
-# qslab.seqanalysis as it stood on mpf numbers, before its entries became
+# qslab.seqanalysis on mpf numbers, as it stood before its entries became
 # p-bit triples: the port must give the same entries, tolerances, iterates
 # and verdicts, bit for bit.  Each operation rounds in the context of its
-# left operand, so tolerances, formed in the fixed 128-bit context, stay at
-# 128 bits, and entries at their own context's precision.
+# left operand, and the tolerance is formed in the entries' context, so
+# everything rounds at the entries' precision.
 
 _MP = mp_context(DEFAULT_PRECISION_BITS)
-_EPS_BASE = _MP.mpf(2) ** -64
 
 
 class MpfSequence(NamedTuple):
@@ -237,11 +236,13 @@ class MpfSequence(NamedTuple):
     tolerance: object
 
 
+def _mpf_max_abs_or_one(entries):
+    return max(max(abs(e) for e in entries), entries[0].context.mpf(1))
+
+
 def mpf_default_tolerance(entries):
-    m = max((abs(e) for e in entries), default=_MP.mpf(0))
-    if m < 1:
-        m = _MP.mpf(1)
-    return _EPS_BASE * m * m
+    m = _mpf_max_abs_or_one(entries)
+    return m.context.mpf(2) ** -64 * m * m
 
 
 def mpf_make_sequence(values) -> MpfSequence:
@@ -257,10 +258,8 @@ def mpf_l_operator(seq: MpfSequence) -> MpfSequence:
         left = a[k - 1] if k - 1 >= 0 else 0
         right = a[k + 1] if k + 1 < n else 0
         out.append(a[k] * a[k] - right * left)
-    m = max(abs(e) for e in a)
-    if m < 1:
-        m = _MP.mpf(1)
-    return MpfSequence(tuple(out), 2 * seq.tolerance * m + mpf_default_tolerance(a))
+    tol = 2 * seq.tolerance * _mpf_max_abs_or_one(a) + mpf_default_tolerance(a)
+    return MpfSequence(tuple(out), tol)
 
 
 def mpf_log_concavity_order(seq: MpfSequence, max_order: int) -> int:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -624,6 +625,76 @@ def test_triple_arithmetic_matches_libmp(case):
         assert is_tie(mpf_mul(x, y)) and mul_triples(a, b, p)[1] == 1 << p - 1
     if kind == "cancel":
         assert add_triples(a, b, p, 1) == ZERO
+
+
+def _exact(t):
+    sign, man, exp = t
+    return Fraction(-man if sign else man) * Fraction(2) ** exp
+
+
+def _rounded_once(x: Fraction, p: int) -> tuple:
+    """x rounded to nearest at p bits, ties to even, as a p-bit triple."""
+    if not x:
+        return ZERO
+    sign, x = int(x < 0), abs(x)
+    e = x.numerator.bit_length() - x.denominator.bit_length() - p
+    while x >= Fraction(2) ** (e + p):
+        e += 1
+    while x < Fraction(2) ** (e + p - 1):
+        e -= 1
+    man = round(x / Fraction(2) ** e)  # Fraction rounds half to even
+    return (sign, man >> 1, e + 1) if man >> p else (sign, man, e)
+
+
+@st.composite
+def _fraction_cases(draw):
+    """(p, a, b): p-bit triples of one p in {64, 97, 128, 256, 512}, their
+    exponents up to 2 200 apart either way.  "gap" puts b at an exponent
+    gap of p - 1 to p + 3 below a, about the p + 1 past which a sum is a,
+    or at any gap; "zero" zeroes one or both; "near" makes b +-a, give or
+    take a unit in its last place; "tie" sets b's low bits so that a + b
+    is an exact tie at p bits, or a unit of b off one."""
+    p = draw(st.sampled_from([64, 97, 128, 256, 512]))
+    lo, hi = 1 << p - 1, 1 << p
+    kind = draw(st.sampled_from(["gap", "zero", "near", "tie"]))
+    rng = draw(st.randoms(use_true_random=False))
+
+    def mantissa():  # uniform, or one at the ends of the binade
+        return rng.choice([lo, lo + 1, hi - 1, rng.randrange(lo, hi)])
+
+    sa, sb, ea = rng.getrandbits(1), rng.getrandbits(1), rng.randint(-600, 600)
+    a = (sa, mantissa(), ea)
+    gap = rng.choice([p - 1, p, p + 1, p + 2, p + 3, rng.randint(-2200, 2200)])
+    b = (sb, mantissa(), ea - gap)
+    if kind == "zero":
+        a, b = rng.choice([(ZERO, b), (a, ZERO), (ZERO, ZERO)])
+    elif kind == "near":
+        b = (sb, min(max(a[1] + rng.choice([-1, 0, 1]), lo), hi - 1), ea)
+    elif kind == "tie":
+        g = rng.randint(0, p + 1)
+        mb = mantissa()
+        total = (a[1] << g) + (mb if sa == sb else -mb)
+        d = abs(total).bit_length() - p  # the bits a + b drops at p bits
+        step = (1 << d - 1) - abs(total) % (1 << d) if d > 0 else 0
+        mb += step if sa == sb or total < 0 else -step
+        assume(d > 0 and lo <= mb < hi)
+        b = (sb, mb + rng.choice([0, 0, 1, -1]) if lo < mb < hi - 1 else mb, ea - g)
+    if rng.getrandbits(1):
+        a, b = b, a
+    return p, a, b
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@given(_fraction_cases())
+def test_add_and_cmp_triples_are_exact_then_rounded_once(case):
+    # add_triples is the exact sum (difference) rounded once to nearest at p
+    # bits, ties to even, and cmp_triples the exact comparison, whatever the
+    # exponent gap
+    p, a, b = case
+    x, y = _exact(a), _exact(b)
+    assert cmp_triples(a, b) == (x > y) - (x < y)
+    assert add_triples(a, b, p) == _rounded_once(x + y, p)
+    assert add_triples(a, b, p, 1) == _rounded_once(x - y, p)
 
 
 @st.composite

@@ -1014,7 +1014,8 @@ def test_positivity_window_entries_only_at_window_nodes(e7, e8):
 
 
 # Each check bound set so that every check reading it must fail: a tolerance
-# below every deviation, a margin above every value.  At E7 L6 every check
+# below every deviation, a margin above every value (1e300, above every cell
+# and ratio of E7 L6, and finite, as every margin is).  At E7 L6 every check
 # passes with the bounds as they are, and the Kleber tables and the
 # positivity-window nodes 4 and 5 give each kind of check an entry.
 @pytest.mark.parametrize("bound,value,failing", [
@@ -1023,8 +1024,8 @@ def test_positivity_window_entries_only_at_window_nodes(e7, e8):
     ("FULL_GRID_RESIDUAL_TOL", -1.0, {"grid_residual"}),
     ("REL_GAP_TOL", -1.0, {"symmetry", "boundary_one", "periodicity", "shifted_boundary_sign",
                            "kleber_cross_check", "two_path_agreement"}),
-    ("POSITIVITY_MARGIN", math.inf, {"positivity", "positivity_window", "unimodality"}),
-    ("DILOG_MARGIN", math.inf, {"dilog_args"}),
+    ("POSITIVITY_MARGIN", 1e300, {"positivity", "positivity_window", "unimodality"}),
+    ("DILOG_MARGIN", 1e300, {"dilog_args"}),
 ])
 def test_each_bound_governs_one_kind_of_check(monkeypatch, bound, value, failing):
     if bound is not None:
@@ -1034,21 +1035,20 @@ def test_each_bound_governs_one_kind_of_check(monkeypatch, bound, value, failing
 
 
 def test_theorem_labels_come_from_the_table_by_name(e7, monkeypatch):
-    # every property gets its own node set, periodicity one that splits the
-    # closed-form rows 1, 2 and 7
-    proven = {"zero_window": {1, 2}, "symmetry": {2, 3}, "positivity": {3, 4, 6},
-              "unimodality": {4, 5}, "periodicity": {1, 5}, "boundary_one": {6, 7}}
+    # every property gets its own node set; periodicity and
+    # shifted_boundary_sign split the closed-form rows 1, 2 and 7, and
+    # positivity_window the window nodes 4 and 5
+    proven = {"zero_window": {1, 2}, "symmetry": {2, 3}, "positivity": {3, 6},
+              "unimodality": {4, 5}, "periodicity": {1, 5}, "boundary_one": {6, 7},
+              "positivity_window": {4}, "shifted_boundary_sign": {2}}
     monkeypatch.setitem(TYPE_DATA, "E7", TYPE_DATA["E7"]._replace(proven_nodes=proven))
     ctx = LevelContext(e7, 6)
     checks = theorem_report(ctx, build_qgrid(ctx))
     by_name = {}
     for c in checks:
         by_name.setdefault(c.name, set()).add(c.proven)
-        if c.name in ("positivity_window", "shifted_boundary_sign"):
-            assert c.proven, (c.name, c.node)
-        else:
-            assert c.proven == (c.node in proven[c.name]), (c.name, c.node)
-    assert set(by_name) == set(proven) | {"positivity_window", "shifted_boundary_sign"}
+        assert c.proven == (c.node in proven[c.name]), (c.name, c.node)
+    assert set(by_name) == set(proven)
     assert all(by_name[name] == {True, False} for name in proven), by_name
 
 

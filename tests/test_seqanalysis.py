@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 import mpmath
 import pytest
@@ -16,8 +15,6 @@ from qslab.rootsys import type_data
 from qslab.seqanalysis import (
     RealSequence,
     RootednessVerdict,
-    _add,
-    _cmp,
     _newton_violation,
     _sturm_verdict,
     branden_criterion,
@@ -383,88 +380,31 @@ def test_sequence_validation():
         log_concavity_order(make_sequence([1.0]), -1)
 
 
-def _exact(t):
-    sign, man, exp = t
-    return Fraction(-man if sign else man) * Fraction(2) ** exp
-
-
-def _rounded_once(x: Fraction, p: int) -> tuple:
-    """x rounded to nearest at p bits, ties to even, as a p-bit triple."""
-    if not x:
-        return (0, 0, 0)
-    sign, x = int(x < 0), abs(x)
-    e = x.numerator.bit_length() - x.denominator.bit_length() - p
-    while x >= Fraction(2) ** (e + p):
-        e += 1
-    while x < Fraction(2) ** (e + p - 1):
-        e -= 1
-    man = round(x / Fraction(2) ** e)  # Fraction rounds half to even
-    return (sign, man >> 1, e + 1) if man >> p else (sign, man, e)
-
-
-_WIDTHS = st.integers(64, 512)
-
-
-@st.composite
-def _operands(draw):
-    """Two triples and a precision p, of widths 64 to 512 bits, their
-    exponents up to 2 200 apart.  b is drawn freely, or zero, or a at another
-    width with either sign, give or take a unit in its last place (a tie or
-    a near tie for the comparison, a cancellation for the sum), or chosen so
-    that a + b is a tie at p bits or lies just past one."""
-    def triple(width, exp):
-        return (draw(st.integers(0, 1)), draw(st.integers(1 << width - 1, (1 << width) - 1)), exp)
-
-    wa, p = draw(_WIDTHS), draw(_WIDTHS)
-    a = triple(wa, draw(st.integers(-600, 600)))
-    kind = draw(st.sampled_from(["free", "zero", "same", "tie"]))
-    if kind == "free":
-        b = triple(draw(_WIDTHS), a[2] + draw(st.integers(-2200, 2200)))
-    elif kind == "zero":
-        b = (0, 0, 0)
-    elif kind == "same":
-        shift = draw(st.integers(0, 448))
-        b = (draw(st.integers(0, 1)), (a[1] << shift) + draw(st.sampled_from([0, 1, -1])),
-             a[2] - shift)
-    else:
-        # the sum (2m + 1) 2^(e - 1), m p bits wide, or that plus or minus
-        # 2^low, low at most e - 1 - j
-        _, m, e = triple(p, a[2] + wa - p + draw(st.integers(-2200, 2200)))
-        j = draw(st.one_of(st.none(), st.integers(1, 600)))
-        low = min(a[2], e - 1 - (j or 0))
-        total = (2 * m + 1) << e - 1 - low
-        if j is not None:
-            total += draw(st.sampled_from([1, -1]))
-        total -= (-a[1] if a[0] else a[1]) << a[2] - low
-        b = (int(total < 0), abs(total), low)
-    if draw(st.booleans()):
-        a, b = b, a
-    return a, b, p
-
-
-@settings(max_examples=400, deadline=None)
-@given(_operands())
-def test_add_and_cmp_are_exact_then_rounded_once(case):
-    a, b, p = case
-    x, y = _exact(a), _exact(b)
-    assert _cmp(a, b) == (x > y) - (x < y)
-    assert _add(a, b, p) == _rounded_once(x + y, p)
-    assert _add(a, b, p, 1) == _rounded_once(x - y, p)
-
-
-def test_far_apart_operands_align_within_their_widths():
-    # exponents 2^40 apart, or a zero at exponent 0 beside a 2^40 one: aligned
-    # exactly, each would take a 2^40-bit integer
-    big, tiny, far = (0, 1 << 127, 0), (1, 1, -(1 << 40)), (0, 1 << 127, 1 << 40)
-    assert _cmp(tiny, big) == -1 and _cmp(big, tiny) == 1 and _cmp(far, (1, 0, 0)) == 1
-    assert _add(big, tiny, 128) == _add(tiny, big, 128) == _add(big, tiny, 128, 1) == big
-    assert _add((0, 0, 0), far, 128) == _add(far, (0, 0, 0), 128, 1) == far
-    # a tie at 128 bits, which only a zero leaves to round to even
-    tie = (0, (1 << 128) + 1, 0)
-    assert _add(tie, (0, 0, 0), 128) == _add(tie, tiny, 128) == (0, 1 << 127, 1)
-    assert _add(tie, tiny, 128, 1) == (0, (1 << 127) + 1, 1)
-    # each L-iterate doubles the exponent spread; order 60 spans about 2^70 bits
+def test_far_apart_entries_cost_no_more():
+    # each L-iterate doubles the exponent spread, and order 60 spans about
+    # 2^70 bits: a p-bit sum of operands more than p + 1 binades apart is
+    # the larger one, without aligning them
     assert log_concavity_order(make_sequence(["1e-300", 1, "1e-300"]), 60) == 60
+
+
+def test_wider_triples_are_rounded_to_the_sequence_precision(e7):
+    # a RealSequence given 256-bit triples at p = 128 holds them rounded to
+    # 128 bits, and decides as make_sequence does on the same triples
+    wide = [make_sequence(alcove_line(7, LevelContext(e7, level, 256)), 256)
+            for level in range(1, 15)]
+    wide += [make_sequence(alcove_line(node, LevelContext(e7, 28, 256)), 256) for node in (4, 5)]
+    wide += [make_sequence(values, 256) for values in ([1, 1, 2], [1, 3, 9.5, 27], ["1e-30", 1])]
+    verdicts = set()
+    for w in wide:
+        seq, ref = RealSequence(w.entries, w.tolerance, 128), make_sequence(w.entries)
+        assert seq.entries == ref.entries
+        assert seq.tolerance[1].bit_length() == 128
+        verdict = (is_log_concave(seq), is_log_concave(seq, True), log_concavity_order(seq, 8),
+                   branden_criterion(seq))
+        assert verdict == (is_log_concave(ref), is_log_concave(ref, True),
+                           log_concavity_order(ref, 8), branden_criterion(ref))
+        verdicts.add(verdict)
+    assert len(verdicts) >= 4, verdicts
 
 
 def _assert_port_matches_oracle(seq, oracle, max_order=6):

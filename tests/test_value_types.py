@@ -201,6 +201,16 @@ def test_run_config_looks_up_its_type_label_without_k_max():
     assert RunConfig("e7", 2).type_label == "E7"
 
 
+def test_run_config_checks_its_label_as_build_root_system_does():
+    # one rule: anything but a string is a TypeError naming the E types, and
+    # a string outside them a ValueError
+    for label in (None, 7):
+        with pytest.raises(TypeError, match="E6, E7 or E8"):
+            RunConfig(label, 2)
+    with pytest.raises(ValueError, match="unknown type label 'F4'"):
+        RunConfig("F4", 2)
+
+
 @pytest.mark.parametrize("args,key,stored", [(("e6", 2), "type", "E6"),
                                              (("E6", True), "level", 1)])
 def test_run_config_stores_the_values_it_checked(args, key, stored):
