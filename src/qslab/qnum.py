@@ -10,17 +10,17 @@ The sine table, the kernel's partial products and ``QReal`` hold p-bit
 triples (sign, mantissa exactly p bits wide, exponent), or ``ZERO``, at
 the context's precision p.  Each operation rounds as the libmp call it
 stands for, to nearest with ties to even, so the bits are those of mpf
-arithmetic; libmp's normal form is made only where a value is read out.
+arithmetic, without libmp's normal form.
 
 The sine table is qnum's own: ``sinpi_triple`` rounds sin(pi*k/l) correctly
 to nearest from an integer Taylor series, with pi from Machin's formula
 (``pi_fixed``) and Ziv's rounding test.  ``log_fixed`` gives the
 logarithms of the dilogarithm sum in fixed point, and ``render_decimal``
 writes every number qslab prints, a triple as one correctly rounded decimal
-division.  mpmath is imported in ``mp_context`` alone, inside the call: by
-the mpf read-outs (``QReal.value`` and ``magnitude_scale``,
-``LevelContext.mp``) and by ``seqanalysis`` to parse a sequence entry that
-is not already a number, as ``logconcave --seq`` does.
+division, and ``triple_fraction`` hands a triple out as the exact
+``fractions.Fraction`` it stands for (``QReal.value`` and
+``magnitude_scale``).  No command imports mpmath: ``mp_context`` imports it
+inside the call, for ``LevelContext.mp`` alone.
 """
 
 from __future__ import annotations
@@ -145,14 +145,14 @@ def triple_float(t: tuple) -> float:
         return -math.inf if sign else math.inf
 
 
-def raw_mpf(t: tuple) -> tuple:
-    """The libmp normal form (raw ``_mpf_`` tuple) of a p-bit triple: odd
-    mantissa, bit count."""
+def triple_fraction(t: tuple):
+    """A triple (sign, mantissa, exponent) as the exact ``fractions.Fraction``
+    (-1)**sign * mantissa * 2**exponent."""
+    from fractions import Fraction
+
     sign, man, exp = t
-    if not man:
-        return 0, 0, 0, 0
-    tz = (man & -man).bit_length() - 1
-    return sign, man >> tz, exp + tz, man.bit_length() - tz
+    num = -man if sign else man
+    return Fraction(num << exp) if exp >= 0 else Fraction(num, 1 << -exp)
 
 
 _SPECIAL = {FNAN: "nan", FINF: "inf", FNINF: "-inf"}
@@ -343,11 +343,10 @@ class QReal:
     ``magnitude_scale`` bounds the largest intermediate magnitude that went
     into the value (never below max(1, |value|)); ``build_qgrid``'s
     ``is_clear_of_zero`` guard and ``theorem_report``'s relative gaps read
-    it.  Both are held as p-bit triples at
-    the precision ``p``; the operators round as the libmp calls of the mpf
-    operators do, in the same order, to the same bits.  ``value`` and
-    ``magnitude_scale`` read them as mpf numbers of ``mp_context(p)``;
-    ``_v`` and ``_s`` are the triples themselves.
+    it.  Both are held as p-bit triples at the precision ``p``; the
+    operators round as the libmp calls of the mpf operators do, in the same
+    order, to the same bits.  ``value`` and ``magnitude_scale`` read them as
+    exact ``Fraction``s; ``_v`` and ``_s`` are the triples themselves.
     """
 
     __slots__ = ("_v", "_s", "_p")
@@ -355,8 +354,8 @@ class QReal:
     def __init__(self, value: tuple, scale: tuple, p: int):
         self._v, self._s, self._p = value, scale, p
 
-    value = property(lambda self: mp_context(self._p).make_mpf(raw_mpf(self._v)))
-    magnitude_scale = property(lambda self: mp_context(self._p).make_mpf(raw_mpf(self._s)))
+    value = property(lambda self: triple_fraction(self._v))
+    magnitude_scale = property(lambda self: triple_fraction(self._s))
 
     # Both scales are at least 1 and at least |value|, and rounding to
     # nearest is monotone, so the rounded scale sum already bounds the
@@ -400,15 +399,10 @@ class QReal:
 
 @functools.cache
 def mp_context(precision_bits: int):
-    """The one mpmath context at this precision, made on first use; the
-    read-outs that hand out mpf numbers import mpmath here, and the one
-    command path that reaches it is ``logconcave --seq``, which parses its
-    entries here.
-
-    Every LevelContext and QGrid at the same precision shares it.  No code
-    writes its ``prec`` (or any other attribute) after it is made, so
-    nothing leaks from one run into the next.
-    """
+    """The one mpmath context at this precision, made on first use: qslab's
+    one import of mpmath, for ``LevelContext.mp`` alone, which stays because
+    perfbench/tracing.py's solve hook reads it (ROADMAP item 1b).  No code
+    writes its ``prec`` after it is made, so nothing leaks between runs."""
     from mpmath.ctx_mp import MPContext
 
     mp = MPContext()

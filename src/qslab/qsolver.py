@@ -15,11 +15,11 @@ nearest with ties to even, as the mpmath.libmp call of the mpf operator it
 stands for, in the same order, so the bits are those of mpf arithmetic
 without libmp's normalization.  A ``QGrid`` holds triples, and so do the
 residual, the dilogarithm arguments, margin and sum and every check's
-violation.  Nothing here imports mpmath: ``QGrid.cell`` (the one place that
-hands out a cell as an mpf) does so inside the call, the notes and the
-solver's divergence message write their numbers by ``qnum.render_decimal``,
-as the report writes its cells, and the logarithms, pi and Bernoulli
-numbers of the dilogarithm sum are computed on integers.
+violation.  Nothing here imports mpmath: ``QGrid.cell`` hands out a cell as
+an exact ``fractions.Fraction``, the notes and the solver's divergence
+message write their numbers by ``qnum.render_decimal``, as the report writes
+its cells, and the logarithms, pi and Bernoulli numbers of the dilogarithm
+sum are computed on integers.
 ``dilog_sum`` alone leaves the mpf operators' order: it sums Rogers'
 dilogarithms (``_rogers``) in one fixed-point integer and rounds once.  Every
 tolerance or margin decision, here and in the grid, solve and dilog groups
@@ -53,8 +53,8 @@ from typing import NamedTuple, Sequence
 
 from .krchar import chari_qdim
 from .qnum import (FINF, TRIPLE_ORDER, ZERO, LevelContext, QReal, abs_triple, add_triples,
-                   cmp_triples, div_triples, float_triple, log_fixed, mp_context, mul_triples,
-                   one_triple, pi_fixed, raw_mpf, render_decimal, round_triple, triple_float)
+                   cmp_triples, div_triples, float_triple, log_fixed, mul_triples, one_triple,
+                   pi_fixed, render_decimal, round_triple, triple_float, triple_fraction)
 from .rootsys import RootSystem, TypeData, delta, is_proven, type_data
 
 # The certification checks' bounds (at the default precision or above), one
@@ -103,8 +103,7 @@ class QGrid:
     per-cell provenance and the residual ``residual_max``, a triple too;
     ``scales`` holds a KR-built grid's magnitude scales as triples, indexed
     like ``rows``, and is None on a solved grid.  ``cell`` reads a cell as
-    an mpf number of ``mp``, the shared mpmath context of precision p, which
-    is made only when read."""
+    an exact ``Fraction``."""
 
     __slots__ = ("root_system", "level", "k_max", "rows", "precision_bits", "provenance",
                  "residual_max", "unresolved", "scales")
@@ -119,20 +118,18 @@ class QGrid:
         self.residual_max = residual_max
         self.unresolved, self.scales = [] if unresolved is None else unresolved, scales
 
-    mp = property(lambda self: mp_context(self.precision_bits))
-
     def __eq__(self, other):
         return type(other) is QGrid and all(
             getattr(self, f) == getattr(other, f) for f in self.__slots__)
 
     def cell(self, node: int, k: int):
-        """Q_k(node) as an mpf number, None when unresolved; IndexError when
-        the node is outside 1..rank or k outside 0..k_max."""
+        """Q_k(node) as an exact ``Fraction``, None when unresolved;
+        IndexError when the node is outside 1..rank or k outside 0..k_max."""
         if not (1 <= node <= len(self.rows) and 0 <= k <= self.k_max):
             raise IndexError(f"no cell (node {node}, k={k}) in a grid of nodes "
                              f"1..{len(self.rows)} and k = 0..{self.k_max}")
         c = self.rows[node - 1][k]
-        return None if c is None else self.mp.make_mpf(raw_mpf(c))
+        return None if c is None else triple_fraction(c)
 
 
 def _neighbor_rows(rs: RootSystem) -> list[list[int]]:

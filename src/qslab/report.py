@@ -202,34 +202,13 @@ def sign_identity_trials(ctx: LevelContext, trials: int = 4) -> int:
                for g in range(ctx.root_system.rank + 1))
 
 
-E7_WORD = (0, 1, 3, 4, 5, 6, 7, 6, 5, 4, 3, 1, 0)
-# The E8 element sigma = t_{l beta} s_beta, beta = (2,2,3,4,3,2,1,0), as the
-# affine reflection w s_0 w^-1: w = s8 s7 s6 s5 s4 s2 s3 s4 s5 s6 s7 s8 takes
-# theta to beta.
-E8_SIGMA = (8, 7, 6, 5, 4, 2, 3, 4, 5, 6, 7, 8, 0, 8, 7, 6, 5, 4, 3, 2, 4, 5, 6, 7, 8)
-
-# The distinguished affine elements of each type on the weights x w_a + y w_b
-# (E6: k w_2 alone): the 0-based coordinates of a and b, the format of a
-# sample point, and per element its name, its word (of parity -1) and the
-# closed form of the image's a and b coordinates at level L, affine in (x, y);
-# the image's other coordinates are 0.
-_FIXED_WORDS = {
-    "E6": ((1,), "{}w2", (("s0", (0,), lambda L, k: (L + 1 - k,)),)),
-    "E7": ((1, 6), "({}w2+{}w7)",
-           (("w", E7_WORD, lambda L, p, q: (L - p + 7, 2 * p + q - L - 7)),)),
-    "E8": ((0, 7), "({}w1+{}w8)",
-           (("s0", (0,), lambda L, s, r: (s, L + 1 - 2 * s - r)),
-            ("sigma", E8_SIGMA, lambda L, s, r: (L + 13 - s, 2 * s + r - L - 13)))),
-}
-
-
 def fixed_word_image_check(ctx: LevelContext) -> CheckResult:
     """Exact integer closed forms for the distinguished affine elements: each
     element's ``word_map`` has parity -1 and agrees with its closed form at 0
     and at the unit steps, so on the whole family, both being affine.  A
     failure names the first sample points the map gets wrong."""
     rs, level = ctx.root_system, ctx.level
-    coords, at, words = _FIXED_WORDS[rs.type_label]
+    coords, at, words = rootsys.type_data(rs.type_label).fixed_words
     points = ([(k,) for k in range(-3, level + 5)] if len(coords) == 1
               else [(x, y) for x in range(-2, 7) for y in range(-2, 7)])
     steps = [tuple(int(i == j) for j in range(len(coords))) for i in range(-1, len(coords))]

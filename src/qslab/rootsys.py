@@ -69,6 +69,10 @@ class TypeData(NamedTuple):
     branden_level: int | None
     #: Whether the dilogarithm arguments lying in (0, 1) is a theorem.
     dilog_proven: bool
+    #: The distinguished affine elements on x w_a + y w_b (E6: k w_2): a's and
+    #: b's 0-based coordinates, a sample point's format, and per element its
+    #: name, its word (parity -1) and its image's a, b coordinates at level L.
+    fixed_words: tuple
 
 
 TYPE_DATA = {
@@ -95,6 +99,7 @@ TYPE_DATA = {
         branden_node=None,
         branden_level=None,
         dilog_proven=True,
+        fixed_words=((1,), "{}w2", (("s0", (0,), lambda L, k: (L + 1 - k,)),)),
     ),
     "E7": TypeData(
         edges=((1, 3), (3, 4), (4, 5), (5, 6), (6, 7), (2, 4)),
@@ -138,6 +143,8 @@ TYPE_DATA = {
         branden_node=7,
         branden_level=12,
         dilog_proven=False,
+        fixed_words=((1, 6), "({}w2+{}w7)", (("w", (0, 1, 3, 4, 5, 6, 7, 6, 5, 4, 3, 1, 0),
+                                               lambda L, p, q: (L - p + 7, 2 * p + q - L - 7)),)),
     ),
     "E8": TypeData(
         edges=((1, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8), (2, 4)),
@@ -166,6 +173,12 @@ TYPE_DATA = {
         branden_node=None,
         branden_level=None,
         dilog_proven=False,
+        # sigma = t_{l beta} s_beta, beta = (2,2,3,4,3,2,1,0), is w s_0 w^-1:
+        # w = s8 s7 s6 s5 s4 s2 s3 s4 s5 s6 s7 s8 takes theta to beta.
+        fixed_words=((0, 7), "({}w1+{}w8)", (
+            ("s0", (0,), lambda L, s, r: (s, L + 1 - 2 * s - r)),
+            ("sigma", (8, 7, 6, 5, 4, 2, 3, 4, 5, 6, 7, 8, 0, 8, 7, 6, 5, 4, 3, 2, 4, 5, 6, 7, 8),
+             lambda L, s, r: (L + 13 - s, 2 * s + r - L - 13)))),
     ),
 }
 

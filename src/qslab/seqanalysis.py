@@ -8,7 +8,9 @@ real negative roots (a sufficient condition for infinite log-concavity).
 A sequence holds its entries and its tolerance as p-bit triples
 (``qslab.qnum``) at its precision p, and computes on them with qnum's
 helpers: products and sums round to nearest at p bits, ties to even, as the
-mpf operators do, and comparisons are exact.
+mpf operators do, and comparisons are exact.  An entry given as text, such
+as a ``logconcave --seq`` number, is a decimal literal or a/b of two ints,
+parsed exactly (with ``decimal``) and rounded once to p bits.
 
 The rootedness verdict reads the entries exactly as the coefficients of an
 integer polynomial.  A failed Newton inequality on them proves a non-real
@@ -19,10 +21,11 @@ of the real and the positive roots decides.
 from __future__ import annotations
 
 import math
+from decimal import Decimal
 from typing import NamedTuple, Sequence
 
 from .qnum import (DEFAULT_PRECISION_BITS, TRIPLE_ORDER, abs_triple, add_triples, cmp_triples,
-                   mp_context, mul_triples, one_triple, round_triple)
+                   mul_triples, one_triple, round_triple)
 
 
 def _max_abs_or_one(entries, p: int) -> tuple:
@@ -64,19 +67,40 @@ def _default_tolerance(m: tuple, p: int) -> tuple:
 
 
 def _entry(value, p: int) -> tuple:
-    """A sequence entry as a p-bit triple: a triple rounded to nearest, an
-    mpf number's raw value too, and anything else, such as an int, a float
-    or a string, parsed from ``str`` by mpmath at p bits, which only such
-    values import."""
-    if isinstance(value, tuple):
-        return round_triple(*value[:3], p)
-    raw = getattr(value, "_mpf_", None)
-    if raw is None:
-        raw = mp_context(p).mpf(str(value))._mpf_
-    sign, man, exp = raw[:3]
-    if not man and exp:
-        raise ValueError("entries must be finite")
-    return round_triple(sign, man, exp, p)
+    """A sequence entry as a p-bit triple: a triple or an mpf number's raw
+    value rounded to nearest; else the ``str`` of an int, a float, a
+    ``Fraction`` or text, a decimal literal or a/b of two ints, its exact
+    value rounded once through a sticky bit.  A parsed entry must be 0 or
+    in the double range, as the Sturm chain of ``branden_criterion`` costs
+    more the wider the exponents spread.  Infinities and nans are refused."""
+    raw = value if isinstance(value, tuple) else getattr(value, "_mpf_", None)
+    if raw is not None:
+        sign, man, exp = raw[:3]
+        if not man and exp:
+            raise ValueError("entries must be finite")
+        return round_triple(sign, man, exp, p)
+    text = str(value)
+    outside = f"{text} is outside the double range [2^-1074, 2^1024)"
+    num, slash, den = text.partition("/")
+    if slash:
+        num, den = int(num), int(den)
+        if not den:
+            raise ValueError(f"{text}: division by zero")
+    else:
+        float(text)  # the float syntax, and its ValueError for anything else
+        d = Decimal(text)
+        if not d.is_finite():
+            raise ValueError("entries must be finite")
+        if d and abs(d.adjusted()) > 400:  # refused before any integer is formed
+            raise ValueError(outside)
+        num, den = d.as_integer_ratio()
+    sign, num, den = (num < 0) ^ (den < 0), abs(num), abs(den)
+    shift = p + 2 - num.bit_length() + den.bit_length()
+    q, r = divmod(num << shift, den) if shift >= 0 else divmod(num, den << -shift)
+    t = round_triple(sign, q << 1 | (r > 0), -shift - 1, p)
+    if t[1] and not -1073 <= t[2] + p <= 1024:
+        raise ValueError(outside)
+    return t
 
 
 def make_sequence(values: Sequence, precision_bits: int = DEFAULT_PRECISION_BITS) -> RealSequence:

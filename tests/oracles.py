@@ -7,6 +7,7 @@ path that a qslab command runs, so a test can compare the two.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
 from mpmath.libmp import (fone, from_man_exp, mpf_abs, mpf_gt, mpf_log, mpf_lt, mpf_mul,
@@ -25,11 +26,11 @@ from qslab.seqanalysis import (RealSequence, RootednessVerdict, _newton_violatio
 
 
 def zero_tolerance(ctx):
-    """2^-(p//2) as an mpf number at the context's precision p: how far
+    """2^-(p//2) as an exact Fraction, p the context's precision: how far
     clear of zero, relative to its scale, the grid's divisor guard wants a
     value (``QReal.is_clear_of_zero(p // 2)``), and the tests' tolerance
     for values that agree up to rounding."""
-    return ctx.mp.ldexp(1, -(ctx.precision_bits // 2))
+    return Fraction(1, 1 << ctx.precision_bits // 2)
 
 
 def si_dot(rs, node: int, weight: Sequence[int]) -> tuple[int, ...]:
@@ -401,7 +402,7 @@ def build_qgrid(ctx: LevelContext, k_max: int | None = None) -> QGrid:
         raise ValueError("k_max is capped at 4l")
 
     prec, rnd = ctx.precision_bits, round_nearest
-    zero_tol = zero_tolerance(ctx)._mpf_
+    zero_tol = from_man_exp(1, -(ctx.precision_bits // 2))
     direct = set(td.direct_nodes)
     routes = dict(td.derived_routes)
     cells: dict[tuple[int, int], QReal | None] = {}
@@ -441,8 +442,8 @@ def build_qgrid(ctx: LevelContext, k_max: int | None = None) -> QGrid:
                 if div is None:
                     out, tag = num, "subtraction"
                     break
-                if mpf_gt(mpf_abs(div.value._mpf_, prec, rnd),
-                          mpf_mul(zero_tol, div.magnitude_scale._mpf_, prec, rnd)):
+                if mpf_gt(mpf_abs(raw(div._v), prec, rnd),
+                          mpf_mul(zero_tol, raw(div._s), prec, rnd)):
                     out, tag = num.div(div), "division"
                     break
             if out is None and in_zero_window(k):
@@ -533,10 +534,28 @@ def triple(x, p):
     return (sign, man << p - bc, exp - (p - bc)) if man else (0, 0, 0)
 
 
+def mpf(mp, x):
+    """A p-bit triple as an mpf number of the context ``mp``; None stays
+    None.  qslab hands a value out as an exact Fraction, which mpmath does
+    not compare with an mpf number, so a test that computes with mpf
+    numbers converts through here."""
+    return None if x is None else mp.make_mpf(raw(x))
+
+
+def mpf_cell(grid, node, k):
+    """``grid.cell(node, k)`` as an mpf number at the grid's precision."""
+    return mpf(mp_context(grid.precision_bits), grid.rows[node - 1][k])
+
+
+def mpf_qreal(ctx, q):
+    """A QReal's value and scale as an MpfQReal of the context's precision."""
+    return MpfQReal(mpf(ctx.mp, q._v), mpf(ctx.mp, q._s))
+
+
 def mpf_table(mp, rows):
     """A table of p-bit triples, such as a grid's ``rows`` or ``scales``,
     as mpf numbers of the context ``mp``; None stays None."""
-    return [[None if c is None else mp.make_mpf(raw(c)) for c in row] for row in rows]
+    return [[mpf(mp, c) for c in row] for row in rows]
 
 
 def neighbor_product(values, neighbors: Sequence[int], k: int):
@@ -568,8 +587,8 @@ def residual(grid):
     """Normalized max violation of the recurrence over fully-present stencils;
     0 when there is none."""
     neighbors = qsolver._neighbor_rows(grid.root_system)
-    values = mpf_table(grid.mp, grid.rows)
-    worst = grid.cell(1, 0) * 0
+    values = mpf_table(mp_context(grid.precision_bits), grid.rows)
+    worst = mpf_cell(grid, 1, 0) * 0
     for i in range(len(neighbors)):
         for k in range(1, grid.k_max):
             d = defect(values, neighbors, i, k)
@@ -593,7 +612,7 @@ def theorem_report(ctx, grid):
         worst = zero
         missing = False
         for k in range(level + 1, l):
-            c = grid.cell(i, k)
+            c = mpf_cell(grid, i, k)
             if c is None:
                 missing = True
                 continue
@@ -607,7 +626,7 @@ def theorem_report(ctx, grid):
         # (ii) symmetry on [0, level]
         worst = zero
         for k in range(0, level + 1):
-            a, b = grid.cell(i, k), grid.cell(i, level - k)
+            a, b = mpf_cell(grid, i, k), mpf_cell(grid, i, level - k)
             if a is None or b is None:
                 worst = ctx.mp.inf
                 break
@@ -620,7 +639,7 @@ def theorem_report(ctx, grid):
         # (iii) positivity on [0, level]
         min_val = None
         for k in range(0, level + 1):
-            c = grid.cell(i, k)
+            c = mpf_cell(grid, i, k)
             val = c if c is not None else ctx.mp.ninf
             if min_val is None or val < min_val:
                 min_val = val
@@ -635,7 +654,7 @@ def theorem_report(ctx, grid):
             ok_w = True
             for k in range(0, level + 1):
                 if proven_positivity_window(rs, i, level, k):
-                    c = grid.cell(i, k)
+                    c = mpf_cell(grid, i, k)
                     val = c if c is not None else ctx.mp.ninf
                     if not val > POSITIVITY_MARGIN:
                         ok_w = False
@@ -645,7 +664,7 @@ def theorem_report(ctx, grid):
         # (iv) strict increase on [0, floor(level/2) - 1]
         worst = zero
         for k in range(0, level // 2):
-            a, b = grid.cell(i, k), grid.cell(i, k + 1)
+            a, b = mpf_cell(grid, i, k), mpf_cell(grid, i, k + 1)
             if a is None or b is None:
                 worst = ctx.mp.inf
                 break
@@ -655,7 +674,7 @@ def theorem_report(ctx, grid):
             is_proven(label, "unimodality", i), max(worst, zero)))
 
         # boundary Q_level = 1
-        c = grid.cell(i, level)
+        c = mpf_cell(grid, i, level)
         if c is None:
             dev = ctx.mp.inf
         else:
@@ -670,14 +689,14 @@ def theorem_report(ctx, grid):
         sign = -1 if delta(rs, i) % 2 else 1
         worst = zero
         for k in range(0, min(level, 3) + 1):
-            a = chari_qdim(i, k, ctx)
-            b = chari_qdim(i, k + l, ctx)
+            a = mpf_qreal(ctx, chari_qdim(i, k, ctx))
+            b = mpf_qreal(ctx, chari_qdim(i, k + l, ctx))
             scale = max(a.magnitude_scale, b.magnitude_scale)
             worst = max(worst, abs(b.value - sign * a.value) / scale)
         checks.append(_mk_check("periodicity", i, worst <= REL_GAP_TOL, True, worst,
                                 note=f"sign {sign:+d}"))
 
-        c = grid.cell(i, l)
+        c = mpf_cell(grid, i, l)
         dev = ctx.mp.inf if c is None else abs(c - sign) / scales[i - 1][l]
         checks.append(_mk_check("shifted_boundary_sign", i, dev <= REL_GAP_TOL, True,
                                 dev, note=f"expected {sign:+d}"))
@@ -688,7 +707,7 @@ def theorem_report(ctx, grid):
 def dilog_args(grid):
     """The ratios prod_{j~i} Q_k(j) / Q_k(i)^2 over the restricted range."""
     neighbors = qsolver._neighbor_rows(grid.root_system)
-    values = mpf_table(grid.mp, grid.rows)
+    values = mpf_table(mp_context(grid.precision_bits), grid.rows)
     ks = range(grid.level + 1)
     for i, row in enumerate(values, 1):
         for k in ks:
@@ -714,14 +733,14 @@ def dilog_args_margin(args: dict[tuple[int, int], object], level: int):
     return worst
 
 
-def rel_gap(mp, a, b):
-    """|a - b| / max(|a|, |b|, 1)."""
-    return abs(a - b) / max(abs(a), abs(b), mp.mpf(1))
+def rel_gap(a, b):
+    """|a - b| / max(|a|, |b|, 1), of two mpf numbers or two Fractions."""
+    return abs(a - b) / max(abs(a), abs(b), 1)
 
 
 def grid_checks(ctx, grid):
     """The checks of qslab.report's grid group, decided with mpf operators."""
-    res = grid.mp.make_mpf(raw(grid.residual_max))
+    res = mp_context(grid.precision_bits).make_mpf(raw(grid.residual_max))
     out = [_mk_check("grid_residual", None, res <= FULL_GRID_RESIDUAL_TOL, True, res,
                      note=f"k_max={grid.k_max}"),
            _mk_check("grid_unresolved", None, not grid.unresolved, True, None,
@@ -731,11 +750,11 @@ def grid_checks(ctx, grid):
         worst = ctx.mp.mpf(0)
         for node in kleber_tables:
             direct = krchar.qdim_kr(krchar.kleber_q1(ctx.root_system, node), ctx)
-            cell = grid.cell(node, 1)
+            cell = mpf_cell(grid, node, 1)
             if cell is None:
                 worst = ctx.mp.inf
                 continue
-            worst = max(worst, rel_gap(ctx.mp, direct.value, cell))
+            worst = max(worst, rel_gap(mpf(ctx.mp, direct._v), cell))
         out.append(_mk_check("kleber_cross_check", None, worst <= REL_GAP_TOL, True, worst))
     return out
 
@@ -752,12 +771,12 @@ def solve_checks(ctx, grid):
     worst = ctx.mp.mpf(0)
     for i in range(1, ctx.root_system.rank + 1):
         for k in range(0, ctx.level + 1):
-            a = grid.cell(i, k)
-            b = solved.cell(i, k)
+            a = mpf_cell(grid, i, k)
+            b = mpf_cell(solved, i, k)
             if a is None:
                 worst = ctx.mp.inf
                 continue
-            worst = max(worst, rel_gap(ctx.mp, a, b))
+            worst = max(worst, rel_gap(a, b))
     out.append(_mk_check("two_path_agreement", None, worst <= REL_GAP_TOL, True, worst))
     return out
 

@@ -13,11 +13,12 @@ from qslab.affweyl import (
 )
 from qslab.krchar import chari_decomposition
 from qslab.qnum import LevelContext, qdim
-from qslab.report import E8_SIGMA
 from qslab.rootsys import fundamental_weight, type_data
 
 from oracles import (MpfQReal, find_root, in_alcove, pairing, reflection_dot, s0_dot,
                      si_dot, sine_fold, translate_by_root, zero_tolerance)
+
+E8_SIGMA = type_data("E8").fixed_words[2][1][1]  # the element "sigma"
 
 
 def qdim_formal(weight, ctx):

@@ -56,9 +56,9 @@ def test_boundary_and_direct_rows(e6):
 def test_e6_node4_subtraction_relation(e6):
     ctx = LevelContext(e6, 2)
     grid = build_qgrid(ctx)
-    q2 = [grid.cell(2, k) for k in range(4)]
+    q2 = [oracles.mpf_cell(grid, 2, k) for k in range(4)]
     expected = q2[1] * q2[1] - q2[0] * q2[2]
-    assert grid.cell(4, 1) == expected
+    assert oracles.mpf_cell(grid, 4, 1) == expected
 
 
 def test_level_one_grid_is_all_ones(rs_map):
@@ -67,7 +67,7 @@ def test_level_one_grid_is_all_ones(rs_map):
         grid = build_qgrid(ctx)
         for i in range(1, rs.rank + 1):
             for k in (0, 1):
-                assert abs(grid.cell(i, k) - 1) < ctx.mp.mpf(10) ** -30
+                assert abs(grid.cell(i, k) - 1) < Fraction(1, 10**30)
 
 
 def test_zero_hypothesis_cells_appear_and_validate(e8):
@@ -76,7 +76,7 @@ def test_zero_hypothesis_cells_appear_and_validate(e8):
     tags = {t for row in grid.provenance for t in row}
     assert "zero_hypothesis" in tags and "division" in tags
     assert not grid.unresolved
-    assert grid.mp.make_mpf(oracles.raw(grid.residual_max)) <= 1e-20
+    assert ctx.mp.make_mpf(oracles.raw(grid.residual_max)) <= 1e-20
 
 
 def test_kleber_against_division_route(e7):
@@ -85,8 +85,7 @@ def test_kleber_against_division_route(e7):
         grid = build_qgrid(ctx)
         for node in (4, 5):
             direct = qdim_kr(kleber_q1(e7, node), ctx)
-            cell = grid.cell(node, 1)
-            assert rel_gap(ctx.mp, direct.value, cell) < 1e-22, (level, node)
+            assert rel_gap(direct.value, grid.cell(node, 1)) < 1e-22, (level, node)
 
 
 def test_grid_kmax_guards(e6):
@@ -111,7 +110,7 @@ def test_grid_past_l_is_antiperiodic(rs_map, label, level):
     for i in range(1, rs.rank + 1):
         sign = -1 if delta(rs, i) % 2 else 1
         for k in range(l + 1):
-            a, b = grid.cell(i, k), grid.cell(i, k + l)
+            a, b = oracles.mpf_cell(grid, i, k), oracles.mpf_cell(grid, i, k + l)
             scale = max(scales[i - 1][k], scales[i - 1][k + l])
             assert abs(b - sign * a) <= REL_GAP_TOL * scale, (i, k)
 
@@ -134,7 +133,7 @@ def test_residual_sanity_all_ones_chain():
 def test_solver_a1_square_root_of_two(a1):
     ctx = LevelContext(a1, 2)
     grid = solve_restricted(ctx)
-    assert abs(grid.cell(1, 1) - ctx.mp.sqrt(2)) < ctx.mp.mpf(10) ** -29
+    assert abs(oracles.mpf_cell(grid, 1, 1) - ctx.mp.sqrt(2)) < ctx.mp.mpf(10) ** -29
     assert grid.cell(1, 0) == 1 and grid.cell(1, 2) == 1
 
 
@@ -160,19 +159,20 @@ def test_solver_residual_is_the_last_stopping_test(rs_map, a1, label, level):
     assert grid.residual_max == residual(grid)
 
 
-def test_grid_rows_are_raw_and_cells_are_mpf(e7):
-    # rows and scales hold p-bit triples; cell() alone hands out mpf numbers
+def test_grid_rows_are_raw_and_cells_are_fractions(e7):
+    # rows and scales hold p-bit triples; cell() hands out each one's exact
+    # value
     ctx = LevelContext(e7, 3)
     built = build_qgrid(ctx)
     solved = solve_restricted(ctx)
     for grid in (built, solved):
-        assert grid.mp is ctx.mp
         assert len(grid.rows) == 7 and all(len(row) == grid.k_max + 1 for row in grid.rows)
         for i, row in enumerate(grid.rows, 1):
             for k, c in enumerate(row):
                 assert type(c) is tuple and len(c) == 3 and c[1].bit_length() in (0, 128)
+                sign, man, exp = c
                 cell = grid.cell(i, k)
-                assert isinstance(cell, ctx.mp.mpf) and cell._mpf_ == oracles.raw(c)
+                assert type(cell) is Fraction and cell == (-1) ** sign * man * Fraction(2) ** exp
     assert len(built.scales) == 7 and all(len(row) == built.k_max + 1 for row in built.scales)
     assert all(type(s) is tuple and s[1].bit_length() == 128 for row in built.scales for s in row)
     assert solved.scales is None
@@ -249,8 +249,8 @@ def test_check_layer_makes_mpf_numbers_only_at_its_edges(monkeypatch, e7):
     # sine table and Chari rows are warm, the grid, the solver, the residual,
     # the dilogarithm functions and every group that reads the grid make no
     # mpf number, the logconcave group included, which hands seqanalysis the
-    # triples of the alcove lines and the adjoint row; only the read-outs
-    # QGrid.cell and QReal.value, which no group calls, make them
+    # triples of the alcove lines and the adjoint row; nor do the read-outs
+    # QGrid.cell and QReal.value, which hand out Fractions
     ctx = LevelContext(e7, 12)
     grid = build_qgrid(ctx)
     verification = report.VerificationReport(report.RunConfig("E7", 12), ctx.shifted_level, [])
@@ -285,16 +285,17 @@ def test_check_layer_makes_mpf_numbers_only_at_its_edges(monkeypatch, e7):
     assert counts == dict.fromkeys(calls, 0)
     made.clear()
     grid.cell(1, 1), qdim_line(7, 1, ctx).value
-    assert len(made) == 2
+    assert made == []
 
 
 @pytest.mark.parametrize("label,level", [("E7", 28), ("E8", 16)])
 def test_grid_scales_bound_their_values(rs_map, label, level):
     # QReal sums and differences add scales without a clamp; every cell's
     # scale must still be at least 1 and at least |value|
-    grid = build_qgrid(LevelContext(rs_map[label], level))
-    for row, scales in zip(oracles.mpf_table(grid.mp, grid.rows),
-                           oracles.mpf_table(grid.mp, grid.scales)):
+    ctx = LevelContext(rs_map[label], level)
+    grid = build_qgrid(ctx)
+    for row, scales in zip(oracles.mpf_table(ctx.mp, grid.rows),
+                           oracles.mpf_table(ctx.mp, grid.scales)):
         for value, scale in zip(row, scales):
             assert value is None or scale >= 1 and scale >= abs(value)
 
@@ -302,7 +303,7 @@ def test_grid_scales_bound_their_values(rs_map, label, level):
 def test_solver_positive_and_converged(e6):
     ctx = LevelContext(e6, 5)
     grid = solve_restricted(ctx)
-    assert grid.mp.make_mpf(oracles.raw(grid.residual_max)) <= 1e-30
+    assert ctx.mp.make_mpf(oracles.raw(grid.residual_max)) <= 1e-30
     for i in range(1, 7):
         for k in range(6):
             assert grid.cell(i, k) > 0
@@ -314,7 +315,7 @@ def test_two_path_agreement_e6(e6):
     solved = solve_restricted(ctx)
     for i in range(1, 7):
         for k in range(5):
-            d = rel_gap(ctx.mp, built.cell(i, k), solved.cell(i, k))
+            d = rel_gap(built.cell(i, k), solved.cell(i, k))
             assert d < 1e-25, (i, k)
 
 
@@ -345,15 +346,15 @@ def test_solver_deep_levels(rs_map, label, level):
     ctx = LevelContext(rs, level)
     solved = solve_restricted(ctx)
     built = build_qgrid(ctx)
-    assert solved.mp.make_mpf(oracles.raw(solved.residual_max)) <= 1e-30
+    assert ctx.mp.make_mpf(oracles.raw(solved.residual_max)) <= 1e-30
     for i in range(1, rs.rank + 1):
         for k in range(level + 1):
             a = solved.cell(i, k)
             assert a > 0, (i, k)
-            d = rel_gap(ctx.mp, a, built.cell(i, k))
+            d = rel_gap(a, built.cell(i, k))
             assert d <= REL_GAP_TOL, (i, k, float(d))
             mirror = solved.cell(i, level - k)
-            assert rel_gap(ctx.mp, a, mirror) <= REL_GAP_TOL, (i, k)
+            assert rel_gap(a, mirror) <= REL_GAP_TOL, (i, k)
 
 
 @pytest.mark.parametrize("label,level", [
@@ -366,12 +367,12 @@ def test_solver_converges_at_deep_levels(rs_map, label, level):
     rs = rs_map[label]
     ctx = LevelContext(rs, level)
     solved = solve_restricted(ctx)
-    assert solved.mp.make_mpf(oracles.raw(solved.residual_max)) <= 1e-30
+    assert ctx.mp.make_mpf(oracles.raw(solved.residual_max)) <= 1e-30
     for i in range(1, rs.rank + 1):
         for k in range(level + 1):
             a = solved.cell(i, k)
             assert a > 0, (i, k)
-            assert rel_gap(ctx.mp, a, solved.cell(i, level - k)) <= REL_GAP_TOL, (i, k)
+            assert rel_gap(a, solved.cell(i, level - k)) <= REL_GAP_TOL, (i, k)
 
 
 @pytest.mark.parametrize("label,level", [("E8", 24), ("E7", 40)])
@@ -517,8 +518,9 @@ def test_solver_never_reads_the_grid(e7, monkeypatch):
         for name in ("qdim", "qdim_kr", "chari_decomposition", "chari_qdim", "build_qgrid"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, forbidden)
-    grid = solve_restricted(LevelContext(e7, 6))
-    assert grid.mp.make_mpf(oracles.raw(grid.residual_max)) <= 1e-30
+    ctx = LevelContext(e7, 6)
+    grid = solve_restricted(ctx)
+    assert ctx.mp.make_mpf(oracles.raw(grid.residual_max)) <= 1e-30
 
 
 def test_solver_divergence_is_reported(e6, monkeypatch, capsys):
@@ -1132,4 +1134,4 @@ def test_full_grid_residual_at_level_eight(e6, e7):
         ctx = LevelContext(rs, 8)
         grid = build_qgrid(ctx)
         assert not grid.unresolved
-        assert grid.mp.make_mpf(oracles.raw(grid.residual_max)) <= 1e-20
+        assert ctx.mp.make_mpf(oracles.raw(grid.residual_max)) <= 1e-20

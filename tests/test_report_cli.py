@@ -28,7 +28,9 @@ from qslab.report import (
     write_report,
 )
 
-from oracles import raw, sine_signature, triple
+from oracles import mpf_cell, raw, sine_signature, triple
+
+E7_WORD = qslab.rootsys.type_data("E7").fixed_words[2][0][1]  # the element "w"
 
 
 def test_render_decimal_deterministic():
@@ -492,6 +494,7 @@ def test_cli_usage_errors(capsys, monkeypatch):
         (["logconcave", "--seq", "0,-1.8e308"],
          "error: --seq '0,-1.8e308': -1.8e308 is outside the double range "
          "[2^-1074, 2^1024)\n"),
+        (["logconcave", "--seq", "1,2/-0"], "error: --seq '1,2/-0': 2/-0: division by zero\n"),
         # the rootedness verdict needs a nonzero polynomial
         (["logconcave", "--seq", "0,0,0", "--branden"],
          "error: --seq '0,0,0': zero polynomial\n"),
@@ -588,6 +591,21 @@ def test_cli_computation_error_exits_1(capsys, monkeypatch):
     assert main(["solve", "--type", "E6", "--level", "2"]) == 1
     assert capsys.readouterr().err == (
         "error: no convergence within 0 Newton steps; last float log defect 0.693\n")
+
+
+def test_cli_overflow_exits_1_without_a_traceback(capsys):
+    # a precision or a level past what an int shift or an index can hold
+    # raises OverflowError early, before any large allocation
+    for argv, message in (
+        (["verify", "--type", "E6", "--level", "2", "--precision-bits",
+          "99999999999999999999", "--checks", "grid"], "too many digits in integer"),
+        (["solve", "--type", "E6", "--level", "99999999999999999999"],
+         "cannot fit 'int' into an index-sized integer"),
+        (["solve", "--type", "E7", "--level", "9223372036854775807"],
+         "cannot fit 'int' into an index-sized integer"),
+    ):
+        assert main(argv) == 1, argv
+        assert capsys.readouterr().err == f"error: {message}\n", argv
 
 
 def test_cli_reduce_answers_far_from_the_alcove(capsys, monkeypatch):
@@ -1010,7 +1028,7 @@ def _old_fixed_word_notes(ctx):
     for p in range(-2, 7):
         for q in range(-2, 7):
             lam = tuple(p if j == 1 else q if j == 6 else 0 for j in range(7))
-            image, parity = affweyl.apply_word(report.E7_WORD, lam, ctx)
+            image, parity = affweyl.apply_word(E7_WORD, lam, ctx)
             expect = tuple((level - p + 7) if j == 1 else (2 * p + q - level - 7) if j == 6
                            else 0 for j in range(7))
             if image != expect or parity != -1:
@@ -1025,8 +1043,8 @@ def test_fixed_word_check_reads_the_word_map(rs_map, monkeypatch, level):
     probes = report.sign_probes(7, 4)
     original = affweyl.apply_word
     # the s5 clamp of the sign tests, planted inside the E7 word
-    monkeypatch.setattr(affweyl, "apply_word", _clamping_word(report.E7_WORD, 5))
-    assert report.word_map(ctx, report.E7_WORD, probes) is None
+    monkeypatch.setattr(affweyl, "apply_word", _clamping_word(E7_WORD, 5))
+    assert report.word_map(ctx, E7_WORD, probes) is None
     check = report.fixed_word_image_check(ctx)
     assert (check.status, check.note) == ("fail", "w . lam not affine with one parity")
     # an off-by-one in the coefficient of p at coordinate 7 of the image: the
@@ -1035,7 +1053,7 @@ def test_fixed_word_check_reads_the_word_map(rs_map, monkeypatch, level):
     def off_by_one(j, coefficient):
         def apply_word(word, lam, ctx):
             image, parity = original(word, lam, ctx)
-            if tuple(word) != report.E7_WORD:
+            if tuple(word) != E7_WORD:
                 return image, parity
             return image[:j] + (image[j] + coefficient(lam),) + image[j + 1:], parity
         return apply_word
@@ -1120,7 +1138,7 @@ def test_dilog_argument_out_of_range_is_a_failed_check(rs_map, label, status):
     # every cell stays positive, but the ratio at (1, 1) grows to about 8000
     ctx = LevelContext(rs_map[label], 2)
     grid = build_qgrid(ctx)
-    grid.rows[0][1] = triple(grid.cell(1, 1) / 100, ctx.precision_bits)
+    grid.rows[0][1] = triple(mpf_cell(grid, 1, 1) / 100, ctx.precision_bits)
     rep_obj = VerificationReport(config=RunConfig(type_label=label, level=2),
                                  shifted_level=ctx.shifted_level, checks=[])
     checks = report._dilog_checks(rep_obj, ctx, grid)

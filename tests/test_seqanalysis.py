@@ -9,7 +9,7 @@ from mpmath.ctx_mp import MPContext
 
 import qslab
 from qslab.cli import main
-from qslab.qnum import LevelContext, alcove_line, mp_context, qdim_line
+from qslab.qnum import FINF, FNAN, FNINF, LevelContext, alcove_line, mp_context, qdim_line
 from qslab.qsolver import build_qgrid
 from qslab.rootsys import type_data
 from qslab.seqanalysis import (
@@ -24,9 +24,9 @@ from qslab.seqanalysis import (
     make_sequence,
 )
 
-from oracles import (mpf_branden_criterion, mpf_entries, mpf_is_log_concave, mpf_l_operator,
-                     mpf_log_concavity_order, mpf_make_sequence, mpf_tolerance, palindromize, raw,
-                     sin_pi_over_l)
+from oracles import (mpf, mpf_branden_criterion, mpf_cell, mpf_entries, mpf_is_log_concave,
+                     mpf_l_operator, mpf_log_concavity_order, mpf_make_sequence, mpf_tolerance,
+                     palindromize, raw, sin_pi_over_l, triple)
 
 TRIALS = 500
 
@@ -380,6 +380,52 @@ def test_sequence_validation():
         log_concavity_order(make_sequence([1.0]), -1)
 
 
+def test_non_finite_entries_are_refused():
+    # as triples, as mpf numbers, as floats and as text
+    mp = mp_context(128)
+    for value in (FINF, FNINF, FNAN, mp.inf, -mp.inf, mp.nan, float("inf"), "inf", "-inf",
+                  "nan", "Infinity"):
+        with pytest.raises(ValueError, match="^entries must be finite$"):
+            make_sequence([1, value, 1])
+
+
+_EDGE_LITERALS = ["1/3", "22/-7", "1_000", " 1.5 ", "-0", ".5", "1e-320", "-0/5", "+7/1"]
+
+
+@st.composite
+def _decimal_literals(draw):
+    """(text, p): a decimal literal with a decimal exponent in +-300, or a/b
+    of two ints, at 64, 128 or 256 bits."""
+    p = draw(st.sampled_from([64, 128, 256]))
+    digits = st.text("0123456789", max_size=30)
+    if draw(st.booleans()):
+        den = draw(st.integers(-10 ** 40, 10 ** 40).filter(bool))
+        return f"{draw(st.integers(-10 ** 40, 10 ** 40))}/{den}", p
+    whole, frac = draw(digits), draw(digits)
+    if not whole and not frac.strip("0"):  # mpmath cannot parse ".", ".0", ".00", ...
+        whole = "0"
+    sign = draw(st.sampled_from(["", "-", "+"]))
+    point = f".{frac}" if frac or draw(st.booleans()) else ""
+    exponent = f"e{draw(st.integers(-300, 300))}" if draw(st.booleans()) else ""
+    return f"{sign}{whole}{point}{exponent}", p
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.one_of(_decimal_literals(),
+                 st.tuples(st.sampled_from(_EDGE_LITERALS), st.sampled_from([64, 128, 256]))))
+def test_parsed_entries_are_mpmaths_bits(case):
+    # the exact value rounded once to p bits is mpmath's parse, bit for bit;
+    # a nonzero value outside the double range is refused
+    text, p = case
+    want = mp_context(p).mpf(text)._mpf_
+    _, man, exp, bc = want
+    if man and not -1073 <= exp + bc <= 1024:
+        with pytest.raises(ValueError, match="outside the double range"):
+            make_sequence([text], p)
+    else:
+        assert make_sequence([text], p).entries == (triple(want, p),)
+
+
 def test_far_apart_entries_cost_no_more():
     # each L-iterate doubles the exponent spread, and order 60 spans about
     # 2^70 bits: a p-bit sum of operands more than p + 1 binades apart is
@@ -468,8 +514,8 @@ def test_port_matches_the_mpf_oracle_on_benchmark_lines(rs_map, bits):
             top = level // rs.marks[i - 1]
             _assert_port_matches_oracle(
                 make_sequence(alcove_line(i, ctx), bits),
-                mpf_make_sequence([qdim_line(i, k, ctx).value for k in range(top + 1)]))
+                mpf_make_sequence([mpf(ctx.mp, qdim_line(i, k, ctx)._v) for k in range(top + 1)]))
         grid, node = build_qgrid(ctx), type_data(label).adjoint_node
         _assert_port_matches_oracle(
             make_sequence(grid.rows[node - 1][:level + 1], bits),
-            mpf_make_sequence([grid.cell(node, k) for k in range(level + 1)]))
+            mpf_make_sequence([mpf_cell(grid, node, k) for k in range(level + 1)]))

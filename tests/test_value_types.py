@@ -50,6 +50,7 @@ _COMMANDS = (
     ["krdec", "--type", "E7", "--node", "7", "--k", "2", "--qdim", "--level", "4"],
     ["reduce", "--type", "E8", "--level", "3", "--weight=-1,2,0,0,0,0,0,5"],
     ["logconcave", "--type", "E7", "--level", "12", "--node", "7", "--branden"],
+    ["logconcave", "--seq", "1,2,1", "--branden"],
 )
 _GUARD = """
 import json, os, sys
@@ -64,20 +65,21 @@ for n, argv in enumerate(json.loads(sys.argv[2])):
     seen.append("mpmath" in sys.modules)
 ctx = LevelContext(qslab.build_root_system("E6"), 2)
 value = build_qgrid(ctx).cell(1, 1) if sys.argv[4] == "cell" else qdim((1,) * 6, ctx).value
-seen.append("mpmath" in sys.modules and type(value).__module__.startswith("mpmath"))
-print(json.dumps(seen))
+seen.append("mpmath" in sys.modules)
+print(json.dumps([seen, type(value).__name__]))
 """
 
 
 @pytest.mark.parametrize("read_out", ["cell", "value"])
 def test_commands_run_without_mpmath(tmp_path, read_out):
-    # import qslab and every command but logconcave --seq leave mpmath
-    # unimported; QGrid.cell and QReal.value import it when read
+    # import qslab, every command, logconcave --seq included, and the
+    # read-outs QGrid.cell and QReal.value, which hand out Fractions, leave
+    # mpmath unimported
     out = subprocess.run(
         [sys.executable, "-c", _GUARD, str(SRC), json.dumps(_COMMANDS), str(tmp_path), read_out],
         capture_output=True, text=True, check=True, timeout=120).stdout
-    seen = json.loads(out.splitlines()[-1])  # verify --out prints its verdict first
-    assert seen == [False] * (len(_COMMANDS) + 1) + [True]
+    seen, kind = json.loads(out.splitlines()[-1])  # verify --out prints its verdict first
+    assert seen == [False] * (len(_COMMANDS) + 2) and kind == "Fraction"
 
 
 def _read_only_values():
