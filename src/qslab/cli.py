@@ -32,6 +32,12 @@ DEFAULT_DIGITS = 30
 # The most terms krdec builds: 10^6 took about 4 s and 0.4 GB to print, and
 # about 13 s in the same memory with --qdim.
 MAX_KRDEC_TERMS = 10**6
+# The largest --level: the solver's float start overflows from about E8
+# L560; a full E8 verify took 5.5 s at L500 on a shared 2-core host.
+MAX_LEVEL = 500
+# The largest --precision-bits: a full E7 L12 verify took 3.1 s there at
+# 4096 bits, and E6 L2 1.8 s, but 57 s at 16384 bits.
+MAX_PRECISION_BITS = 4096
 
 
 def _usage_error(message: str) -> NoReturn:
@@ -39,12 +45,14 @@ def _usage_error(message: str) -> NoReturn:
     raise SystemExit(2)
 
 
-def _int_at_least(minimum: int):
-    """An argparse type: an integer no smaller than ``minimum``."""
+def _int_in(minimum: int, maximum: float = math.inf):
+    """An argparse type: an integer from ``minimum`` to ``maximum``."""
     def integer(text: str) -> int:
         value = int(text)
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        if value > maximum:
+            raise argparse.ArgumentTypeError(f"must be at most {maximum}, got {value}")
         return value
     return integer
 
@@ -83,7 +91,14 @@ def _check_list(text: str) -> tuple[str, ...]:
 
 
 def _precision_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--precision-bits", type=_int_at_least(MIN_PRECISION_BITS), default=None)
+    p.add_argument("--precision-bits", type=_int_in(MIN_PRECISION_BITS, MAX_PRECISION_BITS),
+                   default=None, help=f"working precision in bits, {MIN_PRECISION_BITS}.."
+                   f"{MAX_PRECISION_BITS} (default {DEFAULT_PRECISION_BITS})")
+
+
+def _level_flag(p: argparse.ArgumentParser, required: bool) -> None:
+    p.add_argument("--level", type=_int_in(1, MAX_LEVEL), required=required,
+                   help=f"restriction level, 1..{MAX_LEVEL}")
 
 
 def _optional(args, flag: str, default=None, unused_in: str = ""):
@@ -116,8 +131,7 @@ def _common_flags(p: argparse.ArgumentParser, level: bool = True,
     p.add_argument("--type", type=_type_label, required=True, metavar="TYPE",
                    help="root system type: E6, E7 or E8")
     if level:
-        p.add_argument("--level", type=_int_at_least(1), required=True,
-                       help="restriction level")
+        _level_flag(p, required=True)
     if precision:
         _precision_flag(p)
     p.add_argument(*out, dest="out", default=None, help="output file (written atomically)")
@@ -353,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("qdim", help="quantum dimension of a dominant weight")
     _common_flags(p, level=False)
-    p.add_argument("--level", type=_int_at_least(1), default=None)
+    _level_flag(p, required=False)
     p.add_argument("--weight", required=True, help="comma-separated coordinates")
     p.add_argument("--classical", action="store_true", help="exact Weyl dimension")
     p.add_argument("--digits", type=int, default=None)
@@ -368,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     _common_flags(p, level=False)
     p.add_argument("--node", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--level", type=_int_at_least(1), default=None)
+    _level_flag(p, required=False)
     p.add_argument("--qdim", action="store_true")
     p.add_argument("--digits", type=int, default=None)
     p.set_defaults(fn=_cmd_krdec)
@@ -394,9 +408,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("logconcave", help="log-concavity and rootedness probes")
     p.add_argument("--type", type=_type_label, default=None, metavar="TYPE")
-    p.add_argument("--level", type=_int_at_least(1), default=None)
+    _level_flag(p, required=False)
     p.add_argument("--node", type=int, default=None)
-    p.add_argument("--max-order", type=_int_at_least(0), default=6)
+    p.add_argument("--max-order", type=_int_in(0), default=6)
     p.add_argument("--branden", action="store_true")
     p.add_argument("--seq", default=None, help="raw comma-separated sequence")
     _precision_flag(p)

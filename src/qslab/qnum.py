@@ -1,24 +1,26 @@
 """Quantum dimensions at the primitive 2l-th root of unity exp(i*pi/l).
 
 Every sine argument that occurs is an integer multiple of pi/l, so a
-LevelContext keeps a table of sin(pi*r/l) indexed by the residue of r
-modulo 2l, and all products are assembled from table lookups at the
-context's working precision.  Exact zeros are decided by integer
-congruences on pairings, never by float thresholding.
+LevelContext keeps, per root height ht, a row of the ratios
+|sin(pi*(r+ht)/l)| / sin(pi*ht/l) by residue r mod l in fixed point, and a
+quantum dimension is one fixed-point pass over such rows, rounded once.
+Exact zeros are decided by integer congruences on pairings, never by float
+thresholding.
 
-The sine table, the kernel's partial products and ``QReal`` hold p-bit
-triples (sign, mantissa exactly p bits wide, exponent), or ``ZERO``, at
-the context's precision p.  Each operation rounds as the libmp call it
-stands for, to nearest with ties to even, so the bits are those of mpf
-arithmetic, without libmp's normal form.
+A quantum dimension, its scale and ``QReal`` hold p-bit triples (sign,
+mantissa exactly p bits wide, exponent), or ``ZERO``, at the context's
+precision p.  The sine product and its scale are correctly rounded to
+nearest (``_ratio_product``: a proven error bound and Ziv's rounding test).
+``QReal``'s operations round as the libmp calls they stand for, to nearest
+with ties to even, so their bits are those of mpf arithmetic, without
+libmp's normal form.
 
-The sine table is qnum's own: ``sinpi_triple`` rounds sin(pi*k/l) correctly
-to nearest from an integer Taylor series, with pi from Machin's formula
-(``pi_fixed``) and Ziv's rounding test.  ``log_fixed`` gives the
-logarithms of the dilogarithm sum in fixed point, and ``render_decimal``
-writes every number qslab prints, a triple as one correctly rounded decimal
-division, and ``triple_fraction`` hands a triple out as the exact
-``fractions.Fraction`` it stands for (``QReal.value`` and
+The sines are qnum's own: an integer Taylor series with pi from Machin's
+formula (``pi_fixed``), within a stated bound (``_abs_sines``).
+``log_fixed`` gives the logarithms of the dilogarithm sum in fixed point,
+and ``render_decimal`` writes every number qslab prints, a triple as one
+correctly rounded decimal division, and ``triple_fraction`` hands a triple
+out as the exact ``fractions.Fraction`` it stands for (``QReal.value`` and
 ``magnitude_scale``).  No command imports mpmath: ``mp_context`` imports it
 inside the call, for ``LevelContext.mp`` alone.
 """
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import functools
 import math
+from bisect import bisect_left
 from decimal import ROUND_HALF_EVEN, Context as DecimalContext, Decimal
 from itertools import compress
 from operator import index, mul
@@ -40,6 +43,9 @@ DEFAULT_PRECISION_BITS = 128
 ZERO = (0, 0, 0)  # the p-bit triple of 0, at every p
 # libmp's raw +inf, -inf and nan, which a check's violation may hold
 FINF, FNINF, FNAN = (0, 0, -456, -2), (1, 0, -789, -3), (0, 0, -123, -1)
+# Bits past the precision in ``_ratio_product``: the 34 436 products of full
+# verify runs at E6 L1-30, E7 L1-40 and E8 L1-30 all round in one pass at 32
+GUARD_BITS = 64
 
 
 def round_triple(sign: int, man: int, exp: int, p: int) -> tuple:
@@ -90,8 +96,10 @@ def mul_triples(a: tuple, b: tuple, p: int) -> tuple:
 
 def div_triples(a: tuple, b: tuple, p: int) -> tuple:
     """a / b of p-bit triples, b nonzero, rounded to nearest: mpf_div's bits.
-    As in ``_sine_product``, x = ma*2**s/mb is never a tie and never rounds
-    up to 2**p, so floor(2x + 1) / 2 rounds it."""
+    With s = p - 1 if ma >= mb, else p, x = ma*2**s/mb lies in [2**(p-1),
+    2**p - 1/2).  It is never halfway between integers q and q + 1, as the
+    odd part of ma would then be a multiple of 2q + 1 > 2**p, so
+    floor(2x + 1) / 2 rounds it, and never up to 2**p."""
     sa, ma, ea = a
     sb, mb, eb = b
     if not ma:
@@ -285,15 +293,17 @@ def log_fixed(man: int, exp: int, w: int) -> int:
     return (total + (1 << 23)) >> 24
 
 
-def _sinpi_fixed(k: int, l: int, w: int) -> tuple[int, int]:
-    """(s, err) with |sin(pi k / l) 2**w - s| < err, for 0 < 2k < l.
+def _sinpi_fixed(k: int, l: int, w: int) -> int:
+    """s with |sin(pi k / l) 2**w - s| < 2w, for 0 < 2k < l and w >= 8.
 
     x = pi k / l is taken as pi_fixed(w) k // l (sin x, for 4k <= l) or as
     y = pi (l - 2k) / (2 l) (cos y = sin x, for 4k > l), below pi/4 and off
     by less than 1.25 units either way.  Its Taylor series is summed with
     every term floored from the one before: each term is then off by less
     than 2 units, and the first that floors to 0 bounds the alternating
-    tail by 2 more, so n terms leave s within 2n + 4 units.
+    tail by 2 more, so n terms leave s within 2n + 4 units.  Each term is
+    under 0.31 of the one before ((pi/4)**2 / 2), so n <= 0.6 w + 1, and
+    2n + 4 < 2w.
     """
     pi = pi_fixed(w)
     if 4 * k <= l:
@@ -309,32 +319,17 @@ def _sinpi_fixed(k: int, l: int, w: int) -> tuple[int, int]:
         n += 1
         term = ((term * x2) >> w) // (i * (i + 1))
         i += 2
-    return total, 2 * n + 4
+    return total
 
 
-def sinpi_triple(k: int, l: int, p: int) -> tuple:
-    """sin(pi k / l) for 0 <= 2k <= l as a p-bit triple, correctly rounded to
-    nearest.
-
-    By Niven's theorem the only rational values are sin 0 = 0, sin(pi/6) =
-    1/2 and sin(pi/2) = 1, which are exact.  Every other value is
-    irrational, so never a tie, and Ziv's test ends: the fixed-point value at
-    w = p + 32 bits, and 32 more per retry, is taken once both ends of its
-    error interval round to the same triple.
-    """
-    if not k:
-        return ZERO
-    if 6 * k == l:
-        return 0, 1 << p - 1, -p
-    if 2 * k == l:
-        return one_triple(p)
-    w = p + 32
-    while True:
-        s, err = _sinpi_fixed(k, l, w)
-        lo = round_triple(0, s - err, -w, p)
-        if lo == round_triple(0, s + err, -w, p):
-            return lo
-        w += 32
+def _abs_sines(l: int, w: int) -> list[int]:
+    """|sin(pi r / l)| 2**w for 0 <= r < l, each off by less than 2w units
+    (w >= 8): ``_sinpi_fixed`` on the first quarter period, mirrored by
+    sin(pi (l - r) / l) = sin(pi r / l), with sin 0 and sin(pi/2) exact."""
+    half = [0] + [_sinpi_fixed(k, l, w) for k in range(1, (l + 1) // 2)]
+    if l % 2 == 0:
+        half.append(1 << w)
+    return half + half[1:(l + 1) // 2][::-1]
 
 
 class QReal:
@@ -415,13 +410,13 @@ class LevelContext:
 
     Each context computes on p-bit triples at its precision p (no global
     precision state); ``mp``, the shared mpmath context of that precision
-    (``mp_context``), is made only when read.  It owns a table of sine
-    values, one fold plan per support pattern (``support_plan``) and a memo
-    of ``qdim`` keyed by dominant weight.  It also memoizes the closed-form
-    KR rows of :mod:`qslab.krchar`, one list per direct node indexed by box
-    count; their paired-shell interior weights are evaluated from their
-    plan by ``shell_qdims``, outside the memo.  ``one`` and ``zero`` are its
-    exact 1 and 0.
+    (``mp_context``), is made only when read.  It owns the fixed-point rows
+    of sine ratios (``_ratio_row``), one fold plan per support pattern
+    (``support_plan``) and a memo of ``qdim`` keyed by dominant weight.  It
+    also memoizes the closed-form KR rows of :mod:`qslab.krchar`, one list
+    per direct node indexed by box count; their paired-shell interior
+    weights are evaluated from their plan by ``shell_qdims``, outside the
+    memo.  ``one`` and ``zero`` are its exact 1 and 0.
     """
 
     def __init__(
@@ -439,13 +434,10 @@ class LevelContext:
         self.shifted_level = level + root_system.coxeter_number
         one = one_triple(precision_bits)
         self.one, self.zero = QReal(one, one, precision_bits), QReal(ZERO, one, precision_bits)
-        # sin(pi*r/l) by residue r mod 2l as (sign, mantissa, exponent): the
-        # value (-1)**sign * mantissa * 2**exponent, the mantissa exactly
-        # precision_bits wide (zero at the two zeros of the sine)
-        self._sines: tuple | None = None
         self._qdim_cache: dict[Weight, QReal] = {}
         self._plans: dict[tuple[int, ...], tuple] = {}
-        self._recips: dict[int, int] = {}  # den residue -> _fold_step's r
+        self._sine_tables: dict[int, list[int]] = {}  # width -> _abs_sines
+        self._rows: dict[tuple[int, int], list[int]] = {}  # (width, height) -> row
         self._chari_rows: dict[int, list[QReal]] = {}
 
     mp = property(lambda self: mp_context(self.precision_bits))
@@ -454,44 +446,56 @@ class LevelContext:
         return (f"LevelContext({self.root_system.type_label}, level={self.level}, "
                 f"l={self.shifted_level}, prec={self.precision_bits})")
 
-    def _build_sin_tables(self) -> None:
-        """Fill ``_sines`` with sin(pi*r/l) for every residue r mod 2l.
+    def _ratio_row(self, ht: int, w: int) -> list[int]:
+        """|sin(pi (r + ht) / l)| / sin(pi ht / l) at w bits, r = 0 .. l - 1,
+        each within l 2**-w of its ratio, relatively; made once per (w, ht).
 
-        Only the first quarter period is evaluated, each value correctly
-        rounded (``sinpi_triple``); the rest of the table is filled through
-        the exact identities sin(pi*(l-r)/l) = sin(pi*r/l) and
-        sin(pi*(l+r)/l) = -sin(pi*r/l), so the sign and mirror symmetries of
-        the products built here are structurally exact.
+        The entries are floor(s 2**w / t) of ``_abs_sines`` at v = w + c
+        bits, c = bitlen(w) + 4, so each sine is within 2v <= 2**(c-2) units
+        (w >= 8), and within l 2**-(w+3) relatively, as sin(pi/l) >= 2/l.
+        The quotient of two such is within l 2**-(w+1) of the ratio, and the
+        floor drops less than one unit, which is under l 2**-(w+1) of a
+        ratio of at least 2/l.  A ratio of 1 is exact.
         """
-        l, p = self.shifted_level, self.precision_bits
-        base = [sinpi_triple(k, l, p)[1:] for k in range(l // 2 + 1)]
-        half = [base[min(k, l - k)] for k in range(l)]
-        self._sines = tuple([(0, m, e) for m, e in half]
-                            + [(1 if m else 0, m, e) for m, e in half])
+        row = self._rows.get((w, ht))
+        if row is None:
+            v = w + w.bit_length() + 4
+            sines = self._sine_tables.get(v)
+            if sines is None:
+                sines = self._sine_tables[v] = _abs_sines(self.shifted_level, v)
+            l, den = self.shifted_level, sines[ht]
+            # one entry per |sin(pi j / l)| = |sin(pi (l - j) / l)|, shared
+            half = [(s << w) // den for s in sines[:l // 2 + 1]]
+            row = self._rows[w, ht] = [half[min(j, l - j)] for j in
+                                       [(r + ht) % l for r in range(l)]]
+        return row
 
 
 def support_plan(ctx: LevelContext, support: tuple[int, ...]) -> tuple:
-    """``(vectors, zero_residues, steps)`` for the weights whose nonzero
-    coordinates are the 0-based ``support``, which pair only with the roots
-    nonzero there; made once per context.  ``vectors`` holds those roots'
-    distinct coefficient vectors on the support, one per group; pairing to d
-    with group g's is an exact zero iff d mod l is in ``zero_residues[g]``,
-    the -ht mod l of the group's heights (1 <= ht < h < l).  ``steps`` holds
-    one ``_fold_step`` per such root in canonical order, its denominator
-    sin(pi*height/l) > 0."""
+    """``(vectors, zero_residues, steps, heights)`` for the weights whose
+    nonzero coordinates are the 0-based ``support``, which pair only with
+    the roots nonzero there; made once per context.  ``vectors`` holds
+    those roots' distinct coefficient vectors on the support, one per group;
+    pairing to d with group g's is an exact zero iff d mod l is in
+    ``zero_residues[g]``, the -ht mod l of the group's heights (1 <= ht < h
+    < l), and ``heights[g]`` lists those heights in increasing order, one
+    per root.
+    ``steps`` holds ``(g, ht, row)`` per such root in canonical order, with
+    the ``_ratio_row`` of its height at the context's working width."""
     plan = ctx._plans.get(support)
     if plan is not None:
         return plan
-    if ctx._sines is None:
-        ctx._build_sin_tables()
     rs, l = ctx.root_system, ctx.shifted_level
-    groups, steps = {}, []  # vector -> (group, zero residues); fold steps
+    w = ctx.precision_bits + GUARD_BITS
+    groups, steps = {}, []  # vector -> (group, heights); product steps
     for v, ht in zip(zip(*[rs.root_columns[j] for j in support]), rs.heights):
         if any(v):
-            g, zeros = groups.setdefault(v, (len(groups), set()))
-            zeros.add(-ht % l)
-            steps.append(_fold_step(ctx, g, ht, ht))
-    plan = ctx._plans[support] = (tuple(groups), [zeros for _, zeros in groups.values()], steps)
+            g, hts = groups.setdefault(v, (len(groups), []))
+            hts.append(ht)
+            steps.append((g, ht, ctx._ratio_row(ht, w)))
+    heights = [sorted(hts) for _, hts in groups.values()]
+    plan = ctx._plans[support] = (tuple(groups), [{-ht % l for ht in hts} for hts in heights],
+                                  steps, heights)
     return plan
 
 
@@ -503,7 +507,7 @@ def plan_qdim(plan: tuple, dots: Sequence[int], ctx: LevelContext) -> QReal:
     for d, zeros in zip(dots, plan[1]):
         if d % l in zeros:
             return ctx.zero
-    return _sine_product(ctx, plan[2], dots)
+    return _ratio_product(ctx, plan, dots)
 
 
 def shell_qdims(plan: tuple, j: int, ctx: LevelContext) -> list[QReal]:
@@ -514,88 +518,57 @@ def shell_qdims(plan: tuple, j: int, ctx: LevelContext) -> list[QReal]:
             for r in range(1, j)]
 
 
-def _fold_step(ctx: LevelContext, g: int, ht: int, den: int) -> tuple:
-    """The ``_sine_product`` step ``(g, ht, den_man, r, den_exp)``: times the
-    table's sine at residue dots[g] + ht, over its sine at residue ``den``
-    (den_man, den_exp), with r = floor(2**(3p+2) / den_man) kept per context."""
-    _, man, exp = ctx._sines[den]
-    if den not in ctx._recips:
-        ctx._recips[den] = (1 << 3 * ctx.precision_bits + 2) // man
-    return g, ht, man, ctx._recips[den], exp
+def _ratio_product(ctx: LevelContext, plan: tuple, dots: Sequence[int]) -> QReal:
+    """The product of sin(pi (dots[g] + ht) / l) / sin(pi ht / l) over the
+    ``support_plan`` steps (g, ht, row), no numerator a multiple of l, and
+    its scale, the largest |partial product| in canonical order from 1,
+    each correctly rounded to the context's precision p.
 
-
-def _sine_product(ctx: LevelContext, steps: Sequence[tuple], dots: Sequence[int]) -> QReal:
-    """Product of sin(pi*(dots[g]+ht)/l)/sin(pi*ht/l) over the plan steps
-    (g, ht, den_man, r, den_exp) of ``_fold_step``, no numerator a multiple
-    of l; the scale records the largest partial product.
-
-    The value is the left fold value = value * sin(num) / sin(den) in mpf
-    arithmetic at the context's precision p, bit for bit, computed on plain
-    integers: the partial product is a sign, a mantissa of exactly p bits
-    and an exponent.  The bits agree because mpf_mul and mpf_div each
-    return the round-to-nearest-even value of their exact result (mpf_div
-    divides to at least p+4 quotient bits plus a sticky bit), so any other
-    correctly rounded pair of steps gives the same values, whatever the
-    mantissa representation:
-
-    - The product t of two p-bit mantissas has 2p-1 or 2p bits; its top
-      bit picks how many low bits w to drop.  t + 2**(w-1) >> w rounds half
-      up; the dropped bits of t + 2**(w-1) are all zero only at a tie, which
-      then goes to even by clearing the low bit.  A round-up to 2**p carries
-      into the exponent.
-    - The quotient x = m*2**s/d of two p-bit mantissas, s = p-1 if m >= d
-      and p otherwise, lies in [2**(p-1), 2**p).  It is never halfway
-      between two integers q and q+1: the odd part of m*2**s would then be
-      a multiple of 2q+1 > 2**p.  So x is at least 1/(2d) > 2**-(p+1) from
-      every half-integer (nor does it round up to 2**p), and m*r/2**(K-s),
-      with K = 3p+2 and r = floor(2**K/d), falls short of x by less than
-      2**(p+s-K) <= 2**-(p+2): (m*r + 2**(K-s-1)) >> (K-s) is the nearest
-      integer to x, with no tie, no carry and no division.
-    - The sign is the XOR of the numerators' signs, and magnitudes compare
-      as (exponent, mantissa).
-
-    The value and the scale are handed over as ``QReal`` triples.
+    The sign is the parity of the negative numerators: group g's numerators
+    d + ht, d = q l + r, are negative for odd floor((d + ht) / l) = q + [ht
+    >= l - r].  The magnitude is one fixed-point pass at w = p + GUARD_BITS
+    bits, x_k = floor(x_{k-1} R_k / 2**w) from x_0 = 2**w, on row entries R_k
+    within eta = l 2**-w of the ratios, relatively.  With m the least x_k
+    and m >= 2**p, x_k / (2**w t_k) for the exact partial products t_k lies
+    between ((1 - eta) / (1 + 1/m))**k and (1 + eta)**k, so within n (2/m +
+    6 eta) of 1 for n steps, as n (1/m + 3 eta) <= 1 wherever the test
+    below passes: x_k is within e = n (6l + 2) x_k 2**-j + 1 units of 2**w
+    t_k, j = bitlen(m) - 1, and the largest x_k within e of 2**w max t_k.
+    Rounding to nearest is monotone, so when both ends of [x - e, x + e]
+    round to one p-bit value, so does the exact value (Ziv's test).
+    Otherwise the pass runs again with the guard bits doubled, plus those
+    lost at m.  Only an exact p-bit tie would never pass; the pass gives up
+    past 64 p bits.
     """
-    sines, period = ctx._sines, 2 * ctx.shifted_level
-    p = ctx.precision_bits
-    p1, full, top = p - 1, 1 << p, 1 << 2 * p - 1
-    # half the unit of the p (or p-1) bits dropped, and their mask
-    half, half_low = 1 << p1, 1 << p - 2
-    mask, mask_low = (1 << p) - 1, (1 << p1) - 1
-    sh, sh_low = 2 * p + 3, 2 * p + 2  # K - s, then half its unit
-    qhalf, qhalf_low = 1 << sh - 1, 1 << sh_low - 1
-    sign = 0
-    man = scale_man = 1 << p1
-    exp = scale_exp = -p1
-    for g, ht, den_man, r, den_exp in steps:
-        num_sign, num_man, num_exp = sines[(dots[g] + ht) % period]
-        sign ^= num_sign
-        # plus 1 below for a 2p-bit product (p bits dropped, not p-1), minus
-        # 1 for a dividend below d (scaled by 2**p, not 2**(p-1))
-        exp += num_exp - den_exp
-        t = man * num_man
-        if t >= top:
-            t += half
-            man = t >> p
-            exp += 1
-            if not t & mask:
-                man &= -2
-        else:
-            t += half_low
-            man = t >> p1
-            if not t & mask_low:
-                man &= -2
-        if man == full:
-            man >>= 1
-            exp += 1
-        if man >= den_man:
-            man = (man * r + qhalf) >> sh
-        else:
-            man = (man * r + qhalf_low) >> sh_low
-            exp -= 1
-        if exp >= scale_exp and (exp > scale_exp or man > scale_man):
-            scale_exp, scale_man = exp, man
-    return QReal((sign, man, exp), (0, scale_man, scale_exp), p)
+    l, p = ctx.shifted_level, ctx.precision_bits
+    neg, res = 0, []
+    for d, hts in zip(dots, plan[3]):
+        q, r = divmod(d, l)
+        neg += len(hts) * (q + 1) - bisect_left(hts, l - r)
+        res.append(r)
+    steps, w = plan[2], p + GUARD_BITS
+    c = len(steps) * (6 * l + 2)
+    while True:
+        x = hi = lo = 1 << w
+        for g, _, row in steps:
+            x = x * row[res[g]] >> w
+            if x > hi:
+                hi = x
+            elif x < lo:
+                lo = x
+        k = lo.bit_length() - 1
+        if k >= p:
+            e = (c * x >> k) + 1
+            v = round_triple(neg & 1, x - e, -w, p)
+            if v == round_triple(neg & 1, x + e, -w, p):
+                e = (c * hi >> k) + 1
+                s = round_triple(0, hi - e, -w, p)
+                if s == round_triple(0, hi + e, -w, p):
+                    return QReal(v, s, p)
+        if w > 64 * p:
+            raise RuntimeError(f"sine product undecided at {w} bits")
+        w += (w - p) + (w - k)
+        steps = [(g, ht, ctx._ratio_row(ht, w)) for g, ht, _ in plan[2]]
 
 
 def qdim(weight: Sequence[int], ctx: LevelContext) -> QReal:

@@ -25,7 +25,7 @@ from decimal import Decimal
 from typing import NamedTuple, Sequence
 
 from .qnum import (DEFAULT_PRECISION_BITS, TRIPLE_ORDER, abs_triple, add_triples, cmp_triples,
-                   mul_triples, one_triple, round_triple)
+                   mul_triples, one_triple, render_decimal, round_triple)
 
 
 def _max_abs_or_one(entries, p: int) -> tuple:
@@ -68,39 +68,51 @@ def _default_tolerance(m: tuple, p: int) -> tuple:
 
 def _entry(value, p: int) -> tuple:
     """A sequence entry as a p-bit triple: a triple or an mpf number's raw
-    value rounded to nearest; else the ``str`` of an int, a float, a
-    ``Fraction`` or text, a decimal literal or a/b of two ints, its exact
-    value rounded once through a sticky bit.  A parsed entry must be 0 or
-    in the double range, as the Sturm chain of ``branden_criterion`` costs
-    more the wider the exponents spread.  Infinities and nans are refused."""
+    value rounded to nearest; an int or a ``Fraction`` by its numerator and
+    denominator; else the ``str`` of a float or text, a decimal literal or
+    a/b of two ints.  A number's exact value is rounded once through a
+    sticky bit.  An entry must be 0 or in the double range, as the Sturm
+    chain of ``branden_criterion`` costs more the wider the exponents
+    spread; the refusal quotes at most 40 characters of the entry.
+    Infinities and nans are refused."""
     raw = value if isinstance(value, tuple) else getattr(value, "_mpf_", None)
     if raw is not None:
         sign, man, exp = raw[:3]
         if not man and exp:
             raise ValueError("entries must be finite")
         return round_triple(sign, man, exp, p)
-    text = str(value)
-    outside = f"{text} is outside the double range [2^-1074, 2^1024)"
-    num, slash, den = text.partition("/")
-    if slash:
-        num, den = int(num), int(den)
-        if not den:
-            raise ValueError(f"{text}: division by zero")
+    den = getattr(value, "denominator", None)
+    if den is not None:
+        num, text = value.numerator, None
     else:
-        float(text)  # the float syntax, and its ValueError for anything else
-        d = Decimal(text)
-        if not d.is_finite():
-            raise ValueError("entries must be finite")
-        if d and abs(d.adjusted()) > 400:  # refused before any integer is formed
-            raise ValueError(outside)
-        num, den = d.as_integer_ratio()
+        text = str(value)
+        num, slash, den = text.partition("/")
+        if slash:
+            num, den = int(num), int(den)
+            if not den:
+                raise ValueError(f"{text}: division by zero")
+        else:
+            float(text)  # the float syntax, and its ValueError for anything else
+            d = Decimal(text)
+            if not d.is_finite():
+                raise ValueError("entries must be finite")
+            if d and abs(d.adjusted()) > 400:  # refused before any integer is formed
+                raise ValueError(_outside(text))
+            num, den = d.as_integer_ratio()
     sign, num, den = (num < 0) ^ (den < 0), abs(num), abs(den)
     shift = p + 2 - num.bit_length() + den.bit_length()
     q, r = divmod(num << shift, den) if shift >= 0 else divmod(num, den << -shift)
     t = round_triple(sign, q << 1 | (r > 0), -shift - 1, p)
     if t[1] and not -1073 <= t[2] + p <= 1024:
-        raise ValueError(outside)
+        raise ValueError(_outside(render_decimal(t, 17) if text is None else text))
     return t
+
+
+def _outside(text: str) -> str:
+    """The refusal of an entry outside the double range, quoting at most 40
+    characters of its text."""
+    quote = text if len(text) <= 40 else text[:37] + "..."
+    return f"{quote} is outside the double range [2^-1074, 2^1024)"
 
 
 def make_sequence(values: Sequence, precision_bits: int = DEFAULT_PRECISION_BITS) -> RealSequence:

@@ -6,12 +6,13 @@ path that a qslab command runs, so a test can compare the two.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
-from mpmath.libmp import (fone, from_man_exp, mpf_abs, mpf_gt, mpf_log, mpf_lt, mpf_mul,
-                          mpf_pi, mpf_sub, round_nearest, to_fixed)
+from mpmath.libmp import (fone, from_man_exp, mpf_abs, mpf_div, mpf_gt, mpf_log, mpf_lt,
+                          mpf_mul, mpf_pi, mpf_pos, mpf_sub, round_nearest, to_fixed)
 
 from qslab import krchar, qsolver
 from qslab.krchar import chari_decomposition, chari_qdim
@@ -115,32 +116,39 @@ def sine_signature(pairings: Iterable[int], l: int) -> tuple[int, tuple[int, ...
     return sign, tuple(folded)
 
 
+@functools.cache
+def _wide_sines(l: int, p: int) -> list:
+    """sin(pi*r/l) for 0 <= r < 2l as raw mpf values: mpmath's sinpi at 4p
+    bits."""
+    hi = mp_context(4 * p)
+    return [hi.sinpi(hi.mpf(r) / l)._mpf_ for r in range(2 * l)]
+
+
 def sin_pi_over_l(ctx, r: int):
-    """sin(pi*r/l) as an mpf, read from the context's sine table by the
-    residue of r mod 2l."""
-    if ctx._sines is None:
-        ctx._build_sin_tables()
-    sign, man, exp = ctx._sines[r % (2 * ctx.shifted_level)]
-    return ctx.mp.make_mpf(from_man_exp(-man if sign else man, exp))
+    """sin(pi*r/l) as an mpf of the context: mpmath's sinpi at 4p bits,
+    rounded once to nearest at the context's precision p."""
+    p, l = ctx.precision_bits, ctx.shifted_level
+    return ctx.mp.make_mpf(mpf_pos(_wide_sines(l, p)[r % (2 * l)], p, round_nearest))
 
 
 def sine_fold(ctx, factors: Iterable[tuple[int, int]]):
     """(value, scale) of the product of sin(pi*num/l)/sin(pi*den/l) over the
-    (num, den) pairs: the left fold value = value * sin(num) / sin(den) in
-    mpf arithmetic of the context, scale the largest |partial product| and
-    at least 1; (0, 1) when some numerator is a multiple of l."""
-    mp, l = ctx.mp, ctx.shifted_level
+    (num, den) pairs, scale the largest |partial product| from 1: each
+    formed in mpmath at 4p bits and rounded once to nearest at the context's
+    precision p, as mpf numbers of the context; (0, 1) when some numerator
+    is a multiple of l."""
+    p, l = ctx.precision_bits, ctx.shifted_level
     factors = list(factors)
     if any(num % l == 0 for num, _ in factors):
-        return mp.mpf(0), mp.mpf(1)
-    value = mp.mpf(1)
-    scale = mp.mpf(1)
+        return ctx.mp.mpf(0), ctx.mp.mpf(1)
+    sines, wide = _wide_sines(l, p), 4 * p
+    value = scale = fone
     for num, den in factors:
-        value = value * sin_pi_over_l(ctx, num) / sin_pi_over_l(ctx, den)
-        a = abs(value)
-        if a > scale:
-            scale = a
-    return value, scale
+        value = mpf_div(mpf_mul(value, sines[num % (2 * l)], wide, round_nearest),
+                        sines[den % (2 * l)], wide, round_nearest)
+        if mpf_gt(mpf_abs(value), scale):
+            scale = mpf_abs(value)
+    return tuple(ctx.mp.make_mpf(mpf_pos(x, p, round_nearest)) for x in (value, scale))
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 """qslab's own transcendentals against mpmath as the reference.
 
-The sine table is correctly rounded, pi and the logarithms stay within
-their stated units, the Bernoulli coefficients are exact, Rogers'
+The sine table and the rows of sine ratios, pi and the logarithms stay
+within their stated units, the Bernoulli coefficients are exact, Rogers'
 dilogarithm keeps its stated bound.
 """
 
@@ -16,9 +16,9 @@ from hypothesis import given, settings, strategies as st
 from mpmath.libmp import mpf_pos, round_nearest
 
 from qslab import qsolver
-from qslab.qnum import (ZERO, LevelContext, atanh_fixed, float_triple, log_fixed, mp_context,
-                        pi_fixed, render_decimal, sinpi_triple)
-from qslab.rootsys import build_root_system
+from qslab.qnum import (GUARD_BITS, LevelContext, _abs_sines, atanh_fixed, float_triple,
+                        log_fixed, mp_context, pi_fixed, qdim, render_decimal, round_triple)
+from qslab.rootsys import build_root_system, fundamental_weight
 
 from oracles import triple
 
@@ -27,42 +27,55 @@ PRECISIONS = (64, 97, 128, 256, 512)
 SINE_LEVELS = list(range(1, 131)) + list(range(131, 530, 41)) + [530]
 
 
-def _reference_sines(l: int, p: int) -> list[tuple]:
-    """sin(pi k / l), 0 <= k <= l / 2, from 4p-bit mpmath arithmetic rounded
-    to nearest at p bits: the powers of exp(i pi / l), each step one complex
-    product, off by far less than a unit at p bits."""
-    hi = mp_context(4 * p)
+def _reference_sines(l: int, w: int) -> list:
+    """|sin(pi r / l)| 2**w, 0 <= r < l, as mpf numbers at w + 64 bits: the
+    powers of exp(i pi / l), each step one complex product, off by far less
+    than a unit at w bits."""
+    hi = mp_context(w + 64)
     c, s = hi.cospi(hi.mpf(1) / l), hi.sinpi(hi.mpf(1) / l)
     out, ck, sk = [], hi.mpf(1), hi.mpf(0)
-    for _ in range(l // 2 + 1):
-        out.append(triple(mpf_pos(sk._mpf_, p, round_nearest), p))
+    for _ in range(l):
+        out.append(hi.ldexp(abs(sk), w))
         ck, sk = ck * c - sk * s, sk * c + ck * s
     return out
 
 
 @pytest.mark.parametrize("p", PRECISIONS)
 def test_sine_table_is_correctly_rounded(p):
-    # one unit off anywhere makes an entry unequal to its reference
-    for l in SINE_LEVELS:
-        ours = [sinpi_triple(k, l, p) for k in range(l // 2 + 1)]
-        assert ours == _reference_sines(l, p), l
+    # each entry within its stated 2v units at v bits, at the width of the
+    # rows of precision p and at the least width the bound covers; at the
+    # rows' width the bound decides every nonzero entry's correctly rounded
+    # p-bit sine, the reference's
+    w = p + GUARD_BITS
+    for v in (w + w.bit_length() + 4, 8):
+        for l in SINE_LEVELS:
+            ours = _abs_sines(l, v)
+            assert len(ours) == l
+            for r, (s, ref) in enumerate(zip(ours, _reference_sines(l, v))):
+                assert abs(s - ref) < 2 * v, (v, l, r)
+                if v > 8 and r:
+                    want = triple(mpf_pos(mpmath.ldexp(ref, -v)._mpf_, p, round_nearest), p)
+                    assert round_triple(0, s - 2 * v, -v, p) == want, (l, r)
+                    assert round_triple(0, s + 2 * v, -v, p) == want, (l, r)
 
 
 @pytest.mark.parametrize("p", PRECISIONS)
 def test_niven_values_are_exact(p):
-    # sin 0, sin(pi/6) and sin(pi/2), the only rational values, whatever l;
-    # the context table mirrors them to sin(5 pi/6) and negates them past pi
-    half, one = (0, 1 << p - 1, -p), (0, 1 << p - 1, 1 - p)
-    for l in range(6, 600, 6):
-        assert sinpi_triple(0, l, p) == ZERO
-        assert sinpi_triple(l // 6, l, p) == half
-        assert sinpi_triple(l // 2, l, p) == one
-    ctx = LevelContext(build_root_system("E6"), 6, p)  # l = 18
-    ctx._build_sin_tables()
-    sines = ctx._sines
-    assert sines[3] == sines[15] == half and sines[9] == one
-    assert sines[21] == sines[33] == (1, *half[1:]) and sines[27] == (1, *one[1:])
-    assert sines[0] == sines[18] == ZERO
+    # sin 0 and sin(pi/2) are exact in the table, whatever l and width; a
+    # product of sine ratios whose value is rational is an exact p-bit
+    # value, so its correct rounding is exact: the simple currents L w_1 and
+    # L w_6 of E6 and L w_7 of E7 have quantum dimension 1 at every level
+    for l in range(2, 600, 2):
+        for v in (8, p + GUARD_BITS):
+            sines = _abs_sines(l, v)
+            assert sines[0] == 0 and sines[l // 2] == 1 << v
+    one = (0, 1 << p - 1, 1 - p)
+    for label, nodes in (("E6", (1, 6)), ("E7", (7,))):
+        rs = build_root_system(label)
+        for level in range(1, 41):
+            ctx = LevelContext(rs, level, p)
+            for node in nodes:
+                assert qdim(fundamental_weight(rs.rank, node, level), ctx)._v == one
 
 
 @settings(max_examples=60, deadline=None)

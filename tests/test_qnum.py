@@ -8,8 +8,8 @@ import mpmath
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 from mpmath.libmp import (fone, from_float, from_man_exp, fzero, mpf_abs, mpf_add, mpf_cmp,
-                          mpf_div, mpf_gt, mpf_mul, mpf_mul_int, mpf_neg, mpf_pos, mpf_sub,
-                          round_nearest, to_float)
+                          mpf_div, mpf_gt, mpf_mul, mpf_mul_int, mpf_pos, mpf_sub, round_nearest,
+                          to_float)
 
 import qslab
 from qslab import krchar, qnum
@@ -18,8 +18,6 @@ from qslab.qnum import (
     ZERO,
     LevelContext,
     QReal,
-    _fold_step,
-    _sine_product,
     abs_triple,
     add_triples,
     cmp_triples,
@@ -149,7 +147,7 @@ def test_qdim_memo_returns_identical_object(e6):
 
 def _reference_qdim(weight, ctx):
     """qdim by the textbook route: a full pairing per positive root and a
-    left fold in mpf arithmetic of the context."""
+    product in mpmath at 4p bits, rounded once to the context's precision."""
     rs = ctx.root_system
     factors = []
     for b, ht in zip(rs.positive_roots, rs.heights):
@@ -174,8 +172,9 @@ def _random_dominant_weights(rs, l, seed, count=200):
 
 @pytest.mark.parametrize("label", ["E6", "E7", "E8"])
 def test_qdim_bits_match_reference_fold(rs_map, label):
-    # the sparse pairings and the integer kernel round exactly like the
-    # mpf fold, at every precision and whatever the global mpmath precision
+    # the sparse pairings and the fixed-point kernel give the product and
+    # its scale correctly rounded: mpmath's at 4p bits rounded once, at
+    # every precision and whatever the global mpmath precision
     rs = rs_map[label]
     for bits in (128, 256):
         ref_ctx = LevelContext(rs, 5, precision_bits=bits)
@@ -242,7 +241,7 @@ def test_qdim_zeros_by_congruence_match_the_full_pairing_list(rs_map, label, lev
     (pair,) = type_data(label).paired_shells.values()
     a, b = pair
     roots = [(beta[a], beta[b], ht) for beta, ht in zip(rs.positive_roots, rs.heights)]
-    monkeypatch.setattr(qnum, "_sine_product", lambda *args: None)  # zeros only
+    monkeypatch.setattr(qnum, "_ratio_product", lambda *args: None)  # zeros only
     seen = set()
     for lev in range(1, 41):
         ctx = LevelContext(rs, lev)
@@ -263,7 +262,7 @@ def test_grid_skips_qdim_on_paired_shell_interiors(e7, monkeypatch):
     # and the sine kernel runs once per distinct nonzero weight
     ctx = LevelContext(e7, 28)
     qdim_weights, kernel_calls = [], []
-    real_qdim, real_kernel = qnum.qdim, qnum._sine_product
+    real_qdim, real_kernel = qnum.qdim, qnum._ratio_product
 
     def counted_qdim(weight, c):
         qdim_weights.append(tuple(weight))
@@ -275,7 +274,7 @@ def test_grid_skips_qdim_on_paired_shell_interiors(e7, monkeypatch):
 
     monkeypatch.setattr(qnum, "qdim", counted_qdim)
     monkeypatch.setattr(krchar, "qdim", counted_qdim)
-    monkeypatch.setattr(qnum, "_sine_product", counted_kernel)
+    monkeypatch.setattr(qnum, "_ratio_product", counted_kernel)
     build_qgrid(ctx)
     monkeypatch.undo()
     interior = {w for k in range(len(ctx._chari_rows[2]))
@@ -287,128 +286,96 @@ def test_grid_skips_qdim_on_paired_shell_interiors(e7, monkeypatch):
     assert len(kernel_calls) == len(nonzero) > 100
 
 
-def _libmp_fold(ctx, factors):
-    """The sine-product fold step by step in mpf_mul and mpf_div, rounding to
-    nearest at the context's precision."""
-    prec = ctx.precision_bits
-    value = scale = fone
-    for num, den in factors:
-        value = mpf_mul(value, sin_pi_over_l(ctx, num)._mpf_, prec, "n")
-        value = mpf_div(value, sin_pi_over_l(ctx, den)._mpf_, prec, "n")
-        if mpf_gt(mpf_abs(value), scale):
-            scale = mpf_abs(value)
-    return value, scale
+def _product(ctx, factors):
+    """The sine-product kernel on (num, den) pairs, 0 < den < l: a plan of
+    one group per pair, of pairing num - den, and one step of height den."""
+    steps = [(g, den, ctx._ratio_row(den, ctx.precision_bits + qnum.GUARD_BITS))
+             for g, (_, den) in enumerate(factors)]
+    plan = ((), (), steps, [[den] for _, den in factors])
+    return qnum._ratio_product(ctx, plan, [num - den for num, den in factors])
 
 
-def _kernel(ctx, factors):
-    """The sine-product kernel on (num, den) residue pairs of the context's
-    table: one group of pairing 0, a ``_fold_step`` per pair."""
-    steps = [_fold_step(ctx, 0, num, den) for num, den in factors]
-    return _sine_product(ctx, steps, (0,))
+@st.composite
+def _factor_lists(draw):
+    """(level, bits, factors): (num, den) pairs, no numerator a multiple of
+    l.  A quarter of the draws take up to 40 at random; a quarter make
+    numerators near multiples of l and denominators near l/2, products far
+    below 1; a quarter repeat one factor 40 times, products far from 1; and
+    a quarter follow 20 to 45 such small factors with their inverses, a
+    product of exactly +-1 whose partial products dip far below 1."""
+    level = draw(st.integers(1, 60))
+    bits = draw(st.sampled_from([64, 97, 128, 256]))
+    l = level + 12  # E6
+    kind = draw(st.integers(0, 3))
+    if kind in (1, 3):
+        small = st.tuples(st.sampled_from([1, l - 1, l + 1, 2 * l - 1, -1]),
+                          st.integers(l // 2 - 1, l // 2 + 1))
+        factors = draw(st.lists(small, min_size=20 if kind == 3 else 0, max_size=45))
+        if kind == 3:
+            factors += [(den, num % l) for num, den in factors]
+        return level, bits, factors
+    num = st.integers(-3 * l, 3 * l).filter(lambda n: n % l)
+    factors = draw(st.lists(st.tuples(num, st.integers(1, l - 1)), max_size=40))
+    return level, bits, factors[:1] * 40 if kind == 2 else factors
 
 
-def _context_with_sines(rs, bits, entries):
-    """A context whose sine table holds the given (sign, mantissa, exponent)
-    entries at residues 1, 2, ... and 1 at residue 0."""
-    ctx = LevelContext(rs, 2, precision_bits=bits)
-    one = (0, 1 << (bits - 1), 1 - bits)
-    ctx._sines = (one, *entries) + ((0, 0, 0),) * (2 * ctx.shifted_level - 1 - len(entries))
-    return ctx
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_factor_lists())
+def test_sine_product_is_correctly_rounded(e6, case):
+    # value and scale are mpmath's product at 4p bits rounded once, with
+    # the sign taken by the parity of the negative numerators
+    level, bits, factors = case
+    ctx = LevelContext(e6, level, precision_bits=bits)
+    value, scale = sine_fold(ctx, factors)
+    got = _product(ctx, factors)
+    assert (raw(got._v), raw(got._s)) == (value._mpf_, scale._mpf_), factors
 
 
-@pytest.mark.parametrize("bits", [64, 97, 128])  # p + 1 composite, for the carry
-def test_sine_product_rounds_exact_ties_like_libmp(e6, bits):
-    p = bits
-    # x times 3 * 2**(p-2) is a product of 2p-1 or 2p bits; it lies halfway
-    # between two p-bit mantissas when the bits dropped are 10...0.  Find ties
-    # of both widths that go down to even and up to even.
-    three = (0, 3 << (p - 2), -p)
-    ties = {}
-    for start in (1 << (p - 1), -(-(1 << (p + 1)) // 3)):
-        for x in range(start, start + 16):
-            t = x * three[1]
-            width = t.bit_length()
-            drop = width - p
-            if t & ((1 << drop) - 1) == 1 << (drop - 1):
-                ties.setdefault((width, (t >> drop) & 1), x)  # odd kept bits go up
-    assert sorted(ties) == [(2 * p - 1, 0), (2 * p - 1, 1), (2 * p, 0), (2 * p, 1)]
-    # (2**d - 1) * (2**(p+1) - 1) / (2**d - 1), for d dividing p+1, is p+1
-    # ones: the tie rounds the all-ones mantissa up to 2**p, which carries
-    # into the exponent
-    d = next(d for d in range(2, p + 1) if (p + 1) % d == 0)
-    a, b = (1 << d) - 1, ((1 << (p + 1)) - 1) // ((1 << d) - 1)
-    carry = [(1, a << (p - d), -p), (0, b << (p - b.bit_length()), -p)]
-    divisor = (0, (1 << p) - 3, -p)
-    for entries in [[(0, x, -p), three] for x in ties.values()] + [carry]:
-        ctx = _context_with_sines(e6, bits, [*entries, divisor])
-        # value = entry 1, then entry 1 * entry 2, alone and divided by entry 3
-        for factors in ([(1, 0), (2, 0)], [(1, 0), (2, 3)]):
-            value, scale = _libmp_fold(ctx, factors)
-            got = _kernel(ctx, factors)
-            assert raw(got._v) == value, (entries, factors)
-            assert raw(got._s) == scale, (entries, factors)
-    carried, _ = _libmp_fold(ctx, [(1, 0), (2, 0)])  # ctx holds the carry case
-    assert carried[:2] == (1, 1)  # minus a power of two
+@pytest.mark.parametrize("bits", [64, 97, 128])
+def test_tiny_guard_takes_the_wider_pass_to_the_same_bits(e8, monkeypatch, bits):
+    # with 2 guard bits the first pass cannot round most products; the
+    # wider passes give every triple that the default guard gives
+    weights = [fw(e8, i, k) for i in range(1, 9) for k in range(1, 6)]
+    weights += [(0, 1, 0, 0, 0, 0, 2, 0), (1, 0, 1, 0, 0, 1, 0, 1), (3, 0, 0, 0, 0, 0, 0, 7)]
+    want = [qdim(w, LevelContext(e8, 16, bits)) for w in weights]
+    widths = set()
+    real_row = LevelContext._ratio_row
+
+    def row(self, ht, w):
+        widths.add(w)
+        return real_row(self, ht, w)
+
+    monkeypatch.setattr(qnum, "GUARD_BITS", 2)
+    monkeypatch.setattr(LevelContext, "_ratio_row", row)
+    ctx = LevelContext(e8, 16, bits)
+    got = [qdim(w, ctx) for w in weights]
+    monkeypatch.undo()
+    assert [(q._v, q._s) for q in got] == [(q._v, q._s) for q in want]
+    assert min(widths) == bits + 2 and len(widths) > 1, widths
 
 
 @pytest.mark.parametrize("bits", [64, 97, 128, 256])
 def test_sine_product_rounds_quotients_like_libmp(e6, bits):
-    # a quotient of two p-bit mantissas is never a tie (the odd part of the
-    # dividend would exceed 2**p); check rounding up and down on both sides
-    # of m >= d against mpf_div
-    p = bits
-    divisor = (0, (1 << (p - 1)) + (1 << (p - 3)) + 1, -p)
-    seen = set()
-    for m in [*range(1 << (p - 1), (1 << (p - 1)) + 100), *range((1 << p) - 100, 1 << p)]:
-        ctx = _context_with_sines(e6, bits, [(0, m, -p), divisor])
-        value, scale = _libmp_fold(ctx, [(1, 2)])
-        got = _kernel(ctx, [(1, 2)])
-        assert raw(got._v) == value and raw(got._s) == scale, m
-        dm = divisor[1]
-        r = (m << (p if m < dm else p - 1)) % dm
-        seen.add((m >= dm, 2 * r > dm))
-    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+    # a one-step product is a quotient of two sines: libmp's mpf_div of the
+    # 4p-bit sines, rounded to nearest at p bits, and its scale that
+    # quotient's magnitude or 1, at every numerator and denominator, for
+    # odd and even l
+    for level in (1, 4):
+        ctx = LevelContext(e6, level, precision_bits=bits)
+        l = ctx.shifted_level
+        wide = [sin_pi_over_l(LevelContext(e6, level, 4 * bits), r)._mpf_ for r in range(2 * l)]
+        for num in range(2 * l):
+            for den in range(1, l) if num % l else ():
+                want = mpf_div(wide[num], wide[den], bits, round_nearest)
+                got = _product(ctx, [(num, den)])
+                assert raw(got._v) == want, (l, num, den)
+                scale = mpf_abs(want) if mpf_gt(mpf_abs(want), fone) else fone
+                assert raw(got._s) == scale, (l, num, den)
 
 
-@st.composite
-def _mantissa_pairs(draw):
-    """(p, m, d): two p-bit mantissas, m on either side of d; half the draws
-    put m*2**s mod d within 1 of d/2 (s = p-1 when m >= d, else p), the
-    quotients nearest to a half-integer."""
-    p = draw(st.sampled_from([64, 97, 128, 256, 1024]))
-    lo, hi = 1 << (p - 1), 1 << p
-
-    def mantissa():  # spread over [lo, hi) by its top byte
-        return lo + draw(st.integers(0, 255)) * (lo >> 8) + draw(st.integers(0, (lo >> 8) - 1))
-
-    d = mantissa()
-    if draw(st.booleans()):
-        return p, mantissa(), d
-    d |= 1  # odd, so 2**s is invertible mod d
-    rem = draw(st.sampled_from([(d - 1) // 2, (d + 1) // 2]))
-    s = draw(st.sampled_from([p - 1, p]))
-    m = rem * pow(2, -s, d) % d + (d if s == p - 1 else 0)
-    assume(lo <= m < hi and (m >= d) == (s == p - 1))
-    return p, m, d
-
-
-@settings(max_examples=400, deadline=None, derandomize=True, database=None)
-@given(_mantissa_pairs())
-def test_reciprocal_quotient_matches_long_division(e6, case):
-    # the kernel divides by multiplying with r = floor(2**(3p+2) / d); its
-    # mantissa must be the long division's nearest integer to m*2**s/d
-    p, m, d = case
-    s = p - 1 if m >= d else p
-    q = ((m << (s + 1)) // d + 1) >> 1
-    ctx = _context_with_sines(e6, p, [(0, m, -p), (0, d, -p)])
-    got = raw(_kernel(ctx, [(1, 2)])._v)
-    assert got == from_man_exp(q, -s)
-    assert got == mpf_div(from_man_exp(m, -p), from_man_exp(d, -p), p, "n")
-
-
-def test_reciprocal_tables_are_per_precision(e8):
+def test_ratio_rows_are_per_precision(e8):
     # qdim calls at three precisions, interleaved in one process, each give
-    # the bits of a fresh context at that precision
+    # the bits of the reference at that precision
     weights = [fw(e8, i, k) for i in range(1, 9) for k in range(1, 4)]
     weights += [(0, 1, 0, 0, 0, 0, 2, 0), (1, 0, 1, 0, 0, 1, 0, 1)]
     precisions = (64, 128, 256)
@@ -424,20 +391,24 @@ def test_reciprocal_tables_are_per_precision(e8):
 
 @pytest.mark.parametrize("bits", [64, 128, 256])
 def test_sine_table_matches_sinpi(rs_map, bits):
-    # the fixed-width table gives back mp.sinpi at 4p bits rounded to nearest
-    # at p bits, mirrored and negated, at every residue mod 2l, for odd and
-    # even l
-    hi = mp_context(4 * bits)
+    # entry r of the row of height ht is |sin(pi (r + ht) / l)| / sin(pi ht
+    # / l) 2**w by mp.sinpi within l units per unit of ratio, exactly 2**w
+    # where the ratio is 1 and 0 where the numerator is; one row per (w,
+    # ht), for odd and even l
     for rs in rs_map.values():
-        for level in (1, 2):
+        for level in (1, 2, 30):
             ctx = LevelContext(rs, level, precision_bits=bits)
-            l = ctx.shifted_level
-            base = [mpf_pos(hi.sinpi(hi.mpf(k) / l)._mpf_, bits, round_nearest)
-                    for k in range(l // 2 + 1)]
-            half = [base[min(k, l - k)] for k in range(l)]
-            expected = half + [mpf_neg(x) for x in half]
-            for r in range(-2 * l, 4 * l):
-                assert sin_pi_over_l(ctx, r)._mpf_ == expected[r % (2 * l)], (rs, l, r)
+            l, w = ctx.shifted_level, bits + qnum.GUARD_BITS
+            hi = mp_context(w + 64)
+            sines = [abs(hi.sinpi(hi.mpf(r) / l)) for r in range(l)]
+            for ht in range(1, rs.coxeter_number):
+                row = ctx._ratio_row(ht, w)
+                assert len(row) == l and ctx._ratio_row(ht, w) is row
+                for r, got in enumerate(row):
+                    j = (r + ht) % l
+                    ratio = sines[j] / sines[ht]
+                    assert abs(got - hi.ldexp(ratio, w)) <= l * ratio, (rs, l, ht, r)
+                    assert got == 1 << w if j in (ht, l - ht) else j or got == 0
 
 
 def test_qdim_line_matches_qdim_on_dominant_range(e7):

@@ -4,7 +4,6 @@ import functools
 import json
 import math
 import random
-import re
 from decimal import Decimal
 from fractions import Fraction
 from types import SimpleNamespace
@@ -537,14 +536,15 @@ def test_solver_divergence_is_reported(e6, monkeypatch, capsys):
     assert solver[0]["note"].startswith("no convergence within 1 Newton steps")
 
 
-def test_solver_float_overflow_is_named(capsys):
-    # E8 L250 solves; from about L560 the float start's cells pass e^709.8,
-    # the float range, and the error names the cell
+def test_solver_float_overflow_is_named(capsys, e8):
+    # E8 L250 solves; from about L560, past the CLI's MAX_LEVEL, the float
+    # start's cells pass e^709.8, the float range, and the error names the
+    # cell
     assert main(["solve", "--type", "E8", "--level", "250"]) == 0
     assert capsys.readouterr().out.startswith("converged, residual ")
-    assert main(["solve", "--type", "E8", "--level", "600"]) == 1
-    assert re.match(r"error: float overflow: cell \(node \d, k=\d+\) is e\^\d",
-                    capsys.readouterr().err)
+    with pytest.raises(SolverDivergence,
+                       match=r"^float overflow: cell \(node \d, k=\d+\) is e\^\d"):
+        solve_restricted(LevelContext(e8, 600))
 
 
 @pytest.mark.parametrize("step,message", [

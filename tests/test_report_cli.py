@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import qslab
-from qslab import affweyl, krchar, qnum, report, seqanalysis
+from qslab import affweyl, cli, krchar, qnum, report, seqanalysis
 from qslab.cli import main
 from qslab.qnum import LevelContext, render_decimal
 from qslab.qsolver import CheckResult
@@ -263,14 +263,15 @@ def test_cli_grid_csv(tmp_path):
 
 
 @pytest.mark.parametrize("label,level,code,golden", [
-    pytest.param("E7", 12, 0, "dceea1520be44fad53347962d01b22e59610ee3ab2e27fecdba3478388c4cba5",
+    pytest.param("E7", 12, 0, "5950ce88bf79b1734031764e5ada05c8686f1337ac11f04f51ba330f3ede45d9",
                  id="E7-12"),
     # the unresolved cell (2, 46) is written as an empty value
-    pytest.param("E8", 16, 1, "cccc156f08e504580c435e5e50d5eaf712464f4866f3c226672c9cebe822d0db",
+    pytest.param("E8", 16, 1, "635b4933cd96ca4fef5df483fb9387fef99664eb7fd35976a39f00c1fd41185a",
                  id="E8-16"),
 ])
 def test_cli_grid_csv_is_pinned(tmp_path, label, level, code, golden):
     # the SHA-256 of `qslab grid --format csv`, as for the report pins below
+    # (both moved with them to the correctly rounded quantum dimensions)
     out = tmp_path / "grid.csv"
     assert main(["grid", "--type", label, "--level", str(level), "--format", "csv",
                  "--out", str(out)]) == code
@@ -593,19 +594,51 @@ def test_cli_computation_error_exits_1(capsys, monkeypatch):
         "error: no convergence within 0 Newton steps; last float log defect 0.693\n")
 
 
-def test_cli_overflow_exits_1_without_a_traceback(capsys):
-    # a precision or a level past what an int shift or an index can hold
-    # raises OverflowError early, before any large allocation
-    for argv, message in (
+def test_cli_overflow_exits_1_without_a_traceback(capsys, monkeypatch):
+    # an OverflowError or MemoryError that a computation raises is an error
+    # message and exit 1, as any failed computation
+    for exc in (OverflowError("cannot fit 'int' into an index-sized integer"), MemoryError()):
+        def fail(*args, exc=exc):
+            raise exc
+
+        monkeypatch.setattr(report, "run", fail)
+        assert main(["verify", "--type", "E6", "--level", "2"]) == 1
+        assert capsys.readouterr().err == f"error: {exc}\n"
+
+
+def test_cli_refuses_level_and_precision_past_their_bounds(capsys):
+    # a --level above MAX_LEVEL or a --precision-bits above
+    # MAX_PRECISION_BITS is a usage error naming the bound, raised by the
+    # parser before any computation; the bounds themselves parse
+    for argv, flag, bound in (
         (["verify", "--type", "E6", "--level", "2", "--precision-bits",
-          "99999999999999999999", "--checks", "grid"], "too many digits in integer"),
-        (["solve", "--type", "E6", "--level", "99999999999999999999"],
-         "cannot fit 'int' into an index-sized integer"),
-        (["solve", "--type", "E7", "--level", "9223372036854775807"],
-         "cannot fit 'int' into an index-sized integer"),
+          "99999999999999999999"], "--precision-bits", cli.MAX_PRECISION_BITS),
+        (["verify", "--type", "E6", "--level", "2", "--precision-bits", "100000000"],
+         "--precision-bits", cli.MAX_PRECISION_BITS),
+        (["solve", "--type", "E6", "--level", "99999999999999999999"], "--level", cli.MAX_LEVEL),
+        (["solve", "--type", "E7", "--level", "9223372036854775807"], "--level", cli.MAX_LEVEL),
+        (["logconcave", "--type", "E7", "--level", "99999999999999999999", "--node", "7"],
+         "--level", cli.MAX_LEVEL),
+        (["qdim", "--type", "E8", "--level", "501", "--weight", "1,0,0,0,0,0,0,0"],
+         "--level", cli.MAX_LEVEL),
+        (["krdec", "--type", "E6", "--node", "1", "--k", "1", "--qdim", "--level", "2",
+          "--precision-bits", "4097"], "--precision-bits", cli.MAX_PRECISION_BITS),
     ):
-        assert main(argv) == 1, argv
-        assert capsys.readouterr().err == f"error: {message}\n", argv
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        value = argv[argv.index(flag) + 1]
+        assert capsys.readouterr().err.endswith(
+            f"error: argument {flag}: must be at most {bound}, got {value}\n"), argv
+    assert (cli.MAX_LEVEL, cli.MAX_PRECISION_BITS) == (500, 4096)
+    args = cli.build_parser().parse_args(["verify", "--type", "E8", "--level", "500",
+                                          "--precision-bits", "4096"])
+    assert (args.level, args.precision_bits) == (500, 4096)
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "restriction level, 1..500" in help_text
+    assert "working precision in bits, 64..4096 (default 128)" in help_text
 
 
 def test_cli_reduce_answers_far_from_the_alcove(capsys, monkeypatch):
@@ -661,76 +694,79 @@ def test_reports_are_deterministic():
     # status, cell, violation, residual or dilog.sum moved.  Every E8 pin
     # moved when positivity_window entries came to be written only at the
     # positivity-window nodes: each E8 report lost the five proven passes
-    # over no cells at nodes 2, 4, 5, 6 and 7, and nothing else.
+    # over no cells at nodes 2, 4, 5, 6 and 7, and nothing else.  Every pin
+    # moved when each quantum dimension and its scale came to be correctly
+    # rounded from one fixed-point product: cells, violations, residuals and
+    # sums moved in their last digits, and no status moved.
     cases = (
         (RunConfig(type_label="E6", level=3, checks=("grid", "theorem", "dilog")), None),
         # the dilogarithm sum renders as 13.5, Kirillov's 27/2: the fixed-point
         # sum, rounded once, lands on it where the per-term mpf chain gave 13.5000...
         (RunConfig(type_label="E6", level=4),
-         "2ab1f10d16a3ccd9b7c07cbf8ad965e6f7b44896df861ac2d9bd4b3a2d6d4ad0"),
+         "a90ae7da353ad70163c647c5ee7081e49f6b0da73a114ae73659f6056adb0084"),
         # E8's derived rows, filled by subtraction and division
         (RunConfig(type_label="E8", level=2),
-         "084803892f507f50f9418f7620d4106efbe0e6738bbc33b7eaed094f2816594e"),
+         "5514c54df457f31d886b474bf7f649d50415786da639b2fa3841fd22697eaf07"),
         # a deep level, where the scale sums and the cancellation are largest
         (RunConfig(type_label="E6", level=30, k_max=42,
                    checks=("roots", "grid", "theorem", "logconcave", "dilog")),
-         "4a28cd0291db176702de29a4146010ea696c0e589a1fddc1ec7c4465b7af1944"),
+         "6c5c21bb88eb8a2c8f0e85b602bfc7ff0b1dcc7118ee35b463caa34f43eba54d"),
         # zero-window residues and the known unresolved cell (2, 46)
         (RunConfig(type_label="E8", level=16, checks=("grid", "theorem")),
-         "c53ce7d81881199c490c916b9aaa34137041d8bc002244e195b7d26645d85fb5"),
+         "9c55773d64904d9a81d2d603582d5c947d053563cf2c109cf34257eb175372b3"),
         (RunConfig(type_label="E7", level=28, checks=("grid", "theorem")),
-         "bc59a5dc1068fe71cc3ab7a8211d355871eafd5c063cfdcb0dbce4285cf8a2b5"),
+         "a9e2dca7719bd33d4d86c8eba73e75e121aad5ef9c3c46c3e836311acff69fe0"),
         # large dilogarithm sums (the last one also holds the Branden check read
         # below), as `verify --checks roots,grid,theorem,logconcave,dilog`
         (RunConfig(type_label="E6", level=30,
                    checks=("roots", "grid", "theorem", "logconcave", "dilog")),
-         "f9a5b91397aa58905e5f16eedc5e47e7f3e1a04119031fc73f81dc23150dd05c"),
+         "16fa5afbd4ec1af10d5b594009bc8ae3ce57f90d04f29c2025d99edc15cc1a40"),
         (RunConfig(type_label="E7", level=11,
                    checks=("roots", "grid", "theorem", "logconcave", "dilog")),
-         "abf71204b6aa32ee8f2768493e61a8bdc455af5155caa0f200af9f76e951d206"),
+         "d5ca3fef8ea86ae3dcc43c362cbc9dc3c211f0deafa5cc1d4be62ba11880d7da"),
         (RunConfig(type_label="E8", level=4,
                    checks=("roots", "grid", "theorem", "logconcave", "dilog")),
-         "a2ac412e70293adc4bb3ed42b31316e46f22d4e41559ff9d485eb773b0f8436e"),
+         "d1ae4c02fcb0f20a8f676d7417481e4f8036aca87b147a9d21fa595e1351967f"),
         # full verify at the north-star configurations, solve and weyl included
         (RunConfig(type_label="E7", level=12),
-         "6b44f0edecfdb282cb25e80edeb10ca27f648f6b949887deb418e8a23dbbd2cc"),
+         "5f371c52722026384f7bcd06b901597fdbd3f44bc464bb1b18f7682422d909b5"),
         (RunConfig(type_label="E8", level=8),
-         "30abc0f2a8c0cfd9ef5c7cfb4b0d0fb24232770b5d08e40780161e7eb3717560"),
+         "d43a16ca2fbe8541919f9ae3b58483ba9c14224514afd96bb05ce806de89ea3c"),
         # the rest of the benchmark's reports: its other five-group sweeps
         # (E7 L28 holds the failing log-concavity check, E8 L16 the
         # unresolved cell) and its other full verify runs
         (RunConfig(type_label="E6", level=6,
                    checks=("roots", "grid", "theorem", "logconcave", "dilog")),
-         "4793a440ec76aa51fc9c2c2e066512cd1b3fb40eaa3cc7ff19d189bca2f061c8"),
+         "066c34280b02c83cd3268b0f17baf33e9f622b11578031e0a9586d1273b4c9fd"),
         (RunConfig(type_label="E7", level=1,
                    checks=("roots", "grid", "theorem", "logconcave", "dilog")),
-         "c3d024f292cb5a762eba8e443ece4830c24d0f835ddaed89b4c15919dbf878dc"),
+         "2520a96cf6bfc016afc415621a3e1ba6032c675b674d474141e1b675df00c46f"),
         (RunConfig(type_label="E7", level=4,
                    checks=("roots", "grid", "theorem", "logconcave", "dilog")),
-         "c77afb9cf80f71679016b5c39d7d573c105d48300e425a2d18de424a1129def2"),
+         "ecf8e0e0332d1fea9776896a6253319ce467ced481d594e7cc2eca9fd9d885e4"),
         (RunConfig(type_label="E7", level=28,
                    checks=("roots", "grid", "theorem", "logconcave", "dilog")),
-         "dab0b94ba7c35eb82deefc5a0748e39c0f90c7a1817fd1fa20c5ab8967522a95"),
+         "66404f31c7cff72e59365c3b9aa14ccbb9bb0bfb494f31952b5b7a2f9bc3cfa1"),
         (RunConfig(type_label="E8", level=16,
                    checks=("roots", "grid", "theorem", "logconcave", "dilog")),
-         "fc340464c5b97ee65ef51d09e00c34f6508a1f800310ec46ec854b23c22cafff"),
+         "10b07ab25a1eb71147d08a59932d01eda510be09b6b18c77e6459ef546804093"),
         (RunConfig(type_label="E6", level=2),
-         "0eae876ef9ede0f7092f08968e2bb4dbf346eaba475ff2fd882082166b797981"),
+         "4cd3352d52faead2a2905f9783abac806b1fa5f3af0ae59d75badf6300c11ac3"),
         (RunConfig(type_label="E7", level=2),
-         "ef391ecdf2feabb876e8152d3a1773cb567ea0e5af25f8f8f40886e0d774a5bd"),
+         "e7c8bc4266e56045e442f9b72c8703cbf1ce655edbc55d07e5f180f38194cf1a"),
         # the logconcave group off 128 bits, where entries at p and
         # tolerances at 128 bits meet in one sum or comparison
         (RunConfig(type_label="E7", level=12, precision_bits=64, checks=("logconcave",)),
-         "56aab5ad82bc59b257137e601b1941fe3ddd4770e9c98151ea87c9540954b89d"),
+         "02f331452ce9f04dcba77dee43a8018a0d1b672c26655f1f0936dace47b55f91"),
         (RunConfig(type_label="E7", level=12, precision_bits=256, checks=("logconcave",)),
-         "92268b30a13b03c70045d6683676046a90f738327a87100298242463dec57862"),
+         "d73aeac934fc55490507a8f0cee70ee9894e31a9baa26d0134aebcb336cd67c6"),
         # failing proven checks at 128 bits: an inf violation and a
         # conjecture-violated dilog_args
         (RunConfig(type_label="E8", level=24, precision_bits=128),
-         "0c27440470157c301cb479799952608fa06d8025256d25a37f159b9e9ac62e89"),
+         "0f2283286ee600d46b3e13a69e6aca2f1ed42b01bbe1858bc3177e660556658a"),
         (RunConfig(type_label="E7", level=12,
                    checks=("roots", "grid", "theorem", "logconcave", "dilog")),
-         "7ffd950e7c499ef48b29c3ce5de443485a6c7297988c24cd994046e08daeaaf0"),
+         "999684ef0c12e0d7f21de7dccc2ce5018c4904538f4f2f0de6303e4a58f3b62d"),
     )
     for cfg, golden in cases:
         a = report_to_dict(run(cfg))
@@ -1093,7 +1129,7 @@ def test_weyl_group_certifies_above_level_12_without_sines(monkeypatch, label, l
         raise AssertionError("the weyl group evaluated a sine")
 
     monkeypatch.setattr(qnum, "qdim", no_sines)
-    monkeypatch.setattr(qnum.LevelContext, "_build_sin_tables", no_sines)
+    monkeypatch.setattr(qnum.LevelContext, "_ratio_row", no_sines)
     out = run(RunConfig(type_label=label, level=level, checks=("weyl",)))
     assert [(c.name, c.status, c.max_violation) for c in out.checks] == [
         ("fixed_word_images", "pass", None),

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -387,6 +388,22 @@ def test_non_finite_entries_are_refused():
                   "nan", "Infinity"):
         with pytest.raises(ValueError, match="^entries must be finite$"):
             make_sequence([1, value, 1])
+
+
+def test_ints_and_fractions_are_read_by_value():
+    # an int or a Fraction is its numerator and denominator, never its str:
+    # past the double range the refusal quotes the value in a few
+    # characters, whatever its digit count (2**20000 has more digits than
+    # Python converts to text), and in range it is the text's entry
+    for value in (2 ** 20000, Fraction(1, 3 ** 9000), 10 ** 400, -(10 ** 400)):
+        with pytest.raises(ValueError, match="is outside the double range") as exc:
+            make_sequence([1, value, 1])
+        assert len(str(exc.value)) < 200
+    for value in (3, -7, Fraction(22, -7), Fraction(1, 3 ** 600), 2 ** 1000, True):
+        text = f"{value.numerator}/{value.denominator}"
+        assert make_sequence([value]) == make_sequence([text]), value
+    with pytest.raises(ValueError, match=r"^1{37}\.\.\. is outside the double range"):
+        make_sequence(["1" * 500])
 
 
 _EDGE_LITERALS = ["1/3", "22/-7", "1_000", " 1.5 ", "-0", ".5", "1e-320", "-0/5", "+7/1"]
