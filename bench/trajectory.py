@@ -4,7 +4,9 @@ timings of one checkout, written to bench/BENCH_<commit>.json.
     python3 bench/trajectory.py
 
 Each workload of BENCHMARK.json runs once through ``perfbench/run.py
---trace 0`` in a child process, and its JSON line is kept as it is.  Then
+--trace 0`` in a child process, and its JSON line is kept as it is; then
+once through ``--trace 1``, and the per-layer table it writes to
+perfbench/out/layers-<workload>.json is kept as {metric: value}.  Then
 ``verify`` runs in-process, all check groups at the default precision,
 seven times each at E7 L12, E8 L8, E8 L24 and E7 L40: the file keeps the
 fastest run's wall time, its per-group times (``diagnostics.timings``), its
@@ -32,6 +34,15 @@ def workload_metrics(name: str) -> dict:
     out = subprocess.run([sys.executable, "perfbench/run.py", "--workload", name, "--trace", "0"],
                          cwd=ROOT, capture_output=True, text=True, check=True)
     return json.loads(out.stdout.splitlines()[-1])
+
+
+def workload_layers(name: str) -> dict:
+    """The per-layer table of one ``perfbench/run.py --workload name --trace
+    1`` run, as {metric: value}."""
+    subprocess.run([sys.executable, "perfbench/run.py", "--workload", name, "--trace", "1"],
+                   cwd=ROOT, capture_output=True, text=True, check=True)
+    table = json.loads((ROOT / "perfbench" / "out" / f"layers-{name}.json").read_text())
+    return {metric: entry["value"] for metric, entry in table.items()}
 
 
 def verify_timings(type_label: str, level: int, runs: int = 7) -> dict:
@@ -65,6 +76,7 @@ def main() -> int:
         "python": platform.python_version(),
         "machine": platform.machine(),
         "workloads": {name: workload_metrics(name) for name in names},
+        "layers": {name: workload_layers(name) for name in names},
         "verify": {f"{t} L{level}": verify_timings(t, level) for t, level in VERIFY_CONFIGS},
     }
     path = ROOT / "bench" / f"BENCH_{commit}.json"

@@ -38,6 +38,11 @@ MAX_LEVEL = 500
 # The largest --precision-bits: a full E7 L12 verify took 3.1 s there at
 # 4096 bits, and E6 L2 1.8 s, but 57 s at 16384 bits.
 MAX_PRECISION_BITS = 4096
+# The largest --level times --precision-bits: on it a full E8 verify took 3.1,
+# 0.9 and 5.6 s there at L15, 60 and 500; L500 at 4096 bits ran past 100 s.
+MAX_LEVEL_BITS = MAX_LEVEL * DEFAULT_PRECISION_BITS
+# The largest --max-order: 1.9 s on the longest alcove line (E6 L500 node 1).
+MAX_ORDER = 1000
 
 
 def _usage_error(message: str) -> NoReturn:
@@ -93,7 +98,8 @@ def _check_list(text: str) -> tuple[str, ...]:
 def _precision_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--precision-bits", type=_int_in(MIN_PRECISION_BITS, MAX_PRECISION_BITS),
                    default=None, help=f"working precision in bits, {MIN_PRECISION_BITS}.."
-                   f"{MAX_PRECISION_BITS} (default {DEFAULT_PRECISION_BITS})")
+                   f"{MAX_PRECISION_BITS} (default {DEFAULT_PRECISION_BITS}), with --level "
+                   f"times bits at most {MAX_LEVEL_BITS}")
 
 
 def _level_flag(p: argparse.ArgumentParser, required: bool) -> None:
@@ -114,7 +120,11 @@ def _optional(args, flag: str, default=None, unused_in: str = ""):
 
 
 def _precision(args, unused_in: str = "") -> int:
-    return _optional(args, "--precision-bits", DEFAULT_PRECISION_BITS, unused_in)
+    bits = _optional(args, "--precision-bits", DEFAULT_PRECISION_BITS, unused_in)
+    if args.level is not None and args.level * bits > MAX_LEVEL_BITS:
+        _usage_error(f"--level {args.level} times --precision-bits {bits} is "
+                     f"{args.level * bits}, more than {MAX_LEVEL_BITS}")
+    return bits
 
 
 def _digits(args, unused_in: str = "") -> int:
@@ -410,7 +420,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--type", type=_type_label, default=None, metavar="TYPE")
     _level_flag(p, required=False)
     p.add_argument("--node", type=int, default=None)
-    p.add_argument("--max-order", type=_int_in(0), default=6)
+    p.add_argument("--max-order", type=_int_in(0, MAX_ORDER), default=6,
+                   help=f"L-iterates probed, 0..{MAX_ORDER} (default 6)")
     p.add_argument("--branden", action="store_true")
     p.add_argument("--seq", default=None, help="raw comma-separated sequence")
     _precision_flag(p)

@@ -6,18 +6,20 @@ for the two remaining E7 nodes at a single box are read from
 ``rootsys.TYPE_DATA``.  Everything else is reached through Q-system
 propagation in :mod:`qslab.qsolver`.
 
-A KR quantum dimension folds ``qdim`` over a decomposition on ``QReal``'s
-p-bit triples, with the bits of the mpf sum; a paired shell's interior
-weights go to ``qnum.shell_qdims`` as pairings with the groups of one
-support plan, whose ``plan_qdim`` decides their zeros as for every weight.
+A KR quantum dimension is the sum of its terms' quantum dimensions, taken
+exactly in integers and rounded once: each weight gives a row term at
+``LevelContext.term_width`` bits (``qnum.plan_qdim``), and a direct row adds
+them up, a paired shell's interior weights evaluated as pairings with the
+groups of one support plan, outside the ``qdim`` memo.
 """
 
 from __future__ import annotations
 
+from operator import add
 from typing import NamedTuple
 
-from .qnum import (ZERO, LevelContext, QReal, add_triples, qdim, qdim_unmemoized, round_triple,
-                   shell_qdims, support_plan)
+from .qnum import (LevelContext, QReal, plan_qdim, qdim, qdim_unmemoized, round_triple,
+                   support_plan)
 from .rootsys import RootSystem, Weight, fundamental_weight, is_dominant, type_data
 
 
@@ -76,13 +78,10 @@ def _check_direct(rs: RootSystem, node: int, box_count: int) -> None:
 
 
 def chari_decomposition(rs: RootSystem, node: int, box_count: int) -> KRDecomposition:
-    """Closed-form decomposition at the direct nodes of TYPE_DATA.
-
-    Term order is deterministic (ascending in the running index, and for the
-    E8 node-1 double sum ascending in the shell r+s then in r) so that
-    prefix-sum identities between consecutive box counts hold exactly even
-    in floating point; ``chari_qdim`` builds its rows on them.
-    """
+    """Closed-form decomposition at the direct nodes of TYPE_DATA, ascending
+    in the running index (for the E8 node-1 double sum, in the shell r+s
+    then in r).  ``qdim_kr`` sums the terms exactly, so its value does not
+    depend on their order."""
     _check_direct(rs, node, box_count)
     k = box_count
     shells = range(k + 1) if node in type_data(rs.type_label).nested_nodes else (k,)
@@ -109,65 +108,83 @@ def kleber_q1(rs: RootSystem, node: int) -> KRDecomposition:
     return KRDecomposition(node=node, box_count=1, terms=terms)
 
 
-def _fold(total: QReal | None, terms, ctx: LevelContext) -> QReal:
-    """Add mult * q over (mult, q) terms to total, left to right, on the
-    p-bit triples, each product and sum rounded as mpf_mul_int and mpf_add
-    round it.  Without a total the sum starts from 0 with scale 0, to which
-    the first term adds exactly; an exact zero term leaves the value's bits,
-    so it adds only its scale."""
-    p = ctx.precision_bits
-    value, scale = (ZERO, ZERO) if total is None else (total._v, total._s)
-    for mult, q in terms:
-        v, s = q._v, q._s
-        if mult != 1:
-            v, s = round_triple(v[0], v[1] * mult, v[2], p), round_triple(0, s[1] * mult, s[2], p)
-        if v[1]:
-            value = add_triples(value, v, p)
-        scale = add_triples(scale, s, p)
-    return QReal(value, scale, p)
+def _rounded(value: int, scale: int, ctx: LevelContext) -> QReal:
+    """Sums of row terms, in units of 2**-``ctx.term_width``, rounded once;
+    a value within 2**-(p+34) of the scale of 0 reads as 0, inside the
+    bound of ``chari_qdim``."""
+    p, w = ctx.precision_bits, ctx.term_width
+    if abs(value) <= scale >> p + 34:
+        value = 0
+    return QReal(round_triple(value < 0, abs(value), -w, p), round_triple(0, scale, -w, p), p)
 
 
 def qdim_kr(dec: KRDecomposition, ctx: LevelContext) -> QReal:
     """Quantum dimension of a decomposition: sum of mult * qdim(weight).
 
-    Terms are accumulated left to right in the decomposition's order, so two
-    decompositions sharing a prefix produce bit-identical partial sums.  Each
-    term is evaluated as it is added, outside the ``qdim`` memo, so a
-    decomposition of many terms holds none of their values.
+    The terms' row terms (``qnum.plan_qdim``) are summed exactly and rounded
+    once, so the value and scale are those of ``chari_qdim``, within its
+    bound of the exact sum, in any order of the terms.  Each term is
+    evaluated as it is added, outside the ``qdim`` memo, so a decomposition
+    of many terms holds none of their values.
     """
     if not dec.terms:
         return ctx.zero
-    return _fold(None, ((mult, qdim_unmemoized(w, ctx)) for mult, w in dec.terms), ctx)
+    if len(dec.terms) == 1 and dec.terms[0][0] == 1:  # the term's own value
+        return qdim_unmemoized(dec.terms[0][1], ctx)[0]
+    value = scale = 0
+    for mult, weight in dec.terms:
+        x, s = qdim_unmemoized(weight, ctx, False)[1]
+        value += mult * x
+        scale += mult * s
+    return _rounded(value, scale, ctx)
 
 
-def _shell_qdims(node: int, j: int, ctx: LevelContext) -> list[QReal]:
-    """The quantum dimensions of shell j's weights, in summation order; those
-    of a paired shell's interior weights r w_a + (j - r) w_b, 0 < r < j, by
-    ``shell_qdims`` from the plan of (a, b)."""
+def _shell_terms(node: int, j: int, ctx: LevelContext) -> list[tuple[int, int]]:
+    """The row terms of shell j's weights: of j w_node, or of a paired
+    shell's ends j w_a and j w_b, from the ``qdim`` memo; of a paired shell's
+    interior weights r w_a + (j - r) w_b, 0 < r < j, from the plan of (a, b),
+    their pairings advanced by one vector add per weight."""
     rs = ctx.root_system
     pair = type_data(rs.type_label).paired_shells.get(node)
-    if pair is None or j == 0:
-        return [qdim(fundamental_weight(rs.rank, node, j), ctx)]
-    a, b = pair
-    return [qdim(fundamental_weight(rs.rank, b + 1, j), ctx),
-            *shell_qdims(support_plan(ctx, pair), j, ctx),
-            qdim(fundamental_weight(rs.rank, a + 1, j), ctx)]
+    terms = []
+    for i in [node] if pair is None or j == 0 else [a + 1 for a in pair]:
+        w = fundamental_weight(rs.rank, i, j)
+        qdim(w, ctx)
+        terms.append(ctx._row_terms[w])
+    if pair and j > 1:
+        plan = support_plan(ctx, pair)
+        dots = [va + (j - 1) * vb for va, vb in plan[0]]
+        step = [va - vb for va, vb in plan[0]]
+        for _ in range(j - 1):
+            terms.append(plan_qdim(plan, dots, ctx, False)[1])
+            dots = list(map(add, dots, step))
+    return terms
 
 
 def chari_qdim(node: int, box_count: int, ctx: LevelContext) -> QReal:
     """qdim_kr(chari_decomposition(rs, node, box_count), ctx), bit for bit.
 
     Each direct node keeps a row in the context, extended on demand in
-    increasing box count.  Row k folds the terms of shell k left in the
-    decomposition's order, onto row k-1 at the nested nodes and onto nothing
-    at the others.
+    increasing box count.  Row k adds the row terms of shell k exactly, onto
+    row k-1's integer sums at the nested nodes, and rounds once; at a node
+    that neither nests nor pairs it is the one weight's ``qdim``.  Each term
+    is within 2**-(p+33) of its scale (``qnum._ratio_product``), so the value
+    lies within half a unit in its last place plus 2**-(p+32) times the
+    row's scale of the exact Chari sum, 0 included (``_rounded``), and the
+    scale within as much of the exact sum of the terms' largest partial
+    products, 1 for a zero term.
     """
     rs = ctx.root_system
     _check_direct(rs, node, box_count)
-    rows = ctx._chari_rows.setdefault(node, [])
-    nested = node in type_data(rs.type_label).nested_nodes
+    rows, td = ctx._chari_rows.setdefault(node, []), type_data(rs.type_label)
+    nested = node in td.nested_nodes
     while len(rows) <= box_count:
-        k = len(rows)
-        shell = [(1, q) for q in _shell_qdims(node, k, ctx)]
-        rows.append(_fold(rows[k - 1] if nested and k else None, shell, ctx))
-    return rows[box_count]
+        if not nested and node not in td.paired_shells:
+            rows.append((qdim(fundamental_weight(rs.rank, node, len(rows)), ctx),))
+            continue
+        value, scale = rows[-1][1:] if nested and rows else (0, 0)
+        for x, s in _shell_terms(node, len(rows), ctx):
+            value += x
+            scale += s
+        rows.append((_rounded(value, scale, ctx), value, scale))
+    return rows[box_count][0]

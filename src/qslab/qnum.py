@@ -9,8 +9,9 @@ thresholding.
 
 A quantum dimension, its scale and ``QReal`` hold p-bit triples (sign,
 mantissa exactly p bits wide, exponent), or ``ZERO``, at the context's
-precision p.  The sine product and its scale are correctly rounded to
-nearest (``_ratio_product``: a proven error bound and Ziv's rounding test).
+precision p.  One fixed-point walk gives a sine product and its scale,
+which ``qdim`` rounds correctly (a proven error bound and Ziv's test), and
+the KR sums of :mod:`qslab.krchar` add as an integer row term (``plan_qdim``).
 ``QReal``'s operations round as the libmp calls they stand for, to nearest
 with ties to even, so their bits are those of mpf arithmetic, without
 libmp's normal form.
@@ -19,8 +20,9 @@ The sines are qnum's own: an integer Taylor series with pi from Machin's
 formula (``pi_fixed``), within a stated bound (``_abs_sines``).
 ``log_fixed`` gives the logarithms of the dilogarithm sum in fixed point,
 and ``render_decimal`` writes every number qslab prints, a triple as one
-correctly rounded decimal division, and ``triple_fraction`` hands a triple
-out as the exact ``fractions.Fraction`` it stands for (``QReal.value`` and
+correctly rounded decimal division (``render_note``: without trailing
+zeros), and ``triple_fraction`` hands a triple out as the exact
+``fractions.Fraction`` it stands for (``QReal.value`` and
 ``magnitude_scale``).  No command imports mpmath: ``mp_context`` imports it
 inside the call, for ``LevelContext.mp`` alone.
 """
@@ -190,6 +192,13 @@ def render_decimal(x, digits: int = 30) -> str:
         num = -int(man) if sign else int(man)
         num, den = (num << exp, 1) if exp >= 0 else (num, 1 << -exp)
     return str(_decimal_context(digits).divide(Decimal(num), Decimal(den)))
+
+
+def render_note(x, digits: int) -> str:
+    """A note's number: ``render_decimal`` without the trailing zeros of its
+    fraction, so equal rounded values print equally, exact or not."""
+    mant, e, exp = render_decimal(x, digits).partition("E")
+    return (mant.rstrip("0").rstrip(".") if "." in mant else mant) + e + exp
 
 
 # ---------------------------------------------------------------------------
@@ -412,11 +421,11 @@ class LevelContext:
     precision state); ``mp``, the shared mpmath context of that precision
     (``mp_context``), is made only when read.  It owns the fixed-point rows
     of sine ratios (``_ratio_row``), one fold plan per support pattern
-    (``support_plan``) and a memo of ``qdim`` keyed by dominant weight.  It
-    also memoizes the closed-form KR rows of :mod:`qslab.krchar`, one list
-    per direct node indexed by box count; their paired-shell interior
-    weights are evaluated from their plan by ``shell_qdims``, outside the
-    memo.  ``one`` and ``zero`` are its exact 1 and 0.
+    (``support_plan``) and a memo of ``qdim`` keyed by dominant weight, each
+    weight's row term beside it.  It also memoizes the closed-form KR rows
+    of :mod:`qslab.krchar`, one list per direct node indexed by box count.
+    ``one`` and ``zero`` are its exact 1 and 0, and ``term_width`` = p +
+    GUARD_BITS the width of its walks and row terms.
     """
 
     def __init__(
@@ -432,13 +441,15 @@ class LevelContext:
             raise ValueError(f"precision_bits must be at least {MIN_PRECISION_BITS}")
         self.root_system, self.level, self.precision_bits = root_system, level, precision_bits
         self.shifted_level = level + root_system.coxeter_number
+        self.term_width = precision_bits + GUARD_BITS
         one = one_triple(precision_bits)
         self.one, self.zero = QReal(one, one, precision_bits), QReal(ZERO, one, precision_bits)
         self._qdim_cache: dict[Weight, QReal] = {}
         self._plans: dict[tuple[int, ...], tuple] = {}
         self._sine_tables: dict[int, list[int]] = {}  # width -> _abs_sines
         self._rows: dict[tuple[int, int], list[int]] = {}  # (width, height) -> row
-        self._chari_rows: dict[int, list[QReal]] = {}
+        self._row_terms: dict[Weight, tuple[int, int]] = {}  # beside _qdim_cache
+        self._chari_rows: dict[int, list[tuple]] = {}  # (row, its integer sums)
 
     mp = property(lambda self: mp_context(self.precision_bits))
 
@@ -478,97 +489,105 @@ def support_plan(ctx: LevelContext, support: tuple[int, ...]) -> tuple:
     those roots' distinct coefficient vectors on the support, one per group;
     pairing to d with group g's is an exact zero iff d mod l is in
     ``zero_residues[g]``, the -ht mod l of the group's heights (1 <= ht < h
-    < l), and ``heights[g]`` lists those heights in increasing order, one
-    per root.
-    ``steps`` holds ``(g, ht, row)`` per such root in canonical order, with
-    the ``_ratio_row`` of its height at the context's working width."""
+    < l), which ``heights[g]`` lists in increasing order, one per root.
+    ``steps`` holds ``(g, ht, row)`` per such root in canonical order, row
+    the ``_ratio_row`` of ht at ``ctx.term_width``."""
     plan = ctx._plans.get(support)
     if plan is not None:
         return plan
     rs, l = ctx.root_system, ctx.shifted_level
-    w = ctx.precision_bits + GUARD_BITS
     groups, steps = {}, []  # vector -> (group, heights); product steps
     for v, ht in zip(zip(*[rs.root_columns[j] for j in support]), rs.heights):
         if any(v):
             g, hts = groups.setdefault(v, (len(groups), []))
             hts.append(ht)
-            steps.append((g, ht, ctx._ratio_row(ht, w)))
+            steps.append((g, ht, ctx._ratio_row(ht, ctx.term_width)))
     heights = [sorted(hts) for _, hts in groups.values()]
     plan = ctx._plans[support] = (tuple(groups), [{-ht % l for ht in hts} for hts in heights],
                                   steps, heights)
     return plan
 
 
-def plan_qdim(plan: tuple, dots: Sequence[int], ctx: LevelContext) -> QReal:
-    """The quantum dimension of the weight whose pairings with the groups of
-    a ``support_plan`` are ``dots``: ``ctx.zero`` when one of them is an
-    exact zero by its group's residues, else the plan's sine product."""
+def plan_qdim(plan: tuple, dots: Sequence[int], ctx: LevelContext, rounded: bool) -> tuple:
+    """``(quantum dimension, row term)`` of the weight whose pairings with
+    the groups of a ``support_plan`` are ``dots``: ``ctx.zero`` and (0,
+    2**W), W = ``ctx.term_width``, when one of them is an exact zero by its
+    group's residues, else the plan's ``_ratio_product``."""
     l = ctx.shifted_level
     for d, zeros in zip(dots, plan[1]):
         if d % l in zeros:
-            return ctx.zero
-    return _ratio_product(ctx, plan, dots)
+            return ctx.zero, (0, 1 << ctx.term_width)
+    return _ratio_product(ctx, plan, dots, rounded)
 
 
-def shell_qdims(plan: tuple, j: int, ctx: LevelContext) -> list[QReal]:
-    """The quantum dimensions of the weights r w_a + (j - r) w_b, 0 < r < j,
-    of the two-node ``support_plan`` of (a, b), by ``plan_qdim`` on their
-    pairings r va + (j - r) vb with the plan's groups (va, vb)."""
-    return [plan_qdim(plan, [r * va + (j - r) * vb for va, vb in plan[0]], ctx)
-            for r in range(1, j)]
-
-
-def _ratio_product(ctx: LevelContext, plan: tuple, dots: Sequence[int]) -> QReal:
-    """The product of sin(pi (dots[g] + ht) / l) / sin(pi ht / l) over the
-    ``support_plan`` steps (g, ht, row), no numerator a multiple of l, and
-    its scale, the largest |partial product| in canonical order from 1,
-    each correctly rounded to the context's precision p.
+def _ratio_walk(ctx: LevelContext, plan: tuple, dots: Sequence[int], w: int) -> tuple:
+    """``(sign, x, hi, lo)`` of the product of sin(pi (dots[g] + ht) / l) /
+    sin(pi ht / l) over the ``support_plan`` steps (g, ht, row), no numerator
+    a multiple of l: one fixed-point pass at w bits.
 
     The sign is the parity of the negative numerators: group g's numerators
     d + ht, d = q l + r, are negative for odd floor((d + ht) / l) = q + [ht
-    >= l - r].  The magnitude is one fixed-point pass at w = p + GUARD_BITS
-    bits, x_k = floor(x_{k-1} R_k / 2**w) from x_0 = 2**w, on row entries R_k
-    within eta = l 2**-w of the ratios, relatively.  With m the least x_k
-    and m >= 2**p, x_k / (2**w t_k) for the exact partial products t_k lies
-    between ((1 - eta) / (1 + 1/m))**k and (1 + eta)**k, so within n (2/m +
-    6 eta) of 1 for n steps, as n (1/m + 3 eta) <= 1 wherever the test
-    below passes: x_k is within e = n (6l + 2) x_k 2**-j + 1 units of 2**w
-    t_k, j = bitlen(m) - 1, and the largest x_k within e of 2**w max t_k.
-    Rounding to nearest is monotone, so when both ends of [x - e, x + e]
-    round to one p-bit value, so does the exact value (Ziv's test).
-    Otherwise the pass runs again with the guard bits doubled, plus those
-    lost at m.  Only an exact p-bit tie would never pass; the pass gives up
-    past 64 p bits.
+    >= l - r].  The magnitude is x_k = floor(x_{k-1} R_k / 2**w) from x_0 =
+    2**w, on row entries R_k within eta = l 2**-w of the ratios, relatively,
+    to the last x, the largest hi and the least lo.  With lo >= 2**j, j >= p,
+    x_k / (2**w t_k) for the exact partial products t_k lies between ((1 -
+    eta) / (1 + 2**-j))**k and (1 + eta)**k, so for n steps x_k is within e =
+    n (6l + 2) x_k 2**-j + 1 units of 2**w t_k wherever n (2**-j + 3 eta) <=
+    1, and hi within the same of 2**w max t_k.
     """
-    l, p = ctx.shifted_level, ctx.precision_bits
+    l = ctx.shifted_level
     neg, res = 0, []
     for d, hts in zip(dots, plan[3]):
         q, r = divmod(d, l)
         neg += len(hts) * (q + 1) - bisect_left(hts, l - r)
         res.append(r)
-    steps, w = plan[2], p + GUARD_BITS
-    c = len(steps) * (6 * l + 2)
+    steps = plan[2]
+    if w != ctx.term_width:
+        steps = [(g, ht, ctx._ratio_row(ht, w)) for g, ht, _ in steps]
+    x = hi = lo = 1 << w
+    for g, _, row in steps:
+        x = x * row[res[g]] >> w
+        if x > hi:
+            hi = x
+        elif x < lo:
+            lo = x
+    return neg & 1, x, hi, lo
+
+
+def _ratio_product(ctx: LevelContext, plan: tuple, dots: Sequence[int], rounded: bool) -> tuple:
+    """``(QReal or None, row term)`` from walks of the plan, the first at W =
+    ``ctx.term_width`` bits: the product and its scale, hi, correctly rounded
+    to p bits unless not ``rounded`` (Ziv's test: rounding to nearest is
+    monotone, so when both ends of [x - e, x + e] round to one p-bit value,
+    so does the exact one), and the signed x and hi of the first walk with
+    lo >= 2**(p + 34 + bitlen(c)), c = n (6l + 2) for n steps, floored to W
+    bits: then e < hi 2**-(p+34) + 1 and the floor adds under 2 units, so
+    both lie within 2**-(p+33) hi of 2**W times their exact values (for W >=
+    p + 36).  Until both are found the walk runs again with the guard bits
+    doubled, plus those lost at lo; only an exact p-bit tie never rounds,
+    and the walks give up past 64 p bits.
+    """
+    p, w = ctx.precision_bits, ctx.term_width
+    c, value, term = len(plan[2]) * (6 * ctx.shifted_level + 2), None, None
     while True:
-        x = hi = lo = 1 << w
-        for g, _, row in steps:
-            x = x * row[res[g]] >> w
-            if x > hi:
-                hi = x
-            elif x < lo:
-                lo = x
+        sign, x, hi, lo = _ratio_walk(ctx, plan, dots, w)
         k = lo.bit_length() - 1
-        if k >= p:
+        if term is None and k >= p + 34 + c.bit_length():
+            n = w - ctx.term_width
+            term = -(x >> n) if sign else x >> n, hi >> n
+        if rounded and value is None and k >= p:
             e = (c * x >> k) + 1
-            v = round_triple(neg & 1, x - e, -w, p)
-            if v == round_triple(neg & 1, x + e, -w, p):
+            v = round_triple(sign, x - e, -w, p)
+            if v == round_triple(sign, x + e, -w, p):
                 e = (c * hi >> k) + 1
                 s = round_triple(0, hi - e, -w, p)
                 if s == round_triple(0, hi + e, -w, p):
-                    return QReal(v, s, p)
+                    value = QReal(v, s, p)
+        if term is not None and (value is not None or not rounded):
+            return value, term
         if w > 64 * p:
             raise RuntimeError(f"sine product undecided at {w} bits")
         w += (w - p) + (w - k)
-        steps = [(g, ht, ctx._ratio_row(ht, w)) for g, ht, _ in plan[2]]
 
 
 def qdim(weight: Sequence[int], ctx: LevelContext) -> QReal:
@@ -577,7 +596,8 @@ def qdim(weight: Sequence[int], ctx: LevelContext) -> QReal:
     Computed as the product over positive roots beta of
     sin(pi (weight+rho | beta) / l) / sin(pi (rho | beta) / l); factors with
     (weight | beta) = 0 equal 1 exactly and are skipped.  The result is an
-    exact zero precisely when some numerator pairing is divisible by l.
+    exact zero precisely when some numerator pairing is divisible by l.  The
+    memo keeps its row term beside it, in ``ctx._row_terms``.
     """
     cache = ctx._qdim_cache
     w = weight if type(weight) is tuple else tuple(weight)
@@ -586,12 +606,13 @@ def qdim(weight: Sequence[int], ctx: LevelContext) -> QReal:
     if cached is not None:
         return cached
     w = int_weight(w)
-    out = cache[w] = qdim_unmemoized(w, ctx)
-    return out
+    cache[w], ctx._row_terms[w] = qdim_unmemoized(w, ctx)
+    return cache[w]
 
 
-def qdim_unmemoized(weight: Sequence[int], ctx: LevelContext) -> QReal:
-    """``qdim`` evaluated without its memo, which it neither reads nor fills."""
+def qdim_unmemoized(weight: Sequence[int], ctx: LevelContext, rounded: bool = True) -> tuple:
+    """``plan_qdim`` of a dominant weight, without the ``qdim`` memo, which
+    it neither reads nor fills."""
     w = int_weight(weight)
     if len(w) != ctx.root_system.rank:
         raise ValueError("weight has wrong rank")
@@ -601,7 +622,7 @@ def qdim_unmemoized(weight: Sequence[int], ctx: LevelContext) -> QReal:
     # the support roots, which pair with w through their group's vector
     plan = support_plan(ctx, tuple(compress(range(len(w)), w)))
     coords = tuple(filter(None, w))
-    return plan_qdim(plan, [sum(map(mul, coords, g)) for g in plan[0]], ctx)
+    return plan_qdim(plan, [sum(map(mul, coords, g)) for g in plan[0]], ctx, rounded)
 
 
 def qdim_line(node: int, k: int, ctx: LevelContext) -> QReal:

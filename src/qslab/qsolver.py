@@ -16,10 +16,10 @@ stands for, in the same order, so the bits are those of mpf arithmetic
 without libmp's normalization.  A ``QGrid`` holds triples, and so do the
 residual, the dilogarithm arguments, margin and sum and every check's
 violation.  Nothing here imports mpmath: ``QGrid.cell`` hands out a cell as
-an exact ``fractions.Fraction``, the notes and the solver's divergence
-message write their numbers by ``qnum.render_decimal``, as the report writes
-its cells, and the logarithms, pi and Bernoulli numbers of the dilogarithm
-sum are computed on integers.
+an exact ``fractions.Fraction``, the solver's divergence message writes its
+numbers by ``qnum.render_decimal``, as the report writes its cells, the notes
+by ``qnum.render_note``, and the logarithms, pi and Bernoulli numbers of the
+dilogarithm sum are computed on integers.
 ``dilog_sum`` alone leaves the mpf operators' order: it sums Rogers'
 dilogarithms (``_rogers``) in one fixed-point integer and rounds once.  Every
 tolerance or margin decision, here and in the grid, solve and dilog groups
@@ -54,7 +54,8 @@ from typing import NamedTuple, Sequence
 from .krchar import chari_qdim
 from .qnum import (FINF, TRIPLE_ORDER, ZERO, LevelContext, QReal, abs_triple, add_triples,
                    cmp_triples, div_triples, float_triple, log_fixed, mul_triples, one_triple,
-                   pi_fixed, render_decimal, round_triple, triple_float, triple_fraction)
+                   pi_fixed, render_decimal, render_note, round_triple, triple_float,
+                   triple_fraction)
 from .rootsys import RootSystem, TypeData, delta, is_proven, type_data
 
 # The certification checks' bounds (at the default precision or above), one
@@ -610,7 +611,7 @@ def theorem_report(ctx: LevelContext, grid: QGrid) -> list[CheckResult]:
         least = _least(line)
         ok, violation = _above(least, POSITIVITY_MARGIN, p)
         add("positivity", i, ok, violation,
-            f"min value {'-inf' if least is None else render_decimal(least, 8)}")
+            f"min value {'-inf' if least is None else render_note(least, 8)}")
         if i in type_data(label).positivity_window_nodes and not checks[-1].proven:
             # The sub-range covered by theorems gets its own proven entry;
             # rounding is monotone, so max(0, margin - least) is the largest
@@ -773,7 +774,7 @@ def dilog_sum(grid: QGrid, args: dict[tuple[int, int], tuple] | None = None) -> 
         sign, man, exp = x
         # man 2**exp in (0, 1), whatever the width of man: man < 2**-exp
         if sign or not man or exp >= 0 or man >> -exp:
-            raise ValueError(f"dilogarithm argument {render_decimal(x, 8)} outside (0, 1)")
+            raise ValueError(f"dilogarithm argument {render_note(x, 8)} outside (0, 1)")
     wp = prec + 40
     while True:
         # every term is positive, so each term's few units at wp bits are a

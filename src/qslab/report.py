@@ -5,7 +5,7 @@ run in a fixed order, the Weyl-group checks are exact integer certificates
 with no sampling, and all numeric evidence is rendered by
 ``qnum.render_decimal`` as round-half-even decimal strings: cells,
 violations, the residual and the dilogarithm sum at 30 significant digits,
-the numbers in the notes at 8 (12 for the dilogarithm sum).
+the numbers in the notes at 8 (12 for the dilogarithm sum) by ``render_note``.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple
 
 from . import affweyl, krchar, qsolver, rootsys, seqanalysis
 from .qnum import (DEFAULT_PRECISION_BITS, MIN_PRECISION_BITS, LevelContext, alcove_line,
-                   render_decimal)
+                   render_decimal, render_note)
 from .qsolver import CheckResult, QGrid, _above, _at_most, _mk_check, _rel_gap
 from .rootsys import RootSystem, Weight, build_root_system
 
@@ -348,14 +348,14 @@ def _dilog_checks(report, ctx, grid) -> list[CheckResult]:
         ok, violation, note = True, None, "no interior cells"
     else:
         ok, violation = _above(margin, qsolver.DILOG_MARGIN, p)
-        note = f"min distance to {{0,1}}: {render_decimal(margin, 8)}"
+        note = f"min distance to {{0,1}}: {render_note(margin, 8)}"
     checks = [_mk_check("dilog_args", None, ok, proven, violation, note=note)]
     report.dilog_in_range = ok
     if margin is not None and not _above(margin, 0.0, p)[0]:
         return checks  # an argument outside (0, 1) has no Rogers dilogarithm
     total = qsolver.dilog_sum(grid, args)
     checks.append(_mk_check("dilog_sum", None, True, True, None,
-                            note=f"normalized sum {render_decimal(total, 12)}"))
+                            note=f"normalized sum {render_note(total, 12)}"))
     report.dilog_sum = total
     return checks
 

@@ -11,17 +11,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
-from mpmath.libmp import (fone, from_man_exp, mpf_abs, mpf_div, mpf_gt, mpf_log, mpf_lt,
+from mpmath.libmp import (fone, from_man_exp, fzero, mpf_abs, mpf_div, mpf_gt, mpf_log, mpf_lt,
                           mpf_mul, mpf_pi, mpf_pos, mpf_sub, round_nearest, to_fixed)
 
 from qslab import krchar, qsolver
 from qslab.krchar import chari_decomposition, chari_qdim
 from qslab.qnum import (DEFAULT_PRECISION_BITS, LevelContext, QReal, mp_context, qdim_classical,
-                        render_decimal)
+                        render_note)
 from qslab.qsolver import (DILOG_MARGIN, FULL_GRID_RESIDUAL_TOL, POSITIVITY_MARGIN, REL_GAP_TOL,
                            SOLVER_TOLERANCE, ZERO_WINDOW_TOL, QGrid, _mk_check,
                            proven_positivity_window)
-from qslab.rootsys import _closure, delta, is_proven, type_data
+from qslab.rootsys import _closure, build_root_system, delta, is_proven, type_data
 from qslab.seqanalysis import (RealSequence, RootednessVerdict, _newton_violation, _sturm_verdict,
                                is_log_concave)
 
@@ -131,16 +131,15 @@ def sin_pi_over_l(ctx, r: int):
     return ctx.mp.make_mpf(mpf_pos(_wide_sines(l, p)[r % (2 * l)], p, round_nearest))
 
 
-def sine_fold(ctx, factors: Iterable[tuple[int, int]]):
+def wide_sine_product(l: int, p: int, factors: Iterable[tuple[int, int]]) -> tuple:
     """(value, scale) of the product of sin(pi*num/l)/sin(pi*den/l) over the
-    (num, den) pairs, scale the largest |partial product| from 1: each
-    formed in mpmath at 4p bits and rounded once to nearest at the context's
-    precision p, as mpf numbers of the context; (0, 1) when some numerator
-    is a multiple of l."""
-    p, l = ctx.precision_bits, ctx.shifted_level
+    (num, den) pairs, scale the largest |partial product| from 1, as raw mpf
+    values formed in mpmath at 4p bits, each of the 2n operations rounded to
+    nearest there, so within 2n 2**-4p of the exact ones, relatively;
+    (0, 1) when some numerator is a multiple of l."""
     factors = list(factors)
     if any(num % l == 0 for num, _ in factors):
-        return ctx.mp.mpf(0), ctx.mp.mpf(1)
+        return fzero, fone
     sines, wide = _wide_sines(l, p), 4 * p
     value = scale = fone
     for num, den in factors:
@@ -148,7 +147,45 @@ def sine_fold(ctx, factors: Iterable[tuple[int, int]]):
                         sines[den % (2 * l)], wide, round_nearest)
         if mpf_gt(mpf_abs(value), scale):
             scale = mpf_abs(value)
-    return tuple(ctx.mp.make_mpf(mpf_pos(x, p, round_nearest)) for x in (value, scale))
+    return value, scale
+
+
+def sine_fold(ctx, factors: Iterable[tuple[int, int]]):
+    """``wide_sine_product`` at the context's l and precision p, each rounded
+    once to nearest at p bits, as mpf numbers of the context."""
+    p = ctx.precision_bits
+    return tuple(ctx.mp.make_mpf(mpf_pos(x, p, round_nearest))
+                 for x in wide_sine_product(ctx.shifted_level, p, factors))
+
+
+@functools.cache
+def _wide_qdim(label: str, level: int, p: int, weight: tuple) -> tuple:
+    """``wide_sine_product`` of a dominant weight's factors, one per positive
+    root that pairs with it nonzero, as exact Fractions."""
+    rs, factors = build_root_system(label), []
+    for b, ht in zip(rs.positive_roots, rs.heights):
+        lam = sum(wi * bi for wi, bi in zip(weight, b))
+        if lam:
+            factors.append((lam + ht, ht))
+    l = level + rs.coxeter_number
+    return tuple(_fraction(x) for x in wide_sine_product(l, p, factors))
+
+
+def _fraction(x) -> Fraction:
+    sign, man, exp, _ = x
+    return Fraction(-man if sign else man) * Fraction(2) ** exp
+
+
+def kr_sum(rs, level: int, terms, p: int) -> tuple[Fraction, Fraction]:
+    """(sum of mult * qdim(weight), sum of mult * its scale) over a
+    decomposition's terms, each term ``wide_sine_product`` at 4p bits and
+    the sums exact: within 2n 2**-4p of the exact Chari sum and its scale,
+    relatively to the scale, n <= 120 factors per term."""
+    value = scale = Fraction(0)
+    for mult, weight in terms:
+        v, s = _wide_qdim(rs.type_label, level, p, tuple(weight))
+        value, scale = value + mult * v, scale + mult * s
+    return value, scale
 
 
 @dataclass(frozen=True)
@@ -655,7 +692,7 @@ def theorem_report(ctx, grid):
         full_ok = min_val > POSITIVITY_MARGIN
         checks.append(_mk_check(
             "positivity", i, full_ok, is_proven(label, "positivity", i),
-            violation, note=f"min value {render_decimal(min_val._mpf_, 8)}"))
+            violation, note=f"min value {render_note(min_val._mpf_, 8)}"))
         if i in type_data(label).positivity_window_nodes and not is_proven(label, "positivity", i):
             # The sub-range covered by theorems gets its own proven entry.
             worst_w = zero
@@ -803,13 +840,13 @@ def dilog_checks(report, ctx, grid):
     checks = [_mk_check("dilog_args", None, ok, proven,
                         None if margin is None else max(ctx.mp.mpf(0), DILOG_MARGIN - margin),
                         note="no interior cells" if margin is None
-                        else f"min distance to {{0,1}}: {render_decimal(margin._mpf_, 8)}")]
+                        else f"min distance to {{0,1}}: {render_note(margin._mpf_, 8)}")]
     report.dilog_in_range = bool(ok)
     if margin is not None and margin <= 0:
         return checks
     total = dilog_sum(grid, ctx, args)
     checks.append(_mk_check("dilog_sum", None, True, True, None,
-                            note=f"normalized sum {render_decimal(total._mpf_, 12)}"))
+                            note=f"normalized sum {render_note(total._mpf_, 12)}"))
     report.dilog_sum = total
     return checks
 
@@ -858,6 +895,6 @@ def dilog_sum(grid, ctx, args=None):
             continue
         x = args[(i, k)]
         if not (0 < x < 1):
-            raise ValueError(f"dilogarithm argument {render_decimal(x._mpf_, 8)} outside (0, 1)")
+            raise ValueError(f"dilogarithm argument {render_note(x._mpf_, 8)} outside (0, 1)")
         total += li2_power_series(x, mp) + mp.log(x) * mp.log(1 - x) / 2
     return 6 / mp.pi ** 2 * total

@@ -14,10 +14,11 @@ from qslab.krchar import (
     kleber_q1,
     qdim_kr,
 )
-from qslab.qnum import LevelContext, qdim, qdim_classical
+from qslab import qnum
+from qslab.qnum import ZERO, LevelContext, qdim, qdim_classical, triple_fraction
 from qslab.rootsys import TYPE_DATA, fundamental_weight
 
-from oracles import MpfQReal, classical_grid, mpf_qreal, raw
+from oracles import classical_grid, kr_sum
 from rootbasis import to_root_basis
 
 
@@ -170,16 +171,35 @@ def test_boundary_value_one_at_level(e6, e7):
             assert abs(v.value - 1) < Fraction(1, 10**28), (rs.type_label, level)
 
 
+# The references below are ``oracles.kr_sum`` at 4 * REF_BITS bits, at
+# least 4p for every precision p tested, within 240 * 2**(-4 * REF_BITS) of
+# the exact sum and its scale, relatively to the scale.
+REF_BITS = 256
+
+
+def _assert_within_row_bound(q, exact, p, where, ref_bits=REF_BITS):
+    """q's value and scale each lie within half a unit in its last place plus
+    2**-(p+32) times q's scale of the exact (value, scale): the bound of
+    ``chari_qdim`` and ``qdim_kr``, widened by the reference's own error."""
+    scale = q.magnitude_scale
+    for t, exact_x in zip((q._v, q._s), exact):
+        half_ulp = Fraction(2) ** (t[2] - 1) if t[1] else 0
+        tol = half_ulp + scale / 2 ** (p + 32) + exact[1] / 2 ** (4 * ref_bits - 8)
+        assert abs(triple_fraction(t) - exact_x) <= tol, (where, t is q._s)
+
+
 def test_prefix_sum_telescoping_exact(e6, e7):
-    # consecutive box counts share their partial sums bit-for-bit: each
-    # row is the one before plus the new term, rounded as an mpf sum
+    # consecutive box counts share their sums exactly: row k of a nested
+    # node is row k-1's integer sums plus shell k, so the row, the whole
+    # decomposition summed by qdim_kr and the exact Chari sum agree
     for rs, node in ((e6, 2), (e7, 1)):
         ctx = LevelContext(rs, 4)
         for k in range(1, 8):
-            prev = qdim_kr(chari_decomposition(rs, node, k - 1), ctx)
-            cur = qdim_kr(chari_decomposition(rs, node, k), ctx)
-            term = qdim(fundamental_weight(rs.rank, node, k), ctx)
-            assert raw(cur._v) == (mpf_qreal(ctx, prev) + mpf_qreal(ctx, term)).value._mpf_
+            dec = chari_decomposition(rs, node, k)
+            cur, row = qdim_kr(dec, ctx), chari_qdim(node, k, ctx)
+            assert (cur._v, cur._s) == (row._v, row._s), (rs.type_label, k)
+            _assert_within_row_bound(cur, kr_sum(rs, 4, dec.terms, REF_BITS), 128,
+                                     (rs.type_label, k))
 
 
 @pytest.mark.parametrize("label, level", [
@@ -187,24 +207,60 @@ def test_prefix_sum_telescoping_exact(e6, e7):
     # zero-heavy paired shells, and the deepest rows the benchmark reads
     ("E7", 1), ("E7", 2), ("E8", 1), ("E8", 2), ("E7", 28), ("E8", 24)])
 def test_chari_rows_match_decomposition_sums(rs_map, label, level):
-    # the running-sum rows give the bits of the full left fold in mpf
-    # arithmetic at every box count the periodicity check reads (k <= l + 3),
-    # whatever order the cells are first asked for in, at every precision
+    # every row the periodicity check reads (k <= l + 3) lies within its
+    # bound of the exact Chari sum, at every precision, and has the same
+    # bits whatever order the cells are first asked for in; the rows of the
+    # zero window, L < k < l, whose Chari sums vanish, are exactly 0
     rs = rs_map[label]
+    l = level + rs.coxeter_number
+    cells = [(node, k) for node in TYPE_DATA[label].direct_nodes for k in range(l + 4)]
+    reference = {(node, k): kr_sum(rs, level, chari_decomposition(rs, node, k).terms, REF_BITS)
+                 for node, k in cells}
+    shuffled = list(cells)
+    random.Random(level).shuffle(shuffled)
     for bits in (64, 97, 128, 256):
-        ref_ctx = LevelContext(rs, level, precision_bits=bits)
-        cells = [(node, k) for node in TYPE_DATA[label].direct_nodes
-                 for k in range(ref_ctx.shifted_level + 4)]
-        reference = {(node, k): _mpf_fold(chari_decomposition(rs, node, k).terms, ref_ctx)
-                     for node, k in cells}
-        shuffled = list(cells)
-        random.Random(level).shuffle(shuffled)
+        rows = {}
         for order in (cells, shuffled):
             ctx = LevelContext(rs, level, precision_bits=bits)
             for node, k in order:
-                row, ref = chari_qdim(node, k, ctx), reference[(node, k)]
-                assert raw(row._v) == ref.value._mpf_, (bits, node, k)
-                assert raw(row._s) == ref.magnitude_scale._mpf_, (bits, node, k)
+                row = chari_qdim(node, k, ctx)
+                assert rows.setdefault((node, k), (row._v, row._s)) == (row._v, row._s)
+                _assert_within_row_bound(row, reference[node, k], bits, (bits, node, k))
+                assert row._v == ZERO or not level < k < l, (bits, node, k)
+
+
+def test_deep_node1_rows_are_within_the_bound_of_the_exact_sum(rs_map):
+    # node 1's rows at E7 L28 and E8 L16 cancel by up to 36 bits: summed
+    # before rounding, each lies within 2**-(p+32) of its scale of the exact
+    # sum (plus half a unit in its last place), where a sum of terms rounded
+    # one by one is off by about 2**-p of the scale
+    for label, level in (("E7", 28), ("E8", 16)):
+        rs = rs_map[label]
+        ctx = LevelContext(rs, level)
+        for k in range(ctx.shifted_level + 4):
+            exact = kr_sum(rs, level, chari_decomposition(rs, 1, k).terms, 128)
+            _assert_within_row_bound(chari_qdim(1, k, ctx), exact, 128, (label, k), 128)
+
+
+def test_rows_keep_their_bound_when_every_term_walks_again(e8, monkeypatch):
+    # at 36 guard bits no walk at the row width reaches the least partial
+    # product a row term needs, so every nonzero term walks again, wider,
+    # and is floored back to the row width: the rows keep their bound
+    widths = set()
+    real_walk = qnum._ratio_walk
+
+    def walk(ctx, plan, dots, w):
+        widths.add(w - ctx.term_width)
+        return real_walk(ctx, plan, dots, w)
+
+    monkeypatch.setattr(qnum, "GUARD_BITS", 36)
+    monkeypatch.setattr(qnum, "_ratio_walk", walk)
+    ctx = LevelContext(e8, 8)
+    assert ctx.term_width == 128 + 36
+    for k in range(ctx.shifted_level + 4):
+        exact = kr_sum(e8, 8, chari_decomposition(e8, 1, k).terms, 128)
+        _assert_within_row_bound(chari_qdim(1, k, ctx), exact, 128, k, 128)
+    assert 0 in widths and min(widths - {0}) > 0, widths
 
 
 def test_chari_qdim_rejects_other_nodes(e6):
@@ -244,46 +300,38 @@ def test_e8_shell_antisymmetry(e8):
             assert abs(a + b) < ctx.mp.mpf(10) ** -28, (level, k)
 
 
-def _mpf_fold(terms, ctx):
-    """The left fold of mult * qdim(weight) in plain mpf QReal addition."""
-    total = None
-    for mult, weight in terms:
-        q = mpf_qreal(ctx, qdim(weight, ctx))
-        q = MpfQReal(q.value * mult, q.magnitude_scale * mult)
-        total = q if total is None else total + q
-    return total
-
-
 @pytest.mark.parametrize("label, node", [("E8", 1), ("E7", 2)])
 def test_zero_terms_fold_as_scale_increments(rs_map, label, node):
-    # at level 2 most shells of these rows are exact zeros: each adds 1 to
-    # the scale and leaves the value's bits, as mpf addition of 0 and 1 does
+    # at level 2 most shells of these rows are exact zeros: each adds
+    # exactly 1 to the scale and nothing to the value, so a row of zero
+    # terms alone is exactly 0 with its term count as its scale, and every
+    # row lies within its bound of the exact sum
     rs = rs_map[label]
     for bits in (128, 256):
         ctx = LevelContext(rs, 2, precision_bits=bits)
         zeros = terms = 0
         for k in range(ctx.shifted_level + 1):
             dec = chari_decomposition(rs, node, k)
-            ref = _mpf_fold(dec.terms, ctx)
-            row = chari_qdim(node, k, ctx)
-            assert raw(row._v) == ref.value._mpf_, (bits, k)
-            assert raw(row._s) == ref.magnitude_scale._mpf_, (bits, k)
-            zeros += sum(qdim(w, ctx).value == 0 for _, w in dec.terms)
+            row, exact = chari_qdim(node, k, ctx), kr_sum(rs, 2, dec.terms, REF_BITS)
+            _assert_within_row_bound(row, exact, bits, (bits, k))
+            shell_zeros = sum(qdim(w, ctx).value == 0 for _, w in dec.terms)
+            if shell_zeros == len(dec.terms):
+                assert row._v == ZERO and row.magnitude_scale == len(dec.terms), (bits, k)
+            zeros += shell_zeros
             terms += len(dec.terms)
         assert zeros > terms // 2, (zeros, terms)
 
 
 def test_kleber_multiplicities_fold_like_mpf(e7):
-    # multiplicities above 1 scale value and scale by an integer, as mpf
-    # times int does, before the term is added
+    # multiplicities above 1 scale a term's value and scale exactly, before
+    # the one rounding: the sum lies within its bound of the exact one
     for level, bits in ((2, 128), (5, 256)):
         ctx = LevelContext(e7, level, precision_bits=bits)
         for node in TYPE_DATA["E7"].kleber_q1:
             dec = kleber_q1(e7, node)
             assert any(mult > 1 for mult, _ in dec.terms)
-            got, ref = qdim_kr(dec, ctx), _mpf_fold(dec.terms, ctx)
-            assert raw(got._v) == ref.value._mpf_, (level, node)
-            assert raw(got._s) == ref.magnitude_scale._mpf_, (level, node)
+            _assert_within_row_bound(qdim_kr(dec, ctx), kr_sum(e7, level, dec.terms, REF_BITS),
+                                     bits, (level, node))
 
 
 @pytest.mark.parametrize("label", ["E7", "E8"])

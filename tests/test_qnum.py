@@ -29,8 +29,6 @@ from qslab.qnum import (
     qdim_classical,
     qdim_line,
     round_triple,
-    shell_qdims,
-    support_plan,
     triple_float,
 )
 from qslab.qsolver import build_qgrid
@@ -70,7 +68,7 @@ def test_qdim_rejects_non_integer_coordinates(e6):
             qdim_classical(e6, weight)
     # a miss stores 1.0's value under the int weight, which a hit returns
     one = qdim((1.0, 0, 0, 0, 0, 0), ctx)
-    assert one._v == qnum.qdim_unmemoized(w1, ctx)._v
+    assert one._v == qnum.qdim_unmemoized(w1, ctx)[0]._v
     assert qdim(w1, ctx) is one and qdim((1.0, 0, 0, 0, 0, 0), ctx) is one
     assert all(type(c) is int for key in ctx._qdim_cache for c in key)
     for weight in bad:
@@ -235,19 +233,20 @@ def test_qdim_zeros_by_congruence_match_the_full_pairing_list(rs_map, label, lev
     assert 0 < zeros < len(weights)
     # the interior weights r w_a + (j - r) w_b, 0 < r < j, of the paired
     # shells (E7 node 2, E8 node 1), on every shell j <= l + 3 that the grid
-    # and the periodicity check read, L1-40: shell_qdims gives ctx.zero
-    # exactly where weight + rho pairs with some positive root to a multiple
-    # of l; the full fold is too slow here, so only the zeros are compared
-    (pair,) = type_data(label).paired_shells.values()
+    # and the periodicity check read, L1-40: the shell's row terms, after its
+    # two ends, are the zero term (0, 2**W) exactly where weight + rho pairs
+    # with some positive root to a multiple of l; the full walk is too slow
+    # here, so only the zeros are compared
+    ((node, pair),) = type_data(label).paired_shells.items()
     a, b = pair
     roots = [(beta[a], beta[b], ht) for beta, ht in zip(rs.positive_roots, rs.heights)]
-    monkeypatch.setattr(qnum, "_ratio_product", lambda *args: None)  # zeros only
+    monkeypatch.setattr(qnum, "_ratio_walk", lambda ctx, plan, dots, w: (0, *[1 << w] * 3))
     seen = set()
     for lev in range(1, 41):
         ctx = LevelContext(rs, lev)
-        l, plan = ctx.shifted_level, support_plan(ctx, pair)
+        l = ctx.shifted_level
         for j in range(l + 4):
-            got = [q is ctx.zero for q in shell_qdims(plan, j, ctx)]
+            got = [t == (0, 1 << ctx.term_width) for t in krchar._shell_terms(node, j, ctx)[2:]]
             want = [any((r * ca + (j - r) * cb + ht) % l == 0 for ca, cb, ht in roots)
                     for r in range(1, j)]
             assert got == want, (lev, j)
@@ -259,10 +258,10 @@ def test_qdim_zeros_by_congruence_match_the_full_pairing_list(rs_map, label, lev
 def test_grid_skips_qdim_on_paired_shell_interiors(e7, monkeypatch):
     # the interior weights r w2 + (j - r) w7, 0 < r < j, of E7 node 2's
     # shells are evaluated from their support plan: no qdim call sees one,
-    # and the sine kernel runs once per distinct nonzero weight
+    # and the sine walk runs once per distinct nonzero weight
     ctx = LevelContext(e7, 28)
     qdim_weights, kernel_calls = [], []
-    real_qdim, real_kernel = qnum.qdim, qnum._ratio_product
+    real_qdim, real_kernel = qnum.qdim, qnum._ratio_walk
 
     def counted_qdim(weight, c):
         qdim_weights.append(tuple(weight))
@@ -274,7 +273,7 @@ def test_grid_skips_qdim_on_paired_shell_interiors(e7, monkeypatch):
 
     monkeypatch.setattr(qnum, "qdim", counted_qdim)
     monkeypatch.setattr(krchar, "qdim", counted_qdim)
-    monkeypatch.setattr(qnum, "_ratio_product", counted_kernel)
+    monkeypatch.setattr(qnum, "_ratio_walk", counted_kernel)
     build_qgrid(ctx)
     monkeypatch.undo()
     interior = {w for k in range(len(ctx._chari_rows[2]))
@@ -292,7 +291,7 @@ def _product(ctx, factors):
     steps = [(g, den, ctx._ratio_row(den, ctx.precision_bits + qnum.GUARD_BITS))
              for g, (_, den) in enumerate(factors)]
     plan = ((), (), steps, [[den] for _, den in factors])
-    return qnum._ratio_product(ctx, plan, [num - den for num, den in factors])
+    return qnum._ratio_product(ctx, plan, [num - den for num, den in factors], True)[0]
 
 
 @st.composite

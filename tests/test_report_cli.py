@@ -18,7 +18,7 @@ import pytest
 import qslab
 from qslab import affweyl, cli, krchar, qnum, report, seqanalysis
 from qslab.cli import main
-from qslab.qnum import LevelContext, render_decimal
+from qslab.qnum import LevelContext, float_triple, render_decimal, render_note
 from qslab.qsolver import CheckResult
 from qslab.report import (
     RunConfig,
@@ -84,6 +84,24 @@ def test_render_decimal_matches_fraction_reference():
                 x = -x
             digits = rng.randint(1, 45)
             assert render_decimal(x._mpf_, digits) == reference(x, digits), (x, digits)
+
+
+def test_render_note_prints_equal_rounded_values_equally():
+    # two triples that round to the same 8 (12) digits, one exact and one
+    # not, print the same in a note; so do values written in exponent form,
+    # and an integer keeps its zeros
+    p = 128
+    one, near_one = (0, 1 << p - 1, 1 - p), (0, (1 << p - 1) + 1, 1 - p)
+    assert render_decimal(one, 8) == "1" and render_decimal(near_one, 8) == "1.0000000"
+    assert render_note(one, 8) == render_note(near_one, 8) == "1"
+    half = (0, 27 << p - 5, -p + 4)  # 13.5 exactly
+    assert render_note(half, 12) == render_note((0, half[1] + 1, half[2]), 12) == "13.5"
+    tiny = float_triple(1.5e-9, p)  # not a dyadic number
+    assert render_decimal(tiny, 8) == "1.5000000E-9" and render_note(tiny, 8) == "1.5E-9"
+    assert render_note(100, 8) == "100" and render_note(25, 1) == "2E+1"
+    assert render_note(0, 8) == "0" and render_note((0, 0, -456, -2), 8) == "inf"
+    assert render_note((0, 5 << p - 3, -p + 1), 8) == "1.25"
+    assert render_note((0, 1 << p - 1, -p - 2), 8) == "0.125"
 
 
 def test_run_config_validation():
@@ -263,15 +281,16 @@ def test_cli_grid_csv(tmp_path):
 
 
 @pytest.mark.parametrize("label,level,code,golden", [
-    pytest.param("E7", 12, 0, "5950ce88bf79b1734031764e5ada05c8686f1337ac11f04f51ba330f3ede45d9",
+    pytest.param("E7", 12, 0, "8eb80dc3b3c8192379e4f33aeaea17e8ae6989ba2cf3c62da435d9b193d00e5d",
                  id="E7-12"),
     # the unresolved cell (2, 46) is written as an empty value
-    pytest.param("E8", 16, 1, "635b4933cd96ca4fef5df483fb9387fef99664eb7fd35976a39f00c1fd41185a",
+    pytest.param("E8", 16, 1, "a36c66f323dcdbe7a75de5960377d6055ae2e00763113ee0afdc8c9c45618926",
                  id="E8-16"),
 ])
 def test_cli_grid_csv_is_pinned(tmp_path, label, level, code, golden):
     # the SHA-256 of `qslab grid --format csv`, as for the report pins below
-    # (both moved with them to the correctly rounded quantum dimensions)
+    # (both moved with them to the correctly rounded quantum dimensions, and
+    # to the direct rows summed before rounding, with the same provenances)
     out = tmp_path / "grid.csv"
     assert main(["grid", "--type", label, "--level", str(level), "--format", "csv",
                  "--out", str(out)]) == code
@@ -641,6 +660,56 @@ def test_cli_refuses_level_and_precision_past_their_bounds(capsys):
     assert "working precision in bits, 64..4096 (default 128)" in help_text
 
 
+def test_cli_refuses_level_times_precision_and_max_order_past_their_bounds(capsys,
+                                                                          monkeypatch):
+    # --level times --precision-bits above MAX_LEVEL_BITS is a usage error
+    # naming the bound, raised before any level context is made, on every
+    # subcommand that reads both; a product at the bound runs.  --max-order
+    # above MAX_ORDER is refused by the parser
+    assert (cli.MAX_LEVEL_BITS, cli.MAX_ORDER) == (64000, 1000)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    with monkeypatch.context() as m:
+        m.setattr(cli, "LevelContext", no_work)
+        m.setattr(report, "run", no_work)
+        for argv in (
+            ["verify", "--type", "E8", "--level", "500", "--precision-bits", "4096"],
+            ["grid", "--type", "E7", "--level", "16", "--precision-bits", "4096"],
+            ["solve", "--type", "E6", "--level", "251", "--precision-bits", "256"],
+            ["qdim", "--type", "E8", "--level", "500", "--precision-bits", "129",
+             "--weight", "1,0,0,0,0,0,0,0"],
+            ["krdec", "--type", "E6", "--node", "1", "--k", "1", "--qdim", "--level", "64",
+             "--precision-bits", "1001"],
+            ["logconcave", "--type", "E7", "--level", "32", "--node", "7",
+             "--precision-bits", "2001"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2, argv
+            level, bits = (int(argv[argv.index(f) + 1]) for f in ("--level", "--precision-bits"))
+            assert capsys.readouterr().err == (
+                f"error: --level {level} times --precision-bits {bits} is {level * bits}, "
+                f"more than 64000\n"), argv
+    for level, bits in ((500, 128), (250, 256), (15, 4096)):
+        assert main(["qdim", "--type", "E8", "--level", str(level), "--precision-bits", str(bits),
+                     "--weight", "1,0,0,0,0,0,0,0"]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["logconcave", "--seq", "1", "--max-order", "1000000000"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "error: argument --max-order: must be at most 1000, got 1000000000\n")
+    assert main(["logconcave", "--seq", "1", "--max-order", "1000"]) == 0
+    assert "log-concavity order >= 1000" in capsys.readouterr().out
+    for sub, text in (("verify", "with --level times bits at most 64000"),
+                      ("logconcave", "L-iterates probed, 0..1000 (default 6)")):
+        with pytest.raises(SystemExit):
+            main([sub, "--help"])
+        assert text in " ".join(capsys.readouterr().out.split()), sub
+
+
 def test_cli_reduce_answers_far_from_the_alcove(capsys, monkeypatch):
     # 114 285 712 walls lie between this weight and the alcove: the walk
     # stops at its limit and starts again from a translate of the weight by
@@ -697,7 +766,13 @@ def test_reports_are_deterministic():
     # over no cells at nodes 2, 4, 5, 6 and 7, and nothing else.  Every pin
     # moved when each quantum dimension and its scale came to be correctly
     # rounded from one fixed-point product: cells, violations, residuals and
-    # sums moved in their last digits, and no status moved.
+    # sums moved in their last digits, and no status moved.  The pins moved,
+    # all but E6 L2, E6 L4 and E7 L1, when the direct rows came to be summed
+    # exactly before one rounding, with the zero window's rows exactly 0, and
+    # the notes' numbers lost the trailing zeros of their fraction ("min value
+    # 1.0000000" reads "min value 1", as an exact 1 did): cells, violations,
+    # residuals and sums moved in their last digits, and only E8 L24's
+    # grid_residual moved, from fail to pass (residual 2.2e-19 -> 2.1e-35).
     cases = (
         (RunConfig(type_label="E6", level=3, checks=("grid", "theorem", "dilog")), None),
         # the dilogarithm sum renders as 13.5, Kirillov's 27/2: the fixed-point
@@ -706,67 +781,67 @@ def test_reports_are_deterministic():
          "a90ae7da353ad70163c647c5ee7081e49f6b0da73a114ae73659f6056adb0084"),
         # E8's derived rows, filled by subtraction and division
         (RunConfig(type_label="E8", level=2),
-         "5514c54df457f31d886b474bf7f649d50415786da639b2fa3841fd22697eaf07"),
+         "b943811db33dcf9f691b136600e0bac4355803681017326c19e57bc5c992524b"),
         # a deep level, where the scale sums and the cancellation are largest
         (RunConfig(type_label="E6", level=30, k_max=42,
                    checks=("roots", "grid", "theorem", "logconcave", "dilog")),
-         "6c5c21bb88eb8a2c8f0e85b602bfc7ff0b1dcc7118ee35b463caa34f43eba54d"),
+         "db56015ec8a19799236b59efffdd500f4e9c862c70dce3f7466523098a64c652"),
         # zero-window residues and the known unresolved cell (2, 46)
         (RunConfig(type_label="E8", level=16, checks=("grid", "theorem")),
-         "9c55773d64904d9a81d2d603582d5c947d053563cf2c109cf34257eb175372b3"),
+         "82d63bdb0168c7b4c7563410115ccbc79491205e7da817c6e15c974fb71314d7"),
         (RunConfig(type_label="E7", level=28, checks=("grid", "theorem")),
-         "a9e2dca7719bd33d4d86c8eba73e75e121aad5ef9c3c46c3e836311acff69fe0"),
+         "4178d22185c6ba05d1a5c45df43f6e54b55e2092214f83ba3af9ea45d389d19c"),
         # large dilogarithm sums (the last one also holds the Branden check read
         # below), as `verify --checks roots,grid,theorem,logconcave,dilog`
         (RunConfig(type_label="E6", level=30,
                    checks=("roots", "grid", "theorem", "logconcave", "dilog")),
-         "16fa5afbd4ec1af10d5b594009bc8ae3ce57f90d04f29c2025d99edc15cc1a40"),
+         "e072b6e833fdce580518b67f25f7b82e5dea7dddf7524dd51d46b83e0970c825"),
         (RunConfig(type_label="E7", level=11,
                    checks=("roots", "grid", "theorem", "logconcave", "dilog")),
-         "d5ca3fef8ea86ae3dcc43c362cbc9dc3c211f0deafa5cc1d4be62ba11880d7da"),
+         "cc867b59a4125173b569a49d6de42d54cabb0e79a1de7c7a3ad0286f61a63006"),
         (RunConfig(type_label="E8", level=4,
                    checks=("roots", "grid", "theorem", "logconcave", "dilog")),
-         "d1ae4c02fcb0f20a8f676d7417481e4f8036aca87b147a9d21fa595e1351967f"),
+         "052e0edbfb7e8ca7cecba6140ed32f72eefca33414ef560ef5475a55e043fa6f"),
         # full verify at the north-star configurations, solve and weyl included
         (RunConfig(type_label="E7", level=12),
-         "5f371c52722026384f7bcd06b901597fdbd3f44bc464bb1b18f7682422d909b5"),
+         "00c256aa287b6f33066f622c70e0c2378cc9fb595495137cc1432eff2defa3cc"),
         (RunConfig(type_label="E8", level=8),
-         "d43a16ca2fbe8541919f9ae3b58483ba9c14224514afd96bb05ce806de89ea3c"),
+         "eb84e3a2e3fe293084ed38492c70a7b68b39dccd86467b5ad06b1e1655147f89"),
         # the rest of the benchmark's reports: its other five-group sweeps
         # (E7 L28 holds the failing log-concavity check, E8 L16 the
         # unresolved cell) and its other full verify runs
         (RunConfig(type_label="E6", level=6,
                    checks=("roots", "grid", "theorem", "logconcave", "dilog")),
-         "066c34280b02c83cd3268b0f17baf33e9f622b11578031e0a9586d1273b4c9fd"),
+         "8c16dc25f9966827dd924a15284d8c8f2b54e95741e0fe795a443f89f76272ce"),
         (RunConfig(type_label="E7", level=1,
                    checks=("roots", "grid", "theorem", "logconcave", "dilog")),
          "2520a96cf6bfc016afc415621a3e1ba6032c675b674d474141e1b675df00c46f"),
         (RunConfig(type_label="E7", level=4,
                    checks=("roots", "grid", "theorem", "logconcave", "dilog")),
-         "ecf8e0e0332d1fea9776896a6253319ce467ced481d594e7cc2eca9fd9d885e4"),
+         "27fccddb611500a59b9c3d84d4e857bd3f4511f03444cc15115efa4f6f0278a6"),
         (RunConfig(type_label="E7", level=28,
                    checks=("roots", "grid", "theorem", "logconcave", "dilog")),
-         "66404f31c7cff72e59365c3b9aa14ccbb9bb0bfb494f31952b5b7a2f9bc3cfa1"),
+         "25d8d5a3ec901c65cbe76aa8deb8f8ece4e393faab3e1337315cfeb934b6a1c3"),
         (RunConfig(type_label="E8", level=16,
                    checks=("roots", "grid", "theorem", "logconcave", "dilog")),
-         "10b07ab25a1eb71147d08a59932d01eda510be09b6b18c77e6459ef546804093"),
+         "d48992ff970bbec708744ac45ee8d807fd4bcabf617dc225f275bfa19c487f1a"),
         (RunConfig(type_label="E6", level=2),
          "4cd3352d52faead2a2905f9783abac806b1fa5f3af0ae59d75badf6300c11ac3"),
         (RunConfig(type_label="E7", level=2),
-         "e7c8bc4266e56045e442f9b72c8703cbf1ce655edbc55d07e5f180f38194cf1a"),
+         "62c740bf0e35827a3a0d7179eca4ddbd0a30abb27ac201add013562d98cd5e00"),
         # the logconcave group off 128 bits, where entries at p and
         # tolerances at 128 bits meet in one sum or comparison
         (RunConfig(type_label="E7", level=12, precision_bits=64, checks=("logconcave",)),
-         "02f331452ce9f04dcba77dee43a8018a0d1b672c26655f1f0936dace47b55f91"),
+         "9e4702beb317b68d7d304f6801effb670f05e273eca422fcafc53ffe4efe10ac"),
         (RunConfig(type_label="E7", level=12, precision_bits=256, checks=("logconcave",)),
-         "d73aeac934fc55490507a8f0cee70ee9894e31a9baa26d0134aebcb336cd67c6"),
+         "f6b73a70d8ab17df4c6f48b4ec5d29fb9b136847138e2d0af00661b77ee0f72d"),
         # failing proven checks at 128 bits: an inf violation and a
         # conjecture-violated dilog_args
         (RunConfig(type_label="E8", level=24, precision_bits=128),
-         "0f2283286ee600d46b3e13a69e6aca2f1ed42b01bbe1858bc3177e660556658a"),
+         "35ffc94f1a06a69dd59eb5a990c6238c604facbe79006945e317d465e2ca63df"),
         (RunConfig(type_label="E7", level=12,
                    checks=("roots", "grid", "theorem", "logconcave", "dilog")),
-         "999684ef0c12e0d7f21de7dccc2ce5018c4904538f4f2f0de6303e4a58f3b62d"),
+         "9afa0c32461315b9f1d6680c38db2ec0cc920a757d5ea5b582cd3f2aedacccb5"),
     )
     for cfg, golden in cases:
         a = report_to_dict(run(cfg))
@@ -804,9 +879,9 @@ def test_note_numbers_are_written_as_the_report_numbers(cfg):
     notes = {(c.name, c.node): c.note for c in rep.checks}
     for i, row in enumerate(rep.grid.rows, 1):
         line = row[:cfg.level + 1]
-        least = "-inf" if None in line else render_decimal(min(line, key=exact), 8)
+        least = "-inf" if None in line else render_note(min(line, key=exact), 8)
         assert notes["positivity", i] == f"min value {least}", i
-    assert notes["dilog_sum", None] == f"normalized sum {render_decimal(rep.dilog_sum, 12)}"
+    assert notes["dilog_sum", None] == f"normalized sum {render_note(rep.dilog_sum, 12)}"
 
 
 @pytest.mark.parametrize("cfg", [
