@@ -32,6 +32,11 @@ DEFAULT_DIGITS = 30
 # The most terms krdec builds: 10^6 took about 4 s and 0.4 GB to print, and
 # about 13 s in the same memory with --qdim.
 MAX_KRDEC_TERMS = 10**6
+# The most terms times --precision-bits that krdec --qdim sums, the term
+# bound at the default precision: on a shared 2-core host E8 node 1 took
+# 10.6 s at 501 501 terms and 128 bits, 2.3 s at 80 601 and 1024 bits, and
+# 4.4 s at 20 301 and 4096 bits.
+MAX_KRDEC_TERM_BITS = MAX_KRDEC_TERMS * DEFAULT_PRECISION_BITS
 # The largest --level: the solver's float start overflows from about E8
 # L560; a full E8 verify took 5.5 s at L500 on a shared 2-core host.
 MAX_LEVEL = 500
@@ -43,6 +48,17 @@ MAX_PRECISION_BITS = 4096
 MAX_LEVEL_BITS = MAX_LEVEL * DEFAULT_PRECISION_BITS
 # The largest --max-order: 1.9 s on the longest alcove line (E6 L500 node 1).
 MAX_ORDER = 1000
+# The most --seq entries (10 000 parse in 0.05 s; at --max-order 0 the work
+# bound alone let 501 501 through, in 1.6 s and 248 MB), and the most entries
+# times (--max-order + 1): what the longest alcove line asks, 501 entries to
+# order 1000, at about 2.4 us per entry and iterate.
+MAX_SEQ_ENTRIES = 10**4
+MAX_SEQ_WORK = (MAX_LEVEL + 1) * (MAX_ORDER + 1)
+# The most --seq entries with --branden, whose Sturm chain grows as about the
+# fifth power of the entry count: real-rooted polynomials of roots spread
+# over 2^-30 .. 2^30 took 15 s at 80 entries and 54 s at 100 on a shared
+# 2-core host.
+MAX_BRANDEN_ENTRIES = 80
 
 
 def _usage_error(message: str) -> NoReturn:
@@ -254,6 +270,9 @@ def _cmd_krdec(args) -> int:
     count = 0 if kleber else krchar.chari_term_count(rs, args.node, args.k)
     if count > MAX_KRDEC_TERMS:
         _usage_error(f"--k {args.k} gives {count} terms, more than {MAX_KRDEC_TERMS}")
+    if args.qdim and count * bits > MAX_KRDEC_TERM_BITS:
+        _usage_error(f"--k {args.k} gives {count} terms, and {count} times --precision-bits "
+                     f"{bits} is {count * bits}, more than {MAX_KRDEC_TERM_BITS}")
     dec = (krchar.kleber_q1(rs, args.node) if kleber
            else krchar.chari_decomposition(rs, args.node, args.k))
     lines = [f"{mult} x ({','.join(str(c) for c in w)})" for mult, w in dec.terms]
@@ -315,27 +334,41 @@ def _cmd_verify(args) -> int:
     return rep.exit_code
 
 
-def _parse_seq(text: str) -> seqanalysis.RealSequence:
-    """The numbers of --seq, separated by commas or spaces."""
+def _seq_error(text: str, reason: str) -> NoReturn:
+    """A usage error of --seq, quoting at most 40 characters of it."""
+    _usage_error(f"--seq {seqanalysis.clip(text)!r}: {reason}")
+
+
+def _parse_seq(text: str, max_order: int, branden: bool) -> seqanalysis.RealSequence:
+    """The numbers of --seq, separated by commas or spaces, at most
+    MAX_SEQ_ENTRIES of them (MAX_BRANDEN_ENTRIES with --branden) and
+    MAX_SEQ_WORK times (max_order + 1)."""
     fields = [f.split() for f in text.split(",")]
     if not all(fields):
-        _usage_error(f"--seq {text!r}: empty entry")
+        _seq_error(text, "empty entry")
     tokens = [t for f in fields for t in f]
+    most = MAX_BRANDEN_ENTRIES if branden else MAX_SEQ_ENTRIES
+    if len(tokens) > most:
+        _seq_error(text, f"{len(tokens)} entries, more than {most}"
+                         + " with --branden" * branden)
+    work = len(tokens) * (max_order + 1)
+    if work > MAX_SEQ_WORK:
+        _seq_error(text, f"{len(tokens)} entries times --max-order {max_order} + 1 is "
+                         f"{work}, more than {MAX_SEQ_WORK}")
     try:
         return seqanalysis.make_sequence(tokens)
     except ValueError as exc:
-        _usage_error(f"--seq {text!r}: {exc}")
+        _seq_error(text, str(exc))
 
 
 def _cmd_logconcave(args) -> int:
     if args.seq is not None:
         if args.type or args.level is not None or args.node is not None:
-            _usage_error(f"--seq {args.seq!r}: cannot be combined with "
-                         "--type, --level or --node")
+            _seq_error(args.seq, "cannot be combined with --type, --level or --node")
         _precision(args, unused_in="with --seq")
-        seq = _parse_seq(args.seq)
+        seq = _parse_seq(args.seq, args.max_order, args.branden)
         if args.branden and not any(man for _, man, _ in seq.entries):
-            _usage_error(f"--seq {args.seq!r}: zero polynomial")
+            _seq_error(args.seq, "zero polynomial")
         label = "input sequence"
     else:
         if not args.type or args.level is None or args.node is None:
@@ -393,7 +426,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--node", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     _level_flag(p, required=False)
-    p.add_argument("--qdim", action="store_true")
+    p.add_argument("--qdim", action="store_true",
+                   help=f"also the quantum dimension at --level, for at most "
+                   f"{MAX_KRDEC_TERM_BITS} terms times --precision-bits")
     p.add_argument("--digits", type=int, default=None)
     p.set_defaults(fn=_cmd_krdec)
 
@@ -423,7 +458,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-order", type=_int_in(0, MAX_ORDER), default=6,
                    help=f"L-iterates probed, 0..{MAX_ORDER} (default 6)")
     p.add_argument("--branden", action="store_true")
-    p.add_argument("--seq", default=None, help="raw comma-separated sequence")
+    p.add_argument("--seq", default=None,
+                   help=f"raw comma-separated sequence of at most {MAX_SEQ_ENTRIES} entries "
+                   f"({MAX_BRANDEN_ENTRIES} with --branden), with entries times "
+                   f"(--max-order + 1) at most {MAX_SEQ_WORK}")
     _precision_flag(p)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_logconcave)

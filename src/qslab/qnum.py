@@ -466,7 +466,9 @@ class LevelContext:
         (w >= 8), and within l 2**-(w+3) relatively, as sin(pi/l) >= 2/l.
         The quotient of two such is within l 2**-(w+1) of the ratio, and the
         floor drops less than one unit, which is under l 2**-(w+1) of a
-        ratio of at least 2/l.  A ratio of 1 is exact.
+        ratio of at least 2/l.  A ratio of 1 is exact.  The row is the full
+        period of quotients, one per |sin(pi j / l)| = |sin(pi (l - j) / l)|,
+        rotated by ht.
         """
         row = self._rows.get((w, ht))
         if row is None:
@@ -475,10 +477,9 @@ class LevelContext:
             if sines is None:
                 sines = self._sine_tables[v] = _abs_sines(self.shifted_level, v)
             l, den = self.shifted_level, sines[ht]
-            # one entry per |sin(pi j / l)| = |sin(pi (l - j) / l)|, shared
             half = [(s << w) // den for s in sines[:l // 2 + 1]]
-            row = self._rows[w, ht] = [half[min(j, l - j)] for j in
-                                       [(r + ht) % l for r in range(l)]]
+            full = half + half[1:(l + 1) // 2][::-1]
+            row = self._rows[w, ht] = full[ht:] + full[:ht]
         return row
 
 

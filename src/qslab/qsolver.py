@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import Counter
 from operator import mul
 from typing import NamedTuple, Sequence
 
@@ -763,13 +764,15 @@ def dilog_sum(grid: QGrid, args: dict[tuple[int, int], tuple] | None = None) -> 
     ``args`` are the grid's ``dilog_args``, computed here when omitted.  The
     terms (``_rogers``) are summed in one integer at 40 guard bits above the
     context's precision, more when the sum is below 2^-8, multiplied by
-    6/pi^2 at that precision and rounded once to nearest.
+    6/pi^2 at that precision and rounded once to nearest.  The sum is exact,
+    so each distinct argument's term is taken once, times its count: about
+    half of them repeat, by the grid's k <-> L - k symmetry.
     Diagnostic output only; no closed-form value is asserted for it.
     """
     prec = grid.precision_bits
     if args is None:
         args = dilog_args(grid)
-    xs = [args[key] for key in sorted(args) if 0 < key[1] < grid.level]
+    xs = Counter(args[key] for key in sorted(args) if 0 < key[1] < grid.level)
     for x in xs:
         sign, man, exp = x
         # man 2**exp in (0, 1), whatever the width of man: man < 2**-exp
@@ -780,7 +783,7 @@ def dilog_sum(grid: QGrid, args: dict[tuple[int, int], tuple] | None = None) -> 
         # every term is positive, so each term's few units at wp bits are a
         # small share of the sum once it has prec + 32 bits; a smaller sum,
         # of tiny arguments, widens wp by the bits it lacks
-        total = sum(_rogers(x, wp) for x in xs)
+        total = sum(_rogers(x, wp) * n for x, n in xs.items())
         short = prec + 32 - total.bit_length()
         if not xs or short <= 0:
             total *= _pi_constants(wp)[1]

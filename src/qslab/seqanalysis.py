@@ -27,6 +27,10 @@ from typing import NamedTuple, Sequence
 from .qnum import (DEFAULT_PRECISION_BITS, TRIPLE_ORDER, abs_triple, add_triples, cmp_triples,
                    mul_triples, one_triple, render_decimal, round_triple)
 
+# The most characters on either side of an a/b entry, checked before int()
+# reads them: Python refuses to convert more than 4 300 digits.
+MAX_RATIO_SIDE = 1000
+
 
 def _max_abs_or_one(entries, p: int) -> tuple:
     """max(|e|) over the p-bit entries, raised to 1 when it is below 1."""
@@ -70,11 +74,12 @@ def _entry(value, p: int) -> tuple:
     """A sequence entry as a p-bit triple: a triple or an mpf number's raw
     value rounded to nearest; an int or a ``Fraction`` by its numerator and
     denominator; else the ``str`` of a float or text, a decimal literal or
-    a/b of two ints.  A number's exact value is rounded once through a
-    sticky bit.  An entry must be 0 or in the double range, as the Sturm
-    chain of ``branden_criterion`` costs more the wider the exponents
-    spread; the refusal quotes at most 40 characters of the entry.
-    Infinities and nans are refused."""
+    a/b of two ints of at most ``MAX_RATIO_SIDE`` characters each.  A
+    number's exact value is rounded once through a sticky bit.  An entry
+    must be 0 or in the double range, as the Sturm chain of
+    ``branden_criterion`` costs more the wider the exponents spread; the
+    refusal quotes at most 40 characters of the entry.  Infinities and nans
+    are refused."""
     raw = value if isinstance(value, tuple) else getattr(value, "_mpf_", None)
     if raw is not None:
         sign, man, exp = raw[:3]
@@ -88,9 +93,12 @@ def _entry(value, p: int) -> tuple:
         text = str(value)
         num, slash, den = text.partition("/")
         if slash:
+            if max(len(num), len(den)) > MAX_RATIO_SIDE:
+                raise ValueError(f"{clip(text)}: a side of a/b exceeds {MAX_RATIO_SIDE} "
+                                 "characters")
             num, den = int(num), int(den)
             if not den:
-                raise ValueError(f"{text}: division by zero")
+                raise ValueError(f"{clip(text)}: division by zero")
         else:
             float(text)  # the float syntax, and its ValueError for anything else
             d = Decimal(text)
@@ -108,11 +116,15 @@ def _entry(value, p: int) -> tuple:
     return t
 
 
+def clip(text: str) -> str:
+    """``text`` as a refusal quotes it: whole up to 40 characters, else its
+    first 37 and "..."."""
+    return text if len(text) <= 40 else text[:37] + "..."
+
+
 def _outside(text: str) -> str:
-    """The refusal of an entry outside the double range, quoting at most 40
-    characters of its text."""
-    quote = text if len(text) <= 40 else text[:37] + "..."
-    return f"{quote} is outside the double range [2^-1074, 2^1024)"
+    """The refusal of an entry outside the double range."""
+    return f"{clip(text)} is outside the double range [2^-1074, 2^1024)"
 
 
 def make_sequence(values: Sequence, precision_bits: int = DEFAULT_PRECISION_BITS) -> RealSequence:

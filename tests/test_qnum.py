@@ -392,8 +392,8 @@ def test_ratio_rows_are_per_precision(e8):
 def test_sine_table_matches_sinpi(rs_map, bits):
     # entry r of the row of height ht is |sin(pi (r + ht) / l)| / sin(pi ht
     # / l) 2**w by mp.sinpi within l units per unit of ratio, exactly 2**w
-    # where the ratio is 1 and 0 where the numerator is; one row per (w,
-    # ht), for odd and even l
+    # where the ratio is 1 and 0 where the numerator is, the entries of j
+    # and l - j equal; one row per (w, ht), for odd and even l
     for rs in rs_map.values():
         for level in (1, 2, 30):
             ctx = LevelContext(rs, level, precision_bits=bits)
@@ -403,6 +403,7 @@ def test_sine_table_matches_sinpi(rs_map, bits):
             for ht in range(1, rs.coxeter_number):
                 row = ctx._ratio_row(ht, w)
                 assert len(row) == l and ctx._ratio_row(ht, w) is row
+                assert all(row[(j - ht) % l] == row[(-j - ht) % l] for j in range(l))
                 for r, got in enumerate(row):
                     j = (r + ht) % l
                     ratio = sines[j] / sines[ht]

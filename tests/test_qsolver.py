@@ -895,6 +895,42 @@ def test_dilog_sum_matches_polylog_formula(rs_map, label, level, bits):
     assert dilog_sum(grid) == total
 
 
+def _term_by_term_dilog_sum(grid, args):
+    """``dilog_sum`` with one ``_rogers`` call per interior cell, in key
+    order, the sum before its terms were grouped by argument."""
+    prec = grid.precision_bits
+    xs = [args[key] for key in sorted(args) if 0 < key[1] < grid.level]
+    wp = prec + 40
+    while True:
+        total = sum(qsolver._rogers(x, wp) for x in xs)
+        short = prec + 32 - total.bit_length()
+        if not xs or short <= 0:
+            total *= qsolver._pi_constants(wp)[1]
+            return qnum.round_triple(int(total < 0), abs(total), -2 * wp, prec)
+        wp += short
+
+
+@pytest.mark.parametrize("label,level,bits", [
+    ("E6", 30, 128), ("E7", 28, 128), ("E8", 16, 128), ("E7", 12, 64), ("E8", 8, 256)])
+def test_dilog_sum_is_the_term_by_term_integer_sum(rs_map, monkeypatch, label, level, bits):
+    # one Rogers term per distinct argument, times its count, gives the
+    # bits of the sum of every cell's term, and repeated arguments occur
+    grid = build_qgrid(LevelContext(rs_map[label], level, bits))
+    args = dilog_args(grid)
+    want = _term_by_term_dilog_sum(grid, args)
+    interior = [x for (_, k), x in args.items() if 0 < k < level]
+    calls = []
+    real_rogers = qsolver._rogers
+
+    def counted(x, wp):
+        calls.append(x)
+        return real_rogers(x, wp)
+
+    monkeypatch.setattr(qsolver, "_rogers", counted)
+    assert dilog_sum(grid, args) == want
+    assert sorted(calls) == sorted(set(interior)) and len(calls) < len(interior)
+
+
 def test_dilog_sum_keeps_the_relative_precision_of_a_small_sum(a1):
     # a sum below 2^-8 widens the fixed point by the bits it lacks, so tiny
     # arguments keep their relative precision; an argument is read as

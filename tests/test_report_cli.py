@@ -265,6 +265,111 @@ def test_cli_krdec_refuses_a_huge_decomposition():
     assert one.stdout.splitlines()[1].startswith("qdim ")
 
 
+def test_cli_krdec_refuses_terms_times_bits_past_their_bound(capsys, monkeypatch):
+    # with --qdim the term count times --precision-bits is at most
+    # MAX_KRDEC_TERM_BITS, the term bound at the default precision: past it
+    # krdec exits 2 naming the bound before any term is built; without
+    # --qdim, or at fewer bits, the same --k is within its bounds
+    assert cli.MAX_KRDEC_TERM_BITS == cli.MAX_KRDEC_TERMS * 128 == 128_000_000
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    with monkeypatch.context() as m:
+        m.setattr(krchar, "chari_decomposition", no_work)
+        with pytest.raises(SystemExit) as exc:
+            main(["krdec", "--type", "E8", "--node", "1", "--k", "300", "--qdim",
+                  "--level", "15", "--precision-bits", "4096"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (
+        "error: --k 300 gives 45451 terms, and 45451 times --precision-bits 4096 is "
+        "186167296, more than 128000000\n")
+    for extra in ([], ["--qdim", "--level", "15", "--precision-bits", "2048"]):
+        with monkeypatch.context() as m:
+            m.setattr(krchar, "qdim_kr", lambda dec, ctx: ctx.one)
+            assert main(["krdec", "--type", "E8", "--node", "1", "--k", "300", *extra]) == 0
+        assert capsys.readouterr().out.count("\n") == 45451 + bool(extra)
+    with pytest.raises(SystemExit):
+        main(["krdec", "--help"])
+    assert "for at most 128000000 terms times --precision-bits" in " ".join(
+        capsys.readouterr().out.split())
+
+
+def test_cli_seq_refuses_entries_and_work_past_their_bounds(capsys, monkeypatch):
+    # --seq takes at most MAX_SEQ_ENTRIES entries, MAX_BRANDEN_ENTRIES with
+    # --branden, and entries times (--max-order + 1) at most MAX_SEQ_WORK,
+    # the longest alcove line's 501 entries to order 1000; past any bound it
+    # exits 2 before any entry is parsed, and at each bound it parses them
+    assert (cli.MAX_SEQ_ENTRIES, cli.MAX_BRANDEN_ENTRIES, cli.MAX_SEQ_WORK) == (
+        10_000, 80, 501 * 1001)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    def ones(n):
+        return ",".join(["1"] * n)
+
+    with monkeypatch.context() as m:
+        m.setattr(seqanalysis, "make_sequence", no_work)
+        for n, extra, reason in (
+            (10_001, ["--max-order", "0"], "10001 entries, more than 10000"),
+            (71_644, [], "71644 entries, more than 10000"),
+            (81, ["--branden"], "81 entries, more than 80 with --branden"),
+            (502, ["--max-order", "1000"],
+             "502 entries times --max-order 1000 + 1 is 502502, more than 501501"),
+            (10_000, ["--max-order", "50"],
+             "10000 entries times --max-order 50 + 1 is 510000, more than 501501"),
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(["logconcave", "--seq", ones(n), *extra])
+            assert exc.value.code == 2, reason
+            assert capsys.readouterr().err == f"error: --seq '{ones(19)}...': {reason}\n"
+    parsed = []
+    real_make_sequence = seqanalysis.make_sequence
+
+    def one_entry(tokens):
+        parsed.append(len(tokens))
+        return real_make_sequence(tokens[:1])
+
+    with monkeypatch.context() as m:
+        m.setattr(seqanalysis, "make_sequence", one_entry)
+        for n, extra in ((501, ["--max-order", "1000"]), (10_000, ["--max-order", "49"]),
+                         (80, ["--branden", "--max-order", "1000"])):
+            assert main(["logconcave", "--seq", ones(n), *extra]) == 0
+    assert parsed == [501, 10_000, 80]
+    capsys.readouterr()
+    assert main(["logconcave", "--seq", ones(80), "--branden"]) == 0
+    assert capsys.readouterr().out == (
+        "input sequence: 80 entries\nlog-concavity order >= 6 (probed up to 6)\n"
+        "coefficient polynomial: not_real_negative (non-real root (Newton inequality at k=1))\n")
+    with pytest.raises(SystemExit):
+        main(["logconcave", "--help"])
+    assert ("at most 10000 entries (80 with --branden), with entries times (--max-order + 1) "
+            "at most 501501" in " ".join(capsys.readouterr().out.split()))
+
+
+def test_cli_seq_errors_quote_at_most_40_characters(capsys):
+    # every --seq usage error quotes the argument as the entry refusals do:
+    # whole up to 40 characters, else its first 37 and "..."
+    head = ",".join(["2"] * 30)
+    for argv, reason in (
+        (["--seq", head + ",,1"], "empty entry"),
+        (["--seq", head + ",x"], "could not convert string to float: 'x'"),
+        (["--seq", head.replace("2", "0"), "--branden"], "zero polynomial"),
+        (["--seq", head, "--node", "1"], "cannot be combined with --type, --level or --node"),
+        (["--seq", head + ",1/" + "1" * 2000],
+         "1/" + "1" * 35 + "...: a side of a/b exceeds 1000 characters"),
+        (["--seq", head + ",1/" + "0" * 999], "1/" + "0" * 35 + "...: division by zero"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(["logconcave", *argv])
+        assert exc.value.code == 2, reason
+        assert capsys.readouterr().err == f"error: --seq {argv[1][:37] + '...'!r}: {reason}\n"
+    with pytest.raises(SystemExit):
+        main(["logconcave", "--seq", "1," * 19 + "1,"])  # 40 characters, quoted whole
+    assert capsys.readouterr().err == f"error: --seq {'1,' * 19 + '1,'!r}: empty entry\n"
+
+
 def test_cli_solve(capsys):
     assert main(["solve", "--type", "E6", "--level", "4", "--tol", "1e-30"]) == 0
     out = capsys.readouterr().out
@@ -1205,6 +1310,7 @@ def test_weyl_group_certifies_above_level_12_without_sines(monkeypatch, label, l
 
     monkeypatch.setattr(qnum, "qdim", no_sines)
     monkeypatch.setattr(qnum.LevelContext, "_ratio_row", no_sines)
+    monkeypatch.setattr(qnum, "_abs_sines", no_sines)
     out = run(RunConfig(type_label=label, level=level, checks=("weyl",)))
     assert [(c.name, c.status, c.max_violation) for c in out.checks] == [
         ("fixed_word_images", "pass", None),

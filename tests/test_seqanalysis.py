@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from mpmath.ctx_mp import MPContext
 
 import qslab
+from qslab import seqanalysis
 from qslab.cli import main
 from qslab.qnum import FINF, FNAN, FNINF, LevelContext, alcove_line, mp_context, qdim_line
 from qslab.qsolver import build_qgrid
@@ -404,6 +405,22 @@ def test_ints_and_fractions_are_read_by_value():
         assert make_sequence([value]) == make_sequence([text]), value
     with pytest.raises(ValueError, match=r"^1{37}\.\.\. is outside the double range"):
         make_sequence(["1" * 500])
+
+
+def test_a_long_side_of_a_ratio_is_refused_before_int_reads_it():
+    # each side of a/b has at most MAX_RATIO_SIDE characters: past it the
+    # entry is refused in at most 80 characters, naming the bound, before
+    # Python's 4 300-digit limit on int(); at the bound both sides parse
+    assert seqanalysis.MAX_RATIO_SIDE == 1000
+    long = "1" * 5000
+    for text in ("1/" + long, long + "/1", long + "/" + long, "1" * 1001 + "/7"):
+        with pytest.raises(ValueError) as exc:
+            make_sequence([text])
+        message = str(exc.value)
+        assert message == f"{text[:37]}...: a side of a/b exceeds 1000 characters", text
+        assert len(message) <= 80
+    assert make_sequence(["1" * 1000 + "/" + "1" * 1000]) == make_sequence([1])
+    assert make_sequence(["-" + "0" * 999 + "/" + "0" * 999 + "3"]) == make_sequence([0])
 
 
 _EDGE_LITERALS = ["1/3", "22/-7", "1_000", " 1.5 ", "-0", ".5", "1e-320", "-0/5", "+7/1"]
