@@ -164,11 +164,16 @@ def _common_flags(p: argparse.ArgumentParser, level: bool = True,
 
 
 def _parse_weight(text: str, rank: int) -> tuple[int, ...]:
-    parts = [p for p in text.replace(",", " ").split() if p]
+    parts = text.replace(",", " ").split()
     try:
-        weight = tuple(int(p) for p in parts)
+        weight = tuple(map(int, parts))
     except ValueError:
-        _usage_error(f"weight coordinates must be integers, got {text!r}")
+        # int() refuses more digits than its limit (Python 3.10.7 on), whatever follows them
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        digits = max(sum(map(str.isdigit, p)) for p in parts)
+        reason = (f"weight coordinate has {digits} digits, more than int()'s limit of {limit}"
+                  if 0 < limit < digits else "weight coordinates must be integers")
+        _usage_error(f"{reason}, got {seqanalysis.clip(text)!r}")
     if len(weight) != rank:
         _usage_error(f"weight needs {rank} coordinates, got {len(weight)}")
     return weight
@@ -279,7 +284,7 @@ def _cmd_krdec(args) -> int:
     text = "\n".join(lines) + "\n"
     if args.qdim:
         ctx = LevelContext(rs, level, bits)
-        value = krchar.qdim_kr(dec, ctx)
+        value = krchar.qdim_kr(dec, ctx) if kleber else krchar.chari_qdim(args.node, args.k, ctx)
         text += f"qdim {render_decimal(value._v, digits)}\n"
     _emit(text, args.out)
     return 0

@@ -8,9 +8,9 @@ propagation in :mod:`qslab.qsolver`.
 
 A KR quantum dimension is the sum of its terms' quantum dimensions, taken
 exactly in integers and rounded once: each weight gives a row term at
-``LevelContext.term_width`` bits (``qnum.plan_qdim``), and a direct row adds
-them up, a paired shell's interior weights evaluated as pairings with the
-groups of one support plan, outside the ``qdim`` memo.
+``LevelContext.term_width`` bits (``qnum.plan_qdim``).  ``chari_qdim`` makes
+every Chari row, the grid's and ``krdec --qdim``'s, and ``qdim_kr`` sums the
+Kleber tables and any other decomposition alike.
 """
 
 from __future__ import annotations
@@ -121,11 +121,9 @@ def _rounded(value: int, scale: int, ctx: LevelContext) -> QReal:
 def qdim_kr(dec: KRDecomposition, ctx: LevelContext) -> QReal:
     """Quantum dimension of a decomposition: sum of mult * qdim(weight).
 
-    The terms' row terms (``qnum.plan_qdim``) are summed exactly and rounded
-    once, so the value and scale are those of ``chari_qdim``, within its
-    bound of the exact sum, in any order of the terms.  Each term is
-    evaluated as it is added, outside the ``qdim`` memo, so a decomposition
-    of many terms holds none of their values.
+    The terms' row terms (``qnum.qdim_unmemoized``, outside the ``qdim``
+    memo) are summed exactly and rounded once, as ``chari_qdim`` sums them,
+    so the bits do not depend on the order of the terms.
     """
     if not dec.terms:
         return ctx.zero
@@ -133,7 +131,7 @@ def qdim_kr(dec: KRDecomposition, ctx: LevelContext) -> QReal:
         return qdim_unmemoized(dec.terms[0][1], ctx)[0]
     value = scale = 0
     for mult, weight in dec.terms:
-        x, s = qdim_unmemoized(weight, ctx, False)[1]
+        x, s = qdim_unmemoized(weight, ctx)[1]
         value += mult * x
         scale += mult * s
     return _rounded(value, scale, ctx)
@@ -150,7 +148,7 @@ def _shell_terms(node: int, j: int, ctx: LevelContext) -> list[tuple[int, int]]:
     for i in [node] if pair is None or j == 0 else [a + 1 for a in pair]:
         w = fundamental_weight(rs.rank, i, j)
         qdim(w, ctx)
-        terms.append(ctx._row_terms[w])
+        terms.append(ctx._qdim_cache[w][1])
     if pair and j > 1:
         plan = support_plan(ctx, pair)
         dots = [va + (j - 1) * vb for va, vb in plan[0]]
@@ -164,27 +162,28 @@ def _shell_terms(node: int, j: int, ctx: LevelContext) -> list[tuple[int, int]]:
 def chari_qdim(node: int, box_count: int, ctx: LevelContext) -> QReal:
     """qdim_kr(chari_decomposition(rs, node, box_count), ctx), bit for bit.
 
-    Each direct node keeps a row in the context, extended on demand in
-    increasing box count.  Row k adds the row terms of shell k exactly, onto
-    row k-1's integer sums at the nested nodes, and rounds once; at a node
-    that neither nests nor pairs it is the one weight's ``qdim``.  Each term
-    is within 2**-(p+33) of its scale (``qnum._ratio_product``), so the value
-    lies within half a unit in its last place plus 2**-(p+32) times the
+    The context keeps each row.  A nested node's row k adds the row terms of
+    shell k exactly onto the kept integer sums of shells 0..k-1; any other
+    row is its own shell, one weight's ``qdim`` where the node does not pair.
+    Each term is within 2**-(p+33) of its scale (``qnum.plan_qdim``), so the
+    value lies within half a unit in its last place plus 2**-(p+32) times the
     row's scale of the exact Chari sum, 0 included (``_rounded``), and the
     scale within as much of the exact sum of the terms' largest partial
     products, 1 for a zero term.
     """
-    rs = ctx.root_system
-    _check_direct(rs, node, box_count)
-    rows, td = ctx._chari_rows.setdefault(node, []), type_data(rs.type_label)
-    nested = node in td.nested_nodes
-    while len(rows) <= box_count:
-        if not nested and node not in td.paired_shells:
-            rows.append((qdim(fundamental_weight(rs.rank, node, len(rows)), ctx),))
-            continue
-        value, scale = rows[-1][1:] if nested and rows else (0, 0)
-        for x, s in _shell_terms(node, len(rows), ctx):
-            value += x
-            scale += s
-        rows.append((_rounded(value, scale, ctx), value, scale))
-    return rows[box_count][0]
+    row = ctx._chari_rows.get((node, box_count))
+    if row is None:
+        rs = ctx.root_system
+        _check_direct(rs, node, box_count)
+        td = type_data(rs.type_label)
+        if node in td.nested_nodes:
+            sums = ctx._chari_sums.setdefault(node, [(0, 0)])  # sums[k]: shells below k
+            while len(sums) <= box_count + 1:
+                sums.append(tuple(map(sum, zip(sums[-1], *_shell_terms(node, len(sums) - 1, ctx)))))
+            row = _rounded(*sums[box_count + 1], ctx)
+        elif node in td.paired_shells:
+            row = _rounded(*map(sum, zip(*_shell_terms(node, box_count, ctx))), ctx)
+        else:
+            row = qdim(fundamental_weight(rs.rank, node, box_count), ctx)
+        ctx._chari_rows[node, box_count] = row
+    return row

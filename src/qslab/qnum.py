@@ -9,12 +9,13 @@ thresholding.
 
 A quantum dimension, its scale and ``QReal`` hold p-bit triples (sign,
 mantissa exactly p bits wide, exponent), or ``ZERO``, at the context's
-precision p.  One fixed-point walk gives a sine product and its scale,
-which ``qdim`` rounds correctly (a proven error bound and Ziv's test), and
-the KR sums of :mod:`qslab.krchar` add as an integer row term (``plan_qdim``).
-``QReal``'s operations round as the libmp calls they stand for, to nearest
-with ties to even, so their bits are those of mpf arithmetic, without
-libmp's normal form.
+precision p.  Every weight takes one path, ``plan_qdim``: one pass over
+its support's groups decides an exact zero and the sign, and a fixed-point
+walk gives the product and its scale, correctly rounded (a proven error
+bound and Ziv's test), and the row term that :mod:`qslab.krchar` adds; one
+``qdim`` memo entry holds both.  ``QReal``'s operations round as the libmp
+calls they stand for, to nearest with ties to even, so their bits are those
+of mpf arithmetic, without libmp's normal form.
 
 The sines are qnum's own: an integer Taylor series with pi from Machin's
 formula (``pi_fixed``), within a stated bound (``_abs_sines``).
@@ -31,9 +32,8 @@ from __future__ import annotations
 
 import functools
 import math
-from bisect import bisect_left
 from decimal import ROUND_HALF_EVEN, Context as DecimalContext, Decimal
-from itertools import compress
+from itertools import accumulate, compress
 from operator import index, mul
 from typing import Sequence
 
@@ -45,7 +45,7 @@ DEFAULT_PRECISION_BITS = 128
 ZERO = (0, 0, 0)  # the p-bit triple of 0, at every p
 # libmp's raw +inf, -inf and nan, which a check's violation may hold
 FINF, FNINF, FNAN = (0, 0, -456, -2), (1, 0, -789, -3), (0, 0, -123, -1)
-# Bits past the precision in ``_ratio_product``: the 34 436 products of full
+# Bits past the precision in ``plan_qdim``'s first walk: the 34 436 products of full
 # verify runs at E6 L1-30, E7 L1-40 and E8 L1-30 all round in one pass at 32
 GUARD_BITS = 64
 
@@ -420,12 +420,12 @@ class LevelContext:
     Each context computes on p-bit triples at its precision p (no global
     precision state); ``mp``, the shared mpmath context of that precision
     (``mp_context``), is made only when read.  It owns the fixed-point rows
-    of sine ratios (``_ratio_row``), one fold plan per support pattern
-    (``support_plan``) and a memo of ``qdim`` keyed by dominant weight, each
-    weight's row term beside it.  It also memoizes the closed-form KR rows
-    of :mod:`qslab.krchar`, one list per direct node indexed by box count.
-    ``one`` and ``zero`` are its exact 1 and 0, and ``term_width`` = p +
-    GUARD_BITS the width of its walks and row terms.
+    of sine ratios (``_ratio_row``), one plan per support pattern
+    (``support_plan``), the ``qdim`` memo (a dominant weight's value and row
+    term) and the Chari rows of :mod:`qslab.krchar` by (node, box count),
+    with the nested nodes' running sums.  ``one`` and ``zero`` are its exact
+    1 and 0, and ``term_width`` = p + GUARD_BITS the width of its walks and
+    row terms.
     """
 
     def __init__(
@@ -444,12 +444,12 @@ class LevelContext:
         self.term_width = precision_bits + GUARD_BITS
         one = one_triple(precision_bits)
         self.one, self.zero = QReal(one, one, precision_bits), QReal(ZERO, one, precision_bits)
-        self._qdim_cache: dict[Weight, QReal] = {}
+        self._qdim_cache: dict[Weight, tuple[QReal, tuple[int, int]]] = {}
         self._plans: dict[tuple[int, ...], tuple] = {}
         self._sine_tables: dict[int, list[int]] = {}  # width -> _abs_sines
         self._rows: dict[tuple[int, int], list[int]] = {}  # (width, height) -> row
-        self._row_terms: dict[Weight, tuple[int, int]] = {}  # beside _qdim_cache
-        self._chari_rows: dict[int, list[tuple]] = {}  # (row, its integer sums)
+        self._chari_rows: dict[tuple[int, int], QReal] = {}  # (node, box count) -> row
+        self._chari_sums: dict[int, list[tuple[int, int]]] = {}  # nested node -> running sums
 
     mp = property(lambda self: mp_context(self.precision_bits))
 
@@ -484,94 +484,68 @@ class LevelContext:
 
 
 def support_plan(ctx: LevelContext, support: tuple[int, ...]) -> tuple:
-    """``(vectors, zero_residues, steps, heights)`` for the weights whose
-    nonzero coordinates are the 0-based ``support``, which pair only with
-    the roots nonzero there; made once per context.  ``vectors`` holds
-    those roots' distinct coefficient vectors on the support, one per group;
-    pairing to d with group g's is an exact zero iff d mod l is in
-    ``zero_residues[g]``, the -ht mod l of the group's heights (1 <= ht < h
-    < l), which ``heights[g]`` lists in increasing order, one per root.
-    ``steps`` holds ``(g, ht, row)`` per such root in canonical order, row
-    the ``_ratio_row`` of ht at ``ctx.term_width``."""
+    """``(vectors, steps, signs)`` for the weights whose nonzero coordinates
+    are the 0-based ``support``, which pair only with the roots nonzero
+    there; made once per context.  ``vectors[g]`` is group g's coefficient
+    vector on the support, shared by its n roots, and ``signs[g]`` is ``(n,
+    table)``: for a pairing d = q l + r, ``table[r]`` is None when some
+    numerator d + ht is a multiple of l (ht = l - r, as 1 <= ht < h < l),
+    else the count of those passing (q + 1) l.  ``steps`` holds ``(g, ht,
+    row)`` per root in canonical order, row the ``_ratio_row`` of ht at
+    ``ctx.term_width``."""
     plan = ctx._plans.get(support)
     if plan is not None:
         return plan
     rs, l = ctx.root_system, ctx.shifted_level
-    groups, steps = {}, []  # vector -> (group, heights); product steps
+    groups, steps = {}, []  # vector -> (group, its l - ht); product steps
     for v, ht in zip(zip(*[rs.root_columns[j] for j in support]), rs.heights):
         if any(v):
-            g, hts = groups.setdefault(v, (len(groups), []))
-            hts.append(ht)
+            g, cuts = groups.setdefault(v, (len(groups), []))
+            cuts.append(l - ht)
             steps.append((g, ht, ctx._ratio_row(ht, ctx.term_width)))
-    heights = [sorted(hts) for _, hts in groups.values()]
-    plan = ctx._plans[support] = (tuple(groups), [{-ht % l for ht in hts} for hts in heights],
-                                  steps, heights)
+    signs = []
+    for _, cuts in groups.values():
+        marks = [0] * l
+        for c in cuts:
+            marks[c] += 1
+        table = list(accumulate(marks))  # the heights >= l - r
+        for c in cuts:
+            table[c] = None
+        signs.append((len(cuts), table))
+    plan = ctx._plans[support] = (tuple(groups), steps, signs)
     return plan
 
 
-def plan_qdim(plan: tuple, dots: Sequence[int], ctx: LevelContext, rounded: bool) -> tuple:
-    """``(quantum dimension, row term)`` of the weight whose pairings with
-    the groups of a ``support_plan`` are ``dots``: ``ctx.zero`` and (0,
-    2**W), W = ``ctx.term_width``, when one of them is an exact zero by its
-    group's residues, else the plan's ``_ratio_product``."""
-    l = ctx.shifted_level
-    for d, zeros in zip(dots, plan[1]):
-        if d % l in zeros:
-            return ctx.zero, (0, 1 << ctx.term_width)
-    return _ratio_product(ctx, plan, dots, rounded)
-
-
-def _ratio_walk(ctx: LevelContext, plan: tuple, dots: Sequence[int], w: int) -> tuple:
-    """``(sign, x, hi, lo)`` of the product of sin(pi (dots[g] + ht) / l) /
-    sin(pi ht / l) over the ``support_plan`` steps (g, ht, row), no numerator
-    a multiple of l: one fixed-point pass at w bits.
-
-    The sign is the parity of the negative numerators: group g's numerators
-    d + ht, d = q l + r, are negative for odd floor((d + ht) / l) = q + [ht
-    >= l - r].  The magnitude is x_k = floor(x_{k-1} R_k / 2**w) from x_0 =
-    2**w, on row entries R_k within eta = l 2**-w of the ratios, relatively,
-    to the last x, the largest hi and the least lo.  With lo >= 2**j, j >= p,
-    x_k / (2**w t_k) for the exact partial products t_k lies between ((1 -
-    eta) / (1 + 2**-j))**k and (1 + eta)**k, so for n steps x_k is within e =
-    n (6l + 2) x_k 2**-j + 1 units of 2**w t_k wherever n (2**-j + 3 eta) <=
-    1, and hi within the same of 2**w max t_k.
+def plan_qdim(plan: tuple, dots: Sequence[int], ctx: LevelContext, rounded: bool = True) -> tuple:
+    """``(quantum dimension or None, row term)`` of the weight whose pairings
+    with the groups of a ``support_plan`` are ``dots``.  One pass over the
+    groups decides an exact zero (``ctx.zero``, row term (0, 2**W), W =
+    ``ctx.term_width``) and the sign, the parity of the sum of the quotients
+    floor((d + ht) / l), n q + table[r] over a group for d = q l + r.  The
+    walks (``_ratio_walk``, the first at W bits) give the product and its
+    scale, hi, correctly rounded to p bits unless not ``rounded`` (Ziv's
+    test: rounding to nearest is monotone, so when both ends of [x - e, x +
+    e] round to one p-bit value, so does the exact one), and the signed x
+    and hi of the first walk with lo >= 2**(p + 34 + bitlen(c)), c = n (6l +
+    2) for n steps, floored to W bits: then e < hi 2**-(p+34) + 1 and the
+    floor adds under 2 units, so both lie within 2**-(p+33) hi of 2**W times
+    their exact values (for W >= p + 36).  Until both are found the walk
+    runs again with the guard bits doubled, plus those lost at lo; only an
+    exact p-bit tie never rounds, and the walks give up past 64 p bits.
     """
-    l = ctx.shifted_level
+    l, p, w = ctx.shifted_level, ctx.precision_bits, ctx.term_width
     neg, res = 0, []
-    for d, hts in zip(dots, plan[3]):
+    for d, (n, table) in zip(dots, plan[2]):
         q, r = divmod(d, l)
-        neg += len(hts) * (q + 1) - bisect_left(hts, l - r)
+        t = table[r]
+        if t is None:
+            return ctx.zero, (0, 1 << w)
+        neg += n * q + t
         res.append(r)
-    steps = plan[2]
-    if w != ctx.term_width:
-        steps = [(g, ht, ctx._ratio_row(ht, w)) for g, ht, _ in steps]
-    x = hi = lo = 1 << w
-    for g, _, row in steps:
-        x = x * row[res[g]] >> w
-        if x > hi:
-            hi = x
-        elif x < lo:
-            lo = x
-    return neg & 1, x, hi, lo
-
-
-def _ratio_product(ctx: LevelContext, plan: tuple, dots: Sequence[int], rounded: bool) -> tuple:
-    """``(QReal or None, row term)`` from walks of the plan, the first at W =
-    ``ctx.term_width`` bits: the product and its scale, hi, correctly rounded
-    to p bits unless not ``rounded`` (Ziv's test: rounding to nearest is
-    monotone, so when both ends of [x - e, x + e] round to one p-bit value,
-    so does the exact one), and the signed x and hi of the first walk with
-    lo >= 2**(p + 34 + bitlen(c)), c = n (6l + 2) for n steps, floored to W
-    bits: then e < hi 2**-(p+34) + 1 and the floor adds under 2 units, so
-    both lie within 2**-(p+33) hi of 2**W times their exact values (for W >=
-    p + 36).  Until both are found the walk runs again with the guard bits
-    doubled, plus those lost at lo; only an exact p-bit tie never rounds,
-    and the walks give up past 64 p bits.
-    """
-    p, w = ctx.precision_bits, ctx.term_width
-    c, value, term = len(plan[2]) * (6 * ctx.shifted_level + 2), None, None
+    sign, steps = neg & 1, plan[1]
+    c, value, term = len(steps) * (6 * l + 2), None, None
     while True:
-        sign, x, hi, lo = _ratio_walk(ctx, plan, dots, w)
+        x, hi, lo = _ratio_walk(ctx, steps, res, w)
         k = lo.bit_length() - 1
         if term is None and k >= p + 34 + c.bit_length():
             n = w - ctx.term_width
@@ -591,6 +565,31 @@ def _ratio_product(ctx: LevelContext, plan: tuple, dots: Sequence[int], rounded:
         w += (w - p) + (w - k)
 
 
+def _ratio_walk(ctx: LevelContext, steps: list, res: Sequence[int], w: int) -> tuple:
+    """``(x, hi, lo)`` of the product of |sin(pi (r + ht) / l)| / sin(pi ht /
+    l) over the ``support_plan`` steps (g, ht, row), r = res[g] the residue
+    of group g's pairing: one fixed-point pass at w bits.
+
+    x_k = floor(x_{k-1} R_k / 2**w) from x_0 = 2**w, on row entries R_k
+    within eta = l 2**-w of the ratios, relatively, to the last x, the
+    largest hi and the least lo.  With lo >= 2**j, j >= p, x_k / (2**w t_k)
+    for the exact partial products t_k lies between ((1 - eta) / (1 +
+    2**-j))**k and (1 + eta)**k, so for n steps x_k is within e = n (6l + 2)
+    x_k 2**-j + 1 units of 2**w t_k wherever n (2**-j + 3 eta) <= 1, and hi
+    within the same of 2**w max t_k.
+    """
+    if w != ctx.term_width:
+        steps = [(g, ht, ctx._ratio_row(ht, w)) for g, ht, _ in steps]
+    x = hi = lo = 1 << w
+    for g, _, row in steps:
+        x = x * row[res[g]] >> w
+        if x > hi:
+            hi = x
+        elif x < lo:
+            lo = x
+    return x, hi, lo
+
+
 def qdim(weight: Sequence[int], ctx: LevelContext) -> QReal:
     """Quantum dimension of the irreducible with the given dominant highest weight.
 
@@ -598,22 +597,20 @@ def qdim(weight: Sequence[int], ctx: LevelContext) -> QReal:
     sin(pi (weight+rho | beta) / l) / sin(pi (rho | beta) / l); factors with
     (weight | beta) = 0 equal 1 exactly and are skipped.  The result is an
     exact zero precisely when some numerator pairing is divisible by l.  The
-    memo keeps its row term beside it, in ``ctx._row_terms``.
+    memo holds one entry per weight, ``qdim_unmemoized``'s value and row term.
     """
     cache = ctx._qdim_cache
     w = weight if type(weight) is tuple else tuple(weight)
     # every cached key is a dominant weight of the right rank
-    cached = cache.get(w)
-    if cached is not None:
-        return cached
-    w = int_weight(w)
-    cache[w], ctx._row_terms[w] = qdim_unmemoized(w, ctx)
-    return cache[w]
+    entry = cache.get(w)
+    if entry is None:  # keyed by ints: each coordinate equals its int
+        entry = cache[tuple(map(int, w))] = qdim_unmemoized(w, ctx)
+    return entry[0]
 
 
-def qdim_unmemoized(weight: Sequence[int], ctx: LevelContext, rounded: bool = True) -> tuple:
-    """``plan_qdim`` of a dominant weight, without the ``qdim`` memo, which
-    it neither reads nor fills."""
+def qdim_unmemoized(weight: Sequence[int], ctx: LevelContext) -> tuple:
+    """``plan_qdim`` of a dominant weight, (value, row term), without the
+    ``qdim`` memo, which it neither reads nor fills."""
     w = int_weight(weight)
     if len(w) != ctx.root_system.rank:
         raise ValueError("weight has wrong rank")
@@ -623,7 +620,7 @@ def qdim_unmemoized(weight: Sequence[int], ctx: LevelContext, rounded: bool = Tr
     # the support roots, which pair with w through their group's vector
     plan = support_plan(ctx, tuple(compress(range(len(w)), w)))
     coords = tuple(filter(None, w))
-    return plan_qdim(plan, [sum(map(mul, coords, g)) for g in plan[0]], ctx, rounded)
+    return plan_qdim(plan, [sum(map(mul, coords, g)) for g in plan[0]], ctx)
 
 
 def qdim_line(node: int, k: int, ctx: LevelContext) -> QReal:

@@ -304,7 +304,7 @@ def _logconcave_checks(report, ctx, grid) -> list[CheckResult]:
         seq = seqanalysis.make_sequence(alcove_line(i, ctx), p)
         if i == td.branden_node:
             branden_line = seq
-        if (not seqanalysis.is_log_concave(seq, strict=True)
+        if (not seqanalysis.is_log_concave(seq)
                 or any(sign or not man for sign, man, _ in seq.entries)):  # an entry <= 0
             bad_nodes.append(i)
     out.append(_mk_check("fundamental_lines_log_concave", None, not bad_nodes, True,
@@ -314,7 +314,7 @@ def _logconcave_checks(report, ctx, grid) -> list[CheckResult]:
     # a direct row, whose cells are never unresolved
     seq = seqanalysis.make_sequence(grid.rows[row_node - 1][:level + 1], p)
     out.append(_mk_check("grid_row_log_concave", row_node,
-                         seqanalysis.is_log_concave(seq, strict=True), True, None))
+                         seqanalysis.is_log_concave(seq), True, None))
 
     if td.branden_node is not None:
         node, threshold = td.branden_node, td.branden_level

@@ -176,20 +176,16 @@ def order_text(order: int, max_order: int) -> str:
     return f"{order} (iterate {order + 1} fails)"
 
 
-def is_log_concave(seq: RealSequence, strict: bool = False) -> bool:
-    """Whether a_k^2 >= a_{k-1} a_{k+1} holds at every interior index, within
-    the sequence's tolerance (a_k^2 > a_{k-1} a_{k+1} + tolerance when
-    ``strict``); the bound a_{k-1} a_{k+1} -+ tolerance rounds at p bits.
-
-    On a positive sequence this triple form is equivalent to the pairwise
-    form a_k a_m >= a_{k-1} a_{m+1} for k <= m, so the triple form alone
-    decides.
+def is_log_concave(seq: RealSequence) -> bool:
+    """Strict log-concavity within the sequence's tolerance: a_k^2 > a_{k-1}
+    a_{k+1} + tolerance at every interior index, the bound rounded at p
+    bits.  On a positive sequence this triple form is equivalent to the
+    pairwise form a_k a_m > a_{k-1} a_{m+1} for k <= m, so it alone decides.
     """
     a, tol, p = seq.entries, seq.tolerance, seq.precision_bits
-    least = 1 if strict else 0
     return all(cmp_triples(mul_triples(a[k], a[k], p),
-                           add_triples(mul_triples(a[k - 1], a[k + 1], p), tol, p, 1 - least))
-               >= least for k in range(1, len(a) - 1))
+                           add_triples(mul_triples(a[k - 1], a[k + 1], p), tol, p)) > 0
+               for k in range(1, len(a) - 1))
 
 
 class RootednessVerdict(NamedTuple):

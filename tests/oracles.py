@@ -242,7 +242,7 @@ def palindromize(seq: RealSequence, parity: str) -> RealSequence:
         raise ValueError("need at least two entries to reflect")
     if not all(e > tol for e in values):
         raise ValueError("sequence must be positive")
-    if not is_log_concave(seq, strict=True):
+    if not is_log_concave(seq):
         raise ValueError("sequence must be strictly log-concave")
     if not values[n - 1] < values[n] - tol:
         raise ValueError("sequence must end on a strict increase")
@@ -251,7 +251,7 @@ def palindromize(seq: RealSequence, parity: str) -> RealSequence:
     else:
         entries = a + tuple(reversed(a))
     out = RealSequence(entries, seq.tolerance, seq.precision_bits)
-    if not is_log_concave(out, strict=True):
+    if not is_log_concave(out):
         raise RuntimeError("reflection lost strict log-concavity")
     return out
 
@@ -318,13 +318,9 @@ def mpf_log_concavity_order(seq: MpfSequence, max_order: int) -> int:
     return max_order
 
 
-def mpf_is_log_concave(seq: MpfSequence, strict: bool = False) -> bool:
+def mpf_is_log_concave(seq: MpfSequence) -> bool:
     a, tol = seq.entries, seq.tolerance
-
-    def holds(x, y) -> bool:
-        return x > y + tol if strict else x >= y - tol
-
-    return all(holds(a[k] * a[k], a[k - 1] * a[k + 1]) for k in range(1, len(a) - 1))
+    return all(a[k] * a[k] > a[k - 1] * a[k + 1] + tol for k in range(1, len(a) - 1))
 
 
 def mpf_branden_criterion(seq: MpfSequence) -> RootednessVerdict:

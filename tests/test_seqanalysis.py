@@ -72,13 +72,14 @@ def test_log_concavity_order_examples():
     assert log_concavity_order(make_sequence([1, -1, 2]), 2) == -1
     geometric = make_sequence([1, 2, 4, 8])
     assert log_concavity_order(geometric, 1) >= 1
-    assert is_log_concave(geometric) and not is_log_concave(geometric, strict=True)
+    assert pairwise_log_concave(geometric) and not is_log_concave(geometric)
 
 
 def test_is_log_concave_examples():
-    assert is_log_concave(make_sequence([3, 3, 3]))
-    assert not is_log_concave(make_sequence([3, 3, 3]), strict=True)
-    assert is_log_concave(make_sequence([1, 2, 1]), strict=True)
+    # log-concave, but not strictly: is_log_concave decides the strict form
+    assert pairwise_log_concave(make_sequence([3, 3, 3]))
+    assert not is_log_concave(make_sequence([3, 3, 3]))
+    assert is_log_concave(make_sequence([1, 2, 1]))
     assert not is_log_concave(make_sequence([1, 1, 2]))
 
 
@@ -110,10 +111,9 @@ def test_pairwise_form_agrees_with_is_log_concave():
             seq = make_sequence(vals)
         elif kind < 0.6:
             seq = make_sequence([rng.uniform(0.1, 10.0) for _ in range(n)])
-        for strict in (False, True):
-            verdict = is_log_concave(seq, strict)
-            assert pairwise_log_concave(seq, strict) == verdict, entries(seq)
-            verdicts.add(verdict)
+        verdict = is_log_concave(seq)
+        assert pairwise_log_concave(seq, strict=True) == verdict, entries(seq)
+        verdicts.add(verdict)
     assert verdicts == {False, True}
 
 
@@ -122,7 +122,7 @@ def test_palindromize_examples():
     assert entries(palindromize(make_sequence([1, 2]), "even")) == [1, 2, 1]
     out = palindromize(make_sequence([1, 3, 4]), "even")
     assert entries(out) == [1, 3, 4, 3, 1]
-    assert is_log_concave(out, strict=True)
+    assert is_log_concave(out)
 
 
 def test_palindromize_preconditions():
@@ -142,10 +142,10 @@ def test_product_preserves_log_concavity():
         n = rng.randint(3, 12)
         a = random_ratio_sequence(rng, n, strict=False)
         b = random_ratio_sequence(rng, n, strict=True)
-        assert is_log_concave(a)
-        assert is_log_concave(b, strict=True)
+        assert pairwise_log_concave(a)
+        assert is_log_concave(b)
         prod = make_sequence([x * y for x, y in zip(mpf_entries(a), mpf_entries(b))])
-        assert is_log_concave(prod, strict=True)
+        assert is_log_concave(prod)
 
 
 def test_palindromes_stay_strictly_log_concave():
@@ -153,9 +153,9 @@ def test_palindromes_stay_strictly_log_concave():
     for _ in range(TRIALS):
         n = rng.randint(2, 12)
         seq = random_ratio_sequence(rng, n, strict=True, above_one=True)
-        assert is_log_concave(seq, strict=True)
+        assert is_log_concave(seq)
         for parity in ("even", "odd"):
-            assert is_log_concave(palindromize(seq, parity), strict=True)
+            assert is_log_concave(palindromize(seq, parity))
 
 
 def test_prefix_sums_stay_strictly_log_concave():
@@ -168,7 +168,7 @@ def test_prefix_sums_stay_strictly_log_concave():
         for e in mpf_entries(seq):
             total = e if total is None else total + e
             prefix.append(total)
-        assert is_log_concave(make_sequence(prefix), strict=True)
+        assert is_log_concave(make_sequence(prefix))
 
 
 def test_branden_toy_cases():
@@ -362,7 +362,7 @@ def test_e7_node7_lines_strictly_log_concave(e7):
     for level in (4, 8):
         ctx = LevelContext(e7, level)
         seq = make_sequence([qdim_line(7, k, ctx).value for k in range(level + 1)])
-        assert is_log_concave(seq, strict=True)
+        assert is_log_concave(seq)
 
 
 def test_branden_e7_fixture_boundary(e7):
@@ -479,10 +479,9 @@ def test_wider_triples_are_rounded_to_the_sequence_precision(e7):
         seq, ref = RealSequence(w.entries, w.tolerance, 128), make_sequence(w.entries)
         assert seq.entries == ref.entries
         assert seq.tolerance[1].bit_length() == 128
-        verdict = (is_log_concave(seq), is_log_concave(seq, True), log_concavity_order(seq, 8),
-                   branden_criterion(seq))
-        assert verdict == (is_log_concave(ref), is_log_concave(ref, True),
-                           log_concavity_order(ref, 8), branden_criterion(ref))
+        verdict = is_log_concave(seq), log_concavity_order(seq, 8), branden_criterion(seq)
+        assert verdict == (is_log_concave(ref), log_concavity_order(ref, 8),
+                           branden_criterion(ref))
         verdicts.add(verdict)
     assert len(verdicts) >= 4, verdicts
 
@@ -497,8 +496,7 @@ def _assert_port_matches_oracle(seq, oracle, max_order=6):
         assert [raw(e) for e in cur.entries] == [e._mpf_ for e in ref.entries]
         assert raw(cur.tolerance) == ref.tolerance._mpf_
         cur, ref = l_operator(cur), mpf_l_operator(ref)
-    for strict in (False, True):
-        assert is_log_concave(seq, strict) == mpf_is_log_concave(oracle, strict)
+    assert is_log_concave(seq) == mpf_is_log_concave(oracle)
     assert log_concavity_order(seq, max_order) == mpf_log_concavity_order(oracle, max_order)
     if any(man for _, man, _ in seq.entries):
         assert branden_criterion(seq) == mpf_branden_criterion(oracle)
