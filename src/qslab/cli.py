@@ -46,6 +46,10 @@ MAX_PRECISION_BITS = 4096
 # The largest --level times --precision-bits: on it a full E8 verify took 3.1,
 # 0.9 and 5.6 s there at L15, 60 and 500; L500 at 4096 bits ran past 100 s.
 MAX_LEVEL_BITS = MAX_LEVEL * DEFAULT_PRECISION_BITS
+# The most digits of a printed qdim --classical: Python's default limit on
+# int-to-str conversion.  E8 with every coordinate at the 4300 digits int()
+# reads took 0.7 s to compute on a shared 2-core host.
+MAX_CLASSICAL_DIGITS = 4300
 # The largest --max-order: 1.9 s on the longest alcove line (E6 L500 node 1).
 MAX_ORDER = 1000
 # The most --seq entries (10 000 parse in 0.05 s; at --max-order 0 the work
@@ -231,7 +235,10 @@ def _cmd_qdim(args) -> int:
     if args.classical:
         for flag in ("--precision-bits", "--digits", "--level"):
             _optional(args, flag, unused_in="with --classical")
-        _emit(str(qdim_classical(rs, weight)) + "\n", args.out)
+        dim = qdim_classical(rs, weight)
+        if dim >= 10**MAX_CLASSICAL_DIGITS:
+            _usage_error(f"the classical dimension has more than {MAX_CLASSICAL_DIGITS} digits")
+        _emit(str(dim) + "\n", args.out)
         return 0
     digits = _digits(args)
     if args.level is None:
@@ -417,7 +424,8 @@ def build_parser() -> argparse.ArgumentParser:
     _common_flags(p, level=False)
     _level_flag(p, required=False)
     p.add_argument("--weight", required=True, help="comma-separated coordinates")
-    p.add_argument("--classical", action="store_true", help="exact Weyl dimension")
+    p.add_argument("--classical", action="store_true",
+                   help=f"exact Weyl dimension, of at most {MAX_CLASSICAL_DIGITS} digits")
     p.add_argument("--digits", type=int, default=None)
     p.set_defaults(fn=_cmd_qdim)
 

@@ -15,11 +15,10 @@ Kleber tables and any other decomposition alike.
 
 from __future__ import annotations
 
-from operator import add
 from typing import NamedTuple
 
-from .qnum import (LevelContext, QReal, plan_qdim, qdim, qdim_unmemoized, round_triple,
-                   support_plan)
+from .qnum import (LevelContext, QReal, progression_terms, qdim, qdim_unmemoized,
+                   round_triple, support_plan)
 from .rootsys import RootSystem, Weight, fundamental_weight, is_dominant, type_data
 
 
@@ -138,10 +137,11 @@ def qdim_kr(dec: KRDecomposition, ctx: LevelContext) -> QReal:
 
 
 def _shell_terms(node: int, j: int, ctx: LevelContext) -> list[tuple[int, int]]:
-    """The row terms of shell j's weights: of j w_node, or of a paired
-    shell's ends j w_a and j w_b, from the ``qdim`` memo; of a paired shell's
-    interior weights r w_a + (j - r) w_b, 0 < r < j, from the plan of (a, b),
-    their pairings advanced by one vector add per weight."""
+    """The row terms of shell j: of j w_node, or of a paired shell's ends j
+    w_a and j w_b, from the ``qdim`` memo, then the sum of the row terms of
+    its interior weights r w_a + (j - r) w_b, 0 < r < j, from the plan of
+    (a, b) (``qnum.progression_terms``: their pairings advance by one vector
+    per weight)."""
     rs = ctx.root_system
     pair = type_data(rs.type_label).paired_shells.get(node)
     terms = []
@@ -151,11 +151,9 @@ def _shell_terms(node: int, j: int, ctx: LevelContext) -> list[tuple[int, int]]:
         terms.append(ctx._qdim_cache[w][1])
     if pair and j > 1:
         plan = support_plan(ctx, pair)
-        dots = [va + (j - 1) * vb for va, vb in plan[0]]
+        first = [va + (j - 1) * vb for va, vb in plan[0]]
         step = [va - vb for va, vb in plan[0]]
-        for _ in range(j - 1):
-            terms.append(plan_qdim(plan, dots, ctx, False)[1])
-            dots = list(map(add, dots, step))
+        terms.append(progression_terms(plan, first, step, j - 1, ctx))
     return terms
 
 

@@ -9,13 +9,15 @@ thresholding.
 
 A quantum dimension, its scale and ``QReal`` hold p-bit triples (sign,
 mantissa exactly p bits wide, exponent), or ``ZERO``, at the context's
-precision p.  Every weight takes one path, ``plan_qdim``: one pass over
-its support's groups decides an exact zero and the sign, and a fixed-point
-walk gives the product and its scale, correctly rounded (a proven error
-bound and Ziv's test), and the row term that :mod:`qslab.krchar` adds; one
-``qdim`` memo entry holds both.  ``QReal``'s operations round as the libmp
-calls they stand for, to nearest with ties to even, so their bits are those
-of mpf arithmetic, without libmp's normal form.
+precision p.  Every weight takes one path: one pass over its support's
+groups decides an exact zero and the sign (``plan_qdim``, or
+``progression_terms`` inline for weights whose pairings advance by one
+vector), and a fixed-point walk (``_walk_terms``) gives the product and its
+scale, correctly rounded (a proven error bound and Ziv's test), and the row
+term that :mod:`qslab.krchar` adds; one ``qdim`` memo entry holds both.
+``QReal``'s operations round as the libmp calls they stand for, to nearest
+with ties to even, so their bits are those of mpf arithmetic, without
+libmp's normal form.
 
 The sines are qnum's own: an integer Taylor series with pi from Machin's
 formula (``pi_fixed``), within a stated bound (``_abs_sines``).
@@ -516,33 +518,71 @@ def support_plan(ctx: LevelContext, support: tuple[int, ...]) -> tuple:
     return plan
 
 
-def plan_qdim(plan: tuple, dots: Sequence[int], ctx: LevelContext, rounded: bool = True) -> tuple:
-    """``(quantum dimension or None, row term)`` of the weight whose pairings
-    with the groups of a ``support_plan`` are ``dots``.  One pass over the
-    groups decides an exact zero (``ctx.zero``, row term (0, 2**W), W =
+def plan_qdim(plan: tuple, dots: Sequence[int], ctx: LevelContext) -> tuple:
+    """``(quantum dimension, row term)`` of the weight whose pairings with
+    the groups of a ``support_plan`` are ``dots``.  One pass over the groups
+    decides an exact zero (``ctx.zero``, row term (0, 2**W), W =
     ``ctx.term_width``) and the sign, the parity of the sum of the quotients
-    floor((d + ht) / l), n q + table[r] over a group for d = q l + r.  The
-    walks (``_ratio_walk``, the first at W bits) give the product and its
-    scale, hi, correctly rounded to p bits unless not ``rounded`` (Ziv's
-    test: rounding to nearest is monotone, so when both ends of [x - e, x +
-    e] round to one p-bit value, so does the exact one), and the signed x
-    and hi of the first walk with lo >= 2**(p + 34 + bitlen(c)), c = n (6l +
-    2) for n steps, floored to W bits: then e < hi 2**-(p+34) + 1 and the
-    floor adds under 2 units, so both lie within 2**-(p+33) hi of 2**W times
-    their exact values (for W >= p + 36).  Until both are found the walk
-    runs again with the guard bits doubled, plus those lost at lo; only an
-    exact p-bit tie never rounds, and the walks give up past 64 p bits.
+    floor((d + ht) / l), n q + table[r] over a group for d = q l + r; the
+    walks of ``_walk_terms`` give the rest.
     """
-    l, p, w = ctx.shifted_level, ctx.precision_bits, ctx.term_width
+    l = ctx.shifted_level
     neg, res = 0, []
     for d, (n, table) in zip(dots, plan[2]):
         q, r = divmod(d, l)
         t = table[r]
         if t is None:
-            return ctx.zero, (0, 1 << w)
+            return ctx.zero, (0, 1 << ctx.term_width)
         neg += n * q + t
         res.append(r)
-    sign, steps = neg & 1, plan[1]
+    return _walk_terms(plan[1], neg & 1, res, ctx, True)
+
+
+def progression_terms(plan: tuple, first: Sequence[int], step: Sequence[int], count: int,
+                      ctx: LevelContext) -> tuple[int, int]:
+    """The exact sums (signed x, hi) of the row terms of ``plan_qdim(plan,
+    dots_r, ctx)`` for the weights whose pairings with the plan's groups are
+    dots_r = first + r step, r = 0 .. count - 1, in units of 2**-W, W =
+    ``ctx.term_width``.  Each weight takes ``plan_qdim``'s pass over the
+    groups inline; an exact zero ends it and is only counted, its row terms
+    (0, 2**W) added to the sums at once, and the others walk unrounded."""
+    l, steps = ctx.shifted_level, plan[1]
+    groups = [(f, s, n, table) for f, s, (n, table) in zip(first, step, plan[2])]
+    value = scale = zeros = 0
+    for i in range(count):
+        neg, res = 0, []
+        for f, s, n, table in groups:
+            q, r = divmod(f + i * s, l)
+            t = table[r]
+            if t is None:
+                zeros += 1
+                break
+            neg += n * q + t
+            res.append(r)
+        else:
+            x, hi = _walk_terms(steps, neg & 1, res, ctx, False)[1]
+            value += x
+            scale += hi
+    return value, scale + (zeros << ctx.term_width)
+
+
+def _walk_terms(steps: list, sign: int, res: list[int], ctx: LevelContext, rounded: bool) -> tuple:
+    """``plan_qdim``'s (value, row term) of a nonzero weight of the given
+    sign and residues, the value None unless ``rounded``.  The walks
+    (``_ratio_walk``, the first at W bits) give the product and its scale,
+    hi, correctly rounded to p bits if ``rounded`` (Ziv's test: rounding to
+    nearest is monotone, so when both ends of [x - e, x + e] round to one
+    p-bit value, so does the exact one), and the signed x and hi of the
+    first walk with lo >= 2**(p + 34 + bitlen(c)), c = n (6l + 2) for n
+    steps, floored to W bits: then e < hi 2**-(p+34) + 1 and the floor adds
+    under 2 units, so both lie within 2**-(p+33) hi of 2**W times their
+    exact values (for W >= p + 36).  Until both are found the walk runs
+    again with the guard bits doubled, plus those lost at lo; only an exact
+    p-bit tie never rounds, and the walks give up past 64 p bits.  Neither
+    the widths nor the walk that gives the row term depend on ``rounded``,
+    so neither does the row term.
+    """
+    l, p, w = ctx.shifted_level, ctx.precision_bits, ctx.term_width
     c, value, term = len(steps) * (6 * l + 2), None, None
     while True:
         x, hi, lo = _ratio_walk(ctx, steps, res, w)
@@ -604,21 +644,30 @@ def qdim(weight: Sequence[int], ctx: LevelContext) -> QReal:
     # every cached key is a dominant weight of the right rank
     entry = cache.get(w)
     if entry is None:  # keyed by ints: each coordinate equals its int
-        entry = cache[tuple(map(int, w))] = qdim_unmemoized(w, ctx)
+        w = int_weight(w)
+        entry = cache[w] = _int_qdim(w, ctx)
     return entry[0]
 
 
 def qdim_unmemoized(weight: Sequence[int], ctx: LevelContext) -> tuple:
     """``plan_qdim`` of a dominant weight, (value, row term), without the
     ``qdim`` memo, which it neither reads nor fills."""
-    w = int_weight(weight)
+    return _int_qdim(int_weight(weight), ctx)
+
+
+def _int_qdim(w: Weight, ctx: LevelContext) -> tuple:
+    """``qdim_unmemoized`` of a weight of int coordinates."""
     if len(w) != ctx.root_system.rank:
         raise ValueError("weight has wrong rank")
     if not is_dominant(w):
         raise ValueError("qdim requires a dominant weight; reduce general weights first")
     # (w + rho | beta) = ht(beta) + (w | beta), and (w | beta) > 0 exactly on
     # the support roots, which pair with w through their group's vector
-    plan = support_plan(ctx, tuple(compress(range(len(w)), w)))
+    support = tuple(compress(range(len(w)), w))
+    plan = support_plan(ctx, support)
+    if len(support) == 1:
+        c = w[support[0]]
+        return plan_qdim(plan, [c * v for v, in plan[0]], ctx)
     coords = tuple(filter(None, w))
     return plan_qdim(plan, [sum(map(mul, coords, g)) for g in plan[0]], ctx)
 

@@ -233,26 +233,63 @@ def test_qdim_zeros_by_congruence_match_the_full_pairing_list(rs_map, label, lev
     assert 0 < zeros < len(weights)
     # the interior weights r w_a + (j - r) w_b, 0 < r < j, of the paired
     # shells (E7 node 2, E8 node 1), on every shell j <= l + 3 that the grid
-    # and the periodicity check read, L1-40: the shell's row terms, after its
-    # two ends, are the zero term (0, 2**W) exactly where weight + rho pairs
-    # with some positive root to a multiple of l; the full walk is too slow
-    # here, so only the zeros are compared
+    # and the periodicity check read, L1-40: the sine walk sees, in order of
+    # r, the residues of exactly the weights with no weight + rho pairing to
+    # a multiple of l with some positive root, and the shell's summed
+    # interior term has scale (j - 1) 2**W, each walk here giving 2**W and
+    # each zero adding 2**W; the full walk is too slow here, so only the
+    # zeros are compared
     ((node, pair),) = type_data(label).paired_shells.items()
     a, b = pair
     roots = [(beta[a], beta[b], ht) for beta, ht in zip(rs.positive_roots, rs.heights)]
-    monkeypatch.setattr(qnum, "_ratio_walk", lambda ctx, steps, res, w: (1 << w,) * 3)
+    walked = []
+
+    def walk(ctx, steps, res, w):
+        walked.append((steps, tuple(res)))
+        return (1 << w,) * 3
+
+    monkeypatch.setattr(qnum, "_ratio_walk", walk)
     seen = set()
     for lev in range(1, 41):
         ctx = LevelContext(rs, lev)
-        l = ctx.shifted_level
+        l, plan = ctx.shifted_level, qnum.support_plan(ctx, pair)
         for j in range(l + 4):
-            got = [t == (0, 1 << ctx.term_width) for t in krchar._shell_terms(node, j, ctx)[2:]]
-            want = [any((r * ca + (j - r) * cb + ht) % l == 0 for ca, cb, ht in roots)
+            walked.clear()
+            terms = krchar._shell_terms(node, j, ctx)
+            zero = [any((r * ca + (j - r) * cb + ht) % l == 0 for ca, cb, ht in roots)
                     for r in range(1, j)]
-            assert got == want, (lev, j)
-            seen.add((all(got), any(got)))
+            want = [tuple((r * va + (j - r) * vb) % l for va, vb in plan[0])
+                    for r, z in zip(range(1, j), zero) if not z]
+            assert [res for steps, res in walked if steps is plan[1]] == want, (lev, j)
+            if j > 1:
+                assert len(terms) == 3 and terms[2][1] == j - 1 << ctx.term_width, (lev, j)
+                seen.add((all(zero), any(zero)))
     # shells with no zero interior, some and only zeros
     assert seen >= {(False, False), (False, True), (True, True)}, seen
+
+
+@pytest.mark.parametrize("label,levels", [("E7", (*range(1, 13), 28)),
+                                          ("E8", (*range(1, 9), 16))])
+def test_progression_terms_sum_the_plan_qdim_terms(rs_map, label, levels):
+    # a paired shell's interior in one pass, its walks unrounded, equals the
+    # exact sum of its weights' plan_qdim row terms, bit for bit, on every
+    # paired shell j <= l + 3; an all-zero shell gives (0, (j - 1) 2**W)
+    rs = rs_map[label]
+    ((_, pair),) = type_data(label).paired_shells.items()
+    all_zero = 0
+    for lev in levels:
+        ctx = LevelContext(rs, lev)
+        plan = qnum.support_plan(ctx, pair)
+        for j in range(2, ctx.shifted_level + 4):
+            dots = [[r * va + (j - r) * vb for va, vb in plan[0]] for r in range(1, j)]
+            terms = [qnum.plan_qdim(plan, d, ctx)[1] for d in dots]
+            want = tuple(map(sum, zip(*terms)))
+            step = [va - vb for va, vb in plan[0]]
+            assert qnum.progression_terms(plan, dots[0], step, j - 1, ctx) == want, (lev, j)
+            if all(t == (0, 1 << ctx.term_width) for t in terms):
+                all_zero += 1
+                assert want == (0, j - 1 << ctx.term_width)
+    assert all_zero > 0
 
 
 def test_grid_skips_qdim_on_paired_shell_interiors(e7, monkeypatch):

@@ -313,6 +313,37 @@ def test_cli_weight_errors_quote_at_most_40_characters(capsys):
         sys.set_int_max_str_digits(old)
 
 
+def test_cli_classical_dimension_past_its_digit_bound_is_refused(capsys):
+    # qdim --classical prints at most cli.MAX_CLASSICAL_DIGITS digits: the
+    # largest multiple c w1 of E6 whose dimension fits prints it whole, and
+    # c + 1 exits 2 naming the bound; so does a coordinate of 4000 nines,
+    # whose dimension str() would refuse
+    rs = qslab.rootsys.build_root_system("E6")
+    bound = 10**cli.MAX_CLASSICAL_DIGITS
+    lo, hi = 0, 10**300  # dim(lo w1) < bound <= dim(hi w1)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if qnum.qdim_classical(rs, (mid, 0, 0, 0, 0, 0)) < bound:
+            lo = mid
+        else:
+            hi = mid
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        assert main(["qdim", "--type", "E6", "--classical", "--weight", f"{lo},0,0,0,0,0"]) == 0
+        out = capsys.readouterr().out
+        assert out == f"{qnum.qdim_classical(rs, (lo, 0, 0, 0, 0, 0))}\n"
+        assert len(out) == cli.MAX_CLASSICAL_DIGITS + 1
+        for c in (hi, "9" * 4000):
+            with pytest.raises(SystemExit) as exc:
+                main(["qdim", "--type", "E6", "--classical", "--weight", f"{c},0,0,0,0,0"])
+            assert exc.value.code == 2
+            assert capsys.readouterr().err == (
+                "error: the classical dimension has more than 4300 digits\n")
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 def test_cli_krdec_refuses_a_huge_decomposition():
     # E8 node 1 at k = 100000 has (k+1)(k+2)/2, about 5e9, terms: refused
     # with exit 2 before one is built, no traceback; E6 node 1 has one term
@@ -453,6 +484,12 @@ def test_cli_grid_csv(tmp_path):
 @pytest.mark.parametrize("label,level,code,golden", [
     pytest.param("E7", 12, 0, "8eb80dc3b3c8192379e4f33aeaea17e8ae6989ba2cf3c62da435d9b193d00e5d",
                  id="E7-12"),
+    # mostly exact zeros past the alcove: shells whose interiors are all,
+    # some or none of them zero
+    pytest.param("E7", 28, 0, "2f5593ebbc75d39a0e00abe8ef09c3c372205c7d28323151179dbbec7f3039e2",
+                 id="E7-28"),
+    pytest.param("E8", 2, 0, "e563bcfbb7a4fe8f55af94e46d2e27cbd5a5692111330b3ac6fda3f18820cae0",
+                 id="E8-2"),
     # the unresolved cell (2, 46) is written as an empty value
     pytest.param("E8", 16, 1, "a36c66f323dcdbe7a75de5960377d6055ae2e00763113ee0afdc8c9c45618926",
                  id="E8-16"),
@@ -466,7 +503,7 @@ def test_cli_grid_csv_is_pinned(tmp_path, label, level, code, golden):
                  "--out", str(out)]) == code
     text = out.read_text()
     assert hashlib.sha256(text.encode()).hexdigest() == golden
-    assert (",,unresolved\n" in text) == (label == "E8")
+    assert (",,unresolved\n" in text) == (code == 1)
 
 
 def test_cli_write_error_names_the_requested_path(tmp_path, capsys):
