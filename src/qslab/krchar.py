@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .qnum import (LevelContext, QReal, progression_terms, qdim, qdim_unmemoized,
+from .qnum import (LevelContext, QReal, progression_terms, qdim_line, qdim_unmemoized,
                    round_triple, support_plan)
 from .rootsys import RootSystem, Weight, fundamental_weight, is_dominant, type_data
 
@@ -138,17 +138,16 @@ def qdim_kr(dec: KRDecomposition, ctx: LevelContext) -> QReal:
 
 def _shell_terms(node: int, j: int, ctx: LevelContext) -> list[tuple[int, int]]:
     """The row terms of shell j: of j w_node, or of a paired shell's ends j
-    w_a and j w_b, from the ``qdim`` memo, then the sum of the row terms of
-    its interior weights r w_a + (j - r) w_b, 0 < r < j, from the plan of
-    (a, b) (``qnum.progression_terms``: their pairings advance by one vector
-    per weight)."""
+    w_a and j w_b, from the ``qdim`` memo entries that ``qdim_line`` fills,
+    then the sum of the row terms of its interior weights r w_a + (j - r)
+    w_b, 0 < r < j, from the plan of (a, b) (``qnum.progression_terms``:
+    their pairings advance by one vector per weight)."""
     rs = ctx.root_system
     pair = type_data(rs.type_label).paired_shells.get(node)
     terms = []
     for i in [node] if pair is None or j == 0 else [a + 1 for a in pair]:
-        w = fundamental_weight(rs.rank, i, j)
-        qdim(w, ctx)
-        terms.append(ctx._qdim_cache[w][1])
+        qdim_line(i, j, ctx)
+        terms.append(ctx._qdim_cache[fundamental_weight(rs.rank, i, j)][1])
     if pair and j > 1:
         plan = support_plan(ctx, pair)
         first = [va + (j - 1) * vb for va, vb in plan[0]]
@@ -162,7 +161,7 @@ def chari_qdim(node: int, box_count: int, ctx: LevelContext) -> QReal:
 
     The context keeps each row.  A nested node's row k adds the row terms of
     shell k exactly onto the kept integer sums of shells 0..k-1; any other
-    row is its own shell, one weight's ``qdim`` where the node does not pair.
+    row is its own shell, one weight's ``qdim_line`` where the node does not pair.
     Each term is within 2**-(p+33) of its scale (``qnum.plan_qdim``), so the
     value lies within half a unit in its last place plus 2**-(p+32) times the
     row's scale of the exact Chari sum, 0 included (``_rounded``), and the
@@ -182,6 +181,6 @@ def chari_qdim(node: int, box_count: int, ctx: LevelContext) -> QReal:
         elif node in td.paired_shells:
             row = _rounded(*map(sum, zip(*_shell_terms(node, box_count, ctx))), ctx)
         else:
-            row = qdim(fundamental_weight(rs.rank, node, box_count), ctx)
+            row = qdim_line(node, box_count, ctx)
         ctx._chari_rows[node, box_count] = row
     return row

@@ -362,6 +362,7 @@ class QReal:
 
     value = property(lambda self: triple_fraction(self._v))
     magnitude_scale = property(lambda self: triple_fraction(self._s))
+    __bool__ = lambda self: bool(self._v[1])  # false exactly for the value 0
 
     # Both scales are at least 1 and at least |value|, and rounding to
     # nearest is monotone, so the rounded scale sum already bounds the
@@ -644,37 +645,36 @@ def qdim(weight: Sequence[int], ctx: LevelContext) -> QReal:
     # every cached key is a dominant weight of the right rank
     entry = cache.get(w)
     if entry is None:  # keyed by ints: each coordinate equals its int
-        w = int_weight(w)
-        entry = cache[w] = _int_qdim(w, ctx)
+        entry = cache[int_weight(w)] = qdim_unmemoized(w, ctx)
     return entry[0]
 
 
 def qdim_unmemoized(weight: Sequence[int], ctx: LevelContext) -> tuple:
     """``plan_qdim`` of a dominant weight, (value, row term), without the
     ``qdim`` memo, which it neither reads nor fills."""
-    return _int_qdim(int_weight(weight), ctx)
-
-
-def _int_qdim(w: Weight, ctx: LevelContext) -> tuple:
-    """``qdim_unmemoized`` of a weight of int coordinates."""
+    w = int_weight(weight)
     if len(w) != ctx.root_system.rank:
         raise ValueError("weight has wrong rank")
     if not is_dominant(w):
         raise ValueError("qdim requires a dominant weight; reduce general weights first")
     # (w + rho | beta) = ht(beta) + (w | beta), and (w | beta) > 0 exactly on
     # the support roots, which pair with w through their group's vector
-    support = tuple(compress(range(len(w)), w))
-    plan = support_plan(ctx, support)
-    if len(support) == 1:
-        c = w[support[0]]
-        return plan_qdim(plan, [c * v for v, in plan[0]], ctx)
+    plan = support_plan(ctx, tuple(compress(range(len(w)), w)))
     coords = tuple(filter(None, w))
     return plan_qdim(plan, [sum(map(mul, coords, g)) for g in plan[0]], ctx)
 
 
 def qdim_line(node: int, k: int, ctx: LevelContext) -> QReal:
-    """Quantum dimension of k*w_node for k >= 0, from the qdim memo."""
-    return qdim(fundamental_weight(ctx.root_system.rank, node, k), ctx)
+    """Quantum dimension of k*w_node for k >= 0, from the qdim memo; a miss
+    at an int k > 0 pairs k with the one-node plan's groups, else ``qdim``."""
+    w = fundamental_weight(ctx.root_system.rank, node, k)
+    entry = ctx._qdim_cache.get(w)
+    if entry is None:
+        if type(k) is not int or k < 1:
+            return qdim(w, ctx)
+        plan = support_plan(ctx, (node - 1,))
+        entry = ctx._qdim_cache[w] = plan_qdim(plan, [k * v for v, in plan[0]], ctx)
+    return entry[0]
 
 
 def alcove_line(node: int, ctx: LevelContext) -> list[tuple]:

@@ -177,13 +177,14 @@ def _route_walk(td: TypeData, k_max: int, one, direct, divide, zero_at):
     The arithmetic is given: ``one`` (row k = 0), ``direct(i, k)`` (a direct
     row), ``divide(num, div)`` (None when the divisor fails its guard) and
     ``zero_at(k)`` (a cell no route fills: the zero hypothesis, None outside
-    its window); values need only ``*`` and ``-`` besides.  A route at k
-    reads its source at k-1..k+1 and its divisors at k, so each row first
-    gets its reach, k_max plus what the routes that read it need, worked out
-    from the last route back; then the direct rows are filled, then each
-    target in route order.  Returns the rows and their tags (boundary,
-    direct, subtraction, division, zero_hypothesis, unresolved) out to
-    k_max, node by node; an unresolved cell is None.
+    its window); values need only ``*``, ``-`` and truth besides, and a
+    route whose divisor is exactly 0 is skipped before its numerator.  A
+    route at k reads its source at k-1..k+1 and its divisors at k, so each
+    row first gets its reach, k_max plus what the routes that read it need,
+    worked out from the last route back; then the direct rows are filled,
+    then each target in route order.  Returns the rows and their tags
+    (boundary, direct, subtraction, division, zero_hypothesis, unresolved)
+    out to k_max, node by node; an unresolved cell is None.
     """
     reach = dict.fromkeys(td.direct_nodes, k_max)
     reach.update((target, k_max) for target, _ in td.derived_routes)
@@ -204,11 +205,13 @@ def _route_walk(td: TypeData, k_max: int, one, direct, divide, zero_at):
                 if any(c is None for c in cells):
                     continue
                 lo, mid, hi, *factors = cells
-                num = mid * mid - lo * hi
                 if not factors:
-                    out, how = num, "subtraction"
+                    out, how = mid * mid - lo * hi, "subtraction"
                     break
-                out = divide(num, functools.reduce(mul, factors))
+                div = functools.reduce(mul, factors)
+                if not div:
+                    continue
+                out = divide(mid * mid - lo * hi, div)
                 if out is not None:
                     how = "division"
                     break

@@ -15,8 +15,9 @@ import json
 import os
 import time
 from importlib import resources
+from itertools import chain
 from json.encoder import encode_basestring_ascii
-from operator import index
+from operator import index, mul
 from typing import Callable, NamedTuple
 
 from . import affweyl, krchar, qsolver, rootsys, seqanalysis
@@ -139,8 +140,8 @@ class WordMap(NamedTuple):
     parity: int
 
     def image(self, lam: Weight) -> Weight:
-        return tuple(b + sum(c[j] * x for c, x in zip(self.columns, lam))
-                     for j, b in enumerate(self.offset))
+        return tuple(b + sum(map(mul, row, lam))
+                     for b, row in zip(self.offset, zip(*self.columns)))
 
 
 def word_map(ctx: LevelContext, word: tuple[int, ...], probes: list[Weight]) -> WordMap | None:
@@ -589,18 +590,30 @@ _CHECK = ('    {\n      "name": %s,\n      "node": %s,\n      "status": %s,\n'
           '      "proven": %s,\n      "max_violation": %s,\n      "note": %s\n    }')
 
 
-def _report_json(out: dict) -> str:
-    """``json.dumps(out, indent=2)``, byte for byte, with the grid cells and
-    the checks written by one format each (``indent`` takes the pure-Python
-    encoder)."""
+def _report_json(report: VerificationReport) -> str:
+    """``json.dumps(report_to_dict(report), indent=2)``, byte for byte, with
+    the grid cells and the checks written by one format each (``indent``
+    takes the pure-Python encoder): the rest of the dict from a copy without
+    the grid, the cells straight from the grid's rows, each distinct value
+    rendered and each tag encoded once."""
+    import copy  # for the json reports alone, as tempfile below
+
     enc = encode_basestring_ascii
-    cells = [_CELL % (c["node"], c["k"], "null" if c["value"] is None else enc(c["value"]),
-                      enc(c["provenance"])) for c in out["cells"]]
+    g, bare, cells = report.grid, copy.copy(report), []
+    bare.grid = None
+    out = report_to_dict(bare)
+    if g is not None:
+        out["residual_max"] = render_decimal(g.residual_max)
+        shown = {c: "null" if c is None else enc(render_decimal(c)) for c in {*chain(*g.rows)}}
+        shown.update((t, enc(t)) for t in {*chain(*g.provenance)})
+        cells = [_CELL % (i, k, shown[c], shown[t])
+                 for i, (row, tags) in enumerate(zip(g.rows, g.provenance), 1)
+                 for k, (c, t) in enumerate(zip(row, tags))]
     checks = [_CHECK % (enc(c["name"]), "null" if c["node"] is None else c["node"],
                         enc(c["status"]), "true" if c["proven"] else "false",
                         "null" if c["max_violation"] is None else enc(c["max_violation"]),
                         enc(c["note"])) for c in out["checks"]]
-    text = json.dumps({**out, "cells": [], "checks": []}, indent=2)
+    text = json.dumps({**out, "checks": []}, indent=2)
     # only the top-level keys are indented by two spaces
     for key, items in (("cells", cells), ("checks", checks)):
         if items:
@@ -613,7 +626,7 @@ def write_report(report: VerificationReport, path: str | None = None) -> str:
     """Serialize per the config's format; write atomically when a path is given."""
     fmt = report.config.fmt
     if fmt == "json":
-        content = _report_json(report_to_dict(report)) + "\n"
+        content = _report_json(report) + "\n"
     elif fmt == "csv":
         if report.grid is None:
             raise ValueError("csv output needs a grid-producing check")

@@ -335,7 +335,7 @@ def fundamental_weight(rank: int, node: int, multiple: int = 1) -> Weight:
     """The weight ``multiple * w_node`` as a coefficient tuple."""
     if not 1 <= node <= rank:
         raise ValueError(f"node {node} out of range for rank {rank}")
-    return tuple(multiple if j == node - 1 else 0 for j in range(rank))
+    return (0,) * (node - 1) + (multiple,) + (0,) * (rank - node)
 
 
 def build_root_system(type_label: str) -> RootSystem:

@@ -28,6 +28,7 @@ from qslab.qnum import (
     qdim,
     qdim_classical,
     qdim_line,
+    qdim_unmemoized,
     round_triple,
     triple_float,
 )
@@ -294,22 +295,27 @@ def test_progression_terms_sum_the_plan_qdim_terms(rs_map, label, levels):
 
 def test_grid_skips_qdim_on_paired_shell_interiors(e7, monkeypatch):
     # the interior weights r w2 + (j - r) w7, 0 < r < j, of E7 node 2's
-    # shells are evaluated from their support plan: no qdim call sees one,
-    # and the sine walk runs once per distinct nonzero weight
+    # shells are evaluated from their support plan: no qdim or qdim_line
+    # call sees one, and the sine walk runs once per distinct nonzero weight
     ctx = LevelContext(e7, 28)
     qdim_weights, kernel_calls = [], []
-    real_qdim, real_kernel = qnum.qdim, qnum._ratio_walk
+    real_qdim, real_line, real_kernel = qnum.qdim, qnum.qdim_line, qnum._ratio_walk
 
     def counted_qdim(weight, c):
         qdim_weights.append(tuple(weight))
         return real_qdim(weight, c)
+
+    def counted_line(node, k, c):
+        qdim_weights.append(fundamental_weight(e7.rank, node, k))
+        return real_line(node, k, c)
 
     def counted_kernel(*args):
         kernel_calls.append(args)
         return real_kernel(*args)
 
     monkeypatch.setattr(qnum, "qdim", counted_qdim)
-    monkeypatch.setattr(krchar, "qdim", counted_qdim)
+    monkeypatch.setattr(qnum, "qdim_line", counted_line)
+    monkeypatch.setattr(krchar, "qdim_line", counted_line)
     monkeypatch.setattr(qnum, "_ratio_walk", counted_kernel)
     build_qgrid(ctx)
     monkeypatch.undo()
@@ -320,6 +326,33 @@ def test_grid_skips_qdim_on_paired_shell_interiors(e7, monkeypatch):
     ref_ctx = LevelContext(e7, 28)
     nonzero = {w for w in interior | set(qdim_weights) if qdim(w, ref_ctx).value != 0}
     assert len(kernel_calls) == len(nonzero) > 100
+
+
+
+@pytest.mark.parametrize("label,level", [("E6", 4), ("E7", 12), ("E8", 8)])
+@pytest.mark.parametrize("bits", [64, 128, 256])
+def test_qdim_line_equals_qdim_unmemoized(rs_map, label, level, bits):
+    # a memo miss of qdim_line goes straight to its one-node plan: value,
+    # scale and row term equal qdim_unmemoized's of k w_node, for every node
+    # and k <= l + 3, and the memo holds that one entry per weight
+    rs = rs_map[label]
+    ctx = LevelContext(rs, level, bits)
+    for node in range(1, rs.rank + 1):
+        for k in range(ctx.shifted_level + 4):
+            w = fundamental_weight(rs.rank, node, k)
+            value, term = qdim_unmemoized(w, ctx)
+            got = qdim_line(node, k, ctx)
+            assert (got._v, got._s) == (value._v, value._s), (node, k)
+            entry = ctx._qdim_cache[w]
+            assert entry[0] is got and entry[1] == term, (node, k)
+    assert len(ctx._qdim_cache) == rs.rank * (ctx.shifted_level + 3) + 1
+    # every refusal of a public call stays: qdim's and fundamental_weight's
+    for node, k, match in ((0, 1, "node 0 out of range"),
+                           (rs.rank + 1, 1, f"node {rs.rank + 1} out of range"),
+                           (1, -1, "requires a dominant weight"),
+                           (1, 1.5, "must be integers")):
+        with pytest.raises(ValueError, match=match):
+            qdim_line(node, k, LevelContext(rs, level, bits))
 
 
 def _product(ctx, factors):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import functools
+import hashlib
 import json
 import math
 import random
@@ -17,7 +18,7 @@ import qslab
 from qslab import krchar, qnum, qsolver, report
 from qslab.cli import main
 from qslab.krchar import chari_decomposition, kleber_q1, qdim_kr
-from qslab.qnum import LevelContext, qdim, qdim_line
+from qslab.qnum import LevelContext, QReal, qdim, qdim_line
 from qslab.qsolver import (
     REL_GAP_TOL,
     QGrid,
@@ -1165,3 +1166,44 @@ def test_full_grid_residual_at_level_eight(e6, e7):
         grid = build_qgrid(ctx)
         assert not grid.unresolved
         assert ctx.mp.make_mpf(oracles.raw(grid.residual_max)) <= 1e-20
+
+
+def test_route_walk_forms_no_numerator_over_an_exact_zero_divisor(rs_map, monkeypatch):
+    # over the level-sweep grids, a division route whose divisor is exactly
+    # 0 is skipped before its numerator mid*mid - lo*hi is formed, and each
+    # nonzero divisor's numerator goes straight to its guard.  The grids are
+    # those of the walk that formed every numerator first: the SHA-256 of
+    # their rows, scales, provenance and unresolved cells was taken from it.
+    events = []  # ("bool", truth of a divisor), ("sub",), ("guard", mantissa)
+    real_bool, real_sub, real_guard = QReal.__bool__, QReal.__sub__, QReal.is_clear_of_zero
+
+    def counted_bool(self):
+        events.append(("bool", real_bool(self)))
+        return events[-1][1]
+
+    def counted_sub(self, other):
+        events.append(("sub",))
+        return real_sub(self, other)
+
+    def counted_guard(self, bits):
+        events.append(("guard", self._v[1]))
+        return real_guard(self, bits)
+
+    monkeypatch.setattr(QReal, "__bool__", counted_bool)
+    monkeypatch.setattr(QReal, "__sub__", counted_sub)
+    monkeypatch.setattr(QReal, "is_clear_of_zero", counted_guard)
+    digest = hashlib.sha256()
+    for label, level in (("E6", 6), ("E6", 30), ("E7", 1), ("E7", 4), ("E7", 11), ("E7", 12),
+                         ("E7", 28), ("E8", 4), ("E8", 16)):
+        grid = build_qgrid(LevelContext(rs_map[label], level))
+        digest.update(repr((grid.rows, grid.scales, grid.provenance, grid.unresolved)).encode())
+    monkeypatch.undo()
+    truths = [e[1] for e in events if e[0] == "bool"]
+    assert (len(truths), truths.count(False)) == (563, 402)
+    follows = [(a[1], b[0], c[0]) for a, b, c in zip(events, events[1:], events[2:])
+               if a[0] == "bool"]
+    assert all((b, c) == ("sub", "guard") for truth, b, c in follows if truth)
+    assert not any((b, c) == ("sub", "guard") for truth, b, c in follows if not truth)
+    guards = [e[1] for e in events if e[0] == "guard"]
+    assert len(guards) == truths.count(True) and all(guards)
+    assert digest.hexdigest() == "7674acab856b982f7f105bd7757ae6984b4382c81f39fd4b7d1b96d75fc56aa0"

@@ -3,6 +3,7 @@ from __future__ import annotations
 import copy
 import functools
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -1122,6 +1123,49 @@ def test_json_writer_is_json_dumps(cfg):
     assert odd_data["checks"][-1]["node"] is None
     assert write_report(odd) == json.dumps(odd_data, indent=2) + "\n"
     assert '"note": "say \\"\\\\\\" or \\u00e9\\n"' in write_report(odd)
+
+
+
+@pytest.mark.parametrize("cfg,digests", [
+    # the unresolved cell (2, 46) is written as null
+    (RunConfig("E8", 16, checks=("roots", "grid", "theorem", "logconcave", "dilog")),
+     {"csv": "a36c66f323dcdbe7a75de5960377d6055ae2e00763113ee0afdc8c9c45618926",
+      "text": "b76c75e37b50946a27a199878bc0d77a1ca3480161f48291679d7423fafbc6bb"}),
+    (RunConfig("E6", 2),
+     {"csv": "30fba2be8ec56e187c4191563fd761756075dd5f57c622bbb7eed5de1818cab0",
+      "text": "5ad1cf347c30fecc202c3f408c189ef1e5b9a8951815b4d1bd51bede90aca458"}),
+    # no grid
+    (RunConfig("E7", 3, checks=("roots", "weyl")),
+     {"text": "3d5f5d85ac107d9103735c57e6d04922211df78abce583c1996ed55190566621"}),
+], ids=["E8L16", "E6L2", "E7L3-no-grid"])
+def test_json_writer_renders_each_distinct_cell_once(cfg, digests, monkeypatch):
+    # the json text is json.dumps(report_to_dict(rep), indent=2) with each
+    # distinct cell value rendered once: the writer's render_decimal calls
+    # are report_to_dict's for the grid-less fields plus one per distinct
+    # value.  The csv and text writers are pinned by the SHA-256 of their
+    # output before the json writer changed.
+    rep = run(cfg)
+    expected = json.dumps(report_to_dict(rep), indent=2) + "\n"
+    rendered = []
+    real_render = report.render_decimal
+
+    def counted_render(x, *args):
+        rendered.append(x)
+        return real_render(x, *args)
+
+    monkeypatch.setattr(report, "render_decimal", counted_render)
+    bare = copy.copy(rep)
+    bare.grid = None
+    report_to_dict(bare)
+    fields = len(rendered)
+    assert write_report(rep) == expected
+    distinct = set() if rep.grid is None else {*itertools.chain(*rep.grid.rows)} - {None}
+    assert len(rendered) == 2 * fields + len(distinct) + (rep.grid is not None)
+    monkeypatch.undo()
+    for fmt, digest in digests.items():
+        other = copy.copy(rep)
+        other.config = cfg._replace(fmt=fmt)
+        assert hashlib.sha256(write_report(other).encode()).hexdigest() == digest, fmt
 
 
 def test_grid_command_json_is_json_dumps(monkeypatch, tmp_path, capsys):

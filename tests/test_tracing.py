@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import importlib
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 from qslab.cli import main
@@ -48,18 +49,24 @@ def test_tracer_layers_resolve_and_attribute_verify(tmp_path):
     # same way, through report.word_map: 11 more calls.
     assert metrics["affweyl.apply_word_calls"] == 7 * (1 + 6 + 4) + 11
     assert metrics["affweyl.trial_yield"] == 4 / 77
-    # alcove positivity is an integer certificate: no alcove is enumerated
-    # and no qdim is called outside a traced layer
-    qdim_id = tracer.names.index("qnum.qdim")
-    assert not any(name_id == qdim_id and parent >= 0 and tracer.spans[parent][0] == 0
-                   for name_id, _, _, parent, _ in tracer.spans)
+    # alcove positivity is an integer certificate: no alcove is enumerated,
+    # and no qdim or qdim_line runs outside a traced layer.  A qdim span
+    # under the root would land in affweyl.alcove_s; the qdim_line spans
+    # under the root are the log-concavity group's alcove lines k w_i, k <=
+    # 2 // a_i, 13 weights, whose time stays in qnum.qdim_line_s
+    under_root = Counter(tracer.names[name_id] for name_id, _, _, parent, _ in tracer.spans
+                         if parent >= 0 and tracer.spans[parent][0] == 0)
+    assert under_root["qnum.qdim"] == 0
+    assert under_root["qnum.qdim_line"] == sum(2 // a + 1 for a in (1, 2, 2, 3, 2, 1)) == 13
+    assert metrics["qnum.qdim_line_s"] > 0 and metrics["qnum.qdim_line_calls"] > 13
     assert metrics["affweyl.alcove_weights"] == 0 and metrics["affweyl.alcove_s"] == 0
-    # the grid's direct rows call qdim through a module attribute, which the
-    # tracer patches, so the sine products of E6's rows (which have no
-    # paired shell) stay in qnum.qdim_s; those of the interior weights of a
-    # paired E7 or E8 shell run outside qdim and land in the caller's layer
+    # the grid's direct rows call qdim_line through a module attribute, which
+    # the tracer patches, so the sine products of E6's rows (which have no
+    # paired shell) stay in qnum.qdim_line_s; those of the interior weights
+    # of a paired E7 or E8 shell run outside it and land in the caller's layer
     grid_id = tracer.names.index("qsolver.build_qgrid")
-    assert any(name_id == qdim_id and parent >= 0 and tracer.spans[parent][0] == grid_id
+    line_id = tracer.names.index("qnum.qdim_line")
+    assert any(name_id == line_id and parent >= 0 and tracer.spans[parent][0] == grid_id
                for name_id, _, _, parent, _ in tracer.spans)
 
 
