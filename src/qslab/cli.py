@@ -58,10 +58,12 @@ MAX_ORDER = 1000
 # order 1000, at about 2.4 us per entry and iterate.
 MAX_SEQ_ENTRIES = 10**4
 MAX_SEQ_WORK = (MAX_LEVEL + 1) * (MAX_ORDER + 1)
-# The most --seq entries with --branden, whose Sturm chain grows as about the
-# fifth power of the entry count: real-rooted polynomials of roots spread
-# over 2^-30 .. 2^30 took 15 s at 80 entries and 54 s at 100 on a shared
-# 2-core host.
+# The most --seq entries with --branden.  The Descartes bisection decides
+# square-free inputs fast (roots spread over 2^-30 .. 2^30: 0.16 s at 80
+# entries, 0.44 s at 100), but a repeated real root still goes to the Sturm
+# chain, which grows as about the fifth power of the entry count: a
+# real-rooted input with a double root took 4.3 s at 80 entries and 21 s at
+# 100, and the chain 15 s on 80 spread roots, on a shared 2-core host.
 MAX_BRANDEN_ENTRIES = 80
 
 

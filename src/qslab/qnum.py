@@ -423,12 +423,13 @@ class LevelContext:
     Each context computes on p-bit triples at its precision p (no global
     precision state); ``mp``, the shared mpmath context of that precision
     (``mp_context``), is made only when read.  It owns the fixed-point rows
-    of sine ratios (``_ratio_row``), one plan per support pattern
-    (``support_plan``), the ``qdim`` memo (a dominant weight's value and row
-    term) and the Chari rows of :mod:`qslab.krchar` by (node, box count),
-    with the nested nodes' running sums.  ``one`` and ``zero`` are its exact
-    1 and 0, and ``term_width`` = p + GUARD_BITS the width of its walks and
-    row terms.
+    of sine ratios (``_ratio_row``, and ``_term_rows``, those at
+    ``term_width`` by height, made for every height with the first plan),
+    one plan per support pattern (``support_plan``), the ``qdim`` memo (a
+    dominant weight's value and row term) and the Chari rows of
+    :mod:`qslab.krchar` by (node, box count), with the nested nodes' running
+    sums.  ``one`` and ``zero`` are its exact 1 and 0, and ``term_width`` =
+    p + GUARD_BITS the width of its walks and row terms.
     """
 
     def __init__(
@@ -451,6 +452,7 @@ class LevelContext:
         self._plans: dict[tuple[int, ...], tuple] = {}
         self._sine_tables: dict[int, list[int]] = {}  # width -> _abs_sines
         self._rows: dict[tuple[int, int], list[int]] = {}  # (width, height) -> row
+        self._term_rows: list[list[int] | None] = []  # height -> row at term_width
         self._chari_rows: dict[tuple[int, int], QReal] = {}  # (node, box count) -> row
         self._chari_sums: dict[int, list[tuple[int, int]]] = {}  # nested node -> running sums
 
@@ -494,18 +496,25 @@ def support_plan(ctx: LevelContext, support: tuple[int, ...]) -> tuple:
     table)``: for a pairing d = q l + r, ``table[r]`` is None when some
     numerator d + ht is a multiple of l (ht = l - r, as 1 <= ht < h < l),
     else the count of those passing (q + 1) l.  ``steps`` holds ``(g, ht,
-    row)`` per root in canonical order, row the ``_ratio_row`` of ht at
-    ``ctx.term_width``."""
+    row)`` per root in canonical order, row ``ctx._term_rows[ht]``, the
+    ``_ratio_row`` of ht at ``ctx.term_width``.  A one-node support groups
+    its roots by the entries of its root column."""
     plan = ctx._plans.get(support)
     if plan is not None:
         return plan
-    rs, l = ctx.root_system, ctx.shifted_level
+    rs, l, rows = ctx.root_system, ctx.shifted_level, ctx._term_rows
+    if not rows:
+        rows += [None] + [ctx._ratio_row(ht, ctx.term_width) for ht in range(1, rs.coxeter_number)]
+    cols = [rs.root_columns[j] for j in support]
+    one = len(cols) == 1  # its vectors are the column's entries
     groups, steps = {}, []  # vector -> (group, its l - ht); product steps
-    for v, ht in zip(zip(*[rs.root_columns[j] for j in support]), rs.heights):
-        if any(v):
-            g, cuts = groups.setdefault(v, (len(groups), []))
-            cuts.append(l - ht)
-            steps.append((g, ht, ctx._ratio_row(ht, ctx.term_width)))
+    for v, ht in zip(cols[0] if one else zip(*cols), rs.heights):
+        if v if one else any(v):
+            group = groups.get(v)
+            if group is None:
+                group = groups[v] = len(groups), []
+            group[1].append(l - ht)
+            steps.append((group[0], ht, rows[ht]))
     signs = []
     for _, cuts in groups.values():
         marks = [0] * l
@@ -515,7 +524,8 @@ def support_plan(ctx: LevelContext, support: tuple[int, ...]) -> tuple:
         for c in cuts:
             table[c] = None
         signs.append((len(cuts), table))
-    plan = ctx._plans[support] = (tuple(groups), steps, signs)
+    plan = ctx._plans[support] = (tuple((v,) for v in groups) if one else tuple(groups),
+                                  steps, signs)
     return plan
 
 
@@ -546,8 +556,12 @@ def progression_terms(plan: tuple, first: Sequence[int], step: Sequence[int], co
     dots_r = first + r step, r = 0 .. count - 1, in units of 2**-W, W =
     ``ctx.term_width``.  Each weight takes ``plan_qdim``'s pass over the
     groups inline; an exact zero ends it and is only counted, its row terms
-    (0, 2**W) added to the sums at once, and the others walk unrounded."""
-    l, steps = ctx.shifted_level, plan[1]
+    (0, 2**W) added to the sums at once, and the others walk unrounded: one
+    ``_ratio_walk`` at W bits each, and ``_walk_terms``, which walks again
+    wider, only where its least partial product is too small for a term."""
+    l, steps, w = ctx.shifted_level, plan[1], ctx.term_width
+    # the bit length of lo from which _walk_terms takes a walk's row term
+    least = ctx.precision_bits + 35 + (len(steps) * (6 * l + 2)).bit_length()
     groups = [(f, s, n, table) for f, s, (n, table) in zip(first, step, plan[2])]
     value = scale = zeros = 0
     for i in range(count):
@@ -561,10 +575,12 @@ def progression_terms(plan: tuple, first: Sequence[int], step: Sequence[int], co
             neg += n * q + t
             res.append(r)
         else:
-            x, hi = _walk_terms(steps, neg & 1, res, ctx, False)[1]
-            value += x
+            x, hi, lo = _ratio_walk(ctx, steps, res, w)
+            if lo.bit_length() < least:
+                x, hi = _walk_terms(steps, 0, res, ctx, False)[1]
+            value += -x if neg & 1 else x
             scale += hi
-    return value, scale + (zeros << ctx.term_width)
+    return value, scale + (zeros << w)
 
 
 def _walk_terms(steps: list, sign: int, res: list[int], ctx: LevelContext, rounded: bool) -> tuple:

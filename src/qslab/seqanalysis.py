@@ -14,14 +14,17 @@ parsed exactly (with ``decimal``) and rounded once to p bits.
 
 The rootedness verdict reads the entries exactly as the coefficients of an
 integer polynomial.  A failed Newton inequality on them proves a non-real
-root; where every inequality holds, an exact Sturm count, on the integers,
-of the real and the positive roots decides.
+root; where every inequality holds, a Descartes bisection on the integers
+counts the positive and the negative roots, and an exact Sturm count of the
+distinct real and positive roots decides what the bisection leaves open,
+as it leaves a repeated real root.
 """
 
 from __future__ import annotations
 
 import math
 from decimal import Decimal
+from itertools import accumulate, groupby, islice
 from typing import NamedTuple, Sequence
 
 from .qnum import (DEFAULT_PRECISION_BITS, TRIPLE_ORDER, abs_triple, add_triples, cmp_triples,
@@ -30,6 +33,11 @@ from .qnum import (DEFAULT_PRECISION_BITS, TRIPLE_ORDER, abs_triple, add_triples
 # The most characters on either side of an a/b entry, checked before int()
 # reads them: Python refuses to convert more than 4 300 digits.
 MAX_RATIO_SIDE = 1000
+# The most halvings of (0, 1) in ``_unit_roots`` before an interval is left
+# to the Sturm chain, as a repeated real root never settles; distinct roots
+# m 2^e, |m| < 2^30, |e| <= 30, of up to 80 entries lie 2^-99 apart or more
+# once scaled into (0, 1)
+BISECTION_DEPTH = 128
 
 
 def _max_abs_or_one(entries, p: int) -> tuple:
@@ -76,8 +84,8 @@ def _entry(value, p: int) -> tuple:
     denominator; else the ``str`` of a float or text, a decimal literal or
     a/b of two ints of at most ``MAX_RATIO_SIDE`` characters each.  A
     number's exact value is rounded once through a sticky bit.  An entry
-    must be 0 or in the double range, as the Sturm chain of
-    ``branden_criterion`` costs more the wider the exponents spread; the
+    must be 0 or in the double range, as the root counts of
+    ``branden_criterion`` cost more the wider the exponents spread; the
     refusal quotes at most 40 characters of the entry.  Infinities and nans
     are refused."""
     raw = value if isinstance(value, tuple) else getattr(value, "_mpf_", None)
@@ -240,11 +248,64 @@ def _sturm_verdict(coeffs: list[int]) -> RootednessVerdict:
     at_plus = _variations([q[-1] for q in chain])
     at_minus = _variations([q[-1] if len(q) % 2 else -q[-1] for q in chain])
     at_zero = _variations([q[0] for q in chain])
-    if at_minus - at_plus < len(coeffs) - len(chain[-1]):
+    return _counted(at_minus - at_plus < len(coeffs) - len(chain[-1]), at_zero > at_plus)
+
+
+def _counted(non_real: bool, positive: bool) -> RootednessVerdict:
+    """The verdict of an exact root count."""
+    if non_real:
         return RootednessVerdict("not_real_negative", "non-real root (exact count)")
-    if at_zero - at_plus > 0:
+    if positive:
         return RootednessVerdict("not_real_negative", "positive real root (exact count)")
     return RootednessVerdict("real_negative")
+
+
+def _shifted(a: list[int]):
+    """The coefficients of a(x + 1), lowest power first, for a held highest
+    power first: each pass of running sums fixes the next one."""
+    while a:
+        a = list(accumulate(a))
+        yield a.pop()
+
+
+def _unit_roots(a: list[int], depth: int) -> int | None:
+    """The roots in (0, 1) of a, lowest power first, each simple, or None.
+
+    Descartes' rule on (x + 1)^n a(1/(x + 1)) settles an interval with 0 or
+    1 sign changes (counted up to 2); otherwise (0, 1/2) and (1/2, 1) are
+    mapped onto (0, 1) by 2^n a(x/2) and its shift, a root at 1/2 counted
+    once.  None when a root at 1/2 is repeated or ``depth`` halvings leave
+    an interval open.
+    """
+    v = len(list(islice(groupby(c > 0 for c in _shifted(a) if c), 3))) - 1
+    if v < 2:
+        return v
+    if not depth:
+        return None
+    n = len(a) - 1
+    left = [c << n - k for k, c in enumerate(a)]
+    right = list(_shifted(left[::-1]))
+    mid = not right[0]
+    if mid:
+        if not right[1]:
+            return None
+        del right[0]
+    lo = _unit_roots(left, depth - 1)
+    hi = None if lo is None else _unit_roots(right, depth - 1)
+    return None if hi is None else lo + mid + hi
+
+
+def _positive_roots(c: list[int]) -> int | None:
+    """The positive roots of sum c_k x^k, c_0 != 0, each simple, or None
+    (``_unit_roots``).  With 2^s above Fujiwara's bound 2 max |c_k /
+    c_n|^(1/(n-k)), x -> 2^s x maps them into (0, 1)."""
+    v = _variations(c)
+    if v < 2:
+        return v
+    n, top = len(c) - 1, c[-1].bit_length() - 1
+    s = 1 + max(-((top - c[k].bit_length()) // (n - k)) for k in range(n))
+    return _unit_roots([ck << (s * k if s > 0 else -s * (n - k)) for k, ck in enumerate(c)],
+                       BISECTION_DEPTH)
 
 
 def _newton_violation(coeffs: list[int]) -> int | None:
@@ -270,9 +331,13 @@ def branden_criterion(seq: RealSequence) -> RootednessVerdict:
     integers, not all even: the signed mantissas aligned to the least exponent
     of the nonzero entries, their common trailing zeros shifted out.  Trailing
     zero coefficients are dropped and a zero constant term is a root at 0.
-    Otherwise the first failed Newton inequality witnesses a non-real root;
-    where none fails, an exact Sturm count over the integers of the distinct
-    real and positive roots decides, multiple roots included.
+    Otherwise the first failed Newton inequality witnesses a non-real root.
+    Where none fails, a Descartes bisection counts the positive roots of
+    p(x) and p(-x) exactly (Collins and Akritas, SYMSAC 1976): fewer than
+    deg p is a non-real root, else a positive one is a positive real root.
+    An interval it does not settle (a repeated real root never does) leaves
+    the verdict to the Sturm chain, which counts the distinct real and
+    positive roots, so the status and witness are the chain's either way.
     """
     if not any(man for _, man, _ in seq.entries):
         raise ValueError("zero polynomial")
@@ -287,4 +352,9 @@ def branden_criterion(seq: RealSequence) -> RootednessVerdict:
     k = _newton_violation(coeffs)
     if k is not None:
         return RootednessVerdict("not_real_negative", f"non-real root (Newton inequality at k={k})")
-    return _sturm_verdict(coeffs)
+    pos = _positive_roots(coeffs)
+    neg = None if pos is None else _positive_roots([-c if i & 1 else c
+                                                     for i, c in enumerate(coeffs)])
+    if neg is None:
+        return _sturm_verdict(coeffs)
+    return _counted(pos + neg < len(coeffs) - 1, pos > 0)

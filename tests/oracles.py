@@ -9,6 +9,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, NamedTuple, Sequence
 
 from mpmath.libmp import (fone, from_man_exp, fzero, mpf_abs, mpf_div, mpf_gt, mpf_log, mpf_lt,
@@ -169,6 +170,30 @@ def _wide_qdim(label: str, level: int, p: int, weight: tuple) -> tuple:
             factors.append((lam + ht, ht))
     l = level + rs.coxeter_number
     return tuple(_fraction(x) for x in wide_sine_product(l, p, factors))
+
+
+def reference_support_plan(ctx: LevelContext, support: tuple[int, ...]) -> tuple:
+    """``qnum.support_plan(ctx, support)`` built root by root, outside the
+    context's plan memo: each root's vector on the support zipped from the
+    support's columns, its row looked up by ``_ratio_row`` at the term width,
+    each group's residue table counted from its cuts l - ht."""
+    rs, l = ctx.root_system, ctx.shifted_level
+    groups, steps = {}, []  # vector -> (group, its l - ht); product steps
+    for v, ht in zip(zip(*[rs.root_columns[j] for j in support]), rs.heights):
+        if any(v):
+            g, cuts = groups.setdefault(v, (len(groups), []))
+            cuts.append(l - ht)
+            steps.append((g, ht, ctx._ratio_row(ht, ctx.term_width)))
+    signs = []
+    for _, cuts in groups.values():
+        marks = [0] * l
+        for c in cuts:
+            marks[c] += 1
+        table = list(accumulate(marks))  # the heights >= l - r
+        for c in cuts:
+            table[c] = None
+        signs.append((len(cuts), table))
+    return tuple(groups), steps, signs
 
 
 def _fraction(x) -> Fraction:

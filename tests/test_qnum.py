@@ -33,10 +33,11 @@ from qslab.qnum import (
     triple_float,
 )
 from qslab.qsolver import build_qgrid
+from qslab.report import RunConfig, run
 from qslab.rootsys import delta, fundamental_weight, type_data
 
-from oracles import (MpfQReal, pairing, raw, sin_pi_over_l, sine_fold, sine_signature, triple,
-                     zero_tolerance)
+from oracles import (MpfQReal, pairing, raw, reference_support_plan, sin_pi_over_l, sine_fold,
+                     sine_signature, triple, zero_tolerance)
 
 
 def fw(rs, node, mult=1):
@@ -271,13 +272,23 @@ def test_qdim_zeros_by_congruence_match_the_full_pairing_list(rs_map, label, lev
 
 @pytest.mark.parametrize("label,levels", [("E7", (*range(1, 13), 28)),
                                           ("E8", (*range(1, 9), 16))])
-def test_progression_terms_sum_the_plan_qdim_terms(rs_map, label, levels):
+def test_progression_terms_sum_the_plan_qdim_terms(rs_map, label, levels, monkeypatch):
     # a paired shell's interior in one pass, its walks unrounded, equals the
     # exact sum of its weights' plan_qdim row terms, bit for bit, on every
-    # paired shell j <= l + 3; an all-zero shell gives (0, (j - 1) 2**W)
+    # paired shell j <= l + 3; an all-zero shell gives (0, (j - 1) 2**W).
+    # It does so too when each weight's first walk is off by a unit and has
+    # too small a least partial product, so that every nonzero weight takes
+    # _walk_terms' retry
     rs = rs_map[label]
     ((_, pair),) = type_data(label).paired_shells.items()
-    all_zero = 0
+    all_zero, walks, real_walk = 0, [], qnum._ratio_walk
+
+    def first_walk_short(ctx, steps, res, w):
+        x, hi, lo = real_walk(ctx, steps, res, w)
+        first = not walks or walks[-1] != (w, tuple(res))
+        walks.append((w, tuple(res)))
+        return (x + 1, hi + 1, 1) if first else (x, hi, lo)
+
     for lev in levels:
         ctx = LevelContext(rs, lev)
         plan = qnum.support_plan(ctx, pair)
@@ -287,10 +298,46 @@ def test_progression_terms_sum_the_plan_qdim_terms(rs_map, label, levels):
             want = tuple(map(sum, zip(*terms)))
             step = [va - vb for va, vb in plan[0]]
             assert qnum.progression_terms(plan, dots[0], step, j - 1, ctx) == want, (lev, j)
-            if all(t == (0, 1 << ctx.term_width) for t in terms):
+            walks.clear()
+            with monkeypatch.context() as m:
+                m.setattr(qnum, "_ratio_walk", first_walk_short)
+                assert qnum.progression_terms(plan, dots[0], step, j - 1, ctx) == want, (lev, j)
+            nonzero = sum(t != (0, 1 << ctx.term_width) for t in terms)
+            assert len(walks) == 2 * nonzero and walks[::2] == walks[1::2], (lev, j)
+            if not nonzero:
                 all_zero += 1
                 assert want == (0, j - 1 << ctx.term_width)
     assert all_zero > 0
+
+
+@pytest.mark.parametrize("label,level", [("E6", 30), ("E7", 28), ("E8", 16)])
+def test_verify_builds_each_row_once_and_the_reference_plans(label, level, monkeypatch):
+    # a full verify makes each ratio row once per (context, width, height),
+    # and every support plan it builds, one-node, paired and (E7) Kleber
+    # supports alike, equals the root-by-root reference
+    contexts, rows = [], {}
+    real_init, real_row = LevelContext.__init__, LevelContext._ratio_row
+
+    def init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        contexts.append(self)
+
+    def row(self, ht, w):
+        rows[self, w, ht] = rows.get((self, w, ht), 0) + 1
+        return real_row(self, ht, w)
+
+    monkeypatch.setattr(LevelContext, "__init__", init)
+    monkeypatch.setattr(LevelContext, "_ratio_row", row)
+    run(RunConfig(type_label=label, level=level))
+    monkeypatch.undo()
+    assert rows and max(rows.values()) == 1
+    plans = {(ctx, s): plan for ctx in contexts for s, plan in ctx._plans.items()}
+    assert all(plan == reference_support_plan(ctx, s) for (ctx, s), plan in plans.items())
+    supports = {s for _, s in plans}
+    assert {(j,) for j in range(len(contexts[0].root_system.cartan))} <= supports
+    assert set(type_data(label).paired_shells.values()) <= supports
+    for _, weight in (t for table in type_data(label).kleber_q1.values() for t in table):
+        assert tuple(j for j, c in enumerate(weight) if c) in supports | {()}, weight
 
 
 def test_grid_skips_qdim_on_paired_shell_interiors(e7, monkeypatch):

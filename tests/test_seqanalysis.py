@@ -325,7 +325,8 @@ def test_newton_witness_fires_only_on_non_real_roots():
 
 
 def test_cli_branden_repeated_root_runs_the_chain(capsys, monkeypatch):
-    # (x+1)^2 meets the k = 1 inequality with equality, so the chain decides
+    # (x+1)^2 meets the k = 1 inequality with equality, and its double root
+    # lands on a split point of the bisection, so the chain decides
     calls = []
 
     def spy(coeffs):
@@ -336,6 +337,144 @@ def test_cli_branden_repeated_root_runs_the_chain(capsys, monkeypatch):
     assert main(["logconcave", "--seq", "1,2,1", "--branden"]) == 0
     assert capsys.readouterr().out.endswith("coefficient polynomial: real_negative\n")
     assert calls == [[1, 2, 1]]
+
+
+def _times(p, q):
+    """The product of two integer polynomials, lowest power first."""
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+@st.composite
+def _factored_polynomials(draw):
+    """(coeffs, repeated): an integer polynomial, lowest power first, made
+    of linear factors (a root +-m 2^e / d, d odd, so mostly dyadic, and
+    spread over 2^-30 .. 2^30), roots at the split points
+    -1, -1/2 and -2 of the bisection, and quadratics with a non-real pair;
+    in half the draws each factor taken once to three times, and in half
+    every real root negative.  ``repeated`` tells whether a real root is
+    repeated."""
+    linear = st.one_of(
+        st.sampled_from([(1, 1, 0), (1, 1, -1), (1, 1, 1)]),
+        st.tuples(st.sampled_from([-31, -5, -3, -1, 1, 3, 7, 31]), st.sampled_from([1, 3, 5]),
+                  st.integers(-30, 30)))
+    quadratic = st.tuples(st.integers(-20, 20), st.integers(1, 60),
+                          st.integers(-15, 15)).filter(lambda q: q[0] ** 2 < 4 * q[1])
+    coeffs, roots, most = [1], [], draw(st.sampled_from([1, 3]))
+    negative = draw(st.booleans())
+    for _ in range(draw(st.integers(1, 9))):
+        times = draw(st.integers(1, most))
+        if draw(st.integers(0, 4)):  # the root -a 2^e / b
+            a, b, e = draw(linear)
+            a = abs(a) if negative else a
+            poly = [a << e, b] if e >= 0 else [a, b << -e]
+            roots += [Fraction(-poly[0], poly[1])] * times
+        else:  # x^2 + a 2^e x + b 4^e
+            a, b, e = draw(quadratic)
+            poly = [b << 2 * e, a << e, 1] if e >= 0 else [b, a << -e, 1 << -2 * e]
+        for _ in range(times):
+            coeffs = _times(coeffs, poly)
+    if draw(st.booleans()):
+        coeffs = [-c for c in coeffs]
+    return coeffs, len(set(roots)) < len(roots)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_factored_polynomials())
+def test_bisection_verdicts_equal_the_chain(case):
+    # the Descartes bisection gives the Sturm chain's (status, witness), or
+    # the Newton witness where one fires, and it leaves exactly the repeated
+    # real roots to the chain: square-free real roots settle within the depth
+    # bound, spread over 2^-30 .. 2^30 or at a split point
+    coeffs, repeated = case
+    calls = []
+
+    def spy(c):
+        calls.append(c)
+        return _sturm_verdict(c)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(seqanalysis, "_sturm_verdict", spy)
+        verdict = branden_criterion(make_sequence(coeffs, 4096))
+    chain = _sturm_verdict(coeffs)
+    if _newton_violation(coeffs) is not None:
+        assert verdict.witness.startswith("non-real root (Newton") and not calls
+        assert chain.witness == "non-real root (exact count)", coeffs
+    else:
+        assert verdict == chain, coeffs
+        assert bool(calls) == repeated, coeffs
+
+
+def test_bisection_settles_spread_square_free_roots(monkeypatch):
+    # 60 polynomials of 6 to 16 distinct real roots +-m 2^e / d, m < 2^20,
+    # d in 1, 3, 5, 7, e in -30 .. 30, half of them all negative: no chain,
+    # and the chain's verdict
+    rng = random.Random(2024)
+    cases = []
+    for n in range(60):
+        roots = set()
+        while len(roots) < rng.randint(6, 16):
+            m = rng.randint(1, 1 << 20) * (1 if n % 2 else rng.choice([-1, 1]))
+            roots.add(Fraction(m, rng.choice([1, 3, 5, 7])) * Fraction(2) ** rng.randint(-30, 30))
+        coeffs = [1]
+        for r in roots:
+            coeffs = _times(coeffs, [r.numerator, r.denominator])
+        cases.append(coeffs)
+    want = [_sturm_verdict(c) for c in cases]
+
+    def no_chain(coeffs):
+        raise AssertionError("Sturm chain reached")
+
+    monkeypatch.setattr(seqanalysis, "_sturm_verdict", no_chain)
+    got = [branden_criterion(make_sequence(c, 4096)) for c in cases]
+    assert got == want
+    assert {v.status for v in got} == {"real_negative", "not_real_negative"}
+
+
+def test_bisection_decides_the_e7_node7_lines_without_the_chain(e7, monkeypatch):
+    # L1-40 at 128 and 256 bits: none reaches the chain, and every verdict
+    # is the chain's where no Newton inequality fails (L1-27), the Newton
+    # witness from L28 on
+    lines = {(level, bits): _e7_node7_line(e7, level, bits)
+             for level in range(1, 41) for bits in (128, 256)}
+    want = {key: _sturm_verdict(_exact_coeffs(seq)) for key, seq in lines.items()
+            if key[0] < 28}
+
+    def no_chain(coeffs):
+        raise AssertionError("Sturm chain reached")
+
+    monkeypatch.setattr(seqanalysis, "_sturm_verdict", no_chain)
+    for (level, bits), seq in lines.items():
+        verdict = branden_criterion(seq)
+        if level < 28:
+            assert verdict == want[level, bits], (level, bits)
+        else:
+            assert verdict.witness.startswith("non-real root (Newton"), (level, bits)
+    assert {v.status for v in want.values()} == {"real_negative", "not_real_negative"}
+
+
+def test_bisection_without_depth_leaves_every_split_to_the_chain(e7, monkeypatch):
+    # with the depth bound at 0 no interval is halved: every polynomial with
+    # two or more roots of one sign and no Newton witness reaches the chain,
+    # and the verdicts stay the same
+    cases = [_exact_coeffs(_e7_node7_line(e7, level, 128)) for level in range(2, 28)]
+    cases += [[2, -3, 1], [1, 2, 1], [-2, 1, 1, 0, 0, 1], [6, 11, 6, 1], [1, 0, -5, 0, 4]]
+    want = [branden_criterion(make_sequence(c, 4096)) for c in cases]
+    calls = []
+
+    def spy(c):
+        calls.append(c)
+        return _sturm_verdict(c)
+
+    monkeypatch.setattr(seqanalysis, "_sturm_verdict", spy)
+    monkeypatch.setattr(seqanalysis, "BISECTION_DEPTH", 0)
+    for c, verdict in zip(cases, want):
+        calls.clear()
+        assert branden_criterion(make_sequence(c, 4096)) == verdict, c
+        assert _newton_violation(c) is None and calls == [c], c
 
 
 def test_sine_factor_identity(e6):
