@@ -43,9 +43,15 @@ MAX_LEVEL = 500
 # The largest --precision-bits: a full E7 L12 verify took 3.1 s there at
 # 4096 bits, and E6 L2 1.8 s, but 57 s at 16384 bits.
 MAX_PRECISION_BITS = 4096
-# The largest --level times --precision-bits: on it a full E8 verify took 3.1,
-# 0.9 and 5.6 s there at L15, 60 and 500; L500 at 4096 bits ran past 100 s.
+# The largest --level times --precision-bits of grid, solve, verify and
+# krdec --qdim: on it a full E8 verify took 3.1, 0.9 and 5.6 s there at L15,
+# 60 and 500; at L500 and 4096 bits verify ran past 100 s and krdec --qdim at
+# its term bound took 38.6 s, where qdim and logconcave took at most 13.5 s.
 MAX_LEVEL_BITS = MAX_LEVEL * DEFAULT_PRECISION_BITS
+# The largest --kmax: the grid's cost grows as about its square (E8 node 1's
+# nested paired shells); an E8 grid took 10.0 s there at L500 and --kmax 1000
+# (74.9 s at 2120, 4l), and at most 13.5 s along MAX_LEVEL_BITS.
+MAX_KMAX = 1000
 # The most digits of a printed qdim --classical: Python's default limit on
 # int-to-str conversion.  E8 with every coordinate at the 4300 digits int()
 # reads took 0.7 s to compute on a shared 2-core host.
@@ -117,16 +123,22 @@ def _check_list(text: str) -> tuple[str, ...]:
     return checks
 
 
-def _precision_flag(p: argparse.ArgumentParser) -> None:
+def _precision_flag(p: argparse.ArgumentParser, level_bits: bool = False) -> None:
     p.add_argument("--precision-bits", type=_int_in(MIN_PRECISION_BITS, MAX_PRECISION_BITS),
                    default=None, help=f"working precision in bits, {MIN_PRECISION_BITS}.."
-                   f"{MAX_PRECISION_BITS} (default {DEFAULT_PRECISION_BITS}), with --level "
-                   f"times bits at most {MAX_LEVEL_BITS}")
+                   f"{MAX_PRECISION_BITS} (default {DEFAULT_PRECISION_BITS})"
+                   + f", with --level times bits at most {MAX_LEVEL_BITS}" * level_bits)
 
 
 def _level_flag(p: argparse.ArgumentParser, required: bool) -> None:
     p.add_argument("--level", type=_int_in(1, MAX_LEVEL), required=required,
                    help=f"restriction level, 1..{MAX_LEVEL}")
+
+
+def _kmax_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--kmax", type=int, default=None,
+                   help=f"largest k of the grid rows, l..4l and at most {MAX_KMAX}, where l = "
+                   f"level + Coxeter number (default l)")
 
 
 def _optional(args, flag: str, default=None, unused_in: str = ""):
@@ -142,10 +154,15 @@ def _optional(args, flag: str, default=None, unused_in: str = ""):
 
 
 def _precision(args, unused_in: str = "") -> int:
-    bits = _optional(args, "--precision-bits", DEFAULT_PRECISION_BITS, unused_in)
-    if args.level is not None and args.level * bits > MAX_LEVEL_BITS:
-        _usage_error(f"--level {args.level} times --precision-bits {bits} is "
-                     f"{args.level * bits}, more than {MAX_LEVEL_BITS}")
+    return _optional(args, "--precision-bits", DEFAULT_PRECISION_BITS, unused_in)
+
+
+def _level_bits(level: int, bits: int) -> int:
+    """``bits``, refused when ``level`` times it exceeds MAX_LEVEL_BITS: the
+    bound of grid, solve, verify and krdec --qdim."""
+    if level * bits > MAX_LEVEL_BITS:
+        _usage_error(f"--level {level} times --precision-bits {bits} is "
+                     f"{level * bits}, more than {MAX_LEVEL_BITS}")
     return bits
 
 
@@ -165,7 +182,7 @@ def _common_flags(p: argparse.ArgumentParser, level: bool = True,
     if level:
         _level_flag(p, required=True)
     if precision:
-        _precision_flag(p)
+        _precision_flag(p, level_bits=level)
     p.add_argument(*out, dest="out", default=None, help="output file (written atomically)")
 
 
@@ -194,8 +211,9 @@ def _check_kmax(args) -> None:
     if args.kmax is None:
         return
     l = args.level + type_data(args.type).coxeter_number
-    if not l <= args.kmax <= 4 * l:
-        _usage_error(f"--kmax must be in {l}..{4 * l}, got {args.kmax}")
+    top = min(4 * l, MAX_KMAX)
+    if not l <= args.kmax <= top:
+        _usage_error(f"--kmax must be in {l}..{top}, got {args.kmax}")
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -273,6 +291,8 @@ def _cmd_krdec(args) -> int:
         _usage_error(f"--k must be nonnegative, got {args.k}")
     bits = _precision(args, unused_in)
     level = _optional(args, "--level", unused_in=unused_in)
+    if level is not None:
+        _level_bits(level, bits)
     rs = build_root_system(args.type)
     _check_node(args.node, rs.rank)
     td = type_data(rs.type_label)
@@ -305,7 +325,7 @@ def _run_report(args, checks: tuple[str, ...]) -> tuple[report.VerificationRepor
     _check_kmax(args)
     cfg = report.RunConfig(
         type_label=args.type, level=args.level,
-        precision_bits=_precision(args),
+        precision_bits=_level_bits(args.level, _precision(args)),
         k_max=args.kmax, fmt=args.fmt, checks=checks,
     )
     rep = report.run(cfg)
@@ -321,7 +341,7 @@ def _cmd_grid(args) -> int:
 
 def _cmd_solve(args) -> int:
     rs = build_root_system(args.type)
-    ctx = LevelContext(rs, args.level, _precision(args))
+    ctx = LevelContext(rs, args.level, _level_bits(args.level, _precision(args)))
     try:
         grid = qsolver.solve_restricted(ctx, args.tol)
     except ValueError as exc:
@@ -437,7 +457,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_reduce)
 
     p = sub.add_parser("krdec", help="KR module decomposition")
-    _common_flags(p, level=False)
+    _common_flags(p, level=False, precision=False)
+    _precision_flag(p, level_bits=True)
     p.add_argument("--node", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     _level_flag(p, required=False)
@@ -450,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("grid", help="build the Q-grid from KR quantum dimensions")
     _common_flags(p)
     p.add_argument("--format", dest="fmt", default="json", choices=report.REPORT_FORMATS)
-    p.add_argument("--kmax", type=int, default=None)
+    _kmax_flag(p)
     p.set_defaults(fn=_cmd_grid)
 
     p = sub.add_parser("solve", help="solve the restricted system")
@@ -461,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the verification suite")
     _common_flags(p, out=("--report", "--out"))
     p.add_argument("--format", dest="fmt", default="json", choices=report.REPORT_FORMATS)
-    p.add_argument("--kmax", type=int, default=None)
+    _kmax_flag(p)
     p.add_argument("--checks", type=_check_list, default=report.ALL_CHECKS,
                    help="comma-separated subset of " + ",".join(report.ALL_CHECKS))
     p.set_defaults(fn=_cmd_verify)

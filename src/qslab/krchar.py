@@ -9,8 +9,8 @@ propagation in :mod:`qslab.qsolver`.
 A KR quantum dimension is the sum of its terms' quantum dimensions, taken
 exactly in integers and rounded once: each weight gives a row term at
 ``LevelContext.term_width`` bits (``qnum.plan_qdim``).  ``chari_qdim`` makes
-every Chari row, the grid's and ``krdec --qdim``'s, and ``qdim_kr`` sums the
-Kleber tables and any other decomposition alike.
+every Chari row, the grid's and ``krdec --qdim``'s, a one-weight row from the
+``qdim`` memo; ``qdim_kr`` sums the Kleber tables and other decompositions.
 """
 
 from __future__ import annotations
@@ -159,9 +159,9 @@ def _shell_terms(node: int, j: int, ctx: LevelContext) -> list[tuple[int, int]]:
 def chari_qdim(node: int, box_count: int, ctx: LevelContext) -> QReal:
     """qdim_kr(chari_decomposition(rs, node, box_count), ctx), bit for bit.
 
-    The context keeps each row.  A nested node's row k adds the row terms of
-    shell k exactly onto the kept integer sums of shells 0..k-1; any other
-    row is its own shell, one weight's ``qdim_line`` where the node does not pair.
+    The context keeps each summed row: a nested node's row k adds the row
+    terms of shell k exactly onto the kept integer sums of shells 0..k-1, a
+    paired node's is its own shell; a one-weight row is its ``qdim_line``.
     Each term is within 2**-(p+33) of its scale (``qnum.plan_qdim``), so the
     value lies within half a unit in its last place plus 2**-(p+32) times the
     row's scale of the exact Chari sum, 0 included (``_rounded``), and the
@@ -181,6 +181,6 @@ def chari_qdim(node: int, box_count: int, ctx: LevelContext) -> QReal:
         elif node in td.paired_shells:
             row = _rounded(*map(sum, zip(*_shell_terms(node, box_count, ctx))), ctx)
         else:
-            row = qdim_line(node, box_count, ctx)
+            return qdim_line(node, box_count, ctx)
         ctx._chari_rows[node, box_count] = row
     return row

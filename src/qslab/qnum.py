@@ -1,9 +1,9 @@
 """Quantum dimensions at the primitive 2l-th root of unity exp(i*pi/l).
 
 Every sine argument that occurs is an integer multiple of pi/l, so a
-LevelContext keeps, per root height ht, a row of the ratios
-|sin(pi*(r+ht)/l)| / sin(pi*ht/l) by residue r mod l in fixed point, and a
-quantum dimension is one fixed-point pass over such rows, rounded once.
+LevelContext keeps, per width, a row of the ratios |sin(pi*(r+ht)/l)| /
+sin(pi*ht/l) by residue r mod l for every root height ht in fixed point,
+and a quantum dimension is one fixed-point pass over such rows, rounded once.
 Exact zeros are decided by integer congruences on pairings, never by float
 thresholding.
 
@@ -334,13 +334,11 @@ def _sinpi_fixed(k: int, l: int, w: int) -> int:
 
 
 def _abs_sines(l: int, w: int) -> list[int]:
-    """|sin(pi r / l)| 2**w for 0 <= r < l, each off by less than 2w units
-    (w >= 8): ``_sinpi_fixed`` on the first quarter period, mirrored by
-    sin(pi (l - r) / l) = sin(pi r / l), with sin 0 and sin(pi/2) exact."""
+    """sin(pi r / l) 2**w for the half period 0 <= r <= l // 2, each off by
+    less than 2w units (w >= 8), with sin 0 and sin(pi/2) exact: the rest of
+    the period mirrors it, |sin(pi (l - r) / l)| = sin(pi r / l)."""
     half = [0] + [_sinpi_fixed(k, l, w) for k in range(1, (l + 1) // 2)]
-    if l % 2 == 0:
-        half.append(1 << w)
-    return half + half[1:(l + 1) // 2][::-1]
+    return half + [1 << w] if l % 2 == 0 else half
 
 
 class QReal:
@@ -423,13 +421,12 @@ class LevelContext:
     Each context computes on p-bit triples at its precision p (no global
     precision state); ``mp``, the shared mpmath context of that precision
     (``mp_context``), is made only when read.  It owns the fixed-point rows
-    of sine ratios (``_ratio_row``, and ``_term_rows``, those at
-    ``term_width`` by height, made for every height with the first plan),
-    one plan per support pattern (``support_plan``), the ``qdim`` memo (a
-    dominant weight's value and row term) and the Chari rows of
-    :mod:`qslab.krchar` by (node, box count), with the nested nodes' running
-    sums.  ``one`` and ``zero`` are its exact 1 and 0, and ``term_width`` =
-    p + GUARD_BITS the width of its walks and row terms.
+    of sine ratios, one list of every root height's row per width
+    (``_ratio_rows``), one plan per support pattern (``support_plan``), the
+    ``qdim`` memo (a dominant weight's value and row term) and the summed
+    Chari rows of :mod:`qslab.krchar` by (node, box count), with the nested
+    nodes' running sums.  ``one`` and ``zero`` are its exact 1 and 0, and
+    ``term_width`` = p + GUARD_BITS the width of its walks and row terms.
     """
 
     def __init__(
@@ -450,10 +447,8 @@ class LevelContext:
         self.one, self.zero = QReal(one, one, precision_bits), QReal(ZERO, one, precision_bits)
         self._qdim_cache: dict[Weight, tuple[QReal, tuple[int, int]]] = {}
         self._plans: dict[tuple[int, ...], tuple] = {}
-        self._sine_tables: dict[int, list[int]] = {}  # width -> _abs_sines
-        self._rows: dict[tuple[int, int], list[int]] = {}  # (width, height) -> row
-        self._term_rows: list[list[int] | None] = []  # height -> row at term_width
-        self._chari_rows: dict[tuple[int, int], QReal] = {}  # (node, box count) -> row
+        self._rows: dict[int, list] = {}  # width -> row by height
+        self._chari_rows: dict[tuple[int, int], QReal] = {}  # (node, box count) -> summed row
         self._chari_sums: dict[int, list[tuple[int, int]]] = {}  # nested node -> running sums
 
     mp = property(lambda self: mp_context(self.precision_bits))
@@ -462,49 +457,50 @@ class LevelContext:
         return (f"LevelContext({self.root_system.type_label}, level={self.level}, "
                 f"l={self.shifted_level}, prec={self.precision_bits})")
 
-    def _ratio_row(self, ht: int, w: int) -> list[int]:
-        """|sin(pi (r + ht) / l)| / sin(pi ht / l) at w bits, r = 0 .. l - 1,
-        each within l 2**-w of its ratio, relatively; made once per (w, ht).
+    def _ratio_rows(self, w: int) -> list:
+        """By root height 0 < ht < h (entry 0 None), the row of ratios
+        |sin(pi (r + ht) / l)| / sin(pi ht / l) at w bits, r = 0 .. l - 1,
+        each within l 2**-w of its ratio, relatively; made once per width.
 
         The entries are floor(s 2**w / t) of ``_abs_sines`` at v = w + c
         bits, c = bitlen(w) + 4, so each sine is within 2v <= 2**(c-2) units
         (w >= 8), and within l 2**-(w+3) relatively, as sin(pi/l) >= 2/l.
         The quotient of two such is within l 2**-(w+1) of the ratio, and the
         floor drops less than one unit, which is under l 2**-(w+1) of a
-        ratio of at least 2/l.  A ratio of 1 is exact.  The row is the full
-        period of quotients, one per |sin(pi j / l)| = |sin(pi (l - j) / l)|,
-        rotated by ht.
+        ratio of at least 2/l.  A ratio of 1 is exact.  A row is the half
+        period of quotients, mirrored to the full period, rotated by ht.
         """
-        row = self._rows.get((w, ht))
-        if row is None:
-            v = w + w.bit_length() + 4
-            sines = self._sine_tables.get(v)
-            if sines is None:
-                sines = self._sine_tables[v] = _abs_sines(self.shifted_level, v)
-            l, den = self.shifted_level, sines[ht]
-            half = [(s << w) // den for s in sines[:l // 2 + 1]]
-            full = half + half[1:(l + 1) // 2][::-1]
-            row = self._rows[w, ht] = full[ht:] + full[:ht]
-        return row
+        rows = self._rows.get(w)
+        if rows is None:
+            l = self.shifted_level
+            sines = _abs_sines(l, w + w.bit_length() + 4)
+            rows = self._rows[w] = [None]
+            for ht in range(1, self.root_system.coxeter_number):
+                den = sines[min(ht, l - ht)]
+                half = [(s << w) // den for s in sines]
+                full = half + half[1:(l + 1) // 2][::-1]
+                rows.append(full[ht:] + full[:ht])
+        return rows
 
 
 def support_plan(ctx: LevelContext, support: tuple[int, ...]) -> tuple:
-    """``(vectors, steps, signs)`` for the weights whose nonzero coordinates
-    are the 0-based ``support``, which pair only with the roots nonzero
-    there; made once per context.  ``vectors[g]`` is group g's coefficient
-    vector on the support, shared by its n roots, and ``signs[g]`` is ``(n,
-    table)``: for a pairing d = q l + r, ``table[r]`` is None when some
-    numerator d + ht is a multiple of l (ht = l - r, as 1 <= ht < h < l),
-    else the count of those passing (q + 1) l.  ``steps`` holds ``(g, ht,
-    row)`` per root in canonical order, row ``ctx._term_rows[ht]``, the
-    ``_ratio_row`` of ht at ``ctx.term_width``.  A one-node support groups
-    its roots by the entries of its root column."""
+    """``(vectors, steps, signs, c, least)`` for the weights whose nonzero
+    coordinates are the 0-based ``support``, which pair only with the roots
+    nonzero there; made once per context.  ``vectors[g]`` is group g's
+    coefficient vector on the support, shared by its n roots, and
+    ``signs[g]`` is ``(n, table)``: for a pairing d = q l + r, ``table[r]``
+    is None when some numerator d + ht is a multiple of l (ht = l - r, as 1
+    <= ht < h < l), else the count of those passing (q + 1) l.  ``steps``
+    holds ``(g, ht, row)`` per root in canonical order, row that of ht in
+    ``ctx._ratio_rows`` at ``ctx.term_width``.  A one-node support groups
+    its roots by the entries of its root column.  The walks' bounds close
+    it: c = n (6l + 2) for its n steps, and ``least``, the bit length p + 35
+    + bitlen(c) of the least partial product that gives a row term."""
     plan = ctx._plans.get(support)
     if plan is not None:
         return plan
-    rs, l, rows = ctx.root_system, ctx.shifted_level, ctx._term_rows
-    if not rows:
-        rows += [None] + [ctx._ratio_row(ht, ctx.term_width) for ht in range(1, rs.coxeter_number)]
+    rs, l = ctx.root_system, ctx.shifted_level
+    rows = ctx._ratio_rows(ctx.term_width)
     cols = [rs.root_columns[j] for j in support]
     one = len(cols) == 1  # its vectors are the column's entries
     groups, steps = {}, []  # vector -> (group, its l - ht); product steps
@@ -524,8 +520,9 @@ def support_plan(ctx: LevelContext, support: tuple[int, ...]) -> tuple:
         for c in cuts:
             table[c] = None
         signs.append((len(cuts), table))
+    c = len(steps) * (6 * l + 2)
     plan = ctx._plans[support] = (tuple((v,) for v in groups) if one else tuple(groups),
-                                  steps, signs)
+                                  steps, signs, c, ctx.precision_bits + 35 + c.bit_length())
     return plan
 
 
@@ -546,7 +543,7 @@ def plan_qdim(plan: tuple, dots: Sequence[int], ctx: LevelContext) -> tuple:
             return ctx.zero, (0, 1 << ctx.term_width)
         neg += n * q + t
         res.append(r)
-    return _walk_terms(plan[1], neg & 1, res, ctx, True)
+    return _walk_terms(plan, neg & 1, res, ctx, True)
 
 
 def progression_terms(plan: tuple, first: Sequence[int], step: Sequence[int], count: int,
@@ -558,10 +555,9 @@ def progression_terms(plan: tuple, first: Sequence[int], step: Sequence[int], co
     groups inline; an exact zero ends it and is only counted, its row terms
     (0, 2**W) added to the sums at once, and the others walk unrounded: one
     ``_ratio_walk`` at W bits each, and ``_walk_terms``, which walks again
-    wider, only where its least partial product is too small for a term."""
-    l, steps, w = ctx.shifted_level, plan[1], ctx.term_width
-    # the bit length of lo from which _walk_terms takes a walk's row term
-    least = ctx.precision_bits + 35 + (len(steps) * (6 * l + 2)).bit_length()
+    wider, only where its least partial product is shorter than the plan's
+    ``least``."""
+    l, steps, least, w = ctx.shifted_level, plan[1], plan[4], ctx.term_width
     groups = [(f, s, n, table) for f, s, (n, table) in zip(first, step, plan[2])]
     value = scale = zeros = 0
     for i in range(count):
@@ -577,34 +573,35 @@ def progression_terms(plan: tuple, first: Sequence[int], step: Sequence[int], co
         else:
             x, hi, lo = _ratio_walk(ctx, steps, res, w)
             if lo.bit_length() < least:
-                x, hi = _walk_terms(steps, 0, res, ctx, False)[1]
+                x, hi = _walk_terms(plan, 0, res, ctx, False)[1]
             value += -x if neg & 1 else x
             scale += hi
     return value, scale + (zeros << w)
 
 
-def _walk_terms(steps: list, sign: int, res: list[int], ctx: LevelContext, rounded: bool) -> tuple:
+def _walk_terms(plan: tuple, sign: int, res: list[int], ctx: LevelContext, rounded: bool) -> tuple:
     """``plan_qdim``'s (value, row term) of a nonzero weight of the given
     sign and residues, the value None unless ``rounded``.  The walks
-    (``_ratio_walk``, the first at W bits) give the product and its scale,
-    hi, correctly rounded to p bits if ``rounded`` (Ziv's test: rounding to
-    nearest is monotone, so when both ends of [x - e, x + e] round to one
-    p-bit value, so does the exact one), and the signed x and hi of the
-    first walk with lo >= 2**(p + 34 + bitlen(c)), c = n (6l + 2) for n
-    steps, floored to W bits: then e < hi 2**-(p+34) + 1 and the floor adds
-    under 2 units, so both lie within 2**-(p+33) hi of 2**W times their
-    exact values (for W >= p + 36).  Until both are found the walk runs
-    again with the guard bits doubled, plus those lost at lo; only an exact
-    p-bit tie never rounds, and the walks give up past 64 p bits.  Neither
-    the widths nor the walk that gives the row term depend on ``rounded``,
-    so neither does the row term.
+    (``_ratio_walk`` over the plan's steps, the first at W bits) give the
+    product and its scale, hi, correctly rounded to p bits if ``rounded``
+    (Ziv's test: rounding to nearest is monotone, so when both ends of [x -
+    e, x + e] round to one p-bit value, so does the exact one), and the
+    signed x and hi of the first walk whose lo is ``least`` bits long or
+    more, lo >= 2**(p + 34 + bitlen(c)) for the plan's c, floored to W
+    bits: then e < hi 2**-(p+34) + 1 and the floor adds under 2 units, so
+    both lie within 2**-(p+33) hi of 2**W times their exact values (for W
+    >= p + 36).  Until both are found the walk runs again with the guard
+    bits doubled, plus those lost at lo; only an exact p-bit tie never
+    rounds, and the walks give up past 64 p bits.  Neither the widths nor
+    the walk that gives the row term depend on ``rounded``, so neither does
+    the row term.
     """
-    l, p, w = ctx.shifted_level, ctx.precision_bits, ctx.term_width
-    c, value, term = len(steps) * (6 * l + 2), None, None
+    (_, steps, _, c, least), p, w = plan, ctx.precision_bits, ctx.term_width
+    value = term = None
     while True:
         x, hi, lo = _ratio_walk(ctx, steps, res, w)
         k = lo.bit_length() - 1
-        if term is None and k >= p + 34 + c.bit_length():
+        if term is None and lo.bit_length() >= least:
             n = w - ctx.term_width
             term = -(x >> n) if sign else x >> n, hi >> n
         if rounded and value is None and k >= p:
@@ -636,7 +633,8 @@ def _ratio_walk(ctx: LevelContext, steps: list, res: Sequence[int], w: int) -> t
     within the same of 2**w max t_k.
     """
     if w != ctx.term_width:
-        steps = [(g, ht, ctx._ratio_row(ht, w)) for g, ht, _ in steps]
+        rows = ctx._ratio_rows(w)
+        steps = [(g, ht, rows[ht]) for g, ht, _ in steps]
     x = hi = lo = 1 << w
     for g, _, row in steps:
         x = x * row[res[g]] >> w
@@ -682,11 +680,12 @@ def qdim_unmemoized(weight: Sequence[int], ctx: LevelContext) -> tuple:
 
 def qdim_line(node: int, k: int, ctx: LevelContext) -> QReal:
     """Quantum dimension of k*w_node for k >= 0, from the qdim memo; a miss
-    at an int k > 0 pairs k with the one-node plan's groups, else ``qdim``."""
+    at an int k >= 0 pairs k with the one-node plan's groups (all 0 at k =
+    0, the weight 0's value 1), and ``qdim`` refuses any other k."""
     w = fundamental_weight(ctx.root_system.rank, node, k)
     entry = ctx._qdim_cache.get(w)
     if entry is None:
-        if type(k) is not int or k < 1:
+        if type(k) is not int or k < 0:
             return qdim(w, ctx)
         plan = support_plan(ctx, (node - 1,))
         entry = ctx._qdim_cache[w] = plan_qdim(plan, [k * v for v, in plan[0]], ctx)

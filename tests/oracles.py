@@ -17,8 +17,8 @@ from mpmath.libmp import (fone, from_man_exp, fzero, mpf_abs, mpf_div, mpf_gt, m
 
 from qslab import krchar, qsolver
 from qslab.krchar import chari_decomposition, chari_qdim
-from qslab.qnum import (DEFAULT_PRECISION_BITS, LevelContext, QReal, mp_context, qdim_classical,
-                        render_note)
+from qslab.qnum import (DEFAULT_PRECISION_BITS, LevelContext, QReal, _abs_sines, mp_context,
+                        qdim_classical, render_note)
 from qslab.qsolver import (DILOG_MARGIN, FULL_GRID_RESIDUAL_TOL, POSITIVITY_MARGIN, REL_GAP_TOL,
                            SOLVER_TOLERANCE, ZERO_WINDOW_TOL, QGrid, _mk_check,
                            proven_positivity_window)
@@ -172,18 +172,35 @@ def _wide_qdim(label: str, level: int, p: int, weight: tuple) -> tuple:
     return tuple(_fraction(x) for x in wide_sine_product(l, p, factors))
 
 
+@functools.cache
+def reference_ratio_rows(l: int, top: int, w: int) -> list:
+    """``LevelContext._ratio_rows(w)`` entry by entry, for the heights 0 <
+    ht < ``top`` (h for a context's own rows): entry r of height ht is
+    floor(s(r + ht) 2**w / s(ht)), s(j) the sine of ``_abs_sines`` at w +
+    bitlen(w) + 4 bits whose index is j mod l folded into the half period by
+    |sin(pi j / l)| = sin(pi min(j, l - j) / l)."""
+    sines = _abs_sines(l, w + w.bit_length() + 4)
+
+    def s(j):
+        return sines[min(j % l, l - j % l)]
+
+    return [None] + [[(s(r + ht) << w) // s(ht) for r in range(l)] for ht in range(1, top)]
+
+
 def reference_support_plan(ctx: LevelContext, support: tuple[int, ...]) -> tuple:
     """``qnum.support_plan(ctx, support)`` built root by root, outside the
     context's plan memo: each root's vector on the support zipped from the
-    support's columns, its row looked up by ``_ratio_row`` at the term width,
-    each group's residue table counted from its cuts l - ht."""
+    support's columns, its row that of its height in ``_ratio_rows`` at the
+    term width, each group's residue table counted from its cuts l - ht, and
+    the walks' c = n (6l + 2) for n steps with the bit length of 2**(p + 34
+    + bitlen(c)), the least partial product that gives a row term."""
     rs, l = ctx.root_system, ctx.shifted_level
     groups, steps = {}, []  # vector -> (group, its l - ht); product steps
     for v, ht in zip(zip(*[rs.root_columns[j] for j in support]), rs.heights):
         if any(v):
             g, cuts = groups.setdefault(v, (len(groups), []))
             cuts.append(l - ht)
-            steps.append((g, ht, ctx._ratio_row(ht, ctx.term_width)))
+            steps.append((g, ht, ctx._ratio_rows(ctx.term_width)[ht]))
     signs = []
     for _, cuts in groups.values():
         marks = [0] * l
@@ -193,7 +210,9 @@ def reference_support_plan(ctx: LevelContext, support: tuple[int, ...]) -> tuple
         for c in cuts:
             table[c] = None
         signs.append((len(cuts), table))
-    return tuple(groups), steps, signs
+    c = len(steps) * (6 * l + 2)
+    least = 1 << ctx.precision_bits + 34 + c.bit_length()
+    return tuple(groups), steps, signs, c, least.bit_length()
 
 
 def _fraction(x) -> Fraction:

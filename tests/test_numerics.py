@@ -42,15 +42,15 @@ def _reference_sines(l: int, w: int) -> list:
 
 @pytest.mark.parametrize("p", PRECISIONS)
 def test_sine_table_is_correctly_rounded(p):
-    # each entry within its stated 2v units at v bits, at the width of the
-    # rows of precision p and at the least width the bound covers; at the
-    # rows' width the bound decides every nonzero entry's correctly rounded
-    # p-bit sine, the reference's
+    # each entry of the half period 0 <= r <= l // 2 within its stated 2v
+    # units at v bits, at the width of the rows of precision p and at the
+    # least width the bound covers; at the rows' width the bound decides
+    # every nonzero entry's correctly rounded p-bit sine, the reference's
     w = p + GUARD_BITS
     for v in (w + w.bit_length() + 4, 8):
         for l in SINE_LEVELS:
             ours = _abs_sines(l, v)
-            assert len(ours) == l
+            assert len(ours) == l // 2 + 1
             for r, (s, ref) in enumerate(zip(ours, _reference_sines(l, v))):
                 assert abs(s - ref) < 2 * v, (v, l, r)
                 if v > 8 and r:

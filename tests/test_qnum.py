@@ -36,8 +36,8 @@ from qslab.qsolver import build_qgrid
 from qslab.report import RunConfig, run
 from qslab.rootsys import delta, fundamental_weight, type_data
 
-from oracles import (MpfQReal, pairing, raw, reference_support_plan, sin_pi_over_l, sine_fold,
-                     sine_signature, triple, zero_tolerance)
+from oracles import (MpfQReal, pairing, raw, reference_ratio_rows, reference_support_plan,
+                     sin_pi_over_l, sine_fold, sine_signature, triple, zero_tolerance)
 
 
 def fw(rs, node, mult=1):
@@ -312,25 +312,32 @@ def test_progression_terms_sum_the_plan_qdim_terms(rs_map, label, levels, monkey
 
 @pytest.mark.parametrize("label,level", [("E6", 30), ("E7", 28), ("E8", 16)])
 def test_verify_builds_each_row_once_and_the_reference_plans(label, level, monkeypatch):
-    # a full verify makes each ratio row once per (context, width, height),
-    # and every support plan it builds, one-node, paired and (E7) Kleber
-    # supports alike, equals the root-by-root reference
-    contexts, rows = [], {}
-    real_init, real_row = LevelContext.__init__, LevelContext._ratio_row
+    # a full verify makes each width's ratio rows once per context (one
+    # sine table each), and every support plan it builds, one-node, paired
+    # and (E7) Kleber supports alike, equals the root-by-root reference
+    contexts, tables, rows = [], [], {}
+    real_init, real_rows = LevelContext.__init__, LevelContext._ratio_rows
+    real_sines = qnum._abs_sines
 
     def init(self, *args, **kwargs):
         real_init(self, *args, **kwargs)
         contexts.append(self)
 
-    def row(self, ht, w):
-        rows[self, w, ht] = rows.get((self, w, ht), 0) + 1
-        return real_row(self, ht, w)
+    def sines(*args):
+        tables.append(args)
+        return real_sines(*args)
+
+    def ratio_rows(self, w):
+        got = real_rows(self, w)
+        assert rows.setdefault((self, w), got) is got
+        return got
 
     monkeypatch.setattr(LevelContext, "__init__", init)
-    monkeypatch.setattr(LevelContext, "_ratio_row", row)
+    monkeypatch.setattr(LevelContext, "_ratio_rows", ratio_rows)
+    monkeypatch.setattr(qnum, "_abs_sines", sines)
     run(RunConfig(type_label=label, level=level))
     monkeypatch.undo()
-    assert rows and max(rows.values()) == 1
+    assert rows and len(tables) == len(rows)
     plans = {(ctx, s): plan for ctx in contexts for s, plan in ctx._plans.items()}
     assert all(plan == reference_support_plan(ctx, s) for (ctx, s), plan in plans.items())
     supports = {s for _, s in plans}
@@ -402,16 +409,71 @@ def test_qdim_line_equals_qdim_unmemoized(rs_map, label, level, bits):
             qdim_line(node, k, LevelContext(rs, level, bits))
 
 
+def test_zero_line_weight_takes_the_node_plan(rs_map, monkeypatch):
+    # with qdim refusing every call, qdim_line(node, 0) at every node equals
+    # qdim_unmemoized of the weight 0, value, scale and row term, through
+    # the node's one-node plan; and a grid build with every node's alcove
+    # line never calls qdim
+    def no_qdim(*args):
+        raise AssertionError("qdim called")
+
+    for label, rs in rs_map.items():
+        zero = (0,) * rs.rank
+        for level in (1, 2, 5, 16, 30):
+            for bits in (64, 128, 256):
+                value, term = qdim_unmemoized(zero, LevelContext(rs, level, bits))
+                for node in range(1, rs.rank + 1):
+                    ctx = LevelContext(rs, level, bits)
+                    with monkeypatch.context() as m:
+                        m.setattr(qnum, "qdim", no_qdim)
+                        got = qdim_line(node, 0, ctx)
+                    assert (got._v, got._s) == (value._v, value._s) == (ctx.one._v, ctx.one._s)
+                    assert ctx._qdim_cache[zero] == (got, term), (label, level, bits, node)
+                    assert (node - 1,) in ctx._plans
+        ctx = LevelContext(rs, {"E6": 4, "E7": 6, "E8": 4}[label])
+        with monkeypatch.context() as m:
+            m.setattr(qnum, "qdim", no_qdim)
+            build_qgrid(ctx)
+            for node in range(1, rs.rank + 1):
+                qnum.alcove_line(node, ctx)
+        assert zero in ctx._qdim_cache
+
+
+@pytest.mark.parametrize("bits", [64, 128, 256])
+def test_ratio_rows_are_made_once_per_width_from_the_half_period(rs_map, bits, monkeypatch):
+    # each width's rows, one per root height 0 < ht < h, are made once per
+    # context from one half-period sine table, and equal the reference's
+    # quotients entry by entry, for odd and even l, heights past l / 2
+    # included (L1)
+    tables, real_sines = [], qnum._abs_sines
+    monkeypatch.setattr(qnum, "_abs_sines", lambda *args: tables.append(args) or real_sines(*args))
+    for rs in rs_map.values():
+        for level in (1, 2, 30):
+            ctx = LevelContext(rs, level, bits)
+            l, h = ctx.shifted_level, rs.coxeter_number
+            for w in (ctx.term_width, 2 * ctx.term_width + 7):
+                tables.clear()
+                rows = ctx._ratio_rows(w)
+                assert ctx._ratio_rows(w) is rows and tables == [(l, w + w.bit_length() + 4)]
+                assert rows == reference_ratio_rows(l, h, w), (rs, level, w)
+
+
 def _product(ctx, factors):
     """The sine-product kernel on (num, den) pairs, 0 < den < l: a plan of
     one group per pair, of pairing num - den, and one step of height den,
-    whose numerator passes (q + 1) l from residue l - den on."""
-    l = ctx.shifted_level
-    steps = [(g, den, ctx._ratio_row(den, ctx.precision_bits + qnum.GUARD_BITS))
-             for g, (_, den) in enumerate(factors)]
+    whose numerator passes (q + 1) l from residue l - den on.  The
+    context's rows, made for the root heights den < h, go on to every den <
+    l with the reference rows, which they equal (``reference_ratio_rows``)."""
+    l, h = ctx.shifted_level, ctx.root_system.coxeter_number
+    ctx._ratio_rows = lambda w: LevelContext._ratio_rows(ctx, w) + reference_ratio_rows(l, l, w)[h:]
+    rows = ctx._ratio_rows(ctx.precision_bits + qnum.GUARD_BITS)
+    steps = [(g, den, rows[den]) for g, (_, den) in enumerate(factors)]
     signs = [(1, [None if den == l - r else int(den > l - r) for r in range(l)])
              for _, den in factors]
-    return qnum.plan_qdim(((), steps, signs), [num - den for num, den in factors], ctx)[0]
+    c = len(steps) * (6 * l + 2)
+    least = (1 << ctx.precision_bits + 34 + c.bit_length()).bit_length()
+    plan = ((), steps, signs, c, least)
+    return qnum.plan_qdim(plan, [num - den for num, den in factors], ctx)[0]
 
 
 @st.composite
@@ -458,14 +520,14 @@ def test_tiny_guard_takes_the_wider_pass_to_the_same_bits(e8, monkeypatch, bits)
     weights += [(0, 1, 0, 0, 0, 0, 2, 0), (1, 0, 1, 0, 0, 1, 0, 1), (3, 0, 0, 0, 0, 0, 0, 7)]
     want = [qdim(w, LevelContext(e8, 16, bits)) for w in weights]
     widths = set()
-    real_row = LevelContext._ratio_row
+    real_rows = LevelContext._ratio_rows
 
-    def row(self, ht, w):
+    def ratio_rows(self, w):
         widths.add(w)
-        return real_row(self, ht, w)
+        return real_rows(self, w)
 
     monkeypatch.setattr(qnum, "GUARD_BITS", 2)
-    monkeypatch.setattr(LevelContext, "_ratio_row", row)
+    monkeypatch.setattr(LevelContext, "_ratio_rows", ratio_rows)
     ctx = LevelContext(e8, 16, bits)
     got = [qdim(w, ctx) for w in weights]
     monkeypatch.undo()
@@ -513,16 +575,19 @@ def test_sine_table_matches_sinpi(rs_map, bits):
     # entry r of the row of height ht is |sin(pi (r + ht) / l)| / sin(pi ht
     # / l) 2**w by mp.sinpi within l units per unit of ratio, exactly 2**w
     # where the ratio is 1 and 0 where the numerator is, the entries of j
-    # and l - j equal; one row per (w, ht), for odd and even l
+    # and l - j equal; one list of rows per w, a row per height 0 < ht < h,
+    # for odd and even l
     for rs in rs_map.values():
         for level in (1, 2, 30):
             ctx = LevelContext(rs, level, precision_bits=bits)
             l, w = ctx.shifted_level, bits + qnum.GUARD_BITS
             hi = mp_context(w + 64)
             sines = [abs(hi.sinpi(hi.mpf(r) / l)) for r in range(l)]
+            rows = ctx._ratio_rows(w)
+            assert len(rows) == rs.coxeter_number and ctx._ratio_rows(w) is rows
             for ht in range(1, rs.coxeter_number):
-                row = ctx._ratio_row(ht, w)
-                assert len(row) == l and ctx._ratio_row(ht, w) is row
+                row = rows[ht]
+                assert len(row) == l
                 assert all(row[(j - ht) % l] == row[(-j - ht) % l] for j in range(l))
                 for r, got in enumerate(row):
                     j = (r + ht) % l

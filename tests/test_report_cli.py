@@ -871,9 +871,10 @@ def test_cli_refuses_level_and_precision_past_their_bounds(capsys):
 def test_cli_refuses_level_times_precision_and_max_order_past_their_bounds(capsys,
                                                                           monkeypatch):
     # --level times --precision-bits above MAX_LEVEL_BITS is a usage error
-    # naming the bound, raised before any level context is made, on every
-    # subcommand that reads both; a product at the bound runs.  --max-order
-    # above MAX_ORDER is refused by the parser
+    # naming the bound, raised before any level context is made, on grid,
+    # solve, verify and krdec --qdim; qdim and logconcave, which the bound
+    # does not cover, go on to the work.  A product at the bound runs.
+    # --max-order above MAX_ORDER is refused by the parser
     assert (cli.MAX_LEVEL_BITS, cli.MAX_ORDER) == (64000, 1000)
 
     def no_work(*args, **kwargs):
@@ -886,12 +887,8 @@ def test_cli_refuses_level_times_precision_and_max_order_past_their_bounds(capsy
             ["verify", "--type", "E8", "--level", "500", "--precision-bits", "4096"],
             ["grid", "--type", "E7", "--level", "16", "--precision-bits", "4096"],
             ["solve", "--type", "E6", "--level", "251", "--precision-bits", "256"],
-            ["qdim", "--type", "E8", "--level", "500", "--precision-bits", "129",
-             "--weight", "1,0,0,0,0,0,0,0"],
             ["krdec", "--type", "E6", "--node", "1", "--k", "1", "--qdim", "--level", "64",
              "--precision-bits", "1001"],
-            ["logconcave", "--type", "E7", "--level", "32", "--node", "7",
-             "--precision-bits", "2001"],
         ):
             with pytest.raises(SystemExit) as exc:
                 main(argv)
@@ -900,6 +897,15 @@ def test_cli_refuses_level_times_precision_and_max_order_past_their_bounds(capsy
             assert capsys.readouterr().err == (
                 f"error: --level {level} times --precision-bits {bits} is {level * bits}, "
                 f"more than 64000\n"), argv
+        for argv in (
+            ["qdim", "--type", "E8", "--level", "500", "--precision-bits", "4096",
+             "--weight", "1,0,0,0,0,0,0,0"],
+            ["logconcave", "--type", "E7", "--level", "500", "--node", "7",
+             "--precision-bits", "4096"],
+        ):
+            with pytest.raises(AssertionError, match="work started"):
+                main(argv)
+            assert capsys.readouterr().err == "", argv
     for level, bits in ((500, 128), (250, 256), (15, 4096)):
         assert main(["qdim", "--type", "E8", "--level", str(level), "--precision-bits", str(bits),
                      "--weight", "1,0,0,0,0,0,0,0"]) == 0
@@ -916,6 +922,49 @@ def test_cli_refuses_level_times_precision_and_max_order_past_their_bounds(capsy
         with pytest.raises(SystemExit):
             main([sub, "--help"])
         assert text in " ".join(capsys.readouterr().out.split()), sub
+    for sub in ("grid", "solve", "verify", "qdim", "krdec", "logconcave"):
+        with pytest.raises(SystemExit):
+            main([sub, "--help"])
+        assert ("times bits" in capsys.readouterr().out) == (sub not in ("qdim", "logconcave"))
+
+
+def test_cli_logconcave_takes_the_precision_its_line_asks(capsys):
+    # the level-times-bits bound does not cover logconcave: the
+    # longest E7 line that no Newton inequality decides runs at 4096 bits,
+    # and prints the verdict of the library's criterion on the same line
+    from qslab.qnum import alcove_line
+    from qslab.rootsys import build_root_system
+
+    argv = ["logconcave", "--type", "E7", "--level", "27", "--node", "7", "--branden",
+            "--precision-bits", "4096"]
+    assert main(argv) == 0
+    ctx = LevelContext(build_root_system("E7"), 27, 4096)
+    seq = seqanalysis.make_sequence(alcove_line(7, ctx), 4096)
+    verdict = seqanalysis.verdict_text(seqanalysis.branden_criterion(seq))
+    assert capsys.readouterr().out.splitlines()[-1] == f"coefficient polynomial: {verdict}"
+
+
+def test_cli_refuses_kmax_past_its_bound(capsys, monkeypatch):
+    # --kmax above MAX_KMAX is refused with exit 2 before any computation,
+    # by grid and verify alike, where 4l would let it through (E8 L500:
+    # l = 530); MAX_KMAX itself runs as far as the work
+    assert cli.MAX_KMAX == 1000
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(report, "run", no_work)
+    for sub in ("grid", "verify"):
+        for kmax in (2120, 1001):
+            with pytest.raises(SystemExit) as exc:
+                main([sub, "--type", "E8", "--level", "500", "--kmax", str(kmax)])
+            assert exc.value.code == 2
+            assert capsys.readouterr().err == f"error: --kmax must be in 530..1000, got {kmax}\n"
+        with pytest.raises(AssertionError, match="work started"):
+            main([sub, "--type", "E8", "--level", "500", "--kmax", "1000"])
+    with pytest.raises(SystemExit):
+        main(["grid", "--help"])
+    assert "l..4l and at most 1000" in " ".join(capsys.readouterr().out.split())
 
 
 def test_cli_reduce_answers_far_from_the_alcove(capsys, monkeypatch):
@@ -1455,7 +1504,7 @@ def test_weyl_group_certifies_above_level_12_without_sines(monkeypatch, label, l
         raise AssertionError("the weyl group evaluated a sine")
 
     monkeypatch.setattr(qnum, "qdim", no_sines)
-    monkeypatch.setattr(qnum.LevelContext, "_ratio_row", no_sines)
+    monkeypatch.setattr(qnum.LevelContext, "_ratio_rows", no_sines)
     monkeypatch.setattr(qnum, "_abs_sines", no_sines)
     out = run(RunConfig(type_label=label, level=level, checks=("weyl",)))
     assert [(c.name, c.status, c.max_violation) for c in out.checks] == [
