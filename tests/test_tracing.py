@@ -70,6 +70,25 @@ def test_tracer_layers_resolve_and_attribute_verify(tmp_path):
                for name_id, _, _, parent, _ in tracer.spans)
 
 
+def test_package_names_follow_the_tracer():
+    # qslab reads each public name from its module on every access and keeps
+    # no copy, so a name read while the tracer is installed is the wrapper,
+    # and after uninstall it is the original again
+    import qslab
+    from qslab import qnum
+
+    tracing = _load_tracing()
+    original = qnum.qdim
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert qslab.qdim is qnum.qdim is not original
+    finally:
+        tracer.uninstall()
+    assert qslab.qdim is qnum.qdim is original
+    assert "qdim" not in vars(qslab)
+
+
 def test_tracer_attributes_rootedness(tmp_path):
     tracing = _load_tracing()
     tracer = tracing.Tracer()

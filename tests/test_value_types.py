@@ -39,6 +39,64 @@ def test_import_loads_neither_dataclasses_nor_inspect(module):
     assert "dataclasses" not in added and "inspect" not in added
 
 
+# The names ``qslab`` exports, by the module that defines each.
+_EXPORTS = {
+    "affweyl": ["AffineReduction", "apply_word", "reduce_to_dominant"],
+    "krchar": ["KRDecomposition", "chari_decomposition", "kleber_q1", "qdim_kr"],
+    "qnum": ["LevelContext", "QReal", "qdim", "qdim_classical", "qdim_line"],
+    "qsolver": ["QGrid", "SolverDivergence", "build_qgrid", "dilog_args", "dilog_sum",
+                "residual", "solve_restricted", "theorem_report"],
+    "report": ["RunConfig", "VerificationReport", "fixture_check", "run"],
+    "rootsys": ["RootSystem", "Weight", "build_root_system", "cartan_matrix", "delta",
+                "height_symmetry_check", "lee_witness"],
+    "seqanalysis": ["RealSequence", "RootednessVerdict", "branden_criterion", "is_log_concave",
+                    "l_operator", "log_concavity_order", "make_sequence"],
+}
+# The benchmark's set-up sequence, then a layer and each exported name read
+# through the package and compared with their modules.
+_NAMESPACE = """
+import importlib, json, sys
+sys.path.insert(0, sys.argv[1])
+import qslab
+from qslab.rootsys import build_root_system
+for t in ("E6", "E7", "E8"):
+    build_root_system(t)
+loaded = sorted(m for m in sys.modules if m == "qslab" or m.startswith("qslab."))
+listed = dir(qslab)
+layer = qslab.seqanalysis is importlib.import_module("qslab.seqanalysis")
+same = {name: getattr(qslab, name) is getattr(importlib.import_module("qslab." + mod), name)
+        for mod, names in json.loads(sys.argv[2]).items() for name in names}
+star = {}
+exec("from qslab import *", star)
+try:
+    qslab.no_such_name
+    missing = None
+except AttributeError as exc:
+    missing = str(exc)
+print(json.dumps([loaded, listed, layer, same, sorted(qslab.__all__),
+                  sorted(set(star) - {"__builtins__"}), missing]))
+"""
+
+
+def test_package_names_resolve_on_first_use():
+    out = subprocess.run([sys.executable, "-c", _NAMESPACE, str(SRC), json.dumps(_EXPORTS)],
+                         capture_output=True, text=True, check=True, timeout=60).stdout
+    loaded, listed, layer, same, exported, star, missing = json.loads(out)
+    names = sorted(name for names in _EXPORTS.values() for name in names)
+    assert len(names) == 38
+    # building the root systems after `import qslab` loads no other layer
+    assert loaded == ["qslab", "qslab.rootsys"]
+    # dir() lists every layer and every name, loaded or not
+    assert set(_EXPORTS) | set(names) <= set(listed)
+    # a layer not yet loaded is still reachable as a package attribute
+    assert layer
+    assert sorted(same) == names and all(same.values()), same
+    assert exported == names
+    # a star import binds the 38 names, not the layer modules
+    assert star == names
+    assert missing == "module 'qslab' has no attribute 'no_such_name'"
+
+
 # Each command line runs through qslab.cli.main in one fresh interpreter;
 # the script prints, after each, whether mpmath has been imported, then
 # after reading the given read-out.
