@@ -22,10 +22,10 @@ by ``qnum.render_note``, and the logarithms, pi and Bernoulli numbers of the
 dilogarithm sum are computed on integers.
 ``dilog_sum`` alone leaves the mpf operators' order: it sums Rogers'
 dilogarithms (``_rogers``) in one fixed-point integer and rounds once.  Every
-tolerance or margin decision, here and in the grid, solve and dilog groups
-of ``qslab.report``, goes through one kernel on triples: ``_at_most`` (the
-worst deviation, against a bound) and ``_above`` (a least value, against a
-margin), with ``_rel_gap`` for |a - b| / max(|a|, |b|, 1).
+tolerance or margin verdict is decided here (``grid_checks``, ``solve_checks``,
+``theorem_report``, ``dilog_checks``) through one kernel on triples:
+``_at_most`` (the worst deviation, against a bound) and ``_above`` (a least
+value, against a margin), with ``_rel_gap`` for |a - b| / max(|a|, |b|, 1).
 ``solve_restricted`` finds the restricted solution on its own: float Newton on
 y = log Q (``_warm_start``), then corrections against the defect at working
 precision; every step re-forms the float log-variable Jacobian of
@@ -52,7 +52,7 @@ from collections import Counter
 from operator import mul
 from typing import NamedTuple, Sequence
 
-from .krchar import chari_qdim
+from .krchar import chari_qdim, kleber_q1, qdim_kr
 from .qnum import (FINF, TRIPLE_ORDER, ZERO, LevelContext, QReal, abs_triple, add_triples,
                    cmp_triples, div_triples, float_triple, log_fixed, mul_triples, one_triple,
                    pi_fixed, render_decimal, render_note, round_triple, triple_float,
@@ -557,6 +557,38 @@ def _rel_gap(a, b, p: int):
     return div_triples(abs_triple(add_triples(a, b, p, 1)), den, p)
 
 
+def grid_checks(ctx: LevelContext, grid: QGrid) -> list[CheckResult]:
+    """The grid's recurrence residual and unresolved cells, and at the
+    Kleber nodes of TYPE_DATA its row k = 1 against ``qdim_kr``."""
+    rs, res, p = ctx.root_system, grid.residual_max, ctx.precision_bits
+    ok, _ = _at_most([res], FULL_GRID_RESIDUAL_TOL, p)
+    out = [_mk_check("grid_residual", None, ok, True, res, note=f"k_max={grid.k_max}"),
+           _mk_check("grid_unresolved", None, not grid.unresolved, True, None,
+                     note=f"unresolved cells {grid.unresolved}" if grid.unresolved else "")]
+    nodes = type_data(rs.type_label).kleber_q1
+    if nodes:
+        ok, worst = _at_most([_rel_gap(qdim_kr(kleber_q1(rs, i), ctx)._v, grid.rows[i - 1][1], p)
+                              for i in nodes], REL_GAP_TOL, p)
+        out.append(_mk_check("kleber_cross_check", None, ok, True, worst))
+    return out
+
+
+def solve_checks(ctx: LevelContext, grid: QGrid) -> list[CheckResult]:
+    """The restricted solution's residual and agreement with ``grid``; a
+    divergence, or a precision too low for SOLVER_TOLERANCE, fails the first."""
+    try:
+        solved = solve_restricted(ctx, SOLVER_TOLERANCE)
+    except (SolverDivergence, ValueError) as exc:
+        return [_mk_check("solver_residual", None, False, True, None, note=str(exc))]
+    p, res = ctx.precision_bits, solved.residual_max
+    out = [_mk_check("solver_residual", None, _at_most([res], SOLVER_TOLERANCE, p)[0], True, res)]
+    ok, worst = _at_most((_rel_gap(a, b, p)
+                          for row, solved_row in zip(grid.rows, solved.rows)
+                          for a, b in zip(row[:ctx.level + 1], solved_row)), REL_GAP_TOL, p)
+    out.append(_mk_check("two_path_agreement", None, ok, True, worst))
+    return out
+
+
 def theorem_report(ctx: LevelContext, grid: QGrid) -> list[CheckResult]:
     """Certify the claimed grid properties node by node.
 
@@ -657,6 +689,8 @@ def theorem_report(ctx: LevelContext, grid: QGrid) -> list[CheckResult]:
 def dilog_args(grid: QGrid) -> dict[tuple[int, int], tuple]:
     """The ratios prod_{j~i} Q_k(j) / Q_k(i)^2 over the restricted range, as
     p-bit triples."""
+    if grid.k_max < grid.level:
+        raise ValueError("dilog arguments need the grid out to k = level")
     rows = grid.rows
     ks = range(grid.level + 1)
     for i, row in enumerate(rows, 1):
@@ -688,6 +722,30 @@ def dilog_args_margin(grid: QGrid, args: dict[tuple[int, int], tuple]) -> tuple 
         if worst is None or cmp_triples(m, worst) < 0:
             worst = m
     return worst
+
+
+def dilog_checks(ctx: LevelContext, grid: QGrid) -> tuple[list[CheckResult], bool, tuple | None]:
+    """The dilog checks, with the report's dilog block: whether the arguments
+    clear their margin, and their sum, None unless every one is in (0, 1)."""
+    proven = type_data(ctx.root_system.type_label).dilog_proven
+    try:
+        args = dilog_args(grid)
+    except ValueError as exc:
+        return [_mk_check("dilog_args", None, False, proven, None, note=str(exc))], False, None
+    margin = dilog_args_margin(grid, args)
+    p = ctx.precision_bits
+    if margin is None:
+        ok, violation, note = True, None, "no interior cells"
+    else:
+        ok, violation = _above(margin, DILOG_MARGIN, p)
+        note = f"min distance to {{0,1}}: {render_note(margin, 8)}"
+    checks = [_mk_check("dilog_args", None, ok, proven, violation, note=note)]
+    if margin is not None and not _above(margin, 0.0, p)[0]:
+        return checks, ok, None  # an argument outside (0, 1) has no Rogers dilogarithm
+    total = dilog_sum(grid, args)
+    checks.append(_mk_check("dilog_sum", None, True, True, None,
+                            note=f"normalized sum {render_note(total, 12)}"))
+    return checks, ok, total
 
 
 @functools.cache

@@ -20,10 +20,10 @@ from json.encoder import encode_basestring_ascii
 from operator import index, mul
 from typing import Callable, NamedTuple
 
-from . import affweyl, krchar, qsolver, rootsys, seqanalysis
+from . import affweyl, qsolver, rootsys, seqanalysis
 from .qnum import (DEFAULT_PRECISION_BITS, MIN_PRECISION_BITS, LevelContext, alcove_line,
-                   render_decimal, render_note)
-from .qsolver import CheckResult, QGrid, _above, _at_most, _mk_check, _rel_gap
+                   render_decimal)
+from .qsolver import CheckResult, QGrid, _mk_check
 from .rootsys import RootSystem, Weight, build_root_system
 
 REPORT_FORMATS = ("json", "csv", "text")
@@ -255,44 +255,6 @@ def _weyl_checks(report, ctx, grid) -> list[CheckResult]:
     return out
 
 
-def _grid_checks(report, ctx, grid) -> list[CheckResult]:
-    res, p = grid.residual_max, ctx.precision_bits
-    ok, _ = _at_most([res], qsolver.FULL_GRID_RESIDUAL_TOL, p)
-    out = [_mk_check("grid_residual", None, ok, True, res, note=f"k_max={grid.k_max}")]
-    out.append(_mk_check("grid_unresolved", None, not grid.unresolved, True, None,
-                         note=f"unresolved cells {grid.unresolved}" if grid.unresolved else ""))
-    kleber_tables = rootsys.type_data(ctx.root_system.type_label).kleber_q1
-    if kleber_tables:
-        ok, worst = _at_most(
-            [_rel_gap(krchar.qdim_kr(krchar.kleber_q1(ctx.root_system, node), ctx)._v,
-                      grid.rows[node - 1][1], p)
-             for node in kleber_tables], qsolver.REL_GAP_TOL, p)
-        out.append(_mk_check("kleber_cross_check", None, ok, True, worst))
-    return out
-
-
-def _solve_checks(report, ctx, grid) -> list[CheckResult]:
-    tolerance = qsolver.SOLVER_TOLERANCE
-    try:
-        solved = qsolver.solve_restricted(ctx, tolerance)
-    except (qsolver.SolverDivergence, ValueError) as exc:
-        # a ValueError says the tolerance lies below what the precision can reach
-        return [_mk_check("solver_residual", None, False, True, None, note=str(exc))]
-    p = ctx.precision_bits
-    ok, _ = _at_most([solved.residual_max], tolerance, p)
-    out = [_mk_check("solver_residual", None, ok, True, solved.residual_max)]
-    ok, worst = _at_most((_rel_gap(a, b, p)
-                          for row, solved_row in zip(grid.rows, solved.rows)
-                          for a, b in zip(row[:ctx.level + 1], solved_row)),
-                         qsolver.REL_GAP_TOL, p)
-    out.append(_mk_check("two_path_agreement", None, ok, True, worst))
-    return out
-
-
-def _theorem_checks(report, ctx, grid) -> list[CheckResult]:
-    return qsolver.theorem_report(ctx, grid)
-
-
 def _logconcave_checks(report, ctx, grid) -> list[CheckResult]:
     rs = ctx.root_system
     td = rootsys.type_data(rs.type_label)
@@ -336,43 +298,25 @@ def _logconcave_checks(report, ctx, grid) -> list[CheckResult]:
 
 
 def _dilog_checks(report, ctx, grid) -> list[CheckResult]:
-    """The dilog checks; also sets the report's dilog range flag and sum."""
-    proven = rootsys.type_data(ctx.root_system.type_label).dilog_proven
-    try:
-        args = qsolver.dilog_args(grid)
-    except ValueError as exc:
-        report.dilog_in_range = False
-        return [_mk_check("dilog_args", None, False, proven, None, note=str(exc))]
-    margin = qsolver.dilog_args_margin(grid, args)
-    p = ctx.precision_bits
-    if margin is None:
-        ok, violation, note = True, None, "no interior cells"
-    else:
-        ok, violation = _above(margin, qsolver.DILOG_MARGIN, p)
-        note = f"min distance to {{0,1}}: {render_note(margin, 8)}"
-    checks = [_mk_check("dilog_args", None, ok, proven, violation, note=note)]
-    report.dilog_in_range = ok
-    if margin is not None and not _above(margin, 0.0, p)[0]:
-        return checks  # an argument outside (0, 1) has no Rogers dilogarithm
-    total = qsolver.dilog_sum(grid, args)
-    checks.append(_mk_check("dilog_sum", None, True, True, None,
-                            note=f"normalized sum {render_note(total, 12)}"))
-    report.dilog_sum = total
+    """The dilog checks; also fills the report's dilog block."""
+    checks, report.dilog_in_range, report.dilog_sum = qsolver.dilog_checks(ctx, grid)
     return checks
 
 
 # The check groups in canonical report order: name -> (whether the group reads
 # the grid, the group).  Each group takes (report, ctx, grid), grid being None
-# unless it reads one, and returns its checks.  Groups look up layer
-# functions (qsolver.*, fixture_check, sign_identity_trials and, inside the
-# sign certificate, affweyl.apply_word) at call time, so a wrapper patched onto
-# a module attribute, as perfbench/tracing.py does, sees them.
+# unless it reads one, and returns its checks; qsolver decides the grid, solve,
+# theorem and dilog verdicts, and the dilog group alone fills the report's dilog
+# block.  Groups look up layer functions (qsolver.*, fixture_check,
+# sign_identity_trials and, inside the sign certificate, affweyl.apply_word)
+# at call time, so a wrapper patched onto a module attribute, as
+# perfbench/tracing.py does, sees them.
 CHECK_GROUPS: dict[str, tuple[bool, Callable[..., list[CheckResult]]]] = {
     "roots": (False, _roots_checks),
     "weyl": (False, _weyl_checks),
-    "grid": (True, _grid_checks),
-    "solve": (True, _solve_checks),
-    "theorem": (True, _theorem_checks),
+    "grid": (True, lambda report, ctx, grid: qsolver.grid_checks(ctx, grid)),
+    "solve": (True, lambda report, ctx, grid: qsolver.solve_checks(ctx, grid)),
+    "theorem": (True, lambda report, ctx, grid: qsolver.theorem_report(ctx, grid)),
     "logconcave": (True, _logconcave_checks),
     "dilog": (True, _dilog_checks),
 }
@@ -420,6 +364,8 @@ class RunConfig(_RunFields):
                 raise ValueError(f"repeated check {c!r}")
         if self.fmt not in REPORT_FORMATS:
             raise ValueError(f"unknown output format {self.fmt!r}")
+        if self.k_max is not None and not reads_grid(self.checks):
+            raise ValueError("k_max has no effect without a grid-producing check")
         if self.k_max is not None and not l <= self.k_max <= 4 * l:
             raise ValueError(f"k_max must be in {l}..{4 * l}, got {self.k_max}")
         return self
@@ -433,13 +379,10 @@ class VerificationReport:
     __slots__ = ("config", "shifted_level", "checks", "grid", "dilog_in_range", "dilog_sum",
                  "overall", "duration_seconds", "timings")
 
-    def __init__(self, config: RunConfig, shifted_level: int, checks: list[CheckResult],
-                 grid: QGrid | None = None, dilog_in_range: bool | None = None,
-                 dilog_sum: tuple | None = None, overall: str = "pass",
-                 duration_seconds: float = 0.0):
+    def __init__(self, config: RunConfig, shifted_level: int, checks: list[CheckResult]):
         self.config, self.shifted_level, self.checks = config, shifted_level, checks
-        self.grid, self.dilog_in_range, self.dilog_sum = grid, dilog_in_range, dilog_sum
-        self.overall, self.duration_seconds = overall, duration_seconds
+        self.grid = self.dilog_in_range = self.dilog_sum = None
+        self.overall, self.duration_seconds = "pass", 0.0
         self.timings: dict[str, float] = {}
 
     def __eq__(self, other):
@@ -471,9 +414,8 @@ def run(config: RunConfig) -> VerificationReport:
     grid = None
     if reads_grid(config.checks):
         begun = time.monotonic()
-        grid = qsolver.build_qgrid(ctx, k_max=config.k_max)
+        report.grid = grid = qsolver.build_qgrid(ctx, k_max=config.k_max)
         timings["grid_build"] = time.monotonic() - begun
-        report.grid = grid
 
     for name, (_, checks) in CHECK_GROUPS.items():
         if name in config.checks:

@@ -761,6 +761,22 @@ def test_dilog_rejects_nonpositive(a1):
         dilog_args(grid)
 
 
+def test_dilog_rejects_a_grid_short_of_its_level(e6):
+    # the arguments read every column k = 0..level: a grid out to k = 3 at
+    # E6 L6 is refused, by the sum too, and the dilog check fails on it
+    ctx = LevelContext(e6, 6)
+    short = build_qgrid(ctx, k_max=3)
+    for fn in (dilog_args, dilog_sum):
+        with pytest.raises(ValueError, match="need the grid out to k = level"):
+            fn(short)
+    checks, in_range, total = qsolver.dilog_checks(ctx, short)
+    assert [(c.name, c.status, c.note) for c in checks] == [
+        ("dilog_args", "fail", "dilog arguments need the grid out to k = level")]
+    assert (in_range, total) == (False, None)
+    # out to k = level is enough, and gives the full grid's arguments
+    assert dilog_args(build_qgrid(ctx, k_max=6)) == dilog_args(build_qgrid(ctx))
+
+
 def test_dilog_sum_regression_e6_level2(e6):
     # self-fixture frozen from the first computation at 128 bits; the digits
     # agree with 36/7, the level-2 coset central charge 2*78/(2+12) - 6

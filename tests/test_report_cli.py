@@ -105,7 +105,7 @@ def test_render_note_prints_equal_rounded_values_equally():
     assert render_note((0, 1 << p - 1, -p - 2), 8) == "0.125"
 
 
-def test_run_config_validation():
+def test_run_config_validation(capsys):
     with pytest.raises(ValueError):
         RunConfig(type_label="E6", level=0)
     with pytest.raises(ValueError):
@@ -122,6 +122,18 @@ def test_run_config_validation():
             RunConfig(type_label="E6", level=2, k_max=k_max, checks=("grid",))
     for k_max in (14, 56):
         assert RunConfig(type_label="E6", level=2, k_max=k_max).k_max == k_max
+    # a k_max needs a group that reads the grid, as --kmax does; the CLI
+    # refuses first, with its own message and exit code 2
+    for checks in (("roots",), ("roots", "weyl")):
+        with pytest.raises(ValueError, match="k_max has no effect without a grid-producing"):
+            RunConfig("E6", 2, k_max=20, checks=checks)
+    with pytest.raises(ValueError, match="k_max has no effect"):
+        RunConfig("E6", 2, k_max=20)._replace(checks=("weyl",))
+    assert RunConfig("E6", 2, k_max=20, checks=("roots", "dilog")).k_max == 20
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--type", "E6", "--level", "2", "--checks", "roots", "--kmax", "20"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == "error: --kmax has no effect without a grid-producing check\n"
 
 
 def _plant_rows(monkeypatch, type_label, kind, edit):

@@ -80,3 +80,33 @@ def test_every_attribute_set_on_self_in_src_has_a_reader_in_src():
     unread = sorted(f"{name} ({where})" for name, where in attributes.items()
                     if name not in loaded)
     assert not unread, "attributes set on self that src/qslab never loads: " + ", ".join(unread)
+
+
+# name -> the files of src/qslab that read it.  qsolver decides every
+# tolerance verdict (the grid, solve, theorem and dilog groups), so the
+# decision kernel and the check bounds are read there alone; cli reads
+# SOLVER_TOLERANCE only as the default of solve --tol.
+DECISION_READERS = {
+    **dict.fromkeys(("_at_most", "_above", "_rel_gap", "_least", "ZERO_WINDOW_TOL",
+                     "FULL_GRID_RESIDUAL_TOL", "REL_GAP_TOL", "POSITIVITY_MARGIN",
+                     "DILOG_MARGIN"), {"qsolver.py"}),
+    "SOLVER_TOLERANCE": {"qsolver.py", "cli.py"},
+}
+
+
+def test_tolerance_verdicts_are_decided_in_qsolver_alone():
+    readers: dict[str, set[str]] = {name: set() for name in DECISION_READERS}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                names = [node.attr]
+            elif isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            for name in names:
+                if name in readers:
+                    readers[name].add(path.name)
+    assert readers == DECISION_READERS

@@ -70,6 +70,27 @@ def test_tracer_layers_resolve_and_attribute_verify(tmp_path):
                for name_id, _, _, parent, _ in tracer.spans)
 
 
+def test_tracer_sees_the_kleber_cross_check(tmp_path):
+    # E7 has Kleber tables at two nodes, of 9 and 4 terms, which the grid
+    # group's cross-check evaluates through krchar.qdim_kr; qsolver calls it
+    # through a module global, which the tracer patches, and the grid build
+    # itself calls no qdim_kr.  E6, traced above, has no Kleber tables.
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        code = tracer.run_op(0, main, ["verify", "--type", "E7", "--level", "2",
+                                       "--checks", "grid",
+                                       "--out", str(tmp_path / "report.json")])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    metrics = tracer.layer_metrics()
+    assert metrics["krchar.kr_terms"] == 9 + 4
+    assert metrics["krchar.qdim_kr_s"] > 0
+    assert metrics["qsolver.grid_s"] > 0
+
+
 def test_package_names_follow_the_tracer():
     # qslab reads each public name from its module on every access and keeps
     # no copy, so a name read while the tracer is installed is the wrapper,
