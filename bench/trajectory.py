@@ -8,8 +8,9 @@ Each workload of BENCHMARK.json runs once through ``perfbench/run.py
 once through ``--trace 1``, and the per-layer table it writes to
 perfbench/out/layers-<workload>.json is kept as {metric: value}.  Then
 ``verify`` runs in-process, all check groups at the default precision,
-seven times each at E7 L12, E8 L8, E8 L24 and E7 L40: the file keeps the
-fastest run's wall time, its per-group times (``diagnostics.timings``), its
+seven times each at E7 L12, E8 L8, E8 L24, E7 L40 and E6 L12, the one
+whose solve group folds nodes into orbits: the file keeps the fastest
+run's wall time, its per-group times (``diagnostics.timings``), its
 overall verdict and every check's status.  <commit> is ``git describe
 --always --dirty`` of the checkout, so a tree with uncommitted changes is
 named after its parent commit with ``-dirty`` appended.  Compare two files
@@ -26,7 +27,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-VERIFY_CONFIGS = (("E7", 12), ("E8", 8), ("E8", 24), ("E7", 40))
+VERIFY_CONFIGS = (("E7", 12), ("E8", 8), ("E8", 24), ("E7", 40), ("E6", 12))
 
 
 def workload_metrics(name: str) -> dict:

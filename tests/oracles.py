@@ -398,6 +398,15 @@ def a_series_cartan(rank: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
+def d_series_cartan(rank: int) -> list[list[int]]:
+    """Cartan matrix of D_n: the chain 1..n-1 with node n joined to node n-2."""
+    edges = [(i, i + 1) for i in range(rank - 2)] + [(rank - 3, rank - 1)]
+    rows = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
+    for a, b in edges:
+        rows[a][b] = rows[b][a] = -1
+    return rows
+
+
 def closure_system(cartan: Sequence[Sequence[int]], label: str):
     """The root system of a finite simply-laced Cartan matrix outside
     TYPE_DATA (an A or D series, say), through qslab's one closure, which

@@ -35,7 +35,7 @@ from qslab.report import RunConfig, run
 from qslab.rootsys import TYPE_DATA, delta
 
 import oracles
-from oracles import a_series_cartan, closure_system, rel_gap
+from oracles import a_series_cartan, closure_system, d_series_cartan, rel_gap
 
 
 def test_boundary_and_direct_rows(e6):
@@ -148,14 +148,86 @@ def test_solver_level_one_trivial(e7):
     *[("E8", level) for level in range(1, 6)],
     ("E6", 13), ("E7", 11), ("E7", 12), ("E8", 9), ("E8", 10),
     *[("A1", level) for level in range(2, 6)],
+    *[("A5", level) for level in range(1, 9)],
+    *[("D4", level) for level in range(1, 9)],
 ])
-def test_solver_residual_is_the_last_stopping_test(rs_map, a1, label, level):
-    # the residual the Newton loop stopped on, over the half k <= level // 2,
-    # is bit for bit the residual of every cell it returns, at odd and even
-    # levels alike
-    ctx = LevelContext(a1 if label == "A1" else rs_map[label], level)
+def test_solver_residual_is_the_last_stopping_test(rs_map, label, level):
+    # the residual the Newton loop stopped on, over the half k <= level // 2
+    # of one row per orbit, is bit for bit the residual of every cell it
+    # returns, at odd and even levels alike
+    ctx = LevelContext(rs_map.get(label) or _closure_type(label), level)
     grid = solve_restricted(ctx)
     assert grid.residual_max == residual(grid)
+
+
+@functools.cache
+def _closure_type(label: str):
+    """The A or D series root system of a label such as "A5" or "D4"."""
+    cartan = {"A": a_series_cartan, "D": d_series_cartan}[label[0]]
+    return closure_system(cartan(int(label[1:])), label)
+
+
+@pytest.mark.parametrize("label,orbits", [
+    ("E6", ((1, 6), (2,), (3, 5), (4,))),
+    ("E7", tuple((i,) for i in range(1, 8))),
+    ("E8", tuple((i,) for i in range(1, 9))),
+    ("A1", ((1,),)),
+    ("A4", ((1, 4), (2, 3))),
+    ("A5", ((1, 5), (2, 4), (3,))),
+    ("D4", ((1, 3, 4), (2,))),
+])
+def test_orbits_of_the_diagram_automorphisms(rs_map, label, orbits):
+    rs = rs_map.get(label) or _closure_type(label)
+    assert qsolver._orbits(rs) == orbits
+    folded, index, neighbors = qsolver._fold(rs)
+    assert folded == orbits
+    assert all(i in orbits[index[i - 1]] for i in range(1, rs.rank + 1))
+    # each orbit's list names its smallest node's neighbours by orbit,
+    # one entry per neighbour
+    for orbit, names in zip(orbits, neighbors):
+        assert [orbits[o] for o in names] == [orbits[index[j - 1]]
+                                             for j in rs.neighbors[orbit[0]]]
+    if label == "E6":
+        assert neighbors == [[2], [3], [0, 3], [1, 2, 2]]
+    if label in ("E7", "E8"):
+        assert neighbors == qsolver._neighbor_rows(rs)
+
+
+def _singleton_orbits(rs):
+    return tuple((i,) for i in range(1, rs.rank + 1))
+
+
+@pytest.mark.parametrize("label,levels", [
+    ("E6", range(1, 13)), ("A4", range(1, 9)), ("A5", range(1, 9)), ("D4", range(1, 9))])
+def test_folded_solve_matches_the_unfolded_one(rs_map, monkeypatch, label, levels):
+    # the folded system solves one row per orbit, each block of its Newton
+    # steps one row per orbit; with singleton orbits the solver solves every
+    # node, and the two agree to 1e-30, with the nodes of one orbit holding
+    # one triple.  A4's orbit (2, 3) is its own neighbour
+    rs = rs_map.get(label) or _closure_type(label)
+    orbits = qsolver._orbits(rs)
+    sizes = []
+    block_thomas = qsolver._block_thomas
+
+    def recording(blocks, off, rhs):
+        sizes.extend(len(b) for b in blocks)
+        return block_thomas(blocks, off, rhs)
+
+    for level in levels:
+        ctx = LevelContext(rs, level)
+        with monkeypatch.context() as patched:
+            patched.setattr(qsolver, "_block_thomas", recording)
+            folded = solve_restricted(ctx)
+        with monkeypatch.context() as patched:
+            patched.setattr(qsolver, "_orbits", _singleton_orbits)
+            unfolded = solve_restricted(ctx)
+        for i in range(1, rs.rank + 1):
+            for k in range(level + 1):
+                assert rel_gap(folded.cell(i, k), unfolded.cell(i, k)) <= 1e-30, (level, i, k)
+        for orbit in orbits:
+            assert all(folded.rows[i - 1] == folded.rows[orbit[0] - 1] for i in orbit), level
+        assert folded.residual_max == residual(folded)
+    assert set(sizes) == {len(orbits)}
 
 
 def test_grid_rows_are_raw_and_cells_are_fractions(e7):
@@ -508,18 +580,23 @@ def test_log_newton_step_solves_the_full_symmetric_system(e6, level):
         assert max(abs(a - b) for a, b in zip(full[k], full[level - 2 - k])) <= 1e-12 * scale
 
 
-def test_solver_never_reads_the_grid(e7, monkeypatch):
-    # the two solution paths stay independent: no KR value seeds the solver
+def test_solver_never_reads_the_grid(e6, e7, monkeypatch):
+    # the two solution paths stay independent: no KR value seeds the solver,
+    # neither through qdim nor through the sine products the grid reaches
+    # without it (qdim_line, plan_qdim, progression_terms), on the folded
+    # system of E6 as on E7's
     def forbidden(*args, **kwargs):
         raise AssertionError("the solver read a KR quantum dimension")
 
     for module in (qnum, krchar, qsolver):
-        for name in ("qdim", "qdim_kr", "chari_decomposition", "chari_qdim", "build_qgrid"):
+        for name in ("qdim", "qdim_kr", "chari_decomposition", "chari_qdim", "build_qgrid",
+                     "qdim_line", "plan_qdim", "progression_terms", "alcove_line"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, forbidden)
-    ctx = LevelContext(e7, 6)
-    grid = solve_restricted(ctx)
-    assert ctx.mp.make_mpf(oracles.raw(grid.residual_max)) <= 1e-30
+    for rs in (e6, e7):
+        ctx = LevelContext(rs, 6)
+        grid = solve_restricted(ctx)
+        assert ctx.mp.make_mpf(oracles.raw(grid.residual_max)) <= 1e-30
 
 
 def test_solver_divergence_is_reported(e6, monkeypatch, capsys):
@@ -557,6 +634,26 @@ def test_warm_start_overflow_is_named(e6, monkeypatch, step, message):
                         lambda blocks, off, rhs: [[step] * len(b) for b in blocks])
     with pytest.raises(SolverDivergence, match=message):
         solve_restricted(LevelContext(e6, 4))
+
+
+def test_solver_divergence_names_an_orbits_smallest_node(e6, monkeypatch):
+    # a cell of the folded system is named by its orbit's smallest node: a
+    # float start whose first step puts e^800 on orbit (1, 6) alone, and a
+    # correction that takes orbit (3, 5) below zero
+    orbits = qsolver._orbits(e6)
+    o16, o35 = orbits.index((1, 6)), orbits.index((3, 5))
+    with monkeypatch.context() as patched:
+        patched.setattr(qsolver, "_block_thomas", lambda blocks, off, rhs: [
+            [800.0 if o == o16 else 0.0 for o in range(len(b))] for b in blocks])
+        with pytest.raises(SolverDivergence) as exc:
+            solve_restricted(LevelContext(e6, 4))
+    assert str(exc.value) == "float overflow: cell (node 1, k=3) is e^800"
+    monkeypatch.setattr(qsolver, "_warm_start", lambda rs, level: [[1.0] * (level + 1)] * 6)
+    monkeypatch.setattr(qsolver, "_log_newton_step", lambda neighbors, weights, rhs, level: [
+        [-2.0 if o == o35 else 0.0 for o in range(len(c))] for c in rhs])
+    with pytest.raises(SolverDivergence) as exc:
+        solve_restricted(LevelContext(e6, 4))
+    assert str(exc.value) == "Newton step 1 left cell (node 3, k=1) non-positive"
 
 
 def _dense_solve(mp, a, b):

@@ -15,7 +15,7 @@ from qslab.rootsys import (
     lee_witness,
 )
 
-from oracles import a_series_cartan, closure_system, find_root, pairing
+from oracles import a_series_cartan, closure_system, d_series_cartan, find_root, pairing
 from rootbasis import to_root_basis
 
 
@@ -65,15 +65,6 @@ def norm_test_closure_positive_roots(cartan):
                         fresh.append(nb)
         frontier = fresh
     return tuple(sorted(roots, key=lambda b: (sum(b), b)))
-
-
-def d_series_cartan(rank):
-    """Cartan matrix of D_n: the chain 1..n-1 with node n joined to node n-2."""
-    edges = [(i, i + 1) for i in range(rank - 2)] + [(rank - 3, rank - 1)]
-    rows = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
-    for a, b in edges:
-        rows[a][b] = rows[b][a] = -1
-    return rows
 
 
 @pytest.mark.parametrize(
