@@ -30,18 +30,15 @@ value, against a margin), with ``_rel_gap`` for |a - b| / max(|a|, |b|, 1).
 y = log Q (``_warm_start``), then corrections against the defect at working
 precision; every step re-forms the float log-variable Jacobian of
 ``_log_newton_step`` from its current cells and solves it with
-``_block_thomas``.  The restricted system is unchanged by k <-> level - k,
-so its solution is symmetric and so is every step from the symmetric start:
-both stages solve for k = 1 .. level // 2 only and mirror each cell by
-assignment, Q_{level-k}(i) = Q_k(i).  The system is unchanged by every
-automorphism of the Dynkin diagram as well, so both stages also solve one
-row per orbit of those automorphisms (``_orbits``, ``_fold``) and give each
-node its orbit's row: E6 solves 4 rows, pairing nodes 1 and 6 and nodes 3
-and 5, while E7 and E8 have singleton orbits and solve every node as
-before, bit for bit.  An E6 solve took 1.13 -> 0.70 ms at level 4 and 4.7
--> 2.1 ms at level 12 (medians, in-process on a shared 2-core host).  The
-grid path (``build_qgrid``, ``residual``, ``dilog_args``) keeps every node
-and reads ``_neighbor_rows``, never the folded lists.
+``_block_thomas`` by block LU without pivoting, which is stable as, with
+weights in [0, 1], the Jacobian is a nonsingular M-matrix (the lemma at
+``_block_thomas``; Berman and Plemmons ch. 6, Higham ch. 9).  The system
+is unchanged by k <-> level - k and by every automorphism of the Dynkin
+diagram, so both stages solve for k = 1 .. level // 2 and one row per orbit
+(``_orbits``, ``_fold``; E6 4 rows) only, and give each mirrored cell and
+each node its image's triple.  The grid path (``build_qgrid``,
+``residual``, ``dilog_args``) keeps every node and reads
+``_neighbor_rows``, never the folded lists.
 
 ``build_qgrid`` fills the table from the closed-form rows outward along the
 routes of the per-type proofs: extremal rows are evaluated directly, their
@@ -102,9 +99,9 @@ def proven_positivity_window(rs: RootSystem, node: int, level: int, k: int) -> b
 
 class SolverDivergence(RuntimeError):
     """Raised when the restricted-system solver does not reach its tolerance
-    within MAX_NEWTON_STEPS Newton steps, meets a singular Jacobian block,
-    overflows the float range in the float start or in a step, or takes a
-    step that leaves a cell non-positive."""
+    within MAX_NEWTON_STEPS Newton steps, meets a Newton weight outside
+    [0, 1] or a singular Jacobian block, overflows the float range, or takes
+    a step that leaves a cell non-positive."""
 
 
 class QGrid:
@@ -323,67 +320,71 @@ def residual(grid: QGrid) -> tuple:
     return worst
 
 
-def _block_solve(mat, diag, rhs):
-    """Solve mat [G | g] = [diag(diag) | rhs] by Gauss-Jordan elimination
-    with partial pivoting (the first largest |entry| on ties), all
-    right-hand sides carried through one elimination.  Returns G as a list
-    of rows and g as a list.  With ``diag`` None only mat g = rhs is solved
-    and G is None; pivots and multipliers come from ``mat`` alone, so g has
-    the same bits either way.  Nothing reads a pivot column after its step,
-    so the step writes only the columns right of it.
-    """
-    n = len(mat)
-    aug = [list(mat[r]) + ([] if diag is None else [diag[r] if c == r else 0 for c in range(n)])
-           + [rhs[r]] for r in range(n)]
-    for c in range(n):
-        p, top = c, abs(aug[c][c])
-        for r in range(c + 1, n):
-            if abs(aug[r][c]) > top:
-                p, top = r, abs(aug[r][c])
-        if not aug[p][c]:
-            raise SolverDivergence("singular Jacobian block")
-        aug[c], aug[p] = aug[p], aug[c]
-        piv = aug[c]
-        inv = 1 / piv[c]
-        piv[c + 1:] = tail = [x * inv for x in piv[c + 1:]]
-        for r, row in enumerate(aug):
-            f = row[c]
-            if r != c and f:
-                row[c + 1:] = [x - f * y for x, y in zip(row[c + 1:], tail)]
-    return (None if diag is None else [row[n:2 * n] for row in aug]), [row[-1] for row in aug]
-
-
 def _block_thomas(blocks, off, rhs):
     """Solve the block-tridiagonal system whose block row k reads
 
         diag(off[k]) x_{k-1} + blocks[k] x_k + diag(off[k]) x_{k+1} = rhs[k]
 
-    by block Thomas elimination: the forward pass eliminates each pivot
-    block once with ``_block_solve``, giving x_k = g_k - G_k x_{k+1}, and
-    the backward pass substitutes from x_m = g_m, so the last block solves
-    for g_m alone.  Returns the list of x_k.
+    by block LU without pivoting, skipping exact zeros: block k's Schur
+    complement S_k = blocks[k] - diag(off[k]) G_{k-1} is eliminated below
+    its diagonal and back-substituted into [diag(off[k]) | rhs[k] -
+    diag(off[k]) g_{k-1}], giving x_k = g_k - G_k x_{k+1}, the last block's
+    into its right-hand side alone.  A zero pivot raises SolverDivergence.
+
+    Lemma: with every w in [0, 1], the system J of ``_log_newton_step``
+    (row (k, i): 2 dy_k(i) - w (dy_{k-1}(i) + dy_{k+1}(i)) - (1 - w)
+    sum_{j~i} dy_k(j), dy_0 = 0, last row mirrored) is a nonsingular
+    M-matrix.  Its off-diagonal entries are <= 0, a folded repeat's too (A4's
+    orbit (2, 3), its own neighbour, adds to the diagonal).  With v > 0 the
+    Perron vector of the folded adjacency, A v = rho v, rho = 2 cos(pi / h)
+    < 2, x_k(i) = sin(pi k / level) v_i > 0 has (J x)_k(i) = x_k(i) (2 - 2 w
+    cos(pi / level) - (1 - w) rho) > 0, the mirrored last row included.  So
+    the pivots are positive and the factorization is stable (A. Berman and
+    R. J. Plemmons, Nonnegative Matrices in the Mathematical Sciences, ch.
+    6; N. J. Higham, Accuracy and Stability of Numerical Algorithms, 2nd
+    ed., ch. 9).
     """
-    gs, gvecs = [], []
-    last = len(blocks) - 1
+    sols, xs, m = [], [], len(blocks) - 1  # sols[k]: rows [g_k(i), G_k(i, 1), .., G_k(i, n)]
     for k, (block, o, r) in enumerate(zip(blocks, off, rhs)):
-        if gs:
-            g_prev, gvec_prev = gs[-1], gvecs[-1]
-            block = [[b - c * x for b, x in zip(brow, grow)]
-                     for brow, c, grow in zip(block, o, g_prev)]
-            r = [ri - c * x for ri, c, x in zip(r, o, gvec_prev)]
-        g, gvec = _block_solve(block, None if k == last else o, r)
-        gs.append(g)
-        gvecs.append(gvec)
-    xs = []
-    for g, gvec in zip(reversed(gs), reversed(gvecs)):
-        if xs:
-            x = xs[-1]
-            gvec = [gi - sum(a * b for a, b in zip(row, x)) for gi, row in zip(gvec, g)]
-        xs.append(gvec)
+        n = len(block)
+        # rows [S_k | rhs'_k | diag(off[k])]; past column n + 1 + c pivot row c holds zeros
+        if sols:
+            aug = [[b - c * x for b, x in zip(brow, srow[1:])] + [ri - c * srow[0]]
+                   for brow, ri, c, srow in zip(block, r, o, sols[-1])]
+        else:
+            aug = [brow + [ri] for brow, ri in zip(block, r)]
+        if k < m:
+            for i, (row, c) in enumerate(zip(aug, o)):
+                row += [0.0] * n
+                row[n + 1 + i] = c
+        for c, piv in enumerate(aug):
+            if not (p := piv[c]):
+                raise SolverDivergence("singular Jacobian block")
+            end = n + 2 + c
+            tail = piv[c + 1:end]
+            for row in aug[c + 1:]:
+                if f := row[c]:
+                    f /= p
+                    row[c + 1:end] = [x - f * y for x, y in zip(row[c + 1:end], tail)]
+        sol = []
+        for i in range(n - 1, -1, -1):
+            row = aug[i]
+            if k == m:
+                sol.append((row[n] - sum(map(mul, row[i + 1:n], reversed(sol)))) / row[i])
+                continue
+            acc = row[n:]
+            for u, s in zip(row[i + 1:n], reversed(sol)):
+                if u:
+                    acc = [a - u * y for a, y in zip(acc, s)]
+            sol.append([a / row[i] for a in acc])
+        (xs if k == m else sols).append(sol[::-1])
+    for sol in reversed(sols):
+        v = [1.0] + [-y for y in xs[-1]]
+        xs.append([sum(map(mul, srow, v)) for srow in sol])
     return xs[::-1]
 
 
-def _log_newton_step(neighbors: list[list[int]], weights, rhs, level: int):
+def _log_newton_step(orbits, neighbors: list[list[int]], weights, rhs, level: int):
     """Solve the log-variable Jacobian for dy = dQ / Q against ``rhs``.
 
     ``weights[k - 1][i]`` is the share w of Q_{k-1} Q_{k+1} in the recurrence
@@ -396,23 +397,25 @@ def _log_newton_step(neighbors: list[list[int]], weights, rhs, level: int):
     last row m folds in its mirrored neighbour dy_{m+1}: dy_{m-1} when the
     level is even (off-diagonal -2 diag(w)), dy_m when it is odd (-diag(w)
     added to the diagonal block).  ``_block_thomas`` reads the last row's
-    off-diagonal only as its lower coupling.
+    off-diagonal only as its lower coupling.  Its lemma needs every w in
+    [0, 1]: the corrections' Q_{k-1} Q_{k+1} / Q_k^2 are, as 1 minus the
+    dilogarithm arguments at the solution.  A w outside raises
+    SolverDivergence naming the cell by its orbit's smallest node.
     """
-    blocks = []
-    for col in weights:
+    blocks, off = [], []
+    for k, col in enumerate(weights, 1):
         block = [[0.0] * len(col) for _ in col]
         for i, w in enumerate(col):
+            if not 0.0 <= w <= 1.0:
+                raise SolverDivergence(f"Newton weight {w} at cell (node {orbits[i][0]}, "
+                                       f"k={k}) is outside [0, 1]")
             block[i][i] = 2.0
             for j in neighbors[i]:
                 block[i][j] += w - 1
+            if 2 * k + 1 == level:  # the last row, dy_{m+1} = dy_m
+                block[i][i] -= w
         blocks.append(block)
-    off = [[-w for w in col] for col in weights]
-    if weights:
-        if level % 2:
-            for i, w in enumerate(weights[-1]):
-                blocks[-1][i][i] -= w
-        else:
-            off[-1] = [2 * o for o in off[-1]]
+        off.append([-2 * w if 2 * k == level else -w for w in col])  # last: dy_{m+1} = dy_{m-1}
     return _block_thomas(blocks, off, rhs)
 
 
@@ -422,10 +425,9 @@ def _warm_start(rs: RootSystem, level: int) -> list[list[float]]:
     The defect at row i and level k is
     2 y_k(i) - log(e^a + e^b), a = y_{k-1}(i) + y_{k+1}(i), b = sum_{j~i} y_k(j),
     convex log-sum-exp in y.  Its Jacobian is the one of
-    ``_log_newton_step`` with the log-sum-exp weight w = e^a / (e^a + e^b).
-    Only one row per orbit of ``_fold`` and only k <= level // 2 are
-    solved; after each step y_{level-k} = y_k, and each node of an orbit
-    gets its orbit's row.  Steps stop at the first iterate whose largest
+    ``_log_newton_step`` with the log-sum-exp weight w = e^a / (e^a + e^b),
+    in [0, 1].  One row per orbit of ``_fold`` and k <= level // 2 are
+    solved, and mirrored.  Steps stop at the first iterate whose largest
     |defect| is at most HANDOVER_LOG_DEFECT, from where the corrections of
     ``solve_restricted`` square the error away, or else once the largest
     |defect| stops falling; if it still falls after MAX_NEWTON_STEPS steps,
@@ -460,7 +462,7 @@ def _warm_start(rs: RootSystem, level: int) -> list[list[float]]:
             raise SolverDivergence(f"no convergence within {MAX_NEWTON_STEPS} Newton steps; "
                                    f"last float log defect {worst:.3g}")
         best = worst
-        for k, dy in enumerate(_log_newton_step(neighbors, weights, minus_g, level), 1):
+        for k, dy in enumerate(_log_newton_step(orbits, neighbors, weights, minus_g, level), 1):
             for row, d in zip(y, dy):
                 row[k] += d
                 row[level - k] = row[k]
@@ -478,33 +480,31 @@ def solve_restricted(ctx: LevelContext, tolerance: float = SOLVER_TOLERANCE) -> 
     """Newton's method from a float start to the unique positive solution.
 
     The unknowns are Q_k(i), k in [1, level // 2], at one node i per orbit
-    of the Dynkin diagram's automorphisms (``_fold``; E6 4 rows, E7 and E8
-    all).  The system is unchanged by k <-> level - k and by each
-    automorphism, so its solution is too, and so is every step from the
-    symmetric start: each step sets Q_{level-k}(i) to the same triple as
-    Q_k(i), and the returned grid gives every node of an orbit its orbit's
-    row.  The neighbour products of an orbit's nodes then agree bit for
-    bit: only the branch node, if any, has three neighbours, and every
-    automorphism fixes it, while a product of two triples rounds the same
-    either way round.  So the stopping test's max over the half of one row
-    per orbit equals ``residual`` over the whole grid bit for bit.  The
-    start is float Newton on y = log Q from Q = 1 (see ``_warm_start``), so
-    the solver never reads the KR grid; it hands over at a log defect of
-    HANDOVER_LOG_DEFECT, from where two corrections reach SOLVER_TOLERANCE
-    at the default precision.
+    of the Dynkin diagram's automorphisms (``_fold``).  The system is
+    unchanged by k <-> level - k and by each automorphism, so its solution
+    is too, and so is every step from the symmetric start: each step sets
+    Q_{level-k}(i) to the same triple as Q_k(i), and the returned grid gives
+    every node of an orbit its orbit's row.  The neighbour products of an
+    orbit's nodes then agree bit for bit: only the branch node, if any, has
+    three neighbours, and every automorphism fixes it, while a product of
+    two triples rounds the same either way round.  So the stopping test's
+    max over the half of one row per orbit equals ``residual`` over the
+    whole grid bit for bit.  The start is float Newton on y = log Q from
+    Q = 1 (``_warm_start``), so the solver never reads the KR grid; it hands
+    over at a log defect of HANDOVER_LOG_DEFECT, from where one or two
+    corrections reach SOLVER_TOLERANCE at the default precision.
     The cells are p-bit triples (``qslab.qnum``); only those at k <= level
-    // 2 + 1, the half with the rows either side of it that the weights
-    read, pass between float and triple, and the other cells are mirrored.
-    Corrections then follow at the context's precision
-    (iterative refinement): each solves the float Jacobian of
+    // 2 + 1, the half and the rows either side of it that the weights
+    read, pass between float and triple.  Each correction, at the context's
+    precision (iterative refinement), solves the float Jacobian of
     ``_log_newton_step`` for dy = dQ / Q against the relative defect
-    -F / Q_k(i)^2, F formed at the context's precision by ``_defect``.  Each
-    re-forms that Jacobian from the current cells through the weights
-    w = (Q_{k-1} / Q_k)(Q_{k+1} / Q_k), which stay in the float range where
-    Q^2 does not.  Iteration stops once the normalized residual is within
-    ``tolerance``, which must be finite and lie above 2^(8 - precision_bits)
-    (else ValueError, as for a tolerance <= 0); the start or the corrections
-    exceeding MAX_NEWTON_STEPS steps, a singular Jacobian block, a float
+    -F / Q_k(i)^2, F formed by ``_defect``, re-formed from the current cells
+    through the weights w = (Q_{k-1} / Q_k)(Q_{k+1} / Q_k), which stay in
+    the float range where Q^2 does not.  Iteration stops once the
+    normalized residual is within ``tolerance``, which must be finite and
+    lie above 2^(8 - precision_bits) (else ValueError, as for a tolerance
+    <= 0); the start or the corrections exceeding MAX_NEWTON_STEPS steps, a
+    Newton weight outside [0, 1], a singular Jacobian block, a float
     overflow or a non-positive cell raises SolverDivergence, whose message
     names a cell by its orbit's smallest node.  The grid's residual_max is
     that of the last stopping test.
@@ -550,7 +550,7 @@ def solve_restricted(ctx: LevelContext, tolerance: float = SOLVER_TOLERANCE) -> 
                                    f"last residual {render_decimal(res)}")
         q = [[triple_float(c) for c in row[:reach]] for row in v]
         weights = [[row[k - 1] / row[k] * (row[k + 1] / row[k]) for row in q] for k in half]
-        for k, dy in enumerate(_log_newton_step(neighbors, weights, rhs, level), 1):
+        for k, dy in enumerate(_log_newton_step(orbits, neighbors, weights, rhs, level), 1):
             for i, d in enumerate(dy):
                 dq = q[i][k] * d
                 if not math.isfinite(dq):

@@ -414,10 +414,11 @@ def closure_system(cartan: Sequence[Sequence[int]], label: str):
     return _closure(label, tuple(tuple(row) for row in cartan))
 
 
-# The solver's block-tridiagonal elimination as it stood before it dropped
-# the float operations whose results nothing reads: every block carries
-# G, and each pivot step rewrites its own column.  qslab.qsolver's
-# ``_block_thomas`` must return the same floats and raise the same errors.
+# The solver's block-tridiagonal elimination by Gauss-Jordan blocks with
+# partial pivoting, as it stood before qslab.qsolver's ``_block_thomas``
+# came to eliminate without pivoting: every block carries G, and each pivot
+# step rewrites its own column.  A solve through either must reach the same
+# solution to 1e-33 at a tolerance of 1e-35.
 
 def block_solve(mat, diag, rhs):
     """Solve mat [G | g] = [diag(diag) | rhs] by Gauss-Jordan elimination

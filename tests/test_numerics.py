@@ -135,8 +135,8 @@ def test_solver_divergence_writes_the_residual_as_render_decimal(monkeypatch, e6
     p = ctx.precision_bits
     start = [[round(x, 6) for x in row] for row in qsolver._warm_start(e6, 4)]
     monkeypatch.setattr(qsolver, "_warm_start", lambda rs, level: start)
-    monkeypatch.setattr(qsolver, "_log_newton_step",
-                        lambda neighbors, weights, rhs, level: [[0.0] * len(c) for c in rhs])
+    monkeypatch.setattr(qsolver, "_log_newton_step", lambda orbits, neighbors, weights, rhs,
+                        level: [[0.0] * len(c) for c in rhs])
     with pytest.raises(qsolver.SolverDivergence) as exc:
         qsolver.solve_restricted(ctx)
     grid = qsolver.QGrid(e6, 4, 4, [[float_triple(x, p) for x in row] for row in start], p, [])

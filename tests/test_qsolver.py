@@ -203,7 +203,9 @@ def test_folded_solve_matches_the_unfolded_one(rs_map, monkeypatch, label, level
     # the folded system solves one row per orbit, each block of its Newton
     # steps one row per orbit; with singleton orbits the solver solves every
     # node, and the two agree to 1e-30, with the nodes of one orbit holding
-    # one triple.  A4's orbit (2, 3) is its own neighbour
+    # one triple.  A4's orbit (2, 3) is its own neighbour.  Both solve to
+    # 1e-35: at 1e-30 one side may stop a correction before the other (E6
+    # L3 and L8), with cells up to 3.3e-30 apart, which that tolerance allows
     rs = rs_map.get(label) or _closure_type(label)
     orbits = qsolver._orbits(rs)
     sizes = []
@@ -217,10 +219,10 @@ def test_folded_solve_matches_the_unfolded_one(rs_map, monkeypatch, label, level
         ctx = LevelContext(rs, level)
         with monkeypatch.context() as patched:
             patched.setattr(qsolver, "_block_thomas", recording)
-            folded = solve_restricted(ctx)
+            folded = solve_restricted(ctx, tolerance=1e-35)
         with monkeypatch.context() as patched:
             patched.setattr(qsolver, "_orbits", _singleton_orbits)
-            unfolded = solve_restricted(ctx)
+            unfolded = solve_restricted(ctx, tolerance=1e-35)
         for i in range(1, rs.rank + 1):
             for k in range(level + 1):
                 assert rel_gap(folded.cell(i, k), unfolded.cell(i, k)) <= 1e-30, (level, i, k)
@@ -489,9 +491,9 @@ def test_solver_defect_passes_per_solve(rs_map, monkeypatch, label, level, bits,
 
 # block solves per solve at 128 bits: (float start, corrections)
 BLOCK_SOLVES = {
-    ("E6", 4): (5, 2), ("E6", 8): (5, 2), ("E7", 3): (6, 2), ("E7", 5): (6, 2),
-    ("E8", 3): (7, 2),  # the solve-deep workload, 39 in all
-    ("E6", 2): (6, 2), ("E7", 2): (7, 2), ("E8", 2): (8, 2),  # verify-matrix's others
+    ("E6", 4): (5, 2), ("E6", 8): (5, 1), ("E7", 3): (6, 2), ("E7", 5): (6, 2),
+    ("E8", 3): (7, 1),  # the solve-deep workload, 37 in all
+    ("E6", 2): (6, 2), ("E7", 2): (7, 1), ("E8", 2): (8, 2),  # verify-matrix's others
     ("E7", 28): (6, 2), ("E7", 40): (6, 2), ("E8", 24): (6, 2), ("E8", 130): (8, 2),
 }
 
@@ -500,7 +502,8 @@ BLOCK_SOLVES = {
 def test_block_solves_per_solve(rs_map, monkeypatch, label, level):
     # the float start stops at the first iterate within HANDOVER_LOG_DEFECT
     # rather than polishing to the float floor, and the corrections take two
-    # steps from there
+    # steps from there, or one where the first lands just within 1e-30 (E6
+    # L8, E7 L2 and E8 L3, at about 1e-31)
     counts = {"start": 0, "corrections": 0}
     stage = ["corrections"]
     block_thomas, warm_start = qsolver._block_thomas, qsolver._warm_start
@@ -570,7 +573,7 @@ def test_log_newton_step_solves_the_full_symmetric_system(e6, level):
     blocks = [[[2.0 if i == j else (w - 1 if j in neighbors[i] else 0.0) for j in range(6)]
                for i, w in enumerate(col)] for col in weights]
     full = qsolver._block_thomas(blocks, [[-w for w in col] for col in weights], rhs)
-    got = qsolver._log_newton_step(neighbors, w_half, r_half, level)
+    got = qsolver._log_newton_step(_singleton_orbits(e6), neighbors, w_half, r_half, level)
     assert len(got) == half
     scale = max(abs(x) for col in full for x in col)
     for k in range(half):
@@ -649,8 +652,8 @@ def test_solver_divergence_names_an_orbits_smallest_node(e6, monkeypatch):
             solve_restricted(LevelContext(e6, 4))
     assert str(exc.value) == "float overflow: cell (node 1, k=3) is e^800"
     monkeypatch.setattr(qsolver, "_warm_start", lambda rs, level: [[1.0] * (level + 1)] * 6)
-    monkeypatch.setattr(qsolver, "_log_newton_step", lambda neighbors, weights, rhs, level: [
-        [-2.0 if o == o35 else 0.0 for o in range(len(c))] for c in rhs])
+    monkeypatch.setattr(qsolver, "_log_newton_step", lambda orbits, neighbors, weights, rhs,
+                        level: [[-2.0 if o == o35 else 0.0 for o in range(len(c))] for c in rhs])
     with pytest.raises(SolverDivergence) as exc:
         solve_restricted(LevelContext(e6, 4))
     assert str(exc.value) == "Newton step 1 left cell (node 3, k=1) non-positive"
@@ -674,6 +677,22 @@ def _dense_solve(mp, a, b):
     for r in reversed(range(n)):
         x[r] = (rows[r][n] - mp.fsum(rows[r][j] * x[j] for j in range(r + 1, n))) / rows[r][r]
     return x
+
+
+def _dense_matrix(blocks, off):
+    """The block-tridiagonal system of ``_block_thomas`` as a dense matrix:
+    block row k couples to the blocks either side through diag(off[k])."""
+    rank, count = len(blocks[0]), len(blocks)
+    n = rank * count
+    dense = [[0.0] * n for _ in range(n)]
+    for k, (block, o) in enumerate(zip(blocks, off)):
+        for i in range(rank):
+            r = k * rank + i
+            dense[r][k * rank:(k + 1) * rank] = block[i]
+            for kk in (k - 1, k + 1):
+                if 0 <= kk < count:
+                    dense[r][kk * rank + i] = o[i]
+    return dense
 
 
 SEEDED_SYSTEMS = [(1, 1), (1, 12), (2, 7), (3, 2), (6, 12), (8, 1), (8, 12)]
@@ -700,18 +719,9 @@ def test_block_thomas_matches_dense_elimination(rank, count):
     blocks, off, rhs = _seeded_system(rank, count)
     xs = qsolver._block_thomas(blocks, off, rhs)
 
-    n = rank * count
-    dense = [[0.0] * n for _ in range(n)]
-    for k, (block, o) in enumerate(zip(blocks, off)):
-        for i in range(rank):
-            r = k * rank + i
-            dense[r][k * rank:(k + 1) * rank] = block[i]
-            for kk in (k - 1, k + 1):
-                if 0 <= kk < count:
-                    dense[r][kk * rank + i] = o[i]
     mp = MPContext()
     mp.prec = 200
-    ref = _dense_solve(mp, dense, [x for col in rhs for x in col])
+    ref = _dense_solve(mp, _dense_matrix(blocks, off), [x for col in rhs for x in col])
     got = [x for col in xs for x in col]
     scale = max(abs(x) for x in ref)
     assert max(abs(g - r) for g, r in zip(got, ref)) <= 1e-12 * scale
@@ -729,57 +739,129 @@ def test_block_thomas_names_a_singular_pivot_block(blocks, off):
         qsolver._block_thomas(blocks, off, [[1.0] * len(b) for b in blocks])
 
 
-def _solution_bits(solve, blocks, off, rhs):
-    """The solution as the hex form of each float, so that equal means the
-    same bits down to the sign of a zero; or the message of a singular
-    block."""
-    try:
-        return [[x.hex() for x in col] for col in solve(blocks, off, rhs)]
-    except SolverDivergence as exc:
-        return str(exc)
+# the solver's Newton systems: E6 folded and unfolded, E7, E8, and A4 (its
+# orbit (2, 3) its own neighbour), A5 and D4 folded and unfolded
+NEWTON_ADJACENCIES = [("E6", True), ("E6", False), ("E7", True), ("E8", True), ("A4", True),
+                      ("A4", False), ("A5", True), ("A5", False), ("D4", True), ("D4", False)]
+# levels with 1 to 14 blocks, each count at an even and an odd level
+NEWTON_LEVELS = (2, 3, 4, 5, 8, 9, 14, 15, 28, 29)
 
 
-def _random_system(rng):
-    """Up to six block rows of rank 1 to 8.  A third of the entries are 0
-    and a third small integers, so pivot columns hold ties and exact zeros,
-    and blocks are diagonally dominant only by chance."""
-    rank, count = rng.randint(1, 8), rng.randint(1, 6)
-
-    def entry():
-        u = rng.random()
-        if u < 1 / 3:
-            return 0.0
-        return float(rng.choice((-2, -1, 1, 2))) if u < 2 / 3 else rng.uniform(-3, 3)
-
-    blocks = [[[entry() for _ in range(rank)] for _ in range(rank)] for _ in range(count)]
-    off = [[entry() for _ in range(rank)] for _ in range(count)]
-    return blocks, off, [[entry() for _ in range(rank)] for _ in range(count)]
+def _newton_adjacency(rs_map, label, folded):
+    """The root system, and the orbits and neighbour lists the solver's
+    Newton systems read, folded or with singleton orbits."""
+    rs = rs_map.get(label) or _closure_type(label)
+    if folded:
+        orbits, _, neighbors = qsolver._fold(rs)
+        return rs, orbits, neighbors
+    return rs, _singleton_orbits(rs), qsolver._neighbor_rows(rs)
 
 
-def test_block_thomas_is_bit_identical_to_the_oracle():
-    # the elimination skips only float operations whose results nothing
-    # reads, so it returns the oracle's floats and raises where it raises
-    systems = [_seeded_system(rank, count) for rank, count in SEEDED_SYSTEMS]
-    rng = random.Random(31)
-    systems += [_random_system(rng) for _ in range(300)]
-    singular = 0
-    for blocks, off, rhs in systems:
-        want = _solution_bits(oracles.block_thomas, blocks, off, rhs)
-        assert _solution_bits(qsolver._block_thomas, blocks, off, rhs) == want, (blocks, off)
-        singular += isinstance(want, str)
-    assert 0 < singular < len(systems) // 2
+def _newton_system(orbits, neighbors, level, seed):
+    """The (blocks, off, rhs) that ``_log_newton_step`` hands to
+    ``_block_thomas`` for seeded weights in [0, 1], exact 0 and 1 among
+    them, and a seeded right-hand side; and the weights."""
+    rng = random.Random(seed)
+    n = len(neighbors)
+    weights = [[rng.choice((0.0, 1.0, rng.random(), rng.random())) for _ in range(n)]
+               for _ in range(level // 2)]
+    rhs = [[rng.uniform(-1, 1) for _ in range(n)] for _ in weights]
+    captured = []
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(qsolver, "_block_thomas", lambda *system: captured.append(system) or [])
+        qsolver._log_newton_step(orbits, neighbors, weights, rhs, level)
+    return (*captured[0], weights)
+
+
+@pytest.mark.parametrize("label,folded", NEWTON_ADJACENCIES)
+def test_block_thomas_is_accurate_on_newton_systems(rs_map, label, folded):
+    # the elimination without pivoting, against a dense 200-bit elimination
+    # with partial pivoting, on the systems the solver builds
+    _, orbits, neighbors = _newton_adjacency(rs_map, label, folded)
+    mp = MPContext()
+    mp.prec = 200
+    for level in NEWTON_LEVELS:
+        blocks, off, rhs, _ = _newton_system(orbits, neighbors, level, level)
+        got = [x for col in qsolver._block_thomas(blocks, off, rhs) for x in col]
+        ref = _dense_solve(mp, _dense_matrix(blocks, off), [x for col in rhs for x in col])
+        scale = max(abs(x) for x in ref)
+        assert max(abs(g - r) for g, r in zip(got, ref)) <= 1e-12 * scale, level
+
+
+def _perron(neighbors):
+    """The Perron root and vector of the adjacency of ``neighbors``, a
+    neighbour named twice counting twice, by power iteration on A + I."""
+    v = [1.0] * len(neighbors)
+    for _ in range(2000):
+        w = [x + sum(v[j] for j in nbrs) for x, nbrs in zip(v, neighbors)]
+        v = [x / max(w) for x in w]
+    rho = sum(v[j] for j in neighbors[0]) / v[0]
+    return rho, v
+
+
+@pytest.mark.parametrize("label,folded", NEWTON_ADJACENCIES)
+def test_newton_jacobian_is_an_m_matrix(rs_map, label, folded):
+    # the lemma of ``_block_thomas``: off-diagonal entries <= 0, and the
+    # positive x_k(i) = sin(pi k / level) v_i, v the Perron vector, has
+    # (J x)_k(i) = x_k(i) (2 - 2 w cos(pi / level) - (1 - w) rho) > 0,
+    # rho = 2 cos(pi / h) < 2, on the mirrored last row too
+    rs, orbits, neighbors = _newton_adjacency(rs_map, label, folded)
+    rho, v = _perron(neighbors)
+    assert rho == pytest.approx(2 * math.cos(math.pi / rs.coxeter_number), rel=1e-12)
+    for level in NEWTON_LEVELS:
+        blocks, off, _, weights = _newton_system(orbits, neighbors, level, level + 1)
+        xs = [[math.sin(math.pi * k / level) * vi for vi in v] for k in range(1, level // 2 + 1)]
+        for k, (block, o, col) in enumerate(zip(blocks, off, weights)):
+            assert all(c <= 0 for c in o)
+            for i, (brow, w) in enumerate(zip(block, col)):
+                assert all(c <= 0 for j, c in enumerate(brow) if j != i)
+                jx = sum(c * x for c, x in zip(brow, xs[k]))
+                jx += sum(o[i] * xs[kk][i] for kk in (k - 1, k + 1) if 0 <= kk < len(xs))
+                want = xs[k][i] * (2 - 2 * w * math.cos(math.pi / level) - (1 - w) * rho)
+                assert want > 0 and jx == pytest.approx(want, rel=1e-12), (level, k, i)
+
+
+@pytest.mark.parametrize("k,ratio", [(1, -1.0), (2, 0.25)])
+def test_a_newton_weight_outside_the_unit_interval_is_named(e6, monkeypatch, k, ratio):
+    # an iterate with Q_2 = ratio * Q_1 on orbit (3, 5) puts the weight
+    # Q_{k-1} Q_{k+1} / Q_k^2 below 0 at k = 1 (Q_2 < 0) or above 1 at k = 2
+    # (Q_1^2 / Q_2^2 = 16): the lemma's premise fails, and the step names
+    # the cell by its orbit's smallest node
+    start = qsolver._warm_start(e6, 4)
+    for node in (3, 5):
+        start[node - 1][2] = ratio * start[node - 1][1]
+    monkeypatch.setattr(qsolver, "_warm_start", lambda rs, level: start)
+    with pytest.raises(SolverDivergence,
+                       match=rf"^Newton weight \S+ at cell \(node 3, k={k}\) is outside \[0, 1\]$"):
+        solve_restricted(LevelContext(e6, 4))
+
+
+def test_log_newton_step_rejects_a_nan_weight(e6):
+    orbits, _, neighbors = qsolver._fold(e6)
+    weights = [[0.5] * 4, [0.5, math.nan, 0.5, 0.5]]
+    with pytest.raises(SolverDivergence, match=r"^Newton weight nan at cell \(node 2, k=2\)"):
+        qsolver._log_newton_step(orbits, neighbors, weights, [[0.0] * 4] * 2, 4)
 
 
 @pytest.mark.parametrize("label,levels", [
     ("E6", range(1, 9)), ("E7", [*range(1, 9), 28]), ("E8", [*range(1, 9), 24])])
 def test_solver_matches_the_oracle_elimination(rs_map, monkeypatch, label, levels):
+    # the solver against the Gauss-Jordan elimination with partial pivoting
+    # it replaced: the two agree to 1e-33.  Both solve to 1e-35: at 1e-30
+    # one side may stop a correction before the other, as in
+    # test_handover_moves_only_last_bits
     rs = rs_map[label]
     for level in levels:
-        grid = solve_restricted(LevelContext(rs, level))
+        ctx = LevelContext(rs, level)
+        grid = solve_restricted(ctx, tolerance=1e-35)
         with monkeypatch.context() as patched:
             patched.setattr(qsolver, "_block_thomas", oracles.block_thomas)
-            want = solve_restricted(LevelContext(rs, level))
-        assert (grid.rows, grid.residual_max) == (want.rows, want.residual_max), level
+            want = solve_restricted(ctx, tolerance=1e-35)
+        mp = ctx.mp
+        for row, want_row in zip(grid.rows, want.rows):
+            for a, b in zip(row, want_row):
+                a, b = mp.make_mpf(oracles.raw(a)), mp.make_mpf(oracles.raw(b))
+                assert abs(a - b) <= mpmath.mpf("1e-33") * max(abs(a), abs(b)), level
 
 
 def test_solver_rejects_nonpositive_cells(a1, monkeypatch):
