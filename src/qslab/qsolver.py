@@ -28,17 +28,17 @@ tolerance or margin verdict is decided here (``grid_checks``, ``solve_checks``,
 value, against a margin), with ``_rel_gap`` for |a - b| / max(|a|, |b|, 1).
 ``solve_restricted`` finds the restricted solution on its own: float Newton on
 y = log Q (``_warm_start``), then corrections against the defect at working
-precision; every step re-forms the float log-variable Jacobian of
-``_log_newton_step`` from its current cells and solves it with
-``_block_thomas`` by block LU without pivoting, which is stable as, with
-weights in [0, 1], the Jacobian is a nonsingular M-matrix (the lemma at
-``_block_thomas``; Berman and Plemmons ch. 6, Higham ch. 9).  The system
-is unchanged by k <-> level - k and by every automorphism of the Dynkin
-diagram, so both stages solve for k = 1 .. level // 2 and one row per orbit
-(``_orbits``, ``_fold``; E6 4 rows) only, and give each mirrored cell and
-each node its image's triple.  The grid path (``build_qgrid``,
-``residual``, ``dilog_args``) keeps every node and reads
-``_neighbor_rows``, never the folded lists.
+precision; every step forms the float log-variable Jacobian from its
+current cells and solves it in ``_log_newton_step`` by block LU without
+pivoting, each block row formed straight into the row it eliminates, which
+is stable as, with weights in [0, 1], the Jacobian is a nonsingular
+M-matrix (the lemma at ``_log_newton_step``; Berman and Plemmons ch. 6,
+Higham ch. 9).  The system is unchanged by k <-> level - k and by every
+automorphism of the Dynkin diagram, so both stages solve for k = 1 ..
+level // 2 and one row per orbit (``_orbits``, ``_fold``; E6 4 rows) only,
+and give each mirrored cell and each node its image's triple.  The grid
+path (``build_qgrid``, ``residual``, ``dilog_args``) keeps every node and
+reads ``_neighbor_rows``, never the folded lists.
 
 ``build_qgrid`` fills the table from the closed-form rows outward along the
 routes of the per-type proofs: extremal rows are evaluated directly, their
@@ -320,43 +320,62 @@ def residual(grid: QGrid) -> tuple:
     return worst
 
 
-def _block_thomas(blocks, off, rhs):
-    """Solve the block-tridiagonal system whose block row k reads
+def _log_newton_step(orbits, neighbors: list[list[int]], weights, rhs, level: int):
+    """Solve the log-variable Jacobian J for dy = dQ / Q against ``rhs``.
 
-        diag(off[k]) x_{k-1} + blocks[k] x_k + diag(off[k]) x_{k+1} = rhs[k]
+    ``weights[k - 1][i]`` is the share w of Q_{k-1} Q_{k+1} in the recurrence
+    at row i and level k, so row (k, i) of J reads 2 dy_k(i) - w (dy_{k-1}(i)
+    + dy_{k+1}(i)) - (1 - w) sum_{j~i} dy_k(j), dy_0 = 0, with w - 1 added
+    once per listed neighbour (a folded list names an orbit once per node of
+    it).  It is the symmetric half k = 1 .. level // 2 of a right-hand side
+    with rhs_{level-k} = rhs_k, whose solution is mirrored too, so the last
+    row m folds in its mirrored dy_{m+1}: dy_m when the level is odd (-w on
+    the diagonal), dy_{m-1} when it is even (coupling -2 w).
+    Each block row is formed straight into the augmented row that block LU
+    without pivoting eliminates: its Schur complement against the previous
+    block's rows [g | G], the right-hand side, and but for the last block
+    the coupling diag(-w) to x_{k+1}.  Each block is eliminated below its
+    diagonal, skipping exact zeros, and back-substituted, giving x_k = g_k -
+    G_k x_{k+1} (the last block x_m alone), and a final sweep substitutes.
+    A w outside [0, 1] raises SolverDivergence naming the cell by its
+    orbit's smallest node; a zero pivot raises it as a singular block.
 
-    by block LU without pivoting, skipping exact zeros: block k's Schur
-    complement S_k = blocks[k] - diag(off[k]) G_{k-1} is eliminated below
-    its diagonal and back-substituted into [diag(off[k]) | rhs[k] -
-    diag(off[k]) g_{k-1}], giving x_k = g_k - G_k x_{k+1}, the last block's
-    into its right-hand side alone.  A zero pivot raises SolverDivergence.
-
-    Lemma: with every w in [0, 1], the system J of ``_log_newton_step``
-    (row (k, i): 2 dy_k(i) - w (dy_{k-1}(i) + dy_{k+1}(i)) - (1 - w)
-    sum_{j~i} dy_k(j), dy_0 = 0, last row mirrored) is a nonsingular
-    M-matrix.  Its off-diagonal entries are <= 0, a folded repeat's too (A4's
-    orbit (2, 3), its own neighbour, adds to the diagonal).  With v > 0 the
-    Perron vector of the folded adjacency, A v = rho v, rho = 2 cos(pi / h)
-    < 2, x_k(i) = sin(pi k / level) v_i > 0 has (J x)_k(i) = x_k(i) (2 - 2 w
-    cos(pi / level) - (1 - w) rho) > 0, the mirrored last row included.  So
-    the pivots are positive and the factorization is stable (A. Berman and
-    R. J. Plemmons, Nonnegative Matrices in the Mathematical Sciences, ch.
-    6; N. J. Higham, Accuracy and Stability of Numerical Algorithms, 2nd
-    ed., ch. 9).
+    Lemma: with every w in [0, 1], J is a nonsingular M-matrix.  Its
+    off-diagonal entries are <= 0, a folded repeat's too (A4's orbit (2, 3),
+    its own neighbour, adds to the diagonal).  With v > 0 the Perron vector
+    of the folded adjacency, A v = rho v, rho = 2 cos(pi / h) < 2, x_k(i) =
+    sin(pi k / level) v_i > 0 has (J x)_k(i) = x_k(i) (2 - 2 w cos(pi /
+    level) - (1 - w) rho) > 0, the mirrored last row included.  So the
+    pivots are positive and the factorization is stable (A. Berman and R. J.
+    Plemmons, Nonnegative Matrices in the Mathematical Sciences, ch. 6; N. J.
+    Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 9).
+    The corrections' Q_{k-1} Q_{k+1} / Q_k^2 are in [0, 1], as 1 minus the
+    dilogarithm arguments at the solution.
     """
-    sols, xs, m = [], [], len(blocks) - 1  # sols[k]: rows [g_k(i), G_k(i, 1), .., G_k(i, n)]
-    for k, (block, o, r) in enumerate(zip(blocks, off, rhs)):
-        n = len(block)
-        # rows [S_k | rhs'_k | diag(off[k])]; past column n + 1 + c pivot row c holds zeros
-        if sols:
-            aug = [[b - c * x for b, x in zip(brow, srow[1:])] + [ri - c * srow[0]]
-                   for brow, ri, c, srow in zip(block, r, o, sols[-1])]
-        else:
-            aug = [brow + [ri] for brow, ri in zip(block, r)]
-        if k < m:
-            for i, (row, c) in enumerate(zip(aug, o)):
+    sols, xs, m = [], [], len(weights)  # sols[k]: rows [g_k(i), G_k(i, 1), .., G_k(i, n)]
+    for k, (col, r) in enumerate(zip(weights, rhs), 1):
+        n, aug = len(col), []
+        for i, w in enumerate(col):
+            if not 0.0 <= w <= 1.0:
+                raise SolverDivergence(f"Newton weight {w} at cell (node {orbits[i][0]}, "
+                                       f"k={k}) is outside [0, 1]")
+            row = [0.0] * n
+            row[i] = 2.0
+            for j in neighbors[i]:
+                row[j] += w - 1
+            if 2 * k + 1 == level:  # the last row, dy_{m+1} = dy_m
+                row[i] -= w
+            o = -2 * w if 2 * k == level else -w  # the last row: dy_{m+1} = dy_{m-1}
+            if sols:
+                srow = sols[-1][i]
+                row = [b - o * x for b, x in zip(row, srow[1:])]
+                row.append(r[i] - o * srow[0])
+            else:
+                row.append(r[i])
+            if k < m:  # past column n + 1 + c pivot row c holds zeros
                 row += [0.0] * n
-                row[n + 1 + i] = c
+                row[n + 1 + i] = o
+            aug.append(row)
         for c, piv in enumerate(aug):
             if not (p := piv[c]):
                 raise SolverDivergence("singular Jacobian block")
@@ -384,57 +403,22 @@ def _block_thomas(blocks, off, rhs):
     return xs[::-1]
 
 
-def _log_newton_step(orbits, neighbors: list[list[int]], weights, rhs, level: int):
-    """Solve the log-variable Jacobian for dy = dQ / Q against ``rhs``.
-
-    ``weights[k - 1][i]`` is the share w of Q_{k-1} Q_{k+1} in the recurrence
-    at row i and level k.  Block row k has the diagonal block 2I - (1 - w) A
-    (A the adjacency of ``neighbors``, row i scaled by its w, an entry added
-    once per repeat of a neighbour, as a folded list names an orbit once per
-    node of it) and off-diagonal -diag(w).
-    The system is the symmetric half k = 1 .. level // 2 of a right-hand
-    side with rhs_{level-k} = rhs_k, whose solution is mirrored too, so the
-    last row m folds in its mirrored neighbour dy_{m+1}: dy_{m-1} when the
-    level is even (off-diagonal -2 diag(w)), dy_m when it is odd (-diag(w)
-    added to the diagonal block).  ``_block_thomas`` reads the last row's
-    off-diagonal only as its lower coupling.  Its lemma needs every w in
-    [0, 1]: the corrections' Q_{k-1} Q_{k+1} / Q_k^2 are, as 1 minus the
-    dilogarithm arguments at the solution.  A w outside raises
-    SolverDivergence naming the cell by its orbit's smallest node.
-    """
-    blocks, off = [], []
-    for k, col in enumerate(weights, 1):
-        block = [[0.0] * len(col) for _ in col]
-        for i, w in enumerate(col):
-            if not 0.0 <= w <= 1.0:
-                raise SolverDivergence(f"Newton weight {w} at cell (node {orbits[i][0]}, "
-                                       f"k={k}) is outside [0, 1]")
-            block[i][i] = 2.0
-            for j in neighbors[i]:
-                block[i][j] += w - 1
-            if 2 * k + 1 == level:  # the last row, dy_{m+1} = dy_m
-                block[i][i] -= w
-        blocks.append(block)
-        off.append([-2 * w if 2 * k == level else -w for w in col])  # last: dy_{m+1} = dy_{m-1}
-    return _block_thomas(blocks, off, rhs)
-
-
-def _warm_start(rs: RootSystem, level: int) -> list[list[float]]:
-    """Float Newton on y = log Q from y = 0, returned as rows of Q = e^y.
+def _warm_start(orbits, neighbors: list[list[int]], level: int) -> list[list[float]]:
+    """Float Newton on y = log Q from y = 0, returned as Q = e^y at k = 0 ..
+    level // 2 + 1 (all that ``solve_restricted`` reads) per orbit.
 
     The defect at row i and level k is
     2 y_k(i) - log(e^a + e^b), a = y_{k-1}(i) + y_{k+1}(i), b = sum_{j~i} y_k(j),
     convex log-sum-exp in y.  Its Jacobian is the one of
     ``_log_newton_step`` with the log-sum-exp weight w = e^a / (e^a + e^b),
-    in [0, 1].  One row per orbit of ``_fold`` and k <= level // 2 are
+    in [0, 1].  The rows of the caller's ``_fold`` at k <= level // 2 are
     solved, and mirrored.  Steps stop at the first iterate whose largest
     |defect| is at most HANDOVER_LOG_DEFECT, from where the corrections of
     ``solve_restricted`` square the error away, or else once the largest
     |defect| stops falling; if it still falls after MAX_NEWTON_STEPS steps,
-    or a defect or a returned cell is not a finite float, SolverDivergence
-    is raised, naming the orbit's smallest node.
+    or a defect or a cell of the mirrored row is not a finite float,
+    SolverDivergence is raised, naming the orbit's smallest node.
     """
-    orbits, index, neighbors = _fold(rs)
     half = range(1, level // 2 + 1)
     y = [[0.0] * (level + 1) for _ in orbits]
     best = math.inf
@@ -466,14 +450,13 @@ def _warm_start(rs: RootSystem, level: int) -> list[list[float]]:
             for row, d in zip(y, dy):
                 row[k] += d
                 row[level - k] = row[k]
-    try:
-        q = [[math.exp(c) for c in row] for row in y]
+    try:  # the cells past k = level // 2 + 1 mirror these
+        return [[math.exp(c) for c in row[:level // 2 + 2]] for row in y]
     except OverflowError:
         c, node, k = max((c, orbit[0], k) for orbit, row in zip(orbits, y)
                          for k, c in enumerate(row))
         raise SolverDivergence(f"float overflow: cell (node {node}, k={k}) "
                                f"is e^{c:.6g}") from None
-    return [list(q[o]) for o in index]
 
 
 def solve_restricted(ctx: LevelContext, tolerance: float = SOLVER_TOLERANCE) -> QGrid:
@@ -520,10 +503,9 @@ def solve_restricted(ctx: LevelContext, tolerance: float = SOLVER_TOLERANCE) -> 
     half = range(1, level // 2 + 1)
     reach = level // 2 + 2  # k = 0 .. level // 2 + 1: the half and the rows either side
     orbits, index, neighbors = _fold(rs)
-    start = _warm_start(rs, level)
     v = []  # one row per orbit
-    for orbit in orbits:
-        row = [float_triple(x, p) for x in start[orbit[0] - 1][:reach]]
+    for start in _warm_start(orbits, neighbors, level):
+        row = [float_triple(x, p) for x in start]
         v.append(row + [row[level - k] for k in range(reach, level + 1)])
 
     for step in range(MAX_NEWTON_STEPS + 1):
@@ -770,22 +752,20 @@ def dilog_args(grid: QGrid) -> dict[tuple[int, int], tuple]:
 
 def dilog_args_margin(grid: QGrid, args: dict[tuple[int, int], tuple]) -> tuple | None:
     """Smallest distance of the interior ratios ``args`` of the grid to the
-    ends of (0, 1), a p-bit triple.
+    ends of (0, 1), a p-bit triple: the lesser of the least ratio and of 1
+    minus the greatest, rounded.  That is the least of min(x, 1 - x) over
+    the ratios, as rounding to nearest is monotone.
 
     Boundary columns k = 0 and k = level equal 1 and are excluded.  Returns
     None when there is no interior.
     """
+    xs = [x for (_, k), x in args.items() if k != 0 and k != grid.level]
+    if not xs:
+        return None
+    lo = min(xs, key=TRIPLE_ORDER)
     p = grid.precision_bits
-    one = one_triple(p)
-    worst = None
-    for (_, k), x in args.items():
-        if k == 0 or k == grid.level:
-            continue
-        m = add_triples(one, x, p, 1)
-        m = m if cmp_triples(m, x) < 0 else x
-        if worst is None or cmp_triples(m, worst) < 0:
-            worst = m
-    return worst
+    m = add_triples(one_triple(p), max(xs, key=TRIPLE_ORDER), p, 1)
+    return m if cmp_triples(m, lo) < 0 else lo
 
 
 def dilog_checks(ctx: LevelContext, grid: QGrid) -> tuple[list[CheckResult], bool, tuple | None]:

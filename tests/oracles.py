@@ -415,7 +415,7 @@ def closure_system(cartan: Sequence[Sequence[int]], label: str):
 
 
 # The solver's block-tridiagonal elimination by Gauss-Jordan blocks with
-# partial pivoting, as it stood before qslab.qsolver's ``_block_thomas``
+# partial pivoting, as it stood before qslab.qsolver's ``_log_newton_step``
 # came to eliminate without pivoting: every block carries G, and each pivot
 # step rewrites its own column.  A solve through either must reach the same
 # solution to 1e-33 at a tolerance of 1e-35.

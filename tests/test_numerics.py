@@ -133,12 +133,15 @@ def test_solver_divergence_writes_the_residual_as_render_decimal(monkeypatch, e6
     # one, by render_decimal at its default 30 digits
     ctx = LevelContext(e6, 4)
     p = ctx.precision_bits
-    start = [[round(x, 6) for x in row] for row in qsolver._warm_start(e6, 4)]
-    monkeypatch.setattr(qsolver, "_warm_start", lambda rs, level: start)
+    orbits, index, neighbors = qsolver._fold(e6)
+    start = [[round(x, 6) for x in row] for row in qsolver._warm_start(orbits, neighbors, 4)]
+    monkeypatch.setattr(qsolver, "_warm_start", lambda orbits, neighbors, level: start)
     monkeypatch.setattr(qsolver, "_log_newton_step", lambda orbits, neighbors, weights, rhs,
                         level: [[0.0] * len(c) for c in rhs])
     with pytest.raises(qsolver.SolverDivergence) as exc:
         qsolver.solve_restricted(ctx)
-    grid = qsolver.QGrid(e6, 4, 4, [[float_triple(x, p) for x in row] for row in start], p, [])
+    # each node reads its orbit's row k = 0 .. 3, and Q_4 mirrors Q_0
+    rows = [[float_triple(x, p) for x in start[o] + start[o][:1]] for o in index]
+    grid = qsolver.QGrid(e6, 4, 4, rows, p, [])
     residual = render_decimal(qsolver.residual(grid))
     assert str(exc.value).endswith(f"; last residual {residual}")

@@ -209,16 +209,16 @@ def test_folded_solve_matches_the_unfolded_one(rs_map, monkeypatch, label, level
     rs = rs_map.get(label) or _closure_type(label)
     orbits = qsolver._orbits(rs)
     sizes = []
-    block_thomas = qsolver._block_thomas
+    log_newton_step = qsolver._log_newton_step
 
-    def recording(blocks, off, rhs):
-        sizes.extend(len(b) for b in blocks)
-        return block_thomas(blocks, off, rhs)
+    def recording(orbits, neighbors, weights, rhs, level):
+        sizes.extend(len(col) for col in weights)
+        return log_newton_step(orbits, neighbors, weights, rhs, level)
 
     for level in levels:
         ctx = LevelContext(rs, level)
         with monkeypatch.context() as patched:
-            patched.setattr(qsolver, "_block_thomas", recording)
+            patched.setattr(qsolver, "_log_newton_step", recording)
             folded = solve_restricted(ctx, tolerance=1e-35)
         with monkeypatch.context() as patched:
             patched.setattr(qsolver, "_orbits", _singleton_orbits)
@@ -506,11 +506,11 @@ def test_block_solves_per_solve(rs_map, monkeypatch, label, level):
     # L8, E7 L2 and E8 L3, at about 1e-31)
     counts = {"start": 0, "corrections": 0}
     stage = ["corrections"]
-    block_thomas, warm_start = qsolver._block_thomas, qsolver._warm_start
+    log_newton_step, warm_start = qsolver._log_newton_step, qsolver._warm_start
 
     def counting(*args):
         counts[stage[0]] += 1
-        return block_thomas(*args)
+        return log_newton_step(*args)
 
     def start(*args):
         stage[0] = "start"
@@ -519,7 +519,7 @@ def test_block_solves_per_solve(rs_map, monkeypatch, label, level):
         finally:
             stage[0] = "corrections"
 
-    monkeypatch.setattr(qsolver, "_block_thomas", counting)
+    monkeypatch.setattr(qsolver, "_log_newton_step", counting)
     monkeypatch.setattr(qsolver, "_warm_start", start)
     solve_restricted(LevelContext(rs_map[label], level))
     assert (counts["start"], counts["corrections"]) == BLOCK_SOLVES[label, level]
@@ -570,12 +570,14 @@ def test_log_newton_step_solves_the_full_symmetric_system(e6, level):
     mirror = [min(k, level - k) - 1 for k in range(1, level)]
     weights = [w_half[m] for m in mirror]
     rhs = [r_half[m] for m in mirror]
-    blocks = [[[2.0 if i == j else (w - 1 if j in neighbors[i] else 0.0) for j in range(6)]
-               for i, w in enumerate(col)] for col in weights]
-    full = qsolver._block_thomas(blocks, [[-w for w in col] for col in weights], rhs)
+    mp = MPContext()
+    mp.prec = 200
+    flat = _dense_solve(mp, _dense_jacobian(neighbors, weights, level),
+                        [x for col in rhs for x in col])
+    full = [flat[6 * k:6 * k + 6] for k in range(level - 1)]
     got = qsolver._log_newton_step(_singleton_orbits(e6), neighbors, w_half, r_half, level)
     assert len(got) == half
-    scale = max(abs(x) for col in full for x in col)
+    scale = max(abs(x) for x in flat)
     for k in range(half):
         assert max(abs(a - b) for a, b in zip(got[k], full[k])) <= 1e-12 * scale, k
     # the full solution is itself mirrored
@@ -633,8 +635,8 @@ def test_solver_float_overflow_is_named(capsys, e8):
     (math.inf, r"float overflow: log defect nan at cell \(node \d, k=\d\)"),
 ])
 def test_warm_start_overflow_is_named(e6, monkeypatch, step, message):
-    monkeypatch.setattr(qsolver, "_block_thomas",
-                        lambda blocks, off, rhs: [[step] * len(b) for b in blocks])
+    monkeypatch.setattr(qsolver, "_log_newton_step", lambda orbits, neighbors, weights, rhs,
+                        level: [[step] * len(c) for c in rhs])
     with pytest.raises(SolverDivergence, match=message):
         solve_restricted(LevelContext(e6, 4))
 
@@ -646,12 +648,13 @@ def test_solver_divergence_names_an_orbits_smallest_node(e6, monkeypatch):
     orbits = qsolver._orbits(e6)
     o16, o35 = orbits.index((1, 6)), orbits.index((3, 5))
     with monkeypatch.context() as patched:
-        patched.setattr(qsolver, "_block_thomas", lambda blocks, off, rhs: [
-            [800.0 if o == o16 else 0.0 for o in range(len(b))] for b in blocks])
+        patched.setattr(qsolver, "_log_newton_step", lambda orbits, neighbors, weights, rhs,
+                        level: [[800.0 if o == o16 else 0.0 for o in range(len(c))] for c in rhs])
         with pytest.raises(SolverDivergence) as exc:
             solve_restricted(LevelContext(e6, 4))
     assert str(exc.value) == "float overflow: cell (node 1, k=3) is e^800"
-    monkeypatch.setattr(qsolver, "_warm_start", lambda rs, level: [[1.0] * (level + 1)] * 6)
+    monkeypatch.setattr(qsolver, "_warm_start", lambda orbits, neighbors, level:
+                        [[1.0] * (level // 2 + 2)] * len(orbits))
     monkeypatch.setattr(qsolver, "_log_newton_step", lambda orbits, neighbors, weights, rhs,
                         level: [[-2.0 if o == o35 else 0.0 for o in range(len(c))] for c in rhs])
     with pytest.raises(SolverDivergence) as exc:
@@ -679,64 +682,77 @@ def _dense_solve(mp, a, b):
     return x
 
 
-def _dense_matrix(blocks, off):
-    """The block-tridiagonal system of ``_block_thomas`` as a dense matrix:
-    block row k couples to the blocks either side through diag(off[k])."""
-    rank, count = len(blocks[0]), len(blocks)
-    n = rank * count
-    dense = [[0.0] * n for _ in range(n)]
-    for k, (block, o) in enumerate(zip(blocks, off)):
-        for i in range(rank):
-            r = k * rank + i
-            dense[r][k * rank:(k + 1) * rank] = block[i]
+def _dense_jacobian(neighbors, weights, level):
+    """The log-Q Jacobian that ``_log_newton_step`` solves, as a dense
+    matrix built from its definition: row (k, i) reads 2 dy_k(i) - w
+    (dy_{k-1}(i) + dy_{k+1}(i)) - (1 - w) sum_{j~i} dy_k(j), w =
+    weights[k - 1][i], with dy_0 = dy_level = 0 and a neighbour named twice
+    counting twice, over the blocks k = 1 .. len(weights).  When the blocks
+    stop at the half m = level // 2, the last row reads dy_{m+1} as its
+    mirror dy_{level-m-1}."""
+    n, count = len(neighbors), len(weights)
+    dense = [[0.0] * (n * count) for _ in range(n * count)]
+    for k, col in enumerate(weights, 1):
+        for i, w in enumerate(col):
+            row = dense[(k - 1) * n + i]
+            row[(k - 1) * n + i] += 2.0
+            for j in neighbors[i]:
+                row[(k - 1) * n + j] += w - 1
             for kk in (k - 1, k + 1):
-                if 0 <= kk < count:
-                    dense[r][kk * rank + i] = o[i]
+                kk = kk if kk <= count else level - kk
+                if kk:
+                    row[(kk - 1) * n + i] -= w
     return dense
+
+
+def _oracle_newton_step(orbits, neighbors, weights, rhs, level):
+    """``_log_newton_step`` through ``oracles.block_thomas``: the diagonal
+    blocks of ``_dense_jacobian``, and each row's coupling -w, -2 w on the
+    last row at an even level."""
+    n = len(neighbors)
+    dense = _dense_jacobian(neighbors, weights, level)
+    blocks = [[row[k * n:k * n + n] for row in dense[k * n:k * n + n]]
+              for k in range(len(weights))]
+    off = [[-2 * w if 2 * k == level else -w for w in col] for k, col in enumerate(weights, 1)]
+    return oracles.block_thomas(blocks, off, rhs)
 
 
 SEEDED_SYSTEMS = [(1, 1), (1, 12), (2, 7), (3, 2), (6, 12), (8, 1), (8, 12)]
 
 
-def _seeded_system(rank, count):
-    """A seeded diagonally dominant system of ``count`` block rows of rank
-    ``rank``, as the blocks, off-diagonals and right-hand sides."""
-    rng = random.Random(100 * rank + count)
-    off = [[rng.uniform(-1, 1) for _ in range(rank)] for _ in range(count)]
-    blocks = []
-    for o in off:
-        block = [[rng.uniform(-1, 1) for _ in range(rank)] for _ in range(rank)]
-        for i, row in enumerate(block):
-            row[i] = rng.choice((-1, 1)) * (sum(map(abs, row)) + 2 * abs(o[i]) + 0.5)
-        blocks.append(block)
-    rhs = [[rng.uniform(-10, 10) for _ in range(rank)] for _ in range(count)]
-    return blocks, off, rhs
-
-
 @pytest.mark.parametrize("rank,count", SEEDED_SYSTEMS)
 def test_block_thomas_matches_dense_elimination(rank, count):
-    # seeded diagonally dominant systems, against a dense 200-bit elimination
-    blocks, off, rhs = _seeded_system(rank, count)
-    xs = qsolver._block_thomas(blocks, off, rhs)
-
+    # seeded Newton systems of every shape, ``count`` blocks of ``rank`` rows
+    # on a path, at an even and an odd level, against a dense 200-bit
+    # elimination of the same system
+    rng = random.Random(100 * rank + count)
+    orbits = _singleton_orbits(SimpleNamespace(rank=rank))
+    neighbors = [[j for j in (i - 1, i + 1) if 0 <= j < rank] for i in range(rank)]  # A_rank
     mp = MPContext()
     mp.prec = 200
-    ref = _dense_solve(mp, _dense_matrix(blocks, off), [x for col in rhs for x in col])
-    got = [x for col in xs for x in col]
-    scale = max(abs(x) for x in ref)
-    assert max(abs(g - r) for g, r in zip(got, ref)) <= 1e-12 * scale
+    for level in (2 * count, 2 * count + 1):
+        weights = [[rng.random() for _ in range(rank)] for _ in range(count)]
+        rhs = [[rng.uniform(-10, 10) for _ in range(rank)] for _ in range(count)]
+        xs = qsolver._log_newton_step(orbits, neighbors, weights, rhs, level)
+        ref = _dense_solve(mp, _dense_jacobian(neighbors, weights, level),
+                           [x for col in rhs for x in col])
+        got = [x for col in xs for x in col]
+        scale = max(abs(x) for x in ref)
+        assert max(abs(g - r) for g, r in zip(got, ref)) <= 1e-12 * scale, level
 
 
-@pytest.mark.parametrize("blocks,off", [
+@pytest.mark.parametrize("neighbors,weights,level", [
     # the last block solves for the right-hand side alone, the others for G too
-    ([[[1.0, 2.0], [2.0, 4.0]]], [[0.5, 0.5]]),  # singular only block
-    ([[[1.0]], [[1.0]]], [[1.0], [1.0]]),  # the second pivot 1 - 1 * 1 vanishes
-    ([[[1.0, 2.0], [2.0, 4.0]], [[1.0, 0.0], [0.0, 1.0]]],
-     [[0.5, 0.5], [0.5, 0.5]]),  # singular first of two blocks
-])
-def test_block_thomas_names_a_singular_pivot_block(blocks, off):
-    with pytest.raises(SolverDivergence, match="singular Jacobian block"):
-        qsolver._block_thomas(blocks, off, [[1.0] * len(b) for b in blocks])
+    ([[1, 1], [0, 0]], [[0.0, 0.0]], 2),  # singular only block, 2I - A
+    ([[0, 0, 0]], [[1.0], [0.5]], 4),  # the second pivot 0.5 - (-1)(-0.5) vanishes
+    ([[1, 1], [0, 0]], [[0.0, 0.0], [0.5, 0.5]], 4),  # singular first of two blocks
+], ids=["only-block", "schur-complement", "first-of-two"])
+def test_log_newton_step_names_a_singular_pivot_block(neighbors, weights, level):
+    # the lemma's premise holds, but the contrived neighbour lists leave a
+    # zero pivot
+    with pytest.raises(SolverDivergence, match="^singular Jacobian block$"):
+        qsolver._log_newton_step(_singleton_orbits(SimpleNamespace(rank=len(neighbors))),
+                                 neighbors, weights, [[1.0] * len(col) for col in weights], level)
 
 
 # the solver's Newton systems: E6 folded and unfolded, E7, E8, and A4 (its
@@ -757,33 +773,29 @@ def _newton_adjacency(rs_map, label, folded):
     return rs, _singleton_orbits(rs), qsolver._neighbor_rows(rs)
 
 
-def _newton_system(orbits, neighbors, level, seed):
-    """The (blocks, off, rhs) that ``_log_newton_step`` hands to
-    ``_block_thomas`` for seeded weights in [0, 1], exact 0 and 1 among
-    them, and a seeded right-hand side; and the weights."""
+def _newton_system(neighbors, level, seed):
+    """Seeded weights in [0, 1], exact 0 and 1 among them, and a seeded
+    right-hand side for the Newton system of ``neighbors`` at ``level``."""
     rng = random.Random(seed)
     n = len(neighbors)
     weights = [[rng.choice((0.0, 1.0, rng.random(), rng.random())) for _ in range(n)]
                for _ in range(level // 2)]
-    rhs = [[rng.uniform(-1, 1) for _ in range(n)] for _ in weights]
-    captured = []
-    with pytest.MonkeyPatch.context() as patched:
-        patched.setattr(qsolver, "_block_thomas", lambda *system: captured.append(system) or [])
-        qsolver._log_newton_step(orbits, neighbors, weights, rhs, level)
-    return (*captured[0], weights)
+    return weights, [[rng.uniform(-1, 1) for _ in range(n)] for _ in weights]
 
 
 @pytest.mark.parametrize("label,folded", NEWTON_ADJACENCIES)
 def test_block_thomas_is_accurate_on_newton_systems(rs_map, label, folded):
-    # the elimination without pivoting, against a dense 200-bit elimination
-    # with partial pivoting, on the systems the solver builds
+    # the block elimination without pivoting, against a dense 200-bit
+    # elimination with partial pivoting, on the systems the solver builds
     _, orbits, neighbors = _newton_adjacency(rs_map, label, folded)
     mp = MPContext()
     mp.prec = 200
     for level in NEWTON_LEVELS:
-        blocks, off, rhs, _ = _newton_system(orbits, neighbors, level, level)
-        got = [x for col in qsolver._block_thomas(blocks, off, rhs) for x in col]
-        ref = _dense_solve(mp, _dense_matrix(blocks, off), [x for col in rhs for x in col])
+        weights, rhs = _newton_system(neighbors, level, level)
+        got = [x for col in qsolver._log_newton_step(orbits, neighbors, weights, rhs, level)
+               for x in col]
+        ref = _dense_solve(mp, _dense_jacobian(neighbors, weights, level),
+                           [x for col in rhs for x in col])
         scale = max(abs(x) for x in ref)
         assert max(abs(g - r) for g, r in zip(got, ref)) <= 1e-12 * scale, level
 
@@ -801,24 +813,23 @@ def _perron(neighbors):
 
 @pytest.mark.parametrize("label,folded", NEWTON_ADJACENCIES)
 def test_newton_jacobian_is_an_m_matrix(rs_map, label, folded):
-    # the lemma of ``_block_thomas``: off-diagonal entries <= 0, and the
+    # the lemma of ``_log_newton_step``: off-diagonal entries <= 0, and the
     # positive x_k(i) = sin(pi k / level) v_i, v the Perron vector, has
     # (J x)_k(i) = x_k(i) (2 - 2 w cos(pi / level) - (1 - w) rho) > 0,
     # rho = 2 cos(pi / h) < 2, on the mirrored last row too
-    rs, orbits, neighbors = _newton_adjacency(rs_map, label, folded)
+    rs, _, neighbors = _newton_adjacency(rs_map, label, folded)
     rho, v = _perron(neighbors)
     assert rho == pytest.approx(2 * math.cos(math.pi / rs.coxeter_number), rel=1e-12)
     for level in NEWTON_LEVELS:
-        blocks, off, _, weights = _newton_system(orbits, neighbors, level, level + 1)
-        xs = [[math.sin(math.pi * k / level) * vi for vi in v] for k in range(1, level // 2 + 1)]
-        for k, (block, o, col) in enumerate(zip(blocks, off, weights)):
-            assert all(c <= 0 for c in o)
-            for i, (brow, w) in enumerate(zip(block, col)):
-                assert all(c <= 0 for j, c in enumerate(brow) if j != i)
-                jx = sum(c * x for c, x in zip(brow, xs[k]))
-                jx += sum(o[i] * xs[kk][i] for kk in (k - 1, k + 1) if 0 <= kk < len(xs))
-                want = xs[k][i] * (2 - 2 * w * math.cos(math.pi / level) - (1 - w) * rho)
-                assert want > 0 and jx == pytest.approx(want, rel=1e-12), (level, k, i)
+        weights, _ = _newton_system(neighbors, level, level + 1)
+        dense = _dense_jacobian(neighbors, weights, level)
+        xs = [math.sin(math.pi * k / level) * vi for k in range(1, level // 2 + 1) for vi in v]
+        ws = [w for col in weights for w in col]
+        for r, (row, w) in enumerate(zip(dense, ws)):
+            assert all(c <= 0 for j, c in enumerate(row) if j != r)
+            jx = sum(c * x for c, x in zip(row, xs))
+            want = xs[r] * (2 - 2 * w * math.cos(math.pi / level) - (1 - w) * rho)
+            assert want > 0 and jx == pytest.approx(want, rel=1e-12), (level, r)
 
 
 @pytest.mark.parametrize("k,ratio", [(1, -1.0), (2, 0.25)])
@@ -827,10 +838,11 @@ def test_a_newton_weight_outside_the_unit_interval_is_named(e6, monkeypatch, k, 
     # Q_{k-1} Q_{k+1} / Q_k^2 below 0 at k = 1 (Q_2 < 0) or above 1 at k = 2
     # (Q_1^2 / Q_2^2 = 16): the lemma's premise fails, and the step names
     # the cell by its orbit's smallest node
-    start = qsolver._warm_start(e6, 4)
-    for node in (3, 5):
-        start[node - 1][2] = ratio * start[node - 1][1]
-    monkeypatch.setattr(qsolver, "_warm_start", lambda rs, level: start)
+    orbits, _, neighbors = qsolver._fold(e6)
+    start = qsolver._warm_start(orbits, neighbors, 4)
+    row = start[orbits.index((3, 5))]
+    row[2] = ratio * row[1]
+    monkeypatch.setattr(qsolver, "_warm_start", lambda orbits, neighbors, level: start)
     with pytest.raises(SolverDivergence,
                        match=rf"^Newton weight \S+ at cell \(node 3, k={k}\) is outside \[0, 1\]$"):
         solve_restricted(LevelContext(e6, 4))
@@ -855,7 +867,7 @@ def test_solver_matches_the_oracle_elimination(rs_map, monkeypatch, label, level
         ctx = LevelContext(rs, level)
         grid = solve_restricted(ctx, tolerance=1e-35)
         with monkeypatch.context() as patched:
-            patched.setattr(qsolver, "_block_thomas", oracles.block_thomas)
+            patched.setattr(qsolver, "_log_newton_step", _oracle_newton_step)
             want = solve_restricted(ctx, tolerance=1e-35)
         mp = ctx.mp
         for row, want_row in zip(grid.rows, want.rows):
@@ -866,7 +878,8 @@ def test_solver_matches_the_oracle_elimination(rs_map, monkeypatch, label, level
 
 def test_solver_rejects_nonpositive_cells(a1, monkeypatch):
     # from Q_1 = -1, Newton on Q_1^2 = 2 moves to -3/2
-    monkeypatch.setattr(qsolver, "_warm_start", lambda rs, level: [[1.0, -1.0, 1.0]])
+    monkeypatch.setattr(qsolver, "_warm_start",
+                        lambda orbits, neighbors, level: [[1.0, -1.0, 1.0]])
     with pytest.raises(SolverDivergence, match="non-positive"):
         solve_restricted(LevelContext(a1, 2))
 
@@ -930,6 +943,49 @@ def test_dilog_empty_interior(a1):
     grid = solve_restricted(ctx)
     assert dilog_args_margin(grid, dilog_args(grid)) is None
     assert oracles.raw(dilog_sum(grid)) == fzero
+
+
+def _margin_by_argument(args, level, p):
+    """The least min(x, 1 - x) over the interior arguments, 1 - x rounded at
+    each argument, and x where the two are equal; None with no interior."""
+    worst = None
+    for (_, k), x in args.items():
+        if k == 0 or k == level:
+            continue
+        m = qnum.add_triples(qnum.one_triple(p), x, p, 1)
+        m = m if qnum.cmp_triples(m, x) < 0 else x
+        if worst is None or qnum.cmp_triples(m, worst) < 0:
+            worst = m
+    return worst
+
+
+@pytest.mark.parametrize("p", [64, 128, 203])
+def test_dilog_args_margin_is_the_least_distance_by_argument(p):
+    # the margin from the least and the greatest argument equals the least
+    # distance taken argument by argument, on seeded p-bit triples: tiny,
+    # near 1/2, near 1, exactly 1/2, 1 and above, repeated and boundary
+    # arguments, a single interior argument, and none
+    rng = random.Random(p)
+    half, one = (0, 1 << p - 1, -p), qnum.one_triple(p)
+
+    def near(x):
+        s, m, e = x
+        return qnum.round_triple(s, (m << 40) + rng.randrange(-1 << 40, 1 << 40), e - 40, p)
+
+    def seeded():
+        shift = p + 8 + rng.choice((0, 1, 30, 200))
+        return rng.choice([qnum.round_triple(0, rng.getrandbits(p + 8) | 1, -shift, p),
+                           near(half), near(one), half, one, (0, 3 << p - 2, 1 - p)])
+
+    level = 9
+    cases = [{(i, k): seeded() for i in (1, 2, 3) for k in range(1, level)} for _ in range(60)]
+    cases += [{(1, 4): x} for x in (half, one, near(one), near(half))]  # one interior argument
+    cases.append({(1, 3): half, (2, 3): half, (1, 5): near(half)})
+    for case in cases:
+        args = {**case, (1, 0): one, (1, level): one, (2, 0): one, (2, level): one}
+        grid = SimpleNamespace(precision_bits=p, level=level)
+        assert dilog_args_margin(grid, args) == _margin_by_argument(args, level, p), case
+    assert dilog_args_margin(SimpleNamespace(precision_bits=p, level=level), {(1, 0): one}) is None
 
 
 def test_dilog_rejects_nonpositive(a1):
