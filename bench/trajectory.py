@@ -9,10 +9,16 @@ Each workload of BENCHMARK.json runs once through ``perfbench/run.py
 once through ``--trace 1``, and the per-layer table it writes to
 perfbench/out/layers-<workload>.json is kept as {metric: value}.  Then, in
 this process, ``verify`` runs all check groups at the default precision at
-E7 L12, E8 L8, E8 L24, E7 L40 and E6 L12, the one whose solve group folds
-nodes into orbits, and ``solve_restricted`` runs alone at E7 L28, E8 L24
-and E8 L130.  The runs are interleaved: each of RUNS rounds runs every
-configuration once, in that order.  Each run is bracketed by perfbench's
+E7 L12, E8 L8, E8 L24, E7 L40 and E6 L12, the one that folds nodes into
+orbits of the diagram's involution: its solve group solves one row per
+orbit, its grid build walks one, and its residual, theorem entries,
+alcove lines and dilogarithm arguments are computed once per shared row,
+bit for bit as node by node (nodes of one mark walk equal plans, as the
+roots come in non-decreasing height; the solve group still compares every
+cell); the grid path's fold took it 5.89 -> 4.66 ms (BENCH_ee04ff3.json
+and its -dirty pair).  And ``solve_restricted`` runs alone at E7 L28, E8
+L24 and E8 L130.  The runs are interleaved: each of RUNS rounds runs
+every configuration once, in that order.  Each run is bracketed by perfbench's
 reference loop, and its time is divided by the host's slowdown around it
 (``reference_s`` and ``slowdown`` of perfbench/run.py), as perfbench
 adjusts its operations.  The file keeps, per configuration, the median

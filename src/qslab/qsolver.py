@@ -37,8 +37,18 @@ Higham ch. 9).  The system is unchanged by k <-> level - k and by every
 automorphism of the Dynkin diagram, so both stages solve for k = 1 ..
 level // 2 and one row per orbit (``_orbits``, ``_fold``; E6 4 rows) only,
 and give each mirrored cell and each node its image's triple.  The grid
-path (``build_qgrid``, ``residual``, ``dilog_args``) keeps every node and
-reads ``_neighbor_rows``, never the folded lists.
+path folds by the same ``_fold``: ``build_qgrid`` walks the orbits' first
+rows (E6: direct 1 and 2, routes 3 <- 1 and 4 <- 2), which the orbit's
+nodes share, and ``residual``, ``theorem_report``, ``dilog_args`` and the
+report's alcove lines compute once per shared row (``_representatives``).
+No bit moves: E6's nodes 1 and 6 have mark 1 and the positive roots come
+in non-decreasing height, so their one-node plans walk the same steps on
+the same integers; 5 <- 6 is 3 <- 1's subtraction on equal cells;
+neighbour products agree (``solve_restricted``); alcove lines are
+correctly rounded.  The solve group's agreement loses no comparison: node
+6's cells were node 1's numbers already.  An E6 L30 verify with
+``level-sweep``'s groups took 6.94 -> 5.59 ms in-process (fastest of 100
+interleaved pairs on a shared 2-core host).
 
 ``build_qgrid`` fills the table from the closed-form rows outward along the
 routes of the per-type proofs: extremal rows are evaluated directly, their
@@ -228,7 +238,8 @@ def _route_walk(td: TypeData, k_max: int, one, direct, divide, zero_at):
     worked out from the last route back; then the direct rows are filled,
     then each target in route order.  Returns the rows and their tags
     (boundary, direct, subtraction, division, zero_hypothesis, unresolved)
-    out to k_max, node by node; an unresolved cell is None.
+    out to k_max, for the direct nodes and targets of ``td`` in node order;
+    an unresolved cell is None.
     """
     reach = dict.fromkeys(td.direct_nodes, k_max)
     reach.update((target, k_max) for target, _ in td.derived_routes)
@@ -265,7 +276,7 @@ def _route_walk(td: TypeData, k_max: int, one, direct, divide, zero_at):
                     how = "zero_hypothesis"
             row.append(out)
             tag.append(how)
-    nodes = range(1, len(rows) + 1)
+    nodes = sorted(rows)
     return [rows[i][:k_max + 1] for i in nodes], [tags[i][:k_max + 1] for i in nodes]
 
 
@@ -278,7 +289,8 @@ def build_qgrid(ctx: LevelContext, k_max: int | None = None) -> QGrid:
     as zero when k falls (mod l) in the recurring zero window [level+1, l-1];
     anything else lands in ``unresolved`` and is never silently filled.  The
     returned residual_max measures how well every fully-stencilled cell
-    satisfies the defining recurrence.
+    satisfies the defining recurrence.  Each orbit's nodes (``_fold``) share
+    the lists of cells, scales and tags the walk fills for its first node.
     """
     rs = ctx.root_system
     level, l = ctx.level, ctx.shifted_level
@@ -294,11 +306,15 @@ def build_qgrid(ctx: LevelContext, k_max: int | None = None) -> QGrid:
     def divide(num: QReal, div: QReal) -> QReal | None:
         return num.div(div) if div.is_clear_of_zero(half) else None
 
-    table, provenance = _route_walk(
-        type_data(rs.type_label), k_max, ctx.one, lambda i, k: chari_qdim(i, k, ctx), divide,
-        lambda k: ctx.zero if level < k % l < l else None)
+    orbits, index, _ = _fold(rs)
+    td, firsts = type_data(rs.type_label), {orbit[0] for orbit in orbits}
+    td = td._replace(direct_nodes=tuple(i for i in td.direct_nodes if i in firsts),
+                     derived_routes=tuple(r for r in td.derived_routes if r[0] in firsts))
+    table, tags = _route_walk(td, k_max, ctx.one, lambda i, k: chari_qdim(i, k, ctx), divide,
+                              lambda k: ctx.zero if level < k % l < l else None)
     rows = [[None if c is None else c._v for c in row] for row in table]
     scales = [[None if c is None else c._s for c in row] for row in table]
+    rows, scales, provenance = ([part[o] for o in index] for part in (rows, scales, tags))
     unresolved = [(i, k) for i, row in enumerate(rows, 1) for k, c in enumerate(row) if c is None]
     grid = QGrid(rs, level, k_max, rows, ctx.precision_bits, provenance, unresolved=unresolved,
                  scales=scales)
@@ -306,13 +322,26 @@ def build_qgrid(ctx: LevelContext, k_max: int | None = None) -> QGrid:
     return grid
 
 
+def _representatives(grid: QGrid) -> list[int]:
+    """The 0-based row each row of ``grid`` takes its results from: its
+    orbit's first (``_orbits``) when each orbit's nodes hold that row's very
+    lists of cells and scales, as ``build_qgrid``'s do, else itself."""
+    reps = [0] * len(grid.rows)
+    for orbit in _orbits(grid.root_system):
+        for i in orbit:
+            reps[i - 1] = orbit[0] - 1
+    parts = grid.rows, grid.scales or grid.rows
+    shared = all(part[i] is part[r] for part in parts for i, r in enumerate(reps))
+    return reps if shared else list(range(len(reps)))
+
+
 def residual(grid: QGrid) -> tuple:
     """Normalized max violation of the recurrence over fully-present stencils,
-    a p-bit triple; 0 when there is none."""
+    a p-bit triple; 0 when there is none; a shared row is read once."""
     cells = (grid.rows, grid.precision_bits)
     neighbors = _neighbor_rows(grid.root_system)
     worst = ZERO
-    for i in range(len(neighbors)):
+    for i in sorted(set(_representatives(grid))):
         for k in range(1, grid.k_max):
             d = _defect(cells, neighbors, i, k)
             if d is not None and cmp_triples(d[1], worst) > 0:
@@ -646,7 +675,8 @@ def theorem_report(ctx: LevelContext, grid: QGrid) -> list[CheckResult]:
     positivity is unproven.  Failures are report entries, never
     exceptions.  Each entry's proven label is the ``proven_nodes`` entry of
     TYPE_DATA under its own name.  ``grid`` comes from ``build_qgrid``: its
-    cells' scales set the tolerances.
+    cells' scales set the tolerances.  A node sharing a row takes its row's
+    violations and notes (``_representatives``) under its own proven label.
     """
     rs = ctx.root_system
     label = rs.type_label
@@ -658,9 +688,15 @@ def theorem_report(ctx: LevelContext, grid: QGrid) -> list[CheckResult]:
     one = one_triple(p)
     uni_margin = float_triple(POSITIVITY_MARGIN, p)
     rows, scales = grid.rows, grid.scales
+    reps = _representatives(grid)
 
     def add(name, node, ok, violation, note=""):
         checks.append(_mk_check(name, node, ok, is_proven(label, name, node), violation, note))
+
+    def copied(i, entries):  # node i takes its representative's entries, if measured
+        for c in entries.get(reps[i - 1], ()):
+            add(c.name, i, c.status == "pass", c.max_violation, c.note)
+        return reps[i - 1] in entries
 
     def rel(f, scale):
         return div_triples(abs_triple(f), scale, p)
@@ -672,7 +708,11 @@ def theorem_report(ctx: LevelContext, grid: QGrid) -> list[CheckResult]:
             return None
         return rel(add_triples(a, b, p, flip), sb if cmp_triples(sb, sa) > 0 else sa)
 
+    entries = {}
     for i in range(1, rs.rank + 1):
+        if copied(i, entries):
+            continue
+        start = len(checks)
         row, srow = rows[i - 1], scales[i - 1]
         # (i) recurring zeros on [level+1, l-1]
         window = row[level + 1:l]
@@ -713,10 +753,15 @@ def theorem_report(ctx: LevelContext, grid: QGrid) -> list[CheckResult]:
         # boundary Q_level = 1
         ok, dev = _at_most([gap(row[level], one, srow[level], srow[level])], REL_GAP_TOL, p)
         add("boundary_one", i, ok, dev)
+        entries[reps[i - 1]] = checks[start:]
 
     # (anti)periodicity and the k = l sign, at the closed-form rows only;
     # both signs are (-1)^delta, and x - sign * y is x - y or x + y.
+    entries = {}
     for i in type_data(label).direct_nodes:
+        if copied(i, entries):
+            continue
+        start = len(checks)
         sign = -1 if delta(rs, i) % 2 else 1
         flip = int(sign > 0)
         pairs = [(chari_qdim(i, k, ctx), chari_qdim(i, k + l, ctx))
@@ -728,13 +773,14 @@ def theorem_report(ctx: LevelContext, grid: QGrid) -> list[CheckResult]:
         srow = scales[i - 1]
         ok, dev = _at_most([gap(rows[i - 1][l], one, srow[l], srow[l], flip)], REL_GAP_TOL, p)
         add("shifted_boundary_sign", i, ok, dev, f"expected {sign:+d}")
+        entries[reps[i - 1]] = checks[start:]
 
     return checks
 
 
 def dilog_args(grid: QGrid) -> dict[tuple[int, int], tuple]:
     """The ratios prod_{j~i} Q_k(j) / Q_k(i)^2 over the restricted range, as
-    p-bit triples."""
+    p-bit triples, once per row the grid shares (``_representatives``)."""
     if grid.k_max < grid.level:
         raise ValueError("dilog arguments need the grid out to k = level")
     rows = grid.rows
@@ -745,9 +791,13 @@ def dilog_args(grid: QGrid) -> dict[tuple[int, int], tuple]:
                 raise ValueError(f"grid cell (node {i}, k={k}) is not positive")
     p = grid.precision_bits
     neighbors = _neighbor_rows(grid.root_system)
-    return {(i + 1, k): div_triples(_neighbor_product(rows, neighbors[i], k, p),
-                                    mul_triples(row[k], row[k], p), p)
-            for i, row in enumerate(rows) for k in ks}
+    reps = _representatives(grid)
+    args = {(i + 1, k): div_triples(_neighbor_product(rows, neighbors[i], k, p),
+                                    mul_triples(rows[i][k], rows[i][k], p), p)
+            for i, rep in enumerate(reps) if rep == i for k in ks}
+    if len(args) == len(rows) * len(ks):
+        return args
+    return {(i + 1, k): args[rep + 1, k] for i, rep in enumerate(reps) for k in ks}
 
 
 def dilog_args_margin(grid: QGrid, args: dict[tuple[int, int], tuple]) -> tuple | None:

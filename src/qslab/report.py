@@ -263,12 +263,15 @@ def _logconcave_checks(report, ctx, grid) -> list[CheckResult]:
 
     p = ctx.precision_bits
     bad_nodes = []
-    for i in range(1, rs.rank + 1):
-        seq = seqanalysis.make_sequence(alcove_line(i, ctx), p)
-        if i == td.branden_node:
-            branden_line = seq
-        if (not seqanalysis.is_log_concave(seq)
-                or any(sign or not man for sign, man, _ in seq.entries)):  # an entry <= 0
+    # a node's line k w_i is its image's under an automorphism, correctly rounded
+    reps = qsolver._representatives(grid)
+    lines = {}  # a representative row -> its line's sequence and whether it fails
+    for i, rep in enumerate(reps, 1):
+        if rep not in lines:
+            seq = seqanalysis.make_sequence(alcove_line(i, ctx), p)
+            lines[rep] = seq, (not seqanalysis.is_log_concave(seq)  # or an entry <= 0
+                               or any(sign or not man for sign, man, _ in seq.entries))
+        if lines[rep][1]:
             bad_nodes.append(i)
     out.append(_mk_check("fundamental_lines_log_concave", None, not bad_nodes, True,
                          None, note=f"failing nodes {bad_nodes}" if bad_nodes else ""))
@@ -281,6 +284,7 @@ def _logconcave_checks(report, ctx, grid) -> list[CheckResult]:
 
     if td.branden_node is not None:
         node, threshold = td.branden_node, td.branden_level
+        branden_line = lines[reps[node - 1]][0]
         order = seqanalysis.log_concavity_order(branden_line, 6)
         gate = level <= threshold
         out.append(_mk_check("order_probe", node, order >= 3 if gate else True,

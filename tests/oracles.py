@@ -15,7 +15,7 @@ from typing import Iterable, NamedTuple, Sequence
 from mpmath.libmp import (fone, from_man_exp, fzero, mpf_abs, mpf_div, mpf_gt, mpf_log, mpf_lt,
                           mpf_mul, mpf_pi, mpf_pos, mpf_sub, round_nearest, to_fixed)
 
-from qslab import krchar, qsolver
+from qslab import krchar, qsolver, report
 from qslab.krchar import chari_decomposition, chari_qdim
 from qslab.qnum import (DEFAULT_PRECISION_BITS, LevelContext, QReal, _abs_sines, mp_context,
                         qdim_classical, render_note)
@@ -574,6 +574,49 @@ def build_qgrid(ctx: LevelContext, k_max: int | None = None) -> QGrid:
     )
     grid.residual_max = qsolver.residual(grid)
     return grid
+
+
+# The KR grid path before it folded its rows by the orbits of the Dynkin
+# diagram's automorphisms: ``qslab.qsolver._route_walk`` over every node of
+# TYPE_DATA, with ``build_qgrid``'s arithmetic, each node's lists its own.
+
+def unfolded_qgrid(ctx: LevelContext) -> QGrid:
+    """``build_qgrid(ctx)`` with every node's row walked and its lists of
+    cells, scales and tags its own, so ``qsolver`` reads it node by node."""
+    rs = ctx.root_system
+    level, l, half = ctx.level, ctx.shifted_level, ctx.precision_bits // 2
+    table, provenance = qsolver._route_walk(
+        type_data(rs.type_label), l, ctx.one, lambda i, k: chari_qdim(i, k, ctx),
+        lambda num, div: num.div(div) if div.is_clear_of_zero(half) else None,
+        lambda k: ctx.zero if level < k % l < l else None)
+    rows = [[None if c is None else c._v for c in row] for row in table]
+    scales = [[None if c is None else c._s for c in row] for row in table]
+    unresolved = [(i, k) for i, row in enumerate(rows, 1) for k, c in enumerate(row) if c is None]
+    grid = QGrid(rs, level, l, rows, ctx.precision_bits, provenance, unresolved=unresolved,
+                 scales=scales)
+    grid.residual_max = qsolver.residual(grid)
+    return grid
+
+
+def fold_pairs(rs, level: int) -> list[tuple[str, object, object]]:
+    """(what, folded, unfolded) for the folded grid path at ``level``: the
+    grid against ``unfolded_qgrid`` on a context of its own (rows, scales,
+    provenance, unresolved cells, residual_max), then ``theorem_report``,
+    the log-concavity group's entries and ``dilog_args`` on the folded grid
+    against a copy of it whose every list is its own, read on that context,
+    and the copy's ``_representatives``, which must be its rows themselves."""
+    ctx, own = LevelContext(rs, level), LevelContext(rs, level)
+    grid, ref = qsolver.build_qgrid(ctx), unfolded_qgrid(own)
+    copy = QGrid(rs, level, grid.k_max, [list(r) for r in grid.rows], grid.precision_bits,
+                 [list(t) for t in grid.provenance], grid.residual_max, list(grid.unresolved),
+                 [list(s) for s in grid.scales])
+    return [("grid", grid, ref),
+            ("theorem", qsolver.theorem_report(ctx, grid), qsolver.theorem_report(own, copy)),
+            ("logconcave", report._logconcave_checks(None, ctx, grid),
+             report._logconcave_checks(None, own, copy)),
+            ("dilog_args", list(qsolver.dilog_args(grid).items()),
+             list(qsolver.dilog_args(copy).items())),
+            ("copy's representatives", qsolver._representatives(copy), list(range(rs.rank)))]
 
 
 def classical_grid(rs, k_max: int, td=None) -> list[list[int]]:

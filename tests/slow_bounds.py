@@ -7,7 +7,8 @@ process runs ``test_cli_robustness.CHILD`` over the fixed argv lists of
 BOUNDS, under the same address-space limit (ADDRESS_SPACE) and per-case
 alarm (CASE_BUDGET_S), and each case must exit with 0, 1 or 2, print no
 traceback and answer within the budget.  The seconds of every case are
-printed.
+printed.  At E6 L100, L200 and L500 the folded grid path is compared bit
+for bit with the unfolded one, as tier-1 does at E6 L1-40.
 """
 
 from __future__ import annotations
@@ -24,6 +25,9 @@ import pytest
 
 import qslab
 from qslab import cli
+from qslab.rootsys import build_root_system
+
+import oracles
 from test_cli_robustness import ADDRESS_SPACE, CASE_BUDGET_S, CHILD
 
 
@@ -96,3 +100,10 @@ def test_bound_answers_in_budget(results, case, capsys):
     assert not r["traceback"]
     assert r["code"] in (0, 1, 2)
     assert math.isfinite(r["seconds"]) and r["seconds"] <= CASE_BUDGET_S
+
+
+@pytest.mark.parametrize("level", [100, 200, 500])
+def test_folded_grid_path_equals_the_unfolded_one(level):
+    # test_qsolver's comparison of the same name, at deeper levels
+    for what, folded, unfolded in oracles.fold_pairs(build_root_system("E6"), level):
+        assert folded == unfolded, (level, what)

@@ -12,7 +12,7 @@ from mpmath.libmp import (fone, from_float, from_man_exp, fzero, mpf_abs, mpf_ad
                           to_float)
 
 import qslab
-from qslab import krchar, qnum
+from qslab import krchar, qnum, qsolver
 from qslab.krchar import chari_decomposition, kleber_q1
 from qslab.qnum import (
     ZERO,
@@ -314,7 +314,9 @@ def test_progression_terms_sum_the_plan_qdim_terms(rs_map, label, levels, monkey
 def test_verify_builds_each_row_once_and_the_reference_plans(label, level, monkeypatch):
     # a full verify makes each width's ratio rows once per context (one
     # sine table each), and every support plan it builds, one-node, paired
-    # and (E7) Kleber supports alike, equals the root-by-root reference
+    # and (E7) Kleber supports alike, equals the root-by-root reference.
+    # The one-node supports are those of the orbit representatives of the
+    # diagram's automorphisms: E6's nodes 6 and 5 take nodes 1 and 3's rows
     contexts, tables, rows = [], [], {}
     real_init, real_rows = LevelContext.__init__, LevelContext._ratio_rows
     real_sines = qnum._abs_sines
@@ -341,7 +343,8 @@ def test_verify_builds_each_row_once_and_the_reference_plans(label, level, monke
     plans = {(ctx, s): plan for ctx in contexts for s, plan in ctx._plans.items()}
     assert all(plan == reference_support_plan(ctx, s) for (ctx, s), plan in plans.items())
     supports = {s for _, s in plans}
-    assert {(j,) for j in range(len(contexts[0].root_system.cartan))} <= supports
+    orbits = qsolver._orbits(contexts[0].root_system)
+    assert {s for s in supports if len(s) == 1} == {(orbit[0] - 1,) for orbit in orbits}
     assert set(type_data(label).paired_shells.values()) <= supports
     for _, weight in (t for table in type_data(label).kleber_q1.values() for t in table):
         assert tuple(j for j, c in enumerate(weight) if c) in supports | {()}, weight

@@ -37,6 +37,8 @@ from qslab.rootsys import TYPE_DATA, delta
 import oracles
 from oracles import a_series_cartan, closure_system, d_series_cartan, rel_gap
 
+LEVEL_SWEEP_CHECKS = "roots,grid,theorem,logconcave,dilog"  # perfbench's level-sweep groups
+
 
 def test_boundary_and_direct_rows(e6):
     ctx = LevelContext(e6, 2)
@@ -277,6 +279,67 @@ def test_route_walk_equals_the_recursive_fill(rs_map, label, level, bits, k_max)
     ctx = LevelContext(rs_map[label], level, bits)
     k_max = 4 * ctx.shifted_level if k_max == "4l" else k_max
     assert build_qgrid(ctx, k_max) == oracles.build_qgrid(ctx, k_max)
+
+
+def test_fold_preconditions(e6):
+    # the folded grid path gives E6's nodes 6 and 5 the rows of 1 and 3 as
+    # these facts make them equal bit for bit, so a reordering of the roots
+    # fails here first: the positive roots come in non-decreasing height,
+    # so the one-node plans of the mark-1 nodes 1 and 6 walk equal (height,
+    # coefficient) steps with equal sign tables, and the routes 3 <- 1 and
+    # 5 <- 6 are subtractions alone
+    assert list(e6.heights) == sorted(e6.heights)
+    assert e6.marks[0] == e6.marks[5] == 1
+    assert qsolver._orbits(e6) == ((1, 6), (2,), (3, 5), (4,))
+    for level in (1, 6, 30):
+        ctx = LevelContext(e6, level)
+        plans = [qnum.support_plan(ctx, (node - 1,)) for node in (1, 6)]
+        steps = [[(plan[0][g], ht) for g, ht, _ in plan[1]] for plan in plans]
+        assert len(steps[0]) == 16 and steps[0] == steps[1], level
+        assert plans[0][2] == plans[1][2], level
+    routes = dict(TYPE_DATA["E6"].derived_routes)
+    assert routes[3] == ((1, ()),) and routes[5] == ((6, ()),)
+
+
+def test_folded_grid_path_equals_the_unfolded_one(e6, e7):
+    # build_qgrid walks one row per orbit and its consumers read a shared
+    # row once; the walk over every node and a node-by-node reading of an
+    # unshared copy give the same bits, E6 L1-40 (E6 L100, L200 and L500
+    # in tests/slow_bounds.py).  E7's orbits are singletons: nothing shared
+    for level in range(1, 41):
+        pairs = oracles.fold_pairs(e6, level)
+        for what, folded, unfolded in pairs:
+            assert folded == unfolded, (level, what)
+        grid = pairs[0][1]
+        assert grid.rows[5] is grid.rows[0] and grid.rows[4] is grid.rows[2], level
+        assert grid.scales[5] is grid.scales[0] and grid.provenance[4] is grid.provenance[2]
+        assert qsolver._representatives(grid) == [0, 1, 2, 3, 2, 0]
+    grid = build_qgrid(LevelContext(e7, 4))
+    assert qsolver._representatives(grid) == list(range(7))
+    assert len({id(row) for row in grid.rows}) == 7
+
+
+@pytest.mark.parametrize("label,level,checks,walks", [
+    ("E6", 2, None, 13), ("E6", 4, None, 21), ("E6", 12, None, 44),
+    ("E6", 6, LEVEL_SWEEP_CHECKS, 27), ("E6", 30, LEVEL_SWEEP_CHECKS, 95),
+    ("E7", 12, None, 238), ("E8", 8, None, 132),
+])
+def test_verify_sine_walks(monkeypatch, label, level, checks, walks):
+    # qnum._ratio_walk calls per verify: E6 walks the rows, plans and alcove
+    # lines of its orbit representatives 1-4 only, where a walk over every
+    # node makes 19, 31, 66, 40 and 144; E7 and E8, whose orbits are
+    # singletons, walk every node
+    calls = []
+    real_walk = qnum._ratio_walk
+
+    def counted(*args):
+        calls.append(args)
+        return real_walk(*args)
+
+    monkeypatch.setattr(qnum, "_ratio_walk", counted)
+    config = RunConfig(type_label=label, level=level)
+    run(config if checks is None else config._replace(checks=tuple(checks.split(","))))
+    assert len(calls) == walks
 
 
 # Q_1(i) = dim W^(i)_1, i = 1..rank

@@ -1572,7 +1572,9 @@ def test_dilog_argument_out_of_range_is_a_failed_check(rs_map, label, status):
     from qslab.qsolver import build_qgrid
     from qslab.report import VerificationReport
 
-    # every cell stays positive, but the ratio at (1, 1) grows to about 8000
+    # every cell stays positive, but the ratio at (1, 1) grows to about 8000;
+    # E6's node 6 shares node 1's row, so the planted cell is its cell too,
+    # and its ratio at k = 1 grows alike
     ctx = LevelContext(rs_map[label], 2)
     grid = build_qgrid(ctx)
     grid.rows[0][1] = triple(mpf_cell(grid, 1, 1) / 100, ctx.precision_bits)

@@ -53,11 +53,13 @@ def test_tracer_layers_resolve_and_attribute_verify(tmp_path):
     # and no qdim or qdim_line runs outside a traced layer.  A qdim span
     # under the root would land in affweyl.alcove_s; the qdim_line spans
     # under the root are the log-concavity group's alcove lines k w_i, k <=
-    # 2 // a_i, 13 weights, whose time stays in qnum.qdim_line_s
+    # 2 // a_i, at the orbit representatives 1-4 of the diagram's involution
+    # (nodes 6 and 5 take the lines of 1 and 3), 8 weights, whose time stays
+    # in qnum.qdim_line_s
     under_root = Counter(tracer.names[name_id] for name_id, _, _, parent, _ in tracer.spans
                          if parent >= 0 and tracer.spans[parent][0] == 0)
     assert under_root["qnum.qdim"] == 0
-    assert under_root["qnum.qdim_line"] == sum(2 // a + 1 for a in (1, 2, 2, 3, 2, 1)) == 13
+    assert under_root["qnum.qdim_line"] == sum(2 // a + 1 for a in (1, 2, 2, 3)) == 8
     assert metrics["qnum.qdim_line_s"] > 0 and metrics["qnum.qdim_line_calls"] > 13
     assert metrics["affweyl.alcove_weights"] == 0 and metrics["affweyl.alcove_s"] == 0
     # the grid's direct rows call qdim_line through a module attribute, which
