@@ -39,16 +39,16 @@ level // 2 and one row per orbit (``_orbits``, ``_fold``; E6 4 rows) only,
 and give each mirrored cell and each node its image's triple.  The grid
 path folds by the same ``_fold``: ``build_qgrid`` walks the orbits' first
 rows (E6: direct 1 and 2, routes 3 <- 1 and 4 <- 2), which the orbit's
-nodes share, and ``residual``, ``theorem_report``, ``dilog_args`` and the
-report's alcove lines compute once per shared row (``_representatives``).
-No bit moves: E6's nodes 1 and 6 have mark 1 and the positive roots come
-in non-decreasing height, so their one-node plans walk the same steps on
-the same integers; 5 <- 6 is 3 <- 1's subtraction on equal cells;
-neighbour products agree (``solve_restricted``); alcove lines are
-correctly rounded.  The solve group's agreement loses no comparison: node
-6's cells were node 1's numbers already.  An E6 L30 verify with
-``level-sweep``'s groups took 6.94 -> 5.59 ms in-process (fastest of 100
-interleaved pairs on a shared 2-core host).
+nodes share.  ``residual`` reads a shared row once, and ``_per_row`` is the
+one place where a shared row's results reach the orbit's other nodes:
+``theorem_report``, ``dilog_args`` and the report's alcove lines measure
+each shared row once through it.  No bit moves: E6's nodes 1 and 6 have
+mark 1 and the positive roots come in non-decreasing height, so their
+one-node plans walk the same steps on the same integers; 5 <- 6 is 3 <-
+1's subtraction on equal cells; neighbour products agree
+(``solve_restricted``); alcove lines are correctly rounded.  The solve
+group's agreement loses no comparison: node 6's cells were node 1's
+numbers already.
 
 ``build_qgrid`` fills the table from the closed-form rows outward along the
 routes of the per-type proofs: extremal rows are evaluated directly, their
@@ -333,6 +333,18 @@ def _representatives(grid: QGrid) -> list[int]:
     parts = grid.rows, grid.scales or grid.rows
     shared = all(part[i] is part[r] for part in parts for i, r in enumerate(reps))
     return reps if shared else list(range(len(reps)))
+
+
+def _per_row(grid: QGrid, nodes, measure) -> dict:
+    """{i: measure(i) for i in nodes}, with ``measure`` called once per row
+    the grid shares (``_representatives``), at the first of ``nodes`` that
+    reads it: the orbit's other nodes get that very result.  This is the one
+    place where a shared row's results reach other nodes."""
+    reps, measured = _representatives(grid), {}
+    for i in nodes:
+        if reps[i - 1] not in measured:
+            measured[reps[i - 1]] = measure(i)
+    return {i: measured[reps[i - 1]] for i in nodes}
 
 
 def residual(grid: QGrid) -> tuple:
@@ -676,27 +688,17 @@ def theorem_report(ctx: LevelContext, grid: QGrid) -> list[CheckResult]:
     exceptions.  Each entry's proven label is the ``proven_nodes`` entry of
     TYPE_DATA under its own name.  ``grid`` comes from ``build_qgrid``: its
     cells' scales set the tolerances.  A node sharing a row takes its row's
-    violations and notes (``_representatives``) under its own proven label.
+    verdicts, violations and notes (``_per_row``) under its own proven label.
     """
     rs = ctx.root_system
     label = rs.type_label
     level, l = ctx.level, ctx.shifted_level
     if grid.k_max < l:
         raise ValueError("theorem report needs the grid out to k = l")
-    checks: list[CheckResult] = []
     p = ctx.precision_bits
     one = one_triple(p)
     uni_margin = float_triple(POSITIVITY_MARGIN, p)
     rows, scales = grid.rows, grid.scales
-    reps = _representatives(grid)
-
-    def add(name, node, ok, violation, note=""):
-        checks.append(_mk_check(name, node, ok, is_proven(label, name, node), violation, note))
-
-    def copied(i, entries):  # node i takes its representative's entries, if measured
-        for c in entries.get(reps[i - 1], ()):
-            add(c.name, i, c.status == "pass", c.max_violation, c.note)
-        return reps[i - 1] in entries
 
     def rel(f, scale):
         return div_triples(abs_triple(f), scale, p)
@@ -708,39 +710,36 @@ def theorem_report(ctx: LevelContext, grid: QGrid) -> list[CheckResult]:
             return None
         return rel(add_triples(a, b, p, flip), sb if cmp_triples(sb, sa) > 0 else sa)
 
-    entries = {}
-    for i in range(1, rs.rank + 1):
-        if copied(i, entries):
-            continue
-        start = len(checks)
+    def row_entries(i):
+        """(name, ok, violation, note) of each per-node check on row i."""
         row, srow = rows[i - 1], scales[i - 1]
         # (i) recurring zeros on [level+1, l-1]
         window = row[level + 1:l]
         missing = None in window
         ok, worst = _at_most((rel(c, s) for c, s in zip(window, srow[level + 1:l])
                               if c is not None), ZERO_WINDOW_TOL, p)
-        add("zero_window", i, ok and not missing, worst,
-            "unresolved cells in window" if missing else "")
+        out = [("zero_window", ok and not missing, worst,
+                "unresolved cells in window" if missing else "")]
 
         # (ii) symmetry on [0, level]; the gap at level - k is the one at k,
         # as a - b and b - a round to one magnitude
         ok, worst = _at_most((gap(row[k], row[level - k], srow[k], srow[level - k])
                               for k in range(level // 2 + 1)), REL_GAP_TOL, p)
-        add("symmetry", i, ok, worst)
+        out.append(("symmetry", ok, worst, ""))
 
         # (iii) positivity on [0, level]; a None cell reads -inf
         line = row[:level + 1]
         least = _least(line)
         ok, violation = _above(least, POSITIVITY_MARGIN, p)
-        add("positivity", i, ok, violation,
-            f"min value {'-inf' if least is None else render_note(least, 8)}")
-        if i in type_data(label).positivity_window_nodes and not checks[-1].proven:
+        out.append(("positivity", ok, violation,
+                    f"min value {'-inf' if least is None else render_note(least, 8)}"))
+        if i in type_data(label).positivity_window_nodes and not is_proven(label, "positivity", i):
             # The sub-range covered by theorems gets its own proven entry;
             # rounding is monotone, so max(0, margin - least) is the largest
             # gap over its failing cells.
             cells = [c for k, c in enumerate(line) if proven_positivity_window(rs, i, level, k)]
             ok, violation = _above(_least(cells), POSITIVITY_MARGIN, p) if cells else (True, ZERO)
-            add("positivity_window", i, ok, violation)
+            out.append(("positivity_window", ok, violation, ""))
 
         # (iv) strict increase on [0, floor(level/2) - 1]: every
         # margin - (Q_{k+1} - Q_k) at most 0
@@ -748,39 +747,36 @@ def theorem_report(ctx: LevelContext, grid: QGrid) -> list[CheckResult]:
             (None if row[k] is None or row[k + 1] is None
              else add_triples(uni_margin, add_triples(row[k + 1], row[k], p, 1), p, 1)
              for k in range(level // 2)), 0.0, p)
-        add("unimodality", i, ok, worst)
+        out.append(("unimodality", ok, worst, ""))
 
         # boundary Q_level = 1
         ok, dev = _at_most([gap(row[level], one, srow[level], srow[level])], REL_GAP_TOL, p)
-        add("boundary_one", i, ok, dev)
-        entries[reps[i - 1]] = checks[start:]
+        out.append(("boundary_one", ok, dev, ""))
+        return out
 
-    # (anti)periodicity and the k = l sign, at the closed-form rows only;
-    # both signs are (-1)^delta, and x - sign * y is x - y or x + y.
-    entries = {}
-    for i in type_data(label).direct_nodes:
-        if copied(i, entries):
-            continue
-        start = len(checks)
+    def direct_entries(i):
+        """(Anti)periodicity and the k = l sign of the closed-form row i;
+        both signs are (-1)^delta, and x - sign * y is x - y or x + y."""
         sign = -1 if delta(rs, i) % 2 else 1
         flip = int(sign > 0)
         pairs = [(chari_qdim(i, k, ctx), chari_qdim(i, k + l, ctx))
                  for k in range(min(level, 3) + 1)]
-        ok, worst = _at_most((gap(b._v, a._v, a._s, b._s, flip) for a, b in pairs),
-                             REL_GAP_TOL, p)
-        add("periodicity", i, ok, worst, f"sign {sign:+d}")
-
         srow = scales[i - 1]
-        ok, dev = _at_most([gap(rows[i - 1][l], one, srow[l], srow[l], flip)], REL_GAP_TOL, p)
-        add("shifted_boundary_sign", i, ok, dev, f"expected {sign:+d}")
-        entries[reps[i - 1]] = checks[start:]
+        periodic = _at_most((gap(b._v, a._v, a._s, b._s, flip) for a, b in pairs), REL_GAP_TOL, p)
+        at_l = _at_most([gap(rows[i - 1][l], one, srow[l], srow[l], flip)], REL_GAP_TOL, p)
+        return [("periodicity", *periodic, f"sign {sign:+d}"),
+                ("shifted_boundary_sign", *at_l, f"expected {sign:+d}")]
 
-    return checks
+    measured = (_per_row(grid, range(1, rs.rank + 1), row_entries),
+                _per_row(grid, type_data(label).direct_nodes, direct_entries))
+    return [_mk_check(name, i, ok, is_proven(label, name, i), violation, note)
+            for by_node in measured for i, entries in by_node.items()
+            for name, ok, violation, note in entries]
 
 
 def dilog_args(grid: QGrid) -> dict[tuple[int, int], tuple]:
     """The ratios prod_{j~i} Q_k(j) / Q_k(i)^2 over the restricted range, as
-    p-bit triples, once per row the grid shares (``_representatives``)."""
+    p-bit triples keyed node-major, once per row the grid shares (``_per_row``)."""
     if grid.k_max < grid.level:
         raise ValueError("dilog arguments need the grid out to k = level")
     rows = grid.rows
@@ -791,13 +787,10 @@ def dilog_args(grid: QGrid) -> dict[tuple[int, int], tuple]:
                 raise ValueError(f"grid cell (node {i}, k={k}) is not positive")
     p = grid.precision_bits
     neighbors = _neighbor_rows(grid.root_system)
-    reps = _representatives(grid)
-    args = {(i + 1, k): div_triples(_neighbor_product(rows, neighbors[i], k, p),
-                                    mul_triples(rows[i][k], rows[i][k], p), p)
-            for i, rep in enumerate(reps) if rep == i for k in ks}
-    if len(args) == len(rows) * len(ks):
-        return args
-    return {(i + 1, k): args[rep + 1, k] for i, rep in enumerate(reps) for k in ks}
+    ratios = _per_row(grid, range(1, len(rows) + 1), lambda i: [
+        div_triples(_neighbor_product(rows, neighbors[i - 1], k, p),
+                    mul_triples(rows[i - 1][k], rows[i - 1][k], p), p) for k in ks])
+    return {(i, k): x for i, xs in ratios.items() for k, x in zip(ks, xs)}
 
 
 def dilog_args_margin(grid: QGrid, args: dict[tuple[int, int], tuple]) -> tuple | None:

@@ -262,17 +262,14 @@ def _logconcave_checks(report, ctx, grid) -> list[CheckResult]:
     out = []
 
     p = ctx.precision_bits
-    bad_nodes = []
-    # a node's line k w_i is its image's under an automorphism, correctly rounded
-    reps = qsolver._representatives(grid)
-    lines = {}  # a representative row -> its line's sequence and whether it fails
-    for i, rep in enumerate(reps, 1):
-        if rep not in lines:
-            seq = seqanalysis.make_sequence(alcove_line(i, ctx), p)
-            lines[rep] = seq, (not seqanalysis.is_log_concave(seq)  # or an entry <= 0
-                               or any(sign or not man for sign, man, _ in seq.entries))
-        if lines[rep][1]:
-            bad_nodes.append(i)
+
+    def line(i):  # node i's alcove line and whether it fails; a mate's is its, correctly rounded
+        seq = seqanalysis.make_sequence(alcove_line(i, ctx), p)
+        return seq, (not seqanalysis.is_log_concave(seq)  # or an entry <= 0
+                     or any(sign or not man for sign, man, _ in seq.entries))
+
+    lines = qsolver._per_row(grid, range(1, rs.rank + 1), line)
+    bad_nodes = [i for i, (_, bad) in lines.items() if bad]
     out.append(_mk_check("fundamental_lines_log_concave", None, not bad_nodes, True,
                          None, note=f"failing nodes {bad_nodes}" if bad_nodes else ""))
 
@@ -284,7 +281,7 @@ def _logconcave_checks(report, ctx, grid) -> list[CheckResult]:
 
     if td.branden_node is not None:
         node, threshold = td.branden_node, td.branden_level
-        branden_line = lines[reps[node - 1]][0]
+        branden_line = lines[node][0]
         order = seqanalysis.log_concavity_order(branden_line, 6)
         gate = level <= threshold
         out.append(_mk_check("order_probe", node, order >= 3 if gate else True,
@@ -509,6 +506,8 @@ def report_to_text(report: VerificationReport) -> str:
 def write_text_atomic(path: str, content: str) -> None:
     """Write via a sibling temp file and rename, so readers never see partial output.
 
+    The file gets the mode ``open(path, "w")`` would leave: an existing
+    target's own, else 0o666 less the umask (the temp file is made 0o600).
     An OSError names the requested path, never the temp file, which is removed.
     """
     # imported here, for the report files alone: every qslab process would
@@ -518,9 +517,16 @@ def write_text_atomic(path: str, content: str) -> None:
     directory = os.path.dirname(os.path.abspath(path)) or "."
     tmp = None
     try:
+        try:
+            mode = os.stat(path).st_mode & 0o777
+        except FileNotFoundError:
+            umask = os.umask(0)
+            os.umask(umask)
+            mode = 0o666 & ~umask
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         with os.fdopen(fd, "w") as f:
             f.write(content)
+        os.chmod(tmp, mode)
         os.replace(tmp, path)
     except BaseException as exc:
         if tmp is not None and os.path.exists(tmp):

@@ -319,6 +319,41 @@ def test_folded_grid_path_equals_the_unfolded_one(e6, e7):
     assert len({id(row) for row in grid.rows}) == 7
 
 
+def test_per_row_measures_each_shared_row_once(e6, e7):
+    # E6 nodes 5 and 6 read the rows of 3 and 1 and get their very results;
+    # a copy whose every list is its own, as oracles.fold_pairs makes, and
+    # E7's singleton orbits are measured at every node
+    def measured_at(grid, rank):
+        calls = []
+        out = qsolver._per_row(grid, range(1, rank + 1), lambda i: calls.append(i) or [i])
+        return calls, out
+
+    grid = build_qgrid(LevelContext(e6, 4))
+    calls, out = measured_at(grid, 6)
+    assert calls == [1, 2, 3, 4] and list(out) == [1, 2, 3, 4, 5, 6]
+    assert out[5] is out[3] and out[6] is out[1]
+    copy = QGrid(e6, 4, grid.k_max, [list(r) for r in grid.rows], grid.precision_bits,
+                 [list(t) for t in grid.provenance], grid.residual_max, list(grid.unresolved),
+                 [list(s) for s in grid.scales])
+    assert measured_at(copy, 6)[0] == [1, 2, 3, 4, 5, 6]
+    assert measured_at(build_qgrid(LevelContext(e7, 4)), 7)[0] == list(range(1, 8))
+
+
+def test_a_partly_shared_e6_grid_is_read_node_by_node(e6):
+    # node 6 gets row and scale lists of its own, with cell k = 2 negated:
+    # the sharing is all or nothing, so node 6 is read, and fails, alone
+    ctx = LevelContext(e6, 4)
+    grid = build_qgrid(ctx)
+    grid.rows[5], grid.scales[5] = list(grid.rows[5]), list(grid.scales[5])
+    sign, man, exp = grid.rows[5][2]
+    grid.rows[5][2] = (1 - sign, man, exp)
+    assert qsolver._representatives(grid) == [0, 1, 2, 3, 4, 5]
+    failed = [(c.name, c.node) for c in theorem_report(ctx, grid) if c.status != "pass"]
+    assert failed == [("positivity", 6), ("unimodality", 6)]
+    with pytest.raises(ValueError, match=r"^grid cell \(node 6, k=2\) is not positive$"):
+        dilog_args(grid)
+
+
 @pytest.mark.parametrize("label,level,checks,walks", [
     ("E6", 2, None, 13), ("E6", 4, None, 21), ("E6", 12, None, 44),
     ("E6", 6, LEVEL_SWEEP_CHECKS, 27), ("E6", 30, LEVEL_SWEEP_CHECKS, 95),

@@ -532,6 +532,27 @@ def test_cli_write_error_names_the_requested_path(tmp_path, capsys):
     assert [p.name for p in tmp_path.rglob("*")] == ["taken"]
 
 
+def test_cli_written_files_get_the_mode_open_would_give(tmp_path, capsys):
+    # the atomic write's temp file is made 0o600; the file it becomes gets
+    # 0o666 less the umask when new, and keeps its mode when it existed
+    old = os.umask(0o022)
+    try:
+        new, kept = tmp_path / "new.txt", tmp_path / "kept.json"
+        assert main(["roots", "--type", "E6", "--out", str(new)]) == 0
+        kept.write_text("")
+        kept.chmod(0o640)
+        assert main(["verify", "--type", "E6", "--level", "1", "--checks", "roots",
+                     "--report", str(kept)]) == 0
+        os.umask(0o077)
+        assert main(["roots", "--type", "E6", "--out", str(tmp_path / "private.txt")]) == 0
+    finally:
+        os.umask(old)
+    capsys.readouterr()
+    assert json.loads(kept.read_text())["overall"] == "pass"
+    assert {p.name: p.stat().st_mode & 0o777 for p in tmp_path.iterdir()} == {
+        "new.txt": 0o644, "kept.json": 0o640, "private.txt": 0o600}
+
+
 def test_cli_verify_report(tmp_path, capsys):
     path = tmp_path / "report.json"
     code = main(["verify", "--type", "E8", "--level", "1", "--report", str(path)])
