@@ -346,11 +346,12 @@ def _cmd_solve(args) -> int:
         grid = qsolver.solve_restricted(ctx, args.tol)
     except ValueError as exc:
         _usage_error(str(exc))  # --tol not finite or below the working precision
+    # boundary ones, mirrored cells and the rows an orbit shares repeat
+    # triples: each distinct one is rendered once
+    shown = {c: render_decimal(c, 12) for c in set().union(*grid.rows)}
     lines = [f"converged, residual {render_decimal(grid.residual_max)}"]
-    for i, row in enumerate(grid.rows, 1):
-        # a mirrored cell is the same triple as its image: render it once
-        shown = {c: render_decimal(c, 12) for c in set(row)}
-        lines.append(f"node {i}: {' '.join(shown[c] for c in row)}")
+    lines += [f"node {i}: {' '.join(map(shown.__getitem__, row))}"
+              for i, row in enumerate(grid.rows, 1)]
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import json
 import os
+import stat
 import time
 from importlib import resources
 from itertools import chain
@@ -481,11 +482,12 @@ def report_to_dict(report: VerificationReport) -> dict:
 
 
 def grid_to_csv(grid: QGrid) -> str:
+    """The grid as CSV rows, each distinct cell value rendered once."""
+    shown = {c: "" if c is None else render_decimal(c) for c in {*chain(*grid.rows)}}
     lines = ["node,k,value,provenance"]
-    for i, (row, tags) in enumerate(zip(grid.rows, grid.provenance), 1):
-        for k, (cell, tag) in enumerate(zip(row, tags)):
-            value = "" if cell is None else render_decimal(cell)
-            lines.append(f"{i},{k},{value},{tag}")
+    lines += [f"{i},{k},{shown[c]},{tag}"
+              for i, (row, tags) in enumerate(zip(grid.rows, grid.provenance), 1)
+              for k, (c, tag) in enumerate(zip(row, tags))]
     return "\n".join(lines) + "\n"
 
 
@@ -503,34 +505,58 @@ def report_to_text(report: VerificationReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+# O_EXCL | O_NOFOLLOW: a temp name taken by a planted file or link is skipped,
+# never written through
+_TEMP_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_NOFOLLOW | os.O_CLOEXEC
+_TEMP_NAMES = 100  # names tried before a write gives up
+
+
 def write_text_atomic(path: str, content: str) -> None:
     """Write via a sibling temp file and rename, so readers never see partial output.
 
-    The file gets the mode ``open(path, "w")`` would leave: an existing
-    target's own, else 0o666 less the umask (the temp file is made 0o600).
-    An OSError names the requested path, never the temp file, which is removed.
+    As ``open(path, "w")`` would: a symlink is written through (a dangling
+    one creates its target), and the file gets an existing target's mode,
+    else 0o666 less the umask.  The temp file sits in the target's
+    directory, so the rename is atomic, under a short name that does not
+    grow with the target's (``.qslab-<pid>-<n>.tmp``, the next n when one is
+    taken).  The content is written as UTF-8 bytes.  An OSError names the
+    requested path, never the temp file, which is removed.
     """
-    # imported here, for the report files alone: every qslab process would
-    # pay for the module at start-up
-    import tempfile
-
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    tmp = None
+    target, mode, tmp = path, None, None
     try:
         try:
-            mode = os.stat(path).st_mode & 0o777
+            st = os.lstat(path)
+            if stat.S_ISLNK(st.st_mode):
+                target = os.path.realpath(path)
+                st = os.stat(path)
+            mode = st.st_mode & 0o777
         except FileNotFoundError:
-            umask = os.umask(0)
-            os.umask(umask)
-            mode = 0o666 & ~umask
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        with os.fdopen(fd, "w") as f:
-            f.write(content)
-        os.chmod(tmp, mode)
-        os.replace(tmp, path)
+            pass
+        stem = os.path.join(os.path.dirname(target), f".qslab-{os.getpid()}-")
+        for n in range(_TEMP_NAMES):
+            name = f"{stem}{n}.tmp"
+            try:
+                fd = os.open(name, _TEMP_FLAGS, 0o666)
+                break
+            except FileExistsError:
+                if n + 1 == _TEMP_NAMES:
+                    raise
+        tmp = name
+        try:
+            if mode is not None:
+                os.fchmod(fd, mode)
+            data = memoryview(content.encode())
+            while data:
+                data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)
+        os.replace(tmp, target)
     except BaseException as exc:
-        if tmp is not None and os.path.exists(tmp):
-            os.unlink(tmp)
+        if tmp is not None:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
         if isinstance(exc, OSError):
             raise OSError(exc.errno, exc.strerror, path) from exc
         raise
@@ -548,7 +574,7 @@ def _report_json(report: VerificationReport) -> str:
     takes the pure-Python encoder): the rest of the dict from a copy without
     the grid, the cells straight from the grid's rows, each distinct value
     rendered and each tag encoded once."""
-    import copy  # for the json reports alone, as tempfile below
+    import copy  # here, for the json reports alone: at the top every process would pay
 
     enc = encode_basestring_ascii
     g, bare, cells = report.grid, copy.copy(report), []

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import errno
 import functools
 import hashlib
 import itertools
@@ -485,6 +486,46 @@ def test_cli_solve(capsys):
     assert "converged" in out
 
 
+@pytest.mark.parametrize("label,level,golden", [
+    ("E6", 4, "0b6f50422de32f5633117ad6c088feba77f60b247d848cb123ddada4549a6582"),
+    ("E6", 8, "6605f9d1bb8b7b0cc05a11fca8758f04a253fa9a3bce4bc1f8a66aa863f41777"),
+    ("E7", 3, "1e22612b72b08d015f3915cded3d3c4307dcc447a2389d3d5bebb58cc36b9524"),
+    ("E7", 5, "72ce248ce6653d4ef6b2a7b3494d3d0256e2584dea86477ddd72105c5e1887de"),
+    ("E8", 3, "53b0d16caa3543a5b85301cce84c61186a97dce03b662800353fbba23fda096e"),
+    ("E8", 30, "331aa887e8a10f2c729602f4b0fde5ec99e04e57f34894074f682ab87e1db998"),
+], ids=["E6-4", "E6-8", "E7-3", "E7-5", "E8-3", "E8-30"])
+def test_cli_solve_is_pinned(label, level, golden, monkeypatch, tmp_path, capsys):
+    # the SHA-256 of `qslab solve` at the benchmark's solve configurations
+    # and at E8 L30, with each distinct cell triple rendered once, plus the
+    # residual; --out writes the very bytes of stdout
+    argv = ["solve", "--type", label, "--level", str(level)]
+    rendered = []
+    real_render = cli.render_decimal
+
+    def counted_render(x, *args):
+        rendered.append(x)
+        return real_render(x, *args)
+
+    grids = []
+    real_solve = cli.qsolver.solve_restricted
+
+    def recording_solve(*args):
+        grids.append(real_solve(*args))
+        return grids[-1]
+
+    monkeypatch.setattr(cli.qsolver, "solve_restricted", recording_solve)
+    monkeypatch.setattr(cli, "render_decimal", counted_render)
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == golden
+    assert len(rendered) == len({*itertools.chain(*grids[0].rows)}) + 1
+    monkeypatch.undo()
+    path = tmp_path / "solve.txt"
+    assert main([*argv, "--out", str(path)]) == 0
+    assert capsys.readouterr().out == ""
+    assert path.read_bytes() == out.encode()
+
+
 def test_cli_grid_csv(tmp_path):
     out = tmp_path / "grid.csv"
     assert main(["grid", "--type", "E6", "--level", "2", "--format", "csv",
@@ -533,8 +574,8 @@ def test_cli_write_error_names_the_requested_path(tmp_path, capsys):
 
 
 def test_cli_written_files_get_the_mode_open_would_give(tmp_path, capsys):
-    # the atomic write's temp file is made 0o600; the file it becomes gets
-    # 0o666 less the umask when new, and keeps its mode when it existed
+    # the atomic write's file gets 0o666 less the umask when new, and keeps
+    # its mode when it existed
     old = os.umask(0o022)
     try:
         new, kept = tmp_path / "new.txt", tmp_path / "kept.json"
@@ -551,6 +592,71 @@ def test_cli_written_files_get_the_mode_open_would_give(tmp_path, capsys):
     assert json.loads(kept.read_text())["overall"] == "pass"
     assert {p.name: p.stat().st_mode & 0o777 for p in tmp_path.iterdir()} == {
         "new.txt": 0o644, "kept.json": 0o640, "private.txt": 0o600}
+
+
+def test_cli_writes_through_a_symlink(tmp_path, capsys):
+    # as open(path, "w") would: a live link's target gets the content and
+    # keeps its mode, and a dangling link creates its target; both links stay
+    real, link = tmp_path / "real.txt", tmp_path / "link.txt"
+    real.write_text("old\n")
+    real.chmod(0o640)
+    link.symlink_to(real)
+    (tmp_path / "sub").mkdir()
+    dangling, made = tmp_path / "dangling.txt", tmp_path / "sub" / "made.txt"
+    dangling.symlink_to(made)
+    for target in (link, dangling):
+        assert main(["roots", "--type", "E6", "--out", str(target)]) == 0
+    assert main(["roots", "--type", "E6"]) == 0
+    roots = capsys.readouterr().out
+    assert link.is_symlink() and dangling.is_symlink()
+    assert real.read_text() == made.read_text() == roots
+    assert real.stat().st_mode & 0o777 == 0o640
+    assert sorted(p.name for p in tmp_path.rglob("*")) == [
+        "dangling.txt", "link.txt", "made.txt", "real.txt", "sub"]
+
+
+def test_write_text_atomic_takes_a_longest_basename(tmp_path):
+    # the temp file's name does not grow with the target's, so a basename
+    # of NAME_MAX bytes is written
+    target = tmp_path / ("x" * 255)
+    report.write_text_atomic(str(target), "long\n")
+    assert [p.name for p in tmp_path.iterdir()] == [target.name]
+    assert target.read_text() == "long\n"
+
+
+def test_write_text_atomic_leaves_a_planted_temp_name_alone(tmp_path):
+    # a file or a link at the first temp name is neither written nor
+    # replaced: the write takes the next name
+    first = tmp_path / f".qslab-{os.getpid()}-0.tmp"
+    first.write_text("planted\n")
+    victim = tmp_path / "victim.txt"
+    victim.write_text("victim\n")
+    second = tmp_path / f".qslab-{os.getpid()}-1.tmp"
+    second.symlink_to(victim)
+    report.write_text_atomic(str(tmp_path / "out.txt"), "written\n")
+    assert first.read_text() == "planted\n" and victim.read_text() == "victim\n"
+    assert second.is_symlink()
+    assert (tmp_path / "out.txt").read_text() == "written\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        [first.name, second.name, "out.txt", "victim.txt"])
+
+
+def test_write_text_atomic_failed_write_leaves_no_temp_file(tmp_path, monkeypatch):
+    # a full disk fails in os.write: the error names the requested path and
+    # the temp file is removed; an existing target is left as it was
+    target = tmp_path / "out.txt"
+    target.write_text("before\n")
+
+    def full(fd, data):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(os, "write", full)
+    with pytest.raises(OSError) as exc:
+        report.write_text_atomic(str(target), "after\n")
+    monkeypatch.undo()
+    assert exc.value.errno == errno.ENOSPC and exc.value.filename == str(target)
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+    assert target.read_text() == "before\n"
 
 
 def test_cli_verify_report(tmp_path, capsys):
@@ -1252,6 +1358,11 @@ def test_json_writer_renders_each_distinct_cell_once(cfg, digests, monkeypatch):
     assert write_report(rep) == expected
     distinct = set() if rep.grid is None else {*itertools.chain(*rep.grid.rows)} - {None}
     assert len(rendered) == 2 * fields + len(distinct) + (rep.grid is not None)
+    if rep.grid is not None:
+        # the csv writer, too, renders each distinct value once
+        rendered.clear()
+        report.grid_to_csv(rep.grid)
+        assert len(rendered) == len(distinct)
     monkeypatch.undo()
     for fmt, digest in digests.items():
         other = copy.copy(rep)
